@@ -1,11 +1,10 @@
 //! Commit-phase planning for the request engine: per-shard commit queues
 //! with a deterministic cross-shard ordering rule.
 //!
-//! PR 5's engine committed every prepared record in one sequential
-//! `put_many` call, ordering *all* writes even though almost none of them
-//! conflict — two posts by different authors land under different wall
-//! keys and commute. A [`CommitPlan`] keeps only the ordering the data
-//! actually requires:
+//! Committing every prepared record in one sequential pass would order
+//! *all* writes even though almost none of them conflict — two posts by
+//! different authors land under different wall keys and commute. A
+//! [`CommitPlan`] keeps only the ordering the data actually requires:
 //!
 //! - entries are first put into a **total order** by `(op_idx, seq)` — the
 //!   op's batch position plus the author-local sequence number, so two

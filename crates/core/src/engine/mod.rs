@@ -587,14 +587,21 @@ impl<S: StoragePlane> Engine<S> {
         self.exec(staged)
     }
 
-    /// Stage A of one batch: claim op indices, plan, prepare. Mutates
-    /// shards / graph / directory but never storage or metrics.
-    fn stage(&mut self, batch: OpBatch) -> StagedBatch {
+    /// Claims a batch's global op indices (counting its ops on
+    /// `engine.ops`): the ops, their base index, and the worker context
+    /// stage A runs under.
+    fn claim_batch(&mut self, batch: OpBatch) -> (Vec<Op>, u64, WorkerCtx) {
         let ops = batch.into_ops();
         self.obs.counter(names::ENGINE_OPS).add(ops.len() as u64);
         let base = self.next_op_index;
         self.next_op_index += ops.len() as u64;
-        let ctx = self.worker_ctx();
+        (ops, base, self.worker_ctx())
+    }
+
+    /// Stage A of one batch: claim op indices, plan, prepare. Mutates
+    /// shards / graph / directory but never storage or metrics.
+    fn stage(&mut self, batch: OpBatch) -> StagedBatch {
+        let (ops, base, ctx) = self.claim_batch(batch);
         stage_batch(
             &mut self.shards,
             &mut self.graph,
@@ -661,11 +668,7 @@ impl<S: StoragePlane + Send> Engine<S> {
         for next in batches {
             if self.workers > 1 && can_overlap(&staged, next.ops()) {
                 self.obs.counter(names::ENGINE_PIPELINE_OVERLAP).add(1);
-                let ops = next.into_ops();
-                self.obs.counter(names::ENGINE_OPS).add(ops.len() as u64);
-                let base = self.next_op_index;
-                self.next_op_index += ops.len() as u64;
-                let ctx = self.worker_ctx();
+                let (ops, base, ctx) = self.claim_batch(next);
                 let workers = self.workers;
                 let drain_seed = self.drain_seed;
                 // The previous batch's feed fills apply after its report —
@@ -1269,36 +1272,15 @@ fn exec_staged<S: StoragePlane>(
     read_outs.sort_unstable_by_key(|o| o.op_idx);
     for out in read_outs {
         timings[out.op_idx].finish_micros = out.micros;
-        let result = match out.outcome {
-            ReadOutcome::Done(r) => r,
-            ReadOutcome::Verified {
-                body,
-                winner,
-                fetched,
-            } => {
-                storage.repair_copies(&fetched, &winner, metrics);
-                // Verified quorum winners seed the plane's hot cache (and
-                // overwrite any stale entry for the key in place).
-                storage.admit_hot(fetched.key, &winner, metrics);
-                Ok(OpOutput::Read { body })
-            }
-            ReadOutcome::CacheServed { body } => Ok(OpOutput::Read { body }),
-            ReadOutcome::RetryQuorum => retry_uncached(
-                storage,
-                metrics,
-                ctx,
-                read_quorum,
-                &snapshot,
-                &ops,
-                out.op_idx,
-            ),
-            ReadOutcome::NeedsFallback => {
-                let Op::ReadPost { author, seq, .. } = &ops[out.op_idx] else {
-                    continue;
-                };
-                read_fallback(storage, metrics, ctx, author, *seq)
-            }
-        };
+        let result = settle_read(
+            storage,
+            metrics,
+            ctx,
+            &snapshot,
+            &ops,
+            out.op_idx,
+            out.outcome,
+        );
         ctx.obs
             .histogram(names::NET_READ_POST_QUORUM)
             .record(out.micros);
@@ -1384,18 +1366,20 @@ fn link(
     Ok(OpOutput::Befriended)
 }
 
-/// The poisoned-hot-cache path: the cached envelope failed verification,
-/// so drop it (`cache.invalidations`) and re-run the read as a real quorum
-/// fetch — the outcome must be exactly what an uncached read of the same
-/// key produces, including its repair and fallback behavior.
-fn retry_uncached<S: StoragePlane>(
+/// The sequential tail of one read: turns what the parallel half decided
+/// into the op's result and applies its storage side effects. A poisoned
+/// hot-cache entry ([`ReadOutcome::RetryQuorum`]) is dropped
+/// (`cache.invalidations`), re-read as a real quorum fetch, and then
+/// settled exactly like an uncached read of the same key — same repair,
+/// same hot-cache admission, same fallback.
+fn settle_read<S: StoragePlane>(
     storage: &mut ReplicatedStore<S>,
     metrics: &mut Metrics,
     ctx: &WorkerCtx,
-    read_quorum: usize,
     snapshot: &BTreeMap<UserId, (usize, UserState)>,
     ops: &[Op],
     op_idx: usize,
+    outcome: ReadOutcome,
 ) -> Result<OpOutput, DosnError> {
     let Op::ReadPost {
         reader,
@@ -1404,22 +1388,28 @@ fn retry_uncached<S: StoragePlane>(
     } = &ops[op_idx]
     else {
         return Err(DosnError::IntegrityViolation(
-            "cache retry for a non-read op".into(),
+            "read outcome for a non-read op".into(),
         ));
     };
-    let key = wall_key(author, *seq);
-    storage.invalidate_hot(key, metrics);
-    let started = Instant::now();
-    let job = ReadJob {
-        op_idx,
-        author: author.clone(),
-        reader: reader.clone(),
-        seq: *seq,
-        fetched: storage.fetch_copies(key, metrics),
-        cached: None,
-        fetch_micros: elapsed_micros(started),
+    let outcome = match outcome {
+        ReadOutcome::RetryQuorum => {
+            let key = wall_key(author, *seq);
+            storage.invalidate_hot(key, metrics);
+            let started = Instant::now();
+            let job = ReadJob {
+                op_idx,
+                author: author.clone(),
+                reader: reader.clone(),
+                seq: *seq,
+                fetched: storage.fetch_copies(key, metrics),
+                cached: None,
+                fetch_micros: elapsed_micros(started),
+            };
+            finish_read(snapshot, ctx, storage.read_quorum(), &job)
+        }
+        other => other,
     };
-    match finish_read(snapshot, ctx, read_quorum, &job) {
+    match outcome {
         ReadOutcome::Done(r) => r,
         ReadOutcome::Verified {
             body,
@@ -1427,13 +1417,16 @@ fn retry_uncached<S: StoragePlane>(
             fetched,
         } => {
             storage.repair_copies(&fetched, &winner, metrics);
+            // Verified quorum winners seed the plane's hot cache (and
+            // overwrite any stale entry for the key in place).
             storage.admit_hot(fetched.key, &winner, metrics);
             Ok(OpOutput::Read { body })
         }
+        ReadOutcome::CacheServed { body } => Ok(OpOutput::Read { body }),
         ReadOutcome::NeedsFallback => read_fallback(storage, metrics, ctx, author, *seq),
-        ReadOutcome::CacheServed { .. } | ReadOutcome::RetryQuorum => Err(
-            DosnError::IntegrityViolation("uncached retry produced a cache outcome".into()),
-        ),
+        ReadOutcome::RetryQuorum => Err(DosnError::IntegrityViolation(
+            "uncached retry produced a cache outcome".into(),
+        )),
     }
 }
 
@@ -1641,24 +1634,7 @@ fn finish_read(
         // failure (tampered bytes, revoked reader, bad encoding) sends
         // the read back to the real quorum path: the cache accelerates
         // reads, it never relaxes what a served read proved.
-        let verified = (|| {
-            let (envelope, epoch) =
-                SignedEnvelope::decode_wire(&author_id, job.seq, bytes, &ctx.group)?;
-            envelope.verify(&ctx.directory, None, u64::MAX - 1)?;
-            let (_, author_state) = snapshot
-                .get(&author_id)
-                .ok_or_else(|| DosnError::UnknownUser(job.author.clone()))?;
-            let plain = author_state.privacy.unseal(
-                &author_state.friends_group,
-                &job.reader,
-                epoch,
-                &envelope.body,
-            )?;
-            let post: Post = serde_json::from_slice(&plain)
-                .map_err(|e| DosnError::IntegrityViolation(format!("bad post encoding: {e}")))?;
-            Ok::<String, DosnError>(post.body)
-        })();
-        return match verified {
+        return match open_envelope(snapshot, ctx, job, &author_id, bytes) {
             Ok(body) => ReadOutcome::CacheServed { body },
             Err(DosnError::NotAuthorized(e)) => {
                 // The envelope itself was authentic; the *reader* is not
@@ -1711,24 +1687,7 @@ fn finish_read(
         Err(StorageError::NotFound(_)) => return ReadOutcome::NeedsFallback,
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
     };
-    let decrypted = (|| {
-        let (envelope, epoch) =
-            SignedEnvelope::decode_wire(&author_id, job.seq, &winner, &ctx.group)?;
-        envelope.verify(&ctx.directory, None, u64::MAX - 1)?;
-        let (_, author_state) = snapshot
-            .get(&author_id)
-            .ok_or_else(|| DosnError::UnknownUser(job.author.clone()))?;
-        let plain = author_state.privacy.unseal(
-            &author_state.friends_group,
-            &job.reader,
-            epoch,
-            &envelope.body,
-        )?;
-        let post: Post = serde_json::from_slice(&plain)
-            .map_err(|e| DosnError::IntegrityViolation(format!("bad post encoding: {e}")))?;
-        Ok(post.body)
-    })();
-    match decrypted {
+    match open_envelope(snapshot, ctx, job, &author_id, &winner) {
         Ok(body) => ReadOutcome::Verified {
             body,
             winner,
@@ -1736,6 +1695,33 @@ fn finish_read(
         },
         Err(e) => ReadOutcome::Done(Err(e)),
     }
+}
+
+/// What every served read proves about the sealed bytes it serves, whether
+/// they are the quorum winner or a hot-cached envelope: they decode as
+/// `job.author`'s post `job.seq`, carry the author's valid signature, and
+/// decrypt for `job.reader`. Returns the post body.
+fn open_envelope(
+    snapshot: &BTreeMap<UserId, (usize, UserState)>,
+    ctx: &WorkerCtx,
+    job: &ReadJob,
+    author_id: &UserId,
+    sealed: &[u8],
+) -> Result<String, DosnError> {
+    let (envelope, epoch) = SignedEnvelope::decode_wire(author_id, job.seq, sealed, &ctx.group)?;
+    envelope.verify(&ctx.directory, None, u64::MAX - 1)?;
+    let (_, author_state) = snapshot
+        .get(author_id)
+        .ok_or_else(|| DosnError::UnknownUser(job.author.clone()))?;
+    let plain = author_state.privacy.unseal(
+        &author_state.friends_group,
+        &job.reader,
+        epoch,
+        &envelope.body,
+    )?;
+    let post: Post = serde_json::from_slice(&plain)
+        .map_err(|e| DosnError::IntegrityViolation(format!("bad post encoding: {e}")))?;
+    Ok(post.body)
 }
 
 #[cfg(test)]

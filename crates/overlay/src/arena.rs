@@ -98,13 +98,10 @@ impl NodeArena {
         self.online[slot]
     }
 
-    /// Sets the online flag for `id`; returns the previous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics for unknown ids.
-    pub fn set_online(&mut self, id: u64, online: bool) -> bool {
-        let slot = self.slot_of(id).expect("unknown node");
+    /// Sets the online flag for `id`; returns the previous value, or
+    /// `None` (nothing changes) for unknown ids.
+    pub fn set_online(&mut self, id: u64, online: bool) -> Option<bool> {
+        let slot = self.slot_of(id)?;
         let was = self.online[slot];
         self.online[slot] = online;
         match (was, online) {
@@ -112,7 +109,7 @@ impl NodeArena {
             (true, false) => self.online_count -= 1,
             _ => {}
         }
-        was
+        Some(was)
     }
 
     /// Inserts a new id (online). Returns `false` when already present.
@@ -315,7 +312,7 @@ mod tests {
         assert_eq!(a.online_count(), 4);
         assert_eq!(a.slot_of(11), Some(2));
         assert!(a.is_online(7));
-        assert!(a.set_online(7, false));
+        assert_eq!(a.set_online(7, false), Some(true));
         assert!(!a.is_online(7));
         assert_eq!(a.online_count(), 3);
         assert_eq!(a.online_ids(), vec![3, 11, 20]);

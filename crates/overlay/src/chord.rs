@@ -39,11 +39,11 @@ const FINGER_BITS: usize = 64;
 pub enum DhtError {
     /// The overlay has no online nodes to route through.
     NoNodes,
-    /// The key's owner and all replicas are offline.
+    /// The key's holders, or a link on the route to them, cannot be reached.
     Unavailable(Key),
     /// The key was never stored.
     NotFound(Key),
-    /// The named node does not exist.
+    /// The named node does not exist (or, as a lookup's start, is offline).
     UnknownNode(NodeId),
 }
 
@@ -186,14 +186,11 @@ impl ChordOverlay {
 
     /// Marks a node online/offline (simulating churn). Routing snapshots
     /// are not refreshed: routing must cope, as in a real deployment
-    /// between stabilization rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics for unknown nodes.
+    /// between stabilization rounds. Unknown nodes are ignored.
     pub fn set_online(&mut self, node: NodeId, online: bool) {
-        self.arena.set_online(node.0, online);
-        self.dirty.insert(node.0);
+        if self.arena.set_online(node.0, online).is_some() {
+            self.dirty.insert(node.0);
+        }
     }
 
     /// Whether `node` is online.
@@ -250,23 +247,6 @@ impl ChordOverlay {
         }
     }
 
-    /// The online node owning `key` (its clockwise successor).
-    fn owner_of(&self, key: u64) -> Option<u64> {
-        if self.arena.online_count() == 0 {
-            return None;
-        }
-        let ids = self.arena.ids();
-        let n = ids.len();
-        let start = self.arena.partition_point(key);
-        for i in 0..n {
-            let slot = (start + i) % n;
-            if self.arena.is_online_slot(slot) {
-                return Some(ids[slot]);
-            }
-        }
-        None
-    }
-
     /// successor(key) over the routing snapshot: the first snapshot id
     /// `>= key`, wrapping to the smallest. `None` when the snapshot is
     /// empty (every node was offline at the last stabilize).
@@ -296,47 +276,7 @@ impl ChordOverlay {
         key: Key,
         metrics: &mut Metrics,
     ) -> Result<NodeId, DhtError> {
-        if !self.arena.contains(from.0) {
-            return Err(DhtError::UnknownNode(from));
-        }
-        if !self.arena.is_online(from.0) {
-            return Err(DhtError::UnknownNode(from));
-        }
-        let mut current = from.0;
-        let mut hops = 0u64;
-        // 64-bit ring: any correct greedy route is <= 64 hops; a generous
-        // cap guards against routing loops under heavy churn.
-        let cap = 2 * FINGER_BITS as u64 + self.arena.len() as u64;
-        loop {
-            // Terminal condition: key lies between us and our first live
-            // successor -> that successor owns it (or we do if we are it).
-            let Some(successor) = self.first_live_successor(current) else {
-                return Err(DhtError::NoNodes);
-            };
-            if in_interval_open_closed(key.0, current, successor) {
-                if successor != current {
-                    let lat = self.draw_latency();
-                    metrics.record(names::CHORD_HOP, 64, lat);
-                }
-                return Ok(NodeId(successor));
-            }
-            // Greedy: closest preceding live finger.
-            let next = self.closest_preceding(current, key.0).unwrap_or(successor);
-            if next == current {
-                return Ok(NodeId(current));
-            }
-            let lat = self.draw_latency();
-            metrics.record(names::CHORD_HOP, 64, lat);
-            current = next;
-            hops += 1;
-            if hops > cap {
-                // Routing loop under churn: fall back to the true owner and
-                // account one stabilization's worth of repair traffic.
-                let owner = self.owner_of(key.0).ok_or(DhtError::NoNodes)?;
-                metrics.record(names::CHORD_REPAIR, 64, self.draw_latency());
-                return Ok(NodeId(owner));
-            }
-        }
+        self.route(from, key, metrics, None)
     }
 
     /// [`ChordOverlay::lookup`] over lossy links: every hop is a
@@ -359,27 +299,39 @@ impl ChordOverlay {
         faults: &mut LinkFaults,
         retries: u32,
     ) -> Result<NodeId, DhtError> {
-        if !self.arena.contains(from.0) {
-            return Err(DhtError::UnknownNode(from));
-        }
+        self.route(from, key, metrics, Some((faults, retries)))
+    }
+
+    /// The ring's one routing loop, behind both entry points above. With
+    /// `link == None` every hop delivers and no `LinkFaults` exists.
+    fn route(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        metrics: &mut Metrics,
+        mut link: Option<(&mut LinkFaults, u32)>,
+    ) -> Result<NodeId, DhtError> {
         if !self.arena.is_online(from.0) {
             return Err(DhtError::UnknownNode(from));
         }
         let mut current = from.0;
         let mut hops = 0u64;
+        // 64-bit ring: any correct greedy route is <= 64 hops; a generous
+        // cap guards against routing loops under heavy churn.
         let cap = 2 * FINGER_BITS as u64 + self.arena.len() as u64;
+        let mut crosses = |at: u64, to: u64, metrics: &mut Metrics| {
+            let (at, to) = (NodeId(at), NodeId(to));
+            LinkFaults::hop(&mut link, at, to, metrics, names::CHORD_RETRY, 64)
+        };
         loop {
+            // Terminal condition: key lies between us and our first live
+            // successor -> that successor owns it (or we do if we are it).
             let Some(successor) = self.first_live_successor(current) else {
                 return Err(DhtError::NoNodes);
             };
             if in_interval_open_closed(key.0, current, successor) {
                 if successor != current {
-                    let (ok, used) =
-                        faults.delivers_with_retries(NodeId(current), NodeId(successor), retries);
-                    for _ in 1..used {
-                        metrics.record_offpath(names::CHORD_RETRY, 64);
-                    }
-                    if !ok {
+                    if !crosses(current, successor, metrics) {
                         return Err(DhtError::Unavailable(key));
                     }
                     let lat = self.draw_latency();
@@ -387,26 +339,18 @@ impl ChordOverlay {
                 }
                 return Ok(NodeId(successor));
             }
+            // Greedy: closest preceding live finger.
             let mut next = self.closest_preceding(current, key.0).unwrap_or(successor);
             if next == current {
                 return Ok(NodeId(current));
             }
-            let (ok, used) = faults.delivers_with_retries(NodeId(current), NodeId(next), retries);
-            for _ in 1..used {
-                metrics.record_offpath(names::CHORD_RETRY, 64);
-            }
-            if !ok {
+            if !crosses(current, next, metrics) {
                 // Finger link is dead: fall back to the successor route.
                 if next == successor {
                     return Err(DhtError::Unavailable(key));
                 }
                 metrics.record_offpath(names::CHORD_REROUTE, 64);
-                let (ok2, used2) =
-                    faults.delivers_with_retries(NodeId(current), NodeId(successor), retries);
-                for _ in 1..used2 {
-                    metrics.record_offpath(names::CHORD_RETRY, 64);
-                }
-                if !ok2 {
+                if !crosses(current, successor, metrics) {
                     return Err(DhtError::Unavailable(key));
                 }
                 next = successor;
@@ -416,9 +360,12 @@ impl ChordOverlay {
             current = next;
             hops += 1;
             if hops > cap {
-                let owner = self.owner_of(key.0).ok_or(DhtError::NoNodes)?;
+                // Routing loop under churn: fall back to the true owner and
+                // account one stabilization's worth of repair traffic.
+                let owner = self.online_replica_candidates(key, 1).pop();
+                let owner = owner.ok_or(DhtError::NoNodes)?;
                 metrics.record(names::CHORD_REPAIR, 64, self.draw_latency());
-                return Ok(NodeId(owner));
+                return Ok(owner);
             }
         }
     }

@@ -25,6 +25,7 @@
 //!   of loss.
 
 use crate::id::NodeId;
+use crate::metrics::Metrics;
 use dosn_crypto::sha256::Sha256;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -403,9 +404,8 @@ impl SimTrace {
 /// Chord/Kademlia/flood/super-peer lookups in this crate are closed-form
 /// routing-table walks; they do not exchange simulator messages. To subject
 /// them to loss and partitions, each hop asks a `LinkFaults` instance
-/// whether the transmission succeeds, and the retry hooks in the overlays
-/// re-ask up to their retry budget (counting `*.retry` in
-/// [`crate::metrics::Metrics`]).
+/// whether the transmission succeeds, re-asking up to the caller's retry
+/// budget (counting `*.retry` in [`crate::metrics::Metrics`]).
 #[derive(Debug, Clone)]
 pub struct LinkFaults {
     rng: StdRng,
@@ -496,6 +496,28 @@ impl LinkFaults {
             }
         }
         (false, used)
+    }
+
+    /// One overlay hop under optional link faults: the retry hook of every
+    /// routing loop. `None` (the plain entry points) always delivers and
+    /// touches nothing; otherwise the hop gets `retries` extra attempts,
+    /// each counted as an off-path `retry_kind` message of `bytes`.
+    pub(crate) fn hop(
+        link: &mut Option<(&mut LinkFaults, u32)>,
+        from: NodeId,
+        to: NodeId,
+        metrics: &mut Metrics,
+        retry_kind: &str,
+        bytes: u64,
+    ) -> bool {
+        let Some((faults, retries)) = link else {
+            return true;
+        };
+        let (ok, used) = faults.delivers_with_retries(from, to, *retries);
+        for _ in 1..used {
+            metrics.record_offpath(retry_kind, bytes);
+        }
+        ok
     }
 
     /// Seeded randomness for callers needing auxiliary draws.

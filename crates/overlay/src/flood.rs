@@ -116,7 +116,8 @@ impl UnstructuredOverlay {
     /// neighbors, until a holder of `key` is found or the TTL is exhausted.
     /// Every forwarded copy is counted in `metrics` (the unstructured cost).
     ///
-    /// Returns the first holder found and the hop distance, or `None`.
+    /// Returns the first holder found and the hop distance, or `None`
+    /// (also when `from` is unknown or offline).
     pub fn flood_search(
         &mut self,
         from: NodeId,
@@ -124,54 +125,7 @@ impl UnstructuredOverlay {
         ttl: u32,
         metrics: &mut Metrics,
     ) -> Option<(NodeId, u32)> {
-        if !self.online[from.0 as usize] {
-            return None;
-        }
-        let holders = self.content.get(&key.0).cloned().unwrap_or_default();
-        let mut visited = HashSet::from([from]);
-        let mut frontier = VecDeque::from([(from, 0u32)]);
-        let mut latency_per_hop = Vec::new();
-        let mut found: Option<(NodeId, u32)> = None;
-        if holders.contains(&from) {
-            return Some((from, 0));
-        }
-        while let Some((node, depth)) = frontier.pop_front() {
-            if depth >= ttl {
-                continue;
-            }
-            if latency_per_hop.len() <= depth as usize {
-                latency_per_hop.push(self.rng.random_range(10u64..=120));
-            }
-            for &nb in &self.neighbors[node.0 as usize].clone() {
-                if !visited.insert(nb) {
-                    continue;
-                }
-                // A query copy is sent regardless of target liveness.
-                metrics.record_offpath(names::FLOOD_QUERY, 32);
-                if !self.online[nb.0 as usize] {
-                    continue;
-                }
-                if holders.contains(&nb) && found.is_none() {
-                    found = Some((nb, depth + 1));
-                }
-                frontier.push_back((nb, depth + 1));
-            }
-            // Flooding proceeds level-parallel: critical-path latency is the
-            // per-level max, approximated by one draw per level.
-            if found.is_some() && depth + 1 >= found.expect("just set").1 {
-                break;
-            }
-        }
-        if let Some((_, hops)) = found {
-            for l in latency_per_hop.iter().take(hops as usize) {
-                metrics.add_latency(*l);
-            }
-        } else {
-            for l in &latency_per_hop {
-                metrics.add_latency(*l);
-            }
-        }
-        found
+        self.flood(from, key, ttl, metrics, None)
     }
 
     /// [`UnstructuredOverlay::flood_search`] over lossy links: every forwarded
@@ -188,7 +142,20 @@ impl UnstructuredOverlay {
         faults: &mut LinkFaults,
         retries: u32,
     ) -> Option<(NodeId, u32)> {
-        if !self.online[from.0 as usize] {
+        self.flood(from, key, ttl, metrics, Some((faults, retries)))
+    }
+
+    /// The overlay's one flooding loop, behind both entry points above.
+    /// With `link == None` every copy delivers and no `LinkFaults` exists.
+    fn flood(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        ttl: u32,
+        metrics: &mut Metrics,
+        mut link: Option<(&mut LinkFaults, u32)>,
+    ) -> Option<(NodeId, u32)> {
+        if !self.online.get(from.0 as usize).is_some_and(|&up| up) {
             return None;
         }
         let holders = self.content.get(&key.0).cloned().unwrap_or_default();
@@ -206,16 +173,15 @@ impl UnstructuredOverlay {
             if latency_per_hop.len() <= depth as usize {
                 latency_per_hop.push(self.rng.random_range(10u64..=120));
             }
-            for &nb in &self.neighbors[node.0 as usize].clone() {
+            for &nb in &self.neighbors[node.0 as usize] {
                 if !visited.insert(nb) {
                     continue;
                 }
+                // A query copy is sent regardless of target liveness.
                 metrics.record_offpath(names::FLOOD_QUERY, 32);
-                let (ok, used) = faults.delivers_with_retries(node, nb, retries);
-                for _ in 1..used {
-                    metrics.record_offpath(names::FLOOD_RETRY, 32);
-                }
-                if !ok || !self.online[nb.0 as usize] {
+                if !LinkFaults::hop(&mut link, node, nb, metrics, names::FLOOD_RETRY, 32)
+                    || !self.online[nb.0 as usize]
+                {
                     // The copy never arrived (or arrived at a dead peer):
                     // this branch is pruned, but nb stays `visited` because
                     // a real flood would not re-query a peer it believes it
@@ -227,18 +193,15 @@ impl UnstructuredOverlay {
                 }
                 frontier.push_back((nb, depth + 1));
             }
-            if found.is_some() && depth + 1 >= found.expect("just set").1 {
+            // Flooding proceeds level-parallel: critical-path latency is the
+            // per-level max, approximated by one draw per level.
+            if found.is_some_and(|(_, hops)| depth + 1 >= hops) {
                 break;
             }
         }
-        if let Some((_, hops)) = found {
-            for l in latency_per_hop.iter().take(hops as usize) {
-                metrics.add_latency(*l);
-            }
-        } else {
-            for l in &latency_per_hop {
-                metrics.add_latency(*l);
-            }
+        let levels = found.map_or(latency_per_hop.len(), |(_, hops)| hops as usize);
+        for l in latency_per_hop.iter().take(levels) {
+            metrics.add_latency(*l);
         }
         found
     }

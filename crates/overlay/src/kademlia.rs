@@ -152,13 +152,14 @@ impl KademliaOverlay {
         self.arena.ids().iter().map(|&id| NodeId(id)).collect()
     }
 
-    /// Marks a node online/offline.
-    ///
-    /// # Panics
-    ///
-    /// Panics for unknown nodes.
+    /// Marks a node online/offline. Unknown nodes are ignored.
     pub fn set_online(&mut self, node: NodeId, online: bool) {
         self.arena.set_online(node.0, online);
+    }
+
+    /// Whether `node` is a member (online or not).
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
+        self.arena.contains(node.0)
     }
 
     /// Whether `node` is online.
@@ -217,9 +218,9 @@ impl KademliaOverlay {
 
     /// Iterative XOR-metric lookup: returns the `replicas` closest online
     /// nodes found, recording per-round messages/latency in `metrics`.
+    /// Empty when `from` is not a member.
     pub fn lookup(&mut self, from: NodeId, key: Key, metrics: &mut Metrics) -> Vec<NodeId> {
-        let want = self.replicas;
-        self.closest(from, key, want, metrics)
+        self.iterate(from, key, self.replicas, metrics, None)
     }
 
     /// Iterative XOR-metric lookup returning up to `count` closest online
@@ -232,10 +233,44 @@ impl KademliaOverlay {
         count: usize,
         metrics: &mut Metrics,
     ) -> Vec<NodeId> {
-        assert!(self.arena.contains(from.0), "unknown start node");
+        self.iterate(from, key, count, metrics, None)
+    }
+
+    /// [`KademliaOverlay::lookup`] over lossy links: each `FIND_NODE` to a
+    /// shortlist candidate is a transmission that `faults` may fail,
+    /// retried up to `retries` extra times (counted as `kad.retry`).
+    /// Unreachable candidates are simply skipped — Kademlia's α-parallel
+    /// redundancy is itself the alternate route — so the lookup still
+    /// converges on the closest *reachable* replicas.
+    pub fn lookup_with_faults(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        metrics: &mut Metrics,
+        faults: &mut LinkFaults,
+        retries: u32,
+    ) -> Vec<NodeId> {
+        self.iterate(from, key, self.replicas, metrics, Some((faults, retries)))
+    }
+
+    /// The overlay's one routing loop, behind the three entry points
+    /// above. With `link == None` every `FIND_NODE` delivers and no
+    /// `LinkFaults` exists.
+    fn iterate(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        count: usize,
+        metrics: &mut Metrics,
+        mut link: Option<(&mut LinkFaults, u32)>,
+    ) -> Vec<NodeId> {
+        if !self.contains(from) {
+            return Vec::new();
+        }
         let target = key.0;
         let mut shortlist: Vec<u64> = self.closest_known_of(from.0, target, self.k);
         let mut queried: BTreeSet<u64> = BTreeSet::new();
+        let mut unreachable: BTreeSet<u64> = BTreeSet::new();
         let mut closest_seen = u64::MAX;
         loop {
             // Query the α closest unqueried live candidates.
@@ -254,6 +289,11 @@ impl KademliaOverlay {
                 queried.insert(candidate);
                 // α queries go out in parallel: one latency per round.
                 metrics.record_offpath(names::KAD_FIND_NODE, 64);
+                let to = NodeId(candidate);
+                if !LinkFaults::hop(&mut link, from, to, metrics, names::KAD_RETRY, 64) {
+                    unreachable.insert(candidate);
+                    continue;
+                }
                 if !self.arena.is_online(candidate) {
                     continue;
                 }
@@ -276,85 +316,13 @@ impl KademliaOverlay {
                 break;
             }
         }
-        shortlist
-            .into_iter()
-            .filter(|&c| self.arena.is_online(c))
-            .take(count)
-            .map(NodeId)
-            .collect()
-    }
-
-    /// [`KademliaOverlay::lookup`] over lossy links: each `FIND_NODE` to a
-    /// shortlist candidate is a transmission that `faults` may fail,
-    /// retried up to `retries` extra times (counted as `kad.retry`).
-    /// Unreachable candidates are simply skipped — Kademlia's α-parallel
-    /// redundancy is itself the alternate route — so the lookup still
-    /// converges on the closest *reachable* replicas.
-    pub fn lookup_with_faults(
-        &mut self,
-        from: NodeId,
-        key: Key,
-        metrics: &mut Metrics,
-        faults: &mut LinkFaults,
-        retries: u32,
-    ) -> Vec<NodeId> {
-        assert!(self.arena.contains(from.0), "unknown start node");
-        let target = key.0;
-        let mut shortlist: Vec<u64> = self.closest_known_of(from.0, target, self.k);
-        let mut queried: BTreeSet<u64> = BTreeSet::new();
-        let mut reached: BTreeSet<u64> = BTreeSet::new();
-        let mut closest_seen = u64::MAX;
-        loop {
-            let batch: Vec<u64> = shortlist
-                .iter()
-                .copied()
-                .filter(|c| !queried.contains(c))
-                .take(ALPHA)
-                .collect();
-            if batch.is_empty() {
-                break;
-            }
-            let lat = self.rng.random_range(10u64..=120);
-            let mut improved = false;
-            for candidate in batch {
-                queried.insert(candidate);
-                metrics.record_offpath(names::KAD_FIND_NODE, 64);
-                let (ok, used) = faults.delivers_with_retries(from, NodeId(candidate), retries);
-                for _ in 1..used {
-                    metrics.record_offpath(names::KAD_RETRY, 64);
-                }
-                if !ok {
-                    continue;
-                }
-                if !self.arena.is_online(candidate) {
-                    continue;
-                }
-                reached.insert(candidate);
-                for learned in self.closest_known_of(candidate, target, self.k) {
-                    if !shortlist.contains(&learned) {
-                        shortlist.push(learned);
-                    }
-                }
-            }
-            metrics.add_latency(lat);
-            shortlist.sort_by_key(|&c| c ^ target);
-            shortlist.truncate(self.k);
-            if let Some(&best) = shortlist.first() {
-                if best ^ target < closest_seen {
-                    closest_seen = best ^ target;
-                    improved = true;
-                }
-            }
-            if !improved && shortlist.iter().all(|c| queried.contains(c)) {
-                break;
-            }
-        }
-        // Only nodes we actually reached count as lookup results: an online
+        // The loop ends with the whole shortlist queried, so the results are
+        // its online members minus any a lossy link never reached: an online
         // node behind a partition is indistinguishable from a dead one.
         shortlist
             .into_iter()
-            .filter(|c| reached.contains(c))
-            .take(self.replicas)
+            .filter(|c| self.arena.is_online(*c) && !unreachable.contains(c))
+            .take(count)
             .map(NodeId)
             .collect()
     }

@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use dosn_overlay::{chord::ChordOverlay, superpeer::SuperPeerOverlay,
-//!                    id::{Key, NodeId}, metrics::Metrics};
+//!                    fault::LinkFaults, id::{Key, NodeId}, metrics::Metrics};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let key = Key::hash(b"profile:carol");
@@ -40,6 +40,14 @@
 //! // Structured costs O(log n) hops; super-peer a small constant.
 //! assert!(m_sp.messages <= 3);
 //! assert!(m_dht.count("chord.hop") >= 1);
+//!
+//! // Each family has one routing loop with link faults as its optional
+//! // argument: `*_with_faults` walks the same route, retrying lost hops.
+//! let from = dht.random_node(2);
+//! let owner = dht.lookup(from, key, &mut m_dht)?;
+//! let mut lossy = LinkFaults::new(7, 0.2);
+//! assert_eq!(dht.lookup_with_faults(from, key, &mut m_dht, &mut lossy, 8)?, owner);
+//! assert_eq!(m_dht.count("chord.retry"), lossy.failures);
 //! # Ok(())
 //! # }
 //! ```

@@ -229,43 +229,13 @@ impl<P: StoragePlane> ReplicatedStore<P> {
         self.put_one_replicated(key, &value, metrics)
     }
 
-    /// Writes a batch of `(key, value)` records, each to its first R online
-    /// candidates, in input order. One `store.put` timing covers the whole
-    /// batch, and replica selection runs once per key inside a single pass —
-    /// this is the commit-phase path of the batched request engine, which
-    /// amortizes the per-call placement and timing overhead of
-    /// [`ReplicatedStore::put`] across the batch.
-    ///
-    /// Returns the holder list per record, in input order.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::NoNodes`] as soon as any record finds no candidate
-    /// that accepts the write (records before it stay written — the caller
-    /// sequences batches, so partial progress is observable and
-    /// deterministic).
-    pub fn put_many(
-        &mut self,
-        items: &[(Key, Vec<u8>)],
-        metrics: &mut Metrics,
-    ) -> Result<Vec<Vec<NodeId>>, StorageError> {
-        let _put_timer = self.obs.timer(names::STORE_PUT);
-        let mut placed = Vec::with_capacity(items.len());
-        for (key, value) in items {
-            placed.push(self.put_one_replicated(*key, value, metrics)?);
-        }
-        Ok(placed)
-    }
-
     /// Writes a batch of `(key, value)` records in input order with
     /// **per-entry error isolation**: an entry whose placement or writes
     /// fail yields an `Err` slot and the remaining entries still commit.
     /// This is the shard-queue drain path of the batched request engine —
     /// one call per shard commit queue — where a single poisoned op must
-    /// not abort its siblings (contrast [`ReplicatedStore::put_many`],
-    /// which stops at the first failing record).
-    ///
-    /// One `store.put` timing covers the call, like `put_many`.
+    /// not abort its siblings. Replica selection runs once per key, and
+    /// one `store.put` timing covers the whole call.
     pub fn put_each(
         &mut self,
         items: &[(Key, Vec<u8>)],
@@ -280,8 +250,8 @@ impl<P: StoragePlane> ReplicatedStore<P> {
     }
 
     /// One R-way placement + write pass: the shared inner step of
-    /// [`ReplicatedStore::put`], [`ReplicatedStore::put_many`], and
-    /// [`ReplicatedStore::put_each`] (no timer — callers own timing).
+    /// [`ReplicatedStore::put`] and [`ReplicatedStore::put_each`] (no
+    /// timer — callers own timing).
     fn put_one_replicated(
         &mut self,
         key: Key,
@@ -341,20 +311,6 @@ impl<P: StoragePlane> ReplicatedStore<P> {
         Ok(FetchedCopies { key, copies })
     }
 
-    /// Fetches copies for a batch of keys in input order ([`ReplicatedStore::fetch_copies`]
-    /// per key under one pass): the finish-phase counterpart of
-    /// [`ReplicatedStore::put_many`]. A key whose plane has no online nodes
-    /// yields an `Err` entry; the rest of the batch still resolves.
-    pub fn fetch_many(
-        &mut self,
-        keys: &[Key],
-        metrics: &mut Metrics,
-    ) -> Vec<Result<FetchedCopies, StorageError>> {
-        keys.iter()
-            .map(|k| self.fetch_copies(*k, metrics))
-            .collect()
-    }
-
     /// Read-repair pass over fetched copies: rewrites every candidate whose
     /// copy differs from `winner`, charging storage accounting and bumping
     /// `get.repairs`. Returns the number of repairs written.
@@ -407,12 +363,7 @@ impl<P: StoragePlane> ReplicatedStore<P> {
         metrics: &mut Metrics,
         verify: impl Fn(&[u8]) -> bool,
     ) -> Result<Vec<u8>, StorageError> {
-        let quorum_timer = self.obs.timer(names::STORE_GET_QUORUM);
-        let fetched = self.fetch_copies(key, metrics)?;
-        let winner = quorum_vote(&fetched, self.read_quorum, verify)?;
-        quorum_timer.observe();
-        self.repair_copies(&fetched, &winner, metrics);
-        Ok(winner)
+        self.read_outcome(key, metrics, verify)?.into_result()
     }
 
     /// [`ReplicatedStore::get_verified`] with the vote's full anatomy
@@ -545,9 +496,7 @@ pub fn quorum_vote(
     read_quorum: usize,
     verify: impl Fn(&[u8]) -> bool,
 ) -> Result<Vec<u8>, StorageError> {
-    quorum_vote_batch(fetched, read_quorum, |copies| {
-        copies.iter().map(|c| verify(c)).collect()
-    })
+    quorum_inspect(fetched, read_quorum, verify).into_result()
 }
 
 /// [`quorum_vote`] with the verifier invoked **once over all copies**
@@ -790,25 +739,27 @@ mod tests {
     }
 
     #[test]
-    fn put_many_matches_sequential_puts() {
+    fn put_each_matches_sequential_puts() {
         let items: Vec<(Key, Vec<u8>)> = (0u8..8)
             .map(|i| (Key::hash(&[b'k', i]), vec![i; 64]))
             .collect();
 
         let mut batched = ReplicatedStore::new(ChordPlane::build(48, 11), 3);
         let mut mb = Metrics::new();
-        let placed = batched.put_many(&items, &mut mb).unwrap();
+        let placed = batched.put_each(&items, &mut mb);
+        assert_eq!(placed.len(), items.len());
 
         let mut sequential = ReplicatedStore::new(ChordPlane::build(48, 11), 3);
         let mut ms = Metrics::new();
         for (i, (key, value)) in items.iter().enumerate() {
             let holders = sequential.put(*key, value.clone(), &mut ms).unwrap();
-            assert_eq!(placed[i], holders, "placement diverged at item {i}");
+            assert_eq!(
+                placed[i].as_ref().expect("all entries place"),
+                &holders,
+                "placement diverged at item {i}"
+            );
         }
-        assert_eq!(
-            mb.count("store.replicas_written"),
-            ms.count("store.replicas_written")
-        );
+        assert_eq!(mb, ms, "one batched call accounts like eight puts");
         assert_eq!(
             batched.accounting().total_bytes(),
             sequential.accounting().total_bytes()
@@ -874,38 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn put_each_matches_put_many_on_success() {
-        let items: Vec<(Key, Vec<u8>)> = (0u8..8)
-            .map(|i| (Key::hash(&[b'e', i]), vec![i; 32]))
-            .collect();
-
-        let mut each = ReplicatedStore::new(ChordPlane::build(48, 11), 3);
-        let mut me = Metrics::new();
-        let isolated = each.put_each(&items, &mut me);
-
-        let mut many = ReplicatedStore::new(ChordPlane::build(48, 11), 3);
-        let mut mm = Metrics::new();
-        let batched = many.put_many(&items, &mut mm).unwrap();
-
-        assert_eq!(isolated.len(), items.len());
-        for (i, slot) in isolated.iter().enumerate() {
-            assert_eq!(
-                slot.as_ref().expect("all entries place"),
-                &batched[i],
-                "placement diverged at item {i}"
-            );
-        }
-        assert_eq!(
-            me.count("store.replicas_written"),
-            mm.count("store.replicas_written")
-        );
-        assert_eq!(
-            each.accounting().total_bytes(),
-            many.accounting().total_bytes()
-        );
-    }
-
-    #[test]
     fn put_each_isolates_poisoned_entries() {
         let poisoned = Key::hash(b"poisoned-entry");
         let mut store = ReplicatedStore::new(
@@ -925,21 +844,9 @@ mod tests {
         assert!(placed[0].is_ok(), "entry before the poison must commit");
         assert!(matches!(placed[1], Err(StorageError::NoNodes)));
         assert!(placed[2].is_ok(), "entry after the poison must commit");
-        // Siblings read back through the normal quorum path; put_many on
-        // the same items would have stopped at the poisoned entry.
+        // Siblings read back through the normal quorum path.
         assert_eq!(store.get(items[0].0, &mut m).unwrap(), b"a");
         assert_eq!(store.get(items[2].0, &mut m).unwrap(), b"b");
-        let mut stopper = ReplicatedStore::new(
-            PoisonPlane {
-                inner: ChordPlane::build(48, 11),
-                poisoned,
-            },
-            3,
-        );
-        assert!(matches!(
-            stopper.put_many(&items, &mut m),
-            Err(StorageError::NoNodes)
-        ));
     }
 
     #[test]
@@ -1096,20 +1003,18 @@ mod tests {
     }
 
     #[test]
-    fn fetch_many_preserves_per_key_results() {
+    fn fetch_copies_of_a_never_stored_key_votes_not_found() {
         let mut store = ReplicatedStore::new(ChordPlane::build(32, 9), 3);
         let mut m = Metrics::new();
         let stored = Key::hash(b"present");
-        let missing = Key::hash(b"absent");
         store.put(stored, b"v".to_vec(), &mut m).unwrap();
-        let fetched = store.fetch_many(&[stored, missing], &mut m);
-        assert_eq!(fetched.len(), 2);
-        let hit = fetched[0].as_ref().unwrap();
-        assert_eq!(quorum_vote(hit, 1, |_| true).unwrap(), b"v");
+        let hit = store.fetch_copies(stored, &mut m).unwrap();
+        assert_eq!(quorum_vote(&hit, 1, |_| true).unwrap(), b"v");
         // An unknown key still yields candidates; the vote reports it missing.
-        let miss = fetched[1].as_ref().unwrap();
+        let miss = store.fetch_copies(Key::hash(b"absent"), &mut m).unwrap();
+        assert_eq!(miss.copies.len(), 3);
         assert!(matches!(
-            quorum_vote(miss, 1, |_| true),
+            quorum_vote(&miss, 1, |_| true),
             Err(StorageError::NotFound(_))
         ));
     }

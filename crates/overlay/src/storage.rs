@@ -83,6 +83,16 @@ impl From<DhtError> for StorageError {
     }
 }
 
+/// Why a plane refused direct access to `node`: the one error contract of
+/// [`StoragePlane::store_at`] / [`StoragePlane::fetch_from`].
+fn refused(node: NodeId, known: bool) -> StorageError {
+    if known {
+        StorageError::NodeOffline(node)
+    } else {
+        StorageError::UnknownNode(node)
+    }
+}
+
 /// A pluggable overlay storage backend: key-addressed blob placement and
 /// access over one of the survey's §II-B organizations.
 ///
@@ -104,7 +114,8 @@ pub trait StoragePlane: std::fmt::Debug {
     /// Whether `node` is online.
     fn is_online(&self, node: NodeId) -> bool;
 
-    /// Marks a node online/offline (churn / crash injection).
+    /// Marks a node online/offline (churn / crash injection). A node the
+    /// plane does not have is ignored.
     fn set_online(&mut self, node: NodeId, online: bool);
 
     /// Up to `want` *online* nodes that should hold `key`'s replicas, in
@@ -124,7 +135,8 @@ pub trait StoragePlane: std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// [`StorageError::UnknownNode`] / [`StorageError::NodeOffline`].
+    /// [`StorageError::UnknownNode`] for a node the plane does not have,
+    /// [`StorageError::NodeOffline`] for a member that is down.
     fn store_at(
         &mut self,
         node: NodeId,
@@ -138,7 +150,8 @@ pub trait StoragePlane: std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// [`StorageError::UnknownNode`] / [`StorageError::NodeOffline`].
+    /// [`StorageError::UnknownNode`] for a node the plane does not have,
+    /// [`StorageError::NodeOffline`] for a member that is down.
     fn fetch_from(
         &mut self,
         node: NodeId,
@@ -343,12 +356,8 @@ impl StoragePlane for ChordPlane {
         value: &[u8],
         metrics: &mut Metrics,
     ) -> Result<(), StorageError> {
-        self.inner
-            .store_direct(node, key, value.to_vec())
-            .map_err(|e| match e {
-                DhtError::Unavailable(_) => StorageError::NodeOffline(node),
-                other => other.into(),
-            })?;
+        let stored = self.inner.store_direct(node, key, value.to_vec());
+        stored.map_err(|e| refused(node, e != DhtError::UnknownNode(node)))?;
         metrics.record(names::CHORD_STORE, value.len() as u64, 30);
         Ok(())
     }
@@ -359,10 +368,8 @@ impl StoragePlane for ChordPlane {
         key: Key,
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
-        let got = self.inner.fetch_direct(node, key).map_err(|e| match e {
-            DhtError::Unavailable(_) => StorageError::NodeOffline(node),
-            other => other.into(),
-        })?;
+        let got = self.inner.fetch_direct(node, key);
+        let got = got.map_err(|e| refused(node, e != DhtError::UnknownNode(node)))?;
         metrics.record(names::CHORD_FETCH, 64, 30);
         Ok(got)
     }
@@ -461,7 +468,7 @@ impl StoragePlane for KademliaPlane {
         metrics: &mut Metrics,
     ) -> Result<(), StorageError> {
         if !self.inner.store_direct(node, key, value.to_vec()) {
-            return Err(StorageError::NodeOffline(node));
+            return Err(refused(node, self.inner.contains(node)));
         }
         metrics.record(names::KAD_STORE, value.len() as u64, 30);
         Ok(())
@@ -474,7 +481,7 @@ impl StoragePlane for KademliaPlane {
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
         if !self.inner.is_online(node) {
-            return Err(StorageError::NodeOffline(node));
+            return Err(refused(node, self.inner.contains(node)));
         }
         metrics.record(names::KAD_FETCH, 64, 30);
         Ok(self.inner.fetch_direct(node, key))
@@ -575,7 +582,7 @@ impl StoragePlane for SuperPeerPlane {
         metrics: &mut Metrics,
     ) -> Result<(), StorageError> {
         if !self.inner.store_direct(node, key, value.to_vec()) {
-            return Err(StorageError::NodeOffline(node));
+            return Err(refused(node, node.0 < self.inner.len() as u64));
         }
         // Blob transfer to the holder plus the index publish hop.
         metrics.record(names::SUPER_STORE, value.len() as u64, 30);
@@ -590,7 +597,7 @@ impl StoragePlane for SuperPeerPlane {
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
         if !self.inner.is_online(node) {
-            return Err(StorageError::NodeOffline(node));
+            return Err(refused(node, node.0 < self.inner.len() as u64));
         }
         metrics.record(names::SUPER_FETCH, 64, 30);
         Ok(self.inner.fetch_direct(node, key))
@@ -692,7 +699,7 @@ impl StoragePlane for FederationPlane {
             .inner
             .store_direct(node.0 as usize, key, value.to_vec())
         {
-            return Err(StorageError::NodeOffline(node));
+            return Err(refused(node, node.0 < self.inner.server_count() as u64));
         }
         metrics.record(names::FED_STORE, value.len() as u64, 30);
         Ok(())
@@ -705,7 +712,7 @@ impl StoragePlane for FederationPlane {
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
         if !self.inner.server_online(node.0 as usize) {
-            return Err(StorageError::NodeOffline(node));
+            return Err(refused(node, node.0 < self.inner.server_count() as u64));
         }
         metrics.record(names::FED_FETCH, 64, 30);
         Ok(self.inner.fetch_direct(node.0 as usize, key))
@@ -773,21 +780,26 @@ mod tests {
     }
 
     #[test]
-    fn fetch_from_offline_node_errors() {
+    fn offline_and_unknown_nodes_are_distinct_typed_errors() {
         for mut plane in planes() {
+            let name = plane.name();
             let key = Key::hash(b"offline-fetch");
             let mut m = Metrics::new();
             let node = plane.replica_candidates(key, 1, &mut m).unwrap()[0];
             plane.store_at(node, key, b"v", &mut m).unwrap();
             plane.set_online(node, false);
-            assert!(
-                matches!(
-                    plane.fetch_from(node, key, &mut m),
-                    Err(StorageError::NodeOffline(_))
-                ),
-                "{}",
-                plane.name()
-            );
+            let offline = Err(StorageError::NodeOffline(node));
+            assert_eq!(plane.fetch_from(node, key, &mut m), offline, "{name}");
+            // A node the plane lacks: churn is a no-op, access is `UnknownNode`.
+            let ghost = NodeId(u64::MAX - 1);
+            let online = plane.online_count();
+            plane.set_online(ghost, true);
+            assert_eq!(plane.online_count(), online, "{name}");
+            let unknown = StorageError::UnknownNode(ghost);
+            let stored = plane.store_at(ghost, key, b"v", &mut m);
+            assert_eq!(stored.unwrap_err(), unknown, "{name}");
+            let fetched = plane.fetch_from(ghost, key, &mut m);
+            assert_eq!(fetched.unwrap_err(), unknown, "{name}");
         }
     }
 

@@ -144,11 +144,13 @@ impl SuperPeerOverlay {
             .push(holder);
     }
 
-    /// Marks a peer online/offline. A failed super-peer takes its index
-    /// partition offline until re-election (call
-    /// [`SuperPeerOverlay::reelect`]).
+    /// Marks a peer online/offline (no-op for out-of-range ids). A failed
+    /// super-peer takes its index partition offline until re-election
+    /// (call [`SuperPeerOverlay::reelect`]).
     pub fn set_online(&mut self, node: NodeId, online: bool) {
-        self.peers[node.0 as usize].online = online;
+        if let Some(peer) = self.peers.get_mut(node.0 as usize) {
+            peer.online = online;
+        }
     }
 
     /// Whether `node` is online (`false` for out-of-range ids).
@@ -200,32 +202,10 @@ impl SuperPeerOverlay {
     }
 
     /// Searches for `key`: leaf → its super-peer → index-home super-peer →
-    /// answer. Message count is constant (≤ 3 on-path + 1 reply).
+    /// answer. Message count is constant (≤ 3 on-path + 1 reply). `None`
+    /// when `from` is unknown or offline.
     pub fn search(&mut self, from: NodeId, key: Key, metrics: &mut Metrics) -> Option<NodeId> {
-        if !self.peers[from.0 as usize].online {
-            return None;
-        }
-        let own_super = self.super_of(from);
-        if own_super != from {
-            metrics.record(names::SUPER_QUERY, 32, self.latency());
-        }
-        if !self.peers[own_super.0 as usize].online {
-            return None; // orphaned leaf until re-election
-        }
-        let home = self.index_home(key);
-        if home != own_super {
-            metrics.record(names::SUPER_FORWARD, 32, self.latency());
-        }
-        if !self.peers[home.0 as usize].online {
-            return None;
-        }
-        metrics.record(names::SUPER_ANSWER, 32, self.latency());
-        self.index[&home].get(&key.0).and_then(|holders| {
-            holders
-                .iter()
-                .copied()
-                .find(|h| self.peers[h.0 as usize].online)
-        })
+        self.walk(from, key, metrics, None)
     }
 
     /// [`SuperPeerOverlay::search`] over lossy links: each of the three
@@ -243,51 +223,49 @@ impl SuperPeerOverlay {
         faults: &mut LinkFaults,
         retries: u32,
     ) -> Option<NodeId> {
-        if !self.peers[from.0 as usize].online {
+        self.walk(from, key, metrics, Some((faults, retries)))
+    }
+
+    /// The overlay's one search walk, behind both entry points above. With
+    /// `link == None` every transmission delivers and no `LinkFaults`
+    /// exists.
+    fn walk(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        metrics: &mut Metrics,
+        mut link: Option<(&mut LinkFaults, u32)>,
+    ) -> Option<NodeId> {
+        if !self.is_online(from) {
             return None;
         }
+        let mut crosses = |a: NodeId, b: NodeId, metrics: &mut Metrics| {
+            LinkFaults::hop(&mut link, a, b, metrics, names::SUPER_RETRY, 32)
+        };
         let own_super = self.super_of(from);
         if own_super != from {
-            let (ok, used) = faults.delivers_with_retries(from, own_super, retries);
-            for _ in 1..used {
-                metrics.record_offpath(names::SUPER_RETRY, 32);
-            }
-            if !ok {
+            if !crosses(from, own_super, metrics) {
                 return None;
             }
             metrics.record(names::SUPER_QUERY, 32, self.latency());
         }
-        if !self.peers[own_super.0 as usize].online {
-            return None;
+        if !self.is_online(own_super) {
+            return None; // orphaned leaf until re-election
         }
         let home = self.index_home(key);
         if home != own_super {
-            let (ok, used) = faults.delivers_with_retries(own_super, home, retries);
-            for _ in 1..used {
-                metrics.record_offpath(names::SUPER_RETRY, 32);
-            }
-            if !ok {
+            if !crosses(own_super, home, metrics) {
                 return None;
             }
             metrics.record(names::SUPER_FORWARD, 32, self.latency());
         }
-        if !self.peers[home.0 as usize].online {
-            return None;
-        }
-        let (ok, used) = faults.delivers_with_retries(home, from, retries);
-        for _ in 1..used {
-            metrics.record_offpath(names::SUPER_RETRY, 32);
-        }
-        if !ok {
+        if !self.is_online(home) || !crosses(home, from, metrics) {
             return None;
         }
         metrics.record(names::SUPER_ANSWER, 32, self.latency());
-        self.index[&home].get(&key.0).and_then(|holders| {
-            holders
-                .iter()
-                .copied()
-                .find(|h| self.peers[h.0 as usize].online)
-        })
+        self.index[&home]
+            .get(&key.0)
+            .and_then(|holders| holders.iter().copied().find(|h| self.is_online(*h)))
     }
 
     /// Re-elects super-peers after failures: offline super-peers are

@@ -3,13 +3,14 @@
 //! simulator, and overlay lookups surviving lossy links via the retry
 //! hooks.
 
-use dosn_overlay::chord::ChordOverlay;
+use dosn_overlay::chord::{ChordOverlay, DhtError};
 use dosn_overlay::fault::{FaultPlan, LinkFaults, TraceEventKind};
 use dosn_overlay::flood::UnstructuredOverlay;
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::kademlia::KademliaOverlay;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::sim::{Actor, Context, LatencyModel, Simulation};
+use dosn_overlay::storage::{ChordPlane, KademliaPlane, StoragePlane};
 use dosn_overlay::superpeer::SuperPeerOverlay;
 
 /// A relay chain: each delivery with a positive TTL is forwarded to the
@@ -295,14 +296,6 @@ fn flood_search_routes_around_loss() {
     let key = Key::hash(b"item");
     net.publish(NodeId(40), key);
 
-    // Reliable faults reproduce the baseline result.
-    let mut m0 = Metrics::new();
-    let baseline = net.flood_search(NodeId(0), key, 6, &mut m0);
-    let mut reliable = LinkFaults::reliable();
-    let mut m1 = Metrics::new();
-    let same = net.flood_search_with_faults(NodeId(0), key, 6, &mut m1, &mut reliable, 0);
-    assert_eq!(baseline.map(|(n, _)| n), same.map(|(n, _)| n));
-
     // Under 20% loss with retries, flooding's redundancy still finds it.
     let mut lossy = LinkFaults::new(21, 0.2);
     let mut m2 = Metrics::new();
@@ -340,4 +333,163 @@ fn superpeer_search_fails_closed_on_partition_and_retries_loss() {
         "retries should mask 30% loss: {successes}/20"
     );
     assert!(m2.count("super.retry") > 0);
+}
+
+/// Runs 32 queries against two identically built overlays — `plain` through
+/// the plain entry point, `twin` through the `*_with_faults` one under
+/// [`LinkFaults::reliable`] — and asserts equal results and byte-equal
+/// `Metrics` (messages, bytes, per-type counts, critical-path latency and
+/// its distribution): same hops, same overlay-RNG draws, same record order.
+fn assert_twin<N, R: std::fmt::Debug + PartialEq>(
+    name: &str,
+    build: impl Fn() -> N,
+    plain: impl Fn(&mut N, usize, &mut Metrics) -> R,
+    twin: impl Fn(&mut N, usize, &mut Metrics, &mut LinkFaults) -> R,
+) {
+    let (mut net_plain, mut net_twin) = (build(), build());
+    let (mut m_plain, mut m_twin) = (Metrics::new(), Metrics::new());
+    let mut reliable = LinkFaults::reliable();
+    for i in 0..32 {
+        let expect = plain(&mut net_plain, i, &mut m_plain);
+        let got = twin(&mut net_twin, i, &mut m_twin, &mut reliable);
+        assert_eq!(got, expect, "{name}: query {i} diverged");
+    }
+    assert_eq!(m_plain, m_twin, "{name}: metrics diverged");
+    assert!(m_plain.messages > 0, "{name}: the run routed nothing");
+    assert!(reliable.attempts > 0, "{name}: the twin crossed no link");
+    assert_eq!(reliable.failures, 0, "{name}");
+}
+
+/// Twin equivalence for all four routed families, each with a fifth of its
+/// nodes offline so dead fingers, dead candidates, orphaned leaves and
+/// pruned flood branches are on the compared paths.
+#[test]
+fn reliable_faults_twin_matches_plain_entry_in_every_family() {
+    let key = |i: usize| Key::hash(format!("twin-{i}").as_bytes());
+    let start = |i: usize| NodeId(i as u64 * 2);
+    assert_twin(
+        "chord",
+        || {
+            let mut net = ChordOverlay::build(64, 3, 7);
+            for id in net.node_ids().iter().step_by(5) {
+                net.set_online(*id, false);
+            }
+            net
+        },
+        |net, i, m| net.lookup(net.node_ids()[i * 2], key(i), m),
+        |net, i, m, f| net.lookup_with_faults(net.node_ids()[i * 2], key(i), m, f, 2),
+    );
+    assert_twin(
+        "kademlia",
+        || {
+            let mut net = KademliaOverlay::build(64, 3, 20, 13);
+            for id in net.node_ids().iter().step_by(5) {
+                net.set_online(*id, false);
+            }
+            net
+        },
+        |net, i, m| net.lookup(net.node_ids()[i * 2], key(i), m),
+        |net, i, m, f| net.lookup_with_faults(net.node_ids()[i * 2], key(i), m, f, 2),
+    );
+    assert_twin(
+        "superpeer",
+        || {
+            let mut net = SuperPeerOverlay::build(64, 4, 1);
+            for i in 0..32 {
+                net.publish(NodeId(63 - i as u64), key(i));
+            }
+            for id in (0..64).step_by(5) {
+                net.set_online(NodeId(id), false);
+            }
+            net
+        },
+        |net, i, m| net.search(start(i), key(i), m),
+        |net, i, m, f| net.search_with_faults(start(i), key(i), m, f, 2),
+    );
+    assert_twin(
+        "flood",
+        || {
+            let mut net = UnstructuredOverlay::build(64, 4, 3);
+            for i in 0..32 {
+                net.publish(NodeId(63 - i as u64), key(i));
+            }
+            for id in (0..64).step_by(5) {
+                net.set_online(NodeId(id), false);
+            }
+            net
+        },
+        |net, i, m| net.flood_search(start(i), key(i), 4, m),
+        |net, i, m, f| net.flood_search_with_faults(start(i), key(i), 4, m, f, 2),
+    );
+}
+
+/// A start node the overlay does not have is a typed miss on every routed
+/// entry point — `Err(UnknownNode)`, an empty vec, or `None` — never an
+/// index panic, and it costs no messages.
+#[test]
+fn unknown_start_node_is_a_typed_miss_in_every_family() {
+    let ghost = NodeId(u64::MAX - 1);
+    let key = Key::hash(b"ghost-start");
+    let mut faults = LinkFaults::reliable();
+    let mut m = Metrics::new();
+
+    let mut chord = ChordOverlay::build(16, 3, 7);
+    assert_eq!(
+        chord.lookup(ghost, key, &mut m),
+        Err(DhtError::UnknownNode(ghost))
+    );
+    assert_eq!(
+        chord.lookup_with_faults(ghost, key, &mut m, &mut faults, 1),
+        Err(DhtError::UnknownNode(ghost))
+    );
+
+    let mut kad = KademliaOverlay::build(16, 3, 20, 13);
+    assert!(kad.lookup(ghost, key, &mut m).is_empty());
+    assert!(kad.closest(ghost, key, 3, &mut m).is_empty());
+    assert!(kad
+        .lookup_with_faults(ghost, key, &mut m, &mut faults, 1)
+        .is_empty());
+
+    let mut sp = SuperPeerOverlay::build(16, 2, 1);
+    sp.publish(NodeId(3), key);
+    assert_eq!(sp.search(ghost, key, &mut m), None);
+    assert_eq!(
+        sp.search_with_faults(ghost, key, &mut m, &mut faults, 1),
+        None
+    );
+
+    let mut net = UnstructuredOverlay::build(16, 3, 3);
+    net.publish(NodeId(3), key);
+    assert_eq!(net.flood_search(ghost, key, 4, &mut m), None);
+    assert_eq!(
+        net.flood_search_with_faults(ghost, key, 4, &mut m, &mut faults, 1),
+        None
+    );
+
+    assert_eq!(m, Metrics::new(), "a refused start routes nothing");
+    assert_eq!(faults.attempts, 0);
+}
+
+/// Golden values captured before the per-family routing loops were merged:
+/// `replica_candidates` must keep drawing from the overlay RNG and
+/// recording into `Metrics` in the same order, or every digest downstream
+/// (engine suites, e18's `run_digest`) moves.
+#[test]
+fn replica_candidates_metric_stream_is_pinned() {
+    let stream = |mut plane: Box<dyn StoragePlane>| {
+        let mut m = Metrics::new();
+        for i in 0..64 {
+            let key = Key::hash(format!("pinned-{i}").as_bytes());
+            plane.replica_candidates(key, 3, &mut m).unwrap();
+        }
+        (m.messages, m.bytes, m.latency_ms)
+    };
+    assert_eq!(
+        stream(Box::new(ChordPlane::build(128, 0xE18))),
+        (293, 18752, 19806)
+    );
+    assert_eq!(
+        stream(Box::new(KademliaPlane::build(64, 20, 7))),
+        (1280, 81920, 28595)
+    );
 }
