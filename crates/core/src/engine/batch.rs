@@ -58,6 +58,29 @@ pub enum Op {
     },
 }
 
+impl Op {
+    /// The users this op names: its home user — the author, or the first
+    /// name of a register or befriend, whose shard the op routes to — then
+    /// the other party, if any.
+    pub(super) fn users(&self) -> (&str, Option<&str>) {
+        match self {
+            Op::Register { name } => (name, None),
+            Op::Post { author, .. } => (author, None),
+            Op::Befriend { a, b, .. } => (a, Some(b)),
+            Op::Comment {
+                commenter: other,
+                author,
+                ..
+            }
+            | Op::ReadPost {
+                reader: other,
+                author,
+                ..
+            } => (author, Some(other)),
+        }
+    }
+}
+
 /// An ordered batch of operations, with builder helpers:
 ///
 /// ```

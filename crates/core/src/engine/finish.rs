@@ -1,0 +1,324 @@
+//! The finish phase: quorum reads — sequential fetch (storage is `&mut`),
+//! parallel quorum vote + envelope verification + decryption over the
+//! read-only author snapshot, then the sequential tail (read-repair,
+//! hot-cache admission, fallback) — and the feed-cache fills that follow
+//! the report. Touches storage, metrics and the snapshot; never the shards.
+
+use super::batch::{BatchReport, Op, OpOutput};
+use super::pipeline::{fan_out, Batch, JobOut};
+use super::plan::{bump_feed_stats, FeedFill};
+use super::user::UserState;
+use super::{elapsed_micros, storage_to_dosn, wall_key, WorkerCtx, NUM_SHARDS};
+use crate::content::Post;
+use crate::error::DosnError;
+use crate::feed::FeedCache;
+use crate::identity::UserId;
+use crate::integrity::envelope::SignedEnvelope;
+use dosn_obs::{names, Registry};
+use dosn_overlay::metrics::Metrics;
+use dosn_overlay::replication::{quorum_vote, quorum_vote_batch, FetchedCopies, ReplicatedStore};
+use dosn_overlay::storage::{StorageError, StoragePlane};
+use std::collections::BTreeMap;
+use std::time::Instant;
+
+/// The read authors' records, moved out of their shards for the phase.
+type Snapshot = BTreeMap<UserId, UserState>;
+
+/// One `ReadPost` with its fetched bytes, borrowing the op's names.
+struct ReadJob<'a> {
+    op_idx: usize,
+    reader: &'a str,
+    author: &'a str,
+    seq: u64,
+    fetched: Result<FetchedCopies, StorageError>,
+    /// Sealed bytes served by the storage plane's hot cache, if any — the
+    /// verify/decrypt worker checks these *first* and only falls back to
+    /// the quorum copies when they fail verification.
+    cached: Option<Vec<u8>>,
+    fetch_micros: u64,
+}
+
+enum ReadOutcome {
+    Done(Result<OpOutput, DosnError>),
+    /// Winner decrypted; the sequential pass repairs the job's stale
+    /// copies with it.
+    Verified {
+        body: String,
+        winner: Vec<u8>,
+    },
+    /// No copy verified — the sequential pass re-reads raw bytes to
+    /// distinguish "missing" from "present but malformed / badly signed".
+    NeedsFallback,
+    /// The hot-cached envelope failed verification or decryption. The
+    /// sequential pass invalidates it and re-runs the read as a real
+    /// quorum fetch — a poisoned cache entry must behave exactly like an
+    /// uncached tampered replica, never like a served read.
+    RetryQuorum,
+}
+
+/// Serves the planned `reads` (op indices) into `batch.results`.
+pub(super) fn finish_reads<S: StoragePlane>(
+    storage: &mut ReplicatedStore<S>,
+    metrics: &mut Metrics,
+    ctx: &WorkerCtx,
+    snapshot: &Snapshot,
+    batch: &mut Batch,
+    reads: Vec<usize>,
+) {
+    let timer = ctx.obs.timer(names::ENGINE_FINISH);
+    let mut read_jobs: Vec<Vec<ReadJob>> = (0..NUM_SHARDS).map(|_| Vec::new()).collect();
+    for op_idx in reads {
+        let Op::ReadPost {
+            reader,
+            author,
+            seq,
+        } = &batch.ops[op_idx]
+        else {
+            continue;
+        };
+        let started = Instant::now();
+        let key = wall_key(author, *seq);
+        // L2: a hot-cached envelope skips the quorum fetch entirely; the
+        // verify worker still runs the full envelope check on it, and
+        // `settle_read` falls back to a real quorum read if that fails.
+        let cached = storage.cached_fetch(key, metrics);
+        let fetched = match cached {
+            Some(_) => Ok(FetchedCopies {
+                key,
+                copies: Vec::new(),
+            }),
+            None => storage.fetch_copies(key, metrics),
+        };
+        read_jobs[batch.timings[op_idx].shard].push(ReadJob {
+            op_idx,
+            reader,
+            author,
+            seq: *seq,
+            fetched,
+            cached,
+            fetch_micros: elapsed_micros(started),
+        });
+    }
+    let read_quorum = storage.read_quorum();
+    let bins = read_jobs.into_iter().map(|jobs| ((), jobs));
+    let mut read_outs = fan_out(ctx.workers, bins, |(), job| {
+        let started = Instant::now();
+        let outcome = finish_read(snapshot, ctx, read_quorum, &job);
+        JobOut {
+            op_idx: job.op_idx,
+            micros: job.fetch_micros + elapsed_micros(started),
+            out: (job, outcome),
+        }
+    });
+    read_outs.sort_unstable_by_key(|o| o.op_idx);
+    for read in read_outs {
+        batch.timings[read.op_idx].finish_micros = read.micros;
+        let (job, outcome) = read.out;
+        let result = settle_read(storage, metrics, ctx, snapshot, job, outcome);
+        ctx.obs
+            .histogram(names::NET_READ_POST_QUORUM)
+            .record(read.micros);
+        if result.is_err() {
+            // Adversarial or unavailable replicas: the read refused to
+            // return unverified bytes. E17 gates on this staying the *only*
+            // failure mode under tampering (never a wrong plaintext).
+            ctx.obs.counter(names::ENGINE_READ_FAIL_CLOSED).add(1);
+        }
+        batch.results[read.op_idx] = Some(result);
+    }
+    timer.observe();
+}
+
+/// The parallel half of one quorum read: vote over the fetched copies with
+/// the envelope check as the verifier, then decode, verify, and decrypt
+/// the winner as the reader. Author states come from the stage-A snapshot,
+/// not the live shards.
+fn finish_read(
+    snapshot: &Snapshot,
+    ctx: &WorkerCtx,
+    read_quorum: usize,
+    job: &ReadJob,
+) -> ReadOutcome {
+    let author_id = UserId::from(job.author);
+    if let Some(bytes) = &job.cached {
+        // A hot-cached envelope gets the complete uncached treatment —
+        // decode, signature verification, decrypt as the reader. Any
+        // failure (tampered bytes, revoked reader, bad encoding) sends
+        // the read back to the real quorum path: the cache accelerates
+        // reads, it never relaxes what a served read proved.
+        return match open_envelope(snapshot, ctx, job, &author_id, bytes) {
+            // No quorum fetch happened, so there is nothing to repair.
+            Ok(body) => ReadOutcome::Done(Ok(OpOutput::Read { body })),
+            Err(DosnError::NotAuthorized(e)) => {
+                // The envelope itself was authentic; the *reader* is not
+                // allowed. A quorum retry would fail identically, so
+                // report it now (matching the uncached path's error).
+                ReadOutcome::Done(Err(DosnError::NotAuthorized(e)))
+            }
+            Err(_) => ReadOutcome::RetryQuorum,
+        };
+    }
+    let fetched = match &job.fetched {
+        Ok(f) => f,
+        Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e.clone()))),
+    };
+    let verify_hist = ctx.obs.histogram(names::CRYPTO_SCHNORR_VERIFY);
+    let quorum_started = Instant::now();
+    let vote = if ctx.batch_verify {
+        // All copies verify in one combined Schnorr check (R byte-identical
+        // replicas collapse to one slot); one histogram sample covers the
+        // whole batch.
+        quorum_vote_batch(fetched, read_quorum, |copies| {
+            let started = Instant::now();
+            let verdicts = SignedEnvelope::verify_wire_copies_batch(
+                &author_id,
+                job.seq,
+                copies,
+                &ctx.group,
+                &ctx.directory,
+                None,
+                u64::MAX - 1,
+            );
+            verify_hist.record(elapsed_micros(started));
+            verdicts
+        })
+    } else {
+        quorum_vote(fetched, read_quorum, |bytes| {
+            let started = Instant::now();
+            let ok = SignedEnvelope::decode_wire(&author_id, job.seq, bytes, &ctx.group)
+                .and_then(|(env, _)| env.verify(&ctx.directory, None, u64::MAX - 1))
+                .is_ok();
+            verify_hist.record(elapsed_micros(started));
+            ok
+        })
+    };
+    ctx.obs
+        .histogram(names::STORE_GET_QUORUM)
+        .record(job.fetch_micros + elapsed_micros(quorum_started));
+    let winner = match vote {
+        Ok(winner) => winner,
+        Err(StorageError::NotFound(_)) => return ReadOutcome::NeedsFallback,
+        Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
+    };
+    match open_envelope(snapshot, ctx, job, &author_id, &winner) {
+        Ok(body) => ReadOutcome::Verified { body, winner },
+        Err(e) => ReadOutcome::Done(Err(e)),
+    }
+}
+
+/// What every served read proves about the sealed bytes it serves, whether
+/// they are the quorum winner or a hot-cached envelope: they decode as
+/// `job.author`'s post `job.seq`, carry the author's valid signature, and
+/// decrypt for `job.reader`. Returns the post body.
+fn open_envelope(
+    snapshot: &Snapshot,
+    ctx: &WorkerCtx,
+    job: &ReadJob,
+    author_id: &UserId,
+    sealed: &[u8],
+) -> Result<String, DosnError> {
+    let (envelope, epoch) = SignedEnvelope::decode_wire(author_id, job.seq, sealed, &ctx.group)?;
+    envelope.verify(&ctx.directory, None, u64::MAX - 1)?;
+    let author_state = snapshot
+        .get(author_id)
+        .ok_or_else(|| DosnError::UnknownUser(job.author.to_owned()))?;
+    let plain = author_state.privacy.unseal(
+        &author_state.friends_group,
+        job.reader,
+        epoch,
+        &envelope.body,
+    )?;
+    let post: Post = serde_json::from_slice(&plain)
+        .map_err(|e| DosnError::IntegrityViolation(format!("bad post encoding: {e}")))?;
+    Ok(post.body)
+}
+
+/// The sequential tail of one read: turns what the parallel half decided
+/// into the op's result and applies its storage side effects. A poisoned
+/// hot-cache entry ([`ReadOutcome::RetryQuorum`]) is dropped
+/// (`cache.invalidations`), re-read as a real quorum fetch, and then
+/// settled exactly like an uncached read of the same key — same repair,
+/// same hot-cache admission, same fallback.
+fn settle_read<S: StoragePlane>(
+    storage: &mut ReplicatedStore<S>,
+    metrics: &mut Metrics,
+    ctx: &WorkerCtx,
+    snapshot: &Snapshot,
+    mut job: ReadJob,
+    mut outcome: ReadOutcome,
+) -> Result<OpOutput, DosnError> {
+    if matches!(outcome, ReadOutcome::RetryQuorum) {
+        let key = wall_key(job.author, job.seq);
+        storage.invalidate_hot(key, metrics);
+        let started = Instant::now();
+        job.cached = None;
+        job.fetched = storage.fetch_copies(key, metrics);
+        job.fetch_micros = elapsed_micros(started);
+        outcome = finish_read(snapshot, ctx, storage.read_quorum(), &job);
+    }
+    match outcome {
+        ReadOutcome::Done(r) => r,
+        ReadOutcome::Verified { body, winner } => {
+            if let Ok(fetched) = &job.fetched {
+                storage.repair_copies(fetched, &winner, metrics);
+                // Verified quorum winners seed the plane's hot cache (and
+                // overwrite any stale entry for the key in place).
+                storage.admit_hot(fetched.key, &winner, metrics);
+            }
+            Ok(OpOutput::Read { body })
+        }
+        ReadOutcome::NeedsFallback => read_fallback(storage, metrics, ctx, job.author, job.seq),
+        ReadOutcome::RetryQuorum => Err(DosnError::IntegrityViolation(
+            "uncached retry produced a cache outcome".into(),
+        )),
+    }
+}
+
+/// The no-verifying-quorum fallback: re-read raw bytes so callers see
+/// the real defect — missing, malformed, or badly signed.
+fn read_fallback<S: StoragePlane>(
+    storage: &mut ReplicatedStore<S>,
+    metrics: &mut Metrics,
+    ctx: &WorkerCtx,
+    author: &str,
+    seq: u64,
+) -> Result<OpOutput, DosnError> {
+    let raw = storage
+        .get(wall_key(author, seq), metrics)
+        .map_err(storage_to_dosn)?;
+    let author_id = UserId::from(author);
+    let (env, _) = SignedEnvelope::decode_wire(&author_id, seq, &raw, &ctx.group)?;
+    env.verify(&ctx.directory, None, u64::MAX - 1)?;
+    Err(DosnError::ContentUnavailable(format!(
+        "no verifying quorum for {author}/{seq}"
+    )))
+}
+
+/// Applies a batch's planned feed fills after its report exists: only
+/// successful reads are cached (a failed read must keep failing until a
+/// quorum actually serves it).
+pub(super) fn apply_feed_fills(
+    feed: &mut Option<FeedCache>,
+    obs: &Registry,
+    fills: Vec<FeedFill>,
+    report: &BatchReport,
+) {
+    let Some(cache) = feed.as_mut() else {
+        return;
+    };
+    for fill in fills {
+        if let Some(Ok(OpOutput::Read { body })) =
+            report.results.get(fill.op_idx).map(Result::as_ref)
+        {
+            let before = cache.stats();
+            cache.insert(
+                &fill.reader,
+                &fill.author,
+                fill.seq,
+                fill.head,
+                body.clone(),
+            );
+            bump_feed_stats(obs, before, cache.stats());
+        }
+    }
+}

@@ -10,8 +10,8 @@
 //! ```text
 //!            OpBatch (Register | Befriend | Post | Comment | ReadPost)
 //!                │
-//!    plan       │  sequential: validate ops, route each to its author's
-//!                ▼  shard, derive one RNG per op via HKDF(seed, op_index)
+//!    plan       │  sequential: route each op to its author's shard;
+//!                ▼  every op's RNG is HKDF(seed, global op_index)
 //!  ┌─────────────────────────────────────────────────────────┐
 //!  │ prepare    parallel over shards (std::thread::scope,    │   stage A
 //!  │            round-robin shard→worker binning):           │
@@ -36,6 +36,11 @@
 //!                │
 //!                ▼  sequential: read-repairs, fallbacks, results
 //! ```
+//!
+//! Each phase is one file beside this one — `plan`, `prepare`, `commit`,
+//! `finish` — with `pipeline` moving a batch through them and holding the
+//! single worker fan-out both parallel phases share. All of them work on
+//! one record per user (`user`), kept in exactly one shard map.
 //!
 //! [`Engine::execute_all`] pipelines consecutive batches two-stage deep:
 //! while batch k runs its commit/finish (stage B, which only touches
@@ -69,37 +74,35 @@
 
 mod batch;
 pub mod commit;
+mod finish;
+mod pipeline;
+mod plan;
+mod prepare;
+pub(crate) mod privacy_plane;
+mod user;
 
 pub use batch::{BatchReport, Op, OpBatch, OpOutput, OpTiming};
 pub use commit::{CommitEntry, CommitPlan};
 
-use crate::content::Post;
 use crate::error::DosnError;
-use crate::feed::{FeedCache, FeedCacheStats, FeedItem};
+use crate::feed::{FeedCache, FeedItem};
 use crate::graph::SocialGraph;
-use crate::identity::{Identity, UserId};
-use crate::integrity::envelope::SignedEnvelope;
-use crate::integrity::EntryHash;
-use crate::network::integrity_plane::IntegrityPlane;
-use crate::network::privacy_plane::PrivacyPlane;
-use crate::network::storage_glue::{storage_to_dosn, wall_key};
-use crate::network::user::UserState;
+use crate::identity::UserId;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::{GroupSize, SchnorrGroup};
 use dosn_crypto::hmac::hkdf;
 use dosn_crypto::keys::KeyDirectory;
-use dosn_crypto::sha256::{sha256, Sha256};
+use dosn_crypto::sha256::sha256;
 use dosn_obs::{names, Registry, Snapshot};
 use dosn_overlay::fault::FaultPlan;
 use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
-use dosn_overlay::replication::{
-    apply_crash_schedule, quorum_vote, quorum_vote_batch, FetchedCopies, ReplicatedStore,
-};
+use dosn_overlay::replication::{apply_crash_schedule, ReplicatedStore};
 use dosn_overlay::storage::{StorageError, StoragePlane};
+use privacy_plane::PrivacyPlane;
 use std::collections::BTreeMap;
-use std::thread;
 use std::time::Instant;
+use user::UserState;
 
 /// Fixed shard count. Constant (and larger than any sensible worker
 /// count) so that the user→shard routing — and therefore every
@@ -109,22 +112,10 @@ use std::time::Instant;
 /// shard→worker chunking.
 pub const NUM_SHARDS: usize = 32;
 
-/// One slice of per-user state: the users routed here plus their §IV
-/// integrity state. A worker thread owns whole shards during the parallel
-/// phases, so no per-user state is ever shared between threads.
-struct Shard {
-    users: BTreeMap<UserId, UserState>,
-    integrity: IntegrityPlane,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            users: BTreeMap::new(),
-            integrity: IntegrityPlane::new(),
-        }
-    }
-}
+/// One slice of per-user state: the records of the users routed here. A
+/// worker thread owns whole shards during the parallel phases, so no
+/// per-user state is ever shared between threads.
+type Shard = BTreeMap<UserId, UserState>;
 
 /// Stable user→shard routing: first eight big-endian bytes of
 /// `SHA-256(name)` mod [`NUM_SHARDS`]. Must never depend on registration
@@ -136,6 +127,18 @@ pub fn shard_of(name: &str) -> usize {
     let mut eight = [0u8; 8];
     eight.copy_from_slice(&digest[..8]);
     (u64::from_be_bytes(eight) % NUM_SHARDS as u64) as usize
+}
+
+/// The storage key of `author`'s post `seq` — the deterministic address
+/// every reader derives independently: `Key::hash("wall/{author}/{seq}")`.
+pub fn wall_key(author: &str, seq: u64) -> Key {
+    Key::hash(format!("wall/{author}/{seq}").as_bytes())
+}
+
+/// Maps storage-plane failures onto the social layer's error type: every
+/// variant means the content cannot currently be served.
+fn storage_to_dosn(e: StorageError) -> DosnError {
+    DosnError::ContentUnavailable(e.to_string())
 }
 
 /// Derives the RNG for global op `index`: `HKDF-SHA256` with the engine
@@ -150,88 +153,39 @@ fn op_rng(seed: &[u8; 32], index: u64) -> SecureRng {
     SecureRng::from_seed(key)
 }
 
-// ---- per-stage job/output records ----
-
-struct RegisterJob {
-    op_idx: usize,
-    global: u64,
-    name: String,
+fn elapsed_micros(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-struct RegisterOut {
-    op_idx: usize,
-    result: Result<(), DosnError>,
-    micros: u64,
+/// `name`'s record, looked up in its home shard.
+fn user_in<'a>(shards: &'a [Shard], name: &str) -> Option<&'a UserState> {
+    shards[shard_of(name)].get(name)
 }
 
-enum WriteJob {
-    Post {
-        op_idx: usize,
-        global: u64,
-        author: String,
-        body: String,
-    },
-    Comment {
-        op_idx: usize,
-        global: u64,
-        commenter: String,
-        author: String,
-        seq: u64,
-        body: String,
-    },
+/// [`user_in`], or [`DosnError::UnknownUser`].
+fn known_user<'a>(shards: &'a [Shard], name: &str) -> Result<&'a UserState, DosnError> {
+    user_in(shards, name).ok_or_else(|| DosnError::UnknownUser(name.to_owned()))
 }
 
-enum Prepared {
-    Posted { seq: u64, key: Key, record: Vec<u8> },
-    Commented,
+/// `name`'s record in `shard` (its home shard), mutably, or
+/// [`DosnError::UnknownUser`].
+fn user_mut<'a>(shard: &'a mut Shard, name: &str) -> Result<&'a mut UserState, DosnError> {
+    shard
+        .get_mut(name)
+        .ok_or_else(|| DosnError::UnknownUser(name.to_owned()))
 }
 
-struct WriteOut {
-    op_idx: usize,
-    result: Result<Prepared, DosnError>,
-    micros: u64,
-}
-
-struct ReadJob {
-    op_idx: usize,
-    author: String,
-    reader: String,
-    seq: u64,
-    fetched: Result<FetchedCopies, StorageError>,
-    /// Sealed bytes served by the storage plane's hot cache, if any — the
-    /// verify/decrypt worker checks these *first* and only falls back to
-    /// the quorum copies when they fail verification.
-    cached: Option<Vec<u8>>,
-    fetch_micros: u64,
-}
-
-enum ReadOutcome {
-    Done(Result<OpOutput, DosnError>),
-    /// Winner decrypted; carries what the sequential pass needs to repair.
-    Verified {
-        body: String,
-        winner: Vec<u8>,
-        fetched: FetchedCopies,
-    },
-    /// No copy verified — the sequential pass re-reads raw bytes to
-    /// distinguish "missing" from "present but malformed / badly signed".
-    NeedsFallback,
-    /// A hot-cached envelope verified and decrypted — no quorum fetch
-    /// happened, nothing to repair.
-    CacheServed {
-        body: String,
-    },
-    /// The hot-cached envelope failed verification or decryption. The
-    /// sequential pass invalidates it and re-runs the read as a real
-    /// quorum fetch — a poisoned cache entry must behave exactly like an
-    /// uncached tampered replica, never like a served read.
-    RetryQuorum,
-}
-
-struct ReadOut {
-    op_idx: usize,
-    outcome: ReadOutcome,
-    micros: u64,
+/// What every phase and worker thread reads but none mutates: the
+/// thread-safe crypto and observability handles (their `Send + Sync` bounds
+/// are compile-tested in `dosn-crypto`'s thread-safety suite) plus the
+/// engine's knobs. Workers share it by reference.
+struct WorkerCtx {
+    group: SchnorrGroup,
+    directory: KeyDirectory,
+    obs: Registry,
+    seed: [u8; 32],
+    workers: usize,
+    batch_verify: bool,
 }
 
 /// The batched parallel request engine (see module docs). Owns everything
@@ -240,18 +194,13 @@ struct ReadOut {
 /// into [`NUM_SHARDS`] shards that worker threads borrow during the
 /// parallel phases.
 pub struct Engine<S: StoragePlane> {
-    group: SchnorrGroup,
-    directory: KeyDirectory,
+    ctx: WorkerCtx,
     storage: ReplicatedStore<S>,
     shards: Vec<Shard>,
     graph: SocialGraph,
     metrics: Metrics,
-    obs: Registry,
-    seed: [u8; 32],
     next_op_index: u64,
-    workers: usize,
     drain_seed: Option<u64>,
-    batch_verify: bool,
     /// Reader-side materialized timelines (L1). `None` = caching off; op
     /// outcomes are byte-identical either way (see [`crate::feed`]).
     feed: Option<FeedCache>,
@@ -264,7 +213,7 @@ impl<S: StoragePlane> std::fmt::Debug for Engine<S> {
             "Engine({} users, {} shards, {} workers over {} x{})",
             self.user_count(),
             NUM_SHARDS,
-            self.workers,
+            self.ctx.workers,
             self.storage.plane().name(),
             self.storage.replicas(),
         )
@@ -284,18 +233,20 @@ impl<S: StoragePlane> Engine<S> {
         let group = SchnorrGroup::shared(GroupSize::Toy);
         group.register_obs(&obs);
         Engine {
-            group,
-            directory: KeyDirectory::new(),
+            ctx: WorkerCtx {
+                group,
+                directory: KeyDirectory::new(),
+                obs,
+                seed: sha256(&seed.to_be_bytes()),
+                workers: 1,
+                batch_verify: true,
+            },
             storage,
             shards: (0..NUM_SHARDS).map(|_| Shard::new()).collect(),
             graph: SocialGraph::new(),
             metrics: Metrics::new(),
-            obs,
-            seed: sha256(&seed.to_be_bytes()),
             next_op_index: 0,
-            workers: 1,
             drain_seed: None,
-            batch_verify: true,
             feed: None,
         }
     }
@@ -330,7 +281,7 @@ impl<S: StoragePlane> Engine<S> {
     /// the read retries as a real quorum fetch.
     pub fn enable_hot_cache(&mut self, capacity: usize) {
         let mut eight = [0u8; 8];
-        eight.copy_from_slice(&self.seed[..8]);
+        eight.copy_from_slice(&self.ctx.seed[..8]);
         self.storage
             .enable_hot_cache(capacity, u64::from_be_bytes(eight));
     }
@@ -342,12 +293,12 @@ impl<S: StoragePlane> Engine<S> {
     /// either way — the toggle exists so the equivalence suites can prove
     /// that, and for A/B timing in the E9 bench.
     pub fn set_batch_verify(&mut self, on: bool) {
-        self.batch_verify = on;
+        self.ctx.batch_verify = on;
     }
 
     /// Whether finish-phase quorum reads use batched verification.
     pub fn batch_verify(&self) -> bool {
-        self.batch_verify
+        self.ctx.batch_verify
     }
 
     /// Sets the adversarial-scheduler seed: with `Some(seed)`, the commit
@@ -370,17 +321,17 @@ impl<S: StoragePlane> Engine<S> {
     /// wall-clock time. With one worker the engine runs inline, without
     /// spawning threads, so single-op facade calls pay no thread overhead.
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.clamp(1, NUM_SHARDS);
+        self.ctx.workers = workers.clamp(1, NUM_SHARDS);
     }
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.ctx.workers
     }
 
     /// Registered user count, across shards.
     pub fn user_count(&self) -> usize {
-        self.shards.iter().map(|s| s.users.len()).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// The social graph.
@@ -390,7 +341,7 @@ impl<S: StoragePlane> Engine<S> {
 
     /// The key directory.
     pub fn directory(&self) -> &KeyDirectory {
-        &self.directory
+        &self.ctx.directory
     }
 
     /// Accumulated overlay + plane metrics.
@@ -400,7 +351,7 @@ impl<S: StoragePlane> Engine<S> {
 
     /// The shared observability registry.
     pub fn obs(&self) -> &Registry {
-        &self.obs
+        &self.ctx.obs
     }
 
     /// The replicated storage layer.
@@ -415,21 +366,19 @@ impl<S: StoragePlane> Engine<S> {
 
     /// A user's timeline (verifier view).
     pub fn timeline(&self, user: &str) -> Option<&crate::integrity::Timeline> {
-        let id = UserId::from(user);
-        self.shards[shard_of(user)].integrity.timeline(&id)
+        user_in(&self.shards, user).map(UserState::timeline)
     }
 
     /// Verified comments on a post (commenter, body).
     pub fn comments(&self, author: &str, seq: u64) -> Vec<(String, String)> {
-        let id = UserId::from(author);
-        self.shards[shard_of(author)].integrity.comments(&id, seq)
+        user_in(&self.shards, author).map_or_else(Vec::new, |u| u.comments(seq))
     }
 
     /// Aggregates `user`'s feed: the latest `k` posts of every friend,
     /// planned as **one** engine batch so the fill path gets the parallel
     /// finish phase and batched Schnorr verification. The friend set comes
     /// from the social graph; per-friend sequence ranges come from the
-    /// integrity plane's timeline lengths. Posts the reader cannot read
+    /// friends' timeline lengths. Posts the reader cannot read
     /// (revoked epochs, unplaceable replicas) are skipped, not errors —
     /// a feed is best-effort by design. With the feed cache enabled,
     /// slices whose chain head still matches are served without a quorum
@@ -443,13 +392,11 @@ impl<S: StoragePlane> Engine<S> {
     ///
     /// [`DosnError::UnknownUser`] when `user` is not registered.
     pub fn read_feed(&mut self, user: &str, k: usize) -> Result<Vec<FeedItem>, DosnError> {
-        if !self.user_exists(user) {
-            return Err(DosnError::UnknownUser(user.to_owned()));
-        }
-        self.obs.counter(names::FEED_READS).add(1);
+        known_user(&self.shards, user)?;
+        let obs = &self.ctx.obs;
+        obs.counter(names::FEED_READS).add(1);
         let friends = self.graph.friends(&UserId::from(user));
-        self.obs
-            .histogram(names::FEED_FANIN)
+        obs.histogram(names::FEED_FANIN)
             .record(friends.len() as u64);
         if friends.is_empty() || k == 0 {
             return Ok(Vec::new());
@@ -457,10 +404,8 @@ impl<S: StoragePlane> Engine<S> {
         let mut batch = OpBatch::new();
         let mut plan: Vec<(UserId, u64)> = Vec::new();
         for friend in &friends {
-            let len = self.shards[shard_of(&friend.0)]
-                .integrity
-                .timeline(friend)
-                .map_or(0, |t| t.entries().len() as u64);
+            let len = user_in(&self.shards, friend.as_str())
+                .map_or(0, |u| u.timeline().entries().len() as u64);
             for seq in len.saturating_sub(k as u64)..len {
                 batch = batch.read_post(user, &friend.0, seq);
                 plan.push((friend.clone(), seq));
@@ -487,31 +432,13 @@ impl<S: StoragePlane> Engine<S> {
     /// Refreshes derived gauges and snapshots every instrument (see
     /// `DosnNetwork::publish_obs`).
     pub fn publish_obs(&self) -> Snapshot {
-        self.group.register_obs(&self.obs);
-        self.obs
-            .set_gauge(names::OVERLAY_MESSAGES, self.metrics.messages as f64);
-        self.obs
-            .set_gauge(names::OVERLAY_BYTES, self.metrics.bytes as f64);
-        self.obs
-            .histogram(names::OVERLAY_MSG_LATENCY)
+        let obs = &self.ctx.obs;
+        self.ctx.group.register_obs(obs);
+        obs.set_gauge(names::OVERLAY_MESSAGES, self.metrics.messages as f64);
+        obs.set_gauge(names::OVERLAY_BYTES, self.metrics.bytes as f64);
+        obs.histogram(names::OVERLAY_MSG_LATENCY)
             .replace(self.metrics.latency.clone());
-        self.obs.snapshot()
-    }
-
-    fn user(&self, name: &str) -> Option<&UserState> {
-        self.shards[shard_of(name)].users.get(&UserId::from(name))
-    }
-
-    fn user_exists(&self, name: &str) -> bool {
-        self.user(name).is_some()
-    }
-
-    /// Claims the next global op index (used by the sequential
-    /// registration/unfriend paths so their randomness stays per-op too).
-    fn claim_op_index(&mut self) -> u64 {
-        let idx = self.next_op_index;
-        self.next_op_index += 1;
-        idx
+        obs.snapshot()
     }
 
     /// Registers a user behind an arbitrary privacy plane — the sequential
@@ -526,28 +453,23 @@ impl<S: StoragePlane> Engine<S> {
     pub fn register_with_plane(
         &mut self,
         name: &str,
-        mut privacy: PrivacyPlane,
+        privacy: PrivacyPlane,
     ) -> Result<(), DosnError> {
-        let id = UserId::from(name);
-        if self.user_exists(name) {
+        if user_in(&self.shards, name).is_some() {
             return Err(DosnError::UnknownUser(format!("{name} already registered")));
         }
-        let _timer = self.obs.timer(names::NET_REGISTER);
-        let index = self.claim_op_index();
-        let mut rng = op_rng(&self.seed, index);
-        let identity = Identity::create(name, self.group.clone(), &self.directory, &mut rng);
-        let friends_group = privacy.create_group(&[name.to_owned()])?;
-        self.graph.add_user(&id);
-        let shard = &mut self.shards[shard_of(name)];
-        shard.integrity.register(id.clone(), &mut rng);
-        shard.users.insert(
-            id,
-            UserState {
-                identity,
-                privacy,
-                friends_group,
-            },
-        );
+        let _timer = self.ctx.obs.timer(names::NET_REGISTER);
+        let mut rng = op_rng(&self.ctx.seed, self.next_op_index);
+        self.next_op_index += 1;
+        prepare::register_user(
+            &mut self.shards[shard_of(name)],
+            &self.ctx.group,
+            &self.ctx.directory,
+            name,
+            privacy,
+            &mut rng,
+        )?;
+        self.graph.add_user(&UserId::from(name));
         Ok(())
     }
 
@@ -557,1179 +479,28 @@ impl<S: StoragePlane> Engine<S> {
     ///
     /// [`DosnError::UnknownUser`] for unregistered names or a missing edge.
     pub fn unfriend(&mut self, a: &str, b: &str) -> Result<u64, DosnError> {
-        let (ida, idb) = (UserId::from(a), UserId::from(b));
-        if !self.graph.unfriend(&ida, &idb) {
+        if !self.graph.unfriend(&UserId::from(a), &UserId::from(b)) {
             return Err(DosnError::UnknownUser(format!(
                 "{a} and {b} are not friends"
             )));
         }
-        let state_a = self.shards[shard_of(a)]
-            .users
-            .get_mut(&ida)
-            .ok_or_else(|| DosnError::UnknownUser(a.to_owned()))?;
-        let ga = state_a.friends_group.clone();
-        let cost_a = state_a.privacy.revoke_member(&ga, b)?;
-        let state_b = self.shards[shard_of(b)]
-            .users
-            .get_mut(&idb)
-            .ok_or_else(|| DosnError::UnknownUser(b.to_owned()))?;
-        let gb = state_b.friends_group.clone();
-        let cost_b = state_b.privacy.revoke_member(&gb, a)?;
-        Ok(cost_a.rekeyed_members + cost_b.rekeyed_members)
-    }
-
-    /// Executes a batch through the plan / prepare / commit / finish
-    /// pipeline. See the module docs for staging and determinism
-    /// semantics. Equivalent to `execute_all(vec![batch])` but available
-    /// for non-`Send` storage planes (no cross-thread pipelining).
-    pub fn execute(&mut self, batch: OpBatch) -> BatchReport {
-        let staged = self.stage(batch);
-        self.exec(staged)
-    }
-
-    /// Claims a batch's global op indices (counting its ops on
-    /// `engine.ops`): the ops, their base index, and the worker context
-    /// stage A runs under.
-    fn claim_batch(&mut self, batch: OpBatch) -> (Vec<Op>, u64, WorkerCtx) {
-        let ops = batch.into_ops();
-        self.obs.counter(names::ENGINE_OPS).add(ops.len() as u64);
-        let base = self.next_op_index;
-        self.next_op_index += ops.len() as u64;
-        (ops, base, self.worker_ctx())
-    }
-
-    /// Stage A of one batch: claim op indices, plan, prepare. Mutates
-    /// shards / graph / directory but never storage or metrics.
-    fn stage(&mut self, batch: OpBatch) -> StagedBatch {
-        let (ops, base, ctx) = self.claim_batch(batch);
-        stage_batch(
-            &mut self.shards,
-            &mut self.graph,
-            &mut self.feed,
-            &ctx,
-            self.workers,
-            ops,
-            base,
-        )
-    }
-
-    /// Stage B of one batch: commit + finish, then put the moved-out
-    /// author snapshot back into its shards and fill the feed cache from
-    /// the successful quorum reads.
-    fn exec(&mut self, mut staged: StagedBatch) -> BatchReport {
-        let fills = std::mem::take(&mut staged.fills);
-        let ctx = self.worker_ctx();
-        let (report, snapshot) = exec_staged(
-            &mut self.storage,
-            &mut self.metrics,
-            &ctx,
-            self.workers,
-            self.drain_seed,
-            staged,
-        );
-        reinsert_snapshot(&mut self.shards, snapshot);
-        apply_feed_fills(&mut self.feed, &self.obs, fills, &report);
-        report
-    }
-
-    fn worker_ctx(&self) -> WorkerCtx {
-        WorkerCtx {
-            group: self.group.clone(),
-            directory: self.directory.clone(),
-            obs: self.obs.clone(),
-            seed: self.seed,
-            batch_verify: self.batch_verify,
+        let mut rekeyed = 0;
+        for (owner, friend) in [(a, b), (b, a)] {
+            let state = user_mut(&mut self.shards[shard_of(owner)], owner)?;
+            let cost = state.privacy.revoke_member(&state.friends_group, friend)?;
+            rekeyed += cost.rekeyed_members;
         }
+        Ok(rekeyed)
     }
-}
-
-impl<S: StoragePlane + Send> Engine<S> {
-    /// Executes a sequence of batches with a bounded two-stage pipeline:
-    /// batch k+1's plan/prepare (stage A) overlaps batch k's
-    /// commit/finish (stage B) on a scoped thread whenever
-    ///
-    /// - more than one worker is configured, and
-    /// - batch k+1 mentions **no user** whose state batch k's finish
-    ///   phase snapshot holds (so stage A's shard lookups cannot observe
-    ///   the moved-out states).
-    ///
-    /// When the condition fails the pair simply runs sequentially, so
-    /// reports and final state are byte-identical to calling
-    /// [`Engine::execute`] in a loop — the property the
-    /// `commit_ordering` suite proves. Overlapped pairs count on the
-    /// `engine.pipeline.overlap` instrument.
-    pub fn execute_all(&mut self, batches: Vec<OpBatch>) -> Vec<BatchReport> {
-        let mut reports = Vec::with_capacity(batches.len());
-        let mut batches = batches.into_iter();
-        let Some(first) = batches.next() else {
-            return reports;
-        };
-        let mut staged = self.stage(first);
-        for next in batches {
-            if self.workers > 1 && can_overlap(&staged, next.ops()) {
-                self.obs.counter(names::ENGINE_PIPELINE_OVERLAP).add(1);
-                let (ops, base, ctx) = self.claim_batch(next);
-                let workers = self.workers;
-                let drain_seed = self.drain_seed;
-                // The previous batch's feed fills apply after its report —
-                // the overlapped stage A below may consult the cache first,
-                // which at worst turns would-be hits into misses (the
-                // quorum read returns the same bytes), never wrong results.
-                let mut prev = staged;
-                let prev_fills = std::mem::take(&mut prev.fills);
-                let ((report, snapshot), staged_next) = {
-                    let Engine {
-                        storage,
-                        metrics,
-                        shards,
-                        graph,
-                        feed,
-                        ..
-                    } = &mut *self;
-                    let exec_ctx = ctx.clone();
-                    thread::scope(|scope| {
-                        let handle = scope.spawn(move || {
-                            exec_staged(storage, metrics, &exec_ctx, workers, drain_seed, prev)
-                        });
-                        let staged_next =
-                            stage_batch(shards, graph, feed, &ctx, workers, ops, base);
-                        let outcome = match handle.join() {
-                            Ok(outcome) => outcome,
-                            Err(panic) => std::panic::resume_unwind(panic),
-                        };
-                        (outcome, staged_next)
-                    })
-                };
-                reinsert_snapshot(&mut self.shards, snapshot);
-                apply_feed_fills(&mut self.feed, &self.obs, prev_fills, &report);
-                reports.push(report);
-                staged = staged_next;
-            } else {
-                reports.push(self.exec(staged));
-                staged = self.stage(next);
-            }
-        }
-        reports.push(self.exec(staged));
-        reports
-    }
-}
-
-/// One validated `ReadPost` the finish phase will serve.
-struct ReadRequest {
-    op_idx: usize,
-    reader: String,
-    author: String,
-    seq: u64,
-    shard: usize,
-}
-
-/// A planned feed-cache fill: if the quorum read at `op_idx` succeeds, its
-/// body is cached for `(reader, author, seq)` under the author's chain
-/// head as observed at stage-A time (posts append during prepare, so the
-/// head already covers same-batch writes).
-struct FeedFill {
-    op_idx: usize,
-    reader: UserId,
-    author: UserId,
-    seq: u64,
-    head: EntryHash,
-}
-
-/// Mirrors the feed cache's internal counter deltas onto the shared
-/// `cache.*` instruments.
-fn bump_feed_stats(obs: &Registry, before: FeedCacheStats, after: FeedCacheStats) {
-    for (name, delta) in [
-        (names::CACHE_HITS, after.hits - before.hits),
-        (names::CACHE_MISSES, after.misses - before.misses),
-        (
-            names::CACHE_INVALIDATIONS,
-            after.invalidations - before.invalidations,
-        ),
-        (names::CACHE_EVICTIONS, after.evictions - before.evictions),
-    ] {
-        if delta > 0 {
-            obs.counter(name).add(delta);
-        }
-    }
-}
-
-/// Applies a batch's planned feed fills after its report exists: only
-/// successful reads are cached (a failed read must keep failing until a
-/// quorum actually serves it).
-fn apply_feed_fills(
-    feed: &mut Option<FeedCache>,
-    obs: &Registry,
-    fills: Vec<FeedFill>,
-    report: &BatchReport,
-) {
-    let Some(cache) = feed.as_mut() else {
-        return;
-    };
-    for fill in fills {
-        if let Some(Ok(OpOutput::Read { body })) =
-            report.results.get(fill.op_idx).map(Result::as_ref)
-        {
-            let before = cache.stats();
-            cache.insert(
-                &fill.reader,
-                &fill.author,
-                fill.seq,
-                fill.head,
-                body.clone(),
-            );
-            bump_feed_stats(obs, before, cache.stats());
-        }
-    }
-}
-
-/// Everything stage A (plan + prepare) produced for one batch. Stage B
-/// (commit + finish) consumes it without ever touching the shards — read
-/// authors' states travel inside `snapshot`.
-struct StagedBatch {
-    ops: Vec<Op>,
-    results: Vec<Option<Result<OpOutput, DosnError>>>,
-    timings: Vec<OpTiming>,
-    plan: CommitPlan,
-    reads: Vec<ReadRequest>,
-    /// Feed-cache fills to apply once the batch's report exists (empty
-    /// when the feed cache is off or every read was served from it).
-    fills: Vec<FeedFill>,
-    /// Read-author states moved out of their shards (`(home shard,
-    /// state)` per user) so the finish phase can verify and decrypt while
-    /// the next batch's prepare owns the shards. Reinserted after exec.
-    snapshot: BTreeMap<UserId, (usize, UserState)>,
-}
-
-fn user_in<'a>(shards: &'a [Shard], name: &str) -> Option<&'a UserState> {
-    shards[shard_of(name)].users.get(&UserId::from(name))
-}
-
-/// Every user name a batch's ops refer to, for the pipeline overlap check.
-fn mentioned_names(ops: &[Op]) -> std::collections::BTreeSet<&str> {
-    let mut names = std::collections::BTreeSet::new();
-    for op in ops {
-        match op {
-            Op::Register { name } => {
-                names.insert(name.as_str());
-            }
-            Op::Befriend { a, b, .. } => {
-                names.insert(a.as_str());
-                names.insert(b.as_str());
-            }
-            Op::Post { author, .. } => {
-                names.insert(author.as_str());
-            }
-            Op::Comment {
-                commenter, author, ..
-            } => {
-                names.insert(commenter.as_str());
-                names.insert(author.as_str());
-            }
-            Op::ReadPost { reader, author, .. } => {
-                names.insert(reader.as_str());
-                names.insert(author.as_str());
-            }
-        }
-    }
-    names
-}
-
-/// Overlap rule: stage A of `next_ops` may run while `staged`'s stage B is
-/// in flight iff `next_ops` mentions none of the users whose states the
-/// snapshot moved out of the shards. Everything else the two stages touch
-/// is disjoint by construction (shards/graph vs storage/metrics) or
-/// thread-safe with per-user granularity (directory, obs).
-fn can_overlap(staged: &StagedBatch, next_ops: &[Op]) -> bool {
-    if staged.snapshot.is_empty() {
-        return true;
-    }
-    let mentioned = mentioned_names(next_ops);
-    !staged
-        .snapshot
-        .keys()
-        .any(|id| mentioned.contains(id.0.as_str()))
-}
-
-fn reinsert_snapshot(shards: &mut [Shard], snapshot: BTreeMap<UserId, (usize, UserState)>) {
-    for (id, (home, state)) in snapshot {
-        shards[home].users.insert(id, state);
-    }
-}
-
-/// Stage A: plan, prepare (registers, befriend seam, post/comment crypto),
-/// commit-plan construction, read validation (including feed-cache
-/// serving), and the author-state snapshot. Touches shards, graph, and
-/// (through worker threads) the directory — never storage or metrics.
-fn stage_batch(
-    shards: &mut [Shard],
-    graph: &mut SocialGraph,
-    feed: &mut Option<FeedCache>,
-    ctx: &WorkerCtx,
-    workers: usize,
-    ops: Vec<Op>,
-    base: u64,
-) -> StagedBatch {
-    let n = ops.len();
-    let mut results: Vec<Option<Result<OpOutput, DosnError>>> = (0..n).map(|_| None).collect();
-    let mut timings = vec![OpTiming::default(); n];
-
-    // ---- plan: route, validate registers, stamp shards ----
-    let plan_timer = ctx.obs.timer(names::ENGINE_PLAN);
-    let mut register_jobs: Vec<Vec<RegisterJob>> = (0..NUM_SHARDS).map(|_| Vec::new()).collect();
-    let mut befriend_ops: Vec<usize> = Vec::new();
-    let mut pending_names: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Register { name } => {
-                timings[i].shard = shard_of(name);
-                if user_in(shards, name).is_some() || !pending_names.insert(name.clone()) {
-                    results[i] = Some(Err(DosnError::UnknownUser(format!(
-                        "{name} already registered"
-                    ))));
-                    continue;
-                }
-                register_jobs[shard_of(name)].push(RegisterJob {
-                    op_idx: i,
-                    global: base + i as u64,
-                    name: name.clone(),
-                });
-            }
-            Op::Befriend { a, .. } => {
-                timings[i].shard = shard_of(a);
-                befriend_ops.push(i);
-            }
-            Op::Post { author, .. } | Op::Comment { author, .. } => {
-                timings[i].shard = shard_of(author);
-            }
-            Op::ReadPost { author, .. } => {
-                timings[i].shard = shard_of(author);
-            }
-        }
-    }
-    plan_timer.observe();
-
-    let prepare_timer = ctx.obs.timer(names::ENGINE_PREPARE);
-
-    // ---- prepare, part 1: register keygen (parallel over shards) ----
-    let mut reg_outs = run_sharded(shards, workers, ctx, register_jobs, |shard, jobs, ctx| {
-        let mut outs = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let started = Instant::now();
-            let mut rng = op_rng(&ctx.seed, job.global);
-            let mut master = [0u8; 32];
-            rand::RngCore::fill_bytes(&mut rng, &mut master);
-            let mut privacy = PrivacyPlane::symmetric(master);
-            let result = match privacy.create_group(std::slice::from_ref(&job.name)) {
-                Err(e) => Err(e),
-                Ok(friends_group) => {
-                    let identity = Identity::create(
-                        job.name.as_str(),
-                        ctx.group.clone(),
-                        &ctx.directory,
-                        &mut rng,
-                    );
-                    let id = identity.id().clone();
-                    shard.integrity.register(id.clone(), &mut rng);
-                    shard.users.insert(
-                        id,
-                        UserState {
-                            identity,
-                            privacy,
-                            friends_group,
-                        },
-                    );
-                    Ok(())
-                }
-            };
-            let micros = elapsed_micros(started);
-            ctx.obs.histogram(names::NET_REGISTER).record(micros);
-            outs.push(RegisterOut {
-                op_idx: job.op_idx,
-                result,
-                micros,
-            });
-        }
-        outs
-    });
-    // Graph membership is global state: applied here, in op order (the
-    // merge order of worker outputs depends on the binning), not inside
-    // the sharded workers.
-    reg_outs.sort_unstable_by_key(|o| o.op_idx);
-    for out in reg_outs {
-        timings[out.op_idx].prepare_micros = out.micros;
-        results[out.op_idx] = Some(match out.result {
-            Ok(()) => {
-                if let Op::Register { name } = &ops[out.op_idx] {
-                    graph.add_user(&UserId::from(name.as_str()));
-                }
-                Ok(OpOutput::Registered)
-            }
-            Err(e) => Err(e),
-        });
-    }
-
-    // ---- prepare, part 2: befriend links (sequential seam — each op
-    // touches two users, usually in different shards) ----
-    for &i in &befriend_ops {
-        let Op::Befriend { a, b, trust } = &ops[i] else {
-            continue;
-        };
-        results[i] = Some(link(shards, graph, &ctx.obs, a, b, *trust));
-    }
-
-    // ---- prepare, part 3: post/comment validation + crypto ----
-    // Posts are enqueued before comments within every shard, so a
-    // comment anywhere in the batch can attach to a post the same batch
-    // creates (the stage contract: registers, befriends, posts,
-    // comments, reads).
-    let mut write_jobs: Vec<Vec<WriteJob>> = (0..NUM_SHARDS).map(|_| Vec::new()).collect();
-    for (i, op) in ops.iter().enumerate() {
-        let Op::Post { author, body } = op else {
-            continue;
-        };
-        if user_in(shards, author).is_none() {
-            // The old facade timed even rejected posts (its timer
-            // guard predated the lookup).
-            ctx.obs.histogram(names::NET_POST).record(0);
-            results[i] = Some(Err(DosnError::UnknownUser(author.clone())));
-            continue;
-        }
-        write_jobs[shard_of(author)].push(WriteJob::Post {
-            op_idx: i,
-            global: base + i as u64,
-            author: author.clone(),
-            body: body.clone(),
-        });
-    }
-    for (i, op) in ops.iter().enumerate() {
-        let Op::Comment {
-            commenter,
-            author,
-            seq,
-            body,
-        } = op
-        else {
-            continue;
-        };
-        if user_in(shards, commenter).is_none() {
-            results[i] = Some(Err(DosnError::UnknownUser(commenter.clone())));
-            continue;
-        }
-        let Some(author_state) = user_in(shards, author) else {
-            results[i] = Some(Err(DosnError::UnknownUser(author.clone())));
-            continue;
-        };
-        if !author_state
-            .privacy
-            .is_member(&author_state.friends_group, commenter)
-        {
-            results[i] = Some(Err(DosnError::NotAuthorized(format!(
-                "{commenter} is not in {author}'s friends group"
-            ))));
-            continue;
-        }
-        write_jobs[shard_of(author)].push(WriteJob::Comment {
-            op_idx: i,
-            global: base + i as u64,
-            commenter: commenter.clone(),
-            author: author.clone(),
-            seq: *seq,
-            body: body.clone(),
-        });
-    }
-    let mut write_outs = run_sharded(shards, workers, ctx, write_jobs, |shard, jobs, ctx| {
-        let mut outs = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            match job {
-                WriteJob::Post {
-                    op_idx,
-                    global,
-                    author,
-                    body,
-                } => {
-                    let started = Instant::now();
-                    let mut rng = op_rng(&ctx.seed, global);
-                    let result = prepare_post(shard, ctx, &author, &body, &mut rng);
-                    let micros = elapsed_micros(started);
-                    ctx.obs.histogram(names::NET_POST).record(micros);
-                    outs.push(WriteOut {
-                        op_idx,
-                        result,
-                        micros,
-                    });
-                }
-                WriteJob::Comment {
-                    op_idx,
-                    global,
-                    commenter,
-                    author,
-                    seq,
-                    body,
-                } => {
-                    let started = Instant::now();
-                    let mut rng = op_rng(&ctx.seed, global);
-                    let result = shard
-                        .integrity
-                        .attach_comment(
-                            &UserId::from(author.as_str()),
-                            seq,
-                            UserId::from(commenter.as_str()),
-                            body.as_bytes(),
-                            &mut rng,
-                        )
-                        .map(|()| Prepared::Commented);
-                    outs.push(WriteOut {
-                        op_idx,
-                        result,
-                        micros: elapsed_micros(started),
-                    });
-                }
-            }
-        }
-        outs
-    });
-    prepare_timer.observe();
-
-    // ---- commit plan: total (op_idx, seq) order + conflict waves ----
-    write_outs.sort_unstable_by_key(|o| o.op_idx);
-    let mut entries: Vec<CommitEntry> = Vec::new();
-    for out in write_outs {
-        timings[out.op_idx].prepare_micros = out.micros;
-        match out.result {
-            Ok(Prepared::Posted { seq, key, record }) => {
-                entries.push(CommitEntry {
-                    op_idx: out.op_idx,
-                    seq,
-                    key,
-                    record,
-                    shard: timings[out.op_idx].shard,
-                });
-            }
-            Ok(Prepared::Commented) => {
-                results[out.op_idx] = Some(Ok(OpOutput::Commented));
-            }
-            Err(e) => results[out.op_idx] = Some(Err(e)),
-        }
-    }
-    let plan = CommitPlan::build(entries);
-
-    // ---- read validation + feed-cache serving + author-state snapshot ----
-    // Timelines were appended during prepare, so an author's chain head
-    // here already covers this batch's posts: a cached slice filled before
-    // them carries the old head and invalidates, falling through to the
-    // quorum path — the L1 cache can never serve around a newer write.
-    let mut reads: Vec<ReadRequest> = Vec::new();
-    let mut fills: Vec<FeedFill> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        let Op::ReadPost {
-            reader,
-            author,
-            seq,
-        } = op
-        else {
-            continue;
-        };
-        if user_in(shards, reader).is_none() {
-            // As with posts, the old facade timed rejected reads too.
-            ctx.obs.histogram(names::NET_READ_POST_QUORUM).record(0);
-            results[i] = Some(Err(DosnError::UnknownUser(reader.clone())));
-            continue;
-        }
-        let author_shard = shard_of(author);
-        if let Some(cache) = feed.as_mut() {
-            let author_id = UserId::from(author.as_str());
-            let head = shards[author_shard]
-                .integrity
-                .timeline(&author_id)
-                .map(|t| t.head_hash());
-            if let Some(head) = head {
-                let reader_id = UserId::from(reader.as_str());
-                let before = cache.stats();
-                let hit = cache.lookup(&reader_id, &author_id, *seq, head);
-                bump_feed_stats(&ctx.obs, before, cache.stats());
-                if let Some(body) = hit {
-                    ctx.obs.histogram(names::NET_READ_POST_QUORUM).record(0);
-                    results[i] = Some(Ok(OpOutput::Read { body }));
-                    continue;
-                }
-                fills.push(FeedFill {
-                    op_idx: i,
-                    reader: reader_id,
-                    author: author_id,
-                    seq: *seq,
-                    head,
-                });
-            }
-        }
-        reads.push(ReadRequest {
-            op_idx: i,
-            reader: reader.clone(),
-            author: author.clone(),
-            seq: *seq,
-            shard: author_shard,
-        });
-    }
-    let mut snapshot: BTreeMap<UserId, (usize, UserState)> = BTreeMap::new();
-    for req in &reads {
-        let id = UserId::from(req.author.as_str());
-        if snapshot.contains_key(&id) {
-            continue;
-        }
-        if let Some(state) = shards[req.shard].users.remove(&id) {
-            snapshot.insert(id, (req.shard, state));
-        }
-    }
-
-    StagedBatch {
-        ops,
-        results,
-        timings,
-        plan,
-        reads,
-        fills,
-        snapshot,
-    }
-}
-
-/// Stage B: drain the commit plan, serve the reads, build the report.
-/// Touches storage and metrics (plus the snapshot, directory reads, and
-/// obs) — never the shards or graph, which is what lets it overlap the
-/// next batch's stage A.
-fn exec_staged<S: StoragePlane>(
-    storage: &mut ReplicatedStore<S>,
-    metrics: &mut Metrics,
-    ctx: &WorkerCtx,
-    workers: usize,
-    drain_seed: Option<u64>,
-    staged: StagedBatch,
-) -> (BatchReport, BTreeMap<UserId, (usize, UserState)>) {
-    let StagedBatch {
-        ops,
-        mut results,
-        mut timings,
-        plan,
-        reads,
-        fills: _,
-        snapshot,
-    } = staged;
-
-    // ---- commit: wave-ordered per-shard queue drains ----
-    let commit_timer = ctx.obs.timer(names::ENGINE_COMMIT);
-    let mut record_hasher = Sha256::new();
-    if !plan.entries().is_empty() {
-        ctx.obs
-            .histogram(names::ENGINE_COMMIT_SHARDS)
-            .record(plan.queue_count() as u64);
-        let placed = plan.apply(storage, metrics, drain_seed);
-        for (entry, placement) in plan.entries().iter().zip(placed) {
-            match placement {
-                Ok(_holders) => {
-                    record_hasher.update(&entry.key.0.to_be_bytes());
-                    record_hasher.update(&entry.record);
-                    results[entry.op_idx] = Some(Ok(OpOutput::Posted { seq: entry.seq }));
-                }
-                // Per-entry isolation: a poisoned op reports its own
-                // storage error; sibling queues commit regardless.
-                Err(e) => results[entry.op_idx] = Some(Err(storage_to_dosn(e))),
-            }
-        }
-    }
-    commit_timer.observe();
-
-    // ---- finish: quorum reads — sequential fetch, parallel verify +
-    // decrypt over the snapshot, sequential repair/fallback ----
-    let finish_timer = ctx.obs.timer(names::ENGINE_FINISH);
-    let mut read_jobs: Vec<Vec<ReadJob>> = (0..NUM_SHARDS).map(|_| Vec::new()).collect();
-    for req in reads {
-        let started = Instant::now();
-        let key = wall_key(&req.author, req.seq);
-        // L2: a hot-cached envelope skips the quorum fetch entirely; the
-        // verify worker still runs the full envelope check on it, and the
-        // sequential pass below falls back to a real quorum read if that
-        // check fails.
-        let (fetched, cached) = match storage.cached_fetch(key, metrics) {
-            Some(bytes) => (
-                Ok(FetchedCopies {
-                    key,
-                    copies: Vec::new(),
-                }),
-                Some(bytes),
-            ),
-            None => (storage.fetch_copies(key, metrics), None),
-        };
-        read_jobs[req.shard].push(ReadJob {
-            op_idx: req.op_idx,
-            author: req.author,
-            reader: req.reader,
-            seq: req.seq,
-            fetched,
-            cached,
-            fetch_micros: elapsed_micros(started),
-        });
-    }
-    let read_quorum = storage.read_quorum();
-    let mut read_outs = run_reads(&snapshot, workers, ctx, read_quorum, read_jobs);
-    read_outs.sort_unstable_by_key(|o| o.op_idx);
-    for out in read_outs {
-        timings[out.op_idx].finish_micros = out.micros;
-        let result = settle_read(
-            storage,
-            metrics,
-            ctx,
-            &snapshot,
-            &ops,
-            out.op_idx,
-            out.outcome,
-        );
-        ctx.obs
-            .histogram(names::NET_READ_POST_QUORUM)
-            .record(out.micros);
-        if result.is_err() {
-            // Adversarial or unavailable replicas: the read refused to
-            // return unverified bytes. E17 gates on this staying the *only*
-            // failure mode under tampering (never a wrong plaintext).
-            ctx.obs.counter(names::ENGINE_READ_FAIL_CLOSED).add(1);
-        }
-        results[out.op_idx] = Some(result);
-    }
-    finish_timer.observe();
-
-    // ---- report ----
-    let results: Vec<Result<OpOutput, DosnError>> = results
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|| {
-                Err(DosnError::IntegrityViolation(
-                    "engine produced no result for an op".into(),
-                ))
-            })
-        })
-        .collect();
-    let mut hasher = Sha256::new();
-    for r in &results {
-        BatchReport::fold_outcome(&mut hasher, r);
-    }
-    hasher.update(&record_hasher.finalize());
-    (
-        BatchReport {
-            results,
-            digest: hasher.finalize(),
-            timings,
-        },
-        snapshot,
-    )
-}
-
-/// The sequential befriend seam: graph edge plus mutual friends-group
-/// membership, exactly the old facade semantics.
-fn link(
-    shards: &mut [Shard],
-    graph: &mut SocialGraph,
-    obs: &Registry,
-    a: &str,
-    b: &str,
-    trust: f64,
-) -> Result<OpOutput, DosnError> {
-    let (ida, idb) = (UserId::from(a), UserId::from(b));
-    // The graph layer asserts on self-edges and out-of-range trust;
-    // request-path inputs get typed errors instead.
-    if a == b {
-        return Err(DosnError::NotAuthorized(format!(
-            "{a} cannot befriend themselves"
-        )));
-    }
-    if !(0.0..=1.0).contains(&trust) {
-        return Err(DosnError::NotAuthorized(format!(
-            "trust {trust} outside [0, 1]"
-        )));
-    }
-    if user_in(shards, a).is_none() {
-        return Err(DosnError::UnknownUser(a.to_owned()));
-    }
-    if user_in(shards, b).is_none() {
-        return Err(DosnError::UnknownUser(b.to_owned()));
-    }
-    let _timer = obs.timer(names::NET_KEY_DISSEMINATION);
-    graph.befriend(&ida, &idb, trust);
-    let state_a = shards[shard_of(a)]
-        .users
-        .get_mut(&ida)
-        .ok_or_else(|| DosnError::UnknownUser(a.to_owned()))?;
-    let ga = state_a.friends_group.clone();
-    state_a.privacy.add_member(&ga, b)?;
-    let state_b = shards[shard_of(b)]
-        .users
-        .get_mut(&idb)
-        .ok_or_else(|| DosnError::UnknownUser(b.to_owned()))?;
-    let gb = state_b.friends_group.clone();
-    state_b.privacy.add_member(&gb, a)?;
-    Ok(OpOutput::Befriended)
-}
-
-/// The sequential tail of one read: turns what the parallel half decided
-/// into the op's result and applies its storage side effects. A poisoned
-/// hot-cache entry ([`ReadOutcome::RetryQuorum`]) is dropped
-/// (`cache.invalidations`), re-read as a real quorum fetch, and then
-/// settled exactly like an uncached read of the same key — same repair,
-/// same hot-cache admission, same fallback.
-fn settle_read<S: StoragePlane>(
-    storage: &mut ReplicatedStore<S>,
-    metrics: &mut Metrics,
-    ctx: &WorkerCtx,
-    snapshot: &BTreeMap<UserId, (usize, UserState)>,
-    ops: &[Op],
-    op_idx: usize,
-    outcome: ReadOutcome,
-) -> Result<OpOutput, DosnError> {
-    let Op::ReadPost {
-        reader,
-        author,
-        seq,
-    } = &ops[op_idx]
-    else {
-        return Err(DosnError::IntegrityViolation(
-            "read outcome for a non-read op".into(),
-        ));
-    };
-    let outcome = match outcome {
-        ReadOutcome::RetryQuorum => {
-            let key = wall_key(author, *seq);
-            storage.invalidate_hot(key, metrics);
-            let started = Instant::now();
-            let job = ReadJob {
-                op_idx,
-                author: author.clone(),
-                reader: reader.clone(),
-                seq: *seq,
-                fetched: storage.fetch_copies(key, metrics),
-                cached: None,
-                fetch_micros: elapsed_micros(started),
-            };
-            finish_read(snapshot, ctx, storage.read_quorum(), &job)
-        }
-        other => other,
-    };
-    match outcome {
-        ReadOutcome::Done(r) => r,
-        ReadOutcome::Verified {
-            body,
-            winner,
-            fetched,
-        } => {
-            storage.repair_copies(&fetched, &winner, metrics);
-            // Verified quorum winners seed the plane's hot cache (and
-            // overwrite any stale entry for the key in place).
-            storage.admit_hot(fetched.key, &winner, metrics);
-            Ok(OpOutput::Read { body })
-        }
-        ReadOutcome::CacheServed { body } => Ok(OpOutput::Read { body }),
-        ReadOutcome::NeedsFallback => read_fallback(storage, metrics, ctx, author, *seq),
-        ReadOutcome::RetryQuorum => Err(DosnError::IntegrityViolation(
-            "uncached retry produced a cache outcome".into(),
-        )),
-    }
-}
-
-/// The no-verifying-quorum fallback: re-read raw bytes so callers see
-/// the real defect — missing, malformed, or badly signed.
-fn read_fallback<S: StoragePlane>(
-    storage: &mut ReplicatedStore<S>,
-    metrics: &mut Metrics,
-    ctx: &WorkerCtx,
-    author: &str,
-    seq: u64,
-) -> Result<OpOutput, DosnError> {
-    let raw = storage
-        .get(wall_key(author, seq), metrics)
-        .map_err(storage_to_dosn)?;
-    let author_id = UserId::from(author);
-    let (env, _) = SignedEnvelope::decode_wire(&author_id, seq, &raw, &ctx.group)?;
-    env.verify(&ctx.directory, None, u64::MAX - 1)?;
-    Err(DosnError::ContentUnavailable(format!(
-        "no verifying quorum for {author}/{seq}"
-    )))
-}
-
-/// Runs per-shard job lists across `workers` scoped threads. Shards are
-/// binned round-robin (shard *i* → worker *i* mod `workers`), which
-/// spreads a dense contiguous shard range evenly where contiguous
-/// chunking would load the first workers and starve the last. Each worker
-/// processes its shards in shard order and each shard's jobs in op order;
-/// callers re-sort merged outputs by op index, so results never depend on
-/// the worker count. With one worker everything runs inline on the
-/// calling thread.
-fn run_sharded<J: Send, O: Send>(
-    shards: &mut [Shard],
-    workers: usize,
-    ctx: &WorkerCtx,
-    jobs: Vec<Vec<J>>,
-    work: impl Fn(&mut Shard, Vec<J>, &WorkerCtx) -> Vec<O> + Sync,
-) -> Vec<O> {
-    let total: usize = jobs.iter().map(Vec::len).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    if workers <= 1 {
-        let mut outs = Vec::with_capacity(total);
-        for (shard, shard_jobs) in shards.iter_mut().zip(jobs) {
-            if !shard_jobs.is_empty() {
-                outs.extend(work(shard, shard_jobs, ctx));
-            }
-        }
-        return outs;
-    }
-    let mut bins: Vec<Vec<(&mut Shard, Vec<J>)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, (shard, shard_jobs)) in shards.iter_mut().zip(jobs).enumerate() {
-        if !shard_jobs.is_empty() {
-            bins[i % workers].push((shard, shard_jobs));
-        }
-    }
-    let work = &work;
-    let mut outs: Vec<O> = Vec::with_capacity(total);
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for bin in bins {
-            if bin.is_empty() {
-                continue;
-            }
-            handles.push(scope.spawn(move || {
-                let mut outs = Vec::new();
-                for (shard, shard_jobs) in bin {
-                    outs.extend(work(shard, shard_jobs, ctx));
-                }
-                outs
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(mut worker_outs) => outs.append(&mut worker_outs),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    outs
-}
-
-/// Runs the finish phase's verify/decrypt jobs across `workers` scoped
-/// threads over a *shared* read-only author snapshot (sharable because
-/// [`crate::privacy::AccessScheme`] is `Sync`). Shard bins go round-robin
-/// to workers like [`run_sharded`]; callers re-sort by op index.
-fn run_reads(
-    snapshot: &BTreeMap<UserId, (usize, UserState)>,
-    workers: usize,
-    ctx: &WorkerCtx,
-    read_quorum: usize,
-    jobs: Vec<Vec<ReadJob>>,
-) -> Vec<ReadOut> {
-    let total: usize = jobs.iter().map(Vec::len).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let process = |shard_jobs: Vec<ReadJob>| -> Vec<ReadOut> {
-        shard_jobs
-            .into_iter()
-            .map(|job| {
-                let started = Instant::now();
-                let outcome = finish_read(snapshot, ctx, read_quorum, &job);
-                ReadOut {
-                    op_idx: job.op_idx,
-                    outcome,
-                    micros: job.fetch_micros + elapsed_micros(started),
-                }
-            })
-            .collect()
-    };
-    if workers <= 1 {
-        return jobs.into_iter().flat_map(process).collect();
-    }
-    let mut bins: Vec<Vec<Vec<ReadJob>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, shard_jobs) in jobs.into_iter().enumerate() {
-        if !shard_jobs.is_empty() {
-            bins[i % workers].push(shard_jobs);
-        }
-    }
-    let process = &process;
-    let mut outs: Vec<ReadOut> = Vec::with_capacity(total);
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for bin in bins {
-            if bin.is_empty() {
-                continue;
-            }
-            handles.push(
-                scope.spawn(move || bin.into_iter().flat_map(process).collect::<Vec<ReadOut>>()),
-            );
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(mut worker_outs) => outs.append(&mut worker_outs),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    outs
-}
-
-/// Immutable context cloned into every worker: the thread-safe crypto and
-/// observability handles (their `Send + Sync` bounds are compile-tested in
-/// `dosn-crypto`'s thread-safety suite).
-#[derive(Clone)]
-struct WorkerCtx {
-    group: SchnorrGroup,
-    directory: KeyDirectory,
-    obs: Registry,
-    seed: [u8; 32],
-    batch_verify: bool,
-}
-
-fn elapsed_micros(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The post prepare path: encrypt for the friends group, sign + chain +
-/// mint relation keys, and wire-encode — everything except the storage
-/// write, which the commit phase applies in op order.
-fn prepare_post(
-    shard: &mut Shard,
-    ctx: &WorkerCtx,
-    author: &str,
-    body: &str,
-    rng: &mut SecureRng,
-) -> Result<Prepared, DosnError> {
-    let id = UserId::from(author);
-    let state = shard
-        .users
-        .get_mut(&id)
-        .ok_or_else(|| DosnError::UnknownUser(author.to_owned()))?;
-    let seq = shard.integrity.next_sequence(&id)?;
-    let post = Post::new(author, seq, seq, body);
-    let friends_group = state.friends_group.clone();
-    let (ciphertext, epoch) = state.privacy.seal(&friends_group, &post.to_bytes())?;
-    let envelope =
-        shard
-            .integrity
-            .seal_post(&state.identity, seq, ctx.group.clone(), &ciphertext, rng)?;
-    let record = envelope.encode_wire(epoch, &ctx.group);
-    Ok(Prepared::Posted {
-        seq,
-        key: wall_key(author, seq),
-        record,
-    })
-}
-
-/// The parallel half of one quorum read: vote over the fetched copies with
-/// the envelope check as the verifier, then decode, verify, and decrypt
-/// the winner as the reader. Author states come from the stage-A snapshot,
-/// not the live shards.
-fn finish_read(
-    snapshot: &BTreeMap<UserId, (usize, UserState)>,
-    ctx: &WorkerCtx,
-    read_quorum: usize,
-    job: &ReadJob,
-) -> ReadOutcome {
-    let author_id = UserId::from(job.author.as_str());
-    if let Some(bytes) = &job.cached {
-        // A hot-cached envelope gets the complete uncached treatment —
-        // decode, signature verification, decrypt as the reader. Any
-        // failure (tampered bytes, revoked reader, bad encoding) sends
-        // the read back to the real quorum path: the cache accelerates
-        // reads, it never relaxes what a served read proved.
-        return match open_envelope(snapshot, ctx, job, &author_id, bytes) {
-            Ok(body) => ReadOutcome::CacheServed { body },
-            Err(DosnError::NotAuthorized(e)) => {
-                // The envelope itself was authentic; the *reader* is not
-                // allowed. A quorum retry would fail identically, so
-                // report it now (matching the uncached path's error).
-                ReadOutcome::Done(Err(DosnError::NotAuthorized(e)))
-            }
-            Err(_) => ReadOutcome::RetryQuorum,
-        };
-    }
-    let fetched = match &job.fetched {
-        Ok(f) => f,
-        Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e.clone()))),
-    };
-    let verify_hist = ctx.obs.histogram(names::CRYPTO_SCHNORR_VERIFY);
-    let quorum_started = Instant::now();
-    let vote = if ctx.batch_verify {
-        // All copies verify in one combined Schnorr check (R byte-identical
-        // replicas collapse to one slot); one histogram sample covers the
-        // whole batch.
-        quorum_vote_batch(fetched, read_quorum, |copies| {
-            let started = Instant::now();
-            let verdicts = SignedEnvelope::verify_wire_copies_batch(
-                &author_id,
-                job.seq,
-                copies,
-                &ctx.group,
-                &ctx.directory,
-                None,
-                u64::MAX - 1,
-            );
-            verify_hist.record(elapsed_micros(started));
-            verdicts
-        })
-    } else {
-        quorum_vote(fetched, read_quorum, |bytes| {
-            let started = Instant::now();
-            let ok = SignedEnvelope::decode_wire(&author_id, job.seq, bytes, &ctx.group)
-                .and_then(|(env, _)| env.verify(&ctx.directory, None, u64::MAX - 1))
-                .is_ok();
-            verify_hist.record(elapsed_micros(started));
-            ok
-        })
-    };
-    ctx.obs
-        .histogram(names::STORE_GET_QUORUM)
-        .record(job.fetch_micros + elapsed_micros(quorum_started));
-    let winner = match vote {
-        Ok(winner) => winner,
-        Err(StorageError::NotFound(_)) => return ReadOutcome::NeedsFallback,
-        Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
-    };
-    match open_envelope(snapshot, ctx, job, &author_id, &winner) {
-        Ok(body) => ReadOutcome::Verified {
-            body,
-            winner,
-            fetched: fetched.clone(),
-        },
-        Err(e) => ReadOutcome::Done(Err(e)),
-    }
-}
-
-/// What every served read proves about the sealed bytes it serves, whether
-/// they are the quorum winner or a hot-cached envelope: they decode as
-/// `job.author`'s post `job.seq`, carry the author's valid signature, and
-/// decrypt for `job.reader`. Returns the post body.
-fn open_envelope(
-    snapshot: &BTreeMap<UserId, (usize, UserState)>,
-    ctx: &WorkerCtx,
-    job: &ReadJob,
-    author_id: &UserId,
-    sealed: &[u8],
-) -> Result<String, DosnError> {
-    let (envelope, epoch) = SignedEnvelope::decode_wire(author_id, job.seq, sealed, &ctx.group)?;
-    envelope.verify(&ctx.directory, None, u64::MAX - 1)?;
-    let (_, author_state) = snapshot
-        .get(author_id)
-        .ok_or_else(|| DosnError::UnknownUser(job.author.clone()))?;
-    let plain = author_state.privacy.unseal(
-        &author_state.friends_group,
-        &job.reader,
-        epoch,
-        &envelope.body,
-    )?;
-    let post: Post = serde_json::from_slice(&plain)
-        .map_err(|e| DosnError::IntegrityViolation(format!("bad post encoding: {e}")))?;
-    Ok(post.body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosn_crypto::sha256::Sha256;
     use dosn_overlay::storage::ChordPlane;
 
-    fn engine(seed: u64) -> Engine<ChordPlane> {
+    pub(super) fn engine(seed: u64) -> Engine<ChordPlane> {
         Engine::new(ReplicatedStore::new(ChordPlane::build(24, seed), 3), seed)
     }
 
@@ -1831,87 +602,6 @@ mod tests {
         assert!(matches!(report.results[4], Ok(OpOutput::Read { .. })));
     }
 
-    fn disjoint_batches() -> (OpBatch, OpBatch) {
-        (
-            OpBatch::new()
-                .register("alice")
-                .register("bob")
-                .befriend("alice", "bob", 0.9)
-                .post("alice", "batch one")
-                .read_post("bob", "alice", 0),
-            OpBatch::new()
-                .register("carol")
-                .register("dave")
-                .befriend("carol", "dave", 0.5)
-                .post("carol", "batch two")
-                .read_post("dave", "carol", 0),
-        )
-    }
-
-    fn overlap_count(e: &Engine<ChordPlane>) -> u64 {
-        *e.obs()
-            .snapshot()
-            .counters
-            .get(names::ENGINE_PIPELINE_OVERLAP)
-            .unwrap_or(&0)
-    }
-
-    #[test]
-    fn pipelined_execute_all_matches_sequential_loop() {
-        let (b1, b2) = disjoint_batches();
-        let mut sequential = engine(31);
-        sequential.set_workers(2);
-        let r1 = sequential.execute(b1.clone());
-        let r2 = sequential.execute(b2.clone());
-
-        let mut pipelined = engine(31);
-        pipelined.set_workers(2);
-        let reports = pipelined.execute_all(vec![b1, b2]);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].digest_hex(), r1.digest_hex());
-        assert_eq!(reports[1].digest_hex(), r2.digest_hex());
-        assert_eq!(overlap_count(&pipelined), 1, "disjoint batches overlap");
-        // The moved-out read authors are home again: both wall posts
-        // remain readable through a fresh batch.
-        let probe = pipelined.execute(
-            OpBatch::new()
-                .read_post("bob", "alice", 0)
-                .read_post("dave", "carol", 0),
-        );
-        assert!(probe.results.iter().all(Result::is_ok));
-    }
-
-    #[test]
-    fn pipeline_declines_overlap_when_batches_share_users() {
-        let (b1, _) = disjoint_batches();
-        // Batch 2 posts as alice — the user batch 1's read snapshot holds.
-        let b2 = OpBatch::new().post("alice", "follow-up");
-        let mut sequential = engine(33);
-        sequential.set_workers(2);
-        let r1 = sequential.execute(b1.clone());
-        let r2 = sequential.execute(b2.clone());
-
-        let mut pipelined = engine(33);
-        pipelined.set_workers(2);
-        let reports = pipelined.execute_all(vec![b1, b2]);
-        assert_eq!(overlap_count(&pipelined), 0, "conflicting pair is serial");
-        assert_eq!(reports[0].digest_hex(), r1.digest_hex());
-        assert_eq!(reports[1].digest_hex(), r2.digest_hex());
-    }
-
-    #[test]
-    fn one_worker_never_pipelines() {
-        let (b1, b2) = disjoint_batches();
-        let mut e = engine(35);
-        let reports = e.execute_all(vec![b1, b2]);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(overlap_count(&e), 0);
-        assert!(reports
-            .iter()
-            .flat_map(|r| r.results.iter())
-            .all(Result::is_ok));
-    }
-
     #[test]
     fn drain_seed_never_changes_digests() {
         let baseline = {
@@ -1928,6 +618,21 @@ mod tests {
                 "drain seed {seed} changed the digest"
             );
         }
+    }
+
+    #[test]
+    fn wall_key_format_is_pinned() {
+        // Readers, placement pinning and the benchmark harness all derive
+        // this address independently: the format is a public contract.
+        assert_eq!(wall_key("alice", 3), Key::hash(b"wall/alice/3"));
+        assert_ne!(wall_key("alice", 3), wall_key("alice", 4));
+        assert_ne!(wall_key("alice", 3), wall_key("bob", 3));
+    }
+
+    #[test]
+    fn storage_errors_become_content_unavailable() {
+        let e = storage_to_dosn(StorageError::NoNodes);
+        assert!(matches!(e, DosnError::ContentUnavailable(_)));
     }
 
     #[test]

@@ -1,0 +1,267 @@
+//! The prepare phase: the per-author crypto, parallel over shards — register
+//! keygen, then (after the sequential befriend seam, which touches two
+//! users' shards at once) post encrypt + sign + chain and comment attach —
+//! ending in the batch's [`CommitPlan`]. Touches shards, graph and (through
+//! the workers) the directory; never storage or metrics.
+
+use super::batch::{Op, OpOutput};
+use super::commit::{CommitEntry, CommitPlan};
+use super::pipeline::{fan_out, Batch, JobOut};
+use super::privacy_plane::PrivacyPlane;
+use super::user::UserState;
+use super::{
+    elapsed_micros, known_user, op_rng, shard_of, user_mut, wall_key, Shard, WorkerCtx, NUM_SHARDS,
+};
+use crate::error::DosnError;
+use crate::graph::SocialGraph;
+use crate::identity::{Identity, UserId};
+use dosn_crypto::chacha::SecureRng;
+use dosn_crypto::group::SchnorrGroup;
+use dosn_crypto::keys::KeyDirectory;
+use dosn_obs::{names, Registry};
+use std::collections::BTreeSet;
+use std::time::Instant;
+
+/// Creates `name`'s record in its home `shard` — the one place a
+/// [`UserState`] is built, serving the batch register job and
+/// [`super::Engine::register_with_plane`] alike. The scheme gets to refuse
+/// the friends group *before* the identity publishes its key binding, so a
+/// failed registration leaves nothing behind in the directory.
+///
+/// # Errors
+///
+/// Scheme-specific group-creation failures.
+pub(super) fn register_user(
+    shard: &mut Shard,
+    group: &SchnorrGroup,
+    directory: &KeyDirectory,
+    name: &str,
+    mut privacy: PrivacyPlane,
+    rng: &mut SecureRng,
+) -> Result<(), DosnError> {
+    let friends_group = privacy.create_group(&[name.to_owned()])?;
+    let identity = Identity::create(name, group.clone(), directory, rng);
+    shard.insert(
+        identity.id().clone(),
+        UserState::new(identity, privacy, friends_group, rng),
+    );
+    Ok(())
+}
+
+/// Runs one job under its own stopwatch and its op's RNG.
+fn run_job<T>(
+    ctx: &WorkerCtx,
+    base: u64,
+    op_idx: usize,
+    job: impl FnOnce(&mut SecureRng) -> T,
+) -> JobOut<T> {
+    let started = Instant::now();
+    let out = job(&mut op_rng(&ctx.seed, base + op_idx as u64));
+    JobOut {
+        op_idx,
+        out,
+        micros: elapsed_micros(started),
+    }
+}
+
+/// One post or comment to run on its author's shard, borrowing the op.
+#[derive(Clone, Copy)]
+enum WriteJob<'a> {
+    Post {
+        author: &'a str,
+        body: &'a str,
+    },
+    Comment {
+        commenter: &'a str,
+        author: &'a str,
+        seq: u64,
+        body: &'a str,
+    },
+}
+
+/// Runs the batch's registers, befriends, posts and comments (in that
+/// stage order, each stage validating its own ops first) and returns the
+/// commit plan for the prepared post records.
+pub(super) fn prepare_batch(
+    shards: &mut [Shard],
+    graph: &mut SocialGraph,
+    ctx: &WorkerCtx,
+    batch: &mut Batch,
+) -> CommitPlan {
+    let Batch {
+        ops,
+        base,
+        results,
+        timings,
+    } = batch;
+    let (ops, base) = (ops.as_slice(), *base);
+    let timer = ctx.obs.timer(names::ENGINE_PREPARE);
+
+    // ---- part 1: register validation (against the live shards and each
+    // other) + keygen (parallel over shards) ----
+    let mut registers: Vec<Vec<(usize, &str)>> = vec![Vec::new(); NUM_SHARDS];
+    let mut pending_names: BTreeSet<&str> = BTreeSet::new();
+    for (i, op) in ops.iter().enumerate() {
+        let Op::Register { name } = op else {
+            continue;
+        };
+        if shards[timings[i].shard].contains_key(name.as_str()) || !pending_names.insert(name) {
+            results[i] = Some(Err(DosnError::UnknownUser(format!(
+                "{name} already registered"
+            ))));
+        } else {
+            registers[timings[i].shard].push((i, name));
+        }
+    }
+    let registers = shards.iter_mut().zip(registers);
+    let mut reg_outs = fan_out(ctx.workers, registers, |shard, (i, name)| {
+        let reg = run_job(ctx, base, i, |rng| {
+            let mut master = [0u8; 32];
+            rand::RngCore::fill_bytes(rng, &mut master);
+            let privacy = PrivacyPlane::symmetric(master);
+            register_user(shard, &ctx.group, &ctx.directory, name, privacy, rng).map(|()| name)
+        });
+        ctx.obs.histogram(names::NET_REGISTER).record(reg.micros);
+        reg
+    });
+    // Graph membership is global state: applied here, in op order (the
+    // merge order of worker outputs depends on the binning), not inside
+    // the sharded workers.
+    reg_outs.sort_unstable_by_key(|o| o.op_idx);
+    for reg in reg_outs {
+        timings[reg.op_idx].prepare_micros = reg.micros;
+        results[reg.op_idx] = Some(reg.out.map(|name| {
+            graph.add_user(&UserId::from(name));
+            OpOutput::Registered
+        }));
+    }
+
+    // ---- part 2: befriend links (sequential seam — each op touches two
+    // users, usually in different shards) ----
+    for (i, op) in ops.iter().enumerate() {
+        if let Op::Befriend { a, b, trust } = op {
+            results[i] = Some(link(shards, graph, &ctx.obs, a, b, *trust));
+        }
+    }
+
+    // ---- part 3: post/comment validation + crypto ----
+    // Posts are enqueued before comments within every shard, so a comment
+    // anywhere in the batch can attach to a post the same batch creates
+    // (the stage contract: registers, befriends, posts, comments, reads).
+    let mut write_jobs: Vec<Vec<(usize, WriteJob)>> = vec![Vec::new(); NUM_SHARDS];
+    for (i, op) in ops.iter().enumerate() {
+        let Op::Post { author, body } = op else {
+            continue;
+        };
+        if shards[timings[i].shard].contains_key(author.as_str()) {
+            write_jobs[timings[i].shard].push((i, WriteJob::Post { author, body }));
+        } else {
+            // The old facade timed even rejected posts (its timer guard
+            // predated the lookup).
+            ctx.obs.histogram(names::NET_POST).record(0);
+            results[i] = Some(Err(DosnError::UnknownUser(author.clone())));
+        }
+    }
+    for (i, op) in ops.iter().enumerate() {
+        let Op::Comment {
+            commenter,
+            author,
+            seq,
+            body,
+        } = op
+        else {
+            continue;
+        };
+        let job = WriteJob::Comment {
+            commenter,
+            author,
+            seq: *seq,
+            body,
+        };
+        match known_user(shards, commenter).and(known_user(shards, author)) {
+            Err(unknown) => results[i] = Some(Err(unknown)),
+            Ok(state) if !state.privacy.is_member(&state.friends_group, commenter) => {
+                results[i] = Some(Err(DosnError::NotAuthorized(format!(
+                    "{commenter} is not in {author}'s friends group"
+                ))));
+            }
+            Ok(_) => write_jobs[timings[i].shard].push((i, job)),
+        }
+    }
+    let stamps = &*timings;
+    let writes = shards.iter_mut().zip(write_jobs);
+    let mut write_outs = fan_out(ctx.workers, writes, |shard, (i, job)| match job {
+        WriteJob::Post { author, body } => {
+            let post = run_job(ctx, base, i, |rng| {
+                let (seq, record) = user_mut(shard, author)?.seal_post(body, &ctx.group, rng)?;
+                Ok(Some(CommitEntry {
+                    op_idx: i,
+                    seq,
+                    key: wall_key(author, seq),
+                    record,
+                    shard: stamps[i].shard,
+                }))
+            });
+            ctx.obs.histogram(names::NET_POST).record(post.micros);
+            post
+        }
+        WriteJob::Comment {
+            commenter,
+            author,
+            seq,
+            body,
+        } => run_job(ctx, base, i, |rng| {
+            let commenter = UserId::from(commenter);
+            user_mut(shard, author)?.attach_comment(seq, commenter, body.as_bytes(), rng)?;
+            Ok(None)
+        }),
+    });
+    timer.observe();
+
+    // ---- commit plan: total (op_idx, seq) order + conflict waves ----
+    write_outs.sort_unstable_by_key(|o| o.op_idx);
+    let mut entries: Vec<CommitEntry> = Vec::new();
+    for write in write_outs {
+        timings[write.op_idx].prepare_micros = write.micros;
+        match write.out {
+            Ok(Some(entry)) => entries.push(entry),
+            Ok(None) => results[write.op_idx] = Some(Ok(OpOutput::Commented)),
+            Err(e) => results[write.op_idx] = Some(Err(e)),
+        }
+    }
+    CommitPlan::build(entries)
+}
+
+/// The sequential befriend seam: graph edge plus mutual friends-group
+/// membership, exactly the old facade semantics.
+fn link(
+    shards: &mut [Shard],
+    graph: &mut SocialGraph,
+    obs: &Registry,
+    a: &str,
+    b: &str,
+    trust: f64,
+) -> Result<OpOutput, DosnError> {
+    // The graph layer asserts on self-edges and out-of-range trust;
+    // request-path inputs get typed errors instead.
+    if a == b {
+        return Err(DosnError::NotAuthorized(format!(
+            "{a} cannot befriend themselves"
+        )));
+    }
+    if !(0.0..=1.0).contains(&trust) {
+        return Err(DosnError::NotAuthorized(format!(
+            "trust {trust} outside [0, 1]"
+        )));
+    }
+    for name in [a, b] {
+        known_user(shards, name)?;
+    }
+    let _timer = obs.timer(names::NET_KEY_DISSEMINATION);
+    graph.befriend(&UserId::from(a), &UserId::from(b), trust);
+    for (owner, friend) in [(a, b), (b, a)] {
+        let state = user_mut(&mut shards[shard_of(owner)], owner)?;
+        state.privacy.add_member(&state.friends_group, friend)?;
+    }
+    Ok(OpOutput::Befriended)
+}

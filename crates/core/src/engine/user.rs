@@ -1,0 +1,139 @@
+//! The one per-user record: everything the engine keeps for a registered
+//! user, living in exactly one shard map entry.
+//!
+//! Two halves share the record because they share a lifetime and an owner
+//! (the user's home shard), not because they trust each other: the §III
+//! half (signing identity, privacy plane, friends group) holds keys and
+//! sees plaintext; the §IV half (hash-chained [`Timeline`], author-local
+//! sequence counter, per-post [`PostRelationKeys`], verified comments) only
+//! ever signs and chains *ciphertexts*, and is what a verifier consults
+//! without holding the user's keys.
+
+use super::privacy_plane::PrivacyPlane;
+use crate::content::Post;
+use crate::error::DosnError;
+use crate::identity::{Identity, UserId};
+use crate::integrity::envelope::SignedEnvelope;
+use crate::integrity::relations::{CommentAttachment, PostRelationKeys};
+use crate::integrity::timeline::Timeline;
+use crate::privacy::GroupId;
+use dosn_crypto::aead::SymmetricKey;
+use dosn_crypto::chacha::SecureRng;
+use dosn_crypto::group::SchnorrGroup;
+use std::collections::BTreeMap;
+
+/// One registered user.
+pub(crate) struct UserState {
+    identity: Identity,
+    pub(super) privacy: PrivacyPlane,
+    /// The group `privacy` manages for this user's friends.
+    pub(super) friends_group: GroupId,
+    timeline: Timeline,
+    next_seq: u64,
+    /// Per post: the relation keys friends comment with, and the verified
+    /// comments attached so far.
+    posts: BTreeMap<u64, (PostRelationKeys, Vec<CommentAttachment>)>,
+    /// The shared commenter-group key for this author's posts (held by
+    /// friends; modelled via the friends group epoch-0 key).
+    commenters_key: SymmetricKey,
+}
+
+impl UserState {
+    /// The record of a freshly registered user: empty timeline, sequence 0,
+    /// a fresh commenters key drawn from `rng`.
+    pub(super) fn new(
+        identity: Identity,
+        privacy: PrivacyPlane,
+        friends_group: GroupId,
+        rng: &mut SecureRng,
+    ) -> Self {
+        UserState {
+            timeline: Timeline::new(identity.id().clone()),
+            identity,
+            privacy,
+            friends_group,
+            next_seq: 0,
+            posts: BTreeMap::new(),
+            commenters_key: SymmetricKey::generate(rng),
+        }
+    }
+
+    /// The user's timeline (verifier view).
+    pub(super) fn timeline(&self) -> &Timeline {
+        &self.timeline
+    }
+
+    /// The post prepare path — everything except the storage write, which
+    /// the commit phase applies in op order: reserve the next sequence
+    /// number, encrypt `body` for the friends group, sign the ciphertext,
+    /// chain it into the timeline, mint the per-post relation keys friends
+    /// will comment with, and wire-encode. Returns `(seq, wire record)`.
+    ///
+    /// # Errors
+    ///
+    /// Privacy-plane sealing failures (the sequence number stays consumed).
+    pub(super) fn seal_post(
+        &mut self,
+        body: &str,
+        group: &SchnorrGroup,
+        rng: &mut SecureRng,
+    ) -> Result<(u64, Vec<u8>), DosnError> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let author = self.identity.id().as_str();
+        let post = Post::new(author, seq, seq, body);
+        let (ciphertext, epoch) = self.privacy.seal(&self.friends_group, &post.to_bytes())?;
+        let envelope = SignedEnvelope::seal(&self.identity, None, seq, seq, None, &ciphertext, rng);
+        self.timeline
+            .append(&self.identity, &ciphertext, vec![], rng);
+        let relation = PostRelationKeys::create(
+            format!("{author}/post/{seq}"),
+            group.clone(),
+            &self.commenters_key,
+            rng,
+        );
+        self.posts.insert(seq, (relation, Vec::new()));
+        Ok((seq, envelope.encode_wire(epoch, group)))
+    }
+
+    /// Creates, verifies, and attaches a comment on this author's post
+    /// `seq`. The caller is responsible for the *privacy* decision (is the
+    /// commenter allowed the commenters key); this enforces the *relation*
+    /// — the comment is bound to exactly that post.
+    ///
+    /// # Errors
+    ///
+    /// * [`DosnError::ContentUnavailable`] — no such post;
+    /// * [`DosnError::IntegrityViolation`] — the relation check fails.
+    pub(super) fn attach_comment(
+        &mut self,
+        seq: u64,
+        commenter: UserId,
+        body: &[u8],
+        rng: &mut SecureRng,
+    ) -> Result<(), DosnError> {
+        let (relation, comments) = self.posts.get_mut(&seq).ok_or_else(|| {
+            DosnError::ContentUnavailable(format!("{}/post/{seq}", self.identity.id()))
+        })?;
+        let attachment =
+            CommentAttachment::create(relation, &self.commenters_key, commenter, body, rng)?;
+        // The author (or any verifier) checks the relation before accepting.
+        relation.verify_comment(&attachment)?;
+        comments.push(attachment);
+        Ok(())
+    }
+
+    /// Verified comments on post `seq`, as `(commenter, body)` pairs.
+    pub(super) fn comments(&self, seq: u64) -> Vec<(String, String)> {
+        let comments = self.posts.get(&seq).map_or(&[][..], |(_, cs)| cs);
+        comments
+            .iter()
+            .map(|c| {
+                (
+                    c.author.as_str().to_owned(),
+                    String::from_utf8_lossy(&c.body).into_owned(),
+                )
+            })
+            .collect()
+    }
+}

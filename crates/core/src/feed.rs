@@ -8,9 +8,10 @@
 //! cache itself) could serve stale or forked content.
 //!
 //! [`FeedCache`] is the DOSN answer: per-reader materialized slices of each
-//! author's timeline, keyed by the author's **hash-chain head** from the
-//! integrity plane (§IV-B). A cached slice is served only while the
-//! author's current chain head still equals the head recorded at fill time.
+//! author's timeline, keyed by the author's **hash-chain head** (§IV-B; the
+//! timeline lives in the author's engine record). A cached slice is served
+//! only while the author's current chain head still equals the head
+//! recorded at fill time.
 //! Any append by the author advances the head, which invalidates the whole
 //! slice and falls the read through to the normal quorum path — so a cache
 //! hit can never silently serve tampered or forked content: the chain head

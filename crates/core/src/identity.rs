@@ -46,6 +46,14 @@ impl From<String> for UserId {
     }
 }
 
+/// Lets maps keyed by `UserId` be probed with a plain `&str` (the derived
+/// `Ord`/`Hash` are the inner string's).
+impl std::borrow::Borrow<str> for UserId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl UserId {
     /// The identifier as a string slice.
     pub fn as_str(&self) -> &str {

@@ -20,10 +20,10 @@
 //! * [`engine`] — the batched parallel request engine: prepare / commit /
 //!   finish execution of op batches over sharded per-user state.
 //! * [`feed`] — reader-side materialized timelines whose staleness is
-//!   decided by the integrity plane's hash-chain heads, so cache hits can
+//!   decided by the authors' timeline hash-chain heads, so cache hits can
 //!   never serve tampered or forked content.
-//! * [`network`] — a facade assembling a complete DOSN (overlay + privacy +
-//!   integrity) as the examples use it; single ops are batches of one.
+//! * [`network`] — the single-op facade over the engine (plus the overlay
+//!   re-exports the examples use); single ops are batches of one.
 
 pub mod anonymize;
 pub mod content;

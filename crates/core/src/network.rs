@@ -1,37 +1,41 @@
 //! A complete assembled DOSN: the facade the examples build on.
 //!
-//! [`DosnNetwork`] composes three pluggable planes, one per survey axis:
+//! [`DosnNetwork`] is a thin single-op front for the request engine, which
+//! owns all state: one record per user (the §III privacy plane beside the
+//! §IV timeline and relation keys) sharded by user, over a replicated
+//! store on any overlay family:
 //!
 //! ```text
-//!                 ┌────────────────────────────────────────────┐
-//!                 │            DosnNetwork<S> facade           │
-//!                 │  register · befriend · post · read · …     │
-//!                 ├────────────────────────────────────────────┤
-//!                 │        Engine (batched requests:           │
-//!                 │        prepare / commit / finish)          │
-//!                 └──────┬───────────────┬──────────────┬──────┘
-//!                        │               │              │
-//!          ┌─────────────▼───┐   ┌───────▼────────┐  ┌──▼──────────────┐
-//!          │  PrivacyPlane   │   │ IntegrityPlane │  │ ReplicatedStore │
-//!          │  (§III, per     │   │ (§IV, sharded  │  │ R-way placement │
-//!          │   user)         │   │  per user)     │  │ quorum reads    │
-//!          │ any AccessScheme│   │ envelopes      │  │ read-repair     │
-//!          │ as trait object │   │ timelines      │  └──┬──────────────┘
-//!          │ + body codec    │   │ relation keys  │     │ StoragePlane
-//!          └─────────────────┘   └────────────────┘  ┌──▼──────────────┐
-//!                                                    │ Chord │ Kademlia│
-//!                                                    │ Super │ Federa- │
-//!                                                    │ -peer │ tion    │
-//!                                                    └─────────────────┘
+//!            ┌────────────────────────────────────────────┐
+//!            │            DosnNetwork<S> facade           │
+//!            │  register · befriend · post · read · …     │
+//!            │  (every call = an OpBatch of one)          │
+//!            └─────────────────────┬──────────────────────┘
+//!            ┌─────────────────────▼──────────────────────┐
+//!            │  Engine<S>: plan → prepare → commit → finish│
+//!            └──────┬──────────────────────────────┬──────┘
+//!                   │ 32 shards of                 │
+//!      ┌────────────▼─────────────┐     ┌──────────▼──────────┐
+//!      │ UserId → one user record │     │   ReplicatedStore   │
+//!      │  §III identity, friends  │     │   R-way placement   │
+//!      │   group, PrivacyPlane    │     │   quorum reads      │
+//!      │   (any AccessScheme as   │     │   read-repair       │
+//!      │   trait object + codec)  │     └──────────┬──────────┘
+//!      │  §IV timeline, sequence, │                │ StoragePlane
+//!      │   relation keys, comments│     ┌──────────▼──────────┐
+//!      └──────────────────────────┘     │ Chord  │ Kademlia   │
+//!                                       │ Super- │ Federation │
+//!                                       │ peer   │            │
+//!                                       └─────────────────────┘
 //! ```
 //!
-//! Posts are encrypted by the author's privacy plane, signed and chained by
-//! the integrity plane, and written R-way by the replicated store; reads
-//! run a quorum fetch whose per-copy verifier is the envelope check itself,
-//! then decrypt. Since the engine refactor every facade call executes as a
-//! batch of one through [`crate::engine::Engine`] — callers that want
-//! throughput submit an [`OpBatch`] to [`DosnNetwork::execute`] instead and
-//! get the prepare/finish phases parallelized across worker threads
+//! Posts are encrypted by the author's privacy plane, signed and chained
+//! into the author's timeline, and written R-way by the replicated store;
+//! reads run a quorum fetch whose per-copy verifier is the envelope check
+//! itself, then decrypt. Every facade call executes as a batch of one
+//! through [`crate::engine::Engine`] — callers that want throughput submit
+//! an [`OpBatch`] to [`DosnNetwork::execute`] instead and get the
+//! prepare/finish phases parallelized across worker threads
 //! ([`DosnNetwork::set_workers`]) with byte-identical results.
 //!
 //! The default composition (`DosnNetwork::new`) is the survey's §II-B
@@ -40,13 +44,7 @@
 //! [`DosnNetwork::with_plane`], and any [`crate::privacy::AccessScheme`]
 //! via [`DosnNetwork::register_with_scheme`].
 
-pub(crate) mod integrity_plane;
-pub(crate) mod privacy_plane;
-pub(crate) mod storage_glue;
-pub(crate) mod user;
-
-pub use integrity_plane::IntegrityPlane;
-pub use privacy_plane::PrivacyPlane;
+pub use crate::engine::privacy_plane::PrivacyPlane;
 
 pub use dosn_overlay::adversary::{reader_parity, AdversaryConfig, AdversaryMode, AdversaryPlane};
 pub use dosn_overlay::placement::{SocialPlacement, SocialPlane};
@@ -208,10 +206,11 @@ impl<S: StoragePlane> DosnNetwork<S> {
     /// [`DosnError::UnknownUser`] if the name is already taken (reported
     /// against the name).
     pub fn register(&mut self, name: &str) -> Result<(), DosnError> {
-        match single(self.engine.execute(OpBatch::new().register(name)))? {
-            OpOutput::Registered => Ok(()),
-            other => Err(unexpected_output("register", &other)),
-        }
+        self.one(
+            "register",
+            OpBatch::new().register(name),
+            OpOutput::Registered,
+        )
     }
 
     /// Registers a user whose posts are protected by an arbitrary §III
@@ -295,22 +294,20 @@ impl<S: StoragePlane> DosnNetwork<S> {
     ///
     /// [`DosnError::UnknownUser`] for unregistered names.
     pub fn befriend(&mut self, a: &str, b: &str, trust: f64) -> Result<(), DosnError> {
-        match single(self.engine.execute(OpBatch::new().befriend(a, b, trust)))? {
-            OpOutput::Befriended => Ok(()),
-            other => Err(unexpected_output("befriend", &other)),
-        }
+        let batch = OpBatch::new().befriend(a, b, trust);
+        self.one("befriend", batch, OpOutput::Befriended)
     }
 
-    /// Publishes a friends-only post: encrypt (privacy plane) → sign +
-    /// chain + mint relation keys (integrity plane) → R-way store
-    /// (storage). Returns the author-local sequence number.
+    /// Publishes a friends-only post: encrypt (the author's privacy plane)
+    /// → sign + chain + mint relation keys (the author's timeline) → R-way
+    /// store (storage). Returns the author-local sequence number.
     ///
     /// # Errors
     ///
     /// [`DosnError::UnknownUser`], privacy-plane sealing failures, and
     /// [`DosnError::ContentUnavailable`] for storage failures.
     pub fn post(&mut self, author: &str, body: &str) -> Result<u64, DosnError> {
-        match single(self.engine.execute(OpBatch::new().post(author, body)))? {
+        match self.output(OpBatch::new().post(author, body))? {
             OpOutput::Posted { seq } => Ok(seq),
             other => Err(unexpected_output("post", &other)),
         }
@@ -333,10 +330,7 @@ impl<S: StoragePlane> DosnNetwork<S> {
         body: &str,
     ) -> Result<(), DosnError> {
         let batch = OpBatch::new().comment(commenter, author, seq, body);
-        match single(self.engine.execute(batch))? {
-            OpOutput::Commented => Ok(()),
-            other => Err(unexpected_output("comment", &other)),
-        }
+        self.one("comment", batch, OpOutput::Commented)
     }
 
     /// Verified comments on a post (commenter, body).
@@ -356,8 +350,7 @@ impl<S: StoragePlane> DosnNetwork<S> {
     /// * [`DosnError::NotAuthorized`] — reader is not in the author's
     ///   friends group.
     pub fn read_post(&mut self, reader: &str, author: &str, seq: u64) -> Result<String, DosnError> {
-        let batch = OpBatch::new().read_post(reader, author, seq);
-        match single(self.engine.execute(batch))? {
+        match self.output(OpBatch::new().read_post(reader, author, seq))? {
             OpOutput::Read { body } => Ok(body),
             other => Err(unexpected_output("read_post", &other)),
         }
@@ -408,12 +401,10 @@ impl<S: StoragePlane> DosnNetwork<S> {
     pub fn read_feed(&mut self, user: &str, k: usize) -> Result<Vec<FeedItem>, DosnError> {
         self.engine.read_feed(user, k)
     }
-}
 
-/// Registers a user backed by an arbitrary boxed scheme (convenience for
-/// experiment harnesses that already hold `Box<dyn AccessScheme>`).
-impl<S: StoragePlane> DosnNetwork<S> {
-    /// See [`DosnNetwork::register_with_scheme`].
+    /// [`DosnNetwork::register_with_scheme`] for an already-boxed scheme
+    /// (convenience for experiment harnesses that hold
+    /// `Box<dyn AccessScheme>`).
     ///
     /// # Errors
     ///
@@ -425,17 +416,26 @@ impl<S: StoragePlane> DosnNetwork<S> {
     ) -> Result<(), DosnError> {
         self.register_with_scheme(name, PrivacyPlane::new(scheme))
     }
-}
 
-/// Unwraps a batch-of-one report into its only result. The engine
-/// guarantees one result per op, so the empty case is a typed defect
-/// report, never a panic.
-fn single(mut report: BatchReport) -> Result<OpOutput, DosnError> {
-    report.results.pop().unwrap_or_else(|| {
-        Err(DosnError::IntegrityViolation(
-            "engine returned an empty report for a batch of one".into(),
-        ))
-    })
+    /// Runs a batch of one and unwraps its only result. The engine
+    /// guarantees one result per op, so the empty case is a typed defect
+    /// report, never a panic.
+    fn output(&mut self, batch: OpBatch) -> Result<OpOutput, DosnError> {
+        self.engine.execute(batch).results.pop().unwrap_or_else(|| {
+            Err(DosnError::IntegrityViolation(
+                "engine returned an empty report for a batch of one".into(),
+            ))
+        })
+    }
+
+    /// [`Self::output`] for the calls that return nothing: the engine must
+    /// answer a `call` op with exactly `want`.
+    fn one(&mut self, call: &str, batch: OpBatch, want: OpOutput) -> Result<(), DosnError> {
+        match self.output(batch)? {
+            output if output == want => Ok(()),
+            other => Err(unexpected_output(call, &other)),
+        }
+    }
 }
 
 fn unexpected_output(call: &str, output: &OpOutput) -> DosnError {
@@ -565,7 +565,7 @@ mod tests {
         let mut n = net();
         let seq = n.post("alice", "will be vandalized").unwrap();
         // Overwrite every replica with bytes that are not a record.
-        let key = storage_glue::wall_key("alice", seq);
+        let key = crate::engine::wall_key("alice", seq);
         let mut m = Metrics::new();
         n.storage_mut()
             .put(key, b"not an envelope".to_vec(), &mut m)
@@ -586,7 +586,7 @@ mod tests {
     fn crashed_replica_is_read_repaired() {
         let mut n = net();
         let seq = n.post("alice", "survives churn").unwrap();
-        let key = storage_glue::wall_key("alice", seq);
+        let key = crate::engine::wall_key("alice", seq);
         let mut m = Metrics::new();
         let holders = n
             .storage_mut()
@@ -645,6 +645,23 @@ mod tests {
         let seq = n.post("alice", "pke wall post").unwrap();
         assert_eq!(n.read_post("bob", "alice", seq).unwrap(), "pke wall post");
         assert!(n.read_post("carol", "alice", seq).is_err());
+    }
+
+    #[test]
+    fn refused_scheme_registration_leaves_nothing_behind() {
+        let mut n = net();
+        let users = n.engine().user_count();
+        // A PKE scheme that holds no key pair for "zed" refuses to create
+        // zed's friends group — before any key binding is published.
+        let pke = crate::privacy::PkeGroupScheme::new(dosn_crypto::group::SchnorrGroup::toy(), 1);
+        assert!(matches!(
+            n.register_with_boxed_scheme("zed", Box::new(pke)),
+            Err(DosnError::UnknownUser(_))
+        ));
+        assert!(n.directory().lookup("zed").is_err(), "stray key binding");
+        assert_eq!(n.engine().user_count(), users);
+        n.register("zed").unwrap();
+        assert!(n.directory().lookup("zed").is_ok());
     }
 
     #[test]

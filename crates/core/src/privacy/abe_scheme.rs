@@ -8,6 +8,7 @@
 //! again", so revoking bumps the attribute epoch, forces re-issuing keys to
 //! every remaining member, and reports the history re-encryption debt.
 
+use super::{find, find_mut, foreign_body};
 use crate::error::DosnError;
 use crate::privacy::{AccessScheme, GroupId, MembershipCost, SealedBody, SealedPost};
 use dosn_crypto::abe::{AbeAuthority, Policy, UserKey};
@@ -95,18 +96,12 @@ impl AccessScheme for AbeGroupScheme {
     }
 
     fn encrypt(&mut self, group: &GroupId, plaintext: &[u8]) -> Result<SealedPost, DosnError> {
-        let state = self
-            .groups
-            .get(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
+        let state = find(&self.groups, group)?;
         let ct = self
             .authority
             .encrypt(&state.policy, plaintext, &mut self.rng)?;
         let epoch = state.epoch;
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
+        let state = find_mut(&mut self.groups, group)?;
         state.posts_encrypted += 1;
         Ok(SealedPost {
             scheme: self.name(),
@@ -122,14 +117,9 @@ impl AccessScheme for AbeGroupScheme {
         member: &str,
         post: &SealedPost,
     ) -> Result<Vec<u8>, DosnError> {
-        let state = self
-            .groups
-            .get(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
+        let state = find(&self.groups, group)?;
         let SealedBody::Abe(ref ct) = post.body else {
-            return Err(DosnError::IntegrityViolation(
-                "ciphertext from another scheme".into(),
-            ));
+            return Err(foreign_body());
         };
         let keys = state
             .member_keys
@@ -147,19 +137,11 @@ impl AccessScheme for AbeGroupScheme {
     }
 
     fn add_member(&mut self, group: &GroupId, member: &str) -> Result<MembershipCost, DosnError> {
-        let attribute = self
-            .groups
-            .get(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?
-            .attribute
-            .clone();
+        let attribute = find(&self.groups, group)?.attribute.clone();
         let key = self
             .authority
             .issue_key(&Self::qualified_member(group, member), &[attribute]);
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
+        let state = find_mut(&mut self.groups, group)?;
         state.revoked.remove(member);
         state
             .member_keys
@@ -178,10 +160,7 @@ impl AccessScheme for AbeGroupScheme {
         group: &GroupId,
         member: &str,
     ) -> Result<MembershipCost, DosnError> {
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
+        let state = find_mut(&mut self.groups, group)?;
         if !state.member_keys.contains_key(member) || !state.revoked.insert(member.to_owned()) {
             return Err(DosnError::UnknownUser(member.to_owned()));
         }
@@ -191,10 +170,7 @@ impl AccessScheme for AbeGroupScheme {
         debug_assert!(report.attributes_rotated.contains(&attribute));
         // Re-key every remaining member at the new epoch.
         let remaining: Vec<String> = {
-            let state = self
-                .groups
-                .get(group)
-                .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
+            let state = find(&self.groups, group)?;
             state
                 .member_keys
                 .keys()
@@ -207,19 +183,13 @@ impl AccessScheme for AbeGroupScheme {
                 &Self::qualified_member(group, m),
                 std::slice::from_ref(&attribute),
             );
-            let keys = self
-                .groups
-                .get_mut(group)
-                .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?
+            let keys = find_mut(&mut self.groups, group)?
                 .member_keys
                 .get_mut(m)
                 .ok_or_else(|| DosnError::UnknownUser(m.clone()))?;
             keys.push(key);
         }
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
+        let state = find_mut(&mut self.groups, group)?;
         state.epoch += 1;
         Ok(MembershipCost {
             key_messages: remaining.len() as u64,

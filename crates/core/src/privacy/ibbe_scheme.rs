@@ -7,6 +7,7 @@
 //! so join/leave are list edits and revocation costs nothing (E2's
 //! counterpoint to symmetric/ABE re-keying).
 
+use super::{find, find_mut, foreign_body, roster::Roster};
 use crate::error::DosnError;
 use crate::privacy::{AccessScheme, GroupId, MembershipCost, SealedBody, SealedPost};
 use dosn_crypto::chacha::SecureRng;
@@ -15,12 +16,6 @@ use dosn_crypto::ibe::{CocksPkg, IdentityKey};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-struct GroupState {
-    epoch: u64,
-    /// member -> (joined_epoch, revoked_epoch).
-    members: BTreeMap<String, (u64, Option<u64>)>,
-}
-
 /// The §III-E scheme.
 pub struct IbbeGroupScheme {
     pkg: CocksPkg,
@@ -28,7 +23,7 @@ pub struct IbbeGroupScheme {
     /// Extracted identity keys (a cache standing in for each member's
     /// PKG interaction).
     identity_keys: BTreeMap<String, IdentityKey>,
-    groups: BTreeMap<GroupId, GroupState>,
+    groups: BTreeMap<GroupId, Roster>,
     rng: SecureRng,
     next_group: u64,
 }
@@ -76,13 +71,6 @@ impl IbbeGroupScheme {
         }
         &self.identity_keys[member]
     }
-
-    fn active_at(state: &GroupState, member: &str, epoch: u64) -> bool {
-        state
-            .members
-            .get(member)
-            .is_some_and(|(joined, revoked)| *joined <= epoch && revoked.is_none_or(|r| epoch < r))
-    }
 }
 
 impl AccessScheme for IbbeGroupScheme {
@@ -93,28 +81,13 @@ impl AccessScheme for IbbeGroupScheme {
     fn create_group(&mut self, members: &[String]) -> Result<GroupId, DosnError> {
         let id = GroupId(format!("ibbe-{}", self.next_group));
         self.next_group += 1;
-        self.groups.insert(
-            id.clone(),
-            GroupState {
-                epoch: 0,
-                members: members.iter().map(|m| (m.clone(), (0, None))).collect(),
-            },
-        );
+        self.groups.insert(id.clone(), Roster::new(members));
         Ok(id)
     }
 
     fn encrypt(&mut self, group: &GroupId, plaintext: &[u8]) -> Result<SealedPost, DosnError> {
-        let state = self
-            .groups
-            .get(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-        let recipients: Vec<String> = state
-            .members
-            .iter()
-            .filter(|(_, (_, revoked))| revoked.is_none())
-            .map(|(m, _)| m.clone())
-            .collect();
-        let epoch = state.epoch;
+        let roster = find(&self.groups, group)?;
+        let (epoch, recipients) = (roster.epoch(), roster.active());
         let ct = self
             .broadcaster
             .encrypt(&recipients, plaintext, &mut self.rng);
@@ -135,20 +108,14 @@ impl AccessScheme for IbbeGroupScheme {
         member: &str,
         post: &SealedPost,
     ) -> Result<Vec<u8>, DosnError> {
-        let state = self
-            .groups
-            .get(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-        if !Self::active_at(state, member, post.epoch) {
+        if !find(&self.groups, group)?.active_at(member, post.epoch) {
             return Err(DosnError::NotAuthorized(format!(
                 "{member} was not a recipient at epoch {}",
                 post.epoch
             )));
         }
         let SealedBody::Ibbe { ref ct, .. } = post.body else {
-            return Err(DosnError::IntegrityViolation(
-                "ciphertext from another scheme".into(),
-            ));
+            return Err(foreign_body());
         };
         // Extraction through the PKG (cached).
         let key = match self.identity_keys.get(member) {
@@ -159,21 +126,10 @@ impl AccessScheme for IbbeGroupScheme {
     }
 
     fn add_member(&mut self, group: &GroupId, member: &str) -> Result<MembershipCost, DosnError> {
-        let epoch = {
-            let state = self
-                .groups
-                .get(group)
-                .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-            state.epoch
-        };
+        find_mut(&mut self.groups, group)?.join(member);
         let _ = self.identity_key(member); // PKG extraction: one interaction
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-        state.members.insert(member.to_owned(), (epoch, None));
-        // The member's "key" is their identity key from the PKG; the group
-        // owner sends nothing.
+                                           // The member's "key" is their identity key from the PKG; the group
+                                           // owner sends nothing.
         Ok(MembershipCost::default())
     }
 
@@ -182,18 +138,7 @@ impl AccessScheme for IbbeGroupScheme {
         group: &GroupId,
         member: &str,
     ) -> Result<MembershipCost, DosnError> {
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-        let Some(entry) = state.members.get_mut(member) else {
-            return Err(DosnError::UnknownUser(member.to_owned()));
-        };
-        if entry.1.is_some() {
-            return Err(DosnError::UnknownUser(format!("{member} already revoked")));
-        }
-        state.epoch += 1;
-        entry.1 = Some(state.epoch);
+        find_mut(&mut self.groups, group)?.revoke(member)?;
         // The survey's point: removal is free — future broadcasts just omit
         // the identity. No re-keying, no history re-encryption obligation
         // beyond the universal "they may have kept copies".
@@ -203,13 +148,7 @@ impl AccessScheme for IbbeGroupScheme {
     fn members(&self, group: &GroupId) -> Vec<String> {
         self.groups
             .get(group)
-            .map(|s| {
-                s.members
-                    .iter()
-                    .filter(|(_, (_, revoked))| revoked.is_none())
-                    .map(|(m, _)| m.clone())
-                    .collect()
-            })
+            .map(Roster::active)
             .unwrap_or_default()
     }
 }

@@ -25,6 +25,7 @@ pub mod hummingbird;
 pub mod ibbe_scheme;
 pub mod pke;
 pub mod resharing;
+mod roster;
 pub mod substitution;
 pub mod symmetric;
 
@@ -37,6 +38,7 @@ pub use substitution::{SubstitutionDictionary, SubstitutionVault};
 pub use symmetric::SymmetricGroupScheme;
 
 use crate::error::DosnError;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies a group within one scheme instance.
@@ -53,6 +55,28 @@ impl From<&str> for GroupId {
     fn from(s: &str) -> Self {
         GroupId(s.to_owned())
     }
+}
+
+/// Looks `group` up in a scheme's group table, or [`DosnError::UnknownGroup`].
+fn find<'a, T>(groups: &'a BTreeMap<GroupId, T>, group: &GroupId) -> Result<&'a T, DosnError> {
+    groups
+        .get(group)
+        .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))
+}
+
+/// [`find`], mutably.
+fn find_mut<'a, T>(
+    groups: &'a mut BTreeMap<GroupId, T>,
+    group: &GroupId,
+) -> Result<&'a mut T, DosnError> {
+    groups
+        .get_mut(group)
+        .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))
+}
+
+/// The refusal every scheme gives a sealed body another scheme produced.
+fn foreign_body() -> DosnError {
+    DosnError::IntegrityViolation("ciphertext from another scheme".into())
 }
 
 /// An encrypted post, tagged with the scheme that produced it.

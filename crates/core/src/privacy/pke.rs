@@ -7,20 +7,15 @@
 //! with audience size (E1 measures this), while join/leave are list edits
 //! with no re-keying (E2).
 
+use super::{find, find_mut, foreign_body, roster::Roster};
 use crate::error::DosnError;
 use crate::privacy::{AccessScheme, GroupId, MembershipCost, SealedBody, SealedPost};
 use dosn_crypto::aead::SymmetricKey;
 use dosn_crypto::chacha::SecureRng;
-use dosn_crypto::elgamal::{ElGamalKeyPair, ElGamalPublicKey, ElGamalSecretKey};
+use dosn_crypto::elgamal::{ElGamalKeyPair, ElGamalPublicKey, ElGamalSecretKey, HybridCiphertext};
 use dosn_crypto::group::SchnorrGroup;
 use rand::RngCore;
 use std::collections::BTreeMap;
-
-struct GroupState {
-    epoch: u64,
-    /// member -> (joined_epoch, revoked_epoch).
-    members: BTreeMap<String, (u64, Option<u64>)>,
-}
 
 /// The §III-C scheme. Holds each member's public key; secret keys stay with
 /// the members (the scheme holds them here only to *model* member-side
@@ -29,7 +24,7 @@ pub struct PkeGroupScheme {
     group_params: SchnorrGroup,
     public_keys: BTreeMap<String, ElGamalPublicKey>,
     secret_keys: BTreeMap<String, ElGamalSecretKey>,
-    groups: BTreeMap<GroupId, GroupState>,
+    groups: BTreeMap<GroupId, Roster>,
     rng: SecureRng,
     next_group: u64,
 }
@@ -76,19 +71,6 @@ impl PkeGroupScheme {
         self.secret_keys
             .insert(member.to_owned(), kp.secret().clone());
     }
-
-    fn state(&self, group: &GroupId) -> Result<&GroupState, DosnError> {
-        self.groups
-            .get(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))
-    }
-
-    fn active_at(state: &GroupState, member: &str, epoch: u64) -> bool {
-        state
-            .members
-            .get(member)
-            .is_some_and(|(joined, revoked)| *joined <= epoch && revoked.is_none_or(|r| epoch < r))
-    }
 }
 
 impl AccessScheme for PkeGroupScheme {
@@ -104,25 +86,13 @@ impl AccessScheme for PkeGroupScheme {
         }
         let id = GroupId(format!("pke-{}", self.next_group));
         self.next_group += 1;
-        self.groups.insert(
-            id.clone(),
-            GroupState {
-                epoch: 0,
-                members: members.iter().map(|m| (m.clone(), (0, None))).collect(),
-            },
-        );
+        self.groups.insert(id.clone(), Roster::new(members));
         Ok(id)
     }
 
     fn encrypt(&mut self, group: &GroupId, plaintext: &[u8]) -> Result<SealedPost, DosnError> {
-        let state = self.state(group)?;
-        let epoch = state.epoch;
-        let recipients: Vec<String> = state
-            .members
-            .iter()
-            .filter(|(_, (_, revoked))| revoked.is_none())
-            .map(|(m, _)| m.clone())
-            .collect();
+        let roster = find(&self.groups, group)?;
+        let (epoch, recipients) = (roster.epoch(), roster.active());
         // Fresh DEK sealed once; DEK wrapped per recipient under ElGamal.
         let dek_bytes = self.rng.gen_key();
         let dek = SymmetricKey::from_bytes(&dek_bytes);
@@ -135,8 +105,7 @@ impl AccessScheme for PkeGroupScheme {
                 .ok_or_else(|| DosnError::UnknownUser(r.clone()))?
                 .clone();
             let ct = pk.encrypt(&dek_bytes, &mut self.rng);
-            // Serialize the hybrid ciphertext compactly via its parts.
-            wrapped.push((r, encode_hybrid(&ct)));
+            wrapped.push((r, ct.to_bytes()));
         }
         Ok(SealedPost {
             scheme: self.name(),
@@ -152,8 +121,7 @@ impl AccessScheme for PkeGroupScheme {
         member: &str,
         post: &SealedPost,
     ) -> Result<Vec<u8>, DosnError> {
-        let state = self.state(group)?;
-        if !Self::active_at(state, member, post.epoch) {
+        if !find(&self.groups, group)?.active_at(member, post.epoch) {
             return Err(DosnError::NotAuthorized(format!(
                 "{member} was not a recipient at epoch {}",
                 post.epoch
@@ -164,9 +132,7 @@ impl AccessScheme for PkeGroupScheme {
             ref payload,
         } = post.body
         else {
-            return Err(DosnError::IntegrityViolation(
-                "ciphertext from another scheme".into(),
-            ));
+            return Err(foreign_body());
         };
         let entry = wrapped
             .iter()
@@ -176,7 +142,7 @@ impl AccessScheme for PkeGroupScheme {
             .secret_keys
             .get(member)
             .ok_or_else(|| DosnError::UnknownUser(member.to_owned()))?;
-        let ct = decode_hybrid(&entry.1)?;
+        let ct = HybridCiphertext::from_bytes(&entry.1)?;
         let dek_bytes = sk.decrypt(&ct)?;
         let dek_arr: [u8; 32] = dek_bytes
             .try_into()
@@ -189,12 +155,7 @@ impl AccessScheme for PkeGroupScheme {
         if !self.public_keys.contains_key(member) {
             return Err(DosnError::UnknownUser(member.to_owned()));
         }
-        let epoch = self.state(group)?.epoch;
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-        state.members.insert(member.to_owned(), (epoch, None));
+        find_mut(&mut self.groups, group)?.join(member);
         // Adding a public key to the list costs nothing cryptographic.
         Ok(MembershipCost::default())
     }
@@ -204,18 +165,7 @@ impl AccessScheme for PkeGroupScheme {
         group: &GroupId,
         member: &str,
     ) -> Result<MembershipCost, DosnError> {
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-        let Some(entry) = state.members.get_mut(member) else {
-            return Err(DosnError::UnknownUser(member.to_owned()));
-        };
-        if entry.1.is_some() {
-            return Err(DosnError::UnknownUser(format!("{member} already revoked")));
-        }
-        state.epoch += 1;
-        entry.1 = Some(state.epoch);
+        find_mut(&mut self.groups, group)?.revoke(member)?;
         // Deleting the key from the list: no messages, no re-keying; old
         // posts whose DEK the member holds would need re-encryption to
         // truly lock them out — but future posts simply omit the member, so
@@ -226,26 +176,9 @@ impl AccessScheme for PkeGroupScheme {
     fn members(&self, group: &GroupId) -> Vec<String> {
         self.groups
             .get(group)
-            .map(|s| {
-                s.members
-                    .iter()
-                    .filter(|(_, (_, revoked))| revoked.is_none())
-                    .map(|(m, _)| m.clone())
-                    .collect()
-            })
+            .map(Roster::active)
             .unwrap_or_default()
     }
-}
-
-/// Serializes a hybrid ElGamal ciphertext: lengths + parts.
-fn encode_hybrid(ct: &dosn_crypto::elgamal::HybridCiphertext) -> Vec<u8> {
-    // HybridCiphertext exposes no parts API; serialize via Debug-free
-    // bincode-ish framing using its public encode helper.
-    ct.to_bytes()
-}
-
-fn decode_hybrid(bytes: &[u8]) -> Result<dosn_crypto::elgamal::HybridCiphertext, DosnError> {
-    dosn_crypto::elgamal::HybridCiphertext::from_bytes(bytes).map_err(DosnError::from)
 }
 
 #[cfg(test)]

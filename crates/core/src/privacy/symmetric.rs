@@ -8,6 +8,7 @@
 //! members and, to lock the revoked user out of stored history,
 //! re-encrypting every earlier post.
 
+use super::{find, find_mut, foreign_body, roster::Roster};
 use crate::error::DosnError;
 use crate::privacy::{AccessScheme, GroupId, MembershipCost, SealedBody, SealedPost};
 use dosn_crypto::aead::SymmetricKey;
@@ -15,11 +16,9 @@ use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::hmac::Prf;
 use std::collections::BTreeMap;
 
-struct GroupState {
-    epoch: u64,
-    /// member -> (joined_epoch, revoked_epoch). A member holds the keys of
-    /// every epoch in `[joined, revoked_or_current]`.
-    members: BTreeMap<String, (u64, Option<u64>)>,
+/// A group's roster plus the history a revocation would have to re-encrypt.
+struct SymmetricGroup {
+    roster: Roster,
     posts_encrypted: u64,
 }
 
@@ -43,7 +42,7 @@ struct GroupState {
 pub struct SymmetricGroupScheme {
     /// Key chain root: epoch keys derive as PRF(root, group || epoch).
     prf: Prf,
-    groups: BTreeMap<GroupId, GroupState>,
+    groups: BTreeMap<GroupId, SymmetricGroup>,
     rng: SecureRng,
     next_group: u64,
 }
@@ -71,19 +70,6 @@ impl SymmetricGroupScheme {
             .eval(format!("group|{group}|epoch|{epoch}").as_bytes());
         SymmetricKey::from_bytes(&material)
     }
-
-    fn state(&self, group: &GroupId) -> Result<&GroupState, DosnError> {
-        self.groups
-            .get(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))
-    }
-
-    fn holds_epoch(state: &GroupState, member: &str, epoch: u64) -> bool {
-        match state.members.get(member) {
-            None => false,
-            Some((joined, revoked)) => *joined <= epoch && revoked.is_none_or(|r| epoch < r),
-        }
-    }
 }
 
 impl AccessScheme for SymmetricGroupScheme {
@@ -96,9 +82,8 @@ impl AccessScheme for SymmetricGroupScheme {
         self.next_group += 1;
         self.groups.insert(
             id.clone(),
-            GroupState {
-                epoch: 0,
-                members: members.iter().map(|m| (m.clone(), (0, None))).collect(),
+            SymmetricGroup {
+                roster: Roster::new(members),
                 posts_encrypted: 0,
             },
         );
@@ -106,14 +91,10 @@ impl AccessScheme for SymmetricGroupScheme {
     }
 
     fn encrypt(&mut self, group: &GroupId, plaintext: &[u8]) -> Result<SealedPost, DosnError> {
-        let epoch = self.state(group)?.epoch;
+        let epoch = find(&self.groups, group)?.roster.epoch();
         let key = self.epoch_key(group, epoch);
         let sealed = key.seal(plaintext, group.0.as_bytes(), &mut self.rng);
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-        state.posts_encrypted += 1;
+        find_mut(&mut self.groups, group)?.posts_encrypted += 1;
         Ok(SealedPost {
             scheme: self.name(),
             group: group.clone(),
@@ -128,29 +109,24 @@ impl AccessScheme for SymmetricGroupScheme {
         member: &str,
         post: &SealedPost,
     ) -> Result<Vec<u8>, DosnError> {
-        let state = self.state(group)?;
-        if !Self::holds_epoch(state, member, post.epoch) {
+        if !find(&self.groups, group)?
+            .roster
+            .active_at(member, post.epoch)
+        {
             return Err(DosnError::NotAuthorized(format!(
                 "{member} does not hold the epoch-{} key of {group}",
                 post.epoch
             )));
         }
         let SealedBody::Symmetric(ref bytes) = post.body else {
-            return Err(DosnError::IntegrityViolation(
-                "ciphertext from another scheme".into(),
-            ));
+            return Err(foreign_body());
         };
         let key = self.epoch_key(group, post.epoch);
         Ok(key.open(bytes, group.0.as_bytes())?)
     }
 
     fn add_member(&mut self, group: &GroupId, member: &str) -> Result<MembershipCost, DosnError> {
-        let epoch = self.state(group)?.epoch;
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-        state.members.insert(member.to_owned(), (epoch, None));
+        find_mut(&mut self.groups, group)?.roster.join(member);
         // Share the current key: one message, no re-keying.
         Ok(MembershipCost {
             key_messages: 1,
@@ -164,23 +140,9 @@ impl AccessScheme for SymmetricGroupScheme {
         group: &GroupId,
         member: &str,
     ) -> Result<MembershipCost, DosnError> {
-        let state = self
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| DosnError::UnknownGroup(group.to_string()))?;
-        let Some(entry) = state.members.get_mut(member) else {
-            return Err(DosnError::UnknownUser(member.to_owned()));
-        };
-        if entry.1.is_some() {
-            return Err(DosnError::UnknownUser(format!("{member} already revoked")));
-        }
-        state.epoch += 1;
-        entry.1 = Some(state.epoch);
-        let remaining = state
-            .members
-            .values()
-            .filter(|(_, revoked)| revoked.is_none())
-            .count() as u64;
+        let state = find_mut(&mut self.groups, group)?;
+        // A fresh epoch key goes to everyone who stays.
+        let remaining = state.roster.revoke(member)?;
         Ok(MembershipCost {
             key_messages: remaining,
             rekeyed_members: remaining,
@@ -191,13 +153,7 @@ impl AccessScheme for SymmetricGroupScheme {
     fn members(&self, group: &GroupId) -> Vec<String> {
         self.groups
             .get(group)
-            .map(|s| {
-                s.members
-                    .iter()
-                    .filter(|(_, (_, revoked))| revoked.is_none())
-                    .map(|(m, _)| m.clone())
-                    .collect()
-            })
+            .map(|s| s.roster.active())
             .unwrap_or_default()
     }
 }

@@ -13,8 +13,8 @@
 //! [`RunReport`] stays byte-identical per seed.
 
 use super::ScenarioConfig;
+use crate::engine::wall_key;
 use crate::engine::{Engine, OpBatch};
-use crate::network::storage_glue::wall_key;
 use crate::network::{
     ChordPlane, ReplicatedStore, SocialGraphConfig, SocialPlacement, SocialPlane, WorkloadGraph,
 };

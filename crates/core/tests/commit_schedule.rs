@@ -5,7 +5,7 @@
 //! plus a negative control proving the harness detects an injected
 //! ordering bug (conflicting writes forced into one wave).
 
-use dosn_core::engine::{CommitEntry, CommitPlan, Engine, OpBatch};
+use dosn_core::engine::{wall_key, CommitEntry, CommitPlan, Engine, OpBatch};
 use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::ReplicatedStore;
@@ -30,11 +30,6 @@ fn workload() -> OpBatch {
             .post(a, &format!("second from {a} ({i})"));
     }
     batch
-}
-
-/// The wall record address, recomputed as readers derive it.
-fn wall_key(author: &str, seq: u64) -> Key {
-    Key::hash(format!("wall/{author}/{seq}").as_bytes())
 }
 
 /// SHA-1-free state fingerprint: every wall record's raw stored bytes,

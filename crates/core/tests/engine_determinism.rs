@@ -168,3 +168,56 @@ proptest! {
         prop_assert_eq!(whole_probe.digest_hex(), split_probe.digest_hex());
     }
 }
+
+/// Golden digests for a fixed 5-user register / befriend / post / comment /
+/// read workload, captured from the engine *before* the one-record /
+/// one-roster / one-fan-out refactor (commit 88df712). Every other identity
+/// suite compares the engine with itself under a different knob; this one
+/// compares it with the old code, so a refactor that moves an RNG draw, an
+/// op index, or a stored byte fails here even if it does so consistently at
+/// every worker count.
+#[test]
+fn golden_batch_digests_are_pinned() {
+    let setup = OpBatch::new()
+        .read_post("bob", "alice", 0) // submitted first, served last
+        .register("alice")
+        .register("bob")
+        .register("carol")
+        .register("dave")
+        .register("erin")
+        .register("alice") // duplicate: a pinned error outcome
+        .befriend("alice", "bob", 0.9)
+        .befriend("alice", "carol", 0.5)
+        .befriend("dave", "erin", 1.0)
+        .post("alice", "golden post zero")
+        .post("alice", "golden post one")
+        .post("dave", "dave's wall")
+        .comment("bob", "alice", 0, "first!")
+        .comment("erin", "alice", 0, "not a friend")
+        .read_post("carol", "alice", 1)
+        .read_post("erin", "alice", 0) // stranger: NotAuthorized
+        .read_post("erin", "dave", 0)
+        .read_post("bob", "alice", 7); // missing post
+    let follow_up = OpBatch::new()
+        .post("alice", "second batch")
+        .comment("carol", "alice", 1, "late comment")
+        .read_post("bob", "alice", 2)
+        .read_post("dave", "dave", 0);
+    for workers in [1usize, 2, 8] {
+        let mut e = engine(0x601D, workers);
+        let first = e.execute(setup.clone());
+        let second = e.execute(follow_up.clone());
+        assert_eq!(
+            first.digest_hex(),
+            "9c83b5aca845ce648623dd29a0b6465da8a996eb4e2034eb3bb846e9e1f25be4",
+            "setup batch digest moved at {workers} workers"
+        );
+        assert_eq!(
+            second.digest_hex(),
+            "6d4b2a0242cdbfc4f3370461403a1383454db39eac8ac7787e16860701383862",
+            "follow-up batch digest moved at {workers} workers"
+        );
+        assert_eq!(e.comments("alice", 0).len(), 1);
+        assert_eq!(e.timeline("alice").map(|t| t.entries().len()), Some(3));
+    }
+}

@@ -3,17 +3,12 @@
 //! poison sibling ops — and failing batches must stay digest-deterministic
 //! across worker counts.
 
-use dosn_core::engine::{Engine, OpBatch, OpOutput};
+use dosn_core::engine::{wall_key, Engine, OpBatch, OpOutput};
 use dosn_core::DosnError;
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::storage::{ChordPlane, StorageError, StoragePlane};
-
-/// The wall record address, recomputed as readers derive it.
-fn wall_key(author: &str, seq: u64) -> Key {
-    Key::hash(format!("wall/{author}/{seq}").as_bytes())
-}
 
 #[test]
 fn every_replica_offline_rejects_writes_and_reads_but_not_registration() {

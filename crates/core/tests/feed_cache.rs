@@ -11,20 +11,14 @@
 //!   when they don't.
 //! * `read_feed` on a user with zero friends returns an empty feed.
 
-use dosn_core::engine::{Engine, Op, OpBatch, OpOutput};
+use dosn_core::engine::{wall_key, Engine, Op, OpBatch, OpOutput};
 use dosn_core::network::DosnNetwork;
 use dosn_core::DosnError;
-use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::storage::{ChordPlane, StoragePlane, SuperPeerPlane};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-/// The wall record address, recomputed as readers derive it.
-fn wall_key(author: &str, seq: u64) -> Key {
-    Key::hash(format!("wall/{author}/{seq}").as_bytes())
-}
 
 fn engine(seed: u64) -> Engine<ChordPlane> {
     Engine::new(ReplicatedStore::new(ChordPlane::build(24, seed), 3), seed)

@@ -40,7 +40,7 @@ fn scenario<S: StoragePlane>(name: &str, plane: S, obs: &Registry) {
     // Crash the post's first replica holder through the fault harness;
     // the wall stays readable off the surviving replicas and the quorum
     // read re-fills the gap (a read repair).
-    let key = dosn::overlay::id::Key::hash(format!("wall/alice/{seq}").as_bytes());
+    let key = dosn::core::engine::wall_key("alice", seq);
     let mut m = dosn::overlay::metrics::Metrics::new();
     let victim = net
         .storage_mut()

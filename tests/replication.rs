@@ -58,7 +58,7 @@ impl<S: StoragePlane> Facade for DosnNetwork<S> {
         DosnNetwork::unfriend(self, a, b)
     }
     fn crash_holders(&mut self, author: &str, seq: u64, how_many: usize) {
-        let key = dosn_overlay::id::Key::hash(format!("wall/{author}/{seq}").as_bytes());
+        let key = dosn_core::engine::wall_key(author, seq);
         let mut m = Metrics::new();
         let holders = self
             .storage_mut()
@@ -79,7 +79,7 @@ impl<S: StoragePlane> Facade for DosnNetwork<S> {
         self.metrics().count("store.replicas_written")
     }
     fn first_holder(&mut self, author: &str, seq: u64) -> dosn_overlay::id::NodeId {
-        let key = dosn_overlay::id::Key::hash(format!("wall/{author}/{seq}").as_bytes());
+        let key = dosn_core::engine::wall_key(author, seq);
         let mut m = Metrics::new();
         self.storage_mut()
             .plane_mut()
@@ -201,7 +201,7 @@ fn r1_loses_the_wall_when_its_holder_crashes() {
     let seq = net.post("alice", "fragile").unwrap();
     assert_eq!(net.metrics().count("store.replicas_written"), 1);
 
-    let key = dosn_overlay::id::Key::hash(format!("wall/alice/{seq}").as_bytes());
+    let key = dosn_core::engine::wall_key("alice", seq);
     let mut m = Metrics::new();
     let holder = net
         .storage_mut()
