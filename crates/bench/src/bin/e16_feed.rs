@@ -242,8 +242,7 @@ fn main() {
     // Correctness gates at zero tolerance: any digest divergence between
     // cached and uncached execution is a bug, not noise.
     run.set_headline("cache_digest_identical", f64::from(identical), true, 0.0);
-    // The speedup gates at a 5x floor (declared via the tolerance, as the
-    // E14 speedup headline does).
+    // The speedup gates at a 5x floor, declared via the tolerance.
     let floor_tolerance = (1.0 - 5.0 / speedup).max(0.0);
     run.set_headline("warm_cold_speedup", speedup, true, floor_tolerance);
     // Warm p95 is a latency canary with a wide band: CI wall-clock noise

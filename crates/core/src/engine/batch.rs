@@ -59,24 +59,15 @@ pub enum Op {
 }
 
 impl Op {
-    /// The users this op names: its home user — the author, or the first
-    /// name of a register or befriend, whose shard the op routes to — then
-    /// the other party, if any.
-    pub(super) fn users(&self) -> (&str, Option<&str>) {
+    /// The op's home user, whose shard it routes to: the author, or the
+    /// first name of a register or befriend.
+    pub(super) fn home_user(&self) -> &str {
         match self {
-            Op::Register { name } => (name, None),
-            Op::Post { author, .. } => (author, None),
-            Op::Befriend { a, b, .. } => (a, Some(b)),
-            Op::Comment {
-                commenter: other,
-                author,
-                ..
+            Op::Register { name } => name,
+            Op::Befriend { a, .. } => a,
+            Op::Post { author, .. } | Op::Comment { author, .. } | Op::ReadPost { author, .. } => {
+                author
             }
-            | Op::ReadPost {
-                reader: other,
-                author,
-                ..
-            } => (author, Some(other)),
         }
     }
 }
@@ -208,22 +199,8 @@ pub enum OpOutput {
     },
 }
 
-/// Wall-clock measurement aids for one op — *not* part of the determinism
-/// contract (excluded from [`BatchReport::digest`]). The throughput bench
-/// uses these, binned by `shard`, to model the parallel phases' critical
-/// path at different worker counts.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OpTiming {
-    /// The state shard the op was routed to (by author).
-    pub shard: usize,
-    /// Time spent in the parallel prepare stage, µs.
-    pub prepare_micros: u64,
-    /// Time spent in the parallel finish stage, µs.
-    pub finish_micros: u64,
-}
-
 /// What one [`crate::engine::Engine::execute`] call did: per-op results in
-/// submission order, a deterministic digest, and timing measurement aids.
+/// submission order and a deterministic digest.
 #[derive(Debug)]
 pub struct BatchReport {
     /// Per-op outcome, aligned with the submitted batch.
@@ -231,10 +208,8 @@ pub struct BatchReport {
     /// SHA-256 over every op outcome and every committed storage record,
     /// in op order. Byte-identical across runs with the same engine seed
     /// and batch, *regardless of worker count* — the engine's determinism
-    /// contract, gated at zero tolerance in `e14_throughput`.
+    /// contract, pinned by the `engine_determinism` suite.
     pub digest: [u8; 32],
-    /// Per-op wall-clock timings (measurement aid; not digested).
-    pub timings: Vec<OpTiming>,
 }
 
 impl BatchReport {

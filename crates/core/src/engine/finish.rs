@@ -1,14 +1,14 @@
 //! The finish phase: quorum reads — sequential fetch (storage is `&mut`),
-//! parallel quorum vote + envelope verification + decryption over the
-//! read-only author snapshot, then the sequential tail (read-repair,
-//! hot-cache admission, fallback) — and the feed-cache fills that follow
-//! the report. Touches storage, metrics and the snapshot; never the shards.
+//! parallel quorum vote + envelope verification + decryption with each
+//! worker borrowing its authors' home shards read-only, then the sequential
+//! tail (read-repair, hot-cache admission, fallback) — and the feed-cache
+//! fills that follow the report. Touches storage and metrics; only reads
+//! the shards.
 
 use super::batch::{BatchReport, Op, OpOutput};
 use super::pipeline::{fan_out, Batch, JobOut};
 use super::plan::{bump_feed_stats, FeedFill};
-use super::user::UserState;
-use super::{elapsed_micros, storage_to_dosn, wall_key, WorkerCtx, NUM_SHARDS};
+use super::{elapsed_micros, storage_to_dosn, wall_key, Shard, WorkerCtx, NUM_SHARDS};
 use crate::content::Post;
 use crate::error::DosnError;
 use crate::feed::FeedCache;
@@ -18,11 +18,7 @@ use dosn_obs::{names, Registry};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::{quorum_vote, quorum_vote_batch, FetchedCopies, ReplicatedStore};
 use dosn_overlay::storage::{StorageError, StoragePlane};
-use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// The read authors' records, moved out of their shards for the phase.
-type Snapshot = BTreeMap<UserId, UserState>;
 
 /// One `ReadPost` with its fetched bytes, borrowing the op's names.
 struct ReadJob<'a> {
@@ -61,7 +57,7 @@ pub(super) fn finish_reads<S: StoragePlane>(
     storage: &mut ReplicatedStore<S>,
     metrics: &mut Metrics,
     ctx: &WorkerCtx,
-    snapshot: &Snapshot,
+    shards: &[Shard],
     batch: &mut Batch,
     reads: Vec<usize>,
 ) {
@@ -89,7 +85,7 @@ pub(super) fn finish_reads<S: StoragePlane>(
             }),
             None => storage.fetch_copies(key, metrics),
         };
-        read_jobs[batch.timings[op_idx].shard].push(ReadJob {
+        read_jobs[batch.routes[op_idx]].push(ReadJob {
             op_idx,
             reader,
             author,
@@ -100,10 +96,12 @@ pub(super) fn finish_reads<S: StoragePlane>(
         });
     }
     let read_quorum = storage.read_quorum();
-    let bins = read_jobs.into_iter().map(|jobs| ((), jobs));
-    let mut read_outs = fan_out(ctx.workers, bins, |(), job| {
+    // A read routes to its author's shard, so each bin's context is the
+    // home shard of every author its jobs name.
+    let bins = shards.iter().zip(read_jobs);
+    let mut read_outs = fan_out(ctx.workers, bins, |shard, job| {
         let started = Instant::now();
-        let outcome = finish_read(snapshot, ctx, read_quorum, &job);
+        let outcome = finish_read(shard, ctx, read_quorum, &job);
         JobOut {
             op_idx: job.op_idx,
             micros: job.fetch_micros + elapsed_micros(started),
@@ -112,9 +110,9 @@ pub(super) fn finish_reads<S: StoragePlane>(
     });
     read_outs.sort_unstable_by_key(|o| o.op_idx);
     for read in read_outs {
-        batch.timings[read.op_idx].finish_micros = read.micros;
         let (job, outcome) = read.out;
-        let result = settle_read(storage, metrics, ctx, snapshot, job, outcome);
+        let home = &shards[batch.routes[read.op_idx]];
+        let result = settle_read(storage, metrics, ctx, home, job, outcome);
         ctx.obs
             .histogram(names::NET_READ_POST_QUORUM)
             .record(read.micros);
@@ -131,14 +129,8 @@ pub(super) fn finish_reads<S: StoragePlane>(
 
 /// The parallel half of one quorum read: vote over the fetched copies with
 /// the envelope check as the verifier, then decode, verify, and decrypt
-/// the winner as the reader. Author states come from the stage-A snapshot,
-/// not the live shards.
-fn finish_read(
-    snapshot: &Snapshot,
-    ctx: &WorkerCtx,
-    read_quorum: usize,
-    job: &ReadJob,
-) -> ReadOutcome {
+/// the winner as the reader. `home` is the author's home shard.
+fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcome {
     let author_id = UserId::from(job.author);
     if let Some(bytes) = &job.cached {
         // A hot-cached envelope gets the complete uncached treatment —
@@ -146,7 +138,7 @@ fn finish_read(
         // failure (tampered bytes, revoked reader, bad encoding) sends
         // the read back to the real quorum path: the cache accelerates
         // reads, it never relaxes what a served read proved.
-        return match open_envelope(snapshot, ctx, job, &author_id, bytes) {
+        return match open_envelope(home, ctx, job, &author_id, bytes) {
             // No quorum fetch happened, so there is nothing to repair.
             Ok(body) => ReadOutcome::Done(Ok(OpOutput::Read { body })),
             Err(DosnError::NotAuthorized(e)) => {
@@ -200,7 +192,7 @@ fn finish_read(
         Err(StorageError::NotFound(_)) => return ReadOutcome::NeedsFallback,
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
     };
-    match open_envelope(snapshot, ctx, job, &author_id, &winner) {
+    match open_envelope(home, ctx, job, &author_id, &winner) {
         Ok(body) => ReadOutcome::Verified { body, winner },
         Err(e) => ReadOutcome::Done(Err(e)),
     }
@@ -211,7 +203,7 @@ fn finish_read(
 /// `job.author`'s post `job.seq`, carry the author's valid signature, and
 /// decrypt for `job.reader`. Returns the post body.
 fn open_envelope(
-    snapshot: &Snapshot,
+    home: &Shard,
     ctx: &WorkerCtx,
     job: &ReadJob,
     author_id: &UserId,
@@ -219,8 +211,8 @@ fn open_envelope(
 ) -> Result<String, DosnError> {
     let (envelope, epoch) = SignedEnvelope::decode_wire(author_id, job.seq, sealed, &ctx.group)?;
     envelope.verify(&ctx.directory, None, u64::MAX - 1)?;
-    let author_state = snapshot
-        .get(author_id)
+    let author_state = home
+        .get(job.author)
         .ok_or_else(|| DosnError::UnknownUser(job.author.to_owned()))?;
     let plain = author_state.privacy.unseal(
         &author_state.friends_group,
@@ -243,7 +235,7 @@ fn settle_read<S: StoragePlane>(
     storage: &mut ReplicatedStore<S>,
     metrics: &mut Metrics,
     ctx: &WorkerCtx,
-    snapshot: &Snapshot,
+    home: &Shard,
     mut job: ReadJob,
     mut outcome: ReadOutcome,
 ) -> Result<OpOutput, DosnError> {
@@ -254,7 +246,7 @@ fn settle_read<S: StoragePlane>(
         job.cached = None;
         job.fetched = storage.fetch_copies(key, metrics);
         job.fetch_micros = elapsed_micros(started);
-        outcome = finish_read(snapshot, ctx, storage.read_quorum(), &job);
+        outcome = finish_read(home, ctx, storage.read_quorum(), &job);
     }
     match outcome {
         ReadOutcome::Done(r) => r,

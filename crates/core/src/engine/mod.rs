@@ -10,51 +10,49 @@
 //! ```text
 //!            OpBatch (Register | Befriend | Post | Comment | ReadPost)
 //!                │
-//!    plan       │  sequential: route each op to its author's shard;
+//!    plan        │  sequential: route each op to its author's shard;
 //!                ▼  every op's RNG is HKDF(seed, global op_index)
 //!  ┌─────────────────────────────────────────────────────────┐
-//!  │ prepare    parallel over shards (std::thread::scope,    │   stage A
+//!  │ prepare    parallel over shards (one `fan_out`,         │
 //!  │            round-robin shard→worker binning):           │
 //!  │            register keygen · post/comment encrypt+sign  │
 //!  │            (befriend links run in the sequential seam — │
 //!  │            they touch two users' shards at once)        │
 //!  └─────────────────────────────────────────────────────────┘
-//!                │ prepared records → CommitPlan (conflict waves
-//!                ▼ of per-shard queues; see `engine::commit`)
-//!    commit      wave-ordered per-shard queue drains: a commit    stage B
-//!                barrier only between ops whose key sets
-//!                intersect — disjoint queues commute, so drain
-//!                order is free (and audited under permutation)
+//!                │ sealed records, in op order
+//!                ▼ (then the feed cache answers the reads it can)
+//!    commit      sequential: one `ReplicatedStore::put_each` over the
+//!                records — storage is `&mut`, and every post has a
+//!                fresh wall key, so there is nothing to reorder; a
+//!                record that cannot be placed fails alone
 //!                │
 //!                ▼
 //!  ┌─────────────────────────────────────────────────────────┐
-//!  │ finish     fetch copies sequentially (storage is &mut), │   stage B
+//!  │ finish     fetch copies sequentially (storage is &mut), │
 //!  │            then parallel quorum votes + envelope        │
-//!  │            verification + decryption over a read-only   │
-//!  │            snapshot of the read authors' states         │
+//!  │            verification + decryption, each worker       │
+//!  │            borrowing its authors' home shards read-only │
 //!  └─────────────────────────────────────────────────────────┘
 //!                │
-//!                ▼  sequential: read-repairs, fallbacks, results
+//!                ▼  sequential: read-repairs, fallbacks, results,
+//!                   then the feed-cache fills
 //! ```
 //!
-//! Each phase is one file beside this one — `plan`, `prepare`, `commit`,
-//! `finish` — with `pipeline` moving a batch through them and holding the
-//! single worker fan-out both parallel phases share. All of them work on
-//! one record per user (`user`), kept in exactly one shard map.
-//!
-//! [`Engine::execute_all`] pipelines consecutive batches two-stage deep:
-//! while batch k runs its commit/finish (stage B, which only touches
-//! storage, metrics, and the moved-out author snapshot), batch k+1's plan
-//! and prepare (stage A, which only touches shards, graph, and directory)
-//! run concurrently — but only when batch k+1 mentions none of the users
-//! in batch k's snapshot, so overlapped execution is observationally
-//! identical to sequential execution.
+//! Each phase is one file beside this one — `plan`, `prepare`, `finish` —
+//! with `pipeline` holding [`Engine::execute`], which runs a batch through
+//! them (the commit is a dozen lines inside it), and the single worker
+//! fan-out both parallel phases share. All of them work on one record per
+//! user (`user`), kept in exactly one shard map. Batches run one after the
+//! other: [`Engine::execute_all`] is `execute` in a loop.
 //!
 //! # Determinism contract
 //!
 //! Every op draws its randomness from `HKDF(engine seed, global op index)`
 //! — never from a shared stream — and each user's ops execute in batch
-//! order inside the one shard that owns that user. Outputs (ciphertexts,
+//! order inside the one shard that owns that user. Everything that touches
+//! shared state (graph edges, storage writes, read-repairs, feed fills)
+//! happens on the calling thread in op order; worker outputs are re-sorted
+//! by op index before anything reads them. Outputs (ciphertexts,
 //! signatures, sequence numbers, storage records, [`BatchReport::digest`])
 //! are therefore **byte-identical for any worker count**, and a batch of
 //! one behaves exactly like the single-op facade calls. The global op
@@ -69,11 +67,10 @@
 //! in the same batch as its `Post` reads the committed record; a
 //! `Comment` after its `Post` attaches to it. Commit failures are
 //! isolated per op: a post whose replicas cannot be placed (its plane has
-//! no online nodes) reports its own storage error while sibling shard
-//! queues still commit.
+//! no online nodes) reports its own storage error while its siblings
+//! still commit.
 
 mod batch;
-pub mod commit;
 mod finish;
 mod pipeline;
 mod plan;
@@ -81,8 +78,7 @@ mod prepare;
 pub(crate) mod privacy_plane;
 mod user;
 
-pub use batch::{BatchReport, Op, OpBatch, OpOutput, OpTiming};
-pub use commit::{CommitEntry, CommitPlan};
+pub use batch::{BatchReport, Op, OpBatch, OpOutput};
 
 use crate::error::DosnError;
 use crate::feed::{FeedCache, FeedItem};
@@ -107,9 +103,8 @@ use user::UserState;
 /// Fixed shard count. Constant (and larger than any sensible worker
 /// count) so that the user→shard routing — and therefore every
 /// scheme-internal RNG sequence — is independent of how many workers the
-/// engine happens to run with. Public because [`OpTiming::shard`]
-/// consumers (the E14 throughput model) reproduce the engine's
-/// shard→worker chunking.
+/// engine happens to run with. Public because workload shapers spread
+/// authors over the shards.
 pub const NUM_SHARDS: usize = 32;
 
 /// One slice of per-user state: the records of the users routed here. A
@@ -119,9 +114,8 @@ type Shard = BTreeMap<UserId, UserState>;
 
 /// Stable user→shard routing: first eight big-endian bytes of
 /// `SHA-256(name)` mod [`NUM_SHARDS`]. Must never depend on registration
-/// order or worker count. Public because [`OpTiming::shard`] consumers
-/// (the E14 throughput model) reproduce the engine's shard→worker
-/// binning, and workload shapers use it to spread authors evenly.
+/// order or worker count. Public because workload shapers use it to spread
+/// authors evenly.
 pub fn shard_of(name: &str) -> usize {
     let digest = sha256(name.as_bytes());
     let mut eight = [0u8; 8];
@@ -200,7 +194,6 @@ pub struct Engine<S: StoragePlane> {
     graph: SocialGraph,
     metrics: Metrics,
     next_op_index: u64,
-    drain_seed: Option<u64>,
     /// Reader-side materialized timelines (L1). `None` = caching off; op
     /// outcomes are byte-identical either way (see [`crate::feed`]).
     feed: Option<FeedCache>,
@@ -228,8 +221,7 @@ impl<S: StoragePlane> Engine<S> {
         let obs = storage.obs().clone();
         // One process-wide group instance per size: engines share the
         // fixed-base table cache instead of each rebuilding its own
-        // generator/key tables (E14 counted 224 table misses from
-        // per-facade rebuilds of identical tables).
+        // generator/key tables.
         let group = SchnorrGroup::shared(GroupSize::Toy);
         group.register_obs(&obs);
         Engine {
@@ -246,7 +238,6 @@ impl<S: StoragePlane> Engine<S> {
             graph: SocialGraph::new(),
             metrics: Metrics::new(),
             next_op_index: 0,
-            drain_seed: None,
             feed: None,
         }
     }
@@ -299,21 +290,6 @@ impl<S: StoragePlane> Engine<S> {
     /// Whether finish-phase quorum reads use batched verification.
     pub fn batch_verify(&self) -> bool {
         self.ctx.batch_verify
-    }
-
-    /// Sets the adversarial-scheduler seed: with `Some(seed)`, the commit
-    /// phase drains each conflict wave's shard queues in a seeded
-    /// permutation instead of ascending shard order. Because same-wave
-    /// queues never share storage keys, **any** seed must produce the
-    /// same final stored state and digests — this hook exists so the
-    /// determinism suites can prove that, not to change behavior.
-    pub fn set_commit_drain_seed(&mut self, seed: Option<u64>) {
-        self.drain_seed = seed;
-    }
-
-    /// The configured commit drain-order seed, if any.
-    pub fn commit_drain_seed(&self) -> Option<u64> {
-        self.drain_seed
     }
 
     /// Sets the worker-thread count for the parallel phases (clamped to
@@ -500,7 +476,7 @@ mod tests {
     use dosn_crypto::sha256::Sha256;
     use dosn_overlay::storage::ChordPlane;
 
-    pub(super) fn engine(seed: u64) -> Engine<ChordPlane> {
+    fn engine(seed: u64) -> Engine<ChordPlane> {
         Engine::new(ReplicatedStore::new(ChordPlane::build(24, seed), 3), seed)
     }
 
@@ -528,6 +504,16 @@ mod tests {
         }
         assert_eq!(e.comments("alice", 0).len(), 1);
         assert_eq!(e.timeline("alice").unwrap().entries().len(), 1);
+        // Each phase is timed exactly once per batch.
+        let snap = e.obs().snapshot();
+        for phase in [
+            names::ENGINE_PLAN,
+            names::ENGINE_PREPARE,
+            names::ENGINE_COMMIT,
+            names::ENGINE_FINISH,
+        ] {
+            assert_eq!(snap.histograms[phase].count(), 1, "{phase}");
+        }
     }
 
     #[test]
@@ -600,24 +586,6 @@ mod tests {
         assert!(matches!(report.results[2], Err(DosnError::UnknownUser(_))));
         assert!(matches!(report.results[3], Ok(OpOutput::Posted { seq: 0 })));
         assert!(matches!(report.results[4], Ok(OpOutput::Read { .. })));
-    }
-
-    #[test]
-    fn drain_seed_never_changes_digests() {
-        let baseline = {
-            let mut e = engine(41);
-            e.execute(seeded_batch()).digest_hex()
-        };
-        for seed in [0u64, 1, 0xdead_beef] {
-            let mut e = engine(41);
-            e.set_commit_drain_seed(Some(seed));
-            assert_eq!(e.commit_drain_seed(), Some(seed));
-            assert_eq!(
-                e.execute(seeded_batch()).digest_hex(),
-                baseline,
-                "drain seed {seed} changed the digest"
-            );
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The prepare phase: the per-author crypto, parallel over shards — register
 //! keygen, then (after the sequential befriend seam, which touches two
 //! users' shards at once) post encrypt + sign + chain and comment attach —
-//! ending in the batch's [`CommitPlan`]. Touches shards, graph and (through
-//! the workers) the directory; never storage or metrics.
+//! ending in the batch's [`PreparedPosts`]. Touches shards, graph and
+//! (through the workers) the directory; never storage or metrics.
 
 use super::batch::{Op, OpOutput};
-use super::commit::{CommitEntry, CommitPlan};
 use super::pipeline::{fan_out, Batch, JobOut};
 use super::privacy_plane::PrivacyPlane;
 use super::user::UserState;
@@ -19,6 +18,7 @@ use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
 use dosn_crypto::keys::KeyDirectory;
 use dosn_obs::{names, Registry};
+use dosn_overlay::id::Key;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -79,20 +79,30 @@ enum WriteJob<'a> {
     },
 }
 
+/// The sealed post records awaiting commit, in `(op_idx, seq)` order — the
+/// order the commit phase writes them in. Two aligned lists, because
+/// `items` is the slice `ReplicatedStore::put_each` takes as is.
+pub(super) struct PreparedPosts {
+    /// Each record's op index and author-local sequence number.
+    pub(super) slots: Vec<(usize, u64)>,
+    /// Each record's wall key and wire-encoded bytes.
+    pub(super) items: Vec<(Key, Vec<u8>)>,
+}
+
 /// Runs the batch's registers, befriends, posts and comments (in that
 /// stage order, each stage validating its own ops first) and returns the
-/// commit plan for the prepared post records.
+/// prepared post records.
 pub(super) fn prepare_batch(
     shards: &mut [Shard],
     graph: &mut SocialGraph,
     ctx: &WorkerCtx,
     batch: &mut Batch,
-) -> CommitPlan {
+) -> PreparedPosts {
     let Batch {
         ops,
         base,
+        routes,
         results,
-        timings,
     } = batch;
     let (ops, base) = (ops.as_slice(), *base);
     let timer = ctx.obs.timer(names::ENGINE_PREPARE);
@@ -105,12 +115,12 @@ pub(super) fn prepare_batch(
         let Op::Register { name } = op else {
             continue;
         };
-        if shards[timings[i].shard].contains_key(name.as_str()) || !pending_names.insert(name) {
+        if shards[routes[i]].contains_key(name.as_str()) || !pending_names.insert(name) {
             results[i] = Some(Err(DosnError::UnknownUser(format!(
                 "{name} already registered"
             ))));
         } else {
-            registers[timings[i].shard].push((i, name));
+            registers[routes[i]].push((i, name));
         }
     }
     let registers = shards.iter_mut().zip(registers);
@@ -129,7 +139,6 @@ pub(super) fn prepare_batch(
     // the sharded workers.
     reg_outs.sort_unstable_by_key(|o| o.op_idx);
     for reg in reg_outs {
-        timings[reg.op_idx].prepare_micros = reg.micros;
         results[reg.op_idx] = Some(reg.out.map(|name| {
             graph.add_user(&UserId::from(name));
             OpOutput::Registered
@@ -153,8 +162,8 @@ pub(super) fn prepare_batch(
         let Op::Post { author, body } = op else {
             continue;
         };
-        if shards[timings[i].shard].contains_key(author.as_str()) {
-            write_jobs[timings[i].shard].push((i, WriteJob::Post { author, body }));
+        if shards[routes[i]].contains_key(author.as_str()) {
+            write_jobs[routes[i]].push((i, WriteJob::Post { author, body }));
         } else {
             // The old facade timed even rejected posts (its timer guard
             // predated the lookup).
@@ -185,22 +194,15 @@ pub(super) fn prepare_batch(
                     "{commenter} is not in {author}'s friends group"
                 ))));
             }
-            Ok(_) => write_jobs[timings[i].shard].push((i, job)),
+            Ok(_) => write_jobs[routes[i]].push((i, job)),
         }
     }
-    let stamps = &*timings;
     let writes = shards.iter_mut().zip(write_jobs);
     let mut write_outs = fan_out(ctx.workers, writes, |shard, (i, job)| match job {
         WriteJob::Post { author, body } => {
             let post = run_job(ctx, base, i, |rng| {
                 let (seq, record) = user_mut(shard, author)?.seal_post(body, &ctx.group, rng)?;
-                Ok(Some(CommitEntry {
-                    op_idx: i,
-                    seq,
-                    key: wall_key(author, seq),
-                    record,
-                    shard: stamps[i].shard,
-                }))
+                Ok(Some((seq, (wall_key(author, seq), record))))
             });
             ctx.obs.histogram(names::NET_POST).record(post.micros);
             post
@@ -218,18 +220,23 @@ pub(super) fn prepare_batch(
     });
     timer.observe();
 
-    // ---- commit plan: total (op_idx, seq) order + conflict waves ----
+    // An op seals at most one record, so op order is (op_idx, seq) order.
     write_outs.sort_unstable_by_key(|o| o.op_idx);
-    let mut entries: Vec<CommitEntry> = Vec::new();
+    let mut posts = PreparedPosts {
+        slots: Vec::new(),
+        items: Vec::new(),
+    };
     for write in write_outs {
-        timings[write.op_idx].prepare_micros = write.micros;
         match write.out {
-            Ok(Some(entry)) => entries.push(entry),
+            Ok(Some((seq, item))) => {
+                posts.slots.push((write.op_idx, seq));
+                posts.items.push(item);
+            }
             Ok(None) => results[write.op_idx] = Some(Ok(OpOutput::Commented)),
             Err(e) => results[write.op_idx] = Some(Err(e)),
         }
     }
-    CommitPlan::build(entries)
+    posts
 }
 
 /// The sequential befriend seam: graph edge plus mutual friends-group

@@ -1,15 +1,19 @@
 //! Property tests for the request engine's determinism contract: for any
-//! generated op batch, executing it on identically-seeded engines with 1,
-//! 2, and 8 workers must produce byte-identical [`BatchReport::digest`]s
-//! and variant-identical per-op results — worker count may only change
-//! wall-clock time, never behavior.
+//! generated op batch — or sequence of batches over a six-name universe
+//! that guarantees same-author collisions and cross-author comment/read
+//! targets — executing it on identically-seeded engines with 1, 2, and 8
+//! workers must produce byte-identical [`BatchReport::digest`]s,
+//! variant-identical per-op results and the same decryptable final state —
+//! worker count may only change wall-clock time, never behavior. Two
+//! pinned tests compare the engine with older code instead of with itself:
+//! golden digests and golden commit accounting.
 //!
 //! Failures print the per-case seed; re-run with `PROPTEST_SEED=<seed>` to
 //! replay the exact batch.
 
-use dosn_core::engine::{Engine, Op, OpBatch};
+use dosn_core::engine::{BatchReport, Engine, Op, OpBatch};
 use dosn_overlay::replication::ReplicatedStore;
-use dosn_overlay::storage::ChordPlane;
+use dosn_overlay::storage::{ChordPlane, StoragePlane};
 use proptest::prelude::*;
 
 /// A small closed user universe so generated ops hit registered and
@@ -50,6 +54,40 @@ fn engine(seed: u64, workers: usize) -> Engine<ChordPlane> {
     let mut e = Engine::new(ReplicatedStore::new(ChordPlane::build(24, seed), 3), seed);
     e.set_workers(workers);
     e
+}
+
+/// Splits an op stream into `batches` contiguous batches, preserving op
+/// order (so the global op index assigns identical per-op randomness on
+/// every engine under test).
+fn split(ops: &[Op], batches: usize) -> Vec<OpBatch> {
+    let chunk = ops.len().div_ceil(batches).max(1);
+    ops.chunks(chunk)
+        .map(|c| OpBatch::from_ops(c.to_vec()))
+        .collect()
+}
+
+/// A read of every plausible post by every reader: equal probe digests
+/// mean equal decryptable state, not merely equal reports. (Read outcomes
+/// never draw on the per-op RNG, so probe digests compare across engines
+/// at different global op indices.)
+fn probe() -> OpBatch {
+    let mut b = OpBatch::new();
+    for reader in NAMES {
+        for author in NAMES {
+            for seq in 0..2 {
+                b.push(Op::ReadPost {
+                    reader: (*reader).to_string(),
+                    author: (*author).to_string(),
+                    seq,
+                });
+            }
+        }
+    }
+    b
+}
+
+fn digests(reports: &[BatchReport]) -> Vec<String> {
+    reports.iter().map(|r| r.digest_hex()).collect()
 }
 
 proptest! {
@@ -146,38 +184,72 @@ proptest! {
             split.execute(OpBatch::from_ops(vec![op]));
         }
 
-        let probe = || {
-            let mut b = OpBatch::new();
-            for reader in NAMES {
-                for author in NAMES {
-                    for seq in 0..2 {
-                        b.push(Op::ReadPost {
-                            reader: (*reader).to_string(),
-                            author: (*author).to_string(),
-                            seq,
-                        });
-                    }
-                }
-            }
-            b
-        };
         // The probe itself consumes op indices, so run it from the same
         // global index on both engines: both executed the same op count.
         let whole_probe = whole.execute(probe());
         let split_probe = split.execute(probe());
         prop_assert_eq!(whole_probe.digest_hex(), split_probe.digest_hex());
     }
+
+    #[test]
+    fn batch_sequences_end_in_the_same_state_at_every_worker_count(
+        seed in 0u64..1_000_000,
+        ops in proptest::collection::vec(op(), 2..32),
+        nbatches in 1usize..4,
+    ) {
+        // Later batches build on what earlier ones left in the shards and
+        // in storage, so per-batch digests and the decrypting final-state
+        // probe must both agree with the one-worker engine.
+        let batches = split(&ops, nbatches);
+        let mut baseline = engine(seed, 1);
+        let base = digests(&baseline.execute_all(batches.clone()));
+        let base_probe = baseline.execute(probe()).digest_hex();
+        for workers in [2usize, 8] {
+            let mut e = engine(seed, workers);
+            prop_assert_eq!(
+                &digests(&e.execute_all(batches.clone())),
+                &base,
+                "batch digests diverged at {} workers",
+                workers
+            );
+            prop_assert_eq!(
+                e.execute(probe()).digest_hex(),
+                base_probe.clone(),
+                "final state diverged at {} workers",
+                workers
+            );
+        }
+    }
 }
 
-/// Golden digests for a fixed 5-user register / befriend / post / comment /
-/// read workload, captured from the engine *before* the one-record /
-/// one-roster / one-fan-out refactor (commit 88df712). Every other identity
-/// suite compares the engine with itself under a different knob; this one
-/// compares it with the old code, so a refactor that moves an RNG draw, an
-/// op index, or a stored byte fails here even if it does so consistently at
-/// every worker count.
+/// `execute_all` is `execute` in a loop, and asks nothing of the plane
+/// beyond [`StoragePlane`]: a boxed trait object is not `Send`.
 #[test]
-fn golden_batch_digests_are_pinned() {
+fn execute_all_over_a_non_send_plane_is_the_execute_loop() {
+    let boxed = |workers: usize| {
+        let plane: Box<dyn StoragePlane> = Box::new(ChordPlane::build(24, 31));
+        let mut e = Engine::new(ReplicatedStore::new(plane, 3), 31);
+        e.set_workers(workers);
+        e
+    };
+    let (setup, follow_up) = golden_batches();
+    let batches = vec![setup, follow_up, probe()];
+    for workers in [1usize, 2] {
+        let mut looped = boxed(workers);
+        let expected: Vec<_> = batches
+            .iter()
+            .map(|b| looped.execute(b.clone()))
+            .map(|r| (r.results, r.digest))
+            .collect();
+        let reports = boxed(workers).execute_all(batches.clone());
+        let got: Vec<_> = reports.into_iter().map(|r| (r.results, r.digest)).collect();
+        assert_eq!(got, expected, "{workers} workers");
+    }
+}
+
+/// The fixed 5-user register / befriend / post / comment / read workload
+/// behind the two pinned tests below.
+fn golden_batches() -> (OpBatch, OpBatch) {
     let setup = OpBatch::new()
         .read_post("bob", "alice", 0) // submitted first, served last
         .register("alice")
@@ -203,6 +275,18 @@ fn golden_batch_digests_are_pinned() {
         .comment("carol", "alice", 1, "late comment")
         .read_post("bob", "alice", 2)
         .read_post("dave", "dave", 0);
+    (setup, follow_up)
+}
+
+/// Golden digests for [`golden_batches`], captured from the engine *before*
+/// the one-record / one-roster / one-fan-out refactor (commit 88df712).
+/// Every other identity suite compares the engine with itself under a
+/// different knob; this one compares it with the old code, so a refactor
+/// that moves an RNG draw, an op index, or a stored byte fails here even if
+/// it does so consistently at every worker count.
+#[test]
+fn golden_batch_digests_are_pinned() {
+    let (setup, follow_up) = golden_batches();
     for workers in [1usize, 2, 8] {
         let mut e = engine(0x601D, workers);
         let first = e.execute(setup.clone());
@@ -219,5 +303,40 @@ fn golden_batch_digests_are_pinned() {
         );
         assert_eq!(e.comments("alice", 0).len(), 1);
         assert_eq!(e.timeline("alice").map(|t| t.entries().len()), Some(3));
+    }
+}
+
+/// Golden commit accounting for [`golden_batches`], captured at commit
+/// 2b6593e, where the commit phase drained per-shard queues in (wave,
+/// shard, op) order; it now writes in plain op order. Overlay message
+/// counts, bytes, simulated latency and the storage ledger are sums over
+/// the same per-key work, so the order must be invisible in all of them.
+#[test]
+fn golden_commit_accounting_is_order_free() {
+    let (setup, follow_up) = golden_batches();
+    for workers in [1usize, 2, 8] {
+        let mut e = engine(0x601D, workers);
+        e.execute(setup.clone());
+        e.execute(follow_up.clone());
+        let m = e.metrics();
+        assert_eq!(
+            (m.messages, m.bytes, m.latency_ms),
+            (78, 6867, 3758),
+            "{workers} workers"
+        );
+        let by_type: Vec<(&str, u64)> = m.by_type.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(
+            by_type,
+            [
+                ("chord.fetch", 24),
+                ("chord.hop", 42),
+                ("chord.store", 12),
+                ("get.quorum_size", 24),
+                ("store.replicas_written", 12),
+            ],
+            "{workers} workers"
+        );
+        let ledger = e.storage().accounting();
+        assert_eq!((ledger.total_bytes(), ledger.nodes_used()), (2643, 10));
     }
 }

@@ -318,3 +318,67 @@ fn read_feed_aggregates_the_latest_k_posts_per_friend() {
         "warm feed read must hit the cache"
     );
 }
+
+/// Revocation through a filled slice: bob's slice of alice's wall is warm
+/// when alice unfriends him. What he may still read afterwards is the
+/// privacy scheme's decision — the cache-off engine shows it — and the
+/// feed cache must not widen it: not for the post he cached, not for the
+/// post sealed after the revocation, and not if a fill were applied before
+/// the lookups of its own batch.
+#[test]
+fn revocation_reaches_through_a_filled_slice() {
+    for workers in [1usize, 2] {
+        let run = |cache: bool| {
+            let mut e = engine(17);
+            e.set_workers(workers);
+            if cache {
+                e.enable_feed_cache(64);
+            }
+            e.execute(
+                OpBatch::new()
+                    .register("alice")
+                    .register("bob")
+                    .befriend("alice", "bob", 0.9)
+                    .post("alice", "while friends"),
+            );
+            // Fills bob's slice (cache on), then hits it.
+            e.execute(OpBatch::new().read_post("bob", "alice", 0));
+            let warm = e.execute(OpBatch::new().read_post("bob", "alice", 0));
+            assert!(
+                matches!(&warm.results[0], Ok(OpOutput::Read { body }) if body == "while friends")
+            );
+            if cache {
+                assert!(e.feed_cache().unwrap().stats().hits > 0, "slice is warm");
+            }
+            e.unfriend("alice", "bob").unwrap();
+            let between = e.execute(OpBatch::new().read_post("bob", "alice", 0));
+            // The post and both reads share a batch: reads run after the
+            // post moved alice's chain head, so the slice must not answer.
+            let after = e.execute(
+                OpBatch::new()
+                    .read_post("bob", "alice", 1)
+                    .read_post("bob", "alice", 0)
+                    .post("alice", "after the revocation"),
+            );
+            let again = e.execute(
+                OpBatch::new()
+                    .read_post("bob", "alice", 1)
+                    .read_post("bob", "alice", 0)
+                    .read_post("alice", "alice", 1),
+            );
+            for report in [&after, &again] {
+                assert!(
+                    matches!(report.results[0], Err(DosnError::NotAuthorized(_))),
+                    "bob must not read the post sealed after his revocation \
+                     (cache {cache}, {workers} workers): {:?}",
+                    report.results[0]
+                );
+            }
+            assert!(
+                matches!(&again.results[2], Ok(OpOutput::Read { body }) if body == "after the revocation")
+            );
+            [between, after, again].map(|r| (r.results, r.digest))
+        };
+        assert_eq!(run(true), run(false), "{workers} workers");
+    }
+}

@@ -110,17 +110,16 @@ pub const NET_KEY_DISSEMINATION: &str = "net.key_dissemination";
 pub const ENGINE_PLAN: &str = "engine.plan";
 /// Batch prepare phase: parallel keygen + encrypt + sign, µs (histogram).
 pub const ENGINE_PREPARE: &str = "engine.prepare";
-/// Batch commit phase: wave-ordered per-shard queue drains, µs (histogram).
+/// Batch commit phase: the replicated puts of the sealed records, in op
+/// order, µs (histogram).
 pub const ENGINE_COMMIT: &str = "engine.commit";
-/// Shard commit queues drained per batch — the commit phase's parallel
-/// lanes (histogram).
-pub const ENGINE_COMMIT_SHARDS: &str = "engine.commit.shards";
 /// Batch finish phase: quorum reads, verify, decrypt, µs (histogram).
 pub const ENGINE_FINISH: &str = "engine.finish";
 /// Operations accepted by the engine (counter).
 pub const ENGINE_OPS: &str = "engine.ops";
-/// Batch pairs whose prepare/commit stages overlapped in the two-stage
-/// `execute_all` pipeline (counter).
+/// Retired: batches run one after the other, so nothing feeds this counter
+/// and it reads 0. The constant stays only because the `e18` benchmark
+/// imports it for its `engine.pipeline_overlaps` row; it is not in [`ALL`].
 pub const ENGINE_PIPELINE_OVERLAP: &str = "engine.pipeline.overlap";
 
 // ---- crypto ----
@@ -254,10 +253,8 @@ pub const ALL: &[&str] = &[
     ENGINE_PLAN,
     ENGINE_PREPARE,
     ENGINE_COMMIT,
-    ENGINE_COMMIT_SHARDS,
     ENGINE_FINISH,
     ENGINE_OPS,
-    ENGINE_PIPELINE_OVERLAP,
     CRYPTO_SCHNORR_VERIFY,
     CRYPTO_GROUP_TABLE_HIT,
     CRYPTO_GROUP_TABLE_MISS,

@@ -93,18 +93,20 @@ impl UnstructuredOverlay {
         self.neighbors.is_empty()
     }
 
-    /// The neighbor list of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for out-of-range nodes.
+    /// The neighbor list of `node` (empty for a node the overlay does not
+    /// have).
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.neighbors[node.0 as usize]
+        self.neighbors
+            .get(node.0 as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
-    /// Marks a node online/offline.
+    /// Marks a node online/offline (a no-op for a node the overlay does
+    /// not have).
     pub fn set_online(&mut self, node: NodeId, online: bool) {
-        self.online[node.0 as usize] = online;
+        if let Some(slot) = self.online.get_mut(node.0 as usize) {
+            *slot = online;
+        }
     }
 
     /// Registers that `holder` stores the content named by `key`.

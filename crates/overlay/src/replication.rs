@@ -232,9 +232,8 @@ impl<P: StoragePlane> ReplicatedStore<P> {
     /// Writes a batch of `(key, value)` records in input order with
     /// **per-entry error isolation**: an entry whose placement or writes
     /// fail yields an `Err` slot and the remaining entries still commit.
-    /// This is the shard-queue drain path of the batched request engine —
-    /// one call per shard commit queue — where a single poisoned op must
-    /// not abort its siblings. Replica selection runs once per key, and
+    /// This is the commit path of the batched request engine — one call
+    /// per batch — where a single poisoned op must not abort its siblings. Replica selection runs once per key, and
     /// one `store.put` timing covers the whole call.
     pub fn put_each(
         &mut self,

@@ -127,9 +127,11 @@ impl SuperPeerOverlay {
         self.supers[(key.0 as usize) % self.supers.len()]
     }
 
-    /// The super-peer a node talks to (itself if it is one).
-    pub fn super_of(&self, node: NodeId) -> NodeId {
-        self.peers[node.0 as usize].attached_to.unwrap_or(node)
+    /// The super-peer a node talks to (itself if it is one); `None` for a
+    /// node the overlay does not have.
+    pub fn super_of(&self, node: NodeId) -> Option<NodeId> {
+        let peer = self.peers.get(node.0 as usize)?;
+        Some(peer.attached_to.unwrap_or(node))
     }
 
     /// Announces that `holder` stores `key`: the index entry is placed on
@@ -242,7 +244,7 @@ impl SuperPeerOverlay {
         let mut crosses = |a: NodeId, b: NodeId, metrics: &mut Metrics| {
             LinkFaults::hop(&mut link, a, b, metrics, names::SUPER_RETRY, 32)
         };
-        let own_super = self.super_of(from);
+        let own_super = self.super_of(from)?;
         if own_super != from {
             if !crosses(from, own_super, metrics) {
                 return None;
@@ -382,7 +384,7 @@ mod tests {
         let net = SuperPeerOverlay::build(50, 5, 4);
         for i in 0..50 {
             let id = NodeId(i);
-            let sup = net.super_of(id);
+            let sup = net.super_of(id).unwrap();
             assert!(net.super_peers().contains(&sup));
             if net.super_peers().contains(&id) {
                 assert_eq!(sup, id);
@@ -411,7 +413,7 @@ mod tests {
         let searcher = (0..60)
             .map(NodeId)
             .find(|&n| {
-                let s = net.super_of(n);
+                let s = net.super_of(n).unwrap();
                 s != home && net.peers[s.0 as usize].online && net.peers[n.0 as usize].online
             })
             .expect("someone is attached elsewhere");

@@ -310,7 +310,7 @@ fn superpeer_search_fails_closed_on_partition_and_retries_loss() {
     let key = Key::hash(b"song");
     sp.publish(NodeId(9), key);
     let leaf = NodeId(17);
-    let own_super = sp.super_of(leaf);
+    let own_super = sp.super_of(leaf).unwrap();
 
     let mut cut = LinkFaults::reliable().with_partition([leaf], [own_super]);
     let mut m = Metrics::new();
@@ -423,9 +423,10 @@ fn reliable_faults_twin_matches_plain_entry_in_every_family() {
     );
 }
 
-/// A start node the overlay does not have is a typed miss on every routed
-/// entry point — `Err(UnknownNode)`, an empty vec, or `None` — never an
-/// index panic, and it costs no messages.
+/// A node the overlay does not have is a typed miss on every routed entry
+/// point and every by-id accessor — `Err(UnknownNode)`, an empty vec or
+/// slice, `None`, or a no-op — never an index panic, and it costs no
+/// messages.
 #[test]
 fn unknown_start_node_is_a_typed_miss_in_every_family() {
     let ghost = NodeId(u64::MAX - 1);
@@ -452,6 +453,7 @@ fn unknown_start_node_is_a_typed_miss_in_every_family() {
 
     let mut sp = SuperPeerOverlay::build(16, 2, 1);
     sp.publish(NodeId(3), key);
+    assert_eq!(sp.super_of(ghost), None);
     assert_eq!(sp.search(ghost, key, &mut m), None);
     assert_eq!(
         sp.search_with_faults(ghost, key, &mut m, &mut faults, 1),
@@ -460,6 +462,8 @@ fn unknown_start_node_is_a_typed_miss_in_every_family() {
 
     let mut net = UnstructuredOverlay::build(16, 3, 3);
     net.publish(NodeId(3), key);
+    assert!(net.neighbors(ghost).is_empty());
+    net.set_online(ghost, true);
     assert_eq!(net.flood_search(ghost, key, 4, &mut m), None);
     assert_eq!(
         net.flood_search_with_faults(ghost, key, 4, &mut m, &mut faults, 1),

@@ -3,12 +3,11 @@
 //!
 //! `DosnNetwork`'s single-op calls are batches of one; `execute` takes a
 //! whole [`OpBatch`] and runs it in phases — plan (route + validate),
-//! prepare (parallel crypto over 32 author shards), commit (per-shard
-//! queues drained in conflict waves, so only same-key ops are ordered),
-//! finish (parallel quorum-read verify + decrypt). Per-op randomness is
-//! HKDF-derived from a global op index, so the report digest depends
-//! only on the seed and the op sequence, never on worker count,
-//! commit drain order, or scheduling.
+//! prepare (parallel crypto over 32 author shards), commit (the sealed
+//! records written in op order), finish (parallel quorum-read verify +
+//! decrypt). Per-op randomness is HKDF-derived from a global op index, so
+//! the report digest depends only on the seed and the op sequence, never
+//! on worker count or scheduling.
 //!
 //! Run with: `cargo run --example batch_engine`
 

@@ -125,6 +125,12 @@ fn declared_names_are_actually_used_somewhere() {
         let Some((ident, tail)) = rest.split_once(':') else {
             continue;
         };
+        // Retired: fed by nothing and deliberately not in `ALL`; declared
+        // only because the `e18` benchmark package imports it.
+        if ident.trim() == "ENGINE_PIPELINE_OVERLAP" {
+            assert!(!names::ALL.contains(&names::ENGINE_PIPELINE_OVERLAP));
+            continue;
+        }
         if let Some(value) = tail.split('"').nth(1) {
             constants.push((ident.trim().to_string(), value.to_string()));
         }
