@@ -34,14 +34,11 @@ pub struct FixedBaseTable {
     ctx: ModContext,
     /// Reduced base, kept for the oversized-exponent fallback.
     base: BigUint,
-    /// `columns[i][d-1] = base^(d · 2^(WINDOW·i))` for `d` in `1..16`.
-    /// Stored in the Montgomery domain when `mont` is set.
+    /// `columns[i][d-1] = base^(d · 2^(WINDOW·i))` for `d` in `1..16`, held
+    /// in the domain `ctx` exponentiates in (see `ModContext::in_domain`).
     columns: Vec<Vec<BigUint>>,
     /// Exponent bit-widths covered by the table.
     covered_bits: u64,
-    /// Columns live in the Montgomery domain: accumulate with CIOS products
-    /// and convert once on the way out.
-    mont: bool,
 }
 
 impl FixedBaseTable {
@@ -49,37 +46,30 @@ impl FixedBaseTable {
     /// `max_exp_bits` bits (larger exponents fall back to
     /// [`ModContext::pow`]).
     pub fn new(ctx: &ModContext, base: &BigUint, max_exp_bits: u64) -> Self {
-        let base_red = ctx.reduce(base);
         let covered_bits = max_exp_bits.max(1);
         let ncols = covered_bits.div_ceil(WINDOW) as usize;
-        let mut columns = Vec::with_capacity(ncols);
-        let mc = ctx.montgomery();
-        let mut col_base = match mc {
-            Some(m) => m.to_mont(&base_red),
-            None => base_red.clone(),
-        };
-        let mul = |a: &BigUint, b: &BigUint| match mc {
-            Some(m) => m.mul(a, b),
-            None => ctx.mul(a, b),
-        };
-        for _ in 0..ncols {
-            let mut col = Vec::with_capacity((1 << WINDOW) - 1);
-            col.push(col_base.clone());
-            for d in 2..(1u64 << WINDOW) {
-                let prev = col.last().expect("column starts non-empty");
-                col.push(mul(prev, &col_base));
-                debug_assert_eq!(col.len() as u64, d);
+        let columns = ctx.in_domain(&[base], |b, d| {
+            let mut col_base = b[0].clone();
+            let mut columns = Vec::with_capacity(ncols);
+            for _ in 0..ncols {
+                let mut col = Vec::with_capacity((1 << WINDOW) - 1);
+                col.push(col_base.clone());
+                for digit in 2..(1u64 << WINDOW) {
+                    let prev = col.last().expect("column starts non-empty");
+                    col.push((d.mul)(prev, &col_base));
+                    debug_assert_eq!(col.len() as u64, digit);
+                }
+                // Next column's unit is base^(2^(WINDOW·(i+1))) = col_base^16.
+                col_base = (d.mul)(col.last().expect("full column"), &col_base);
+                columns.push(col);
             }
-            // Next column's unit is base^(2^(WINDOW·(i+1))) = col_base^16.
-            col_base = mul(col.last().expect("full column"), &col_base);
-            columns.push(col);
-        }
+            columns
+        });
         FixedBaseTable {
             ctx: ctx.clone(),
-            base: base_red,
+            base: ctx.reduce(base),
             columns,
             covered_bits,
-            mont: mc.is_some(),
         }
     }
 
@@ -102,31 +92,26 @@ impl FixedBaseTable {
         if exp.bits() > self.covered_bits {
             return self.ctx.pow(&self.base, exp);
         }
-        let mc = self.ctx.montgomery().filter(|_| self.mont);
-        let mut result: Option<BigUint> = None;
-        for (i, col) in self.columns.iter().enumerate() {
-            let lo = i as u64 * WINDOW;
-            let mut digit = 0u64;
-            for b in 0..WINDOW {
-                digit |= u64::from(exp.bit(lo + b)) << b;
+        // The columns are in the domain already: nothing to bring in.
+        self.ctx.in_domain(&[], |_, d| {
+            let mut result: Option<BigUint> = None;
+            for (i, col) in self.columns.iter().enumerate() {
+                let lo = i as u64 * WINDOW;
+                let mut digit = 0u64;
+                for b in 0..WINDOW {
+                    digit |= u64::from(exp.bit(lo + b)) << b;
+                }
+                if digit != 0 {
+                    let entry = &col[(digit - 1) as usize];
+                    result = Some(match result.take() {
+                        Some(r) => (d.mul)(&r, entry),
+                        None => entry.clone(),
+                    });
+                }
             }
-            if digit != 0 {
-                let entry = &col[(digit - 1) as usize];
-                result = Some(match result.take() {
-                    Some(r) => match mc {
-                        Some(m) => m.mul(&r, entry),
-                        None => self.ctx.mul(&r, entry),
-                    },
-                    None => entry.clone(),
-                });
-            }
-        }
-        match (result, mc) {
-            (Some(r), Some(m)) => m.from_mont(&r),
-            (Some(r), None) => r,
             // No non-zero digit means exp == 0.
-            (None, _) => BigUint::one(),
-        }
+            result.map_or_else(BigUint::one, |r| (d.leave)(&r))
+        })
     }
 }
 

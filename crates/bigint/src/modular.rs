@@ -3,7 +3,7 @@
 
 use crate::barrett::BarrettReducer;
 use crate::montgomery::MontgomeryContext;
-use crate::BigUint;
+use crate::{window, BigUint};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -23,9 +23,7 @@ use std::sync::Arc;
 /// `reduce`/`mul` stay on Barrett/division (no chain to amortize the
 /// Montgomery conversion against). All exponentiation is sliding-window
 /// (see `crate::window`); [`ModContext::pow_multi`] evaluates products
-/// `∏ bᵢ^eᵢ` with Shamir's trick so the squaring chain is shared, and
-/// [`ModContext::pow_multi_any`] lifts the 6-base cap with an interleaved
-/// (Straus) kernel for the wide products batch verification builds.
+/// `∏ bᵢ^eᵢ` over one shared squaring chain, for any number of bases.
 ///
 /// ```
 /// use dosn_bigint::{BigUint, ModContext};
@@ -77,6 +75,14 @@ impl ExpStats {
     pub fn total(&self) -> u64 {
         self.montgomery_pows + self.barrett_pows + self.division_pows
     }
+}
+
+/// The arithmetic of one kernel run, as [`ModContext::in_domain`] chose it.
+pub(crate) struct Domain<'a> {
+    /// Product of two values of the domain.
+    pub(crate) mul: &'a dyn Fn(&BigUint, &BigUint) -> BigUint,
+    /// Takes a value of the domain back to its plain residue.
+    pub(crate) leave: &'a dyn Fn(&BigUint) -> BigUint,
 }
 
 impl ModContext {
@@ -135,9 +141,33 @@ impl ModContext {
         c.fetch_add(1, AtomicOrdering::Relaxed);
     }
 
-    /// The Montgomery backend, when this modulus selected one.
-    pub(crate) fn montgomery(&self) -> Option<&MontgomeryContext> {
-        self.mont.as_ref()
+    /// Runs one exponentiation kernel in this modulus's arithmetic — the one
+    /// place that chooses between the Montgomery domain and plain
+    /// Barrett/division products. `bases` are reduced and brought into the
+    /// domain; the kernel multiplies with `Domain::mul` and takes whatever it
+    /// hands back to callers out through `Domain::leave`.
+    pub(crate) fn in_domain<T>(
+        &self,
+        bases: &[&BigUint],
+        kernel: impl FnOnce(Vec<BigUint>, Domain<'_>) -> T,
+    ) -> T {
+        let reduced = bases.iter().map(|b| self.reduce(b));
+        match &self.mont {
+            Some(m) => kernel(
+                reduced.map(|b| m.to_mont(&b)).collect(),
+                Domain {
+                    mul: &|a, b| m.mul(a, b),
+                    leave: &|x| m.from_mont(x),
+                },
+            ),
+            None => kernel(
+                reduced.collect(),
+                Domain {
+                    mul: &|a, b| self.mul(a, b),
+                    leave: &|x| x.clone(),
+                },
+            ),
+        }
     }
 
     /// Reduces `x` modulo the context's modulus.
@@ -162,81 +192,33 @@ impl ModContext {
         if exp.is_zero() {
             return BigUint::one();
         }
-        let base = self.reduce(base);
-        match &self.mont {
-            Some(m) => {
-                let bm = m.to_mont(&base);
-                m.from_mont(&crate::window::pow_sliding(&bm, exp, |a, b| m.mul(a, b)))
-            }
-            None => crate::window::pow_sliding(&base, exp, |a, b| self.mul(a, b)),
-        }
+        self.in_domain(&[base], |b, d| {
+            (d.leave)(&window::pow_sliding(&b[0], exp, d.mul))
+        })
     }
 
-    /// Simultaneous multi-exponentiation: `∏ bases[k]^exps[k] mod m` via
-    /// Shamir's trick (one shared squaring chain plus a subset-product
-    /// table), ~40% faster than evaluating the powers separately for the
-    /// two-base verification products the crypto layer uses.
+    /// Multi-exponentiation: `∏ bases[k]^exps[k] mod m` over one shared
+    /// squaring chain, ~40% faster than evaluating the powers separately for
+    /// the two-base verification products the crypto layer uses.
     ///
-    /// # Panics
-    ///
-    /// Panics if more than 6 pairs are supplied (the subset table grows as
-    /// `2^n`; [`ModContext::pow_multi_any`] handles larger products).
+    /// Up to 6 pairs run Shamir's trick (a subset-product table, which
+    /// grows as `2^n`); wider products — batch Schnorr verification folds
+    /// dozens of commitments with 128-bit coefficients — run the interleaved
+    /// Straus kernel (a per-base odd-power table).
     pub fn pow_multi(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
         self.count_pow();
         if self.modulus.is_one() {
             return BigUint::zero();
         }
-        let exps: Vec<&BigUint> = pairs.iter().map(|(_, e)| *e).collect();
-        match &self.mont {
-            Some(m) => {
-                let bases: Vec<BigUint> = pairs
-                    .iter()
-                    .map(|(b, _)| m.to_mont(&self.reduce(b)))
-                    .collect();
-                crate::window::pow_simultaneous(&bases, &exps, |a, b| m.mul(a, b))
-                    .map(|r| m.from_mont(&r))
-                    .unwrap_or_else(BigUint::one)
-            }
-            None => {
-                let bases: Vec<BigUint> = pairs.iter().map(|(b, _)| self.reduce(b)).collect();
-                crate::window::pow_simultaneous(&bases, &exps, |a, b| self.mul(a, b))
-                    .unwrap_or_else(BigUint::one)
-            }
-        }
-    }
-
-    /// Multi-exponentiation without the 6-base cap: `∏ bases[k]^exps[k]`.
-    ///
-    /// Small products route to [`ModContext::pow_multi`] (subset-product
-    /// table); larger ones use the interleaved Straus kernel — a per-base
-    /// odd-power table plus one shared squaring chain — which is what makes
-    /// batch Schnorr verification (dozens of commitments with 128-bit
-    /// coefficients) cheaper than per-signature verify.
-    pub fn pow_multi_any(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
-        if pairs.len() <= 6 {
-            return self.pow_multi(pairs);
-        }
-        self.count_pow();
-        if self.modulus.is_one() {
-            return BigUint::zero();
-        }
-        let exps: Vec<&BigUint> = pairs.iter().map(|(_, e)| *e).collect();
-        match &self.mont {
-            Some(m) => {
-                let bases: Vec<BigUint> = pairs
-                    .iter()
-                    .map(|(b, _)| m.to_mont(&self.reduce(b)))
-                    .collect();
-                crate::window::pow_interleaved(&bases, &exps, |a, b| m.mul(a, b))
-                    .map(|r| m.from_mont(&r))
-                    .unwrap_or_else(BigUint::one)
-            }
-            None => {
-                let bases: Vec<BigUint> = pairs.iter().map(|(b, _)| self.reduce(b)).collect();
-                crate::window::pow_interleaved(&bases, &exps, |a, b| self.mul(a, b))
-                    .unwrap_or_else(BigUint::one)
-            }
-        }
+        let (bases, exps): (Vec<&BigUint>, Vec<&BigUint>) = pairs.iter().copied().unzip();
+        self.in_domain(&bases, |b, d| {
+            let product = if b.len() <= window::SIMULTANEOUS_MAX {
+                window::pow_simultaneous(&b, &exps, d.mul)
+            } else {
+                window::pow_interleaved(&b, &exps, d.mul)
+            };
+            product.map_or_else(BigUint::one, |r| (d.leave)(&r))
+        })
     }
 
     /// Builds a fixed-base precomputation table for `base`, covering
@@ -341,7 +323,7 @@ impl BigUint {
             return BigUint::one();
         }
         let base = self % modulus;
-        crate::window::pow_sliding(&base, exponent, |a, b| &(a * b) % modulus)
+        window::pow_sliding(&base, exponent, |a, b| &(a * b) % modulus)
     }
 
     /// Greatest common divisor (Euclid's algorithm).
@@ -587,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn pow_multi_any_matches_separate_pows_past_subset_cap() {
+    fn pow_multi_matches_separate_pows_past_subset_cap() {
         use crate::ModContext;
         let m = (BigUint::one() << 128) + BigUint::one();
         let ctx = ModContext::new(&m);
@@ -596,13 +578,14 @@ mod tests {
             .collect();
         let pairs: Vec<(&BigUint, &BigUint)> =
             pairs_owned.iter().map(|(base, e)| (base, e)).collect();
-        let mut expect = BigUint::one();
-        for (base, e) in &pairs_owned {
-            expect = ctx.mul(&expect, &ctx.pow(base, e));
+        // Every width on both sides of the kernel choice.
+        for n in 0..=pairs.len() {
+            let mut expect = BigUint::one();
+            for (base, e) in &pairs_owned[..n] {
+                expect = ctx.mul(&expect, &ctx.pow(base, e));
+            }
+            assert_eq!(ctx.pow_multi(&pairs[..n]), expect, "{n} pairs");
         }
-        assert_eq!(ctx.pow_multi_any(&pairs), expect);
-        // The small-product route delegates to pow_multi.
-        assert_eq!(ctx.pow_multi_any(&pairs[..3]), ctx.pow_multi(&pairs[..3]));
     }
 
     #[test]

@@ -85,6 +85,10 @@ where
     result.expect("non-zero exponent has at least one set bit")
 }
 
+/// Widest product [`pow_simultaneous`] takes: its subset table has `2^n − 1`
+/// entries, so past this [`pow_interleaved`] is the cheaper kernel.
+pub(crate) const SIMULTANEOUS_MAX: usize = 6;
+
 /// Simultaneous (Shamir's-trick) multi-exponentiation:
 /// `∏ bases[k]^exps[k]` under `mul`, sharing one squaring chain.
 ///
@@ -93,15 +97,15 @@ where
 /// multiplication per bit position, instead of a full squaring chain per
 /// base. Returns `None` when every exponent is zero (the caller supplies the
 /// reduced identity). Contract: bases are reduced, modulus > 1, and
-/// `bases.len() == exps.len()` with at most 6 bases.
+/// `bases.len() == exps.len()` with at most [`SIMULTANEOUS_MAX`] bases.
 pub(crate) fn pow_simultaneous<M>(bases: &[BigUint], exps: &[&BigUint], mul: M) -> Option<BigUint>
 where
     M: Fn(&BigUint, &BigUint) -> BigUint,
 {
     assert_eq!(bases.len(), exps.len(), "bases/exponents length mismatch");
     assert!(
-        bases.len() <= 6,
-        "subset table grows as 2^n; split the product"
+        bases.len() <= SIMULTANEOUS_MAX,
+        "subset table grows as 2^n; wider products take pow_interleaved"
     );
     let max_bits = exps.iter().map(|e| e.bits()).max().unwrap_or(0);
     if max_bits == 0 {
@@ -148,7 +152,7 @@ where
 /// `∏ bases[k]^exps[k]` under `mul`, sharing one squaring chain.
 ///
 /// Where [`pow_simultaneous`] precomputes the `2^n − 1` subset products (and
-/// so caps at 6 bases), this variant keeps a per-base odd-power table and
+/// so caps at [`SIMULTANEOUS_MAX`] bases), this variant keeps a per-base odd-power table and
 /// decomposes each exponent offline into sliding-window terms
 /// `digit · 2^shift`; the joint top-down pass squares once per bit position
 /// of the longest exponent and multiplies each term in at its shift. Cost is

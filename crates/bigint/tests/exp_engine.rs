@@ -93,6 +93,28 @@ proptest! {
         };
         prop_assert_eq!(got, expect);
     }
+
+    #[test]
+    fn seven_pair_multi_exp_matches_product_of_naive(
+        seeds in proptest::collection::vec((0u64.., 0u64..), 7..8),
+        m_bytes in proptest::collection::vec(any::<u8>(), 1..24),
+    ) {
+        // One pair past the subset-table kernel, over any modulus (even,
+        // single-limb and 1 included), so the plain-product domain runs the
+        // interleaved kernel too.
+        let m = uint(&m_bytes);
+        prop_assume!(!m.is_zero());
+        let owned: Vec<(BigUint, BigUint)> = seeds
+            .iter()
+            .map(|&(b, e)| (BigUint::from(b), BigUint::from(e)))
+            .collect();
+        let pairs: Vec<(&BigUint, &BigUint)> = owned.iter().map(|(b, e)| (b, e)).collect();
+        let mut expect = &BigUint::one() % &m;
+        for (b, e) in &owned {
+            expect = &(&expect * &naive_modpow(b, e, &m)) % &m;
+        }
+        prop_assert_eq!(ModContext::new(&m).pow_multi(&pairs), expect);
+    }
 }
 
 #[test]

@@ -116,10 +116,17 @@ pub(super) fn finish_reads<S: StoragePlane>(
         ctx.obs
             .histogram(names::NET_READ_POST_QUORUM)
             .record(read.micros);
-        if result.is_err() {
+        if matches!(
+            result,
+            Err(DosnError::IntegrityViolation(_)
+                | DosnError::MalformedEnvelope(_)
+                | DosnError::ContentUnavailable(_))
+        ) {
             // Adversarial or unavailable replicas: the read refused to
             // return unverified bytes. E17 gates on this staying the *only*
-            // failure mode under tampering (never a wrong plaintext).
+            // failure mode under tampering (never a wrong plaintext). A
+            // refusal the replicas had no part in (reader not authorized,
+            // unknown user) is not counted.
             ctx.obs.counter(names::ENGINE_READ_FAIL_CLOSED).add(1);
         }
         batch.results[read.op_idx] = Some(result);

@@ -5,6 +5,7 @@
 
 use dosn_core::engine::{wall_key, Engine, OpBatch, OpOutput};
 use dosn_core::DosnError;
+use dosn_obs::names;
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::ReplicatedStore;
@@ -42,6 +43,38 @@ fn every_replica_offline_rejects_writes_and_reads_but_not_registration() {
         "read against a dark plane: {:?}",
         report.results[4]
     );
+    // Unavailable replicas are what the fail-closed counter is for.
+    assert_eq!(e.obs().counter(names::ENGINE_READ_FAIL_CLOSED).get(), 1);
+}
+
+#[test]
+fn a_refused_reader_is_not_a_fail_closed_read() {
+    // Healthy replicas, a verifiable post — and a reader who is simply not
+    // in the author's group. That refusal says nothing about the replicas.
+    let mut e = Engine::new(ReplicatedStore::new(ChordPlane::build(16, 7), 3), 7);
+    let report = e.execute(
+        OpBatch::new()
+            .register("alice")
+            .register("bob")
+            .register("mallory")
+            .befriend("alice", "bob", 0.9)
+            .post("alice", "friends only")
+            .read_post("mallory", "alice", 0)
+            .read_post("nobody", "alice", 0)
+            .read_post("bob", "alice", 0),
+    );
+    assert!(
+        matches!(report.results[5], Err(DosnError::NotAuthorized(_))),
+        "a stranger's read: {:?}",
+        report.results[5]
+    );
+    assert!(
+        matches!(report.results[6], Err(DosnError::UnknownUser(_))),
+        "an unregistered reader: {:?}",
+        report.results[6]
+    );
+    assert!(matches!(report.results[7], Ok(OpOutput::Read { .. })));
+    assert_eq!(e.obs().counter(names::ENGINE_READ_FAIL_CLOSED).get(), 0);
 }
 
 /// A plane wrapper that refuses replica placement for one key — the

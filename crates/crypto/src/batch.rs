@@ -13,10 +13,10 @@
 //! Each individually valid signature satisfies `g^{sᵢ}·yⱼ^{eᵢ} = rᵢ`, so the
 //! combined equation holds; conversely any invalid item makes it fail except
 //! with probability `2⁻¹²⁸` over the `zᵢ`. The wins stack: the left side is
-//! a handful of table-served fixed bases, the right side rides one
-//! interleaved multi-exp whose exponents are only 128 bits wide (against
-//! full-width `q` for per-item verification), and byte-identical quorum
-//! copies are deduplicated before any group operation.
+//! one table-served `g` pow plus one multi-exp over the distinct keys, the
+//! right side rides one interleaved multi-exp whose exponents are only 128
+//! bits wide (against full-width `q` for per-item verification), and
+//! byte-identical quorum copies are deduplicated before any group operation.
 //!
 //! The coefficients are drawn from a ChaCha stream seeded by a transcript
 //! hash over every item — deterministic for a given batch (reproducible
@@ -256,7 +256,8 @@ fn combined_check_refs(group: &SchnorrGroup, uniques: &[&UniqueItem<'_>]) -> boo
         *b = &*b % q;
     }
 
-    // LHS: g^A · ∏ yⱼ^Bⱼ — fixed bases, table-served when cached.
+    // LHS: g^A · ∏ yⱼ^Bⱼ — `g` from its table, the distinct keys in one
+    // multi-exp.
     let mut lhs_pairs: Vec<(&BigUint, &BigUint)> = Vec::with_capacity(1 + per_key.len());
     lhs_pairs.push((group.generator(), &a));
     for (y, b) in &per_key {

@@ -80,9 +80,6 @@ impl ElGamalKeyPair {
     pub fn generate(group: SchnorrGroup, rng: &mut SecureRng) -> Self {
         let x = group.random_scalar(rng);
         let y = group.pow_g(&x);
-        // The public element is exponentiated on every encryption to this
-        // key; precompute its fixed-base table.
-        group.cache_base(&y);
         ElGamalKeyPair {
             public: ElGamalPublicKey {
                 group: group.clone(),
@@ -177,7 +174,6 @@ impl ElGamalSecretKey {
     /// The public key corresponding to this secret.
     pub fn public(&self) -> ElGamalPublicKey {
         let y = self.group.pow_g(&self.x);
-        self.group.cache_base(&y);
         ElGamalPublicKey {
             group: self.group.clone(),
             y,

@@ -71,9 +71,6 @@ impl SigningKey {
     /// the identity-based layer and by per-post relation keys).
     pub fn from_scalar(group: SchnorrGroup, x: BigUint) -> Self {
         let y = group.pow_g(&x);
-        // y is exponentiated on every verification under this key;
-        // precompute its fixed-base table.
-        group.cache_base(&y);
         SigningKey {
             vk: VerifyingKey {
                 group: group.clone(),
@@ -143,7 +140,6 @@ impl VerifyingKey {
                 "verification key is not a group element".into(),
             ));
         }
-        group.cache_base(&y);
         Ok(VerifyingKey { group, y })
     }
 

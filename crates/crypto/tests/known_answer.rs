@@ -2,7 +2,8 @@
 //! published vectors: SHA-256 (FIPS 180-4 / NIST CAVP), HMAC-SHA-256
 //! (RFC 4231), HKDF-SHA-256 (RFC 5869), and ChaCha20 (RFC 8439). A wrong
 //! constant anywhere in the compression/rounds shows up here, not three
-//! layers up in a privacy-scheme test.
+//! layers up in a privacy-scheme test. The last test pins this crate's own
+//! Schnorr bytes and batch verdicts for a seeded key.
 
 use dosn_crypto::chacha::chacha20_xor;
 use dosn_crypto::hmac::{hkdf, hkdf_extract, hmac_sha256, HmacSha256};
@@ -240,4 +241,63 @@ fn chacha20_rfc8439_appendix_a1_vector2_counter_one() {
              29b721769ce64e43d57133b074d839d531ed1f28510afb45ace10a1f4b794d6f"
         )
     );
+}
+
+// ---------------------------------------------------------------------------
+// Schnorr — not a published vector: bytes and verdicts captured at commit
+// 68afb98, when every public key still got its own fixed-base table. They pin
+// that serving `y^e` from a windowed pow instead changes no value.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn schnorr_seeded_signature_and_batch_verdict_are_pinned() {
+    use dosn_crypto::batch::{batch_verify, BatchFailure};
+    use dosn_crypto::chacha::SecureRng;
+    use dosn_crypto::group::SchnorrGroup;
+    use dosn_crypto::schnorr::{Signature, SigningKey};
+
+    let group = SchnorrGroup::toy();
+    let sk = SigningKey::from_seed(group.clone(), b"one table per group");
+    let vk = sk.verifying_key();
+    let mut rng = SecureRng::seed_from_u64(15);
+    let msgs: [&[u8]; 3] = [b"wall/alice/0", b"wall/alice/1", b"wall/alice/2"];
+    let sigs: Vec<Signature> = msgs.iter().map(|m| sk.sign(m, &mut rng)).collect();
+
+    assert_eq!(
+        group.element_bytes(vk.element()),
+        unhex("40eaf1edc30fe809ba060147d07b3468ef88443da674e1cbfdea3bb2e6f1fd7c")
+    );
+    assert_eq!(
+        sigs[0].to_bytes(&group),
+        unhex(
+            "66ed024552d7831bead49082c3a57e0e5e6c70d0b056cfef011da46f99478067\
+             5b3964f22ac98d7e8873eeb8d5f128e03435e6cf56680427f2138343ed41a18b"
+        )
+    );
+    assert_eq!(
+        sigs[2].to_bytes(&group),
+        unhex(
+            "3b457cc4ebbaca7d270925dc1d2d130337d4b45d8d7cb1c7ba8cb2a44f3f7e6f\
+             536aead5b50ef3d9c9cc0102136c3e15175a9242b2b63bb5d4e84829a0aca889"
+        )
+    );
+
+    for (m, s) in msgs.iter().zip(&sigs) {
+        assert_eq!(vk.verify(m, s), Ok(()));
+    }
+    assert!(vk.verify(msgs[1], &sigs[0]).is_err());
+
+    let items = [
+        (vk, msgs[0], &sigs[0]),
+        (vk, msgs[1], &sigs[1]),
+        (vk, msgs[2], &sigs[2]),
+    ];
+    assert_eq!(batch_verify(&items), Ok(()));
+    // One forged item: the RLC check fails and bisection names exactly it.
+    let forged = [
+        items[0],
+        (vk, b"wall/mallory/1".as_slice(), &sigs[1]),
+        items[2],
+    ];
+    assert_eq!(batch_verify(&forged), Err(BatchFailure { failed: vec![1] }));
 }

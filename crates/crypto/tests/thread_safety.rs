@@ -1,14 +1,15 @@
 //! Thread-safety guarantees the batched request engine relies on.
 //!
 //! The engine's prepare/finish phases clone `SchnorrGroup` handles into
-//! scoped worker threads, so the shared caches added in PR 2/PR 4 (the
-//! generator table, the bounded public-key table cache, the Barrett
-//! context, the hit/miss counters) must be `Send + Sync` and must stay
-//! consistent under concurrent use. The first half of this file is a
-//! compile-time assertion set; the second half hammers the pow cache from
-//! many threads and checks the counters add up.
+//! scoped worker threads, so what a group shares between its clones (the
+//! generator's fixed-base table behind a `OnceLock`, the `ModContext`, the
+//! hit/miss counters — there is no other table, lock or map) must be
+//! `Send + Sync` and must stay consistent under concurrent use. The first
+//! half of this file is a compile-time assertion set; the second half
+//! hammers `pow` / `pow_g` / `multi_pow` from many threads and checks the
+//! counters add up.
 
-use dosn_bigint::{BigUint, FixedBaseTable, ModContext};
+use dosn_bigint::{FixedBaseTable, ModContext};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
 use dosn_obs::Registry;
@@ -33,80 +34,45 @@ fn pow_cache_counters_consistent_under_concurrency() {
     let group = SchnorrGroup::toy();
     let mut rng = SecureRng::seed_from_u64(0xCAFE);
 
-    // Pin one cached base (plus the generator) and one uncached base.
-    let cached_exp = group.random_scalar(&mut rng);
-    let cached = group.pow_g(&cached_exp);
-    group.cache_base(&cached);
-    let uncached_exp = group.random_scalar(&mut rng);
-    let uncached = group.pow_g(&uncached_exp);
+    // Two public keys, used over and over: they miss every time, only the
+    // generator hits.
+    let y = group.pow_g(&group.random_scalar(&mut rng));
+    let z = group.pow_g(&group.random_scalar(&mut rng));
 
     const THREADS: usize = 8;
     const ITERS: u64 = 50;
 
-    let expected: Vec<BigUint> = {
-        let mut rng = SecureRng::seed_from_u64(1);
-        let e = group.random_scalar(&mut rng);
-        vec![group.pow(&cached, &e), group.pow(&uncached, &e)]
-    };
+    let e = group.random_scalar(&mut SecureRng::seed_from_u64(1));
+    let expected = [
+        group.pow(&y, &e),
+        group.pow_g(&e),
+        group.multi_pow(&[(&y, &e), (group.generator(), &e), (&z, &e)]),
+    ];
     let (h0, m0) = group.pow_cache_stats();
 
     thread::scope(|s| {
         for t in 0..THREADS {
-            let group = group.clone();
-            let cached = cached.clone();
-            let uncached = uncached.clone();
-            let expected = expected.clone();
+            let (group, y, z, e, expected) = (group.clone(), &y, &z, &e, &expected);
             s.spawn(move || {
                 for i in 0..ITERS {
-                    let mut rng = SecureRng::seed_from_u64(1);
-                    let e = group.random_scalar(&mut rng);
-                    assert_eq!(group.pow(&cached, &e), expected[0], "thread {t} iter {i}");
-                    assert_eq!(group.pow(&uncached, &e), expected[1], "thread {t} iter {i}");
-                    // Re-caching an already-cached base must be a no-op.
-                    group.cache_base(&cached);
+                    assert_eq!(group.pow(y, e), expected[0], "thread {t} iter {i}");
+                    assert_eq!(group.pow_g(e), expected[1], "thread {t} iter {i}");
+                    assert_eq!(
+                        group.multi_pow(&[(y, e), (group.generator(), e), (z, e)]),
+                        expected[2],
+                        "thread {t} iter {i}"
+                    );
                 }
             });
         }
     });
 
-    // Every cached-base pow is a hit, every uncached-base pow a miss, and
-    // no update was lost to a race: the counters must account for exactly
+    // Per iteration: `g` is served from its table twice (pow_g, multi_pow)
+    // and three other-base exponentiations miss (pow, two in multi_pow). No
+    // update was lost to a race: the counters account for exactly
     // THREADS * ITERS of each on top of the baseline.
     let (h1, m1) = group.pow_cache_stats();
     let n = (THREADS as u64) * ITERS;
-    assert_eq!(h1 - h0, n, "lost or spurious cache hits");
-    assert_eq!(m1 - m0, n, "lost or spurious cache misses");
-}
-
-#[test]
-fn concurrent_cache_base_respects_capacity_and_determinism() {
-    let group = SchnorrGroup::toy();
-    let mut rng = SecureRng::seed_from_u64(7);
-
-    // More distinct bases than MAX_CACHED_BASES (16), each raced by two
-    // threads. The cache must stay bounded and every pow must agree with
-    // the uncached answer regardless of which insertions won.
-    let bases: Vec<BigUint> = (0..24)
-        .map(|_| {
-            let e = group.random_scalar(&mut rng);
-            group.pow_g(&e)
-        })
-        .collect();
-    let exp = group.random_scalar(&mut rng);
-    let expected: Vec<BigUint> = bases.iter().map(|b| group.pow(b, &exp)).collect();
-
-    thread::scope(|s| {
-        for offset in 0..2 {
-            let group = group.clone();
-            let bases = bases.clone();
-            let exp = exp.clone();
-            let expected = expected.clone();
-            s.spawn(move || {
-                for (i, base) in bases.iter().enumerate().skip(offset) {
-                    group.cache_base(base);
-                    assert_eq!(group.pow(base, &exp), expected[i], "base {i}");
-                }
-            });
-        }
-    });
+    assert_eq!(h1 - h0, 2 * n, "lost or spurious generator hits");
+    assert_eq!(m1 - m0, 3 * n, "lost or spurious misses");
 }

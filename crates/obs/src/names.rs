@@ -126,12 +126,11 @@ pub const ENGINE_PIPELINE_OVERLAP: &str = "engine.pipeline.overlap";
 
 /// Schnorr envelope-signature verification latency, µs (histogram).
 pub const CRYPTO_SCHNORR_VERIFY: &str = "crypto.schnorr.verify";
-/// Group exponentiations served from a fixed-base table (counter).
+/// Exponentiations of a group's generator, served from its fixed-base
+/// table — the only table a group holds (counter).
 pub const CRYPTO_GROUP_TABLE_HIT: &str = "crypto.group.pow.table_hit";
-/// Group exponentiations that fell through to windowed pow (counter).
+/// Exponentiations of any other base, run as windowed pows (counter).
 pub const CRYPTO_GROUP_TABLE_MISS: &str = "crypto.group.pow.table_miss";
-/// Fixed-base tables evicted from a full group cache (LRU victim) (counter).
-pub const CRYPTO_GROUP_TABLE_EVICT: &str = "crypto.group.table_evict";
 
 // ---- bigint ----
 
@@ -190,8 +189,10 @@ pub const ADVERSARY_EQUIVOCATED: &str = "adversary.equivocated";
 /// Distinct keys observed (stored or fetched) by compromised nodes — the
 /// leakage surface of a compromised pod (gauge).
 pub const ADVERSARY_OBSERVED_KEYS: &str = "adversary.observed_keys";
-/// Quorum reads the engine answered with an error instead of unverified
-/// bytes — the fail-closed path under adversarial replicas (counter).
+/// Quorum reads the engine refused for integrity or availability (integrity
+/// violation, malformed envelope, content unavailable) instead of returning
+/// unverified bytes — the fail-closed path under adversarial replicas. An
+/// unauthorized or unknown reader's refusal is not counted (counter).
 pub const ENGINE_READ_FAIL_CLOSED: &str = "engine.read.fail_closed";
 /// Feed reads issued by the viral flash-crowd scenario (counter).
 pub const SCENARIO_FLASH_READS: &str = "scenario.flash.reads";
@@ -258,7 +259,6 @@ pub const ALL: &[&str] = &[
     CRYPTO_SCHNORR_VERIFY,
     CRYPTO_GROUP_TABLE_HIT,
     CRYPTO_GROUP_TABLE_MISS,
-    CRYPTO_GROUP_TABLE_EVICT,
     BIGINT_POW_BARRETT,
     BIGINT_POW_DIVISION,
     BIGINT_POW_MONTGOMERY,
