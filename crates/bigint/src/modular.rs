@@ -201,10 +201,13 @@ impl ModContext {
     /// squaring chain, ~40% faster than evaluating the powers separately for
     /// the two-base verification products the crypto layer uses.
     ///
-    /// Up to 6 pairs run Shamir's trick (a subset-product table, which
-    /// grows as `2^n`); wider products — batch Schnorr verification folds
-    /// dozens of commitments with 128-bit coefficients — run the interleaved
-    /// Straus kernel (a per-base odd-power table).
+    /// One pair is a plain power and runs the sliding-window kernel of
+    /// [`ModContext::pow`] (Schnorr verification's `y^e` beside a
+    /// table-served `g^s`). Two to 6 pairs run Shamir's trick (a
+    /// subset-product table, which grows as `2^n`); wider products — batch
+    /// Schnorr verification folds dozens of commitments with 128-bit
+    /// coefficients — run the interleaved Straus kernel (a per-base
+    /// odd-power table).
     pub fn pow_multi(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
         self.count_pow();
         if self.modulus.is_one() {
@@ -212,10 +215,13 @@ impl ModContext {
         }
         let (bases, exps): (Vec<&BigUint>, Vec<&BigUint>) = pairs.iter().copied().unzip();
         self.in_domain(&bases, |b, d| {
-            let product = if b.len() <= window::SIMULTANEOUS_MAX {
-                window::pow_simultaneous(&b, &exps, d.mul)
-            } else {
-                window::pow_interleaved(&b, &exps, d.mul)
+            let product = match (b.as_slice(), exps.as_slice()) {
+                // One pair is a plain power: the sliding-window kernel.
+                ([base], [exp]) if !exp.is_zero() => Some(window::pow_sliding(base, exp, d.mul)),
+                _ if b.len() <= window::SIMULTANEOUS_MAX => {
+                    window::pow_simultaneous(&b, &exps, d.mul)
+                }
+                _ => window::pow_interleaved(&b, &exps, d.mul),
             };
             product.map_or_else(BigUint::one, |r| (d.leave)(&r))
         })

@@ -13,10 +13,10 @@ use crate::content::Post;
 use crate::error::DosnError;
 use crate::feed::FeedCache;
 use crate::identity::UserId;
-use crate::integrity::envelope::SignedEnvelope;
+use crate::integrity::envelope::{SignedEnvelope, VerifiedEnvelope};
 use dosn_obs::{names, Registry};
 use dosn_overlay::metrics::Metrics;
-use dosn_overlay::replication::{quorum_vote, quorum_vote_batch, FetchedCopies, ReplicatedStore};
+use dosn_overlay::replication::{quorum_vote_batch, FetchedCopies, ReplicatedStore};
 use dosn_overlay::storage::{StorageError, StoragePlane};
 use std::time::Instant;
 
@@ -120,13 +120,17 @@ pub(super) fn finish_reads<S: StoragePlane>(
             result,
             Err(DosnError::IntegrityViolation(_)
                 | DosnError::MalformedEnvelope(_)
-                | DosnError::ContentUnavailable(_))
+                | DosnError::ContentUnavailable(_)
+                | DosnError::Crypto(_))
         ) {
             // Adversarial or unavailable replicas: the read refused to
             // return unverified bytes. E17 gates on this staying the *only*
-            // failure mode under tampering (never a wrong plaintext). A
-            // refusal the replicas had no part in (reader not authorized,
-            // unknown user) is not counted.
+            // failure mode under tampering (never a wrong plaintext).
+            // `Crypto` is a signature-valid winner that would not open: the
+            // record's epoch word sits outside the signed digest, so a
+            // quorum of holders that alter it wins the vote and fails at
+            // key derivation. A refusal the replicas had no part in (reader
+            // not authorized, unknown user) is not counted.
             ctx.obs.counter(names::ENGINE_READ_FAIL_CLOSED).add(1);
         }
         batch.results[read.op_idx] = Some(result);
@@ -135,17 +139,31 @@ pub(super) fn finish_reads<S: StoragePlane>(
 }
 
 /// The parallel half of one quorum read: vote over the fetched copies with
-/// the envelope check as the verifier, then decode, verify, and decrypt
-/// the winner as the reader. `home` is the author's home shard.
+/// the envelope check as the verifier, then decrypt the winner as the
+/// reader. The vote verifies each distinct value once and keeps the
+/// [`VerifiedEnvelope`] of every value it accepts, so the winner is unsealed
+/// from the proof the vote reached — never decoded or verified a second
+/// time. `home` is the author's home shard.
 fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcome {
     let author_id = UserId::from(job.author);
+    // Decode + full verification of one stored record.
+    let open = |bytes: &[u8]| {
+        SignedEnvelope::open_wire(
+            &author_id,
+            job.seq,
+            bytes,
+            &ctx.group,
+            &ctx.directory,
+            u64::MAX - 1,
+        )
+    };
     if let Some(bytes) = &job.cached {
         // A hot-cached envelope gets the complete uncached treatment —
         // decode, signature verification, decrypt as the reader. Any
         // failure (tampered bytes, revoked reader, bad encoding) sends
         // the read back to the real quorum path: the cache accelerates
         // reads, it never relaxes what a served read proved.
-        return match open_envelope(home, ctx, job, &author_id, bytes) {
+        return match open(bytes).and_then(|verified| unseal(home, job, &verified)) {
             // No quorum fetch happened, so there is nothing to repair.
             Ok(body) => ReadOutcome::Done(Ok(OpOutput::Read { body })),
             Err(DosnError::NotAuthorized(e)) => {
@@ -161,36 +179,33 @@ fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob)
         Ok(f) => f,
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e.clone()))),
     };
-    let verify_hist = ctx.obs.histogram(names::CRYPTO_SCHNORR_VERIFY);
     let quorum_started = Instant::now();
-    let vote = if ctx.batch_verify {
-        // All copies verify in one combined Schnorr check (R byte-identical
-        // replicas collapse to one slot); one histogram sample covers the
-        // whole batch.
-        quorum_vote_batch(fetched, read_quorum, |copies| {
-            let started = Instant::now();
-            let verdicts = SignedEnvelope::verify_wire_copies_batch(
+    // Each distinct value with what the vote's verifier proved of it.
+    let mut proven: Vec<(&[u8], Option<VerifiedEnvelope>)> = Vec::new();
+    let vote = quorum_vote_batch(fetched, read_quorum, |values| {
+        let started = Instant::now();
+        let opened: Vec<Option<VerifiedEnvelope>> = if ctx.batch_verify {
+            // All distinct values verify in one combined Schnorr check (an
+            // all-agree read is one value: the plain equation).
+            SignedEnvelope::verify_wire_copies(
                 &author_id,
                 job.seq,
-                copies,
+                values,
                 &ctx.group,
                 &ctx.directory,
                 None,
                 u64::MAX - 1,
-            );
-            verify_hist.record(elapsed_micros(started));
-            verdicts
-        })
-    } else {
-        quorum_vote(fetched, read_quorum, |bytes| {
-            let started = Instant::now();
-            let ok = SignedEnvelope::decode_wire(&author_id, job.seq, bytes, &ctx.group)
-                .and_then(|(env, _)| env.verify(&ctx.directory, None, u64::MAX - 1))
-                .is_ok();
-            verify_hist.record(elapsed_micros(started));
-            ok
-        })
-    };
+            )
+        } else {
+            values.iter().map(|bytes| open(bytes).ok()).collect()
+        };
+        // One histogram sample covers the read's verification.
+        ctx.obs
+            .histogram(names::CRYPTO_SCHNORR_VERIFY)
+            .record(elapsed_micros(started));
+        proven = values.iter().copied().zip(opened).collect();
+        proven.iter().map(|(_, v)| v.is_some()).collect()
+    });
     ctx.obs
         .histogram(names::STORE_GET_QUORUM)
         .record(job.fetch_micros + elapsed_micros(quorum_started));
@@ -199,33 +214,34 @@ fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob)
         Err(StorageError::NotFound(_)) => return ReadOutcome::NeedsFallback,
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
     };
-    match open_envelope(home, ctx, job, &author_id, &winner) {
+    let verified = proven
+        .iter()
+        .find_map(|(bytes, v)| v.as_ref().filter(|_| *bytes == winner));
+    let Some(verified) = verified else {
+        return ReadOutcome::Done(Err(DosnError::IntegrityViolation(
+            "quorum winner was not among the verified values".into(),
+        )));
+    };
+    match unseal(home, job, verified) {
         Ok(body) => ReadOutcome::Verified { body, winner },
         Err(e) => ReadOutcome::Done(Err(e)),
     }
 }
 
-/// What every served read proves about the sealed bytes it serves, whether
-/// they are the quorum winner or a hot-cached envelope: they decode as
-/// `job.author`'s post `job.seq`, carry the author's valid signature, and
-/// decrypt for `job.reader`. Returns the post body.
-fn open_envelope(
-    home: &Shard,
-    ctx: &WorkerCtx,
-    job: &ReadJob,
-    author_id: &UserId,
-    sealed: &[u8],
-) -> Result<String, DosnError> {
-    let (envelope, epoch) = SignedEnvelope::decode_wire(author_id, job.seq, sealed, &ctx.group)?;
-    envelope.verify(&ctx.directory, None, u64::MAX - 1)?;
+/// The last step of every served read, whether the sealed bytes were the
+/// quorum winner or a hot-cached envelope: they already decoded as
+/// `job.author`'s post `job.seq` and carried the author's valid signature
+/// (that is what a [`VerifiedEnvelope`] is); here they decrypt for
+/// `job.reader`. Returns the post body.
+fn unseal(home: &Shard, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnError> {
     let author_state = home
         .get(job.author)
         .ok_or_else(|| DosnError::UnknownUser(job.author.to_owned()))?;
     let plain = author_state.privacy.unseal(
         &author_state.friends_group,
         job.reader,
-        epoch,
-        &envelope.body,
+        verified.epoch(),
+        verified.body(),
     )?;
     let post: Post = serde_json::from_slice(&plain)
         .map_err(|e| DosnError::IntegrityViolation(format!("bad post encoding: {e}")))?;

@@ -278,11 +278,13 @@ impl<S: StoragePlane> Engine<S> {
     }
 
     /// Toggles batched Schnorr verification in the finish phase's quorum
-    /// reads. On (the default), each read's copies are verified in one
-    /// combined random-linear-combination check; off restores per-copy
-    /// verification. Results and [`BatchReport::digest`] are byte-identical
-    /// either way — the toggle exists so the equivalence suites can prove
-    /// that, and for A/B timing in the E9 bench.
+    /// reads. On (the default), a read's distinct values are verified in
+    /// one combined random-linear-combination check; off verifies them one
+    /// by one. The vote hands the verifier each distinct value once, so on
+    /// a read whose copies agree the two are the same single equation and
+    /// the toggle decides nothing; it matters only while replicas disagree.
+    /// Results and [`BatchReport::digest`] are byte-identical either way —
+    /// the toggle exists so the equivalence suites can prove that.
     pub fn set_batch_verify(&mut self, on: bool) {
         self.ctx.batch_verify = on;
     }

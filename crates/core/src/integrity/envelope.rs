@@ -107,20 +107,23 @@ impl SignedEnvelope {
         now: u64,
     ) -> Result<(), DosnError> {
         let vk = directory.verifying_key(self.author.as_str())?;
-        let digest = Self::digest(
-            &self.author,
-            self.recipient.as_ref(),
-            self.sequence,
-            self.issued_at,
-            self.expires_at,
-            &self.body,
-        );
-        vk.verify(&digest, &self.signature).map_err(|_| {
-            DosnError::IntegrityViolation(format!(
-                "signature does not verify under {}'s key",
-                self.author
-            ))
-        })?;
+        vk.verify(&self.signed_digest(), &self.signature)
+            .map_err(|_| {
+                DosnError::IntegrityViolation(format!(
+                    "signature does not verify under {}'s key",
+                    self.author
+                ))
+            })?;
+        self.check_binding(expected_recipient, now)
+    }
+
+    /// The relation and history halves of [`SignedEnvelope::verify`]: the
+    /// recipient binding and the freshness window, without the signature.
+    fn check_binding(
+        &self,
+        expected_recipient: Option<&UserId>,
+        now: u64,
+    ) -> Result<(), DosnError> {
         if let Some(expected) = expected_recipient {
             match &self.recipient {
                 Some(r) if r == expected => {}
@@ -264,9 +267,9 @@ impl SignedEnvelope {
     /// copy, exactly matching what [`SignedEnvelope::decode_wire`] +
     /// [`SignedEnvelope::verify`] would decide copy by copy.
     ///
-    /// Quorum reads are the caller: R replicas of one envelope arrive
-    /// byte-identical, so the batch verifier collapses them to one
-    /// combined-check slot.
+    /// Quorum reads are the caller: the vote hands over each distinct byte
+    /// string once, so an all-agree read is a batch of one — which the
+    /// batch verifier decides by the plain Schnorr equation.
     pub fn verify_wire_copies_batch(
         author: &UserId,
         expected_seq: u64,
@@ -276,53 +279,94 @@ impl SignedEnvelope {
         expected_recipient: Option<&UserId>,
         now: u64,
     ) -> Vec<bool> {
-        let mut verdicts = vec![false; copies.len()];
+        Self::verify_wire_copies(
+            author,
+            expected_seq,
+            copies,
+            group,
+            directory,
+            expected_recipient,
+            now,
+        )
+        .iter()
+        .map(Option::is_some)
+        .collect()
+    }
+
+    /// [`SignedEnvelope::verify_wire_copies_batch`] keeping what it decoded:
+    /// each accepted copy comes back as the [`VerifiedEnvelope`] the verdict
+    /// was reached on, so the caller unseals it without decoding or
+    /// verifying again.
+    pub(crate) fn verify_wire_copies(
+        author: &UserId,
+        expected_seq: u64,
+        copies: &[&[u8]],
+        group: &dosn_crypto::group::SchnorrGroup,
+        directory: &KeyDirectory,
+        expected_recipient: Option<&UserId>,
+        now: u64,
+    ) -> Vec<Option<VerifiedEnvelope>> {
         let Ok(vk) = directory.verifying_key(author.as_str()) else {
-            return verdicts; // unknown author: every copy fails
+            return copies.iter().map(|_| None).collect(); // unknown author
         };
         // Structural + relation/freshness screening; survivors queue their
         // (digest, signature) for the combined Schnorr check.
-        let mut screened: Vec<(usize, [u8; 32], SignedEnvelope)> = Vec::new();
-        for (idx, bytes) in copies.iter().enumerate() {
-            let Ok((env, _)) = Self::decode_wire(author, expected_seq, bytes, group) else {
-                continue;
-            };
-            if let Some(expected) = expected_recipient {
-                if env.recipient.as_ref().is_some_and(|r| r != expected) {
-                    continue;
-                }
-            }
-            if env.issued_at > now || env.expires_at.is_some_and(|exp| now >= exp) {
-                continue;
-            }
-            let digest = Self::digest(
-                &env.author,
-                env.recipient.as_ref(),
-                env.sequence,
-                env.issued_at,
-                env.expires_at,
-                &env.body,
-            );
-            screened.push((idx, digest, env));
-        }
+        let screened: Vec<(usize, [u8; 32], VerifiedEnvelope)> = copies
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, bytes)| {
+                let (envelope, epoch) =
+                    Self::decode_wire(author, expected_seq, bytes, group).ok()?;
+                envelope.check_binding(expected_recipient, now).ok()?;
+                let digest = envelope.signed_digest();
+                Some((idx, digest, VerifiedEnvelope { envelope, epoch }))
+            })
+            .collect();
         let pairs: Vec<(&[u8], &Signature)> = screened
             .iter()
-            .map(|(_, digest, env)| (digest.as_slice(), &env.signature))
+            .map(|(_, digest, v)| (digest.as_slice(), &v.envelope.signature))
             .collect();
-        match vk.verify_batch(&pairs) {
-            Ok(()) => {
-                for (idx, _, _) in &screened {
-                    verdicts[*idx] = true;
-                }
-            }
-            Err(failure) => {
-                let bad: std::collections::BTreeSet<usize> = failure.failed.into_iter().collect();
-                for (slot, (idx, _, _)) in screened.iter().enumerate() {
-                    verdicts[*idx] = !bad.contains(&slot);
-                }
+        // Failing slots, ascending.
+        let bad = vk
+            .verify_batch(&pairs)
+            .map_or_else(|f| f.failed, |()| Vec::new());
+        let mut opened: Vec<Option<VerifiedEnvelope>> = copies.iter().map(|_| None).collect();
+        for (slot, (idx, _, verified)) in screened.into_iter().enumerate() {
+            if bad.binary_search(&slot).is_err() {
+                opened[idx] = Some(verified);
             }
         }
-        verdicts
+        opened
+    }
+
+    /// Decodes and fully verifies one stored record:
+    /// [`SignedEnvelope::decode_wire`] then [`SignedEnvelope::verify`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever either step returns.
+    pub(crate) fn open_wire(
+        author: &UserId,
+        expected_seq: u64,
+        bytes: &[u8],
+        group: &dosn_crypto::group::SchnorrGroup,
+        directory: &KeyDirectory,
+        now: u64,
+    ) -> Result<VerifiedEnvelope, DosnError> {
+        let (envelope, epoch) = Self::decode_wire(author, expected_seq, bytes, group)?;
+        envelope.verify(directory, None, now)?;
+        Ok(VerifiedEnvelope { envelope, epoch })
+    }
+
+    fn signed_digest(&self) -> [u8; 32] {
+        Self::digest(
+            &self.author,
+            self.recipient.as_ref(),
+            self.sequence,
+            self.issued_at,
+            self.expires_at,
+            &self.body,
+        )
     }
 
     /// The canonical signed digest.
@@ -336,23 +380,42 @@ impl SignedEnvelope {
     ) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update(b"dosn.envelope.v1");
-        let field = |bytes: &[u8]| {
-            // length-prefixed framing per field
-            let len = (bytes.len() as u64).to_be_bytes();
-            (len, bytes.to_vec())
-        };
-        for (len, bytes) in [
-            field(author.as_bytes()),
-            field(recipient.map_or(b"" as &[u8], |r| r.as_bytes())),
-            field(&sequence.to_be_bytes()),
-            field(&issued_at.to_be_bytes()),
-            field(&expires_at.unwrap_or(u64::MAX).to_be_bytes()),
-            field(body),
+        for field in [
+            author.as_bytes(),
+            recipient.map_or(b"" as &[u8], |r| r.as_bytes()),
+            &sequence.to_be_bytes(),
+            &issued_at.to_be_bytes(),
+            &expires_at.unwrap_or(u64::MAX).to_be_bytes(),
+            body,
         ] {
-            h.update(&len);
-            h.update(&bytes);
+            // length-prefixed framing per field
+            h.update(&(field.len() as u64).to_be_bytes());
+            h.update(field);
         }
         h.finalize()
+    }
+}
+
+/// A stored record that decoded as its slot's envelope and passed
+/// [`SignedEnvelope::verify`] — the proof a served read rests on, carried
+/// as a type. Only this module can build one (from
+/// [`SignedEnvelope::open_wire`] or the batch verifier), and the engine
+/// unseals nothing else.
+#[derive(Debug)]
+pub(crate) struct VerifiedEnvelope {
+    envelope: SignedEnvelope,
+    epoch: u64,
+}
+
+impl VerifiedEnvelope {
+    /// The privacy epoch the record was stored under.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The sealed body the signature covers.
+    pub(crate) fn body(&self) -> &[u8] {
+        &self.envelope.body
     }
 }
 
@@ -456,6 +519,44 @@ mod tests {
         let (bob, _, dir, mut rng) = setup();
         let env = SignedEnvelope::seal(&bob, None, 1, 0, None, b"x", &mut rng);
         env.verify(&dir, None, u64::MAX).unwrap();
+    }
+
+    #[test]
+    fn verified_envelopes_are_exactly_the_copies_decode_and_verify_accept() {
+        // Every one-byte mutation of a stored record, plus the record
+        // itself, in one batch: a copy comes back `Some` exactly where
+        // `decode_wire` + `verify` accept it, carrying what they decoded.
+        let (bob, _, dir, mut rng) = setup();
+        let group = SchnorrGroup::toy();
+        let wire = SignedEnvelope::seal(&bob, None, 3, 10, None, b"sealed body", &mut rng)
+            .encode_wire(6, &group);
+        let mut copies = vec![wire.clone()];
+        for at in 0..wire.len() {
+            let mut m = wire.clone();
+            m[at] ^= 0x40;
+            copies.push(m);
+        }
+        let refs: Vec<&[u8]> = copies.iter().map(Vec::as_slice).collect();
+        let id = UserId::from("bob");
+        let opened = SignedEnvelope::verify_wire_copies(&id, 3, &refs, &group, &dir, None, 20);
+        let mut accepted = 0;
+        for (bytes, got) in refs.iter().zip(&opened) {
+            let want = SignedEnvelope::decode_wire(&id, 3, bytes, &group)
+                .and_then(|(env, epoch)| env.verify(&dir, None, 20).map(|()| (env, epoch)));
+            assert_eq!(got.is_some(), want.is_ok());
+            if let (Some(got), Ok((env, epoch))) = (got, want) {
+                assert_eq!((got.epoch(), got.body()), (epoch, env.body.as_slice()));
+                assert_eq!(got.envelope.sequence, env.sequence);
+                assert_eq!(got.envelope.issued_at, env.issued_at);
+                accepted += 1;
+            }
+        }
+        // The record itself and its eight epoch-word mutants: the epoch sits
+        // outside the signed digest (DESIGN.md, threat model).
+        assert_eq!(accepted, 9);
+        let alone = SignedEnvelope::open_wire(&id, 3, &wire, &group, &dir, 20).unwrap();
+        let first = opened[0].as_ref().unwrap();
+        assert_eq!((alone.epoch(), alone.body()), (6, first.body()));
     }
 
     #[test]

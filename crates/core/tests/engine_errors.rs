@@ -6,6 +6,7 @@
 use dosn_core::engine::{wall_key, Engine, OpBatch, OpOutput};
 use dosn_core::DosnError;
 use dosn_obs::names;
+use dosn_overlay::adversary::{AdversaryConfig, AdversaryMode, AdversaryPlane};
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::ReplicatedStore;
@@ -214,4 +215,119 @@ fn partially_failing_batches_stay_digest_deterministic() {
         .collect();
     assert_eq!(digests[0], digests[1], "1 vs 2 workers");
     assert_eq!(digests[0], digests[2], "1 vs 8 workers");
+}
+
+fn alice_posts_for_bob() -> OpBatch {
+    OpBatch::new()
+        .register("alice")
+        .register("bob")
+        .befriend("alice", "bob", 0.9)
+        .post("alice", "signed and sealed")
+}
+
+#[test]
+fn a_header_tampering_quorum_is_counted_fail_closed() {
+    // The adversary plane's forgery flips the record's first eight bytes —
+    // the epoch word, which the signed digest does not cover — so its copy
+    // *passes* the signature. One such holder is outvoted; two or three
+    // colluding ones win the vote and the read dies at key derivation. No
+    // plaintext leaks either way, and the refusal must be counted.
+    for f in 1..=3usize {
+        let cfg = AdversaryConfig::new(11, f).with_mode(AdversaryMode::Tamper);
+        let plane = AdversaryPlane::new(ChordPlane::build(24, 5), cfg);
+        let mut e = Engine::new(ReplicatedStore::new(plane, 3), 5);
+        assert!(e
+            .execute(alice_posts_for_bob())
+            .results
+            .iter()
+            .all(Result::is_ok));
+        e.storage_mut().plane_mut().set_enabled(true);
+        let read = e.execute(OpBatch::new().read_post("bob", "alice", 0));
+        let fail_closed = e.obs().counter(names::ENGINE_READ_FAIL_CLOSED).get();
+        if f == 1 {
+            match &read.results[0] {
+                Ok(OpOutput::Read { body }) => assert_eq!(body, "signed and sealed"),
+                other => panic!("one tampering holder is outvoted: {other:?}"),
+            }
+            assert_eq!(e.metrics().count(names::GET_REPAIRS), 1);
+            assert_eq!(fail_closed, 0);
+        } else {
+            assert!(
+                matches!(read.results[0], Err(DosnError::Crypto(_))),
+                "f={f}: a valid signature over the wrong epoch must not open: {:?}",
+                read.results[0]
+            );
+            assert_eq!(fail_closed, 1, "f={f}");
+        }
+    }
+}
+
+/// Reads alice's post after `forged` of its three holders had one
+/// ciphertext byte flipped (a well-formed record whose signature no longer
+/// verifies). Returns the read's result, digest, and how often the read
+/// sampled `crypto.schnorr.verify`.
+fn read_with_forged_bodies(
+    forged: usize,
+    workers: usize,
+    batch_verify: bool,
+) -> (Result<OpOutput, DosnError>, String, u64) {
+    let mut e = Engine::new(ReplicatedStore::new(ChordPlane::build(24, 5), 3), 5);
+    e.set_workers(workers);
+    e.set_batch_verify(batch_verify);
+    assert!(e
+        .execute(alice_posts_for_bob())
+        .results
+        .iter()
+        .all(Result::is_ok));
+    let key = wall_key("alice", 0);
+    let mut m = Metrics::new();
+    let fetched = e.storage_mut().fetch_copies(key, &mut m).unwrap();
+    for (node, copy) in fetched.copies.iter().take(forged) {
+        let mut bytes = copy.clone().expect("every holder stores the post");
+        *bytes.last_mut().unwrap() ^= 0x01;
+        e.storage_mut()
+            .plane_mut()
+            .store_at(*node, key, &bytes, &mut m)
+            .unwrap();
+    }
+    let verify = e.obs().histogram(names::CRYPTO_SCHNORR_VERIFY);
+    let before = verify.snapshot().count();
+    let mut report = e.execute(OpBatch::new().read_post("bob", "alice", 0));
+    let sampled = verify.snapshot().count() - before;
+    let fail_closed = e.obs().counter(names::ENGINE_READ_FAIL_CLOSED).get();
+    let repairs = e.metrics().count(names::GET_REPAIRS);
+    if forged == 1 {
+        assert_eq!((repairs, fail_closed), (1, 0));
+    } else {
+        assert_eq!((repairs, fail_closed), (0, 1), "forged={forged}");
+    }
+    let digest = report.digest_hex();
+    (report.results.remove(0), digest, sampled)
+}
+
+#[test]
+fn body_forging_replicas_never_serve_and_every_configuration_agrees() {
+    for forged in 1..=3usize {
+        let runs: Vec<_> = [(1, true), (1, false), (2, true), (2, false)]
+            .into_iter()
+            .map(|(workers, batch)| read_with_forged_bodies(forged, workers, batch))
+            .collect();
+        let (result, digest, _) = &runs[0];
+        match (forged, result) {
+            (1, Ok(OpOutput::Read { body })) => assert_eq!(body, "signed and sealed"),
+            (2, Err(DosnError::ContentUnavailable(_))) => {}
+            (3, Err(DosnError::IntegrityViolation(_))) => {}
+            other => panic!("unexpected outcome {other:?}"),
+        }
+        for (other, other_digest, sampled) in &runs {
+            assert_eq!(
+                format!("{other:?}"),
+                format!("{result:?}"),
+                "forged={forged}"
+            );
+            assert_eq!(other_digest, digest, "forged={forged}");
+            // The quorum read verifies inside the vote and nowhere else.
+            assert_eq!(*sampled, 1, "forged={forged}");
+        }
+    }
 }

@@ -1,13 +1,19 @@
 //! Property tests for the envelope wire codec: encode/decode must round
 //! trip exactly, and the decoder must reject — never panic on — arbitrary
-//! bytes, since records come back from untrusted storage nodes.
+//! bytes, since records come back from untrusted storage nodes. Also pins
+//! that a verdict established once per distinct record and carried through
+//! the quorum vote is the verdict recomputing it per copy would reach.
 
 use dosn_core::error::DosnError;
 use dosn_core::identity::{Identity, UserId};
 use dosn_core::integrity::envelope::{SignedEnvelope, WIRE_HEADER_LEN};
+use dosn_crypto::batch::batch_verify;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
 use dosn_crypto::keys::KeyDirectory;
+use dosn_crypto::schnorr::Signature;
+use dosn_overlay::id::{Key, NodeId};
+use dosn_overlay::replication::{quorum_inspect_batch, FetchedCopies, QuorumOutcome};
 use proptest::prelude::*;
 
 fn author() -> (Identity, KeyDirectory, SecureRng) {
@@ -17,8 +23,117 @@ fn author() -> (Identity, KeyDirectory, SecureRng) {
     (id, dir, rng)
 }
 
+/// The quorum vote with every present copy put to `verify` — no grouping
+/// ahead of the verifier. What the vote-level dedup must equal field for
+/// field.
+fn vote_over_every_copy(
+    fetched: &FetchedCopies,
+    need: usize,
+    verify: impl Fn(&[u8]) -> bool,
+) -> QuorumOutcome {
+    let present: Vec<&[u8]> = fetched
+        .copies
+        .iter()
+        .filter_map(|(_, c)| c.as_deref())
+        .collect();
+    let verifying: Vec<&[u8]> = present.iter().copied().filter(|c| verify(c)).collect();
+    // Most copies wins; at equal counts the value seen first.
+    let leader = verifying
+        .iter()
+        .map(|v| (*v, verifying.iter().filter(|w| *w == v).count()))
+        .reduce(|best, cand| if cand.1 > best.1 { cand } else { best });
+    let agreeing = leader.map_or(0, |(_, n)| n);
+    QuorumOutcome {
+        key: fetched.key,
+        candidates: fetched.copies.len(),
+        missing: fetched.copies.len() - present.len(),
+        invalid: present.len() - verifying.len(),
+        agreeing,
+        disagreeing: verifying.len() - agreeing,
+        need,
+        winner: leader.map(|(v, _)| v.to_vec()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A verdict reached once per distinct value and carried equals the
+    /// verdict recomputed for every copy: over arbitrary multisets of up to
+    /// five copies (pristine, mutated at an arbitrary byte, or absent) the
+    /// vote that verifies each distinct value once returns the outcome of
+    /// the vote that verifies every copy, and the batch verifier's verdicts
+    /// are those of `decode_wire` + `verify` copy by copy.
+    #[test]
+    fn carried_verdict_equals_the_recomputed_one(
+        body in proptest::collection::vec(any::<u8>(), 1..96),
+        mutants in proptest::collection::vec((any::<usize>(), 1u8..=255), 2..3),
+        picks in proptest::collection::vec(0usize..4, 0..6),
+        need in 1usize..=3,
+    ) {
+        let (identity, dir, mut rng) = author();
+        let group = SchnorrGroup::toy();
+        let id = UserId::from("wirebob");
+        let wire = SignedEnvelope::seal(&identity, None, 4, 9, None, &body, &mut rng)
+            .encode_wire(2, &group);
+        // Pick 0 is the pristine record, 1 and 2 are its mutants, 3 is a
+        // holder with nothing.
+        let mut variants = vec![Some(wire.clone())];
+        for (at, mask) in mutants {
+            let mut m = wire.clone();
+            m[at % wire.len()] ^= mask;
+            variants.push(Some(m));
+        }
+        variants.push(None);
+        let fetched = FetchedCopies {
+            key: Key::hash(b"carried"),
+            copies: picks
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (NodeId(i as u64), variants[*p].clone()))
+                .collect(),
+        };
+        let one_by_one = |bytes: &[u8]| {
+            SignedEnvelope::decode_wire(&id, 4, bytes, &group)
+                .and_then(|(env, _)| env.verify(&dir, None, u64::MAX - 1))
+                .is_ok()
+        };
+        let batched = |values: &[&[u8]]| {
+            SignedEnvelope::verify_wire_copies_batch(
+                &id, 4, values, &group, &dir, None, u64::MAX - 1,
+            )
+        };
+        let present: Vec<&[u8]> =
+            fetched.copies.iter().filter_map(|(_, c)| c.as_deref()).collect();
+        prop_assert_eq!(
+            batched(&present),
+            present.iter().map(|c| one_by_one(c)).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            quorum_inspect_batch(&fetched, need, batched),
+            vote_over_every_copy(&fetched, need, one_by_one)
+        );
+    }
+
+    /// A batch of one is the plain Schnorr equation: for any mutation of a
+    /// signature's bytes `batch_verify` and `VerifyingKey::verify` agree.
+    #[test]
+    fn a_batch_of_one_decides_as_plain_verify(
+        msg in proptest::collection::vec(any::<u8>(), 0..64),
+        at in any::<usize>(),
+        mask in any::<u8>(),
+    ) {
+        let (identity, _, mut rng) = author();
+        let group = SchnorrGroup::toy();
+        let vk = identity.signing().verifying_key();
+        let mut sig = identity.signing().sign(&msg, &mut rng).to_bytes(&group);
+        let at = at % sig.len();
+        sig[at] ^= mask;
+        let sig = Signature::from_bytes(&group, &sig).unwrap();
+        let plain = vk.verify(&msg, &sig).is_ok();
+        prop_assert_eq!(plain, mask == 0);
+        prop_assert_eq!(batch_verify(&[(vk, msg.as_slice(), &sig)]).is_ok(), plain);
+    }
 
     #[test]
     fn wire_roundtrip_preserves_envelope(

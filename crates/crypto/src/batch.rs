@@ -27,6 +27,10 @@
 //! fresh transcript-derived coefficients, and singleton leaves fall back to
 //! plain [`VerifyingKey::verify`], so callers learn exactly which items are
 //! bad at a cost logarithmic in the batch size (for few corruptions).
+//!
+//! A batch whose items all carry one `(key, message, signature)` triple —
+//! what a quorum read over agreeing replicas is — never enters the combined
+//! check: one item is already a leaf, decided by `g^s · y^e = r` alone.
 
 use crate::error::CryptoError;
 use crate::group::SchnorrGroup;
@@ -91,11 +95,13 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchFailure> {
     };
     let group = first_key.group();
 
-    // Partition: structurally bad or foreign-group items resolve
-    // immediately; the rest deduplicate into unique triples.
+    // Partition: foreign-group items resolve immediately; the rest
+    // deduplicate into unique triples, and each triple's structural check
+    // (a Jacobi symbol) runs once however many inputs carry it — a
+    // malformed triple's slot is `None` and fails all of them.
     let mut uniques: Vec<UniqueItem<'_>> = Vec::new();
     type TripleKey<'a> = (&'a BigUint, &'a BigUint, &'a BigUint, &'a [u8]);
-    let mut slot_of: HashMap<TripleKey<'_>, usize> = HashMap::new();
+    let mut slot_of: HashMap<TripleKey<'_>, Option<usize>> = HashMap::new();
     for (idx, &(key, msg, sig)) in items.iter().enumerate() {
         if key.group() != group {
             if key.verify(msg, sig).is_err() {
@@ -103,29 +109,36 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchFailure> {
             }
             continue;
         }
-        if !key.signature_well_formed(sig) {
-            failed.push(idx);
-            continue;
-        }
-        match slot_of.entry((key.element(), sig.commitment(), sig.s_scalar(), msg)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                uniques[*e.get()].indices.push(idx);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(uniques.len());
-                uniques.push(UniqueItem {
-                    key,
-                    sig,
-                    e: key.challenge_scalar(sig.commitment(), msg),
-                    msg_digest: sha256(msg),
-                    indices: vec![idx],
-                });
-            }
+        let slot = *slot_of
+            .entry((key.element(), sig.commitment(), sig.s_scalar(), msg))
+            .or_insert_with(|| {
+                key.signature_well_formed(sig).then(|| {
+                    uniques.push(UniqueItem {
+                        key,
+                        sig,
+                        e: key.challenge_scalar(sig.commitment(), msg),
+                        msg_digest: sha256(msg),
+                        indices: Vec::new(),
+                    });
+                    uniques.len() - 1
+                })
+            });
+        match slot {
+            Some(slot) => uniques[slot].indices.push(idx),
+            None => failed.push(idx),
         }
     }
 
-    if !uniques.is_empty() && !combined_check(group, &uniques) {
-        let mut bad_slots: Vec<usize> = Vec::new();
+    let mut bad_slots: Vec<usize> = Vec::new();
+    if let [only] = uniques.as_slice() {
+        // One unique triple is its own bisection leaf: the plain equation
+        // `g^s · y^e = r` decides it, with no coefficients to draw and no
+        // second multi-exp. (A quorum read, whose copies agree, always
+        // lands here.)
+        if verify_unique(only).is_err() {
+            bad_slots.push(0);
+        }
+    } else if !uniques.is_empty() && !combined_check(group, &uniques) {
         isolate(
             group,
             &uniques,
@@ -142,9 +155,9 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchFailure> {
                 }
             }
         }
-        for slot in bad_slots {
-            failed.extend(uniques[slot].indices.iter().copied());
-        }
+    }
+    for slot in bad_slots {
+        failed.extend(uniques[slot].indices.iter().copied());
     }
 
     if failed.is_empty() {
@@ -304,11 +317,21 @@ mod tests {
 
     #[test]
     fn empty_and_single_batches() {
-        let (key, msgs, sigs, _) = setup(1);
+        let (key, msgs, sigs, _) = setup(2);
+        let vk = key.verifying_key();
         assert!(batch_verify(&[]).is_ok());
-        key.verifying_key()
-            .verify_batch(&[(&msgs[0], &sigs[0])])
-            .unwrap();
+        vk.verify_batch(&[(&msgs[0], &sigs[0])]).unwrap();
+        // One triple, however many copies, is decided by the plain equation:
+        // one windowed exponentiation, accepted or rejected.
+        let pows = |pairs: &[(&[u8], &Signature)]| {
+            let before = vk.group().exp_stats().total();
+            let verdict = vk.verify_batch(pairs);
+            (verdict, vk.group().exp_stats().total() - before)
+        };
+        let (ok, n) = pows(&[(&msgs[0], &sigs[0]), (&msgs[0], &sigs[0])]);
+        assert_eq!((ok, n), (Ok(()), 1));
+        let (bad, n) = pows(&[(&msgs[0], &sigs[1]), (&msgs[0], &sigs[1])]);
+        assert_eq!((bad.unwrap_err().failed, n), (vec![0, 1], 1));
     }
 
     #[test]
@@ -359,5 +382,16 @@ mod tests {
             (vk, &msgs[1], &forged),
         ];
         assert_eq!(batch_verify(&items).unwrap_err().failed, vec![2, 4]);
+
+        // A structurally bad triple (`s` out of range) is screened once and
+        // fails every input carrying it.
+        let q = vk.group().order().clone();
+        let wide = Signature::from_parts(sigs[0].commitment().clone(), &q + sigs[0].s_scalar());
+        let items: Vec<BatchItem<'_>> = vec![
+            (vk, &msgs[0], &wide),
+            (vk, &msgs[0], &sigs[0]),
+            (vk, &msgs[0], &wide),
+        ];
+        assert_eq!(batch_verify(&items).unwrap_err().failed, vec![0, 2]);
     }
 }

@@ -498,12 +498,13 @@ pub fn quorum_vote(
     quorum_inspect(fetched, read_quorum, verify).into_result()
 }
 
-/// [`quorum_vote`] with the verifier invoked **once over all copies**
-/// instead of per copy: `verify_batch` receives every present copy in
-/// candidate-preference order and returns one verdict per copy. This is the
-/// seam for batch signature verification — a quorum read hands the
-/// verifier R byte-identical envelopes, and a batched verifier amortizes
-/// them into a single combined check.
+/// [`quorum_vote`] with the verifier invoked **once for the whole read**:
+/// `verify_batch` receives each *distinct* present byte string once, in
+/// candidate-preference order of first appearance, and returns one verdict
+/// per value; the tally weighs a verdict by how many candidates hold that
+/// value. An all-agree read therefore verifies one copy, not R. The slices
+/// borrow from `fetched`, so the verifier may keep what it proved about a
+/// value alongside the bytes it proved it of.
 ///
 /// # Panics
 ///
@@ -512,10 +513,10 @@ pub fn quorum_vote(
 /// # Errors
 ///
 /// As [`quorum_vote`].
-pub fn quorum_vote_batch(
-    fetched: &FetchedCopies,
+pub fn quorum_vote_batch<'a>(
+    fetched: &'a FetchedCopies,
     read_quorum: usize,
-    verify_batch: impl FnOnce(&[&[u8]]) -> Vec<bool>,
+    verify_batch: impl FnOnce(&[&'a [u8]]) -> Vec<bool>,
 ) -> Result<Vec<u8>, StorageError> {
     quorum_inspect_batch(fetched, read_quorum, verify_batch).into_result()
 }
@@ -529,42 +530,51 @@ pub fn quorum_inspect(
     read_quorum: usize,
     verify: impl Fn(&[u8]) -> bool,
 ) -> QuorumOutcome {
-    quorum_inspect_batch(fetched, read_quorum, |copies| {
-        copies.iter().map(|c| verify(c)).collect()
+    quorum_inspect_batch(fetched, read_quorum, |values| {
+        values.iter().map(|v| verify(v)).collect()
     })
 }
 
-/// [`quorum_inspect`] with the verifier invoked once over all copies (the
-/// batch-verification seam, as [`quorum_vote_batch`]).
+/// [`quorum_inspect`] with the verifier invoked once over the distinct
+/// values (the batch-verification seam, as [`quorum_vote_batch`]). A
+/// verdict is a fact about a byte string, so it is established once per
+/// distinct string and counted once per candidate holding it.
 ///
 /// # Panics
 ///
 /// Panics if `verify_batch` returns a verdict vector of the wrong length.
-pub fn quorum_inspect_batch(
-    fetched: &FetchedCopies,
+pub fn quorum_inspect_batch<'a>(
+    fetched: &'a FetchedCopies,
     read_quorum: usize,
-    verify_batch: impl FnOnce(&[&[u8]]) -> Vec<bool>,
+    verify_batch: impl FnOnce(&[&'a [u8]]) -> Vec<bool>,
 ) -> QuorumOutcome {
-    let present: Vec<&[u8]> = fetched
-        .copies
-        .iter()
-        .filter_map(|(_, copy)| copy.as_deref())
-        .collect();
-    let verdicts = verify_batch(&present);
-    assert_eq!(
-        verdicts.len(),
-        present.len(),
-        "batch verifier must return one verdict per copy"
-    );
-    let mut tally: Vec<(&[u8], usize)> = Vec::new();
-    for (bytes, ok) in present.iter().zip(&verdicts) {
-        if *ok {
-            match tally.iter_mut().find(|(v, _)| v == bytes) {
-                Some((_, n)) => *n += 1,
-                None => tally.push((bytes, 1)),
+    // Distinct present values in first-seen (candidate-preference) order,
+    // each with the number of candidates holding it.
+    let mut values: Vec<&'a [u8]> = Vec::new();
+    let mut holders: Vec<usize> = Vec::new();
+    for bytes in fetched.copies.iter().filter_map(|(_, c)| c.as_deref()) {
+        match values.iter().position(|v| *v == bytes) {
+            Some(i) => holders[i] += 1,
+            None => {
+                values.push(bytes);
+                holders.push(1);
             }
         }
     }
+    let present: usize = holders.iter().sum();
+    let verdicts = verify_batch(&values);
+    assert_eq!(
+        verdicts.len(),
+        values.len(),
+        "batch verifier must return one verdict per distinct value"
+    );
+    let tally: Vec<(&[u8], usize)> = values
+        .iter()
+        .copied()
+        .zip(holders)
+        .zip(&verdicts)
+        .filter_map(|(held, ok)| ok.then_some(held))
+        .collect();
     let verifying: usize = tally.iter().map(|(_, n)| n).sum();
     // `reduce` keeps the incumbent on ties, so the earliest-seen (most
     // preferred candidate's) value wins at equal counts.
@@ -579,8 +589,8 @@ pub fn quorum_inspect_batch(
     QuorumOutcome {
         key: fetched.key,
         candidates: fetched.copies.len(),
-        missing: fetched.copies.len() - present.len(),
-        invalid: present.len() - verifying,
+        missing: fetched.copies.len() - present,
+        invalid: present - verifying,
         agreeing: agreement,
         disagreeing: verifying - agreement,
         need: read_quorum,
@@ -971,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn quorum_vote_batch_sees_all_copies_once_and_matches_per_copy() {
+    fn quorum_vote_batch_sees_each_distinct_value_once_and_matches_per_copy() {
         let key = Key::hash(b"batched-vote");
         let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
         let fetched = FetchedCopies {
@@ -984,21 +994,25 @@ mod tests {
             ],
         };
         let mut calls = 0usize;
-        let winner = quorum_vote_batch(&fetched, 2, |copies| {
+        let outcome = quorum_inspect_batch(&fetched, 2, |values| {
             calls += 1;
-            // Absent copies never reach the verifier; present ones arrive
-            // in candidate-preference order.
-            assert_eq!(copies, &[&b"good"[..], &b"BAD!"[..], &b"good"[..]]);
-            copies.iter().map(|c| *c != b"BAD!").collect()
-        })
-        .unwrap();
-        assert_eq!(winner, b"good");
+            // Absent copies never reach the verifier; each distinct present
+            // value arrives once, in candidate-preference order.
+            assert_eq!(values, &[&b"good"[..], &b"BAD!"[..]]);
+            values.iter().map(|v| *v != b"BAD!").collect()
+        });
         assert_eq!(calls, 1, "one verifier invocation for the whole read");
+        // The verdict on "good" counts for both candidates holding it.
         assert_eq!(
-            quorum_vote(&fetched, 2, |c| c != b"BAD!").unwrap(),
-            winner,
+            (outcome.missing, outcome.invalid, outcome.agreeing),
+            (1, 1, 2)
+        );
+        assert_eq!(
+            outcome,
+            quorum_inspect(&fetched, 2, |c| c != b"BAD!"),
             "per-copy and batched paths agree"
         );
+        assert_eq!(outcome.into_result().unwrap(), b"good");
     }
 
     #[test]
