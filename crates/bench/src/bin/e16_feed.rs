@@ -5,16 +5,17 @@
 //! latest `K` posts of every friend as one engine batch) against two
 //! identically-seeded engines — caching off (every read is a quorum fetch
 //! plus Schnorr verification plus decryption) and the full hierarchy on
-//! (reader-side materialized slices invalidated by hash-chain heads, hot
-//! sealed envelopes at the storage plane). Three headlines land in
+//! (reader-side materialized slices validated against the author's hash
+//! chain, hot sealed envelopes at the storage plane). Three headlines land in
 //! `BENCH_9.json`:
 //!
 //! * **`cache_digest_identical`** (gated at zero tolerance) — a mixed
 //!   post/read interleaving executed on cache-on and cache-off engines
 //!   must produce byte-identical per-batch digests: caching may change
 //!   *latency*, never *results*. This is the integrity-preserving
-//!   invalidation contract (a slice is served only while its author's
-//!   chain head matches), measured for real on every CI run.
+//!   invalidation contract (a slice is served only while the head it was
+//!   proven under is on its author's live chain), measured for real on
+//!   every CI run.
 //! * **`warm_cold_speedup`** (gated at a 5x floor) — total wall time of
 //!   the zipfian feed sequence, cold engine over warm engine. Warm feed
 //!   reads skip the quorum/verify/decrypt path entirely for valid slices,
@@ -54,8 +55,7 @@ fn engine(obs: Option<Registry>, cached: bool) -> Engine<ChordPlane> {
     let mut e = Engine::new(store, SEED);
     if cached {
         // Capacity holds every reader's full feed working set, so the
-        // measured warm phase exercises hits and invalidations, not
-        // capacity churn.
+        // measured warm phase exercises hits, not capacity churn.
         e.enable_feed_cache(1 << 16);
         e.enable_hot_cache(1 << 16);
     }
@@ -160,7 +160,7 @@ fn digest_identity(users: usize) -> bool {
             batch = batch.post(&user(i), &format!("round {round} user{i}"));
         }
         // Reads of both the fresh post and the prior round's (a cached
-        // slice whose head just advanced — the invalidation path).
+        // slice whose author just appended — the carry path).
         for i in 0..users {
             batch = batch.read_post(&user((i + 1) % users), &user(i), round as u64);
             if round > 0 {

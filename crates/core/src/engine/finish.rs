@@ -311,10 +311,11 @@ fn read_fallback<S: StoragePlane>(
 
 /// Applies a batch's planned feed fills after its report exists: only
 /// successful reads are cached (a failed read must keep failing until a
-/// quorum actually serves it).
+/// quorum actually serves it). A fill names its read by index into `ops`.
 pub(super) fn apply_feed_fills(
     feed: &mut Option<FeedCache>,
     obs: &Registry,
+    ops: &[Op],
     fills: Vec<FeedFill>,
     report: &BatchReport,
 ) {
@@ -322,17 +323,17 @@ pub(super) fn apply_feed_fills(
         return;
     };
     for fill in fills {
-        if let Some(Ok(OpOutput::Read { body })) =
-            report.results.get(fill.op_idx).map(Result::as_ref)
+        if let (
+            Some(Op::ReadPost {
+                reader,
+                author,
+                seq,
+            }),
+            Some(Ok(OpOutput::Read { body })),
+        ) = (ops.get(fill.op_idx), report.results.get(fill.op_idx))
         {
             let before = cache.stats();
-            cache.insert(
-                &fill.reader,
-                &fill.author,
-                fill.seq,
-                fill.head,
-                body.clone(),
-            );
+            cache.fill(reader, author, *seq, fill.head, body.clone());
             bump_feed_stats(obs, before, cache.stats());
         }
     }

@@ -243,14 +243,17 @@ impl<S: StoragePlane> Engine<S> {
     }
 
     /// Enables the reader-side materialized-feed cache (L1): decrypted
-    /// timeline slices keyed by the author's hash-chain head, holding at
-    /// most `capacity` posts. A cached slice serves only while the
-    /// author's live chain head still matches — any append invalidates it
-    /// — so cache hits can never serve tampered or forked content. Op
-    /// outcomes and [`BatchReport::digest`] are byte-identical with the
-    /// cache on or off (in fault-free runs the cache can only return what
-    /// a quorum read returned); only latency and `cache.*` counters
-    /// change.
+    /// timeline slices, each pinned to the author's hash-chain head it was
+    /// last proven under, holding at most `capacity` posts (the least
+    /// recently touched post goes first). A cached slice serves only while
+    /// that head is still on the author's live chain: an append carries
+    /// the slice — it re-pins to the new head, keeps its posts, and only
+    /// the new post is fetched — while a fork or a rollback drops it whole
+    /// (`cache.invalidations`), so cache hits can never serve tampered or
+    /// forked content. Op outcomes and [`BatchReport::digest`] are
+    /// byte-identical with the cache on or off (in fault-free runs the
+    /// cache can only return what a quorum read returned); only latency
+    /// and `cache.*` counters change. See [`crate::feed`].
     pub fn enable_feed_cache(&mut self, capacity: usize) {
         self.feed = Some(FeedCache::new(capacity));
     }
@@ -359,8 +362,9 @@ impl<S: StoragePlane> Engine<S> {
     /// friends' timeline lengths. Posts the reader cannot read
     /// (revoked epochs, unplaceable replicas) are skipped, not errors —
     /// a feed is best-effort by design. With the feed cache enabled,
-    /// slices whose chain head still matches are served without a quorum
-    /// read.
+    /// posts held by slices whose witness is still on the author's chain
+    /// are served without a quorum read; after a friend posts, only the
+    /// new post is fetched.
     ///
     /// Returns items grouped by friend (friends in sorted-name order),
     /// oldest-first within each friend. A user with zero friends gets an
@@ -588,6 +592,57 @@ mod tests {
         assert!(matches!(report.results[2], Err(DosnError::UnknownUser(_))));
         assert!(matches!(report.results[3], Ok(OpOutput::Posted { seq: 0 })));
         assert!(matches!(report.results[4], Ok(OpOutput::Read { .. })));
+    }
+
+    #[test]
+    fn a_forked_or_rolled_back_chain_drops_the_slice_and_reads_go_to_quorum() {
+        use crate::integrity::Timeline;
+        for diverge in [false, true] {
+            let mut e = engine(31);
+            e.enable_feed_cache(64);
+            let mut setup = OpBatch::new()
+                .register("alice")
+                .register("bob")
+                .befriend("alice", "bob", 0.9);
+            for body in ["zero", "one", "two"] {
+                setup = setup.post("alice", body);
+            }
+            e.execute(setup);
+            let reads = || {
+                OpBatch::new()
+                    .read_post("bob", "alice", 0)
+                    .read_post("bob", "alice", 1)
+            };
+            e.execute(reads());
+            let warm = e.execute(reads());
+            let filled = e.feed_cache().unwrap().stats();
+            assert_eq!((filled.hits, filled.invalidations), (2, 0));
+
+            // Alice's record comes back with another history: rolled back
+            // to two entries, or with a different third post on top of them.
+            let mut rng = SecureRng::seed_from_u64(5);
+            let alice = user_mut(&mut e.shards[shard_of("alice")], "alice").unwrap();
+            alice.rewrite_timeline(|alice, chain| {
+                let prefix = chain.entries()[..2].to_vec();
+                let mut fork = Timeline::from_entries(alice.id().clone(), prefix);
+                if diverge {
+                    fork.append(alice, b"another two", vec![], &mut rng);
+                }
+                fork
+            });
+            let quorum_reads = |e: &Engine<ChordPlane>| {
+                e.obs().snapshot().histograms[names::STORE_GET_QUORUM].count()
+            };
+            let before = quorum_reads(&e);
+            let after = e.execute(reads());
+            // Bob's witness (the old entry 2) is on neither chain: his slice
+            // goes before anything is served, and both reads are re-proven.
+            let stats = e.feed_cache().unwrap().stats();
+            assert_eq!(stats.invalidations, 1, "diverge {diverge}");
+            assert_eq!(stats.hits, filled.hits, "diverge {diverge}");
+            assert_eq!(quorum_reads(&e), before + 2, "diverge {diverge}");
+            assert_eq!(after.digest, warm.digest, "diverge {diverge}");
+        }
     }
 
     #[test]

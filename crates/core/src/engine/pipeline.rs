@@ -156,7 +156,7 @@ impl<S: StoragePlane> Engine<S> {
         // The feed cache learns the successful quorum reads only now, after
         // every lookup of this batch: a fill can never answer a read of the
         // batch that produced it.
-        apply_feed_fills(&mut self.feed, &ctx.obs, reads.fills, &report);
+        apply_feed_fills(&mut self.feed, &ctx.obs, &batch.ops, reads.fills, &report);
         report
     }
 

@@ -9,7 +9,6 @@ use super::pipeline::Batch;
 use super::{known_user, shard_of, Shard, WorkerCtx};
 use crate::error::DosnError;
 use crate::feed::{FeedCache, FeedCacheStats};
-use crate::identity::UserId;
 use crate::integrity::EntryHash;
 use dosn_obs::{names, Registry};
 
@@ -26,14 +25,11 @@ pub(super) fn plan_batch(ctx: &WorkerCtx, batch: &mut Batch) {
 }
 
 /// A planned feed-cache fill: if the quorum read at `op_idx` succeeds, its
-/// body is cached for `(reader, author, seq)` under the author's chain
-/// head as observed after prepare (posts append there, so the head already
-/// covers same-batch writes).
+/// body is cached for that op's `(reader, author, seq)` under the author's
+/// chain head as observed after prepare (posts append there, so the head
+/// already covers same-batch writes).
 pub(super) struct FeedFill {
     pub(super) op_idx: usize,
-    pub(super) reader: UserId,
-    pub(super) author: UserId,
-    pub(super) seq: u64,
     pub(super) head: EntryHash,
 }
 
@@ -48,10 +44,14 @@ pub(super) struct ReadPlan {
 }
 
 /// Validates reads and serves what the feed cache can. Runs after prepare:
-/// timelines were appended there, so an author's chain head here already
-/// covers this batch's posts — a cached slice filled before them carries
-/// the old head and invalidates, falling through to the quorum path. The L1
-/// cache can never serve around a newer write.
+/// timelines were appended there, so an author's chain here already holds
+/// this batch's posts. The cache is probed with that live chain: a slice
+/// whose witness is still on it — the head, or an entry the author has since
+/// appended to — answers for the posts it holds and re-pins to the live
+/// head; a slice whose witness is not on it (a fork, a rollback) is dropped
+/// whole. A post the slice does not hold, this batch's new ones included,
+/// misses and goes to the quorum path, so the L1 cache can never serve
+/// around a newer write.
 pub(super) fn plan_reads(
     shards: &[Shard],
     feed: &mut Option<FeedCache>,
@@ -85,27 +85,18 @@ pub(super) fn plan_reads(
             continue;
         }
         if let Some(cache) = feed.as_mut() {
-            let author_id = UserId::from(author.as_str());
-            let head = shards[routes[i]]
-                .get(&author_id)
-                .map(|u| u.timeline().head_hash());
-            if let Some(head) = head {
-                let reader_id = UserId::from(reader.as_str());
+            if let Some(author_state) = shards[routes[i]].get(author.as_str()) {
+                let chain = author_state.timeline();
+                let head = chain.head_hash();
                 let before = cache.stats();
-                let hit = cache.lookup(&reader_id, &author_id, *seq, head);
+                let hit = cache.probe(reader, author, *seq, head, Some(chain));
                 bump_feed_stats(&ctx.obs, before, cache.stats());
                 if let Some(body) = hit {
                     ctx.obs.histogram(names::NET_READ_POST_QUORUM).record(0);
                     results[i] = Some(Ok(OpOutput::Read { body }));
                     continue;
                 }
-                plan.fills.push(FeedFill {
-                    op_idx: i,
-                    reader: reader_id,
-                    author: author_id,
-                    seq: *seq,
-                    head,
-                });
+                plan.fills.push(FeedFill { op_idx: i, head });
             }
         }
         plan.reads.push(i);

@@ -4,10 +4,10 @@
 //! Two halves share the record because they share a lifetime and an owner
 //! (the user's home shard), not because they trust each other: the §III
 //! half (signing identity, privacy plane, friends group) holds keys and
-//! sees plaintext; the §IV half (hash-chained [`Timeline`], author-local
-//! sequence counter, per-post [`PostRelationKeys`], verified comments) only
-//! ever signs and chains *ciphertexts*, and is what a verifier consults
-//! without holding the user's keys.
+//! sees plaintext; the §IV half (hash-chained [`Timeline`], whose length is
+//! the author's next post sequence number, per-post [`PostRelationKeys`],
+//! verified comments) only ever signs and chains *ciphertexts*, and is what
+//! a verifier consults without holding the user's keys.
 
 use super::privacy_plane::PrivacyPlane;
 use crate::content::Post;
@@ -29,7 +29,6 @@ pub(crate) struct UserState {
     /// The group `privacy` manages for this user's friends.
     pub(super) friends_group: GroupId,
     timeline: Timeline,
-    next_seq: u64,
     /// Per post: the relation keys friends comment with, and the verified
     /// comments attached so far.
     posts: BTreeMap<u64, (PostRelationKeys, Vec<CommentAttachment>)>,
@@ -39,8 +38,8 @@ pub(crate) struct UserState {
 }
 
 impl UserState {
-    /// The record of a freshly registered user: empty timeline, sequence 0,
-    /// a fresh commenters key drawn from `rng`.
+    /// The record of a freshly registered user: empty timeline, a fresh
+    /// commenters key drawn from `rng`.
     pub(super) fn new(
         identity: Identity,
         privacy: PrivacyPlane,
@@ -52,7 +51,6 @@ impl UserState {
             identity,
             privacy,
             friends_group,
-            next_seq: 0,
             posts: BTreeMap::new(),
             commenters_key: SymmetricKey::generate(rng),
         }
@@ -63,23 +61,37 @@ impl UserState {
         &self.timeline
     }
 
+    /// Swaps in another chain — a fork or a rollback, which no engine op
+    /// produces — so a test can show what the feed cache does about one.
+    #[cfg(test)]
+    pub(super) fn rewrite_timeline(
+        &mut self,
+        rewrite: impl FnOnce(&Identity, &Timeline) -> Timeline,
+    ) {
+        self.timeline = rewrite(&self.identity, &self.timeline);
+    }
+
     /// The post prepare path — everything except the storage write, which
-    /// the commit phase applies in op order: reserve the next sequence
-    /// number, encrypt `body` for the friends group, sign the ciphertext,
-    /// chain it into the timeline, mint the per-post relation keys friends
-    /// will comment with, and wire-encode. Returns `(seq, wire record)`.
+    /// the commit phase applies in op order: encrypt `body` for the friends
+    /// group under the next sequence number, sign the ciphertext, chain it
+    /// into the timeline, mint the per-post relation keys friends will
+    /// comment with, and wire-encode. Returns `(seq, wire record)`. A post's
+    /// sequence number is its position on the timeline — `read_feed` plans
+    /// wall keys from the timeline's length and the feed cache bounds its
+    /// chain walk by it — so the number is the timeline's length and is
+    /// taken only by a post that is appended.
     ///
     /// # Errors
     ///
-    /// Privacy-plane sealing failures (the sequence number stays consumed).
+    /// Privacy-plane sealing failures; the timeline is left as it was, and
+    /// the next post gets the same sequence number.
     pub(super) fn seal_post(
         &mut self,
         body: &str,
         group: &SchnorrGroup,
         rng: &mut SecureRng,
     ) -> Result<(u64, Vec<u8>), DosnError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.timeline.entries().len() as u64;
         let author = self.identity.id().as_str();
         let post = Post::new(author, seq, seq, body);
         let (ciphertext, epoch) = self.privacy.seal(&self.friends_group, &post.to_bytes())?;

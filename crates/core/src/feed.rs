@@ -8,24 +8,49 @@
 //! cache itself) could serve stale or forked content.
 //!
 //! [`FeedCache`] is the DOSN answer: per-reader materialized slices of each
-//! author's timeline, keyed by the author's **hash-chain head** (§IV-B; the
-//! timeline lives in the author's engine record). A cached slice is served
-//! only while the author's current chain head still equals the head
-//! recorded at fill time.
-//! Any append by the author advances the head, which invalidates the whole
-//! slice and falls the read through to the normal quorum path — so a cache
-//! hit can never silently serve tampered or forked content: the chain head
-//! *is* the fork-consistency witness.
+//! author's timeline, each pinned to a **witness** — the author's hash-chain
+//! head (§IV-B; the timeline lives in the author's engine record) as of the
+//! last time the slice was proven. A slice is served only while its witness
+//! **lies on the author's live chain**:
+//!
+//! * the witness *is* the live head — nothing happened since; one 32-byte
+//!   compare;
+//! * the witness is the hash of a live-chain entry at or after the slice's
+//!   newest cached post — the author appended. The chain is append-only and
+//!   a post's sequence number is its position on it, so every cached post is
+//!   still the post at its position: the slice re-pins to the live head and
+//!   keeps its posts, and only what is new misses;
+//! * the witness is nowhere on the live chain — a fork or a rollback. The
+//!   whole slice is dropped (an invalidation) before anything is served and
+//!   the read falls through to the normal quorum path.
+//!
+//! Fork consistency is a prefix relation, not head equality: "your chain
+//! still extends what I verified" is the exact statement, and it lets an
+//! append carry a slice instead of making the reader re-fetch, re-verify and
+//! re-decrypt posts it had already proven. The witness is kept even though
+//! posts are immutable because it is what makes a forked or rolled-back
+//! chain drop the slice, and it costs one compare per probe. It is checked
+//! lazily, at the probe, rather than by re-pinning every reader's slice when
+//! the author writes: a hub's post would walk every follower's slice, while
+//! the probe walks only the entries appended since that reader last looked
+//! (over `prev_hash` links the chain already stores — no hash is computed).
+//! A caller with no chain to consult ([`FeedCache::lookup`]) gets the
+//! conservative rule: any head mismatch drops the slice.
 //!
 //! The cache stores decrypted bodies (it lives reader-side, inside the
 //! engine, after `privacy.unseal`), is bounded in total cached posts, and
-//! evicts whole author-slices LRU-first. All bookkeeping is deterministic
-//! (`BTreeMap` + logical ticks) so cached and uncached runs produce
-//! byte-identical batch digests.
+//! evicts the least-recently-touched post (a hit or a fill touches a post),
+//! whichever slice it sits in — posts that fell out of every reader's window
+//! age out first. All bookkeeping is deterministic (ordered maps probed by
+//! name, and a recency list threaded through the posts: no clock, no hasher)
+//! so cached and uncached runs produce byte-identical batch digests, and no
+//! operation scans the cache or allocates more than the body it returns (a
+//! fill that opens a new slice also allocates its names).
 
 use crate::identity::UserId;
-use crate::integrity::EntryHash;
+use crate::integrity::{EntryHash, Timeline};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One aggregated feed entry returned by `read_feed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,42 +63,122 @@ pub struct FeedItem {
     pub body: String,
 }
 
-/// A reader's cached slice of one author's timeline.
+/// Index-addressed storage that hands freed slots out again, so what lives
+/// in it is named by a `u32` that stays put instead of by its map keys.
+#[derive(Debug, Clone)]
+struct Slab<T> {
+    items: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.items.len() - self.free.len()
+    }
+
+    fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                self.items[id as usize] = Some(item);
+                id
+            }
+            None => {
+                let id = u32::try_from(self.items.len()).expect("fewer than 2^32 slab items");
+                self.items.push(Some(item));
+                id
+            }
+        }
+    }
+
+    fn remove(&mut self, id: u32) -> T {
+        self.free.push(id);
+        self.items[id as usize].take().expect("a live slab id")
+    }
+}
+
+impl<T> std::ops::Index<u32> for Slab<T> {
+    type Output = T;
+    fn index(&self, id: u32) -> &T {
+        self.items[id as usize].as_ref().expect("a live slab id")
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Slab<T> {
+    fn index_mut(&mut self, id: u32) -> &mut T {
+        self.items[id as usize].as_mut().expect("a live slab id")
+    }
+}
+
+/// The end of the recency list, in either direction.
+const NIL: u32 = u32::MAX;
+
+/// One cached decrypted post: a node of the recency list that runs through
+/// [`FeedCache::posts`].
+#[derive(Debug, Clone)]
+struct CachedPost {
+    /// Where the post is filed: its slice and its sequence number there.
+    slice: u32,
+    seq: u64,
+    /// The posts touched just before and just after this one.
+    older: u32,
+    newer: u32,
+    body: String,
+}
+
+/// A reader's cached slice of one author's timeline. Never empty: the
+/// removal of its last post removes the slice.
 #[derive(Debug, Clone)]
 struct AuthorSlice {
-    /// The author's chain head when this slice was filled. The slice is
-    /// valid only while the live head still matches.
+    /// The names the slice is filed under in [`FeedCache::by_name`] (shared
+    /// with the map's keys), so a drop or an eviction can unfile it.
+    reader: Arc<str>,
+    author: Arc<str>,
+    /// The witness: the author's chain head when the slice was filled or
+    /// last found on the live chain.
     head: EntryHash,
-    /// Cached decrypted bodies by sequence number.
-    posts: BTreeMap<u64, String>,
-    /// Logical LRU tick of the slice's last hit or fill.
-    last_used: u64,
+    /// The slice's posts in [`FeedCache::posts`], by sequence number.
+    posts: BTreeMap<u64, u32>,
 }
 
 /// Counters the cache maintains for tests and metric export. The engine
 /// mirrors these onto the `cache.*` instruments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeedCacheStats {
-    /// Reads served from a slice whose chain head matched.
+    /// Reads served from a slice whose witness was on the live chain.
     pub hits: u64,
     /// Reads that fell through to a quorum read.
     pub misses: u64,
-    /// Slices dropped because the author's chain head advanced.
+    /// Slices dropped because their witness was not on the author's live
+    /// chain — a fork or a rollback (or, with no chain to consult, any head
+    /// mismatch). An append is not one: it carries the slice.
     pub invalidations: u64,
     /// Posts evicted by capacity pressure.
     pub evictions: u64,
 }
 
-/// Per-reader materialized timelines with chain-head invalidation.
+/// Per-reader materialized timelines, each valid while its witness lies on
+/// the author's live chain.
 ///
-/// Keyed `(reader, author) → slice`; capacity counts cached *posts* across
-/// all slices. See the module docs for the integrity argument.
+/// Keyed reader → author → slice; capacity counts cached *posts* across all
+/// slices. See the module docs for the integrity argument.
 #[derive(Debug, Clone)]
 pub struct FeedCache {
     capacity: usize,
-    tick: u64,
-    len: usize,
-    slices: BTreeMap<(UserId, UserId), AuthorSlice>,
+    /// reader → author → the slice's id in `slices`, probed with `&str`.
+    by_name: BTreeMap<Arc<str>, BTreeMap<Arc<str>, u32>>,
+    slices: Slab<AuthorSlice>,
+    posts: Slab<CachedPost>,
+    /// The ends of the recency list: every cached post, linked from the
+    /// least to the most recently touched. `oldest` is the eviction victim.
+    oldest: u32,
+    newest: u32,
     stats: FeedCacheStats,
 }
 
@@ -87,21 +192,23 @@ impl FeedCache {
         assert!(capacity >= 1, "feed cache capacity must be at least 1");
         FeedCache {
             capacity,
-            tick: 0,
-            len: 0,
-            slices: BTreeMap::new(),
+            by_name: BTreeMap::new(),
+            slices: Slab::new(),
+            posts: Slab::new(),
+            oldest: NIL,
+            newest: NIL,
             stats: FeedCacheStats::default(),
         }
     }
 
     /// Total cached posts across all slices.
     pub fn len(&self) -> usize {
-        self.len
+        self.posts.len()
     }
 
     /// Whether nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Counters accumulated since construction.
@@ -110,12 +217,12 @@ impl FeedCache {
     }
 
     /// Attempts to serve `(reader, author, seq)` from the cache, given the
-    /// author's **live** chain head `head`.
+    /// author's **live** chain head `head` and no chain to look further:
     ///
     /// * Slice present with `slice.head == head` and the seq cached → hit.
-    /// * Slice present with a different head → the author appended (or the
-    ///   state forked) since fill time: the whole slice is dropped
-    ///   (counted as an invalidation) and the read misses.
+    /// * Slice present with a different head → whether the author appended
+    ///   or the state forked cannot be told apart here, so the whole slice
+    ///   is dropped (counted as an invalidation) and the read misses.
     /// * Anything else → miss.
     pub fn lookup(
         &mut self,
@@ -124,38 +231,53 @@ impl FeedCache {
         seq: u64,
         head: EntryHash,
     ) -> Option<String> {
-        self.tick += 1;
-        let key = (reader.clone(), author.clone());
-        match self.slices.get_mut(&key) {
-            Some(slice) if slice.head == head => {
-                if let Some(body) = slice.posts.get(&seq) {
-                    slice.last_used = self.tick;
-                    self.stats.hits += 1;
-                    Some(body.clone())
-                } else {
-                    self.stats.misses += 1;
-                    None
-                }
-            }
-            Some(_) => {
-                let dropped = self.slices.remove(&key).expect("slice just matched");
-                self.len -= dropped.posts.len();
+        self.probe(reader.as_str(), author.as_str(), seq, head, None)
+    }
+
+    /// [`FeedCache::lookup`] with the author's live `chain` (whose head is
+    /// `head`) to consult on a head mismatch: a slice whose witness is on
+    /// the chain at or after its newest cached post was only appended to —
+    /// it re-pins to `head`, keeps its posts and answers the probe like a
+    /// slice that matched; one whose witness is not there is dropped.
+    pub(crate) fn probe(
+        &mut self,
+        reader: &str,
+        author: &str,
+        seq: u64,
+        head: EntryHash,
+        chain: Option<&Timeline>,
+    ) -> Option<String> {
+        debug_assert!(chain.is_none_or(|chain| chain.head_hash() == head));
+        let Some(id) = self.slice_of(reader, author) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let slice = &mut self.slices[id];
+        if slice.head != head {
+            let newest = slice.posts.keys().next_back().copied().unwrap_or(0);
+            if !chain.is_some_and(|chain| chain.extends(&slice.head, newest)) {
+                self.drop_slice(id);
                 self.stats.invalidations += 1;
                 self.stats.misses += 1;
-                None
+                return None;
             }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+            slice.head = head;
         }
+        let Some(&post) = slice.posts.get(&seq) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.unlink(post);
+        self.link_newest(post);
+        self.stats.hits += 1;
+        Some(self.posts[post].body.clone())
     }
 
     /// Fills `(reader, author, seq) → body`, recorded against the author's
     /// chain head `head` observed when the body was read and verified. A
-    /// slice pinned to an older head is replaced outright (its posts
-    /// predate `head` and must not survive under the new witness). Returns
-    /// the number of posts evicted by capacity pressure.
+    /// slice pinned to another head is replaced outright (nothing here says
+    /// its posts are on the chain `head` ends). Returns the number of posts
+    /// evicted by capacity pressure.
     pub fn insert(
         &mut self,
         reader: &UserId,
@@ -164,75 +286,405 @@ impl FeedCache {
         head: EntryHash,
         body: String,
     ) -> u64 {
-        self.tick += 1;
-        let key = (reader.clone(), author.clone());
-        let slice = self.slices.entry(key).or_insert_with(|| AuthorSlice {
-            head,
-            posts: BTreeMap::new(),
-            last_used: 0,
-        });
-        if slice.head != head {
-            self.len -= slice.posts.len();
-            slice.posts.clear();
-            slice.head = head;
+        self.fill(reader.as_str(), author.as_str(), seq, head, body)
+    }
+
+    /// [`FeedCache::insert`] for callers that hold the names as `&str`.
+    pub(crate) fn fill(
+        &mut self,
+        reader: &str,
+        author: &str,
+        seq: u64,
+        head: EntryHash,
+        body: String,
+    ) -> u64 {
+        let id = match self.slice_of(reader, author) {
+            Some(id) => id,
+            None => self.open_slice(reader, author, head),
+        };
+        if self.slices[id].head != head {
+            let stale = std::mem::take(&mut self.slices[id].posts);
+            self.forget(stale.into_values());
+            self.slices[id].head = head;
         }
-        slice.last_used = self.tick;
-        if slice.posts.insert(seq, body).is_none() {
-            self.len += 1;
-        }
-        let mut evicted = 0;
-        while self.len > self.capacity {
-            // Victim = least-recently-used slice; shed its oldest post
-            // first so the hottest (newest) posts of a slice die last.
-            let victim = self
-                .slices
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("cache over capacity is non-empty");
-            let slice = self.slices.get_mut(&victim).expect("victim exists");
-            let oldest = *slice
-                .posts
-                .keys()
-                .next()
-                .expect("victim slice is non-empty");
-            slice.posts.remove(&oldest);
-            self.len -= 1;
-            evicted += 1;
-            if slice.posts.is_empty() {
-                self.slices.remove(&victim);
+        let post = match self.slices[id].posts.get(&seq) {
+            Some(&post) => {
+                self.posts[post].body = body;
+                self.unlink(post);
+                post
             }
+            None => {
+                let post = self.posts.insert(CachedPost {
+                    slice: id,
+                    seq,
+                    older: NIL,
+                    newer: NIL,
+                    body,
+                });
+                self.slices[id].posts.insert(seq, post);
+                post
+            }
+        };
+        self.link_newest(post);
+        let mut evicted = 0;
+        while self.posts.len() > self.capacity {
+            // Never the post just filled: it is the newest of at least two.
+            let victim = self.oldest;
+            self.unlink(victim);
+            let CachedPost { slice, seq, .. } = self.posts.remove(victim);
+            self.slices[slice].posts.remove(&seq);
+            if self.slices[slice].posts.is_empty() {
+                self.drop_slice(slice);
+            }
+            evicted += 1;
         }
         self.stats.evictions += evicted;
         evicted
     }
 
-    /// Drops every slice cached for `author` (all readers) — used when an
-    /// author's state is reset outside the normal append path.
-    pub fn invalidate_author(&mut self, author: &UserId) -> u64 {
-        let keys: Vec<_> = self
-            .slices
-            .keys()
-            .filter(|(_, a)| a == author)
-            .cloned()
-            .collect();
-        let mut dropped = 0;
-        for key in keys {
-            let slice = self.slices.remove(&key).expect("key just listed");
-            self.len -= slice.posts.len();
-            dropped += 1;
+    fn slice_of(&self, reader: &str, author: &str) -> Option<u32> {
+        self.by_name.get(reader)?.get(author).copied()
+    }
+
+    /// Files a new, still empty slice under `(reader, author)`; its caller
+    /// fills it.
+    fn open_slice(&mut self, reader: &str, author: &str, head: EntryHash) -> u32 {
+        let reader = match self.by_name.get_key_value(reader) {
+            Some((name, _)) => Arc::clone(name),
+            None => Arc::from(reader),
+        };
+        let author: Arc<str> = Arc::from(author);
+        let id = self.slices.insert(AuthorSlice {
+            reader: Arc::clone(&reader),
+            author: Arc::clone(&author),
+            head,
+            posts: BTreeMap::new(),
+        });
+        self.by_name.entry(reader).or_default().insert(author, id);
+        id
+    }
+
+    /// Unfiles slice `id` and forgets whatever posts it still holds.
+    fn drop_slice(&mut self, id: u32) {
+        let slice = self.slices.remove(id);
+        self.forget(slice.posts.into_values());
+        if let Some(authors) = self.by_name.get_mut(&*slice.reader) {
+            authors.remove(&*slice.author);
+            if authors.is_empty() {
+                self.by_name.remove(&*slice.reader);
+            }
         }
-        self.stats.invalidations += dropped;
-        dropped
+    }
+
+    /// Removes `posts`, which their slice no longer lists.
+    fn forget(&mut self, posts: impl Iterator<Item = u32>) {
+        for post in posts {
+            self.unlink(post);
+            self.posts.remove(post);
+        }
+    }
+
+    /// Takes `post` out of the recency list.
+    fn unlink(&mut self, post: u32) {
+        let CachedPost { older, newer, .. } = self.posts[post];
+        match older {
+            NIL => self.oldest = newer,
+            older => self.posts[older].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            newer => self.posts[newer].older = older,
+        }
+    }
+
+    /// Puts the unlinked `post` at the recent end of the recency list.
+    fn link_newest(&mut self, post: u32) {
+        let older = std::mem::replace(&mut self.newest, post);
+        (self.posts[post].older, self.posts[post].newer) = (older, NIL);
+        match older {
+            NIL => self.oldest = post,
+            older => self.posts[older].newer = post,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::identity::Identity;
+    use crate::integrity::TimelineEntry;
+    use dosn_crypto::chacha::SecureRng;
+    use dosn_crypto::group::SchnorrGroup;
+    use dosn_crypto::keys::KeyDirectory;
+    use proptest::prelude::*;
 
     fn uid(s: &str) -> UserId {
         UserId(s.to_string())
+    }
+
+    /// An author whose live chain the tests append to, roll back and fork.
+    struct Author {
+        identity: Identity,
+        chain: Timeline,
+        rng: SecureRng,
+        posted: u32,
+    }
+
+    impl Author {
+        fn new(name: &str) -> Self {
+            let mut rng = SecureRng::seed_from_u64(17);
+            let identity =
+                Identity::create(name, SchnorrGroup::toy(), &KeyDirectory::new(), &mut rng);
+            Author {
+                chain: Timeline::new(identity.id().clone()),
+                identity,
+                rng,
+                posted: 0,
+            }
+        }
+
+        fn name(&self) -> &str {
+            self.identity.id().as_str()
+        }
+
+        /// Appends a post whose body no other post of this author shares,
+        /// so a post served from a chain it is not on shows as a wrong body.
+        fn post(&mut self) {
+            let body = format!("{} #{}", self.name(), self.posted);
+            self.posted += 1;
+            self.chain
+                .append(&self.identity, body.as_bytes(), vec![], &mut self.rng);
+        }
+
+        /// Rolls the chain back to its first `keep` entries.
+        fn roll_back(&mut self, keep: usize) {
+            let prefix = self.chain.entries()[..keep].to_vec();
+            self.chain = Timeline::from_entries(self.identity.id().clone(), prefix);
+        }
+
+        fn body(&self, seq: u64) -> String {
+            String::from_utf8(self.chain.entries()[seq as usize].body.clone()).unwrap()
+        }
+
+        /// What the engine does for a read: probe with the live chain and,
+        /// on a miss, fill with the body the live chain holds.
+        fn read(&self, cache: &mut FeedCache, reader: &str, seq: u64) -> Option<String> {
+            let head = self.chain.head_hash();
+            let hit = cache.probe(reader, self.name(), seq, head, Some(&self.chain));
+            if hit.is_none() {
+                cache.fill(reader, self.name(), seq, head, self.body(seq));
+            }
+            hit
+        }
+    }
+
+    #[test]
+    fn an_append_carries_the_slice_and_repins_it() {
+        let mut alice = Author::new("alice");
+        let mut c = FeedCache::new(8);
+        alice.post();
+        alice.post();
+        assert_eq!(alice.read(&mut c, "bob", 0), None);
+        assert_eq!(alice.read(&mut c, "bob", 1), None);
+        alice.post();
+        alice.post();
+        // Two appends later the posts bob proved are still hits, the new
+        // ones are plain misses, and nothing was dropped.
+        assert_eq!(alice.read(&mut c, "bob", 1), Some(alice.body(1)));
+        assert_eq!(alice.read(&mut c, "bob", 3), None);
+        assert_eq!(alice.read(&mut c, "bob", 0), Some(alice.body(0)));
+        assert_eq!((c.len(), c.stats().invalidations), (3, 0));
+        // The carried slice is pinned to the live head now: the chainless
+        // lookup, which accepts nothing else, serves it.
+        let head = alice.chain.head_hash();
+        let served = c.lookup(&uid("bob"), &uid("alice"), 0, head);
+        assert_eq!(served, Some(alice.body(0)));
+    }
+
+    #[test]
+    fn a_diverging_suffix_drops_the_slice() {
+        let mut alice = Author::new("alice");
+        let mut c = FeedCache::new(8);
+        for seq in 0..3 {
+            alice.post();
+            alice.read(&mut c, "bob", seq);
+        }
+        // The chain forks below bob's witness: entry 2 is now another post.
+        alice.roll_back(2);
+        alice.post();
+        assert_eq!(alice.read(&mut c, "bob", 0), None, "never served");
+        assert_eq!(c.stats().invalidations, 1);
+        assert_eq!(c.len(), 1, "the whole slice went; post 0 was refilled");
+        assert_eq!(alice.read(&mut c, "bob", 2), None, "the old post 2 is gone");
+        assert_eq!(alice.read(&mut c, "bob", 2), Some(alice.body(2)));
+        assert_eq!(c.stats().invalidations, 1);
+    }
+
+    #[test]
+    fn a_rolled_back_prefix_drops_the_slice() {
+        let mut alice = Author::new("alice");
+        let mut c = FeedCache::new(8);
+        for seq in 0..3 {
+            alice.post();
+            alice.read(&mut c, "bob", seq);
+        }
+        // The live chain is a prefix of what bob saw: his witness (entry 2)
+        // is not on it, although every entry it does hold is one he proved.
+        alice.roll_back(2);
+        let head = alice.chain.head_hash();
+        let probe = c.probe("bob", "alice", 0, head, Some(&alice.chain));
+        assert_eq!(probe, None, "never served");
+        assert_eq!(c.stats().invalidations, 1);
+        assert!(c.is_empty(), "the whole slice is dropped");
+    }
+
+    /// The reference the cache is checked against: per (reader, author) the
+    /// witness and the bodies filled since the last drop, with validity
+    /// recomputed by hashing every entry of the live chain.
+    #[derive(Default)]
+    struct Model {
+        slices: BTreeMap<(usize, usize), (EntryHash, BTreeMap<u64, String>)>,
+        stats: FeedCacheStats,
+    }
+
+    impl Model {
+        fn probe(&mut self, key: (usize, usize), seq: u64, chain: &Timeline) -> Option<String> {
+            let live = chain.entries().last().map_or([0; 32], TimelineEntry::hash);
+            let body = match self.slices.get_mut(&key) {
+                None => None,
+                Some((witness, posts)) => {
+                    if chain.entries().iter().any(|e| e.hash() == *witness) {
+                        *witness = live;
+                        posts.get(&seq).cloned()
+                    } else {
+                        self.slices.remove(&key);
+                        self.stats.invalidations += 1;
+                        None
+                    }
+                }
+            };
+            match body {
+                Some(_) => self.stats.hits += 1,
+                None => self.stats.misses += 1,
+            }
+            body
+        }
+
+        fn fill(&mut self, key: (usize, usize), seq: u64, chain: &Timeline, body: String) {
+            let live = chain.entries().last().map_or([0; 32], TimelineEntry::hash);
+            let (witness, posts) = self.slices.entry(key).or_insert((live, BTreeMap::new()));
+            if *witness != live {
+                posts.clear();
+                *witness = live;
+            }
+            posts.insert(seq, body);
+        }
+
+        fn len(&self) -> usize {
+            self.slices.values().map(|(_, posts)| posts.len()).sum()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Post(usize),
+        /// Roll back to `keep` (mod the length) entries, then post `regrow`.
+        Fork(usize, usize, usize),
+        /// Probe and, on a miss, fill — a read of an existing post.
+        Read(usize, usize, u64),
+        /// Probe only, possibly past the end of the chain.
+        Probe(usize, usize, u64),
+        /// Fill without a probe before it: the replace-outright path.
+        Fill(usize, usize, u64),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let read = || (0..2usize, 0..2usize, 0..64u64);
+        prop_oneof![
+            (0..2usize).prop_map(Step::Post),
+            (0..2usize).prop_map(Step::Post),
+            (0..2usize, 0..64usize, 0..3usize).prop_map(|(a, keep, n)| Step::Fork(a, keep, n)),
+            read().prop_map(|(r, a, s)| Step::Read(r, a, s)),
+            read().prop_map(|(r, a, s)| Step::Read(r, a, s)),
+            read().prop_map(|(r, a, s)| Step::Read(r, a, s)),
+            read().prop_map(|(r, a, s)| Step::Probe(r, a, s)),
+            read().prop_map(|(r, a, s)| Step::Fill(r, a, s)),
+        ]
+    }
+
+    const READERS: [&str; 2] = ["r0", "r1"];
+
+    /// Probes cache and model alike; whether it was a hit.
+    fn check_probe(
+        cache: &mut FeedCache,
+        model: &mut Model,
+        key: (usize, usize),
+        author: &Author,
+        seq: u64,
+    ) -> Result<bool, TestCaseError> {
+        let head = author.chain.head_hash();
+        let got = cache.probe(
+            READERS[key.0],
+            author.name(),
+            seq,
+            head,
+            Some(&author.chain),
+        );
+        prop_assert_eq!(&got, &model.probe(key, seq, &author.chain));
+        if let Some(body) = &got {
+            prop_assert_eq!(body, &author.body(seq), "a body off the live chain");
+        }
+        Ok(got.is_some())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Random appends, forks, reads, probes and fills over two readers
+        /// and two authors: a probe hits exactly when the reference finds
+        /// the witness on the live chain and the post was filled since the
+        /// last drop, returns exactly the filled body — which is the body
+        /// the live chain holds there — and the counts agree throughout.
+        #[test]
+        fn probes_agree_with_a_model_that_rehashes_the_whole_chain(
+            steps in proptest::collection::vec(step(), 1..96),
+        ) {
+            let mut authors = [Author::new("a0"), Author::new("a1")];
+            let mut cache = FeedCache::new(1 << 12);
+            let mut model = Model::default();
+            for step in steps {
+                match step {
+                    Step::Post(a) => authors[a].post(),
+                    Step::Fork(a, keep, regrow) => {
+                        let author = &mut authors[a];
+                        author.roll_back(keep % (author.chain.entries().len() + 1));
+                        (0..regrow).for_each(|_| author.post());
+                    }
+                    Step::Probe(r, a, pick) => {
+                        let seq = pick % (authors[a].chain.entries().len() as u64 + 1);
+                        check_probe(&mut cache, &mut model, (r, a), &authors[a], seq)?;
+                    }
+                    Step::Read(r, a, pick) | Step::Fill(r, a, pick) => {
+                        let author = &authors[a];
+                        let len = author.chain.entries().len() as u64;
+                        if len == 0 {
+                            continue;
+                        }
+                        let seq = pick % len;
+                        if matches!(step, Step::Read(..))
+                            && check_probe(&mut cache, &mut model, (r, a), author, seq)?
+                        {
+                            continue;
+                        }
+                        let head = author.chain.head_hash();
+                        cache.fill(READERS[r], author.name(), seq, head, author.body(seq));
+                        model.fill((r, a), seq, &author.chain, author.body(seq));
+                    }
+                }
+                prop_assert_eq!(cache.len(), model.len());
+                prop_assert_eq!(cache.stats(), model.stats);
+            }
+        }
     }
 
     #[test]
@@ -297,15 +749,5 @@ mod tests {
         c.insert(&r1, &a, 0, [1u8; 32], "p".into());
         assert!(c.lookup(&r2, &a, 0, [1u8; 32]).is_none());
         assert_eq!(c.lookup(&r1, &a, 0, [1u8; 32]).as_deref(), Some("p"));
-    }
-
-    #[test]
-    fn invalidate_author_drops_all_readers() {
-        let mut c = FeedCache::new(8);
-        let (r1, r2, a) = (uid("r1"), uid("r2"), uid("author"));
-        c.insert(&r1, &a, 0, [1u8; 32], "p".into());
-        c.insert(&r2, &a, 0, [1u8; 32], "p".into());
-        assert_eq!(c.invalidate_author(&a), 2);
-        assert!(c.is_empty());
     }
 }

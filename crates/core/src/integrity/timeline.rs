@@ -106,6 +106,9 @@ fn hash_entry(
 pub struct Timeline {
     owner: UserId,
     entries: Vec<TimelineEntry>,
+    /// The hash of the newest entry (zeros when empty), kept beside the
+    /// entries so that reading it hashes nothing.
+    head: EntryHash,
 }
 
 impl Timeline {
@@ -114,6 +117,7 @@ impl Timeline {
         Timeline {
             owner,
             entries: Vec::new(),
+            head: [0; 32],
         }
     }
 
@@ -130,7 +134,7 @@ impl Timeline {
     /// The hash of the newest entry (zeros when empty) — what another user
     /// embeds to entangle with this timeline.
     pub fn head_hash(&self) -> EntryHash {
-        self.entries.last().map_or([0; 32], TimelineEntry::hash)
+        self.head
     }
 
     /// A reference to the newest entry, for entangling (`None` when empty).
@@ -138,8 +142,29 @@ impl Timeline {
         self.entries.last().map(|e| ExternalRef {
             author: e.author.clone(),
             sequence: e.sequence,
-            hash: e.hash(),
+            hash: self.head,
         })
+    }
+
+    /// Whether `witness` is the hash of one of this chain's entries at
+    /// position `from` or later — whether the chain *extends* a head that
+    /// somebody saw when it was at least `from + 1` entries long. Walks
+    /// newest to oldest over hashes the chain already stores (the head, then
+    /// what each successor chained to) and hashes nothing; a forked or
+    /// rolled-back chain no longer holds the witness and answers `false`.
+    /// The links are believed as stored, so the answer is as good as the
+    /// chain: its holder's own, or one that passed [`Timeline::verify`].
+    pub(crate) fn extends(&self, witness: &EntryHash, from: u64) -> bool {
+        let from = usize::try_from(from).unwrap_or(usize::MAX);
+        let mut hash = &self.head;
+        for entry in self.entries.get(from..).unwrap_or_default().iter().rev() {
+            // `hash` is `entry`'s own: the head, or its successor's link.
+            if hash == witness {
+                return true;
+            }
+            hash = &entry.prev_hash;
+        }
+        false
     }
 
     /// Appends and signs a new entry.
@@ -156,9 +181,9 @@ impl Timeline {
     ) -> &TimelineEntry {
         assert_eq!(identity.id(), &self.owner, "only the owner appends");
         let sequence = self.entries.len() as u64;
-        let prev_hash = self.head_hash();
-        let hash = hash_entry(&self.owner, sequence, body, &prev_hash, &external_refs);
-        let signature = identity.signing().sign(&hash, rng);
+        let prev_hash = self.head;
+        self.head = hash_entry(&self.owner, sequence, body, &prev_hash, &external_refs);
+        let signature = identity.signing().sign(&self.head, rng);
         self.entries.push(TimelineEntry {
             author: self.owner.clone(),
             sequence,
@@ -173,7 +198,12 @@ impl Timeline {
     /// Reconstructs a timeline from transported entries, without verifying
     /// (call [`Timeline::verify`]).
     pub fn from_entries(owner: UserId, entries: Vec<TimelineEntry>) -> Self {
-        Timeline { owner, entries }
+        let head = entries.last().map_or([0; 32], TimelineEntry::hash);
+        Timeline {
+            owner,
+            entries,
+            head,
+        }
     }
 
     /// Verifies the whole chain: signatures, contiguous sequences, and
@@ -255,6 +285,7 @@ impl Timeline {
 mod tests {
     use super::*;
     use dosn_crypto::group::SchnorrGroup;
+    use proptest::prelude::*;
 
     fn setup() -> (Identity, Identity, KeyDirectory, SecureRng) {
         let mut rng = SecureRng::seed_from_u64(81);
@@ -396,5 +427,63 @@ mod tests {
         }
         let rebuilt = Timeline::from_entries(bob.id().clone(), t.entries().to_vec());
         rebuilt.verify(&dir).unwrap();
+    }
+
+    #[test]
+    fn extends_finds_a_witness_on_the_chain_at_or_after_the_bound_only() {
+        let (bob, _, _, mut rng) = setup();
+        let mut t = Timeline::new(bob.id().clone());
+        assert!(
+            !t.extends(&t.head_hash(), 0),
+            "an empty chain holds nothing"
+        );
+        for i in 0..5 {
+            t.append(&bob, format!("{i}").as_bytes(), vec![], &mut rng);
+        }
+        let hashes: Vec<EntryHash> = t.entries().iter().map(TimelineEntry::hash).collect();
+        for (position, hash) in hashes.iter().enumerate() {
+            for from in 0..7 {
+                assert_eq!(t.extends(hash, from), from <= position as u64);
+            }
+        }
+        assert!(!t.extends(&[0; 32], 0), "entry 0's link is not an entry");
+        // A fork that keeps entries 0..=2 still extends their hashes and
+        // nothing above them; a rollback to the same prefix likewise.
+        let rolled_back = Timeline::from_entries(bob.id().clone(), t.entries()[..3].to_vec());
+        let mut fork = rolled_back.clone();
+        fork.append(&bob, b"another 3", vec![], &mut rng);
+        for chain in [&rolled_back, &fork] {
+            for (position, hash) in hashes.iter().enumerate() {
+                assert_eq!(chain.extends(hash, 0), position < 3, "entry {position}");
+            }
+        }
+        assert!(fork.extends(&fork.head_hash(), 3));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        /// The stored head is the newest entry's recomputed hash after every
+        /// `append` and `from_entries`, whatever mix of the two built the
+        /// chain (`true` appends, `false` rebuilds from a prefix).
+        #[test]
+        fn head_hash_is_the_newest_entrys_hash(
+            steps in proptest::collection::vec((any::<bool>(), 0..8usize), 1..24),
+        ) {
+            let (bob, _, dir, mut rng) = setup();
+            let mut t = Timeline::new(bob.id().clone());
+            for (i, (append, keep)) in steps.into_iter().enumerate() {
+                if append {
+                    t.append(&bob, format!("post {i}").as_bytes(), vec![], &mut rng);
+                } else {
+                    let keep = keep.min(t.entries().len());
+                    t = Timeline::from_entries(bob.id().clone(), t.entries()[..keep].to_vec());
+                }
+                let newest = t.entries().last().map_or([0; 32], TimelineEntry::hash);
+                prop_assert_eq!(t.head_hash(), newest);
+                prop_assert_eq!(t.head_ref().map(|r| r.hash), t.entries().last().map(TimelineEntry::hash));
+            }
+            t.verify(&dir).unwrap();
+        }
     }
 }

@@ -367,8 +367,9 @@ impl<S: StoragePlane> DosnNetwork<S> {
     }
 
     /// Enables the full caching hierarchy: the reader-side materialized
-    /// feed cache (L1, `capacity` decrypted posts, invalidated by
-    /// hash-chain heads) and the storage plane's hot envelope cache (L2,
+    /// feed cache (L1, `capacity` decrypted posts, valid while the
+    /// hash-chain head they were proven under is on the author's live
+    /// chain) and the storage plane's hot envelope cache (L2,
     /// `capacity` verified sealed envelopes under the plane's native
     /// admission policy). Op outcomes are byte-identical with caching on
     /// or off; only latency and the `cache.*` instruments change. See

@@ -4,7 +4,10 @@
 //! across worker counts.
 
 use dosn_core::engine::{wall_key, Engine, OpBatch, OpOutput};
+use dosn_core::network::DosnNetwork;
+use dosn_core::privacy::{AccessScheme, GroupId, MembershipCost, SealedPost, SymmetricGroupScheme};
 use dosn_core::DosnError;
+use dosn_crypto::CryptoError;
 use dosn_obs::names;
 use dosn_overlay::adversary::{AdversaryConfig, AdversaryMode, AdversaryPlane};
 use dosn_overlay::id::{Key, NodeId};
@@ -330,4 +333,86 @@ fn body_forging_replicas_never_serve_and_every_configuration_agrees() {
             assert_eq!(*sampled, 1, "forged={forged}");
         }
     }
+}
+
+/// The symmetric scheme with a first `encrypt` that fails.
+struct FailsOnce {
+    inner: SymmetricGroupScheme,
+    failed: bool,
+}
+
+impl AccessScheme for FailsOnce {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn create_group(&mut self, members: &[String]) -> Result<GroupId, DosnError> {
+        self.inner.create_group(members)
+    }
+    fn encrypt(&mut self, group: &GroupId, plaintext: &[u8]) -> Result<SealedPost, DosnError> {
+        if !std::mem::replace(&mut self.failed, true) {
+            return Err(DosnError::Crypto(CryptoError::Protocol(
+                "the first seal fails".into(),
+            )));
+        }
+        self.inner.encrypt(group, plaintext)
+    }
+    fn decrypt_as(
+        &self,
+        group: &GroupId,
+        member: &str,
+        post: &SealedPost,
+    ) -> Result<Vec<u8>, DosnError> {
+        self.inner.decrypt_as(group, member, post)
+    }
+    fn add_member(&mut self, group: &GroupId, member: &str) -> Result<MembershipCost, DosnError> {
+        self.inner.add_member(group, member)
+    }
+    fn revoke_member(
+        &mut self,
+        group: &GroupId,
+        member: &str,
+    ) -> Result<MembershipCost, DosnError> {
+        self.inner.revoke_member(group, member)
+    }
+    fn members(&self, group: &GroupId) -> Vec<String> {
+        self.inner.members(group)
+    }
+}
+
+#[test]
+fn a_failed_seal_takes_no_sequence_number_and_the_feed_still_sees_the_wall() {
+    // A post's sequence number is its position on the author's timeline:
+    // `read_feed` plans wall keys from the timeline's length. A seal that
+    // fails must therefore not consume a number — it used to, and from then
+    // on the feed asked for keys one below the posts'.
+    let run = |workers: usize| {
+        let mut n = DosnNetwork::new(16, 23);
+        n.set_workers(workers);
+        let scheme = FailsOnce {
+            inner: SymmetricGroupScheme::new([9; 32]),
+            failed: false,
+        };
+        n.register_with_boxed_scheme("alice", Box::new(scheme))
+            .unwrap();
+        n.register("bob").unwrap();
+        n.befriend("alice", "bob", 0.9).unwrap();
+        let posts = n.execute(OpBatch::new().post("alice", "lost").post("alice", "kept"));
+        assert!(
+            matches!(posts.results[0], Err(DosnError::Crypto(_))),
+            "the failed op reports its own error: {:?}",
+            posts.results[0]
+        );
+        assert!(matches!(posts.results[1], Ok(OpOutput::Posted { seq: 0 })));
+        assert_eq!(n.timeline("alice").unwrap().entries().len(), 1);
+        assert_eq!(n.read_post("bob", "alice", 0).unwrap(), "kept");
+        let feed: Vec<(u64, String)> = n
+            .read_feed("bob", 3)
+            .unwrap()
+            .into_iter()
+            .map(|item| (item.seq, item.body))
+            .collect();
+        assert_eq!(feed, vec![(0, "kept".to_owned())], "{workers} workers");
+        posts.digest
+    };
+    assert_eq!(run(1), run(2), "digest depends on the worker count");
 }

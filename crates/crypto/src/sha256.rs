@@ -86,14 +86,16 @@ impl Sha256 {
     /// Consumes the hasher, returning the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // Note: the 0x80 update bumped total_len, but bit_len was captured first.
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // padding must not count; length already captured
+        // `update` never leaves the buffer full, so the 0x80 always fits.
         let mut last = self.buffer;
-        last[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        last[self.buffer_len] = 0x80;
+        last[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            // No room left for the length: it goes into a block of its own.
+            self.compress(&last);
+            last = [0; BLOCK_LEN];
+        }
+        last[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&last);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -243,6 +245,34 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), d1, "len {len}");
+        }
+    }
+
+    /// The padding fed through `update` one byte at a time — how `finalize`
+    /// padded before it wrote the padding in one step; kept as the reference.
+    fn finalize_bytewise(mut h: Sha256) -> [u8; DIGEST_LEN] {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffer_len != 56 {
+            h.update(&[0]);
+        }
+        let mut last = h.buffer;
+        last[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        h.compress(&last);
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, word) in h.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn one_step_padding_matches_bytewise_padding_at_every_length() {
+        let data: Vec<u8> = (0..200u16).map(|i| (i * 13 % 251) as u8).collect();
+        for len in 0..=data.len() {
+            let mut h = Sha256::new();
+            h.update(&data[..len]);
+            assert_eq!(h.clone().finalize(), finalize_bytewise(h), "len {len}");
         }
     }
 
