@@ -87,16 +87,18 @@ pub(super) fn plan_reads(
         if let Some(cache) = feed.as_mut() {
             if let Some(author_state) = shards[routes[i]].get(author.as_str()) {
                 let chain = author_state.timeline();
-                let head = chain.head_hash();
                 let before = cache.stats();
-                let hit = cache.probe(reader, author, *seq, head, Some(chain));
+                let hit = cache.probe(reader, author, *seq, chain);
                 bump_feed_stats(&ctx.obs, before, cache.stats());
                 if let Some(body) = hit {
                     ctx.obs.histogram(names::NET_READ_POST_QUORUM).record(0);
                     results[i] = Some(Ok(OpOutput::Read { body }));
                     continue;
                 }
-                plan.fills.push(FeedFill { op_idx: i, head });
+                plan.fills.push(FeedFill {
+                    op_idx: i,
+                    head: chain.head_hash(),
+                });
             }
         }
         plan.reads.push(i);

@@ -39,18 +39,17 @@
 //!
 //! The cache stores decrypted bodies (it lives reader-side, inside the
 //! engine, after `privacy.unseal`), is bounded in total cached posts, and
-//! evicts the least-recently-touched post (a hit or a fill touches a post),
-//! whichever slice it sits in — posts that fell out of every reader's window
-//! age out first. All bookkeeping is deterministic (ordered maps probed by
-//! name, and a recency list threaded through the posts: no clock, no hasher)
-//! so cached and uncached runs produce byte-identical batch digests, and no
-//! operation scans the cache or allocates more than the body it returns (a
-//! fill that opens a new slice also allocates its names).
+//! under capacity pressure sheds the oldest post of the least-recently-used
+//! slice (a hit or a fill uses a slice). All bookkeeping is deterministic
+//! (ordered maps probed by name and a logical tick: no clock, no hasher) so
+//! cached and uncached runs produce byte-identical batch digests, and a
+//! probe allocates only the body it returns (a fill that opens a new slice
+//! also allocates its names). Only the eviction loop scans the slices; it
+//! runs when a fill overflows the cache, never on a probe.
 
 use crate::identity::UserId;
 use crate::integrity::{EntryHash, Timeline};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One aggregated feed entry returned by `read_feed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,88 +62,28 @@ pub struct FeedItem {
     pub body: String,
 }
 
-/// Index-addressed storage that hands freed slots out again, so what lives
-/// in it is named by a `u32` that stays put instead of by its map keys.
-#[derive(Debug, Clone)]
-struct Slab<T> {
-    items: Vec<Option<T>>,
-    free: Vec<u32>,
-}
-
-impl<T> Slab<T> {
-    fn new() -> Self {
-        Slab {
-            items: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.items.len() - self.free.len()
-    }
-
-    fn insert(&mut self, item: T) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                self.items[id as usize] = Some(item);
-                id
-            }
-            None => {
-                let id = u32::try_from(self.items.len()).expect("fewer than 2^32 slab items");
-                self.items.push(Some(item));
-                id
-            }
-        }
-    }
-
-    fn remove(&mut self, id: u32) -> T {
-        self.free.push(id);
-        self.items[id as usize].take().expect("a live slab id")
-    }
-}
-
-impl<T> std::ops::Index<u32> for Slab<T> {
-    type Output = T;
-    fn index(&self, id: u32) -> &T {
-        self.items[id as usize].as_ref().expect("a live slab id")
-    }
-}
-
-impl<T> std::ops::IndexMut<u32> for Slab<T> {
-    fn index_mut(&mut self, id: u32) -> &mut T {
-        self.items[id as usize].as_mut().expect("a live slab id")
-    }
-}
-
-/// The end of the recency list, in either direction.
-const NIL: u32 = u32::MAX;
-
-/// One cached decrypted post: a node of the recency list that runs through
-/// [`FeedCache::posts`].
-#[derive(Debug, Clone)]
-struct CachedPost {
-    /// Where the post is filed: its slice and its sequence number there.
-    slice: u32,
-    seq: u64,
-    /// The posts touched just before and just after this one.
-    older: u32,
-    newer: u32,
-    body: String,
-}
-
-/// A reader's cached slice of one author's timeline. Never empty: the
-/// removal of its last post removes the slice.
+/// A reader's cached slice of one author's timeline. Never empty once
+/// filled: the removal of its last post removes the slice.
 #[derive(Debug, Clone)]
 struct AuthorSlice {
-    /// The names the slice is filed under in [`FeedCache::by_name`] (shared
-    /// with the map's keys), so a drop or an eviction can unfile it.
-    reader: Arc<str>,
-    author: Arc<str>,
     /// The witness: the author's chain head when the slice was filled or
     /// last found on the live chain.
     head: EntryHash,
-    /// The slice's posts in [`FeedCache::posts`], by sequence number.
-    posts: BTreeMap<u64, u32>,
+    /// Cached decrypted bodies by sequence number.
+    posts: BTreeMap<u64, String>,
+    /// Logical LRU tick of the slice's last hit or fill.
+    last_used: u64,
+}
+
+/// reader → author → slice, probed with `&str` (`UserId: Borrow<str>`).
+type Slices = BTreeMap<UserId, BTreeMap<UserId, AuthorSlice>>;
+
+fn slice_mut<'a>(
+    slices: &'a mut Slices,
+    reader: &str,
+    author: &str,
+) -> Option<&'a mut AuthorSlice> {
+    slices.get_mut(reader)?.get_mut(author)
 }
 
 /// Counters the cache maintains for tests and metric export. The engine
@@ -171,14 +110,9 @@ pub struct FeedCacheStats {
 #[derive(Debug, Clone)]
 pub struct FeedCache {
     capacity: usize,
-    /// reader → author → the slice's id in `slices`, probed with `&str`.
-    by_name: BTreeMap<Arc<str>, BTreeMap<Arc<str>, u32>>,
-    slices: Slab<AuthorSlice>,
-    posts: Slab<CachedPost>,
-    /// The ends of the recency list: every cached post, linked from the
-    /// least to the most recently touched. `oldest` is the eviction victim.
-    oldest: u32,
-    newest: u32,
+    tick: u64,
+    len: usize,
+    slices: Slices,
     stats: FeedCacheStats,
 }
 
@@ -192,23 +126,21 @@ impl FeedCache {
         assert!(capacity >= 1, "feed cache capacity must be at least 1");
         FeedCache {
             capacity,
-            by_name: BTreeMap::new(),
-            slices: Slab::new(),
-            posts: Slab::new(),
-            oldest: NIL,
-            newest: NIL,
+            tick: 0,
+            len: 0,
+            slices: BTreeMap::new(),
             stats: FeedCacheStats::default(),
         }
     }
 
     /// Total cached posts across all slices.
     pub fn len(&self) -> usize {
-        self.posts.len()
+        self.len
     }
 
     /// Whether nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Counters accumulated since construction.
@@ -224,6 +156,10 @@ impl FeedCache {
     ///   or the state forked cannot be told apart here, so the whole slice
     ///   is dropped (counted as an invalidation) and the read misses.
     /// * Anything else → miss.
+    ///
+    /// The engine never comes this way (it holds the chain and calls
+    /// `probe`); the chainless rule is kept for the frozen `e18` microbench,
+    /// which calls this signature, and can go when e18 is next revised.
     pub fn lookup(
         &mut self,
         reader: &UserId,
@@ -231,15 +167,28 @@ impl FeedCache {
         seq: u64,
         head: EntryHash,
     ) -> Option<String> {
-        self.probe(reader.as_str(), author.as_str(), seq, head, None)
+        self.serve(reader.as_str(), author.as_str(), seq, head, None)
     }
 
-    /// [`FeedCache::lookup`] with the author's live `chain` (whose head is
-    /// `head`) to consult on a head mismatch: a slice whose witness is on
-    /// the chain at or after its newest cached post was only appended to —
-    /// it re-pins to `head`, keeps its posts and answers the probe like a
-    /// slice that matched; one whose witness is not there is dropped.
+    /// Attempts to serve `(reader, author, seq)` given the author's live
+    /// `chain`: a slice pinned to its head answers as in
+    /// [`FeedCache::lookup`]; one whose witness is on the chain at or after
+    /// its newest cached post was only appended to — it re-pins to the live
+    /// head, keeps its posts and answers like a slice that matched; one
+    /// whose witness is not there is dropped.
     pub(crate) fn probe(
+        &mut self,
+        reader: &str,
+        author: &str,
+        seq: u64,
+        chain: &Timeline,
+    ) -> Option<String> {
+        self.serve(reader, author, seq, chain.head_hash(), Some(chain))
+    }
+
+    /// The one probe behind [`FeedCache::lookup`] (`chain` = `None`) and
+    /// [`FeedCache::probe`] (`head` = `chain`'s head).
+    fn serve(
         &mut self,
         reader: &str,
         author: &str,
@@ -247,30 +196,28 @@ impl FeedCache {
         head: EntryHash,
         chain: Option<&Timeline>,
     ) -> Option<String> {
-        debug_assert!(chain.is_none_or(|chain| chain.head_hash() == head));
-        let Some(id) = self.slice_of(reader, author) else {
+        self.tick += 1;
+        let Some(slice) = slice_mut(&mut self.slices, reader, author) else {
             self.stats.misses += 1;
             return None;
         };
-        let slice = &mut self.slices[id];
         if slice.head != head {
             let newest = slice.posts.keys().next_back().copied().unwrap_or(0);
             if !chain.is_some_and(|chain| chain.extends(&slice.head, newest)) {
-                self.drop_slice(id);
+                self.drop_slice(reader, author);
                 self.stats.invalidations += 1;
                 self.stats.misses += 1;
                 return None;
             }
             slice.head = head;
         }
-        let Some(&post) = slice.posts.get(&seq) else {
+        let Some(body) = slice.posts.get(&seq) else {
             self.stats.misses += 1;
             return None;
         };
-        self.unlink(post);
-        self.link_newest(post);
+        slice.last_used = self.tick;
         self.stats.hits += 1;
-        Some(self.posts[post].body.clone())
+        Some(body.clone())
     }
 
     /// Fills `(reader, author, seq) → body`, recorded against the author's
@@ -298,112 +245,61 @@ impl FeedCache {
         head: EntryHash,
         body: String,
     ) -> u64 {
-        let id = match self.slice_of(reader, author) {
-            Some(id) => id,
-            None => self.open_slice(reader, author, head),
-        };
-        if self.slices[id].head != head {
-            let stale = std::mem::take(&mut self.slices[id].posts);
-            self.forget(stale.into_values());
-            self.slices[id].head = head;
-        }
-        let post = match self.slices[id].posts.get(&seq) {
-            Some(&post) => {
-                self.posts[post].body = body;
-                self.unlink(post);
-                post
-            }
+        self.tick += 1;
+        let slice = match slice_mut(&mut self.slices, reader, author) {
+            Some(slice) => slice,
             None => {
-                let post = self.posts.insert(CachedPost {
-                    slice: id,
-                    seq,
-                    older: NIL,
-                    newer: NIL,
-                    body,
-                });
-                self.slices[id].posts.insert(seq, post);
-                post
+                let authors = self.slices.entry(UserId::from(reader)).or_default();
+                authors.entry(UserId::from(author)).or_insert(AuthorSlice {
+                    head,
+                    posts: BTreeMap::new(),
+                    last_used: 0,
+                })
             }
         };
-        self.link_newest(post);
+        if slice.head != head {
+            self.len -= slice.posts.len();
+            slice.posts.clear();
+            slice.head = head;
+        }
+        slice.last_used = self.tick;
+        if slice.posts.insert(seq, body).is_none() {
+            self.len += 1;
+        }
         let mut evicted = 0;
-        while self.posts.len() > self.capacity {
-            // Never the post just filled: it is the newest of at least two.
-            let victim = self.oldest;
-            self.unlink(victim);
-            let CachedPost { slice, seq, .. } = self.posts.remove(victim);
-            self.slices[slice].posts.remove(&seq);
-            if self.slices[slice].posts.is_empty() {
-                self.drop_slice(slice);
-            }
+        while self.len > self.capacity {
+            // Victim = least-recently-used slice; shed its oldest post
+            // first so the hottest (newest) posts of a slice die last.
+            let (reader, author) = self
+                .slices
+                .iter()
+                .flat_map(|(reader, authors)| authors.iter().map(move |(a, s)| (reader, a, s)))
+                .min_by_key(|(_, _, slice)| slice.last_used)
+                .map(|(reader, author, _)| (reader.clone(), author.clone()))
+                .expect("cache over capacity is non-empty");
+            let slice = slice_mut(&mut self.slices, reader.as_str(), author.as_str())
+                .expect("victim exists");
+            slice.posts.pop_first().expect("victim slice is non-empty");
+            self.len -= 1;
             evicted += 1;
+            if slice.posts.is_empty() {
+                self.drop_slice(reader.as_str(), author.as_str());
+            }
         }
         self.stats.evictions += evicted;
         evicted
     }
 
-    fn slice_of(&self, reader: &str, author: &str) -> Option<u32> {
-        self.by_name.get(reader)?.get(author).copied()
-    }
-
-    /// Files a new, still empty slice under `(reader, author)`; its caller
-    /// fills it.
-    fn open_slice(&mut self, reader: &str, author: &str, head: EntryHash) -> u32 {
-        let reader = match self.by_name.get_key_value(reader) {
-            Some((name, _)) => Arc::clone(name),
-            None => Arc::from(reader),
+    /// Removes the `(reader, author)` slice and whatever posts it holds.
+    fn drop_slice(&mut self, reader: &str, author: &str) {
+        let Some(authors) = self.slices.get_mut(reader) else {
+            return;
         };
-        let author: Arc<str> = Arc::from(author);
-        let id = self.slices.insert(AuthorSlice {
-            reader: Arc::clone(&reader),
-            author: Arc::clone(&author),
-            head,
-            posts: BTreeMap::new(),
-        });
-        self.by_name.entry(reader).or_default().insert(author, id);
-        id
-    }
-
-    /// Unfiles slice `id` and forgets whatever posts it still holds.
-    fn drop_slice(&mut self, id: u32) {
-        let slice = self.slices.remove(id);
-        self.forget(slice.posts.into_values());
-        if let Some(authors) = self.by_name.get_mut(&*slice.reader) {
-            authors.remove(&*slice.author);
-            if authors.is_empty() {
-                self.by_name.remove(&*slice.reader);
-            }
+        if let Some(dropped) = authors.remove(author) {
+            self.len -= dropped.posts.len();
         }
-    }
-
-    /// Removes `posts`, which their slice no longer lists.
-    fn forget(&mut self, posts: impl Iterator<Item = u32>) {
-        for post in posts {
-            self.unlink(post);
-            self.posts.remove(post);
-        }
-    }
-
-    /// Takes `post` out of the recency list.
-    fn unlink(&mut self, post: u32) {
-        let CachedPost { older, newer, .. } = self.posts[post];
-        match older {
-            NIL => self.oldest = newer,
-            older => self.posts[older].newer = newer,
-        }
-        match newer {
-            NIL => self.newest = older,
-            newer => self.posts[newer].older = older,
-        }
-    }
-
-    /// Puts the unlinked `post` at the recent end of the recency list.
-    fn link_newest(&mut self, post: u32) {
-        let older = std::mem::replace(&mut self.newest, post);
-        (self.posts[post].older, self.posts[post].newer) = (older, NIL);
-        match older {
-            NIL => self.oldest = post,
-            older => self.posts[older].newer = post,
+        if authors.is_empty() {
+            self.slices.remove(reader);
         }
     }
 }
@@ -469,9 +365,9 @@ mod tests {
         /// What the engine does for a read: probe with the live chain and,
         /// on a miss, fill with the body the live chain holds.
         fn read(&self, cache: &mut FeedCache, reader: &str, seq: u64) -> Option<String> {
-            let head = self.chain.head_hash();
-            let hit = cache.probe(reader, self.name(), seq, head, Some(&self.chain));
+            let hit = cache.probe(reader, self.name(), seq, &self.chain);
             if hit.is_none() {
+                let head = self.chain.head_hash();
                 cache.fill(reader, self.name(), seq, head, self.body(seq));
             }
             hit
@@ -531,8 +427,7 @@ mod tests {
         // The live chain is a prefix of what bob saw: his witness (entry 2)
         // is not on it, although every entry it does hold is one he proved.
         alice.roll_back(2);
-        let head = alice.chain.head_hash();
-        let probe = c.probe("bob", "alice", 0, head, Some(&alice.chain));
+        let probe = c.probe("bob", "alice", 0, &alice.chain);
         assert_eq!(probe, None, "never served");
         assert_eq!(c.stats().invalidations, 1);
         assert!(c.is_empty(), "the whole slice is dropped");
@@ -622,14 +517,7 @@ mod tests {
         author: &Author,
         seq: u64,
     ) -> Result<bool, TestCaseError> {
-        let head = author.chain.head_hash();
-        let got = cache.probe(
-            READERS[key.0],
-            author.name(),
-            seq,
-            head,
-            Some(&author.chain),
-        );
+        let got = cache.probe(READERS[key.0], author.name(), seq, &author.chain);
         prop_assert_eq!(&got, &model.probe(key, seq, &author.chain));
         if let Some(body) = &got {
             prop_assert_eq!(body, &author.body(seq), "a body off the live chain");

@@ -8,7 +8,7 @@
 //!   stay hits, only the new post is fetched — and no interleaving ever
 //!   serves a body the author did not post at that sequence number.
 //! * The cache never holds more posts than its capacity, whatever the key
-//!   stream, and evicts the least recently touched.
+//!   stream, and sheds the least recently used slices first.
 //! * A tampered hot-cache entry must be rejected exactly like a tampered
 //!   replica: verified away when good replicas exist, the same typed error
 //!   when they don't.
@@ -208,7 +208,7 @@ fn an_append_carries_the_slice() {
 fn the_cache_stays_within_its_capacity_and_keeps_what_is_touched() {
     // 4 x capacity distinct posts stream through while two hot posts are
     // re-read between them: the cache never exceeds its capacity, evicts
-    // exactly the overflow, and the victims are never the hot posts.
+    // exactly the overflow, and the victims are never the hot slice's posts.
     const CAPACITY: usize = 16;
     let head = [5u8; 32];
     let mut cache = FeedCache::new(CAPACITY);
@@ -406,13 +406,25 @@ fn revocation_reaches_through_a_filled_slice() {
             e.unfriend("alice", "bob").unwrap();
             let between = e.execute(OpBatch::new().read_post("bob", "alice", 0));
             // The post and both reads share a batch: reads run after the
-            // post moved alice's chain head, so the slice must not answer.
+            // post extended alice's chain, so bob's slice is carried — it
+            // answers for post 0, which it proved while he was a friend
+            // (and which the cache-off engine still lets him read), and has
+            // nothing for post 1, which goes to a quorum and is refused.
+            let hits_before = e.feed_cache().map(|c| c.stats().hits);
             let after = e.execute(
                 OpBatch::new()
                     .read_post("bob", "alice", 1)
                     .read_post("bob", "alice", 0)
                     .post("alice", "after the revocation"),
             );
+            if let Some(hits) = hits_before {
+                let stats = e.feed_cache().unwrap().stats();
+                assert_eq!(
+                    (stats.hits, stats.invalidations),
+                    (hits + 1, 0),
+                    "the carried slice served post 0 and only post 0"
+                );
+            }
             let again = e.execute(
                 OpBatch::new()
                     .read_post("bob", "alice", 1)
