@@ -9,9 +9,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dosn_bench::{table_header, table_row};
+use dosn_obs::Histogram;
 use dosn_overlay::chord::ChordOverlay;
 use dosn_overlay::id::Key;
-use dosn_overlay::metrics::{Histogram, Metrics};
+use dosn_overlay::metrics::Metrics;
 use std::hint::black_box;
 
 const KEYS: u64 = 60;
@@ -31,7 +32,7 @@ fn measure(ring: &mut ChordOverlay) -> Outcome {
         if ring.get(from, key, &mut m).is_ok() {
             ok += 1;
         }
-        hops.add(m.count("chord.hop"));
+        hops.record(m.count("chord.hop"));
     }
     Outcome {
         success_rate: ok as f64 / KEYS as f64,

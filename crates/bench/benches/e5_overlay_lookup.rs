@@ -7,12 +7,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dosn_bench::{table_header, table_row};
+use dosn_obs::Histogram;
 use dosn_overlay::chord::ChordOverlay;
 use dosn_overlay::federation::FederatedNetwork;
 use dosn_overlay::flood::UnstructuredOverlay;
 use dosn_overlay::hybrid::HybridOverlay;
 use dosn_overlay::id::{Key, NodeId};
-use dosn_overlay::metrics::{Histogram, Metrics};
+use dosn_overlay::metrics::Metrics;
 use dosn_overlay::superpeer::SuperPeerOverlay;
 use std::hint::black_box;
 
@@ -35,7 +36,7 @@ fn chord_costs(n: usize) -> CostRow {
         let mut per = Metrics::new();
         net.get(net.random_node(i + 31), key, &mut per)
             .expect("get");
-        hops.add(per.count("chord.hop"));
+        hops.record(per.count("chord.hop"));
         m.merge(&per);
     }
     CostRow {
@@ -56,7 +57,7 @@ fn flood_costs(n: usize) -> CostRow {
         net.publish(NodeId(i % n as u64), key);
         let mut per = Metrics::new();
         if let Some((_, h)) = net.flood_search(NodeId((i * 13 + 1) % n as u64), key, 10, &mut per) {
-            hops.add(u64::from(h));
+            hops.record(u64::from(h));
         }
         m.merge(&per);
     }

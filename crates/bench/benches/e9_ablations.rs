@@ -2,7 +2,7 @@
 //! (DESIGN.md "expected shapes" that are about *our* substrate rather than
 //! the survey's claims).
 //!
-//! * Barrett vs division-based modular exponentiation (the bigint design
+//! * Montgomery vs division-based modular exponentiation (the bigint design
 //!   choice every public-key primitive inherits);
 //! * CP-ABE cost vs policy depth (secret-sharing tree recursion);
 //! * Chord vs Kademlia on the identical lookup workload (structured-overlay
@@ -23,11 +23,11 @@ use std::hint::black_box;
 
 fn bench_modpow(c: &mut Criterion) {
     // Exponentiation-engine ablation: each variant adds one engine feature.
-    // `barrett_percall` rebuilds the reducer inside the timed loop (the old
-    // `modpow` behavior); `barrett_cached`/`ctx_windowed` amortize it;
-    // `fixed_base` adds the precomputed radix-16 table; `multi_exp` evaluates
-    // g^s·y^e in one pass vs `two_pows` separately. The quick-mode twin of
-    // this sweep (`e9_quick`) records BENCH_2.json.
+    // `auto_dispatch` builds its context inside the timed loop (one-shot
+    // `modpow`); `ctx_windowed` amortizes it; `fixed_base` adds the
+    // precomputed radix-16 table; `multi_exp` evaluates g^s·y^e in one pass
+    // vs `two_pows` separately. The quick-mode twin of this sweep
+    // (`e9_quick`) records BENCH_2.json.
     let mut group = c.benchmark_group("e9/modpow");
     group.sample_size(10);
     for (size, bits) in [
@@ -41,19 +41,12 @@ fn bench_modpow(c: &mut Criterion) {
         let m = SchnorrGroup::with_size(size).modulus().clone();
         let base = &m / &BigUint::from(3u64);
         let e = &m / &BigUint::from(7u64);
-        let reducer = dosn_bigint::BarrettReducer::new(&m);
         let ctx = ModContext::new(&m);
         let table = ctx.precompute(&base, bits);
         let base2 = &m / &BigUint::from(5u64);
         let e2 = &m / &BigUint::from(11u64);
         group.bench_with_input(BenchmarkId::new("division", bits), &bits, |b, _| {
             b.iter(|| black_box(base.modpow_plain(&e, &m)))
-        });
-        group.bench_with_input(BenchmarkId::new("barrett_percall", bits), &bits, |b, _| {
-            b.iter(|| black_box(dosn_bigint::BarrettReducer::new(&m).pow(&base, &e)))
-        });
-        group.bench_with_input(BenchmarkId::new("barrett_cached", bits), &bits, |b, _| {
-            b.iter(|| black_box(reducer.pow(&base, &e)))
         });
         group.bench_with_input(BenchmarkId::new("ctx_windowed", bits), &bits, |b, _| {
             b.iter(|| black_box(ctx.pow(&base, &e)))

@@ -10,7 +10,7 @@
 //! (default `BENCH_2.json` in the working directory).
 
 use dosn_bench::{table_header, table_row};
-use dosn_bigint::{BarrettReducer, BigUint, ModContext};
+use dosn_bigint::{BigUint, ModContext};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::{GroupSize, SchnorrGroup};
 use dosn_obs::{Registry, RunReport, Value};
@@ -67,7 +67,6 @@ fn main() {
         let m = SchnorrGroup::with_size(size).modulus().clone();
         let base = &m / &BigUint::from(3u64);
         let e = &m / &BigUint::from(7u64);
-        let reducer = BarrettReducer::new(&m);
         let ctx = ModContext::new(&m);
         let table = ctx.precompute(&base, bits);
         let base2 = &m / &BigUint::from(5u64);
@@ -93,18 +92,6 @@ fn main() {
                 "windowed_division",
                 Box::new(|| {
                     black_box(base.modpow_plain(&e, &m));
-                }),
-            ),
-            (
-                "barrett_percall",
-                Box::new(|| {
-                    black_box(BarrettReducer::new(&m).pow(&base, &e));
-                }),
-            ),
-            (
-                "barrett_cached",
-                Box::new(|| {
-                    black_box(reducer.pow(&base, &e));
                 }),
             ),
             (
@@ -143,7 +130,8 @@ fn main() {
 
     // --- End-to-end pow_g through SchnorrGroup ----------------------------
     // The acceptance headline: repeated same-group g^x at each size, cached
-    // engine (group context + fixed-base table) vs the old per-call Barrett.
+    // engine (group context + fixed-base table) vs a one-shot
+    // `BigUint::modpow`, which builds its context per call.
     let obs = Registry::new();
     let mut powg_rows: Vec<Row> = Vec::new();
     for (size, bits) in [
@@ -164,9 +152,9 @@ fn main() {
         let x = group.random_scalar(&mut rng);
         powg_rows.push(Row {
             bits,
-            path: "pow_g_percall_barrett",
+            path: "pow_g_percall",
             ns_per_op: time_ns(iters, || {
-                black_box(BarrettReducer::new(group.modulus()).pow(group.generator(), &x));
+                black_box(group.generator().modpow(&x, group.modulus()));
             }),
         });
         powg_rows.push(Row {
@@ -203,7 +191,7 @@ fn main() {
         }
     }
     table_header(
-        "E9: repeated same-group pow_g (cached engine vs per-call Barrett)",
+        "E9: repeated same-group pow_g (cached engine vs one-shot modpow)",
         &["bits", "path", "ns/op"],
     );
     for r in &powg_rows {
@@ -217,7 +205,7 @@ fn main() {
     let speedup_1024 = {
         let percall = powg_rows
             .iter()
-            .find(|r| r.bits == 1024 && r.path == "pow_g_percall_barrett")
+            .find(|r| r.bits == 1024 && r.path == "pow_g_percall")
             .map(|r| r.ns_per_op)
             .unwrap_or(f64::NAN);
         let cached = powg_rows

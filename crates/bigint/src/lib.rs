@@ -16,8 +16,7 @@
 //!   [`BigUint::gcd`], [`BigUint::jacobi`]) used by the crypto layer.
 //! * An exponentiation engine for hot paths: [`ModContext`] picks a
 //!   reduction backend per modulus (Montgomery CIOS for odd 2+-limb moduli,
-//!   Barrett reciprocal otherwise, division as the fallback), exponentiates
-//!   with sliding windows, evaluates products `∏ bᵢ^eᵢ` simultaneously
+//!   Knuth division for everything else), exponentiates with sliding windows, evaluates products `∏ bᵢ^eᵢ` simultaneously
 //!   (Shamir's trick, plus an interleaved Straus kernel for arbitrarily
 //!   wide products), and builds [`FixedBaseTable`] precomputations for
 //!   repeated bases.
@@ -40,7 +39,6 @@
 //! ```
 
 mod arith;
-mod barrett;
 mod fixed_base;
 mod modular;
 mod montgomery;
@@ -48,7 +46,6 @@ mod prime;
 mod uint;
 mod window;
 
-pub use barrett::BarrettReducer;
 pub use fixed_base::FixedBaseTable;
 pub use modular::{ExpStats, ModContext};
 pub use montgomery::MontgomeryContext;

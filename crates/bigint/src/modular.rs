@@ -1,7 +1,6 @@
 //! Modular arithmetic: exponentiation, inverse, GCD, and the Jacobi symbol,
 //! plus [`ModContext`], the per-modulus exponentiation engine.
 
-use crate::barrett::BarrettReducer;
 use crate::montgomery::MontgomeryContext;
 use crate::{window, BigUint};
 use std::cmp::Ordering;
@@ -10,17 +9,16 @@ use std::sync::Arc;
 
 /// Per-modulus exponentiation context.
 ///
-/// [`BigUint::modpow`] rebuilds its [`BarrettReducer`] — including the
-/// 2n-limb division that computes µ — on every call, which dominates the
-/// cost of repeated exponentiations under one modulus (every group
-/// operation in `dosn-crypto`). A `ModContext` pays that setup once and is
-/// then reused for every `reduce`/`mul`/`pow` under the same modulus.
+/// Built once per modulus and reused for every `reduce`/`mul`/`pow` under
+/// it (every group operation in `dosn-crypto`); [`BigUint::modpow`] is the
+/// one-shot form that builds a context per call.
 ///
-/// The reduction backend follows the measured E9 crossover: Montgomery
-/// (REDC) for odd moduli of 2+ limbs — the long squaring chains of an
-/// exponentiation amortize the domain conversions — Barrett for the
-/// remaining 2–16 limb moduli, Knuth division elsewhere. Single-call
-/// `reduce`/`mul` stay on Barrett/division (no chain to amortize the
+/// There are two arithmetics and the modulus decides between them:
+/// Montgomery (REDC) for odd moduli of 2+ limbs — the long squaring chain
+/// of an exponentiation amortizes the domain conversions — and Knuth
+/// division for everything else (even moduli, which REDC cannot serve, and
+/// one-limb moduli, where hardware division beats the CIOS loop).
+/// Single-call `reduce`/`mul` are always division (no chain to amortize a
 /// Montgomery conversion against). All exponentiation is sliding-window
 /// (see `crate::window`); [`ModContext::pow_multi`] evaluates products
 /// `∏ bᵢ^eᵢ` over one shared squaring chain, for any number of bases.
@@ -37,12 +35,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct ModContext {
     modulus: BigUint,
-    /// `Some` when the modulus sits in Barrett's winning range (2–16 limbs);
-    /// `None` means division-based reduction.
-    barrett: Option<BarrettReducer>,
     /// `Some` for odd moduli of 2+ limbs: exponentiation runs in the
-    /// Montgomery domain (CIOS products), which beats Barrett once the
-    /// squaring chain amortizes the to/from-Montgomery conversions.
+    /// Montgomery domain (CIOS products). `None` means division-based
+    /// reduction.
     mont: Option<MontgomeryContext>,
     /// Exponentiation counters, shared across clones so the per-group
     /// contexts cached in `dosn-crypto` aggregate into one tally. Plain
@@ -55,7 +50,6 @@ pub struct ModContext {
 #[derive(Debug, Default)]
 struct ExpCounters {
     montgomery_pows: AtomicU64,
-    barrett_pows: AtomicU64,
     division_pows: AtomicU64,
 }
 
@@ -64,16 +58,14 @@ struct ExpCounters {
 pub struct ExpStats {
     /// `pow`/`pow_multi` calls run in the Montgomery (CIOS) domain.
     pub montgomery_pows: u64,
-    /// `pow`/`pow_multi` calls served by the precomputed Barrett reducer.
-    pub barrett_pows: u64,
-    /// `pow`/`pow_multi` calls that fell back to division-based reduction.
+    /// `pow`/`pow_multi` calls run with division-based reduction.
     pub division_pows: u64,
 }
 
 impl ExpStats {
     /// Total exponentiations on any path.
     pub fn total(&self) -> u64 {
-        self.montgomery_pows + self.barrett_pows + self.division_pows
+        self.montgomery_pows + self.division_pows
     }
 }
 
@@ -86,30 +78,23 @@ pub(crate) struct Domain<'a> {
 }
 
 impl ModContext {
-    /// Builds the context, precomputing the Barrett reciprocal when the
-    /// modulus size favors it.
+    /// Builds the context, precomputing the Montgomery constants when the
+    /// modulus is odd and two limbs or wider.
     ///
     /// # Panics
     ///
     /// Panics if `modulus` is zero.
     pub fn new(modulus: &BigUint) -> Self {
         assert!(!modulus.is_zero(), "zero modulus");
-        let limbs = modulus.limbs().len();
-        let barrett = if (2..=16).contains(&limbs) {
-            Some(BarrettReducer::new(modulus))
-        } else {
-            None
-        };
         // Measured crossover: at one limb, hardware division beats the CIOS
         // loop plus domain conversions; from two limbs up Montgomery wins.
-        let mont = if modulus.is_odd() && limbs >= 2 {
+        let mont = if modulus.is_odd() && modulus.limbs().len() >= 2 {
             MontgomeryContext::new(modulus)
         } else {
             None
         };
         ModContext {
             modulus: modulus.clone(),
-            barrett,
             mont,
             stats: Arc::new(ExpCounters::default()),
         }
@@ -125,7 +110,6 @@ impl ModContext {
     pub fn stats(&self) -> ExpStats {
         ExpStats {
             montgomery_pows: self.stats.montgomery_pows.load(AtomicOrdering::Relaxed),
-            barrett_pows: self.stats.barrett_pows.load(AtomicOrdering::Relaxed),
             division_pows: self.stats.division_pows.load(AtomicOrdering::Relaxed),
         }
     }
@@ -133,8 +117,6 @@ impl ModContext {
     fn count_pow(&self) {
         let c = if self.mont.is_some() {
             &self.stats.montgomery_pows
-        } else if self.barrett.is_some() {
-            &self.stats.barrett_pows
         } else {
             &self.stats.division_pows
         };
@@ -143,7 +125,7 @@ impl ModContext {
 
     /// Runs one exponentiation kernel in this modulus's arithmetic — the one
     /// place that chooses between the Montgomery domain and plain
-    /// Barrett/division products. `bases` are reduced and brought into the
+    /// division products. `bases` are reduced and brought into the
     /// domain; the kernel multiplies with `Domain::mul` and takes whatever it
     /// hands back to callers out through `Domain::leave`.
     pub(crate) fn in_domain<T>(
@@ -172,10 +154,7 @@ impl ModContext {
 
     /// Reduces `x` modulo the context's modulus.
     pub fn reduce(&self, x: &BigUint) -> BigUint {
-        match &self.barrett {
-            Some(b) => b.reduce(x),
-            None => x % &self.modulus,
-        }
+        x % &self.modulus
     }
 
     /// Modular multiplication: `(a * b) mod m`.
@@ -291,9 +270,9 @@ impl BigUint {
     /// Modular exponentiation: `self^exponent mod modulus` via sliding-window
     /// square-and-multiply.
     ///
-    /// One-shot convenience: the Barrett reciprocal is rebuilt per call.
-    /// Repeated exponentiations under one modulus should go through
-    /// [`ModContext`], which pays that setup once.
+    /// One-shot convenience: a [`ModContext`] is built per call. Repeated
+    /// exponentiations under one modulus should keep the context, which
+    /// pays that setup once.
     ///
     /// ```
     /// use dosn_bigint::BigUint;
@@ -306,20 +285,12 @@ impl BigUint {
     /// Panics if `modulus` is zero.
     pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
-        // Barrett reduction amortizes a precomputed reciprocal, but its
-        // un-truncated µ-multiply costs ~2 schoolbook products per step,
-        // while Knuth division costs ~1 plus branching overhead. Measured
-        // crossover (E9): Barrett wins up to ~1024-bit moduli, division
-        // wins beyond.
-        let limbs = modulus.limbs().len();
-        if (2..=16).contains(&limbs) && exponent.bits() > 4 {
-            return crate::barrett::BarrettReducer::new(modulus).pow(self, exponent);
-        }
-        self.modpow_plain(exponent, modulus)
+        ModContext::new(modulus).pow(self, exponent)
     }
 
-    /// Sliding-window exponentiation with division-based reduction (the E9
-    /// ablation baseline for [`BigUint::modpow`]).
+    /// Sliding-window exponentiation with division-based reduction: the
+    /// reference every [`ModContext`] path is tested against, and the E9
+    /// ablation baseline.
     pub fn modpow_plain(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         if modulus.is_one() {
@@ -540,7 +511,6 @@ mod tests {
         let small = ModContext::new(&b(497));
         small.pow(&b(4), &b(13));
         assert_eq!(small.stats().division_pows, 1);
-        assert_eq!(small.stats().barrett_pows, 0);
         assert_eq!(small.stats().montgomery_pows, 0);
 
         // 2^128+1 is 3 limbs and odd: Montgomery path; clones share the tally.
@@ -553,25 +523,11 @@ mod tests {
         assert_eq!(clone.stats(), big.stats());
         assert_eq!(big.stats().total(), 2);
 
-        // 2^128+2 is 3 limbs but even: Barrett path.
+        // 2^128+2 is 3 limbs but even: REDC cannot serve it, division does.
         let even = ModContext::new(&((BigUint::one() << 128) + b(2)));
         even.pow(&b(3), &b(13));
-        assert_eq!(even.stats().barrett_pows, 1);
+        assert_eq!(even.stats().division_pows, 1);
         assert_eq!(even.stats().montgomery_pows, 0);
-    }
-
-    #[test]
-    fn montgomery_and_barrett_pows_agree() {
-        use crate::ModContext;
-        // Same odd 3-limb modulus; the context picks Montgomery, modpow_plain
-        // is the division baseline, Barrett via the reducer directly.
-        let m = (BigUint::one() << 128) + BigUint::one();
-        let ctx = ModContext::new(&m);
-        let base = (BigUint::one() << 100) + b(12345);
-        let exp = (BigUint::one() << 90) + b(0xdead_beef);
-        let expect = base.modpow_plain(&exp, &m);
-        assert_eq!(ctx.pow(&base, &exp), expect);
-        assert_eq!(crate::BarrettReducer::new(&m).pow(&base, &exp), expect);
     }
 
     #[test]
@@ -600,6 +556,12 @@ mod tests {
         assert_eq!(b(5).modpow(&b(1), &b(7)), b(5));
         assert_eq!(b(5).modpow(&b(100), &BigUint::one()), BigUint::zero());
         assert_eq!(b(0).modpow(&b(5), &b(7)), BigUint::zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "modpow with zero modulus")]
+    fn modpow_zero_modulus_panics() {
+        let _ = b(5).modpow(&b(3), &BigUint::zero());
     }
 
     #[test]

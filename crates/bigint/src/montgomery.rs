@@ -1,10 +1,8 @@
 //! Montgomery multiplication: REDC-based modular products for odd moduli.
 //!
-//! Barrett reduction (see `crate::barrett`) reduces `a·b mod n` by
-//! multiplying with a precomputed reciprocal — roughly two extra schoolbook
-//! products per reduction. Montgomery's method instead keeps operands in
-//! "Montgomery form" `aR mod n` (with `R = 2^{64k}` for a `k`-limb modulus)
-//! where a product can be reduced with only shifts and single-limb
+//! Plain reduction divides every double-width product `a·b` by `n`.
+//! Montgomery's method instead keeps operands in "Montgomery form"
+//! `aR mod n` (with `R = 2^{64k}` for a `k`-limb modulus) where a product can be reduced with only shifts and single-limb
 //! multiplies: the CIOS (coarsely integrated operand scanning) loop below
 //! interleaves the multiply and the reduction so the double-width
 //! intermediate never materializes. The price is a domain conversion on the

@@ -1,6 +1,6 @@
 //! Probabilistic primality testing and random prime generation.
 
-use crate::BigUint;
+use crate::{BigUint, ModContext};
 use rand::RngCore;
 
 /// The primes below 1000, used for fast trial division before Miller–Rabin.
@@ -46,15 +46,17 @@ impl BigUint {
         let n_minus_1 = self - &BigUint::one();
         let s = trailing_zeros(&n_minus_1);
         let d = &n_minus_1 >> s;
+        // One context per candidate, shared by every witness.
+        let ctx = ModContext::new(self);
 
         'witness: for _ in 0..rounds {
             let a = random_in_range(rng, &BigUint::two(), &n_minus_1);
-            let mut x = a.modpow(&d, self);
+            let mut x = ctx.pow(&a, &d);
             if x.is_one() || x == n_minus_1 {
                 continue 'witness;
             }
             for _ in 0..s.saturating_sub(1) {
-                x = x.mulmod(&x, self);
+                x = ctx.mul(&x, &x);
                 if x == n_minus_1 {
                     continue 'witness;
                 }
@@ -261,6 +263,34 @@ mod tests {
     }
 
     #[test]
+    fn seeded_generation_is_pinned() {
+        // Values and the draw that follows them, captured before Miller–Rabin
+        // moved onto `ModContext`: the test must decide every candidate the
+        // same way and consume exactly the same randomness.
+        use rand::RngCore;
+        for (bits, prime, next) in [
+            (64u64, "da9598829c5a53a9", 0xa6f7_dd32_2576_c414u64),
+            (
+                128,
+                "c121987ca0059b67afe17abdaf7575c5",
+                0xf05e_e4ea_29e4_0055,
+            ),
+            (
+                256,
+                "f941a428872614092477562031c7bab4317652ee033977637909cf0790f64975",
+                0x22f8_3abe_6fb9_522c,
+            ),
+        ] {
+            let mut r = StdRng::seed_from_u64(bits);
+            assert_eq!(gen_prime(bits, &mut r).to_hex(), prime, "{bits} bits");
+            assert_eq!(r.next_u64(), next, "draws after {bits} bits");
+        }
+        let mut r = StdRng::seed_from_u64(64);
+        assert_eq!(gen_safe_prime(64, &mut r).to_hex(), "c1b674302afb0ae7");
+        assert_eq!(r.next_u64(), 0x0f62_67b1_18cf_acf9);
+    }
+
+    #[test]
     fn gen_safe_prime_structure() {
         let mut r = rng();
         let p = gen_safe_prime(48, &mut r);
@@ -287,8 +317,14 @@ mod tests {
     #[test]
     fn product_of_two_primes_is_composite() {
         let mut r = rng();
-        let p = gen_prime(32, &mut r);
-        let q = gen_prime(32, &mut r);
-        assert!(!(&p * &q).is_probable_prime(16, &mut r));
+        // 64 bits is one limb (division), 128 is two (Montgomery).
+        for bits in [32u64, 64] {
+            let p = gen_prime(bits, &mut r);
+            let q = gen_prime(bits, &mut r);
+            assert!(
+                !(&p * &q).is_probable_prime(16, &mut r),
+                "{bits}-bit factors"
+            );
+        }
     }
 }

@@ -1,14 +1,12 @@
 //! Windowed exponentiation kernels shared by every reduction backend.
 //!
-//! Both [`crate::BarrettReducer::pow`] and [`crate::BigUint::modpow_plain`]
-//! used to walk the exponent one bit at a time (one squaring per bit plus a
-//! multiplication per set bit, ~1.5 products per bit). The sliding-window
-//! form here keeps the squaring chain but batches multiplications: with a
+//! A bit-at-a-time loop costs one squaring per bit plus a multiplication
+//! per set bit, ~1.5 products per bit. The sliding-window form here keeps the squaring chain but batches multiplications: with a
 //! width-`w` window it performs one multiplication per ~`w` bits plus a
 //! `2^{w-1}`-entry odd-power table, cutting total products by ~25–30% at the
 //! 512–2048-bit exponents the crypto layer uses. The kernels are generic
-//! over the modular-multiplication closure so Barrett and division backends
-//! share one implementation (and one set of tests).
+//! over the modular-multiplication closure so the Montgomery and division
+//! backends share one implementation (and one set of tests).
 
 use crate::BigUint;
 

@@ -1,10 +1,10 @@
 //! Property tests for the exponentiation engine: every accelerated path
-//! (windowed Barrett, windowed division, `ModContext`, fixed-base tables,
-//! simultaneous multi-exp) must agree with an independent bit-at-a-time
+//! (windowed division, `ModContext`, fixed-base tables, simultaneous
+//! multi-exp) must agree with an independent bit-at-a-time
 //! square-and-multiply reference, including the degenerate corners (zero
 //! exponent, modulus one, base ≥ modulus).
 
-use dosn_bigint::{BarrettReducer, BigUint, ModContext};
+use dosn_bigint::{BigUint, ModContext};
 use proptest::prelude::*;
 
 /// Reference implementation: the pre-engine bit-at-a-time loop with plain
@@ -30,7 +30,52 @@ fn uint(bytes: &[u8]) -> BigUint {
     BigUint::from_bytes_be(bytes)
 }
 
+/// A modulus of exactly `limbs` limbs and the asked parity, so a test can
+/// stand on either side of `ModContext`'s choice: odd with two or more
+/// limbs runs Montgomery, even or one-limb runs division.
+fn shaped_modulus(limbs: usize, even: bool, bytes: &[u8]) -> BigUint {
+    let top = BigUint::one() << (64 * limbs as u64 - 1);
+    let m = &(&uint(bytes) % &top) + &top;
+    match (m.is_even(), even) {
+        (true, false) => &m + &BigUint::one(),
+        (false, true) => &m - &BigUint::one(),
+        _ => m,
+    }
+}
+
 proptest! {
+    #[test]
+    fn every_entry_point_matches_division_on_both_sides_of_the_backend_choice(
+        limbs in 1usize..18,
+        even in any::<bool>(),
+        m_bytes in proptest::collection::vec(any::<u8>(), 0..140),
+        a_bytes in proptest::collection::vec(any::<u8>(), 0..160),
+        b_bytes in proptest::collection::vec(any::<u8>(), 0..160),
+        e1_bytes in proptest::collection::vec(any::<u8>(), 0..12),
+        e2_bytes in proptest::collection::vec(any::<u8>(), 0..12),
+    ) {
+        let m = shaped_modulus(limbs, even, &m_bytes);
+        prop_assert_eq!(m.bits(), 64 * limbs as u64);
+        prop_assert_eq!(m.is_even(), even);
+        let ctx = ModContext::new(&m);
+        // Operands run past the modulus for small `limbs`: base ≥ modulus.
+        let (a, b) = (uint(&a_bytes), uint(&b_bytes));
+        let (e1, e2) = (uint(&e1_bytes), uint(&e2_bytes));
+
+        prop_assert_eq!(ctx.reduce(&a), &a % &m, "reduce");
+        prop_assert_eq!(ctx.mul(&a, &b), &(&a * &b) % &m, "mul");
+        let expect = a.modpow_plain(&e1, &m);
+        prop_assert_eq!(ctx.pow(&a, &e1), expect.clone(), "ctx pow");
+        prop_assert_eq!(a.modpow(&e1, &m), expect.clone(), "one-shot modpow");
+        prop_assert_eq!(a.modpow(&BigUint::zero(), &m), &BigUint::one() % &m, "zero exponent");
+        prop_assert_eq!(ctx.precompute(&a, 8 * 12).pow(&e1), expect.clone(), "fixed-base");
+        prop_assert_eq!(
+            ctx.pow_multi(&[(&a, &e1), (&b, &e2)]),
+            &(&expect * &b.modpow_plain(&e2, &m)) % &m,
+            "pow_multi"
+        );
+    }
+
     #[test]
     fn windowed_paths_match_naive(
         base_bytes in proptest::collection::vec(any::<u8>(), 0..48),
@@ -45,7 +90,6 @@ proptest! {
 
         prop_assert_eq!(base.modpow_plain(&exp, &m), expect.clone(), "modpow_plain");
         prop_assert_eq!(base.modpow(&exp, &m), expect.clone(), "modpow dispatch");
-        prop_assert_eq!(BarrettReducer::new(&m).pow(&base, &exp), expect.clone(), "barrett pow");
         prop_assert_eq!(ModContext::new(&m).pow(&base, &exp), expect, "ctx pow");
     }
 
@@ -127,7 +171,6 @@ fn degenerate_corners() {
     // Zero exponent → 1 on every path.
     let zero = BigUint::zero();
     assert_eq!(ctx.pow(&base, &zero), BigUint::one());
-    assert_eq!(BarrettReducer::new(&m).pow(&base, &zero), BigUint::one());
     assert_eq!(base.modpow_plain(&zero, &m), BigUint::one());
     assert_eq!(
         ctx.pow_multi(&[(&base, &zero), (&over, &zero)]),

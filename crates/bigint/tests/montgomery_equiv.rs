@@ -1,18 +1,17 @@
-//! Montgomery-vs-Barrett-vs-naive equivalence.
+//! Montgomery-vs-naive equivalence.
 //!
 //! The Montgomery backend (CIOS products in a shifted domain) shares no
-//! code with Barrett reduction or with the bit-at-a-time division
-//! reference, so agreement across all three on random operands is strong
-//! evidence each is correct. Odd moduli route `ModContext` through
-//! Montgomery; the suite also drives the `MontgomeryContext` API directly
-//! and the interleaved multi-exponentiation that batch Schnorr
-//! verification depends on.
+//! code with the bit-at-a-time division reference, so agreement of the two
+//! on random operands is strong evidence each is correct. Odd moduli route
+//! `ModContext` through Montgomery; the suite also drives the
+//! `MontgomeryContext` API directly and the interleaved
+//! multi-exponentiation that batch Schnorr verification depends on.
 
-use dosn_bigint::{BarrettReducer, BigUint, ModContext, MontgomeryContext};
+use dosn_bigint::{BigUint, ModContext, MontgomeryContext};
 use proptest::prelude::*;
 
 /// Bit-at-a-time square-and-multiply with plain division: the reference
-/// that shares nothing with either accelerated backend.
+/// that shares nothing with the accelerated backend.
 fn naive_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
     assert!(!m.is_zero());
     if m.is_one() {
@@ -43,7 +42,7 @@ fn odd_modulus(bytes: &[u8]) -> BigUint {
 
 proptest! {
     #[test]
-    fn mont_barrett_naive_pow_agree(
+    fn mont_naive_pow_agree(
         base_bytes in proptest::collection::vec(any::<u8>(), 0..48),
         exp_bytes in proptest::collection::vec(any::<u8>(), 0..24),
         m_bytes in proptest::collection::vec(any::<u8>(), 0..32),
@@ -52,8 +51,7 @@ proptest! {
         let exp = uint(&exp_bytes);
         let m = odd_modulus(&m_bytes);
         let expect = naive_modpow(&base, &exp, &m);
-        prop_assert_eq!(ModContext::new(&m).pow(&base, &exp), expect.clone(), "montgomery ctx");
-        prop_assert_eq!(BarrettReducer::new(&m).pow(&base, &exp), expect, "barrett");
+        prop_assert_eq!(ModContext::new(&m).pow(&base, &exp), expect, "montgomery ctx");
     }
 
     #[test]
@@ -64,13 +62,11 @@ proptest! {
     ) {
         let m = odd_modulus(&m_bytes);
         let mont = MontgomeryContext::new(&m).expect("odd modulus");
-        let barrett = BarrettReducer::new(&m);
         let a = &uint(&a_bytes) % &m;
         let b = &uint(&b_bytes) % &m;
         let expect = &(&a * &b) % &m;
         let got = mont.from_mont(&mont.mul(&mont.to_mont(&a), &mont.to_mont(&b)));
-        prop_assert_eq!(got, expect.clone(), "montgomery product");
-        prop_assert_eq!(barrett.reduce(&(&a * &b)), expect, "barrett product");
+        prop_assert_eq!(got, expect, "montgomery product");
     }
 
     #[test]
@@ -135,10 +131,5 @@ fn backends_agree_at_group_sizes() {
         let exp = &m / &BigUint::from(7u64);
         let expect = base.modpow_plain(&exp, &m);
         assert_eq!(ctx.pow(&base, &exp), expect, "montgomery at {bits}");
-        assert_eq!(
-            BarrettReducer::new(&m).pow(&base, &exp),
-            expect,
-            "barrett at {bits}"
-        );
     }
 }

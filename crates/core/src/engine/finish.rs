@@ -1,7 +1,7 @@
 //! The finish phase: quorum reads — sequential fetch (storage is `&mut`),
 //! parallel quorum vote + envelope verification + decryption with each
 //! worker borrowing its authors' home shards read-only, then the sequential
-//! tail (read-repair, hot-cache admission, fallback) — and the feed-cache
+//! tail (read-repair, hot-cache admission) — and the feed-cache
 //! fills that follow the report. Touches storage and metrics; only reads
 //! the shards.
 
@@ -16,7 +16,7 @@ use crate::identity::UserId;
 use crate::integrity::envelope::{SignedEnvelope, VerifiedEnvelope};
 use dosn_obs::{names, Registry};
 use dosn_overlay::metrics::Metrics;
-use dosn_overlay::replication::{quorum_vote_batch, FetchedCopies, ReplicatedStore};
+use dosn_overlay::replication::{quorum_vote, quorum_vote_batch, FetchedCopies, ReplicatedStore};
 use dosn_overlay::storage::{StorageError, StoragePlane};
 use std::time::Instant;
 
@@ -42,9 +42,6 @@ enum ReadOutcome {
         body: String,
         winner: Vec<u8>,
     },
-    /// No copy verified — the sequential pass re-reads raw bytes to
-    /// distinguish "missing" from "present but malformed / badly signed".
-    NeedsFallback,
     /// The hot-cached envelope failed verification or decryption. The
     /// sequential pass invalidates it and re-runs the read as a real
     /// quorum fetch — a poisoned cache entry must behave exactly like an
@@ -211,7 +208,23 @@ fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob)
         .record(job.fetch_micros + elapsed_micros(quorum_started));
     let winner = match vote {
         Ok(winner) => winner,
-        Err(StorageError::NotFound(_)) => return ReadOutcome::NeedsFallback,
+        // No copy verified. Name the defect from the copies in hand, as a
+        // trusting `get` would rank them (same leader, same tie-break, same
+        // `NotFound` / `QuorumFailed`): missing, short of a quorum, or — the
+        // leader's own error — malformed or badly signed. Nothing is read
+        // again and nothing is repaired: these bytes proved nothing.
+        Err(StorageError::NotFound(_)) => {
+            let refusal = match quorum_vote(fetched, read_quorum, |_| true) {
+                Ok(raw) => open(&raw).err().unwrap_or_else(|| {
+                    DosnError::ContentUnavailable(format!(
+                        "no verifying quorum for {}/{}",
+                        job.author, job.seq
+                    ))
+                }),
+                Err(e) => storage_to_dosn(e),
+            };
+            return ReadOutcome::Done(Err(refusal));
+        }
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
     };
     let verified = proven
@@ -253,7 +266,7 @@ fn unseal(home: &Shard, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<St
 /// hot-cache entry ([`ReadOutcome::RetryQuorum`]) is dropped
 /// (`cache.invalidations`), re-read as a real quorum fetch, and then
 /// settled exactly like an uncached read of the same key — same repair,
-/// same hot-cache admission, same fallback.
+/// same hot-cache admission.
 fn settle_read<S: StoragePlane>(
     storage: &mut ReplicatedStore<S>,
     metrics: &mut Metrics,
@@ -282,31 +295,10 @@ fn settle_read<S: StoragePlane>(
             }
             Ok(OpOutput::Read { body })
         }
-        ReadOutcome::NeedsFallback => read_fallback(storage, metrics, ctx, job.author, job.seq),
         ReadOutcome::RetryQuorum => Err(DosnError::IntegrityViolation(
             "uncached retry produced a cache outcome".into(),
         )),
     }
-}
-
-/// The no-verifying-quorum fallback: re-read raw bytes so callers see
-/// the real defect — missing, malformed, or badly signed.
-fn read_fallback<S: StoragePlane>(
-    storage: &mut ReplicatedStore<S>,
-    metrics: &mut Metrics,
-    ctx: &WorkerCtx,
-    author: &str,
-    seq: u64,
-) -> Result<OpOutput, DosnError> {
-    let raw = storage
-        .get(wall_key(author, seq), metrics)
-        .map_err(storage_to_dosn)?;
-    let author_id = UserId::from(author);
-    let (env, _) = SignedEnvelope::decode_wire(&author_id, seq, &raw, &ctx.group)?;
-    env.verify(&ctx.directory, None, u64::MAX - 1)?;
-    Err(DosnError::ContentUnavailable(format!(
-        "no verifying quorum for {author}/{seq}"
-    )))
 }
 
 /// Applies a batch's planned feed fills after its report exists: only

@@ -265,18 +265,13 @@ fn a_header_tampering_quorum_is_counted_fail_closed() {
     }
 }
 
-/// Reads alice's post after `forged` of its three holders had one
-/// ciphertext byte flipped (a well-formed record whose signature no longer
-/// verifies). Returns the read's result, digest, and how often the read
-/// sampled `crypto.schnorr.verify`.
-fn read_with_forged_bodies(
-    forged: usize,
-    workers: usize,
-    batch_verify: bool,
-) -> (Result<OpOutput, DosnError>, String, u64) {
+/// An engine holding alice's post, after the first `forged` of its three
+/// holders had one ciphertext byte flipped (a well-formed record whose
+/// signature no longer verifies; the forgeries are byte-identical). Returns
+/// the engine and the holders in placement order.
+fn engine_with_forged_bodies(forged: usize, workers: usize) -> (Engine<ChordPlane>, Vec<NodeId>) {
     let mut e = Engine::new(ReplicatedStore::new(ChordPlane::build(24, 5), 3), 5);
     e.set_workers(workers);
-    e.set_batch_verify(batch_verify);
     assert!(e
         .execute(alice_posts_for_bob())
         .results
@@ -293,6 +288,20 @@ fn read_with_forged_bodies(
             .store_at(*node, key, &bytes, &mut m)
             .unwrap();
     }
+    let holders = fetched.copies.iter().map(|(node, _)| *node).collect();
+    (e, holders)
+}
+
+/// Reads alice's post after `forged` of its three holders were forged.
+/// Returns the read's result, digest, and how often the read sampled
+/// `crypto.schnorr.verify`.
+fn read_with_forged_bodies(
+    forged: usize,
+    workers: usize,
+    batch_verify: bool,
+) -> (Result<OpOutput, DosnError>, String, u64) {
+    let (mut e, _) = engine_with_forged_bodies(forged, workers);
+    e.set_batch_verify(batch_verify);
     let verify = e.obs().histogram(names::CRYPTO_SCHNORR_VERIFY);
     let before = verify.snapshot().count();
     let mut report = e.execute(OpBatch::new().read_post("bob", "alice", 0));
@@ -332,6 +341,45 @@ fn body_forging_replicas_never_serve_and_every_configuration_agrees() {
             // The quorum read verifies inside the vote and nowhere else.
             assert_eq!(*sampled, 1, "forged={forged}");
         }
+    }
+}
+
+#[test]
+fn a_read_that_refuses_fetches_once_and_writes_nothing() {
+    // Holders A and B serve the same forged record and C is dark, so an
+    // empty substitute D joins the candidates. No copy verifies; the read
+    // must name the defect from the copies it already fetched — a second,
+    // trusting read would find A and B "agreeing" and repair the forgery
+    // onto D.
+    for workers in [1usize, 2] {
+        let (mut e, holders) = engine_with_forged_bodies(2, workers);
+        let key = wall_key("alice", 0);
+        let mut m = Metrics::new();
+        e.storage_mut().plane_mut().set_online(holders[2], false);
+        let candidates = e.storage_mut().fetch_copies(key, &mut m).unwrap().copies;
+        let (substitute, held) = candidates.last().cloned().unwrap();
+        assert!(!holders.contains(&substitute));
+        assert_eq!(held, None);
+
+        let stored_before = e.storage().accounting().total_bytes();
+        let asked_before = e.metrics().count(names::GET_QUORUM_SIZE);
+        let read = e.execute(OpBatch::new().read_post("bob", "alice", 0));
+        assert!(
+            matches!(read.results[0], Err(DosnError::IntegrityViolation(_))),
+            "workers={workers}: {:?}",
+            read.results[0]
+        );
+        assert_eq!(e.obs().counter(names::ENGINE_READ_FAIL_CLOSED).get(), 1);
+        assert_eq!(e.metrics().count(names::GET_REPAIRS), 0);
+        assert_eq!(e.storage().accounting().total_bytes(), stored_before);
+        // One round of fetches: R candidates asked, once.
+        assert_eq!(e.metrics().count(names::GET_QUORUM_SIZE) - asked_before, 3);
+        let on_substitute = e
+            .storage_mut()
+            .plane_mut()
+            .fetch_from(substitute, key, &mut m)
+            .unwrap();
+        assert_eq!(on_substitute, None, "the forgery reached the substitute");
     }
 }
 

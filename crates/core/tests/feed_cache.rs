@@ -13,6 +13,8 @@
 //!   replica: verified away when good replicas exist, the same typed error
 //!   when they don't.
 //! * `read_feed` on a user with zero friends returns an empty feed.
+//! * The hot cache engages under every plane composition: a wrapper plane
+//!   that forgot to forward the cache hooks would switch it off silently.
 
 use dosn_core::engine::{wall_key, Engine, Op, OpBatch, OpOutput};
 use dosn_core::feed::FeedCache;
@@ -20,8 +22,11 @@ use dosn_core::identity::UserId;
 use dosn_core::network::DosnNetwork;
 use dosn_core::DosnError;
 use dosn_obs::names;
+use dosn_overlay::adversary::{AdversaryConfig, AdversaryPlane};
 use dosn_overlay::metrics::Metrics;
+use dosn_overlay::placement::{SocialPlacement, SocialPlane};
 use dosn_overlay::replication::ReplicatedStore;
+use dosn_overlay::social::{SocialGraph, SocialGraphConfig};
 use dosn_overlay::storage::{ChordPlane, StoragePlane, SuperPeerPlane};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -30,11 +35,48 @@ fn engine(seed: u64) -> Engine<ChordPlane> {
     Engine::new(ReplicatedStore::new(ChordPlane::build(24, seed), 3), seed)
 }
 
-fn cached_engine(seed: u64, capacity: usize) -> Engine<ChordPlane> {
-    let mut e = engine(seed);
+/// E18's placement stack: the ring behind social placement.
+fn social_plane(seed: u64) -> SocialPlane<ChordPlane> {
+    let ring = ChordPlane::build(24, seed);
+    let graph = SocialGraph::generate(&SocialGraphConfig::new(24, seed));
+    let placement = SocialPlacement::new(graph, &ring.node_ids());
+    SocialPlane::new(ring, placement)
+}
+
+fn cached<S: StoragePlane>(mut e: Engine<S>, capacity: usize) -> Engine<S> {
     e.enable_feed_cache(capacity);
     e.enable_hot_cache(capacity);
     e
+}
+
+/// Runs `ops` in chunks through a cache-off and a fully cached engine over
+/// the same plane, then the reads once more (now warm), requiring every
+/// batch digest to agree.
+fn digests_agree<S: StoragePlane>(
+    mut plain: Engine<S>,
+    mut cached: Engine<S>,
+    ops: &[Op],
+) -> Result<(), TestCaseError> {
+    for chunk in ops.chunks(6) {
+        let r_plain = plain.execute(OpBatch::from_ops(chunk.to_vec()));
+        let r_cached = cached.execute(OpBatch::from_ops(chunk.to_vec()));
+        prop_assert_eq!(
+            r_plain.digest_hex(),
+            r_cached.digest_hex(),
+            "cache changed a batch digest"
+        );
+    }
+    let reads: Vec<Op> = ops
+        .iter()
+        .filter(|o| matches!(o, Op::ReadPost { .. }))
+        .cloned()
+        .collect();
+    if !reads.is_empty() {
+        let r_plain = plain.execute(OpBatch::from_ops(reads.clone()));
+        let r_cached = cached.execute(OpBatch::from_ops(reads));
+        prop_assert_eq!(r_plain.digest_hex(), r_cached.digest_hex());
+    }
+    Ok(())
 }
 
 const NAMES: &[&str] = &["alice", "bob", "carol", "dave"];
@@ -85,34 +127,16 @@ proptest! {
     /// The tentpole invariant, as a property: for any interleaving split
     /// across batches, every batch digest is byte-identical between a
     /// cache-off engine and one running the full caching hierarchy with a
-    /// deliberately tiny capacity (so invalidations and evictions fire).
+    /// deliberately tiny capacity (so invalidations and evictions fire) —
+    /// over the bare ring and over the ring behind social placement.
     #[test]
     fn cache_on_and_off_produce_identical_digests(
         seed in 0u64..1_000_000,
         ops in proptest::collection::vec(op(), 4..48),
     ) {
-        let mut plain = engine(seed);
-        let mut cached = cached_engine(seed, 4);
-        for chunk in ops.chunks(6) {
-            let r_plain = plain.execute(OpBatch::from_ops(chunk.to_vec()));
-            let r_cached = cached.execute(OpBatch::from_ops(chunk.to_vec()));
-            prop_assert_eq!(
-                r_plain.digest_hex(),
-                r_cached.digest_hex(),
-                "cache changed a batch digest"
-            );
-        }
-        // Re-running the reads once more (now warm) must still agree.
-        let reads: Vec<Op> = ops
-            .iter()
-            .filter(|o| matches!(o, Op::ReadPost { .. }))
-            .cloned()
-            .collect();
-        if !reads.is_empty() {
-            let r_plain = plain.execute(OpBatch::from_ops(reads.clone()));
-            let r_cached = cached.execute(OpBatch::from_ops(reads));
-            prop_assert_eq!(r_plain.digest_hex(), r_cached.digest_hex());
-        }
+        digests_agree(engine(seed), cached(engine(seed), 4), &ops)?;
+        let social = || Engine::new(ReplicatedStore::new(social_plane(seed), 3), seed);
+        digests_agree(social(), cached(social(), 4), &ops)?;
     }
 
     /// No interleaving may serve a read whose body differs from what the
@@ -124,7 +148,7 @@ proptest! {
         seed in 0u64..1_000_000,
         ops in proptest::collection::vec(op(), 8..48),
     ) {
-        let mut e = cached_engine(seed, 4);
+        let mut e = cached(engine(seed), 4);
         let mut posted: BTreeMap<(String, u64), String> = BTreeMap::new();
         for chunk in ops.chunks(5) {
             let report = e.execute(OpBatch::from_ops(chunk.to_vec()));
@@ -319,6 +343,57 @@ fn tampered_cache_and_replicas_error_exactly_like_uncached() {
         std::mem::discriminant(&cached),
         "cached error {cached:?} differs from uncached {uncached:?}"
     );
+}
+
+/// Posts a dozen envelopes, reads each once (the ring's seeded coin admits
+/// about half), then reads them all again: every admitted key must be
+/// served by the cache and take no quorum read.
+fn l2_engages<S: StoragePlane>(plane: S, stack: &str) {
+    const POSTS: u64 = 12;
+    let mut e = Engine::new(ReplicatedStore::new(plane, 3), 5);
+    e.enable_hot_cache(64);
+    let mut setup = OpBatch::new()
+        .register("alice")
+        .register("bob")
+        .befriend("alice", "bob", 0.9);
+    let mut reads = OpBatch::new();
+    for seq in 0..POSTS {
+        setup = setup.post("alice", &format!("post {seq}"));
+        reads = reads.read_post("bob", "alice", seq);
+    }
+    assert!(e.execute(setup).results.iter().all(Result::is_ok));
+    assert!(e.execute(reads.clone()).results.iter().all(Result::is_ok));
+    let admitted = e
+        .storage()
+        .plane()
+        .hot_cache()
+        .unwrap_or_else(|| panic!("{stack}: enable_hot_cache did not reach the ring"))
+        .len() as u64;
+    assert!(admitted > 0, "{stack}: verified reads must seed the cache");
+
+    let quorum = e.obs().histogram(names::STORE_GET_QUORUM);
+    let quorum_before = quorum.snapshot().count();
+    assert!(e.execute(reads).results.iter().all(Result::is_ok));
+    assert_eq!(e.metrics().count(names::CACHE_HITS), admitted, "{stack}");
+    assert_eq!(
+        quorum.snapshot().count() - quorum_before,
+        POSTS - admitted,
+        "{stack}: an admitted key must not be read through the quorum again"
+    );
+}
+
+#[test]
+fn the_hot_cache_engages_under_every_plane_composition() {
+    let adversary = || AdversaryConfig::new(5, 1);
+    l2_engages(social_plane(5), "social");
+    l2_engages(
+        AdversaryPlane::new(social_plane(5), adversary()),
+        "adversary over social",
+    );
+    let boxed: Box<dyn StoragePlane> = Box::new(social_plane(5));
+    l2_engages(boxed, "boxed social");
+    let boxed: Box<dyn StoragePlane> = Box::new(AdversaryPlane::new(social_plane(5), adversary()));
+    l2_engages(boxed, "boxed adversary over social");
 }
 
 #[test]

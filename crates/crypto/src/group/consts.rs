@@ -15,30 +15,12 @@ pub(super) const P512_HEX: &str =
     "f081374108972edf4e31f1f50911300eede9b223dc537719da9fc3b56e36ac05\
      bacb578af47e1806db6b0f7ff8b0684478419cb2fbeaf60b121e7ff3a0a3e9c7";
 
-/// 768-bit safe prime (unused by the named sizes; available for tuning).
-#[allow(dead_code)]
-pub(super) const P768_HEX: &str =
-    "ce1b083f2be5cfff2a5489009bb85d6fe904ce084ea97ed2ac501a4e3fc21c5d\
-     02122164280309c9bd5577d302cc9ed3264c9853526f25b30470cdad81af848b\
-     af3e0c6380cffc71762f2e593fa39144ba7214cb7df6f6e343c55a80587c5237";
-
 /// 1024-bit safe prime.
 pub(super) const P1024_HEX: &str =
     "eb09d83661c64127680f69b4680c56ec88e9d4ad47903ca391e11316b5646324\
      93ae64494fe3620bbb8360be21c476ca6e86a58350e1f7f6aa67e9a67c6ea69f\
      cc349a1babc8602f6cb8ec9eb56253f0b3394b514d3df927f19702451e324575\
      6b895ecfa918da938c2d23e36e4fd1486b940b494a94ef58860df416b2f322af";
-
-/// 1536-bit safe prime, used as the `Standard` fallback until the 2048-bit
-/// value below; kept for parameter sweeps.
-#[allow(dead_code)]
-pub(super) const P1536_HEX: &str =
-    "d778c27db450323e921a35d49125e878f188ec3c4db3fd03b7b295ed7955ea54\
-     d28f68817a48bae7dec8d53f81941d0beb42c4e2fecd4f0195b947b8db98491d\
-     fac95c712b36f1c9da7706d001cd803058c83de681fa403d9e9897d41063b7e0\
-     81cb6da0f43ab6eaa76eef5c58e20b6d81134a33915b3f56d9c292117313b15b\
-     b0d954909bc5040dce71d42fb755d440be03db123d408cfae9474720cbc290d2\
-     8af813f2e43b50307d837495889c27ef500cebbdb5391c9fc57e2ab658b18adb";
 
 /// 2048-bit safe prime.
 pub(super) const P2048_HEX: &str =

@@ -78,7 +78,7 @@ pub struct CocksPublicParams {
 struct ParamsInner {
     n: BigUint,
     element_len: usize,
-    /// Barrett context for `n`, shared by extract and the per-bit
+    /// Exponentiation context for `n`, shared by extract and the per-bit
     /// encrypt/decrypt loops.
     ctx: ModContext,
 }

@@ -134,8 +134,6 @@ pub const CRYPTO_GROUP_TABLE_MISS: &str = "crypto.group.pow.table_miss";
 
 // ---- bigint ----
 
-/// `ModContext` pows taken on the Barrett path (counter).
-pub const BIGINT_POW_BARRETT: &str = "bigint.modctx.pow.barrett";
 /// `ModContext` pows taken on the division path (counter).
 pub const BIGINT_POW_DIVISION: &str = "bigint.modctx.pow.division";
 /// `ModContext` pows taken on the Montgomery path (counter).
@@ -259,7 +257,6 @@ pub const ALL: &[&str] = &[
     CRYPTO_SCHNORR_VERIFY,
     CRYPTO_GROUP_TABLE_HIT,
     CRYPTO_GROUP_TABLE_MISS,
-    BIGINT_POW_BARRETT,
     BIGINT_POW_DIVISION,
     BIGINT_POW_MONTGOMERY,
     PLACEMENT_SOCIAL_HITS,

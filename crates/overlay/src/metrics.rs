@@ -205,63 +205,6 @@ impl PerNodeMetrics {
     }
 }
 
-/// A tiny fixed-bucket histogram for hop counts and latencies.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    samples: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, value: u64) {
-        self.samples.push(value);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
-    }
-
-    /// The `p`-quantile (0.0..=1.0) by nearest-rank; 0 when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn quantile(&self, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p), "quantile out of range");
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-        sorted[rank]
-    }
-
-    /// Maximum sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,29 +277,6 @@ mod tests {
         assert_eq!(m.latency.count(), 2);
         assert_eq!(m.latency.sum(), 16);
         assert_eq!(m.messages, 0, "add_latency must not count a message");
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile(0.5), 0);
-        for v in [1u64, 2, 3, 4, 100] {
-            h.add(v);
-        }
-        assert_eq!(h.len(), 5);
-        assert_eq!(h.mean(), 22.0);
-        assert_eq!(h.quantile(0.5), 3);
-        assert_eq!(h.quantile(1.0), 100);
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.max(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn quantile_rejects_bad_p() {
-        Histogram::new().quantile(1.5);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! byte-identical to the wrapped plane's hash placement (same candidate
 //! lists in the same order) — see `tests/placement_equivalence.rs`.
 
+use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
 use crate::social::SocialGraph;
@@ -243,6 +244,18 @@ impl<P: StoragePlane> StoragePlane for SocialPlane<P> {
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
         self.inner.fetch_from(node, key, metrics)
+    }
+
+    fn hot_cache(&self) -> Option<&HotCache> {
+        self.inner.hot_cache()
+    }
+
+    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
+        self.inner.hot_cache_mut()
+    }
+
+    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
+        self.inner.enable_hot_cache(capacity, seed);
     }
 }
 

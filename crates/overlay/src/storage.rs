@@ -198,11 +198,18 @@ pub trait StoragePlane: std::fmt::Debug {
     /// The plane's hot envelope cache, if caching is enabled (see
     /// [`HotCache`]). Planes without a caching story (federation pods
     /// mirror everything already) keep the default `None`.
+    ///
+    /// A plane that wraps another must forward this method,
+    /// [`StoragePlane::hot_cache_mut`] and
+    /// [`StoragePlane::enable_hot_cache`] to the plane it wraps: the
+    /// defaults answer "no cache", so a wrapper that keeps them switches
+    /// its inner plane's cache off without a word.
     fn hot_cache(&self) -> Option<&HotCache> {
         None
     }
 
-    /// The plane's hot envelope cache, mutably.
+    /// The plane's hot envelope cache, mutably. Wrappers forward (see
+    /// [`StoragePlane::hot_cache`]).
     fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
         None
     }
@@ -211,6 +218,7 @@ pub trait StoragePlane: std::fmt::Debug {
     /// super-peers host every verified envelope (Supernova-style),
     /// Chord/Kademlia replicas admit by a seeded gossip coin
     /// (Cachet-style), and planes without a cache ignore the call.
+    /// Wrappers forward (see [`StoragePlane::hot_cache`]).
     fn enable_hot_cache(&mut self, _capacity: usize, _seed: u64) {}
 }
 
