@@ -6,15 +6,15 @@
 //! pair cross-checks. The table reports detection probability versus the
 //! number of gossip exchanges, for several client populations — Frientegrity's
 //! qualitative claim ("if the clients … communicate to each other, they will
-//! discover the provider's misbehaviour") made quantitative.
+//! discover the provider's misbehaviour") made quantitative. One cross-check
+//! is one digest compare plus one Schnorr verification (E18's
+//! `crypto.schnorr.verify_us`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use dosn_bench::{table_header, table_row};
+use crate::{num, Run};
 use dosn_core::integrity::history::{HistoryClient, HistoryServer, Operation};
 use dosn_crypto::group::SchnorrGroup;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::hint::black_box;
 
 /// Runs one trial: returns true when any of `exchanges` random client pairs
 /// detects the fork.
@@ -52,65 +52,27 @@ fn trial(clients: usize, exchanges: usize, seed: u64) -> bool {
     false
 }
 
-fn detection_table() {
-    const TRIALS: u64 = 60;
-    table_header(
-        "E4: fork detection probability vs gossip exchanges (50/50 branch split)",
-        &["clients", "1 exch", "2 exch", "4 exch", "8 exch", "16 exch"],
+pub(super) fn run(run: &mut Run) {
+    let trials: u64 = run.pick(60, 6);
+    run.table(
+        &format!(
+            "E4: fork detection probability vs gossip exchanges \
+             (50/50 branch split, {trials} trials)"
+        ),
+        "clients | 1 exch | 2 exch | 4 exch | 8 exch | 16 exch",
     );
-    for clients in [4usize, 8, 16, 32, 64] {
-        let mut cells = vec![clients.to_string()];
+    for &clients in run.pick(&[4usize, 8, 16, 32, 64][..], &[4, 8, 16]) {
+        let mut cells = vec![clients.into()];
         for exchanges in [1usize, 2, 4, 8, 16] {
-            let detected = (0..TRIALS)
+            let detected = (0..trials)
                 .filter(|&t| trial(clients, exchanges, t * 7919 + clients as u64))
                 .count();
-            cells.push(format!("{:.2}", detected as f64 / TRIALS as f64));
+            cells.push(num(detected as f64 / trials as f64, 2));
         }
-        table_row(&cells);
+        run.row(&cells);
     }
     println!(
         "\nexpected shape: each random pair is cross-branch with p = 1/2, so\n\
-         detection ≈ 1 - (1/2)^exchanges, independent of population size\n"
+         detection ≈ 1 - (1/2)^exchanges, independent of population size"
     );
 }
-
-fn bench_fork_detection(c: &mut Criterion) {
-    detection_table();
-    c.bench_function("e4/cross_check", |b| {
-        let mut server = HistoryServer::new(SchnorrGroup::toy(), 1);
-        for i in 0..50 {
-            server.append("wall", Operation::new("bob", format!("post {i}")));
-        }
-        let mut alice = HistoryClient::new("alice", "wall", server.verifying_key().clone());
-        let mut carol = HistoryClient::new("carol", "wall", server.verifying_key().clone());
-        let (log, digest) = server.view("wall", 0);
-        alice.observe(log, digest).unwrap();
-        let (log, digest) = server.view("wall", 0);
-        carol.observe(log, digest).unwrap();
-        b.iter(|| {
-            alice.cross_check(carol.digest().unwrap()).expect("agree");
-            black_box(())
-        })
-    });
-    c.bench_function("e4/observe_50_ops", |b| {
-        let mut server = HistoryServer::new(SchnorrGroup::toy(), 2);
-        for i in 0..50 {
-            server.append("wall", Operation::new("bob", format!("post {i}")));
-        }
-        b.iter_with_setup(
-            || {
-                (
-                    HistoryClient::new("fresh", "wall", server.verifying_key().clone()),
-                    server.view("wall", 0),
-                )
-            },
-            |(mut client, (log, digest))| {
-                let _: () = client.observe(log, digest).expect("valid");
-                black_box(())
-            },
-        )
-    });
-}
-
-criterion_group!(benches, bench_fork_detection);
-criterion_main!(benches);

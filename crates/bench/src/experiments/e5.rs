@@ -3,10 +3,10 @@
 //! The same content-lookup workload over all five families. Expected shape:
 //! structured is O(log n) hops, unstructured flooding is O(n) messages,
 //! super-peer and federation are small constants, hybrid approaches O(1)
-//! messages for popular content once caches warm.
+//! messages for popular content once caches warm. (What a lookup costs the
+//! *simulator* in wall-clock is E18's `overlay.*.candidates_us`.)
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dosn_bench::{table_header, table_row};
+use crate::{num, Run};
 use dosn_obs::Histogram;
 use dosn_overlay::chord::ChordOverlay;
 use dosn_overlay::federation::FederatedNetwork;
@@ -15,15 +15,11 @@ use dosn_overlay::hybrid::HybridOverlay;
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::superpeer::SuperPeerOverlay;
-use std::hint::black_box;
 
 const QUERIES: u64 = 40;
 
-struct CostRow {
-    avg_messages: f64,
-    avg_hops: f64,
-    avg_latency_ms: f64,
-}
+/// `[avg msgs, avg hops, avg latency (ms)]` per query.
+type CostRow = [f64; 3];
 
 fn chord_costs(n: usize) -> CostRow {
     let mut net = ChordOverlay::build(n, 3, 5);
@@ -39,13 +35,13 @@ fn chord_costs(n: usize) -> CostRow {
         hops.record(per.count("chord.hop"));
         m.merge(&per);
     }
-    CostRow {
-        avg_messages: m.messages as f64 / (2.0 * QUERIES as f64),
-        avg_hops: hops.mean(),
+    [
+        m.messages as f64 / (2.0 * QUERIES as f64),
+        hops.mean(),
         // merge() keeps the critical-path max in `latency_ms`; the summed
         // sequential total lives in the latency distribution.
-        avg_latency_ms: m.latency.sum() as f64 / (2.0 * QUERIES as f64),
-    }
+        m.latency.sum() as f64 / (2.0 * QUERIES as f64),
+    ]
 }
 
 fn flood_costs(n: usize) -> CostRow {
@@ -61,11 +57,11 @@ fn flood_costs(n: usize) -> CostRow {
         }
         m.merge(&per);
     }
-    CostRow {
-        avg_messages: m.messages as f64 / QUERIES as f64,
-        avg_hops: hops.mean(),
-        avg_latency_ms: m.latency.sum() as f64 / QUERIES as f64,
-    }
+    [
+        m.messages as f64 / QUERIES as f64,
+        hops.mean(),
+        m.latency.sum() as f64 / QUERIES as f64,
+    ]
 }
 
 fn superpeer_costs(n: usize) -> CostRow {
@@ -77,11 +73,11 @@ fn superpeer_costs(n: usize) -> CostRow {
         net.publish(NodeId(i % n as u64), key);
         net.search(NodeId((i * 13 + 1) % n as u64), key, &mut m);
     }
-    CostRow {
-        avg_messages: m.messages as f64 / QUERIES as f64,
-        avg_hops: m.messages as f64 / QUERIES as f64,
-        avg_latency_ms: m.latency_ms as f64 / QUERIES as f64,
-    }
+    [
+        m.messages as f64 / QUERIES as f64,
+        m.messages as f64 / QUERIES as f64,
+        m.latency_ms as f64 / QUERIES as f64,
+    ]
 }
 
 fn hybrid_costs(n: usize) -> CostRow {
@@ -96,11 +92,11 @@ fn hybrid_costs(n: usize) -> CostRow {
         let r = net.dht().random_node(i * 3 + 1);
         net.get(r, hot, &mut read_metrics).expect("get");
     }
-    CostRow {
-        avg_messages: read_metrics.messages as f64 / QUERIES as f64,
-        avg_hops: read_metrics.count("chord.hop") as f64 / QUERIES as f64,
-        avg_latency_ms: read_metrics.latency_ms as f64 / QUERIES as f64,
-    }
+    [
+        read_metrics.messages as f64 / QUERIES as f64,
+        read_metrics.count("chord.hop") as f64 / QUERIES as f64,
+        read_metrics.latency_ms as f64 / QUERIES as f64,
+    ]
 }
 
 fn federation_costs(n: usize) -> CostRow {
@@ -119,75 +115,27 @@ fn federation_costs(n: usize) -> CostRow {
         net.fetch(&format!("u{}", (i + 3) % n as u64), key, &owner, &mut m)
             .expect("fetch");
     }
-    CostRow {
-        avg_messages: m.messages as f64 / (2.0 * QUERIES as f64),
-        avg_hops: m.count("fed.server_relay") as f64 / QUERIES as f64,
-        avg_latency_ms: m.latency_ms as f64 / (2.0 * QUERIES as f64),
-    }
+    [
+        m.messages as f64 / (2.0 * QUERIES as f64),
+        m.count("fed.server_relay") as f64 / QUERIES as f64,
+        m.latency_ms as f64 / (2.0 * QUERIES as f64),
+    ]
 }
 
-fn cost_tables() {
+pub(super) fn run(run: &mut Run) {
     for n in [64usize, 256, 1024] {
-        table_header(
+        run.table(
             &format!("E5: per-query lookup cost, {n} nodes"),
-            &["organization", "avg msgs", "avg hops", "avg latency (ms)"],
+            "organization | avg msgs | avg hops | avg latency (ms)",
         );
-        for (name, row) in [
+        for (name, [msgs, hops, latency_ms]) in [
             ("structured (chord)", chord_costs(n)),
             ("unstructured (flood)", flood_costs(n)),
             ("semi-structured (super-peer)", superpeer_costs(n)),
             ("hybrid (dht+cache, hot key)", hybrid_costs(n)),
             ("federation (8 pods)", federation_costs(n)),
         ] {
-            table_row(&[
-                name.to_owned(),
-                format!("{:.1}", row.avg_messages),
-                format!("{:.1}", row.avg_hops),
-                format!("{:.0}", row.avg_latency_ms),
-            ]);
+            run.row(&[name.into(), num(msgs, 1), num(hops, 1), num(latency_ms, 0)]);
         }
     }
-    println!();
 }
-
-fn bench_lookups(c: &mut Criterion) {
-    cost_tables();
-
-    let mut group = c.benchmark_group("e5/chord_lookup");
-    group.sample_size(20);
-    for n in [64usize, 256, 1024] {
-        let mut net = ChordOverlay::build(n, 3, 1);
-        let key = Key::hash(b"bench");
-        let w = net.random_node(0);
-        let mut m = Metrics::new();
-        net.store(w, key, vec![0u8; 64], &mut m).expect("store");
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                let from = net.random_node(i);
-                let mut per = Metrics::new();
-                black_box(net.lookup(from, key, &mut per).expect("lookup"))
-            })
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("e5/flood_search");
-    group.sample_size(10);
-    for n in [64usize, 256, 1024] {
-        let mut net = UnstructuredOverlay::build(n, 4, 2);
-        let key = Key::hash(b"bench");
-        net.publish(NodeId((n - 1) as u64), key);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let mut per = Metrics::new();
-                black_box(net.flood_search(NodeId(0), key, 10, &mut per))
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_lookups);
-criterion_main!(benches);

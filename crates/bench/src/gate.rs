@@ -2,14 +2,27 @@
 //! committed baseline and fails on regressions beyond each headline's own
 //! tolerance band.
 //!
+//! ```text
+//! dosn-bench gate CURRENT.json BASELINE.json    # exit 0 iff no regression
+//! dosn-bench gate --self-test BASELINE.json     # prove the gate catches a 2x slowdown
+//! ```
+//!
 //! The gate logic is deliberately generic: a report's headlines carry their
 //! own direction (`higher_is_better`) and tolerance, so adding a new gated
-//! metric to a bench binary needs no gate change — commit a baseline that
+//! metric to an experiment needs no gate change — commit a baseline that
 //! declares it and the gate picks it up. Every headline declared by the
 //! *baseline* must be present in the current run; a bench that silently
 //! stops reporting a metric fails the gate rather than passing by omission.
+//!
+//! `--self-test` guards the guard: it degrades the baseline's headlines by
+//! 2x and verifies the gate *fails* that run. When `$GITHUB_STEP_SUMMARY`
+//! is set (it is, in GitHub Actions), a normal run also appends a
+//! per-headline markdown table to that file.
 
 use dosn_obs::RunReport;
+use std::io::Write;
+use std::path::Path;
+use std::process::ExitCode;
 
 /// One headline comparison.
 #[derive(Debug, Clone)]
@@ -29,22 +42,6 @@ pub struct Check {
 }
 
 impl Check {
-    /// Human-readable one-line verdict.
-    pub fn describe(&self) -> String {
-        let verdict = if self.passed { "ok  " } else { "FAIL" };
-        let dir = if self.higher_is_better { ">=" } else { "<=" };
-        match self.current {
-            Some(cur) => format!(
-                "{verdict} {name}: {cur:.4} {dir} {limit:.4} (baseline {base:.4}, tol {tol:.0}%)",
-                name = self.name,
-                limit = self.limit(),
-                base = self.baseline,
-                tol = self.tolerance * 100.0,
-            ),
-            None => format!("{verdict} {}: missing from current run", self.name),
-        }
-    }
-
     /// The pass/fail threshold implied by baseline, direction, and
     /// tolerance.
     pub fn limit(&self) -> f64 {
@@ -71,13 +68,33 @@ impl GateOutcome {
         self.errors.is_empty() && self.checks.iter().all(|c| c.passed)
     }
 
-    /// Multi-line human summary (one line per check, then errors).
-    pub fn describe(&self) -> String {
-        let mut lines: Vec<String> = self.checks.iter().map(Check::describe).collect();
-        for e in &self.errors {
-            lines.push(format!("FAIL {e}"));
+    /// The verdict as a markdown table — what the command prints and what
+    /// it appends to the GitHub Actions step summary: one row per headline,
+    /// plus a row per structural error.
+    pub fn describe(&self, experiment: &str) -> String {
+        let mut md = format!(
+            "### {experiment} — {}\n\n| headline | current | baseline | limit | tolerance | result |\n|---|---|---|---|---|---|\n",
+            if self.passed() { "✅ pass" } else { "❌ FAIL" },
+        );
+        for c in &self.checks {
+            let current = c
+                .current
+                .map_or_else(|| "missing".to_string(), |v| format!("{v:.4}"));
+            let dir = if c.higher_is_better { "≥" } else { "≤" };
+            md.push_str(&format!(
+                "| `{}` | {} | {:.4} | {dir} {:.4} | {:.0}% | {} |\n",
+                c.name,
+                current,
+                c.baseline,
+                c.limit(),
+                c.tolerance * 100.0,
+                if c.passed { "pass" } else { "**FAIL**" },
+            ));
         }
-        lines.join("\n")
+        for e in &self.errors {
+            md.push_str(&format!("| _error_ | {e} | | | | **FAIL** |\n"));
+        }
+        md
     }
 }
 
@@ -102,25 +119,19 @@ pub fn check(current: &RunReport, baseline: &RunReport) -> GateOutcome {
         ));
     }
     for (name, base) in &baseline.headlines {
-        let current_value = current.headlines.get(name).map(|h| h.value);
-        let passed = match current_value {
-            None => false,
-            Some(cur) => {
-                if base.higher_is_better {
-                    cur >= base.value * (1.0 - base.tolerance)
-                } else {
-                    cur <= base.value * (1.0 + base.tolerance)
-                }
-            }
-        };
-        out.checks.push(Check {
+        let mut c = Check {
             name: name.clone(),
             baseline: base.value,
-            current: current_value,
+            current: current.headlines.get(name).map(|h| h.value),
             higher_is_better: base.higher_is_better,
             tolerance: base.tolerance,
-            passed,
+            passed: false,
+        };
+        c.passed = c.current.is_some_and(|cur| match c.higher_is_better {
+            true => cur >= c.limit(),
+            false => cur <= c.limit(),
         });
+        out.checks.push(c);
     }
     out
 }
@@ -141,6 +152,65 @@ pub fn degrade(report: &RunReport, factor: f64) -> RunReport {
     worse
 }
 
+fn load(path: &str) -> Result<RunReport, String> {
+    RunReport::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Appends the table to `$GITHUB_STEP_SUMMARY` when the variable is set;
+/// a write failure is reported but never fails the gate itself.
+fn publish_summary(table: &str) {
+    let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else {
+        return;
+    };
+    let appended = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut f| writeln!(f, "{table}"));
+    if let Err(e) = appended {
+        eprintln!("gate: could not append step summary to {path}: {e}");
+    }
+}
+
+/// `dosn-bench gate …` (see the module docs).
+pub(crate) fn cli(args: &[&str]) -> ExitCode {
+    let verdict = match args {
+        ["--self-test", baseline_path] => load(baseline_path).and_then(|baseline| {
+            let outcome = check(&degrade(&baseline, 2.0), &baseline);
+            println!("{}", outcome.describe(&baseline.experiment));
+            if outcome.passed() {
+                return Err(format!(
+                    "SELF-TEST FAILED — a 2x regression on every headline of \
+                     {baseline_path} passed the gate"
+                ));
+            }
+            println!("self-test ok: gate rejects a 2x slowdown against {baseline_path}");
+            Ok(())
+        }),
+        [current_path, baseline_path] => load(current_path)
+            .and_then(|c| Ok((c, load(baseline_path)?)))
+            .and_then(|(current, baseline)| {
+                let outcome = check(&current, &baseline);
+                let table = outcome.describe(&baseline.experiment);
+                println!("gate: {current_path} vs baseline {baseline_path}\n{table}");
+                publish_summary(&table);
+                if !outcome.passed() {
+                    return Err("regression detected (see FAIL rows above)".to_string());
+                }
+                println!("gate: no regression beyond tolerance");
+                Ok(())
+            }),
+        _ => Err(crate::USAGE.to_string()),
+    };
+    match verdict {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("gate: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,7 +226,7 @@ mod tests {
     fn identical_run_passes() {
         let b = baseline();
         let out = check(&b.clone(), &b);
-        assert!(out.passed(), "{}", out.describe());
+        assert!(out.passed(), "{}", out.describe("t"));
         assert_eq!(out.checks.len(), 2);
     }
 
@@ -165,7 +235,11 @@ mod tests {
         let b = baseline();
         let out = check(&degrade(&b, 2.0), &b);
         assert!(!out.passed());
-        assert!(out.checks.iter().all(|c| !c.passed), "{}", out.describe());
+        assert!(
+            out.checks.iter().all(|c| !c.passed),
+            "{}",
+            out.describe("t")
+        );
     }
 
     #[test]
@@ -206,7 +280,7 @@ mod tests {
         // latency_us omitted.
         let out = check(&cur, &b);
         assert!(!out.passed());
-        assert!(out.describe().contains("missing from current run"));
+        assert!(out.describe("t").contains("| missing |"));
     }
 
     #[test]
@@ -226,7 +300,7 @@ mod tests {
         cur.fast_mode = false;
         let out = check(&cur, &b);
         assert!(!out.passed());
-        assert!(out.describe().contains("workload mismatch"));
+        assert!(out.describe("t").contains("workload mismatch"));
     }
 
     #[test]
@@ -234,5 +308,29 @@ mod tests {
         let worse = degrade(&baseline(), 2.0);
         assert_eq!(worse.headlines["throughput"].value, 500.0);
         assert_eq!(worse.headlines["latency_us"].value, 100.0);
+    }
+
+    /// A NaN or infinite headline serialises as `0` (`RunReport` JSON has
+    /// no non-finite numbers) and `0` clears any lower-is-better gate, so
+    /// `Run::headline` refuses it and the run ends without a report.
+    #[test]
+    fn a_non_finite_headline_fails_the_run_instead_of_reading_zero() {
+        use crate::experiments::Experiment;
+        static EXP: Experiment = Experiment {
+            id: "gate-test",
+            title: "gate-test",
+            baseline: None,
+            headlines: &[("latency_us", false, 0.30)],
+            run: |_| {},
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut run = crate::Run::new(&EXP, true);
+            run.headline("latency_us", bad);
+            let err = run.finish().expect_err("refused");
+            assert!(err.contains("latency_us"), "{err}");
+        }
+        let mut run = crate::Run::new(&EXP, true);
+        run.headline("latency_us", 50.0);
+        assert_eq!(run.finish().unwrap().headlines["latency_us"].value, 50.0);
     }
 }

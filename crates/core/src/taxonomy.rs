@@ -2,9 +2,9 @@
 //!
 //! The paper's only table classifies security aspects and solutions in
 //! OSNs. This module encodes that classification and maps every row to the
-//! workspace module implementing it, so `cargo bench -p dosn-bench`
-//! (table1_taxonomy) regenerates the table programmatically and
-//! EXPERIMENTS.md can diff it against the paper.
+//! workspace module implementing it, so `dosn-bench t1` regenerates the
+//! table programmatically and EXPERIMENTS.md can diff it against the
+//! paper.
 
 /// Top-level categories of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -19,9 +19,9 @@
 //! * [`Timer`] — a scoped guard that records elapsed wall microseconds
 //!   into a histogram when dropped;
 //! * [`RunReport`] — a schema-versioned, deterministically ordered
-//!   machine-readable JSON report every bench binary emits, which is what
-//!   lets CI gate on perf regressions (`bench_gate`) instead of treating
-//!   `BENCH_*.json` as write-only artifacts;
+//!   machine-readable JSON report every bench experiment emits, which is
+//!   what lets CI gate on perf regressions (`dosn-bench gate`) instead of
+//!   treating `BENCH_*.json` as write-only artifacts;
 //! * [`names`] — the single declaration point for every metric-name string
 //!   used in the workspace, so a typo'd name fails at test time instead of
 //!   silently creating a dead counter.

@@ -1,6 +1,6 @@
 //! Schema-versioned, machine-readable run reports.
 //!
-//! Every bench binary ends by emitting a [`RunReport`]: the experiment's
+//! Every bench experiment ends by emitting a [`RunReport`]: the experiment's
 //! headline metrics (each tagged with a comparison direction and tolerance
 //! so the CI gate needs no out-of-band configuration), plus a full dump of
 //! the run's registry (counters, gauges, histogram summaries) and optional
@@ -529,23 +529,34 @@ impl Obj {
     }
 }
 
+/// Deepest container nesting the parser follows. The schema nests four
+/// deep (report → headlines → one headline → its fields); the bound keeps
+/// a hostile `[[[[…` from overflowing the stack.
+const MAX_DEPTH: usize = 16;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
     }
 
     fn parse(mut self) -> Result<J, ReportError> {
         let v = self.value()?;
         self.skip_ws();
-        if self.pos != self.bytes.len() {
+        if self.pos != self.bytes().len() {
             return Err(self.err("trailing data"));
         }
         Ok(v)
@@ -556,7 +567,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -566,7 +577,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), ReportError> {
@@ -579,7 +590,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_word(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             true
         } else {
@@ -590,8 +601,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<J, ReportError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(J::Str(self.string()?)),
             Some(b't') if self.eat_word("true") => Ok(J::Bool(true)),
             Some(b'f') if self.eat_word("false") => Ok(J::Bool(false)),
@@ -696,13 +718,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe via char_indices).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one step. Both are ASCII, so the run starts and ends
+                    // on character boundaries of the `&str` input.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -710,11 +733,15 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32, ReportError> {
         let slice = self
-            .bytes
+            .bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(slice).map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Exactly four hex digits: `from_str_radix` alone would take "+123".
+        let v = slice.iter().try_fold(0u32, |v, b| {
+            let digit = (*b as char).to_digit(16)?;
+            Some(v * 16 + digit)
+        });
+        let v = v.ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -730,11 +757,14 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let tok = std::str::from_utf8(&self.bytes[start..self.pos])
+        let tok = std::str::from_utf8(&self.bytes()[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        // Validate the token parses as a float even though we keep the text.
-        tok.parse::<f64>().map_err(|_| self.err("invalid number"))?;
-        Ok(J::Num(tok.to_string()))
+        // Validate the token parses as a finite float (`1e999` parses to ∞)
+        // even though we keep the text.
+        match tok.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(J::Num(tok.to_string())),
+            _ => Err(self.err("invalid number")),
+        }
     }
 }
 

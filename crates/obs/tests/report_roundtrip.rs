@@ -3,11 +3,13 @@
 //! parse → re-serialize cycle is byte-identical, and the typed content
 //! survives the round trip exactly — across randomized metric names,
 //! counter magnitudes (including > 2^53, where an eager f64 conversion
-//! would corrupt), float values, and string rows with escapes.
+//! would corrupt), float values, and string rows with escapes. The gate
+//! reads these files from disk, so the parser must also survive anything:
+//! arbitrary bytes and damaged reports return `Ok` or `Err`, never panic.
 
 use std::collections::BTreeMap;
 
-use dosn_obs::{Histogram, Registry, RunReport, Summary, Value};
+use dosn_obs::{Histogram, Registry, ReportError, RunReport, Summary, Value};
 use proptest::prelude::*;
 
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -117,6 +119,28 @@ proptest! {
     }
 
     #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let _ = RunReport::from_json(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn a_damaged_report_never_panics(
+        r in report_strategy(),
+        at in any::<u32>(),
+        byte in any::<u8>(),
+        truncate in any::<bool>(),
+    ) {
+        let mut bytes = r.to_json().into_bytes();
+        let at = at as usize % bytes.len();
+        if truncate {
+            bytes.truncate(at);
+        } else {
+            bytes[at] = byte;
+        }
+        let _ = RunReport::from_json(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
     fn big_counters_survive_exactly(v in any::<u64>()) {
         let mut r = RunReport::new("counters", false);
         r.counters.insert("big".into(), v);
@@ -148,4 +172,56 @@ fn same_run_same_bytes() {
         r.to_json()
     };
     assert_eq!(build(), build());
+}
+
+fn parse_error(json: &str) -> String {
+    match RunReport::from_json(json) {
+        Err(ReportError::Parse(msg)) => msg,
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+/// Regression: `value → array → value` recursed without a bound, so this
+/// input overflowed the stack and aborted the process.
+#[test]
+fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+    assert!(parse_error(&"[".repeat(200_000)).contains("nesting deeper"));
+    assert!(parse_error(&"{\"a\":".repeat(200_000)).contains("nesting deeper"));
+    // Nesting as deep as the schema's own still parses.
+    let mut r = RunReport::new("depth", true);
+    r.set_headline("h", 1.0, true, 0.1);
+    assert!(RunReport::from_json(&r.to_json()).is_ok());
+}
+
+/// Regression: `\u` took whatever `from_str_radix` takes (a sign), and a
+/// number token could parse to infinity.
+#[test]
+fn lone_escapes_and_infinite_numbers_are_parse_errors() {
+    let with_name = |name: &str| RunReport::new("x", false).to_json().replace("\"x\"", name);
+    assert!(RunReport::from_json(&with_name("\"\\u0041\"")).is_ok());
+    for bad in [
+        "\"\\u+123\"",
+        "\"\\u-123\"",
+        "\"\\u12\"",
+        "\"\\ud800\"",
+        "\"\\q\"",
+    ] {
+        parse_error(&with_name(bad));
+    }
+    let with_gauge = |tok: &str| {
+        RunReport::new("x", false)
+            .to_json()
+            .replace("\"gauges\": {}", &format!("\"gauges\": {{\"g\": {tok}}}"))
+    };
+    assert!(RunReport::from_json(&with_gauge("1e300")).is_ok());
+    assert!(parse_error(&with_gauge("1e999")).contains("invalid number"));
+    assert!(parse_error(&with_gauge("-1e999")).contains("invalid number"));
+}
+
+/// Regression: every character of a string re-validated the whole rest of
+/// the input as UTF-8 — quadratic; 2 MB of string took minutes.
+#[test]
+fn a_long_string_parses_in_one_pass() {
+    let r = RunReport::new(&"é\"x".repeat(500_000), false);
+    assert_eq!(RunReport::from_json(&r.to_json()).unwrap(), r);
 }

@@ -7,8 +7,8 @@
 //! whose owners are graph vertices. Social placement puts replicas on the
 //! owner's friends, so most placement queries skip the O(log n) DHT
 //! lookup entirely — the hop counter at the end shows the gap. The full
-//! sweep (up to N = 1M) lives in `cargo run --release -p dosn-bench --bin
-//! e15_scale`.
+//! sweep (up to N = 1M) lives in `cargo run --release -p dosn-bench --
+//! e15`.
 //!
 //! Run with: `cargo run --release --example social_scale`
 
