@@ -7,6 +7,30 @@
 use crate::BigUint;
 use std::ops::{Add, Div, Mul, Rem, Shl, Shr, Sub};
 
+/// Schoolbook product of two limb strings (either may carry leading zeros).
+pub(crate) fn mul_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = vec![0u64; a.len() + b.len()];
+    for (i, &a) in a.iter().enumerate() {
+        if a == 0 {
+            continue;
+        }
+        let mut carry = 0u128;
+        for (j, &b) in b.iter().enumerate() {
+            let t = u128::from(a) * u128::from(b) + u128::from(out[i + j]) + carry;
+            out[i + j] = t as u64;
+            carry = t >> 64;
+        }
+        let mut k = i + b.len();
+        while carry != 0 {
+            let t = u128::from(out[k]) + carry;
+            out[k] = t as u64;
+            carry = t >> 64;
+            k += 1;
+        }
+    }
+    out
+}
+
 impl BigUint {
     /// Adds two values.
     pub(crate) fn add_impl(&self, other: &BigUint) -> BigUint {
@@ -73,29 +97,7 @@ impl BigUint {
 
     /// Schoolbook multiplication: O(n·m) limb products.
     pub(crate) fn mul_schoolbook(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() || other.is_zero() {
-            return BigUint::zero();
-        }
-        let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
-            if a == 0 {
-                continue;
-            }
-            let mut carry = 0u128;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let t = u128::from(a) * u128::from(b) + u128::from(out[i + j]) + carry;
-                out[i + j] = t as u64;
-                carry = t >> 64;
-            }
-            let mut k = i + other.limbs.len();
-            while carry != 0 {
-                let t = u128::from(out[k]) + carry;
-                out[k] = t as u64;
-                carry = t >> 64;
-                k += 1;
-            }
-        }
-        BigUint::from_limbs(out)
+        BigUint::from_limbs(mul_limbs(&self.limbs, &other.limbs))
     }
 
     /// Karatsuba multiplication: splits both operands at half the smaller

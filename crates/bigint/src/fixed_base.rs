@@ -10,12 +10,16 @@
 //! reduction in work. The table costs about four plain exponentiations to
 //! build, so it pays off from the fifth use of the same base onward.
 
-use crate::modular::ModContext;
+use crate::modular::{with_arith, ModContext};
+use crate::window::{self, Acc, Arith};
 use crate::BigUint;
 
 /// Digit width. 2^4 = 16-entry columns balance table size (≈ `bits²/4` bits
 /// per table) against the `bits/4` evaluation cost.
 const WINDOW: u64 = 4;
+
+/// Rows per column: one per non-zero digit.
+const DIGITS: usize = (1 << WINDOW) - 1;
 
 /// Precomputed powers of a fixed base under a fixed modulus.
 ///
@@ -34,11 +38,44 @@ pub struct FixedBaseTable {
     ctx: ModContext,
     /// Reduced base, kept for the oversized-exponent fallback.
     base: BigUint,
-    /// `columns[i][d-1] = base^(d · 2^(WINDOW·i))` for `d` in `1..16`, held
-    /// in the domain `ctx` exponentiates in (see `ModContext::in_domain`).
-    columns: Vec<Vec<BigUint>>,
+    /// Row `DIGITS·i + d − 1` is `base^(d · 2^(WINDOW·i))` for `d` in `1..16`:
+    /// residues of the arithmetic `ctx` exponentiates in, back to back.
+    columns: Vec<u64>,
     /// Exponent bit-widths covered by the table.
     covered_bits: u64,
+}
+
+/// Builds `ncols` columns for `base`. Every row is the row before it times
+/// the unit of that row's column (its first row): within a column that
+/// steps the digit, and across a boundary it is `unit^15 · unit`, the next
+/// column's unit.
+fn build<A: Arith>(arith: &A, base: &BigUint, ncols: usize) -> Vec<u64> {
+    let k = arith.limbs();
+    let mut rows = vec![0u64; ncols * DIGITS * k];
+    let mut scratch = vec![0u64; 2 * k];
+    arith.enter(&mut rows[..k], base, &mut scratch);
+    for r in 1..ncols * DIGITS {
+        let (done, rest) = rows.split_at_mut(r * k);
+        let unit = (r - 1) / DIGITS * DIGITS;
+        arith.mul(&mut rest[..k], &done[(r - 1) * k..], &done[unit * k..][..k]);
+    }
+    rows
+}
+
+/// One multiplication per non-zero digit of `exp`; `None` for `exp == 0`.
+fn eval<A: Arith>(arith: &A, columns: &[u64], exp: &BigUint) -> Option<BigUint> {
+    let k = arith.limbs();
+    let mut buf = window::workspace(arith, 0);
+    let (_, mut acc) = Acc::carve(arith, &mut buf, 0);
+    const PER_LIMB: usize = (64 / WINDOW) as usize;
+    for (i, column) in columns.chunks_exact(DIGITS * k).enumerate() {
+        let limb = exp.limbs().get(i / PER_LIMB).copied().unwrap_or(0);
+        let digit = (limb >> (WINDOW as usize * (i % PER_LIMB))) as usize & DIGITS;
+        if digit != 0 {
+            acc.mul(&column[(digit - 1) * k..][..k]);
+        }
+    }
+    acc.finish()
 }
 
 impl FixedBaseTable {
@@ -48,27 +85,10 @@ impl FixedBaseTable {
     pub fn new(ctx: &ModContext, base: &BigUint, max_exp_bits: u64) -> Self {
         let covered_bits = max_exp_bits.max(1);
         let ncols = covered_bits.div_ceil(WINDOW) as usize;
-        let columns = ctx.in_domain(&[base], |b, d| {
-            let mut col_base = b[0].clone();
-            let mut columns = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                let mut col = Vec::with_capacity((1 << WINDOW) - 1);
-                col.push(col_base.clone());
-                for digit in 2..(1u64 << WINDOW) {
-                    let prev = col.last().expect("column starts non-empty");
-                    col.push((d.mul)(prev, &col_base));
-                    debug_assert_eq!(col.len() as u64, digit);
-                }
-                // Next column's unit is base^(2^(WINDOW·(i+1))) = col_base^16.
-                col_base = (d.mul)(col.last().expect("full column"), &col_base);
-                columns.push(col);
-            }
-            columns
-        });
         FixedBaseTable {
             ctx: ctx.clone(),
             base: ctx.reduce(base),
-            columns,
+            columns: with_arith!(ctx, |arith| build(arith, base, ncols)),
             covered_bits,
         }
     }
@@ -92,26 +112,7 @@ impl FixedBaseTable {
         if exp.bits() > self.covered_bits {
             return self.ctx.pow(&self.base, exp);
         }
-        // The columns are in the domain already: nothing to bring in.
-        self.ctx.in_domain(&[], |_, d| {
-            let mut result: Option<BigUint> = None;
-            for (i, col) in self.columns.iter().enumerate() {
-                let lo = i as u64 * WINDOW;
-                let mut digit = 0u64;
-                for b in 0..WINDOW {
-                    digit |= u64::from(exp.bit(lo + b)) << b;
-                }
-                if digit != 0 {
-                    let entry = &col[(digit - 1) as usize];
-                    result = Some(match result.take() {
-                        Some(r) => (d.mul)(&r, entry),
-                        None => entry.clone(),
-                    });
-                }
-            }
-            // No non-zero digit means exp == 0.
-            result.map_or_else(BigUint::one, |r| (d.leave)(&r))
-        })
+        with_arith!(self.ctx, |arith| eval(arith, &self.columns, exp)).unwrap_or_else(BigUint::one)
     }
 }
 

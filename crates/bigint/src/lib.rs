@@ -16,10 +16,11 @@
 //!   [`BigUint::gcd`], [`BigUint::jacobi`]) used by the crypto layer.
 //! * An exponentiation engine for hot paths: [`ModContext`] picks a
 //!   reduction backend per modulus (Montgomery CIOS for odd 2+-limb moduli,
-//!   Knuth division for everything else), exponentiates with sliding windows, evaluates products `∏ bᵢ^eᵢ` simultaneously
-//!   (Shamir's trick, plus an interleaved Straus kernel for arbitrarily
-//!   wide products), and builds [`FixedBaseTable`] precomputations for
-//!   repeated bases.
+//!   Knuth division for everything else), exponentiates with sliding windows
+//!   over fixed-width rows of limbs (no allocation per product), evaluates
+//!   products `∏ bᵢ^eᵢ` over one shared squaring chain (an interleaved
+//!   Straus kernel for any number of bases), and builds [`FixedBaseTable`]
+//!   precomputations for repeated bases.
 //! * Probabilistic primality testing and random prime generation
 //!   ([`BigUint::is_probable_prime`], [`gen_prime`], [`gen_safe_prime`]).
 //!

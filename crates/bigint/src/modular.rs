@@ -1,8 +1,10 @@
 //! Modular arithmetic: exponentiation, inverse, GCD, and the Jacobi symbol,
 //! plus [`ModContext`], the per-modulus exponentiation engine.
 
+use crate::arith::mul_limbs;
 use crate::montgomery::MontgomeryContext;
-use crate::{window, BigUint};
+use crate::window::{self, Arith};
+use crate::BigUint;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -38,7 +40,7 @@ pub struct ModContext {
     /// `Some` for odd moduli of 2+ limbs: exponentiation runs in the
     /// Montgomery domain (CIOS products). `None` means division-based
     /// reduction.
-    mont: Option<MontgomeryContext>,
+    pub(crate) mont: Option<MontgomeryContext>,
     /// Exponentiation counters, shared across clones so the per-group
     /// contexts cached in `dosn-crypto` aggregate into one tally. Plain
     /// atomics rather than `dosn-obs` instruments: this crate stays at the
@@ -69,13 +71,63 @@ impl ExpStats {
     }
 }
 
-/// The arithmetic of one kernel run, as [`ModContext::in_domain`] chose it.
-pub(crate) struct Domain<'a> {
-    /// Product of two values of the domain.
-    pub(crate) mul: &'a dyn Fn(&BigUint, &BigUint) -> BigUint,
-    /// Takes a value of the domain back to its plain residue.
-    pub(crate) leave: &'a dyn Fn(&BigUint) -> BigUint,
+/// The division arithmetic: residues are plain values padded to the
+/// modulus's limb count, and every product is a schoolbook product and a
+/// division — the hardware's at one limb, Knuth's above. It serves even and
+/// one-limb moduli and is the reference ([`BigUint::modpow_plain`]) the
+/// Montgomery kernel is tested against, so it stays this plain.
+pub(crate) struct Division<'a>(pub(crate) &'a BigUint);
+
+impl Division<'_> {
+    fn write(out: &mut [u64], x: &BigUint) {
+        out.fill(0);
+        out[..x.limbs().len()].copy_from_slice(x.limbs());
+    }
 }
+
+impl Arith for Division<'_> {
+    fn limbs(&self) -> usize {
+        self.0.limbs().len()
+    }
+
+    fn enter(&self, out: &mut [u64], x: &BigUint, _: &mut [u64]) {
+        Self::write(out, &(x % self.0));
+    }
+
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        if let ([a], [b], [m]) = (a, b, self.0.limbs()) {
+            out[0] = (u128::from(*a) * u128::from(*b) % u128::from(*m)) as u64;
+        } else {
+            let product = BigUint::from_limbs(mul_limbs(a, b));
+            Self::write(out, &(&product % self.0));
+        }
+    }
+
+    fn sqr(&self, out: &mut [u64], a: &[u64], _: &mut [u64]) {
+        self.mul(out, a, a);
+    }
+
+    fn leave(&self, x: &[u64], _: &mut [u64]) -> BigUint {
+        BigUint::from_limbs(x.to_vec())
+    }
+}
+
+/// Evaluates `$run` with `$arith` bound to the arithmetic `$ctx`
+/// exponentiates in — the one place that chooses between the Montgomery
+/// kernel and division. The kernels are generic over [`Arith`], so each arm
+/// is its own instantiation and nothing is dispatched per product.
+macro_rules! with_arith {
+    ($ctx:expr, |$arith:ident| $run:expr) => {
+        match &$ctx.mont {
+            Some($arith) => $run,
+            None => {
+                let $arith = &$crate::modular::Division($ctx.modulus());
+                $run
+            }
+        }
+    };
+}
+pub(crate) use with_arith;
 
 impl ModContext {
     /// Builds the context, precomputing the Montgomery constants when the
@@ -123,35 +175,6 @@ impl ModContext {
         c.fetch_add(1, AtomicOrdering::Relaxed);
     }
 
-    /// Runs one exponentiation kernel in this modulus's arithmetic — the one
-    /// place that chooses between the Montgomery domain and plain
-    /// division products. `bases` are reduced and brought into the
-    /// domain; the kernel multiplies with `Domain::mul` and takes whatever it
-    /// hands back to callers out through `Domain::leave`.
-    pub(crate) fn in_domain<T>(
-        &self,
-        bases: &[&BigUint],
-        kernel: impl FnOnce(Vec<BigUint>, Domain<'_>) -> T,
-    ) -> T {
-        let reduced = bases.iter().map(|b| self.reduce(b));
-        match &self.mont {
-            Some(m) => kernel(
-                reduced.map(|b| m.to_mont(&b)).collect(),
-                Domain {
-                    mul: &|a, b| m.mul(a, b),
-                    leave: &|x| m.from_mont(x),
-                },
-            ),
-            None => kernel(
-                reduced.collect(),
-                Domain {
-                    mul: &|a, b| self.mul(a, b),
-                    leave: &|x| x.clone(),
-                },
-            ),
-        }
-    }
-
     /// Reduces `x` modulo the context's modulus.
     pub fn reduce(&self, x: &BigUint) -> BigUint {
         x % &self.modulus
@@ -171,9 +194,7 @@ impl ModContext {
         if exp.is_zero() {
             return BigUint::one();
         }
-        self.in_domain(&[base], |b, d| {
-            (d.leave)(&window::pow_sliding(&b[0], exp, d.mul))
-        })
+        with_arith!(self, |arith| window::pow_sliding(arith, base, exp))
     }
 
     /// Multi-exponentiation: `∏ bases[k]^exps[k] mod m` over one shared
@@ -182,28 +203,15 @@ impl ModContext {
     ///
     /// One pair is a plain power and runs the sliding-window kernel of
     /// [`ModContext::pow`] (Schnorr verification's `y^e` beside a
-    /// table-served `g^s`). Two to 6 pairs run Shamir's trick (a
-    /// subset-product table, which grows as `2^n`); wider products — batch
-    /// Schnorr verification folds dozens of commitments with 128-bit
-    /// coefficients — run the interleaved Straus kernel (a per-base
-    /// odd-power table).
+    /// table-served `g^s`). Any other number runs the interleaved Straus
+    /// kernel (a per-base odd-power table; batch Schnorr verification folds
+    /// dozens of commitments with 128-bit coefficients).
     pub fn pow_multi(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
         self.count_pow();
         if self.modulus.is_one() {
             return BigUint::zero();
         }
-        let (bases, exps): (Vec<&BigUint>, Vec<&BigUint>) = pairs.iter().copied().unzip();
-        self.in_domain(&bases, |b, d| {
-            let product = match (b.as_slice(), exps.as_slice()) {
-                // One pair is a plain power: the sliding-window kernel.
-                ([base], [exp]) if !exp.is_zero() => Some(window::pow_sliding(base, exp, d.mul)),
-                _ if b.len() <= window::SIMULTANEOUS_MAX => {
-                    window::pow_simultaneous(&b, &exps, d.mul)
-                }
-                _ => window::pow_interleaved(&b, &exps, d.mul),
-            };
-            product.map_or_else(BigUint::one, |r| (d.leave)(&r))
-        })
+        with_arith!(self, |arith| window::pow_multi(arith, pairs)).unwrap_or_else(BigUint::one)
     }
 
     /// Builds a fixed-base precomputation table for `base`, covering
@@ -299,8 +307,7 @@ impl BigUint {
         if exponent.is_zero() {
             return BigUint::one();
         }
-        let base = self % modulus;
-        window::pow_sliding(&base, exponent, |a, b| &(a * b) % modulus)
+        window::pow_sliding(&Division(modulus), self, exponent)
     }
 
     /// Greatest common divisor (Euclid's algorithm).

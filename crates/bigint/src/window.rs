@@ -1,14 +1,93 @@
 //! Windowed exponentiation kernels shared by every reduction backend.
 //!
 //! A bit-at-a-time loop costs one squaring per bit plus a multiplication
-//! per set bit, ~1.5 products per bit. The sliding-window form here keeps the squaring chain but batches multiplications: with a
-//! width-`w` window it performs one multiplication per ~`w` bits plus a
-//! `2^{w-1}`-entry odd-power table, cutting total products by ~25–30% at the
-//! 512–2048-bit exponents the crypto layer uses. The kernels are generic
-//! over the modular-multiplication closure so the Montgomery and division
-//! backends share one implementation (and one set of tests).
+//! per set bit, ~1.5 products per bit. The sliding-window form here keeps
+//! the squaring chain but batches multiplications: with a width-`w` window
+//! it performs one multiplication per ~`w` bits plus a `2^{w-1}`-entry
+//! odd-power table, cutting total products by ~25–30% at the 512–2048-bit
+//! exponents the crypto layer uses. The kernels are generic over [`Arith`],
+//! so the Montgomery and division backends share one copy of each walk (and
+//! one set of tests), and they work on rows of limbs in one buffer allocated
+//! up front: a walk allocates nothing itself, whatever the exponent's
+//! length, and under the Montgomery arithmetic neither does a product (the
+//! division arithmetic builds a `BigUint` product and remainder each time).
 
 use crate::BigUint;
+
+/// The arithmetic a kernel runs in. A residue is a row of [`Arith::limbs`]
+/// limbs, reduced, in whatever form the arithmetic multiplies in; `scratch`
+/// is `2 · limbs` limbs the caller owns. Two implementors: Montgomery
+/// (`MontgomeryContext`) and division (`modular::Division`).
+pub(crate) trait Arith {
+    /// Limbs per residue.
+    fn limbs(&self) -> usize;
+    /// Writes the residue of `x` (any size; reduced here) to `out`.
+    fn enter(&self, out: &mut [u64], x: &BigUint, scratch: &mut [u64]);
+    /// `out ← a · b`.
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]);
+    /// `out ← a²`.
+    fn sqr(&self, out: &mut [u64], a: &[u64], scratch: &mut [u64]);
+    /// The plain value of the residue `x`.
+    fn leave(&self, x: &[u64], scratch: &mut [u64]) -> BigUint;
+}
+
+/// Limbs a kernel run over a `rows`-row table needs: the table, the two
+/// buffers of the running value, and the arithmetic's scratch.
+pub(crate) fn workspace<A: Arith>(arith: &A, rows: usize) -> Vec<u64> {
+    vec![0u64; (rows + 4) * arith.limbs()]
+}
+
+/// The running value of one kernel run. It ping-pongs between two rows —
+/// each product reads `cur` and writes `nxt` — and is the identity, with
+/// nothing to square, until the first factor arrives.
+pub(crate) struct Acc<'a, A> {
+    arith: &'a A,
+    cur: &'a mut [u64],
+    nxt: &'a mut [u64],
+    scratch: &'a mut [u64],
+    started: bool,
+}
+
+impl<'a, A: Arith> Acc<'a, A> {
+    /// Splits a [`workspace`] into its table and the running value.
+    pub(crate) fn carve(arith: &'a A, buf: &'a mut [u64], rows: usize) -> (&'a mut [u64], Self) {
+        let k = arith.limbs();
+        let (table, rest) = buf.split_at_mut(rows * k);
+        let (cur, rest) = rest.split_at_mut(k);
+        let (nxt, scratch) = rest.split_at_mut(k);
+        let acc = Acc {
+            arith,
+            cur,
+            nxt,
+            scratch,
+            started: false,
+        };
+        (table, acc)
+    }
+
+    fn sqr(&mut self) {
+        if self.started {
+            self.arith.sqr(self.nxt, self.cur, self.scratch);
+            std::mem::swap(&mut self.cur, &mut self.nxt);
+        }
+    }
+
+    pub(crate) fn mul(&mut self, factor: &[u64]) {
+        if self.started {
+            self.arith.mul(self.nxt, self.cur, factor);
+            std::mem::swap(&mut self.cur, &mut self.nxt);
+        } else {
+            self.cur.copy_from_slice(factor);
+            self.started = true;
+        }
+    }
+
+    /// The value, or `None` if no factor ever arrived.
+    pub(crate) fn finish(self) -> Option<BigUint> {
+        self.started
+            .then(|| self.arith.leave(self.cur, self.scratch))
+    }
+}
 
 /// Sliding-window width for an exponent of `exp_bits` bits.
 ///
@@ -25,217 +104,154 @@ pub(crate) fn window_width(exp_bits: u64) -> u32 {
     }
 }
 
-/// Left-to-right sliding-window exponentiation: `base^exp` under `mul`.
-///
-/// Contract: `base` is already reduced, `exp` is non-zero, and the modulus
-/// behind `mul` is greater than one (callers own those edge cases).
-pub(crate) fn pow_sliding<M>(base: &BigUint, exp: &BigUint, mul: M) -> BigUint
-where
-    M: Fn(&BigUint, &BigUint) -> BigUint,
-{
-    debug_assert!(!exp.is_zero(), "pow_sliding requires a non-zero exponent");
-    let nbits = exp.bits();
-    let w = i64::from(window_width(nbits));
-
-    // Odd powers base^1, base^3, …, base^(2^w − 1).
-    let table_len = 1usize << (w - 1);
-    let mut odd = Vec::with_capacity(table_len);
-    odd.push(base.clone());
-    if table_len > 1 {
-        let base_sq = mul(base, base);
-        for i in 1..table_len {
-            odd.push(mul(&odd[i - 1], &base_sq));
-        }
-    }
-
-    let mut result: Option<BigUint> = None;
-    let mut i = nbits as i64 - 1;
+/// The sliding-window decomposition of `exp`, top down: calls
+/// `f(low, entry)` for each maximal window of width ≤ `w` whose lowest bit
+/// (bit `low` of `exp`) is set, so its digit is odd and is power
+/// `2·entry + 1` of the base — row `entry` of an odd-power table. All but
+/// the last window span `w` bits with the zeros below them, so there are at
+/// most `⌈bits / w⌉`.
+fn for_each_window(exp: &BigUint, w: u32, mut f: impl FnMut(usize, usize)) {
+    let w = i64::from(w);
+    let mut i = exp.bits() as i64 - 1;
     while i >= 0 {
         if !exp.bit(i as u64) {
-            if let Some(r) = result.take() {
-                result = Some(mul(&r, &r));
-            }
             i -= 1;
             continue;
         }
-        // Maximal window [j, i] of width ≤ w whose lowest bit is set, so the
-        // gathered digit is odd and indexes the table directly.
         let mut j = (i - w + 1).max(0);
         while !exp.bit(j as u64) {
             j += 1;
         }
-        let mut digit = 0u64;
-        for k in (j..=i).rev() {
-            digit = (digit << 1) | u64::from(exp.bit(k as u64));
+        let mut digit = 0usize;
+        for b in (j..=i).rev() {
+            digit = (digit << 1) | usize::from(exp.bit(b as u64));
         }
-        let entry = &odd[((digit - 1) / 2) as usize];
-        result = Some(match result.take() {
-            Some(mut r) => {
-                for _ in 0..(i - j + 1) {
-                    r = mul(&r, &r);
-                }
-                mul(&r, entry)
-            }
-            None => entry.clone(),
-        });
+        f(j as usize, digit / 2);
         i = j - 1;
     }
-    result.expect("non-zero exponent has at least one set bit")
 }
 
-/// Widest product [`pow_simultaneous`] takes: its subset table has `2^n − 1`
-/// entries, so past this [`pow_interleaved`] is the cheaper kernel.
-pub(crate) const SIMULTANEOUS_MAX: usize = 6;
+/// Fills an odd-power table whose row 0 holds `base`: row `i` becomes
+/// `base^(2i+1)`. `base²` is parked in the idle half of `acc`.
+fn odd_powers<A: Arith>(table: &mut [u64], acc: &mut Acc<'_, A>) {
+    let k = acc.arith.limbs();
+    if table.len() > k {
+        acc.arith.sqr(acc.nxt, &table[..k], acc.scratch);
+    }
+    for i in 1..table.len() / k {
+        let (done, rest) = table.split_at_mut(i * k);
+        acc.arith.mul(&mut rest[..k], &done[(i - 1) * k..], acc.nxt);
+    }
+}
 
-/// Simultaneous (Shamir's-trick) multi-exponentiation:
-/// `∏ bases[k]^exps[k]` under `mul`, sharing one squaring chain.
+/// Left-to-right sliding-window exponentiation: `base^exp`.
 ///
-/// Precomputes the `2^n − 1` non-empty subset products of the bases, then
-/// scans all exponents' bits together: `max_bits` squarings plus at most one
-/// multiplication per bit position, instead of a full squaring chain per
-/// base. Returns `None` when every exponent is zero (the caller supplies the
-/// reduced identity). Contract: bases are reduced, modulus > 1, and
-/// `bases.len() == exps.len()` with at most [`SIMULTANEOUS_MAX`] bases.
-pub(crate) fn pow_simultaneous<M>(bases: &[BigUint], exps: &[&BigUint], mul: M) -> Option<BigUint>
-where
-    M: Fn(&BigUint, &BigUint) -> BigUint,
-{
-    assert_eq!(bases.len(), exps.len(), "bases/exponents length mismatch");
-    assert!(
-        bases.len() <= SIMULTANEOUS_MAX,
-        "subset table grows as 2^n; wider products take pow_interleaved"
-    );
-    let max_bits = exps.iter().map(|e| e.bits()).max().unwrap_or(0);
+/// Contract: `exp` is non-zero and the modulus is greater than one
+/// (callers own those edge cases).
+pub(crate) fn pow_sliding<A: Arith>(arith: &A, base: &BigUint, exp: &BigUint) -> BigUint {
+    debug_assert!(!exp.is_zero(), "pow_sliding requires a non-zero exponent");
+    let k = arith.limbs();
+    let w = window_width(exp.bits());
+    let rows = 1usize << (w - 1);
+    let mut buf = workspace(arith, rows);
+    let (odd, mut acc) = Acc::carve(arith, &mut buf, rows);
+    arith.enter(&mut odd[..k], base, acc.scratch);
+    odd_powers(odd, &mut acc);
+
+    // Bit position the running value is aligned to.
+    let mut at = exp.bits() as usize;
+    for_each_window(exp, w, |low, entry| {
+        for _ in low..at {
+            acc.sqr();
+        }
+        acc.mul(&odd[entry * k..][..k]);
+        at = low;
+    });
+    for _ in 0..at {
+        acc.sqr();
+    }
+    acc.finish()
+        .expect("non-zero exponent has at least one set bit")
+}
+
+/// `∏ bᵢ^eᵢ` over one shared squaring chain. `None` when every exponent is
+/// zero (the caller supplies the reduced identity). Contract: modulus > 1.
+pub(crate) fn pow_multi<A: Arith>(arith: &A, pairs: &[(&BigUint, &BigUint)]) -> Option<BigUint> {
+    match pairs {
+        // One pair is a plain power: the sliding-window kernel.
+        [(base, exp)] if !exp.is_zero() => Some(pow_sliding(arith, base, exp)),
+        _ => pow_interleaved(arith, pairs),
+    }
+}
+
+/// Interleaved (Straus) multi-exponentiation for arbitrarily many bases.
+///
+/// Keeps a per-base odd-power table and decomposes each exponent offline
+/// into sliding-window terms `digit · 2^shift`; the joint top-down pass
+/// squares once per bit position of the longest exponent and multiplies each
+/// term in at its shift. Cost is `max_bits` squarings shared across all
+/// bases plus roughly `bits/(w+1) + 2^{w−1}` multiplications per base — the
+/// kernel behind batch Schnorr verification, where dozens of
+/// 128-bit-exponent terms ride one chain.
+pub(crate) fn pow_interleaved<A: Arith>(
+    arith: &A,
+    pairs: &[(&BigUint, &BigUint)],
+) -> Option<BigUint> {
+    let max_bits = pairs.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
     if max_bits == 0 {
         return None;
     }
+    let k = arith.limbs();
+    // Upper bounds, so the buffers below are allocated once.
+    let (mut rows, mut windows) = (0usize, 0usize);
+    for (_, e) in pairs.iter().filter(|(_, e)| !e.is_zero()) {
+        let w = window_width(e.bits());
+        rows += 1 << (w - 1);
+        windows += e.bits().div_ceil(u64::from(w)) as usize;
+    }
+    let mut buf = workspace(arith, rows);
+    let (tables, mut acc) = Acc::carve(arith, &mut buf, rows);
 
-    // products[mask − 1] = ∏_{k ∈ mask} bases[k]
-    let n = bases.len();
-    let mut products: Vec<BigUint> = Vec::with_capacity((1 << n) - 1);
-    for mask in 1usize..(1 << n) {
-        let low = mask.trailing_zeros() as usize;
-        let rest = mask & (mask - 1);
-        let p = if rest == 0 {
-            bases[low].clone()
-        } else {
-            mul(&products[rest - 1], &bases[low])
-        };
-        products.push(p);
+    // The terms to multiply in at each shift, as one linked list per shift:
+    // `head[s]` is the last term filed under shift `s`, and a term is
+    // (the term filed there before it, the table row it multiplies by).
+    const END: u32 = u32::MAX;
+    let mut head = vec![END; max_bits as usize];
+    let mut terms: Vec<(u32, u32)> = Vec::with_capacity(windows);
+    let mut first = 0usize;
+    for (base, exp) in pairs.iter().filter(|(_, e)| !e.is_zero()) {
+        let mut top_entry = 0usize;
+        for_each_window(exp, window_width(exp.bits()), |low, entry| {
+            top_entry = top_entry.max(entry);
+            terms.push((head[low], (first + entry) as u32));
+            head[low] = (terms.len() - 1) as u32;
+        });
+        // Odd powers only as far as this exponent's largest digit reaches.
+        let table = &mut tables[first * k..][..(top_entry + 1) * k];
+        arith.enter(&mut table[..k], base, acc.scratch);
+        odd_powers(table, &mut acc);
+        first += top_entry + 1;
     }
 
-    let mut result: Option<BigUint> = None;
-    for i in (0..max_bits).rev() {
-        if let Some(r) = result.take() {
-            result = Some(mul(&r, &r));
-        }
-        let mut mask = 0usize;
-        for (k, e) in exps.iter().enumerate() {
-            if e.bit(i) {
-                mask |= 1 << k;
-            }
-        }
-        if mask != 0 {
-            let p = &products[mask - 1];
-            result = Some(match result.take() {
-                Some(r) => mul(&r, p),
-                None => p.clone(),
-            });
-        }
-    }
-    result
-}
-
-/// Interleaved (Straus) multi-exponentiation for arbitrarily many bases:
-/// `∏ bases[k]^exps[k]` under `mul`, sharing one squaring chain.
-///
-/// Where [`pow_simultaneous`] precomputes the `2^n − 1` subset products (and
-/// so caps at [`SIMULTANEOUS_MAX`] bases), this variant keeps a per-base odd-power table and
-/// decomposes each exponent offline into sliding-window terms
-/// `digit · 2^shift`; the joint top-down pass squares once per bit position
-/// of the longest exponent and multiplies each term in at its shift. Cost is
-/// `max_bits` squarings shared across all bases plus roughly
-/// `bits/(w+1) + 2^{w−1}` multiplications per base — the kernel behind batch
-/// Schnorr verification, where dozens of 128-bit-exponent terms ride one
-/// chain. Returns `None` when every exponent is zero. Contract: bases are
-/// reduced, modulus > 1, `bases.len() == exps.len()`.
-pub(crate) fn pow_interleaved<M>(bases: &[BigUint], exps: &[&BigUint], mul: M) -> Option<BigUint>
-where
-    M: Fn(&BigUint, &BigUint) -> BigUint,
-{
-    assert_eq!(bases.len(), exps.len(), "bases/exponents length mismatch");
-    let max_bits = exps.iter().map(|e| e.bits()).max().unwrap_or(0);
-    if max_bits == 0 {
-        return None;
-    }
-
-    // Per-shift buckets of (base index, odd-table entry index) to multiply
-    // in when the shared squaring chain reaches that bit position.
-    let mut at: Vec<Vec<(usize, usize)>> = vec![Vec::new(); max_bits as usize];
-    let mut odd_tables: Vec<Vec<BigUint>> = Vec::with_capacity(bases.len());
-    for (k, (base, exp)) in bases.iter().zip(exps.iter()).enumerate() {
-        let nbits = exp.bits();
-        if nbits == 0 {
-            odd_tables.push(Vec::new());
-            continue;
-        }
-        let w = i64::from(window_width(nbits));
-        // Offline sliding-window decomposition (same walk as pow_sliding).
-        let mut max_digit = 0u64;
-        let mut i = nbits as i64 - 1;
-        while i >= 0 {
-            if !exp.bit(i as u64) {
-                i -= 1;
-                continue;
-            }
-            let mut j = (i - w + 1).max(0);
-            while !exp.bit(j as u64) {
-                j += 1;
-            }
-            let mut digit = 0u64;
-            for b in (j..=i).rev() {
-                digit = (digit << 1) | u64::from(exp.bit(b as u64));
-            }
-            max_digit = max_digit.max(digit);
-            at[j as usize].push((k, ((digit - 1) / 2) as usize));
-            i = j - 1;
-        }
-        // Odd powers base^1, base^3, …, only as far as this exponent's
-        // largest digit actually reaches.
-        let table_len = (max_digit as usize).div_ceil(2);
-        let mut odd = Vec::with_capacity(table_len);
-        odd.push(base.clone());
-        if table_len > 1 {
-            let base_sq = mul(base, base);
-            for t in 1..table_len {
-                odd.push(mul(&odd[t - 1], &base_sq));
-            }
-        }
-        odd_tables.push(odd);
-    }
-
-    let mut result: Option<BigUint> = None;
     for s in (0..max_bits as usize).rev() {
-        if let Some(r) = result.take() {
-            result = Some(mul(&r, &r));
-        }
-        for &(k, entry) in &at[s] {
-            let p = &odd_tables[k][entry];
-            result = Some(match result.take() {
-                Some(r) => mul(&r, p),
-                None => p.clone(),
-            });
+        acc.sqr();
+        let mut t = head[s];
+        while t != END {
+            let (before, row) = terms[t as usize];
+            acc.mul(&tables[row as usize * k..][..k]);
+            t = before;
         }
     }
-    result
+    acc.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modular::Division;
 
-    fn modmul(m: &BigUint) -> impl Fn(&BigUint, &BigUint) -> BigUint + '_ {
-        move |a, b| &(a * b) % m
+    fn pairs<'a>(bases: &'a [BigUint], exps: &'a [BigUint]) -> Vec<(&'a BigUint, &'a BigUint)> {
+        bases.iter().zip(exps).collect()
     }
 
     fn naive_pow(base: &BigUint, exp: u64, m: &BigUint) -> BigUint {
@@ -252,29 +268,10 @@ mod tests {
         for base in [0u64, 1, 2, 7, 1_000_002] {
             for exp in [1u64, 2, 3, 15, 16, 17, 64, 255, 1000] {
                 let b = &BigUint::from(base) % &m;
-                let got = pow_sliding(&b, &BigUint::from(exp), modmul(&m));
+                let got = pow_sliding(&Division(&m), &b, &BigUint::from(exp));
                 assert_eq!(got, naive_pow(&b, exp, &m), "base={base} exp={exp}");
             }
         }
-    }
-
-    #[test]
-    fn simultaneous_matches_product_of_naive() {
-        let m = BigUint::from(999_999_937u64);
-        let bases = [
-            &BigUint::from(2u64) % &m,
-            &BigUint::from(12345u64) % &m,
-            &BigUint::from(999_999_936u64) % &m,
-        ];
-        let exps = [77u64, 123, 3];
-        let exp_refs: Vec<BigUint> = exps.iter().map(|&e| BigUint::from(e)).collect();
-        let refs: Vec<&BigUint> = exp_refs.iter().collect();
-        let got = pow_simultaneous(&bases, &refs, modmul(&m)).unwrap();
-        let mut expect = BigUint::one();
-        for (b, &e) in bases.iter().zip(exps.iter()) {
-            expect = &(&expect * &naive_pow(b, e, &m)) % &m;
-        }
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -282,8 +279,7 @@ mod tests {
         let m = BigUint::from(999_999_937u64);
         let mut bases = Vec::new();
         let mut exps = Vec::new();
-        // 12 bases — past pow_simultaneous's 6-base cap — with a spread of
-        // exponent sizes including zero.
+        // 12 bases with a spread of exponent sizes including zero.
         for k in 0..12u64 {
             bases.push(&BigUint::from(3 + 17 * k * k) % &m);
             exps.push(match k % 4 {
@@ -294,8 +290,7 @@ mod tests {
             });
         }
         let exp_big: Vec<BigUint> = exps.iter().map(|&e| BigUint::from(e)).collect();
-        let refs: Vec<&BigUint> = exp_big.iter().collect();
-        let got = pow_interleaved(&bases, &refs, modmul(&m)).unwrap();
+        let got = pow_interleaved(&Division(&m), &pairs(&bases, &exp_big)).unwrap();
         let mut expect = BigUint::one();
         for (b, &e) in bases.iter().zip(exps.iter()) {
             expect = &(&expect * &naive_pow(b, e, &m)) % &m;
@@ -304,39 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_agrees_with_simultaneous() {
-        let m = BigUint::from(1_000_003u64);
-        let bases = [
-            &BigUint::from(2u64) % &m,
-            &BigUint::from(98765u64) % &m,
-            &BigUint::from(424_242u64) % &m,
-        ];
-        let exp_big = [
-            BigUint::from(0x1234_5678_9abc_def0u64),
-            BigUint::from(7u64),
-            BigUint::from(0xffff_ffffu64),
-        ];
-        let refs: Vec<&BigUint> = exp_big.iter().collect();
-        assert_eq!(
-            pow_interleaved(&bases, &refs, modmul(&m)),
-            pow_simultaneous(&bases, &refs, modmul(&m))
-        );
-    }
-
-    #[test]
     fn interleaved_all_zero_exponents_is_none() {
         let m = BigUint::from(97u64);
         let z = BigUint::zero();
         let bases = [BigUint::from(3u64), BigUint::from(5u64)];
-        assert!(pow_interleaved(&bases, &[&z, &z], modmul(&m)).is_none());
-    }
-
-    #[test]
-    fn simultaneous_all_zero_exponents_is_none() {
-        let m = BigUint::from(97u64);
-        let z = BigUint::zero();
-        let bases = [BigUint::from(3u64)];
-        assert!(pow_simultaneous(&bases, &[&z], modmul(&m)).is_none());
+        assert!(pow_interleaved(&Division(&m), &[(&bases[0], &z), (&bases[1], &z)]).is_none());
     }
 
     #[test]
