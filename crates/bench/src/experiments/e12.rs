@@ -1,6 +1,6 @@
 //! E12: replication factor sweep over every storage plane (`BENCH_3.json`).
 //!
-//! Drives the assembled facade (`DosnNetwork<S>`) over all four §II-B
+//! Drives the assembled system (`Engine<S>`) over all four §II-B
 //! overlay families × replication factors R ∈ {1, 3, 5} and measures, per
 //! cell: post and read throughput, stored bytes per post (the R× storage
 //! price), and wall availability + read-repair activity after a 25% node
@@ -8,9 +8,9 @@
 
 use super::user;
 use crate::{num, once_ns, wall, Cell, Run};
+use dosn_core::engine::Engine;
 use dosn_core::network::{
-    ChordPlane, DosnNetwork, FederationPlane, KademliaPlane, ReplicatedStore, StoragePlane,
-    SuperPeerPlane,
+    ChordPlane, FederationPlane, KademliaPlane, ReplicatedStore, StoragePlane, SuperPeerPlane,
 };
 use dosn_overlay::fault::FaultPlan;
 
@@ -18,7 +18,7 @@ const SEED: u64 = 0xE12;
 
 /// Registers `users` users as a friendship ring (user i ↔ user i+1), so
 /// every post has a reader.
-pub(super) fn ring_of_friends<S: StoragePlane>(net: &mut DosnNetwork<S>, users: usize) {
+pub(super) fn ring_of_friends<S: StoragePlane>(net: &mut Engine<S>, users: usize) {
     for i in 0..users {
         net.register(&user(i)).expect("register");
     }
@@ -31,7 +31,7 @@ pub(super) fn ring_of_friends<S: StoragePlane>(net: &mut DosnNetwork<S>, users: 
 /// Every user posts `posts_per_user` times; returns `(author, sequence)`
 /// of each post.
 pub(super) fn post_all<S: StoragePlane>(
-    net: &mut DosnNetwork<S>,
+    net: &mut Engine<S>,
     users: usize,
     posts_per_user: u64,
 ) -> Vec<(usize, u64)> {
@@ -50,7 +50,7 @@ pub(super) fn post_all<S: StoragePlane>(
 /// Each post read once by its author's ring neighbour; returns how many
 /// reads succeeded.
 pub(super) fn read_all<S: StoragePlane>(
-    net: &mut DosnNetwork<S>,
+    net: &mut Engine<S>,
     users: usize,
     posted: &[(usize, u64)],
 ) -> usize {
@@ -63,7 +63,7 @@ pub(super) fn read_all<S: StoragePlane>(
 
 /// Takes every 4th storage node down at t=0 through a fault plan; returns
 /// how many are down.
-pub(super) fn crash_every_4th<S: StoragePlane>(net: &mut DosnNetwork<S>, seed: u64) -> usize {
+pub(super) fn crash_every_4th<S: StoragePlane>(net: &mut Engine<S>, seed: u64) -> usize {
     let victims = net.storage().plane().node_ids().into_iter().step_by(4);
     let plan = victims.fold(FaultPlan::seeded(seed), |plan, v| plan.with_crash(v, 0));
     net.apply_crashes(&plan, 1)
@@ -81,7 +81,7 @@ fn run_cell<S: StoragePlane>(
     // net.post / net.read_post.quorum / store.get.quorum histograms cover
     // all overlay x R cells together.
     let store = ReplicatedStore::new(plane, replicas).with_obs(run.obs().clone());
-    let mut net = DosnNetwork::with_replication(store, SEED);
+    let mut net = Engine::new(store, SEED);
     ring_of_friends(&mut net, users);
 
     let (posted, post_ns) = once_ns(|| post_all(&mut net, users, posts_per_user));

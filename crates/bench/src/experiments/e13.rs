@@ -1,4 +1,4 @@
-//! E13: observability smoke run over the assembled facade (`BENCH_4.json`).
+//! E13: observability smoke run over the assembled engine (`BENCH_4.json`).
 //!
 //! Exercises every instrumented path once — registration, key
 //! dissemination, posting, quorum reads, a crash plus read-repair — over
@@ -10,14 +10,15 @@
 
 use super::e12::{crash_every_4th, post_all, read_all, ring_of_friends};
 use crate::{num, once_ns, wall, Run};
-use dosn_core::network::{ChordPlane, DosnNetwork, ReplicatedStore};
+use dosn_core::engine::Engine;
+use dosn_core::network::{ChordPlane, ReplicatedStore};
 
 const SEED: u64 = 0xE13;
 
 pub(super) fn run(run: &mut Run) {
     let (users, posts_per_user) = run.pick((8, 4u64), (4, 2));
     let store = ReplicatedStore::new(ChordPlane::build(32, SEED), 3).with_obs(run.obs().clone());
-    let mut net = DosnNetwork::with_replication(store, SEED);
+    let mut net = Engine::new(store, SEED);
 
     let ((posted, readable), elapsed_ns) = once_ns(|| {
         ring_of_friends(&mut net, users);

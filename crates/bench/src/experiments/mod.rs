@@ -147,7 +147,7 @@ pub(crate) static EXPERIMENTS: &[Experiment] = &[
     ),
 ];
 
-/// The facade and engine experiments' user names.
+/// The engine experiments' user names.
 fn user(i: usize) -> String {
     format!("user{i}")
 }

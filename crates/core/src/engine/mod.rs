@@ -1,11 +1,12 @@
 //! The batched request engine: prepare / commit / finish execution of
 //! [`OpBatch`]es over sharded per-user state.
 //!
-//! The facade's one-op-at-a-time `&mut self` API serializes everything,
-//! even though the dominant per-op cost — modular exponentiation for
-//! Schnorr sign/verify and the privacy planes' key wrapping — is
-//! independent per author. The engine restores that parallelism without
-//! giving up determinism:
+//! [`Engine`] is the assembled DOSN and its one entry point: an overlay
+//! (§II) under a privacy layer (§III) under an integrity layer (§IV). A
+//! one-op-at-a-time `&mut self` API serializes everything, even though the
+//! dominant per-op cost — modular exponentiation for Schnorr sign/verify
+//! and the privacy planes' key wrapping — is independent per author. The
+//! engine restores that parallelism without giving up determinism:
 //!
 //! ```text
 //!            OpBatch (Register | Befriend | Post | Comment | ReadPost)
@@ -54,10 +55,10 @@
 //! happens on the calling thread in op order; worker outputs are re-sorted
 //! by op index before anything reads them. Outputs (ciphertexts,
 //! signatures, sequence numbers, storage records, [`BatchReport::digest`])
-//! are therefore **byte-identical for any worker count**, and a batch of
-//! one behaves exactly like the single-op facade calls. The global op
-//! index persists across batches, so splitting a workload into many
-//! batches does not reuse nonces or change results.
+//! are therefore **byte-identical for any worker count**, and the single-op
+//! calls ([`Engine::post`] and its four siblings) are batches of one. The
+//! global op index persists across batches, so splitting a workload into
+//! many batches does not reuse nonces or change results.
 //!
 //! # Batch semantics
 //!
@@ -137,9 +138,8 @@ fn storage_to_dosn(e: StorageError) -> DosnError {
 
 /// Derives the RNG for global op `index`: `HKDF-SHA256` with the engine
 /// seed as input keying material and the op index as info. Op N's
-/// randomness is independent of what ops 1..N-1 did — the fix for the
-/// facade-wide shared-stream coupling, and the reason results don't
-/// depend on scheduling.
+/// randomness is independent of what ops 1..N-1 did — no stream is
+/// shared between ops, which is why results don't depend on scheduling.
 fn op_rng(seed: &[u8; 32], index: u64) -> SecureRng {
     let okm = hkdf(b"dosn.engine.op.rng.v1", seed, &index.to_be_bytes(), 32);
     let mut key = [0u8; 32];
@@ -182,11 +182,71 @@ struct WorkerCtx {
     batch_verify: bool,
 }
 
-/// The batched parallel request engine (see module docs). Owns everything
-/// the old monolithic facade owned — the crypto group, key directory,
-/// replicated storage, social graph, metrics — with per-user state split
-/// into [`NUM_SHARDS`] shards that worker threads borrow during the
-/// parallel phases.
+/// The assembled DOSN: the batched parallel request engine (see module
+/// docs) over a replicated store on any overlay family. Owns the crypto
+/// group, key directory, replicated storage, social graph and metrics,
+/// with per-user state split into [`NUM_SHARDS`] shards that worker threads
+/// borrow during the parallel phases.
+///
+/// ```
+/// use dosn_core::engine::Engine;
+/// use dosn_core::network::{ChordPlane, ReplicatedStore};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // The survey's §II-B baseline: a 32-node Chord ring, 3-way replication.
+/// let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(32, 42), 3), 42);
+/// net.register("alice")?;
+/// net.register("bob")?;
+/// net.befriend("alice", "bob", 0.9)?;
+///
+/// let post_key = net.post("alice", "dinner at my place, friends only")?;
+/// // Bob (a friend) reads and verifies; the DHT nodes never see plaintext.
+/// let body = net.read_post("bob", "alice", post_key)?;
+/// assert_eq!(body, "dinner at my place, friends only");
+///
+/// // Carol (a stranger) is refused at the decryption layer.
+/// net.register("carol")?;
+/// assert!(net.read_post("carol", "alice", post_key).is_err());
+/// # Ok(())
+/// # }
+/// ```
+///
+/// Any overlay family slots in as the storage plane:
+///
+/// ```
+/// use dosn_core::engine::Engine;
+/// use dosn_core::network::{KademliaPlane, ReplicatedStore};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut net = Engine::new(ReplicatedStore::new(KademliaPlane::build(32, 20, 7), 3), 7);
+/// net.register("alice")?;
+/// net.register("bob")?;
+/// net.befriend("alice", "bob", 1.0)?;
+/// let seq = net.post("alice", "same API, different overlay")?;
+/// assert_eq!(net.read_post("bob", "alice", seq)?, "same API, different overlay");
+/// # Ok(())
+/// # }
+/// ```
+///
+/// The batch path runs the same operations with the prepare and finish
+/// phases spread over the worker threads:
+///
+/// ```
+/// use dosn_core::engine::{Engine, OpBatch, OpOutput};
+/// use dosn_core::network::{ChordPlane, ReplicatedStore};
+///
+/// let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(32, 42), 3), 42);
+/// net.set_workers(4); // parallel prepare/finish; results unchanged
+/// let report = net.execute(
+///     OpBatch::new()
+///         .register("alice")
+///         .register("bob")
+///         .befriend("alice", "bob", 0.9)
+///         .post("alice", "batched hello")
+///         .read_post("bob", "alice", 0),
+/// );
+/// assert!(matches!(report.results[4], Ok(OpOutput::Read { .. })));
+/// ```
 pub struct Engine<S: StoragePlane> {
     ctx: WorkerCtx,
     storage: ReplicatedStore<S>,
@@ -258,11 +318,6 @@ impl<S: StoragePlane> Engine<S> {
         self.feed = Some(FeedCache::new(capacity));
     }
 
-    /// Drops the feed cache and disables L1 caching.
-    pub fn disable_feed_cache(&mut self) {
-        self.feed = None;
-    }
-
     /// The feed cache, when enabled.
     pub fn feed_cache(&self) -> Option<&FeedCache> {
         self.feed.as_ref()
@@ -292,22 +347,12 @@ impl<S: StoragePlane> Engine<S> {
         self.ctx.batch_verify = on;
     }
 
-    /// Whether finish-phase quorum reads use batched verification.
-    pub fn batch_verify(&self) -> bool {
-        self.ctx.batch_verify
-    }
-
     /// Sets the worker-thread count for the parallel phases (clamped to
     /// `1..=NUM_SHARDS`). Worker count never changes results — only
     /// wall-clock time. With one worker the engine runs inline, without
-    /// spawning threads, so single-op facade calls pay no thread overhead.
+    /// spawning threads, so single-op calls pay no thread overhead.
     pub fn set_workers(&mut self, workers: usize) {
         self.ctx.workers = workers.clamp(1, NUM_SHARDS);
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.ctx.workers
     }
 
     /// Registered user count, across shards.
@@ -330,7 +375,8 @@ impl<S: StoragePlane> Engine<S> {
         &self.metrics
     }
 
-    /// The shared observability registry.
+    /// The observability registry (the replicated store's): the `net.*`
+    /// end-to-end latencies land here beside the `engine.*` phase timings.
     pub fn obs(&self) -> &Registry {
         &self.ctx.obs
     }
@@ -411,8 +457,9 @@ impl<S: StoragePlane> Engine<S> {
         apply_crash_schedule(self.storage.plane_mut(), plan, now_ms)
     }
 
-    /// Refreshes derived gauges and snapshots every instrument (see
-    /// `DosnNetwork::publish_obs`).
+    /// Refreshes derived gauges (overlay traffic totals, big-integer
+    /// exponentiation tallies) and snapshots every instrument. Call it
+    /// right before exporting: the gauges are not live counters.
     pub fn publish_obs(&self) -> Snapshot {
         let obs = &self.ctx.obs;
         self.ctx.group.register_obs(obs);
@@ -423,10 +470,90 @@ impl<S: StoragePlane> Engine<S> {
         obs.snapshot()
     }
 
-    /// Registers a user behind an arbitrary privacy plane — the sequential
-    /// seam for callers that supply their own scheme; consumes one op
-    /// index so its randomness is identical whether or not batches ran
-    /// in between.
+    /// Registers a user with the default symmetric friends-group scheme —
+    /// like the four calls below, a batch of one through [`Engine::execute`].
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::UnknownUser`] if the name is already taken (reported
+    /// against the name).
+    pub fn register(&mut self, name: &str) -> Result<(), DosnError> {
+        let report = self.execute(OpBatch::new().register(name));
+        one("register", report, OpOutput::Registered)
+    }
+
+    /// Makes two users friends: graph edge + mutual friends-group
+    /// membership (each can now read the other's friends-only posts). On
+    /// `Err` neither the edge nor a membership has changed.
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::UnknownUser`] for unregistered names.
+    pub fn befriend(&mut self, a: &str, b: &str, trust: f64) -> Result<(), DosnError> {
+        let report = self.execute(OpBatch::new().befriend(a, b, trust));
+        one("befriend", report, OpOutput::Befriended)
+    }
+
+    /// Publishes a friends-only post: encrypt (the author's privacy plane)
+    /// → sign + chain + mint relation keys (the author's timeline) → R-way
+    /// store (storage). Returns the author-local sequence number.
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::UnknownUser`], privacy-plane sealing failures, and
+    /// [`DosnError::ContentUnavailable`] for storage failures.
+    pub fn post(&mut self, author: &str, body: &str) -> Result<u64, DosnError> {
+        match output(self.execute(OpBatch::new().post(author, body)))? {
+            OpOutput::Posted { seq } => Ok(seq),
+            other => Err(unexpected_output("post", &other)),
+        }
+    }
+
+    /// Attaches a comment to `author`'s post `seq` as `commenter` — only
+    /// friends hold the commenters key, and the per-post relation key binds
+    /// the comment to exactly that post (§IV-C).
+    ///
+    /// # Errors
+    ///
+    /// * [`DosnError::UnknownUser`] / [`DosnError::ContentUnavailable`];
+    /// * [`DosnError::NotAuthorized`] — commenter is not in the author's
+    ///   friends group.
+    pub fn comment(
+        &mut self,
+        commenter: &str,
+        author: &str,
+        seq: u64,
+        body: &str,
+    ) -> Result<(), DosnError> {
+        let report = self.execute(OpBatch::new().comment(commenter, author, seq, body));
+        one("comment", report, OpOutput::Commented)
+    }
+
+    /// Fetches (quorum read with envelope verification per copy), verifies,
+    /// and decrypts a post as `reader`.
+    ///
+    /// # Errors
+    ///
+    /// * [`DosnError::ContentUnavailable`] — no live replica / no quorum;
+    /// * [`DosnError::MalformedEnvelope`] — the stored record does not
+    ///   parse;
+    /// * [`DosnError::IntegrityViolation`] — signature/tamper failures;
+    /// * [`DosnError::NotAuthorized`] — reader is not in the author's
+    ///   friends group.
+    pub fn read_post(&mut self, reader: &str, author: &str, seq: u64) -> Result<String, DosnError> {
+        match output(self.execute(OpBatch::new().read_post(reader, author, seq)))? {
+            OpOutput::Read { body } => Ok(body),
+            other => Err(unexpected_output("read_post", &other)),
+        }
+    }
+
+    /// Registers a user whose posts are protected by an arbitrary §III
+    /// access scheme behind a [`PrivacyPlane`] — the sequential seam for
+    /// callers that supply their own scheme; consumes one op index so its
+    /// randomness is identical whether or not batches ran in between. The
+    /// scheme must be able to create a group containing the user and to
+    /// seal bodies for storage (symmetric and per-recipient schemes can;
+    /// ABE/IBBE report a typed error at post time).
     ///
     /// # Errors
     ///
@@ -455,13 +582,17 @@ impl<S: StoragePlane> Engine<S> {
         Ok(())
     }
 
-    /// Revokes a friendship (sequential: it re-keys two users' groups).
+    /// Revokes a friendship (sequential: it re-keys two users' groups);
+    /// returns the membership-change cost. The edge goes last: on `Err` the
+    /// two are still friends, and a retry skips a side already revoked.
     ///
     /// # Errors
     ///
-    /// [`DosnError::UnknownUser`] for unregistered names or a missing edge.
+    /// [`DosnError::UnknownUser`] for unregistered names or a missing edge,
+    /// plus scheme-specific revocation failures.
     pub fn unfriend(&mut self, a: &str, b: &str) -> Result<u64, DosnError> {
-        if !self.graph.unfriend(&UserId::from(a), &UserId::from(b)) {
+        let (id_a, id_b) = (UserId::from(a), UserId::from(b));
+        if !self.graph.are_friends(&id_a, &id_b) {
             return Err(DosnError::UnknownUser(format!(
                 "{a} and {b} are not friends"
             )));
@@ -469,11 +600,37 @@ impl<S: StoragePlane> Engine<S> {
         let mut rekeyed = 0;
         for (owner, friend) in [(a, b), (b, a)] {
             let state = user_mut(&mut self.shards[shard_of(owner)], owner)?;
-            let cost = state.privacy.revoke_member(&state.friends_group, friend)?;
-            rekeyed += cost.rekeyed_members;
+            if state.privacy.is_member(&state.friends_group, friend) {
+                let cost = state.privacy.revoke_member(&state.friends_group, friend)?;
+                rekeyed += cost.rekeyed_members;
+            }
         }
+        self.graph.unfriend(&id_a, &id_b);
         Ok(rekeyed)
     }
+}
+
+/// Unwraps the only result of a batch of one. The engine guarantees one
+/// result per op, so the empty case is a typed defect report, never a panic.
+fn output(mut report: BatchReport) -> Result<OpOutput, DosnError> {
+    report.results.pop().unwrap_or_else(|| {
+        Err(DosnError::IntegrityViolation(
+            "engine returned an empty report for a batch of one".into(),
+        ))
+    })
+}
+
+/// [`output`] for the calls that return nothing: the engine must answer a
+/// `call` op with exactly `want`.
+fn one(call: &str, report: BatchReport, want: OpOutput) -> Result<(), DosnError> {
+    match output(report)? {
+        output if output == want => Ok(()),
+        other => Err(unexpected_output(call, &other)),
+    }
+}
+
+fn unexpected_output(call: &str, output: &OpOutput) -> DosnError {
+    DosnError::IntegrityViolation(format!("engine returned {output:?} for a {call} op"))
 }
 
 #[cfg(test)]
@@ -692,5 +849,262 @@ mod tests {
         assert!(matches!(r1.results[0], Ok(OpOutput::Posted { seq: 0 })));
         assert!(matches!(r2.results[0], Ok(OpOutput::Posted { seq: 1 })));
         assert_ne!(r1.digest, r2.digest);
+    }
+
+    // ---- the single-op calls, end to end ----
+    #[test]
+    fn an_empty_report_is_a_typed_defect_not_a_panic() {
+        // No batch of one comes back empty; if one did, say so, don't index.
+        let empty = || engine(1).execute(OpBatch::new());
+        let defect = |r: Result<(), _>| matches!(r, Err(DosnError::IntegrityViolation(_)));
+        assert!(defect(output(empty()).map(drop)));
+        assert!(defect(one("register", empty(), OpOutput::Registered)));
+    }
+
+    fn chord16(seed: u64) -> Engine<ChordPlane> {
+        Engine::new(ReplicatedStore::new(ChordPlane::build(16, seed), 3), seed)
+    }
+
+    fn net() -> Engine<ChordPlane> {
+        let mut n = chord16(3);
+        for u in ["alice", "bob", "carol"] {
+            n.register(u).unwrap();
+        }
+        n.befriend("alice", "bob", 0.9).unwrap();
+        n
+    }
+
+    #[test]
+    fn friends_read_strangers_do_not() {
+        let mut n = net();
+        let seq = n.post("alice", "friends only").unwrap();
+        assert_eq!(n.read_post("bob", "alice", seq).unwrap(), "friends only");
+        assert!(matches!(
+            n.read_post("carol", "alice", seq),
+            Err(DosnError::NotAuthorized(_))
+        ));
+    }
+
+    #[test]
+    fn double_registration_rejected() {
+        let mut n = net();
+        assert!(n.register("alice").is_err());
+    }
+
+    #[test]
+    fn unknown_users_rejected_everywhere() {
+        let mut n = net();
+        assert!(n.befriend("alice", "ghost", 0.5).is_err());
+        assert!(n.post("ghost", "x").is_err());
+        assert!(n.read_post("ghost", "alice", 0).is_err());
+    }
+
+    #[test]
+    fn missing_post_unavailable() {
+        let mut n = net();
+        assert!(matches!(
+            n.read_post("bob", "alice", 99),
+            Err(DosnError::ContentUnavailable(_))
+        ));
+    }
+
+    #[test]
+    fn unfriending_revokes_future_posts() {
+        let mut n = net();
+        let old = n.post("alice", "while friends").unwrap();
+        assert!(n.read_post("bob", "alice", old).is_ok());
+        let rekeyed = n.unfriend("alice", "bob").unwrap();
+        assert!(rekeyed <= 2);
+        let new = n.post("alice", "after the falling out").unwrap();
+        assert!(n.read_post("bob", "alice", new).is_err());
+        // The fundamental limit: bob still holds the old epoch key.
+        assert!(n.read_post("bob", "alice", old).is_ok());
+    }
+
+    #[test]
+    fn timeline_chains_posts() {
+        let mut n = net();
+        for i in 0..4 {
+            n.post("alice", &format!("post {i}")).unwrap();
+        }
+        let t = n.timeline("alice").unwrap();
+        assert_eq!(t.entries().len(), 4);
+        t.verify(n.directory()).unwrap();
+    }
+
+    #[test]
+    fn friends_comment_strangers_cannot() {
+        let mut n = net();
+        let seq = n.post("alice", "comment away").unwrap();
+        n.comment("bob", "alice", seq, "first!").unwrap();
+        assert_eq!(
+            n.comments("alice", seq),
+            vec![("bob".to_string(), "first!".to_string())]
+        );
+        // Carol is not alice's friend.
+        assert!(matches!(
+            n.comment("carol", "alice", seq, "sneaky"),
+            Err(DosnError::NotAuthorized(_))
+        ));
+        // Nonexistent post.
+        assert!(matches!(
+            n.comment("bob", "alice", 99, "where?"),
+            Err(DosnError::ContentUnavailable(_))
+        ));
+        assert!(n.comments("alice", 99).is_empty());
+    }
+
+    #[test]
+    fn author_comments_own_post() {
+        let mut n = net();
+        let seq = n.post("alice", "self-reply").unwrap();
+        n.comment("alice", "alice", seq, "addendum").unwrap();
+        assert_eq!(n.comments("alice", seq).len(), 1);
+    }
+
+    #[test]
+    fn metrics_accumulate() {
+        let mut n = net();
+        let before = n.metrics().messages;
+        n.post("alice", "x").unwrap();
+        assert!(n.metrics().messages > before);
+    }
+
+    #[test]
+    fn posts_are_replicated_r_ways() {
+        let mut n = net();
+        n.post("alice", "durable").unwrap();
+        assert_eq!(n.metrics().count("store.replicas_written"), 3);
+        assert_eq!(n.storage().accounting().nodes_used(), 3);
+    }
+
+    #[test]
+    fn malformed_stored_blob_is_a_typed_error_not_a_panic() {
+        let mut n = net();
+        let seq = n.post("alice", "will be vandalized").unwrap();
+        // Overwrite every replica with bytes that are not a record.
+        let key = wall_key("alice", seq);
+        let mut m = Metrics::new();
+        n.storage_mut()
+            .put(key, b"not an envelope".to_vec(), &mut m)
+            .unwrap();
+        assert!(matches!(
+            n.read_post("bob", "alice", seq),
+            Err(DosnError::MalformedEnvelope(_))
+        ));
+        // A truncated-header blob is equally survivable.
+        n.storage_mut().put(key, vec![0u8; 5], &mut m).unwrap();
+        assert!(matches!(
+            n.read_post("bob", "alice", seq),
+            Err(DosnError::MalformedEnvelope(_))
+        ));
+    }
+
+    #[test]
+    fn crashed_replica_is_read_repaired() {
+        let mut n = net();
+        let seq = n.post("alice", "survives churn").unwrap();
+        let key = wall_key("alice", seq);
+        let mut m = Metrics::new();
+        let holders = n
+            .storage_mut()
+            .plane_mut()
+            .replica_candidates(key, 3, &mut m)
+            .unwrap();
+        n.storage_mut().plane_mut().set_online(holders[0], false);
+        assert_eq!(n.read_post("bob", "alice", seq).unwrap(), "survives churn");
+        assert!(n.metrics().count("get.repairs") > 0);
+    }
+
+    #[test]
+    fn obs_times_post_read_and_key_dissemination_end_to_end() {
+        let mut n = net(); // 3 registrations + 1 befriend already timed
+        let seq = n.post("alice", "timed post").unwrap();
+        n.read_post("bob", "alice", seq).unwrap();
+
+        let snap = n.publish_obs();
+        assert_eq!(snap.histograms["net.post"].count(), 1);
+        assert_eq!(snap.histograms["net.read_post.quorum"].count(), 1);
+        assert_eq!(snap.histograms["net.register"].count(), 3);
+        assert_eq!(snap.histograms["net.key_dissemination"].count(), 1);
+        // Quorum read checks every replica's envelope (R = 3 copies) in
+        // one batched Schnorr verification: one histogram sample per read.
+        assert_eq!(snap.histograms["crypto.schnorr.verify"].count(), 1);
+        // Storage-layer timings rode along on the shared registry.
+        assert!(snap.histograms["store.put"].count() >= 1);
+        assert!(snap.histograms["store.get.quorum"].count() >= 1);
+        // Every single-op call was a batch of one through the engine phases.
+        assert!(snap.histograms["engine.prepare"].count() >= 5);
+        assert!(snap.counters["engine.ops"] >= 6);
+        // Derived gauges reflect the overlay traffic totals.
+        assert!(snap.gauges["overlay.messages"] > 0.0);
+        assert!(snap.gauges["overlay.bytes"] > 0.0);
+        // And the crypto cache counters were registered live by the group.
+        let (hits, misses) = (
+            snap.counters["crypto.group.pow.table_hit"],
+            snap.counters["crypto.group.pow.table_miss"],
+        );
+        assert!(hits + misses > 0, "group exponentiations should be counted");
+    }
+
+    #[test]
+    fn pke_privacy_plane_composes_with_the_engine() {
+        let mut n = chord16(9);
+        let mut seed_rng = SecureRng::seed_from_u64(77);
+        let pke = crate::privacy::PkeGroupScheme::with_fresh_identities(
+            &["alice", "bob", "carol"],
+            &mut seed_rng,
+        );
+        n.register_with_plane("alice", PrivacyPlane::new(Box::new(pke)))
+            .unwrap();
+        n.register("bob").unwrap();
+        n.register("carol").unwrap();
+        n.befriend("alice", "bob", 1.0).unwrap();
+        let seq = n.post("alice", "pke wall post").unwrap();
+        assert_eq!(n.read_post("bob", "alice", seq).unwrap(), "pke wall post");
+        assert!(n.read_post("carol", "alice", seq).is_err());
+    }
+
+    #[test]
+    fn refused_scheme_registration_leaves_nothing_behind() {
+        let mut n = net();
+        let users = n.user_count();
+        // A PKE scheme that holds no key pair for "zed" refuses to create
+        // zed's friends group — before any key binding is published.
+        let pke = crate::privacy::PkeGroupScheme::new(dosn_crypto::group::SchnorrGroup::toy(), 1);
+        assert!(matches!(
+            n.register_with_plane("zed", PrivacyPlane::new(Box::new(pke))),
+            Err(DosnError::UnknownUser(_))
+        ));
+        assert!(n.directory().lookup("zed").is_err(), "stray key binding");
+        assert_eq!(n.user_count(), users);
+        n.register("zed").unwrap();
+        assert!(n.directory().lookup("zed").is_ok());
+    }
+
+    #[test]
+    fn single_op_and_batch_paths_agree() {
+        // The same workload through single calls and through one batch
+        // must produce the same readable state.
+        let mut a = chord16(44);
+        a.register("alice").unwrap();
+        a.register("bob").unwrap();
+        a.befriend("alice", "bob", 1.0).unwrap();
+        let seq = a.post("alice", "one way").unwrap();
+        let single_body = a.read_post("bob", "alice", seq).unwrap();
+
+        let mut b = chord16(44);
+        let report = b.execute(
+            OpBatch::new()
+                .register("alice")
+                .register("bob")
+                .befriend("alice", "bob", 1.0)
+                .post("alice", "one way")
+                .read_post("bob", "alice", 0),
+        );
+        match &report.results[4] {
+            Ok(OpOutput::Read { body }) => assert_eq!(*body, single_body),
+            other => panic!("batched read failed: {other:?}"),
+        }
     }
 }

@@ -78,8 +78,7 @@ pub(super) fn plan_reads(
             continue;
         };
         if let Err(unknown) = known_user(shards, reader) {
-            // The old facade timed rejected reads too (its timer guard
-            // predated the lookup).
+            // A rejected read is timed too (the histogram counts attempts).
             ctx.obs.histogram(names::NET_READ_POST_QUORUM).record(0);
             results[i] = Some(Err(unknown));
             continue;

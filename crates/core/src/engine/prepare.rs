@@ -165,8 +165,7 @@ pub(super) fn prepare_batch(
         if shards[routes[i]].contains_key(author.as_str()) {
             write_jobs[routes[i]].push((i, WriteJob::Post { author, body }));
         } else {
-            // The old facade timed even rejected posts (its timer guard
-            // predated the lookup).
+            // A rejected post is timed too (the histogram counts attempts).
             ctx.obs.histogram(names::NET_POST).record(0);
             results[i] = Some(Err(DosnError::UnknownUser(author.clone())));
         }
@@ -239,8 +238,8 @@ pub(super) fn prepare_batch(
     posts
 }
 
-/// The sequential befriend seam: graph edge plus mutual friends-group
-/// membership, exactly the old facade semantics.
+/// The sequential befriend seam: mutual friends-group membership, then —
+/// only when both landed — the graph edge: a failed befriend leaves none.
 fn link(
     shards: &mut [Shard],
     graph: &mut SocialGraph,
@@ -265,10 +264,20 @@ fn link(
         known_user(shards, name)?;
     }
     let _timer = obs.timer(names::NET_KEY_DISSEMINATION);
-    graph.befriend(&UserId::from(a), &UserId::from(b), trust);
-    for (owner, friend) in [(a, b), (b, a)] {
+    let mut add = |owner: &str, friend: &str| {
         let state = user_mut(&mut shards[shard_of(owner)], owner)?;
-        state.privacy.add_member(&state.friends_group, friend)?;
+        state.privacy.add_member(&state.friends_group, friend)
+    };
+    add(a, b)?;
+    let (id_a, id_b) = (UserId::from(a), UserId::from(b));
+    if let Err(refused) = add(b, a) {
+        // Take `b` back off `a`'s roster, unless an older edge put it there.
+        if !graph.are_friends(&id_a, &id_b) {
+            let state = user_mut(&mut shards[shard_of(a)], a)?;
+            state.privacy.revoke_member(&state.friends_group, b)?;
+        }
+        return Err(refused);
     }
+    graph.befriend(&id_a, &id_b, trust);
     Ok(OpOutput::Befriended)
 }

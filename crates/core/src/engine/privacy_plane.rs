@@ -19,7 +19,7 @@ const TAG_SYMMETRIC: u8 = 0x01;
 const TAG_PER_RECIPIENT: u8 = 0x02;
 
 /// An [`AccessScheme`] trait object plus the sealed-body wire codec: the
-/// facade's pluggable access-control layer.
+/// engine's pluggable access-control layer.
 pub struct PrivacyPlane {
     scheme: Box<dyn AccessScheme>,
 }
@@ -36,7 +36,7 @@ impl PrivacyPlane {
         PrivacyPlane { scheme }
     }
 
-    /// The facade default: a symmetric friends-group scheme (§III-B).
+    /// The engine's default: a symmetric friends-group scheme (§III-B).
     pub fn symmetric(master: [u8; 32]) -> Self {
         PrivacyPlane::new(Box::new(SymmetricGroupScheme::new(master)))
     }

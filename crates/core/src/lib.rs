@@ -17,13 +17,13 @@
 //! * [`identity`], [`graph`], [`content`] — users, the social graph (with
 //!   trust weights and synthetic generators), and content types.
 //! * [`taxonomy`] — the paper's Table I as a queryable registry.
-//! * [`engine`] — the batched parallel request engine: prepare / commit /
-//!   finish execution of op batches over sharded per-user state.
+//! * [`engine`] — the assembled DOSN and its one entry point: the batched
+//!   parallel request engine (prepare / commit / finish execution of op
+//!   batches over sharded per-user state; single ops are batches of one).
 //! * [`feed`] — reader-side materialized timelines whose staleness is
 //!   decided by the authors' timeline hash-chain heads, so cache hits can
 //!   never serve tampered or forked content.
-//! * [`network`] — the single-op facade over the engine (plus the overlay
-//!   re-exports the examples use); single ops are batches of one.
+//! * [`network`] — re-exports: the storage planes an engine is built over.
 
 pub mod anonymize;
 pub mod content;

@@ -11,7 +11,8 @@
 //! Failures print the per-case seed; re-run with `PROPTEST_SEED=<seed>` to
 //! replay the exact batch.
 
-use dosn_core::engine::{BatchReport, Engine, Op, OpBatch};
+use dosn_core::engine::{BatchReport, Engine, Op, OpBatch, OpOutput};
+use dosn_core::DosnError;
 use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::storage::{ChordPlane, StoragePlane};
 use proptest::prelude::*;
@@ -245,6 +246,47 @@ fn execute_all_over_a_non_send_plane_is_the_execute_loop() {
         let got: Vec<_> = reports.into_iter().map(|r| (r.results, r.digest)).collect();
         assert_eq!(got, expected, "{workers} workers");
     }
+}
+
+/// Runs `op` through the single-op call of its kind.
+fn single_op_call(e: &mut Engine<ChordPlane>, op: Op) -> Result<OpOutput, DosnError> {
+    use OpOutput::{Befriended, Commented, Posted, Read, Registered};
+    match op {
+        Op::Register { name } => e.register(&name).map(|()| Registered),
+        Op::Befriend { a, b, trust } => e.befriend(&a, &b, trust).map(|()| Befriended),
+        Op::Post { author, body } => e.post(&author, &body).map(|seq| Posted { seq }),
+        Op::Comment {
+            commenter,
+            author,
+            seq,
+            body,
+        } => e
+            .comment(&commenter, &author, seq, &body)
+            .map(|()| Commented),
+        Op::ReadPost {
+            reader,
+            author,
+            seq,
+        } => e.read_post(&reader, &author, seq).map(|body| Read { body }),
+    }
+}
+
+/// `Engine::{register, befriend, post, comment, read_post}` add nothing to
+/// `execute`: the golden script (errors included) driven through them and as
+/// explicit one-op batches on a twin ends in the same results, stored bytes
+/// and readable walls. (`engine::tests` covers their private empty-report guard.)
+#[test]
+fn single_op_calls_are_batches_of_one() {
+    let (setup, follow_up) = golden_batches();
+    let (mut called, mut batched) = (engine(57, 1), engine(57, 1));
+    for op in setup.into_ops().into_iter().chain(follow_up.into_ops()) {
+        let expected = batched.execute(OpBatch::from_ops(vec![op.clone()]));
+        assert_eq!(vec![single_op_call(&mut called, op)], expected.results);
+    }
+    let stored = |e: &Engine<ChordPlane>| e.storage().accounting().total_bytes();
+    assert_eq!(stored(&called), stored(&batched));
+    let walls = |e: &mut Engine<ChordPlane>| e.execute(probe()).results;
+    assert_eq!(walls(&mut called), walls(&mut batched));
 }
 
 /// The fixed 5-user register / befriend / post / comment / read workload

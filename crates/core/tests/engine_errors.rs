@@ -4,7 +4,8 @@
 //! across worker counts.
 
 use dosn_core::engine::{wall_key, Engine, OpBatch, OpOutput};
-use dosn_core::network::DosnNetwork;
+use dosn_core::feed::FeedItem;
+use dosn_core::network::PrivacyPlane;
 use dosn_core::privacy::{AccessScheme, GroupId, MembershipCost, SealedPost, SymmetricGroupScheme};
 use dosn_core::DosnError;
 use dosn_crypto::CryptoError;
@@ -14,6 +15,7 @@ use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::storage::{ChordPlane, StorageError, StoragePlane};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 #[test]
 fn every_replica_offline_rejects_writes_and_reads_but_not_registration() {
@@ -383,48 +385,81 @@ fn a_read_that_refuses_fetches_once_and_writes_nothing() {
     }
 }
 
-/// The symmetric scheme with a first `encrypt` that fails.
-struct FailsOnce {
+/// The symmetric scheme behind a handle the test keeps: it reads the roster
+/// from outside and arms the next call of one kind to fail.
+#[derive(Clone)]
+struct Flaky(Arc<Mutex<FlakyState>>);
+
+struct FlakyState {
     inner: SymmetricGroupScheme,
-    failed: bool,
+    group: Option<GroupId>,
+    fail_next: Option<&'static str>,
 }
 
-impl AccessScheme for FailsOnce {
+impl Flaky {
+    fn new(master: u8) -> Self {
+        Flaky(Arc::new(Mutex::new(FlakyState {
+            inner: SymmetricGroupScheme::new([master; 32]),
+            group: None,
+            fail_next: None,
+        })))
+    }
+    fn state(&self) -> MutexGuard<'_, FlakyState> {
+        self.0.lock().unwrap()
+    }
+    /// The state — unless `call` is the one armed to fail.
+    fn on(&self, call: &str) -> Result<MutexGuard<'_, FlakyState>, DosnError> {
+        let mut state = self.state();
+        if state.fail_next == Some(call) {
+            state.fail_next = None;
+            let refusal = CryptoError::Protocol(format!("this {call} fails"));
+            return Err(DosnError::Crypto(refusal));
+        }
+        Ok(state)
+    }
+    fn fail_next(&self, call: &'static str) {
+        self.state().fail_next = Some(call);
+    }
+    fn plane(&self) -> PrivacyPlane {
+        PrivacyPlane::new(Box::new(self.clone()))
+    }
+    fn roster(&self) -> Vec<String> {
+        let state = self.state();
+        state.inner.members(state.group.as_ref().unwrap())
+    }
+}
+
+impl AccessScheme for Flaky {
     fn name(&self) -> &'static str {
-        self.inner.name()
+        self.state().inner.name()
     }
     fn create_group(&mut self, members: &[String]) -> Result<GroupId, DosnError> {
-        self.inner.create_group(members)
+        let mut state = self.state();
+        let group = state.inner.create_group(members)?;
+        state.group = Some(group.clone());
+        Ok(group)
     }
     fn encrypt(&mut self, group: &GroupId, plaintext: &[u8]) -> Result<SealedPost, DosnError> {
-        if !std::mem::replace(&mut self.failed, true) {
-            return Err(DosnError::Crypto(CryptoError::Protocol(
-                "the first seal fails".into(),
-            )));
-        }
-        self.inner.encrypt(group, plaintext)
+        self.on("encrypt")?.inner.encrypt(group, plaintext)
     }
-    fn decrypt_as(
-        &self,
-        group: &GroupId,
-        member: &str,
-        post: &SealedPost,
-    ) -> Result<Vec<u8>, DosnError> {
-        self.inner.decrypt_as(group, member, post)
+    fn decrypt_as(&self, g: &GroupId, member: &str, p: &SealedPost) -> Result<Vec<u8>, DosnError> {
+        self.state().inner.decrypt_as(g, member, p)
     }
     fn add_member(&mut self, group: &GroupId, member: &str) -> Result<MembershipCost, DosnError> {
-        self.inner.add_member(group, member)
+        self.on("add")?.inner.add_member(group, member)
     }
-    fn revoke_member(
-        &mut self,
-        group: &GroupId,
-        member: &str,
-    ) -> Result<MembershipCost, DosnError> {
-        self.inner.revoke_member(group, member)
+    fn revoke_member(&mut self, g: &GroupId, member: &str) -> Result<MembershipCost, DosnError> {
+        self.on("revoke")?.inner.revoke_member(g, member)
     }
     fn members(&self, group: &GroupId) -> Vec<String> {
-        self.inner.members(group)
+        self.state().inner.members(group)
     }
+}
+
+fn chord16(seed: u64, workers: usize) -> Engine<ChordPlane> {
+    let mut n = Engine::new(ReplicatedStore::new(ChordPlane::build(16, seed), 3), seed);
+    n.set_workers(workers);
+    n
 }
 
 #[test]
@@ -434,14 +469,10 @@ fn a_failed_seal_takes_no_sequence_number_and_the_feed_still_sees_the_wall() {
     // fails must therefore not consume a number — it used to, and from then
     // on the feed asked for keys one below the posts'.
     let run = |workers: usize| {
-        let mut n = DosnNetwork::new(16, 23);
-        n.set_workers(workers);
-        let scheme = FailsOnce {
-            inner: SymmetricGroupScheme::new([9; 32]),
-            failed: false,
-        };
-        n.register_with_boxed_scheme("alice", Box::new(scheme))
-            .unwrap();
+        let mut n = chord16(23, workers);
+        let scheme = Flaky::new(9);
+        scheme.fail_next("encrypt");
+        n.register_with_plane("alice", scheme.plane()).unwrap();
         n.register("bob").unwrap();
         n.befriend("alice", "bob", 0.9).unwrap();
         let posts = n.execute(OpBatch::new().post("alice", "lost").post("alice", "kept"));
@@ -463,4 +494,95 @@ fn a_failed_seal_takes_no_sequence_number_and_the_feed_still_sees_the_wall() {
         posts.digest
     };
     assert_eq!(run(1), run(2), "digest depends on the worker count");
+}
+
+/// Alice and bob behind [`Flaky`] schemes, one post on alice's wall.
+fn flaky_pair(workers: usize) -> (Engine<ChordPlane>, Flaky, Flaky) {
+    let mut n = chord16(29, workers);
+    let (alice, bob) = (Flaky::new(1), Flaky::new(2));
+    n.register_with_plane("alice", alice.plane()).unwrap();
+    n.register_with_plane("bob", bob.plane()).unwrap();
+    n.post("alice", "alice 0").unwrap();
+    (n, alice, bob)
+}
+
+/// What a failed friendship op must leave alone (rosters: alice's, bob's).
+#[derive(Debug, PartialEq)]
+struct FriendshipView {
+    friends: bool,
+    rosters: [Vec<String>; 2],
+    bob_feed: Vec<FeedItem>,
+}
+
+fn friendship_view(n: &mut Engine<ChordPlane>, alice: &Flaky, bob: &Flaky) -> FriendshipView {
+    FriendshipView {
+        friends: n.graph().are_friends(&"alice".into(), &"bob".into()),
+        rosters: [alice.roster(), bob.roster()],
+        bob_feed: n.read_feed("bob", 3).unwrap(),
+    }
+}
+
+/// Alice posts; returns bob's attempt to read it and the read's digest.
+fn bob_reads_a_new_post(n: &mut Engine<ChordPlane>) -> (Result<OpOutput, DosnError>, [u8; 32]) {
+    let seq = n.post("alice", "news").unwrap();
+    let mut read = n.execute(OpBatch::new().read_post("bob", "alice", seq));
+    (read.results.remove(0), read.digest)
+}
+
+#[test]
+fn a_failed_befriend_leaves_no_edge_and_the_retry_lands() {
+    let run = |workers: usize| {
+        let (mut n, alice, bob) = flaky_pair(workers);
+        let before = friendship_view(&mut n, &alice, &bob);
+        assert!(!before.friends && before.bob_feed.is_empty());
+
+        // Alice takes bob in; bob's scheme then refuses alice.
+        bob.fail_next("add");
+        let refused = n.befriend("alice", "bob", 0.9);
+        assert!(matches!(refused, Err(DosnError::Crypto(_))));
+        assert_eq!(friendship_view(&mut n, &alice, &bob), before);
+
+        n.befriend("alice", "bob", 0.9).unwrap();
+        let after = friendship_view(&mut n, &alice, &bob);
+        assert!(after.friends, "{workers} workers");
+        assert_eq!(after.rosters, [["alice", "bob"], ["alice", "bob"]]);
+        let (read, digest) = bob_reads_a_new_post(&mut n);
+        assert!(matches!(read, Ok(OpOutput::Read { .. })), "{read:?}");
+        digest
+    };
+    assert_eq!(run(1), run(2), "digest depends on the worker count");
+}
+
+#[test]
+fn a_failed_unfriend_keeps_the_edge_and_the_retry_completes_it() {
+    // `(a, b)` is the order `unfriend` is called in. Alice's revocation is
+    // the one that fails: called alice-first nothing has moved yet, called
+    // bob-first bob's side is already done and the retry must skip it.
+    let run = |workers: usize, (a, b): (&str, &str)| {
+        let (mut n, alice, bob) = flaky_pair(workers);
+        n.befriend("alice", "bob", 0.9).unwrap();
+        let before = friendship_view(&mut n, &alice, &bob);
+        assert!(before.friends && before.bob_feed.len() == 1);
+
+        alice.fail_next("revoke");
+        assert!(matches!(n.unfriend(a, b), Err(DosnError::Crypto(_))));
+        let failed = friendship_view(&mut n, &alice, &bob);
+        if a == "alice" {
+            assert_eq!(failed, before);
+        } else {
+            assert!(failed.friends, "the edge outlives a half-done revocation");
+            assert_eq!(failed.rosters[0], before.rosters[0]);
+        }
+
+        n.unfriend(a, b).unwrap();
+        let apart = friendship_view(&mut n, &alice, &bob);
+        assert!(!apart.friends && apart.bob_feed.is_empty());
+        assert_eq!(apart.rosters, [["alice"], ["bob"]]);
+        let (read, digest) = bob_reads_a_new_post(&mut n);
+        assert!(matches!(read, Err(DosnError::NotAuthorized(_))), "{read:?}");
+        digest
+    };
+    for order in [("alice", "bob"), ("bob", "alice")] {
+        assert_eq!(run(1, order), run(2, order), "{order:?}");
+    }
 }

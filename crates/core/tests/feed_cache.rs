@@ -19,7 +19,6 @@
 use dosn_core::engine::{wall_key, Engine, Op, OpBatch, OpOutput};
 use dosn_core::feed::FeedCache;
 use dosn_core::identity::UserId;
-use dosn_core::network::DosnNetwork;
 use dosn_core::DosnError;
 use dosn_obs::names;
 use dosn_overlay::adversary::{AdversaryConfig, AdversaryPlane};
@@ -398,7 +397,7 @@ fn the_hot_cache_engages_under_every_plane_composition() {
 
 #[test]
 fn read_feed_on_a_user_with_zero_friends_is_empty() {
-    let mut n = DosnNetwork::new(16, 3);
+    let mut n = Engine::new(ReplicatedStore::new(ChordPlane::build(16, 3), 3), 3);
     n.register("hermit").unwrap();
     assert_eq!(n.read_feed("hermit", 10).unwrap(), vec![]);
     // Unregistered readers are a typed error, not an empty feed.
@@ -410,8 +409,7 @@ fn read_feed_on_a_user_with_zero_friends_is_empty() {
 
 #[test]
 fn read_feed_aggregates_the_latest_k_posts_per_friend() {
-    let mut n = DosnNetwork::new(24, 7);
-    n.enable_feed_cache(128);
+    let mut n = cached(engine(7), 128);
     for u in ["alice", "bob", "carol"] {
         n.register(u).unwrap();
     }

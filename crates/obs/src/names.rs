@@ -93,7 +93,7 @@ pub const STORE_GET_QUORUM: &str = "store.get.quorum";
 /// Read-repair pass latency, µs (histogram).
 pub const STORE_GET_REPAIR: &str = "store.get.repair";
 
-// ---- network facade (DosnNetwork planes) ----
+// ---- end-to-end operations (timed by the engine) ----
 
 /// End-to-end `post` latency: encrypt, seal, replicated put, µs (histogram).
 pub const NET_POST: &str = "net.post";

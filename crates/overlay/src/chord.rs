@@ -193,6 +193,11 @@ impl ChordOverlay {
         }
     }
 
+    /// Online node count, O(1) from the arena.
+    pub(crate) fn online_count(&self) -> usize {
+        self.arena.online_count()
+    }
+
     /// Whether `node` is online.
     pub fn is_online(&self, node: NodeId) -> bool {
         self.arena.is_online(node.0)

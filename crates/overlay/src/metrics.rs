@@ -39,7 +39,7 @@ impl Metrics {
         self.messages += 1;
         self.bytes += bytes;
         self.add_latency(latency_ms);
-        *self.by_type.entry(kind.to_owned()).or_insert(0) += 1;
+        self.bump(kind, 1);
     }
 
     /// Records a message that is *not* on the critical path (parallel fan-out
@@ -47,7 +47,7 @@ impl Metrics {
     pub fn record_offpath(&mut self, kind: &str, bytes: u64) {
         self.messages += 1;
         self.bytes += bytes;
-        *self.by_type.entry(kind.to_owned()).or_insert(0) += 1;
+        self.bump(kind, 1);
     }
 
     /// Adds `latency_ms` of critical-path latency without attributing a
@@ -72,7 +72,7 @@ impl Metrics {
         self.latency_ms = self.latency_ms.max(other.latency_ms);
         self.latency.merge(&other.latency);
         for (k, v) in &other.by_type {
-            *self.by_type.entry(k.clone()).or_insert(0) += v;
+            self.bump(k, *v);
         }
     }
 
@@ -85,7 +85,12 @@ impl Metrics {
     /// layer-level accounting (quorum sizes, replica writes, read repairs)
     /// that should not inflate the overlay's message totals.
     pub fn bump(&mut self, kind: &str, n: u64) {
-        *self.by_type.entry(kind.to_owned()).or_insert(0) += n;
+        // Present after its first sighting: probe before allocating a key.
+        if let Some(count) = self.by_type.get_mut(kind) {
+            *count += n;
+        } else {
+            self.by_type.insert(kind.to_owned(), n);
+        }
     }
 }
 

@@ -307,8 +307,11 @@ mod tests {
         let key = Key::hash(b"carol/photo");
         sp.placement_mut().assign_owner(key, 3);
         let mut m = Metrics::new();
-        sp.put_one(key, b"bytes", &mut m).unwrap();
-        assert_eq!(sp.get_one(key, &mut m).unwrap(), b"bytes");
+        let holder = sp.replica_candidates(key, 1, &mut m).unwrap()[0];
+        sp.store_at(holder, key, b"bytes", &mut m).unwrap();
+        let holder = sp.replica_candidates(key, 1, &mut m).unwrap()[0];
+        let got = sp.fetch_from(holder, key, &mut m).unwrap();
+        assert_eq!(got.as_deref(), Some(&b"bytes"[..]));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`crate::superpeer::SuperPeerOverlay`],
 //! [`crate::federation::FederatedNetwork`]); [`StoragePlane`] unifies them
 //! so upper layers — notably [`crate::replication::ReplicatedStore`] and
-//! the `dosn-core` network facade — run unchanged over any of them.
+//! the `dosn-core` request engine — run unchanged over any of them.
 //!
 //! The trait decomposes storage into *placement* and *access*:
 //! [`StoragePlane::replica_candidates`] answers "which online nodes should
@@ -167,34 +167,6 @@ pub trait StoragePlane: std::fmt::Debug {
             .count()
     }
 
-    /// Routes and stores a single copy at the preferred holder.
-    ///
-    /// # Errors
-    ///
-    /// Placement and store errors.
-    fn put_one(
-        &mut self,
-        key: Key,
-        value: &[u8],
-        metrics: &mut Metrics,
-    ) -> Result<(), StorageError> {
-        let candidates = self.replica_candidates(key, 1, metrics)?;
-        let node = *candidates.first().ok_or(StorageError::NoNodes)?;
-        self.store_at(node, key, value, metrics)
-    }
-
-    /// Routes and fetches from the preferred holder.
-    ///
-    /// # Errors
-    ///
-    /// Placement errors and [`StorageError::NotFound`].
-    fn get_one(&mut self, key: Key, metrics: &mut Metrics) -> Result<Vec<u8>, StorageError> {
-        let candidates = self.replica_candidates(key, 1, metrics)?;
-        let node = *candidates.first().ok_or(StorageError::NoNodes)?;
-        self.fetch_from(node, key, metrics)?
-            .ok_or(StorageError::NotFound(key))
-    }
-
     /// The plane's hot envelope cache, if caching is enabled (see
     /// [`HotCache`]). Planes without a caching story (federation pods
     /// mirror everything already) keep the default `None`.
@@ -241,6 +213,10 @@ impl<T: StoragePlane + ?Sized> StoragePlane for Box<T> {
 
     fn set_online(&mut self, node: NodeId, online: bool) {
         (**self).set_online(node, online);
+    }
+
+    fn online_count(&self) -> usize {
+        (**self).online_count()
     }
 
     fn replica_candidates(
@@ -303,11 +279,6 @@ impl ChordPlane {
         }
     }
 
-    /// Wraps an existing ring.
-    pub fn from_overlay(inner: ChordOverlay) -> Self {
-        ChordPlane { inner, hot: None }
-    }
-
     /// The wrapped ring.
     pub fn overlay(&self) -> &ChordOverlay {
         &self.inner
@@ -338,6 +309,10 @@ impl StoragePlane for ChordPlane {
 
     fn set_online(&mut self, node: NodeId, online: bool) {
         self.inner.set_online(node, online);
+    }
+
+    fn online_count(&self) -> usize {
+        self.inner.online_count()
     }
 
     fn replica_candidates(
@@ -414,11 +389,6 @@ impl KademliaPlane {
         }
     }
 
-    /// Wraps an existing overlay.
-    pub fn from_overlay(inner: KademliaOverlay) -> Self {
-        KademliaPlane { inner, hot: None }
-    }
-
     /// The wrapped overlay.
     pub fn overlay(&self) -> &KademliaOverlay {
         &self.inner
@@ -449,6 +419,10 @@ impl StoragePlane for KademliaPlane {
 
     fn set_online(&mut self, node: NodeId, online: bool) {
         self.inner.set_online(node, online);
+    }
+
+    fn online_count(&self) -> usize {
+        self.inner.online_count()
     }
 
     fn replica_candidates(
@@ -527,11 +501,6 @@ impl SuperPeerPlane {
             inner: SuperPeerOverlay::build(n, supers, seed),
             hot: None,
         }
-    }
-
-    /// Wraps an existing overlay.
-    pub fn from_overlay(inner: SuperPeerOverlay) -> Self {
-        SuperPeerPlane { inner, hot: None }
     }
 
     /// The wrapped overlay.
@@ -641,21 +610,6 @@ impl FederationPlane {
             inner: FederatedNetwork::new(servers),
         }
     }
-
-    /// Wraps an existing federation.
-    pub fn from_network(inner: FederatedNetwork) -> Self {
-        FederationPlane { inner }
-    }
-
-    /// The wrapped federation.
-    pub fn network(&self) -> &FederatedNetwork {
-        &self.inner
-    }
-
-    /// The wrapped federation, mutably.
-    pub fn network_mut(&mut self) -> &mut FederatedNetwork {
-        &mut self.inner
-    }
 }
 
 impl StoragePlane for FederationPlane {
@@ -745,13 +699,12 @@ mod tests {
         for mut plane in planes() {
             let mut m = Metrics::new();
             let key = Key::hash(b"plane-roundtrip");
-            plane.put_one(key, b"value", &mut m).unwrap();
-            assert_eq!(
-                plane.get_one(key, &mut m).unwrap(),
-                b"value",
-                "{}",
-                plane.name()
-            );
+            // Route, store one copy; route again, fetch it back.
+            let holder = plane.replica_candidates(key, 1, &mut m).unwrap()[0];
+            plane.store_at(holder, key, b"value", &mut m).unwrap();
+            let holder = plane.replica_candidates(key, 1, &mut m).unwrap()[0];
+            let got = plane.fetch_from(holder, key, &mut m).unwrap();
+            assert_eq!(got.as_deref(), Some(&b"value"[..]), "{}", plane.name());
             assert!(m.messages > 0, "{} accounted no messages", plane.name());
         }
     }
@@ -776,8 +729,13 @@ mod tests {
         for mut plane in planes() {
             let key = Key::hash(b"crash-shift");
             let mut m = Metrics::new();
+            // A plane's own count must be what the membership scan says.
+            let scan =
+                |p: &dyn StoragePlane| p.node_ids().iter().filter(|&&n| p.is_online(n)).count();
+            assert_eq!(plane.online_count(), scan(&*plane));
             let before = plane.replica_candidates(key, 3, &mut m).unwrap();
             plane.set_online(before[0], false);
+            assert_eq!(plane.online_count(), scan(&*plane));
             let after = plane.replica_candidates(key, 3, &mut m).unwrap();
             assert!(
                 !after.contains(&before[0]),
@@ -818,10 +776,6 @@ mod tests {
             let mut m = Metrics::new();
             let node = plane.replica_candidates(key, 1, &mut m).unwrap()[0];
             assert_eq!(plane.fetch_from(node, key, &mut m).unwrap(), None);
-            assert!(matches!(
-                plane.get_one(key, &mut m),
-                Err(StorageError::NotFound(_))
-            ));
         }
     }
 

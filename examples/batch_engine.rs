@@ -1,7 +1,7 @@
 //! The batched request engine: one `OpBatch` bootstraps a network, and
 //! the result is byte-identical at any worker count.
 //!
-//! `DosnNetwork`'s single-op calls are batches of one; `execute` takes a
+//! `Engine`'s single-op calls are batches of one; `execute` takes a
 //! whole [`OpBatch`] and runs it in phases — plan (route + validate),
 //! prepare (parallel crypto over 32 author shards), commit (the sealed
 //! records written in op order), finish (parallel quorum-read verify +
@@ -11,8 +11,8 @@
 //!
 //! Run with: `cargo run --example batch_engine`
 
-use dosn::core::engine::{OpBatch, OpOutput};
-use dosn::core::network::DosnNetwork;
+use dosn::core::engine::{Engine, OpBatch, OpOutput};
+use dosn::core::network::{ChordPlane, ReplicatedStore};
 
 const SEED: u64 = 2015;
 
@@ -44,7 +44,7 @@ fn main() {
     // 1, 2, and 8 prepare/finish workers.
     let mut digests = Vec::new();
     for workers in [1usize, 2, 8] {
-        let mut net = DosnNetwork::new(64, SEED);
+        let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(64, SEED), 3), SEED);
         net.set_workers(workers);
         let report = net.execute(bootstrap());
 
@@ -70,7 +70,7 @@ fn main() {
 
     // Errors stay per-op: a bad op in a batch never poisons its
     // neighbours. Mallory never registered, and nobody can self-friend.
-    let mut net = DosnNetwork::new(64, SEED);
+    let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(64, SEED), 3), SEED);
     net.set_workers(4);
     let report = net.execute(
         OpBatch::new()

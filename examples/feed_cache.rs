@@ -7,15 +7,17 @@
 //!
 //! Run with: `cargo run --example feed_cache`
 
-use dosn::core::network::DosnNetwork;
+use dosn::core::engine::Engine;
+use dosn::core::network::{ChordPlane, ReplicatedStore};
 
 const SEED: u64 = 2016;
 
 fn main() {
-    let mut net = DosnNetwork::new(64, SEED);
-    // Feed cache: decrypted timeline slices, each validated against the
-    // author's hash chain.
+    let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(64, SEED), 3), SEED);
+    // L1: decrypted timeline slices, each validated against the author's
+    // hash chain. L2: verified sealed envelopes at the storage plane.
     net.enable_feed_cache(1024);
+    net.enable_hot_cache(1024);
 
     for u in ["alice", "bob", "carol", "dave"] {
         net.register(u).expect("register");

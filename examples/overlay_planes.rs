@@ -1,7 +1,7 @@
 //! Choosing a storage plane: one social API over four §II-B overlays.
 //!
-//! `DosnNetwork` defaults to a Chord plane (`DosnNetwork::new`), but any
-//! `StoragePlane` slots in via `with_plane`. This example runs the same
+//! An `Engine` is built over a `ReplicatedStore`, and the store over any
+//! `StoragePlane`. This example runs the same
 //! friends-only scenario over all four backends, crashes one replica
 //! holder, and shows the quorum read surviving with a read repair.
 //!
@@ -11,9 +11,9 @@
 //!
 //! Run with: `cargo run --example overlay_planes`
 
+use dosn::core::engine::Engine;
 use dosn::core::network::{
-    ChordPlane, DosnNetwork, FederationPlane, KademliaPlane, ReplicatedStore, StoragePlane,
-    SuperPeerPlane,
+    ChordPlane, FederationPlane, KademliaPlane, ReplicatedStore, StoragePlane, SuperPeerPlane,
 };
 use dosn::obs::Registry;
 use dosn::overlay::fault::FaultPlan;
@@ -22,9 +22,9 @@ const SEED: u64 = 7;
 
 fn scenario<S: StoragePlane>(name: &str, plane: S, obs: &Registry) {
     // R = 3 replicas, majority read quorum (2 of 3); the store adopts the
-    // shared registry and the network facade inherits it.
+    // shared registry and the engine inherits it.
     let store = ReplicatedStore::new(plane, 3).with_obs(obs.clone());
-    let mut net = DosnNetwork::with_replication(store, SEED);
+    let mut net = Engine::new(store, SEED);
     net.register("alice").unwrap();
     net.register("bob").unwrap();
     net.register("eve").unwrap();

@@ -1,16 +1,17 @@
 //! Quickstart: a complete DOSN in thirty lines.
 //!
-//! Builds the assembled network facade (Chord DHT storage + symmetric
+//! Builds the assembled engine (Chord DHT storage + symmetric
 //! friends-group encryption + signed, hash-chained timelines), exercises the
 //! full post/read/revoke lifecycle, and prints the overlay cost of it all.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dosn::core::network::DosnNetwork;
+use dosn::core::engine::Engine;
+use dosn::core::network::{ChordPlane, ReplicatedStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 64-node structured overlay (survey §II-B) with replication factor 3.
-    let mut net = DosnNetwork::new(64, 2015);
+    let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(64, 2015), 3), 2015);
 
     // Users register: keys go into the directory (survey §IV-A).
     for user in ["alice", "bob", "carol"] {

@@ -1,11 +1,12 @@
 //! End-to-end integration tests across all four crates: the assembled
-//! network facade exercised under realistic multi-user scenarios.
+//! engine exercised under realistic multi-user scenarios.
 
-use dosn::core::network::DosnNetwork;
+use dosn::core::engine::Engine;
+use dosn::core::network::{ChordPlane, ReplicatedStore};
 use dosn::core::DosnError;
 
-fn populated_net() -> DosnNetwork {
-    let mut net = DosnNetwork::new(64, 77);
+fn populated_net() -> Engine<ChordPlane> {
+    let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(64, 77), 3), 77);
     for u in ["alice", "bob", "carol", "dave", "erin"] {
         net.register(u).unwrap();
     }

@@ -1,91 +1,48 @@
-//! Cross-overlay facade matrix and availability-under-crash tests.
+//! Cross-overlay engine matrix and availability-under-crash tests.
 //!
 //! The plane refactor's contract: the same social API (register → befriend
 //! → post → read, with access control intact) must hold over every §II-B
 //! overlay family, and R-way replication must keep walls readable through
 //! the crash schedules of the PR 1 fault-injection harness.
 
+use dosn_core::engine::{wall_key, Engine};
 use dosn_core::error::DosnError;
 use dosn_core::network::{
-    ChordPlane, DosnNetwork, FederationPlane, KademliaPlane, StoragePlane, SuperPeerPlane,
+    ChordPlane, FederationPlane, KademliaPlane, ReplicatedStore, StoragePlane, SuperPeerPlane,
 };
 use dosn_overlay::fault::FaultPlan;
+use dosn_overlay::id::NodeId;
 use dosn_overlay::metrics::Metrics;
 
 const SEED: u64 = 2026;
 
-/// Runs one closure against a facade over each of the four storage planes.
-fn for_every_backend(mut check: impl FnMut(&'static str, &mut dyn Facade)) {
-    let mut chord = DosnNetwork::with_plane(ChordPlane::build(48, SEED), 3, SEED);
-    let mut kad = DosnNetwork::with_plane(KademliaPlane::build(48, 20, SEED), 3, SEED);
-    let mut sp = DosnNetwork::with_plane(SuperPeerPlane::build(48, 6, SEED), 3, SEED);
-    let mut fed = DosnNetwork::with_plane(FederationPlane::build(12), 3, SEED);
-    check("chord", &mut chord);
-    check("kademlia", &mut kad);
-    check("superpeer", &mut sp);
-    check("federation", &mut fed);
+/// One engine type over any plane, so the matrix loop can hold all four.
+type Net = Engine<Box<dyn StoragePlane>>;
+
+/// Runs one closure against an engine (R = 3) over each of the four
+/// storage planes.
+fn for_every_backend(mut check: impl FnMut(&'static str, &mut Net)) {
+    let planes: [(&'static str, Box<dyn StoragePlane>); 4] = [
+        ("chord", Box::new(ChordPlane::build(48, SEED))),
+        ("kademlia", Box::new(KademliaPlane::build(48, 20, SEED))),
+        ("superpeer", Box::new(SuperPeerPlane::build(48, 6, SEED))),
+        ("federation", Box::new(FederationPlane::build(12))),
+    ];
+    for (name, plane) in planes {
+        check(name, &mut Engine::new(ReplicatedStore::new(plane, 3), SEED));
+    }
 }
 
-/// Object-safe slice of the facade so the matrix loop can hold networks
-/// over four different plane types in one collection.
-trait Facade {
-    fn register(&mut self, name: &str) -> Result<(), DosnError>;
-    fn befriend(&mut self, a: &str, b: &str) -> Result<(), DosnError>;
-    fn post(&mut self, author: &str, body: &str) -> Result<u64, DosnError>;
-    fn read_post(&mut self, reader: &str, author: &str, seq: u64) -> Result<String, DosnError>;
-    fn unfriend(&mut self, a: &str, b: &str) -> Result<u64, DosnError>;
-    fn crash_holders(&mut self, author: &str, seq: u64, how_many: usize);
-    fn apply_crashes(&mut self, plan: &FaultPlan, now_ms: u64) -> usize;
-    fn repairs(&self) -> u64;
-    fn replicas_written(&self) -> u64;
-    fn first_holder(&mut self, author: &str, seq: u64) -> dosn_overlay::id::NodeId;
+/// The first `n` nodes the plane would place `author`'s post `seq` on.
+fn holders<S: StoragePlane>(net: &mut Engine<S>, author: &str, seq: u64, n: usize) -> Vec<NodeId> {
+    let plane = net.storage_mut().plane_mut();
+    plane
+        .replica_candidates(wall_key(author, seq), n, &mut Metrics::new())
+        .expect("plane has online nodes")
 }
 
-impl<S: StoragePlane> Facade for DosnNetwork<S> {
-    fn register(&mut self, name: &str) -> Result<(), DosnError> {
-        DosnNetwork::register(self, name)
-    }
-    fn befriend(&mut self, a: &str, b: &str) -> Result<(), DosnError> {
-        DosnNetwork::befriend(self, a, b, 1.0)
-    }
-    fn post(&mut self, author: &str, body: &str) -> Result<u64, DosnError> {
-        DosnNetwork::post(self, author, body)
-    }
-    fn read_post(&mut self, reader: &str, author: &str, seq: u64) -> Result<String, DosnError> {
-        DosnNetwork::read_post(self, reader, author, seq)
-    }
-    fn unfriend(&mut self, a: &str, b: &str) -> Result<u64, DosnError> {
-        DosnNetwork::unfriend(self, a, b)
-    }
-    fn crash_holders(&mut self, author: &str, seq: u64, how_many: usize) {
-        let key = dosn_core::engine::wall_key(author, seq);
-        let mut m = Metrics::new();
-        let holders = self
-            .storage_mut()
-            .plane_mut()
-            .replica_candidates(key, 3, &mut m)
-            .expect("plane has online nodes");
-        for h in holders.into_iter().take(how_many) {
-            self.storage_mut().plane_mut().set_online(h, false);
-        }
-    }
-    fn apply_crashes(&mut self, plan: &FaultPlan, now_ms: u64) -> usize {
-        DosnNetwork::apply_crashes(self, plan, now_ms)
-    }
-    fn repairs(&self) -> u64 {
-        self.metrics().count("get.repairs")
-    }
-    fn replicas_written(&self) -> u64 {
-        self.metrics().count("store.replicas_written")
-    }
-    fn first_holder(&mut self, author: &str, seq: u64) -> dosn_overlay::id::NodeId {
-        let key = dosn_core::engine::wall_key(author, seq);
-        let mut m = Metrics::new();
-        self.storage_mut()
-            .plane_mut()
-            .replica_candidates(key, 1, &mut m)
-            .expect("plane has online nodes")[0]
-    }
+fn repairs(net: &Net) -> u64 {
+    net.metrics().count("get.repairs")
 }
 
 #[test]
@@ -94,7 +51,7 @@ fn facade_matrix_post_read_deny_over_every_backend() {
         net.register("alice").unwrap();
         net.register("bob").unwrap();
         net.register("eve").unwrap();
-        net.befriend("alice", "bob").unwrap();
+        net.befriend("alice", "bob", 1.0).unwrap();
 
         let seq = net.post("alice", "friends-only, any overlay").unwrap();
         assert_eq!(
@@ -110,7 +67,7 @@ fn facade_matrix_post_read_deny_over_every_backend() {
             "{name}: stranger must be denied"
         );
         assert_eq!(
-            net.replicas_written(),
+            net.metrics().count("store.replicas_written"),
             3,
             "{name}: post must land on 3 replicas"
         );
@@ -130,27 +87,28 @@ fn r3_survives_one_replica_crash_with_read_repair() {
     for_every_backend(|name, net| {
         net.register("alice").unwrap();
         net.register("bob").unwrap();
-        net.befriend("alice", "bob").unwrap();
+        net.befriend("alice", "bob", 1.0).unwrap();
         let seq = net.post("alice", "crash-tolerant").unwrap();
 
-        net.crash_holders("alice", seq, 1);
+        let holder = holders(net, "alice", seq, 3)[0];
+        net.storage_mut().plane_mut().set_online(holder, false);
         assert_eq!(
             net.read_post("bob", "alice", seq).unwrap(),
             "crash-tolerant",
             "{name}: R=3 must survive one crashed holder"
         );
         assert!(
-            net.repairs() > 0,
+            repairs(net) > 0,
             "{name}: the substitute candidate must be read-repaired"
         );
         // A second read finds a fully healed replica set.
-        let repairs_after_first = net.repairs();
+        let repairs_after_first = repairs(net);
         assert_eq!(
             net.read_post("bob", "alice", seq).unwrap(),
             "crash-tolerant"
         );
         assert_eq!(
-            net.repairs(),
+            repairs(net),
             repairs_after_first,
             "{name}: no further repairs once healed"
         );
@@ -162,12 +120,12 @@ fn crash_schedule_from_fault_plan_drives_availability() {
     for_every_backend(|name, net| {
         net.register("alice").unwrap();
         net.register("bob").unwrap();
-        net.befriend("alice", "bob").unwrap();
+        net.befriend("alice", "bob", 1.0).unwrap();
         let seq = net.post("alice", "scheduled churn").unwrap();
 
         // PR 1's fault harness: the first holder crashes at t=500ms and
         // recovers at t=2000ms.
-        let holder = net.first_holder("alice", seq);
+        let holder = holders(net, "alice", seq, 1)[0];
         let plan = FaultPlan::seeded(SEED).with_crash_recovery(holder, 500, 2_000);
 
         assert_eq!(net.apply_crashes(&plan, 100), 0, "{name}: before the crash");
@@ -183,7 +141,7 @@ fn crash_schedule_from_fault_plan_drives_availability() {
             "scheduled churn",
             "{name}: R=3 readable mid-crash"
         );
-        assert!(net.repairs() > 0, "{name}: repair during the crash window");
+        assert!(repairs(net) > 0, "{name}: repair during the crash window");
 
         assert_eq!(net.apply_crashes(&plan, 3_000), 0, "{name}: after recovery");
         assert!(net.read_post("bob", "alice", seq).is_ok());
@@ -194,20 +152,14 @@ fn crash_schedule_from_fault_plan_drives_availability() {
 /// holder. This is the baseline e12 quantifies against R=3/R=5.
 #[test]
 fn r1_loses_the_wall_when_its_holder_crashes() {
-    let mut net = DosnNetwork::with_plane(ChordPlane::build(48, SEED), 1, SEED);
+    let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(48, SEED), 1), SEED);
     net.register("alice").unwrap();
     net.register("bob").unwrap();
     net.befriend("alice", "bob", 1.0).unwrap();
     let seq = net.post("alice", "fragile").unwrap();
     assert_eq!(net.metrics().count("store.replicas_written"), 1);
 
-    let key = dosn_core::engine::wall_key("alice", seq);
-    let mut m = Metrics::new();
-    let holder = net
-        .storage_mut()
-        .plane_mut()
-        .replica_candidates(key, 1, &mut m)
-        .unwrap()[0];
+    let holder = holders(&mut net, "alice", seq, 1)[0];
     net.storage_mut().plane_mut().set_online(holder, false);
 
     assert!(
