@@ -1,14 +1,28 @@
-//! The finish phase: quorum reads — sequential fetch (storage is `&mut`),
-//! parallel quorum vote + envelope verification + decryption with each
-//! worker borrowing its authors' home shards read-only, then the sequential
-//! tail (read-repair, hot-cache admission) — and the feed-cache
-//! fills that follow the report. Touches storage and metrics; only reads
-//! the shards.
+//! The finish phase: the batch's quorum reads, then the feed-cache fills
+//! that follow the report. Touches storage and metrics; only reads the
+//! shards. The reads are fetched in op order (storage is `&mut`), then each
+//! worker takes a contiguous share of them through one `fan_out`, reading
+//! the authors' home shards, and runs three steps over it:
+//!
+//! 1. **Screen.** A read the hot cache (L2) served, or whose present copies
+//!    are all one byte string, stakes on that one candidate value.
+//! 2. **Check.** One combined Schnorr check proves every candidate of the
+//!    share ([`SignedEnvelope::verify_wire_slots`]). The verdicts are exact
+//!    per candidate, since a failed check bisects, so how the reads are
+//!    shared out decides no result.
+//! 3. **Settle.** The quorum vote takes the checked verdict, and the winner
+//!    is unsealed from its [`VerifiedEnvelope`]. A read whose copies
+//!    disagree verifies its distinct values here, inside its own vote.
+//!
+//! The sequential tail then repairs stale copies, admits winners to L2 and
+//! re-reads a poisoned L2 entry through the quorum. With
+//! [`super::Engine::set_batch_verify`] off, no read is screened and every
+//! value is opened alone inside its vote.
 
 use super::batch::{BatchReport, Op, OpOutput};
 use super::pipeline::{fan_out, Batch, JobOut};
 use super::plan::{bump_feed_stats, FeedFill};
-use super::{elapsed_micros, storage_to_dosn, wall_key, Shard, WorkerCtx, NUM_SHARDS};
+use super::{elapsed_micros, storage_to_dosn, wall_key, Shard, WorkerCtx};
 use crate::content::Post;
 use crate::error::DosnError;
 use crate::feed::FeedCache;
@@ -20,18 +34,35 @@ use dosn_overlay::replication::{quorum_vote, quorum_vote_batch, FetchedCopies, R
 use dosn_overlay::storage::{StorageError, StoragePlane};
 use std::time::Instant;
 
-/// One `ReadPost` with its fetched bytes, borrowing the op's names.
+/// One `ReadPost` with its fetched bytes, borrowing the op's names and
+/// the author's home shard.
 struct ReadJob<'a> {
     op_idx: usize,
     reader: &'a str,
     author: &'a str,
     seq: u64,
+    home: &'a Shard,
     fetched: Result<FetchedCopies, StorageError>,
     /// Sealed bytes served by the storage plane's hot cache, if any — the
-    /// verify/decrypt worker checks these *first* and only falls back to
-    /// the quorum copies when they fail verification.
+    /// read's candidate, checked and unsealed *first*; the read falls back
+    /// to the quorum copies only when they fail.
     cached: Option<Vec<u8>>,
     fetch_micros: u64,
+    /// The combined check's verdict on the read's [`candidate`]; `None`
+    /// for a read the check did not cover.
+    checked: Option<Option<VerifiedEnvelope>>,
+}
+
+/// The one value a read stakes on, if it has one: the L2-served envelope,
+/// or the bytes every present replica copy agrees on.
+fn candidate<'j>(job: &'j ReadJob) -> Option<&'j [u8]> {
+    if let Some(bytes) = &job.cached {
+        return Some(bytes);
+    }
+    let fetched = job.fetched.as_ref().ok()?;
+    let mut present = fetched.copies.iter().filter_map(|(_, c)| c.as_deref());
+    let first = present.next()?;
+    present.all(|c| c == first).then_some(first)
 }
 
 enum ReadOutcome {
@@ -59,7 +90,7 @@ pub(super) fn finish_reads<S: StoragePlane>(
     reads: Vec<usize>,
 ) {
     let timer = ctx.obs.timer(names::ENGINE_FINISH);
-    let mut read_jobs: Vec<Vec<ReadJob>> = (0..NUM_SHARDS).map(|_| Vec::new()).collect();
+    let mut jobs: Vec<ReadJob> = Vec::with_capacity(reads.len());
     for op_idx in reads {
         let Op::ReadPost {
             reader,
@@ -82,34 +113,36 @@ pub(super) fn finish_reads<S: StoragePlane>(
             }),
             None => storage.fetch_copies(key, metrics),
         };
-        read_jobs[batch.routes[op_idx]].push(ReadJob {
+        jobs.push(ReadJob {
             op_idx,
             reader,
             author,
             seq: *seq,
+            home: &shards[batch.routes[op_idx]],
             fetched,
             cached,
             fetch_micros: elapsed_micros(started),
+            checked: None,
         });
     }
     let read_quorum = storage.read_quorum();
-    // A read routes to its author's shard, so each bin's context is the
-    // home shard of every author its jobs name.
-    let bins = shards.iter().zip(read_jobs);
-    let mut read_outs = fan_out(ctx.workers, bins, |shard, job| {
-        let started = Instant::now();
-        let outcome = finish_read(shard, ctx, read_quorum, &job);
-        JobOut {
-            op_idx: job.op_idx,
-            micros: job.fetch_micros + elapsed_micros(started),
-            out: (job, outcome),
-        }
-    });
+    // One contiguous share of the reads per worker.
+    let per_worker = jobs.len().div_ceil(ctx.workers).max(1);
+    let mut shares = Vec::new();
+    while !jobs.is_empty() {
+        let rest = jobs.split_off(per_worker.min(jobs.len()));
+        shares.push(((), vec![std::mem::replace(&mut jobs, rest)]));
+    }
+    let mut read_outs: Vec<JobOut<_>> = fan_out(ctx.workers, shares, |(), share| {
+        finish_share(ctx, read_quorum, share)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     read_outs.sort_unstable_by_key(|o| o.op_idx);
     for read in read_outs {
         let (job, outcome) = read.out;
-        let home = &shards[batch.routes[read.op_idx]];
-        let result = settle_read(storage, metrics, ctx, home, job, outcome);
+        let result = settle_read(storage, metrics, ctx, job, outcome);
         ctx.obs
             .histogram(names::NET_READ_POST_QUORUM)
             .record(read.micros);
@@ -135,13 +168,70 @@ pub(super) fn finish_reads<S: StoragePlane>(
     timer.observe();
 }
 
-/// The parallel half of one quorum read: vote over the fetched copies with
-/// the envelope check as the verifier, then decrypt the winner as the
-/// reader. The vote verifies each distinct value once and keeps the
-/// [`VerifiedEnvelope`] of every value it accepts, so the winner is unsealed
-/// from the proof the vote reached — never decoded or verified a second
-/// time. `home` is the author's home shard.
-fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcome {
+/// One worker's share of the reads: the check step over the share's
+/// candidates, then each read's vote and unseal.
+fn finish_share<'a>(
+    ctx: &WorkerCtx,
+    read_quorum: usize,
+    mut share: Vec<ReadJob<'a>>,
+) -> Vec<JobOut<(ReadJob<'a>, ReadOutcome)>> {
+    if ctx.batch_verify {
+        check_candidates(ctx, &mut share);
+    }
+    share
+        .into_iter()
+        .map(|job| {
+            let started = Instant::now();
+            let outcome = finish_read(ctx, read_quorum, &job);
+            JobOut {
+                op_idx: job.op_idx,
+                micros: job.fetch_micros + elapsed_micros(started),
+                out: (job, outcome),
+            }
+        })
+        .collect()
+}
+
+/// The check step: every read with a [`candidate`] has it proven in one
+/// combined Schnorr check, one `crypto.schnorr.verify` sample. Each read
+/// carries its verdict and an even share of the check's time, which counts
+/// as time before its vote, so the quorum-read latencies still include
+/// verification.
+fn check_candidates(ctx: &WorkerCtx, jobs: &mut [ReadJob]) {
+    let started = Instant::now();
+    let staked: Vec<(usize, UserId, &[u8])> = jobs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, job)| candidate(job).map(|bytes| (i, UserId::from(job.author), bytes)))
+        .collect();
+    if staked.is_empty() {
+        return;
+    }
+    let slots: Vec<(&UserId, u64, &[u8])> = staked
+        .iter()
+        .map(|(i, author, bytes)| (author, jobs[*i].seq, *bytes))
+        .collect();
+    let verdicts =
+        SignedEnvelope::verify_wire_slots(&slots, &ctx.group, &ctx.directory, u64::MAX - 1);
+    let micros = elapsed_micros(started);
+    ctx.obs
+        .histogram(names::CRYPTO_SCHNORR_VERIFY)
+        .record(micros);
+    let each = micros / staked.len() as u64;
+    let staked: Vec<usize> = staked.into_iter().map(|(i, _, _)| i).collect();
+    for (i, verdict) in staked.into_iter().zip(verdicts) {
+        jobs[i].fetch_micros += each;
+        jobs[i].checked = Some(verdict);
+    }
+}
+
+/// The parallel half of one quorum read: vote over the fetched copies,
+/// then decrypt the winner as the reader. A read the check step covered
+/// votes with that verdict; any other verifies each distinct value once
+/// inside the vote. Either way the vote keeps the [`VerifiedEnvelope`] of
+/// every value it accepts, so the winner is unsealed from the proof the
+/// vote reached — never decoded or verified a second time.
+fn finish_read(ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcome {
     let author_id = UserId::from(job.author);
     // Decode + full verification of one stored record.
     let open = |bytes: &[u8]| {
@@ -160,7 +250,18 @@ fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob)
         // failure (tampered bytes, revoked reader, bad encoding) sends
         // the read back to the real quorum path: the cache accelerates
         // reads, it never relaxes what a served read proved.
-        return match open(bytes).and_then(|verified| unseal(home, job, &verified)) {
+        let opened;
+        let verified = match &job.checked {
+            Some(verdict) => verdict.as_ref(),
+            None => {
+                opened = open(bytes).ok();
+                opened.as_ref()
+            }
+        };
+        let Some(verified) = verified else {
+            return ReadOutcome::RetryQuorum;
+        };
+        return match unseal(job, verified) {
             // No quorum fetch happened, so there is nothing to repair.
             Ok(body) => ReadOutcome::Done(Ok(OpOutput::Read { body })),
             Err(DosnError::NotAuthorized(e)) => {
@@ -180,19 +281,16 @@ fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob)
     // Each distinct value with what the vote's verifier proved of it.
     let mut proven: Vec<(&[u8], Option<VerifiedEnvelope>)> = Vec::new();
     let vote = quorum_vote_batch(fetched, read_quorum, |values| {
+        if let Some(verdict) = &job.checked {
+            // The one value the copies agree on: already checked.
+            return values.iter().map(|_| verdict.is_some()).collect();
+        }
         let started = Instant::now();
         let opened: Vec<Option<VerifiedEnvelope>> = if ctx.batch_verify {
-            // All distinct values verify in one combined Schnorr check (an
-            // all-agree read is one value: the plain equation).
-            SignedEnvelope::verify_wire_copies(
-                &author_id,
-                job.seq,
-                values,
-                &ctx.group,
-                &ctx.directory,
-                None,
-                u64::MAX - 1,
-            )
+            // The distinct values verify in one combined Schnorr check.
+            let slots: Vec<(&UserId, u64, &[u8])> =
+                values.iter().map(|&v| (&author_id, job.seq, v)).collect();
+            SignedEnvelope::verify_wire_slots(&slots, &ctx.group, &ctx.directory, u64::MAX - 1)
         } else {
             values.iter().map(|bytes| open(bytes).ok()).collect()
         };
@@ -227,15 +325,19 @@ fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob)
         }
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
     };
-    let verified = proven
-        .iter()
-        .find_map(|(bytes, v)| v.as_ref().filter(|_| *bytes == winner));
+    let verified = match &job.checked {
+        // The vote's only value won.
+        Some(verdict) => verdict.as_ref(),
+        None => proven
+            .iter()
+            .find_map(|(bytes, v)| v.as_ref().filter(|_| *bytes == winner)),
+    };
     let Some(verified) = verified else {
         return ReadOutcome::Done(Err(DosnError::IntegrityViolation(
             "quorum winner was not among the verified values".into(),
         )));
     };
-    match unseal(home, job, verified) {
+    match unseal(job, verified) {
         Ok(body) => ReadOutcome::Verified { body, winner },
         Err(e) => ReadOutcome::Done(Err(e)),
     }
@@ -246,8 +348,9 @@ fn finish_read(home: &Shard, ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob)
 /// `job.author`'s post `job.seq` and carried the author's valid signature
 /// (that is what a [`VerifiedEnvelope`] is); here they decrypt for
 /// `job.reader`. Returns the post body.
-fn unseal(home: &Shard, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnError> {
-    let author_state = home
+fn unseal(job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnError> {
+    let author_state = job
+        .home
         .get(job.author)
         .ok_or_else(|| DosnError::UnknownUser(job.author.to_owned()))?;
     let plain = author_state.privacy.unseal(
@@ -271,7 +374,6 @@ fn settle_read<S: StoragePlane>(
     storage: &mut ReplicatedStore<S>,
     metrics: &mut Metrics,
     ctx: &WorkerCtx,
-    home: &Shard,
     mut job: ReadJob,
     mut outcome: ReadOutcome,
 ) -> Result<OpOutput, DosnError> {
@@ -280,9 +382,12 @@ fn settle_read<S: StoragePlane>(
         storage.invalidate_hot(key, metrics);
         let started = Instant::now();
         job.cached = None;
+        // The check's verdict was on the cached bytes; the retry votes
+        // alone.
+        job.checked = None;
         job.fetched = storage.fetch_copies(key, metrics);
         job.fetch_micros = elapsed_micros(started);
-        outcome = finish_read(home, ctx, storage.read_quorum(), &job);
+        outcome = finish_read(ctx, storage.read_quorum(), &job);
     }
     match outcome {
         ReadOutcome::Done(r) => r,

@@ -30,9 +30,11 @@
 //!                ▼
 //!  ┌─────────────────────────────────────────────────────────┐
 //!  │ finish     fetch copies sequentially (storage is &mut), │
-//!  │            then parallel quorum votes + envelope        │
-//!  │            verification + decryption, each worker       │
-//!  │            borrowing its authors' home shards read-only │
+//!  │            then parallel over contiguous shares of the  │
+//!  │            reads (one `fan_out`): one combined          │
+//!  │            signature check per share, then quorum votes │
+//!  │            + decryption, reading the authors' home      │
+//!  │            shards                                       │
 //!  └─────────────────────────────────────────────────────────┘
 //!                │
 //!                ▼  sequential: read-repairs, fallbacks, results,
@@ -336,13 +338,13 @@ impl<S: StoragePlane> Engine<S> {
     }
 
     /// Toggles batched Schnorr verification in the finish phase's quorum
-    /// reads. On (the default), a read's distinct values are verified in
-    /// one combined random-linear-combination check; off verifies them one
-    /// by one. The vote hands the verifier each distinct value once, so on
-    /// a read whose copies agree the two are the same single equation and
-    /// the toggle decides nothing; it matters only while replicas disagree.
-    /// Results and [`BatchReport::digest`] are byte-identical either way —
-    /// the toggle exists so the equivalence suites can prove that.
+    /// reads. On (the default), every read of a batch that stakes on one
+    /// value (an L2-served envelope, or copies that all agree) is proven in
+    /// one combined random-linear-combination check per worker, and a read
+    /// whose copies disagree checks its distinct values together. Off, every
+    /// value is decoded and verified alone. Results and
+    /// [`BatchReport::digest`] are byte-identical either way — the toggle
+    /// exists so the equivalence suites can prove that.
     pub fn set_batch_verify(&mut self, on: bool) {
         self.ctx.batch_verify = on;
     }
@@ -1027,8 +1029,9 @@ mod tests {
         assert_eq!(snap.histograms["net.read_post.quorum"].count(), 1);
         assert_eq!(snap.histograms["net.register"].count(), 3);
         assert_eq!(snap.histograms["net.key_dissemination"].count(), 1);
-        // Quorum read checks every replica's envelope (R = 3 copies) in
-        // one batched Schnorr verification: one histogram sample per read.
+        // The read's R = 3 agreeing copies are one candidate, proven in the
+        // finish phase's combined Schnorr check: one histogram sample per
+        // check, and this batch held one read.
         assert_eq!(snap.histograms["crypto.schnorr.verify"].count(), 1);
         // Storage-layer timings rode along on the shared registry.
         assert!(snap.histograms["store.put"].count() >= 1);

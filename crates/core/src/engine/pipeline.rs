@@ -32,7 +32,7 @@ pub(super) struct JobOut<T> {
 
 /// Runs every job of every bin through `work` on up to `workers` scoped
 /// threads and returns the outputs. A bin is a context (prepare's
-/// `&mut Shard`, finish's `&Shard`) plus the jobs that need it; bin *i*
+/// `&mut Shard`; finish has none) plus the jobs that need it; bin *i*
 /// goes to worker *i* mod `workers` (round-robin spreads a dense contiguous
 /// shard range evenly where contiguous chunking would load the first
 /// workers and starve the last), and a bin without jobs keeps its position

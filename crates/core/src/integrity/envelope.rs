@@ -12,9 +12,10 @@
 
 use crate::error::DosnError;
 use crate::identity::{Identity, UserId};
+use dosn_crypto::batch::{batch_verify, BatchItem};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::keys::KeyDirectory;
-use dosn_crypto::schnorr::Signature;
+use dosn_crypto::schnorr::{Signature, VerifyingKey};
 use dosn_crypto::sha256::Sha256;
 
 /// Fixed wire-header length: epoch, issue time, and sequence words plus the
@@ -259,80 +260,77 @@ impl SignedEnvelope {
     }
 
     /// Verifies many wire-encoded copies of the same slot (`author`,
-    /// `expected_seq`) in one pass, batching the Schnorr checks: every
-    /// copy's structural decode, recipient binding, and freshness rules run
-    /// individually (they are cheap), while all signature equations join a
-    /// single random-linear-combination check
-    /// ([`dosn_crypto::batch::batch_verify`]). Returns one verdict per
-    /// copy, exactly matching what [`SignedEnvelope::decode_wire`] +
-    /// [`SignedEnvelope::verify`] would decide copy by copy.
-    ///
-    /// Quorum reads are the caller: the vote hands over each distinct byte
-    /// string once, so an all-agree read is a batch of one — which the
-    /// batch verifier decides by the plain Schnorr equation.
+    /// `expected_seq`) in one pass: each copy's decode and freshness rule
+    /// are screened alone, and every surviving signature equation joins one
+    /// combined check ([`dosn_crypto::batch::batch_verify`]), the engine's
+    /// multi-slot verifier over slots that share an author and a sequence
+    /// number. Returns one verdict per copy, exactly matching what
+    /// [`SignedEnvelope::decode_wire`] + [`SignedEnvelope::verify`] would
+    /// decide copy by copy. A wire record is a broadcast (`decode_wire`
+    /// restores no recipient), so `_expected_recipient` can refuse none.
     pub fn verify_wire_copies_batch(
         author: &UserId,
         expected_seq: u64,
         copies: &[&[u8]],
         group: &dosn_crypto::group::SchnorrGroup,
         directory: &KeyDirectory,
-        expected_recipient: Option<&UserId>,
+        _expected_recipient: Option<&UserId>,
         now: u64,
     ) -> Vec<bool> {
-        Self::verify_wire_copies(
-            author,
-            expected_seq,
-            copies,
-            group,
-            directory,
-            expected_recipient,
-            now,
-        )
-        .iter()
-        .map(Option::is_some)
-        .collect()
+        let slots: Vec<(&UserId, u64, &[u8])> = copies
+            .iter()
+            .map(|&bytes| (author, expected_seq, bytes))
+            .collect();
+        Self::verify_wire_slots(&slots, group, directory, now)
+            .iter()
+            .map(Option::is_some)
+            .collect()
     }
 
-    /// [`SignedEnvelope::verify_wire_copies_batch`] keeping what it decoded:
-    /// each accepted copy comes back as the [`VerifiedEnvelope`] the verdict
+    /// Verifies stored records for many slots at once, each `(author, seq,
+    /// bytes)` read as `author`'s post `seq`, and keeps what it decoded: an
+    /// accepted record comes back as the [`VerifiedEnvelope`] its verdict
     /// was reached on, so the caller unseals it without decoding or
-    /// verifying again.
-    pub(crate) fn verify_wire_copies(
-        author: &UserId,
-        expected_seq: u64,
-        copies: &[&[u8]],
+    /// verifying again. Each record's decode, freshness rule and signed
+    /// digest are screened one by one, with no group operation; every
+    /// surviving signature equation, under however many authors' keys,
+    /// joins one random-linear-combination check
+    /// ([`dosn_crypto::batch::batch_verify`]), which bisects a failure down
+    /// to exact per-slot verdicts. A slot therefore comes back `Some`
+    /// exactly where [`SignedEnvelope::open_wire`] accepts it, whatever
+    /// else shares the call.
+    ///
+    /// The finish phase calls it once per worker's share of the reads that
+    /// each stake on one value, and once per read whose copies disagree
+    /// (slots sharing an author and a seq).
+    pub(crate) fn verify_wire_slots(
+        slots: &[(&UserId, u64, &[u8])],
         group: &dosn_crypto::group::SchnorrGroup,
         directory: &KeyDirectory,
-        expected_recipient: Option<&UserId>,
         now: u64,
     ) -> Vec<Option<VerifiedEnvelope>> {
-        let Ok(vk) = directory.verifying_key(author.as_str()) else {
-            return copies.iter().map(|_| None).collect(); // unknown author
-        };
-        // Structural + relation/freshness screening; survivors queue their
-        // (digest, signature) for the combined Schnorr check.
-        let screened: Vec<(usize, [u8; 32], VerifiedEnvelope)> = copies
+        // Survivors of the screen queue (key, digest, signature) for the
+        // combined check; an unknown author screens out.
+        let screened: Vec<(usize, VerifyingKey, [u8; 32], VerifiedEnvelope)> = slots
             .iter()
             .enumerate()
-            .filter_map(|(idx, bytes)| {
-                let (envelope, epoch) =
-                    Self::decode_wire(author, expected_seq, bytes, group).ok()?;
-                envelope.check_binding(expected_recipient, now).ok()?;
+            .filter_map(|(idx, &(author, seq, bytes))| {
+                let vk = directory.verifying_key(author.as_str()).ok()?;
+                let (envelope, epoch) = Self::decode_wire(author, seq, bytes, group).ok()?;
+                envelope.check_binding(None, now).ok()?;
                 let digest = envelope.signed_digest();
-                Some((idx, digest, VerifiedEnvelope { envelope, epoch }))
+                Some((idx, vk, digest, VerifiedEnvelope { envelope, epoch }))
             })
             .collect();
-        let pairs: Vec<(&[u8], &Signature)> = screened
+        let items: Vec<BatchItem<'_>> = screened
             .iter()
-            .map(|(_, digest, v)| (digest.as_slice(), &v.envelope.signature))
+            .map(|(_, vk, digest, v)| (vk, digest.as_slice(), &v.envelope.signature))
             .collect();
-        // Failing slots, ascending.
-        let bad = vk
-            .verify_batch(&pairs)
-            .map_or_else(|f| f.failed, |()| Vec::new());
-        let mut opened: Vec<Option<VerifiedEnvelope>> = copies.iter().map(|_| None).collect();
-        for (slot, (idx, _, verified)) in screened.into_iter().enumerate() {
-            if bad.binary_search(&slot).is_err() {
+        // Failing items, ascending.
+        let bad = batch_verify(&items).map_or_else(|f| f.failed, |()| Vec::new());
+        let mut opened: Vec<Option<VerifiedEnvelope>> = slots.iter().map(|_| None).collect();
+        for (item, (idx, _, _, verified)) in screened.into_iter().enumerate() {
+            if bad.binary_search(&item).is_err() {
                 opened[idx] = Some(verified);
             }
         }
@@ -523,25 +521,36 @@ mod tests {
 
     #[test]
     fn verified_envelopes_are_exactly_the_copies_decode_and_verify_accept() {
-        // Every one-byte mutation of a stored record, plus the record
-        // itself, in one batch: a copy comes back `Some` exactly where
-        // `decode_wire` + `verify` accept it, carrying what they decoded.
-        let (bob, _, dir, mut rng) = setup();
+        // Every one-byte mutation of bob's stored record, the record
+        // itself, mallory's record, and each record filed under the other
+        // author or another sequence number, in one call: a slot comes back
+        // `Some` exactly where `decode_wire` + `verify` accept it, carrying
+        // what they decoded.
+        let (bob, mallory, dir, mut rng) = setup();
         let group = SchnorrGroup::toy();
         let wire = SignedEnvelope::seal(&bob, None, 3, 10, None, b"sealed body", &mut rng)
             .encode_wire(6, &group);
+        let other = SignedEnvelope::seal(&mallory, None, 5, 10, None, b"hers", &mut rng)
+            .encode_wire(1, &group);
         let mut copies = vec![wire.clone()];
         for at in 0..wire.len() {
             let mut m = wire.clone();
             m[at] ^= 0x40;
             copies.push(m);
         }
-        let refs: Vec<&[u8]> = copies.iter().map(Vec::as_slice).collect();
-        let id = UserId::from("bob");
-        let opened = SignedEnvelope::verify_wire_copies(&id, 3, &refs, &group, &dir, None, 20);
+        let (id, mid) = (UserId::from("bob"), UserId::from("mallory"));
+        let mut slots: Vec<(&UserId, u64, &[u8])> =
+            copies.iter().map(|c| (&id, 3, c.as_slice())).collect();
+        slots.extend([
+            (&mid, 5, other.as_slice()),
+            (&id, 5, other.as_slice()),
+            (&mid, 3, wire.as_slice()),
+            (&id, 4, wire.as_slice()),
+        ]);
+        let opened = SignedEnvelope::verify_wire_slots(&slots, &group, &dir, 20);
         let mut accepted = 0;
-        for (bytes, got) in refs.iter().zip(&opened) {
-            let want = SignedEnvelope::decode_wire(&id, 3, bytes, &group)
+        for (&(author, seq, bytes), got) in slots.iter().zip(&opened) {
+            let want = SignedEnvelope::decode_wire(author, seq, bytes, &group)
                 .and_then(|(env, epoch)| env.verify(&dir, None, 20).map(|()| (env, epoch)));
             assert_eq!(got.is_some(), want.is_ok());
             if let (Some(got), Ok((env, epoch))) = (got, want) {
@@ -551,9 +560,10 @@ mod tests {
                 accepted += 1;
             }
         }
-        // The record itself and its eight epoch-word mutants: the epoch sits
-        // outside the signed digest (DESIGN.md, threat model).
-        assert_eq!(accepted, 9);
+        // Bob's record and its eight epoch-word mutants (the epoch sits
+        // outside the signed digest; DESIGN.md, threat model), and
+        // mallory's record under her own name.
+        assert_eq!(accepted, 10);
         let alone = SignedEnvelope::open_wire(&id, 3, &wire, &group, &dir, 20).unwrap();
         let first = opened[0].as_ref().unwrap();
         assert_eq!((alone.epoch(), alone.body()), (6, first.body()));

@@ -14,12 +14,36 @@ use crate::privacy::{AccessScheme, GroupId, MembershipCost, SealedBody, SealedPo
 use dosn_crypto::aead::SymmetricKey;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::hmac::Prf;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-/// A group's roster plus the history a revocation would have to re-encrypt.
+/// A group's roster, its key chain so far, and the history a revocation
+/// would have to re-encrypt.
 struct SymmetricGroup {
     roster: Roster,
+    /// `keys[e]` is the epoch-`e` key, derived once when the epoch opened;
+    /// one key per epoch up to the roster's current one.
+    keys: Vec<SymmetricKey>,
     posts_encrypted: u64,
+}
+
+impl SymmetricGroup {
+    /// The epoch-`epoch` key of `group`: from the chain when that epoch was
+    /// issued. A stored record's epoch word lies outside the signed digest,
+    /// so colluding holders can serve one never issued; its key is derived
+    /// on the spot, and the open fails on the tag as it always did.
+    fn key(&self, prf: &Prf, group: &GroupId, epoch: u64) -> Cow<'_, SymmetricKey> {
+        match usize::try_from(epoch).ok().and_then(|e| self.keys.get(e)) {
+            Some(key) => Cow::Borrowed(key),
+            None => Cow::Owned(epoch_key(prf, group, epoch)),
+        }
+    }
+}
+
+/// Derives the epoch-`epoch` key of `group` as PRF(root, group || epoch).
+fn epoch_key(prf: &Prf, group: &GroupId, epoch: u64) -> SymmetricKey {
+    let material = prf.eval(format!("group|{group}|epoch|{epoch}").as_bytes());
+    SymmetricKey::from_bytes(&material)
 }
 
 /// The §III-B scheme.
@@ -63,13 +87,6 @@ impl SymmetricGroupScheme {
             next_group: 0,
         }
     }
-
-    fn epoch_key(&self, group: &GroupId, epoch: u64) -> SymmetricKey {
-        let material = self
-            .prf
-            .eval(format!("group|{group}|epoch|{epoch}").as_bytes());
-        SymmetricKey::from_bytes(&material)
-    }
 }
 
 impl AccessScheme for SymmetricGroupScheme {
@@ -80,10 +97,12 @@ impl AccessScheme for SymmetricGroupScheme {
     fn create_group(&mut self, members: &[String]) -> Result<GroupId, DosnError> {
         let id = GroupId(format!("sym-{}", self.next_group));
         self.next_group += 1;
+        let keys = vec![epoch_key(&self.prf, &id, 0)];
         self.groups.insert(
             id.clone(),
             SymmetricGroup {
                 roster: Roster::new(members),
+                keys,
                 posts_encrypted: 0,
             },
         );
@@ -91,10 +110,11 @@ impl AccessScheme for SymmetricGroupScheme {
     }
 
     fn encrypt(&mut self, group: &GroupId, plaintext: &[u8]) -> Result<SealedPost, DosnError> {
-        let epoch = find(&self.groups, group)?.roster.epoch();
-        let key = self.epoch_key(group, epoch);
+        let state = find_mut(&mut self.groups, group)?;
+        let epoch = state.roster.epoch();
+        let key = state.key(&self.prf, group, epoch);
         let sealed = key.seal(plaintext, group.0.as_bytes(), &mut self.rng);
-        find_mut(&mut self.groups, group)?.posts_encrypted += 1;
+        state.posts_encrypted += 1;
         Ok(SealedPost {
             scheme: self.name(),
             group: group.clone(),
@@ -109,10 +129,8 @@ impl AccessScheme for SymmetricGroupScheme {
         member: &str,
         post: &SealedPost,
     ) -> Result<Vec<u8>, DosnError> {
-        if !find(&self.groups, group)?
-            .roster
-            .active_at(member, post.epoch)
-        {
+        let state = find(&self.groups, group)?;
+        if !state.roster.active_at(member, post.epoch) {
             return Err(DosnError::NotAuthorized(format!(
                 "{member} does not hold the epoch-{} key of {group}",
                 post.epoch
@@ -121,7 +139,7 @@ impl AccessScheme for SymmetricGroupScheme {
         let SealedBody::Symmetric(ref bytes) = post.body else {
             return Err(foreign_body());
         };
-        let key = self.epoch_key(group, post.epoch);
+        let key = state.key(&self.prf, group, post.epoch);
         Ok(key.open(bytes, group.0.as_bytes())?)
     }
 
@@ -143,6 +161,9 @@ impl AccessScheme for SymmetricGroupScheme {
         let state = find_mut(&mut self.groups, group)?;
         // A fresh epoch key goes to everyone who stays.
         let remaining = state.roster.revoke(member)?;
+        state
+            .keys
+            .push(epoch_key(&self.prf, group, state.roster.epoch()));
         Ok(MembershipCost {
             key_messages: remaining,
             rekeyed_members: remaining,
@@ -222,6 +243,44 @@ mod tests {
         s.revoke_member(&g, "b").unwrap();
         assert_eq!(s.members(&g), vec!["a".to_string(), "c".to_string()]);
         assert!(s.members(&GroupId::from("nope")).is_empty());
+    }
+
+    #[test]
+    fn the_chain_holds_each_issued_epoch_key_derived_once() {
+        let mut s = scheme();
+        let g = s
+            .create_group(&["a".into(), "b".into(), "c".into(), "d".into()])
+            .unwrap();
+        for m in ["b", "c", "d"] {
+            s.revoke_member(&g, m).unwrap();
+        }
+        // A refused revocation opens no epoch and derives no key.
+        assert!(s.revoke_member(&g, "b").is_err());
+        let state = &s.groups[&g];
+        assert_eq!(state.roster.epoch(), 3);
+        let derived: Vec<SymmetricKey> = (0..=3).map(|e| epoch_key(&s.prf, &g, e)).collect();
+        assert_eq!(state.keys, derived);
+    }
+
+    #[test]
+    fn a_never_issued_epoch_still_fails_at_the_tag() {
+        // Colluding holders can rewrite the unsigned epoch word of a stored
+        // record; the reader then opens under that epoch's key. Past the
+        // chain's end the key is derived on the spot, and the refusal is
+        // the AEAD's, whichever epoch was forged.
+        let mut s = scheme();
+        let g = s.create_group(&["a".into(), "b".into()]).unwrap();
+        s.revoke_member(&g, "b").unwrap();
+        let mut post = s.encrypt(&g, b"epoch 1").unwrap();
+        for forged in [0, 2, 1 << 40, u64::MAX] {
+            post.epoch = forged;
+            let refused = s.decrypt_as(&g, "a", &post).unwrap_err();
+            assert_eq!(format!("{refused:?}"), "Crypto(AuthenticationFailed)");
+            assert_eq!(
+                refused.to_string(),
+                "crypto failure: ciphertext authentication failed"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! poison sibling ops — and failing batches must stay digest-deterministic
 //! across worker counts.
 
-use dosn_core::engine::{wall_key, Engine, OpBatch, OpOutput};
+use dosn_core::engine::{wall_key, BatchReport, Engine, OpBatch, OpOutput};
 use dosn_core::feed::FeedItem;
 use dosn_core::network::PrivacyPlane;
 use dosn_core::privacy::{AccessScheme, GroupId, MembershipCost, SealedPost, SymmetricGroupScheme};
@@ -14,7 +14,7 @@ use dosn_overlay::adversary::{AdversaryConfig, AdversaryMode, AdversaryPlane};
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::ReplicatedStore;
-use dosn_overlay::storage::{ChordPlane, StorageError, StoragePlane};
+use dosn_overlay::storage::{ChordPlane, StorageError, StoragePlane, SuperPeerPlane};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 #[test]
@@ -343,6 +343,103 @@ fn body_forging_replicas_never_serve_and_every_configuration_agrees() {
             // The quorum read verifies inside the vote and nowhere else.
             assert_eq!(*sampled, 1, "forged={forged}");
         }
+    }
+}
+
+/// Authors in the one-batch read below, one post each.
+const AUTHORS: usize = 32;
+/// The author whose three holders all serve one forged record.
+const FORGED: usize = 5;
+/// The author whose post the hot cache serves poisoned.
+const POISONED: usize = 20;
+
+fn author(i: usize) -> String {
+    format!("author{i:02}")
+}
+
+/// The read batch and what it sampled: every author's post read by
+/// `reader` in one `execute`, after read `FORGED`'s three holders were
+/// given one byte-identical forgery (a body byte flipped, so the record is
+/// well-formed and its signature fails) and the hot cache was handed a
+/// forgery of read `POISONED`'s record. Returns the report and how often
+/// the read sampled `crypto.schnorr.verify`.
+fn one_batch_with_a_forged_read(workers: usize, batch_verify: bool) -> (BatchReport, u64) {
+    let mut e = Engine::new(ReplicatedStore::new(SuperPeerPlane::build(24, 4, 3), 3), 3);
+    e.enable_hot_cache(64);
+    e.set_workers(workers);
+    e.set_batch_verify(batch_verify);
+    let mut setup = OpBatch::new().register("reader");
+    for i in 0..AUTHORS {
+        setup = setup
+            .register(&author(i))
+            .befriend(&author(i), "reader", 0.9)
+            .post(&author(i), &format!("post by {}", author(i)));
+    }
+    assert!(e.execute(setup).results.iter().all(Result::is_ok));
+    let mut m = Metrics::new();
+    let forge = |e: &mut Engine<SuperPeerPlane>, i: usize, m: &mut Metrics| {
+        let fetched = e.storage_mut().fetch_copies(wall_key(&author(i), 0), m);
+        let mut bytes = fetched.unwrap().copies[0].1.clone().unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        bytes
+    };
+    let forged = forge(&mut e, FORGED, &mut m);
+    let key = wall_key(&author(FORGED), 0);
+    for (node, _) in e.storage_mut().fetch_copies(key, &mut m).unwrap().copies {
+        e.storage_mut()
+            .plane_mut()
+            .store_at(node, key, &forged, &mut m)
+            .unwrap();
+    }
+    let poisoned = forge(&mut e, POISONED, &mut m);
+    e.storage_mut()
+        .plane_mut()
+        .hot_cache_mut()
+        .unwrap()
+        .admit(wall_key(&author(POISONED), 0), &poisoned);
+
+    let verify = e.obs().histogram(names::CRYPTO_SCHNORR_VERIFY);
+    let before = verify.snapshot().count();
+    let reads = (0..AUTHORS).fold(OpBatch::new(), |b, i| b.read_post("reader", &author(i), 0));
+    let report = e.execute(reads);
+    assert_eq!(
+        e.metrics().count(names::CACHE_HITS),
+        1,
+        "only the poisoned entry"
+    );
+    assert_eq!(e.metrics().count(names::CACHE_INVALIDATIONS), 1);
+    (report, verify.snapshot().count() - before)
+}
+
+#[test]
+fn one_forged_read_inside_a_batch_fails_alone() {
+    // Set batch verification off and every value is opened alone: the
+    // baseline. Its 32 samples are one per read — the poisoned entry's
+    // own open is untimed, its quorum retry is timed.
+    let (baseline, sampled) = one_batch_with_a_forged_read(1, false);
+    assert_eq!(sampled, AUTHORS as u64);
+    let refusal = baseline.results[FORGED].as_ref().unwrap_err();
+    assert!(
+        matches!(refusal, DosnError::IntegrityViolation(_)),
+        "{refusal:?}"
+    );
+    for workers in [1usize, 2, 8] {
+        let (report, sampled) = one_batch_with_a_forged_read(workers, true);
+        for (i, result) in report.results.iter().enumerate() {
+            match (i, result) {
+                (FORGED, Err(e)) => assert_eq!(format!("{e:?}"), format!("{refusal:?}")),
+                (_, Ok(OpOutput::Read { body })) if i != FORGED => {
+                    assert_eq!(*body, format!("post by {}", author(i)));
+                }
+                other => panic!("workers={workers}: read {i}: {other:?}"),
+            }
+        }
+        assert_eq!(report.digest, baseline.digest, "workers={workers}");
+        // All 32 reads stake on one value each (the forged read's three
+        // copies agree; the poisoned read's is the cache entry), so there
+        // is one combined check per worker, each of 32 / workers reads,
+        // and the poisoned read's quorum retry is one more.
+        assert_eq!(sampled, workers as u64 + 1, "workers={workers}");
     }
 }
 

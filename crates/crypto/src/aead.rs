@@ -8,7 +8,7 @@
 
 use crate::chacha::{chacha20_xor, SecureRng, NONCE_LEN};
 use crate::error::CryptoError;
-use crate::hmac::{hkdf, hmac_sha256, verify_tag};
+use crate::hmac::{hkdf, verify_tag, HmacSha256};
 
 const TAG_LEN: usize = 32;
 
@@ -110,11 +110,11 @@ impl SymmetricKey {
 
     fn tag(&self, head: &[u8], associated_data: &[u8]) -> [u8; TAG_LEN] {
         // MAC over len(ad) || ad || head for unambiguous framing.
-        let mut mac_input = Vec::with_capacity(8 + associated_data.len() + head.len());
-        mac_input.extend_from_slice(&(associated_data.len() as u64).to_be_bytes());
-        mac_input.extend_from_slice(associated_data);
-        mac_input.extend_from_slice(head);
-        hmac_sha256(&self.mac_key, &mac_input)
+        let mut mac = HmacSha256::new(&self.mac_key);
+        mac.update(&(associated_data.len() as u64).to_be_bytes());
+        mac.update(associated_data);
+        mac.update(head);
+        mac.finalize()
     }
 }
 

@@ -28,9 +28,11 @@
 //! plain [`VerifyingKey::verify`], so callers learn exactly which items are
 //! bad at a cost logarithmic in the batch size (for few corruptions).
 //!
-//! A batch whose items all carry one `(key, message, signature)` triple —
-//! what a quorum read over agreeing replicas is — never enters the combined
-//! check: one item is already a leaf, decided by `g^s · y^e = r` alone.
+//! The engine's finish phase hands over one item per read that stakes on
+//! one value (agreeing replicas, or a hot-cached envelope), under as many
+//! keys as the batch has authors. A batch whose items all carry one
+//! `(key, message, signature)` triple never enters the combined check: one
+//! item is already a leaf, decided by `g^s · y^e = r` alone.
 
 use crate::error::CryptoError;
 use crate::group::SchnorrGroup;

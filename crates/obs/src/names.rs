@@ -124,7 +124,10 @@ pub const ENGINE_PIPELINE_OVERLAP: &str = "engine.pipeline.overlap";
 
 // ---- crypto ----
 
-/// Schnorr envelope-signature verification latency, µs (histogram).
+/// Schnorr envelope-signature verification latency, µs (histogram): one
+/// sample per combined check — a worker's share of a finish phase's
+/// single-value reads, or one read whose copies disagree (every read, with
+/// batch verification off).
 pub const CRYPTO_SCHNORR_VERIFY: &str = "crypto.schnorr.verify";
 /// Exponentiations of a group's generator, served from its fixed-base
 /// table — the only table a group holds (counter).
