@@ -20,13 +20,13 @@ pub enum Op {
         /// The user name to register.
         name: String,
     },
-    /// Make `a` and `b` friends with the given trust weight.
+    /// Make `a` and `b` friends: each joins the other's friends group.
     Befriend {
         /// One endpoint of the friendship.
         a: String,
         /// The other endpoint.
         b: String,
-        /// Trust weight recorded on the graph edge.
+        /// Trust weight: must lie in `[0, 1]`; validated, not stored.
         trust: f64,
     },
     /// Publish a friends-only post on `author`'s wall.

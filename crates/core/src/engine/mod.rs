@@ -53,14 +53,15 @@
 //! Every op draws its randomness from `HKDF(engine seed, global op index)`
 //! — never from a shared stream — and each user's ops execute in batch
 //! order inside the one shard that owns that user. Everything that touches
-//! shared state (graph edges, storage writes, read-repairs, feed fills)
-//! happens on the calling thread in op order; worker outputs are re-sorted
-//! by op index before anything reads them. Outputs (ciphertexts,
-//! signatures, sequence numbers, storage records, [`BatchReport::digest`])
-//! are therefore **byte-identical for any worker count**, and the single-op
-//! calls ([`Engine::post`] and its four siblings) are batches of one. The
-//! global op index persists across batches, so splitting a workload into
-//! many batches does not reuse nonces or change results.
+//! shared state (friendships, which span two shards; storage writes,
+//! read-repairs, feed fills) happens on the calling thread in op order;
+//! worker outputs are re-sorted by op index before anything reads them.
+//! Outputs (ciphertexts, signatures, sequence numbers, storage records,
+//! [`BatchReport::digest`]) are therefore **byte-identical for any worker
+//! count**, and the single-op calls ([`Engine::post`] and its four
+//! siblings) are batches of one. The global op index persists across
+//! batches, so splitting a workload into many batches does not reuse nonces
+//! or change results.
 //!
 //! # Batch semantics
 //!
@@ -85,7 +86,6 @@ pub use batch::{BatchReport, Op, OpBatch, OpOutput};
 
 use crate::error::DosnError;
 use crate::feed::{FeedCache, FeedItem};
-use crate::graph::SocialGraph;
 use crate::identity::UserId;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::{GroupSize, SchnorrGroup};
@@ -186,9 +186,10 @@ struct WorkerCtx {
 
 /// The assembled DOSN: the batched parallel request engine (see module
 /// docs) over a replicated store on any overlay family. Owns the crypto
-/// group, key directory, replicated storage, social graph and metrics,
-/// with per-user state split into [`NUM_SHARDS`] shards that worker threads
-/// borrow during the parallel phases.
+/// group, key directory, replicated storage and metrics, with per-user
+/// state — friendships included, as friends-group rosters — split into
+/// [`NUM_SHARDS`] shards that worker threads borrow during the parallel
+/// phases.
 ///
 /// ```
 /// use dosn_core::engine::Engine;
@@ -253,7 +254,6 @@ pub struct Engine<S: StoragePlane> {
     ctx: WorkerCtx,
     storage: ReplicatedStore<S>,
     shards: Vec<Shard>,
-    graph: SocialGraph,
     metrics: Metrics,
     next_op_index: u64,
     /// Reader-side materialized timelines (L1). `None` = caching off; op
@@ -297,7 +297,6 @@ impl<S: StoragePlane> Engine<S> {
             },
             storage,
             shards: (0..NUM_SHARDS).map(|_| Shard::new()).collect(),
-            graph: SocialGraph::new(),
             metrics: Metrics::new(),
             next_op_index: 0,
             feed: None,
@@ -362,9 +361,11 @@ impl<S: StoragePlane> Engine<S> {
         self.shards.iter().map(Shard::len).sum()
     }
 
-    /// The social graph.
-    pub fn graph(&self) -> &SocialGraph {
-        &self.graph
+    /// `user`'s friends, sorted by name (empty for an unknown user): their
+    /// friends-group roster minus themselves — the one record of friendship,
+    /// the same one that decides who can read their posts.
+    pub fn friends(&self, user: &str) -> Vec<String> {
+        user_in(&self.shards, user).map_or_else(Vec::new, UserState::friends)
     }
 
     /// The key directory.
@@ -405,14 +406,14 @@ impl<S: StoragePlane> Engine<S> {
 
     /// Aggregates `user`'s feed: the latest `k` posts of every friend,
     /// planned as **one** engine batch so the fill path gets the parallel
-    /// finish phase and batched Schnorr verification. The friend set comes
-    /// from the social graph; per-friend sequence ranges come from the
-    /// friends' timeline lengths. Posts the reader cannot read
-    /// (revoked epochs, unplaceable replicas) are skipped, not errors —
-    /// a feed is best-effort by design. With the feed cache enabled,
-    /// posts held by slices whose witness is still on the author's chain
-    /// are served without a quorum read; after a friend posts, only the
-    /// new post is fetched.
+    /// finish phase and batched Schnorr verification. The friend set is
+    /// [`Engine::friends`] (the reader's own roster); per-friend sequence
+    /// ranges come from the friends' timeline lengths. Posts the reader
+    /// cannot read (revoked epochs, unplaceable replicas) are skipped, not
+    /// errors — a feed is best-effort by design. With the feed cache
+    /// enabled, posts held by slices whose witness is still on the author's
+    /// chain are served without a quorum read; after a friend posts, only
+    /// the new post is fetched.
     ///
     /// Returns items grouped by friend (friends in sorted-name order),
     /// oldest-first within each friend. A user with zero friends gets an
@@ -422,10 +423,9 @@ impl<S: StoragePlane> Engine<S> {
     ///
     /// [`DosnError::UnknownUser`] when `user` is not registered.
     pub fn read_feed(&mut self, user: &str, k: usize) -> Result<Vec<FeedItem>, DosnError> {
-        known_user(&self.shards, user)?;
+        let friends = known_user(&self.shards, user)?.friends();
         let obs = &self.ctx.obs;
         obs.counter(names::FEED_READS).add(1);
-        let friends = self.graph.friends(&UserId::from(user));
         obs.histogram(names::FEED_FANIN)
             .record(friends.len() as u64);
         if friends.is_empty() || k == 0 {
@@ -433,12 +433,12 @@ impl<S: StoragePlane> Engine<S> {
         }
         let mut batch = OpBatch::new();
         let mut plan: Vec<(UserId, u64)> = Vec::new();
-        for friend in &friends {
-            let len = user_in(&self.shards, friend.as_str())
-                .map_or(0, |u| u.timeline().entries().len() as u64);
+        for friend in friends {
+            let len =
+                user_in(&self.shards, &friend).map_or(0, |u| u.timeline().entries().len() as u64);
             for seq in len.saturating_sub(k as u64)..len {
-                batch = batch.read_post(user, &friend.0, seq);
-                plan.push((friend.clone(), seq));
+                batch = batch.read_post(user, &friend, seq);
+                plan.push((UserId(friend.clone()), seq));
             }
         }
         if plan.is_empty() {
@@ -484,9 +484,10 @@ impl<S: StoragePlane> Engine<S> {
         one("register", report, OpOutput::Registered)
     }
 
-    /// Makes two users friends: graph edge + mutual friends-group
-    /// membership (each can now read the other's friends-only posts). On
-    /// `Err` neither the edge nor a membership has changed.
+    /// Makes two users friends: mutual friends-group membership (each can
+    /// now read the other's friends-only posts). A side that already lists
+    /// the other is left as it is; on `Err` neither roster has changed.
+    /// `trust` must lie in `[0, 1]` and is not stored.
     ///
     /// # Errors
     ///
@@ -579,22 +580,22 @@ impl<S: StoragePlane> Engine<S> {
             name,
             privacy,
             &mut rng,
-        )?;
-        self.graph.add_user(&UserId::from(name));
-        Ok(())
+        )
     }
 
     /// Revokes a friendship (sequential: it re-keys two users' groups);
-    /// returns the membership-change cost. The edge goes last: on `Err` the
-    /// two are still friends, and a retry skips a side already revoked.
+    /// returns the membership-change cost. Each side whose roster lists the
+    /// other is revoked in turn: on `Err` the side that refused still lists
+    /// the other, and a retry revokes only what is left.
     ///
     /// # Errors
     ///
-    /// [`DosnError::UnknownUser`] for unregistered names or a missing edge,
-    /// plus scheme-specific revocation failures.
+    /// [`DosnError::UnknownUser`] for unregistered names or when neither
+    /// roster lists the other, plus scheme-specific revocation failures.
     pub fn unfriend(&mut self, a: &str, b: &str) -> Result<u64, DosnError> {
-        let (id_a, id_b) = (UserId::from(a), UserId::from(b));
-        if !self.graph.are_friends(&id_a, &id_b) {
+        let lists =
+            |owner: &str, friend: &str| known_user(&self.shards, owner).map(|u| u.lists(friend));
+        if a == b || !(lists(a, b)? | lists(b, a)?) {
             return Err(DosnError::UnknownUser(format!(
                 "{a} and {b} are not friends"
             )));
@@ -602,12 +603,11 @@ impl<S: StoragePlane> Engine<S> {
         let mut rekeyed = 0;
         for (owner, friend) in [(a, b), (b, a)] {
             let state = user_mut(&mut self.shards[shard_of(owner)], owner)?;
-            if state.privacy.is_member(&state.friends_group, friend) {
+            if state.lists(friend) {
                 let cost = state.privacy.revoke_member(&state.friends_group, friend)?;
                 rekeyed += cost.rekeyed_members;
             }
         }
-        self.graph.unfriend(&id_a, &id_b);
         Ok(rekeyed)
     }
 }

@@ -98,7 +98,7 @@ impl<S: StoragePlane> Engine<S> {
         self.next_op_index += batch.ops.len() as u64;
 
         plan_batch(ctx, &mut batch);
-        let posts = prepare_batch(&mut self.shards, &mut self.graph, ctx, &mut batch);
+        let posts = prepare_batch(&mut self.shards, ctx, &mut batch);
         let reads = plan_reads(&self.shards, &mut self.feed, ctx, &mut batch);
 
         // ---- commit: the prepared records, in op order ----

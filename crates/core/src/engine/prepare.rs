@@ -1,8 +1,8 @@
 //! The prepare phase: the per-author crypto, parallel over shards — register
 //! keygen, then (after the sequential befriend seam, which touches two
 //! users' shards at once) post encrypt + sign + chain and comment attach —
-//! ending in the batch's [`PreparedPosts`]. Touches shards, graph and
-//! (through the workers) the directory; never storage or metrics.
+//! ending in the batch's [`PreparedPosts`]. Touches shards and (through the
+//! workers) the directory; never storage or metrics.
 
 use super::batch::{Op, OpOutput};
 use super::pipeline::{fan_out, Batch, JobOut};
@@ -12,7 +12,6 @@ use super::{
     elapsed_micros, known_user, op_rng, shard_of, user_mut, wall_key, Shard, WorkerCtx, NUM_SHARDS,
 };
 use crate::error::DosnError;
-use crate::graph::SocialGraph;
 use crate::identity::{Identity, UserId};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
@@ -94,7 +93,6 @@ pub(super) struct PreparedPosts {
 /// prepared post records.
 pub(super) fn prepare_batch(
     shards: &mut [Shard],
-    graph: &mut SocialGraph,
     ctx: &WorkerCtx,
     batch: &mut Batch,
 ) -> PreparedPosts {
@@ -124,32 +122,25 @@ pub(super) fn prepare_batch(
         }
     }
     let registers = shards.iter_mut().zip(registers);
-    let mut reg_outs = fan_out(ctx.workers, registers, |shard, (i, name)| {
+    let reg_outs = fan_out(ctx.workers, registers, |shard, (i, name)| {
         let reg = run_job(ctx, base, i, |rng| {
             let mut master = [0u8; 32];
             rand::RngCore::fill_bytes(rng, &mut master);
             let privacy = PrivacyPlane::symmetric(master);
-            register_user(shard, &ctx.group, &ctx.directory, name, privacy, rng).map(|()| name)
+            register_user(shard, &ctx.group, &ctx.directory, name, privacy, rng)
         });
         ctx.obs.histogram(names::NET_REGISTER).record(reg.micros);
         reg
     });
-    // Graph membership is global state: applied here, in op order (the
-    // merge order of worker outputs depends on the binning), not inside
-    // the sharded workers.
-    reg_outs.sort_unstable_by_key(|o| o.op_idx);
     for reg in reg_outs {
-        results[reg.op_idx] = Some(reg.out.map(|name| {
-            graph.add_user(&UserId::from(name));
-            OpOutput::Registered
-        }));
+        results[reg.op_idx] = Some(reg.out.map(|()| OpOutput::Registered));
     }
 
     // ---- part 2: befriend links (sequential seam — each op touches two
     // users, usually in different shards) ----
     for (i, op) in ops.iter().enumerate() {
         if let Op::Befriend { a, b, trust } = op {
-            results[i] = Some(link(shards, graph, &ctx.obs, a, b, *trust));
+            results[i] = Some(link(shards, &ctx.obs, a, b, *trust));
         }
     }
 
@@ -188,7 +179,7 @@ pub(super) fn prepare_batch(
         };
         match known_user(shards, commenter).and(known_user(shards, author)) {
             Err(unknown) => results[i] = Some(Err(unknown)),
-            Ok(state) if !state.privacy.is_member(&state.friends_group, commenter) => {
+            Ok(state) if !state.lists(commenter) => {
                 results[i] = Some(Err(DosnError::NotAuthorized(format!(
                     "{commenter} is not in {author}'s friends group"
                 ))));
@@ -238,18 +229,20 @@ pub(super) fn prepare_batch(
     posts
 }
 
-/// The sequential befriend seam: mutual friends-group membership, then —
-/// only when both landed — the graph edge: a failed befriend leaves none.
+/// The sequential befriend seam: mutual friends-group membership, added
+/// only on a side whose roster lacks the friend — re-adding a current
+/// member would restart their membership at the current epoch and lock
+/// them out of posts they already hold keys for. A failed befriend takes
+/// back what it added, so it leaves both rosters as they were.
 fn link(
     shards: &mut [Shard],
-    graph: &mut SocialGraph,
     obs: &Registry,
     a: &str,
     b: &str,
     trust: f64,
 ) -> Result<OpOutput, DosnError> {
-    // The graph layer asserts on self-edges and out-of-range trust;
-    // request-path inputs get typed errors instead.
+    // Self-edges and out-of-range trust get typed errors (the trust value
+    // itself is not stored).
     if a == b {
         return Err(DosnError::NotAuthorized(format!(
             "{a} cannot befriend themselves"
@@ -260,24 +253,24 @@ fn link(
             "trust {trust} outside [0, 1]"
         )));
     }
-    for name in [a, b] {
-        known_user(shards, name)?;
-    }
+    let lacks = |owner: &str, friend: &str| known_user(shards, owner).map(|u| !u.lists(friend));
+    let (add_a, add_b) = (lacks(a, b)?, lacks(b, a)?);
     let _timer = obs.timer(names::NET_KEY_DISSEMINATION);
     let mut add = |owner: &str, friend: &str| {
         let state = user_mut(&mut shards[shard_of(owner)], owner)?;
         state.privacy.add_member(&state.friends_group, friend)
     };
-    add(a, b)?;
-    let (id_a, id_b) = (UserId::from(a), UserId::from(b));
-    if let Err(refused) = add(b, a) {
-        // Take `b` back off `a`'s roster, unless an older edge put it there.
-        if !graph.are_friends(&id_a, &id_b) {
-            let state = user_mut(&mut shards[shard_of(a)], a)?;
-            state.privacy.revoke_member(&state.friends_group, b)?;
-        }
-        return Err(refused);
+    if add_a {
+        add(a, b)?;
     }
-    graph.befriend(&id_a, &id_b, trust);
+    if add_b {
+        if let Err(refused) = add(b, a) {
+            if add_a {
+                let state = user_mut(&mut shards[shard_of(a)], a)?;
+                state.privacy.revoke_member(&state.friends_group, b)?;
+            }
+            return Err(refused);
+        }
+    }
     Ok(OpOutput::Befriended)
 }

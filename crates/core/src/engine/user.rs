@@ -3,7 +3,8 @@
 //!
 //! Two halves share the record because they share a lifetime and an owner
 //! (the user's home shard), not because they trust each other: the §III
-//! half (signing identity, privacy plane, friends group) holds keys and
+//! half (signing identity, privacy plane, friends group — whose roster is
+//! the engine's only record of who the user's friends are) holds keys and
 //! sees plaintext; the §IV half (hash-chained [`Timeline`], whose length is
 //! the author's next post sequence number, per-post [`PostRelationKeys`],
 //! verified comments) only ever signs and chains *ciphertexts*, and is what
@@ -54,6 +55,22 @@ impl UserState {
             posts: BTreeMap::new(),
             commenters_key: SymmetricKey::generate(rng),
         }
+    }
+
+    /// Whether `name` is on this user's friends-group roster (the user is
+    /// on their own).
+    pub(super) fn lists(&self, name: &str) -> bool {
+        self.privacy.is_member(&self.friends_group, name)
+    }
+
+    /// The user's friends, sorted by name whatever order the scheme keeps:
+    /// their friends-group roster minus themselves.
+    pub(super) fn friends(&self) -> Vec<String> {
+        let me = self.identity.id().as_str();
+        let mut friends = self.privacy.members(&self.friends_group);
+        friends.retain(|m| m != me);
+        friends.sort_unstable();
+        friends
     }
 
     /// The user's timeline (verifier view).

@@ -1,4 +1,7 @@
-//! The social graph: friendships, trust levels, and synthetic generators.
+//! The analysis graph: named users, trust-weighted friendships, and
+//! synthetic generators — the input of the §V searches and §VI
+//! anonymization, not the engine's record of who is friends with whom
+//! (that is each user's friends-group roster).
 //!
 //! Relationships carry a trust weight in `[0, 1]` because two of the
 //! survey's mechanisms consume it: trusted-friends search routing (§V-B,
@@ -11,7 +14,7 @@
 //! Barabási–Albert preferential attachment) used by the experiment harness.
 
 use crate::identity::UserId;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// An undirected social graph with per-edge trust weights.
 ///
@@ -21,10 +24,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 /// let mut g = SocialGraph::new();
 /// g.befriend(&"alice".into(), &"bob".into(), 0.9);
 /// g.befriend(&"bob".into(), &"carol".into(), 0.8);
-/// assert!(g.are_friends(&"alice".into(), &"bob".into()));
+/// assert_eq!(g.trust(&"bob".into(), &"alice".into()), Some(0.9));
 /// assert_eq!(g.friends(&"bob".into()).len(), 2);
 /// // Trust decays along chains multiplicatively.
-/// let t = g.chain_trust(&["alice".into(), "bob".into(), "carol".into()]).unwrap();
+/// let (path, t) = g.best_trust_path(&"alice".into(), &"carol".into(), 2).unwrap();
+/// assert_eq!(path.len(), 3);
 /// assert!((t - 0.72).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -71,22 +75,6 @@ impl SocialGraph {
             .insert(a.clone(), trust);
     }
 
-    /// Removes a friendship; returns whether it existed.
-    pub fn unfriend(&mut self, a: &UserId, b: &UserId) -> bool {
-        let removed = self.edges.get_mut(a).is_some_and(|m| m.remove(b).is_some());
-        if removed {
-            if let Some(m) = self.edges.get_mut(b) {
-                m.remove(a);
-            }
-        }
-        removed
-    }
-
-    /// Whether `a` and `b` are direct friends.
-    pub fn are_friends(&self, a: &UserId, b: &UserId) -> bool {
-        self.edges.get(a).is_some_and(|m| m.contains_key(b))
-    }
-
     /// The trust `a` places in direct friend `b`.
     pub fn trust(&self, a: &UserId, b: &UserId) -> Option<f64> {
         self.edges.get(a).and_then(|m| m.get(b)).copied()
@@ -103,48 +91,6 @@ impl SocialGraph {
     /// All users, sorted.
     pub fn users(&self) -> Vec<UserId> {
         self.edges.keys().cloned().collect()
-    }
-
-    /// Multiplicative trust along a friend chain (§V-D): `None` if any hop
-    /// is not a friendship.
-    pub fn chain_trust(&self, chain: &[UserId]) -> Option<f64> {
-        if chain.len() < 2 {
-            return Some(1.0);
-        }
-        let mut acc = 1.0;
-        for pair in chain.windows(2) {
-            acc *= self.trust(&pair[0], &pair[1])?;
-        }
-        Some(acc)
-    }
-
-    /// Breadth-first shortest friend path from `from` to `to`.
-    pub fn shortest_path(&self, from: &UserId, to: &UserId) -> Option<Vec<UserId>> {
-        if from == to {
-            return Some(vec![from.clone()]);
-        }
-        let mut prev: HashMap<UserId, UserId> = HashMap::new();
-        let mut visited: BTreeSet<UserId> = BTreeSet::from([from.clone()]);
-        let mut queue = VecDeque::from([from.clone()]);
-        while let Some(cur) = queue.pop_front() {
-            for next in self.friends(&cur) {
-                if visited.insert(next.clone()) {
-                    prev.insert(next.clone(), cur.clone());
-                    if &next == to {
-                        let mut path = vec![next.clone()];
-                        let mut cursor = next;
-                        while let Some(p) = prev.get(&cursor) {
-                            path.push(p.clone());
-                            cursor = p.clone();
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(next);
-                }
-            }
-        }
-        None
     }
 
     /// The best-trust path from `from` to `to` up to `max_hops`, by
@@ -289,19 +235,8 @@ mod tests {
     fn befriend_is_symmetric() {
         let mut g = SocialGraph::new();
         g.befriend(&u("a"), &u("b"), 0.7);
-        assert!(g.are_friends(&u("a"), &u("b")));
-        assert!(g.are_friends(&u("b"), &u("a")));
         assert_eq!(g.trust(&u("a"), &u("b")), Some(0.7));
         assert_eq!(g.trust(&u("b"), &u("a")), Some(0.7));
-    }
-
-    #[test]
-    fn unfriend_removes_both_directions() {
-        let mut g = SocialGraph::new();
-        g.befriend(&u("a"), &u("b"), 0.5);
-        assert!(g.unfriend(&u("a"), &u("b")));
-        assert!(!g.are_friends(&u("b"), &u("a")));
-        assert!(!g.unfriend(&u("a"), &u("b")));
     }
 
     #[test]
@@ -314,29 +249,6 @@ mod tests {
     #[should_panic(expected = "self-friendship")]
     fn self_friendship_panics() {
         SocialGraph::new().befriend(&u("a"), &u("a"), 0.5);
-    }
-
-    #[test]
-    fn chain_trust_multiplies() {
-        let mut g = SocialGraph::new();
-        g.befriend(&u("a"), &u("b"), 0.5);
-        g.befriend(&u("b"), &u("c"), 0.5);
-        assert_eq!(g.chain_trust(&[u("a"), u("b"), u("c")]), Some(0.25));
-        assert_eq!(g.chain_trust(&[u("a")]), Some(1.0));
-        assert_eq!(g.chain_trust(&[u("a"), u("c")]), None);
-    }
-
-    #[test]
-    fn shortest_path_bfs() {
-        let mut g = SocialGraph::new();
-        g.befriend(&u("a"), &u("b"), 0.9);
-        g.befriend(&u("b"), &u("c"), 0.9);
-        g.befriend(&u("c"), &u("d"), 0.9);
-        g.befriend(&u("a"), &u("d"), 0.9); // shortcut
-        let p = g.shortest_path(&u("a"), &u("d")).unwrap();
-        assert_eq!(p.len(), 2);
-        assert!(g.shortest_path(&u("a"), &u("zz")).is_none());
-        assert_eq!(g.shortest_path(&u("a"), &u("a")).unwrap(), vec![u("a")]);
     }
 
     #[test]
@@ -376,7 +288,7 @@ mod tests {
         assert!(avg_degree >= 5.0, "avg degree {avg_degree}");
         // Connectivity (beta small, ring base): any two nodes reachable.
         assert!(g
-            .shortest_path(&UserId("user0".into()), &UserId("user50".into()))
+            .best_trust_path(&UserId("user0".into()), &UserId("user50".into()), 100)
             .is_some());
     }
 

@@ -14,8 +14,14 @@
 //! * [`search`] — §V: blind-signature subscriptions, proxy aliases,
 //!   trusted-friends routing, ZKP-gated resource handlers, and trust-ranked
 //!   results, with a leakage accountant quantifying who learned what.
-//! * [`identity`], [`graph`], [`content`] — users, the social graph (with
-//!   trust weights and synthetic generators), and content types.
+//! * [`identity`], [`content`] — users and content types.
+//! * [`graph`] — the named, trust-weighted graph (with synthetic
+//!   generators) that the §V searches and §VI anonymization analyse. It is
+//!   not the system's record of friendship: the engine keeps that once, as
+//!   each user's friends-group roster.
+//! * [`sybil`] — §VI random-walk Sybil detection over the overlay's CSR
+//!   social graph ([`network::WorkloadGraph`]), the graph placement routes
+//!   on.
 //! * [`taxonomy`] — the paper's Table I as a queryable registry.
 //! * [`engine`] — the assembled DOSN and its one entry point: the batched
 //!   parallel request engine (prepare / commit / finish execution of op

@@ -10,8 +10,9 @@ pub use crate::engine::privacy_plane::PrivacyPlane;
 pub use dosn_overlay::adversary::{reader_parity, AdversaryConfig, AdversaryMode, AdversaryPlane};
 pub use dosn_overlay::placement::{SocialPlacement, SocialPlane};
 pub use dosn_overlay::replication::{apply_crash_schedule, QuorumOutcome, ReplicatedStore};
-// The overlay's scale-free workload graph; aliased because `dosn-core` has
-// its own user-level `crate::graph::SocialGraph` for access control.
+// The overlay's scale-free CSR graph: placement, the E15/E18 workloads and
+// the Sybil detector all run on it. Aliased because `dosn-core` keeps a
+// named, trust-weighted `crate::graph::SocialGraph` for the §V/§VI analyses.
 pub use dosn_overlay::social::{SocialGraph as WorkloadGraph, SocialGraphConfig};
 pub use dosn_overlay::storage::{
     ChordPlane, FederationPlane, KademliaPlane, StorageError, StoragePlane, SuperPeerPlane,

@@ -2,9 +2,9 @@
 //! identities onto the honest graph and sweeps an increasing *attack-edge
 //! budget* (the survey's §VI framing: the sybil region's only lever is how
 //! many honest users it can social-engineer into linking to it). The
-//! random-walk detector ([`SybilDetector`]) is run at CSR scale through the
-//! [`crate::sybil::WalkGraph`] bridge — the same detector that the
-//! `sybil_bridge` test proves verdict-identical on the string graph.
+//! random-walk detector ([`SybilDetector`]) walks the CSR workload graph
+//! directly — the one graph type it takes, the one the placement layer
+//! routes on — so a 100k-vertex sweep holds no per-vertex names.
 //!
 //! Per budget the campaign reports precision/recall over the sybil region
 //! plus an honest control group; the bench gates the tightest-budget
@@ -126,9 +126,9 @@ pub fn run(cfg: &ScenarioConfig) -> SybilCampaignOutcome {
         let (attacked, region) =
             inject_sybil_region_csr(&honest, sybils, budget, cfg.seed ^ budget as u64);
         let suspects: Vec<u32> = region.collect();
-        let (missed, detected) = detector.sweep(&attacked, &verifier, &suspects);
+        let (missed, detected) = detector.sweep(&attacked, verifier, &suspects);
         let (honest_accepted, honest_rejected) =
-            detector.sweep(&attacked, &verifier, &control_group);
+            detector.sweep(&attacked, verifier, &control_group);
         points.push(SybilPoint {
             attack_edges: budget,
             detected,

@@ -167,7 +167,7 @@ mod tests {
             .unwrap();
         // Consecutive chain members are friends; no repeats.
         for pair in routed.chain.windows(2) {
-            assert!(graph.are_friends(&pair[0], &pair[1]));
+            assert!(graph.trust(&pair[0], &pair[1]).is_some());
         }
         let unique: BTreeSet<_> = routed.chain.iter().collect();
         assert_eq!(unique.len(), routed.chain.len());

@@ -8,12 +8,18 @@
 //! rarely cross into it. This module implements that verified-random-walk
 //! test: a suspect is accepted when enough of the verifier's walks
 //! intersect the suspect's walks.
+//!
+//! Walks run on the overlay's CSR [`SocialGraph`] — the graph the placement
+//! layer and the million-node substrate use — with `u32` vertices. A step draws from the RNG exactly once, via
+//! `random_range(0..degree)` over the vertex's sorted neighbor list, and not
+//! at all at an isolated vertex — so a verdict is a function of the edge set
+//! and the detector's seed alone.
 
-use crate::graph::SocialGraph;
-use crate::identity::UserId;
+use dosn_overlay::social::SocialGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Verdict for one suspect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,51 +28,6 @@ pub enum SybilVerdict {
     Accepted,
     /// Too few intersections: likely a sybil identity.
     Rejected,
-}
-
-/// The neighbor-sampling surface the random-walk detector needs — the
-/// bridge between the two graph representations this workspace grew:
-/// the string-keyed trust graph ([`crate::graph::SocialGraph`]) and the
-/// million-node CSR graph ([`dosn_overlay::social::SocialGraph`]).
-///
-/// A walk only ever asks one question: "pick me a uniformly random
-/// neighbor of this node" — so that is the whole trait. Implementations
-/// must draw from `rng` **exactly once, via `random_range(0..degree)`,
-/// and only when the node has neighbors**, over a *sorted* neighbor list;
-/// that discipline is what makes walks (and therefore verdicts) identical
-/// across representations of the same edge set (proved by the
-/// `sybil_bridge` test).
-pub trait WalkGraph {
-    /// The node handle ([`UserId`] or a CSR vertex index).
-    type Node: Ord + Clone;
-
-    /// A uniformly random neighbor of `from`, or `None` for an isolated
-    /// node (in which case `rng` must be left untouched).
-    fn pick_neighbor(&self, from: &Self::Node, rng: &mut StdRng) -> Option<Self::Node>;
-}
-
-impl WalkGraph for SocialGraph {
-    type Node = UserId;
-
-    fn pick_neighbor(&self, from: &UserId, rng: &mut StdRng) -> Option<UserId> {
-        let friends = self.friends(from);
-        if friends.is_empty() {
-            return None;
-        }
-        Some(friends[rng.random_range(0..friends.len())].clone())
-    }
-}
-
-impl WalkGraph for dosn_overlay::social::SocialGraph {
-    type Node = u32;
-
-    fn pick_neighbor(&self, from: &u32, rng: &mut StdRng) -> Option<u32> {
-        let friends = self.friends(*from);
-        if friends.is_empty() {
-            return None;
-        }
-        Some(friends[rng.random_range(0..friends.len())])
-    }
 }
 
 /// Random-walk Sybil detector parameters.
@@ -95,25 +56,21 @@ impl Default for SybilDetector {
 }
 
 impl SybilDetector {
-    /// Collects the set of nodes touched by `walks` random walks from
-    /// `start`, over any [`WalkGraph`] representation.
-    pub fn walk_footprint<G: WalkGraph>(
-        &self,
-        graph: &G,
-        start: &G::Node,
-        salt: u64,
-    ) -> BTreeSet<G::Node> {
+    /// Collects the set of vertices touched by `walks` random walks from
+    /// `start`.
+    pub fn walk_footprint(&self, graph: &SocialGraph, start: u32, salt: u64) -> BTreeSet<u32> {
         let mut rng = StdRng::seed_from_u64(self.seed ^ salt);
         let mut footprint = BTreeSet::new();
         for _ in 0..self.walks {
-            let mut current = start.clone();
-            footprint.insert(current.clone());
+            let mut current = start;
+            footprint.insert(current);
             for _ in 0..self.walk_length {
-                let Some(next) = graph.pick_neighbor(&current, &mut rng) else {
+                let friends = graph.friends(current);
+                if friends.is_empty() {
                     break;
-                };
-                current = next;
-                footprint.insert(current.clone());
+                }
+                current = friends[rng.random_range(0..friends.len())];
+                footprint.insert(current);
             }
         }
         footprint
@@ -122,7 +79,7 @@ impl SybilDetector {
     /// The verdict a verifier footprint renders on a suspect footprint:
     /// accepted when the intersecting fraction of the verifier's footprint
     /// reaches the threshold.
-    fn judge<N: Ord>(&self, vf: &BTreeSet<N>, sf: &BTreeSet<N>) -> SybilVerdict {
+    fn judge(&self, vf: &BTreeSet<u32>, sf: &BTreeSet<u32>) -> SybilVerdict {
         let intersection = vf.intersection(sf).count();
         let frac = intersection as f64 / vf.len().max(1) as f64;
         if frac >= self.intersection_threshold {
@@ -133,12 +90,7 @@ impl SybilDetector {
     }
 
     /// Tests whether `suspect` looks honest from `verifier`'s position.
-    pub fn verify<G: WalkGraph>(
-        &self,
-        graph: &G,
-        verifier: &G::Node,
-        suspect: &G::Node,
-    ) -> SybilVerdict {
+    pub fn verify(&self, graph: &SocialGraph, verifier: u32, suspect: u32) -> SybilVerdict {
         let vf = self.walk_footprint(graph, verifier, 0xA5A5);
         let sf = self.walk_footprint(graph, suspect, 0x5A5A);
         self.judge(&vf, &sf)
@@ -150,16 +102,11 @@ impl SybilDetector {
     /// suspects (identical verdicts to per-suspect [`SybilDetector::verify`],
     /// at a fraction of the walk work — what lets the E17 campaign sweep
     /// hundreds of suspects on a 100k-node graph).
-    pub fn sweep<G: WalkGraph>(
-        &self,
-        graph: &G,
-        verifier: &G::Node,
-        suspects: &[G::Node],
-    ) -> (usize, usize) {
+    pub fn sweep(&self, graph: &SocialGraph, verifier: u32, suspects: &[u32]) -> (usize, usize) {
         let vf = self.walk_footprint(graph, verifier, 0xA5A5);
         let mut accepted = 0;
         let mut rejected = 0;
-        for s in suspects {
+        for &s in suspects {
             let sf = self.walk_footprint(graph, s, 0x5A5A);
             match self.judge(&vf, &sf) {
                 SybilVerdict::Accepted => accepted += 1,
@@ -170,56 +117,18 @@ impl SybilDetector {
     }
 }
 
-/// Grafts a sybil region onto `graph`: `count` fake identities densely
-/// connected among themselves, attached to the honest region through
-/// exactly `attack_edges` edges. Returns the sybil ids.
-pub fn inject_sybil_region(
-    graph: &mut SocialGraph,
-    count: usize,
-    attack_edges: usize,
-    seed: u64,
-) -> Vec<UserId> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let honest: Vec<UserId> = graph.users();
-    let sybils: Vec<UserId> = (0..count).map(|i| UserId(format!("sybil{i}"))).collect();
-    for s in &sybils {
-        graph.add_user(s);
-    }
-    // Dense internal structure (ring + chords).
-    for i in 0..count {
-        for d in [1usize, 2, 3] {
-            if count > d {
-                let j = (i + d) % count;
-                if i != j {
-                    graph.befriend(&sybils[i], &sybils[j], 0.9);
-                }
-            }
-        }
-    }
-    // Few attack edges into the honest region.
-    for e in 0..attack_edges {
-        let h = &honest[rng.random_range(0..honest.len())];
-        let s = &sybils[e % count];
-        if h != s {
-            graph.befriend(h, s, 0.9);
-        }
-    }
-    sybils
-}
-
-/// CSR twin of [`inject_sybil_region`]: grafts the same ring-and-chords
-/// sybil region onto an immutable CSR graph via
-/// [`dosn_overlay::social::SocialGraph::with_appended`]. The sybils occupy
-/// vertex ids `n..n + count` (returned as a range); internal structure and
-/// attack-edge placement mirror the string-graph injector — ring + chords
-/// at distances 1..=3, and `attack_edges` edges from seeded-random honest
-/// vertices to `n + (e % count)`.
+/// Grafts a sybil region onto `graph` via [`SocialGraph::with_appended`]:
+/// `count` fake identities densely connected among themselves (a ring plus
+/// chords at distances 1..=3), attached to the honest region through
+/// `attack_edges` edges from seeded-random honest vertices to
+/// `n + (e % count)`. The sybils occupy vertex ids `n..n + count`, returned
+/// as a range beside the grown graph.
 pub fn inject_sybil_region_csr(
-    graph: &dosn_overlay::social::SocialGraph,
+    graph: &SocialGraph,
     count: usize,
     attack_edges: usize,
     seed: u64,
-) -> (dosn_overlay::social::SocialGraph, std::ops::Range<u32>) {
+) -> (SocialGraph, Range<u32>) {
     let n = graph.nodes() as u32;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = Vec::new();
@@ -244,48 +153,28 @@ pub fn inject_sybil_region_csr(
     (grown, n..n + count as u32)
 }
 
-/// Mirrors a CSR graph into the string-keyed trust graph, naming vertex
-/// `v` as `v{v:09}`. The zero padding makes lexicographic [`UserId`] order
-/// equal numeric vertex order, so both representations enumerate each
-/// node's neighbors identically — which is exactly what makes
-/// [`SybilDetector`] walks (and verdicts) match across the bridge.
-pub fn mirror_csr_as_trust_graph(graph: &dosn_overlay::social::SocialGraph) -> SocialGraph {
-    let mut mirror = SocialGraph::new();
-    for v in 0..graph.nodes() as u32 {
-        mirror.add_user(&csr_user_id(v));
-    }
-    for v in 0..graph.nodes() as u32 {
-        for &f in graph.friends(v) {
-            if v < f {
-                mirror.befriend(&csr_user_id(v), &csr_user_id(f), 0.5);
-            }
-        }
-    }
-    mirror
-}
-
-/// The [`UserId`] that [`mirror_csr_as_trust_graph`] assigns to CSR
-/// vertex `v`.
-pub fn csr_user_id(v: u32) -> UserId {
-    UserId(format!("v{v:09}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::generators;
+    use dosn_overlay::social::SocialGraphConfig;
+
+    const SEED: u64 = 0xB41D6E;
 
     fn honest_graph() -> SocialGraph {
-        generators::small_world(150, 4, 0.1, 41)
+        SocialGraph::generate(&SocialGraphConfig::new(600, SEED))
+    }
+
+    /// The honest graph plus a grafted 40-sybil region behind `edges`
+    /// attack edges, as the campaign scenario builds them.
+    fn attacked_graph(edges: usize) -> (SocialGraph, Range<u32>) {
+        inject_sybil_region_csr(&honest_graph(), 40, edges, SEED ^ 0x5B11)
     }
 
     #[test]
     fn honest_nodes_mostly_accepted() {
         let graph = honest_graph();
-        let detector = SybilDetector::default();
-        let verifier = UserId::from("user0");
-        let suspects: Vec<UserId> = (10..40).map(|i| UserId(format!("user{i}"))).collect();
-        let (accepted, rejected) = detector.sweep(&graph, &verifier, &suspects);
+        let suspects: Vec<u32> = (1..600).step_by(37).collect();
+        let (accepted, rejected) = SybilDetector::default().sweep(&graph, 0, &suspects);
         assert!(
             accepted as f64 / (accepted + rejected) as f64 >= 0.8,
             "honest acceptance too low: {accepted}/{}",
@@ -295,11 +184,9 @@ mod tests {
 
     #[test]
     fn sybil_region_mostly_rejected() {
-        let mut graph = honest_graph();
-        let sybils = inject_sybil_region(&mut graph, 40, 2, 7);
-        let detector = SybilDetector::default();
-        let verifier = UserId::from("user0");
-        let (accepted, rejected) = detector.sweep(&graph, &verifier, &sybils);
+        let (graph, sybils) = attacked_graph(3);
+        let suspects: Vec<u32> = sybils.collect();
+        let (accepted, rejected) = SybilDetector::default().sweep(&graph, 0, &suspects);
         assert!(
             rejected > accepted,
             "sybils slipped through: accepted {accepted}, rejected {rejected}"
@@ -307,54 +194,65 @@ mod tests {
     }
 
     #[test]
+    fn sweep_renders_the_per_suspect_verdicts() {
+        // A spread of honest vertices plus the whole sybil region: the sweep's
+        // shared verifier footprint must not change a single verdict.
+        let (graph, sybils) = attacked_graph(3);
+        let detector = SybilDetector::default();
+        let mut suspects: Vec<u32> = (0..600).step_by(37).collect();
+        suspects.extend(sybils);
+        let accepted = suspects
+            .iter()
+            .filter(|&&s| detector.verify(&graph, 0, s) == SybilVerdict::Accepted)
+            .count();
+        let swept = detector.sweep(&graph, 0, &suspects);
+        assert_eq!(swept, (accepted, suspects.len() - accepted));
+    }
+
+    #[test]
     fn more_attack_edges_weaken_detection() {
         let detector = SybilDetector::default();
-        let verifier = UserId::from("user0");
         let run = |edges: usize| {
-            let mut graph = honest_graph();
-            let sybils = inject_sybil_region(&mut graph, 40, edges, 11);
-            let (accepted, _) = detector.sweep(&graph, &verifier, &sybils);
-            accepted
+            let (graph, sybils) = attacked_graph(edges);
+            let suspects: Vec<u32> = sybils.collect();
+            detector.sweep(&graph, 0, &suspects).0
         };
         let tight = run(1);
         let porous = run(60);
         assert!(
-            porous >= tight,
-            "more attack edges must not improve detection ({tight} vs {porous})"
+            porous > tight,
+            "more attack edges must let more sybils through ({tight} vs {porous})"
         );
     }
 
     #[test]
     fn isolated_suspect_rejected() {
-        let mut graph = honest_graph();
-        graph.add_user(&UserId::from("loner"));
+        let graph = honest_graph().with_appended(1, &[]);
+        let loner = graph.nodes() as u32 - 1;
+        assert_eq!(graph.degree(loner), 0);
         let detector = SybilDetector::default();
-        assert_eq!(
-            detector.verify(&graph, &UserId::from("user0"), &UserId::from("loner")),
-            SybilVerdict::Rejected
-        );
+        assert_eq!(detector.verify(&graph, 0, loner), SybilVerdict::Rejected);
     }
 
     #[test]
     fn verifier_accepts_itself_and_neighbors() {
         let graph = honest_graph();
         let detector = SybilDetector::default();
-        let v = UserId::from("user0");
-        assert_eq!(detector.verify(&graph, &v, &v), SybilVerdict::Accepted);
-        let friend = &graph.friends(&v)[0];
-        assert_eq!(detector.verify(&graph, &v, friend), SybilVerdict::Accepted);
+        assert_eq!(detector.verify(&graph, 0, 0), SybilVerdict::Accepted);
+        let friend = graph.friends(0)[0];
+        assert_eq!(detector.verify(&graph, 0, friend), SybilVerdict::Accepted);
     }
 
     #[test]
     fn injection_shape() {
-        let mut graph = honest_graph();
-        let before = graph.len();
-        let sybils = inject_sybil_region(&mut graph, 10, 3, 1);
-        assert_eq!(graph.len(), before + 10);
-        assert_eq!(sybils.len(), 10);
-        // Sybils are densely interlinked.
-        for s in &sybils {
-            assert!(graph.friends(s).len() >= 3);
+        let graph = honest_graph();
+        let (grown, sybils) = inject_sybil_region_csr(&graph, 10, 3, 1);
+        assert_eq!(grown.nodes(), graph.nodes() + 10);
+        assert_eq!(sybils, 600..610);
+        assert_eq!(grown.communities(), graph.communities() + 1);
+        // Sybils are densely interlinked: ring + chords at distances 1..=3.
+        for s in sybils {
+            assert!(grown.degree(s) >= 6, "sybil {s}");
         }
     }
 }

@@ -603,17 +603,19 @@ fn flaky_pair(workers: usize) -> (Engine<ChordPlane>, Flaky, Flaky) {
     (n, alice, bob)
 }
 
-/// What a failed friendship op must leave alone (rosters: alice's, bob's).
+/// What a failed friendship op must leave alone: the friend lists the
+/// engine reports and the rosters they are read from (alice's, bob's), and
+/// bob's feed.
 #[derive(Debug, PartialEq)]
 struct FriendshipView {
-    friends: bool,
+    friends: [Vec<String>; 2],
     rosters: [Vec<String>; 2],
     bob_feed: Vec<FeedItem>,
 }
 
 fn friendship_view(n: &mut Engine<ChordPlane>, alice: &Flaky, bob: &Flaky) -> FriendshipView {
     FriendshipView {
-        friends: n.graph().are_friends(&"alice".into(), &"bob".into()),
+        friends: [n.friends("alice"), n.friends("bob")],
         rosters: [alice.roster(), bob.roster()],
         bob_feed: n.read_feed("bob", 3).unwrap(),
     }
@@ -627,11 +629,11 @@ fn bob_reads_a_new_post(n: &mut Engine<ChordPlane>) -> (Result<OpOutput, DosnErr
 }
 
 #[test]
-fn a_failed_befriend_leaves_no_edge_and_the_retry_lands() {
+fn a_failed_befriend_leaves_both_rosters_and_the_retry_lands() {
     let run = |workers: usize| {
         let (mut n, alice, bob) = flaky_pair(workers);
         let before = friendship_view(&mut n, &alice, &bob);
-        assert!(!before.friends && before.bob_feed.is_empty());
+        assert!(before.friends.iter().all(Vec::is_empty) && before.bob_feed.is_empty());
 
         // Alice takes bob in; bob's scheme then refuses alice.
         bob.fail_next("add");
@@ -641,7 +643,7 @@ fn a_failed_befriend_leaves_no_edge_and_the_retry_lands() {
 
         n.befriend("alice", "bob", 0.9).unwrap();
         let after = friendship_view(&mut n, &alice, &bob);
-        assert!(after.friends, "{workers} workers");
+        assert_eq!(after.friends, [["bob"], ["alice"]], "{workers} workers");
         assert_eq!(after.rosters, [["alice", "bob"], ["alice", "bob"]]);
         let (read, digest) = bob_reads_a_new_post(&mut n);
         assert!(matches!(read, Ok(OpOutput::Read { .. })), "{read:?}");
@@ -651,7 +653,7 @@ fn a_failed_befriend_leaves_no_edge_and_the_retry_lands() {
 }
 
 #[test]
-fn a_failed_unfriend_keeps_the_edge_and_the_retry_completes_it() {
+fn a_failed_unfriend_keeps_the_refused_side_and_the_retry_completes_it() {
     // `(a, b)` is the order `unfriend` is called in. Alice's revocation is
     // the one that fails: called alice-first nothing has moved yet, called
     // bob-first bob's side is already done and the retry must skip it.
@@ -659,7 +661,7 @@ fn a_failed_unfriend_keeps_the_edge_and_the_retry_completes_it() {
         let (mut n, alice, bob) = flaky_pair(workers);
         n.befriend("alice", "bob", 0.9).unwrap();
         let before = friendship_view(&mut n, &alice, &bob);
-        assert!(before.friends && before.bob_feed.len() == 1);
+        assert!(before.friends == [["bob"], ["alice"]] && before.bob_feed.len() == 1);
 
         alice.fail_next("revoke");
         assert!(matches!(n.unfriend(a, b), Err(DosnError::Crypto(_))));
@@ -667,13 +669,19 @@ fn a_failed_unfriend_keeps_the_edge_and_the_retry_completes_it() {
         if a == "alice" {
             assert_eq!(failed, before);
         } else {
-            assert!(failed.friends, "the edge outlives a half-done revocation");
-            assert_eq!(failed.rosters[0], before.rosters[0]);
+            // Bob's side is revoked and alice's refused: her roster still
+            // lists bob, his own roster (and so his feed) no longer lists her.
+            assert_eq!(
+                failed.rosters,
+                [before.rosters[0].clone(), vec!["bob".to_owned()]]
+            );
+            assert_eq!(failed.friends, [vec!["bob"], vec![]]);
+            assert!(failed.bob_feed.is_empty());
         }
 
         n.unfriend(a, b).unwrap();
         let apart = friendship_view(&mut n, &alice, &bob);
-        assert!(!apart.friends && apart.bob_feed.is_empty());
+        assert!(apart.friends.iter().all(Vec::is_empty) && apart.bob_feed.is_empty());
         assert_eq!(apart.rosters, [["alice"], ["bob"]]);
         let (read, digest) = bob_reads_a_new_post(&mut n);
         assert!(matches!(read, Err(DosnError::NotAuthorized(_))), "{read:?}");

@@ -12,7 +12,12 @@
 //!   (reads it) but was never wrapped a per-recipient key (PKE/IBBE refuse).
 //!
 //! Failures print the per-case seed; replay with `PROPTEST_SEED=<seed>`.
+//!
+//! One engine-level case rides along: befriending a current friend must not
+//! touch their membership, or they lose the epochs they already hold.
 
+use dosn_core::engine::Engine;
+use dosn_core::network::{ChordPlane, ReplicatedStore};
 use dosn_core::privacy::{
     AccessScheme, GroupId, IbbeGroupScheme, PkeGroupScheme, SealedPost, SymmetricGroupScheme,
 };
@@ -164,4 +169,22 @@ fn active(ledger: &BTreeMap<&str, (u64, Option<u64>)>) -> Vec<String> {
         .filter(|(_, (_, revoked))| revoked.is_none())
         .map(|(m, _)| (*m).to_owned())
         .collect()
+}
+
+#[test]
+fn befriending_a_current_friend_keeps_their_older_posts() {
+    // Re-adding bob to alice's roster would restart his membership at her
+    // current epoch — 1, once carol's revocation has opened it — and lock
+    // him out of the epoch-0 post he has been reading all along.
+    let mut n = Engine::new(ReplicatedStore::new(ChordPlane::build(16, 5), 3), 5);
+    for user in ["alice", "bob", "carol"] {
+        n.register(user).unwrap();
+    }
+    n.befriend("alice", "bob", 0.9).unwrap();
+    let seq = n.post("alice", "before carol").unwrap();
+    n.befriend("alice", "carol", 0.9).unwrap();
+    n.unfriend("alice", "carol").unwrap();
+    n.befriend("alice", "bob", 0.9).unwrap();
+    assert_eq!(n.read_post("bob", "alice", seq).unwrap(), "before carol");
+    assert_eq!(n.friends("alice"), ["bob"]);
 }

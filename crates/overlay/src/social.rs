@@ -210,29 +210,7 @@ impl SocialGraph {
             }
         }
 
-        // CSR build.
-        let mut counts = vec![0u64; n];
-        for &(a, b) in &edges {
-            counts[a as usize] += 1;
-            counts[b as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        for &c in &counts {
-            offsets.push(offsets.last().unwrap() + c);
-        }
-        let mut adj = vec![0u32; *offsets.last().unwrap() as usize];
-        let mut fill = offsets.clone();
-        for &(a, b) in &edges {
-            adj[fill[a as usize] as usize] = b;
-            fill[a as usize] += 1;
-            adj[fill[b as usize] as usize] = a;
-            fill[b as usize] += 1;
-        }
-        for v in 0..n {
-            adj[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
-        }
-
+        let (offsets, adj) = csr(n, &edges);
         SocialGraph {
             offsets,
             adj,
@@ -345,28 +323,7 @@ impl SocialGraph {
         }
         all.sort_unstable();
         all.dedup();
-
-        let mut counts = vec![0u64; n2];
-        for &(a, b) in &all {
-            counts[a as usize] += 1;
-            counts[b as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n2 + 1);
-        offsets.push(0u64);
-        for &c in &counts {
-            offsets.push(offsets.last().unwrap() + c);
-        }
-        let mut adj = vec![0u32; *offsets.last().unwrap() as usize];
-        let mut fill = offsets.clone();
-        for &(a, b) in &all {
-            adj[fill[a as usize] as usize] = b;
-            fill[a as usize] += 1;
-            adj[fill[b as usize] as usize] = a;
-            fill[b as usize] += 1;
-        }
-        for v in 0..n2 {
-            adj[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
-        }
+        let (offsets, adj) = csr(n2, &all);
 
         let mut comm_start = self.comm_start.clone();
         if extra > 0 {
@@ -391,6 +348,35 @@ impl SocialGraph {
             + self.comm_start.capacity() * 4
             + std::mem::size_of::<Self>()
     }
+}
+
+/// The CSR arrays of an `n`-vertex graph from its undirected edge list:
+/// per-vertex counts, then row offsets (length `n + 1`, allocated exactly —
+/// E15 reports their capacity), then each edge filled into both rows, then
+/// every row sorted.
+fn csr(n: usize, edges: &[(u32, u32)]) -> (Vec<u64>, Vec<u32>) {
+    let mut counts = vec![0u64; n];
+    for &(a, b) in edges {
+        counts[a as usize] += 1;
+        counts[b as usize] += 1;
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u64);
+    for &c in &counts {
+        offsets.push(offsets.last().unwrap() + c);
+    }
+    let mut adj = vec![0u32; *offsets.last().unwrap() as usize];
+    let mut fill = offsets.clone();
+    for &(a, b) in edges {
+        adj[fill[a as usize] as usize] = b;
+        fill[a as usize] += 1;
+        adj[fill[b as usize] as usize] = a;
+        fill[b as usize] += 1;
+    }
+    for v in 0..n {
+        adj[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
+    }
+    (offsets, adj)
 }
 
 /// Path-compressing union-find for the stitching pass.
@@ -538,6 +524,12 @@ mod tests {
             }
         }
         assert!(g2.are_friends(3, n) && g2.are_friends(n, n + 1));
+    }
+
+    #[test]
+    fn appending_nothing_rebuilds_the_same_graph() {
+        let g = SocialGraph::generate(&SocialGraphConfig::new(2_000, 13));
+        assert_eq!(g.with_appended(0, &[]), g);
     }
 
     #[test]

@@ -11,9 +11,10 @@ use dosn::core::anonymize::{anonymize, DeanonymizationAttack};
 use dosn::core::content::Profile;
 use dosn::core::graph::generators;
 use dosn::core::identity::UserId;
+use dosn::core::network::{SocialGraphConfig, WorkloadGraph};
 use dosn::core::privacy::resharing::ResharingTracer;
 use dosn::core::search::{AdBroker, AdClient, Knowledge, LeakageAudit};
-use dosn::core::sybil::{inject_sybil_region, SybilDetector};
+use dosn::core::sybil::{inject_sybil_region_csr, SybilDetector};
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,13 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- §VI sybil attacks ----
     println!("\n== sybil detection (random-walk intersection) ==");
-    let mut graph = generators::small_world(200, 4, 0.1, 3);
-    let sybils = inject_sybil_region(&mut graph, 50, 3, 5);
+    let honest_graph = WorkloadGraph::generate(&SocialGraphConfig::new(200, 3));
+    let (graph, sybils) = inject_sybil_region_csr(&honest_graph, 50, 3, 5);
     let detector = SybilDetector::default();
-    let verifier = UserId::from("user0");
-    let honest: Vec<UserId> = (10..60).map(|i| UserId(format!("user{i}"))).collect();
-    let (ha, hr) = detector.sweep(&graph, &verifier, &honest);
-    let (sa, sr) = detector.sweep(&graph, &verifier, &sybils);
+    let honest: Vec<u32> = (10..60).collect();
+    let sybils: Vec<u32> = sybils.collect();
+    let (ha, hr) = detector.sweep(&graph, 0, &honest);
+    let (sa, sr) = detector.sweep(&graph, 0, &sybils);
     println!("honest suspects: {ha} accepted / {hr} rejected");
     println!("sybil suspects:  {sa} accepted / {sr} rejected");
 

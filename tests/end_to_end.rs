@@ -108,8 +108,10 @@ fn timelines_remain_verifiable_after_activity() {
 #[test]
 fn graph_and_metrics_views() {
     let mut net = populated_net();
-    assert!(net.graph().are_friends(&"alice".into(), &"bob".into()));
-    assert_eq!(net.graph().friends(&"alice".into()).len(), 2);
+    // Friends are the friends-group roster minus its owner, by name.
+    assert_eq!(net.friends("alice"), ["bob", "carol"]);
+    assert_eq!(net.friends("bob"), ["alice", "dave"]);
+    assert!(net.friends("erin").is_empty() && net.friends("nobody").is_empty());
     let m0 = net.metrics().messages;
     net.post("alice", "x").unwrap();
     net.read_post("bob", "alice", 0).unwrap();
