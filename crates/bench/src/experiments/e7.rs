@@ -10,8 +10,8 @@
 
 use crate::{num, wall, Run};
 use dosn_core::content::Profile;
-use dosn_core::graph::generators;
 use dosn_core::identity::UserId;
+use dosn_core::network::WorkloadGraph;
 use dosn_core::search::zk_access::AccessCredential;
 use dosn_core::search::{
     rank_results, FriendCircleRouter, Knowledge, LeakageAudit, ProxyDirectory, ResourceRegistry,
@@ -53,7 +53,7 @@ fn mode_row(
 }
 
 fn leakage_table(run: &mut Run) {
-    let graph = generators::small_world(512, 3, 0.1, 11);
+    let (graph, _) = WorkloadGraph::small_world(512, 3, 0.1, 11);
     let mut index = SearchIndex::new();
     index.insert(Profile::new("user300", "Fan").with_interest("jazz"));
     let searcher = UserId::from("user0");
@@ -76,7 +76,7 @@ fn leakage_table(run: &mut Run) {
         let mut router = FriendCircleRouter::new(depth, 13);
         mode_row(run, "provider", |audit| {
             let routed = router
-                .search(&graph, &searcher, "jazz", &index, audit)
+                .search(&graph, 0, "jazz", &index, audit)
                 .expect("connected");
             let anon = routed.anonymity_set;
             (
@@ -103,25 +103,23 @@ fn leakage_table(run: &mut Run) {
 }
 
 fn trust_rank_table(run: &mut Run) {
-    let graph = generators::preferential_attachment(300, 2, 21);
-    let searcher = UserId::from("user0");
-    let candidates: Vec<UserId> = (1..=20)
-        .map(|i| UserId(format!("user{}", i * 13)))
-        .collect();
-    let popularity: BTreeMap<UserId, u64> = candidates
+    let (graph, trust) = WorkloadGraph::preferential_attachment(300, 2, 21);
+    let searcher = 0;
+    let candidates: Vec<u32> = (1..=20).map(|i| i * 13).collect();
+    let popularity: BTreeMap<u32, u64> = candidates
         .iter()
         .enumerate()
-        .map(|(i, c)| (c.clone(), (i as u64 * 7) % 50))
+        .map(|(i, &c)| (c, (i as u64 * 7) % 50))
         .collect();
     run.table(
         "E7: trust-ranked search, top 5 of 20 candidates (trust weight 0.7)",
-        "rank | user | score | trust | popularity",
+        "rank | vertex | score | trust | popularity",
     );
-    let ranked = rank_results(&graph, &searcher, &candidates, &popularity, 0.7, 5);
+    let ranked = rank_results(&graph, &trust, searcher, &candidates, &popularity, 0.7, 5);
     for (i, r) in ranked.iter().take(5).enumerate() {
         run.row(&[
             (i + 1).into(),
-            r.user.as_str().into(),
+            u64::from(r.user).into(),
             num(r.score, 3),
             num(r.trust, 3),
             num(r.popularity, 2),
@@ -130,7 +128,8 @@ fn trust_rank_table(run: &mut Run) {
     let ns = run.time_ns(10, || {
         black_box(rank_results(
             &graph,
-            &searcher,
+            &trust,
+            searcher,
             &candidates,
             &popularity,
             0.7,

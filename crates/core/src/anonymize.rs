@@ -18,8 +18,7 @@
 //! anonymization falls to the attack, and degree padding reduces (but does
 //! not eliminate) re-identification.
 
-use crate::graph::SocialGraph;
-use crate::identity::UserId;
+use dosn_overlay::social::SocialGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -29,9 +28,9 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct AnonymizedGraph {
     /// Pseudonym adjacency (symmetric).
     pub edges: BTreeMap<u64, BTreeSet<u64>>,
-    /// The secret mapping real → pseudonym (kept by the publisher; the
+    /// The secret mapping vertex → pseudonym (kept by the publisher; the
     /// attacker never sees it — tests use it as ground truth).
-    pub ground_truth: BTreeMap<UserId, u64>,
+    pub ground_truth: BTreeMap<u32, u64>,
 }
 
 impl AnonymizedGraph {
@@ -54,37 +53,32 @@ impl AnonymizedGraph {
 /// `k > 1`, pads edges until the degree sequence is k-anonymous.
 pub fn anonymize(graph: &SocialGraph, k: usize, seed: u64) -> AnonymizedGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let users = graph.users();
+    let n = graph.nodes();
     // Random pseudonym assignment.
     let mut pseudonyms: Vec<u64> = Vec::new();
     let mut used = BTreeSet::new();
-    while pseudonyms.len() < users.len() {
+    while pseudonyms.len() < n {
         let p = rng.random::<u64>();
         if used.insert(p) {
             pseudonyms.push(p);
         }
     }
-    let mut order: Vec<usize> = (0..users.len()).collect();
+    let mut order: Vec<usize> = (0..n).collect();
     // Shuffle the assignment so pseudonym order leaks nothing.
     for i in (1..order.len()).rev() {
         order.swap(i, rng.random_range(0..=i));
     }
-    let ground_truth: BTreeMap<UserId, u64> = users
+    let ground_truth: BTreeMap<u32, u64> =
+        (0..n).map(|v| (v as u32, pseudonyms[order[v]])).collect();
+    let edges: BTreeMap<u64, BTreeSet<u64>> = ground_truth
         .iter()
-        .enumerate()
-        .map(|(i, u)| (u.clone(), pseudonyms[order[i]]))
+        .map(|(&v, &p)| {
+            (
+                p,
+                graph.friends(v).iter().map(|f| ground_truth[f]).collect(),
+            )
+        })
         .collect();
-    let mut edges: BTreeMap<u64, BTreeSet<u64>> = ground_truth
-        .values()
-        .map(|&p| (p, BTreeSet::new()))
-        .collect();
-    for u in &users {
-        for f in graph.friends(u) {
-            let (a, b) = (ground_truth[u], ground_truth[&f]);
-            edges.get_mut(&a).expect("node").insert(b);
-            edges.get_mut(&b).expect("node").insert(a);
-        }
-    }
     let mut out = AnonymizedGraph {
         edges,
         ground_truth,
@@ -95,33 +89,51 @@ pub fn anonymize(graph: &SocialGraph, k: usize, seed: u64) -> AnonymizedGraph {
     out
 }
 
-/// Adds edges until every degree class holds ≥ k nodes (greedy: lift the
-/// rarest degrees by connecting their nodes to random non-neighbors).
+/// Adds edges until every degree class holds ≥ k nodes.
+///
+/// Each round plans a target degree per node: nodes sorted by degree,
+/// highest first, in runs of `k` (the last run absorbs the remainder), each
+/// node raised to the highest degree of its run. Nodes short of their
+/// target are joined to each other, lowest degree first; a node that finds
+/// no short non-neighbour is joined to a random non-neighbour instead. That
+/// neighbour's unplanned edge can leave its class short, so rounds repeat
+/// until the sequence is anonymous. Raising a node only ever to a degree
+/// its run already has means the top of the sequence never runs away.
 fn pad_to_k_degree(graph: &mut AnonymizedGraph, k: usize, rng: &mut StdRng) {
     let nodes: Vec<u64> = graph.edges.keys().copied().collect();
-    if nodes.len() < 2 {
+    if nodes.len() < k {
         return;
     }
-    for _ in 0..nodes.len() * 4 {
+    for _ in 0..nodes.len() {
         if graph.is_k_degree_anonymous(k) {
             return;
         }
-        // Find a degree class smaller than k and lift one of its nodes.
-        let mut by_degree: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        for &n in &nodes {
-            by_degree.entry(graph.degree(n)).or_default().push(n);
-        }
-        let Some((_, members)) = by_degree.iter().find(|(_, m)| m.len() < k) else {
-            return;
-        };
-        let node = members[0];
-        // Connect to a random non-neighbor.
-        for _ in 0..nodes.len() {
-            let other = nodes[rng.random_range(0..nodes.len())];
-            if other != node && !graph.edges[&node].contains(&other) {
-                graph.edges.get_mut(&node).expect("node").insert(other);
-                graph.edges.get_mut(&other).expect("node").insert(node);
-                break;
+        let mut ranked = nodes.clone();
+        ranked.sort_by_key(|&p| (std::cmp::Reverse(graph.degree(p)), p));
+        let last_run = (ranked.len() / k - 1) * k;
+        let mut short: Vec<usize> = (0..ranked.len())
+            .map(|i| graph.degree(ranked[(i / k * k).min(last_run)]) - graph.degree(ranked[i]))
+            .collect();
+        for (i, &p) in ranked.iter().enumerate() {
+            while short[i] > 0 {
+                let free = |q: u64| q != p && !graph.edges[&p].contains(&q);
+                let partner = (0..ranked.len())
+                    .rev()
+                    .find(|&j| j != i && short[j] > 0 && free(ranked[j]));
+                let mut random = (0..nodes.len()).map(|_| nodes[rng.random_range(0..nodes.len())]);
+                let other = match partner {
+                    Some(j) => {
+                        short[j] -= 1;
+                        ranked[j]
+                    }
+                    None => match random.find(|&q| free(q)) {
+                        Some(q) => q,
+                        None => break,
+                    },
+                };
+                short[i] -= 1;
+                graph.edges.get_mut(&p).expect("node").insert(other);
+                graph.edges.get_mut(&other).expect("node").insert(p);
             }
         }
     }
@@ -134,27 +146,27 @@ pub struct DeanonymizationAttack {
     /// (e.g. crawled from another OSN — the survey's network-inference
     /// threat).
     pub auxiliary: SocialGraph,
-    /// Known seed mappings (real user → pseudonym).
-    pub seeds: BTreeMap<UserId, u64>,
+    /// Known seed mappings (vertex → pseudonym).
+    pub seeds: BTreeMap<u32, u64>,
 }
 
 impl DeanonymizationAttack {
-    /// Runs propagation: repeatedly match an unmapped auxiliary user to an
+    /// Runs propagation: repeatedly match an unmapped auxiliary vertex to an
     /// unmapped pseudonym when they agree on (degree, mapped-neighbor set)
     /// uniquely. Returns the recovered mapping (including seeds).
-    pub fn run(&self, published: &AnonymizedGraph) -> BTreeMap<UserId, u64> {
+    pub fn run(&self, published: &AnonymizedGraph) -> BTreeMap<u32, u64> {
         let mut mapping = self.seeds.clone();
         let mut mapped_pseudos: BTreeSet<u64> = mapping.values().copied().collect();
         loop {
             let mut progress = false;
-            for user in self.auxiliary.users() {
+            for user in 0..self.auxiliary.nodes() as u32 {
                 if mapping.contains_key(&user) {
                     continue;
                 }
                 // Signature: the set of already-mapped neighbors.
                 let mapped_neighbors: BTreeSet<u64> = self
                     .auxiliary
-                    .friends(&user)
+                    .friends(user)
                     .iter()
                     .filter_map(|f| mapping.get(f).copied())
                     .collect();
@@ -163,7 +175,7 @@ impl DeanonymizationAttack {
                 }
                 // Candidate pseudonyms adjacent to ALL mapped neighbors,
                 // with matching degree.
-                let degree = self.auxiliary.friends(&user).len();
+                let degree = self.auxiliary.degree(user);
                 let candidates: Vec<u64> = published
                     .edges
                     .keys()
@@ -177,7 +189,7 @@ impl DeanonymizationAttack {
                     })
                     .collect();
                 if candidates.len() == 1 {
-                    mapping.insert(user.clone(), candidates[0]);
+                    mapping.insert(user, candidates[0]);
                     mapped_pseudos.insert(candidates[0]);
                     progress = true;
                 }
@@ -189,9 +201,9 @@ impl DeanonymizationAttack {
         mapping
     }
 
-    /// Fraction of non-seed users correctly re-identified.
-    pub fn accuracy(&self, published: &AnonymizedGraph, recovered: &BTreeMap<UserId, u64>) -> f64 {
-        let non_seed: Vec<&UserId> = published
+    /// Fraction of non-seed vertices correctly re-identified.
+    pub fn accuracy(&self, published: &AnonymizedGraph, recovered: &BTreeMap<u32, u64>) -> f64 {
+        let non_seed: Vec<&u32> = published
             .ground_truth
             .keys()
             .filter(|u| !self.seeds.contains_key(*u))
@@ -210,23 +222,19 @@ impl DeanonymizationAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::generators;
 
     fn graph() -> SocialGraph {
-        generators::preferential_attachment(120, 2, 51)
+        SocialGraph::preferential_attachment(120, 2, 51).0
     }
 
-    fn seeds(g: &SocialGraph, published: &AnonymizedGraph, n: usize) -> BTreeMap<UserId, u64> {
-        // Seed with the highest-degree users (easiest auxiliary knowledge).
-        let mut users = g.users();
-        users.sort_by_key(|u| std::cmp::Reverse(g.friends(u).len()));
+    fn seeds(g: &SocialGraph, published: &AnonymizedGraph, n: usize) -> BTreeMap<u32, u64> {
+        // Seed with the highest-degree vertices (easiest auxiliary knowledge).
+        let mut users: Vec<u32> = (0..g.nodes() as u32).collect();
+        users.sort_by_key(|&u| std::cmp::Reverse(g.degree(u)));
         users
             .into_iter()
             .take(n)
-            .map(|u| {
-                let p = published.ground_truth[&u];
-                (u, p)
-            })
+            .map(|u| (u, published.ground_truth[&u]))
             .collect()
     }
 
@@ -234,11 +242,10 @@ mod tests {
     fn anonymization_strips_identifiers_and_preserves_structure() {
         let g = graph();
         let published = anonymize(&g, 1, 9);
-        assert_eq!(published.edges.len(), g.len());
+        assert_eq!(published.edges.len(), g.nodes());
         // Edge counts match.
-        let orig_edges: usize = g.users().iter().map(|u| g.friends(u).len()).sum();
         let anon_edges: usize = published.edges.values().map(BTreeSet::len).sum();
-        assert_eq!(orig_edges, anon_edges);
+        assert_eq!(2 * g.edge_count(), anon_edges);
     }
 
     #[test]
@@ -279,6 +286,19 @@ mod tests {
         );
     }
 
+    /// Padding lifts nodes only to degrees their run already has, so it
+    /// reaches k-anonymity whatever the pseudonym draw.
+    #[test]
+    fn padding_reaches_k_degree_anonymity_on_every_seed() {
+        for seed in 0..8 {
+            let (g, _) = SocialGraph::preferential_attachment(120, 2, seed);
+            for k in [2, 4, 8] {
+                let published = anonymize(&g, k, seed);
+                assert!(published.is_k_degree_anonymous(k), "graph {seed}, k {k}");
+            }
+        }
+    }
+
     #[test]
     fn attack_without_seeds_recovers_nothing() {
         let g = graph();
@@ -298,8 +318,7 @@ mod tests {
         let p1 = anonymize(&g, 1, 13);
         let p2 = anonymize(&g, 1, 14);
         // Different seeds -> different pseudonym assignments.
-        let u = UserId::from("user0");
-        assert_ne!(p1.ground_truth[&u], p2.ground_truth[&u]);
+        assert_ne!(p1.ground_truth[&0], p2.ground_truth[&0]);
     }
 
     #[test]

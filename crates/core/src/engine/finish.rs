@@ -30,7 +30,9 @@ use crate::identity::UserId;
 use crate::integrity::envelope::{SignedEnvelope, VerifiedEnvelope};
 use dosn_obs::{names, Registry};
 use dosn_overlay::metrics::Metrics;
-use dosn_overlay::replication::{quorum_vote, quorum_vote_batch, FetchedCopies, ReplicatedStore};
+use dosn_overlay::replication::{
+    quorum_inspect_batch, quorum_vote, FetchedCopies, ReplicatedStore,
+};
 use dosn_overlay::storage::{StorageError, StoragePlane};
 use std::time::Instant;
 
@@ -280,7 +282,7 @@ fn finish_read(ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcom
     let quorum_started = Instant::now();
     // Each distinct value with what the vote's verifier proved of it.
     let mut proven: Vec<(&[u8], Option<VerifiedEnvelope>)> = Vec::new();
-    let vote = quorum_vote_batch(fetched, read_quorum, |values| {
+    let vote = quorum_inspect_batch(fetched, read_quorum, |values| {
         if let Some(verdict) = &job.checked {
             // The one value the copies agree on: already checked.
             return values.iter().map(|_| verdict.is_some()).collect();
@@ -300,7 +302,8 @@ fn finish_read(ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcom
             .record(elapsed_micros(started));
         proven = values.iter().copied().zip(opened).collect();
         proven.iter().map(|(_, v)| v.is_some()).collect()
-    });
+    })
+    .into_result();
     ctx.obs
         .histogram(names::STORE_GET_QUORUM)
         .record(job.fetch_micros + elapsed_micros(quorum_started));

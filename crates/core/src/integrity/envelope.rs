@@ -172,11 +172,6 @@ impl SignedEnvelope {
         }
     }
 
-    /// Serializes the signature for the wire (group needed for width).
-    pub fn signature_bytes(&self, group: &dosn_crypto::group::SchnorrGroup) -> Vec<u8> {
-        self.signature.to_bytes(group)
-    }
-
     /// Serializes a broadcast envelope for overlay storage:
     /// `epoch(8) | issued_at(8) | sequence(8) | sig_len(4) | sig | body`,
     /// all integers big-endian. [`SignedEnvelope::decode_wire`] inverts it.

@@ -174,11 +174,6 @@ impl HistoryServer {
         self.logs.get_mut(object).expect("object exists")[branch].push(op);
     }
 
-    /// Number of branches (1 = honest so far).
-    pub fn branch_count(&self, object: &str) -> usize {
-        self.logs.get(object).map_or(0, Vec::len)
-    }
-
     /// Serves `object`'s history as seen on `branch`, with a signed digest.
     /// The signature is what makes later fork evidence non-repudiable.
     ///

@@ -88,11 +88,6 @@ impl PostRelationKeys {
         }
     }
 
-    /// The public verification key (as shipped with the post).
-    pub fn verification_key(&self) -> &VerifyingKey {
-        &self.verification
-    }
-
     /// Unwraps the signing key — succeeds only for holders of the
     /// commenters key (the privilege check of §IV-C).
     ///

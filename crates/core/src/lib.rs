@@ -15,13 +15,14 @@
 //!   trusted-friends routing, ZKP-gated resource handlers, and trust-ranked
 //!   results, with a leakage accountant quantifying who learned what.
 //! * [`identity`], [`content`] — users and content types.
-//! * [`graph`] — the named, trust-weighted graph (with synthetic
-//!   generators) that the §V searches and §VI anonymization analyse. It is
-//!   not the system's record of friendship: the engine keeps that once, as
-//!   each user's friends-group roster.
-//! * [`sybil`] — §VI random-walk Sybil detection over the overlay's CSR
-//!   social graph ([`network::WorkloadGraph`]), the graph placement routes
-//!   on.
+//! * [`anonymize`], [`sybil`] — §VI graph anonymization vs
+//!   de-anonymization, and random-walk Sybil detection.
+//!
+//!   The §V searches and both §VI analyses run on the overlay's CSR social
+//!   graph ([`network::WorkloadGraph`]), the graph placement routes on, with
+//!   `u32` vertices; trust is an array held beside it. It is not the
+//!   system's record of friendship: the engine keeps that once, as each
+//!   user's friends-group roster.
 //! * [`taxonomy`] — the paper's Table I as a queryable registry.
 //! * [`engine`] — the assembled DOSN and its one entry point: the batched
 //!   parallel request engine (prepare / commit / finish execution of op
@@ -36,7 +37,6 @@ pub mod content;
 pub mod engine;
 pub mod error;
 pub mod feed;
-pub mod graph;
 pub mod identity;
 pub mod integrity;
 pub mod network;

@@ -10,9 +10,9 @@ pub use crate::engine::privacy_plane::PrivacyPlane;
 pub use dosn_overlay::adversary::{reader_parity, AdversaryConfig, AdversaryMode, AdversaryPlane};
 pub use dosn_overlay::placement::{SocialPlacement, SocialPlane};
 pub use dosn_overlay::replication::{apply_crash_schedule, QuorumOutcome, ReplicatedStore};
-// The overlay's scale-free CSR graph: placement, the E15/E18 workloads and
-// the Sybil detector all run on it. Aliased because `dosn-core` keeps a
-// named, trust-weighted `crate::graph::SocialGraph` for the §V/§VI analyses.
+// The overlay's CSR social graph, the one graph of the workspace: placement,
+// the E15/E18 workloads, the Sybil detector and the §V/§VI analyses all run
+// on it. The alias is the name the E18 benchmark imports it under.
 pub use dosn_overlay::social::{SocialGraph as WorkloadGraph, SocialGraphConfig};
 pub use dosn_overlay::storage::{
     ChordPlane, FederationPlane, KademliaPlane, StorageError, StoragePlane, SuperPeerPlane,

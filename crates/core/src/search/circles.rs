@@ -9,13 +9,12 @@
 //! The anonymity the provider faces is quantified as the set of users who
 //! could plausibly have originated a query exiting there.
 
-use crate::graph::SocialGraph;
 use crate::identity::UserId;
 use crate::search::audit::{Knowledge, LeakageAudit};
 use crate::search::index::SearchIndex;
+use dosn_overlay::social::SocialGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 /// Routes queries through chains of trusted friends.
 #[derive(Debug)]
@@ -28,8 +27,8 @@ pub struct FriendCircleRouter {
 /// The outcome of a routed search.
 #[derive(Debug, Clone)]
 pub struct RoutedSearch {
-    /// The relay chain, searcher first, exit node last.
-    pub chain: Vec<UserId>,
+    /// The relay chain of vertices, searcher first, exit node last.
+    pub chain: Vec<u32>,
     /// Matching users.
     pub results: Vec<UserId>,
     /// Size of the anonymity set the provider faces (users within
@@ -51,29 +50,32 @@ impl FriendCircleRouter {
         }
     }
 
-    /// Builds a random friend chain from `searcher` and runs the query at
-    /// the exit node.
+    /// Builds a random friend chain from vertex `searcher` and runs the
+    /// query at the exit node; `audit` names each vertex `user{v}`.
     ///
     /// Returns `None` when the searcher has no friends to relay through.
     pub fn search(
         &mut self,
         graph: &SocialGraph,
-        searcher: &UserId,
+        searcher: u32,
         interest: &str,
         index: &SearchIndex,
         audit: &mut LeakageAudit,
     ) -> Option<RoutedSearch> {
-        let mut chain = vec![searcher.clone()];
-        let mut current = searcher.clone();
+        let mut chain = vec![searcher];
+        let mut current = searcher;
         for _ in 0..self.chain_len {
-            let friends = graph.friends(&current);
-            let candidates: Vec<&UserId> = friends.iter().filter(|f| !chain.contains(f)).collect();
+            let candidates: Vec<u32> = graph
+                .friends(current)
+                .iter()
+                .copied()
+                .filter(|f| !chain.contains(f))
+                .collect();
             if candidates.is_empty() {
                 break;
             }
-            let next = candidates[self.rng.random_range(0..candidates.len())].clone();
-            chain.push(next.clone());
-            current = next;
+            current = candidates[self.rng.random_range(0..candidates.len())];
+            chain.push(current);
         }
         if chain.len() < 2 {
             return None;
@@ -82,22 +84,21 @@ impl FriendCircleRouter {
         // first relay therefore knows the searcher — but, per the survey's
         // relaxation, "friends of a user are trusted parties". We still
         // record it honestly.
-        audit.record(chain[1].as_str(), Knowledge::SearcherIdentity);
+        audit.record(&principal(chain[1]), Knowledge::SearcherIdentity);
         // Later relays learn a predecessor pseudonym, not the origin.
-        for relay in chain.iter().skip(2) {
-            audit.record(relay.as_str(), Knowledge::SearcherPseudonym);
+        for &relay in &chain[2..] {
+            audit.record(&principal(relay), Knowledge::SearcherPseudonym);
         }
         // The exit node submits the query: the provider sees the query and
         // the exit's identity — not the searcher's.
-        let exit = chain.last().expect("chain len >= 2");
         audit.record("provider", Knowledge::QueryContent);
-        audit.record(exit.as_str(), Knowledge::QueryContent);
+        audit.record(&principal(current), Knowledge::QueryContent);
         let results = index.users_interested_in(interest);
         if !results.is_empty() {
             audit.record("provider", Knowledge::OwnerIdentity);
         }
-        audit.record(searcher.as_str(), Knowledge::OwnerIdentity);
-        let anonymity_set = anonymity_set_size(graph, exit, self.chain_len);
+        audit.record(&principal(searcher), Knowledge::OwnerIdentity);
+        let anonymity_set = anonymity_set_size(graph, current, self.chain_len);
         Some(RoutedSearch {
             chain,
             results,
@@ -106,33 +107,44 @@ impl FriendCircleRouter {
     }
 }
 
-/// Users within `hops` of `exit` — everyone who could have originated a
+/// The audit principal for vertex `v`: `user{v}`, the name a generated
+/// graph's users carry in a [`SearchIndex`]. The one place a vertex
+/// becomes a name.
+fn principal(v: u32) -> String {
+    format!("user{v}")
+}
+
+/// Vertices within `hops` of `exit` — everyone who could have originated a
 /// chain exiting there.
-fn anonymity_set_size(graph: &SocialGraph, exit: &UserId, hops: usize) -> usize {
-    let mut reached: BTreeSet<UserId> = BTreeSet::from([exit.clone()]);
-    let mut frontier = vec![exit.clone()];
+fn anonymity_set_size(graph: &SocialGraph, exit: u32, hops: usize) -> usize {
+    let mut reached = vec![false; graph.nodes()];
+    reached[exit as usize] = true;
+    let mut frontier = vec![exit];
+    let mut size = 1;
     for _ in 0..hops {
         let mut next = Vec::new();
-        for node in frontier {
-            for f in graph.friends(&node) {
-                if reached.insert(f.clone()) {
+        for v in frontier {
+            for &f in graph.friends(v) {
+                if !reached[f as usize] {
+                    reached[f as usize] = true;
                     next.push(f);
                 }
             }
         }
+        size += next.len();
         frontier = next;
     }
-    reached.len()
+    size
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::content::Profile;
-    use crate::graph::generators;
+    use std::collections::BTreeSet;
 
     fn setup() -> (SocialGraph, SearchIndex) {
-        let graph = generators::small_world(60, 3, 0.1, 7);
+        let (graph, _) = SocialGraph::small_world(60, 3, 0.1, 7);
         let mut idx = SearchIndex::new();
         idx.insert(Profile::new("user30", "U30").with_interest("jazz"));
         (graph, idx)
@@ -143,9 +155,7 @@ mod tests {
         let (graph, idx) = setup();
         let mut router = FriendCircleRouter::new(3, 1);
         let mut audit = LeakageAudit::new();
-        let routed = router
-            .search(&graph, &"user0".into(), "jazz", &idx, &mut audit)
-            .unwrap();
+        let routed = router.search(&graph, 0, "jazz", &idx, &mut audit).unwrap();
         assert_eq!(routed.results, vec![UserId::from("user30")]);
         assert!(!audit.knows("provider", Knowledge::SearcherIdentity));
         assert!(audit.knows("provider", Knowledge::QueryContent));
@@ -153,7 +163,7 @@ mod tests {
         assert_eq!(audit.identity_exposure(), 1);
         assert_eq!(
             audit.principals_knowing(Knowledge::SearcherIdentity),
-            vec![routed.chain[1].as_str()]
+            vec![format!("user{}", routed.chain[1])]
         );
     }
 
@@ -162,12 +172,10 @@ mod tests {
         let (graph, idx) = setup();
         let mut router = FriendCircleRouter::new(4, 2);
         let mut audit = LeakageAudit::new();
-        let routed = router
-            .search(&graph, &"user5".into(), "jazz", &idx, &mut audit)
-            .unwrap();
+        let routed = router.search(&graph, 5, "jazz", &idx, &mut audit).unwrap();
         // Consecutive chain members are friends; no repeats.
         for pair in routed.chain.windows(2) {
-            assert!(graph.trust(&pair[0], &pair[1]).is_some());
+            assert!(graph.are_friends(pair[0], pair[1]));
         }
         let unique: BTreeSet<_> = routed.chain.iter().collect();
         assert_eq!(unique.len(), routed.chain.len());
@@ -180,9 +188,8 @@ mod tests {
             let mut router = FriendCircleRouter::new(len, 3);
             let mut audit = LeakageAudit::new();
             let mut total = 0usize;
-            for s in 0..10 {
-                let searcher = UserId(format!("user{s}"));
-                if let Some(r) = router.search(&graph, &searcher, "jazz", &idx, &mut audit) {
+            for searcher in 0..10 {
+                if let Some(r) = router.search(&graph, searcher, "jazz", &idx, &mut audit) {
                     total += r.anonymity_set;
                 }
             }
@@ -196,14 +203,11 @@ mod tests {
 
     #[test]
     fn isolated_searcher_cannot_route() {
-        let mut graph = SocialGraph::new();
-        graph.add_user(&"loner".into());
+        let graph = SocialGraph::empty(1);
         let idx = SearchIndex::new();
         let mut router = FriendCircleRouter::new(2, 4);
         let mut audit = LeakageAudit::new();
-        assert!(router
-            .search(&graph, &"loner".into(), "x", &idx, &mut audit)
-            .is_none());
+        assert!(router.search(&graph, 0, "x", &idx, &mut audit).is_none());
     }
 
     #[test]

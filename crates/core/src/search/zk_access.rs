@@ -41,11 +41,6 @@ impl AccessCredential {
         let public = group.pow_g(&secret);
         AccessCredential { secret, public }
     }
-
-    /// The public element the owner registers.
-    pub fn public_element(&self) -> &BigUint {
-        &self.public
-    }
 }
 
 /// One registered resource.

@@ -171,12 +171,6 @@ impl<P: StoragePlane> AdversaryPlane<P> {
         self.cfg.mode = mode;
     }
 
-    /// Sets the per-key compromised holder count f.
-    pub fn set_per_key_holders(&mut self, f: usize) {
-        self.cfg.per_key_holders = f;
-        self.per_key.clear();
-    }
-
     /// The adversary configuration.
     pub fn config(&self) -> &AdversaryConfig {
         &self.cfg
@@ -212,11 +206,6 @@ impl<P: StoragePlane> AdversaryPlane<P> {
     /// What the adversary has done so far.
     pub fn stats(&self) -> &AdversaryStats {
         &self.stats
-    }
-
-    /// Clears the accumulated stats (not the compromise state).
-    pub fn reset_stats(&mut self) {
-        self.stats = AdversaryStats::default();
     }
 
     /// Whether the adversary currently controls `node` for `key` (explicit

@@ -74,15 +74,6 @@ impl NodeArena {
         self.ids.binary_search(&id).ok()
     }
 
-    /// Identifier at `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slot` is out of range.
-    pub fn id_at(&self, slot: usize) -> u64 {
-        self.ids[slot]
-    }
-
     /// Whether the arena contains `id`.
     pub fn contains(&self, id: u64) -> bool {
         self.slot_of(id).is_some()

@@ -498,29 +498,6 @@ pub fn quorum_vote(
     quorum_inspect(fetched, read_quorum, verify).into_result()
 }
 
-/// [`quorum_vote`] with the verifier invoked **once for the whole read**:
-/// `verify_batch` receives each *distinct* present byte string once, in
-/// candidate-preference order of first appearance, and returns one verdict
-/// per value; the tally weighs a verdict by how many candidates hold that
-/// value. An all-agree read therefore verifies one copy, not R. The slices
-/// borrow from `fetched`, so the verifier may keep what it proved about a
-/// value alongside the bytes it proved it of.
-///
-/// # Panics
-///
-/// Panics if `verify_batch` returns a verdict vector of the wrong length.
-///
-/// # Errors
-///
-/// As [`quorum_vote`].
-pub fn quorum_vote_batch<'a>(
-    fetched: &'a FetchedCopies,
-    read_quorum: usize,
-    verify_batch: impl FnOnce(&[&'a [u8]]) -> Vec<bool>,
-) -> Result<Vec<u8>, StorageError> {
-    quorum_inspect_batch(fetched, read_quorum, verify_batch).into_result()
-}
-
 /// [`quorum_vote`] with the full anatomy exposed: runs the same tally and
 /// returns a [`QuorumOutcome`] instead of collapsing to a `Result`.
 /// [`QuorumOutcome::into_result`] recovers the exact [`quorum_vote`]
@@ -535,10 +512,14 @@ pub fn quorum_inspect(
     })
 }
 
-/// [`quorum_inspect`] with the verifier invoked once over the distinct
-/// values (the batch-verification seam, as [`quorum_vote_batch`]). A
-/// verdict is a fact about a byte string, so it is established once per
-/// distinct string and counted once per candidate holding it.
+/// [`quorum_inspect`] with the verifier invoked **once for the whole read**
+/// (the batch-verification seam): `verify_batch` receives each *distinct*
+/// present byte string once, in candidate-preference order of first
+/// appearance, and returns one verdict per value. A verdict is a fact about
+/// a byte string, so it is established once per distinct string and
+/// counted once per candidate holding it: an all-agree read verifies one
+/// copy, not R. The slices borrow from `fetched`, so the verifier may keep
+/// what it proved about a value alongside the bytes it proved it of.
 ///
 /// # Panics
 ///

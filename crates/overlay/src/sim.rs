@@ -288,11 +288,6 @@ where
         self.stats
     }
 
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// The trace observability layer.
     pub fn trace(&self) -> &SimTrace {
         &self.trace

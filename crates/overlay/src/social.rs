@@ -15,9 +15,19 @@
 //! edges to endpoints inside the source's community block. A union-find
 //! stitching pass (intra-community chains, then an inter-community ring)
 //! guarantees the final graph is connected.
+//!
+//! The same graph type is the input of the survey's §V searches and §VI
+//! anonymization. Those analyses run on the two standard small synthetic
+//! topologies, [`SocialGraph::small_world`] (Watts–Strogatz) and
+//! [`SocialGraph::preferential_attachment`] (Barabási–Albert), whose edges
+//! carry a trust weight in `[0, 1]`. Trust is an array held beside the
+//! graph, aligned with its adjacency ([`SocialGraph::weighted`]), so a graph
+//! that carries none pays nothing for it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Parameters for [`SocialGraph::generate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +94,8 @@ pub struct SocialGraph {
 impl SocialGraph {
     /// A graph with `n` vertices and zero edges (every vertex its own
     /// community-of-one is collapsed into a single block). Used by the
-    /// placement layer's hash-fallback equivalence tests.
+    /// placement layer's hash-fallback equivalence tests, and as the base
+    /// that [`SocialGraph::weighted`] grafts its edges onto.
     pub fn empty(n: usize) -> Self {
         SocialGraph {
             offsets: vec![0; n + 1],
@@ -222,6 +233,109 @@ impl SocialGraph {
         }
     }
 
+    /// An `n`-vertex graph from weighted undirected edges, with the weight
+    /// array aligned with its adjacency: `v`'s friend `friends(v)[i]` has
+    /// weight `weights[row(v).start + i]`. A repeated edge keeps its last
+    /// weight; self-loops are dropped.
+    ///
+    /// ```
+    /// use dosn_overlay::social::SocialGraph;
+    ///
+    /// let (g, trust) = SocialGraph::weighted(3, &[(0, 1, 0.9), (1, 2, 0.8), (1, 0, 0.7)]);
+    /// assert_eq!(g.friends(1), &[0, 2]);
+    /// assert_eq!(&trust[g.row(1)], &[0.7, 0.8]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics when an edge endpoint is out of range.
+    pub fn weighted(n: usize, edges: &[(u32, u32, f64)]) -> (SocialGraph, Vec<f64>) {
+        let mut weight: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        for &(a, b, w) in edges {
+            weight.insert((a.min(b), a.max(b)), w);
+        }
+        let pairs: Vec<(u32, u32)> = weight.keys().copied().collect();
+        let graph = SocialGraph::empty(n).with_appended(0, &pairs);
+        let weights = (0..n as u32)
+            .flat_map(|v| graph.friends(v).iter().map(move |&f| (v.min(f), v.max(f))))
+            .map(|edge| weight[&edge])
+            .collect();
+        (graph, weights)
+    }
+
+    /// Watts–Strogatz small world: `n` vertices on a ring, each linked to
+    /// its `k` nearest neighbours per side, each link rewired to a random
+    /// vertex with probability `beta`. Returns the graph and its trust
+    /// array ([`SocialGraph::weighted`]), weights drawn from `[0.5, 1.0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2 * k + 1` or `beta` is outside `[0, 1]`.
+    pub fn small_world(n: usize, k: usize, beta: f64, seed: u64) -> (SocialGraph, Vec<f64>) {
+        assert!(n > 2 * k, "ring too small for k");
+        assert!((0.0..=1.0).contains(&beta), "beta in [0,1]");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for i in 0..n {
+            for j in 1..=k {
+                let mut target = (i + j) % n;
+                if beta > 0.0 && rng.random_range(0.0..1.0) < beta {
+                    // Rewire to a random non-self target.
+                    loop {
+                        let cand = rng.random_range(0..n);
+                        if cand != i {
+                            target = cand;
+                            break;
+                        }
+                    }
+                }
+                edges.push((i as u32, target as u32, rng.random_range(0.5..1.0)));
+            }
+        }
+        SocialGraph::weighted(n, &edges)
+    }
+
+    /// Barabási–Albert preferential attachment: `n` vertices, each newcomer
+    /// attaching to `m` earlier ones with probability proportional to
+    /// degree — the heavy-tailed degree distribution real OSNs exhibit
+    /// (survey ref \[1\], Mislove et al.). Returns the graph and its trust
+    /// array ([`SocialGraph::weighted`]), weights drawn from `[0.5, 1.0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m == 0` or `n <= m`.
+    pub fn preferential_attachment(n: usize, m: usize, seed: u64) -> (SocialGraph, Vec<f64>) {
+        assert!(m >= 1, "m >= 1");
+        assert!(n > m, "need more vertices than attachment count");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        // Degree-weighted urn: a vertex appears once per incident edge.
+        let mut urn: Vec<usize> = Vec::new();
+        // Seed clique of m+1 vertices.
+        for i in 0..=m {
+            for j in 0..i {
+                edges.push((i as u32, j as u32, rng.random_range(0.5..1.0)));
+                urn.push(i);
+                urn.push(j);
+            }
+        }
+        for i in (m + 1)..n {
+            let mut targets = BTreeSet::new();
+            while targets.len() < m {
+                let pick = urn[rng.random_range(0..urn.len())];
+                if pick != i {
+                    targets.insert(pick);
+                }
+            }
+            for t in targets {
+                edges.push((i as u32, t as u32, rng.random_range(0.5..1.0)));
+                urn.push(i);
+                urn.push(t);
+            }
+        }
+        SocialGraph::weighted(n, &edges)
+    }
+
     /// Vertex count.
     pub fn nodes(&self) -> usize {
         self.offsets.len() - 1
@@ -234,12 +348,19 @@ impl SocialGraph {
 
     /// `v`'s friend count.
     pub fn degree(&self, v: u32) -> usize {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+        self.row(v).len()
+    }
+
+    /// Where `v`'s friends sit in the adjacency array — the slice of `v`
+    /// in any per-edge array held beside the graph, such as the trust array
+    /// of [`SocialGraph::weighted`].
+    pub fn row(&self, v: u32) -> Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
     }
 
     /// `v`'s sorted friend list.
     pub fn friends(&self, v: u32) -> &[u32] {
-        &self.adj[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
+        &self.adj[self.row(v)]
     }
 
     /// Whether an edge `{a, b}` exists.
@@ -530,6 +651,80 @@ mod tests {
     fn appending_nothing_rebuilds_the_same_graph() {
         let g = SocialGraph::generate(&SocialGraphConfig::new(2_000, 13));
         assert_eq!(g.with_appended(0, &[]), g);
+    }
+
+    /// SHA-256 over the sorted `(i, j, trust.to_bits())` list of the edges
+    /// `i < j`, each field big-endian.
+    fn edge_digest((g, trust): &(SocialGraph, Vec<f64>)) -> String {
+        let mut bytes = Vec::new();
+        for v in 0..g.nodes() as u32 {
+            for (&f, t) in g.friends(v).iter().zip(&trust[g.row(v)]) {
+                if v < f {
+                    bytes.extend_from_slice(&v.to_be_bytes());
+                    bytes.extend_from_slice(&f.to_be_bytes());
+                    bytes.extend_from_slice(&t.to_bits().to_be_bytes());
+                }
+            }
+        }
+        dosn_crypto::sha256::sha256(&bytes)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    /// The four generator calls the E7 experiment and the search tests use.
+    /// The digests were captured from the name-keyed analysis graph these
+    /// generators used to build (vertex `i` was the user `user{i}`), so the
+    /// CSR build keeps every edge, every weight bit and the last-write-wins
+    /// weight of a repeated edge.
+    #[test]
+    fn generators_reproduce_the_pinned_graphs() {
+        let pinned = [
+            (
+                SocialGraph::small_world(512, 3, 0.1, 11),
+                "0f10db2be0ca1873a29a010e975b91fee7820383012be2ccb95d7e52b881b61c",
+            ),
+            (
+                SocialGraph::small_world(120, 3, 0.15, 31),
+                "49b2c7892e5051a6b0fad609c091a2b2abd8ab3b16d261c336ce158923566f73",
+            ),
+            (
+                SocialGraph::preferential_attachment(300, 2, 21),
+                "f1a499adceccdb45161d5154464789ff63f77af4554495209233ede8c58c0f09",
+            ),
+            (
+                SocialGraph::preferential_attachment(200, 2, 17),
+                "11e73e16bd340a8491fbb18e1dab545e3c1ba67b141b39f3d0355bb812ab7e2c",
+            ),
+        ];
+        for (weighted, digest) in &pinned {
+            assert_eq!(edge_digest(weighted), *digest);
+        }
+    }
+
+    #[test]
+    fn small_world_generator_shape() {
+        let (g, trust) = SocialGraph::small_world(100, 3, 0.1, 5);
+        assert_eq!(g.nodes(), 100);
+        let avg_degree = 2.0 * g.edge_count() as f64 / 100.0;
+        assert!(avg_degree >= 5.0, "avg degree {avg_degree}");
+        // Connectivity (beta small, ring base): any two nodes reachable.
+        assert!(g.is_connected());
+        assert!(trust.iter().all(|t| (0.5..1.0).contains(t)));
+    }
+
+    #[test]
+    fn preferential_attachment_has_hubs() {
+        let (g, _) = SocialGraph::preferential_attachment(300, 2, 6);
+        assert_eq!(g.nodes(), 300);
+        let mut degrees: Vec<usize> = (0..300).map(|v| g.degree(v)).collect();
+        degrees.sort_unstable();
+        let max = *degrees.last().unwrap();
+        let median = degrees[degrees.len() / 2];
+        assert!(
+            max >= median * 4,
+            "expected heavy tail: max {max}, median {median}"
+        );
     }
 
     #[test]

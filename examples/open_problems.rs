@@ -9,8 +9,6 @@
 
 use dosn::core::anonymize::{anonymize, DeanonymizationAttack};
 use dosn::core::content::Profile;
-use dosn::core::graph::generators;
-use dosn::core::identity::UserId;
 use dosn::core::network::{SocialGraphConfig, WorkloadGraph};
 use dosn::core::privacy::resharing::ResharingTracer;
 use dosn::core::search::{AdBroker, AdClient, Knowledge, LeakageAudit};
@@ -65,19 +63,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- §VI anonymization and de-anonymization ----
     println!("\n== graph anonymization vs seed-based de-anonymization ==");
-    let social = generators::preferential_attachment(150, 2, 8);
+    let (social, _) = WorkloadGraph::preferential_attachment(150, 2, 8);
     for (label, k) in [("naive (k=1)", 1usize), ("4-degree-anonymous", 4)] {
         let published = anonymize(&social, k, 77);
         // Attacker knows the 5 biggest hubs.
-        let mut hubs = social.users();
-        hubs.sort_by_key(|u| std::cmp::Reverse(social.friends(u).len()));
-        let seeds: BTreeMap<UserId, u64> = hubs
+        let mut hubs: Vec<u32> = (0..social.nodes() as u32).collect();
+        hubs.sort_by_key(|&v| std::cmp::Reverse(social.degree(v)));
+        let seeds: BTreeMap<u32, u64> = hubs
             .into_iter()
             .take(5)
-            .map(|u| {
-                let p = published.ground_truth[&u];
-                (u, p)
-            })
+            .map(|v| (v, published.ground_truth[&v]))
             .collect();
         let attack = DeanonymizationAttack {
             auxiliary: social.clone(),

@@ -7,8 +7,8 @@
 //! Run with: `cargo run --example secure_search`
 
 use dosn::core::content::Profile;
-use dosn::core::graph::generators;
 use dosn::core::identity::UserId;
+use dosn::core::network::WorkloadGraph;
 use dosn::core::search::zk_access::AccessCredential;
 use dosn::core::search::{
     rank_results, FriendCircleRouter, Knowledge, LeakageAudit, ProxyDirectory, ResourceRegistry,
@@ -32,8 +32,9 @@ fn report(mode: &str, audit: &LeakageAudit) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A small-world social graph and an interest index.
-    let graph = generators::small_world(80, 3, 0.1, 9);
+    // A small-world social graph with its trust array, and an interest
+    // index whose profiles are named after the vertices (`user42` is 42).
+    let (graph, trust) = WorkloadGraph::small_world(80, 3, 0.1, 9);
     let mut index = SearchIndex::new();
     index.insert(Profile::new("user42", "The Jazz Fan").with_interest("jazz"));
     index.insert(Profile::new("user17", "Another Fan").with_interest("jazz"));
@@ -62,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut audit = LeakageAudit::new();
     let mut router = FriendCircleRouter::new(3, 5);
     let routed = router
-        .search(&graph, &searcher, "jazz", &index, &mut audit)
+        .search(&graph, 0, "jazz", &index, &mut audit)
         .expect("user0 has friends");
     report("friends-circle routing", &audit);
     println!(
@@ -94,21 +95,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(audit.identity_exposure(), 0);
 
     // ---- trust-ranked results (§V-D) ----
-    let popularity: BTreeMap<UserId, u64> =
-        BTreeMap::from([("user42".into(), 3), ("user17".into(), 90)]);
-    let ranked = rank_results(
-        &graph,
-        &searcher,
-        &["user42".into(), "user17".into()],
-        &popularity,
-        0.7,
-        4,
-    );
+    let popularity = BTreeMap::from([(42, 3), (17, 90)]);
+    let ranked = rank_results(&graph, &trust, 0, &[42, 17], &popularity, 0.7, 4);
     println!("\ntrust-ranked results (trust_weight = 0.7):");
     for r in &ranked {
         println!(
-            "  {:<8} score {:.3} (trust {:.3} via {} hops, popularity {:.2})",
-            r.user.as_str(),
+            "  user{:<4} score {:.3} (trust {:.3} via {} hops, popularity {:.2})",
+            r.user,
             r.score,
             r.trust,
             r.chain.len().saturating_sub(1),

@@ -2,8 +2,8 @@
 //! modes, collusion effects, and trust ranking over generated social graphs.
 
 use dosn::core::content::Profile;
-use dosn::core::graph::generators;
 use dosn::core::identity::UserId;
+use dosn::core::network::WorkloadGraph;
 use dosn::core::search::zk_access::AccessCredential;
 use dosn::core::search::{
     rank_results, FriendCircleRouter, Knowledge, LeakageAudit, ProxyDirectory, ResourceRegistry,
@@ -13,8 +13,10 @@ use dosn::crypto::chacha::SecureRng;
 use dosn::crypto::group::SchnorrGroup;
 use std::collections::BTreeMap;
 
-fn fixture() -> (dosn::core::graph::SocialGraph, SearchIndex, UserId) {
-    let graph = generators::small_world(120, 3, 0.15, 31);
+/// The graph, an index over its users, and the searcher: vertex 0, whose
+/// profile name is `user0`.
+fn fixture() -> (WorkloadGraph, SearchIndex, UserId) {
+    let (graph, _) = WorkloadGraph::small_world(120, 3, 0.15, 31);
     let mut index = SearchIndex::new();
     index.insert(Profile::new("user100", "Target").with_interest("chess"));
     index.insert(Profile::new("user50", "Other").with_interest("chess"));
@@ -35,7 +37,7 @@ fn privacy_modes_dominate_baseline() {
 
     let mut circled = LeakageAudit::new();
     FriendCircleRouter::new(3, 2)
-        .search(&graph, &searcher, "chess", &index, &mut circled)
+        .search(&graph, 0, "chess", &index, &mut circled)
         .unwrap();
 
     assert!(plain.knows("provider", Knowledge::SearcherIdentity));
@@ -53,7 +55,7 @@ fn recall_is_mode_independent() {
     let proxied = ProxyDirectory::new([2; 32]).search(&searcher, "chess", &index, &mut a2);
     let mut a3 = LeakageAudit::new();
     let routed = FriendCircleRouter::new(2, 3)
-        .search(&graph, &searcher, "chess", &index, &mut a3)
+        .search(&graph, 0, "chess", &index, &mut a3)
         .unwrap();
     assert_eq!(plain, proxied);
     assert_eq!(plain, routed.results);
@@ -72,7 +74,7 @@ fn proxy_collusion_restores_baseline_knowledge() {
 
 #[test]
 fn deeper_circles_cost_more_but_expose_less_precisely() {
-    let (graph, index, searcher) = fixture();
+    let (graph, index, _) = fixture();
     let mut shallow_hops = 0usize;
     let mut deep_hops = 0usize;
     let mut shallow_anon = 0usize;
@@ -80,7 +82,7 @@ fn deeper_circles_cost_more_but_expose_less_precisely() {
     for seed in 0..8 {
         if let Some(r) = FriendCircleRouter::new(1, seed).search(
             &graph,
-            &searcher,
+            0,
             "chess",
             &index,
             &mut LeakageAudit::new(),
@@ -90,7 +92,7 @@ fn deeper_circles_cost_more_but_expose_less_precisely() {
         }
         if let Some(r) = FriendCircleRouter::new(5, seed).search(
             &graph,
-            &searcher,
+            0,
             "chess",
             &index,
             &mut LeakageAudit::new(),
@@ -129,15 +131,12 @@ fn zk_registry_full_flow_with_owner_privacy() {
 
 #[test]
 fn trust_ranking_over_generated_graphs_is_stable_and_sensible() {
-    let graph = generators::preferential_attachment(200, 2, 17);
-    let searcher = UserId::from("user0");
-    let candidates: Vec<UserId> = (1..=10)
-        .map(|i| UserId(format!("user{}", i * 19)))
-        .collect();
-    let popularity: BTreeMap<UserId, u64> = candidates.iter().map(|c| (c.clone(), 10)).collect();
+    let (graph, trust) = WorkloadGraph::preferential_attachment(200, 2, 17);
+    let candidates: Vec<u32> = (1..=10).map(|i| i * 19).collect();
+    let popularity: BTreeMap<u32, u64> = candidates.iter().map(|&c| (c, 10)).collect();
 
-    let r1 = rank_results(&graph, &searcher, &candidates, &popularity, 0.9, 5);
-    let r2 = rank_results(&graph, &searcher, &candidates, &popularity, 0.9, 5);
+    let r1 = rank_results(&graph, &trust, 0, &candidates, &popularity, 0.9, 5);
+    let r2 = rank_results(&graph, &trust, 0, &candidates, &popularity, 0.9, 5);
     assert_eq!(r1, r2, "ranking is deterministic");
     // Scores are sorted descending.
     for pair in r1.windows(2) {
