@@ -9,14 +9,15 @@
 
 use crate::{num, Cell, Run};
 use dosn_obs::Histogram;
-use dosn_overlay::chord::ChordOverlay;
+use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
+use dosn_overlay::storage::StoragePlane;
 
 const KEYS: u64 = 60;
 
 /// `[success rate, mean hops]` of reading every key back.
-fn measure(ring: &mut ChordOverlay) -> [Cell; 2] {
+fn measure(ring: &mut ChordPlane) -> [Cell; 2] {
     let mut ok = 0u64;
     let mut hops = Histogram::new();
     for i in 0..KEYS {
@@ -38,7 +39,7 @@ pub(super) fn run(run: &mut Run) {
          hops (post)",
     );
     for offline_pct in [0usize, 10, 25, 40, 60] {
-        let mut ring = ChordOverlay::build(256, 3, 21);
+        let mut ring = ChordPlane::build(256, 21).with_replicas(3);
         let mut m = Metrics::new();
         for i in 0..KEYS {
             let key = Key::hash(format!("item-{i}").as_bytes());

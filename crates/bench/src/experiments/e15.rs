@@ -73,7 +73,7 @@ pub(super) fn run(run: &mut Run) {
         let mut hash_plane = ChordPlane::build(n, SEED);
         // Drain the build-time dirty set so stabilization bookkeeping does
         // not sit in the memory measurement (steady-state, not cold-start).
-        hash_plane.overlay_mut().stabilize();
+        hash_plane.stabilize();
         let mut hash_store = ReplicatedStore::new(hash_plane, 3);
         let hash_hops = run_workload(&mut hash_store, &workload).count(names::CHORD_HOP);
         drop(hash_store);
@@ -82,7 +82,7 @@ pub(super) fn run(run: &mut Run) {
         let (social_plane, build_ns) = once_ns(|| {
             let graph = WorkloadGraph::generate(&SocialGraphConfig::new(n, SEED));
             let mut plane = ChordPlane::build(n, SEED);
-            plane.overlay_mut().stabilize();
+            plane.stabilize();
             let placement = SocialPlacement::new(graph, &plane.node_ids());
             let mut social_plane = SocialPlane::new(plane, placement);
             for (key, owner) in &workload {
@@ -94,7 +94,7 @@ pub(super) fn run(run: &mut Run) {
         let (m, run_ns) = once_ns(|| run_workload(&mut social_store, &workload));
 
         let plane = social_store.plane();
-        let total_bytes = plane.inner().overlay().memory_bytes() + plane.placement().memory_bytes();
+        let total_bytes = plane.inner().memory_bytes() + plane.placement().memory_bytes();
         // The headline is the largest N's.
         bytes_per_node = total_bytes as f64 / n as f64;
         let social_hits = m.count(names::PLACEMENT_SOCIAL_HITS);

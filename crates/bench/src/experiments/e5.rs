@@ -8,13 +8,13 @@
 
 use crate::{num, Run};
 use dosn_obs::Histogram;
-use dosn_overlay::chord::ChordOverlay;
-use dosn_overlay::federation::FederatedNetwork;
+use dosn_overlay::chord::ChordPlane;
+use dosn_overlay::federation::FederationPlane;
 use dosn_overlay::flood::UnstructuredOverlay;
 use dosn_overlay::hybrid::HybridOverlay;
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
-use dosn_overlay::superpeer::SuperPeerOverlay;
+use dosn_overlay::superpeer::SuperPeerPlane;
 
 const QUERIES: u64 = 40;
 
@@ -22,7 +22,7 @@ const QUERIES: u64 = 40;
 type CostRow = [f64; 3];
 
 fn chord_costs(n: usize) -> CostRow {
-    let mut net = ChordOverlay::build(n, 3, 5);
+    let mut net = ChordPlane::build(n, 5).with_replicas(3);
     let mut m = Metrics::new();
     let mut hops = Histogram::new();
     for i in 0..QUERIES {
@@ -66,7 +66,7 @@ fn flood_costs(n: usize) -> CostRow {
 
 fn superpeer_costs(n: usize) -> CostRow {
     let supers = (n / 16).max(1);
-    let mut net = SuperPeerOverlay::build(n, supers, 7);
+    let mut net = SuperPeerPlane::build(n, supers, 7);
     let mut m = Metrics::new();
     for i in 0..QUERIES {
         let key = Key::hash(format!("k{i}").as_bytes());
@@ -101,7 +101,7 @@ fn hybrid_costs(n: usize) -> CostRow {
 
 fn federation_costs(n: usize) -> CostRow {
     let servers = 8;
-    let mut net = FederatedNetwork::new(servers);
+    let mut net = FederationPlane::build(servers);
     for i in 0..n {
         net.register(&format!("u{i}"), i % servers)
             .expect("register");

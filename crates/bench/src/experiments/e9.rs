@@ -13,9 +13,9 @@
 use crate::{num, wall, Run};
 use dosn_crypto::abe::{AbeAuthority, Policy};
 use dosn_crypto::chacha::SecureRng;
-use dosn_overlay::chord::ChordOverlay;
+use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::id::Key;
-use dosn_overlay::kademlia::KademliaOverlay;
+use dosn_overlay::kademlia::KademliaPlane;
 use dosn_overlay::metrics::Metrics;
 use std::hint::black_box;
 
@@ -62,7 +62,7 @@ fn chord_vs_kademlia(run: &mut Run) {
         "E9: structured-overlay geometry, 512 nodes, 40 queries",
         "overlay | avg msgs/query | avg latency (ms)",
     );
-    let mut chord = ChordOverlay::build(512, 3, 5);
+    let mut chord = ChordPlane::build(512, 5).with_replicas(3);
     let mut m = Metrics::new();
     for i in 0..40u64 {
         let key = Key::hash(format!("k{i}").as_bytes());
@@ -77,7 +77,7 @@ fn chord_vs_kademlia(run: &mut Run) {
         num(m.messages as f64 / 80.0, 1),
         num(m.latency_ms as f64 / 80.0, 0),
     ]);
-    let mut kad = KademliaOverlay::build(512, 3, 20, 5);
+    let mut kad = KademliaPlane::build(512, 20, 5).with_replicas(3);
     let mut m = Metrics::new();
     for i in 0..40u64 {
         let key = Key::hash(format!("k{i}").as_bytes());
@@ -98,7 +98,7 @@ fn replication_cost(run: &mut Run) {
         "replicas | replicate msgs per store",
     );
     for r in [1usize, 2, 4, 8] {
-        let mut chord = ChordOverlay::build(256, r, 3);
+        let mut chord = ChordPlane::build(256, 3).with_replicas(r);
         let mut m = Metrics::new();
         for i in 0..30u64 {
             let key = Key::hash(format!("k{i}").as_bytes());

@@ -1,4 +1,4 @@
-//! Social content: profiles, posts, and comments.
+//! Social content: profiles and posts.
 //!
 //! These are the plaintext objects the privacy layer (§III) encrypts, the
 //! integrity layer (§IV) signs and chains, and the search layer (§V)
@@ -57,33 +57,6 @@ impl Profile {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// Canonical byte encoding (for hashing/signing).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("profile serializes")
-    }
-}
-
-impl Serialize for Profile {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("owner".into(), self.owner.to_value()),
-            ("display_name".into(), self.display_name.to_value()),
-            ("fields".into(), self.fields.to_value()),
-            ("interests".into(), self.interests.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Profile {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(Profile {
-            owner: serde::field(value, "owner")?,
-            display_name: serde::field(value, "display_name")?,
-            fields: serde::field(value, "fields")?,
-            interests: serde::field(value, "interests")?,
-        })
     }
 }
 
@@ -159,68 +132,6 @@ impl Deserialize for Post {
     }
 }
 
-/// A comment attached to a post (the data-relation of §IV-C).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
-    /// The commenter.
-    pub author: UserId,
-    /// The post's author.
-    pub post_author: UserId,
-    /// The post's sequence number.
-    pub post_sequence: u64,
-    /// Logical creation time.
-    pub created_at: LogicalTime,
-    /// Body text.
-    pub body: String,
-}
-
-impl Comment {
-    /// Creates a comment referring to a post.
-    pub fn new(
-        author: impl Into<UserId>,
-        post: &Post,
-        created_at: LogicalTime,
-        body: impl Into<String>,
-    ) -> Self {
-        Comment {
-            author: author.into(),
-            post_author: post.author.clone(),
-            post_sequence: post.sequence,
-            created_at,
-            body: body.into(),
-        }
-    }
-
-    /// Canonical byte encoding (for hashing/signing).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("comment serializes")
-    }
-}
-
-impl Serialize for Comment {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("author".into(), self.author.to_value()),
-            ("post_author".into(), self.post_author.to_value()),
-            ("post_sequence".into(), self.post_sequence.to_value()),
-            ("created_at".into(), self.created_at.to_value()),
-            ("body".into(), self.body.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Comment {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(Comment {
-            author: serde::field(value, "author")?,
-            post_author: serde::field(value, "post_author")?,
-            post_sequence: serde::field(value, "post_sequence")?,
-            created_at: serde::field(value, "created_at")?,
-            body: serde::field(value, "body")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,13 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_bytes_roundtrip() {
-        let p = Profile::new("a", "A").with_field("x", "y");
-        let parsed: Profile = serde_json::from_slice(&p.to_bytes()).unwrap();
-        assert_eq!(parsed, p);
-    }
-
-    #[test]
     fn post_extracts_hashtags() {
         let p = Post::new("bob", 1, 10, "going to #party at my place on #friday!");
         assert_eq!(p.hashtags, vec!["#party", "#friday"]);
@@ -251,14 +155,6 @@ mod tests {
         assert!(plain.hashtags.is_empty());
         let lone_hash = Post::new("bob", 3, 12, "just # alone");
         assert!(lone_hash.hashtags.is_empty());
-    }
-
-    #[test]
-    fn comment_links_to_post() {
-        let post = Post::new("alice", 7, 5, "hello");
-        let c = Comment::new("bob", &post, 6, "hi!");
-        assert_eq!(c.post_author, UserId::from("alice"));
-        assert_eq!(c.post_sequence, 7);
     }
 
     #[test]

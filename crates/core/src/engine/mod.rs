@@ -639,7 +639,7 @@ fn unexpected_output(call: &str, output: &OpOutput) -> DosnError {
 mod tests {
     use super::*;
     use dosn_crypto::sha256::Sha256;
-    use dosn_overlay::storage::ChordPlane;
+    use dosn_overlay::chord::ChordPlane;
 
     fn engine(seed: u64) -> Engine<ChordPlane> {
         Engine::new(ReplicatedStore::new(ChordPlane::build(24, seed), 3), seed)

@@ -13,8 +13,9 @@
 
 use dosn_core::engine::{BatchReport, Engine, Op, OpBatch, OpOutput};
 use dosn_core::DosnError;
+use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::replication::ReplicatedStore;
-use dosn_overlay::storage::{ChordPlane, StoragePlane};
+use dosn_overlay::storage::StoragePlane;
 use proptest::prelude::*;
 
 /// A small closed user universe so generated ops hit registered and

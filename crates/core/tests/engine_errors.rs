@@ -11,10 +11,12 @@ use dosn_core::DosnError;
 use dosn_crypto::CryptoError;
 use dosn_obs::names;
 use dosn_overlay::adversary::{AdversaryConfig, AdversaryMode, AdversaryPlane};
+use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::ReplicatedStore;
-use dosn_overlay::storage::{ChordPlane, StorageError, StoragePlane, SuperPeerPlane};
+use dosn_overlay::storage::{StorageError, StoragePlane};
+use dosn_overlay::superpeer::SuperPeerPlane;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 #[test]

@@ -22,11 +22,13 @@ use dosn_core::identity::UserId;
 use dosn_core::DosnError;
 use dosn_obs::names;
 use dosn_overlay::adversary::{AdversaryConfig, AdversaryPlane};
+use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::placement::{SocialPlacement, SocialPlane};
 use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::social::{SocialGraph, SocialGraphConfig};
-use dosn_overlay::storage::{ChordPlane, StoragePlane, SuperPeerPlane};
+use dosn_overlay::storage::StoragePlane;
+use dosn_overlay::superpeer::SuperPeerPlane;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 

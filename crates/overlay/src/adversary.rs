@@ -402,7 +402,7 @@ impl<P: StoragePlane> StoragePlane for AdversaryPlane<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::ChordPlane;
+    use crate::chord::ChordPlane;
 
     fn plane(f: usize, mode: AdversaryMode) -> AdversaryPlane<ChordPlane> {
         let mut p = AdversaryPlane::new(

@@ -18,7 +18,6 @@
 //! Both report [`NodeArena::memory_bytes`] / [`SharedStore::memory_bytes`]
 //! estimates so the E15 scale bench can gate memory-per-node honestly.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Struct-of-arrays node membership: sorted identifiers + online bitmap.
@@ -190,11 +189,10 @@ pub struct SharedStore {
     entries: HashMap<(u64, u64), u32>,
     /// Interned value bytes.
     values: Vec<Box<[u8]>>,
-    /// fnv(value) -> candidate value indices (hash-collision safe).
+    /// fnv(value) -> candidate value indices (hash-collision safe). Values
+    /// are retained for the overlay's lifetime — delete churn is
+    /// negligible in the sim.
     by_hash: HashMap<u64, Vec<u32>>,
-    /// Reference count per value (for accounting only; values are retained
-    /// for the overlay's lifetime — delete churn is negligible in the sim).
-    refs: Vec<u32>,
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -223,7 +221,6 @@ impl SharedStore {
         }
         let idx = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct values");
         self.values.push(value.to_vec().into_boxed_slice());
-        self.refs.push(0);
         self.by_hash.entry(h).or_default().push(idx);
         idx
     }
@@ -231,17 +228,7 @@ impl SharedStore {
     /// Stores `value` for `(holder, key)`, replacing any previous entry.
     pub fn insert(&mut self, holder: u64, key: u64, value: &[u8]) {
         let idx = self.intern(value);
-        self.refs[idx as usize] += 1;
-        match self.entries.entry((holder, key)) {
-            Entry::Occupied(mut e) => {
-                let old = *e.get();
-                self.refs[old as usize] = self.refs[old as usize].saturating_sub(1);
-                e.insert(idx);
-            }
-            Entry::Vacant(e) => {
-                e.insert(idx);
-            }
-        }
+        self.entries.insert((holder, key), idx);
     }
 
     /// The value stored for `(holder, key)`, if any.
@@ -258,15 +245,7 @@ impl SharedStore {
 
     /// Drops every entry held by `holder` (an ungraceful departure).
     pub fn purge_holder(&mut self, holder: u64) {
-        let refs = &mut self.refs;
-        self.entries.retain(|&(h, _), idx| {
-            if h == holder {
-                refs[*idx as usize] = refs[*idx as usize].saturating_sub(1);
-                false
-            } else {
-                true
-            }
-        });
+        self.entries.retain(|&(h, _), _| h != holder);
     }
 
     /// Number of `(holder, key)` entries.
@@ -287,7 +266,6 @@ impl SharedStore {
             + value_bytes
             + self.values.capacity() * std::mem::size_of::<Box<[u8]>>()
             + self.by_hash.len() * 32
-            + self.refs.capacity() * 4
             + std::mem::size_of::<Self>()
     }
 }

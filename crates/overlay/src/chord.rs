@@ -16,7 +16,7 @@
 //! [`SharedStore`]. Finger tables and successor lists are *lazy*: every
 //! eager table was derived from the same sorted-online-ids snapshot anyway,
 //! so the overlay keeps that snapshot (`routing`, refreshed by
-//! [`ChordOverlay::stabilize`]) and answers `finger[i]`/`successor` queries
+//! [`ChordPlane::stabilize`]) and answers `finger[i]`/`successor` queries
 //! with binary searches at lookup time — identical routing decisions,
 //! O(1) bytes per node instead of 64×8-byte finger arrays. Stabilize itself
 //! only charges maintenance for *dirty* (churned/joined) nodes plus a small
@@ -25,8 +25,10 @@
 
 use crate::arena::{NodeArena, SharedStore};
 use crate::fault::LinkFaults;
+use crate::hotcache::HotCache;
 use crate::id::{in_interval_open_closed, ring_distance, Key, NodeId};
 use crate::metrics::Metrics;
+use crate::storage::{refused, StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,15 +62,22 @@ impl std::fmt::Display for DhtError {
 
 impl std::error::Error for DhtError {}
 
-/// A Chord ring.
+/// A Chord ring, and the [`StoragePlane`] over it: replicas at the key's
+/// successor chain, lookups routed through finger tables (hops accounted).
+///
+/// Two access paths share one placement. The routed [`ChordPlane::store`] /
+/// [`ChordPlane::get`] walk from a given node through possibly stale
+/// fingers and replicate along the successor list; the plane methods
+/// ([`StoragePlane::replica_candidates`], [`StoragePlane::store_at`],
+/// [`StoragePlane::fetch_from`]) let an upper layer place copies itself.
 ///
 /// ```
-/// use dosn_overlay::chord::ChordOverlay;
+/// use dosn_overlay::chord::ChordPlane;
 /// use dosn_overlay::id::Key;
 /// use dosn_overlay::metrics::Metrics;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut ring = ChordOverlay::build(64, 3, 42);
+/// let mut ring = ChordPlane::build(64, 42).with_replicas(3);
 /// let mut metrics = Metrics::new();
 /// let key = Key::hash(b"alice/profile");
 /// ring.store(ring.random_node(1), key, b"profile-data".to_vec(), &mut metrics)?;
@@ -79,7 +88,7 @@ impl std::error::Error for DhtError {}
 /// # Ok(())
 /// # }
 /// ```
-pub struct ChordOverlay {
+pub struct ChordPlane {
     /// Membership: sorted ring ids + online bitmap.
     arena: NodeArena,
     /// Sorted online-id snapshot from the last table build (build, join,
@@ -92,31 +101,36 @@ pub struct ChordOverlay {
     refresh_cursor: usize,
     /// Interned key/value storage shared by every node.
     storage: SharedStore,
+    /// Copies a routed `store` writes (the owner plus successors); also
+    /// sets the successor-list length.
     replicas: usize,
     rng: StdRng,
     latency_ms: (u64, u64),
+    hot: Option<HotCache>,
 }
 
-impl std::fmt::Debug for ChordOverlay {
+impl std::fmt::Debug for ChordPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ChordOverlay({} nodes, {} replicas)",
+            "ChordPlane({} nodes, {} replicas)",
             self.arena.len(),
             self.replicas
         )
     }
 }
 
-impl ChordOverlay {
-    /// Builds a ring of `n` nodes with random ids and a replication factor.
+impl ChordPlane {
+    /// Builds a ring of `n` nodes with random ids and a replication factor
+    /// of 1: placement through the plane is decided by the caller, and
+    /// only the routed `store`/`get` replicate (see
+    /// [`ChordPlane::with_replicas`]).
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `replicas == 0`.
-    pub fn build(n: usize, replicas: usize, seed: u64) -> Self {
+    /// Panics if `n == 0`.
+    pub fn build(n: usize, seed: u64) -> Self {
         assert!(n > 0, "ring needs at least one node");
-        assert!(replicas > 0, "need at least one replica (the owner)");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ids = BTreeSet::new();
         while ids.len() < n {
@@ -124,31 +138,31 @@ impl ChordOverlay {
         }
         let sorted: Vec<u64> = ids.into_iter().collect();
         let dirty: BTreeSet<u64> = sorted.iter().copied().collect();
-        ChordOverlay {
+        ChordPlane {
             routing: sorted.clone(),
             arena: NodeArena::from_sorted_ids(sorted),
             dirty,
             refresh_cursor: 0,
             storage: SharedStore::new(),
-            replicas,
+            replicas: 1,
             rng,
             latency_ms: (10, 120),
+            hot: None,
         }
     }
 
-    /// Number of nodes (online and offline).
-    pub fn len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
-    }
-
-    /// Replication factor.
-    pub fn replicas(&self) -> usize {
-        self.replicas
+    /// Sets how many copies a routed [`ChordPlane::store`] writes and
+    /// [`ChordPlane::get`] tries (the owner plus successors); the
+    /// successor list is at least this long. Draws nothing from the RNG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replicas == 0`.
+    #[must_use]
+    pub fn with_replicas(mut self, replicas: usize) -> Self {
+        assert!(replicas > 0, "need at least one replica (the owner)");
+        self.replicas = replicas;
+        self
     }
 
     /// Estimated resident bytes of membership, routing snapshot, and
@@ -159,11 +173,6 @@ impl ChordOverlay {
             + self.dirty.len() * 32
             + self.storage.memory_bytes()
             + std::mem::size_of::<Self>()
-    }
-
-    /// The shared blob store (for accounting).
-    pub fn storage(&self) -> &SharedStore {
-        &self.storage
     }
 
     /// A deterministic "random" online node for workload driving.
@@ -177,30 +186,6 @@ impl ChordOverlay {
             .nth_online(salt as usize)
             .expect("no online nodes");
         NodeId(id)
-    }
-
-    /// All ring ids, sorted.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.arena.ids().iter().map(|&id| NodeId(id)).collect()
-    }
-
-    /// Marks a node online/offline (simulating churn). Routing snapshots
-    /// are not refreshed: routing must cope, as in a real deployment
-    /// between stabilization rounds. Unknown nodes are ignored.
-    pub fn set_online(&mut self, node: NodeId, online: bool) {
-        if self.arena.set_online(node.0, online).is_some() {
-            self.dirty.insert(node.0);
-        }
-    }
-
-    /// Online node count, O(1) from the arena.
-    pub(crate) fn online_count(&self) -> usize {
-        self.arena.online_count()
-    }
-
-    /// Whether `node` is online.
-    pub fn is_online(&self, node: NodeId) -> bool {
-        self.arena.is_online(node.0)
     }
 
     /// Runs a stabilization round: refreshes the routing snapshot from the
@@ -228,7 +213,7 @@ impl ChordOverlay {
 
     /// Adds a fresh node with a random id, returning it. The routing
     /// snapshot refreshes (join cost is reported at the next
-    /// [`ChordOverlay::stabilize`]).
+    /// [`ChordPlane::stabilize`]).
     pub fn join(&mut self) -> NodeId {
         let id = loop {
             let candidate = self.rng.random::<u64>();
@@ -284,7 +269,7 @@ impl ChordOverlay {
         self.route(from, key, metrics, None)
     }
 
-    /// [`ChordOverlay::lookup`] over lossy links: every hop is a
+    /// [`ChordPlane::lookup`] over lossy links: every hop is a
     /// transmission that `faults` may fail, retried up to `retries` extra
     /// times (counted as `chord.retry`). When a finger link stays dead the
     /// route falls back to the plain successor (`chord.reroute`) — Chord's
@@ -294,7 +279,7 @@ impl ChordOverlay {
     /// # Errors
     ///
     /// [`DhtError::Unavailable`] when a hop cannot be crossed within the
-    /// retry budget (e.g. a partition), plus all [`ChordOverlay::lookup`]
+    /// retry budget (e.g. a partition), plus all [`ChordPlane::lookup`]
     /// errors.
     pub fn lookup_with_faults(
         &mut self,
@@ -367,7 +352,7 @@ impl ChordOverlay {
             if hops > cap {
                 // Routing loop under churn: fall back to the true owner and
                 // account one stabilization's worth of repair traffic.
-                let owner = self.online_replica_candidates(key, 1).pop();
+                let owner = self.successors(key, 1).pop();
                 let owner = owner.ok_or(DhtError::NoNodes)?;
                 metrics.record(names::CHORD_REPAIR, 64, self.draw_latency());
                 return Ok(owner);
@@ -438,46 +423,10 @@ impl ChordOverlay {
         }
     }
 
-    /// Writes `value` directly into `node`'s local store, bypassing
-    /// routing — replica placement decided by an upper storage layer
-    /// (see [`crate::replication::ReplicatedStore`]).
-    ///
-    /// # Errors
-    ///
-    /// [`DhtError::UnknownNode`] for unknown nodes,
-    /// [`DhtError::Unavailable`] when the node is offline.
-    pub fn store_direct(&mut self, node: NodeId, key: Key, value: Vec<u8>) -> Result<(), DhtError> {
-        if !self.arena.contains(node.0) {
-            return Err(DhtError::UnknownNode(node));
-        }
-        if !self.arena.is_online(node.0) {
-            return Err(DhtError::Unavailable(key));
-        }
-        self.storage.insert(node.0, key.0, &value);
-        Ok(())
-    }
-
-    /// Reads `key` directly from `node`'s local store (`None` when the node
-    /// is online but never received the key).
-    ///
-    /// # Errors
-    ///
-    /// [`DhtError::UnknownNode`] for unknown nodes,
-    /// [`DhtError::Unavailable`] when the node is offline.
-    pub fn fetch_direct(&self, node: NodeId, key: Key) -> Result<Option<Vec<u8>>, DhtError> {
-        if !self.arena.contains(node.0) {
-            return Err(DhtError::UnknownNode(node));
-        }
-        if !self.arena.is_online(node.0) {
-            return Err(DhtError::Unavailable(key));
-        }
-        Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
-    }
-
     /// The `want` online nodes that should hold `key`'s replicas: its owner
     /// (clockwise successor) followed by the next online nodes in ring
     /// order. Empty when every node is offline.
-    pub fn online_replica_candidates(&self, key: Key, want: usize) -> Vec<NodeId> {
+    fn successors(&self, key: Key, want: usize) -> Vec<NodeId> {
         if self.arena.online_count() == 0 || want == 0 {
             return Vec::new();
         }
@@ -567,12 +516,101 @@ impl ChordOverlay {
     }
 }
 
+impl StoragePlane for ChordPlane {
+    fn name(&self) -> &'static str {
+        "chord"
+    }
+
+    fn node_count(&self) -> usize {
+        self.arena.len()
+    }
+
+    fn node_ids(&self) -> Vec<NodeId> {
+        self.arena.ids().iter().map(|&id| NodeId(id)).collect()
+    }
+
+    fn is_online(&self, node: NodeId) -> bool {
+        self.arena.is_online(node.0)
+    }
+
+    /// Routing snapshots are not refreshed: routing must cope, as in a
+    /// real deployment between stabilization rounds.
+    fn set_online(&mut self, node: NodeId, online: bool) {
+        if self.arena.set_online(node.0, online).is_some() {
+            self.dirty.insert(node.0);
+        }
+    }
+
+    fn online_count(&self) -> usize {
+        self.arena.online_count()
+    }
+
+    fn replica_candidates(
+        &mut self,
+        key: Key,
+        want: usize,
+        metrics: &mut Metrics,
+    ) -> Result<Vec<NodeId>, StorageError> {
+        let candidates = self.successors(key, want);
+        if candidates.is_empty() {
+            return Err(StorageError::NoNodes);
+        }
+        // Account the routing cost of finding the owner: an iterative
+        // finger-table lookup from a deterministic online start node.
+        let from = self.random_node(key.0);
+        self.lookup(from, key, metrics)?;
+        Ok(candidates)
+    }
+
+    fn store_at(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        value: &[u8],
+        metrics: &mut Metrics,
+    ) -> Result<(), StorageError> {
+        if !self.arena.is_online(node.0) {
+            return Err(refused(node, self.arena.contains(node.0)));
+        }
+        self.storage.insert(node.0, key.0, value);
+        metrics.record(names::CHORD_STORE, value.len() as u64, 30);
+        Ok(())
+    }
+
+    fn fetch_from(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        metrics: &mut Metrics,
+    ) -> Result<Option<Vec<u8>>, StorageError> {
+        if !self.arena.is_online(node.0) {
+            return Err(refused(node, self.arena.contains(node.0)));
+        }
+        metrics.record(names::CHORD_FETCH, 64, 30);
+        Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
+    }
+
+    fn hot_cache(&self) -> Option<&HotCache> {
+        self.hot.as_ref()
+    }
+
+    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
+        self.hot.as_mut()
+    }
+
+    /// Cachet-style gossip admission: a ring replica caches roughly half
+    /// the verified envelopes it sees, decided by a seeded coin per key.
+    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
+        self.hot = Some(HotCache::new(capacity).with_admission(seed, 128));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ring(n: usize) -> ChordOverlay {
-        ChordOverlay::build(n, 3, 7)
+    fn ring(n: usize) -> ChordPlane {
+        ChordPlane::build(n, 7).with_replicas(3)
     }
 
     #[test]
@@ -645,7 +683,7 @@ mod tests {
 
     #[test]
     fn unavailable_when_all_replicas_offline() {
-        let mut r = ChordOverlay::build(16, 2, 3);
+        let mut r = ChordPlane::build(16, 3).with_replicas(2);
         let mut m = Metrics::new();
         let key = Key::hash(b"fragile");
         let from = r.random_node(0);
@@ -668,9 +706,9 @@ mod tests {
     #[test]
     fn join_changes_membership_and_routing_still_works() {
         let mut r = ring(8);
-        let before = r.len();
+        let before = r.node_count();
         let newcomer = r.join();
-        assert_eq!(r.len(), before + 1);
+        assert_eq!(r.node_count(), before + 1);
         let mut m = Metrics::new();
         let key = Key::hash(b"after-join");
         r.store(newcomer, key, b"x".to_vec(), &mut m).unwrap();
@@ -682,7 +720,7 @@ mod tests {
         let mut r = ring(8);
         let victim = r.random_node(3);
         r.leave(victim);
-        assert_eq!(r.len(), 7);
+        assert_eq!(r.node_count(), 7);
         let mut m = Metrics::new();
         let key = Key::hash(b"post-leave");
         let from = r.random_node(0);
@@ -735,7 +773,7 @@ mod tests {
 
     #[test]
     fn single_node_ring_owns_everything() {
-        let mut r = ChordOverlay::build(1, 1, 1);
+        let mut r = ChordPlane::build(1, 1);
         let mut m = Metrics::new();
         let only = r.random_node(0);
         let key = Key::hash(b"solo");
@@ -768,7 +806,37 @@ mod tests {
         let r = ring(4096);
         // Lazy tables: no 64-entry finger array per node; the arena plus
         // routing snapshot is ~17 bytes/node.
-        let per_node = r.memory_bytes() / r.len();
+        let per_node = r.memory_bytes() / r.node_count();
         assert!(per_node <= 64, "{per_node} bytes/node");
+    }
+
+    /// One type, two access paths, one placement: what the replicated
+    /// store puts through the plane methods, a routed `get` finds from
+    /// every node, and what a routed `store` writes, the store reads back.
+    #[test]
+    fn routed_and_plane_access_agree_on_placement() {
+        use crate::replication::ReplicatedStore;
+        let mut store = ReplicatedStore::new(ChordPlane::build(64, 7).with_replicas(3), 3);
+        let mut m = Metrics::new();
+        let value = |tag: &str, i: u64| format!("{tag} {i}").into_bytes();
+        for i in 0..50 {
+            let key = Key::hash(format!("placed-{i}").as_bytes());
+            store.put(key, value("placed", i), &mut m).unwrap();
+        }
+        let readers = store.plane().node_ids();
+        for i in 0..50 {
+            let key = Key::hash(format!("placed-{i}").as_bytes());
+            for &reader in &readers {
+                let got = store.plane_mut().get(reader, key, &mut m).unwrap();
+                assert_eq!(got, value("placed", i), "key {i} from {reader}");
+            }
+        }
+        for i in 0..50 {
+            let key = Key::hash(format!("routed-{i}").as_bytes());
+            let ring = store.plane_mut();
+            let from = ring.random_node(i);
+            ring.store(from, key, value("routed", i), &mut m).unwrap();
+            assert_eq!(store.get(key, &mut m).unwrap(), value("routed", i));
+        }
     }
 }

@@ -5,12 +5,13 @@
 //! view of the private data stored in the system." This is the
 //! Diaspora-style pod model: every user has a *home server*; clients talk to
 //! their home server, and servers relay to other servers on the user's
-//! behalf. [`FederatedNetwork::max_view_fraction`] quantifies the survey's
+//! behalf. [`FederationPlane::max_view_fraction`] quantifies the survey's
 //! global-view claim directly.
 
 use crate::arena::SharedStore;
-use crate::id::Key;
+use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
+use crate::storage::{refused, StorageError, StoragePlane};
 use dosn_obs::names;
 use std::collections::HashMap;
 
@@ -43,15 +44,18 @@ struct Server {
     online: bool,
 }
 
-/// A federation of home servers (Diaspora pods).
+/// A federation of home servers (Diaspora pods), and the [`StoragePlane`]
+/// over it: "nodes" are pods, replicas are pod-to-pod mirrors of a user's
+/// data. Pods mirror everything already, so the plane keeps the trait's
+/// "no hot cache" defaults.
 ///
 /// ```
-/// use dosn_overlay::federation::FederatedNetwork;
+/// use dosn_overlay::federation::FederationPlane;
 /// use dosn_overlay::id::Key;
 /// use dosn_overlay::metrics::Metrics;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut fed = FederatedNetwork::new(4);
+/// let mut fed = FederationPlane::build(4);
 /// fed.register("alice@pod0", 0)?;
 /// fed.register("bob@pod2", 2)?;
 /// let mut m = Metrics::new();
@@ -65,7 +69,7 @@ struct Server {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct FederatedNetwork {
+pub struct FederationPlane {
     servers: Vec<Server>,
     home_of: HashMap<String, usize>,
     /// Pod blob storage, interned across the whole federation and keyed by
@@ -73,15 +77,15 @@ pub struct FederatedNetwork {
     storage: SharedStore,
 }
 
-impl FederatedNetwork {
+impl FederationPlane {
     /// Creates a federation with `servers` empty online servers.
     ///
     /// # Panics
     ///
     /// Panics if `servers == 0`.
-    pub fn new(servers: usize) -> Self {
+    pub fn build(servers: usize) -> Self {
         assert!(servers > 0, "federation needs at least one server");
-        FederatedNetwork {
+        FederationPlane {
             servers: (0..servers)
                 .map(|_| Server {
                     online: true,
@@ -93,12 +97,9 @@ impl FederatedNetwork {
         }
     }
 
-    /// Number of servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Registers `user` with home server `server`.
+    /// Registers `user` with home server `server`. Registering a known
+    /// user again moves them: they leave their old pod's user list, so
+    /// every user is listed on exactly their home pod.
     ///
     /// # Errors
     ///
@@ -108,70 +109,16 @@ impl FederatedNetwork {
         if server >= self.servers.len() {
             return Err(FederationError::UnknownUser(user.to_owned()));
         }
+        if let Some(old) = self.home_of.insert(user.to_owned(), server) {
+            self.servers[old].users.retain(|u| u != user);
+        }
         self.servers[server].users.push(user.to_owned());
-        self.home_of.insert(user.to_owned(), server);
         Ok(())
     }
 
     /// The home server index of `user`.
     pub fn home_server(&self, user: &str) -> Option<usize> {
         self.home_of.get(user).copied()
-    }
-
-    /// Takes a server down or up.
-    ///
-    /// # Panics
-    ///
-    /// Panics for out-of-range indices.
-    pub fn set_server_online(&mut self, server: usize, online: bool) {
-        self.servers[server].online = online;
-    }
-
-    /// Whether `server` is online (`false` for out-of-range indices).
-    pub fn server_online(&self, server: usize) -> bool {
-        self.servers.get(server).is_some_and(|s| s.online)
-    }
-
-    /// Writes `value` directly onto `server` (replica placement by an upper
-    /// storage layer — a pod mirroring a friend's pod). Returns `false` for
-    /// unknown or offline servers.
-    pub fn store_direct(&mut self, server: usize, key: Key, value: Vec<u8>) -> bool {
-        if !self.server_online(server) {
-            return false;
-        }
-        self.storage.insert(server as u64, key.0, &value);
-        true
-    }
-
-    /// Reads `key` directly from `server`'s storage. `None` when the server
-    /// is unknown, offline, or does not hold the key.
-    pub fn fetch_direct(&self, server: usize, key: Key) -> Option<Vec<u8>> {
-        if !self.server_online(server) {
-            return None;
-        }
-        self.storage.get(server as u64, key.0).map(<[u8]>::to_vec)
-    }
-
-    /// The `want` online servers that should hold `key`'s replicas: a
-    /// deterministic forward scan from the key's hash partition. Empty when
-    /// every server is down.
-    pub fn online_replica_candidates(&self, key: Key, want: usize) -> Vec<usize> {
-        let n = self.servers.len();
-        if n == 0 || want == 0 {
-            return Vec::new();
-        }
-        let start = (key.0 as usize) % n;
-        let mut out = Vec::with_capacity(want);
-        for i in 0..n {
-            let idx = (start + i) % n;
-            if self.servers[idx].online {
-                out.push(idx);
-                if out.len() == want {
-                    break;
-                }
-            }
-        }
-        out
     }
 
     /// Stores data on the *owner's* home server (client → home, 1 message).
@@ -252,12 +199,88 @@ impl FederatedNetwork {
     }
 }
 
+impl StoragePlane for FederationPlane {
+    fn name(&self) -> &'static str {
+        "federation"
+    }
+
+    fn node_count(&self) -> usize {
+        self.servers.len()
+    }
+
+    fn node_ids(&self) -> Vec<NodeId> {
+        (0..self.servers.len() as u64).map(NodeId).collect()
+    }
+
+    fn is_online(&self, node: NodeId) -> bool {
+        self.servers.get(node.0 as usize).is_some_and(|s| s.online)
+    }
+
+    fn set_online(&mut self, node: NodeId, online: bool) {
+        if let Some(server) = self.servers.get_mut(node.0 as usize) {
+            server.online = online;
+        }
+    }
+
+    /// A deterministic forward scan from the key's hash partition.
+    fn replica_candidates(
+        &mut self,
+        key: Key,
+        want: usize,
+        metrics: &mut Metrics,
+    ) -> Result<Vec<NodeId>, StorageError> {
+        let n = self.servers.len();
+        let start = (key.0 as usize) % n;
+        let candidates: Vec<NodeId> = (0..n)
+            .map(|i| (start + i) % n)
+            .filter(|&idx| self.servers[idx].online)
+            .take(want)
+            .map(|idx| NodeId(idx as u64))
+            .collect();
+        if candidates.is_empty() {
+            return Err(StorageError::NoNodes);
+        }
+        // Client → home server: federation placement is a table lookup.
+        metrics.record(names::FED_CLIENT_REQUEST, 32, 30);
+        Ok(candidates)
+    }
+
+    /// A pod mirroring a friend's pod.
+    fn store_at(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        value: &[u8],
+        metrics: &mut Metrics,
+    ) -> Result<(), StorageError> {
+        if !self.is_online(node) {
+            return Err(refused(node, node.0 < self.servers.len() as u64));
+        }
+        self.storage.insert(node.0, key.0, value);
+        metrics.record(names::FED_STORE, value.len() as u64, 30);
+        Ok(())
+    }
+
+    fn fetch_from(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        metrics: &mut Metrics,
+    ) -> Result<Option<Vec<u8>>, StorageError> {
+        if !self.is_online(node) {
+            return Err(refused(node, node.0 < self.servers.len() as u64));
+        }
+        metrics.record(names::FED_FETCH, 64, 30);
+        Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fed() -> FederatedNetwork {
-        let mut f = FederatedNetwork::new(4);
+    fn fed() -> FederationPlane {
+        let mut f = FederationPlane::build(4);
         for i in 0..20 {
             f.register(&format!("user{i}"), i % 4).unwrap();
         }
@@ -316,7 +339,7 @@ mod tests {
             .unwrap();
         f.store("user2", Key::hash(b"b"), b"2".to_vec(), &mut m)
             .unwrap();
-        f.set_server_online(1, false); // user1's pod
+        f.set_online(NodeId(1), false); // user1's pod
         assert!(matches!(
             f.fetch("user0", Key::hash(b"a"), "user1", &mut m),
             Err(FederationError::HomeServerDown(_))
@@ -351,16 +374,34 @@ mod tests {
 
     #[test]
     fn view_fraction_extremes() {
-        let empty = FederatedNetwork::new(3);
+        let empty = FederationPlane::build(3);
         assert_eq!(empty.max_view_fraction(), 0.0);
-        let mut central = FederatedNetwork::new(1);
+        let mut central = FederationPlane::build(1);
         central.register("only", 0).unwrap();
         assert_eq!(central.max_view_fraction(), 1.0);
     }
 
     #[test]
     fn register_bad_server_fails() {
-        let mut f = FederatedNetwork::new(2);
+        let mut f = FederationPlane::build(2);
         assert!(f.register("x", 5).is_err());
+    }
+
+    /// Regression: registering a user again used to list them on both
+    /// pods, so a one-user federation reported a 0.5 view fraction.
+    #[test]
+    fn registering_again_moves_the_user() {
+        let mut f = FederationPlane::build(2);
+        f.register("u", 0).unwrap();
+        f.register("u", 1).unwrap();
+        assert_eq!(f.home_server("u"), Some(1));
+        assert_eq!(f.max_view_fraction(), 1.0);
+        assert_eq!(f.servers[0].users, Vec::<String>::new());
+        // Again on the same pod: still listed once.
+        f.register("u", 1).unwrap();
+        assert_eq!(f.servers[1].users, vec!["u".to_owned()]);
+        // A refused move changes nothing.
+        assert!(f.register("u", 7).is_err());
+        assert_eq!(f.home_server("u"), Some(1));
     }
 }

@@ -8,9 +8,10 @@
 //! caches of the node's social contacts (one hop), then falls back to the
 //! authoritative Chord lookup — and populates caches on the way back.
 
-use crate::chord::{ChordOverlay, DhtError};
+use crate::chord::{ChordPlane, DhtError};
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
+use crate::storage::StoragePlane;
 use dosn_obs::names;
 use std::collections::{HashMap, VecDeque};
 
@@ -71,7 +72,7 @@ impl NodeCache {
 /// # }
 /// ```
 pub struct HybridOverlay {
-    dht: ChordOverlay,
+    dht: ChordPlane,
     caches: HashMap<NodeId, NodeCache>,
     contacts: HashMap<NodeId, Vec<NodeId>>,
     cache_capacity: usize,
@@ -91,7 +92,7 @@ impl HybridOverlay {
     /// Builds the hybrid overlay: a Chord ring plus per-node caches and a
     /// random social-contact graph (≈6 contacts per node).
     pub fn build(n: usize, replicas: usize, cache_capacity: usize, seed: u64) -> Self {
-        let dht = ChordOverlay::build(n, replicas, seed);
+        let dht = ChordPlane::build(n, seed).with_replicas(replicas);
         let ids = dht.node_ids();
         let mut contacts: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
         // Deterministic contact graph: each node links to 6 pseudo-random
@@ -118,12 +119,12 @@ impl HybridOverlay {
     }
 
     /// The underlying structured layer.
-    pub fn dht(&self) -> &ChordOverlay {
+    pub fn dht(&self) -> &ChordPlane {
         &self.dht
     }
 
     /// Mutable access to the structured layer (churn injection in tests).
-    pub fn dht_mut(&mut self) -> &mut ChordOverlay {
+    pub fn dht_mut(&mut self) -> &mut ChordPlane {
         &mut self.dht
     }
 

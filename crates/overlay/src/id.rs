@@ -23,9 +23,10 @@ impl fmt::Display for Key {
 }
 
 impl Key {
-    /// Hashes arbitrary bytes to a ring position (deterministic FNV-1a with
-    /// a final avalanche mix; stable across processes, unlike `std`'s
-    /// `DefaultHasher`).
+    /// Hashes arbitrary bytes to a ring position (a deterministic FNV-1a
+    /// variant with a final avalanche mix; stable across processes, unlike
+    /// `std`'s `DefaultHasher`). Every stored key derives from it, so its
+    /// values are pinned.
     ///
     /// The finalizer matters: raw FNV-1a leaves trailing-byte differences in
     /// the low ~48 bits, so sequential content names ("post-1", "post-2", …)
@@ -36,7 +37,10 @@ impl Key {
     }
 }
 
-/// 64-bit FNV-1a (no finalization; see [`Key::hash`]).
+/// FNV-1a's xor-then-multiply loop with the standard 64-bit offset basis
+/// but multiplier `0x1000_0000_01b3`, not the FNV prime `0x100_0000_01b3`
+/// (no finalization; see [`Key::hash`]). Every key in the workspace is
+/// derived through it, so the constant stays.
 pub(crate) fn fnv1a(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
@@ -79,6 +83,15 @@ mod tests {
         assert_eq!(Key::hash(b"alice"), Key::hash(b"alice"));
         assert_ne!(Key::hash(b"alice"), Key::hash(b"bob"));
         assert_ne!(Key::hash(b""), Key::hash(b"\0"));
+    }
+
+    #[test]
+    fn hash_values_are_pinned() {
+        // Every wall key is `Key::hash` of its name, and stored data is
+        // addressed by it: these must never move.
+        assert_eq!(Key::hash(b""), Key(0xefd0_1f60_ba99_2926));
+        assert_eq!(Key::hash(b"alice"), Key(0xa340_160d_74e3_1aa8));
+        assert_eq!(Key::hash(b"wall/alice/3"), Key(0x30e0_01aa_9cbf_441e));
     }
 
     #[test]

@@ -24,8 +24,10 @@
 
 use crate::arena::{NodeArena, SharedStore};
 use crate::fault::LinkFaults;
+use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
+use crate::storage::{refused, StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,15 +63,17 @@ fn take_closest(slice: &[u64], refid: u64, bit: i32, remaining: &mut usize, out:
     take_closest(far, refid, bit - 1, remaining, out);
 }
 
-/// A Kademlia overlay.
+/// A Kademlia overlay, and the [`StoragePlane`] over it: replicas at the
+/// XOR-closest online nodes, iterative α-parallel lookups accounted per
+/// round.
 ///
 /// ```
-/// use dosn_overlay::kademlia::KademliaOverlay;
+/// use dosn_overlay::kademlia::KademliaPlane;
 /// use dosn_overlay::id::Key;
 /// use dosn_overlay::metrics::Metrics;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut net = KademliaOverlay::build(128, 4, 20, 9);
+/// let mut net = KademliaPlane::build(128, 20, 9).with_replicas(4);
 /// let mut m = Metrics::new();
 /// let key = Key::hash(b"profile");
 /// net.store(net.random_node(0), key, b"data".to_vec(), &mut m)?;
@@ -77,55 +81,58 @@ fn take_closest(slice: &[u64], refid: u64, bit: i32, remaining: &mut usize, out:
 /// # Ok(())
 /// # }
 /// ```
-pub struct KademliaOverlay {
+pub struct KademliaPlane {
     arena: NodeArena,
     storage: SharedStore,
     k: usize,
+    /// Nodes a routed `lookup` returns, so copies a routed `store` writes.
     replicas: usize,
     rng: StdRng,
+    hot: Option<HotCache>,
 }
 
-impl std::fmt::Debug for KademliaOverlay {
+impl std::fmt::Debug for KademliaPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "KademliaOverlay({} nodes, k={})",
-            self.arena.len(),
-            self.k
-        )
+        write!(f, "KademliaPlane({} nodes, k={})", self.arena.len(), self.k)
     }
 }
 
-impl KademliaOverlay {
-    /// Builds `n` nodes with `replicas`-way storage and bucket size `k`.
+impl KademliaPlane {
+    /// Builds `n` nodes with bucket size `k` and a replication factor of 1
+    /// (see [`KademliaPlane::with_replicas`]).
     ///
     /// # Panics
     ///
-    /// Panics when `n == 0`, `replicas == 0`, or `k == 0`.
-    pub fn build(n: usize, replicas: usize, k: usize, seed: u64) -> Self {
-        assert!(n > 0 && replicas > 0 && k > 0, "invalid parameters");
+    /// Panics when `n == 0` or `k == 0`.
+    pub fn build(n: usize, k: usize, seed: u64) -> Self {
+        assert!(n > 0 && k > 0, "invalid parameters");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ids = BTreeSet::new();
         while ids.len() < n {
             ids.insert(rng.random::<u64>());
         }
-        KademliaOverlay {
+        KademliaPlane {
             arena: NodeArena::from_sorted_ids(ids.into_iter().collect()),
             storage: SharedStore::new(),
             k,
-            replicas,
+            replicas: 1,
             rng,
+            hot: None,
         }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Whether the overlay is empty.
-    pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+    /// Sets how many closest nodes a routed [`KademliaPlane::lookup`]
+    /// returns, and so how many copies [`KademliaPlane::store`] writes.
+    /// Draws nothing from the RNG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replicas == 0`.
+    #[must_use]
+    pub fn with_replicas(mut self, replicas: usize) -> Self {
+        assert!(replicas > 0, "invalid parameters");
+        self.replicas = replicas;
+        self
     }
 
     /// Estimated resident bytes of membership and storage — the E15
@@ -145,51 +152,6 @@ impl KademliaOverlay {
             .nth_online(salt as usize)
             .expect("no online nodes");
         NodeId(id)
-    }
-
-    /// All node ids, in id order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.arena.ids().iter().map(|&id| NodeId(id)).collect()
-    }
-
-    /// Marks a node online/offline. Unknown nodes are ignored.
-    pub fn set_online(&mut self, node: NodeId, online: bool) {
-        self.arena.set_online(node.0, online);
-    }
-
-    /// Whether `node` is a member (online or not).
-    pub(crate) fn contains(&self, node: NodeId) -> bool {
-        self.arena.contains(node.0)
-    }
-
-    /// Online node count, O(1) from the arena.
-    pub(crate) fn online_count(&self) -> usize {
-        self.arena.online_count()
-    }
-
-    /// Whether `node` is online.
-    pub fn is_online(&self, node: NodeId) -> bool {
-        self.arena.is_online(node.0)
-    }
-
-    /// Writes `value` directly into `node`'s local store, bypassing routing
-    /// (replica placement by an upper storage layer). Returns `false` for
-    /// unknown or offline nodes.
-    pub fn store_direct(&mut self, node: NodeId, key: Key, value: Vec<u8>) -> bool {
-        if !self.arena.is_online(node.0) {
-            return false;
-        }
-        self.storage.insert(node.0, key.0, &value);
-        true
-    }
-
-    /// Reads `key` directly from `node`'s local store. `None` when the node
-    /// is unknown, offline, or never received the key.
-    pub fn fetch_direct(&self, node: NodeId, key: Key) -> Option<Vec<u8>> {
-        if !self.arena.is_online(node.0) {
-            return None;
-        }
-        self.storage.get(node.0, key.0).map(<[u8]>::to_vec)
     }
 
     /// The contacts of `id`'s bucket `b`: its `k` XOR-closest nodes whose
@@ -230,7 +192,7 @@ impl KademliaOverlay {
 
     /// Iterative XOR-metric lookup returning up to `count` closest online
     /// nodes (capped by the bucket size `k`), with the same per-round
-    /// message/latency accounting as [`KademliaOverlay::lookup`].
+    /// message/latency accounting as [`KademliaPlane::lookup`].
     pub fn closest(
         &mut self,
         from: NodeId,
@@ -241,7 +203,7 @@ impl KademliaOverlay {
         self.iterate(from, key, count, metrics, None)
     }
 
-    /// [`KademliaOverlay::lookup`] over lossy links: each `FIND_NODE` to a
+    /// [`KademliaPlane::lookup`] over lossy links: each `FIND_NODE` to a
     /// shortlist candidate is a transmission that `faults` may fail,
     /// retried up to `retries` extra times (counted as `kad.retry`).
     /// Unreachable candidates are simply skipped — Kademlia's α-parallel
@@ -269,7 +231,7 @@ impl KademliaOverlay {
         metrics: &mut Metrics,
         mut link: Option<(&mut LinkFaults, u32)>,
     ) -> Vec<NodeId> {
-        if !self.contains(from) {
+        if !self.arena.contains(from.0) {
             return Vec::new();
         }
         let target = key.0;
@@ -378,12 +340,97 @@ impl KademliaOverlay {
     }
 }
 
+impl StoragePlane for KademliaPlane {
+    fn name(&self) -> &'static str {
+        "kademlia"
+    }
+
+    fn node_count(&self) -> usize {
+        self.arena.len()
+    }
+
+    fn node_ids(&self) -> Vec<NodeId> {
+        self.arena.ids().iter().map(|&id| NodeId(id)).collect()
+    }
+
+    fn is_online(&self, node: NodeId) -> bool {
+        self.arena.is_online(node.0)
+    }
+
+    fn set_online(&mut self, node: NodeId, online: bool) {
+        self.arena.set_online(node.0, online);
+    }
+
+    fn online_count(&self) -> usize {
+        self.arena.online_count()
+    }
+
+    fn replica_candidates(
+        &mut self,
+        key: Key,
+        want: usize,
+        metrics: &mut Metrics,
+    ) -> Result<Vec<NodeId>, StorageError> {
+        if self.arena.online_count() == 0 {
+            return Err(StorageError::NoNodes);
+        }
+        let from = self.random_node(key.0);
+        let found = self.closest(from, key, want, metrics);
+        if found.is_empty() {
+            return Err(StorageError::NoNodes);
+        }
+        Ok(found)
+    }
+
+    fn store_at(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        value: &[u8],
+        metrics: &mut Metrics,
+    ) -> Result<(), StorageError> {
+        if !self.arena.is_online(node.0) {
+            return Err(refused(node, self.arena.contains(node.0)));
+        }
+        self.storage.insert(node.0, key.0, value);
+        metrics.record(names::KAD_STORE, value.len() as u64, 30);
+        Ok(())
+    }
+
+    fn fetch_from(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        metrics: &mut Metrics,
+    ) -> Result<Option<Vec<u8>>, StorageError> {
+        if !self.arena.is_online(node.0) {
+            return Err(refused(node, self.arena.contains(node.0)));
+        }
+        metrics.record(names::KAD_FETCH, 64, 30);
+        Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
+    }
+
+    fn hot_cache(&self) -> Option<&HotCache> {
+        self.hot.as_ref()
+    }
+
+    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
+        self.hot.as_mut()
+    }
+
+    /// Seeded gossip admission, as on the Chord plane: the XOR-closest
+    /// replicas cache a deterministic half of the verified envelopes.
+    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
+        self.hot = Some(HotCache::new(capacity).with_admission(seed, 128));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn net(n: usize) -> KademliaOverlay {
-        KademliaOverlay::build(n, 3, 20, 13)
+    fn net(n: usize) -> KademliaPlane {
+        KademliaPlane::build(n, 20, 13).with_replicas(3)
     }
 
     #[test]
@@ -458,7 +505,7 @@ mod tests {
 
     #[test]
     fn buckets_bounded_by_k_and_correctly_binned() {
-        let k = KademliaOverlay::build(256, 3, 8, 5);
+        let k = KademliaPlane::build(256, 8, 5).with_replicas(3);
         for node in k.node_ids() {
             for b in 0..64 {
                 let bucket = k.bucket_contacts(node.0, b);
@@ -477,7 +524,7 @@ mod tests {
 
     #[test]
     fn lazy_bucket_extraction_matches_brute_force() {
-        let k = KademliaOverlay::build(128, 3, 5, 77);
+        let k = KademliaPlane::build(128, 5, 77).with_replicas(3);
         let ids: Vec<u64> = k.node_ids().iter().map(|n| n.0).collect();
         for &id in ids.iter().step_by(17) {
             for b in 0..64 {
@@ -500,6 +547,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid parameters")]
     fn zero_nodes_rejected() {
-        KademliaOverlay::build(0, 3, 20, 1);
+        KademliaPlane::build(0, 20, 1);
     }
 }

@@ -14,6 +14,11 @@
 //! | Hybrid | Cachet DHT + gossip cache, Cuckoo | [`hybrid`] |
 //! | Server federation | Diaspora pods | [`federation`] |
 //!
+//! The storing families — Chord, [`kademlia`], super-peers and the
+//! federation — are each one type that also implements
+//! [`storage::StoragePlane`], the placement + access trait that
+//! [`replication::ReplicatedStore`] and the request engine run over.
+//!
 //! Supporting infrastructure: [`sim`] (event-driven engine with churn),
 //! [`churn`] (availability experiments, E6), [`metrics`] (message/hop
 //! accounting used by every experiment), [`id`] (ring identifiers).
@@ -21,18 +26,18 @@
 //! # Example: comparing lookup costs across organizations
 //!
 //! ```
-//! use dosn_overlay::{chord::ChordOverlay, superpeer::SuperPeerOverlay,
+//! use dosn_overlay::{chord::ChordPlane, superpeer::SuperPeerPlane,
 //!                    fault::LinkFaults, id::{Key, NodeId}, metrics::Metrics};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let key = Key::hash(b"profile:carol");
 //!
-//! let mut dht = ChordOverlay::build(256, 3, 1);
+//! let mut dht = ChordPlane::build(256, 1).with_replicas(3);
 //! let mut m_dht = Metrics::new();
 //! dht.store(dht.random_node(0), key, b"data".to_vec(), &mut m_dht)?;
 //! dht.get(dht.random_node(1), key, &mut m_dht)?;
 //!
-//! let mut sp = SuperPeerOverlay::build(256, 16, 1);
+//! let mut sp = SuperPeerPlane::build(256, 16, 1);
 //! sp.publish(NodeId(9), key);
 //! let mut m_sp = Metrics::new();
 //! sp.search(NodeId(200), key, &mut m_sp);
@@ -48,6 +53,13 @@
 //! let mut lossy = LinkFaults::new(7, 0.2);
 //! assert_eq!(dht.lookup_with_faults(from, key, &mut m_dht, &mut lossy, 8)?, owner);
 //! assert_eq!(m_dht.count("chord.retry"), lossy.failures);
+//!
+//! // The same ring is a storage plane: placement an upper layer can
+//! // replicate over, and direct access to one holder.
+//! use dosn_overlay::storage::StoragePlane;
+//! let holders = dht.replica_candidates(key, 3, &mut m_dht)?;
+//! assert_eq!(holders[0], owner);
+//! assert_eq!(dht.fetch_from(owner, key, &mut m_dht)?.as_deref(), Some(&b"data"[..]));
 //! # Ok(())
 //! # }
 //! ```

@@ -262,8 +262,8 @@ impl<P: StoragePlane> StoragePlane for SocialPlane<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chord::ChordPlane;
     use crate::social::SocialGraphConfig;
-    use crate::storage::ChordPlane;
 
     fn social_plane(n: usize) -> SocialPlane<ChordPlane> {
         let plane = ChordPlane::build(n, 7);

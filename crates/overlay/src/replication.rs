@@ -62,7 +62,8 @@ pub fn apply_crash_schedule<P: StoragePlane + ?Sized>(
 /// use dosn_overlay::id::Key;
 /// use dosn_overlay::metrics::Metrics;
 /// use dosn_overlay::replication::ReplicatedStore;
-/// use dosn_overlay::storage::{ChordPlane, StoragePlane};
+/// use dosn_overlay::chord::ChordPlane;
+/// use dosn_overlay::storage::StoragePlane;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut store = ReplicatedStore::new(ChordPlane::build(64, 1), 3);
@@ -582,7 +583,10 @@ pub fn quorum_inspect_batch<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{ChordPlane, FederationPlane, KademliaPlane, SuperPeerPlane};
+    use crate::chord::ChordPlane;
+    use crate::federation::FederationPlane;
+    use crate::kademlia::KademliaPlane;
+    use crate::superpeer::SuperPeerPlane;
 
     fn stores(r: usize) -> Vec<ReplicatedStore<Box<dyn StoragePlane>>> {
         let planes: Vec<Box<dyn StoragePlane>> = vec![

@@ -4,13 +4,13 @@
 //! super-peers, server federation…) as an interchangeable substrate under
 //! the same security layers, and LibreSocial's layered framework shows a
 //! production P2P OSN is built exactly that way: a replicated storage plane
-//! beneath pluggable security components. Historically this crate exposed
-//! four parallel-but-incompatible `store`/`get` APIs
-//! ([`crate::chord::ChordOverlay`], [`crate::kademlia::KademliaOverlay`],
-//! [`crate::superpeer::SuperPeerOverlay`],
-//! [`crate::federation::FederatedNetwork`]); [`StoragePlane`] unifies them
-//! so upper layers — notably [`crate::replication::ReplicatedStore`] and
-//! the `dosn-core` request engine — run unchanged over any of them.
+//! beneath pluggable security components. Each overlay family is one type
+//! that implements [`StoragePlane`] in its own module —
+//! [`crate::chord::ChordPlane`], [`crate::kademlia::KademliaPlane`],
+//! [`crate::superpeer::SuperPeerPlane`] and
+//! [`crate::federation::FederationPlane`] — so upper layers, notably
+//! [`crate::replication::ReplicatedStore`] and the `dosn-core` request
+//! engine, run unchanged over any of them.
 //!
 //! The trait decomposes storage into *placement* and *access*:
 //! [`StoragePlane::replica_candidates`] answers "which online nodes should
@@ -20,14 +20,10 @@
 //! replication layer implement R-way placement, quorum reads, and
 //! read-repair over every overlay geometry.
 
-use crate::chord::{ChordOverlay, DhtError};
-use crate::federation::FederatedNetwork;
+use crate::chord::DhtError;
 use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
-use crate::kademlia::KademliaOverlay;
 use crate::metrics::Metrics;
-use crate::superpeer::SuperPeerOverlay;
-use dosn_obs::names;
 
 /// Errors from storage-plane operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,7 +81,7 @@ impl From<DhtError> for StorageError {
 
 /// Why a plane refused direct access to `node`: the one error contract of
 /// [`StoragePlane::store_at`] / [`StoragePlane::fetch_from`].
-fn refused(node: NodeId, known: bool) -> StorageError {
+pub(crate) fn refused(node: NodeId, known: bool) -> StorageError {
     if known {
         StorageError::NodeOffline(node)
     } else {
@@ -260,430 +256,13 @@ impl<T: StoragePlane + ?Sized> StoragePlane for Box<T> {
     }
 }
 
-/// [`StoragePlane`] over a Chord ring: replicas at the key's successor
-/// chain, lookups routed through finger tables (hops accounted).
-#[derive(Debug)]
-pub struct ChordPlane {
-    inner: ChordOverlay,
-    hot: Option<HotCache>,
-}
-
-impl ChordPlane {
-    /// Builds a ring of `n` nodes (see [`ChordOverlay::build`]; the
-    /// overlay-internal replication factor is irrelevant here — placement
-    /// is decided by the caller).
-    pub fn build(n: usize, seed: u64) -> Self {
-        ChordPlane {
-            inner: ChordOverlay::build(n, 1, seed),
-            hot: None,
-        }
-    }
-
-    /// The wrapped ring.
-    pub fn overlay(&self) -> &ChordOverlay {
-        &self.inner
-    }
-
-    /// The wrapped ring, mutably.
-    pub fn overlay_mut(&mut self) -> &mut ChordOverlay {
-        &mut self.inner
-    }
-}
-
-impl StoragePlane for ChordPlane {
-    fn name(&self) -> &'static str {
-        "chord"
-    }
-
-    fn node_count(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn node_ids(&self) -> Vec<NodeId> {
-        self.inner.node_ids()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.inner.is_online(node)
-    }
-
-    fn set_online(&mut self, node: NodeId, online: bool) {
-        self.inner.set_online(node, online);
-    }
-
-    fn online_count(&self) -> usize {
-        self.inner.online_count()
-    }
-
-    fn replica_candidates(
-        &mut self,
-        key: Key,
-        want: usize,
-        metrics: &mut Metrics,
-    ) -> Result<Vec<NodeId>, StorageError> {
-        let candidates = self.inner.online_replica_candidates(key, want);
-        if candidates.is_empty() {
-            return Err(StorageError::NoNodes);
-        }
-        // Account the routing cost of finding the owner: an iterative
-        // finger-table lookup from a deterministic online start node.
-        let from = self.inner.random_node(key.0);
-        self.inner.lookup(from, key, metrics)?;
-        Ok(candidates)
-    }
-
-    fn store_at(
-        &mut self,
-        node: NodeId,
-        key: Key,
-        value: &[u8],
-        metrics: &mut Metrics,
-    ) -> Result<(), StorageError> {
-        let stored = self.inner.store_direct(node, key, value.to_vec());
-        stored.map_err(|e| refused(node, e != DhtError::UnknownNode(node)))?;
-        metrics.record(names::CHORD_STORE, value.len() as u64, 30);
-        Ok(())
-    }
-
-    fn fetch_from(
-        &mut self,
-        node: NodeId,
-        key: Key,
-        metrics: &mut Metrics,
-    ) -> Result<Option<Vec<u8>>, StorageError> {
-        let got = self.inner.fetch_direct(node, key);
-        let got = got.map_err(|e| refused(node, e != DhtError::UnknownNode(node)))?;
-        metrics.record(names::CHORD_FETCH, 64, 30);
-        Ok(got)
-    }
-
-    fn hot_cache(&self) -> Option<&HotCache> {
-        self.hot.as_ref()
-    }
-
-    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        self.hot.as_mut()
-    }
-
-    /// Cachet-style gossip admission: a ring replica caches roughly half
-    /// the verified envelopes it sees, decided by a seeded coin per key.
-    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
-        self.hot = Some(HotCache::new(capacity).with_admission(seed, 128));
-    }
-}
-
-/// [`StoragePlane`] over Kademlia: replicas at the XOR-closest online
-/// nodes, iterative α-parallel lookups accounted per round.
-#[derive(Debug)]
-pub struct KademliaPlane {
-    inner: KademliaOverlay,
-    hot: Option<HotCache>,
-}
-
-impl KademliaPlane {
-    /// Builds `n` nodes with bucket size `k` (see [`KademliaOverlay::build`]).
-    pub fn build(n: usize, k: usize, seed: u64) -> Self {
-        KademliaPlane {
-            inner: KademliaOverlay::build(n, 1, k, seed),
-            hot: None,
-        }
-    }
-
-    /// The wrapped overlay.
-    pub fn overlay(&self) -> &KademliaOverlay {
-        &self.inner
-    }
-
-    /// The wrapped overlay, mutably.
-    pub fn overlay_mut(&mut self) -> &mut KademliaOverlay {
-        &mut self.inner
-    }
-}
-
-impl StoragePlane for KademliaPlane {
-    fn name(&self) -> &'static str {
-        "kademlia"
-    }
-
-    fn node_count(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn node_ids(&self) -> Vec<NodeId> {
-        self.inner.node_ids()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.inner.is_online(node)
-    }
-
-    fn set_online(&mut self, node: NodeId, online: bool) {
-        self.inner.set_online(node, online);
-    }
-
-    fn online_count(&self) -> usize {
-        self.inner.online_count()
-    }
-
-    fn replica_candidates(
-        &mut self,
-        key: Key,
-        want: usize,
-        metrics: &mut Metrics,
-    ) -> Result<Vec<NodeId>, StorageError> {
-        if self.online_count() == 0 {
-            return Err(StorageError::NoNodes);
-        }
-        let from = self.inner.random_node(key.0);
-        let found = self.inner.closest(from, key, want, metrics);
-        if found.is_empty() {
-            return Err(StorageError::NoNodes);
-        }
-        Ok(found)
-    }
-
-    fn store_at(
-        &mut self,
-        node: NodeId,
-        key: Key,
-        value: &[u8],
-        metrics: &mut Metrics,
-    ) -> Result<(), StorageError> {
-        if !self.inner.store_direct(node, key, value.to_vec()) {
-            return Err(refused(node, self.inner.contains(node)));
-        }
-        metrics.record(names::KAD_STORE, value.len() as u64, 30);
-        Ok(())
-    }
-
-    fn fetch_from(
-        &mut self,
-        node: NodeId,
-        key: Key,
-        metrics: &mut Metrics,
-    ) -> Result<Option<Vec<u8>>, StorageError> {
-        if !self.inner.is_online(node) {
-            return Err(refused(node, self.inner.contains(node)));
-        }
-        metrics.record(names::KAD_FETCH, 64, 30);
-        Ok(self.inner.fetch_direct(node, key))
-    }
-
-    fn hot_cache(&self) -> Option<&HotCache> {
-        self.hot.as_ref()
-    }
-
-    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        self.hot.as_mut()
-    }
-
-    /// Seeded gossip admission, as on the Chord plane: the XOR-closest
-    /// replicas cache a deterministic half of the verified envelopes.
-    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
-        self.hot = Some(HotCache::new(capacity).with_admission(seed, 128));
-    }
-}
-
-/// [`StoragePlane`] over the super-peer overlay: blobs are hosted on a
-/// deterministic scan of online peers; the super-peer index is kept
-/// up to date so plain [`SuperPeerOverlay::search`] still finds holders.
-#[derive(Debug)]
-pub struct SuperPeerPlane {
-    inner: SuperPeerOverlay,
-    hot: Option<HotCache>,
-}
-
-impl SuperPeerPlane {
-    /// Builds `n` peers with `supers` super-peers (see
-    /// [`SuperPeerOverlay::build`]).
-    pub fn build(n: usize, supers: usize, seed: u64) -> Self {
-        SuperPeerPlane {
-            inner: SuperPeerOverlay::build(n, supers, seed),
-            hot: None,
-        }
-    }
-
-    /// The wrapped overlay.
-    pub fn overlay(&self) -> &SuperPeerOverlay {
-        &self.inner
-    }
-
-    /// The wrapped overlay, mutably.
-    pub fn overlay_mut(&mut self) -> &mut SuperPeerOverlay {
-        &mut self.inner
-    }
-}
-
-impl StoragePlane for SuperPeerPlane {
-    fn name(&self) -> &'static str {
-        "superpeer"
-    }
-
-    fn node_count(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.inner.len() as u64).map(NodeId).collect()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.inner.is_online(node)
-    }
-
-    fn set_online(&mut self, node: NodeId, online: bool) {
-        self.inner.set_online(node, online);
-    }
-
-    fn replica_candidates(
-        &mut self,
-        key: Key,
-        want: usize,
-        metrics: &mut Metrics,
-    ) -> Result<Vec<NodeId>, StorageError> {
-        let candidates = self.inner.online_replica_candidates(key, want);
-        if candidates.is_empty() {
-            return Err(StorageError::NoNodes);
-        }
-        // Leaf → own super → index-home super: the constant-hop index
-        // consultation that precedes any placement decision.
-        metrics.record(names::SUPER_QUERY, 32, 30);
-        Ok(candidates)
-    }
-
-    fn store_at(
-        &mut self,
-        node: NodeId,
-        key: Key,
-        value: &[u8],
-        metrics: &mut Metrics,
-    ) -> Result<(), StorageError> {
-        if !self.inner.store_direct(node, key, value.to_vec()) {
-            return Err(refused(node, node.0 < self.inner.len() as u64));
-        }
-        // Blob transfer to the holder plus the index publish hop.
-        metrics.record(names::SUPER_STORE, value.len() as u64, 30);
-        metrics.record_offpath(names::SUPER_PUBLISH, 32);
-        Ok(())
-    }
-
-    fn fetch_from(
-        &mut self,
-        node: NodeId,
-        key: Key,
-        metrics: &mut Metrics,
-    ) -> Result<Option<Vec<u8>>, StorageError> {
-        if !self.inner.is_online(node) {
-            return Err(refused(node, node.0 < self.inner.len() as u64));
-        }
-        metrics.record(names::SUPER_FETCH, 64, 30);
-        Ok(self.inner.fetch_direct(node, key))
-    }
-
-    fn hot_cache(&self) -> Option<&HotCache> {
-        self.hot.as_ref()
-    }
-
-    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        self.hot.as_mut()
-    }
-
-    /// Supernova-style hosting: the super-peer tier caches every verified
-    /// envelope it serves (no admission coin — super-peers are the
-    /// designated cache hosts).
-    fn enable_hot_cache(&mut self, capacity: usize, _seed: u64) {
-        self.hot = Some(HotCache::new(capacity));
-    }
-}
-
-/// [`StoragePlane`] over the Diaspora-style server federation: "nodes" are
-/// pods, replicas are pod-to-pod mirrors of a user's data.
-#[derive(Debug)]
-pub struct FederationPlane {
-    inner: FederatedNetwork,
-}
-
-impl FederationPlane {
-    /// Builds a federation of `servers` pods.
-    pub fn build(servers: usize) -> Self {
-        FederationPlane {
-            inner: FederatedNetwork::new(servers),
-        }
-    }
-}
-
-impl StoragePlane for FederationPlane {
-    fn name(&self) -> &'static str {
-        "federation"
-    }
-
-    fn node_count(&self) -> usize {
-        self.inner.server_count()
-    }
-
-    fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.inner.server_count() as u64).map(NodeId).collect()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.inner.server_online(node.0 as usize)
-    }
-
-    fn set_online(&mut self, node: NodeId, online: bool) {
-        if (node.0 as usize) < self.inner.server_count() {
-            self.inner.set_server_online(node.0 as usize, online);
-        }
-    }
-
-    fn replica_candidates(
-        &mut self,
-        key: Key,
-        want: usize,
-        metrics: &mut Metrics,
-    ) -> Result<Vec<NodeId>, StorageError> {
-        let candidates = self.inner.online_replica_candidates(key, want);
-        if candidates.is_empty() {
-            return Err(StorageError::NoNodes);
-        }
-        // Client → home server: federation placement is a table lookup.
-        metrics.record(names::FED_CLIENT_REQUEST, 32, 30);
-        Ok(candidates.into_iter().map(|s| NodeId(s as u64)).collect())
-    }
-
-    fn store_at(
-        &mut self,
-        node: NodeId,
-        key: Key,
-        value: &[u8],
-        metrics: &mut Metrics,
-    ) -> Result<(), StorageError> {
-        if !self
-            .inner
-            .store_direct(node.0 as usize, key, value.to_vec())
-        {
-            return Err(refused(node, node.0 < self.inner.server_count() as u64));
-        }
-        metrics.record(names::FED_STORE, value.len() as u64, 30);
-        Ok(())
-    }
-
-    fn fetch_from(
-        &mut self,
-        node: NodeId,
-        key: Key,
-        metrics: &mut Metrics,
-    ) -> Result<Option<Vec<u8>>, StorageError> {
-        if !self.inner.server_online(node.0 as usize) {
-            return Err(refused(node, node.0 < self.inner.server_count() as u64));
-        }
-        metrics.record(names::FED_FETCH, 64, 30);
-        Ok(self.inner.fetch_direct(node.0 as usize, key))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chord::ChordPlane;
+    use crate::federation::FederationPlane;
+    use crate::kademlia::KademliaPlane;
+    use crate::superpeer::SuperPeerPlane;
 
     fn planes() -> Vec<Box<dyn StoragePlane>> {
         vec![

@@ -10,8 +10,10 @@
 
 use crate::arena::SharedStore;
 use crate::fault::LinkFaults;
+use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
+use crate::storage::{refused, StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,43 +29,48 @@ struct Peer {
     attached_to: Option<NodeId>,
 }
 
-/// The Supernova-style super-peer overlay.
+/// The Supernova-style super-peer overlay, and the [`StoragePlane`] over it:
+/// blobs are hosted on a deterministic scan of online peers, and the
+/// super-peer index is kept up to date so plain [`SuperPeerPlane::search`]
+/// still finds holders.
 ///
 /// ```
-/// use dosn_overlay::superpeer::SuperPeerOverlay;
+/// use dosn_overlay::superpeer::SuperPeerPlane;
 /// use dosn_overlay::id::{Key, NodeId};
 /// use dosn_overlay::metrics::Metrics;
 ///
-/// let mut net = SuperPeerOverlay::build(100, 10, 21);
+/// let mut net = SuperPeerPlane::build(100, 10, 21);
 /// net.publish(NodeId(42), Key::hash(b"photo"));
 /// let mut m = Metrics::new();
 /// let holder = net.search(NodeId(7), Key::hash(b"photo"), &mut m);
 /// assert_eq!(holder, Some(NodeId(42)));
 /// assert!(m.messages <= 4, "super-peer search is a constant number of hops");
 /// ```
-pub struct SuperPeerOverlay {
+pub struct SuperPeerPlane {
     peers: Vec<Peer>,
     supers: Vec<NodeId>,
-    /// Per super-peer: key -> holders (the distributed index).
+    /// Per super-peer: key -> holders, each listed once (the distributed
+    /// index).
     index: HashMap<NodeId, HashMap<u64, Vec<NodeId>>>,
     /// Content blobs hosted across all peers, interned (the index on the
     /// super-peers points searchers at holders; holders keep the bytes).
     storage: SharedStore,
     rng: StdRng,
+    hot: Option<HotCache>,
 }
 
-impl std::fmt::Debug for SuperPeerOverlay {
+impl std::fmt::Debug for SuperPeerPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "SuperPeerOverlay({} peers, {} supers)",
+            "SuperPeerPlane({} peers, {} supers)",
             self.peers.len(),
             self.supers.len()
         )
     }
 }
 
-impl SuperPeerOverlay {
+impl SuperPeerPlane {
     /// Builds `n` peers and elects the `supers` highest-uptime ones as
     /// super-peers; every leaf attaches to a deterministic super-peer.
     ///
@@ -98,23 +105,14 @@ impl SuperPeerOverlay {
             }
         }
         let index = super_ids.iter().map(|&s| (s, HashMap::new())).collect();
-        SuperPeerOverlay {
+        SuperPeerPlane {
             peers,
             supers: super_ids,
             index,
             storage: SharedStore::new(),
             rng,
+            hot: None,
         }
-    }
-
-    /// Number of peers.
-    pub fn len(&self) -> usize {
-        self.peers.len()
-    }
-
-    /// Whether the overlay is empty.
-    pub fn is_empty(&self) -> bool {
-        self.peers.is_empty()
     }
 
     /// The elected super-peers.
@@ -135,72 +133,20 @@ impl SuperPeerOverlay {
     }
 
     /// Announces that `holder` stores `key`: the index entry is placed on
-    /// the responsible super-peer (2 messages: leaf → own super → index home).
+    /// the responsible super-peer (2 messages: leaf → own super → index
+    /// home). A holder already listed for `key` is not listed again, so a
+    /// rewrite or a read-repair leaves the index as it was.
     pub fn publish(&mut self, holder: NodeId, key: Key) {
         let home = self.index_home(key);
-        self.index
+        let holders = self
+            .index
             .get_mut(&home)
             .expect("home is a super-peer")
             .entry(key.0)
-            .or_default()
-            .push(holder);
-    }
-
-    /// Marks a peer online/offline (no-op for out-of-range ids). A failed
-    /// super-peer takes its index partition offline until re-election
-    /// (call [`SuperPeerOverlay::reelect`]).
-    pub fn set_online(&mut self, node: NodeId, online: bool) {
-        if let Some(peer) = self.peers.get_mut(node.0 as usize) {
-            peer.online = online;
+            .or_default();
+        if !holders.contains(&holder) {
+            holders.push(holder);
         }
-    }
-
-    /// Whether `node` is online (`false` for out-of-range ids).
-    pub fn is_online(&self, node: NodeId) -> bool {
-        self.peers.get(node.0 as usize).is_some_and(|p| p.online)
-    }
-
-    /// Hosts `value` on `node` and publishes the index entry so searches
-    /// can find it. Returns `false` for unknown or offline nodes.
-    pub fn store_direct(&mut self, node: NodeId, key: Key, value: Vec<u8>) -> bool {
-        if !self.is_online(node) {
-            return false;
-        }
-        self.storage.insert(node.0, key.0, &value);
-        self.publish(node, key);
-        true
-    }
-
-    /// Reads `key` directly from `node`'s hosted blobs. `None` when the
-    /// peer is unknown, offline, or does not host the key.
-    pub fn fetch_direct(&self, node: NodeId, key: Key) -> Option<Vec<u8>> {
-        if !self.is_online(node) {
-            return None;
-        }
-        self.storage.get(node.0, key.0).map(<[u8]>::to_vec)
-    }
-
-    /// The `want` online peers that should host `key`'s replicas: a
-    /// deterministic forward scan from the key's hash position, so readers
-    /// and writers agree on placement without consulting the index. Empty
-    /// when every peer is offline.
-    pub fn online_replica_candidates(&self, key: Key, want: usize) -> Vec<NodeId> {
-        let n = self.peers.len();
-        if n == 0 || want == 0 {
-            return Vec::new();
-        }
-        let start = (key.0 as usize) % n;
-        let mut out = Vec::with_capacity(want);
-        for i in 0..n {
-            let idx = (start + i) % n;
-            if self.peers[idx].online {
-                out.push(NodeId(idx as u64));
-                if out.len() == want {
-                    break;
-                }
-            }
-        }
-        out
     }
 
     /// Searches for `key`: leaf → its super-peer → index-home super-peer →
@@ -210,7 +156,7 @@ impl SuperPeerOverlay {
         self.walk(from, key, metrics, None)
     }
 
-    /// [`SuperPeerOverlay::search`] over lossy links: each of the three
+    /// [`SuperPeerPlane::search`] over lossy links: each of the three
     /// on-path transmissions (leaf → own super, own super → index home,
     /// answer back) may fail and is retried up to `retries` extra times
     /// (counted as `super.retry`). The constant-hop design means there is
@@ -273,8 +219,12 @@ impl SuperPeerOverlay {
     /// Re-elects super-peers after failures: offline super-peers are
     /// replaced by the highest-uptime online leaves, and their index
     /// partitions rebuilt from scratch (returns re-index message count —
-    /// the semi-structured maintenance cost).
+    /// the semi-structured maintenance cost). With every peer offline there
+    /// is nobody to elect: the overlay is left as it is and the cost is 0.
     pub fn reelect(&mut self) -> u64 {
+        if !self.peers.iter().any(|p| p.online) {
+            return 0;
+        }
         let failed: Vec<NodeId> = self
             .supers
             .iter()
@@ -342,13 +292,113 @@ impl SuperPeerOverlay {
     }
 }
 
+impl StoragePlane for SuperPeerPlane {
+    fn name(&self) -> &'static str {
+        "superpeer"
+    }
+
+    fn node_count(&self) -> usize {
+        self.peers.len()
+    }
+
+    fn node_ids(&self) -> Vec<NodeId> {
+        (0..self.peers.len() as u64).map(NodeId).collect()
+    }
+
+    fn is_online(&self, node: NodeId) -> bool {
+        self.peers.get(node.0 as usize).is_some_and(|p| p.online)
+    }
+
+    /// A failed super-peer takes its index partition offline until
+    /// re-election (call [`SuperPeerPlane::reelect`]).
+    fn set_online(&mut self, node: NodeId, online: bool) {
+        if let Some(peer) = self.peers.get_mut(node.0 as usize) {
+            peer.online = online;
+        }
+    }
+
+    /// A deterministic forward scan from the key's hash position, so
+    /// readers and writers agree on placement without consulting the
+    /// index.
+    fn replica_candidates(
+        &mut self,
+        key: Key,
+        want: usize,
+        metrics: &mut Metrics,
+    ) -> Result<Vec<NodeId>, StorageError> {
+        let n = self.peers.len();
+        let start = (key.0 as usize) % n;
+        let candidates: Vec<NodeId> = (0..n)
+            .map(|i| (start + i) % n)
+            .filter(|&idx| self.peers[idx].online)
+            .take(want)
+            .map(|idx| NodeId(idx as u64))
+            .collect();
+        if candidates.is_empty() {
+            return Err(StorageError::NoNodes);
+        }
+        // Leaf → own super → index-home super: the constant-hop index
+        // consultation that precedes any placement decision.
+        metrics.record(names::SUPER_QUERY, 32, 30);
+        Ok(candidates)
+    }
+
+    /// Hosts the blob on `node` and publishes the index entry so searches
+    /// can find it.
+    fn store_at(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        value: &[u8],
+        metrics: &mut Metrics,
+    ) -> Result<(), StorageError> {
+        if !self.is_online(node) {
+            return Err(refused(node, node.0 < self.peers.len() as u64));
+        }
+        self.storage.insert(node.0, key.0, value);
+        self.publish(node, key);
+        // Blob transfer to the holder plus the index publish hop.
+        metrics.record(names::SUPER_STORE, value.len() as u64, 30);
+        metrics.record_offpath(names::SUPER_PUBLISH, 32);
+        Ok(())
+    }
+
+    fn fetch_from(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        metrics: &mut Metrics,
+    ) -> Result<Option<Vec<u8>>, StorageError> {
+        if !self.is_online(node) {
+            return Err(refused(node, node.0 < self.peers.len() as u64));
+        }
+        metrics.record(names::SUPER_FETCH, 64, 30);
+        Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
+    }
+
+    fn hot_cache(&self) -> Option<&HotCache> {
+        self.hot.as_ref()
+    }
+
+    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
+        self.hot.as_mut()
+    }
+
+    /// Supernova-style hosting: the super-peer tier caches every verified
+    /// envelope it serves (no admission coin — super-peers are the
+    /// designated cache hosts).
+    fn enable_hot_cache(&mut self, capacity: usize, _seed: u64) {
+        self.hot = Some(HotCache::new(capacity));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn search_finds_published_content_in_constant_hops() {
-        let mut net = SuperPeerOverlay::build(200, 16, 1);
+        let mut net = SuperPeerPlane::build(200, 16, 1);
         let key = Key::hash(b"doc");
         net.publish(NodeId(100), key);
         let mut m = Metrics::new();
@@ -358,7 +408,7 @@ mod tests {
 
     #[test]
     fn miss_returns_none_cheaply() {
-        let mut net = SuperPeerOverlay::build(100, 8, 2);
+        let mut net = SuperPeerPlane::build(100, 8, 2);
         let mut m = Metrics::new();
         assert_eq!(net.search(NodeId(3), Key::hash(b"nope"), &mut m), None);
         assert!(m.messages <= 3);
@@ -366,7 +416,7 @@ mod tests {
 
     #[test]
     fn election_prefers_high_uptime() {
-        let net = SuperPeerOverlay::build(100, 10, 3);
+        let net = SuperPeerPlane::build(100, 10, 3);
         let min_super_uptime = net
             .super_peers()
             .iter()
@@ -381,7 +431,7 @@ mod tests {
 
     #[test]
     fn leaves_attach_to_supers() {
-        let net = SuperPeerOverlay::build(50, 5, 4);
+        let net = SuperPeerPlane::build(50, 5, 4);
         for i in 0..50 {
             let id = NodeId(i);
             let sup = net.super_of(id).unwrap();
@@ -394,7 +444,7 @@ mod tests {
 
     #[test]
     fn offline_holder_not_returned() {
-        let mut net = SuperPeerOverlay::build(50, 5, 5);
+        let mut net = SuperPeerPlane::build(50, 5, 5);
         let key = Key::hash(b"x");
         net.publish(NodeId(20), key);
         net.set_online(NodeId(20), false);
@@ -404,7 +454,7 @@ mod tests {
 
     #[test]
     fn super_failure_breaks_partition_until_reelect() {
-        let mut net = SuperPeerOverlay::build(60, 4, 6);
+        let mut net = SuperPeerPlane::build(60, 4, 6);
         let key = Key::hash(b"indexed");
         net.publish(NodeId(30), key);
         let home = net.index_home(key);
@@ -427,18 +477,69 @@ mod tests {
 
     #[test]
     fn reelect_noop_when_healthy() {
-        let mut net = SuperPeerOverlay::build(30, 3, 7);
+        let mut net = SuperPeerPlane::build(30, 3, 7);
         assert_eq!(net.reelect(), 0);
     }
 
     #[test]
     fn multiple_holders_prefers_online_one() {
-        let mut net = SuperPeerOverlay::build(40, 4, 8);
+        let mut net = SuperPeerPlane::build(40, 4, 8);
         let key = Key::hash(b"popular");
         net.publish(NodeId(10), key);
         net.publish(NodeId(11), key);
         net.set_online(NodeId(10), false);
         let mut m = Metrics::new();
         assert_eq!(net.search(NodeId(2), key, &mut m), Some(NodeId(11)));
+    }
+
+    /// Regression: with every peer down, re-election used to drop every
+    /// super-peer and then divide by their count.
+    #[test]
+    fn reelect_with_every_peer_offline_waits_for_one_to_return() {
+        let mut net = SuperPeerPlane::build(8, 2, 3);
+        let key = Key::hash(b"kept");
+        net.publish(NodeId(5), key);
+        let supers = net.super_peers().to_vec();
+        for id in 0..8 {
+            net.set_online(NodeId(id), false);
+        }
+        assert_eq!(net.reelect(), 0, "nobody to elect");
+        assert_eq!(
+            net.super_peers(),
+            &supers[..],
+            "the overlay is left as it was"
+        );
+        // The first peer back is promoted at the next re-election.
+        let back = (0..8).map(NodeId).find(|n| !supers.contains(n)).unwrap();
+        net.set_online(back, true);
+        assert_eq!(net.reelect(), 2, "one index entry re-published");
+        assert_eq!(net.super_peers(), &[back][..]);
+        net.set_online(NodeId(5), true);
+        let mut m = Metrics::new();
+        assert_eq!(net.search(back, key, &mut m), Some(NodeId(5)));
+    }
+
+    /// Regression: every `store_at` used to append its holder to the index
+    /// again, so rewrites and read-repairs grew it without bound.
+    #[test]
+    fn rewrites_list_a_holder_once() {
+        let mut net = SuperPeerPlane::build(16, 2, 3);
+        let key = Key::hash(b"rewritten");
+        let mut m = Metrics::new();
+        let holder = net.replica_candidates(key, 1, &mut m).unwrap()[0];
+        for round in 0..5u8 {
+            net.store_at(holder, key, &[round], &mut m).unwrap();
+        }
+        let entries: usize = net
+            .index
+            .values()
+            .flat_map(|p| p.values())
+            .map(Vec::len)
+            .sum();
+        assert_eq!(entries, 1);
+        // Re-election re-publishes that one entry: 2 messages, not 10.
+        let failed = *net.super_peers().iter().find(|&&s| s != holder).unwrap();
+        net.set_online(failed, false);
+        assert_eq!(net.reelect(), 2);
     }
 }

@@ -3,15 +3,15 @@
 //! simulator, and overlay lookups surviving lossy links via the retry
 //! hooks.
 
-use dosn_overlay::chord::{ChordOverlay, DhtError};
+use dosn_overlay::chord::{ChordPlane, DhtError};
 use dosn_overlay::fault::{FaultPlan, LinkFaults, TraceEventKind};
 use dosn_overlay::flood::UnstructuredOverlay;
 use dosn_overlay::id::{Key, NodeId};
-use dosn_overlay::kademlia::KademliaOverlay;
+use dosn_overlay::kademlia::KademliaPlane;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::sim::{Actor, Context, LatencyModel, Simulation};
-use dosn_overlay::storage::{ChordPlane, KademliaPlane, StoragePlane};
-use dosn_overlay::superpeer::SuperPeerOverlay;
+use dosn_overlay::storage::StoragePlane;
+use dosn_overlay::superpeer::SuperPeerPlane;
 
 /// A relay chain: each delivery with a positive TTL is forwarded to the
 /// next node, so a single injected message exercises many links.
@@ -214,7 +214,7 @@ fn trace_log_retains_ordered_events() {
 /// loss once a two-way partition heals.
 #[test]
 fn chord_lookup_converges_under_loss_with_healed_partition() {
-    let mut chord = ChordOverlay::build(64, 3, 7);
+    let mut chord = ChordPlane::build(64, 7).with_replicas(3);
     let ids = chord.node_ids();
     let (side_a, side_b) = ids.split_at(ids.len() / 2);
     let mut faults =
@@ -259,7 +259,7 @@ fn chord_lookup_converges_under_loss_with_healed_partition() {
 /// 10% loss once a two-way partition heals.
 #[test]
 fn kademlia_lookup_converges_under_loss_with_healed_partition() {
-    let mut kad = KademliaOverlay::build(64, 3, 20, 13);
+    let mut kad = KademliaPlane::build(64, 20, 13).with_replicas(3);
     let ids = kad.node_ids();
     let from = ids[0];
     // Isolate the querying node from everyone else: a clean two-way cut.
@@ -306,7 +306,7 @@ fn flood_search_routes_around_loss() {
 
 #[test]
 fn superpeer_search_fails_closed_on_partition_and_retries_loss() {
-    let mut sp = SuperPeerOverlay::build(64, 4, 1);
+    let mut sp = SuperPeerPlane::build(64, 4, 1);
     let key = Key::hash(b"song");
     sp.publish(NodeId(9), key);
     let leaf = NodeId(17);
@@ -370,7 +370,7 @@ fn reliable_faults_twin_matches_plain_entry_in_every_family() {
     assert_twin(
         "chord",
         || {
-            let mut net = ChordOverlay::build(64, 3, 7);
+            let mut net = ChordPlane::build(64, 7).with_replicas(3);
             for id in net.node_ids().iter().step_by(5) {
                 net.set_online(*id, false);
             }
@@ -382,7 +382,7 @@ fn reliable_faults_twin_matches_plain_entry_in_every_family() {
     assert_twin(
         "kademlia",
         || {
-            let mut net = KademliaOverlay::build(64, 3, 20, 13);
+            let mut net = KademliaPlane::build(64, 20, 13).with_replicas(3);
             for id in net.node_ids().iter().step_by(5) {
                 net.set_online(*id, false);
             }
@@ -394,7 +394,7 @@ fn reliable_faults_twin_matches_plain_entry_in_every_family() {
     assert_twin(
         "superpeer",
         || {
-            let mut net = SuperPeerOverlay::build(64, 4, 1);
+            let mut net = SuperPeerPlane::build(64, 4, 1);
             for i in 0..32 {
                 net.publish(NodeId(63 - i as u64), key(i));
             }
@@ -434,7 +434,7 @@ fn unknown_start_node_is_a_typed_miss_in_every_family() {
     let mut faults = LinkFaults::reliable();
     let mut m = Metrics::new();
 
-    let mut chord = ChordOverlay::build(16, 3, 7);
+    let mut chord = ChordPlane::build(16, 7).with_replicas(3);
     assert_eq!(
         chord.lookup(ghost, key, &mut m),
         Err(DhtError::UnknownNode(ghost))
@@ -444,14 +444,14 @@ fn unknown_start_node_is_a_typed_miss_in_every_family() {
         Err(DhtError::UnknownNode(ghost))
     );
 
-    let mut kad = KademliaOverlay::build(16, 3, 20, 13);
+    let mut kad = KademliaPlane::build(16, 20, 13).with_replicas(3);
     assert!(kad.lookup(ghost, key, &mut m).is_empty());
     assert!(kad.closest(ghost, key, 3, &mut m).is_empty());
     assert!(kad
         .lookup_with_faults(ghost, key, &mut m, &mut faults, 1)
         .is_empty());
 
-    let mut sp = SuperPeerOverlay::build(16, 2, 1);
+    let mut sp = SuperPeerPlane::build(16, 2, 1);
     sp.publish(NodeId(3), key);
     assert_eq!(sp.super_of(ghost), None);
     assert_eq!(sp.search(ghost, key, &mut m), None);

@@ -5,13 +5,14 @@
 //! graph, and quorum replication running unchanged over a `SocialPlane`.
 
 use dosn_obs::names;
+use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::fault::{SimTrace, TraceEvent, TraceEventKind};
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::placement::{SocialPlacement, SocialPlane};
 use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::social::{SocialGraph, SocialGraphConfig};
-use dosn_overlay::storage::{ChordPlane, StoragePlane};
+use dosn_overlay::storage::StoragePlane;
 
 /// Folds a sequence of placement decisions into a `SimTrace` digest: one
 /// event per chosen replica, keyed by (step, key, node, rank).

@@ -9,14 +9,14 @@
 //! Run with: `cargo run --example availability_churn` (use `--release` for
 //! larger populations).
 
-use dosn::overlay::chord::ChordOverlay;
+use dosn::overlay::chord::ChordPlane;
 use dosn::overlay::churn::{run_availability, ChurnConfig};
-use dosn::overlay::federation::FederatedNetwork;
+use dosn::overlay::federation::FederationPlane;
 use dosn::overlay::flood::UnstructuredOverlay;
 use dosn::overlay::hybrid::HybridOverlay;
 use dosn::overlay::id::{Key, NodeId};
 use dosn::overlay::metrics::Metrics;
-use dosn::overlay::superpeer::SuperPeerOverlay;
+use dosn::overlay::superpeer::SuperPeerPlane;
 
 const N: usize = 256;
 const QUERIES: u64 = 50;
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== lookup cost by overlay organization ({N} nodes, {QUERIES} queries) ==");
 
     // Structured: Chord DHT.
-    let mut chord = ChordOverlay::build(N, 3, 1);
+    let mut chord = ChordPlane::build(N, 1).with_replicas(3);
     let mut m = Metrics::new();
     for i in 0..QUERIES {
         let key = Key::hash(format!("item-{i}").as_bytes());
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     row("unstructured (flood)", &m);
 
     // Semi-structured: super-peers.
-    let mut sp = SuperPeerOverlay::build(N, 16, 3);
+    let mut sp = SuperPeerPlane::build(N, 16, 3);
     let mut m = Metrics::new();
     for i in 0..QUERIES {
         let key = Key::hash(format!("item-{i}").as_bytes());
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     row("hybrid (DHT + cache)", &m);
 
     // Server federation.
-    let mut fed = FederatedNetwork::new(8);
+    let mut fed = FederationPlane::build(8);
     for i in 0..N {
         fed.register(&format!("user{i}"), i % 8)?;
     }

@@ -64,7 +64,7 @@ fn main() {
     let mut social_store = ReplicatedStore::new(social, 3);
     let social_m = run(&mut social_store);
 
-    let mem = social_store.plane().inner().overlay().memory_bytes()
+    let mem = social_store.plane().inner().memory_bytes()
         + social_store.plane().placement().memory_bytes();
     println!(
         "placement over {POSTS} posts (put + quorum get, R=3):\n\

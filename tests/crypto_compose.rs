@@ -9,8 +9,8 @@ use dosn::crypto::aead::SymmetricKey;
 use dosn::crypto::chacha::SecureRng;
 use dosn::crypto::group::SchnorrGroup;
 use dosn::crypto::ibe::CocksPkg;
-use dosn::overlay::chord::ChordOverlay;
-use dosn::overlay::federation::FederatedNetwork;
+use dosn::overlay::chord::ChordPlane;
+use dosn::overlay::federation::FederationPlane;
 use dosn::overlay::id::Key;
 use dosn::overlay::metrics::Metrics;
 
@@ -18,7 +18,7 @@ use dosn::overlay::metrics::Metrics;
 fn encrypted_posts_through_the_dht_stay_opaque() {
     let mut rng = SecureRng::seed_from_u64(1);
     let key = SymmetricKey::generate(&mut rng);
-    let mut dht = ChordOverlay::build(32, 3, 2);
+    let mut dht = ChordPlane::build(32, 2).with_replicas(3);
     let mut m = Metrics::new();
 
     let plaintext = b"secret status update";
@@ -43,7 +43,7 @@ fn ibe_messages_via_federation_pods() {
     let pkg = CocksPkg::setup(256, &mut rng);
     let params = pkg.public_params();
 
-    let mut fed = FederatedNetwork::new(3);
+    let mut fed = FederationPlane::build(3);
     fed.register("alice@pod0", 0).unwrap();
     fed.register("bob@pod2", 2).unwrap();
 

@@ -7,12 +7,13 @@
 
 use dosn::core::integrity::{HistoryClient, HistoryServer, Operation, ViewDigest};
 use dosn::crypto::group::SchnorrGroup;
-use dosn::overlay::chord::ChordOverlay;
+use dosn::overlay::chord::ChordPlane;
 use dosn::overlay::fault::{FaultPlan, LinkFaults};
 use dosn::overlay::id::{Key, NodeId};
-use dosn::overlay::kademlia::KademliaOverlay;
+use dosn::overlay::kademlia::KademliaPlane;
 use dosn::overlay::metrics::Metrics;
 use dosn::overlay::sim::{Actor, Context, Simulation};
+use dosn::overlay::storage::StoragePlane;
 use proptest::prelude::*;
 
 /// A simulated client node that holds a history view and gossips digests
@@ -105,7 +106,7 @@ proptest! {
         cut in 1usize..47,
         salt in any::<u64>(),
     ) {
-        let mut chord = ChordOverlay::build(48, 3, 7);
+        let mut chord = ChordPlane::build(48, 7).with_replicas(3);
         let ids = chord.node_ids();
         let (side_a, side_b) = ids.split_at(cut);
         let mut faults = LinkFaults::new(fault_seed, drop_p)
@@ -142,7 +143,7 @@ proptest! {
         fault_seed in any::<u64>(),
         salt in any::<u64>(),
     ) {
-        let mut kad = KademliaOverlay::build(48, 3, 20, 13);
+        let mut kad = KademliaPlane::build(48, 20, 13).with_replicas(3);
         let ids = kad.node_ids();
         let from = ids[0];
         let mut faults = LinkFaults::new(fault_seed, drop_p)
