@@ -112,3 +112,31 @@ pub(super) fn run(run: &mut Run) {
     chord_loss_table(run);
     sim_fault_table(run);
 }
+
+#[cfg(test)]
+mod tests {
+    /// E11b's rows (delivered, lost to the link, lost offline, duplicated,
+    /// digest), pinned from commit e6ca8f0: before the simulator shared its
+    /// loss rule and per-node counts with the routed overlays.
+    #[test]
+    fn fault_plan_rows_are_pinned() {
+        let rows: Vec<String> = [0u64, 5, 15, 30]
+            .into_iter()
+            .map(|drop_pct| {
+                let sim = super::run_sim(drop_pct);
+                let s = sim.stats();
+                let (d, l, o, u) = (s.delivered, s.dropped_link, s.dropped_offline, s.duplicated);
+                format!("{d} {l} {o} {u} {}", sim.trace().hex_digest())
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                "434 0 38 22 33727ffc337d27b54d0d13a6d685b5f05b4810e8f1ad59d3cdddfce117fdd980",
+                "201 10 16 11 5d0728ac11585b81c2299a3f6c8d4d82904e791c3f8269be9e03ef3e69a23d38",
+                "64 17 1 2 f1bfcb42ea46f648eadb91e7da7c10077d7aa659e31a11171b5218e55e6ea625",
+                "33 19 0 3 d75b27ca329631b2cfb2105f48fb558d07fe3d07d65d28f6d8aff93f40344bd8",
+            ]
+        );
+    }
+}

@@ -1,12 +1,13 @@
 //! User identities and their key material.
 //!
-//! Every DOSN user owns a signing key pair (data integrity, survey §IV) and
-//! an encryption key pair (data privacy, §III). Keys are registered in a
-//! [`KeyDirectory`] with explicit provenance, reflecting §IV-A's point that
-//! signature schemes presuppose solved key distribution.
+//! Every DOSN user owns a signing key pair (data integrity, survey §IV).
+//! Its verifying key is registered in a [`KeyDirectory`] with explicit
+//! provenance, reflecting §IV-A's point that signature schemes presuppose
+//! solved key distribution. Confidentiality keys (§III) are not part of an
+//! identity: each privacy scheme issues and holds its own, per group or
+//! per recipient (see `crate::privacy`).
 
 use dosn_crypto::chacha::SecureRng;
-use dosn_crypto::elgamal::ElGamalKeyPair;
 use dosn_crypto::group::SchnorrGroup;
 use dosn_crypto::keys::{KeyDirectory, KeyProvenance};
 use dosn_crypto::schnorr::SigningKey;
@@ -81,7 +82,6 @@ impl UserId {
 pub struct Identity {
     id: UserId,
     signing: SigningKey,
-    encryption: ElGamalKeyPair,
 }
 
 impl fmt::Debug for Identity {
@@ -91,7 +91,7 @@ impl fmt::Debug for Identity {
 }
 
 impl Identity {
-    /// Creates a new identity in `group` and registers its public keys in
+    /// Creates a new identity in `group` and registers its verifying key in
     /// `directory` (with [`KeyProvenance::OutOfBand`] — the survey's
     /// strongest distribution assumption; use
     /// [`Identity::create_with_provenance`] to model weaker channels).
@@ -113,19 +113,9 @@ impl Identity {
         rng: &mut SecureRng,
     ) -> Self {
         let id = id.into();
-        let signing = SigningKey::generate(group.clone(), rng);
-        let encryption = ElGamalKeyPair::generate(group, rng);
-        directory.register(
-            id.as_str(),
-            signing.verifying_key().clone(),
-            Some(encryption.public().clone()),
-            provenance,
-        );
-        Identity {
-            id,
-            signing,
-            encryption,
-        }
+        let signing = SigningKey::generate(group, rng);
+        directory.register(id.as_str(), signing.verifying_key().clone(), provenance);
+        Identity { id, signing }
     }
 
     /// The user id.
@@ -137,11 +127,6 @@ impl Identity {
     pub fn signing(&self) -> &SigningKey {
         &self.signing
     }
-
-    /// The encryption key pair.
-    pub fn encryption(&self) -> &ElGamalKeyPair {
-        &self.encryption
-    }
 }
 
 #[cfg(test)]
@@ -149,13 +134,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn create_registers_both_keys() {
+    fn create_registers_the_verifying_key() {
         let mut rng = SecureRng::seed_from_u64(1);
         let dir = KeyDirectory::new();
         let alice = Identity::create("alice", SchnorrGroup::toy(), &dir, &mut rng);
         let binding = dir.lookup("alice").unwrap();
         assert_eq!(binding.verifying, *alice.signing().verifying_key());
-        assert_eq!(binding.encryption.unwrap(), *alice.encryption().public());
         assert_eq!(binding.provenance, KeyProvenance::OutOfBand);
     }
 
@@ -183,7 +167,6 @@ mod tests {
         let a = Identity::create("a", SchnorrGroup::toy(), &dir, &mut rng);
         let b = Identity::create("b", SchnorrGroup::toy(), &dir, &mut rng);
         assert_ne!(a.signing().verifying_key(), b.signing().verifying_key());
-        assert_ne!(a.encryption().public(), b.encryption().public());
     }
 
     #[test]

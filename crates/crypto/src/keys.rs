@@ -8,7 +8,6 @@
 //! models both: every binding records *how* it was learned, so higher layers
 //! (and experiments) can reason about trust provenance.
 
-use crate::elgamal::ElGamalPublicKey;
 use crate::error::CryptoError;
 use crate::schnorr::VerifyingKey;
 use parking_lot::RwLock;
@@ -34,8 +33,6 @@ pub enum KeyProvenance {
 pub struct KeyBinding {
     /// Signature verification key.
     pub verifying: VerifyingKey,
-    /// Encryption public key, when the identity published one.
-    pub encryption: Option<ElGamalPublicKey>,
     /// How the binding was learned.
     pub provenance: KeyProvenance,
 }
@@ -53,7 +50,7 @@ pub struct KeyBinding {
 /// let mut rng = SecureRng::seed_from_u64(15);
 /// let directory = KeyDirectory::new();
 /// let alice = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-/// directory.register("alice", alice.verifying_key().clone(), None, KeyProvenance::OutOfBand);
+/// directory.register("alice", alice.verifying_key().clone(), KeyProvenance::OutOfBand);
 /// let binding = directory.lookup("alice")?;
 /// assert_eq!(binding.provenance, KeyProvenance::OutOfBand);
 /// # Ok(())
@@ -77,18 +74,11 @@ impl KeyDirectory {
     }
 
     /// Registers (or replaces) the binding for `identity`.
-    pub fn register(
-        &self,
-        identity: &str,
-        verifying: VerifyingKey,
-        encryption: Option<ElGamalPublicKey>,
-        provenance: KeyProvenance,
-    ) {
+    pub fn register(&self, identity: &str, verifying: VerifyingKey, provenance: KeyProvenance) {
         self.inner.write().insert(
             identity.to_owned(),
             KeyBinding {
                 verifying,
-                encryption,
                 provenance,
             },
         );
@@ -114,18 +104,6 @@ impl KeyDirectory {
     /// Returns [`CryptoError::UnknownKey`] when the identity is unknown.
     pub fn verifying_key(&self, identity: &str) -> Result<VerifyingKey, CryptoError> {
         Ok(self.lookup(identity)?.verifying)
-    }
-
-    /// The encryption key for `identity`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::UnknownKey`] when the identity is unknown or
-    /// published no encryption key.
-    pub fn encryption_key(&self, identity: &str) -> Result<ElGamalPublicKey, CryptoError> {
-        self.lookup(identity)?
-            .encryption
-            .ok_or_else(|| CryptoError::UnknownKey(format!("{identity} (no encryption key)")))
     }
 
     /// Removes a binding; returns whether it existed.
@@ -170,7 +148,6 @@ impl KeyDirectory {
 mod tests {
     use super::*;
     use crate::chacha::SecureRng;
-    use crate::elgamal::ElGamalKeyPair;
     use crate::group::SchnorrGroup;
     use crate::schnorr::SigningKey;
 
@@ -182,16 +159,13 @@ mod tests {
     fn register_and_lookup() {
         let (dir, mut rng) = setup();
         let sk = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-        let ek = ElGamalKeyPair::generate(SchnorrGroup::toy(), &mut rng);
         dir.register(
             "alice",
             sk.verifying_key().clone(),
-            Some(ek.public().clone()),
             KeyProvenance::OutOfBand,
         );
         assert_eq!(dir.len(), 1);
         assert_eq!(dir.verifying_key("alice").unwrap(), *sk.verifying_key());
-        assert_eq!(dir.encryption_key("alice").unwrap(), *ek.public());
     }
 
     #[test]
@@ -204,30 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn missing_encryption_key_errors() {
-        let (dir, mut rng) = setup();
-        let sk = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-        dir.register(
-            "bob",
-            sk.verifying_key().clone(),
-            None,
-            KeyProvenance::Directory,
-        );
-        assert!(dir.verifying_key("bob").is_ok());
-        assert!(dir.encryption_key("bob").is_err());
-    }
-
-    #[test]
     fn remove_and_empty() {
         let (dir, mut rng) = setup();
         assert!(dir.is_empty());
         let sk = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-        dir.register(
-            "x",
-            sk.verifying_key().clone(),
-            None,
-            KeyProvenance::Directory,
-        );
+        dir.register("x", sk.verifying_key().clone(), KeyProvenance::Directory);
         assert!(dir.remove("x"));
         assert!(!dir.remove("x"));
         assert!(dir.is_empty());
@@ -244,7 +199,7 @@ mod tests {
             ("intro", KeyProvenance::FriendIntroduction),
         ] {
             let sk = SigningKey::generate(g.clone(), &mut rng);
-            dir.register(name, sk.verifying_key().clone(), None, prov);
+            dir.register(name, sk.verifying_key().clone(), prov);
         }
         assert_eq!(
             dir.identities_with_min_provenance(KeyProvenance::SideChannel),
@@ -262,12 +217,7 @@ mod tests {
         let (dir, mut rng) = setup();
         let dir2 = dir.clone();
         let sk = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-        dir.register(
-            "a",
-            sk.verifying_key().clone(),
-            None,
-            KeyProvenance::Directory,
-        );
+        dir.register("a", sk.verifying_key().clone(), KeyProvenance::Directory);
         assert_eq!(dir2.len(), 1);
     }
 }

@@ -164,14 +164,19 @@ pub const SIM_BYTES_PER_NODE: &str = "sim.bytes_per_node";
 pub const FEED_READS: &str = "feed.reads";
 /// Friends aggregated per `read_feed` call — the fan-in width (histogram).
 pub const FEED_FANIN: &str = "feed.fanin";
-/// Cache hits: materialized-timeline slices served with a matching chain
-/// head, plus hot sealed envelopes served from a storage-plane cache
-/// (counter).
+
+// The `cache.*` names count in two systems until the caches share one
+// registry: L1 feed-cache slices in the engine's registry, L2 hot sealed
+// envelopes (bumped by `ReplicatedStore`) in the overlay's `Metrics`.
+
+/// Cache hits: an L1 slice whose witness is on the author's live chain, or
+/// an L2 envelope served from the plane's hot cache (counter).
 pub const CACHE_HITS: &str = "cache.hits";
-/// Cache misses: reads that fell through to a quorum read (counter).
+/// Cache misses: reads a cache level could not serve (counter).
 pub const CACHE_MISSES: &str = "cache.misses";
-/// Cache entries dropped because the author's chain head advanced or a
-/// cached envelope failed verification (counter).
+/// Cache entries dropped as untrustworthy: an L1 slice whose author's chain
+/// forked or rolled back (an append carries it), or an L2 envelope that
+/// failed verification (counter).
 pub const CACHE_INVALIDATIONS: &str = "cache.invalidations";
 /// Cache entries evicted by capacity pressure (LRU victims) (counter).
 pub const CACHE_EVICTIONS: &str = "cache.evictions";

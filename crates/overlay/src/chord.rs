@@ -28,6 +28,7 @@ use crate::fault::LinkFaults;
 use crate::hotcache::HotCache;
 use crate::id::{in_interval_open_closed, ring_distance, Key, NodeId};
 use crate::metrics::Metrics;
+use crate::sim::{LatencyModel, PLANE_HOP_MS};
 use crate::storage::{refused, StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;
@@ -105,7 +106,6 @@ pub struct ChordPlane {
     /// sets the successor-list length.
     replicas: usize,
     rng: StdRng,
-    latency_ms: (u64, u64),
     hot: Option<HotCache>,
 }
 
@@ -146,7 +146,6 @@ impl ChordPlane {
             storage: SharedStore::new(),
             replicas: 1,
             rng,
-            latency_ms: (10, 120),
             hot: None,
         }
     }
@@ -304,6 +303,7 @@ impl ChordPlane {
         if !self.arena.is_online(from.0) {
             return Err(DhtError::UnknownNode(from));
         }
+        let hop = LatencyModel::default();
         let mut current = from.0;
         let mut hops = 0u64;
         // 64-bit ring: any correct greedy route is <= 64 hops; a generous
@@ -324,7 +324,7 @@ impl ChordPlane {
                     if !crosses(current, successor, metrics) {
                         return Err(DhtError::Unavailable(key));
                     }
-                    let lat = self.draw_latency();
+                    let lat = hop.draw(&mut self.rng);
                     metrics.record(names::CHORD_HOP, 64, lat);
                 }
                 return Ok(NodeId(successor));
@@ -345,7 +345,7 @@ impl ChordPlane {
                 }
                 next = successor;
             }
-            let lat = self.draw_latency();
+            let lat = hop.draw(&mut self.rng);
             metrics.record(names::CHORD_HOP, 64, lat);
             current = next;
             hops += 1;
@@ -354,7 +354,7 @@ impl ChordPlane {
                 // account one stabilization's worth of repair traffic.
                 let owner = self.successors(key, 1).pop();
                 let owner = owner.ok_or(DhtError::NoNodes)?;
-                metrics.record(names::CHORD_REPAIR, 64, self.draw_latency());
+                metrics.record(names::CHORD_REPAIR, 64, hop.draw(&mut self.rng));
                 return Ok(owner);
             }
         }
@@ -376,7 +376,7 @@ impl ChordPlane {
         let replica_ids = self.replica_set(owner.0);
         let size = value.len() as u64;
         for (i, rid) in replica_ids.iter().enumerate() {
-            let lat = self.draw_latency();
+            let lat = LatencyModel::default().draw(&mut self.rng);
             if i == 0 {
                 metrics.record(names::CHORD_STORE, size, lat);
             } else {
@@ -403,7 +403,7 @@ impl ChordPlane {
         let replica_ids = self.replica_set(owner.0);
         let mut any_holder_offline = false;
         for rid in &replica_ids {
-            let lat = self.draw_latency();
+            let lat = LatencyModel::default().draw(&mut self.rng);
             if !self.arena.is_online(*rid) {
                 if self.storage.contains(*rid, key.0) {
                     any_holder_offline = true;
@@ -505,15 +505,6 @@ impl ChordPlane {
         }
         None
     }
-
-    fn draw_latency(&mut self) -> u64 {
-        let (lo, hi) = self.latency_ms;
-        if lo == hi {
-            lo
-        } else {
-            self.rng.random_range(lo..=hi)
-        }
-    }
 }
 
 impl StoragePlane for ChordPlane {
@@ -573,7 +564,7 @@ impl StoragePlane for ChordPlane {
             return Err(refused(node, self.arena.contains(node.0)));
         }
         self.storage.insert(node.0, key.0, value);
-        metrics.record(names::CHORD_STORE, value.len() as u64, 30);
+        metrics.record(names::CHORD_STORE, value.len() as u64, PLANE_HOP_MS);
         Ok(())
     }
 
@@ -586,7 +577,7 @@ impl StoragePlane for ChordPlane {
         if !self.arena.is_online(node.0) {
             return Err(refused(node, self.arena.contains(node.0)));
         }
-        metrics.record(names::CHORD_FETCH, 64, 30);
+        metrics.record(names::CHORD_FETCH, 64, PLANE_HOP_MS);
         Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
     }
 

@@ -6,49 +6,14 @@
 //! simulates nodes with exponential on/off sessions, places `r` replicas of
 //! each object, optionally repairs lost replicas after a detection lag, and
 //! reports the fraction of time each object was reachable.
+//!
+//! The model steps whole minutes over session states and exchanges no
+//! messages; message-level churn (offline targets, crash schedules, and
+//! counting each lost message once) is the event simulator's, in
+//! [`crate::sim`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
-
-/// Deduplicates offline-drop accounting by logical message.
-///
-/// Fault injection can present the same logical message to an offline node
-/// several times (duplicated copies, retried sends). Availability metrics
-/// must count the *message* as lost once, not once per attempt, or loss
-/// rates inflate with the retry budget. The simulator consults this ledger
-/// on every offline drop: [`OfflineDropLedger::record`] returns whether the
-/// message is newly lost, and the raw attempt count stays available for
-/// diagnosing retry storms.
-#[derive(Debug, Clone, Default)]
-pub struct OfflineDropLedger {
-    seen: BTreeSet<u64>,
-    attempts: u64,
-}
-
-impl OfflineDropLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one drop attempt for logical message `msg_id`; returns
-    /// `true` when this message had not been counted lost before.
-    pub fn record(&mut self, msg_id: u64) -> bool {
-        self.attempts += 1;
-        self.seen.insert(msg_id)
-    }
-
-    /// Distinct messages lost to offline targets.
-    pub fn unique_messages(&self) -> u64 {
-        self.seen.len() as u64
-    }
-
-    /// Raw drop attempts, counting every duplicate and retry.
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
-}
 
 /// Parameters of the availability experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -376,17 +341,6 @@ mod tests {
         assert_eq!(a, b);
         let c = run_availability(&ChurnConfig { seed: 2, ..base() });
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn ledger_counts_each_message_once() {
-        let mut ledger = OfflineDropLedger::new();
-        assert!(ledger.record(7), "first attempt counts");
-        assert!(!ledger.record(7), "duplicate copy does not");
-        assert!(!ledger.record(7), "retry does not");
-        assert!(ledger.record(8));
-        assert_eq!(ledger.unique_messages(), 2);
-        assert_eq!(ledger.attempts(), 4);
     }
 
     #[test]

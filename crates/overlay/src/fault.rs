@@ -10,25 +10,28 @@
 //!   reordering probabilities, timed two-way partitions between node sets,
 //!   crash-stop and crash-recovery events, and per-link latency spikes. The
 //!   plan is applied inside the event queue of [`crate::sim::Simulation`],
-//!   so the same seed and plan always yield the same execution.
+//!   so the same seed and plan always yield the same execution. Whether a
+//!   transmission is lost is decided by one rule on the plan: an active
+//!   partition blocks it without a draw, then one Bernoulli draw on
+//!   [`FaultPlan::drop_probability`].
 //! * [`SimTrace`] — an observability layer that folds every structural
 //!   event (send, deliver, drop, timer, churn) into a running SHA-256
 //!   digest. Two runs agree on every event in order if and only if their
 //!   digests agree, which turns "is the simulator deterministic?" into a
 //!   byte comparison.
-//! * [`LinkFaults`] — the synchronous counterpart for the closed-form
+//! * [`LinkFaults`] — a seeded application of a plan to the closed-form
 //!   overlay models ([`crate::chord`], [`crate::kademlia`],
 //!   [`crate::flood`], [`crate::superpeer`]), whose lookups walk routing
 //!   tables directly instead of exchanging simulator messages. It answers
-//!   one question per transmission — "does this hop deliver?" — from its
-//!   own seeded RNG, and tracks retries so experiments can report the cost
-//!   of loss.
+//!   one question per transmission — "does this hop deliver?" — with the
+//!   plan's rule and its own seeded RNG, and tracks retries so experiments
+//!   can report the cost of loss.
 
 use crate::id::NodeId;
 use crate::metrics::Metrics;
 use dosn_crypto::sha256::Sha256;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// A timed two-way partition: while `from_ms <= now < until_ms`, no message
@@ -44,17 +47,6 @@ pub struct Partition {
     pub from_ms: u64,
     /// Partition end (exclusive), simulated ms. `u64::MAX` never heals.
     pub until_ms: u64,
-}
-
-impl Partition {
-    /// Whether this partition separates `a` and `b` at time `now_ms`.
-    pub fn separates(&self, a: NodeId, b: NodeId, now_ms: u64) -> bool {
-        if now_ms < self.from_ms || now_ms >= self.until_ms {
-            return false;
-        }
-        (self.side_a.contains(&a.0) && self.side_b.contains(&b.0))
-            || (self.side_a.contains(&b.0) && self.side_b.contains(&a.0))
-    }
 }
 
 /// A scheduled crash: the node goes offline at `at_ms`; with
@@ -250,9 +242,30 @@ impl FaultPlan {
 
     /// Whether any partition separates `from` and `to` at `now_ms`.
     pub fn is_partitioned(&self, from: NodeId, to: NodeId, now_ms: u64) -> bool {
-        self.partitions
-            .iter()
-            .any(|p| p.separates(from, to, now_ms))
+        let (a, b) = (from.0, to.0);
+        self.partitions.iter().any(|p| {
+            (p.from_ms..p.until_ms).contains(&now_ms)
+                && ((p.side_a.contains(&a) && p.side_b.contains(&b))
+                    || (p.side_a.contains(&b) && p.side_b.contains(&a)))
+        })
+    }
+
+    /// The one loss/partition rule of the network model: whether one
+    /// transmission `from -> to` at `now_ms` is lost, and how. A partition
+    /// blocks it without a draw ([`TraceEventKind::DropPartition`]);
+    /// otherwise one [`chance`] on `drop_probability` decides loss in
+    /// flight ([`TraceEventKind::DropLink`]).
+    pub(crate) fn loss(
+        &self,
+        rng: &mut StdRng,
+        from: NodeId,
+        to: NodeId,
+        now_ms: u64,
+    ) -> Option<TraceEventKind> {
+        if self.is_partitioned(from, to, now_ms) {
+            return Some(TraceEventKind::DropPartition);
+        }
+        chance(rng, self.drop_probability).then_some(TraceEventKind::DropLink)
     }
 
     /// Total extra latency from spikes active on `from -> to` at `now_ms`.
@@ -399,18 +412,20 @@ impl SimTrace {
 // Synchronous link faults for the closed-form overlay models
 // ---------------------------------------------------------------------------
 
-/// Per-attempt delivery outcomes for the synchronous overlays.
+/// A seeded application of a [`FaultPlan`] to the synchronous overlays.
 ///
 /// Chord/Kademlia/flood/super-peer lookups in this crate are closed-form
 /// routing-table walks; they do not exchange simulator messages. To subject
 /// them to loss and partitions, each hop asks a `LinkFaults` instance
 /// whether the transmission succeeds, re-asking up to the caller's retry
-/// budget (counting `*.retry` in [`crate::metrics::Metrics`]).
+/// budget (counting `*.retry` in [`crate::metrics::Metrics`]). The answer
+/// is the plan's own loss/partition rule, the one the simulator applies,
+/// evaluated at time 0 with this instance's RNG: the walks have no clock,
+/// so a partition holds until [`LinkFaults::heal_partitions`].
 #[derive(Debug, Clone)]
 pub struct LinkFaults {
+    plan: FaultPlan,
     rng: StdRng,
-    drop_probability: f64,
-    partitions: Vec<(BTreeSet<u64>, BTreeSet<u64>)>,
     /// Transmissions attempted.
     pub attempts: u64,
     /// Transmissions that failed (loss or partition).
@@ -424,14 +439,9 @@ impl LinkFaults {
     ///
     /// Panics if `p` is not within `[0, 1]`.
     pub fn new(seed: u64, drop_probability: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&drop_probability),
-            "probability out of range"
-        );
         LinkFaults {
+            plan: FaultPlan::seeded(seed).with_drop_probability(drop_probability),
             rng: StdRng::seed_from_u64(seed),
-            drop_probability,
-            partitions: Vec::new(),
             attempts: 0,
             failures: 0,
         }
@@ -450,34 +460,18 @@ impl LinkFaults {
         side_a: impl IntoIterator<Item = NodeId>,
         side_b: impl IntoIterator<Item = NodeId>,
     ) -> Self {
-        self.partitions.push((
-            side_a.into_iter().map(|n| n.0).collect(),
-            side_b.into_iter().map(|n| n.0).collect(),
-        ));
+        self.plan = self.plan.with_partition(side_a, side_b, 0, u64::MAX);
         self
     }
 
     /// Heals all partitions (probabilistic loss continues to apply).
     pub fn heal_partitions(&mut self) {
-        self.partitions.clear();
-    }
-
-    /// Whether a partition currently separates `a` and `b`.
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        self.partitions.iter().any(|(sa, sb)| {
-            (sa.contains(&a.0) && sb.contains(&b.0)) || (sa.contains(&b.0) && sb.contains(&a.0))
-        })
+        self.plan.partitions.clear();
     }
 
     /// Decides one transmission attempt from `from` to `to`.
     pub fn delivers(&mut self, from: NodeId, to: NodeId) -> bool {
-        self.attempts += 1;
-        if self.is_partitioned(from, to) || chance(&mut self.rng, self.drop_probability) {
-            self.failures += 1;
-            false
-        } else {
-            true
-        }
+        self.delivers_with_retries(from, to, 0).0
     }
 
     /// Decides whether a transmission succeeds within `retries + 1`
@@ -487,11 +481,13 @@ impl LinkFaults {
         let mut used = 0;
         for _ in 0..=retries {
             used += 1;
-            if self.delivers(from, to) {
+            self.attempts += 1;
+            let Some(loss) = self.plan.loss(&mut self.rng, from, to, 0) else {
                 return (true, used);
-            }
-            if self.is_partitioned(from, to) {
-                // Retrying a partitioned link cannot help; stop early.
+            };
+            self.failures += 1;
+            if loss == TraceEventKind::DropPartition {
+                // Retrying a partitioned link cannot help.
                 return (false, used);
             }
         }
@@ -519,16 +515,12 @@ impl LinkFaults {
         }
         ok
     }
-
-    /// Seeded randomness for callers needing auxiliary draws.
-    pub fn rng(&mut self) -> &mut impl RngCore {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     #[test]
     fn partition_separates_only_in_window() {

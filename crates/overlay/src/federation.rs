@@ -11,6 +11,7 @@
 use crate::arena::SharedStore;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
+use crate::sim::PLANE_HOP_MS;
 use crate::storage::{refused, StorageError, StoragePlane};
 use dosn_obs::names;
 use std::collections::HashMap;
@@ -139,7 +140,7 @@ impl FederationPlane {
         if !self.servers[home].online {
             return Err(FederationError::HomeServerDown(owner.to_owned()));
         }
-        metrics.record(names::FED_STORE, value.len() as u64, 30);
+        metrics.record(names::FED_STORE, value.len() as u64, PLANE_HOP_MS);
         self.storage.insert(home as u64, key.0, &value);
         Ok(())
     }
@@ -165,7 +166,7 @@ impl FederationPlane {
         if !self.servers[req_home].online {
             return Err(FederationError::HomeServerDown(requester.to_owned()));
         }
-        metrics.record(names::FED_CLIENT_REQUEST, 32, 30);
+        metrics.record(names::FED_CLIENT_REQUEST, 32, PLANE_HOP_MS);
         let owner_home = self
             .home_server(owner)
             .ok_or_else(|| FederationError::UnknownUser(owner.to_owned()))?;
@@ -241,7 +242,7 @@ impl StoragePlane for FederationPlane {
             return Err(StorageError::NoNodes);
         }
         // Client → home server: federation placement is a table lookup.
-        metrics.record(names::FED_CLIENT_REQUEST, 32, 30);
+        metrics.record(names::FED_CLIENT_REQUEST, 32, PLANE_HOP_MS);
         Ok(candidates)
     }
 
@@ -257,7 +258,7 @@ impl StoragePlane for FederationPlane {
             return Err(refused(node, node.0 < self.servers.len() as u64));
         }
         self.storage.insert(node.0, key.0, value);
-        metrics.record(names::FED_STORE, value.len() as u64, 30);
+        metrics.record(names::FED_STORE, value.len() as u64, PLANE_HOP_MS);
         Ok(())
     }
 
@@ -270,7 +271,7 @@ impl StoragePlane for FederationPlane {
         if !self.is_online(node) {
             return Err(refused(node, node.0 < self.servers.len() as u64));
         }
-        metrics.record(names::FED_FETCH, 64, 30);
+        metrics.record(names::FED_FETCH, 64, PLANE_HOP_MS);
         Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
     }
 }

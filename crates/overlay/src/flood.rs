@@ -14,7 +14,7 @@
 use crate::fault::LinkFaults;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::{Actor, Context};
+use crate::sim::{Actor, Context, LatencyModel};
 use dosn_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -173,7 +173,7 @@ impl UnstructuredOverlay {
                 continue;
             }
             if latency_per_hop.len() <= depth as usize {
-                latency_per_hop.push(self.rng.random_range(10u64..=120));
+                latency_per_hop.push(LatencyModel::default().draw(&mut self.rng));
             }
             for &nb in &self.neighbors[node.0 as usize] {
                 if !visited.insert(nb) {

@@ -15,6 +15,9 @@ use crate::storage::StoragePlane;
 use dosn_obs::names;
 use std::collections::{HashMap, VecDeque};
 
+/// The fixed latency of a contact-cache hit: one social hop to a friend.
+const CONTACT_FETCH_MS: u64 = 40;
+
 /// Where a hybrid `get` was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HitSource {
@@ -180,7 +183,11 @@ impl HybridOverlay {
                 .cloned()
         });
         if let Some(v) = contact_hit {
-            metrics.record(names::HYBRID_CONTACT_FETCH, v.len() as u64, 40);
+            metrics.record(
+                names::HYBRID_CONTACT_FETCH,
+                v.len() as u64,
+                CONTACT_FETCH_MS,
+            );
             self.cache_insert(from, key, v.clone());
             return Ok((v, HitSource::ContactCache));
         }

@@ -27,6 +27,7 @@ use crate::fault::LinkFaults;
 use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
+use crate::sim::{LatencyModel, PLANE_HOP_MS};
 use crate::storage::{refused, StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;
@@ -250,7 +251,7 @@ impl KademliaPlane {
             if batch.is_empty() {
                 break;
             }
-            let lat = self.rng.random_range(10u64..=120);
+            let lat = LatencyModel::default().draw(&mut self.rng);
             let mut improved = false;
             for candidate in batch {
                 queried.insert(candidate);
@@ -329,9 +330,10 @@ impl KademliaPlane {
         key: Key,
         metrics: &mut Metrics,
     ) -> Result<Vec<u8>, String> {
+        let hop = LatencyModel::default();
         let targets = self.lookup(from, key, metrics);
         for t in targets {
-            metrics.record(names::KAD_FETCH, 64, self.rng.random_range(10u64..=120));
+            metrics.record(names::KAD_FETCH, 64, hop.draw(&mut self.rng));
             if let Some(v) = self.storage.get(t.0, key.0) {
                 return Ok(v.to_vec());
             }
@@ -393,7 +395,7 @@ impl StoragePlane for KademliaPlane {
             return Err(refused(node, self.arena.contains(node.0)));
         }
         self.storage.insert(node.0, key.0, value);
-        metrics.record(names::KAD_STORE, value.len() as u64, 30);
+        metrics.record(names::KAD_STORE, value.len() as u64, PLANE_HOP_MS);
         Ok(())
     }
 
@@ -406,7 +408,7 @@ impl StoragePlane for KademliaPlane {
         if !self.arena.is_online(node.0) {
             return Err(refused(node, self.arena.contains(node.0)));
         }
-        metrics.record(names::KAD_FETCH, 64, 30);
+        metrics.record(names::KAD_FETCH, 64, PLANE_HOP_MS);
         Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
     }
 

@@ -19,14 +19,20 @@
 //! [`storage::StoragePlane`], the placement + access trait that
 //! [`replication::ReplicatedStore`] and the request engine run over.
 //!
+//! Every family runs on one network model: a routed hop's latency is a
+//! draw from [`sim::LatencyModel`]'s default, and a lost transmission is
+//! decided by [`fault::FaultPlan`]'s one loss/partition rule, in the event
+//! queue of [`sim::Simulation`] and hop by hop through [`fault::LinkFaults`].
+//!
 //! Supporting infrastructure: [`sim`] (event-driven engine with churn),
-//! [`churn`] (availability experiments, E6), [`metrics`] (message/hop
-//! accounting used by every experiment), [`id`] (ring identifiers).
+//! [`fault`] (fault plans and trace digests), [`churn`] (availability
+//! experiments, E6), [`metrics`] (message/hop accounting used by every
+//! experiment), [`id`] (ring identifiers).
 //!
 //! # Example: comparing lookup costs across organizations
 //!
 //! ```
-//! use dosn_overlay::{chord::ChordPlane, superpeer::SuperPeerPlane,
+//! use dosn_overlay::{chord::ChordPlane, superpeer::SuperPeerPlane, sim::LatencyModel,
 //!                    fault::LinkFaults, id::{Key, NodeId}, metrics::Metrics};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,7 +55,11 @@
 //! // Each family has one routing loop with link faults as its optional
 //! // argument: `*_with_faults` walks the same route, retrying lost hops.
 //! let from = dht.random_node(2);
-//! let owner = dht.lookup(from, key, &mut m_dht)?;
+//! let mut m_route = Metrics::new();
+//! let owner = dht.lookup(from, key, &mut m_route)?;
+//! // Every hop of the route drew its latency from the one model.
+//! let (hops, hop) = (m_route.count("chord.hop"), LatencyModel::default());
+//! assert!((hops * hop.min_ms..=hops * hop.max_ms).contains(&m_route.latency_ms));
 //! let mut lossy = LinkFaults::new(7, 0.2);
 //! assert_eq!(dht.lookup_with_faults(from, key, &mut m_dht, &mut lossy, 8)?, owner);
 //! assert_eq!(m_dht.count("chord.retry"), lossy.failures);

@@ -1,4 +1,6 @@
-//! Message/hop/latency accounting shared by every overlay.
+//! Message/hop/latency accounting shared by every overlay, and the
+//! replication layer's per-node storage table. The event simulator's
+//! per-node message counters are its own ([`crate::sim::NodeCounters`]).
 
 use crate::id::NodeId;
 use std::collections::BTreeMap;
@@ -140,76 +142,6 @@ impl StorageAccounting {
     }
 }
 
-/// Message counters for a single simulated node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeCounters {
-    /// Messages this node sent (including ones later lost in flight).
-    pub sent: u64,
-    /// Messages delivered to this node while online.
-    pub delivered: u64,
-    /// Delivery attempts that found this node offline.
-    pub dropped: u64,
-    /// Timers fired on this node.
-    pub timers_fired: u64,
-}
-
-/// Per-node counters maintained by the simulator, keyed by node id. Lets
-/// fault-injection experiments localize damage (which nodes went silent,
-/// which absorbed the retry storm) instead of reading only global totals.
-#[derive(Debug, Clone, Default)]
-pub struct PerNodeMetrics {
-    counters: BTreeMap<u64, NodeCounters>,
-}
-
-impl PerNodeMetrics {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a send by `node`.
-    pub fn on_sent(&mut self, node: NodeId) {
-        self.counters.entry(node.0).or_default().sent += 1;
-    }
-
-    /// Records a delivery to `node`.
-    pub fn on_delivered(&mut self, node: NodeId) {
-        self.counters.entry(node.0).or_default().delivered += 1;
-    }
-
-    /// Records a delivery attempt that found `node` offline.
-    pub fn on_dropped(&mut self, node: NodeId) {
-        self.counters.entry(node.0).or_default().dropped += 1;
-    }
-
-    /// Records a timer firing on `node`.
-    pub fn on_timer(&mut self, node: NodeId) {
-        self.counters.entry(node.0).or_default().timers_fired += 1;
-    }
-
-    /// Counters for one node (zeroed if it never appeared).
-    pub fn get(&self, node: NodeId) -> NodeCounters {
-        self.counters.get(&node.0).copied().unwrap_or_default()
-    }
-
-    /// Iterates over nodes with any recorded activity, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeCounters)> + '_ {
-        self.counters.iter().map(|(&id, &c)| (NodeId(id), c))
-    }
-
-    /// Element-wise sum over all nodes.
-    pub fn totals(&self) -> NodeCounters {
-        let mut total = NodeCounters::default();
-        for c in self.counters.values() {
-            total.sent += c.sent;
-            total.delivered += c.delivered;
-            total.dropped += c.dropped;
-            total.timers_fired += c.timers_fired;
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,26 +240,5 @@ mod tests {
         assert_eq!(a.max_node_bytes(), 150);
         assert_eq!(a.nodes_used(), 2);
         assert_eq!(a.iter().count(), 2);
-    }
-
-    #[test]
-    fn per_node_counters_accumulate() {
-        let mut p = PerNodeMetrics::new();
-        p.on_sent(NodeId(1));
-        p.on_sent(NodeId(1));
-        p.on_delivered(NodeId(2));
-        p.on_dropped(NodeId(2));
-        p.on_timer(NodeId(3));
-        assert_eq!(p.get(NodeId(1)).sent, 2);
-        assert_eq!(p.get(NodeId(2)).delivered, 1);
-        assert_eq!(p.get(NodeId(2)).dropped, 1);
-        assert_eq!(p.get(NodeId(3)).timers_fired, 1);
-        assert_eq!(p.get(NodeId(9)), NodeCounters::default());
-        assert_eq!(p.iter().count(), 3);
-        let t = p.totals();
-        assert_eq!(
-            (t.sent, t.delivered, t.dropped, t.timers_fired),
-            (2, 1, 1, 1)
-        );
     }
 }

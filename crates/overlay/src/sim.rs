@@ -1,7 +1,9 @@
 //! Deterministic discrete-event network simulator.
 //!
 //! DOSN evaluations run on planet-scale P2P deployments; this simulator is
-//! the workspace's substitute (see DESIGN.md). It provides:
+//! the workspace's substitute (see DESIGN.md), and the one network model
+//! under every overlay: [`LatencyModel`] is the only hop latency any family
+//! draws. It provides:
 //!
 //! * an event queue with per-link latency drawn from a seeded RNG, so every
 //!   run is reproducible;
@@ -9,12 +11,18 @@
 //!   fork-consistency experiments, and the availability study);
 //! * node churn — actors go online/offline, and messages to offline nodes
 //!   are counted and dropped (once per logical message, however many
-//!   duplicate copies the fault plan produced);
+//!   duplicate copies the fault plan produced). Node ids are dense; an id
+//!   past the last is never online, churn for it is a no-op, and a message
+//!   to it is dropped as to an offline node;
+//! * per-node [`NodeCounters`], from which [`SimStats`]' delivery and
+//!   timer totals are summed (one count per event);
 //! * fault injection via [`FaultPlan`] (loss, duplication, reordering,
-//!   partitions, crashes, latency spikes) applied inside the event queue;
+//!   partitions, crashes, latency spikes) applied inside the event queue —
+//!   its loss/partition rule is the one the routed overlays also apply,
+//!   through [`crate::fault::LinkFaults`];
 //! * a [`crate::fault::SimTrace`] digest folding every structural event
 //!   into SHA-256, so identical `(seed, plan)` pairs yield byte-identical
-//!   traces (see [`Simulation::trace_digest`]).
+//!   traces (see [`Simulation::trace`]).
 //!
 //! ```
 //! use dosn_overlay::sim::{Actor, Context, Simulation};
@@ -38,10 +46,8 @@
 //! assert!(sim.now_ms() > 0);
 //! ```
 
-use crate::churn::OfflineDropLedger;
 use crate::fault::{chance, FaultPlan, SimTrace, TraceEvent, TraceEventKind};
 use crate::id::NodeId;
-use crate::metrics::{NodeCounters, PerNodeMetrics};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::cmp::Reverse;
@@ -106,15 +112,15 @@ impl<M> Context<'_, M> {
 /// Queue events are payload-free: message bodies live in the simulation's
 /// refcounted slab and `Deliver` carries only a `u32` slot, so fault-plan
 /// duplication no longer clones payloads into the heap-ordered queue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     Deliver {
         from: NodeId,
         to: NodeId,
-        /// Slab slot holding the message body (shared by duplicates).
+        /// Slab slot holding the message body (shared by duplicates, so
+        /// the slot also records whether the message was counted lost).
         slot: u32,
-        // Logical message id; duplicate copies share it so offline-drop
-        // accounting stays once-per-message.
+        /// Logical message id for the trace; duplicate copies share it.
         msg_id: u64,
     },
     Timer {
@@ -127,30 +133,12 @@ enum Event {
     },
 }
 
-struct Scheduled {
-    at_ms: u64,
-    seq: u64,
-    event: Event,
-}
+/// A queued event, ordered by `(at_ms, seq)`: the sequence number is
+/// unique, so the event itself never decides the order.
+type Scheduled = (u64, u64, Event);
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_ms == other.at_ms && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_ms, self.seq).cmp(&(other.at_ms, other.seq))
-    }
-}
-
-/// Link latency model: uniform in `[min_ms, max_ms]`.
+/// Link latency model: uniform in `[min_ms, max_ms]`. The default is the
+/// one wide-area hop latency of every overlay family and the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Minimum one-way latency.
@@ -169,10 +157,40 @@ impl Default for LatencyModel {
     }
 }
 
+impl LatencyModel {
+    /// One hop's latency: a single uniform draw from `rng`, or, for a
+    /// fixed model (`min_ms == max_ms`), that value without a draw.
+    pub fn draw(&self, rng: &mut impl Rng) -> u64 {
+        if self.min_ms == self.max_ms {
+            return self.min_ms;
+        }
+        rng.random_range(self.min_ms..=self.max_ms)
+    }
+}
+
+/// The latency of one direct hop that walks no route — a storage-plane
+/// call, or a federation client's request to its pod: a fixed typical
+/// wide-area hop instead of a draw.
+pub(crate) const PLANE_HOP_MS: u64 = 30;
+
+/// Message counters for a single simulated node.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeCounters {
+    /// Messages this node sent (including ones later lost in flight).
+    pub sent: u64,
+    /// Messages delivered to this node while online.
+    pub delivered: u64,
+    /// Delivery attempts that found this node offline.
+    pub dropped: u64,
+    /// Timers fired on this node.
+    pub timers_fired: u64,
+}
+
 /// Counters the simulation maintains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Messages delivered to online nodes.
+    /// Messages delivered to online nodes (the sum of the per-node
+    /// [`NodeCounters::delivered`]).
     pub delivered: u64,
     /// Logical messages dropped because the target was offline (each
     /// message counted once, however many copies or retries arrived).
@@ -185,8 +203,19 @@ pub struct SimStats {
     pub dropped_partitioned: u64,
     /// Messages the fault plan duplicated.
     pub duplicated: u64,
-    /// Timer callbacks fired.
+    /// Timer callbacks fired (the sum of the per-node
+    /// [`NodeCounters::timers_fired`]).
     pub timers_fired: u64,
+}
+
+/// One slab slot: an in-flight message body and its outstanding copies.
+struct Slot<M> {
+    msg: Option<M>,
+    /// Outstanding deliveries (2 when the fault plan duplicated).
+    refs: u32,
+    /// Whether the message was already counted in
+    /// [`SimStats::dropped_offline`]; cleared when the slot is recycled.
+    lost: bool,
 }
 
 /// The discrete-event simulation over a fixed actor population.
@@ -199,11 +228,11 @@ where
 {
     actors: Vec<A>,
     online: Vec<bool>,
+    /// Per-node counters, indexed by node id like `actors`.
+    counters: Vec<NodeCounters>,
     queue: BinaryHeap<Reverse<Scheduled>>,
-    /// Message slab: in-flight bodies, indexed by `Event::Deliver::slot`.
-    msgs: Vec<Option<A::Msg>>,
-    /// Outstanding deliveries per slot (2 when the fault plan duplicated).
-    msg_refs: Vec<u32>,
+    /// Message slab: in-flight messages, indexed by `Event::Deliver::slot`.
+    slab: Vec<Slot<A::Msg>>,
     /// Recycled slab slots.
     free_slots: Vec<u32>,
     now_ms: u64,
@@ -216,8 +245,8 @@ where
     latency: LatencyModel,
     faults: FaultPlan,
     trace: SimTrace,
-    offline_ledger: OfflineDropLedger,
-    per_node: PerNodeMetrics,
+    /// Every counter that is not per node; `delivered` and `timers_fired`
+    /// stay zero here and are summed from `counters` by [`Simulation::stats`].
     stats: SimStats,
 }
 
@@ -243,9 +272,9 @@ where
         let mut sim = Simulation {
             actors,
             online: vec![true; n],
+            counters: vec![NodeCounters::default(); n],
             queue: BinaryHeap::new(),
-            msgs: Vec::new(),
-            msg_refs: Vec::new(),
+            slab: Vec::new(),
             free_slots: Vec::new(),
             now_ms: 0,
             seq: 0,
@@ -255,8 +284,6 @@ where
             latency,
             faults: plan,
             trace: SimTrace::new(),
-            offline_ledger: OfflineDropLedger::new(),
-            per_node: PerNodeMetrics::new(),
             stats: SimStats::default(),
         };
         for crash in sim.faults.crashes.clone() {
@@ -268,16 +295,6 @@ where
         sim
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.actors.len()
-    }
-
-    /// Whether the simulation has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.actors.is_empty()
-    }
-
     /// Current simulated time.
     pub fn now_ms(&self) -> u64 {
         self.now_ms
@@ -285,18 +302,19 @@ where
 
     /// Accumulated statistics.
     pub fn stats(&self) -> SimStats {
-        self.stats
+        let mut stats = self.stats;
+        for c in &self.counters {
+            stats.delivered += c.delivered;
+            stats.timers_fired += c.timers_fired;
+        }
+        stats
     }
 
-    /// The trace observability layer.
+    /// The trace observability layer: its [`SimTrace::digest`] folds every
+    /// structural event so far, so identical `(seed, plan)` pairs produce
+    /// identical digests.
     pub fn trace(&self) -> &SimTrace {
         &self.trace
-    }
-
-    /// SHA-256 digest over every structural event so far; identical
-    /// `(seed, plan)` pairs produce identical digests.
-    pub fn trace_digest(&self) -> [u8; 32] {
-        self.trace.digest()
     }
 
     /// Switches the trace to also retain the full event log.
@@ -310,22 +328,18 @@ where
         self.trace = SimTrace::with_log();
     }
 
-    /// Per-node send/deliver/drop/timer counters.
-    pub fn per_node(&self) -> &PerNodeMetrics {
-        &self.per_node
-    }
-
-    /// Convenience: counters for one node.
+    /// Send/deliver/drop/timer counters for one node (zeroed for a node
+    /// the simulation does not have).
     pub fn node_counters(&self, id: NodeId) -> NodeCounters {
-        self.per_node.get(id)
+        self.node_index(id)
+            .map(|i| self.counters[i])
+            .unwrap_or_default()
     }
 
-    /// Offline-drop accounting: (unique logical messages, raw attempts).
-    pub fn offline_drops(&self) -> (u64, u64) {
-        (
-            self.offline_ledger.unique_messages(),
-            self.offline_ledger.attempts(),
-        )
+    /// `id`'s index into the per-node vectors, or `None` for a node the
+    /// simulation does not have.
+    fn node_index(&self, id: NodeId) -> Option<usize> {
+        (id.0 < self.actors.len() as u64).then_some(id.0 as usize)
     }
 
     /// Immutable access to an actor.
@@ -346,9 +360,10 @@ where
         &mut self.actors[id.0 as usize]
     }
 
-    /// Whether a node is currently online.
+    /// Whether a node is currently online (`false` for a node the
+    /// simulation does not have).
     pub fn is_online(&self, id: NodeId) -> bool {
-        self.online[id.0 as usize]
+        self.node_index(id).is_some_and(|i| self.online[i])
     }
 
     /// Injects a message from outside the simulation (e.g. the workload
@@ -358,8 +373,12 @@ where
         self.dispatch(from, to, msg);
     }
 
-    /// Schedules a node to go online/offline at `at_ms` (absolute).
+    /// Schedules a node to go online/offline at `at_ms` (absolute); a
+    /// no-op for a node the simulation does not have.
     pub fn schedule_churn(&mut self, at_ms: u64, node: NodeId, online: bool) {
+        if self.node_index(node).is_none() {
+            return;
+        }
         let delay = at_ms.saturating_sub(self.now_ms);
         self.schedule(delay, Event::SetOnline { node, online });
     }
@@ -381,8 +400,8 @@ where
 
     /// Runs until simulated time reaches `deadline_ms` or the queue drains.
     pub fn run_until(&mut self, deadline_ms: u64) {
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at_ms > deadline_ms {
+        while let Some(Reverse((at_ms, _, _))) = self.queue.peek() {
+            if *at_ms > deadline_ms {
                 break;
             }
             self.step();
@@ -392,44 +411,50 @@ where
 
     /// Processes one event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(scheduled)) = self.queue.pop() else {
+        let Some(Reverse((at_ms, _, event))) = self.queue.pop() else {
             return false;
         };
-        self.now_ms = scheduled.at_ms;
-        match scheduled.event {
+        self.now_ms = at_ms;
+        match event {
             Event::Deliver {
                 from,
                 to,
                 slot,
                 msg_id,
-            } => {
-                if !self.online[to.0 as usize] {
-                    self.stats.offline_drop_attempts += 1;
-                    if self.offline_ledger.record(msg_id) {
-                        self.stats.dropped_offline += 1;
-                    }
-                    self.per_node.on_dropped(to);
-                    self.record(TraceEventKind::DropOffline, from, to, msg_id);
-                    self.release_slot(slot);
-                } else {
-                    self.stats.delivered += 1;
-                    self.per_node.on_delivered(to);
+            } => match self.node_index(to).filter(|&i| self.online[i]) {
+                Some(i) => {
+                    self.counters[i].delivered += 1;
                     self.record(TraceEventKind::Deliver, from, to, msg_id);
-                    let msg = self.take_msg(slot);
+                    let msg = self.consume(slot, true).expect("live slab slot");
                     self.with_ctx(to, |actor, ctx| actor.on_message(ctx, from, msg));
                 }
-            }
+                None => {
+                    // Offline, or a node the simulation does not have.
+                    self.stats.offline_drop_attempts += 1;
+                    let s = &mut self.slab[slot as usize];
+                    if !s.lost {
+                        s.lost = true;
+                        self.stats.dropped_offline += 1;
+                    }
+                    if let Some(i) = self.node_index(to) {
+                        self.counters[i].dropped += 1;
+                    }
+                    self.record(TraceEventKind::DropOffline, from, to, msg_id);
+                    self.consume(slot, false);
+                }
+            },
             Event::Timer { node, tag } => {
-                if self.online[node.0 as usize] {
-                    self.stats.timers_fired += 1;
-                    self.per_node.on_timer(node);
+                if let Some(i) = self.node_index(node).filter(|&i| self.online[i]) {
+                    self.counters[i].timers_fired += 1;
                     self.record(TraceEventKind::Timer, node, NodeId(tag), 0);
                     self.with_ctx(node, |actor, ctx| actor.on_timer(ctx, tag));
                 }
             }
             Event::SetOnline { node, online } => {
-                let was = self.online[node.0 as usize];
-                self.online[node.0 as usize] = online;
+                // `schedule_churn` queues churn for known nodes only.
+                let i = node.0 as usize;
+                let was = self.online[i];
+                self.online[i] = online;
                 self.record(TraceEventKind::Churn, node, NodeId(u64::from(online)), 0);
                 if online && !was {
                     self.with_ctx(node, |actor, ctx| actor.on_online(ctx));
@@ -467,88 +492,73 @@ where
     fn dispatch(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
         self.next_msg_id += 1;
         let msg_id = self.next_msg_id;
-        self.per_node.on_sent(from);
+        if let Some(i) = self.node_index(from) {
+            self.counters[i].sent += 1;
+        }
         self.record(TraceEventKind::Send, from, to, msg_id);
 
-        if self.faults.is_partitioned(from, to, self.now_ms) {
-            self.stats.dropped_partitioned += 1;
-            self.record(TraceEventKind::DropPartition, from, to, msg_id);
-            return;
-        }
-        if chance(&mut self.fault_rng, self.faults.drop_probability) {
-            self.stats.dropped_link += 1;
-            self.record(TraceEventKind::DropLink, from, to, msg_id);
+        if let Some(loss) = self.faults.loss(&mut self.fault_rng, from, to, self.now_ms) {
+            if loss == TraceEventKind::DropPartition {
+                self.stats.dropped_partitioned += 1;
+            } else {
+                self.stats.dropped_link += 1;
+            }
+            self.record(loss, from, to, msg_id);
             return;
         }
         let slot = self.alloc_slot(msg);
+        let deliver = Event::Deliver {
+            from,
+            to,
+            slot,
+            msg_id,
+        };
         if chance(&mut self.fault_rng, self.faults.duplicate_probability) {
             self.stats.duplicated += 1;
             self.record(TraceEventKind::Duplicate, from, to, msg_id);
-            self.msg_refs[slot as usize] += 1;
+            self.slab[slot as usize].refs += 1;
             let delay = self.delivery_delay(from, to);
-            self.schedule(
-                delay,
-                Event::Deliver {
-                    from,
-                    to,
-                    slot,
-                    msg_id,
-                },
-            );
+            self.schedule(delay, deliver);
         }
         let delay = self.delivery_delay(from, to);
-        self.schedule(
-            delay,
-            Event::Deliver {
-                from,
-                to,
-                slot,
-                msg_id,
-            },
-        );
+        self.schedule(delay, deliver);
     }
 
-    /// Parks `msg` in the slab with one outstanding delivery.
+    /// Parks `msg` in the slab with one outstanding delivery, not yet
+    /// counted lost.
     fn alloc_slot(&mut self, msg: A::Msg) -> u32 {
+        let fresh = Slot {
+            msg: Some(msg),
+            refs: 1,
+            lost: false,
+        };
         if let Some(slot) = self.free_slots.pop() {
-            self.msgs[slot as usize] = Some(msg);
-            self.msg_refs[slot as usize] = 1;
+            self.slab[slot as usize] = fresh;
             slot
         } else {
-            self.msgs.push(Some(msg));
-            self.msg_refs.push(1);
-            (self.msgs.len() - 1) as u32
+            self.slab.push(fresh);
+            (self.slab.len() - 1) as u32
         }
     }
 
-    /// Consumes one delivery of `slot`: moves the body out on the last
-    /// reference (the common case — zero clones), clones only when a
-    /// fault-plan duplicate still holds the slot.
-    fn take_msg(&mut self, slot: u32) -> A::Msg {
-        let s = slot as usize;
-        self.msg_refs[s] -= 1;
-        if self.msg_refs[s] == 0 {
-            let msg = self.msgs[s].take().expect("live slab slot");
+    /// Consumes one delivery of `slot`. With `read`, returns the body:
+    /// moved out on the last reference (the common case — zero clones),
+    /// cloned only when a fault-plan duplicate still holds the slot.
+    /// Without (an offline target), nothing is ever cloned.
+    fn consume(&mut self, slot: u32, read: bool) -> Option<A::Msg> {
+        let s = &mut self.slab[slot as usize];
+        s.refs -= 1;
+        if s.refs == 0 {
             self.free_slots.push(slot);
-            msg
+            s.msg.take()
         } else {
-            self.msgs[s].as_ref().expect("live slab slot").clone()
-        }
-    }
-
-    /// Drops one delivery of `slot` without reading the body (offline
-    /// target) — never clones.
-    fn release_slot(&mut self, slot: u32) {
-        let s = slot as usize;
-        self.msg_refs[s] -= 1;
-        if self.msg_refs[s] == 0 {
-            self.msgs[s] = None;
-            self.free_slots.push(slot);
+            s.msg.as_ref().filter(|_| read).cloned()
         }
     }
 
     fn delivery_delay(&mut self, from: NodeId, to: NodeId) -> u64 {
-        let mut delay = self.draw_latency() + self.faults.spike_extra_ms(from, to, self.now_ms);
+        let mut delay =
+            self.latency.draw(&mut self.rng) + self.faults.spike_extra_ms(from, to, self.now_ms);
         if chance(&mut self.fault_rng, self.faults.reorder_probability) {
             delay += self
                 .fault_rng
@@ -567,21 +577,10 @@ where
         });
     }
 
-    fn draw_latency(&mut self) -> u64 {
-        if self.latency.min_ms == self.latency.max_ms {
-            return self.latency.min_ms;
-        }
-        self.rng
-            .random_range(self.latency.min_ms..=self.latency.max_ms)
-    }
-
     fn schedule(&mut self, delay_ms: u64, event: Event) {
         self.seq += 1;
-        self.queue.push(Reverse(Scheduled {
-            at_ms: self.now_ms + delay_ms,
-            seq: self.seq,
-            event,
-        }));
+        self.queue
+            .push(Reverse((self.now_ms + delay_ms, self.seq, event)));
     }
 }
 
@@ -657,6 +656,54 @@ mod tests {
         assert_eq!(sim.stats().timers_fired, 2);
     }
 
+    /// Regression: an id outside the population used to index past the
+    /// per-node tables and panic — on churn, on a post, and on an actor's
+    /// reply to a stale sender.
+    #[test]
+    fn a_node_the_simulation_does_not_have_is_offline_and_unreachable() {
+        let ghost = NodeId(9);
+        let mut sim = two_nodes(7);
+        sim.enable_trace_log();
+        sim.schedule_churn(0, ghost, true);
+        assert!(!sim.is_online(ghost));
+        sim.post(NodeId(0), ghost, "ping");
+        // Node 1 answers the ghost's ping with a pong addressed to it.
+        sim.post(ghost, NodeId(1), "ping");
+        sim.run_until_idle();
+        assert_eq!(sim.actor(NodeId(1)).pings, 1);
+        let stats = sim.stats();
+        assert_eq!(stats.delivered, 1);
+        assert_eq!(stats.dropped_offline, 2, "each undeliverable message once");
+        assert_eq!(stats.offline_drop_attempts, 2);
+        let events = sim.trace().events().unwrap();
+        let drops = events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::DropOffline);
+        assert_eq!(drops.count(), 2);
+        assert!(
+            events.iter().all(|e| e.kind != TraceEventKind::Churn),
+            "churn: a no-op"
+        );
+        assert_eq!(sim.node_counters(ghost), NodeCounters::default());
+        assert_eq!(sim.node_counters(NodeId(1)).sent, 1);
+        assert!(!sim.is_online(ghost));
+    }
+
+    /// Regression: the once-per-message loss record kept every lost
+    /// message id for the whole run. It is a flag on the message's slab
+    /// slot, so it is bounded by the messages in flight.
+    #[test]
+    fn offline_loss_accounting_is_bounded_by_the_slab() {
+        let mut sim = two_nodes(8);
+        sim.schedule_churn(0, NodeId(1), false);
+        for _ in 0..1000 {
+            sim.post(NodeId(0), NodeId(1), "ping");
+            sim.run_until_idle();
+        }
+        assert_eq!(sim.stats().dropped_offline, 1000);
+        assert_eq!(sim.slab.len(), 1, "one slot, recycled for every message");
+    }
+
     #[test]
     fn churn_back_online_re_invokes() {
         let mut sim = two_nodes(4);
@@ -701,6 +748,20 @@ mod tests {
     }
 
     #[test]
+    fn a_fixed_model_draws_nothing() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let fixed = LatencyModel {
+            min_ms: 7,
+            max_ms: 7,
+        };
+        assert_eq!(fixed.draw(&mut rng), 7);
+        let mut fresh = StdRng::seed_from_u64(5);
+        assert_eq!(rng.next_u64(), fresh.next_u64());
+        let lat = LatencyModel::default().draw(&mut rng);
+        assert!((10..=120).contains(&lat));
+    }
+
+    #[test]
     fn fixed_latency_model() {
         let mut sim = Simulation::with_latency(
             vec![Echo::default(), Echo::default()],
@@ -713,15 +774,6 @@ mod tests {
         sim.post(NodeId(0), NodeId(1), "ping");
         sim.run_until_idle();
         assert_eq!(sim.now_ms(), 14); // ping 7ms + pong 7ms
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let sim = two_nodes(1);
-        assert_eq!(sim.len(), 2);
-        assert!(!sim.is_empty());
-        let empty: Simulation<Echo> = Simulation::new(vec![], 1);
-        assert!(empty.is_empty());
     }
 
     /// A message whose `Clone` impl counts how often it runs.
@@ -774,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn only_fault_duplicates_clone_and_offline_drops_never_do() {
+    fn only_fault_duplicates_clone_and_offline_losses_never_do() {
         let clones = std::rc::Rc::new(std::cell::Cell::new(0u64));
         let plan = FaultPlan::seeded(3).with_duplicate_probability(1.0);
         let mut sim: Simulation<Sink> = Simulation::with_faults(

@@ -13,6 +13,7 @@ use crate::fault::LinkFaults;
 use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
+use crate::sim::{LatencyModel, PLANE_HOP_MS};
 use crate::storage::{refused, StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;
@@ -191,11 +192,12 @@ impl SuperPeerPlane {
             LinkFaults::hop(&mut link, a, b, metrics, names::SUPER_RETRY, 32)
         };
         let own_super = self.super_of(from)?;
+        let hop = LatencyModel::default();
         if own_super != from {
             if !crosses(from, own_super, metrics) {
                 return None;
             }
-            metrics.record(names::SUPER_QUERY, 32, self.latency());
+            metrics.record(names::SUPER_QUERY, 32, hop.draw(&mut self.rng));
         }
         if !self.is_online(own_super) {
             return None; // orphaned leaf until re-election
@@ -205,12 +207,12 @@ impl SuperPeerPlane {
             if !crosses(own_super, home, metrics) {
                 return None;
             }
-            metrics.record(names::SUPER_FORWARD, 32, self.latency());
+            metrics.record(names::SUPER_FORWARD, 32, hop.draw(&mut self.rng));
         }
         if !self.is_online(home) || !crosses(home, from, metrics) {
             return None;
         }
-        metrics.record(names::SUPER_ANSWER, 32, self.latency());
+        metrics.record(names::SUPER_ANSWER, 32, hop.draw(&mut self.rng));
         self.index[&home]
             .get(&key.0)
             .and_then(|holders| holders.iter().copied().find(|h| self.is_online(*h)))
@@ -286,10 +288,6 @@ impl SuperPeerPlane {
         }
         msgs
     }
-
-    fn latency(&mut self) -> u64 {
-        self.rng.random_range(10u64..=120)
-    }
 }
 
 impl StoragePlane for SuperPeerPlane {
@@ -339,7 +337,7 @@ impl StoragePlane for SuperPeerPlane {
         }
         // Leaf → own super → index-home super: the constant-hop index
         // consultation that precedes any placement decision.
-        metrics.record(names::SUPER_QUERY, 32, 30);
+        metrics.record(names::SUPER_QUERY, 32, PLANE_HOP_MS);
         Ok(candidates)
     }
 
@@ -358,7 +356,7 @@ impl StoragePlane for SuperPeerPlane {
         self.storage.insert(node.0, key.0, value);
         self.publish(node, key);
         // Blob transfer to the holder plus the index publish hop.
-        metrics.record(names::SUPER_STORE, value.len() as u64, 30);
+        metrics.record(names::SUPER_STORE, value.len() as u64, PLANE_HOP_MS);
         metrics.record_offpath(names::SUPER_PUBLISH, 32);
         Ok(())
     }
@@ -372,7 +370,7 @@ impl StoragePlane for SuperPeerPlane {
         if !self.is_online(node) {
             return Err(refused(node, node.0 < self.peers.len() as u64));
         }
-        metrics.record(names::SUPER_FETCH, 64, 30);
+        metrics.record(names::SUPER_FETCH, 64, PLANE_HOP_MS);
         Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
     }
 
