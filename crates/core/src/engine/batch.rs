@@ -58,20 +58,6 @@ pub enum Op {
     },
 }
 
-impl Op {
-    /// The op's home user, whose shard it routes to: the author, or the
-    /// first name of a register or befriend.
-    pub(super) fn home_user(&self) -> &str {
-        match self {
-            Op::Register { name } => name,
-            Op::Befriend { a, .. } => a,
-            Op::Post { author, .. } | Op::Comment { author, .. } | Op::ReadPost { author, .. } => {
-                author
-            }
-        }
-    }
-}
-
 /// An ordered batch of operations, with builder helpers:
 ///
 /// ```
@@ -207,8 +193,8 @@ pub struct BatchReport {
     pub results: Vec<Result<OpOutput, DosnError>>,
     /// SHA-256 over every op outcome and every committed storage record,
     /// in op order. Byte-identical across runs with the same engine seed
-    /// and batch, *regardless of worker count* — the engine's determinism
-    /// contract, pinned by the `engine_determinism` suite.
+    /// and the same batches before it — the engine's determinism contract,
+    /// pinned by the `engine_determinism` suite.
     pub digest: [u8; 32],
 }
 

@@ -1,28 +1,27 @@
 //! The finish phase: the batch's quorum reads, then the feed-cache fills
-//! that follow the report. Touches storage and metrics; only reads the
-//! shards. The reads are fetched in op order (storage is `&mut`), then each
-//! worker takes a contiguous share of them through one `fan_out`, reading
-//! the authors' home shards, and runs three steps over it:
+//! that follow the report. Touches storage and metrics; only reads the user
+//! records. Every read's copies are fetched in op order, then three steps
+//! run:
 //!
 //! 1. **Screen.** A read the hot cache (L2) served, or whose present copies
 //!    are all one byte string, stakes on that one candidate value.
 //! 2. **Check.** One combined Schnorr check proves every candidate of the
-//!    share ([`SignedEnvelope::verify_wire_slots`]). The verdicts are exact
-//!    per candidate, since a failed check bisects, so how the reads are
-//!    shared out decides no result.
-//! 3. **Settle.** The quorum vote takes the checked verdict, and the winner
-//!    is unsealed from its [`VerifiedEnvelope`]. A read whose copies
-//!    disagree verifies its distinct values here, inside its own vote.
+//!    batch ([`SignedEnvelope::verify_wire_slots`]). The verdicts are exact
+//!    per candidate, since a failed check bisects.
+//! 3. **Settle.** Read by read, in op order, the quorum vote takes the
+//!    checked verdict and the winner is unsealed from its
+//!    [`VerifiedEnvelope`]; then stale copies are repaired, the winner is
+//!    admitted to L2, and a poisoned L2 entry is re-read through the
+//!    quorum. A read whose copies disagree verifies its distinct values
+//!    inside its own vote.
 //!
-//! The sequential tail then repairs stale copies, admits winners to L2 and
-//! re-reads a poisoned L2 entry through the quorum. With
-//! [`super::Engine::set_batch_verify`] off, no read is screened and every
-//! value is opened alone inside its vote.
+//! With [`super::Engine::set_batch_verify`] off, no read is screened and
+//! every value is opened alone inside its vote.
 
 use super::batch::{BatchReport, Op, OpOutput};
-use super::pipeline::{fan_out, Batch, JobOut};
+use super::pipeline::Batch;
 use super::plan::{bump_feed_stats, FeedFill};
-use super::{elapsed_micros, storage_to_dosn, wall_key, Shard, WorkerCtx};
+use super::{elapsed_micros, storage_to_dosn, wall_key, PhaseCtx, Users};
 use crate::content::Post;
 use crate::error::DosnError;
 use crate::feed::FeedCache;
@@ -36,14 +35,12 @@ use dosn_overlay::replication::{
 use dosn_overlay::storage::{StorageError, StoragePlane};
 use std::time::Instant;
 
-/// One `ReadPost` with its fetched bytes, borrowing the op's names and
-/// the author's home shard.
+/// One `ReadPost` with its fetched bytes, borrowing the op's names.
 struct ReadJob<'a> {
     op_idx: usize,
     reader: &'a str,
     author: &'a str,
     seq: u64,
-    home: &'a Shard,
     fetched: Result<FetchedCopies, StorageError>,
     /// Sealed bytes served by the storage plane's hot cache, if any — the
     /// read's candidate, checked and unsealed *first*; the read falls back
@@ -69,14 +66,14 @@ fn candidate<'j>(job: &'j ReadJob) -> Option<&'j [u8]> {
 
 enum ReadOutcome {
     Done(Result<OpOutput, DosnError>),
-    /// Winner decrypted; the sequential pass repairs the job's stale
-    /// copies with it.
+    /// Winner decrypted; [`settle_read`] repairs the job's stale copies
+    /// with it.
     Verified {
         body: String,
         winner: Vec<u8>,
     },
-    /// The hot-cached envelope failed verification or decryption. The
-    /// sequential pass invalidates it and re-runs the read as a real
+    /// The hot-cached envelope failed verification or decryption.
+    /// [`settle_read`] invalidates it and re-runs the read as a real
     /// quorum fetch — a poisoned cache entry must behave exactly like an
     /// uncached tampered replica, never like a served read.
     RetryQuorum,
@@ -86,8 +83,8 @@ enum ReadOutcome {
 pub(super) fn finish_reads<S: StoragePlane>(
     storage: &mut ReplicatedStore<S>,
     metrics: &mut Metrics,
-    ctx: &WorkerCtx,
-    shards: &[Shard],
+    ctx: &PhaseCtx,
+    users: &Users,
     batch: &mut Batch,
     reads: Vec<usize>,
 ) {
@@ -105,7 +102,7 @@ pub(super) fn finish_reads<S: StoragePlane>(
         let started = Instant::now();
         let key = wall_key(author, *seq);
         // L2: a hot-cached envelope skips the quorum fetch entirely; the
-        // verify worker still runs the full envelope check on it, and
+        // check step still runs the full envelope check on it, and
         // `settle_read` falls back to a real quorum read if that fails.
         let cached = storage.cached_fetch(key, metrics);
         let fetched = match cached {
@@ -120,34 +117,24 @@ pub(super) fn finish_reads<S: StoragePlane>(
             reader,
             author,
             seq: *seq,
-            home: &shards[batch.routes[op_idx]],
             fetched,
             cached,
             fetch_micros: elapsed_micros(started),
             checked: None,
         });
     }
-    let read_quorum = storage.read_quorum();
-    // One contiguous share of the reads per worker.
-    let per_worker = jobs.len().div_ceil(ctx.workers).max(1);
-    let mut shares = Vec::new();
-    while !jobs.is_empty() {
-        let rest = jobs.split_off(per_worker.min(jobs.len()));
-        shares.push(((), vec![std::mem::replace(&mut jobs, rest)]));
+    if ctx.batch_verify {
+        check_candidates(ctx, &mut jobs);
     }
-    let mut read_outs: Vec<JobOut<_>> = fan_out(ctx.workers, shares, |(), share| {
-        finish_share(ctx, read_quorum, share)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    read_outs.sort_unstable_by_key(|o| o.op_idx);
-    for read in read_outs {
-        let (job, outcome) = read.out;
-        let result = settle_read(storage, metrics, ctx, job, outcome);
+    let read_quorum = storage.read_quorum();
+    for job in jobs {
+        let started = Instant::now();
+        let outcome = finish_read(ctx, users, read_quorum, &job);
+        let (op_idx, micros) = (job.op_idx, job.fetch_micros + elapsed_micros(started));
+        let result = settle_read(storage, metrics, ctx, users, job, outcome);
         ctx.obs
             .histogram(names::NET_READ_POST_QUORUM)
-            .record(read.micros);
+            .record(micros);
         if matches!(
             result,
             Err(DosnError::IntegrityViolation(_)
@@ -165,33 +152,9 @@ pub(super) fn finish_reads<S: StoragePlane>(
             // not authorized, unknown user) is not counted.
             ctx.obs.counter(names::ENGINE_READ_FAIL_CLOSED).add(1);
         }
-        batch.results[read.op_idx] = Some(result);
+        batch.results[op_idx] = Some(result);
     }
     timer.observe();
-}
-
-/// One worker's share of the reads: the check step over the share's
-/// candidates, then each read's vote and unseal.
-fn finish_share<'a>(
-    ctx: &WorkerCtx,
-    read_quorum: usize,
-    mut share: Vec<ReadJob<'a>>,
-) -> Vec<JobOut<(ReadJob<'a>, ReadOutcome)>> {
-    if ctx.batch_verify {
-        check_candidates(ctx, &mut share);
-    }
-    share
-        .into_iter()
-        .map(|job| {
-            let started = Instant::now();
-            let outcome = finish_read(ctx, read_quorum, &job);
-            JobOut {
-                op_idx: job.op_idx,
-                micros: job.fetch_micros + elapsed_micros(started),
-                out: (job, outcome),
-            }
-        })
-        .collect()
 }
 
 /// The check step: every read with a [`candidate`] has it proven in one
@@ -199,7 +162,7 @@ fn finish_share<'a>(
 /// carries its verdict and an even share of the check's time, which counts
 /// as time before its vote, so the quorum-read latencies still include
 /// verification.
-fn check_candidates(ctx: &WorkerCtx, jobs: &mut [ReadJob]) {
+fn check_candidates(ctx: &PhaseCtx, jobs: &mut [ReadJob]) {
     let started = Instant::now();
     let staked: Vec<(usize, UserId, &[u8])> = jobs
         .iter()
@@ -227,13 +190,13 @@ fn check_candidates(ctx: &WorkerCtx, jobs: &mut [ReadJob]) {
     }
 }
 
-/// The parallel half of one quorum read: vote over the fetched copies,
+/// The storage-free half of one quorum read: vote over the fetched copies,
 /// then decrypt the winner as the reader. A read the check step covered
 /// votes with that verdict; any other verifies each distinct value once
 /// inside the vote. Either way the vote keeps the [`VerifiedEnvelope`] of
 /// every value it accepts, so the winner is unsealed from the proof the
 /// vote reached — never decoded or verified a second time.
-fn finish_read(ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcome {
+fn finish_read(ctx: &PhaseCtx, users: &Users, read_quorum: usize, job: &ReadJob) -> ReadOutcome {
     let author_id = UserId::from(job.author);
     // Decode + full verification of one stored record.
     let open = |bytes: &[u8]| {
@@ -263,7 +226,7 @@ fn finish_read(ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcom
         let Some(verified) = verified else {
             return ReadOutcome::RetryQuorum;
         };
-        return match unseal(job, verified) {
+        return match unseal(users, job, verified) {
             // No quorum fetch happened, so there is nothing to repair.
             Ok(body) => ReadOutcome::Done(Ok(OpOutput::Read { body })),
             Err(DosnError::NotAuthorized(e)) => {
@@ -340,7 +303,7 @@ fn finish_read(ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcom
             "quorum winner was not among the verified values".into(),
         )));
     };
-    match unseal(job, verified) {
+    match unseal(users, job, verified) {
         Ok(body) => ReadOutcome::Verified { body, winner },
         Err(e) => ReadOutcome::Done(Err(e)),
     }
@@ -351,9 +314,8 @@ fn finish_read(ctx: &WorkerCtx, read_quorum: usize, job: &ReadJob) -> ReadOutcom
 /// `job.author`'s post `job.seq` and carried the author's valid signature
 /// (that is what a [`VerifiedEnvelope`] is); here they decrypt for
 /// `job.reader`. Returns the post body.
-fn unseal(job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnError> {
-    let author_state = job
-        .home
+fn unseal(users: &Users, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnError> {
+    let author_state = users
         .get(job.author)
         .ok_or_else(|| DosnError::UnknownUser(job.author.to_owned()))?;
     let plain = author_state.privacy.unseal(
@@ -367,8 +329,8 @@ fn unseal(job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnErro
     Ok(post.body)
 }
 
-/// The sequential tail of one read: turns what the parallel half decided
-/// into the op's result and applies its storage side effects. A poisoned
+/// The storage tail of one read: turns what [`finish_read`] decided into
+/// the op's result and applies its storage side effects. A poisoned
 /// hot-cache entry ([`ReadOutcome::RetryQuorum`]) is dropped
 /// (`cache.invalidations`), re-read as a real quorum fetch, and then
 /// settled exactly like an uncached read of the same key — same repair,
@@ -376,7 +338,8 @@ fn unseal(job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnErro
 fn settle_read<S: StoragePlane>(
     storage: &mut ReplicatedStore<S>,
     metrics: &mut Metrics,
-    ctx: &WorkerCtx,
+    ctx: &PhaseCtx,
+    users: &Users,
     mut job: ReadJob,
     mut outcome: ReadOutcome,
 ) -> Result<OpOutput, DosnError> {
@@ -390,7 +353,7 @@ fn settle_read<S: StoragePlane>(
         job.checked = None;
         job.fetched = storage.fetch_copies(key, metrics);
         job.fetch_micros = elapsed_micros(started);
-        outcome = finish_read(ctx, storage.read_quorum(), &job);
+        outcome = finish_read(ctx, users, storage.read_quorum(), &job);
     }
     match outcome {
         ReadOutcome::Done(r) => r,

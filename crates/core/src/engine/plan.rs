@@ -1,12 +1,11 @@
-//! The plan phase: the sequential passes on either side of the parallel
-//! prepare — which shard owns each op ([`plan_batch`]), then which reads
-//! the feed cache answers and which the finish phase must serve
-//! ([`plan_reads`]). Planned reads are op indices into the batch's `&[Op]`;
-//! nothing here clones an op's strings.
+//! The plan phase: which reads are valid, which the feed cache answers and
+//! which the finish phase must serve ([`plan_reads`]). Planned reads are
+//! op indices into the batch's `&[Op]`; nothing here clones an op's
+//! strings.
 
 use super::batch::{Op, OpOutput};
 use super::pipeline::Batch;
-use super::{known_user, shard_of, Shard, WorkerCtx};
+use super::{known_user, PhaseCtx, Users};
 use crate::error::DosnError;
 use crate::feed::{FeedCache, FeedCacheStats};
 use crate::integrity::EntryHash;
@@ -14,15 +13,6 @@ use dosn_obs::{names, Registry};
 
 /// Per-op result slots, filled as each phase settles its ops.
 pub(super) type Results = Vec<Option<Result<OpOutput, DosnError>>>;
-
-/// Routes every op to its home user's shard (`batch.routes`).
-pub(super) fn plan_batch(ctx: &WorkerCtx, batch: &mut Batch) {
-    let timer = ctx.obs.timer(names::ENGINE_PLAN);
-    batch
-        .routes
-        .extend(batch.ops.iter().map(|op| shard_of(op.home_user())));
-    timer.observe();
-}
 
 /// A planned feed-cache fill: if the quorum read at `op_idx` succeeds, its
 /// body is cached for that op's `(reader, author, seq)` under the author's
@@ -53,17 +43,13 @@ pub(super) struct ReadPlan {
 /// misses and goes to the quorum path, so the L1 cache can never serve
 /// around a newer write.
 pub(super) fn plan_reads(
-    shards: &[Shard],
+    users: &Users,
     feed: &mut Option<FeedCache>,
-    ctx: &WorkerCtx,
+    ctx: &PhaseCtx,
     batch: &mut Batch,
 ) -> ReadPlan {
-    let Batch {
-        ops,
-        results,
-        routes,
-        ..
-    } = batch;
+    let timer = ctx.obs.timer(names::ENGINE_PLAN);
+    let Batch { ops, results, .. } = batch;
     let mut plan = ReadPlan {
         reads: Vec::new(),
         fills: Vec::new(),
@@ -77,14 +63,14 @@ pub(super) fn plan_reads(
         else {
             continue;
         };
-        if let Err(unknown) = known_user(shards, reader) {
+        if let Err(unknown) = known_user(users, reader) {
             // A rejected read is timed too (the histogram counts attempts).
             ctx.obs.histogram(names::NET_READ_POST_QUORUM).record(0);
             results[i] = Some(Err(unknown));
             continue;
         }
         if let Some(cache) = feed.as_mut() {
-            if let Some(author_state) = shards[routes[i]].get(author.as_str()) {
+            if let Some(author_state) = users.get(author.as_str()) {
                 let chain = author_state.timeline();
                 let before = cache.stats();
                 let hit = cache.probe(reader, author, *seq, chain);
@@ -102,6 +88,7 @@ pub(super) fn plan_reads(
         }
         plan.reads.push(i);
     }
+    timer.observe();
     plan
 }
 

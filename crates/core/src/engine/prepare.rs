@@ -1,16 +1,13 @@
-//! The prepare phase: the per-author crypto, parallel over shards — register
-//! keygen, then (after the sequential befriend seam, which touches two
-//! users' shards at once) post encrypt + sign + chain and comment attach —
-//! ending in the batch's [`PreparedPosts`]. Touches shards and (through the
-//! workers) the directory; never storage or metrics.
+//! The prepare phase: the per-author crypto, stage by stage in op order —
+//! register keygen, befriend links, post encrypt + sign + chain, comment
+//! attach — ending in the batch's [`PreparedPosts`]. Touches the user
+//! records and the directory; never storage or metrics.
 
 use super::batch::{Op, OpOutput};
-use super::pipeline::{fan_out, Batch, JobOut};
+use super::pipeline::Batch;
 use super::privacy_plane::PrivacyPlane;
 use super::user::UserState;
-use super::{
-    elapsed_micros, known_user, op_rng, shard_of, user_mut, wall_key, Shard, WorkerCtx, NUM_SHARDS,
-};
+use super::{elapsed_micros, known_user, op_rng, user_mut, wall_key, PhaseCtx, Users};
 use crate::error::DosnError;
 use crate::identity::{Identity, UserId};
 use dosn_crypto::chacha::SecureRng;
@@ -18,11 +15,10 @@ use dosn_crypto::group::SchnorrGroup;
 use dosn_crypto::keys::KeyDirectory;
 use dosn_obs::{names, Registry};
 use dosn_overlay::id::Key;
-use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Creates `name`'s record in its home `shard` — the one place a
-/// [`UserState`] is built, serving the batch register job and
+/// Creates `name`'s record — the one place a [`UserState`] is built,
+/// serving the batch register stage and
 /// [`super::Engine::register_with_plane`] alike. The scheme gets to refuse
 /// the friends group *before* the identity publishes its key binding, so a
 /// failed registration leaves nothing behind in the directory.
@@ -31,7 +27,7 @@ use std::time::Instant;
 ///
 /// Scheme-specific group-creation failures.
 pub(super) fn register_user(
-    shard: &mut Shard,
+    users: &mut Users,
     group: &SchnorrGroup,
     directory: &KeyDirectory,
     name: &str,
@@ -40,42 +36,19 @@ pub(super) fn register_user(
 ) -> Result<(), DosnError> {
     let friends_group = privacy.create_group(&[name.to_owned()])?;
     let identity = Identity::create(name, group.clone(), directory, rng);
-    shard.insert(
+    users.insert(
         identity.id().clone(),
         UserState::new(identity, privacy, friends_group, rng),
     );
     Ok(())
 }
 
-/// Runs one job under its own stopwatch and its op's RNG.
-fn run_job<T>(
-    ctx: &WorkerCtx,
-    base: u64,
-    op_idx: usize,
-    job: impl FnOnce(&mut SecureRng) -> T,
-) -> JobOut<T> {
+/// Runs one op's crypto under its own stopwatch and the RNG of global op
+/// `index`; returns what came out and the microseconds it took.
+fn timed<T>(ctx: &PhaseCtx, index: u64, job: impl FnOnce(&mut SecureRng) -> T) -> (T, u64) {
     let started = Instant::now();
-    let out = job(&mut op_rng(&ctx.seed, base + op_idx as u64));
-    JobOut {
-        op_idx,
-        out,
-        micros: elapsed_micros(started),
-    }
-}
-
-/// One post or comment to run on its author's shard, borrowing the op.
-#[derive(Clone, Copy)]
-enum WriteJob<'a> {
-    Post {
-        author: &'a str,
-        body: &'a str,
-    },
-    Comment {
-        commenter: &'a str,
-        author: &'a str,
-        seq: u64,
-        body: &'a str,
-    },
+    let out = job(&mut op_rng(&ctx.seed, index));
+    (out, elapsed_micros(started))
 }
 
 /// The sealed post records awaiting commit, in `(op_idx, seq)` order — the
@@ -89,153 +62,112 @@ pub(super) struct PreparedPosts {
 }
 
 /// Runs the batch's registers, befriends, posts and comments (in that
-/// stage order, each stage validating its own ops first) and returns the
-/// prepared post records.
-pub(super) fn prepare_batch(
-    shards: &mut [Shard],
-    ctx: &WorkerCtx,
-    batch: &mut Batch,
-) -> PreparedPosts {
-    let Batch {
-        ops,
-        base,
-        routes,
-        results,
-    } = batch;
-    let (ops, base) = (ops.as_slice(), *base);
+/// stage order, each stage in op order) and returns the prepared post
+/// records.
+pub(super) fn prepare_batch(users: &mut Users, ctx: &PhaseCtx, batch: &mut Batch) -> PreparedPosts {
+    let Batch { ops, base, results } = batch;
+    let index = |i: usize| *base + i as u64;
     let timer = ctx.obs.timer(names::ENGINE_PREPARE);
 
-    // ---- part 1: register validation (against the live shards and each
-    // other) + keygen (parallel over shards) ----
-    let mut registers: Vec<Vec<(usize, &str)>> = vec![Vec::new(); NUM_SHARDS];
-    let mut pending_names: BTreeSet<&str> = BTreeSet::new();
     for (i, op) in ops.iter().enumerate() {
         let Op::Register { name } = op else {
             continue;
         };
-        if shards[routes[i]].contains_key(name.as_str()) || !pending_names.insert(name) {
+        if users.contains_key(name.as_str()) {
             results[i] = Some(Err(DosnError::UnknownUser(format!(
                 "{name} already registered"
             ))));
-        } else {
-            registers[routes[i]].push((i, name));
+            continue;
         }
-    }
-    let registers = shards.iter_mut().zip(registers);
-    let reg_outs = fan_out(ctx.workers, registers, |shard, (i, name)| {
-        let reg = run_job(ctx, base, i, |rng| {
+        let (registered, micros) = timed(ctx, index(i), |rng| {
             let mut master = [0u8; 32];
             rand::RngCore::fill_bytes(rng, &mut master);
             let privacy = PrivacyPlane::symmetric(master);
-            register_user(shard, &ctx.group, &ctx.directory, name, privacy, rng)
+            register_user(users, &ctx.group, &ctx.directory, name, privacy, rng)
         });
-        ctx.obs.histogram(names::NET_REGISTER).record(reg.micros);
-        reg
-    });
-    for reg in reg_outs {
-        results[reg.op_idx] = Some(reg.out.map(|()| OpOutput::Registered));
+        ctx.obs.histogram(names::NET_REGISTER).record(micros);
+        results[i] = Some(registered.map(|()| OpOutput::Registered));
     }
 
-    // ---- part 2: befriend links (sequential seam — each op touches two
-    // users, usually in different shards) ----
     for (i, op) in ops.iter().enumerate() {
         if let Op::Befriend { a, b, trust } = op {
-            results[i] = Some(link(shards, &ctx.obs, a, b, *trust));
+            results[i] = Some(link(users, &ctx.obs, a, b, *trust));
         }
     }
 
-    // ---- part 3: post/comment validation + crypto ----
-    // Posts are enqueued before comments within every shard, so a comment
-    // anywhere in the batch can attach to a post the same batch creates
-    // (the stage contract: registers, befriends, posts, comments, reads).
-    let mut write_jobs: Vec<Vec<(usize, WriteJob)>> = vec![Vec::new(); NUM_SHARDS];
+    // Every post seals before any comment attaches, so a comment anywhere
+    // in the batch can land on a post the same batch creates.
+    let mut posts = PreparedPosts {
+        slots: Vec::new(),
+        items: Vec::new(),
+    };
     for (i, op) in ops.iter().enumerate() {
         let Op::Post { author, body } = op else {
             continue;
         };
-        if shards[routes[i]].contains_key(author.as_str()) {
-            write_jobs[routes[i]].push((i, WriteJob::Post { author, body }));
-        } else {
-            // A rejected post is timed too (the histogram counts attempts).
-            ctx.obs.histogram(names::NET_POST).record(0);
-            results[i] = Some(Err(DosnError::UnknownUser(author.clone())));
+        let state = match user_mut(users, author) {
+            Ok(state) => state,
+            Err(unknown) => {
+                // A rejected post is timed too (the histogram counts attempts).
+                ctx.obs.histogram(names::NET_POST).record(0);
+                results[i] = Some(Err(unknown));
+                continue;
+            }
+        };
+        let (sealed, micros) = timed(ctx, index(i), |rng| state.seal_post(body, &ctx.group, rng));
+        ctx.obs.histogram(names::NET_POST).record(micros);
+        match sealed {
+            Ok((seq, record)) => {
+                posts.slots.push((i, seq));
+                posts.items.push((wall_key(author, seq), record));
+            }
+            Err(e) => results[i] = Some(Err(e)),
         }
     }
     for (i, op) in ops.iter().enumerate() {
-        let Op::Comment {
+        if let Op::Comment {
             commenter,
             author,
             seq,
             body,
         } = op
-        else {
-            continue;
-        };
-        let job = WriteJob::Comment {
-            commenter,
-            author,
-            seq: *seq,
-            body,
-        };
-        match known_user(shards, commenter).and(known_user(shards, author)) {
-            Err(unknown) => results[i] = Some(Err(unknown)),
-            Ok(state) if !state.lists(commenter) => {
-                results[i] = Some(Err(DosnError::NotAuthorized(format!(
-                    "{commenter} is not in {author}'s friends group"
-                ))));
-            }
-            Ok(_) => write_jobs[routes[i]].push((i, job)),
+        {
+            let mut rng = op_rng(&ctx.seed, index(i));
+            results[i] = Some(comment(users, commenter, author, *seq, body, &mut rng));
         }
     }
-    let writes = shards.iter_mut().zip(write_jobs);
-    let mut write_outs = fan_out(ctx.workers, writes, |shard, (i, job)| match job {
-        WriteJob::Post { author, body } => {
-            let post = run_job(ctx, base, i, |rng| {
-                let (seq, record) = user_mut(shard, author)?.seal_post(body, &ctx.group, rng)?;
-                Ok(Some((seq, (wall_key(author, seq), record))))
-            });
-            ctx.obs.histogram(names::NET_POST).record(post.micros);
-            post
-        }
-        WriteJob::Comment {
-            commenter,
-            author,
-            seq,
-            body,
-        } => run_job(ctx, base, i, |rng| {
-            let commenter = UserId::from(commenter);
-            user_mut(shard, author)?.attach_comment(seq, commenter, body.as_bytes(), rng)?;
-            Ok(None)
-        }),
-    });
     timer.observe();
-
-    // An op seals at most one record, so op order is (op_idx, seq) order.
-    write_outs.sort_unstable_by_key(|o| o.op_idx);
-    let mut posts = PreparedPosts {
-        slots: Vec::new(),
-        items: Vec::new(),
-    };
-    for write in write_outs {
-        match write.out {
-            Ok(Some((seq, item))) => {
-                posts.slots.push((write.op_idx, seq));
-                posts.items.push(item);
-            }
-            Ok(None) => results[write.op_idx] = Some(Ok(OpOutput::Commented)),
-            Err(e) => results[write.op_idx] = Some(Err(e)),
-        }
-    }
     posts
 }
 
-/// The sequential befriend seam: mutual friends-group membership, added
-/// only on a side whose roster lacks the friend — re-adding a current
-/// member would restart their membership at the current epoch and lock
-/// them out of posts they already hold keys for. A failed befriend takes
-/// back what it added, so it leaves both rosters as they were.
+/// Attaches `commenter`'s comment to `author`'s post `seq`: both must be
+/// registered, and the commenter on the author's friends-group roster.
+fn comment(
+    users: &mut Users,
+    commenter: &str,
+    author: &str,
+    seq: u64,
+    body: &str,
+    rng: &mut SecureRng,
+) -> Result<OpOutput, DosnError> {
+    known_user(users, commenter)?;
+    let state = user_mut(users, author)?;
+    if !state.lists(commenter) {
+        return Err(DosnError::NotAuthorized(format!(
+            "{commenter} is not in {author}'s friends group"
+        )));
+    }
+    state.attach_comment(seq, UserId::from(commenter), body.as_bytes(), rng)?;
+    Ok(OpOutput::Commented)
+}
+
+/// One befriend: mutual friends-group membership, added only on a side
+/// whose roster lacks the friend — re-adding a current member would
+/// restart their membership at the current epoch and lock them out of
+/// posts they already hold keys for. A failed befriend takes back what it
+/// added, so it leaves both rosters as they were.
 fn link(
-    shards: &mut [Shard],
+    users: &mut Users,
     obs: &Registry,
     a: &str,
     b: &str,
@@ -253,11 +185,11 @@ fn link(
             "trust {trust} outside [0, 1]"
         )));
     }
-    let lacks = |owner: &str, friend: &str| known_user(shards, owner).map(|u| !u.lists(friend));
+    let lacks = |owner: &str, friend: &str| known_user(users, owner).map(|u| !u.lists(friend));
     let (add_a, add_b) = (lacks(a, b)?, lacks(b, a)?);
     let _timer = obs.timer(names::NET_KEY_DISSEMINATION);
     let mut add = |owner: &str, friend: &str| {
-        let state = user_mut(&mut shards[shard_of(owner)], owner)?;
+        let state = user_mut(users, owner)?;
         state.privacy.add_member(&state.friends_group, friend)
     };
     if add_a {
@@ -266,7 +198,7 @@ fn link(
     if add_b {
         if let Err(refused) = add(b, a) {
             if add_a {
-                let state = user_mut(&mut shards[shard_of(a)], a)?;
+                let state = user_mut(users, a)?;
                 state.privacy.revoke_member(&state.friends_group, b)?;
             }
             return Err(refused);

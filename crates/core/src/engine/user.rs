@@ -1,8 +1,8 @@
 //! The one per-user record: everything the engine keeps for a registered
-//! user, living in exactly one shard map entry.
+//! user, living in exactly one entry of the engine's user map.
 //!
 //! Two halves share the record because they share a lifetime and an owner
-//! (the user's home shard), not because they trust each other: the §III
+//! (that map entry), not because they trust each other: the §III
 //! half (signing identity, privacy plane, friends group — whose roster is
 //! the engine's only record of who the user's friends are) holds keys and
 //! sees plaintext; the §IV half (hash-chained [`Timeline`], whose length is

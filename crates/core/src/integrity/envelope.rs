@@ -295,9 +295,9 @@ impl SignedEnvelope {
     /// exactly where [`SignedEnvelope::open_wire`] accepts it, whatever
     /// else shares the call.
     ///
-    /// The finish phase calls it once per worker's share of the reads that
-    /// each stake on one value, and once per read whose copies disagree
-    /// (slots sharing an author and a seq).
+    /// The finish phase calls it once per batch, over the reads that each
+    /// stake on one value, and once per read whose copies disagree (slots
+    /// sharing an author and a seq).
     pub(crate) fn verify_wire_slots(
         slots: &[(&UserId, u64, &[u8])],
         group: &dosn_crypto::group::SchnorrGroup,

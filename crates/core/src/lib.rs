@@ -25,8 +25,8 @@
 //!   user's friends-group roster.
 //! * [`taxonomy`] — the paper's Table I as a queryable registry.
 //! * [`engine`] — the assembled DOSN and its one entry point: the batched
-//!   parallel request engine (prepare / commit / finish execution of op
-//!   batches over sharded per-user state; single ops are batches of one).
+//!   request engine (prepare / commit / finish execution of op batches
+//!   over one record per user; single ops are batches of one).
 //! * [`feed`] — reader-side materialized timelines whose staleness is
 //!   decided by the authors' timeline hash-chain heads, so cache hits can
 //!   never serve tampered or forked content.

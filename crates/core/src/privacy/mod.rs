@@ -151,12 +151,11 @@ pub struct MembershipCost {
 /// A group-oriented access-control scheme (survey §III-B/C/D/E).
 ///
 /// Object-safe: experiment harnesses iterate `Vec<Box<dyn AccessScheme>>`.
-/// `Send + Sync` are supertraits so `Box<dyn AccessScheme>` (and the
-/// per-user state that owns one) can move into the request engine's
-/// prepare worker threads, and so the finish phase can *share* a read-only
-/// snapshot of author states across its verify workers (decryption takes
-/// `&self`); every scheme in this crate is plain owned data with no
-/// interior mutability.
+/// `Send + Sync` are supertraits so that an engine, which owns every
+/// user's `Box<dyn AccessScheme>`, stays `Send` and can be handed to
+/// another thread whole, and so that a scheme can be shared by reference
+/// (decryption takes `&self`); every scheme in this crate is plain owned
+/// data with no interior mutability.
 pub trait AccessScheme: Send + Sync {
     /// Short scheme name for reports ("symmetric", "pke", "cp-abe", "ibbe").
     fn name(&self) -> &'static str;

@@ -1,17 +1,16 @@
 //! Property tests for the request engine's determinism contract: for any
-//! generated op batch — or sequence of batches over a six-name universe
-//! that guarantees same-author collisions and cross-author comment/read
-//! targets — executing it on identically-seeded engines with 1, 2, and 8
-//! workers must produce byte-identical [`BatchReport::digest`]s,
-//! variant-identical per-op results and the same decryptable final state —
-//! worker count may only change wall-clock time, never behavior. Two
-//! pinned tests compare the engine with older code instead of with itself:
-//! golden digests and golden commit accounting.
+//! generated op batch over a six-name universe that guarantees same-author
+//! collisions and cross-author comment/read targets, batched signature
+//! verification must give the digest and per-op outcome kinds of
+//! per-envelope verification, and submitting the ops one per batch must
+//! leave the same decryptable state as one batch. Two pinned tests compare
+//! the engine with older code instead of with itself: golden digests and
+//! golden commit accounting.
 //!
 //! Failures print the per-case seed; re-run with `PROPTEST_SEED=<seed>` to
 //! replay the exact batch.
 
-use dosn_core::engine::{BatchReport, Engine, Op, OpBatch, OpOutput};
+use dosn_core::engine::{Engine, Op, OpBatch, OpOutput};
 use dosn_core::DosnError;
 use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::replication::ReplicatedStore;
@@ -52,20 +51,8 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn engine(seed: u64, workers: usize) -> Engine<ChordPlane> {
-    let mut e = Engine::new(ReplicatedStore::new(ChordPlane::build(24, seed), 3), seed);
-    e.set_workers(workers);
-    e
-}
-
-/// Splits an op stream into `batches` contiguous batches, preserving op
-/// order (so the global op index assigns identical per-op randomness on
-/// every engine under test).
-fn split(ops: &[Op], batches: usize) -> Vec<OpBatch> {
-    let chunk = ops.len().div_ceil(batches).max(1);
-    ops.chunks(chunk)
-        .map(|c| OpBatch::from_ops(c.to_vec()))
-        .collect()
+fn engine(seed: u64) -> Engine<ChordPlane> {
+    Engine::new(ReplicatedStore::new(ChordPlane::build(24, seed), 3), seed)
 }
 
 /// A read of every plausible post by every reader: equal probe digests
@@ -88,72 +75,36 @@ fn probe() -> OpBatch {
     b
 }
 
-fn digests(reports: &[BatchReport]) -> Vec<String> {
-    reports.iter().map(|r| r.digest_hex()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    #[test]
-    fn digests_do_not_depend_on_worker_count(
-        seed in 0u64..1_000_000,
-        ops in proptest::collection::vec(op(), 1..40),
-    ) {
-        let mut baseline = engine(seed, 1);
-        let base_report = baseline.execute(OpBatch::from_ops(ops.clone()));
-
-        for workers in [2usize, 8] {
-            let mut e = engine(seed, workers);
-            let report = e.execute(OpBatch::from_ops(ops.clone()));
-            prop_assert_eq!(
-                base_report.digest_hex(),
-                report.digest_hex(),
-                "digest diverged at {} workers",
-                workers
-            );
-            prop_assert_eq!(report.results.len(), base_report.results.len());
-            for (i, (a, b)) in base_report.results.iter().zip(&report.results).enumerate() {
-                prop_assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "op {} outcome kind diverged at {} workers: {:?} vs {:?}",
-                    i, workers, a, b
-                );
-            }
-        }
-    }
 
     #[test]
     fn batched_verification_never_changes_digests(
         seed in 0u64..1_000_000,
         ops in proptest::collection::vec(op(), 1..40),
     ) {
-        // Batched Schnorr verification is a pure evaluation strategy: at
-        // every worker count the digest (and each op's outcome kind) must
-        // be byte-identical to per-envelope verification.
-        let mut baseline = engine(seed, 1);
+        // Batched Schnorr verification is a pure evaluation strategy: the
+        // digest (and each op's outcome kind) must be byte-identical to
+        // per-envelope verification.
+        let mut baseline = engine(seed);
         baseline.set_batch_verify(false);
         let base_report = baseline.execute(OpBatch::from_ops(ops.clone()));
 
-        for workers in [1usize, 2, 8] {
-            let mut e = engine(seed, workers);
-            e.set_batch_verify(true);
-            let report = e.execute(OpBatch::from_ops(ops.clone()));
+        let mut e = engine(seed);
+        e.set_batch_verify(true);
+        let report = e.execute(OpBatch::from_ops(ops));
+        prop_assert_eq!(
+            base_report.digest_hex(),
+            report.digest_hex(),
+            "batch-verify digest diverged"
+        );
+        for (i, (a, b)) in base_report.results.iter().zip(&report.results).enumerate() {
             prop_assert_eq!(
-                base_report.digest_hex(),
-                report.digest_hex(),
-                "batch-verify digest diverged at {} workers",
-                workers
+                a.is_ok(),
+                b.is_ok(),
+                "op {} outcome kind diverged under batch verify: {:?} vs {:?}",
+                i, a, b
             );
-            for (i, (a, b)) in base_report.results.iter().zip(&report.results).enumerate() {
-                prop_assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "op {} outcome kind diverged under batch verify at {} workers: {:?} vs {:?}",
-                    i, workers, a, b
-                );
-            }
         }
     }
 
@@ -161,7 +112,6 @@ proptest! {
     fn split_batches_match_one_batch_digest_stream(
         seed in 0u64..1_000_000,
         ops in proptest::collection::vec(op(), 2..16),
-        workers in prop_oneof![Just(1usize), Just(4)],
     ) {
         // Submitting ops one-per-batch must leave the engine in the same
         // state as one combined batch would — the global op index keeps
@@ -178,10 +128,10 @@ proptest! {
             Op::Comment { .. } => 3,
             Op::ReadPost { .. } => 4,
         });
-        let mut whole = engine(seed, workers);
+        let mut whole = engine(seed);
         whole.execute(OpBatch::from_ops(ops.clone()));
 
-        let mut split = engine(seed, workers);
+        let mut split = engine(seed);
         for op in ops {
             split.execute(OpBatch::from_ops(vec![op]));
         }
@@ -193,60 +143,27 @@ proptest! {
         prop_assert_eq!(whole_probe.digest_hex(), split_probe.digest_hex());
     }
 
-    #[test]
-    fn batch_sequences_end_in_the_same_state_at_every_worker_count(
-        seed in 0u64..1_000_000,
-        ops in proptest::collection::vec(op(), 2..32),
-        nbatches in 1usize..4,
-    ) {
-        // Later batches build on what earlier ones left in the shards and
-        // in storage, so per-batch digests and the decrypting final-state
-        // probe must both agree with the one-worker engine.
-        let batches = split(&ops, nbatches);
-        let mut baseline = engine(seed, 1);
-        let base = digests(&baseline.execute_all(batches.clone()));
-        let base_probe = baseline.execute(probe()).digest_hex();
-        for workers in [2usize, 8] {
-            let mut e = engine(seed, workers);
-            prop_assert_eq!(
-                &digests(&e.execute_all(batches.clone())),
-                &base,
-                "batch digests diverged at {} workers",
-                workers
-            );
-            prop_assert_eq!(
-                e.execute(probe()).digest_hex(),
-                base_probe.clone(),
-                "final state diverged at {} workers",
-                workers
-            );
-        }
-    }
 }
 
 /// `execute_all` is `execute` in a loop, and asks nothing of the plane
 /// beyond [`StoragePlane`]: a boxed trait object is not `Send`.
 #[test]
 fn execute_all_over_a_non_send_plane_is_the_execute_loop() {
-    let boxed = |workers: usize| {
+    let boxed = || {
         let plane: Box<dyn StoragePlane> = Box::new(ChordPlane::build(24, 31));
-        let mut e = Engine::new(ReplicatedStore::new(plane, 3), 31);
-        e.set_workers(workers);
-        e
+        Engine::new(ReplicatedStore::new(plane, 3), 31)
     };
     let (setup, follow_up) = golden_batches();
     let batches = vec![setup, follow_up, probe()];
-    for workers in [1usize, 2] {
-        let mut looped = boxed(workers);
-        let expected: Vec<_> = batches
-            .iter()
-            .map(|b| looped.execute(b.clone()))
-            .map(|r| (r.results, r.digest))
-            .collect();
-        let reports = boxed(workers).execute_all(batches.clone());
-        let got: Vec<_> = reports.into_iter().map(|r| (r.results, r.digest)).collect();
-        assert_eq!(got, expected, "{workers} workers");
-    }
+    let mut looped = boxed();
+    let expected: Vec<_> = batches
+        .iter()
+        .map(|b| looped.execute(b.clone()))
+        .map(|r| (r.results, r.digest))
+        .collect();
+    let reports = boxed().execute_all(batches);
+    let got: Vec<_> = reports.into_iter().map(|r| (r.results, r.digest)).collect();
+    assert_eq!(got, expected);
 }
 
 /// Runs `op` through the single-op call of its kind.
@@ -279,7 +196,7 @@ fn single_op_call(e: &mut Engine<ChordPlane>, op: Op) -> Result<OpOutput, DosnEr
 #[test]
 fn single_op_calls_are_batches_of_one() {
     let (setup, follow_up) = golden_batches();
-    let (mut called, mut batched) = (engine(57, 1), engine(57, 1));
+    let (mut called, mut batched) = (engine(57), engine(57));
     for op in setup.into_ops().into_iter().chain(follow_up.into_ops()) {
         let expected = batched.execute(OpBatch::from_ops(vec![op.clone()]));
         assert_eq!(vec![single_op_call(&mut called, op)], expected.results);
@@ -325,28 +242,25 @@ fn golden_batches() -> (OpBatch, OpBatch) {
 /// the one-record / one-roster / one-fan-out refactor (commit 88df712).
 /// Every other identity suite compares the engine with itself under a
 /// different knob; this one compares it with the old code, so a refactor
-/// that moves an RNG draw, an op index, or a stored byte fails here even if
-/// it does so consistently at every worker count.
+/// that moves an RNG draw, an op index, or a stored byte fails here.
 #[test]
 fn golden_batch_digests_are_pinned() {
     let (setup, follow_up) = golden_batches();
-    for workers in [1usize, 2, 8] {
-        let mut e = engine(0x601D, workers);
-        let first = e.execute(setup.clone());
-        let second = e.execute(follow_up.clone());
-        assert_eq!(
-            first.digest_hex(),
-            "9c83b5aca845ce648623dd29a0b6465da8a996eb4e2034eb3bb846e9e1f25be4",
-            "setup batch digest moved at {workers} workers"
-        );
-        assert_eq!(
-            second.digest_hex(),
-            "6d4b2a0242cdbfc4f3370461403a1383454db39eac8ac7787e16860701383862",
-            "follow-up batch digest moved at {workers} workers"
-        );
-        assert_eq!(e.comments("alice", 0).len(), 1);
-        assert_eq!(e.timeline("alice").map(|t| t.entries().len()), Some(3));
-    }
+    let mut e = engine(0x601D);
+    let first = e.execute(setup);
+    let second = e.execute(follow_up);
+    assert_eq!(
+        first.digest_hex(),
+        "9c83b5aca845ce648623dd29a0b6465da8a996eb4e2034eb3bb846e9e1f25be4",
+        "setup batch digest moved"
+    );
+    assert_eq!(
+        second.digest_hex(),
+        "6d4b2a0242cdbfc4f3370461403a1383454db39eac8ac7787e16860701383862",
+        "follow-up batch digest moved"
+    );
+    assert_eq!(e.comments("alice", 0).len(), 1);
+    assert_eq!(e.timeline("alice").map(|t| t.entries().len()), Some(3));
 }
 
 /// Golden commit accounting for [`golden_batches`], captured at commit
@@ -363,29 +277,22 @@ fn golden_batch_digests_are_pinned() {
 #[test]
 fn golden_commit_accounting_is_order_free() {
     let (setup, follow_up) = golden_batches();
-    for workers in [1usize, 2, 8] {
-        let mut e = engine(0x601D, workers);
-        e.execute(setup.clone());
-        e.execute(follow_up.clone());
-        let m = e.metrics();
-        assert_eq!(
-            (m.messages, m.bytes, m.latency_ms),
-            (73, 6547, 3577),
-            "{workers} workers"
-        );
-        let by_type: Vec<(&str, u64)> = m.by_type.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        assert_eq!(
-            by_type,
-            [
-                ("chord.fetch", 21),
-                ("chord.hop", 40),
-                ("chord.store", 12),
-                ("get.quorum_size", 21),
-                ("store.replicas_written", 12),
-            ],
-            "{workers} workers"
-        );
-        let ledger = e.storage().accounting();
-        assert_eq!((ledger.total_bytes(), ledger.nodes_used()), (2643, 10));
-    }
+    let mut e = engine(0x601D);
+    e.execute(setup);
+    e.execute(follow_up);
+    let m = e.metrics();
+    assert_eq!((m.messages, m.bytes, m.latency_ms), (73, 6547, 3577));
+    let by_type: Vec<(&str, u64)> = m.by_type.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    assert_eq!(
+        by_type,
+        [
+            ("chord.fetch", 21),
+            ("chord.hop", 40),
+            ("chord.store", 12),
+            ("get.quorum_size", 21),
+            ("store.replicas_written", 12),
+        ]
+    );
+    let ledger = e.storage().accounting();
+    assert_eq!((ledger.total_bytes(), ledger.nodes_used()), (2643, 10));
 }

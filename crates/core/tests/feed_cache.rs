@@ -455,70 +455,65 @@ fn read_feed_aggregates_the_latest_k_posts_per_friend() {
 /// the lookups of its own batch.
 #[test]
 fn revocation_reaches_through_a_filled_slice() {
-    for workers in [1usize, 2] {
-        let run = |cache: bool| {
-            let mut e = engine(17);
-            e.set_workers(workers);
-            if cache {
-                e.enable_feed_cache(64);
-            }
-            e.execute(
-                OpBatch::new()
-                    .register("alice")
-                    .register("bob")
-                    .befriend("alice", "bob", 0.9)
-                    .post("alice", "while friends"),
+    let run = |cache: bool| {
+        let mut e = engine(17);
+        if cache {
+            e.enable_feed_cache(64);
+        }
+        e.execute(
+            OpBatch::new()
+                .register("alice")
+                .register("bob")
+                .befriend("alice", "bob", 0.9)
+                .post("alice", "while friends"),
+        );
+        // Fills bob's slice (cache on), then hits it.
+        e.execute(OpBatch::new().read_post("bob", "alice", 0));
+        let warm = e.execute(OpBatch::new().read_post("bob", "alice", 0));
+        assert!(matches!(&warm.results[0], Ok(OpOutput::Read { body }) if body == "while friends"));
+        if cache {
+            assert!(e.feed_cache().unwrap().stats().hits > 0, "slice is warm");
+        }
+        e.unfriend("alice", "bob").unwrap();
+        let between = e.execute(OpBatch::new().read_post("bob", "alice", 0));
+        // The post and both reads share a batch: reads run after the
+        // post extended alice's chain, so bob's slice is carried — it
+        // answers for post 0, which it proved while he was a friend
+        // (and which the cache-off engine still lets him read), and has
+        // nothing for post 1, which goes to a quorum and is refused.
+        let hits_before = e.feed_cache().map(|c| c.stats().hits);
+        let after = e.execute(
+            OpBatch::new()
+                .read_post("bob", "alice", 1)
+                .read_post("bob", "alice", 0)
+                .post("alice", "after the revocation"),
+        );
+        if let Some(hits) = hits_before {
+            let stats = e.feed_cache().unwrap().stats();
+            assert_eq!(
+                (stats.hits, stats.invalidations),
+                (hits + 1, 0),
+                "the carried slice served post 0 and only post 0"
             );
-            // Fills bob's slice (cache on), then hits it.
-            e.execute(OpBatch::new().read_post("bob", "alice", 0));
-            let warm = e.execute(OpBatch::new().read_post("bob", "alice", 0));
+        }
+        let again = e.execute(
+            OpBatch::new()
+                .read_post("bob", "alice", 1)
+                .read_post("bob", "alice", 0)
+                .read_post("alice", "alice", 1),
+        );
+        for report in [&after, &again] {
             assert!(
-                matches!(&warm.results[0], Ok(OpOutput::Read { body }) if body == "while friends")
+                matches!(report.results[0], Err(DosnError::NotAuthorized(_))),
+                "bob must not read the post sealed after his revocation \
+                 (cache {cache}): {:?}",
+                report.results[0]
             );
-            if cache {
-                assert!(e.feed_cache().unwrap().stats().hits > 0, "slice is warm");
-            }
-            e.unfriend("alice", "bob").unwrap();
-            let between = e.execute(OpBatch::new().read_post("bob", "alice", 0));
-            // The post and both reads share a batch: reads run after the
-            // post extended alice's chain, so bob's slice is carried — it
-            // answers for post 0, which it proved while he was a friend
-            // (and which the cache-off engine still lets him read), and has
-            // nothing for post 1, which goes to a quorum and is refused.
-            let hits_before = e.feed_cache().map(|c| c.stats().hits);
-            let after = e.execute(
-                OpBatch::new()
-                    .read_post("bob", "alice", 1)
-                    .read_post("bob", "alice", 0)
-                    .post("alice", "after the revocation"),
-            );
-            if let Some(hits) = hits_before {
-                let stats = e.feed_cache().unwrap().stats();
-                assert_eq!(
-                    (stats.hits, stats.invalidations),
-                    (hits + 1, 0),
-                    "the carried slice served post 0 and only post 0"
-                );
-            }
-            let again = e.execute(
-                OpBatch::new()
-                    .read_post("bob", "alice", 1)
-                    .read_post("bob", "alice", 0)
-                    .read_post("alice", "alice", 1),
-            );
-            for report in [&after, &again] {
-                assert!(
-                    matches!(report.results[0], Err(DosnError::NotAuthorized(_))),
-                    "bob must not read the post sealed after his revocation \
-                     (cache {cache}, {workers} workers): {:?}",
-                    report.results[0]
-                );
-            }
-            assert!(
-                matches!(&again.results[2], Ok(OpOutput::Read { body }) if body == "after the revocation")
-            );
-            [between, after, again].map(|r| (r.results, r.digest))
-        };
-        assert_eq!(run(true), run(false), "{workers} workers");
-    }
+        }
+        assert!(
+            matches!(&again.results[2], Ok(OpOutput::Read { body }) if body == "after the revocation")
+        );
+        [between, after, again].map(|r| (r.results, r.digest))
+    };
+    assert_eq!(run(true), run(false));
 }

@@ -1,13 +1,14 @@
-//! Thread-safety guarantees the batched request engine relies on.
+//! Thread-safety guarantees of the shared crypto handles.
 //!
-//! The engine's prepare/finish phases clone `SchnorrGroup` handles into
-//! scoped worker threads, so what a group shares between its clones (the
-//! generator's fixed-base table behind a `OnceLock`, the `ModContext`, the
-//! hit/miss counters — there is no other table, lock or map) must be
-//! `Send + Sync` and must stay consistent under concurrent use. The first
-//! half of this file is a compile-time assertion set; the second half
-//! hammers `pow` / `pow_g` / `multi_pow` from many threads and checks the
-//! counters add up.
+//! `SchnorrGroup::shared` hands every caller in the process a clone of one
+//! group — every engine, on whatever thread it runs, and every test thread
+//! of a test binary — and an engine, which holds such a clone, stays
+//! `Send`. So what a group shares between its clones (the generator's
+//! fixed-base table behind a `OnceLock`, the `ModContext`, the hit/miss
+//! counters — there is no other table, lock or map) must be `Send + Sync`
+//! and must stay consistent under concurrent use. The first half of this
+//! file is a compile-time assertion set; the second half hammers `pow` /
+//! `pow_g` / `multi_pow` from many threads and checks the counters add up.
 
 use dosn_bigint::{FixedBaseTable, ModContext};
 use dosn_crypto::chacha::SecureRng;

@@ -106,9 +106,11 @@ pub const NET_KEY_DISSEMINATION: &str = "net.key_dissemination";
 
 // ---- request engine (batched prepare/commit/finish) ----
 
-/// Batch plan phase: validation and shard routing, µs (histogram).
+/// Batch plan phase: read validation and the feed-cache (L1) probe, µs
+/// (histogram).
 pub const ENGINE_PLAN: &str = "engine.plan";
-/// Batch prepare phase: parallel keygen + encrypt + sign, µs (histogram).
+/// Batch prepare phase: keygen, befriend links, encrypt + sign, comment
+/// attach, µs (histogram).
 pub const ENGINE_PREPARE: &str = "engine.prepare";
 /// Batch commit phase: the replicated puts of the sealed records, in op
 /// order, µs (histogram).
@@ -125,9 +127,9 @@ pub const ENGINE_PIPELINE_OVERLAP: &str = "engine.pipeline.overlap";
 // ---- crypto ----
 
 /// Schnorr envelope-signature verification latency, µs (histogram): one
-/// sample per combined check — a worker's share of a finish phase's
-/// single-value reads, or one read whose copies disagree (every read, with
-/// batch verification off).
+/// sample per combined check — all of a finish phase's single-value
+/// reads, or one read whose copies disagree (every read, with batch
+/// verification off).
 pub const CRYPTO_SCHNORR_VERIFY: &str = "crypto.schnorr.verify";
 /// Exponentiations of a group's generator, served from its fixed-base
 /// table — the only table a group holds (counter).

@@ -285,10 +285,9 @@ impl<P: StoragePlane> ReplicatedStore<P> {
 
     /// Fetches the raw per-candidate copies of `key` without verifying or
     /// repairing: the fetch half of a quorum read, split out so a batch
-    /// engine can collect copies for many keys under `&mut self`, then run
-    /// the expensive verification ([`quorum_vote`]) on worker threads, and
-    /// finally apply repairs ([`ReplicatedStore::repair_copies`]) back under
-    /// `&mut self`.
+    /// engine can collect copies for many keys, prove them together, vote
+    /// on each ([`quorum_vote`]), and then apply repairs
+    /// ([`ReplicatedStore::repair_copies`]).
     ///
     /// Bumps `get.quorum_size` exactly as [`ReplicatedStore::get_verified`]
     /// does.
@@ -473,8 +472,8 @@ impl QuorumOutcome {
 }
 
 /// Majority vote among verifying copies: the pure (no storage access)
-/// middle of a quorum read, split out so worker threads can run the
-/// expensive `verify` closure concurrently over many [`FetchedCopies`].
+/// middle of a quorum read, split out so a batch engine can vote on many
+/// [`FetchedCopies`] between fetching them and repairing them.
 /// Ties break toward the copy held by the most-preferred candidate (the
 /// earliest-seen value wins at equal counts).
 ///
