@@ -39,6 +39,8 @@
 //! assert_eq!((&g * &inv) % &p, BigUint::from(1u64));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod arith;
 mod fixed_base;
 mod modular;

@@ -73,7 +73,7 @@ use crate::feed::{FeedCache, FeedItem};
 use crate::identity::UserId;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::{GroupSize, SchnorrGroup};
-use dosn_crypto::hmac::hkdf;
+use dosn_crypto::hmac::{hkdf_expand, hkdf_extract};
 use dosn_crypto::keys::KeyDirectory;
 use dosn_crypto::sha256::sha256;
 use dosn_obs::{names, Registry, Snapshot};
@@ -114,13 +114,19 @@ fn storage_to_dosn(e: StorageError) -> DosnError {
     DosnError::ContentUnavailable(e.to_string())
 }
 
-/// Derives the RNG for global op `index`: `HKDF-SHA256` with the engine
-/// seed as input keying material and the op index as info. Op N's
-/// randomness is independent of what ops 1..N-1 did — no stream is
-/// shared between ops, which is why results don't depend on batch
-/// boundaries.
-fn op_rng(seed: &[u8; 32], index: u64) -> SecureRng {
-    let okm = hkdf(b"dosn.engine.op.rng.v1", seed, &index.to_be_bytes(), 32);
+/// The HKDF-SHA256 extract step of every op's RNG, with the engine seed as
+/// input keying material: it depends on nothing else, so an engine runs it
+/// once.
+fn op_prk(seed: &[u8; 32]) -> [u8; 32] {
+    hkdf_extract(b"dosn.engine.op.rng.v1", seed)
+}
+
+/// Derives the RNG for global op `index`: the HKDF-SHA256 expand step from
+/// [`op_prk`]'s key with the op index as info. Op N's randomness is
+/// independent of what ops 1..N-1 did — no stream is shared between ops,
+/// which is why results don't depend on batch boundaries.
+fn op_rng(prk: &[u8; 32], index: u64) -> SecureRng {
+    let okm = hkdf_expand(prk, &index.to_be_bytes(), 32);
     let mut key = [0u8; 32];
     key.copy_from_slice(&okm);
     SecureRng::from_seed(key)
@@ -154,6 +160,8 @@ struct PhaseCtx {
     directory: KeyDirectory,
     obs: Registry,
     seed: [u8; 32],
+    /// [`op_prk`] of `seed`.
+    op_prk: [u8; 32],
     batch_verify: bool,
 }
 
@@ -253,12 +261,14 @@ impl<S: StoragePlane> Engine<S> {
         // generator/key tables.
         let group = SchnorrGroup::shared(GroupSize::Toy);
         group.register_obs(&obs);
+        let seed = sha256(&seed.to_be_bytes());
         Engine {
             ctx: PhaseCtx {
                 group,
                 directory: KeyDirectory::new(),
                 obs,
-                seed: sha256(&seed.to_be_bytes()),
+                seed,
+                op_prk: op_prk(&seed),
                 batch_verify: true,
             },
             storage,
@@ -542,7 +552,7 @@ impl<S: StoragePlane> Engine<S> {
             return Err(DosnError::UnknownUser(format!("{name} already registered")));
         }
         let _timer = self.ctx.obs.timer(names::NET_REGISTER);
-        let mut rng = op_rng(&self.ctx.seed, self.next_op_index);
+        let mut rng = op_rng(&self.ctx.op_prk, self.next_op_index);
         self.next_op_index += 1;
         prepare::register_user(
             &mut self.users,
@@ -781,11 +791,11 @@ mod tests {
     fn op_rng_derivation_is_pinned() {
         // Compatibility vector: the per-op RNG stream is a public contract
         // (results must be reproducible across releases for a fixed seed).
-        let seed = sha256(&42u64.to_be_bytes());
-        let mut rng = op_rng(&seed, 0);
+        let prk = op_prk(&sha256(&42u64.to_be_bytes()));
+        let mut rng = op_rng(&prk, 0);
         let mut first = [0u8; 8];
         rand::RngCore::fill_bytes(&mut rng, &mut first);
-        let mut rng7 = op_rng(&seed, 7);
+        let mut rng7 = op_rng(&prk, 7);
         let mut first7 = [0u8; 8];
         rand::RngCore::fill_bytes(&mut rng7, &mut first7);
         assert_ne!(first, first7, "distinct ops draw distinct streams");

@@ -47,7 +47,7 @@ pub(super) fn register_user(
 /// `index`; returns what came out and the microseconds it took.
 fn timed<T>(ctx: &PhaseCtx, index: u64, job: impl FnOnce(&mut SecureRng) -> T) -> (T, u64) {
     let started = Instant::now();
-    let out = job(&mut op_rng(&ctx.seed, index));
+    let out = job(&mut op_rng(&ctx.op_prk, index));
     (out, elapsed_micros(started))
 }
 
@@ -132,7 +132,7 @@ pub(super) fn prepare_batch(users: &mut Users, ctx: &PhaseCtx, batch: &mut Batch
             body,
         } = op
         {
-            let mut rng = op_rng(&ctx.seed, index(i));
+            let mut rng = op_rng(&ctx.op_prk, index(i));
             results[i] = Some(comment(users, commenter, author, *seq, body, &mut rng));
         }
     }

@@ -32,6 +32,8 @@
 //!   never serve tampered or forked content.
 //! * [`network`] — re-exports: the storage planes an engine is built over.
 
+#![forbid(unsafe_code)]
+
 pub mod anonymize;
 pub mod content;
 pub mod engine;

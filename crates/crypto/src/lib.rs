@@ -49,6 +49,10 @@
 //! # }
 //! ```
 
+// One `unsafe` block in the crate: `sha256`'s call into the SHA-extension
+// kernel, behind its run-time CPU check.
+#![deny(unsafe_code)]
+
 pub mod abe;
 pub mod aead;
 pub mod batch;

@@ -2,8 +2,10 @@
 //! published vectors: SHA-256 (FIPS 180-4 / NIST CAVP), HMAC-SHA-256
 //! (RFC 4231), HKDF-SHA-256 (RFC 5869), and ChaCha20 (RFC 8439). A wrong
 //! constant anywhere in the compression/rounds shows up here, not three
-//! layers up in a privacy-scheme test. The last test pins this crate's own
-//! Schnorr bytes and batch verdicts for a seeded key.
+//! layers up in a privacy-scheme test. The SHA-256 vectors run on
+//! whichever compression the host picks (the SHA-extension kernel where the
+//! CPU has it, the portable one elsewhere). The last test pins this crate's
+//! own Schnorr bytes and batch verdicts for a seeded key.
 
 use dosn_crypto::chacha::chacha20_xor;
 use dosn_crypto::hmac::{hkdf, hkdf_extract, hmac_sha256, HmacSha256};

@@ -74,6 +74,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod arena;
 pub mod chord;

@@ -1,51 +1,79 @@
 //! Exact operation counts of the request engine at a fixed seed: counts,
 //! not timings, so they hold on any host.
 //!
-//! The tallies of `SchnorrGroup::shared(GroupSize::Toy)` are process-wide.
-//! This file is its own test binary with one test, so nothing else in the
-//! process moves them while it counts.
+//! The exponentiation tallies of `SchnorrGroup::shared(GroupSize::Toy)` are
+//! process-wide, so the tests here run one at a time under a lock; the
+//! SHA-256 tally, `dosn::crypto::sha256::compressions()`, is per thread.
+
+use std::sync::Mutex;
 
 use dosn::core::engine::{Engine, OpBatch, OpOutput};
 use dosn::core::network::{ChordPlane, ReplicatedStore};
 use dosn::crypto::group::{GroupSize, SchnorrGroup};
+use dosn::crypto::sha256::compressions;
 
 /// Authors in the read batch, one post each; reads per batch.
 const READS: usize = 32;
+
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn author(i: usize) -> String {
     format!("author{i:02}")
 }
 
-/// The windowed exponentiations one `execute` of `READS` agreeing reads
-/// runs, on an engine told `set_workers(workers)`.
-fn exps_in_one_read_batch(workers: usize) -> u64 {
+/// Author `i`'s post: 250 bytes, the middle of the 200–299-byte bodies the
+/// macro-benchmark's workloads post.
+fn body(i: usize) -> String {
+    format!("{:-<250}", format!("post by {}", author(i)))
+}
+
+/// An engine on which `reader` is friends with `READS` authors who have
+/// posted once each.
+fn engine_with_one_post_per_author() -> Engine<ChordPlane> {
     let mut e = Engine::new(ReplicatedStore::new(ChordPlane::build(24, 7), 3), 7);
-    e.set_workers(workers);
     let mut setup = OpBatch::new().register("reader");
     for i in 0..READS {
         setup = setup
             .register(&author(i))
             .befriend(&author(i), "reader", 0.9)
-            .post(&author(i), &format!("post by {}", author(i)));
+            .post(&author(i), &body(i));
     }
     assert!(e.execute(setup).results.iter().all(Result::is_ok));
+    e
+}
 
-    let group = SchnorrGroup::shared(GroupSize::Toy);
-    let before = group.exp_stats().total();
+/// One batch reading every author's post 0 as `reader`; checks the bodies.
+fn read_every_first_post(e: &mut Engine<ChordPlane>) {
     let reads = (0..READS).fold(OpBatch::new(), |b, i| b.read_post("reader", &author(i), 0));
-    let report = e.execute(reads);
-    let exps = group.exp_stats().total() - before;
-    for (i, result) in report.results.iter().enumerate() {
+    for (i, result) in e.execute(reads).results.iter().enumerate() {
         assert!(
-            matches!(result, Ok(OpOutput::Read { body }) if *body == format!("post by {}", author(i))),
+            matches!(result, Ok(OpOutput::Read { body: got }) if *got == body(i)),
             "read {i}: {result:?}"
         );
     }
-    exps
+}
+
+/// What `f` returns, and the SHA-256 compressions it ran.
+fn compressions_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = compressions();
+    let out = f();
+    (out, compressions() - before)
+}
+
+/// The windowed exponentiations one `execute` of `READS` agreeing reads
+/// runs, on an engine told `set_workers(workers)`.
+fn exps_in_one_read_batch(workers: usize) -> u64 {
+    let mut e = engine_with_one_post_per_author();
+    e.set_workers(workers);
+    let group = SchnorrGroup::shared(GroupSize::Toy);
+    let before = group.exp_stats().total();
+    read_every_first_post(&mut e);
+    group.exp_stats().total() - before
 }
 
 #[test]
 fn a_batch_of_agreeing_reads_runs_two_exponentiations_at_any_worker_setting() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // Every read's three copies agree, so each read stakes on one value and
     // one combined Schnorr check proves all 32: two windowed multi-exps (the
     // keys' full-width terms on one chain, the commitments' 128-bit terms
@@ -53,4 +81,38 @@ fn a_batch_of_agreeing_reads_runs_two_exponentiations_at_any_worker_setting() {
     for workers in [1usize, 8] {
         assert_eq!(exps_in_one_read_batch(workers), 2, "set_workers({workers})");
     }
+}
+
+#[test]
+fn sha256_compressions_per_op_are_pinned() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut e = engine_with_one_post_per_author();
+
+    // 32 cold reads in one batch: copies fetched, envelopes checked in one
+    // combined check, bodies opened (encrypt-then-MAC) and folded into the
+    // batch digest.
+    let ((), cold) = compressions_in(|| read_every_first_post(&mut e));
+
+    // The same 32 posts again through `read_feed` with L1 warm: no fetch
+    // and no check; what is left is mostly the batch digest folding in each
+    // served body.
+    e.enable_feed_cache(256);
+    assert_eq!(e.read_feed("reader", 1).unwrap().len(), READS);
+    let (warm, l1) = compressions_in(|| e.read_feed("reader", 1).unwrap());
+    assert_eq!(warm.len(), READS);
+    assert_eq!(e.feed_cache().unwrap().stats().hits, READS as u64);
+
+    // One post: the op's RNG, seal (encrypt-then-MAC), sign, chain, mint
+    // the relation keys, store, and the batch digest.
+    let (seq, post) = compressions_in(|| e.post(&author(0), &body(0)).unwrap());
+    assert_eq!(seq, 1);
+
+    // ≈ 30.2 compressions per cold read and ≈ 4.1 per L1-served item. A
+    // post's RNG costs 4 of its 55: the HKDF expand alone, since the
+    // extract over the engine seed runs once per engine.
+    assert_eq!(
+        [post, cold, l1],
+        [55, 965, 132],
+        "compressions per post, per 32 cold reads, per 32 L1-served feed items"
+    );
 }
