@@ -12,19 +12,20 @@ use dosn_obs::Histogram;
 use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
+use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::storage::StoragePlane;
 
 const KEYS: u64 = 60;
 
-/// `[success rate, mean hops]` of reading every key back.
-fn measure(ring: &mut ChordPlane) -> [Cell; 2] {
+/// `[success rate, mean hops]` of reading every key back (a read repairs
+/// the live candidates that lack the key).
+fn measure(store: &mut ReplicatedStore<ChordPlane>) -> [Cell; 2] {
     let mut ok = 0u64;
     let mut hops = Histogram::new();
     for i in 0..KEYS {
         let key = Key::hash(format!("item-{i}").as_bytes());
         let mut m = Metrics::new();
-        let from = ring.random_node(i * 13 + 1);
-        if ring.get(from, key, &mut m).is_ok() {
+        if store.get(key, &mut m).is_ok() {
             ok += 1;
         }
         hops.record(m.count("chord.hop"));
@@ -39,23 +40,22 @@ pub(super) fn run(run: &mut Run) {
          hops (post)",
     );
     for offline_pct in [0usize, 10, 25, 40, 60] {
-        let mut ring = ChordPlane::build(256, 21).with_replicas(3);
+        // A read succeeds on any one live copy: quorum 1 of 3.
+        let mut store = ReplicatedStore::new(ChordPlane::build(256, 21), 3).with_quorum(1);
         let mut m = Metrics::new();
         for i in 0..KEYS {
             let key = Key::hash(format!("item-{i}").as_bytes());
-            let from = ring.random_node(i);
-            ring.store(from, key, vec![0u8; 128], &mut m)
-                .expect("store");
+            store.put(key, vec![0u8; 128], &mut m).expect("store");
         }
         // Knock out a deterministic fraction without stabilizing.
-        let ids = ring.node_ids();
+        let ids = store.plane().node_ids();
         let victims = ids.len() * offline_pct / 100;
         for id in ids.iter().take(victims) {
-            ring.set_online(*id, false);
+            store.plane_mut().set_online(*id, false);
         }
-        let [pre_ok, pre_hops] = measure(&mut ring);
-        ring.stabilize();
-        let [post_ok, post_hops] = measure(&mut ring);
+        let [pre_ok, pre_hops] = measure(&mut store);
+        store.plane_mut().stabilize();
+        let [post_ok, post_hops] = measure(&mut store);
         run.row(&[
             format!("{offline_pct}%").into(),
             pre_ok,

@@ -24,7 +24,7 @@ fn chord_loss_table(run: &mut Run) {
         "drop prob | success | retries/lookup | reroutes/lookup",
     );
     for loss_pct in [0u64, 5, 10, 20, 30] {
-        let mut ring = ChordPlane::build(128, 31).with_replicas(3);
+        let mut ring = ChordPlane::build(128, 31);
         let mut faults = LinkFaults::new(100 + loss_pct, loss_pct as f64 / 100.0);
         let mut ok = 0u64;
         let mut m = Metrics::new();

@@ -14,6 +14,7 @@ use dosn_overlay::flood::UnstructuredOverlay;
 use dosn_overlay::hybrid::HybridOverlay;
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
+use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::superpeer::SuperPeerPlane;
 
 const QUERIES: u64 = 40;
@@ -22,16 +23,15 @@ const QUERIES: u64 = 40;
 type CostRow = [f64; 3];
 
 fn chord_costs(n: usize) -> CostRow {
-    let mut net = ChordPlane::build(n, 5).with_replicas(3);
+    // A read succeeds on any one live copy: quorum 1 of 3.
+    let mut net = ReplicatedStore::new(ChordPlane::build(n, 5), 3).with_quorum(1);
     let mut m = Metrics::new();
     let mut hops = Histogram::new();
     for i in 0..QUERIES {
         let key = Key::hash(format!("k{i}").as_bytes());
-        let w = net.random_node(i);
-        net.store(w, key, vec![0u8; 128], &mut m).expect("store");
+        net.put(key, vec![0u8; 128], &mut m).expect("store");
         let mut per = Metrics::new();
-        net.get(net.random_node(i + 31), key, &mut per)
-            .expect("get");
+        net.get(key, &mut per).expect("get");
         hops.record(per.count("chord.hop"));
         m.merge(&per);
     }
@@ -85,8 +85,7 @@ fn hybrid_costs(n: usize) -> CostRow {
     let mut m = Metrics::new();
     // Zipf-ish: one hot key read by everyone.
     let hot = Key::hash(b"hot");
-    let w = net.dht().random_node(0);
-    net.put(w, hot, vec![0u8; 128], &mut m).expect("put");
+    net.put(hot, vec![0u8; 128], &mut m).expect("put");
     let mut read_metrics = Metrics::new();
     for i in 0..QUERIES {
         let r = net.dht().random_node(i * 3 + 1);

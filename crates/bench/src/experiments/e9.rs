@@ -5,7 +5,7 @@
 //! * CP-ABE cost vs policy depth (secret-sharing tree recursion);
 //! * Chord vs Kademlia on the identical lookup workload (structured-overlay
 //!   geometry choice);
-//! * Chord replication factor vs per-store message cost.
+//! * Chord replication factor vs copies written per put.
 //!
 //! The exponentiation-engine ablation is `e9-engine`, batched signature
 //! verification `e9-batch`.
@@ -17,6 +17,8 @@ use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::id::Key;
 use dosn_overlay::kademlia::KademliaPlane;
 use dosn_overlay::metrics::Metrics;
+use dosn_overlay::replication::ReplicatedStore;
+use dosn_overlay::storage::StoragePlane;
 use std::hint::black_box;
 
 /// Policy of the shape ((a0 AND a1) AND a2) ... nested to `depth`.
@@ -57,55 +59,51 @@ fn abe_depth(run: &mut Run) {
     }
 }
 
+/// `[msgs, latency (ms)]` per operation of 40 replicated puts, each read
+/// back once through the quorum path.
+fn put_get_costs(plane: impl StoragePlane) -> [f64; 2] {
+    let mut store = ReplicatedStore::new(plane, 3);
+    let mut m = Metrics::new();
+    for i in 0..40u64 {
+        let key = Key::hash(format!("k{i}").as_bytes());
+        store.put(key, vec![0u8; 64], &mut m).expect("store");
+        store.get(key, &mut m).expect("get");
+    }
+    [m.messages as f64 / 80.0, m.latency_ms as f64 / 80.0]
+}
+
 fn chord_vs_kademlia(run: &mut Run) {
     run.table(
         "E9: structured-overlay geometry, 512 nodes, 40 queries",
         "overlay | avg msgs/query | avg latency (ms)",
     );
-    let mut chord = ChordPlane::build(512, 5).with_replicas(3);
-    let mut m = Metrics::new();
-    for i in 0..40u64 {
-        let key = Key::hash(format!("k{i}").as_bytes());
-        let w = chord.random_node(i);
-        chord.store(w, key, vec![0u8; 64], &mut m).expect("store");
-        chord
-            .get(chord.random_node(i + 7), key, &mut m)
-            .expect("get");
+    for (name, [msgs, latency_ms]) in [
+        ("chord (ring)", put_get_costs(ChordPlane::build(512, 5))),
+        (
+            "kademlia (xor, k=20, α=3)",
+            put_get_costs(KademliaPlane::build(512, 20, 5)),
+        ),
+    ] {
+        run.row(&[name.into(), num(msgs, 1), num(latency_ms, 0)]);
     }
-    run.row(&[
-        "chord (ring)".into(),
-        num(m.messages as f64 / 80.0, 1),
-        num(m.latency_ms as f64 / 80.0, 0),
-    ]);
-    let mut kad = KademliaPlane::build(512, 20, 5).with_replicas(3);
-    let mut m = Metrics::new();
-    for i in 0..40u64 {
-        let key = Key::hash(format!("k{i}").as_bytes());
-        let w = kad.random_node(i);
-        kad.store(w, key, vec![0u8; 64], &mut m).expect("store");
-        kad.get(kad.random_node(i + 7), key, &mut m).expect("get");
-    }
-    run.row(&[
-        "kademlia (xor, k=20, α=3)".into(),
-        num(m.messages as f64 / 80.0, 1),
-        num(m.latency_ms as f64 / 80.0, 0),
-    ]);
 }
 
 fn replication_cost(run: &mut Run) {
     run.table(
-        "E9: chord per-store replica messages vs replication factor",
-        "replicas | replicate msgs per store",
+        "E9: chord copies written per put vs replication factor",
+        "replicas | copies written per put",
     );
     for r in [1usize, 2, 4, 8] {
-        let mut chord = ChordPlane::build(256, 3).with_replicas(r);
+        let mut store = ReplicatedStore::new(ChordPlane::build(256, 3), r);
         let mut m = Metrics::new();
         for i in 0..30u64 {
             let key = Key::hash(format!("k{i}").as_bytes());
-            let w = chord.random_node(i);
-            chord.store(w, key, vec![0u8; 64], &mut m).expect("store");
+            store.put(key, vec![0u8; 64], &mut m).expect("store");
         }
-        run.row(&[r.into(), num(m.count("chord.replicate") as f64 / 30.0, 1)]);
+        run.row(&[
+            r.into(),
+            num(m.count("store.replicas_written") as f64 / 30.0, 1),
+        ]);
     }
 }
 

@@ -20,12 +20,8 @@ pub const CHORD_REROUTE: &str = "chord.reroute";
 pub const CHORD_REPAIR: &str = "chord.repair";
 /// Store request placed on the responsible node.
 pub const CHORD_STORE: &str = "chord.store";
-/// Replica copy pushed to a successor.
-pub const CHORD_REPLICATE: &str = "chord.replicate";
 /// Fetch served from the responsible node.
 pub const CHORD_FETCH: &str = "chord.fetch";
-/// Fetch that found no value.
-pub const CHORD_FETCH_FAIL: &str = "chord.fetch_fail";
 
 // ---- overlay: kademlia ----
 
@@ -228,9 +224,7 @@ pub const ALL: &[&str] = &[
     CHORD_REROUTE,
     CHORD_REPAIR,
     CHORD_STORE,
-    CHORD_REPLICATE,
     CHORD_FETCH,
-    CHORD_FETCH_FAIL,
     KAD_FIND_NODE,
     KAD_RETRY,
     KAD_STORE,

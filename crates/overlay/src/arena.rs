@@ -238,11 +238,6 @@ impl SharedStore {
             .map(|&idx| self.values[idx as usize].as_ref())
     }
 
-    /// Whether `(holder, key)` has an entry.
-    pub fn contains(&self, holder: u64, key: u64) -> bool {
-        self.entries.contains_key(&(holder, key))
-    }
-
     /// Drops every entry held by `holder` (an ungraceful departure).
     pub fn purge_holder(&mut self, holder: u64) {
         self.entries.retain(|&(h, _), _| h != holder);

@@ -4,10 +4,13 @@
 //! "Most of the recent DOSNs use structured organization and distributed
 //! hash tables for the lookup service" — PrPl, PeerSoN, Safebook, Cachet.
 //! This module implements Chord's ring geometry: 64-bit identifiers, finger
-//! routing with up to 64 entries, successor lists for replication, and
-//! greedy closest-preceding-finger routing. Lookups route *only* through
-//! each node's local view and report hop/message metrics, which is what
-//! experiment E5 measures.
+//! routing with up to 64 entries, short successor lists, and greedy
+//! closest-preceding-finger routing. Lookups route *only* through each
+//! node's local view and report hop/message metrics, which is what
+//! experiment E5 measures. How many copies a key gets, and how a read votes
+//! on them, is [`crate::replication::ReplicatedStore`]'s business: the ring
+//! answers placement ([`StoragePlane::replica_candidates`]: the key's
+//! successor chain) and one-node access.
 //!
 //! # Scale architecture
 //!
@@ -37,6 +40,9 @@ use std::collections::BTreeSet;
 
 const FINGER_BITS: usize = 64;
 
+/// Entries in each node's successor list: the first live one ends a route.
+const SUCC_LIST_LEN: usize = 2;
+
 /// Errors from DHT operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DhtError {
@@ -44,8 +50,6 @@ pub enum DhtError {
     NoNodes,
     /// The key's holders, or a link on the route to them, cannot be reached.
     Unavailable(Key),
-    /// The key was never stored.
-    NotFound(Key),
     /// The named node does not exist (or, as a lookup's start, is offline).
     UnknownNode(NodeId),
 }
@@ -55,7 +59,6 @@ impl std::fmt::Display for DhtError {
         match self {
             DhtError::NoNodes => f.write_str("overlay has no online nodes"),
             DhtError::Unavailable(k) => write!(f, "all replicas for {k} are offline"),
-            DhtError::NotFound(k) => write!(f, "key {k} not stored"),
             DhtError::UnknownNode(n) => write!(f, "unknown node {n}"),
         }
     }
@@ -66,25 +69,24 @@ impl std::error::Error for DhtError {}
 /// A Chord ring, and the [`StoragePlane`] over it: replicas at the key's
 /// successor chain, lookups routed through finger tables (hops accounted).
 ///
-/// Two access paths share one placement. The routed [`ChordPlane::store`] /
-/// [`ChordPlane::get`] walk from a given node through possibly stale
-/// fingers and replicate along the successor list; the plane methods
-/// ([`StoragePlane::replica_candidates`], [`StoragePlane::store_at`],
-/// [`StoragePlane::fetch_from`]) let an upper layer place copies itself.
+/// The ring stores nothing on its own initiative: a replicated write or a
+/// quorum read is a [`ReplicatedStore`](crate::replication::ReplicatedStore)
+/// over the ring, which asks it for candidates and writes or fetches each
+/// copy through the plane methods.
 ///
 /// ```
 /// use dosn_overlay::chord::ChordPlane;
 /// use dosn_overlay::id::Key;
 /// use dosn_overlay::metrics::Metrics;
+/// use dosn_overlay::replication::ReplicatedStore;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut ring = ChordPlane::build(64, 42).with_replicas(3);
+/// let mut store = ReplicatedStore::new(ChordPlane::build(64, 42), 3);
 /// let mut metrics = Metrics::new();
 /// let key = Key::hash(b"alice/profile");
-/// ring.store(ring.random_node(1), key, b"profile-data".to_vec(), &mut metrics)?;
-/// let got = ring.get(ring.random_node(2), key, &mut metrics)?;
-/// assert_eq!(got, b"profile-data");
-/// // O(log n) routing:
+/// store.put(key, b"profile-data".to_vec(), &mut metrics)?;
+/// assert_eq!(store.get(key, &mut metrics)?, b"profile-data");
+/// // The put and the read each route one O(log n) lookup:
 /// assert!(metrics.count("chord.hop") <= 2 * 6 + 2);
 /// # Ok(())
 /// # }
@@ -102,29 +104,18 @@ pub struct ChordPlane {
     refresh_cursor: usize,
     /// Interned key/value storage shared by every node.
     storage: SharedStore,
-    /// Copies a routed `store` writes (the owner plus successors); also
-    /// sets the successor-list length.
-    replicas: usize,
     rng: StdRng,
     hot: Option<HotCache>,
 }
 
 impl std::fmt::Debug for ChordPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ChordPlane({} nodes, {} replicas)",
-            self.arena.len(),
-            self.replicas
-        )
+        write!(f, "ChordPlane({} nodes)", self.arena.len())
     }
 }
 
 impl ChordPlane {
-    /// Builds a ring of `n` nodes with random ids and a replication factor
-    /// of 1: placement through the plane is decided by the caller, and
-    /// only the routed `store`/`get` replicate (see
-    /// [`ChordPlane::with_replicas`]).
+    /// Builds a ring of `n` nodes with random ids.
     ///
     /// # Panics
     ///
@@ -144,24 +135,9 @@ impl ChordPlane {
             dirty,
             refresh_cursor: 0,
             storage: SharedStore::new(),
-            replicas: 1,
             rng,
             hot: None,
         }
-    }
-
-    /// Sets how many copies a routed [`ChordPlane::store`] writes and
-    /// [`ChordPlane::get`] tries (the owner plus successors); the
-    /// successor list is at least this long. Draws nothing from the RNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0`.
-    #[must_use]
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        assert!(replicas > 0, "need at least one replica (the owner)");
-        self.replicas = replicas;
-        self
     }
 
     /// Estimated resident bytes of membership, routing snapshot, and
@@ -360,69 +336,6 @@ impl ChordPlane {
         }
     }
 
-    /// Stores `value` under `key`, replicating to the successor list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup errors.
-    pub fn store(
-        &mut self,
-        from: NodeId,
-        key: Key,
-        value: Vec<u8>,
-        metrics: &mut Metrics,
-    ) -> Result<(), DhtError> {
-        let owner = self.lookup(from, key, metrics)?;
-        let replica_ids = self.replica_set(owner.0);
-        let size = value.len() as u64;
-        for (i, rid) in replica_ids.iter().enumerate() {
-            let lat = LatencyModel::default().draw(&mut self.rng);
-            if i == 0 {
-                metrics.record(names::CHORD_STORE, size, lat);
-            } else {
-                metrics.record_offpath(names::CHORD_REPLICATE, size);
-            }
-            self.storage.insert(*rid, key.0, &value);
-        }
-        Ok(())
-    }
-
-    /// Retrieves `key`, trying the owner then its successor replicas.
-    ///
-    /// # Errors
-    ///
-    /// [`DhtError::Unavailable`] when every replica holding the key is
-    /// offline; [`DhtError::NotFound`] when no live replica has it.
-    pub fn get(
-        &mut self,
-        from: NodeId,
-        key: Key,
-        metrics: &mut Metrics,
-    ) -> Result<Vec<u8>, DhtError> {
-        let owner = self.lookup(from, key, metrics)?;
-        let replica_ids = self.replica_set(owner.0);
-        let mut any_holder_offline = false;
-        for rid in &replica_ids {
-            let lat = LatencyModel::default().draw(&mut self.rng);
-            if !self.arena.is_online(*rid) {
-                if self.storage.contains(*rid, key.0) {
-                    any_holder_offline = true;
-                }
-                metrics.record(names::CHORD_FETCH_FAIL, 16, lat);
-                continue;
-            }
-            metrics.record(names::CHORD_FETCH, 64, lat);
-            if let Some(v) = self.storage.get(*rid, key.0) {
-                return Ok(v.to_vec());
-            }
-        }
-        if any_holder_offline {
-            Err(DhtError::Unavailable(key))
-        } else {
-            Err(DhtError::NotFound(key))
-        }
-    }
-
     /// The `want` online nodes that should hold `key`'s replicas: its owner
     /// (clockwise successor) followed by the next online nodes in ring
     /// order. Empty when every node is offline.
@@ -446,27 +359,12 @@ impl ChordPlane {
         out
     }
 
-    /// The replica set for an owner: the owner plus following nodes
-    /// (regardless of liveness — liveness is checked on access).
-    fn replica_set(&self, owner: u64) -> Vec<u64> {
-        let ids = self.arena.ids();
-        let n = ids.len();
-        let mut out = Vec::with_capacity(self.replicas.min(n));
-        let Ok(pos) = ids.binary_search(&owner) else {
-            return vec![owner];
-        };
-        for i in 0..self.replicas.min(n) {
-            out.push(ids[(pos + i) % n]);
-        }
-        out
-    }
-
     /// First currently-online entry of `id`'s successor list. The list is
-    /// the `succ_list_len` consecutive routing-snapshot entries after `id`
+    /// the [`SUCC_LIST_LEN`] consecutive routing-snapshot entries after `id`
     /// — exactly what the eager per-node lists contained.
     fn first_live_successor(&self, id: u64) -> Option<u64> {
         if !self.routing.is_empty() {
-            let succ_list_len = self.replicas.max(2).min(self.routing.len());
+            let succ_list_len = SUCC_LIST_LEN.min(self.routing.len());
             let start = self
                 .routing
                 .partition_point(|&s| s < id.wrapping_add(1).max(1));
@@ -599,20 +497,44 @@ impl StoragePlane for ChordPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replication::ReplicatedStore;
 
     fn ring(n: usize) -> ChordPlane {
-        ChordPlane::build(n, 7).with_replicas(3)
+        ChordPlane::build(n, 7)
+    }
+
+    fn replicated(n: usize) -> ReplicatedStore<ChordPlane> {
+        ReplicatedStore::new(ring(n), 3)
     }
 
     #[test]
     fn store_and_get_roundtrip() {
-        let mut r = ring(32);
+        let mut store = replicated(32);
         let mut m = Metrics::new();
         let key = Key::hash(b"post:1");
-        let from = r.random_node(0);
-        r.store(from, key, b"hello".to_vec(), &mut m).unwrap();
-        let got = r.get(r.random_node(5), key, &mut m).unwrap();
-        assert_eq!(got, b"hello");
+        store.put(key, b"hello".to_vec(), &mut m).unwrap();
+        assert_eq!(store.get(key, &mut m).unwrap(), b"hello");
+    }
+
+    /// A node that is down while a key is written gets no copy: the write
+    /// goes to the live successor that takes its place, so the node has
+    /// nothing to serve when it comes back.
+    #[test]
+    fn a_node_offline_during_the_write_holds_no_copy() {
+        let mut store = replicated(32);
+        let mut m = Metrics::new();
+        let key = Key::hash(b"written-while-down");
+        let candidates = store
+            .plane_mut()
+            .replica_candidates(key, 3, &mut m)
+            .unwrap();
+        let down = candidates[1];
+        store.plane_mut().set_online(down, false);
+        let holders = store.put(key, vec![118], &mut m).unwrap();
+        assert_eq!(holders.len(), 3);
+        assert!(!holders.contains(&down));
+        store.plane_mut().set_online(down, true);
+        assert_eq!(store.plane_mut().fetch_from(down, key, &mut m), Ok(None));
     }
 
     #[test]
@@ -648,75 +570,48 @@ mod tests {
 
     #[test]
     fn missing_key_not_found() {
-        let mut r = ring(16);
+        let mut store = replicated(16);
         let mut m = Metrics::new();
-        let from = r.random_node(0);
-        let err = r.get(from, Key::hash(b"never stored"), &mut m).unwrap_err();
-        assert!(matches!(err, DhtError::NotFound(_)));
+        let err = store.get(Key::hash(b"never stored"), &mut m).unwrap_err();
+        assert!(matches!(err, StorageError::NotFound(_)));
     }
 
     #[test]
-    fn replication_survives_owner_failure() {
-        let mut r = ring(32);
-        let mut m = Metrics::new();
-        let key = Key::hash(b"replicated");
-        let from = r.random_node(0);
-        r.store(from, key, b"v".to_vec(), &mut m).unwrap();
-        let owner = r.lookup(from, key, &mut m).unwrap();
-        r.set_online(owner, false);
-        let reader = (0..64)
-            .map(|s| r.random_node(s))
-            .find(|&n| n != owner)
-            .unwrap();
-        let got = r.get(reader, key, &mut m).unwrap();
-        assert_eq!(got, b"v");
-    }
-
-    #[test]
-    fn unavailable_when_all_replicas_offline() {
-        let mut r = ChordPlane::build(16, 3).with_replicas(2);
+    fn not_found_when_all_replicas_offline() {
+        let mut store = ReplicatedStore::new(ChordPlane::build(16, 3), 2).with_quorum(1);
         let mut m = Metrics::new();
         let key = Key::hash(b"fragile");
-        let from = r.random_node(0);
-        r.store(from, key, b"v".to_vec(), &mut m).unwrap();
-        let owner = r.lookup(from, key, &mut m).unwrap();
-        // Knock out owner and every following replica.
-        let ids = r.node_ids();
-        let pos = ids.iter().position(|&n| n == owner).unwrap();
-        for k in 0..2 {
-            r.set_online(ids[(pos + k) % ids.len()], false);
+        for holder in store.put(key, b"v".to_vec(), &mut m).unwrap() {
+            store.plane_mut().set_online(holder, false);
         }
-        let reader = ids.iter().copied().find(|n| r.is_online(*n)).unwrap();
-        let err = r.get(reader, key, &mut m).unwrap_err();
-        assert!(
-            matches!(err, DhtError::Unavailable(_) | DhtError::NotFound(_)),
-            "{err:?}"
-        );
+        let err = store.get(key, &mut m).unwrap_err();
+        assert!(matches!(err, StorageError::NotFound(_)), "{err:?}");
     }
 
     #[test]
     fn join_changes_membership_and_routing_still_works() {
-        let mut r = ring(8);
-        let before = r.node_count();
-        let newcomer = r.join();
-        assert_eq!(r.node_count(), before + 1);
+        let mut store = replicated(8);
+        let before = store.plane().node_count();
+        let newcomer = store.plane_mut().join();
+        assert_eq!(store.plane().node_count(), before + 1);
         let mut m = Metrics::new();
         let key = Key::hash(b"after-join");
-        r.store(newcomer, key, b"x".to_vec(), &mut m).unwrap();
-        assert_eq!(r.get(r.random_node(1), key, &mut m).unwrap(), b"x");
+        store.plane_mut().lookup(newcomer, key, &mut m).unwrap();
+        store.put(key, b"x".to_vec(), &mut m).unwrap();
+        assert_eq!(store.get(key, &mut m).unwrap(), b"x");
     }
 
     #[test]
     fn leave_removes_node() {
-        let mut r = ring(8);
-        let victim = r.random_node(3);
-        r.leave(victim);
-        assert_eq!(r.node_count(), 7);
+        let mut store = replicated(8);
+        let victim = store.plane().random_node(3);
+        store.plane_mut().leave(victim);
+        assert_eq!(store.plane().node_count(), 7);
         let mut m = Metrics::new();
         let key = Key::hash(b"post-leave");
-        let from = r.random_node(0);
-        r.store(from, key, b"y".to_vec(), &mut m).unwrap();
-        assert_eq!(r.get(r.random_node(2), key, &mut m).unwrap(), b"y");
+        let holders = store.put(key, b"y".to_vec(), &mut m).unwrap();
+        assert!(!holders.contains(&victim));
+        assert_eq!(store.get(key, &mut m).unwrap(), b"y");
     }
 
     #[test]
@@ -764,13 +659,13 @@ mod tests {
 
     #[test]
     fn single_node_ring_owns_everything() {
-        let mut r = ChordPlane::build(1, 1);
+        let mut store = ReplicatedStore::new(ChordPlane::build(1, 1), 1);
         let mut m = Metrics::new();
-        let only = r.random_node(0);
+        let only = store.plane().random_node(0);
         let key = Key::hash(b"solo");
-        assert_eq!(r.lookup(only, key, &mut m).unwrap(), only);
-        r.store(only, key, b"v".to_vec(), &mut m).unwrap();
-        assert_eq!(r.get(only, key, &mut m).unwrap(), b"v");
+        assert_eq!(store.plane_mut().lookup(only, key, &mut m).unwrap(), only);
+        assert_eq!(store.put(key, b"v".to_vec(), &mut m).unwrap(), [only]);
+        assert_eq!(store.get(key, &mut m).unwrap(), b"v");
     }
 
     #[test]
@@ -799,35 +694,5 @@ mod tests {
         // routing snapshot is ~17 bytes/node.
         let per_node = r.memory_bytes() / r.node_count();
         assert!(per_node <= 64, "{per_node} bytes/node");
-    }
-
-    /// One type, two access paths, one placement: what the replicated
-    /// store puts through the plane methods, a routed `get` finds from
-    /// every node, and what a routed `store` writes, the store reads back.
-    #[test]
-    fn routed_and_plane_access_agree_on_placement() {
-        use crate::replication::ReplicatedStore;
-        let mut store = ReplicatedStore::new(ChordPlane::build(64, 7).with_replicas(3), 3);
-        let mut m = Metrics::new();
-        let value = |tag: &str, i: u64| format!("{tag} {i}").into_bytes();
-        for i in 0..50 {
-            let key = Key::hash(format!("placed-{i}").as_bytes());
-            store.put(key, value("placed", i), &mut m).unwrap();
-        }
-        let readers = store.plane().node_ids();
-        for i in 0..50 {
-            let key = Key::hash(format!("placed-{i}").as_bytes());
-            for &reader in &readers {
-                let got = store.plane_mut().get(reader, key, &mut m).unwrap();
-                assert_eq!(got, value("placed", i), "key {i} from {reader}");
-            }
-        }
-        for i in 0..50 {
-            let key = Key::hash(format!("routed-{i}").as_bytes());
-            let ring = store.plane_mut();
-            let from = ring.random_node(i);
-            ring.store(from, key, value("routed", i), &mut m).unwrap();
-            assert_eq!(store.get(key, &mut m).unwrap(), value("routed", i));
-        }
     }
 }

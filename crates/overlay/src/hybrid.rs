@@ -6,14 +6,17 @@
 //! DHT guarantees rare items are still found. [`HybridOverlay`] implements
 //! exactly that composition: every `get` tries the local cache, then the
 //! caches of the node's social contacts (one hop), then falls back to the
-//! authoritative Chord lookup — and populates caches on the way back.
+//! authoritative replicated Chord store — and populates caches on the way
+//! back.
 
-use crate::chord::{ChordPlane, DhtError};
+use crate::chord::ChordPlane;
+use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
-use crate::storage::StoragePlane;
+use crate::replication::ReplicatedStore;
+use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::names;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// The fixed latency of a contact-cache hit: one social hop to a friend.
 const CONTACT_FETCH_MS: u64 = 40;
@@ -29,30 +32,13 @@ pub enum HitSource {
     Dht,
 }
 
-#[derive(Debug, Default)]
-struct NodeCache {
-    /// FIFO cache: key -> value.
-    entries: HashMap<u64, Vec<u8>>,
-    order: VecDeque<u64>,
-}
-
-impl NodeCache {
-    fn insert(&mut self, key: u64, value: Vec<u8>, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
-        if self.entries.insert(key, value).is_none() {
-            self.order.push_back(key);
-        }
-        while self.order.len() > capacity {
-            if let Some(evicted) = self.order.pop_front() {
-                self.entries.remove(&evicted);
-            }
-        }
-    }
-}
-
-/// A Cachet-style hybrid overlay.
+/// A Cachet-style hybrid overlay: a replicated Chord store under per-node
+/// LRU caches ([`HotCache`], always admitting).
+///
+/// The DHT layer is a [`ReplicatedStore`] over a [`ChordPlane`] with a read
+/// quorum of one: a put writes the key's R live candidates, and a read that
+/// misses every cache takes the first verifying copy among them (and
+/// repairs the rest).
 ///
 /// ```
 /// use dosn_overlay::hybrid::{HybridOverlay, HitSource};
@@ -63,8 +49,7 @@ impl NodeCache {
 /// let mut net = HybridOverlay::build(64, 3, 16, 31);
 /// let mut m = Metrics::new();
 /// let key = Key::hash(b"status-update");
-/// let writer = net.dht().random_node(0);
-/// net.put(writer, key, b"feeling great".to_vec(), &mut m)?;
+/// net.put(key, b"feeling great".to_vec(), &mut m)?;
 /// let reader = net.dht().random_node(9);
 /// let (value, source) = net.get(reader, key, &mut m)?;
 /// assert_eq!(value, b"feeling great");
@@ -75,8 +60,8 @@ impl NodeCache {
 /// # }
 /// ```
 pub struct HybridOverlay {
-    dht: ChordPlane,
-    caches: HashMap<NodeId, NodeCache>,
+    dht: ReplicatedStore<ChordPlane>,
+    caches: HashMap<NodeId, HotCache>,
     contacts: HashMap<NodeId, Vec<NodeId>>,
     cache_capacity: usize,
 }
@@ -85,18 +70,25 @@ impl std::fmt::Debug for HybridOverlay {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "HybridOverlay({:?}, cache {} entries/node)",
-            self.dht, self.cache_capacity
+            "HybridOverlay({:?}, {} replicas, cache {} entries/node)",
+            self.dht.plane(),
+            self.dht.replicas(),
+            self.cache_capacity
         )
     }
 }
 
 impl HybridOverlay {
-    /// Builds the hybrid overlay: a Chord ring plus per-node caches and a
-    /// random social-contact graph (≈6 contacts per node).
+    /// Builds the hybrid overlay: a Chord ring replicated `replicas` ways,
+    /// per-node caches and a random social-contact graph (≈6 contacts per
+    /// node).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n`, `replicas` or `cache_capacity` is zero.
     pub fn build(n: usize, replicas: usize, cache_capacity: usize, seed: u64) -> Self {
-        let dht = ChordPlane::build(n, seed).with_replicas(replicas);
-        let ids = dht.node_ids();
+        let dht = ReplicatedStore::new(ChordPlane::build(n, seed), replicas).with_quorum(1);
+        let ids = dht.plane().node_ids();
         let mut contacts: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
         // Deterministic contact graph: each node links to 6 pseudo-random
         // peers (symmetrized).
@@ -114,7 +106,10 @@ impl HybridOverlay {
             list.dedup();
         }
         HybridOverlay {
-            caches: ids.iter().map(|&id| (id, NodeCache::default())).collect(),
+            caches: ids
+                .iter()
+                .map(|&id| (id, HotCache::new(cache_capacity)))
+                .collect(),
             contacts,
             dht,
             cache_capacity,
@@ -123,12 +118,12 @@ impl HybridOverlay {
 
     /// The underlying structured layer.
     pub fn dht(&self) -> &ChordPlane {
-        &self.dht
+        self.dht.plane()
     }
 
     /// Mutable access to the structured layer (churn injection in tests).
     pub fn dht_mut(&mut self) -> &mut ChordPlane {
-        &mut self.dht
+        self.dht.plane_mut()
     }
 
     /// A node's social contacts.
@@ -136,51 +131,47 @@ impl HybridOverlay {
         self.contacts.get(&node).map_or(&[], Vec::as_slice)
     }
 
-    /// Writes through to the DHT (caches are invalidated for this key, since
-    /// Cachet-style caches hold immutable versioned objects, a new put is a
-    /// new version).
+    /// Replicated write to the DHT, returning the holders (caches are
+    /// invalidated for this key, since Cachet-style caches hold immutable
+    /// versioned objects, a new put is a new version).
     ///
     /// # Errors
     ///
-    /// Propagates [`DhtError`] from the structured layer.
+    /// [`StorageError::NoNodes`] when no candidate accepted the write.
     pub fn put(
         &mut self,
-        from: NodeId,
         key: Key,
         value: Vec<u8>,
         metrics: &mut Metrics,
-    ) -> Result<(), DhtError> {
+    ) -> Result<Vec<NodeId>, StorageError> {
         for cache in self.caches.values_mut() {
-            if cache.entries.remove(&key.0).is_some() {
-                cache.order.retain(|&k| k != key.0);
-            }
+            cache.remove(key);
         }
-        self.dht.store(from, key, value, metrics)
+        self.dht.put(key, value, metrics)
     }
 
     /// Reads `key`: local cache → contact caches (one hop each, off the
-    /// critical path except the first) → DHT. Populates the local cache.
+    /// critical path except the first) → replicated DHT read. Populates the
+    /// local cache.
     ///
     /// # Errors
     ///
-    /// Propagates [`DhtError`] when the DHT fallback fails.
+    /// Propagates [`StorageError`] when the DHT fallback fails.
     pub fn get(
         &mut self,
         from: NodeId,
         key: Key,
         metrics: &mut Metrics,
-    ) -> Result<(Vec<u8>, HitSource), DhtError> {
-        if let Some(v) = self.caches.get(&from).and_then(|c| c.entries.get(&key.0)) {
-            return Ok((v.clone(), HitSource::LocalCache));
+    ) -> Result<(Vec<u8>, HitSource), StorageError> {
+        if let Some(v) = self.caches.get_mut(&from).and_then(|c| c.lookup(key)) {
+            return Ok((v, HitSource::LocalCache));
         }
-        let contact_hit = self.contacts(from).iter().find_map(|c| {
-            if !self.dht.is_online(*c) {
+        let contacts = self.contacts.get(&from).map_or(&[][..], Vec::as_slice);
+        let contact_hit = contacts.iter().find_map(|c| {
+            if !self.dht.plane().is_online(*c) {
                 return None;
             }
-            self.caches
-                .get(c)
-                .and_then(|cache| cache.entries.get(&key.0))
-                .cloned()
+            self.caches.get_mut(c).and_then(|cache| cache.lookup(key))
         });
         if let Some(v) = contact_hit {
             metrics.record(
@@ -188,17 +179,17 @@ impl HybridOverlay {
                 v.len() as u64,
                 CONTACT_FETCH_MS,
             );
-            self.cache_insert(from, key, v.clone());
+            self.cache_insert(from, key, &v);
             return Ok((v, HitSource::ContactCache));
         }
-        let v = self.dht.get(from, key, metrics)?;
-        self.cache_insert(from, key, v.clone());
+        let v = self.dht.get(key, metrics)?;
+        self.cache_insert(from, key, &v);
         Ok((v, HitSource::Dht))
     }
 
-    fn cache_insert(&mut self, node: NodeId, key: Key, value: Vec<u8>) {
+    fn cache_insert(&mut self, node: NodeId, key: Key, value: &[u8]) {
         if let Some(cache) = self.caches.get_mut(&node) {
-            cache.insert(key.0, value, self.cache_capacity);
+            cache.admit(key, value);
         }
     }
 }
@@ -216,8 +207,7 @@ mod tests {
         let mut n = net();
         let mut m = Metrics::new();
         let key = Key::hash(b"a");
-        let w = n.dht().random_node(0);
-        n.put(w, key, b"v".to_vec(), &mut m).unwrap();
+        n.put(key, b"v".to_vec(), &mut m).unwrap();
         let r = n.dht().random_node(5);
         assert_eq!(n.get(r, key, &mut m).unwrap().1, HitSource::Dht);
         let before = m.messages;
@@ -230,8 +220,7 @@ mod tests {
         let mut n = net();
         let mut m = Metrics::new();
         let key = Key::hash(b"b");
-        let w = n.dht().random_node(0);
-        n.put(w, key, b"v".to_vec(), &mut m).unwrap();
+        n.put(key, b"v".to_vec(), &mut m).unwrap();
         // Reader 1 pulls it into their cache.
         let r1 = n.dht().random_node(3);
         n.get(r1, key, &mut m).unwrap();
@@ -246,8 +235,7 @@ mod tests {
         let mut n = net();
         let key = Key::hash(b"viral");
         let mut m = Metrics::new();
-        let w = n.dht().random_node(0);
-        n.put(w, key, vec![9u8; 100], &mut m).unwrap();
+        n.put(key, vec![9u8; 100], &mut m).unwrap();
         let mut first = Metrics::new();
         let mut later = Metrics::new();
         let readers: Vec<NodeId> = (0..20).map(|s| n.dht().random_node(s * 3 + 1)).collect();
@@ -273,34 +261,51 @@ mod tests {
         let mut n = net();
         let mut m = Metrics::new();
         let key = Key::hash(b"mutable");
-        let w = n.dht().random_node(0);
-        n.put(w, key, b"v1".to_vec(), &mut m).unwrap();
+        n.put(key, b"v1".to_vec(), &mut m).unwrap();
         let r = n.dht().random_node(7);
         n.get(r, key, &mut m).unwrap();
-        n.put(w, key, b"v2".to_vec(), &mut m).unwrap();
+        n.put(key, b"v2".to_vec(), &mut m).unwrap();
         let (v, src) = n.get(r, key, &mut m).unwrap();
         assert_eq!(v, b"v2");
         assert_eq!(src, HitSource::Dht, "stale cache entry must not serve");
     }
 
     #[test]
-    fn cache_capacity_evicts_fifo() {
+    fn cache_capacity_evicts_the_least_recently_used_key() {
         let mut n = HybridOverlay::build(32, 2, 2, 19);
         let mut m = Metrics::new();
         let r = n.dht().random_node(1);
         let keys: Vec<Key> = (0..3)
             .map(|i| Key::hash(format!("k{i}").as_bytes()))
             .collect();
-        let w = n.dht().random_node(0);
         for k in &keys {
-            n.put(w, *k, b"v".to_vec(), &mut m).unwrap();
+            n.put(*k, b"v".to_vec(), &mut m).unwrap();
         }
-        for k in &keys {
-            n.get(r, *k, &mut m).unwrap();
-        }
-        // keys[0] was evicted (capacity 2): next read goes to the DHT.
-        assert_eq!(n.get(r, keys[0], &mut m).unwrap().1, HitSource::Dht);
-        assert_eq!(n.get(r, keys[2], &mut m).unwrap().1, HitSource::LocalCache);
+        n.get(r, keys[0], &mut m).unwrap();
+        n.get(r, keys[1], &mut m).unwrap();
+        // Reading keys[0] again makes keys[1] the least recently used, so
+        // admitting keys[2] (capacity 2) evicts keys[1] although keys[0]
+        // was admitted first.
+        assert_eq!(n.get(r, keys[0], &mut m).unwrap().1, HitSource::LocalCache);
+        n.get(r, keys[2], &mut m).unwrap();
+        assert_eq!(n.get(r, keys[0], &mut m).unwrap().1, HitSource::LocalCache);
+        assert_eq!(n.get(r, keys[1], &mut m).unwrap().1, HitSource::Dht);
+    }
+
+    /// A DHT candidate that is down during a put gets no copy, so it has
+    /// nothing to serve when it comes back.
+    #[test]
+    fn a_node_offline_during_the_put_holds_no_copy() {
+        let mut n = net();
+        let mut m = Metrics::new();
+        let key = Key::hash(b"written-while-down");
+        let candidates = n.dht_mut().replica_candidates(key, 3, &mut m).unwrap();
+        let down = candidates[1];
+        n.dht_mut().set_online(down, false);
+        let holders = n.put(key, vec![118], &mut m).unwrap();
+        assert_eq!(holders.len(), 3);
+        n.dht_mut().set_online(down, true);
+        assert_eq!(n.dht_mut().fetch_from(down, key, &mut m), Ok(None));
     }
 
     #[test]
@@ -308,8 +313,7 @@ mod tests {
         let mut n = net();
         let mut m = Metrics::new();
         let key = Key::hash(b"c");
-        let w = n.dht().random_node(0);
-        n.put(w, key, b"v".to_vec(), &mut m).unwrap();
+        n.put(key, b"v".to_vec(), &mut m).unwrap();
         let r1 = n.dht().random_node(3);
         n.get(r1, key, &mut m).unwrap();
         n.dht_mut().set_online(r1, false);

@@ -6,9 +6,11 @@
 //! experiment E5b compare ring-geometry greedy routing against XOR-metric
 //! bucket routing under the identical workload.
 //!
-//! Implementation: 64-bit XOR metric, `k`-buckets per bit prefix, iterative
-//! lookup with α=3 parallelism (accounted, not simulated concurrently), and
-//! store/get on the `k` closest nodes.
+//! Implementation: 64-bit XOR metric, `k`-buckets per bit prefix, and
+//! iterative lookup with α=3 parallelism (accounted, not simulated
+//! concurrently). Replicas go to the XOR-closest online nodes, written and
+//! read by [`crate::replication::ReplicatedStore`] through the plane
+//! methods.
 //!
 //! # Scale architecture
 //!
@@ -72,13 +74,14 @@ fn take_closest(slice: &[u64], refid: u64, bit: i32, remaining: &mut usize, out:
 /// use dosn_overlay::kademlia::KademliaPlane;
 /// use dosn_overlay::id::Key;
 /// use dosn_overlay::metrics::Metrics;
+/// use dosn_overlay::replication::ReplicatedStore;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut net = KademliaPlane::build(128, 20, 9).with_replicas(4);
+/// let mut store = ReplicatedStore::new(KademliaPlane::build(128, 20, 9), 4);
 /// let mut m = Metrics::new();
 /// let key = Key::hash(b"profile");
-/// net.store(net.random_node(0), key, b"data".to_vec(), &mut m)?;
-/// assert_eq!(net.get(net.random_node(3), key, &mut m)?, b"data");
+/// assert_eq!(store.put(key, b"data".to_vec(), &mut m)?.len(), 4);
+/// assert_eq!(store.get(key, &mut m)?, b"data");
 /// # Ok(())
 /// # }
 /// ```
@@ -86,8 +89,6 @@ pub struct KademliaPlane {
     arena: NodeArena,
     storage: SharedStore,
     k: usize,
-    /// Nodes a routed `lookup` returns, so copies a routed `store` writes.
-    replicas: usize,
     rng: StdRng,
     hot: Option<HotCache>,
 }
@@ -99,8 +100,7 @@ impl std::fmt::Debug for KademliaPlane {
 }
 
 impl KademliaPlane {
-    /// Builds `n` nodes with bucket size `k` and a replication factor of 1
-    /// (see [`KademliaPlane::with_replicas`]).
+    /// Builds `n` nodes with bucket size `k`.
     ///
     /// # Panics
     ///
@@ -116,24 +116,9 @@ impl KademliaPlane {
             arena: NodeArena::from_sorted_ids(ids.into_iter().collect()),
             storage: SharedStore::new(),
             k,
-            replicas: 1,
             rng,
             hot: None,
         }
-    }
-
-    /// Sets how many closest nodes a routed [`KademliaPlane::lookup`]
-    /// returns, and so how many copies [`KademliaPlane::store`] writes.
-    /// Draws nothing from the RNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0`.
-    #[must_use]
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        assert!(replicas > 0, "invalid parameters");
-        self.replicas = replicas;
-        self
     }
 
     /// Estimated resident bytes of membership and storage — the E15
@@ -184,17 +169,10 @@ impl KademliaPlane {
         all
     }
 
-    /// Iterative XOR-metric lookup: returns the `replicas` closest online
-    /// nodes found, recording per-round messages/latency in `metrics`.
-    /// Empty when `from` is not a member.
-    pub fn lookup(&mut self, from: NodeId, key: Key, metrics: &mut Metrics) -> Vec<NodeId> {
-        self.iterate(from, key, self.replicas, metrics, None)
-    }
-
-    /// Iterative XOR-metric lookup returning up to `count` closest online
-    /// nodes (capped by the bucket size `k`), with the same per-round
-    /// message/latency accounting as [`KademliaPlane::lookup`].
-    pub fn closest(
+    /// Iterative XOR-metric lookup: returns up to `count` closest online
+    /// nodes found (capped by the bucket size `k`), recording per-round
+    /// messages/latency in `metrics`. Empty when `from` is not a member.
+    pub fn lookup(
         &mut self,
         from: NodeId,
         key: Key,
@@ -214,16 +192,17 @@ impl KademliaPlane {
         &mut self,
         from: NodeId,
         key: Key,
+        count: usize,
         metrics: &mut Metrics,
         faults: &mut LinkFaults,
         retries: u32,
     ) -> Vec<NodeId> {
-        self.iterate(from, key, self.replicas, metrics, Some((faults, retries)))
+        self.iterate(from, key, count, metrics, Some((faults, retries)))
     }
 
-    /// The overlay's one routing loop, behind the three entry points
-    /// above. With `link == None` every `FIND_NODE` delivers and no
-    /// `LinkFaults` exists.
+    /// The overlay's one routing loop, behind both entry points above.
+    /// With `link == None` every `FIND_NODE` delivers and no `LinkFaults`
+    /// exists.
     fn iterate(
         &mut self,
         from: NodeId,
@@ -294,52 +273,6 @@ impl KademliaPlane {
             .map(NodeId)
             .collect()
     }
-
-    /// Stores `value` on the closest online nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string when no storage target can be found.
-    pub fn store(
-        &mut self,
-        from: NodeId,
-        key: Key,
-        value: Vec<u8>,
-        metrics: &mut Metrics,
-    ) -> Result<(), String> {
-        let targets = self.lookup(from, key, metrics);
-        if targets.is_empty() {
-            return Err("no online storage targets".into());
-        }
-        for t in targets {
-            metrics.record_offpath(names::KAD_STORE, value.len() as u64);
-            // Interned store: R replicas of one blob share one allocation.
-            self.storage.insert(t.0, key.0, &value);
-        }
-        Ok(())
-    }
-
-    /// Retrieves `key` from the closest online nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string when no live replica holds the key.
-    pub fn get(
-        &mut self,
-        from: NodeId,
-        key: Key,
-        metrics: &mut Metrics,
-    ) -> Result<Vec<u8>, String> {
-        let hop = LatencyModel::default();
-        let targets = self.lookup(from, key, metrics);
-        for t in targets {
-            metrics.record(names::KAD_FETCH, 64, hop.draw(&mut self.rng));
-            if let Some(v) = self.storage.get(t.0, key.0) {
-                return Ok(v.to_vec());
-            }
-        }
-        Err(format!("{key} not found on any close node"))
-    }
 }
 
 impl StoragePlane for KademliaPlane {
@@ -377,7 +310,7 @@ impl StoragePlane for KademliaPlane {
             return Err(StorageError::NoNodes);
         }
         let from = self.random_node(key.0);
-        let found = self.closest(from, key, want, metrics);
+        let found = self.lookup(from, key, want, metrics);
         if found.is_empty() {
             return Err(StorageError::NoNodes);
         }
@@ -430,19 +363,23 @@ impl StoragePlane for KademliaPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replication::ReplicatedStore;
 
     fn net(n: usize) -> KademliaPlane {
-        KademliaPlane::build(n, 20, 13).with_replicas(3)
+        KademliaPlane::build(n, 20, 13)
+    }
+
+    fn replicated(n: usize) -> ReplicatedStore<KademliaPlane> {
+        ReplicatedStore::new(net(n), 3)
     }
 
     #[test]
     fn store_get_roundtrip() {
-        let mut k = net(64);
+        let mut store = replicated(64);
         let mut m = Metrics::new();
         let key = Key::hash(b"x");
-        k.store(k.random_node(0), key, b"hello".to_vec(), &mut m)
-            .unwrap();
-        assert_eq!(k.get(k.random_node(7), key, &mut m).unwrap(), b"hello");
+        store.put(key, b"hello".to_vec(), &mut m).unwrap();
+        assert_eq!(store.get(key, &mut m).unwrap(), b"hello");
     }
 
     #[test]
@@ -453,7 +390,7 @@ mod tests {
         for s in 0..6 {
             let mut m = Metrics::new();
             let from = k.random_node(s * 11);
-            let mut found = k.lookup(from, key, &mut m);
+            let mut found = k.lookup(from, key, 3, &mut m);
             found.sort();
             all.push(found);
         }
@@ -469,11 +406,8 @@ mod tests {
         let mut total_msgs = 0u64;
         for i in 0..30 {
             let mut m = Metrics::new();
-            k.lookup(
-                k.random_node(i),
-                Key::hash(format!("q{i}").as_bytes()),
-                &mut m,
-            );
+            let key = Key::hash(format!("q{i}").as_bytes());
+            k.lookup(k.random_node(i), key, 3, &mut m);
             total_msgs += m.count("kad.find_node");
         }
         let avg = total_msgs as f64 / 30.0;
@@ -484,30 +418,26 @@ mod tests {
 
     #[test]
     fn survives_replica_failures() {
-        let mut k = net(64);
+        let mut store = replicated(64);
         let mut m = Metrics::new();
         let key = Key::hash(b"resilient");
-        let from = k.random_node(0);
-        k.store(from, key, b"v".to_vec(), &mut m).unwrap();
-        let replicas = k.lookup(from, key, &mut m);
+        let holders = store.put(key, b"v".to_vec(), &mut m).unwrap();
         // Knock out the single closest replica.
-        k.set_online(replicas[0], false);
-        let reader = k.random_node(5);
-        assert_eq!(k.get(reader, key, &mut m).unwrap(), b"v");
+        store.plane_mut().set_online(holders[0], false);
+        assert_eq!(store.get(key, &mut m).unwrap(), b"v");
     }
 
     #[test]
     fn missing_key_errors() {
-        let mut k = net(32);
+        let mut store = replicated(32);
         let mut m = Metrics::new();
-        assert!(k
-            .get(k.random_node(0), Key::hash(b"ghost"), &mut m)
-            .is_err());
+        let err = store.get(Key::hash(b"ghost"), &mut m).unwrap_err();
+        assert!(matches!(err, StorageError::NotFound(_)));
     }
 
     #[test]
     fn buckets_bounded_by_k_and_correctly_binned() {
-        let k = KademliaPlane::build(256, 8, 5).with_replicas(3);
+        let k = KademliaPlane::build(256, 8, 5);
         for node in k.node_ids() {
             for b in 0..64 {
                 let bucket = k.bucket_contacts(node.0, b);
@@ -526,7 +456,7 @@ mod tests {
 
     #[test]
     fn lazy_bucket_extraction_matches_brute_force() {
-        let k = KademliaPlane::build(128, 5, 77).with_replicas(3);
+        let k = KademliaPlane::build(128, 5, 77);
         let ids: Vec<u64> = k.node_ids().iter().map(|n| n.0).collect();
         for &id in ids.iter().step_by(17) {
             for b in 0..64 {

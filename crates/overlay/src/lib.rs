@@ -33,15 +33,18 @@
 //!
 //! ```
 //! use dosn_overlay::{chord::ChordPlane, superpeer::SuperPeerPlane, sim::LatencyModel,
-//!                    fault::LinkFaults, id::{Key, NodeId}, metrics::Metrics};
+//!                    fault::LinkFaults, id::{Key, NodeId}, metrics::Metrics,
+//!                    replication::ReplicatedStore, storage::StoragePlane};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let key = Key::hash(b"profile:carol");
 //!
-//! let mut dht = ChordPlane::build(256, 1).with_replicas(3);
+//! // Copies are the replication layer's business: a 3-way store over the
+//! // ring routes one lookup per placement and writes each live candidate.
+//! let mut store = ReplicatedStore::new(ChordPlane::build(256, 1), 3);
 //! let mut m_dht = Metrics::new();
-//! dht.store(dht.random_node(0), key, b"data".to_vec(), &mut m_dht)?;
-//! dht.get(dht.random_node(1), key, &mut m_dht)?;
+//! let holders = store.put(key, b"data".to_vec(), &mut m_dht)?;
+//! store.get(key, &mut m_dht)?;
 //!
 //! let mut sp = SuperPeerPlane::build(256, 16, 1);
 //! sp.publish(NodeId(9), key);
@@ -54,6 +57,7 @@
 //!
 //! // Each family has one routing loop with link faults as its optional
 //! // argument: `*_with_faults` walks the same route, retrying lost hops.
+//! let dht = store.plane_mut();
 //! let from = dht.random_node(2);
 //! let mut m_route = Metrics::new();
 //! let owner = dht.lookup(from, key, &mut m_route)?;
@@ -64,11 +68,10 @@
 //! assert_eq!(dht.lookup_with_faults(from, key, &mut m_dht, &mut lossy, 8)?, owner);
 //! assert_eq!(m_dht.count("chord.retry"), lossy.failures);
 //!
-//! // The same ring is a storage plane: placement an upper layer can
-//! // replicate over, and direct access to one holder.
-//! use dosn_overlay::storage::StoragePlane;
-//! let holders = dht.replica_candidates(key, 3, &mut m_dht)?;
+//! // The same ring is the storage plane under the store: its placement
+//! // put the first copy at the key's owner, and one holder answers alone.
 //! assert_eq!(holders[0], owner);
+//! assert_eq!(dht.replica_candidates(key, 3, &mut m_dht)?, holders);
 //! assert_eq!(dht.fetch_from(owner, key, &mut m_dht)?.as_deref(), Some(&b"data"[..]));
 //! # Ok(())
 //! # }

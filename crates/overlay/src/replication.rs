@@ -384,7 +384,9 @@ impl<P: StoragePlane> ReplicatedStore<P> {
     ) -> Result<QuorumOutcome, StorageError> {
         let quorum_timer = self.obs.timer(names::STORE_GET_QUORUM);
         let fetched = self.fetch_copies(key, metrics)?;
-        let outcome = quorum_inspect(&fetched, self.read_quorum, verify);
+        let outcome = quorum_inspect_batch(&fetched, self.read_quorum, |values| {
+            values.iter().map(|v| verify(v)).collect()
+        });
         quorum_timer.observe();
         if let (true, Some(winner)) = (outcome.served(), outcome.winner.as_ref()) {
             self.repair_copies(&fetched, winner, metrics);
@@ -495,25 +497,16 @@ pub fn quorum_vote(
     read_quorum: usize,
     verify: impl Fn(&[u8]) -> bool,
 ) -> Result<Vec<u8>, StorageError> {
-    quorum_inspect(fetched, read_quorum, verify).into_result()
-}
-
-/// [`quorum_vote`] with the full anatomy exposed: runs the same tally and
-/// returns a [`QuorumOutcome`] instead of collapsing to a `Result`.
-/// [`QuorumOutcome::into_result`] recovers the exact [`quorum_vote`]
-/// verdict, so the two can never drift.
-pub fn quorum_inspect(
-    fetched: &FetchedCopies,
-    read_quorum: usize,
-    verify: impl Fn(&[u8]) -> bool,
-) -> QuorumOutcome {
     quorum_inspect_batch(fetched, read_quorum, |values| {
         values.iter().map(|v| verify(v)).collect()
     })
+    .into_result()
 }
 
-/// [`quorum_inspect`] with the verifier invoked **once for the whole read**
-/// (the batch-verification seam): `verify_batch` receives each *distinct*
+/// [`quorum_vote`] with the full anatomy exposed and the verifier invoked
+/// **once for the whole read** (the batch-verification seam): returns a
+/// [`QuorumOutcome`], whose [`QuorumOutcome::into_result`] is the exact
+/// [`quorum_vote`] verdict, and `verify_batch` receives each *distinct*
 /// present byte string once, in candidate-preference order of first
 /// appearance, and returns one verdict per value. A verdict is a fact about
 /// a byte string, so it is established once per distinct string and
@@ -993,7 +986,7 @@ mod tests {
         );
         assert_eq!(
             outcome,
-            quorum_inspect(&fetched, 2, |c| c != b"BAD!"),
+            inspect(&fetched, 2, |c| c != b"BAD!"),
             "per-copy and batched paths agree"
         );
         assert_eq!(outcome.into_result().unwrap(), b"good");
@@ -1024,6 +1017,17 @@ mod tests {
         store.put(key, b"v".to_vec(), &mut m).unwrap();
         store.get(key, &mut m).unwrap();
         assert_eq!(m.count("get.quorum_size"), 3);
+    }
+
+    /// The vote's anatomy with `verify` run on each distinct value.
+    fn inspect(
+        fetched: &FetchedCopies,
+        read_quorum: usize,
+        verify: impl Fn(&[u8]) -> bool,
+    ) -> QuorumOutcome {
+        quorum_inspect_batch(fetched, read_quorum, |values| {
+            values.iter().map(|v| verify(v)).collect()
+        })
     }
 
     fn copies(entries: &[Option<&[u8]>]) -> FetchedCopies {
@@ -1058,7 +1062,7 @@ mod tests {
         for case in cases {
             let fetched = copies(&case);
             for k in 1..=3 {
-                let outcome = quorum_inspect(&fetched, k, verify);
+                let outcome = inspect(&fetched, k, verify);
                 assert_eq!(
                     outcome.clone().into_result(),
                     quorum_vote(&fetched, k, verify),
@@ -1085,7 +1089,7 @@ mod tests {
     fn fail_closed_distinguishes_tamper_from_absence() {
         let verify = |c: &[u8]| c != b"BAD!";
         // All copies corrupt: present but refused — fail closed.
-        let tampered = quorum_inspect(
+        let tampered = inspect(
             &copies(&[Some(b"BAD!"), Some(b"BAD!"), Some(b"BAD!")]),
             2,
             verify,
@@ -1093,11 +1097,11 @@ mod tests {
         assert!(tampered.fail_closed());
         assert!(!tampered.served());
         // Nothing stored anywhere: plain unavailability, not a defense.
-        let absent = quorum_inspect(&copies(&[None, None, None]), 2, verify);
+        let absent = inspect(&copies(&[None, None, None]), 2, verify);
         assert!(!absent.fail_closed());
         assert!(!absent.served());
         // Healthy majority: served, neither failure kind.
-        let healthy = quorum_inspect(
+        let healthy = inspect(
             &copies(&[Some(b"good"), Some(b"good"), Some(b"BAD!")]),
             2,
             verify,

@@ -73,7 +73,7 @@ impl From<DhtError> for StorageError {
     fn from(e: DhtError) -> Self {
         match e {
             DhtError::NoNodes => StorageError::NoNodes,
-            DhtError::Unavailable(k) | DhtError::NotFound(k) => StorageError::NotFound(k),
+            DhtError::Unavailable(k) => StorageError::NotFound(k),
             DhtError::UnknownNode(n) => StorageError::UnknownNode(n),
         }
     }

@@ -213,7 +213,7 @@ fn trace_log_retains_ordered_events() {
 /// loss once a two-way partition heals.
 #[test]
 fn chord_lookup_converges_under_loss_with_healed_partition() {
-    let mut chord = ChordPlane::build(64, 7).with_replicas(3);
+    let mut chord = ChordPlane::build(64, 7);
     let ids = chord.node_ids();
     let (side_a, side_b) = ids.split_at(ids.len() / 2);
     let mut faults =
@@ -258,7 +258,7 @@ fn chord_lookup_converges_under_loss_with_healed_partition() {
 /// 10% loss once a two-way partition heals.
 #[test]
 fn kademlia_lookup_converges_under_loss_with_healed_partition() {
-    let mut kad = KademliaPlane::build(64, 20, 13).with_replicas(3);
+    let mut kad = KademliaPlane::build(64, 20, 13);
     let ids = kad.node_ids();
     let from = ids[0];
     // Isolate the querying node from everyone else: a clean two-way cut.
@@ -268,21 +268,19 @@ fn kademlia_lookup_converges_under_loss_with_healed_partition() {
     let key = Key::hash(b"profile:bob");
     let mut m = Metrics::new();
     assert!(
-        kad.lookup_with_faults(from, key, &mut m, &mut faults, 4)
+        kad.lookup_with_faults(from, key, 3, &mut m, &mut faults, 4)
             .is_empty(),
         "an isolated node reaches no replicas"
     );
 
     faults.heal_partitions();
     let mut m2 = Metrics::new();
-    let found = kad.lookup_with_faults(from, key, &mut m2, &mut faults, 4);
+    let found = kad.lookup_with_faults(from, key, 3, &mut m2, &mut faults, 4);
     assert_eq!(found.len(), 3, "healed lookup reaches a full replica set");
 
-    // End-to-end store/get across the healed, lossy overlay.
+    // Another start across the healed, lossy overlay finds the same set.
     let mut m3 = Metrics::new();
-    kad.store(from, key, b"hello".to_vec(), &mut m3)
-        .expect("store");
-    let replicas = kad.lookup_with_faults(ids[5], key, &mut m3, &mut faults, 4);
+    let replicas = kad.lookup_with_faults(ids[5], key, 3, &mut m3, &mut faults, 4);
     assert!(
         replicas.iter().any(|r| found.contains(r)),
         "lossy lookup agrees with the earlier replica set"
@@ -369,7 +367,7 @@ fn reliable_faults_twin_matches_plain_entry_in_every_family() {
     assert_twin(
         "chord",
         || {
-            let mut net = ChordPlane::build(64, 7).with_replicas(3);
+            let mut net = ChordPlane::build(64, 7);
             for id in net.node_ids().iter().step_by(5) {
                 net.set_online(*id, false);
             }
@@ -381,14 +379,14 @@ fn reliable_faults_twin_matches_plain_entry_in_every_family() {
     assert_twin(
         "kademlia",
         || {
-            let mut net = KademliaPlane::build(64, 20, 13).with_replicas(3);
+            let mut net = KademliaPlane::build(64, 20, 13);
             for id in net.node_ids().iter().step_by(5) {
                 net.set_online(*id, false);
             }
             net
         },
-        |net, i, m| net.lookup(net.node_ids()[i * 2], key(i), m),
-        |net, i, m, f| net.lookup_with_faults(net.node_ids()[i * 2], key(i), m, f, 2),
+        |net, i, m| net.lookup(net.node_ids()[i * 2], key(i), 3, m),
+        |net, i, m, f| net.lookup_with_faults(net.node_ids()[i * 2], key(i), 3, m, f, 2),
     );
     assert_twin(
         "superpeer",
@@ -433,7 +431,7 @@ fn unknown_start_node_is_a_typed_miss_in_every_family() {
     let mut faults = LinkFaults::reliable();
     let mut m = Metrics::new();
 
-    let mut chord = ChordPlane::build(16, 7).with_replicas(3);
+    let mut chord = ChordPlane::build(16, 7);
     assert_eq!(
         chord.lookup(ghost, key, &mut m),
         Err(DhtError::UnknownNode(ghost))
@@ -443,11 +441,10 @@ fn unknown_start_node_is_a_typed_miss_in_every_family() {
         Err(DhtError::UnknownNode(ghost))
     );
 
-    let mut kad = KademliaPlane::build(16, 20, 13).with_replicas(3);
-    assert!(kad.lookup(ghost, key, &mut m).is_empty());
-    assert!(kad.closest(ghost, key, 3, &mut m).is_empty());
+    let mut kad = KademliaPlane::build(16, 20, 13);
+    assert!(kad.lookup(ghost, key, 3, &mut m).is_empty());
     assert!(kad
-        .lookup_with_faults(ghost, key, &mut m, &mut faults, 1)
+        .lookup_with_faults(ghost, key, 3, &mut m, &mut faults, 1)
         .is_empty());
 
     let mut sp = SuperPeerPlane::build(16, 2, 1);
@@ -512,13 +509,13 @@ fn routed_query_metric_streams_are_pinned() {
         }
         (m.messages, m.bytes, m.latency_ms)
     };
-    let mut chord = ChordPlane::build(64, 7).with_replicas(3);
+    let mut chord = ChordPlane::build(64, 7);
     let ids = chord.node_ids();
     let chord_stream = stream(&mut |i, m| chord.lookup(ids[i * 2], key(i), m).is_ok());
     assert_eq!(chord_stream, (126, 8064, 7939));
-    let mut kad = KademliaPlane::build(64, 20, 13).with_replicas(3);
+    let mut kad = KademliaPlane::build(64, 20, 13);
     let ids = kad.node_ids();
-    let kad_stream = stream(&mut |i, m| kad.lookup(ids[i * 2], key(i), m).is_empty());
+    let kad_stream = stream(&mut |i, m| kad.lookup(ids[i * 2], key(i), 3, m).is_empty());
     assert_eq!(kad_stream, (640, 40960, 14112));
     let mut sp = SuperPeerPlane::build(64, 4, 1);
     let mut flood = UnstructuredOverlay::build(64, 4, 3);

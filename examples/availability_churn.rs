@@ -16,6 +16,7 @@ use dosn::overlay::flood::UnstructuredOverlay;
 use dosn::overlay::hybrid::HybridOverlay;
 use dosn::overlay::id::{Key, NodeId};
 use dosn::overlay::metrics::Metrics;
+use dosn::overlay::replication::ReplicatedStore;
 use dosn::overlay::superpeer::SuperPeerPlane;
 
 const N: usize = 256;
@@ -24,14 +25,13 @@ const QUERIES: u64 = 50;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== lookup cost by overlay organization ({N} nodes, {QUERIES} queries) ==");
 
-    // Structured: Chord DHT.
-    let mut chord = ChordPlane::build(N, 1).with_replicas(3);
+    // Structured: a 3-way replicated Chord DHT.
+    let mut chord = ReplicatedStore::new(ChordPlane::build(N, 1), 3);
     let mut m = Metrics::new();
     for i in 0..QUERIES {
         let key = Key::hash(format!("item-{i}").as_bytes());
-        let writer = chord.random_node(i);
-        chord.store(writer, key, vec![0u8; 256], &mut m)?;
-        chord.get(chord.random_node(i + 99), key, &mut m)?;
+        chord.put(key, vec![0u8; 256], &mut m)?;
+        chord.get(key, &mut m)?;
     }
     row("structured (Chord)", &m);
 
@@ -59,8 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut hybrid = HybridOverlay::build(N, 3, 32, 4);
     let mut m = Metrics::new();
     let hot = Key::hash(b"viral-item");
-    let writer = hybrid.dht().random_node(0);
-    hybrid.put(writer, hot, vec![0u8; 256], &mut m)?;
+    hybrid.put(hot, vec![0u8; 256], &mut m)?;
     for i in 0..QUERIES {
         let reader = hybrid.dht().random_node(i * 3 + 1);
         hybrid.get(reader, hot, &mut m)?;

@@ -13,22 +13,22 @@ use dosn::overlay::chord::ChordPlane;
 use dosn::overlay::federation::FederationPlane;
 use dosn::overlay::id::Key;
 use dosn::overlay::metrics::Metrics;
+use dosn::overlay::replication::ReplicatedStore;
 
 #[test]
 fn encrypted_posts_through_the_dht_stay_opaque() {
     let mut rng = SecureRng::seed_from_u64(1);
     let key = SymmetricKey::generate(&mut rng);
-    let mut dht = ChordPlane::build(32, 2).with_replicas(3);
+    let mut dht = ReplicatedStore::new(ChordPlane::build(32, 2), 3);
     let mut m = Metrics::new();
 
     let plaintext = b"secret status update";
     let sealed = key.seal(plaintext, b"post:1", &mut rng);
     let storage_key = Key::hash(b"alice/post/1");
-    let w = dht.random_node(0);
-    dht.store(w, storage_key, sealed.clone(), &mut m).unwrap();
+    dht.put(storage_key, sealed.clone(), &mut m).unwrap();
 
     // Any node can fetch the blob, but only the key holder opens it.
-    let fetched = dht.get(dht.random_node(9), storage_key, &mut m).unwrap();
+    let fetched = dht.get(storage_key, &mut m).unwrap();
     assert_eq!(fetched, sealed);
     assert_ne!(&fetched[..], plaintext, "DHT stores ciphertext only");
     assert_eq!(key.open(&fetched, b"post:1").unwrap(), plaintext);

@@ -106,7 +106,7 @@ proptest! {
         cut in 1usize..47,
         salt in any::<u64>(),
     ) {
-        let mut chord = ChordPlane::build(48, 7).with_replicas(3);
+        let mut chord = ChordPlane::build(48, 7);
         let ids = chord.node_ids();
         let (side_a, side_b) = ids.split_at(cut);
         let mut faults = LinkFaults::new(fault_seed, drop_p)
@@ -143,7 +143,7 @@ proptest! {
         fault_seed in any::<u64>(),
         salt in any::<u64>(),
     ) {
-        let mut kad = KademliaPlane::build(48, 20, 13).with_replicas(3);
+        let mut kad = KademliaPlane::build(48, 20, 13);
         let ids = kad.node_ids();
         let from = ids[0];
         let mut faults = LinkFaults::new(fault_seed, drop_p)
@@ -152,13 +152,13 @@ proptest! {
         let key = Key::hash(&salt.to_le_bytes());
         let mut m = Metrics::new();
         prop_assert!(
-            kad.lookup_with_faults(from, key, &mut m, &mut faults, 5).is_empty(),
+            kad.lookup_with_faults(from, key, 3, &mut m, &mut faults, 5).is_empty(),
             "isolated node reaches nothing"
         );
 
         faults.heal_partitions();
         let mut m2 = Metrics::new();
-        let found = kad.lookup_with_faults(from, key, &mut m2, &mut faults, 5);
+        let found = kad.lookup_with_faults(from, key, 3, &mut m2, &mut faults, 5);
         prop_assert_eq!(found.len(), 3, "healed lookup fills the replica set");
     }
 
