@@ -3,8 +3,10 @@
 //! records. Every read's copies are fetched in op order, then three steps
 //! run:
 //!
-//! 1. **Screen.** A read the hot cache (L2) served, or whose present copies
-//!    are all one byte string, stakes on that one candidate value.
+//! 1. **Screen.** A read the hot cache (L2) served stakes on that entry; any
+//!    other read stakes on its strict-plurality value, the present value
+//!    held by more copies than every other value (all copies agreeing is
+//!    the unanimous case). A read with a tied plurality stakes on nothing.
 //! 2. **Check.** One combined Schnorr check proves every candidate of the
 //!    batch ([`SignedEnvelope::verify_wire_slots`]). The verdicts are exact
 //!    per candidate, since a failed check bisects.
@@ -12,7 +14,9 @@
 //!    checked verdict and the winner is unsealed from its
 //!    [`VerifiedEnvelope`]; then stale copies are repaired, the winner is
 //!    admitted to L2, and a poisoned L2 entry is re-read through the
-//!    quorum. A read whose copies disagree verifies its distinct values
+//!    quorum. A staked plurality that verifies wins the vote whatever its
+//!    minority copies hold, so they are never opened. A read that staked on
+//!    nothing, or whose stake failed, verifies its other distinct values
 //!    inside its own vote.
 //!
 //! With [`super::Engine::set_batch_verify`] off, no read is screened and
@@ -33,6 +37,7 @@ use dosn_overlay::replication::{
     quorum_inspect_batch, quorum_vote, FetchedCopies, ReplicatedStore,
 };
 use dosn_overlay::storage::{StorageError, StoragePlane};
+use std::cmp::Reverse;
 use std::time::Instant;
 
 /// One `ReadPost` with its fetched bytes, borrowing the op's names.
@@ -53,15 +58,29 @@ struct ReadJob<'a> {
 }
 
 /// The one value a read stakes on, if it has one: the L2-served envelope,
-/// or the bytes every present replica copy agrees on.
+/// or the strict plurality of the present replica copies — the value held
+/// by more copies than every other value. `quorum_vote` serves the
+/// verifying value with the most holders, so a strict plurality that
+/// verifies wins whatever the minority copies hold; a tie has no such
+/// value.
 fn candidate<'j>(job: &'j ReadJob) -> Option<&'j [u8]> {
     if let Some(bytes) = &job.cached {
         return Some(bytes);
     }
     let fetched = job.fetched.as_ref().ok()?;
-    let mut present = fetched.copies.iter().filter_map(|(_, c)| c.as_deref());
-    let first = present.next()?;
-    present.all(|c| c == first).then_some(first)
+    let mut tally: Vec<(&[u8], usize)> = Vec::new();
+    for bytes in fetched.copies.iter().filter_map(|(_, c)| c.as_deref()) {
+        match tally.iter_mut().find(|(value, _)| *value == bytes) {
+            Some((_, holders)) => *holders += 1,
+            None => tally.push((bytes, 1)),
+        }
+    }
+    tally.sort_by_key(|&(_, holders)| Reverse(holders));
+    let runner_up = tally.get(1).map_or(0, |&(_, holders)| holders);
+    tally
+        .first()
+        .filter(|&&(_, most)| most > runner_up)
+        .map(|&(value, _)| value)
 }
 
 enum ReadOutcome {
@@ -192,7 +211,8 @@ fn check_candidates(ctx: &PhaseCtx, jobs: &mut [ReadJob]) {
 
 /// The storage-free half of one quorum read: vote over the fetched copies,
 /// then decrypt the winner as the reader. A read the check step covered
-/// votes with that verdict; any other verifies each distinct value once
+/// votes with that verdict, and opens its other distinct values only if
+/// the verdict failed; any other read verifies each distinct value once
 /// inside the vote. Either way the vote keeps the [`VerifiedEnvelope`] of
 /// every value it accepts, so the winner is unsealed from the proof the
 /// vote reached — never decoded or verified a second time.
@@ -243,28 +263,41 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, read_quorum: usize, job: &ReadJob)
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e.clone()))),
     };
     let quorum_started = Instant::now();
-    // Each distinct value with what the vote's verifier proved of it.
+    // The checked plurality, if the read staked; the vote reuses its
+    // verdict and verifies only the other values.
+    let staked = job.checked.as_ref().and_then(|_| candidate(job));
+    // Each distinct value the vote's verifier opened, with what it proved.
     let mut proven: Vec<(&[u8], Option<VerifiedEnvelope>)> = Vec::new();
     let vote = quorum_inspect_batch(fetched, read_quorum, |values| {
-        if let Some(verdict) = &job.checked {
-            // The one value the copies agree on: already checked.
-            return values.iter().map(|_| verdict.is_some()).collect();
+        if let (Some(Some(_)), Some(staked)) = (&job.checked, staked) {
+            // The plurality verified, so it wins: the minority values are
+            // never opened and count as unverified.
+            return values.iter().map(|&v| v == staked).collect();
         }
-        let started = Instant::now();
-        let opened: Vec<Option<VerifiedEnvelope>> = if ctx.batch_verify {
-            // The distinct values verify in one combined Schnorr check.
-            let slots: Vec<(&UserId, u64, &[u8])> =
-                values.iter().map(|&v| (&author_id, job.seq, v)).collect();
-            SignedEnvelope::verify_wire_slots(&slots, &ctx.group, &ctx.directory, u64::MAX - 1)
-        } else {
-            values.iter().map(|bytes| open(bytes).ok()).collect()
-        };
-        // One histogram sample covers the read's verification.
-        ctx.obs
-            .histogram(names::CRYPTO_SCHNORR_VERIFY)
-            .record(elapsed_micros(started));
-        proven = values.iter().copied().zip(opened).collect();
-        proven.iter().map(|(_, v)| v.is_some()).collect()
+        let mut rest = values.to_vec();
+        rest.retain(|&v| Some(v) != staked);
+        // A failed stake with no other value leaves nothing to open.
+        if staked.is_none() || !rest.is_empty() {
+            let started = Instant::now();
+            let opened: Vec<Option<VerifiedEnvelope>> = if ctx.batch_verify {
+                // The values verify in one combined Schnorr check.
+                let slots: Vec<(&UserId, u64, &[u8])> =
+                    rest.iter().map(|&v| (&author_id, job.seq, v)).collect();
+                SignedEnvelope::verify_wire_slots(&slots, &ctx.group, &ctx.directory, u64::MAX - 1)
+            } else {
+                rest.iter().map(|bytes| open(bytes).ok()).collect()
+            };
+            // One histogram sample covers the read's verification.
+            ctx.obs
+                .histogram(names::CRYPTO_SCHNORR_VERIFY)
+                .record(elapsed_micros(started));
+            proven = rest.into_iter().zip(opened).collect();
+        }
+        // A failed stake keeps its checked verdict: it is not in `proven`.
+        values
+            .iter()
+            .map(|&v| proven.iter().any(|(bytes, ok)| *bytes == v && ok.is_some()))
+            .collect()
     })
     .into_result();
     ctx.obs
@@ -292,9 +325,9 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, read_quorum: usize, job: &ReadJob)
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
     };
     let verified = match &job.checked {
-        // The vote's only value won.
-        Some(verdict) => verdict.as_ref(),
-        None => proven
+        // The staked plurality verified, so it is the winner.
+        Some(Some(verdict)) => Some(verdict),
+        _ => proven
             .iter()
             .find_map(|(bytes, v)| v.as_ref().filter(|_| *bytes == winner)),
     };

@@ -23,9 +23,9 @@
 //!                be placed fails alone
 //!                │
 //!                ▼
-//!    finish      fetch every read's copies, prove every read that
-//!                stakes on one value in one combined signature check,
-//!                then each read votes, decrypts and repairs
+//!    finish      fetch every read's copies, prove every read's
+//!                strict-plurality value in one combined signature
+//!                check, then each read votes, decrypts and repairs
 //!                │
 //!                ▼  results, digest, then the feed-cache fills
 //! ```
@@ -314,9 +314,10 @@ impl<S: StoragePlane> Engine<S> {
 
     /// Toggles batched Schnorr verification in the finish phase's quorum
     /// reads. On (the default), every read of a batch that stakes on one
-    /// value (an L2-served envelope, or copies that all agree) is proven in
-    /// one combined random-linear-combination check, and a read
-    /// whose copies disagree checks its distinct values together. Off, every
+    /// value (an L2-served envelope, or its copies' strict plurality) is
+    /// proven in one combined random-linear-combination check, and a read
+    /// with a tied plurality or a failed stake checks its other distinct
+    /// values together. Off, every
     /// value is decoded and verified alone. Results and
     /// [`BatchReport::digest`] are byte-identical either way — the toggle
     /// exists so the equivalence suites can prove that.

@@ -295,9 +295,10 @@ impl SignedEnvelope {
     /// exactly where [`SignedEnvelope::open_wire`] accepts it, whatever
     /// else shares the call.
     ///
-    /// The finish phase calls it once per batch, over the reads that each
-    /// stake on one value, and once per read whose copies disagree (slots
-    /// sharing an author and a seq).
+    /// The finish phase calls it once per batch, over each read's staked
+    /// value (its L2 entry or its copies' strict plurality), and once per
+    /// read that staked on nothing or whose stake failed, over that read's
+    /// other values (slots sharing an author and a seq).
     pub(crate) fn verify_wire_slots(
         slots: &[(&UserId, u64, &[u8])],
         group: &dosn_crypto::group::SchnorrGroup,

@@ -3,16 +3,20 @@
 //! collisions and cross-author comment/read targets, batched signature
 //! verification must give the digest and per-op outcome kinds of
 //! per-envelope verification, and submitting the ops one per batch must
-//! leave the same decryptable state as one batch. Two pinned tests compare
+//! leave the same decryptable state as one batch. The same holds for reads
+//! over random hand-written replica copy sets, where the batched engine
+//! stakes each read on its strict-plurality copy. Two pinned tests compare
 //! the engine with older code instead of with itself: golden digests and
 //! golden commit accounting.
 //!
 //! Failures print the per-case seed; re-run with `PROPTEST_SEED=<seed>` to
 //! replay the exact batch.
 
-use dosn_core::engine::{Engine, Op, OpBatch, OpOutput};
+use dosn_core::engine::{wall_key, Engine, Op, OpBatch, OpOutput};
 use dosn_core::DosnError;
+use dosn_obs::names;
 use dosn_overlay::chord::ChordPlane;
+use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::storage::StoragePlane;
 use proptest::prelude::*;
@@ -143,6 +147,229 @@ proptest! {
         prop_assert_eq!(whole_probe.digest_hex(), split_probe.digest_hex());
     }
 
+}
+
+/// What one replica holder of a post serves in
+/// [`staked_and_unstaked_votes_agree_on_random_copy_sets`]. Copies of one
+/// kind are byte-identical, so holders of a forgery collude.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// The holder stores nothing.
+    Missing,
+    /// The author's record as posted.
+    Honest,
+    /// The record with its epoch word flipped: the word is outside the
+    /// signed digest, so the copy still verifies and fails to decrypt.
+    EpochFlipped,
+    /// The record with its last body byte flipped: the signature fails.
+    BodyFlipped,
+    /// A second record the author validly signed for the same seq.
+    Equivocated,
+}
+
+impl Held {
+    /// Whether a present copy of this kind carries a valid signature.
+    fn verifies(self) -> bool {
+        matches!(self, Held::Honest | Held::EpochFlipped | Held::Equivocated)
+    }
+}
+
+/// Authors in each random copy-set case, one post each, all read in one
+/// batch.
+const COPY_SET_POSTS: usize = 4;
+
+fn copy_set_author(i: usize) -> String {
+    format!("author{i}")
+}
+
+/// An engine at `seed` with R = `r`, K = `k` on which `reader` is a friend
+/// of every author; each author posts `post(i)` when it is `Some`. Twins
+/// built at one seed mint the same keys, so a twin's record verifies and
+/// decrypts on an engine whose author never posted it.
+fn copy_set_engine(
+    seed: u64,
+    r: usize,
+    k: usize,
+    post: impl Fn(usize) -> Option<String>,
+) -> Engine<ChordPlane> {
+    let store = ReplicatedStore::new(ChordPlane::build(24, seed), r).with_quorum(k);
+    let mut e = Engine::new(store, seed);
+    let mut setup = OpBatch::new().register("reader");
+    for i in 0..COPY_SET_POSTS {
+        setup = setup.register(&copy_set_author(i));
+    }
+    for i in 0..COPY_SET_POSTS {
+        setup = setup.befriend(&copy_set_author(i), "reader", 0.9);
+    }
+    for i in 0..COPY_SET_POSTS {
+        if let Some(body) = post(i) {
+            setup = setup.post(&copy_set_author(i), &body);
+        }
+    }
+    assert!(e.execute(setup).results.iter().all(Result::is_ok));
+    e
+}
+
+/// Each author's post 0 as stored by `e`.
+fn stored_records(e: &mut Engine<ChordPlane>) -> Vec<Vec<u8>> {
+    let mut m = Metrics::new();
+    (0..COPY_SET_POSTS)
+        .map(|i| {
+            let key = wall_key(&copy_set_author(i), 0);
+            let fetched = e.storage_mut().fetch_copies(key, &mut m).unwrap();
+            fetched.copies[0].1.clone().expect("the post was stored")
+        })
+        .collect()
+}
+
+/// One read batch over hand-written copy sets: `sets[i][j]` is what the
+/// j-th holder of author i's post serves. Returns each read's result, the
+/// batch digest, `get.repairs` and `engine.read_fail_closed`.
+fn read_copy_sets(
+    seed: u64,
+    r: usize,
+    k: usize,
+    sets: &[Vec<Held>],
+    batch_verify: bool,
+) -> (Vec<String>, String, u64, u64) {
+    let honest = stored_records(&mut copy_set_engine(seed, r, k, |i| {
+        Some(format!("honest post {i}"))
+    }));
+    let other = stored_records(&mut copy_set_engine(seed, r, k, |i| {
+        Some(format!("equivocated post {i}"))
+    }));
+    let mut e = copy_set_engine(seed, r, k, |_| None);
+    e.set_batch_verify(batch_verify);
+    let mut m = Metrics::new();
+    for (i, set) in sets.iter().enumerate() {
+        let key = wall_key(&copy_set_author(i), 0);
+        let holders = e.storage_mut().fetch_copies(key, &mut m).unwrap().copies;
+        for ((node, _), kind) in holders.into_iter().zip(set) {
+            let mut bytes = match kind {
+                Held::Missing => continue,
+                Held::Equivocated => other[i].clone(),
+                _ => honest[i].clone(),
+            };
+            match kind {
+                Held::EpochFlipped => bytes[0] ^= 0x80,
+                Held::BodyFlipped => *bytes.last_mut().unwrap() ^= 0x01,
+                _ => {}
+            }
+            e.storage_mut()
+                .plane_mut()
+                .store_at(node, key, &bytes, &mut m)
+                .unwrap();
+        }
+    }
+    let reads = (0..sets.len()).fold(OpBatch::new(), |b, i| {
+        b.read_post("reader", &copy_set_author(i), 0)
+    });
+    let report = e.execute(reads);
+    let results = report.results.iter().map(|r| format!("{r:?}")).collect();
+    (
+        results,
+        report.digest_hex(),
+        e.metrics().count(names::GET_REPAIRS),
+        e.obs().counter(names::ENGINE_READ_FAIL_CLOSED).get(),
+    )
+}
+
+/// The shapes of one copy set under read quorum `k` that the staked vote
+/// must get right: a tied plurality, a validly signed minority under a
+/// plurality that fails, and a strict plurality short of the quorum.
+#[derive(Debug, Default)]
+struct CopySetShapes {
+    tie: bool,
+    valid_minority_under_invalid_plurality: bool,
+    plurality_below_quorum: bool,
+}
+
+impl CopySetShapes {
+    fn note(&mut self, set: &[Held], k: usize) {
+        let mut tally: Vec<(Held, usize)> = Vec::new();
+        for &kind in set.iter().filter(|&&c| c != Held::Missing) {
+            match tally.iter_mut().find(|(c, _)| *c == kind) {
+                Some((_, n)) => *n += 1,
+                None => tally.push((kind, 1)),
+            }
+        }
+        let Some(most) = tally.iter().map(|&(_, n)| n).max() else {
+            return;
+        };
+        let leaders: Vec<Held> = tally
+            .iter()
+            .filter(|&&(_, n)| n == most)
+            .map(|&(c, _)| c)
+            .collect();
+        if leaders.len() > 1 {
+            self.tie = true;
+            return;
+        }
+        if !leaders[0].verifies() && tally.iter().any(|&(c, _)| c.verifies()) {
+            self.valid_minority_under_invalid_plurality = true;
+        }
+        if most < k {
+            self.plurality_below_quorum = true;
+        }
+    }
+}
+
+/// Batched verification stakes each read on its strict-plurality copy and
+/// skips the minority when the stake verifies; per-envelope verification
+/// opens every value. Over random copy sets (R in 1..=5, K in 1..=R, each
+/// holder missing, honest, epoch-flipped, body-flipped or equivocated) the
+/// two must agree on every read's result, the digest, the repairs and the
+/// fail-closed count. Failures print the case seed; re-run with
+/// `PROPTEST_SEED=<seed>` to replay it.
+#[test]
+fn staked_and_unstaked_votes_agree_on_random_copy_sets() {
+    let kind = (0u8..5).prop_map(|i| {
+        [
+            Held::Missing,
+            Held::Honest,
+            Held::EpochFlipped,
+            Held::BodyFlipped,
+            Held::Equivocated,
+        ][usize::from(i)]
+    });
+    let case = (
+        0u64..1_000_000,
+        1usize..6,
+        0usize..5,
+        proptest::collection::vec(
+            proptest::collection::vec(kind, 5..6),
+            COPY_SET_POSTS..COPY_SET_POSTS + 1,
+        ),
+    );
+    let config = ProptestConfig {
+        cases: 48,
+        ..ProptestConfig::default()
+    };
+    let mut shapes = CopySetShapes::default();
+    proptest::run_cases(
+        "staked_and_unstaked_votes_agree_on_random_copy_sets",
+        &config,
+        |rng| {
+            let (seed, r, k, mut sets) = case.generate(rng);
+            let k = 1 + k % r;
+            for set in &mut sets {
+                set.truncate(r);
+                shapes.note(set, k);
+            }
+            let staked = read_copy_sets(seed, r, k, &sets, true);
+            let unstaked = read_copy_sets(seed, r, k, &sets, false);
+            prop_assert_eq!(staked, unstaked, "r={} k={} sets={:?}", r, k, sets);
+            Ok(())
+        },
+    );
+    if std::env::var_os("PROPTEST_SEED").is_none() {
+        assert!(
+            shapes.tie
+                && shapes.valid_minority_under_invalid_plurality
+                && shapes.plurality_below_quorum,
+            "the cases missed a shape: {shapes:?}"
+        );
+    }
 }
 
 /// `execute_all` is `execute` in a loop, and asks nothing of the plane

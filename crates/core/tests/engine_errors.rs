@@ -316,24 +316,29 @@ fn body_forging_replicas_never_serve_and_every_configuration_agrees() {
     for forged in 1..=3usize {
         let runs: Vec<_> = [true, false]
             .into_iter()
-            .map(|batch| read_with_forged_bodies(forged, batch))
+            .map(|batch| (batch, read_with_forged_bodies(forged, batch)))
             .collect();
-        let (result, digest, _) = &runs[0];
+        let (_, (result, digest, _)) = &runs[0];
         match (forged, result) {
             (1, Ok(OpOutput::Read { body })) => assert_eq!(body, "signed and sealed"),
             (2, Err(DosnError::ContentUnavailable(_))) => {}
             (3, Err(DosnError::IntegrityViolation(_))) => {}
             other => panic!("unexpected outcome {other:?}"),
         }
-        for (other, other_digest, sampled) in &runs {
+        for (batch, (other, other_digest, sampled)) in &runs {
             assert_eq!(
                 format!("{other:?}"),
                 format!("{result:?}"),
                 "forged={forged}"
             );
             assert_eq!(other_digest, digest, "forged={forged}");
-            // The quorum read verifies inside the vote and nowhere else.
-            assert_eq!(*sampled, 1, "forged={forged}");
+            // Batched, the read stakes on its strict plurality in the
+            // combined check. With two forgers that plurality is the forged
+            // value: it fails, and the vote then opens the honest copy in a
+            // check of its own. Unbatched, the vote opens every value in one
+            // sample.
+            let want = if *batch && forged == 2 { 2 } else { 1 };
+            assert_eq!(*sampled, want, "forged={forged} batch={batch}");
         }
     }
 }
@@ -426,8 +431,9 @@ fn one_forged_read_inside_a_batch_fails_alone() {
     }
     assert_eq!(report.digest, baseline.digest);
     // All 32 reads stake on one value each (the forged read's three copies
-    // agree; the poisoned read's is the cache entry), so one combined check
-    // covers them all, and the poisoned read's quorum retry is one more.
+    // agree, so its failed stake leaves nothing else to open; the poisoned
+    // read's is the cache entry), so one combined check covers them all,
+    // and the poisoned read's quorum retry is one more.
     assert_eq!(sampled, 2);
 }
 

@@ -123,9 +123,9 @@ pub const ENGINE_PIPELINE_OVERLAP: &str = "engine.pipeline.overlap";
 // ---- crypto ----
 
 /// Schnorr envelope-signature verification latency, µs (histogram): one
-/// sample per combined check — all of a finish phase's single-value
-/// reads, or one read whose copies disagree (every read, with batch
-/// verification off).
+/// sample per combined check — all of a finish phase's staked reads, or
+/// the other values of one read with a tied plurality or a failed stake
+/// (every read, with batch verification off).
 pub const CRYPTO_SCHNORR_VERIFY: &str = "crypto.schnorr.verify";
 /// Exponentiations of a group's generator, served from its fixed-base
 /// table — the only table a group holds (counter).

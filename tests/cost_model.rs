@@ -8,7 +8,9 @@
 use std::sync::Mutex;
 
 use dosn::core::engine::{Engine, OpBatch, OpOutput};
-use dosn::core::network::{ChordPlane, ReplicatedStore};
+use dosn::core::network::{
+    AdversaryConfig, AdversaryMode, AdversaryPlane, ChordPlane, ReplicatedStore, StoragePlane,
+};
 use dosn::crypto::group::{GroupSize, SchnorrGroup};
 use dosn::crypto::sha256::compressions;
 
@@ -27,10 +29,10 @@ fn body(i: usize) -> String {
     format!("{:-<250}", format!("post by {}", author(i)))
 }
 
-/// An engine on which `reader` is friends with `READS` authors who have
-/// posted once each.
-fn engine_with_one_post_per_author() -> Engine<ChordPlane> {
-    let mut e = Engine::new(ReplicatedStore::new(ChordPlane::build(24, 7), 3), 7);
+/// An engine over `plane` on which `reader` is friends with `READS`
+/// authors who have posted once each.
+fn engine_with_one_post_per_author<P: StoragePlane>(plane: P) -> Engine<P> {
+    let mut e = Engine::new(ReplicatedStore::new(plane, 3), 7);
     let mut setup = OpBatch::new().register("reader");
     for i in 0..READS {
         setup = setup
@@ -43,7 +45,7 @@ fn engine_with_one_post_per_author() -> Engine<ChordPlane> {
 }
 
 /// One batch reading every author's post 0 as `reader`; checks the bodies.
-fn read_every_first_post(e: &mut Engine<ChordPlane>) {
+fn read_every_first_post<P: StoragePlane>(e: &mut Engine<P>) {
     let reads = (0..READS).fold(OpBatch::new(), |b, i| b.read_post("reader", &author(i), 0));
     for (i, result) in e.execute(reads).results.iter().enumerate() {
         assert!(
@@ -60,14 +62,11 @@ fn compressions_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, compressions() - before)
 }
 
-/// The windowed exponentiations one `execute` of `READS` agreeing reads
-/// runs, on an engine told `set_workers(workers)`.
-fn exps_in_one_read_batch(workers: usize) -> u64 {
-    let mut e = engine_with_one_post_per_author();
-    e.set_workers(workers);
+/// The windowed exponentiations one `execute` of `READS` reads runs on `e`.
+fn exps_in_one_read_batch<P: StoragePlane>(e: &mut Engine<P>) -> u64 {
     let group = SchnorrGroup::shared(GroupSize::Toy);
     let before = group.exp_stats().total();
-    read_every_first_post(&mut e);
+    read_every_first_post(e);
     group.exp_stats().total() - before
 }
 
@@ -79,14 +78,32 @@ fn a_batch_of_agreeing_reads_runs_two_exponentiations_at_any_worker_setting() {
     // keys' full-width terms on one chain, the commitments' 128-bit terms
     // on the other). The worker setting changes nothing.
     for workers in [1usize, 8] {
-        assert_eq!(exps_in_one_read_batch(workers), 2, "set_workers({workers})");
+        let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
+        e.set_workers(workers);
+        assert_eq!(exps_in_one_read_batch(&mut e), 2, "set_workers({workers})");
     }
+}
+
+#[test]
+fn a_batch_of_reads_with_one_tampered_copy_each_runs_two_exponentiations() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // One of each post's three holders serves it with the epoch word
+    // flipped: a second value that still carries a valid signature. The
+    // two honest copies are each read's strict plurality, so the read
+    // stakes on them and the batch's one combined check covers all 32; the
+    // forged minority is outvoted without being opened.
+    let adversary = AdversaryConfig::new(7, 1).with_mode(AdversaryMode::Tamper);
+    let mut e =
+        engine_with_one_post_per_author(AdversaryPlane::new(ChordPlane::build(24, 7), adversary));
+    e.storage_mut().plane_mut().set_enabled(true);
+    assert_eq!(exps_in_one_read_batch(&mut e), 2);
+    assert_eq!(e.storage().plane().stats().tampered, READS as u64);
 }
 
 #[test]
 fn sha256_compressions_per_op_are_pinned() {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let mut e = engine_with_one_post_per_author();
+    let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
 
     // 32 cold reads in one batch: copies fetched, envelopes checked in one
     // combined check, bodies opened (encrypt-then-MAC) and folded into the
