@@ -4,8 +4,9 @@
 //! integrity layer (§IV) signs and chains, and the search layer (§V)
 //! indexes.
 
+use crate::error::DosnError;
 use crate::identity::UserId;
-use serde::{DeError, Deserialize, Serialize, Value};
+use crate::integrity::envelope::Cursor;
 
 /// A monotonically increasing logical timestamp (the social layer does not
 /// assume synchronized clocks; ordering guarantees come from hash chains,
@@ -102,34 +103,60 @@ impl Post {
         }
     }
 
-    /// Canonical byte encoding (for hashing/signing).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("post serializes")
+    /// The post's wire form, what the privacy layer encrypts:
+    /// `author_len(4) | author | sequence(8) | created_at(8) | body_len(4) |
+    /// body`, all integers big-endian. The hashtags are derived from the
+    /// body, so they are not carried. [`Post::from_bytes`] inverts it.
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::MalformedEnvelope`] when the author or the body is
+    /// 4 GiB or longer.
+    pub fn to_bytes(&self) -> Result<Vec<u8>, DosnError> {
+        let (author, body) = (self.author.as_bytes(), self.body.as_bytes());
+        let mut out = Vec::with_capacity(24 + author.len() + body.len());
+        let field = |out: &mut Vec<u8>, bytes: &[u8]| -> Result<(), DosnError> {
+            let len =
+                u32::try_from(bytes.len()).map_err(|_| malformed("field of 4 GiB or more"))?;
+            out.extend_from_slice(&len.to_be_bytes());
+            out.extend_from_slice(bytes);
+            Ok(())
+        };
+        field(&mut out, author)?;
+        out.extend_from_slice(&self.sequence.to_be_bytes());
+        out.extend_from_slice(&self.created_at.to_be_bytes());
+        field(&mut out, body)?;
+        Ok(out)
+    }
+
+    /// Parses [`Post::to_bytes`] output. Every length is checked against
+    /// what remains before use, so arbitrary bytes produce a typed error,
+    /// never a panic or an allocation they sized.
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::MalformedEnvelope`] — a truncated field, a length past
+    /// the end, bytes after the body, or an author or body that is not
+    /// UTF-8.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Post, DosnError> {
+        let mut c = Cursor(bytes);
+        let Some((author, sequence, created_at, body)) =
+            (|| Some((c.field()?, c.u64()?, c.u64()?, c.field()?)))()
+        else {
+            return Err(malformed("truncated, or a length past the end"));
+        };
+        if !c.0.is_empty() {
+            return Err(malformed(&format!("{} bytes after the body", c.0.len())));
+        }
+        let text = |bytes: &[u8]| {
+            String::from_utf8(bytes.to_vec()).map_err(|_| malformed("text is not utf-8"))
+        };
+        Ok(Post::new(text(author)?, sequence, created_at, text(body)?))
     }
 }
 
-impl Serialize for Post {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("author".into(), self.author.to_value()),
-            ("sequence".into(), self.sequence.to_value()),
-            ("created_at".into(), self.created_at.to_value()),
-            ("body".into(), self.body.to_value()),
-            ("hashtags".into(), self.hashtags.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Post {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(Post {
-            author: serde::field(value, "author")?,
-            sequence: serde::field(value, "sequence")?,
-            created_at: serde::field(value, "created_at")?,
-            body: serde::field(value, "body")?,
-            hashtags: serde::field(value, "hashtags")?,
-        })
-    }
+fn malformed(what: &str) -> DosnError {
+    DosnError::MalformedEnvelope(format!("post: {what}"))
 }
 
 #[cfg(test)]
@@ -158,9 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn canonical_bytes_differ_for_different_content() {
-        let p1 = Post::new("a", 1, 1, "x");
-        let p2 = Post::new("a", 1, 1, "y");
-        assert_ne!(p1.to_bytes(), p2.to_bytes());
+    fn wire_form_round_trips_and_differs_for_different_content() {
+        let p1 = Post::new("a", 1, 2, "x #tag");
+        let p2 = Post::new("a", 1, 2, "y #tag");
+        let (b1, b2) = (p1.to_bytes().unwrap(), p2.to_bytes().unwrap());
+        assert_ne!(b1, b2);
+        assert_eq!(b1.len(), 24 + 1 + 6);
+        assert_eq!(Post::from_bytes(&b1).unwrap(), p1);
+        assert_eq!(Post::from_bytes(&b2).unwrap().hashtags, vec!["#tag"]);
     }
 }

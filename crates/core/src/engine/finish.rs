@@ -346,7 +346,8 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, read_quorum: usize, job: &ReadJob)
 /// quorum winner or a hot-cached envelope: they already decoded as
 /// `job.author`'s post `job.seq` and carried the author's valid signature
 /// (that is what a [`VerifiedEnvelope`] is); here they decrypt for
-/// `job.reader`. Returns the post body.
+/// `job.reader` and decode as a [`Post`], which must name the same author
+/// and sequence number as the slot. Returns the post body.
 fn unseal(users: &Users, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnError> {
     let author_state = users
         .get(job.author)
@@ -357,8 +358,13 @@ fn unseal(users: &Users, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<S
         verified.epoch(),
         verified.body(),
     )?;
-    let post: Post = serde_json::from_slice(&plain)
-        .map_err(|e| DosnError::IntegrityViolation(format!("bad post encoding: {e}")))?;
+    let post = Post::from_bytes(&plain)?;
+    if post.author.as_str() != job.author || post.sequence != job.seq {
+        return Err(DosnError::IntegrityViolation(format!(
+            "slot {}/{} holds post {}/{}",
+            job.author, job.seq, post.author, post.sequence
+        )));
+    }
     Ok(post.body)
 }
 

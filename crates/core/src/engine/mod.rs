@@ -774,6 +774,48 @@ mod tests {
     }
 
     #[test]
+    fn a_post_naming_another_slot_is_an_integrity_violation() {
+        // Alice's own signed record at slot `seq` whose post names another
+        // author or sequence number: the envelope verifies and the body
+        // decrypts, and the slot check refuses it.
+        use crate::content::Post;
+        let mut e = engine(7);
+        e.execute(
+            OpBatch::new()
+                .register("alice")
+                .register("bob")
+                .befriend("alice", "bob", 0.9)
+                .post("alice", "zero"),
+        );
+        let mut rng = SecureRng::seed_from_u64(9);
+        for (seq, named, named_seq) in [(1, "alice", 0), (2, "bob", 2)] {
+            let group = e.ctx.group.clone();
+            let alice = user_mut(&mut e.users, "alice").unwrap();
+            let post = Post::new(named, named_seq, named_seq, "misplaced");
+            let (ciphertext, epoch) = alice
+                .privacy
+                .seal(&alice.friends_group, &post.to_bytes().unwrap())
+                .unwrap();
+            let mut wire = Vec::new();
+            alice.rewrite_timeline(|alice, chain| {
+                let mut chain = chain.clone();
+                let entry = chain.append(alice, &ciphertext, vec![], &mut rng);
+                wire = entry.encode_wire(epoch, &group);
+                chain
+            });
+            e.storage
+                .put(wall_key("alice", seq), wire, &mut Metrics::new())
+                .unwrap();
+            let read = e.read_post("bob", "alice", seq);
+            assert!(
+                matches!(&read, Err(DosnError::IntegrityViolation(why)) if why.contains("holds post")),
+                "slot {seq}: {read:?}"
+            );
+        }
+        assert_eq!(e.read_post("bob", "alice", 0), Ok("zero".into()));
+    }
+
+    #[test]
     fn wall_key_format_is_pinned() {
         // Readers, placement pinning and the benchmark harness all derive
         // this address independently: the format is a public contract.

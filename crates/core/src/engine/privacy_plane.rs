@@ -11,6 +11,7 @@
 //! [`DosnError::MalformedEnvelope`] instead of panicking.
 
 use crate::error::DosnError;
+use crate::integrity::envelope::Cursor;
 use crate::privacy::{
     AccessScheme, GroupId, MembershipCost, SealedBody, SealedPost, SymmetricGroupScheme,
 };
@@ -185,38 +186,28 @@ pub(crate) fn decode_sealed_body(bytes: &[u8]) -> Result<SealedBody, DosnError> 
     match tag {
         TAG_SYMMETRIC => Ok(SealedBody::Symmetric(rest.to_vec())),
         TAG_PER_RECIPIENT => {
-            // `split_first_chunk` carries the length check into the type, so
-            // a truncated record is an `Err`, never an indexing panic.
-            let (count_bytes, mut cursor) = rest
-                .split_first_chunk::<4>()
+            let mut c = Cursor(rest);
+            let count = c
+                .u32()
                 .ok_or_else(|| malformed("truncated recipient count"))?;
-            let count = u32::from_be_bytes(*count_bytes) as usize;
+            // Each recipient takes at least 6 bytes or fails, so a hostile
+            // count ends where the record does.
             let mut wrapped = Vec::new();
             for _ in 0..count {
-                let (id_len_bytes, rest) = cursor
-                    .split_first_chunk::<2>()
-                    .ok_or_else(|| malformed("truncated recipient id length"))?;
-                let id_len = u16::from_be_bytes(*id_len_bytes) as usize;
-                if rest.len() < id_len {
-                    return Err(malformed("recipient id exceeds record"));
-                }
-                let (id_bytes, rest) = rest.split_at(id_len);
-                let id = String::from_utf8(id_bytes.to_vec())
+                let id = c
+                    .array()
+                    .and_then(|len| c.take(u16::from_be_bytes(len) as usize));
+                let id = id.ok_or_else(|| malformed("recipient id exceeds record"))?;
+                let id = String::from_utf8(id.to_vec())
                     .map_err(|_| malformed("recipient id is not utf-8"))?;
-                let (wrap_len_bytes, rest) = rest
-                    .split_first_chunk::<4>()
-                    .ok_or_else(|| malformed("truncated wrap length"))?;
-                let wrap_len = u32::from_be_bytes(*wrap_len_bytes) as usize;
-                if rest.len() < wrap_len {
-                    return Err(malformed("wrapped key exceeds record"));
-                }
-                let (wrap, rest) = rest.split_at(wrap_len);
+                let wrap = c
+                    .field()
+                    .ok_or_else(|| malformed("wrapped key exceeds record"))?;
                 wrapped.push((id, wrap.to_vec()));
-                cursor = rest;
             }
             Ok(SealedBody::PerRecipient {
                 wrapped,
-                payload: cursor.to_vec(),
+                payload: c.0.to_vec(),
             })
         }
         other => Err(malformed(&format!("unknown tag {other:#04x}"))),

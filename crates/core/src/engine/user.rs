@@ -8,13 +8,13 @@
 //! sees plaintext; the §IV half (hash-chained [`Timeline`], whose length is
 //! the author's next post sequence number, per-post [`PostRelationKeys`],
 //! verified comments) only ever signs and chains *ciphertexts*, and is what
-//! a verifier consults without holding the user's keys.
+//! a verifier consults without holding the user's keys. A timeline entry is
+//! the record the replicas store, signed once.
 
 use super::privacy_plane::PrivacyPlane;
 use crate::content::Post;
 use crate::error::DosnError;
 use crate::identity::{Identity, UserId};
-use crate::integrity::envelope::SignedEnvelope;
 use crate::integrity::relations::{CommentAttachment, PostRelationKeys};
 use crate::integrity::timeline::Timeline;
 use crate::privacy::GroupId;
@@ -90,18 +90,20 @@ impl UserState {
 
     /// The post prepare path — everything except the storage write, which
     /// the commit phase applies in op order: encrypt `body` for the friends
-    /// group under the next sequence number, sign the ciphertext, chain it
-    /// into the timeline, mint the per-post relation keys friends will
-    /// comment with, and wire-encode. Returns `(seq, wire record)`. A post's
-    /// sequence number is its position on the timeline — `read_feed` plans
-    /// wall keys from the timeline's length and the feed cache bounds its
-    /// chain walk by it — so the number is the timeline's length and is
-    /// taken only by a post that is appended.
+    /// group under the next sequence number, append the ciphertext to the
+    /// timeline (one signature, over the digest that chains it), mint the
+    /// per-post relation keys friends will comment with, and wire-encode
+    /// the entry just appended. Returns `(seq, wire record)`: the stored
+    /// record is the timeline entry. A post's sequence number is its
+    /// position on the timeline — `read_feed` plans wall keys from the
+    /// timeline's length and the feed cache bounds its chain walk by it —
+    /// so the number is the timeline's length and is taken only by a post
+    /// that is appended.
     ///
     /// # Errors
     ///
-    /// Privacy-plane sealing failures; the timeline is left as it was, and
-    /// the next post gets the same sequence number.
+    /// Post encoding and privacy-plane sealing failures; the timeline is
+    /// left as it was, and the next post gets the same sequence number.
     pub(super) fn seal_post(
         &mut self,
         body: &str,
@@ -111,10 +113,11 @@ impl UserState {
         let seq = self.timeline.entries().len() as u64;
         let author = self.identity.id().as_str();
         let post = Post::new(author, seq, seq, body);
-        let (ciphertext, epoch) = self.privacy.seal(&self.friends_group, &post.to_bytes())?;
-        let envelope = SignedEnvelope::seal(&self.identity, None, seq, seq, None, &ciphertext, rng);
-        self.timeline
-            .append(&self.identity, &ciphertext, vec![], rng);
+        let (ciphertext, epoch) = self.privacy.seal(&self.friends_group, &post.to_bytes()?)?;
+        let wire = self
+            .timeline
+            .append(&self.identity, &ciphertext, vec![], rng)
+            .encode_wire(epoch, group);
         let relation = PostRelationKeys::create(
             format!("{author}/post/{seq}"),
             group.clone(),
@@ -122,7 +125,7 @@ impl UserState {
             rng,
         );
         self.posts.insert(seq, (relation, Vec::new()));
-        Ok((seq, envelope.encode_wire(epoch, group)))
+        Ok((seq, wire))
     }
 
     /// Creates, verifies, and attaches a comment on this author's post

@@ -1,15 +1,21 @@
 //! Signed envelopes: owner, content, relation, and freshness integrity
-//! (survey §IV, §IV-A).
+//! (survey §IV, §IV-A), and the signed entries of a timeline (§IV-B).
 //!
 //! The survey's running example: Alice receives "Come to my party held at
 //! my home on Friday" and must decide (a) is it really from Bob, (b) is the
 //! content unmodified, (c) is it still valid / properly ordered, and (d) was
 //! it issued *to her*. A [`SignedEnvelope`] answers all four: the author
-//! signs `H(author ‖ recipient ‖ sequence ‖ timestamps ‖ body)` (hash-then-
-//! sign, exactly as §IV describes), and verification checks signature,
-//! claimed author against the [`KeyDirectory`], recipient binding, and
-//! expiry.
+//! signs `H(author ‖ recipient ‖ sequence ‖ timestamps ‖ prev_hash ‖ refs ‖
+//! body)` (hash-then-sign, exactly as §IV describes), and verification
+//! checks signature, claimed author against the [`KeyDirectory`], recipient
+//! binding, and expiry. That digest is also a timeline entry's hash, so a
+//! chained envelope ([`crate::integrity::Timeline::append`]) is signed once
+//! and its stored record — `epoch(8) | issued_at(8) | sequence(8) |
+//! sig_len(4) | prev_hash(32) | ref_count(4) | sig | refs | body`, each ref
+//! `author_len(4) | author | sequence(8) | hash(32)`, integers big-endian —
+//! carries its link; only the epoch word is unsigned.
 
+use super::timeline::{EntryHash, ExternalRef};
 use crate::error::DosnError;
 use crate::identity::{Identity, UserId};
 use dosn_crypto::batch::{batch_verify, BatchItem};
@@ -18,9 +24,9 @@ use dosn_crypto::keys::KeyDirectory;
 use dosn_crypto::schnorr::{Signature, VerifyingKey};
 use dosn_crypto::sha256::Sha256;
 
-/// Fixed wire-header length: epoch, issue time, and sequence words plus the
-/// signature length prefix (see [`SignedEnvelope::encode_wire`]).
-pub const WIRE_HEADER_LEN: usize = 8 + 8 + 8 + 4;
+/// Fixed wire-header length: every field before the signature bytes (see
+/// [`SignedEnvelope::encode_wire`]).
+pub const WIRE_HEADER_LEN: usize = 8 + 8 + 8 + 4 + 32 + 4;
 
 /// A signed, optionally recipient-bound, optionally expiring message.
 ///
@@ -59,13 +65,19 @@ pub struct SignedEnvelope {
     pub issued_at: u64,
     /// Logical expiry (`None` = never).
     pub expires_at: Option<u64>,
+    /// The hash of the author's previous timeline entry (zeros for the first
+    /// entry, and for an envelope outside any timeline).
+    pub prev_hash: EntryHash,
+    /// Entangled references into other users' timelines.
+    pub external_refs: Vec<ExternalRef>,
     /// The message body.
     pub body: Vec<u8>,
     signature: Signature,
 }
 
 impl SignedEnvelope {
-    /// Signs a message as `author`.
+    /// Signs a message as `author`: an unchained envelope (zero
+    /// `prev_hash`, no refs).
     pub fn seal(
         author: &Identity,
         recipient: Option<UserId>,
@@ -75,23 +87,69 @@ impl SignedEnvelope {
         body: &[u8],
         rng: &mut SecureRng,
     ) -> Self {
-        let digest = Self::digest(
-            author.id(),
-            recipient.as_ref(),
-            sequence,
-            issued_at,
-            expires_at,
-            body,
-        );
+        let words = [sequence, issued_at, expires_at.unwrap_or(u64::MAX)];
+        let digest = digest(author.id(), recipient.as_ref(), words, &[0; 32], &[], body);
         SignedEnvelope {
             author: author.id().clone(),
             recipient,
             sequence,
             issued_at,
             expires_at,
+            prev_hash: [0; 32],
+            external_refs: Vec::new(),
             body: body.to_vec(),
             signature: author.signing().sign(&digest, rng),
         }
+    }
+
+    /// Signs `author`'s timeline entry `sequence` — a broadcast issued at
+    /// its sequence number, never expiring, chained to `prev_hash` — and
+    /// returns it with its [`SignedEnvelope::hash`].
+    pub(crate) fn chained(
+        author: &Identity,
+        sequence: u64,
+        prev_hash: EntryHash,
+        external_refs: Vec<ExternalRef>,
+        body: &[u8],
+        rng: &mut SecureRng,
+    ) -> (Self, EntryHash) {
+        let words = [sequence, sequence, u64::MAX];
+        let digest = digest(author.id(), None, words, &prev_hash, &external_refs, body);
+        let envelope = SignedEnvelope {
+            author: author.id().clone(),
+            recipient: None,
+            sequence,
+            issued_at: sequence,
+            expires_at: None,
+            prev_hash,
+            external_refs,
+            body: body.to_vec(),
+            signature: author.signing().sign(&digest, rng),
+        };
+        (envelope, digest)
+    }
+
+    /// The digest the signature covers — every field but the signature —
+    /// and, for a timeline entry, the hash its successor chains to.
+    pub fn hash(&self) -> EntryHash {
+        let words = [
+            self.sequence,
+            self.issued_at,
+            self.expires_at.unwrap_or(u64::MAX),
+        ];
+        digest(
+            &self.author,
+            self.recipient.as_ref(),
+            words,
+            &self.prev_hash,
+            &self.external_refs,
+            &self.body,
+        )
+    }
+
+    /// The author's signature over [`SignedEnvelope::hash`].
+    pub(crate) fn signature(&self) -> &Signature {
+        &self.signature
     }
 
     /// Verifies all four §IV aspects.
@@ -108,13 +166,12 @@ impl SignedEnvelope {
         now: u64,
     ) -> Result<(), DosnError> {
         let vk = directory.verifying_key(self.author.as_str())?;
-        vk.verify(&self.signed_digest(), &self.signature)
-            .map_err(|_| {
-                DosnError::IntegrityViolation(format!(
-                    "signature does not verify under {}'s key",
-                    self.author
-                ))
-            })?;
+        vk.verify(&self.hash(), &self.signature).map_err(|_| {
+            DosnError::IntegrityViolation(format!(
+                "signature does not verify under {}'s key",
+                self.author
+            ))
+        })?;
         self.check_binding(expected_recipient, now)
     }
 
@@ -149,32 +206,11 @@ impl SignedEnvelope {
         Ok(())
     }
 
-    /// Reassembles an envelope from transported parts (wire decoding); the
-    /// result still has to pass [`SignedEnvelope::verify`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        author: UserId,
-        recipient: Option<UserId>,
-        sequence: u64,
-        issued_at: u64,
-        expires_at: Option<u64>,
-        body: Vec<u8>,
-        signature: Signature,
-    ) -> Self {
-        SignedEnvelope {
-            author,
-            recipient,
-            sequence,
-            issued_at,
-            expires_at,
-            body,
-            signature,
-        }
-    }
-
-    /// Serializes a broadcast envelope for overlay storage:
-    /// `epoch(8) | issued_at(8) | sequence(8) | sig_len(4) | sig | body`,
-    /// all integers big-endian. [`SignedEnvelope::decode_wire`] inverts it.
+    /// Serializes a broadcast envelope for overlay storage in the module's
+    /// wire layout: the fixed [`WIRE_HEADER_LEN`]-byte header (`epoch`,
+    /// `issued_at`, `sequence`, `sig_len`, `prev_hash`, `ref_count`), the
+    /// signature, the refs, the body. [`SignedEnvelope::decode_wire`]
+    /// inverts it.
     pub fn encode_wire(&self, epoch: u64, group: &dosn_crypto::group::SchnorrGroup) -> Vec<u8> {
         let sig = self.signature.to_bytes(group);
         let mut out = Vec::with_capacity(WIRE_HEADER_LEN + sig.len() + self.body.len());
@@ -182,7 +218,12 @@ impl SignedEnvelope {
         out.extend_from_slice(&self.issued_at.to_be_bytes());
         out.extend_from_slice(&self.sequence.to_be_bytes());
         out.extend_from_slice(&(sig.len() as u32).to_be_bytes());
+        out.extend_from_slice(&self.prev_hash);
+        out.extend_from_slice(&(self.external_refs.len() as u32).to_be_bytes());
         out.extend_from_slice(&sig);
+        for r in &self.external_refs {
+            encode_ref(r, &mut out);
+        }
         out.extend_from_slice(&self.body);
         out
     }
@@ -190,13 +231,14 @@ impl SignedEnvelope {
     /// Parses a stored record back into an envelope plus its privacy epoch.
     /// Every length is validated before use, so arbitrary bytes produce a
     /// typed error, never a panic; the result still has to pass
-    /// [`SignedEnvelope::verify`].
+    /// [`SignedEnvelope::verify`]. A record is a broadcast with no expiry,
+    /// so a decoded chained record is its author's timeline entry.
     ///
     /// # Errors
     ///
-    /// * [`DosnError::MalformedEnvelope`] — truncated header, signature
-    ///   length exceeding the record, or a signature that does not parse
-    ///   under `group`;
+    /// * [`DosnError::MalformedEnvelope`] — truncated header, signature or
+    ///   refs running past the record, a signature that does not parse
+    ///   under `group`, or a ref author that is not UTF-8;
     /// * [`DosnError::IntegrityViolation`] — the embedded sequence number
     ///   differs from `expected_seq` (a record swapped onto another slot).
     pub fn decode_wire(
@@ -205,53 +247,45 @@ impl SignedEnvelope {
         bytes: &[u8],
         group: &dosn_crypto::group::SchnorrGroup,
     ) -> Result<(SignedEnvelope, u64), DosnError> {
-        if bytes.len() < WIRE_HEADER_LEN {
+        let mut c = Cursor(bytes);
+        let header = (|| Some((c.u64()?, c.u64()?, c.u64()?, c.u32()?, c.array()?, c.u32()?)))();
+        let Some((epoch, issued_at, sequence, sig_len, prev_hash, refs)) = header else {
             return Err(DosnError::MalformedEnvelope(format!(
                 "record of {} bytes is shorter than the {WIRE_HEADER_LEN}-byte header",
                 bytes.len()
             )));
-        }
-        let word = |i: usize| -> u64 {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&bytes[i..i + 8]);
-            u64::from_be_bytes(w)
         };
-        let epoch = word(0);
-        let issued_at = word(8);
-        let sequence = word(16);
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&bytes[24..28]);
-        let sig_len = u32::from_be_bytes(len4) as usize;
-        let Some(body_offset) = WIRE_HEADER_LEN.checked_add(sig_len) else {
-            return Err(DosnError::MalformedEnvelope(
-                "signature length overflows".into(),
-            ));
-        };
-        if bytes.len() < body_offset {
-            return Err(DosnError::MalformedEnvelope(format!(
+        let sig = c.take(sig_len).ok_or_else(|| {
+            DosnError::MalformedEnvelope(format!(
                 "claimed signature of {sig_len} bytes exceeds the {}-byte record",
                 bytes.len()
-            )));
-        }
-        let signature = Signature::from_bytes(group, &bytes[WIRE_HEADER_LEN..body_offset])
+            ))
+        })?;
+        let signature = Signature::from_bytes(group, sig)
             .map_err(|e| DosnError::MalformedEnvelope(format!("signature does not parse: {e}")))?;
         if sequence != expected_seq {
             return Err(DosnError::IntegrityViolation(format!(
                 "record carries sequence {sequence}, slot expects {expected_seq}"
             )));
         }
-        Ok((
-            SignedEnvelope::from_parts(
-                author.clone(),
-                None,
-                sequence,
-                issued_at,
-                None,
-                bytes[body_offset..].to_vec(),
-                signature,
-            ),
-            epoch,
-        ))
+        // Each ref takes at least 44 bytes or fails, so a hostile count ends
+        // where the record does.
+        let external_refs = (0..refs)
+            .map(|_| decode_ref(&mut c))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| DosnError::MalformedEnvelope(format!("{refs} refs do not decode")))?;
+        let envelope = SignedEnvelope {
+            author: author.clone(),
+            recipient: None,
+            sequence,
+            issued_at,
+            expires_at: None,
+            prev_hash,
+            external_refs,
+            body: c.0.to_vec(),
+            signature,
+        };
+        Ok((envelope, epoch))
     }
 
     /// Verifies many wire-encoded copies of the same slot (`author`,
@@ -314,7 +348,7 @@ impl SignedEnvelope {
                 let vk = directory.verifying_key(author.as_str()).ok()?;
                 let (envelope, epoch) = Self::decode_wire(author, seq, bytes, group).ok()?;
                 envelope.check_binding(None, now).ok()?;
-                let digest = envelope.signed_digest();
+                let digest = envelope.hash();
                 Some((idx, vk, digest, VerifiedEnvelope { envelope, epoch }))
             })
             .collect();
@@ -351,42 +385,94 @@ impl SignedEnvelope {
         envelope.verify(directory, None, now)?;
         Ok(VerifiedEnvelope { envelope, epoch })
     }
+}
 
-    fn signed_digest(&self) -> [u8; 32] {
-        Self::digest(
-            &self.author,
-            self.recipient.as_ref(),
-            self.sequence,
-            self.issued_at,
-            self.expires_at,
-            &self.body,
-        )
+/// The canonical signed digest: a domain tag, then every field
+/// length-prefixed — author, recipient, the sequence / issue / expiry
+/// words (no expiry hashes as `u64::MAX`), `prev_hash`, the ref count and
+/// each ref's author, sequence and hash, and the body.
+fn digest(
+    author: &UserId,
+    recipient: Option<&UserId>,
+    words: [u64; 3],
+    prev_hash: &EntryHash,
+    external_refs: &[ExternalRef],
+    body: &[u8],
+) -> EntryHash {
+    let mut h = Sha256::new();
+    h.update(b"dosn.envelope.v2");
+    let mut field = |bytes: &[u8]| {
+        h.update(&(bytes.len() as u64).to_be_bytes());
+        h.update(bytes);
+    };
+    field(author.as_bytes());
+    field(recipient.map_or(b"", |r| r.as_bytes()));
+    for word in words {
+        field(&word.to_be_bytes());
+    }
+    field(prev_hash);
+    field(&(external_refs.len() as u64).to_be_bytes());
+    for r in external_refs {
+        field(r.author.as_bytes());
+        field(&r.sequence.to_be_bytes());
+        field(&r.hash);
+    }
+    field(body);
+    h.finalize()
+}
+
+/// Appends one ref in the module's wire layout.
+fn encode_ref(r: &ExternalRef, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(r.author.as_bytes().len() as u32).to_be_bytes());
+    out.extend_from_slice(r.author.as_bytes());
+    out.extend_from_slice(&r.sequence.to_be_bytes());
+    out.extend_from_slice(&r.hash);
+}
+
+/// Inverts [`encode_ref`]; `None` on a short read or a non-UTF-8 author.
+fn decode_ref(c: &mut Cursor) -> Option<ExternalRef> {
+    let author = std::str::from_utf8(c.field()?).ok()?.into();
+    Some(ExternalRef {
+        author,
+        sequence: c.u64()?,
+        hash: c.array()?,
+    })
+}
+
+/// Length-checked reads off the front of untrusted bytes: a read past the
+/// end is `None`, so a decoder built on it never indexes out of range or
+/// allocates what a length field claims.
+pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
+
+impl<'a> Cursor<'a> {
+    /// The next `n` bytes.
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
     }
 
-    /// The canonical signed digest.
-    fn digest(
-        author: &UserId,
-        recipient: Option<&UserId>,
-        sequence: u64,
-        issued_at: u64,
-        expires_at: Option<u64>,
-        body: &[u8],
-    ) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(b"dosn.envelope.v1");
-        for field in [
-            author.as_bytes(),
-            recipient.map_or(b"" as &[u8], |r| r.as_bytes()),
-            &sequence.to_be_bytes(),
-            &issued_at.to_be_bytes(),
-            &expires_at.unwrap_or(u64::MAX).to_be_bytes(),
-            body,
-        ] {
-            // length-prefixed framing per field
-            h.update(&(field.len() as u64).to_be_bytes());
-            h.update(field);
-        }
-        h.finalize()
+    /// The next `N` bytes.
+    pub(crate) fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    /// A big-endian `u32` length.
+    pub(crate) fn u32(&mut self) -> Option<usize> {
+        self.array().map(|b| u32::from_be_bytes(b) as usize)
+    }
+
+    /// A big-endian `u64`.
+    pub(crate) fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    /// A `len(4) | bytes` field.
+    pub(crate) fn field(&mut self) -> Option<&'a [u8]> {
+        let len = self.u32()?;
+        self.take(len)
     }
 }
 
@@ -567,13 +653,46 @@ mod tests {
 
     #[test]
     fn field_framing_is_unambiguous() {
-        // author "ab" + body "c..." must not collide with author "a" + body "bc...".
-        let (bob, _, _, mut rng) = setup();
-        let e1 = SignedEnvelope::seal(&bob, None, 1, 10, None, b"ab", &mut rng);
-        let e2 = SignedEnvelope::seal(&bob, None, 1, 10, None, b"a", &mut rng);
+        // author "ab" + body "c" must not collide with author "a" + body "bc".
+        let words = [1, 10, u64::MAX];
         assert_ne!(
-            SignedEnvelope::digest(&e1.author, None, 1, 10, None, &e1.body),
-            SignedEnvelope::digest(&e2.author, None, 1, 10, None, &e2.body),
+            digest(&"ab".into(), None, words, &[0; 32], &[], b"c"),
+            digest(&"a".into(), None, words, &[0; 32], &[], b"bc"),
         );
+    }
+
+    #[test]
+    fn the_link_and_the_refs_are_signed_and_carried() {
+        // A chained record keeps its link and refs through the wire, and
+        // the signature covers both: a record re-linked or re-referenced by
+        // a holder no longer verifies.
+        let (bob, _, dir, mut rng) = setup();
+        let group = SchnorrGroup::toy();
+        let refs = vec![ExternalRef {
+            author: "mallory".into(),
+            sequence: 4,
+            hash: [5; 32],
+        }];
+        let (entry, hash) = SignedEnvelope::chained(&bob, 2, [7; 32], refs, b"body", &mut rng);
+        assert_eq!(hash, entry.hash());
+        let wire = entry.encode_wire(1, &group);
+        let (decoded, epoch) =
+            SignedEnvelope::decode_wire(&"bob".into(), 2, &wire, &group).unwrap();
+        assert_eq!(epoch, 1);
+        assert_eq!(
+            (decoded.prev_hash, &decoded.external_refs),
+            (entry.prev_hash, &entry.external_refs)
+        );
+        assert_eq!((decoded.issued_at, decoded.hash()), (2, hash));
+        decoded.verify(&dir, None, 2).unwrap();
+        let mut relinked = decoded.clone();
+        relinked.prev_hash[0] ^= 1;
+        assert!(relinked.verify(&dir, None, 2).is_err());
+        let mut rereferenced = decoded;
+        rereferenced.external_refs[0].sequence = 3;
+        assert!(rereferenced.verify(&dir, None, 2).is_err());
+        // An unchained envelope carries a zero link and no refs.
+        let sealed = SignedEnvelope::seal(&bob, None, 2, 2, None, b"body", &mut rng);
+        assert_eq!((sealed.prev_hash, sealed.external_refs.len()), ([0; 32], 0));
     }
 }

@@ -8,13 +8,17 @@
 //! the Fethr (Birds of a Fethr) design. [`Timeline`] implements both: every
 //! entry carries `prev_hash` and optional external references, and the
 //! verifier API proves ordering within and across timelines.
+//!
+//! An entry is a [`SignedEnvelope`], signed once over a digest that covers
+//! `prev_hash` and the refs and is the entry's hash; so the record a replica
+//! stores is the entry, and stored records decoded with
+//! [`SignedEnvelope::decode_wire`] rebuild a chain anyone can verify.
 
+use super::envelope::SignedEnvelope;
 use crate::error::DosnError;
 use crate::identity::{Identity, UserId};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::keys::KeyDirectory;
-use dosn_crypto::schnorr::Signature;
-use dosn_crypto::sha256::Sha256;
 
 /// Hash of a timeline entry.
 pub type EntryHash = [u8; 32];
@@ -30,59 +34,10 @@ pub struct ExternalRef {
     pub hash: EntryHash,
 }
 
-/// One signed, chained timeline entry.
-#[derive(Debug, Clone)]
-pub struct TimelineEntry {
-    /// The timeline owner.
-    pub author: UserId,
-    /// Position in the chain (0-based, contiguous).
-    pub sequence: u64,
-    /// Entry payload.
-    pub body: Vec<u8>,
-    /// Hash of the previous entry (zeros for the first).
-    pub prev_hash: EntryHash,
-    /// Entangled references into other users' timelines.
-    pub external_refs: Vec<ExternalRef>,
-    signature: Signature,
-}
-
-impl TimelineEntry {
-    /// The entry's canonical hash (what successors chain to).
-    pub fn hash(&self) -> EntryHash {
-        hash_entry(
-            &self.author,
-            self.sequence,
-            &self.body,
-            &self.prev_hash,
-            &self.external_refs,
-        )
-    }
-}
-
-fn hash_entry(
-    author: &UserId,
-    sequence: u64,
-    body: &[u8],
-    prev_hash: &EntryHash,
-    external_refs: &[ExternalRef],
-) -> EntryHash {
-    let mut h = Sha256::new();
-    h.update(b"dosn.timeline.v1");
-    h.update(&(author.as_bytes().len() as u64).to_be_bytes());
-    h.update(author.as_bytes());
-    h.update(&sequence.to_be_bytes());
-    h.update(&(body.len() as u64).to_be_bytes());
-    h.update(body);
-    h.update(prev_hash);
-    h.update(&(external_refs.len() as u64).to_be_bytes());
-    for r in external_refs {
-        h.update(&(r.author.as_bytes().len() as u64).to_be_bytes());
-        h.update(r.author.as_bytes());
-        h.update(&r.sequence.to_be_bytes());
-        h.update(&r.hash);
-    }
-    h.finalize()
-}
+/// One signed, chained timeline entry: a broadcast [`SignedEnvelope`]
+/// issued at its sequence number, whose [`SignedEnvelope::hash`] is what
+/// its successor chains to.
+pub type TimelineEntry = SignedEnvelope;
 
 /// An author-side timeline.
 ///
@@ -167,7 +122,8 @@ impl Timeline {
         false
     }
 
-    /// Appends and signs a new entry.
+    /// Appends and signs a new entry: one signature, over the envelope
+    /// digest that chains it to the current head.
     ///
     /// # Panics
     ///
@@ -181,17 +137,10 @@ impl Timeline {
     ) -> &TimelineEntry {
         assert_eq!(identity.id(), &self.owner, "only the owner appends");
         let sequence = self.entries.len() as u64;
-        let prev_hash = self.head;
-        self.head = hash_entry(&self.owner, sequence, body, &prev_hash, &external_refs);
-        let signature = identity.signing().sign(&self.head, rng);
-        self.entries.push(TimelineEntry {
-            author: self.owner.clone(),
-            sequence,
-            body: body.to_vec(),
-            prev_hash,
-            external_refs,
-            signature,
-        });
+        let (entry, hash) =
+            SignedEnvelope::chained(identity, sequence, self.head, external_refs, body, rng);
+        self.head = hash;
+        self.entries.push(entry);
         self.entries.last().expect("just pushed")
     }
 
@@ -234,7 +183,7 @@ impl Timeline {
                 )));
             }
             let hash = entry.hash();
-            vk.verify(&hash, &entry.signature).map_err(|_| {
+            vk.verify(&hash, entry.signature()).map_err(|_| {
                 DosnError::IntegrityViolation(format!("entry {i} signature invalid"))
             })?;
             prev = hash;

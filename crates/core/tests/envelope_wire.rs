@@ -7,6 +7,7 @@
 use dosn_core::error::DosnError;
 use dosn_core::identity::{Identity, UserId};
 use dosn_core::integrity::envelope::{SignedEnvelope, WIRE_HEADER_LEN};
+use dosn_core::integrity::timeline::{ExternalRef, Timeline};
 use dosn_crypto::batch::batch_verify;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
@@ -166,26 +167,44 @@ proptest! {
         let _ = SignedEnvelope::decode_wire(&UserId::from("anyone"), seq, &bytes, &group);
     }
 
+    /// Every prefix of a chained record — header, signature, refs, body —
+    /// is refused: by the decoder while the cut is inside the header, the
+    /// signature or the refs, by the signature once only body bytes are
+    /// lost. The whole record decodes to the entry, link and refs included.
     #[test]
     fn truncations_of_a_valid_record_error_cleanly(
-        cut in 0usize..64,
         body in proptest::collection::vec(any::<u8>(), 1..64),
+        ref_count in 0usize..3,
     ) {
-        let (identity, _, mut rng) = author();
+        let (identity, dir, mut rng) = author();
         let group = SchnorrGroup::toy();
-        let wire = SignedEnvelope::seal(&identity, None, 1, 1, None, &body, &mut rng)
-            .encode_wire(0, &group);
-        let cut = cut.min(wire.len());
-        let truncated = &wire[..wire.len() - cut];
-        let result = SignedEnvelope::decode_wire(&UserId::from("wirebob"), 1, truncated, &group);
-        if cut == 0 {
-            prop_assert!(result.is_ok());
-        } else {
-            // Any strict truncation loses body or signature bytes; the body
-            // loss surfaces later at verify, the framing loss here. Either
-            // way: typed, no panic.
-            if truncated.len() < WIRE_HEADER_LEN {
-                prop_assert!(matches!(result, Err(DosnError::MalformedEnvelope(_))));
+        let id = UserId::from("wirebob");
+        let mut chain = Timeline::new(id.clone());
+        chain.append(&identity, b"first", vec![], &mut rng);
+        let refs: Vec<ExternalRef> = (0..ref_count)
+            .map(|i| ExternalRef {
+                author: format!("friend{i}").into(),
+                sequence: i as u64,
+                hash: [i as u8; 32],
+            })
+            .collect();
+        let entry = chain.append(&identity, &body, refs, &mut rng);
+        let wire = entry.encode_wire(0, &group);
+        let body_offset = wire.len() - body.len();
+        let (whole, _) = SignedEnvelope::decode_wire(&id, 1, &wire, &group).unwrap();
+        prop_assert_eq!(whole.hash(), entry.hash());
+        prop_assert_eq!((&whole.prev_hash, &whole.external_refs), (&entry.prev_hash, &entry.external_refs));
+        prop_assert!(whole.verify(&dir, None, u64::MAX - 1).is_ok());
+        for len in 0..wire.len() {
+            match SignedEnvelope::decode_wire(&id, 1, &wire[..len], &group) {
+                Err(e) => prop_assert!(
+                    len < body_offset && matches!(e, DosnError::MalformedEnvelope(_)),
+                    "cut at {} of {}: {:?}", len, wire.len(), e
+                ),
+                Ok((cut, _)) => {
+                    prop_assert!(len >= body_offset, "cut at {} decoded", len);
+                    prop_assert!(cut.verify(&dir, None, u64::MAX - 1).is_err());
+                }
             }
         }
     }
@@ -209,6 +228,21 @@ fn oversized_signature_length_is_malformed() {
     bytes[24..28].copy_from_slice(&u32::MAX.to_be_bytes());
     assert!(matches!(
         SignedEnvelope::decode_wire(&UserId::from("x"), 0, &bytes, &SchnorrGroup::toy()),
+        Err(DosnError::MalformedEnvelope(_))
+    ));
+}
+
+#[test]
+fn a_hostile_ref_count_is_malformed_without_allocating_for_it() {
+    // A record with a valid signature claiming u32::MAX refs and carrying
+    // none: each ref needs at least 44 bytes, so decoding stops at the end.
+    let (identity, _, mut rng) = author();
+    let group = SchnorrGroup::toy();
+    let mut wire =
+        SignedEnvelope::seal(&identity, None, 2, 2, None, b"body", &mut rng).encode_wire(0, &group);
+    wire[WIRE_HEADER_LEN - 4..WIRE_HEADER_LEN].copy_from_slice(&u32::MAX.to_be_bytes());
+    assert!(matches!(
+        SignedEnvelope::decode_wire(&UserId::from("wirebob"), 2, &wire, &group),
         Err(DosnError::MalformedEnvelope(_))
     ));
 }

@@ -101,6 +101,21 @@ fn a_batch_of_reads_with_one_tampered_copy_each_runs_two_exponentiations() {
 }
 
 #[test]
+fn a_post_runs_two_fixed_base_exponentiations() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
+    let group = SchnorrGroup::shared(GroupSize::Toy);
+    let (table_before, exps_before) = (group.pow_cache_stats().0, group.exp_stats().total());
+    assert_eq!(e.post(&author(0), &body(0)), Ok(1));
+    // One `g^k` for the post's one signature — the timeline entry the
+    // replicas store — and one `g^x` for its relation key, both served by
+    // the generator's table; no other exponentiation. A second signature
+    // over the same ciphertext made it 3.
+    assert_eq!(group.pow_cache_stats().0 - table_before, 2);
+    assert_eq!(group.exp_stats().total() - exps_before, 0);
+}
+
+#[test]
 fn sha256_compressions_per_op_are_pinned() {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
@@ -119,17 +134,18 @@ fn sha256_compressions_per_op_are_pinned() {
     assert_eq!(warm.len(), READS);
     assert_eq!(e.feed_cache().unwrap().stats().hits, READS as u64);
 
-    // One post: the op's RNG, seal (encrypt-then-MAC), sign, chain, mint
-    // the relation keys, store, and the batch digest.
+    // One post: the op's RNG, seal (encrypt-then-MAC), sign the chained
+    // entry, mint the relation keys, store, and the batch digest.
     let (seq, post) = compressions_in(|| e.post(&author(0), &body(0)).unwrap());
     assert_eq!(seq, 1);
 
-    // ≈ 30.2 compressions per cold read and ≈ 4.1 per L1-served item. A
-    // post's RNG costs 4 of its 55: the HKDF expand alone, since the
-    // extract over the engine seed runs once per engine.
+    // ≈ 29.2 compressions per cold read and ≈ 4.1 per L1-served item. A
+    // post's RNG costs 4 of its 40: the HKDF expand alone, since the
+    // extract over the engine seed runs once per engine. (55 and 965 while
+    // a post was signed twice and encoded as JSON.)
     assert_eq!(
         [post, cold, l1],
-        [55, 965, 132],
+        [40, 933, 132],
         "compressions per post, per 32 cold reads, per 32 L1-served feed items"
     );
 }

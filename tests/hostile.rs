@@ -3,8 +3,10 @@
 
 use std::time::{Duration, Instant};
 
+use dosn::core::content::Post;
 use dosn::core::engine::{Engine, OpBatch, OpOutput};
 use dosn::core::network::{ChordPlane, ReplicatedStore};
+use dosn::core::DosnError;
 
 /// A post body of exactly `len` bytes: plain text with multibyte characters
 /// and the characters JSON escapes (quotes, backslashes, newlines, tabs).
@@ -40,4 +42,40 @@ fn a_four_mib_post_reads_back_whole_and_in_linear_time() {
         other => panic!("read: {other:?}"),
     }
     assert!(took < Duration::from_secs(20), "read took {took:?}");
+}
+
+/// Whether `bytes` is refused as a malformed post.
+fn refused(bytes: &[u8]) -> bool {
+    matches!(
+        Post::from_bytes(bytes),
+        Err(DosnError::MalformedEnvelope(_))
+    )
+}
+
+#[test]
+fn the_post_codec_refuses_hostile_bytes_with_a_typed_error() {
+    // A post's bytes come out of a ciphertext the author chose: every
+    // malformed shape is an error, never a panic or an allocation sized
+    // by a length field.
+    let post = Post::new("author", 7, 9, hostile_body(300));
+    let wire = post.to_bytes().unwrap();
+    assert_eq!(Post::from_bytes(&wire), Ok(post));
+    // `author_len(4) | author(6) | sequence(8) | created_at(8) | body_len(4) | body`.
+    let body_len_at = 4 + 6 + 16;
+    for len in 0..wire.len() {
+        assert!(refused(&wire[..len]), "truncated to {len} bytes");
+    }
+    for at in [0, body_len_at] {
+        let mut huge = wire.clone();
+        huge[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(refused(&huge), "u32::MAX length at {at}");
+    }
+    let mut trailing = wire.clone();
+    trailing.push(0);
+    assert!(refused(&trailing));
+    for at in [4, body_len_at + 4] {
+        let mut bad = wire.clone();
+        bad[at] = 0xFF;
+        assert!(refused(&bad), "invalid UTF-8 at {at}");
+    }
 }

@@ -2,16 +2,19 @@
 //! of the survey's party-invitation scenario, played out by an active
 //! adversary, must be caught by the corresponding mechanism.
 
+use dosn::core::engine::{wall_key, Engine, OpBatch};
 use dosn::core::identity::{Identity, UserId};
 use dosn::core::integrity::envelope::SignedEnvelope;
 use dosn::core::integrity::history::{HistoryClient, HistoryServer, Operation};
 use dosn::core::integrity::relations::{CommentAttachment, PostRelationKeys};
-use dosn::core::integrity::timeline::{ExternalRef, Timeline};
+use dosn::core::integrity::timeline::{ExternalRef, Timeline, TimelineEntry};
+use dosn::core::network::{ChordPlane, ReplicatedStore};
 use dosn::core::DosnError;
 use dosn::crypto::aead::SymmetricKey;
 use dosn::crypto::chacha::SecureRng;
-use dosn::crypto::group::SchnorrGroup;
+use dosn::crypto::group::{GroupSize, SchnorrGroup};
 use dosn::crypto::keys::KeyDirectory;
+use dosn::overlay::metrics::Metrics;
 
 struct World {
     bob: Identity,
@@ -126,6 +129,84 @@ fn timeline_reorder_and_injection_caught() {
     injected.push(tm.entries()[0].clone());
     reordered = Timeline::from_entries(w.bob.id().clone(), injected);
     assert!(reordered.verify(&w.dir).is_err());
+}
+
+/// An engine on which bob has posted `bodies`, in order, with alice as his
+/// friend. Two engines at one seed hold the same keys and, for a common
+/// prefix of posts, the same stored records.
+fn bob_posts(bodies: &[&str]) -> Engine<ChordPlane> {
+    let mut e = Engine::new(ReplicatedStore::new(ChordPlane::build(16, 7), 3), 7);
+    let setup = OpBatch::new()
+        .register("bob")
+        .register("alice")
+        .befriend("bob", "alice", 0.9);
+    let setup = bodies.iter().fold(setup, |b, body| b.post("bob", body));
+    assert!(e.execute(setup).results.iter().all(Result::is_ok));
+    e
+}
+
+/// Bob's post `seq` as the replicas store it, decoded as a record of his
+/// and nothing more: no engine state, no key.
+fn stored_record(e: &mut Engine<ChordPlane>, seq: u64) -> TimelineEntry {
+    let bytes = e
+        .storage_mut()
+        .get(wall_key("bob", seq), &mut Metrics::new())
+        .unwrap();
+    let group = SchnorrGroup::shared(GroupSize::Toy);
+    SignedEnvelope::decode_wire(&"bob".into(), seq, &bytes, &group)
+        .unwrap()
+        .0
+}
+
+/// The records the replicas store are the author's timeline: decoded one by
+/// one with `decode_wire`, they rebuild a chain `Timeline::verify` accepts,
+/// under one signature per record. A holder that swaps two records, or
+/// serves a record of a fork the author rolled back, breaks it — though
+/// each such record still verifies alone.
+///
+/// At commit 1b02ace the same stored bytes carried no link: a stored record
+/// was signed over its own fields only, and the chain's `prev_hash` lived
+/// in the author's engine under a second signature no reader saw.
+#[test]
+fn stored_records_rebuild_a_chain_that_catches_swaps_and_forks() {
+    let mut live = bob_posts(&["p0", "p1", "p2", "p3"]);
+    // The author published two other posts after p1, then rolled back.
+    let mut fork = bob_posts(&["p0", "p1", "withdrawn p2", "withdrawn p3"]);
+    let records: Vec<TimelineEntry> = (0..4).map(|seq| stored_record(&mut live, seq)).collect();
+    let forked: Vec<TimelineEntry> = (0..4).map(|seq| stored_record(&mut fork, seq)).collect();
+    let dir = live.directory();
+    let chain = |entries: Vec<TimelineEntry>| Timeline::from_entries("bob".into(), entries);
+
+    let rebuilt = chain(records.clone());
+    rebuilt.verify(dir).unwrap();
+    assert_eq!(
+        rebuilt.head_hash(),
+        live.timeline("bob").unwrap().head_hash(),
+        "the stored chain is the author's"
+    );
+
+    let mut swapped = records.clone();
+    swapped.swap(1, 2);
+    assert!(matches!(
+        chain(swapped).verify(dir),
+        Err(DosnError::IntegrityViolation(_))
+    ));
+
+    // Same prefix, then a different branch signed with bob's own key.
+    assert_eq!(forked[1].hash(), records[1].hash());
+    assert_ne!(forked[2].hash(), records[2].hash());
+    for (at, record) in [(2, &forked[2]), (3, &forked[3])] {
+        record.verify(dir, None, u64::MAX - 1).unwrap();
+        let mut served = records.clone();
+        served[at] = record.clone();
+        assert!(
+            matches!(
+                chain(served).verify(dir),
+                Err(DosnError::IntegrityViolation(_))
+            ),
+            "fork record {at} accepted"
+        );
+    }
 }
 
 #[test]
