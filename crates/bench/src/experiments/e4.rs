@@ -22,15 +22,19 @@ fn trial(clients: usize, exchanges: usize, seed: u64) -> bool {
     let mut server = HistoryServer::new(SchnorrGroup::toy(), seed);
     server.append("wall", Operation::new("bob", "shared"));
     let branch = server.fork("wall");
-    server.append_to_branch("wall", 0, Operation::new("bob", "view A"));
-    server.append_to_branch("wall", branch, Operation::new("bob", "view B"));
+    server
+        .append_to_branch("wall", 0, Operation::new("bob", "view A"))
+        .expect("known branch");
+    server
+        .append_to_branch("wall", branch, Operation::new("bob", "view B"))
+        .expect("known branch");
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF0F0);
     let population: Vec<HistoryClient> = (0..clients)
         .map(|i| {
             let assigned = if i % 2 == 0 { 0 } else { branch };
             let mut c = HistoryClient::new(format!("c{i}"), "wall", server.verifying_key().clone());
-            let (log, digest) = server.view("wall", assigned);
+            let (log, digest) = server.view("wall", assigned).expect("known branch");
             c.observe(log, digest).expect("signed view accepted");
             c
         })

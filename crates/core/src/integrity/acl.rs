@@ -57,7 +57,7 @@ impl AccessLevel {
 /// acl.grant(&"bob".into(), AccessLevel::Commenter, &mut rng);
 ///
 /// // An untrusted node serves a proof; anyone verifies it offline.
-/// let (proof, root) = acl.replica().prove(&"bob".into());
+/// let (proof, root) = acl.replica().prove(&"bob".into())?;
 /// let level = check_access(owner_key.verifying_key(), &root, &"bob".into(), &proof)?;
 /// assert_eq!(level, Some(AccessLevel::Commenter));
 /// # Ok(())
@@ -117,8 +117,13 @@ pub struct AclReplica<'a> {
 
 impl AclReplica<'_> {
     /// Produces a (proof, signed root) pair for `user`.
-    pub fn prove(&self, user: &UserId) -> (LookupProof, SignedRoot) {
-        self.dict.prove(user.as_bytes())
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::Crypto`] if the dictionary has no signed root, which
+    /// [`OwnerAcl::new`] rules out by signing the empty list.
+    pub fn prove(&self, user: &UserId) -> Result<(LookupProof, SignedRoot), DosnError> {
+        Ok(self.dict.prove(user.as_bytes())?)
     }
 }
 
@@ -167,7 +172,7 @@ mod tests {
             ("carol", Some(AccessLevel::Writer)),
             ("mallory", None),
         ] {
-            let (proof, root) = acl.replica().prove(&user.into());
+            let (proof, root) = acl.replica().prove(&user.into()).unwrap();
             let got = check_access(owner.verifying_key(), &root, &user.into(), &proof).unwrap();
             assert_eq!(got, expect, "{user}");
         }
@@ -178,7 +183,7 @@ mod tests {
         let (mut acl, owner, mut rng) = setup();
         acl.grant(&"bob".into(), AccessLevel::Writer, &mut rng);
         acl.revoke(&"bob".into(), &mut rng);
-        let (proof, root) = acl.replica().prove(&"bob".into());
+        let (proof, root) = acl.replica().prove(&"bob".into()).unwrap();
         assert_eq!(
             check_access(owner.verifying_key(), &root, &"bob".into(), &proof).unwrap(),
             None
@@ -190,12 +195,12 @@ mod tests {
         let (mut acl, owner, mut rng) = setup();
         let _granted_root = acl.grant(&"bob".into(), AccessLevel::Writer, &mut rng);
         // Capture the proof while bob is listed.
-        let (old_proof, old_root) = acl.replica().prove(&"bob".into());
+        let (old_proof, old_root) = acl.replica().prove(&"bob".into()).unwrap();
         acl.revoke(&"bob".into(), &mut rng);
         // A malicious node replays the old proof + old root: it *verifies*
         // (the root was genuinely signed), which is why verifiers must
         // require the freshest root version — expose it for comparison.
-        let (new_proof, new_root) = acl.replica().prove(&"bob".into());
+        let (new_proof, new_root) = acl.replica().prove(&"bob".into()).unwrap();
         assert!(new_root.version > old_root.version);
         assert_eq!(
             check_access(owner.verifying_key(), &new_root, &"bob".into(), &new_proof).unwrap(),
@@ -210,7 +215,7 @@ mod tests {
     fn forged_level_rejected() {
         let (mut acl, owner, mut rng) = setup();
         acl.grant(&"bob".into(), AccessLevel::Reader, &mut rng);
-        let (proof, root) = acl.replica().prove(&"bob".into());
+        let (proof, root) = acl.replica().prove(&"bob".into()).unwrap();
         let LookupProof::Present { index, path, .. } = proof else {
             panic!("present")
         };
@@ -220,6 +225,24 @@ mod tests {
             path,
         };
         assert!(check_access(owner.verifying_key(), &root, &"bob".into(), &forged).is_err());
+    }
+
+    #[test]
+    fn an_entry_proven_at_another_index_is_refused() {
+        let (mut acl, owner, mut rng) = setup();
+        for user in ["alice", "bob", "carol"] {
+            acl.grant(&user.into(), AccessLevel::Reader, &mut rng);
+        }
+        let (proof, root) = acl.replica().prove(&"bob".into()).unwrap();
+        let LookupProof::Present { value, index, path } = proof else {
+            panic!("present")
+        };
+        let moved = LookupProof::Present {
+            value,
+            index: index + 1,
+            path,
+        };
+        assert!(check_access(owner.verifying_key(), &root, &"bob".into(), &moved).is_err());
     }
 
     #[test]
@@ -234,7 +257,7 @@ mod tests {
         acl.grant(&"bob".into(), AccessLevel::Reader, &mut rng);
         acl.grant(&"bob".into(), AccessLevel::Writer, &mut rng);
         assert_eq!(acl.len(), 1);
-        let (proof, root) = acl.replica().prove(&"bob".into());
+        let (proof, root) = acl.replica().prove(&"bob".into()).unwrap();
         assert_eq!(
             check_access(owner.verifying_key(), &root, &"bob".into(), &proof).unwrap(),
             Some(AccessLevel::Writer)

@@ -22,14 +22,17 @@
 //! probability versus gossip.
 //!
 //! *Substitution note:* Frientegrity's history **tree** gives logarithmic
-//! membership proofs; this implementation recomputes Merkle roots linearly
-//! from the transported log, which preserves the detection semantics the
-//! survey describes (what E4 measures) at simulation-friendly cost.
+//! membership proofs. The history here is the workspace's one Merkle tree
+//! ([`dosn_crypto::merkle`], shared with the ACL dictionary), but its roots
+//! are still recomputed linearly from the transported log rather than
+//! checked with consistency proofs. That preserves the detection semantics
+//! the survey describes (what E4 measures) at simulation-friendly cost.
 
 use crate::error::DosnError;
 use crate::identity::UserId;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
+use dosn_crypto::merkle;
 use dosn_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
 use dosn_crypto::sha256::{sha256_concat, Sha256};
 use std::collections::HashMap;
@@ -63,26 +66,14 @@ impl Operation {
     }
 }
 
-/// Merkle root over the first `k` operations of a log.
-fn root_at(log: &[Operation], k: usize) -> [u8; 32] {
-    assert!(k <= log.len());
-    if k == 0 {
-        return [0; 32];
-    }
-    let mut level: Vec<[u8; 32]> = log[..k].iter().map(Operation::hash).collect();
-    while level.len() > 1 {
-        level = level
-            .chunks(2)
-            .map(|pair| {
-                if pair.len() == 2 {
-                    sha256_concat(&[b"dosn.history.node", &pair[0], &pair[1]])
-                } else {
-                    pair[0]
-                }
-            })
-            .collect();
-    }
-    level[0]
+/// Merkle root over a log (or a prefix of one).
+fn log_root(ops: &[Operation]) -> [u8; 32] {
+    let leaves: Vec<[u8; 32]> = ops.iter().map(Operation::hash).collect();
+    merkle::root(b"dosn.history.node", &leaves)
+}
+
+fn no_branch(object: &str, branch: usize) -> DosnError {
+    DosnError::ContentUnavailable(format!("no branch {branch} of object {object:?}"))
 }
 
 /// A signed view digest: what clients exchange to detect forks.
@@ -167,26 +158,38 @@ impl HistoryServer {
 
     /// Appends only to one branch (the malicious move).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics for unknown objects/branches.
-    pub fn append_to_branch(&mut self, object: &str, branch: usize, op: Operation) {
-        self.logs.get_mut(object).expect("object exists")[branch].push(op);
+    /// [`DosnError::ContentUnavailable`] for an unknown object or branch.
+    pub fn append_to_branch(
+        &mut self,
+        object: &str,
+        branch: usize,
+        op: Operation,
+    ) -> Result<(), DosnError> {
+        let log = self.logs.get_mut(object).and_then(|b| b.get_mut(branch));
+        log.ok_or_else(|| no_branch(object, branch))?.push(op);
+        Ok(())
     }
 
     /// Serves `object`'s history as seen on `branch`, with a signed digest.
     /// The signature is what makes later fork evidence non-repudiable.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics for unknown objects/branches.
-    pub fn view(&mut self, object: &str, branch: usize) -> (Vec<Operation>, ViewDigest) {
-        let log = self.logs.get(object).expect("object exists")[branch].clone();
+    /// [`DosnError::ContentUnavailable`] for an unknown object or branch.
+    pub fn view(
+        &mut self,
+        object: &str,
+        branch: usize,
+    ) -> Result<(Vec<Operation>, ViewDigest), DosnError> {
+        let log = self.logs.get(object).and_then(|b| b.get(branch));
+        let log = log.ok_or_else(|| no_branch(object, branch))?.clone();
         let version = log.len() as u64;
-        let root = root_at(&log, log.len());
+        let root = log_root(&log);
         let digest_bytes = ViewDigest::signed_bytes(object, version, &root);
         let signature = self.key.sign(&digest_bytes, &mut self.rng);
-        (
+        Ok((
             log,
             ViewDigest {
                 object: object.to_owned(),
@@ -194,7 +197,7 @@ impl HistoryServer {
                 root,
                 signature,
             },
-        )
+        ))
     }
 }
 
@@ -254,7 +257,7 @@ impl HistoryClient {
         self.server_key
             .verify(&bytes, &digest.signature)
             .map_err(|_| DosnError::IntegrityViolation("server digest signature invalid".into()))?;
-        if digest.version != log.len() as u64 || root_at(&log, log.len()) != digest.root {
+        if digest.version != log.len() as u64 || log_root(&log) != digest.root {
             return Err(DosnError::IntegrityViolation(
                 "served log does not match signed digest".into(),
             ));
@@ -264,7 +267,10 @@ impl HistoryClient {
                 "served history shorter than previously observed".into(),
             ));
         }
-        if root_at(&log, self.log.len()) != root_at(&self.log, self.log.len()) {
+        // The root of `self.log`, checked against its signed digest when it
+        // was accepted (the empty root before the first view).
+        let accepted = self.latest.as_ref().map_or([0; 32], |d| d.root);
+        if log_root(&log[..self.log.len()]) != accepted {
             return Err(DosnError::IntegrityViolation(
                 "served history rewrites the accepted prefix".into(),
             ));
@@ -293,11 +299,10 @@ impl HistoryClient {
         self.server_key
             .verify(&bytes, &other_digest.signature)
             .map_err(|_| DosnError::IntegrityViolation("peer digest signature invalid".into()))?;
-        let common = (other_digest.version as usize).min(self.log.len());
-        if other_digest.version as usize <= self.log.len() {
+        if let Some(prefix) = self.log.get(..other_digest.version as usize) {
             // Our log covers their version: recompute the root they should
             // have seen.
-            if root_at(&self.log, common) != other_digest.root {
+            if log_root(prefix) != other_digest.root {
                 return Err(DosnError::ForkDetected(format!(
                     "{}: provider signed divergent views at version {}",
                     self.name, other_digest.version
@@ -338,10 +343,10 @@ mod tests {
         let mut carol = client("carol", &server);
         for i in 0..5 {
             server.append("bob-wall", Operation::new("bob", format!("post {i}")));
-            let (log, digest) = server.view("bob-wall", 0);
+            let (log, digest) = server.view("bob-wall", 0).unwrap();
             alice.observe(log, digest).unwrap();
         }
-        let (log, digest) = server.view("bob-wall", 0);
+        let (log, digest) = server.view("bob-wall", 0).unwrap();
         carol.observe(log, digest).unwrap();
         alice.cross_check(carol.digest().unwrap()).unwrap();
         carol.cross_check(alice.digest().unwrap()).unwrap();
@@ -353,14 +358,18 @@ mod tests {
         server.append("bob-wall", Operation::new("bob", "shared post"));
         let branch = server.fork("bob-wall");
         // Alice's branch gets a post Carol never sees.
-        server.append_to_branch("bob-wall", 0, Operation::new("bob", "only for alice"));
-        server.append_to_branch("bob-wall", branch, Operation::new("bob", "only for carol"));
+        server
+            .append_to_branch("bob-wall", 0, Operation::new("bob", "only for alice"))
+            .unwrap();
+        server
+            .append_to_branch("bob-wall", branch, Operation::new("bob", "only for carol"))
+            .unwrap();
 
         let mut alice = client("alice", &server);
         let mut carol = client("carol", &server);
-        let (log_a, dig_a) = server.view("bob-wall", 0);
+        let (log_a, dig_a) = server.view("bob-wall", 0).unwrap();
         alice.observe(log_a, dig_a).unwrap();
-        let (log_c, dig_c) = server.view("bob-wall", branch);
+        let (log_c, dig_c) = server.view("bob-wall", branch).unwrap();
         carol.observe(log_c, dig_c).unwrap();
 
         // Same version, different roots: gossip catches it immediately.
@@ -373,15 +382,21 @@ mod tests {
         let mut server = setup();
         server.append("bob-wall", Operation::new("bob", "p0"));
         let branch = server.fork("bob-wall");
-        server.append_to_branch("bob-wall", 0, Operation::new("bob", "a1"));
-        server.append_to_branch("bob-wall", 0, Operation::new("bob", "a2"));
-        server.append_to_branch("bob-wall", branch, Operation::new("bob", "c1"));
+        server
+            .append_to_branch("bob-wall", 0, Operation::new("bob", "a1"))
+            .unwrap();
+        server
+            .append_to_branch("bob-wall", 0, Operation::new("bob", "a2"))
+            .unwrap();
+        server
+            .append_to_branch("bob-wall", branch, Operation::new("bob", "c1"))
+            .unwrap();
 
         let mut alice = client("alice", &server);
         let mut carol = client("carol", &server);
-        let (la, da) = server.view("bob-wall", 0); // version 3
+        let (la, da) = server.view("bob-wall", 0).unwrap(); // version 3
         alice.observe(la, da).unwrap();
-        let (lc, dc) = server.view("bob-wall", branch); // version 2
+        let (lc, dc) = server.view("bob-wall", branch).unwrap(); // version 2
         carol.observe(lc, dc).unwrap();
         // Alice's log covers carol's version: prefix mismatch -> fork.
         assert!(matches!(
@@ -395,13 +410,15 @@ mod tests {
         let mut server = setup();
         server.append("bob-wall", Operation::new("bob", "original"));
         let mut alice = client("alice", &server);
-        let (log, digest) = server.view("bob-wall", 0);
+        let (log, digest) = server.view("bob-wall", 0).unwrap();
         alice.observe(log, digest).unwrap();
         // The server rewrites history on a fresh branch with different ops.
         let branch = server.fork("bob-wall");
         server.logs.get_mut("bob-wall").unwrap()[branch][0] = Operation::new("bob", "rewritten");
-        server.append_to_branch("bob-wall", branch, Operation::new("bob", "more"));
-        let (log2, digest2) = server.view("bob-wall", branch);
+        server
+            .append_to_branch("bob-wall", branch, Operation::new("bob", "more"))
+            .unwrap();
+        let (log2, digest2) = server.view("bob-wall", branch).unwrap();
         assert!(matches!(
             alice.observe(log2, digest2),
             Err(DosnError::IntegrityViolation(_))
@@ -415,12 +432,12 @@ mod tests {
             server.append("bob-wall", Operation::new("bob", format!("{i}")));
         }
         let mut alice = client("alice", &server);
-        let (log, digest) = server.view("bob-wall", 0);
+        let (log, digest) = server.view("bob-wall", 0).unwrap();
         alice.observe(log, digest).unwrap();
         // Server now serves a truncated (but correctly signed) view.
         let branch = server.fork("bob-wall");
         server.logs.get_mut("bob-wall").unwrap()[branch].truncate(1);
-        let (short_log, short_digest) = server.view("bob-wall", branch);
+        let (short_log, short_digest) = server.view("bob-wall", branch).unwrap();
         assert!(alice.observe(short_log, short_digest).is_err());
     }
 
@@ -428,7 +445,7 @@ mod tests {
     fn digest_forgery_rejected() {
         let mut server = setup();
         server.append("bob-wall", Operation::new("bob", "p"));
-        let (log, mut digest) = server.view("bob-wall", 0);
+        let (log, mut digest) = server.view("bob-wall", 0).unwrap();
         digest.root[0] ^= 1;
         let mut alice = client("alice", &server);
         assert!(alice.observe(log, digest).is_err());
@@ -438,7 +455,7 @@ mod tests {
     fn log_digest_mismatch_rejected() {
         let mut server = setup();
         server.append("bob-wall", Operation::new("bob", "p"));
-        let (mut log, digest) = server.view("bob-wall", 0);
+        let (mut log, digest) = server.view("bob-wall", 0).unwrap();
         log[0] = Operation::new("bob", "swapped");
         let mut alice = client("alice", &server);
         assert!(alice.observe(log, digest).is_err());
@@ -450,12 +467,45 @@ mod tests {
         server.append("bob-wall", Operation::new("bob", "p"));
         server.append("carol-wall", Operation::new("carol", "q"));
         let mut alice = client("alice", &server);
-        let (log, digest) = server.view("bob-wall", 0);
+        let (log, digest) = server.view("bob-wall", 0).unwrap();
         alice.observe(log, digest).unwrap();
         let mut dave = HistoryClient::new("dave", "carol-wall", server.verifying_key().clone());
-        let (log2, digest2) = server.view("carol-wall", 0);
+        let (log2, digest2) = server.view("carol-wall", 0).unwrap();
         dave.observe(log2, digest2).unwrap();
         alice.cross_check(dave.digest().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn unknown_object_or_branch_is_a_typed_error() {
+        let mut server = setup();
+        server.append("bob-wall", Operation::new("bob", "p"));
+        let op = Operation::new("bob", "q");
+        for (object, branch) in [("nobody-wall", 0), ("bob-wall", 1)] {
+            assert!(matches!(
+                server.append_to_branch(object, branch, op.clone()),
+                Err(DosnError::ContentUnavailable(_))
+            ));
+            assert!(matches!(
+                server.view(object, branch),
+                Err(DosnError::ContentUnavailable(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn root_bytes_are_pinned() {
+        // Seven ops `x: op0..op6`. A change to the op or node hashing, or
+        // to the tree's shape, moves this root.
+        let mut server = setup();
+        for i in 0..7 {
+            server.append("bob-wall", Operation::new("x", format!("op{i}")));
+        }
+        let (_, digest) = server.view("bob-wall", 0).unwrap();
+        let hex: String = digest.root.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "659525df3e843fa73bd95859495cba9940ca36de766b815c622794971bc0dcc1"
+        );
     }
 
     #[test]
@@ -463,15 +513,15 @@ mod tests {
         let ops: Vec<Operation> = (0..7)
             .map(|i| Operation::new("x", format!("op{i}")))
             .collect();
-        assert_eq!(root_at(&ops, 0), [0; 32]);
-        assert_ne!(root_at(&ops, 1), root_at(&ops, 2));
-        assert_ne!(root_at(&ops, 6), root_at(&ops, 7));
+        assert_eq!(log_root(&ops[..0]), [0; 32]);
+        assert_ne!(log_root(&ops[..1]), log_root(&ops[..2]));
+        assert_ne!(log_root(&ops[..6]), log_root(&ops[..7]));
         // Prefix roots are a function of the prefix only.
         let longer: Vec<Operation> = ops
             .iter()
             .cloned()
             .chain([Operation::new("x", "extra")])
             .collect();
-        assert_eq!(root_at(&ops, 5), root_at(&longer, 5));
+        assert_eq!(log_root(&ops[..5]), log_root(&longer[..5]));
     }
 }

@@ -11,6 +11,7 @@
 //! | §III-D | Attribute-based encryption (CP-ABE via secret-sharing trees) | [`abe`] |
 //! | §III-E | Identity-based encryption (Cocks) and broadcast IBBE | [`ibe`], [`ibbe`] |
 //! | §III-F | PRF + OPRF (Hummingbird key dissemination) | [`hmac`], [`oprf`] |
+//! | §III-F, §IV-B | Authenticated dictionary over one Merkle tree (RFC 9162 shape) | [`pad`], [`merkle`] |
 //! | §IV | Digital signatures, hashing | [`schnorr`], [`sha256`] |
 //! | §IV | Batch signature verification (random linear combination) | [`batch`] |
 //! | §IV-A | Key distribution / PKI with provenance | [`keys`] |
@@ -65,6 +66,7 @@ pub mod hmac;
 pub mod ibbe;
 pub mod ibe;
 pub mod keys;
+pub mod merkle;
 pub mod oprf;
 pub mod pad;
 pub mod schnorr;

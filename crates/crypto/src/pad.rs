@@ -8,22 +8,27 @@
 //! owner-signed root, or a negative proof that `k` is absent — so a
 //! malicious provider can neither forge ACL entries nor hide them.
 //!
-//! Implementation: a Merkle tree over the sorted entry list. Membership
-//! proofs are standard Merkle paths; absence proofs present the two
-//! *adjacent* entries that straddle the missing key (plus their paths), and
-//! persistence comes from retaining every signed root by version. Proof
-//! size and verification are `O(log n)`.
+//! Implementation: a [`merkle`] tree over the sorted entry list, whose
+//! signed root also signs the entry count. Membership proofs are RFC 9162
+//! inclusion proofs, checked at their claimed index against that signed
+//! count; absence proofs present the two *adjacent* entries that straddle
+//! the missing key (plus their proofs), or the first or last entry at an
+//! edge — adjacency and the edges are checked on the bound indices, so a
+//! provider cannot renumber a neighbour to hide an entry. Persistence comes
+//! from retaining every signed root by version. Proof size and verification
+//! are `O(log n)`.
 
 use crate::chacha::SecureRng;
 use crate::error::CryptoError;
+use crate::merkle::{self, Hash};
 use crate::schnorr::{Signature, SigningKey, VerifyingKey};
 use crate::sha256::{sha256_concat, Sha256};
 use std::collections::BTreeMap;
 
-/// Hash of a PAD node.
-type NodeHash = [u8; 32];
+/// The PAD's interior-node domain tag.
+const NODE_TAG: &[u8] = b"dosn.pad.node";
 
-fn leaf_hash(key: &[u8], value: &[u8]) -> NodeHash {
+fn leaf_hash(key: &[u8], value: &[u8]) -> Hash {
     sha256_concat(&[
         b"dosn.pad.leaf",
         &(key.len() as u64).to_be_bytes(),
@@ -33,97 +38,26 @@ fn leaf_hash(key: &[u8], value: &[u8]) -> NodeHash {
     ])
 }
 
-fn node_hash(left: &NodeHash, right: &NodeHash) -> NodeHash {
-    sha256_concat(&[b"dosn.pad.node", left, right])
-}
-
-/// Computes the Merkle root over leaf hashes (zeros when empty).
-fn merkle_root(leaves: &[NodeHash]) -> NodeHash {
-    if leaves.is_empty() {
-        return [0; 32];
-    }
-    let mut level = leaves.to_vec();
-    while level.len() > 1 {
-        level = level
-            .chunks(2)
-            .map(|pair| {
-                if pair.len() == 2 {
-                    node_hash(&pair[0], &pair[1])
-                } else {
-                    pair[0]
-                }
-            })
-            .collect();
-    }
-    level[0]
-}
-
-/// One Merkle path step: the sibling hash and which side it sits on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PathStep {
-    sibling: NodeHash,
-    sibling_is_left: bool,
-}
-
-/// Computes the authentication path for `index` and verifies it folds to
-/// the root.
-fn merkle_path(leaves: &[NodeHash], index: usize) -> Vec<PathStep> {
-    let mut path = Vec::new();
-    let mut level = leaves.to_vec();
-    let mut idx = index;
-    while level.len() > 1 {
-        let sibling_idx = if idx.is_multiple_of(2) {
-            idx + 1
-        } else {
-            idx - 1
-        };
-        if sibling_idx < level.len() {
-            path.push(PathStep {
-                sibling: level[sibling_idx],
-                sibling_is_left: sibling_idx < idx,
-            });
-        }
-        level = level
-            .chunks(2)
-            .map(|pair| {
-                if pair.len() == 2 {
-                    node_hash(&pair[0], &pair[1])
-                } else {
-                    pair[0]
-                }
-            })
-            .collect();
-        idx /= 2;
-    }
-    path
-}
-
-fn fold_path(mut acc: NodeHash, path: &[PathStep]) -> NodeHash {
-    for step in path {
-        acc = if step.sibling_is_left {
-            node_hash(&step.sibling, &acc)
-        } else {
-            node_hash(&acc, &step.sibling)
-        };
-    }
-    acc
-}
-
-/// A signed root: version, root hash, and the owner's signature.
+/// A signed root: version, entry count, root hash, and the owner's
+/// signature over all three.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedRoot {
     /// Monotone version (one per mutation).
     pub version: u64,
+    /// Entries (Merkle leaves) at this version: every proof's index is
+    /// checked against it.
+    pub size: usize,
     /// Merkle root at this version.
-    pub root: NodeHash,
+    pub root: Hash,
     signature: Signature,
 }
 
 impl SignedRoot {
-    fn digest(version: u64, root: &NodeHash) -> NodeHash {
+    fn digest(version: u64, size: usize, root: &Hash) -> Hash {
         let mut h = Sha256::new();
         h.update(b"dosn.pad.root");
         h.update(&version.to_be_bytes());
+        h.update(&(size as u64).to_be_bytes());
         h.update(root);
         h.finalize()
     }
@@ -134,7 +68,8 @@ impl SignedRoot {
     ///
     /// [`CryptoError::InvalidSignature`] when the signature is bad.
     pub fn verify(&self, owner: &VerifyingKey) -> Result<(), CryptoError> {
-        owner.verify(&Self::digest(self.version, &self.root), &self.signature)
+        let digest = Self::digest(self.version, self.size, &self.root);
+        owner.verify(&digest, &self.signature)
     }
 }
 
@@ -147,7 +82,8 @@ pub enum LookupProof {
         value: Vec<u8>,
         /// Leaf index in the sorted entry list.
         index: usize,
-        path: Vec<PathProof>,
+        /// Sibling hashes from the leaf up ([`merkle::inclusion_proof`]).
+        path: Vec<Hash>,
     },
     /// `key` is absent; the straddling neighbors prove it.
     Absent {
@@ -155,22 +91,16 @@ pub enum LookupProof {
         left: Option<NeighborProof>,
         /// The least entry above the key (`None` at the right edge).
         right: Option<NeighborProof>,
-        /// Total entries at this version (to validate edge cases).
-        len: usize,
     },
 }
 
-/// Re-exported path step (opaque contents).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathProof(PathStep);
-
-/// A neighbor entry with its own membership path.
+/// A neighbor entry with its own inclusion proof.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NeighborProof {
     key: Vec<u8>,
     value: Vec<u8>,
     index: usize,
-    path: Vec<PathProof>,
+    path: Vec<Hash>,
 }
 
 /// The owner-side persistent authenticated dictionary.
@@ -188,11 +118,11 @@ pub struct NeighborProof {
 /// acl.insert(b"carol", b"writer", &mut rng);
 ///
 /// // The provider answers lookups with proofs a client can verify offline.
-/// let (proof, root) = acl.prove(b"bob");
+/// let (proof, root) = acl.prove(b"bob")?;
 /// AuthenticatedDictionary::verify(owner.verifying_key(), &root, b"bob", &proof)?;
 ///
 /// // Absence is also provable: the provider cannot hide entries.
-/// let (proof, root) = acl.prove(b"mallory");
+/// let (proof, root) = acl.prove(b"mallory")?;
 /// AuthenticatedDictionary::verify(owner.verifying_key(), &root, b"mallory", &proof)?;
 /// # Ok(())
 /// # }
@@ -247,21 +177,20 @@ impl AuthenticatedDictionary {
         &self.roots
     }
 
-    fn leaves(&self) -> (Vec<Vec<u8>>, Vec<NodeHash>) {
-        let keys: Vec<Vec<u8>> = self.entries.keys().cloned().collect();
-        let hashes = self.entries.iter().map(|(k, v)| leaf_hash(k, v)).collect();
-        (keys, hashes)
+    fn leaves(&self) -> Vec<Hash> {
+        self.entries.iter().map(|(k, v)| leaf_hash(k, v)).collect()
     }
 
     fn sign_root(&mut self, rng: &mut SecureRng) -> SignedRoot {
         self.version += 1;
-        let (_, leaves) = self.leaves();
-        let root = merkle_root(&leaves);
+        let size = self.entries.len();
+        let root = merkle::root(NODE_TAG, &self.leaves());
         let signature = self
             .owner
-            .sign(&SignedRoot::digest(self.version, &root), rng);
+            .sign(&SignedRoot::digest(self.version, size, &root), rng);
         let signed = SignedRoot {
             version: self.version,
+            size,
             root,
             signature,
         };
@@ -284,45 +213,34 @@ impl AuthenticatedDictionary {
 
     /// Produces a lookup proof for `key` against the *current* version.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if called before any mutation (there is no signed root yet).
-    pub fn prove(&self, key: &[u8]) -> (LookupProof, SignedRoot) {
-        let root = self
-            .roots
-            .last()
-            .expect("prove requires at least one signed root")
-            .clone();
-        let (keys, leaves) = self.leaves();
-        let proof = match keys.binary_search(&key.to_vec()) {
-            Ok(index) => LookupProof::Present {
-                value: self.entries[key].clone(),
-                index,
-                path: merkle_path(&leaves, index)
-                    .into_iter()
-                    .map(PathProof)
-                    .collect(),
-            },
-            Err(insertion) => {
-                let neighbor = |idx: usize| -> NeighborProof {
-                    NeighborProof {
-                        key: keys[idx].clone(),
-                        value: self.entries[&keys[idx]].clone(),
-                        index: idx,
-                        path: merkle_path(&leaves, idx)
-                            .into_iter()
-                            .map(PathProof)
-                            .collect(),
-                    }
-                };
-                LookupProof::Absent {
-                    left: insertion.checked_sub(1).map(neighbor),
-                    right: (insertion < keys.len()).then(|| neighbor(insertion)),
-                    len: keys.len(),
-                }
-            }
+    /// [`CryptoError::Protocol`] before the first mutation (there is no
+    /// signed root to prove against yet).
+    pub fn prove(&self, key: &[u8]) -> Result<(LookupProof, SignedRoot), CryptoError> {
+        let root = self.roots.last().cloned().ok_or_else(|| {
+            CryptoError::Protocol("no signed root yet: insert or remove first".into())
+        })?;
+        let entries: Vec<(&Vec<u8>, &Vec<u8>)> = self.entries.iter().collect();
+        let leaves = self.leaves();
+        let neighbor = |index: usize| NeighborProof {
+            key: entries[index].0.clone(),
+            value: entries[index].1.clone(),
+            index,
+            path: merkle::inclusion_proof(NODE_TAG, &leaves, index),
         };
-        (proof, root)
+        let proof = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+            Ok(index) => LookupProof::Present {
+                value: entries[index].1.clone(),
+                index,
+                path: merkle::inclusion_proof(NODE_TAG, &leaves, index),
+            },
+            Err(insertion) => LookupProof::Absent {
+                left: insertion.checked_sub(1).map(neighbor),
+                right: (insertion < entries.len()).then(|| neighbor(insertion)),
+            },
+        };
+        Ok((proof, root))
     }
 
     /// Client-side verification of a lookup proof against a signed root.
@@ -330,8 +248,9 @@ impl AuthenticatedDictionary {
     /// # Errors
     ///
     /// * [`CryptoError::InvalidSignature`] — bad root signature;
-    /// * [`CryptoError::InvalidProof`] — the proof does not authenticate
-    ///   under the root, or the absence neighbors do not straddle the key.
+    /// * [`CryptoError::InvalidProof`] — the proof does not place its entry
+    ///   at its index under the root and its signed size, or the absence
+    ///   neighbors are not adjacent entries straddling the key.
     pub fn verify(
         owner: &VerifyingKey,
         root: &SignedRoot,
@@ -339,63 +258,33 @@ impl AuthenticatedDictionary {
         proof: &LookupProof,
     ) -> Result<(), CryptoError> {
         root.verify(owner)?;
-        match proof {
-            LookupProof::Present { value, index, path } => {
-                let steps: Vec<PathStep> = path.iter().map(|p| p.0.clone()).collect();
-                let folded = fold_path(leaf_hash(key, value), &steps);
-                if folded != root.root {
-                    return Err(CryptoError::InvalidProof);
+        let included = |key: &[u8], value: &[u8], index: usize, path: &[Hash]| {
+            let leaf = leaf_hash(key, value);
+            merkle::verify_inclusion(NODE_TAG, &leaf, index, root.size, path, &root.root)
+        };
+        let neighbor = |n: &NeighborProof| included(&n.key, &n.value, n.index, &n.path);
+        let valid = match proof {
+            LookupProof::Present { value, index, path } => included(key, value, *index, path),
+            LookupProof::Absent { left, right } => match (left, right) {
+                (Some(l), Some(r)) => {
+                    neighbor(l)
+                        && neighbor(r)
+                        && l.key.as_slice() < key
+                        && key < r.key.as_slice()
+                        && r.index == l.index + 1
                 }
-                let _ = index;
-                Ok(())
-            }
-            LookupProof::Absent { left, right, len } => {
-                if *len == 0 {
-                    // Empty dictionary: root must be the empty root.
-                    return if root.root == [0; 32] {
-                        Ok(())
-                    } else {
-                        Err(CryptoError::InvalidProof)
-                    };
+                // Key is beyond the right edge.
+                (Some(l), None) => {
+                    neighbor(l) && l.key.as_slice() < key && l.index + 1 == root.size
                 }
-                let check_neighbor = |n: &NeighborProof| -> Result<(), CryptoError> {
-                    let steps: Vec<PathStep> = n.path.iter().map(|p| p.0.clone()).collect();
-                    if fold_path(leaf_hash(&n.key, &n.value), &steps) != root.root {
-                        return Err(CryptoError::InvalidProof);
-                    }
-                    Ok(())
-                };
-                match (left, right) {
-                    (Some(l), Some(r)) => {
-                        check_neighbor(l)?;
-                        check_neighbor(r)?;
-                        // Straddling and adjacent.
-                        if !(l.key.as_slice() < key && key < r.key.as_slice()) {
-                            return Err(CryptoError::InvalidProof);
-                        }
-                        if r.index != l.index + 1 {
-                            return Err(CryptoError::InvalidProof);
-                        }
-                        Ok(())
-                    }
-                    (Some(l), None) => {
-                        check_neighbor(l)?;
-                        // Key is beyond the right edge.
-                        if !(l.key.as_slice() < key && l.index + 1 == *len) {
-                            return Err(CryptoError::InvalidProof);
-                        }
-                        Ok(())
-                    }
-                    (None, Some(r)) => {
-                        check_neighbor(r)?;
-                        if !(key < r.key.as_slice() && r.index == 0) {
-                            return Err(CryptoError::InvalidProof);
-                        }
-                        Ok(())
-                    }
-                    (None, None) => Err(CryptoError::InvalidProof),
-                }
-            }
+                (None, Some(r)) => neighbor(r) && key < r.key.as_slice() && r.index == 0,
+                (None, None) => root.size == 0,
+            },
+        };
+        if valid {
+            Ok(())
+        } else {
+            Err(CryptoError::InvalidProof)
         }
     }
 }
@@ -424,7 +313,7 @@ mod tests {
     fn membership_proofs_verify() {
         let (dict, owner, _) = populated();
         for key in ["bob", "carol", "erin"] {
-            let (proof, root) = dict.prove(key.as_bytes());
+            let (proof, root) = dict.prove(key.as_bytes()).unwrap();
             assert!(matches!(proof, LookupProof::Present { .. }));
             AuthenticatedDictionary::verify(owner.verifying_key(), &root, key.as_bytes(), &proof)
                 .unwrap();
@@ -436,7 +325,7 @@ mod tests {
         let (dict, owner, _) = populated();
         // Interior gap, left edge, right edge.
         for key in ["dave", "aaron", "zed"] {
-            let (proof, root) = dict.prove(key.as_bytes());
+            let (proof, root) = dict.prove(key.as_bytes()).unwrap();
             assert!(matches!(proof, LookupProof::Absent { .. }), "{key}");
             AuthenticatedDictionary::verify(owner.verifying_key(), &root, key.as_bytes(), &proof)
                 .unwrap();
@@ -446,7 +335,7 @@ mod tests {
     #[test]
     fn forged_value_rejected() {
         let (dict, owner, _) = populated();
-        let (proof, root) = dict.prove(b"bob");
+        let (proof, root) = dict.prove(b"bob").unwrap();
         let LookupProof::Present { index, path, .. } = proof else {
             panic!("present");
         };
@@ -464,12 +353,13 @@ mod tests {
 
     #[test]
     fn hiding_an_entry_rejected() {
-        // The provider tries to prove "carol" absent although she is listed:
-        // it must fabricate straddling neighbors, but bob/erin are not
-        // adjacent (carol sits between them), so the index check fails.
+        // The provider tries to prove "carol" absent although she is listed,
+        // with bob and erin at their true indices: carol sits between them,
+        // so they are not adjacent. (Renumbering erin to make them look
+        // adjacent fails too: see the test below.)
         let (dict, owner, _) = populated();
-        let (bob_proof, root) = dict.prove(b"bob");
-        let (erin_proof, _) = dict.prove(b"erin");
+        let (bob_proof, root) = dict.prove(b"bob").unwrap();
+        let (erin_proof, _) = dict.prove(b"erin").unwrap();
         let LookupProof::Present {
             value: bv,
             index: bi,
@@ -499,7 +389,6 @@ mod tests {
                 index: ei,
                 path: ep,
             }),
-            len: dict.len(),
         };
         assert!(AuthenticatedDictionary::verify(
             owner.verifying_key(),
@@ -510,12 +399,116 @@ mod tests {
         .is_err());
     }
 
+    /// `key`'s membership proof, recast as an absence-proof neighbor.
+    fn as_neighbor(dict: &AuthenticatedDictionary, key: &[u8]) -> NeighborProof {
+        let (LookupProof::Present { value, index, path }, _) = dict.prove(key).unwrap() else {
+            panic!("{key:?} is listed")
+        };
+        NeighborProof {
+            key: key.to_vec(),
+            value,
+            index,
+            path,
+        }
+    }
+
+    #[test]
+    fn renumbering_a_neighbor_cannot_hide_an_entry() {
+        // erin keeps her true path but claims bob's index + 1, so that bob
+        // and erin look adjacent around carol.
+        let (dict, owner, _) = populated();
+        let (_, root) = dict.prove(b"carol").unwrap();
+        let bob = as_neighbor(&dict, b"bob");
+        let erin = NeighborProof {
+            index: bob.index + 1,
+            ..as_neighbor(&dict, b"erin")
+        };
+        let forged = LookupProof::Absent {
+            left: Some(bob),
+            right: Some(erin),
+        };
+        assert_eq!(
+            AuthenticatedDictionary::verify(owner.verifying_key(), &root, b"carol", &forged),
+            Err(CryptoError::InvalidProof)
+        );
+    }
+
+    #[test]
+    fn a_short_count_cannot_hide_the_last_entry() {
+        // carol as the last entry would prove erin absent at the right
+        // edge; the signed count says carol is not last, and a root
+        // relabelled with the count that would make her last loses the
+        // owner's signature.
+        let (dict, owner, _) = populated();
+        let (_, root) = dict.prove(b"erin").unwrap();
+        let carol = as_neighbor(&dict, b"carol");
+        let short = SignedRoot {
+            size: carol.index + 1,
+            ..root.clone()
+        };
+        let forged = LookupProof::Absent {
+            left: Some(carol),
+            right: None,
+        };
+        let key = owner.verifying_key();
+        assert_eq!(
+            AuthenticatedDictionary::verify(key, &root, b"erin", &forged),
+            Err(CryptoError::InvalidProof)
+        );
+        assert_eq!(
+            AuthenticatedDictionary::verify(key, &short, b"erin", &forged),
+            Err(CryptoError::InvalidSignature)
+        );
+    }
+
+    #[test]
+    fn a_membership_proof_is_bound_to_its_index() {
+        let (dict, owner, _) = populated();
+        for key in [b"bob".as_slice(), b"carol", b"erin"] {
+            let (proof, root) = dict.prove(key).unwrap();
+            let LookupProof::Present { value, index, path } = proof else {
+                panic!("{key:?} is listed")
+            };
+            for moved in index.checked_sub(1).into_iter().chain([index + 1]) {
+                let forged = LookupProof::Present {
+                    value: value.clone(),
+                    index: moved,
+                    path: path.clone(),
+                };
+                assert_eq!(
+                    AuthenticatedDictionary::verify(owner.verifying_key(), &root, key, &forged),
+                    Err(CryptoError::InvalidProof),
+                    "{key:?} at {moved}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn proving_before_the_first_root_is_a_typed_error() {
+        let (dict, _, _) = setup();
+        assert!(matches!(dict.prove(b"bob"), Err(CryptoError::Protocol(_))));
+    }
+
+    #[test]
+    fn root_bytes_are_pinned() {
+        // bob ↦ reader, carol ↦ writer, erin ↦ reader. A change to the leaf
+        // or node hashing, or to the tree's shape, moves this root.
+        let (dict, _, _) = populated();
+        let (_, root) = dict.prove(b"bob").unwrap();
+        let hex: String = root.root.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "2eb3e93b6b61f2dca65b450d348f67c3b0800ee4b2bc6ac254bd4768303a6fe9"
+        );
+    }
+
     #[test]
     fn stale_root_rejected_for_new_entries() {
         let (mut dict, owner, mut rng) = populated();
-        let (_, old_root) = dict.prove(b"bob");
+        let (_, old_root) = dict.prove(b"bob").unwrap();
         dict.insert(b"dave", b"reader", &mut rng);
-        let (new_proof, new_root) = dict.prove(b"dave");
+        let (new_proof, new_root) = dict.prove(b"dave").unwrap();
         // New proof does not verify against the old root.
         assert!(AuthenticatedDictionary::verify(
             owner.verifying_key(),
@@ -534,9 +527,16 @@ mod tests {
         dict.insert(b"bob", b"reader", &mut rng);
         dict.remove(b"bob", &mut rng);
         assert!(dict.is_empty());
-        let (proof, root) = dict.prove(b"bob");
+        let (proof, root) = dict.prove(b"bob").unwrap();
         AuthenticatedDictionary::verify(owner.verifying_key(), &root, b"bob", &proof).unwrap();
-        assert!(matches!(proof, LookupProof::Absent { len: 0, .. }));
+        assert!(matches!(
+            proof,
+            LookupProof::Absent {
+                left: None,
+                right: None
+            }
+        ));
+        assert_eq!(root.size, 0);
     }
 
     #[test]
@@ -559,7 +559,7 @@ mod tests {
     fn wrong_owner_rejected() {
         let (dict, _, mut rng) = populated();
         let mallory = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-        let (proof, root) = dict.prove(b"bob");
+        let (proof, root) = dict.prove(b"bob").unwrap();
         assert_eq!(
             AuthenticatedDictionary::verify(mallory.verifying_key(), &root, b"bob", &proof)
                 .unwrap_err(),
@@ -573,7 +573,7 @@ mod tests {
         for i in 0..128 {
             dict.insert(format!("user{i:03}").as_bytes(), b"member", &mut rng);
         }
-        let (proof, root) = dict.prove(b"user064");
+        let (proof, root) = dict.prove(b"user064").unwrap();
         let LookupProof::Present { ref path, .. } = proof else {
             panic!()
         };

@@ -22,9 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut alice = HistoryClient::new("alice", "bob-wall", provider.verifying_key().clone());
     let mut carol = HistoryClient::new("carol", "bob-wall", provider.verifying_key().clone());
-    let (log, digest) = provider.view("bob-wall", 0);
+    let (log, digest) = provider.view("bob-wall", 0)?;
     alice.observe(log, digest)?;
-    let (log, digest) = provider.view("bob-wall", 0);
+    let (log, digest) = provider.view("bob-wall", 0)?;
     carol.observe(log, digest)?;
     alice.cross_check(carol.digest().expect("observed"))?;
     println!(
@@ -39,16 +39,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "bob-wall",
         0,
         Operation::new("bob", "party at my home on friday!"),
-    );
+    )?;
     provider.append_to_branch(
         "bob-wall",
         carol_branch,
         Operation::new("bob", "quiet weekend, nothing planned"),
-    );
+    )?;
 
-    let (log_a, dig_a) = provider.view("bob-wall", 0);
+    let (log_a, dig_a) = provider.view("bob-wall", 0)?;
     alice.observe(log_a, dig_a)?;
-    let (log_c, dig_c) = provider.view("bob-wall", carol_branch);
+    let (log_c, dig_c) = provider.view("bob-wall", carol_branch)?;
     carol.observe(log_c, dig_c)?;
     println!(
         "equivocated: alice at version {}, carol at version {} — both views signed",
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Nor can the provider silently merge the fork back: serving Carol the
     // "real" branch now rewrites the prefix she already accepted.
-    let (merged_log, merged_digest) = provider.view("bob-wall", 0);
+    let (merged_log, merged_digest) = provider.view("bob-wall", 0)?;
     match carol.observe(merged_log, merged_digest) {
         Err(DosnError::IntegrityViolation(why)) => {
             println!("carol refuses the rewritten view: {why}");

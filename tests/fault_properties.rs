@@ -57,14 +57,18 @@ fn forked_population(n: usize, server_seed: u64) -> Vec<DigestGossiper> {
     let mut server = HistoryServer::new(SchnorrGroup::toy(), server_seed);
     server.append("wall", Operation::new("bob", "base post"));
     let branch = server.fork("wall");
-    server.append_to_branch("wall", 0, Operation::new("bob", "view for evens"));
-    server.append_to_branch("wall", branch, Operation::new("bob", "view for odds"));
+    server
+        .append_to_branch("wall", 0, Operation::new("bob", "view for evens"))
+        .unwrap();
+    server
+        .append_to_branch("wall", branch, Operation::new("bob", "view for odds"))
+        .unwrap();
     (0..n)
         .map(|i| {
             let assigned = if i % 2 == 0 { 0 } else { branch };
             let mut client =
                 HistoryClient::new(format!("client{i}"), "wall", server.verifying_key().clone());
-            let (log, digest) = server.view("wall", assigned);
+            let (log, digest) = server.view("wall", assigned).unwrap();
             client.observe(log, digest).expect("signed view");
             DigestGossiper {
                 client,

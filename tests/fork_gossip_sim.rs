@@ -43,14 +43,18 @@ fn build_world(clients: usize) -> (HistoryServer, Vec<HistoryClient>) {
     let mut server = HistoryServer::new(SchnorrGroup::toy(), 404);
     server.append("wall", Operation::new("bob", "base post"));
     let branch = server.fork("wall");
-    server.append_to_branch("wall", 0, Operation::new("bob", "view for evens"));
-    server.append_to_branch("wall", branch, Operation::new("bob", "view for odds"));
+    server
+        .append_to_branch("wall", 0, Operation::new("bob", "view for evens"))
+        .unwrap();
+    server
+        .append_to_branch("wall", branch, Operation::new("bob", "view for odds"))
+        .unwrap();
     let population = (0..clients)
         .map(|i| {
             let assigned = if i % 2 == 0 { 0 } else { branch };
             let mut c =
                 HistoryClient::new(format!("client{i}"), "wall", server.verifying_key().clone());
-            let (log, digest) = server.view("wall", assigned);
+            let (log, digest) = server.view("wall", assigned).unwrap();
             c.observe(log, digest).expect("signed view");
             c
         })
@@ -103,7 +107,7 @@ fn honest_history_raises_no_alarms_under_churn() {
         .map(|i| {
             let mut c =
                 HistoryClient::new(format!("client{i}"), "wall", server.verifying_key().clone());
-            let (log, digest) = server.view("wall", 0);
+            let (log, digest) = server.view("wall", 0).unwrap();
             c.observe(log, digest).expect("valid");
             DigestGossiper {
                 client: c,

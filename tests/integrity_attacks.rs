@@ -243,17 +243,21 @@ fn equivocating_provider_caught_via_gossip_chain() {
     let mut server = HistoryServer::new(SchnorrGroup::toy(), 3);
     server.append("wall", Operation::new("bob", "base"));
     let branch = server.fork("wall");
-    server.append_to_branch("wall", 0, Operation::new("bob", "A"));
-    server.append_to_branch("wall", branch, Operation::new("bob", "B"));
+    server
+        .append_to_branch("wall", 0, Operation::new("bob", "A"))
+        .unwrap();
+    server
+        .append_to_branch("wall", branch, Operation::new("bob", "B"))
+        .unwrap();
 
     let mut alice = HistoryClient::new("alice", "wall", server.verifying_key().clone());
     let mut bob = HistoryClient::new("bob", "wall", server.verifying_key().clone());
     let mut carol = HistoryClient::new("carol", "wall", server.verifying_key().clone());
-    let (l, d) = server.view("wall", 0);
+    let (l, d) = server.view("wall", 0).unwrap();
     alice.observe(l, d).unwrap();
-    let (l, d) = server.view("wall", 0);
+    let (l, d) = server.view("wall", 0).unwrap();
     bob.observe(l, d).unwrap();
-    let (l, d) = server.view("wall", branch);
+    let (l, d) = server.view("wall", branch).unwrap();
     carol.observe(l, d).unwrap();
 
     alice.cross_check(bob.digest().unwrap()).unwrap(); // same branch: fine
