@@ -30,7 +30,7 @@ fn chord_loss_table(run: &mut Run) {
         let mut m = Metrics::new();
         for i in 0..LOOKUPS {
             let key = Key::hash(format!("item-{i}").as_bytes());
-            let from = ring.random_node(i * 7 + 1);
+            let from = ring.random_node(i * 7 + 1).expect("an online start");
             if ring
                 .lookup_with_faults(from, key, &mut m, &mut faults, RETRIES)
                 .is_ok()

@@ -88,7 +88,7 @@ fn hybrid_costs(n: usize) -> CostRow {
     net.put(hot, vec![0u8; 128], &mut m).expect("put");
     let mut read_metrics = Metrics::new();
     for i in 0..QUERIES {
-        let r = net.dht().random_node(i * 3 + 1);
+        let r = net.dht().random_node(i * 3 + 1).expect("an online reader");
         net.get(r, hot, &mut read_metrics).expect("get");
     }
     [

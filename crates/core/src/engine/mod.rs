@@ -309,6 +309,7 @@ impl<S: StoragePlane> Engine<S> {
         let mut eight = [0u8; 8];
         eight.copy_from_slice(&self.ctx.seed[..8]);
         self.storage
+            .plane_mut()
             .enable_hot_cache(capacity, u64::from_be_bytes(eight));
     }
 

@@ -10,6 +10,7 @@ use dosn_core::DosnError;
 use dosn_crypto::CryptoError;
 use dosn_obs::names;
 use dosn_overlay::adversary::{AdversaryConfig, AdversaryMode, AdversaryPlane};
+use dosn_overlay::arena::Holders;
 use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
@@ -96,14 +97,11 @@ impl StoragePlane for PoisonPlane {
     fn name(&self) -> &'static str {
         "poison"
     }
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
+    fn holders(&self) -> &Holders {
+        self.inner.holders()
     }
-    fn node_ids(&self) -> Vec<NodeId> {
-        self.inner.node_ids()
-    }
-    fn is_online(&self, node: NodeId) -> bool {
-        self.inner.is_online(node)
+    fn holders_mut(&mut self) -> &mut Holders {
+        self.inner.holders_mut()
     }
     fn set_online(&mut self, node: NodeId, online: bool) {
         self.inner.set_online(node, online);

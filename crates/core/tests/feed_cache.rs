@@ -13,8 +13,9 @@
 //!   replica: verified away when good replicas exist, the same typed error
 //!   when they don't.
 //! * `read_feed` on a user with zero friends returns an empty feed.
-//! * The hot cache engages under every plane composition: a wrapper plane
-//!   that forgot to forward the cache hooks would switch it off silently.
+//! * The hot cache engages under every plane composition, a wrapper that
+//!   writes only the trait's required methods included, and federation
+//!   pods keep none.
 
 use dosn_core::engine::{wall_key, Engine, Op, OpBatch, OpOutput};
 use dosn_core::feed::FeedCache;
@@ -22,12 +23,16 @@ use dosn_core::identity::UserId;
 use dosn_core::DosnError;
 use dosn_obs::names;
 use dosn_overlay::adversary::{AdversaryConfig, AdversaryPlane};
+use dosn_overlay::arena::Holders;
 use dosn_overlay::chord::ChordPlane;
+use dosn_overlay::federation::FederationPlane;
+use dosn_overlay::id::{Key, NodeId};
+use dosn_overlay::kademlia::KademliaPlane;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::placement::{SocialPlacement, SocialPlane};
 use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::social::{SocialGraph, SocialGraphConfig};
-use dosn_overlay::storage::StoragePlane;
+use dosn_overlay::storage::{StorageError, StoragePlane};
 use dosn_overlay::superpeer::SuperPeerPlane;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -346,8 +351,8 @@ fn tampered_cache_and_replicas_error_exactly_like_uncached() {
     );
 }
 
-/// Posts a dozen envelopes, reads each once (the ring's seeded coin admits
-/// about half), then reads them all again: every admitted key must be
+/// Posts a dozen envelopes, reads each once (a DHT's seeded coin admits
+/// about half, a super-peer all), then reads them all again: every admitted key must be
 /// served by the cache and take no quorum read.
 fn l2_engages<S: StoragePlane>(plane: S, stack: &str) {
     const POSTS: u64 = 12;
@@ -383,6 +388,51 @@ fn l2_engages<S: StoragePlane>(plane: S, stack: &str) {
     );
 }
 
+/// A third-party wrapper that writes only the trait's required methods:
+/// the hot cache must reach its inner plane all the same.
+#[derive(Debug)]
+struct Minimal<P>(P);
+
+impl<P: StoragePlane> StoragePlane for Minimal<P> {
+    fn name(&self) -> &'static str {
+        "minimal"
+    }
+    fn holders(&self) -> &Holders {
+        self.0.holders()
+    }
+    fn holders_mut(&mut self) -> &mut Holders {
+        self.0.holders_mut()
+    }
+    fn set_online(&mut self, node: NodeId, online: bool) {
+        self.0.set_online(node, online);
+    }
+    fn replica_candidates(
+        &mut self,
+        key: Key,
+        want: usize,
+        metrics: &mut Metrics,
+    ) -> Result<Vec<NodeId>, StorageError> {
+        self.0.replica_candidates(key, want, metrics)
+    }
+    fn store_at(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        value: &[u8],
+        metrics: &mut Metrics,
+    ) -> Result<(), StorageError> {
+        self.0.store_at(node, key, value, metrics)
+    }
+    fn fetch_from(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        metrics: &mut Metrics,
+    ) -> Result<Option<Vec<u8>>, StorageError> {
+        self.0.fetch_from(node, key, metrics)
+    }
+}
+
 #[test]
 fn the_hot_cache_engages_under_every_plane_composition() {
     let adversary = || AdversaryConfig::new(5, 1);
@@ -395,6 +445,19 @@ fn the_hot_cache_engages_under_every_plane_composition() {
     l2_engages(boxed, "boxed social");
     let boxed: Box<dyn StoragePlane> = Box::new(AdversaryPlane::new(social_plane(5), adversary()));
     l2_engages(boxed, "boxed adversary over social");
+    l2_engages(Minimal(social_plane(5)), "minimal wrapper over social");
+    let boxed: Box<dyn StoragePlane> = Box::new(SuperPeerPlane::build(24, 4, 5));
+    l2_engages(boxed, "boxed super-peer");
+    let boxed: Box<dyn StoragePlane> = Box::new(KademliaPlane::build(24, 8, 5));
+    l2_engages(boxed, "boxed kademlia");
+}
+
+#[test]
+fn federation_pods_keep_no_hot_cache() {
+    let mut pods = Minimal(FederationPlane::build(4));
+    pods.enable_hot_cache(64, 5);
+    assert!(pods.hot_cache().is_none());
+    assert!(pods.hot_cache_mut().is_none());
 }
 
 #[test]

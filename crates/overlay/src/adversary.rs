@@ -28,7 +28,7 @@
 //!   [`AdversaryStats::observed_keys`], the raw material for the
 //!   pod-compromise leakage accounting.
 
-use crate::hotcache::HotCache;
+use crate::arena::Holders;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
 use crate::storage::{StorageError, StoragePlane};
@@ -293,16 +293,12 @@ impl<P: StoragePlane> StoragePlane for AdversaryPlane<P> {
         self.inner.name()
     }
 
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
+    fn holders(&self) -> &Holders {
+        self.inner.holders()
     }
 
-    fn node_ids(&self) -> Vec<NodeId> {
-        self.inner.node_ids()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.inner.is_online(node)
+    fn holders_mut(&mut self) -> &mut Holders {
+        self.inner.holders_mut()
     }
 
     fn set_online(&mut self, node: NodeId, online: bool) {
@@ -384,18 +380,6 @@ impl<P: StoragePlane> StoragePlane for AdversaryPlane<P> {
                 self.inner.fetch_from(node, key, metrics)
             }
         }
-    }
-
-    fn hot_cache(&self) -> Option<&HotCache> {
-        self.inner.hot_cache()
-    }
-
-    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        self.inner.hot_cache_mut()
-    }
-
-    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
-        self.inner.enable_hot_cache(capacity, seed);
     }
 }
 

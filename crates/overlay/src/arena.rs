@@ -1,31 +1,207 @@
-//! Compact arena storage for million-node overlays.
+//! The holder table every storage plane keeps, and its compact parts.
 //!
-//! The original overlay structs gave every node its own
-//! `HashMap<u64, Vec<u8>>` plus eagerly-built routing tables; at hundreds of
-//! nodes that is invisible, at 10⁶ nodes it is gigabytes of empty maps and
-//! 512-byte finger tables. This module provides the two building blocks the
-//! refactored overlays share:
+//! Every §II-B overlay family answers the same three questions the same
+//! way: which nodes exist and are online, what each one holds, and what
+//! its hot-envelope cache (L2) holds. [`Holders`] is that answer, kept
+//! once: a family owns one and implements placement and its own side
+//! effects around it, and [`StoragePlane`]'s membership and cache methods
+//! are provided over it. Its parts are sized for million-node overlays —
+//! the original overlay structs gave every node its own
+//! `HashMap<u64, Vec<u8>>` plus eagerly-built routing tables, which at
+//! 10⁶ nodes is gigabytes of empty maps:
 //!
 //! * [`NodeArena`] — struct-of-arrays membership state: one sorted `Vec<u64>`
 //!   of ring/XOR identifiers with a parallel online bitmap. Nodes are
 //!   addressed by dense `u32` slot or by identifier (binary search); no
-//!   per-node allocation exists at all.
+//!   per-node allocation exists at all. The super-peer and federation
+//!   planes use the dense ids `0..n`.
 //! * [`SharedStore`] — a single interned key/value store shared by every
 //!   node of an overlay. Entries are `(node id, key) → value index`; the
 //!   value bytes themselves are deduplicated, so R replicas of the same blob
-//!   cost one allocation plus R 16-byte entries. Empty nodes cost nothing.
+//!   cost one allocation plus R entries, and a value is freed with its last
+//!   entry. Empty nodes cost nothing.
 //!
-//! Both report [`NodeArena::memory_bytes`] / [`SharedStore::memory_bytes`]
-//! estimates so the E15 scale bench can gate memory-per-node honestly.
+//! Both parts estimate their resident bytes, which the families sum into
+//! their `memory_bytes()` so the E15 scale bench can gate memory-per-node
+//! honestly.
+//!
+//! [`StoragePlane`]: crate::storage::StoragePlane
 
-use std::collections::HashMap;
+use crate::hotcache::HotCache;
+use crate::id::{Key, NodeId};
+use crate::metrics::Metrics;
+use crate::sim::PLANE_HOP_MS;
+use crate::storage::StorageError;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// How a family's hot cache admits a key it has not cached yet (see
+/// [`HotCache`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// No cache: enabling one does nothing (federation pods mirror
+    /// everything already).
+    Off,
+    /// Every verified envelope (Supernova-style super-peer hosting).
+    All,
+    /// A seeded coin admitting `p256/256` of new keys (Cachet-style gossip
+    /// at DHT replicas).
+    Coin(u8),
+}
+
+/// One storage plane's holder table: its members and their online set, the
+/// blobs they hold, its hot-envelope cache, and the family's constants —
+/// the metric kinds a one-node store and fetch are accounted under, and
+/// the cache's admission policy.
+///
+/// A family implements [`StoragePlane`](crate::storage::StoragePlane)'s
+/// required `set_online`, `store_at` and `fetch_from` as one call into
+/// its `Holders` plus its own side effect, if it has one; the membership
+/// and cache methods are provided over [`StoragePlane::holders`].
+///
+/// [`StoragePlane::holders`]: crate::storage::StoragePlane::holders
+#[derive(Debug)]
+pub struct Holders {
+    arena: NodeArena,
+    store: SharedStore,
+    /// The plane's L2, once enabled.
+    pub(crate) hot: Option<HotCache>,
+    store_kind: &'static str,
+    fetch_kind: &'static str,
+    admission: Admission,
+}
+
+impl Holders {
+    /// A table over `ids` (sorted and unique), every member online, nothing
+    /// stored and no cache yet.
+    pub(crate) fn new(
+        ids: Vec<u64>,
+        store_kind: &'static str,
+        fetch_kind: &'static str,
+        admission: Admission,
+    ) -> Self {
+        Holders {
+            arena: NodeArena::from_sorted_ids(ids),
+            store: SharedStore::default(),
+            hot: None,
+            store_kind,
+            fetch_kind,
+            admission,
+        }
+    }
+
+    /// Membership: the sorted ids and the online set.
+    pub(crate) fn arena(&self) -> &NodeArena {
+        &self.arena
+    }
+
+    /// Marks a member online or offline; `false` (and no change) for a
+    /// node the table does not have.
+    pub(crate) fn set_online(&mut self, node: NodeId, online: bool) -> bool {
+        self.arena.set_online(node.0, online).is_some()
+    }
+
+    /// Adds a member (online); `false` when it is one already.
+    pub(crate) fn insert(&mut self, id: u64) -> bool {
+        self.arena.insert(id)
+    }
+
+    /// Removes a member and everything it held (an ungraceful departure);
+    /// `false` when it is not one.
+    pub(crate) fn remove(&mut self, id: u64) -> bool {
+        let removed = self.arena.remove(id);
+        if removed {
+            self.store.purge_holder(id);
+        }
+        removed
+    }
+
+    /// A deterministic online member chosen by `salt` (the workload
+    /// drivers' "random node"); `None` when every member is offline.
+    pub(crate) fn random_node(&self, salt: u64) -> Option<NodeId> {
+        self.arena.nth_online(salt as usize).map(NodeId)
+    }
+
+    /// Up to `want` online members in slot order, starting at slot
+    /// `start` (mod the member count) and wrapping: the placement scan of
+    /// the ring and the super-peer and federation planes.
+    pub(crate) fn scan_online(&self, start: usize, want: usize) -> Vec<NodeId> {
+        let ids = self.arena.ids();
+        let n = ids.len();
+        (0..n)
+            .map(|i| (start % n + i) % n)
+            .filter(|&slot| self.arena.is_online_slot(slot))
+            .take(want)
+            .map(|slot| NodeId(ids[slot]))
+            .collect()
+    }
+
+    /// Stores `value` under `key` at `node`, accounted as the family's
+    /// store kind with `value.len()` bytes.
+    pub(crate) fn store_at(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        value: &[u8],
+        metrics: &mut Metrics,
+    ) -> Result<(), StorageError> {
+        self.reachable(node)?;
+        self.store.insert(node.0, key.0, value);
+        metrics.record(self.store_kind, value.len() as u64, PLANE_HOP_MS);
+        Ok(())
+    }
+
+    /// What `node` holds under `key`, accounted as the family's fetch kind
+    /// with 64 bytes; `Ok(None)` when it holds nothing.
+    pub(crate) fn fetch_from(
+        &self,
+        node: NodeId,
+        key: Key,
+        metrics: &mut Metrics,
+    ) -> Result<Option<Vec<u8>>, StorageError> {
+        self.reachable(node)?;
+        metrics.record(self.fetch_kind, 64, PLANE_HOP_MS);
+        Ok(self.stored(node, key))
+    }
+
+    /// What `node` holds under `key`, unaccounted and whether or not it is
+    /// online.
+    pub(crate) fn stored(&self, node: NodeId, key: Key) -> Option<Vec<u8>> {
+        self.store.get(node.0, key.0).map(<[u8]>::to_vec)
+    }
+
+    /// Whether direct access to `node` may go ahead: the one error
+    /// contract of every plane's `store_at` and `fetch_from`.
+    fn reachable(&self, node: NodeId) -> Result<(), StorageError> {
+        match self.arena.slot_of(node.0) {
+            Some(slot) if self.arena.is_online_slot(slot) => Ok(()),
+            Some(_) => Err(StorageError::NodeOffline(node)),
+            None => Err(StorageError::UnknownNode(node)),
+        }
+    }
+
+    /// Starts an empty cache of `capacity` entries under the family's
+    /// admission policy; a family without a cache ignores the call.
+    pub(crate) fn start_cache(&mut self, capacity: usize, seed: u64) {
+        self.hot = match self.admission {
+            Admission::Off => return,
+            Admission::All => Some(HotCache::new(capacity)),
+            Admission::Coin(p256) => Some(HotCache::new(capacity).with_admission(seed, p256)),
+        };
+    }
+
+    /// Estimated resident bytes of the membership and the blob store.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.arena.memory_bytes() + self.store.memory_bytes()
+    }
+}
 
 /// Struct-of-arrays node membership: sorted identifiers + online bitmap.
 #[derive(Debug, Clone, Default)]
 pub struct NodeArena {
     ids: Vec<u64>,
     online: Vec<bool>,
-    online_count: usize,
+    online_len: usize,
 }
 
 impl NodeArena {
@@ -35,7 +211,7 @@ impl NodeArena {
     /// # Panics
     ///
     /// Panics if `ids` is not strictly increasing.
-    pub fn from_sorted_ids(ids: Vec<u64>) -> Self {
+    pub(crate) fn from_sorted_ids(ids: Vec<u64>) -> Self {
         assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "arena ids must be sorted and unique"
@@ -44,59 +220,54 @@ impl NodeArena {
         NodeArena {
             ids,
             online: vec![true; n],
-            online_count: n,
+            online_len: n,
         }
     }
 
     /// Number of nodes (online and offline).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
-    /// Whether the arena has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// Online node count.
-    pub fn online_count(&self) -> usize {
-        self.online_count
+    pub(crate) fn online_len(&self) -> usize {
+        self.online_len
     }
 
     /// The sorted identifier array.
-    pub fn ids(&self) -> &[u64] {
+    pub(crate) fn ids(&self) -> &[u64] {
         &self.ids
     }
 
     /// Dense slot of `id`, if present.
-    pub fn slot_of(&self, id: u64) -> Option<usize> {
+    pub(crate) fn slot_of(&self, id: u64) -> Option<usize> {
         self.ids.binary_search(&id).ok()
     }
 
     /// Whether the arena contains `id`.
-    pub fn contains(&self, id: u64) -> bool {
+    pub(crate) fn contains(&self, id: u64) -> bool {
         self.slot_of(id).is_some()
     }
 
     /// Whether `id` is a current, online member.
-    pub fn is_online(&self, id: u64) -> bool {
+    pub(crate) fn is_online(&self, id: u64) -> bool {
         self.slot_of(id).is_some_and(|s| self.online[s])
     }
 
     /// Whether the node at `slot` is online.
-    pub fn is_online_slot(&self, slot: usize) -> bool {
+    pub(crate) fn is_online_slot(&self, slot: usize) -> bool {
         self.online[slot]
     }
 
     /// Sets the online flag for `id`; returns the previous value, or
     /// `None` (nothing changes) for unknown ids.
-    pub fn set_online(&mut self, id: u64, online: bool) -> Option<bool> {
+    pub(crate) fn set_online(&mut self, id: u64, online: bool) -> Option<bool> {
         let slot = self.slot_of(id)?;
         let was = self.online[slot];
         self.online[slot] = online;
         match (was, online) {
-            (false, true) => self.online_count += 1,
-            (true, false) => self.online_count -= 1,
+            (false, true) => self.online_len += 1,
+            (true, false) => self.online_len -= 1,
             _ => {}
         }
         Some(was)
@@ -104,24 +275,24 @@ impl NodeArena {
 
     /// Inserts a new id (online). Returns `false` when already present.
     /// O(n) splice — joins are rare relative to lookups.
-    pub fn insert(&mut self, id: u64) -> bool {
+    pub(crate) fn insert(&mut self, id: u64) -> bool {
         match self.ids.binary_search(&id) {
             Ok(_) => false,
             Err(pos) => {
                 self.ids.insert(pos, id);
                 self.online.insert(pos, true);
-                self.online_count += 1;
+                self.online_len += 1;
                 true
             }
         }
     }
 
     /// Removes `id`; returns `false` when absent. O(n) splice.
-    pub fn remove(&mut self, id: u64) -> bool {
+    pub(crate) fn remove(&mut self, id: u64) -> bool {
         match self.ids.binary_search(&id) {
             Ok(pos) => {
                 if self.online[pos] {
-                    self.online_count -= 1;
+                    self.online_len -= 1;
                 }
                 self.ids.remove(pos);
                 self.online.remove(pos);
@@ -132,7 +303,7 @@ impl NodeArena {
     }
 
     /// Sorted identifiers of every online node.
-    pub fn online_ids(&self) -> Vec<u64> {
+    pub(crate) fn online_ids(&self) -> Vec<u64> {
         self.ids
             .iter()
             .zip(&self.online)
@@ -145,12 +316,12 @@ impl NodeArena {
     /// "random node" primitive). `None` when everything is offline.
     ///
     /// O(1) when every node is online; O(n) scan under churn.
-    pub fn nth_online(&self, rank: usize) -> Option<u64> {
-        if self.online_count == 0 {
+    pub(crate) fn nth_online(&self, rank: usize) -> Option<u64> {
+        if self.online_len == 0 {
             return None;
         }
-        let rank = rank % self.online_count;
-        if self.online_count == self.ids.len() {
+        let rank = rank % self.online_len;
+        if self.online_len == self.ids.len() {
             return Some(self.ids[rank]);
         }
         let mut seen = 0usize;
@@ -166,12 +337,12 @@ impl NodeArena {
     }
 
     /// First slot whose id is `>= key` (== `len()` when none).
-    pub fn partition_point(&self, key: u64) -> usize {
+    pub(crate) fn partition_point(&self, key: u64) -> usize {
         self.ids.partition_point(|&id| id < key)
     }
 
     /// Estimated resident bytes of the arena itself.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<u64>()
             + self.online.capacity()
             + std::mem::size_of::<Self>()
@@ -181,86 +352,70 @@ impl NodeArena {
 /// One interned key/value store shared by all nodes of an overlay.
 ///
 /// Replaces per-node `HashMap<u64, Vec<u8>>`: entries are keyed by
-/// `(holder id, key)` and point into a deduplicated value table, so the R
-/// identical copies a replication layer writes share a single allocation.
+/// `(holder id, key)` and share their value's allocation with every equal
+/// value, so the R identical copies a replication layer writes cost one
+/// allocation. A value leaves the interning table with its last entry (an
+/// overwrite or a purge), so the table never holds more distinct values
+/// than entries.
 #[derive(Debug, Clone, Default)]
 pub struct SharedStore {
-    /// `(holder, key) -> index into values`.
-    entries: HashMap<(u64, u64), u32>,
-    /// Interned value bytes.
-    values: Vec<Box<[u8]>>,
-    /// fnv(value) -> candidate value indices (hash-collision safe). Values
-    /// are retained for the overlay's lifetime — delete churn is
-    /// negligible in the sim.
-    by_hash: HashMap<u64, Vec<u32>>,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    entries: HashMap<(u64, u64), Arc<[u8]>>,
+    /// Every value an entry holds, once.
+    values: HashSet<Arc<[u8]>>,
 }
 
 impl SharedStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn intern(&mut self, value: &[u8]) -> u32 {
-        let h = fnv1a(value);
-        if let Some(cands) = self.by_hash.get(&h) {
-            for &idx in cands {
-                if self.values[idx as usize].as_ref() == value {
-                    return idx;
-                }
-            }
-        }
-        let idx = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct values");
-        self.values.push(value.to_vec().into_boxed_slice());
-        self.by_hash.entry(h).or_default().push(idx);
-        idx
-    }
-
     /// Stores `value` for `(holder, key)`, replacing any previous entry.
-    pub fn insert(&mut self, holder: u64, key: u64, value: &[u8]) {
-        let idx = self.intern(value);
-        self.entries.insert((holder, key), idx);
+    pub(crate) fn insert(&mut self, holder: u64, key: u64, value: &[u8]) {
+        let value = match self.values.get(value) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let shared: Arc<[u8]> = value.into();
+                self.values.insert(Arc::clone(&shared));
+                shared
+            }
+        };
+        if let Some(old) = self.entries.insert((holder, key), value) {
+            self.release(old);
+        }
+    }
+
+    /// Drops a value taken out of an entry; the table lets go of it when
+    /// this was its last entry (only the table's reference and this one
+    /// are left).
+    fn release(&mut self, value: Arc<[u8]>) {
+        if Arc::strong_count(&value) == 2 {
+            self.values.remove(&value);
+        }
     }
 
     /// The value stored for `(holder, key)`, if any.
-    pub fn get(&self, holder: u64, key: u64) -> Option<&[u8]> {
-        self.entries
-            .get(&(holder, key))
-            .map(|&idx| self.values[idx as usize].as_ref())
+    pub(crate) fn get(&self, holder: u64, key: u64) -> Option<&[u8]> {
+        self.entries.get(&(holder, key)).map(AsRef::as_ref)
     }
 
     /// Drops every entry held by `holder` (an ungraceful departure).
-    pub fn purge_holder(&mut self, holder: u64) {
-        self.entries.retain(|&(h, _), _| h != holder);
+    pub(crate) fn purge_holder(&mut self, holder: u64) {
+        let mut gone = Vec::new();
+        self.entries.retain(|&(h, _), value| {
+            if h == holder {
+                gone.push(Arc::clone(value));
+            }
+            h != holder
+        });
+        for value in gone {
+            self.release(value);
+        }
     }
 
-    /// Number of `(holder, key)` entries.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of distinct interned values.
-    pub fn unique_values(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Estimated resident bytes: entry table + interned values + intern index.
-    pub fn memory_bytes(&self) -> usize {
-        let entry_sz = std::mem::size_of::<((u64, u64), u32)>() + 8;
-        let value_bytes: usize = self.values.iter().map(|v| v.len()).sum();
-        self.entries.capacity() * entry_sz
+    /// Estimated resident bytes: entry table + interned values (with their
+    /// two reference counts) + interning table.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        let slot = std::mem::size_of::<Arc<[u8]>>() + 8;
+        let value_bytes: usize = self.values.iter().map(|v| v.len() + 16).sum();
+        self.entries.capacity() * (std::mem::size_of::<(u64, u64)>() + slot)
             + value_bytes
-            + self.values.capacity() * std::mem::size_of::<Box<[u8]>>()
-            + self.by_hash.len() * 32
+            + self.values.capacity() * slot
             + std::mem::size_of::<Self>()
     }
 }
@@ -273,24 +428,24 @@ mod tests {
     fn arena_membership_and_churn() {
         let mut a = NodeArena::from_sorted_ids(vec![3, 7, 11, 20]);
         assert_eq!(a.len(), 4);
-        assert_eq!(a.online_count(), 4);
+        assert_eq!(a.online_len(), 4);
         assert_eq!(a.slot_of(11), Some(2));
         assert!(a.is_online(7));
         assert_eq!(a.set_online(7, false), Some(true));
         assert!(!a.is_online(7));
-        assert_eq!(a.online_count(), 3);
+        assert_eq!(a.online_len(), 3);
         assert_eq!(a.online_ids(), vec![3, 11, 20]);
         // nth_online skips offline nodes deterministically.
         assert_eq!(a.nth_online(0), Some(3));
         assert_eq!(a.nth_online(1), Some(11));
-        assert_eq!(a.nth_online(4), Some(11)); // wraps mod online_count
+        assert_eq!(a.nth_online(4), Some(11)); // wraps mod online_len
         assert!(a.insert(9));
         assert!(!a.insert(9));
         assert_eq!(a.ids(), &[3, 7, 9, 11, 20]);
         assert!(a.remove(3));
         assert!(!a.remove(3));
         // 5 nodes minus removed 3, with 7 still offline: 9, 11, 20 online.
-        assert_eq!(a.online_count(), 3);
+        assert_eq!(a.online_len(), 3);
     }
 
     #[test]
@@ -308,36 +463,82 @@ mod tests {
         NodeArena::from_sorted_ids(vec![5, 5]);
     }
 
+    /// `(entries, distinct values)`.
+    fn counts(s: &SharedStore) -> (usize, usize) {
+        (s.entries.len(), s.values.len())
+    }
+
     #[test]
     fn shared_store_roundtrip_and_dedup() {
-        let mut s = SharedStore::new();
+        let mut s = SharedStore::default();
         s.insert(1, 100, b"hello");
         s.insert(2, 100, b"hello");
         s.insert(3, 100, b"hello");
         assert_eq!(s.get(1, 100), Some(&b"hello"[..]));
         assert_eq!(s.get(2, 100), Some(&b"hello"[..]));
         assert_eq!(s.get(9, 100), None);
-        assert_eq!(s.entry_count(), 3);
         // Three replicas, one interned allocation.
-        assert_eq!(s.unique_values(), 1);
+        assert_eq!(counts(&s), (3, 1));
     }
 
     #[test]
     fn shared_store_overwrite_and_purge() {
-        let mut s = SharedStore::new();
+        let mut s = SharedStore::default();
         s.insert(1, 5, b"v1");
         s.insert(1, 5, b"v2");
         assert_eq!(s.get(1, 5), Some(&b"v2"[..]));
+        // The overwritten value went with its last entry.
+        assert_eq!(counts(&s), (1, 1));
+        s.insert(1, 5, b"v2");
+        assert_eq!(counts(&s), (1, 1));
         s.insert(1, 6, b"other");
+        s.insert(2, 6, b"other");
         s.purge_holder(1);
         assert_eq!(s.get(1, 5), None);
         assert_eq!(s.get(1, 6), None);
-        assert_eq!(s.entry_count(), 0);
+        assert_eq!(s.get(2, 6), Some(&b"other"[..]));
+        assert_eq!(counts(&s), (1, 1));
+        s.purge_holder(2);
+        assert_eq!(counts(&s), (0, 0));
+        // Two keys of one holder sharing a value: it goes with the second.
+        s.insert(3, 7, b"v1");
+        s.insert(3, 8, b"v1");
+        s.insert(4, 7, b"v1");
+        assert_eq!(counts(&s), (3, 1));
+        s.purge_holder(4);
+        assert_eq!(counts(&s), (2, 1));
+        s.purge_holder(3);
+        assert_eq!(counts(&s), (0, 0));
+    }
+
+    #[test]
+    fn shared_store_never_holds_more_values_than_entries() {
+        // A seeded stream of overwrites, shared values and purges over a
+        // few holders and keys.
+        let mut s = SharedStore::default();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..5_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (holder, key, value) = (x % 8, (x >> 8) % 4, (x >> 16) % 6);
+            if x >> 40 & 15 == 0 {
+                s.purge_holder(holder);
+            } else {
+                s.insert(holder, key, &value.to_be_bytes());
+            }
+            let (entries, values) = counts(&s);
+            assert!(values <= entries, "{values} values for {entries} entries");
+            assert_eq!(
+                s.get(holder, key).is_some(),
+                s.entries.contains_key(&(holder, key))
+            );
+        }
     }
 
     #[test]
     fn shared_store_memory_counts_values_once() {
-        let mut s = SharedStore::new();
+        let mut s = SharedStore::default();
         let blob = vec![0xAB; 1024];
         for holder in 0..100u64 {
             s.insert(holder, 1, &blob);

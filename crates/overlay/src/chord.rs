@@ -14,25 +14,24 @@
 //!
 //! # Scale architecture
 //!
-//! Per-node state is gone. Membership lives in a [`NodeArena`] (one sorted
-//! id array + online bitmap); stored blobs live in one interned
-//! [`SharedStore`]. Finger tables and successor lists are *lazy*: every
-//! eager table was derived from the same sorted-online-ids snapshot anyway,
-//! so the overlay keeps that snapshot (`routing`, refreshed by
-//! [`ChordPlane::stabilize`]) and answers `finger[i]`/`successor` queries
-//! with binary searches at lookup time — identical routing decisions,
-//! O(1) bytes per node instead of 64×8-byte finger arrays. Stabilize itself
+//! Per-node state is gone. Membership (one sorted id array + online
+//! bitmap) and stored blobs live in the ring's [`Holders`] table. Finger
+//! tables and successor lists are *lazy*: every eager table was derived
+//! from the same sorted-online-ids snapshot anyway, so the overlay keeps
+//! that snapshot (`routing`, refreshed by [`ChordPlane::stabilize`]) and
+//! answers `finger[i]`/`successor` queries with binary searches at lookup
+//! time — identical routing decisions, O(1) bytes per node instead of
+//! 64×8-byte finger arrays. Stabilize itself
 //! only charges maintenance for *dirty* (churned/joined) nodes plus a small
 //! refresh sample, per the satellite fix: idle nodes no longer pay
 //! O(log²n) every round.
 
-use crate::arena::{NodeArena, SharedStore};
+use crate::arena::{Admission, Holders};
 use crate::fault::LinkFaults;
-use crate::hotcache::HotCache;
 use crate::id::{in_interval_open_closed, ring_distance, Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::{LatencyModel, PLANE_HOP_MS};
-use crate::storage::{refused, StorageError, StoragePlane};
+use crate::sim::LatencyModel;
+use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,8 +91,8 @@ impl std::error::Error for DhtError {}
 /// # }
 /// ```
 pub struct ChordPlane {
-    /// Membership: sorted ring ids + online bitmap.
-    arena: NodeArena,
+    /// Membership (sorted ring ids + online set), blobs and hot cache.
+    holders: Holders,
     /// Sorted online-id snapshot from the last table build (build, join,
     /// leave, or stabilize). All finger/successor answers derive from it.
     routing: Vec<u64>,
@@ -102,15 +101,12 @@ pub struct ChordPlane {
     dirty: BTreeSet<u64>,
     /// Cursor for the round-robin idle-refresh sample.
     refresh_cursor: usize,
-    /// Interned key/value storage shared by every node.
-    storage: SharedStore,
     rng: StdRng,
-    hot: Option<HotCache>,
 }
 
 impl std::fmt::Debug for ChordPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ChordPlane({} nodes)", self.arena.len())
+        write!(f, "ChordPlane({} nodes)", self.node_count())
     }
 }
 
@@ -131,36 +127,33 @@ impl ChordPlane {
         let dirty: BTreeSet<u64> = sorted.iter().copied().collect();
         ChordPlane {
             routing: sorted.clone(),
-            arena: NodeArena::from_sorted_ids(sorted),
+            // Cachet-style gossip admission: a ring replica caches about
+            // half the verified envelopes it sees, by a seeded coin per key.
+            holders: Holders::new(
+                sorted,
+                names::CHORD_STORE,
+                names::CHORD_FETCH,
+                Admission::Coin(128),
+            ),
             dirty,
             refresh_cursor: 0,
-            storage: SharedStore::new(),
             rng,
-            hot: None,
         }
     }
 
     /// Estimated resident bytes of membership, routing snapshot, and
     /// storage — the E15 memory-per-node denominator.
     pub fn memory_bytes(&self) -> usize {
-        self.arena.memory_bytes()
+        self.holders.memory_bytes()
             + self.routing.capacity() * 8
             + self.dirty.len() * 32
-            + self.storage.memory_bytes()
             + std::mem::size_of::<Self>()
     }
 
-    /// A deterministic "random" online node for workload driving.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every node is offline.
-    pub fn random_node(&self, salt: u64) -> NodeId {
-        let id = self
-            .arena
-            .nth_online(salt as usize)
-            .expect("no online nodes");
-        NodeId(id)
+    /// A deterministic "random" online node for workload driving; `None`
+    /// when every node is offline.
+    pub fn random_node(&self, salt: u64) -> Option<NodeId> {
+        self.holders.random_node(salt)
     }
 
     /// Runs a stabilization round: refreshes the routing snapshot from the
@@ -174,9 +167,10 @@ impl ChordPlane {
     /// longer pays O(n·log²n) per round. The first round after `build`
     /// charges every node (the initial table construction).
     pub fn stabilize(&mut self) -> u64 {
-        self.routing = self.arena.online_ids();
-        let n = self.arena.len();
-        let n_online = self.arena.online_count() as u64;
+        let arena = self.holders.arena();
+        self.routing = arena.online_ids();
+        let n = arena.len();
+        let n_online = arena.online_len() as u64;
         let logn = u64::from(64 - n_online.leading_zeros());
         // Refresh sample: n/64 idle nodes per round, round-robin.
         let sample = (n / FINGER_BITS).max(1);
@@ -192,23 +186,22 @@ impl ChordPlane {
     pub fn join(&mut self) -> NodeId {
         let id = loop {
             let candidate = self.rng.random::<u64>();
-            if !self.arena.contains(candidate) {
+            if !self.holders.arena().contains(candidate) {
                 break candidate;
             }
         };
-        self.arena.insert(id);
+        self.holders.insert(id);
         self.dirty.insert(id);
-        self.routing = self.arena.online_ids();
+        self.routing = self.holders.arena().online_ids();
         NodeId(id)
     }
 
     /// Permanently removes a node (its stored replicas are lost, as with an
     /// ungraceful departure).
     pub fn leave(&mut self, node: NodeId) {
-        if self.arena.remove(node.0) {
-            self.storage.purge_holder(node.0);
+        if self.holders.remove(node.0) {
             self.dirty.remove(&node.0);
-            self.routing = self.arena.online_ids();
+            self.routing = self.holders.arena().online_ids();
         }
     }
 
@@ -276,7 +269,7 @@ impl ChordPlane {
         metrics: &mut Metrics,
         mut link: Option<(&mut LinkFaults, u32)>,
     ) -> Result<NodeId, DhtError> {
-        if !self.arena.is_online(from.0) {
+        if !self.is_online(from) {
             return Err(DhtError::UnknownNode(from));
         }
         let hop = LatencyModel::default();
@@ -284,7 +277,7 @@ impl ChordPlane {
         let mut hops = 0u64;
         // 64-bit ring: any correct greedy route is <= 64 hops; a generous
         // cap guards against routing loops under heavy churn.
-        let cap = 2 * FINGER_BITS as u64 + self.arena.len() as u64;
+        let cap = 2 * FINGER_BITS as u64 + self.node_count() as u64;
         let mut crosses = |at: u64, to: u64, metrics: &mut Metrics| {
             let (at, to) = (NodeId(at), NodeId(to));
             LinkFaults::hop(&mut link, at, to, metrics, names::CHORD_RETRY, 64)
@@ -340,23 +333,8 @@ impl ChordPlane {
     /// (clockwise successor) followed by the next online nodes in ring
     /// order. Empty when every node is offline.
     fn successors(&self, key: Key, want: usize) -> Vec<NodeId> {
-        if self.arena.online_count() == 0 || want == 0 {
-            return Vec::new();
-        }
-        let ids = self.arena.ids();
-        let n = ids.len();
-        let start = self.arena.partition_point(key.0);
-        let mut out = Vec::with_capacity(want.min(self.arena.online_count()));
-        for i in 0..n {
-            let slot = (start + i) % n;
-            if self.arena.is_online_slot(slot) {
-                out.push(NodeId(ids[slot]));
-                if out.len() == want {
-                    break;
-                }
-            }
-        }
-        out
+        let start = self.holders.arena().partition_point(key.0);
+        self.holders.scan_online(start, want)
     }
 
     /// First currently-online entry of `id`'s successor list. The list is
@@ -373,12 +351,12 @@ impl ChordPlane {
             let start = if id == u64::MAX { 0 } else { start };
             for k in 0..succ_list_len {
                 let s = self.routing[(start + k) % self.routing.len()];
-                if self.arena.is_online(s) {
+                if self.holders.arena().is_online(s) {
                     return Some(s);
                 }
             }
         }
-        if self.arena.is_online(id) {
+        if self.holders.arena().is_online(id) {
             Some(id)
         } else {
             None
@@ -394,7 +372,7 @@ impl ChordPlane {
             let target = id.wrapping_add(1u64 << i);
             let f = self.routing_successor(target)?;
             if f != id
-                && self.arena.is_online(f)
+                && self.holders.arena().is_online(f)
                 && ring_distance(id, f) < span
                 && ring_distance(f, key) < span
             {
@@ -410,28 +388,20 @@ impl StoragePlane for ChordPlane {
         "chord"
     }
 
-    fn node_count(&self) -> usize {
-        self.arena.len()
+    fn holders(&self) -> &Holders {
+        &self.holders
     }
 
-    fn node_ids(&self) -> Vec<NodeId> {
-        self.arena.ids().iter().map(|&id| NodeId(id)).collect()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.arena.is_online(node.0)
+    fn holders_mut(&mut self) -> &mut Holders {
+        &mut self.holders
     }
 
     /// Routing snapshots are not refreshed: routing must cope, as in a
     /// real deployment between stabilization rounds.
     fn set_online(&mut self, node: NodeId, online: bool) {
-        if self.arena.set_online(node.0, online).is_some() {
+        if self.holders.set_online(node, online) {
             self.dirty.insert(node.0);
         }
-    }
-
-    fn online_count(&self) -> usize {
-        self.arena.online_count()
     }
 
     fn replica_candidates(
@@ -446,7 +416,7 @@ impl StoragePlane for ChordPlane {
         }
         // Account the routing cost of finding the owner: an iterative
         // finger-table lookup from a deterministic online start node.
-        let from = self.random_node(key.0);
+        let from = self.random_node(key.0).ok_or(StorageError::NoNodes)?;
         self.lookup(from, key, metrics)?;
         Ok(candidates)
     }
@@ -458,12 +428,7 @@ impl StoragePlane for ChordPlane {
         value: &[u8],
         metrics: &mut Metrics,
     ) -> Result<(), StorageError> {
-        if !self.arena.is_online(node.0) {
-            return Err(refused(node, self.arena.contains(node.0)));
-        }
-        self.storage.insert(node.0, key.0, value);
-        metrics.record(names::CHORD_STORE, value.len() as u64, PLANE_HOP_MS);
-        Ok(())
+        self.holders.store_at(node, key, value, metrics)
     }
 
     fn fetch_from(
@@ -472,25 +437,7 @@ impl StoragePlane for ChordPlane {
         key: Key,
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
-        if !self.arena.is_online(node.0) {
-            return Err(refused(node, self.arena.contains(node.0)));
-        }
-        metrics.record(names::CHORD_FETCH, 64, PLANE_HOP_MS);
-        Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
-    }
-
-    fn hot_cache(&self) -> Option<&HotCache> {
-        self.hot.as_ref()
-    }
-
-    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        self.hot.as_mut()
-    }
-
-    /// Cachet-style gossip admission: a ring replica caches roughly half
-    /// the verified envelopes it sees, decided by a seeded coin per key.
-    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
-        self.hot = Some(HotCache::new(capacity).with_admission(seed, 128));
+        self.holders.fetch_from(node, key, metrics)
     }
 }
 
@@ -544,7 +491,7 @@ mod tests {
         let mut owners = std::collections::HashSet::new();
         for salt in 0..10 {
             let mut m = Metrics::new();
-            let from = r.random_node(salt);
+            let from = r.random_node(salt).unwrap();
             owners.insert(r.lookup(from, key, &mut m).unwrap());
         }
         assert_eq!(owners.len(), 1, "all lookups agree on the owner");
@@ -558,7 +505,7 @@ mod tests {
         for i in 0..lookups {
             let mut m = Metrics::new();
             let key = Key::hash(format!("item-{i}").as_bytes());
-            let from = r.random_node(i);
+            let from = r.random_node(i).unwrap();
             r.lookup(from, key, &mut m).unwrap();
             total_hops += m.count("chord.hop");
         }
@@ -604,7 +551,7 @@ mod tests {
     #[test]
     fn leave_removes_node() {
         let mut store = replicated(8);
-        let victim = store.plane().random_node(3);
+        let victim = store.plane().random_node(3).unwrap();
         store.plane_mut().leave(victim);
         assert_eq!(store.plane().node_count(), 7);
         let mut m = Metrics::new();
@@ -661,7 +608,7 @@ mod tests {
     fn single_node_ring_owns_everything() {
         let mut store = ReplicatedStore::new(ChordPlane::build(1, 1), 1);
         let mut m = Metrics::new();
-        let only = store.plane().random_node(0);
+        let only = store.plane().random_node(0).unwrap();
         let key = Key::hash(b"solo");
         assert_eq!(store.plane_mut().lookup(only, key, &mut m).unwrap(), only);
         assert_eq!(store.put(key, b"v".to_vec(), &mut m).unwrap(), [only]);

@@ -8,11 +8,11 @@
 //! behalf. [`FederationPlane::max_view_fraction`] quantifies the survey's
 //! global-view claim directly.
 
-use crate::arena::SharedStore;
+use crate::arena::{Admission, Holders};
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
 use crate::sim::PLANE_HOP_MS;
-use crate::storage::{refused, StorageError, StoragePlane};
+use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::names;
 use std::collections::HashMap;
 
@@ -39,16 +39,16 @@ impl std::fmt::Display for FederationError {
 
 impl std::error::Error for FederationError {}
 
+/// A pod's registered users (its online flag is in the plane's
+/// [`Holders`] table, under the pod's index).
 #[derive(Debug, Default)]
 struct Server {
     users: Vec<String>,
-    online: bool,
 }
 
 /// A federation of home servers (Diaspora pods), and the [`StoragePlane`]
 /// over it: "nodes" are pods, replicas are pod-to-pod mirrors of a user's
-/// data. Pods mirror everything already, so the plane keeps the trait's
-/// "no hot cache" defaults.
+/// data. Pods mirror everything already, so the plane has no hot cache.
 ///
 /// ```
 /// use dosn_overlay::federation::FederationPlane;
@@ -73,9 +73,10 @@ struct Server {
 pub struct FederationPlane {
     servers: Vec<Server>,
     home_of: HashMap<String, usize>,
-    /// Pod blob storage, interned across the whole federation and keyed by
-    /// server index — mirrored replicas of one value share one allocation.
-    storage: SharedStore,
+    /// The online set over pod indices `0..n` and the pods' blob storage,
+    /// interned across the whole federation — mirrored replicas of one
+    /// value share one allocation.
+    holders: Holders,
 }
 
 impl FederationPlane {
@@ -86,15 +87,11 @@ impl FederationPlane {
     /// Panics if `servers == 0`.
     pub fn build(servers: usize) -> Self {
         assert!(servers > 0, "federation needs at least one server");
+        let ids = (0..servers as u64).collect();
         FederationPlane {
-            servers: (0..servers)
-                .map(|_| Server {
-                    online: true,
-                    ..Server::default()
-                })
-                .collect(),
+            servers: (0..servers).map(|_| Server::default()).collect(),
             home_of: HashMap::new(),
-            storage: SharedStore::new(),
+            holders: Holders::new(ids, names::FED_STORE, names::FED_FETCH, Admission::Off),
         }
     }
 
@@ -137,12 +134,9 @@ impl FederationPlane {
         let home = self
             .home_server(owner)
             .ok_or_else(|| FederationError::UnknownUser(owner.to_owned()))?;
-        if !self.servers[home].online {
-            return Err(FederationError::HomeServerDown(owner.to_owned()));
-        }
-        metrics.record(names::FED_STORE, value.len() as u64, PLANE_HOP_MS);
-        self.storage.insert(home as u64, key.0, &value);
-        Ok(())
+        self.holders
+            .store_at(NodeId(home as u64), key, &value, metrics)
+            .map_err(|_| FederationError::HomeServerDown(owner.to_owned()))
     }
 
     /// Fetches `key` owned by `owner`, as `requester`: client → requester's
@@ -163,7 +157,7 @@ impl FederationPlane {
         let req_home = self
             .home_server(requester)
             .ok_or_else(|| FederationError::UnknownUser(requester.to_owned()))?;
-        if !self.servers[req_home].online {
+        if !self.is_online(NodeId(req_home as u64)) {
             return Err(FederationError::HomeServerDown(requester.to_owned()));
         }
         metrics.record(names::FED_CLIENT_REQUEST, 32, PLANE_HOP_MS);
@@ -171,14 +165,13 @@ impl FederationPlane {
             .home_server(owner)
             .ok_or_else(|| FederationError::UnknownUser(owner.to_owned()))?;
         if owner_home != req_home {
-            if !self.servers[owner_home].online {
+            if !self.is_online(NodeId(owner_home as u64)) {
                 return Err(FederationError::HomeServerDown(owner.to_owned()));
             }
             metrics.record(names::FED_SERVER_RELAY, 32, 40);
         }
-        self.storage
-            .get(owner_home as u64, key.0)
-            .map(<[u8]>::to_vec)
+        self.holders
+            .stored(NodeId(owner_home as u64), key)
             .ok_or(FederationError::NotFound(key))
     }
 
@@ -205,22 +198,16 @@ impl StoragePlane for FederationPlane {
         "federation"
     }
 
-    fn node_count(&self) -> usize {
-        self.servers.len()
+    fn holders(&self) -> &Holders {
+        &self.holders
     }
 
-    fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.servers.len() as u64).map(NodeId).collect()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.servers.get(node.0 as usize).is_some_and(|s| s.online)
+    fn holders_mut(&mut self) -> &mut Holders {
+        &mut self.holders
     }
 
     fn set_online(&mut self, node: NodeId, online: bool) {
-        if let Some(server) = self.servers.get_mut(node.0 as usize) {
-            server.online = online;
-        }
+        self.holders.set_online(node, online);
     }
 
     /// A deterministic forward scan from the key's hash partition.
@@ -230,14 +217,7 @@ impl StoragePlane for FederationPlane {
         want: usize,
         metrics: &mut Metrics,
     ) -> Result<Vec<NodeId>, StorageError> {
-        let n = self.servers.len();
-        let start = (key.0 as usize) % n;
-        let candidates: Vec<NodeId> = (0..n)
-            .map(|i| (start + i) % n)
-            .filter(|&idx| self.servers[idx].online)
-            .take(want)
-            .map(|idx| NodeId(idx as u64))
-            .collect();
+        let candidates = self.holders.scan_online(key.0 as usize, want);
         if candidates.is_empty() {
             return Err(StorageError::NoNodes);
         }
@@ -254,12 +234,7 @@ impl StoragePlane for FederationPlane {
         value: &[u8],
         metrics: &mut Metrics,
     ) -> Result<(), StorageError> {
-        if !self.is_online(node) {
-            return Err(refused(node, node.0 < self.servers.len() as u64));
-        }
-        self.storage.insert(node.0, key.0, value);
-        metrics.record(names::FED_STORE, value.len() as u64, PLANE_HOP_MS);
-        Ok(())
+        self.holders.store_at(node, key, value, metrics)
     }
 
     fn fetch_from(
@@ -268,11 +243,7 @@ impl StoragePlane for FederationPlane {
         key: Key,
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
-        if !self.is_online(node) {
-            return Err(refused(node, node.0 < self.servers.len() as u64));
-        }
-        metrics.record(names::FED_FETCH, 64, PLANE_HOP_MS);
-        Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
+        self.holders.fetch_from(node, key, metrics)
     }
 }
 

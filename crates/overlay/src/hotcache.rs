@@ -72,7 +72,7 @@ impl HotCache {
     /// always refreshed in place regardless of the policy (the overwrite
     /// path is how a stale or tampered entry gets replaced).
     #[must_use]
-    pub fn with_admission(mut self, seed: u64, p256: u8) -> Self {
+    pub(crate) fn with_admission(mut self, seed: u64, p256: u8) -> Self {
         self.admission = Some((seed, p256));
         self
     }

@@ -50,7 +50,7 @@ pub enum HitSource {
 /// let mut m = Metrics::new();
 /// let key = Key::hash(b"status-update");
 /// net.put(key, b"feeling great".to_vec(), &mut m)?;
-/// let reader = net.dht().random_node(9);
+/// let reader = net.dht().random_node(9).ok_or("no online node")?;
 /// let (value, source) = net.get(reader, key, &mut m)?;
 /// assert_eq!(value, b"feeling great");
 /// assert_eq!(source, HitSource::Dht); // first read is authoritative...
@@ -208,7 +208,7 @@ mod tests {
         let mut m = Metrics::new();
         let key = Key::hash(b"a");
         n.put(key, b"v".to_vec(), &mut m).unwrap();
-        let r = n.dht().random_node(5);
+        let r = n.dht().random_node(5).unwrap();
         assert_eq!(n.get(r, key, &mut m).unwrap().1, HitSource::Dht);
         let before = m.messages;
         assert_eq!(n.get(r, key, &mut m).unwrap().1, HitSource::LocalCache);
@@ -222,7 +222,7 @@ mod tests {
         let key = Key::hash(b"b");
         n.put(key, b"v".to_vec(), &mut m).unwrap();
         // Reader 1 pulls it into their cache.
-        let r1 = n.dht().random_node(3);
+        let r1 = n.dht().random_node(3).unwrap();
         n.get(r1, key, &mut m).unwrap();
         // A contact of r1 should hit r1's cache in one hop.
         let r2 = n.contacts(r1)[0];
@@ -238,7 +238,9 @@ mod tests {
         n.put(key, vec![9u8; 100], &mut m).unwrap();
         let mut first = Metrics::new();
         let mut later = Metrics::new();
-        let readers: Vec<NodeId> = (0..20).map(|s| n.dht().random_node(s * 3 + 1)).collect();
+        let readers: Vec<NodeId> = (0..20)
+            .map(|s| n.dht().random_node(s * 3 + 1).unwrap())
+            .collect();
         for (i, r) in readers.iter().enumerate() {
             let mut per = Metrics::new();
             n.get(*r, key, &mut per).unwrap();
@@ -262,7 +264,7 @@ mod tests {
         let mut m = Metrics::new();
         let key = Key::hash(b"mutable");
         n.put(key, b"v1".to_vec(), &mut m).unwrap();
-        let r = n.dht().random_node(7);
+        let r = n.dht().random_node(7).unwrap();
         n.get(r, key, &mut m).unwrap();
         n.put(key, b"v2".to_vec(), &mut m).unwrap();
         let (v, src) = n.get(r, key, &mut m).unwrap();
@@ -274,7 +276,7 @@ mod tests {
     fn cache_capacity_evicts_the_least_recently_used_key() {
         let mut n = HybridOverlay::build(32, 2, 2, 19);
         let mut m = Metrics::new();
-        let r = n.dht().random_node(1);
+        let r = n.dht().random_node(1).unwrap();
         let keys: Vec<Key> = (0..3)
             .map(|i| Key::hash(format!("k{i}").as_bytes()))
             .collect();
@@ -314,7 +316,7 @@ mod tests {
         let mut m = Metrics::new();
         let key = Key::hash(b"c");
         n.put(key, b"v".to_vec(), &mut m).unwrap();
-        let r1 = n.dht().random_node(3);
+        let r1 = n.dht().random_node(3).unwrap();
         n.get(r1, key, &mut m).unwrap();
         n.dht_mut().set_online(r1, false);
         let r2 = n

@@ -19,18 +19,17 @@
 //! position `b` — and those nodes occupy one contiguous range of the sorted
 //! id array (`[base, base + 2^b)` with `base = (id ^ 2^b)` masked below bit
 //! `b`). So instead of materializing 64 `Vec`s per node (O(n·k·64) bytes),
-//! the overlay keeps a single sorted [`NodeArena`] and answers bucket
-//! queries with two binary searches plus a bit-descent that extracts the
-//! `k` XOR-smallest members — byte-identical contacts to the eager tables.
-//! Stored blobs live in one interned [`SharedStore`].
+//! the overlay keeps the single sorted id array of its [`Holders`] table
+//! and answers bucket queries with two binary searches plus a bit-descent
+//! that extracts the `k` XOR-smallest members — byte-identical contacts to
+//! the eager tables. Stored blobs live in the same table.
 
-use crate::arena::{NodeArena, SharedStore};
+use crate::arena::{Admission, Holders};
 use crate::fault::LinkFaults;
-use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::{LatencyModel, PLANE_HOP_MS};
-use crate::storage::{refused, StorageError, StoragePlane};
+use crate::sim::LatencyModel;
+use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,16 +85,19 @@ fn take_closest(slice: &[u64], refid: u64, bit: i32, remaining: &mut usize, out:
 /// # }
 /// ```
 pub struct KademliaPlane {
-    arena: NodeArena,
-    storage: SharedStore,
+    holders: Holders,
     k: usize,
     rng: StdRng,
-    hot: Option<HotCache>,
 }
 
 impl std::fmt::Debug for KademliaPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "KademliaPlane({} nodes, k={})", self.arena.len(), self.k)
+        write!(
+            f,
+            "KademliaPlane({} nodes, k={})",
+            self.node_count(),
+            self.k
+        )
     }
 }
 
@@ -112,39 +114,38 @@ impl KademliaPlane {
         while ids.len() < n {
             ids.insert(rng.random::<u64>());
         }
+        // Seeded gossip admission, as on the Chord plane: the XOR-closest
+        // replicas cache a deterministic half of the verified envelopes.
+        let ids = ids.into_iter().collect();
         KademliaPlane {
-            arena: NodeArena::from_sorted_ids(ids.into_iter().collect()),
-            storage: SharedStore::new(),
+            holders: Holders::new(
+                ids,
+                names::KAD_STORE,
+                names::KAD_FETCH,
+                Admission::Coin(128),
+            ),
             k,
             rng,
-            hot: None,
         }
     }
 
     /// Estimated resident bytes of membership and storage — the E15
     /// memory-per-node denominator.
     pub fn memory_bytes(&self) -> usize {
-        self.arena.memory_bytes() + self.storage.memory_bytes() + std::mem::size_of::<Self>()
+        self.holders.memory_bytes() + std::mem::size_of::<Self>()
     }
 
-    /// A deterministic online node for workload driving.
-    ///
-    /// # Panics
-    ///
-    /// Panics when every node is offline.
-    pub fn random_node(&self, salt: u64) -> NodeId {
-        let id = self
-            .arena
-            .nth_online(salt as usize)
-            .expect("no online nodes");
-        NodeId(id)
+    /// A deterministic online node for workload driving; `None` when
+    /// every node is offline.
+    pub fn random_node(&self, salt: u64) -> Option<NodeId> {
+        self.holders.random_node(salt)
     }
 
     /// The contacts of `id`'s bucket `b`: its `k` XOR-closest nodes whose
     /// distance to `id` peaks at bit `b`, computed on demand from the
     /// sorted id array.
     fn bucket_contacts(&self, id: u64, b: usize) -> Vec<u64> {
-        let ids = self.arena.ids();
+        let ids = self.holders.arena().ids();
         let base = (id ^ (1u64 << b)) & !((1u64 << b) - 1);
         let lo = ids.partition_point(|&x| x < base);
         let hi = match base.checked_add(1u64 << b) {
@@ -160,7 +161,7 @@ impl KademliaPlane {
     /// The `count` closest contacts `id` knows of toward `target` — the
     /// lazy equivalent of flattening its 64 k-buckets.
     fn closest_known_of(&self, id: u64, target: u64, count: usize) -> Vec<u64> {
-        let mut all: Vec<u64> = Vec::with_capacity(64.min(self.arena.len()) * 2);
+        let mut all: Vec<u64> = Vec::with_capacity(64.min(self.node_count()) * 2);
         for b in 0..64 {
             all.extend(self.bucket_contacts(id, b));
         }
@@ -211,7 +212,7 @@ impl KademliaPlane {
         metrics: &mut Metrics,
         mut link: Option<(&mut LinkFaults, u32)>,
     ) -> Vec<NodeId> {
-        if !self.arena.contains(from.0) {
+        if !self.holders.arena().contains(from.0) {
             return Vec::new();
         }
         let target = key.0;
@@ -241,7 +242,7 @@ impl KademliaPlane {
                     unreachable.insert(candidate);
                     continue;
                 }
-                if !self.arena.is_online(candidate) {
+                if !self.is_online(to) {
                     continue;
                 }
                 for learned in self.closest_known_of(candidate, target, self.k) {
@@ -268,7 +269,7 @@ impl KademliaPlane {
         // node behind a partition is indistinguishable from a dead one.
         shortlist
             .into_iter()
-            .filter(|c| self.arena.is_online(*c) && !unreachable.contains(c))
+            .filter(|c| self.is_online(NodeId(*c)) && !unreachable.contains(c))
             .take(count)
             .map(NodeId)
             .collect()
@@ -280,24 +281,16 @@ impl StoragePlane for KademliaPlane {
         "kademlia"
     }
 
-    fn node_count(&self) -> usize {
-        self.arena.len()
+    fn holders(&self) -> &Holders {
+        &self.holders
     }
 
-    fn node_ids(&self) -> Vec<NodeId> {
-        self.arena.ids().iter().map(|&id| NodeId(id)).collect()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.arena.is_online(node.0)
+    fn holders_mut(&mut self) -> &mut Holders {
+        &mut self.holders
     }
 
     fn set_online(&mut self, node: NodeId, online: bool) {
-        self.arena.set_online(node.0, online);
-    }
-
-    fn online_count(&self) -> usize {
-        self.arena.online_count()
+        self.holders.set_online(node, online);
     }
 
     fn replica_candidates(
@@ -306,10 +299,7 @@ impl StoragePlane for KademliaPlane {
         want: usize,
         metrics: &mut Metrics,
     ) -> Result<Vec<NodeId>, StorageError> {
-        if self.arena.online_count() == 0 {
-            return Err(StorageError::NoNodes);
-        }
-        let from = self.random_node(key.0);
+        let from = self.random_node(key.0).ok_or(StorageError::NoNodes)?;
         let found = self.lookup(from, key, want, metrics);
         if found.is_empty() {
             return Err(StorageError::NoNodes);
@@ -324,12 +314,7 @@ impl StoragePlane for KademliaPlane {
         value: &[u8],
         metrics: &mut Metrics,
     ) -> Result<(), StorageError> {
-        if !self.arena.is_online(node.0) {
-            return Err(refused(node, self.arena.contains(node.0)));
-        }
-        self.storage.insert(node.0, key.0, value);
-        metrics.record(names::KAD_STORE, value.len() as u64, PLANE_HOP_MS);
-        Ok(())
+        self.holders.store_at(node, key, value, metrics)
     }
 
     fn fetch_from(
@@ -338,25 +323,7 @@ impl StoragePlane for KademliaPlane {
         key: Key,
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
-        if !self.arena.is_online(node.0) {
-            return Err(refused(node, self.arena.contains(node.0)));
-        }
-        metrics.record(names::KAD_FETCH, 64, PLANE_HOP_MS);
-        Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
-    }
-
-    fn hot_cache(&self) -> Option<&HotCache> {
-        self.hot.as_ref()
-    }
-
-    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        self.hot.as_mut()
-    }
-
-    /// Seeded gossip admission, as on the Chord plane: the XOR-closest
-    /// replicas cache a deterministic half of the verified envelopes.
-    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
-        self.hot = Some(HotCache::new(capacity).with_admission(seed, 128));
+        self.holders.fetch_from(node, key, metrics)
     }
 }
 
@@ -389,7 +356,7 @@ mod tests {
         let mut all: Vec<Vec<NodeId>> = Vec::new();
         for s in 0..6 {
             let mut m = Metrics::new();
-            let from = k.random_node(s * 11);
+            let from = k.random_node(s * 11).unwrap();
             let mut found = k.lookup(from, key, 3, &mut m);
             found.sort();
             all.push(found);
@@ -407,7 +374,7 @@ mod tests {
         for i in 0..30 {
             let mut m = Metrics::new();
             let key = Key::hash(format!("q{i}").as_bytes());
-            k.lookup(k.random_node(i), key, 3, &mut m);
+            k.lookup(k.random_node(i).unwrap(), key, 3, &mut m);
             total_msgs += m.count("kad.find_node");
         }
         let avg = total_msgs as f64 / 30.0;

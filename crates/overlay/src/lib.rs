@@ -58,7 +58,7 @@
 //! // Each family has one routing loop with link faults as its optional
 //! // argument: `*_with_faults` walks the same route, retrying lost hops.
 //! let dht = store.plane_mut();
-//! let from = dht.random_node(2);
+//! let from = dht.random_node(2).ok_or("no online node")?;
 //! let mut m_route = Metrics::new();
 //! let owner = dht.lookup(from, key, &mut m_route)?;
 //! // Every hop of the route drew its latency from the one model.

@@ -20,7 +20,7 @@
 //! byte-identical to the wrapped plane's hash placement (same candidate
 //! lists in the same order) — see `tests/placement_equivalence.rs`.
 
-use crate::hotcache::HotCache;
+use crate::arena::Holders;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
 use crate::social::SocialGraph;
@@ -177,16 +177,12 @@ impl<P: StoragePlane> StoragePlane for SocialPlane<P> {
         "social"
     }
 
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
+    fn holders(&self) -> &Holders {
+        self.inner.holders()
     }
 
-    fn node_ids(&self) -> Vec<NodeId> {
-        self.inner.node_ids()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.inner.is_online(node)
+    fn holders_mut(&mut self) -> &mut Holders {
+        self.inner.holders_mut()
     }
 
     fn set_online(&mut self, node: NodeId, online: bool) {
@@ -244,18 +240,6 @@ impl<P: StoragePlane> StoragePlane for SocialPlane<P> {
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
         self.inner.fetch_from(node, key, metrics)
-    }
-
-    fn hot_cache(&self) -> Option<&HotCache> {
-        self.inner.hot_cache()
-    }
-
-    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        self.inner.hot_cache_mut()
-    }
-
-    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
-        self.inner.enable_hot_cache(capacity, seed);
     }
 }
 

@@ -160,14 +160,6 @@ impl<P: StoragePlane> ReplicatedStore<P> {
         &self.accounting
     }
 
-    /// Enables hot-post caching on the underlying plane with its native
-    /// admission policy (super-peers host everything, Chord/Kademlia use a
-    /// seeded gossip coin; see [`crate::hotcache::HotCache`]). Planes
-    /// without a cache ignore the call.
-    pub fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
-        self.plane.enable_hot_cache(capacity, seed);
-    }
-
     /// Consults the plane's hot envelope cache for `key`. Returns the
     /// cached sealed bytes on a hit (bumping `cache.hits`), `None` on a
     /// miss (`cache.misses`) or when no cache is enabled (no counter —
@@ -575,6 +567,7 @@ pub fn quorum_inspect_batch<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Holders;
     use crate::chord::ChordPlane;
     use crate::federation::FederationPlane;
     use crate::kademlia::KademliaPlane;
@@ -768,14 +761,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "poison"
         }
-        fn node_count(&self) -> usize {
-            self.inner.node_count()
+        fn holders(&self) -> &Holders {
+            self.inner.holders()
         }
-        fn node_ids(&self) -> Vec<NodeId> {
-            self.inner.node_ids()
-        }
-        fn is_online(&self, node: NodeId) -> bool {
-            self.inner.is_online(node)
+        fn holders_mut(&mut self) -> &mut Holders {
+            self.inner.holders_mut()
         }
         fn set_online(&mut self, node: NodeId, online: bool) {
             self.inner.set_online(node, online);

@@ -20,6 +20,7 @@
 //! replication layer implement R-way placement, quorum reads, and
 //! read-repair over every overlay geometry.
 
+use crate::arena::Holders;
 use crate::chord::DhtError;
 use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
@@ -79,16 +80,6 @@ impl From<DhtError> for StorageError {
     }
 }
 
-/// Why a plane refused direct access to `node`: the one error contract of
-/// [`StoragePlane::store_at`] / [`StoragePlane::fetch_from`].
-pub(crate) fn refused(node: NodeId, known: bool) -> StorageError {
-    if known {
-        StorageError::NodeOffline(node)
-    } else {
-        StorageError::UnknownNode(node)
-    }
-}
-
 /// A pluggable overlay storage backend: key-addressed blob placement and
 /// access over one of the survey's §II-B organizations.
 ///
@@ -96,19 +87,39 @@ pub(crate) fn refused(node: NodeId, known: bool) -> StorageError {
 /// *deterministic for a fixed key and membership*: readers and writers
 /// derive placement independently, so the same key must map to the same
 /// preference-ordered holder list until churn changes the online set.
+///
+/// Every plane keeps one [`Holders`] table — members, online set, held
+/// blobs and hot cache — and the trait splits on it:
+///
+/// * **Provided, never overridden:** [`StoragePlane::node_count`],
+///   [`StoragePlane::node_ids`], [`StoragePlane::is_online`],
+///   [`StoragePlane::online_count`], [`StoragePlane::hot_cache`],
+///   [`StoragePlane::hot_cache_mut`] and [`StoragePlane::enable_hot_cache`]
+///   read or change the table and nothing else, so a plane that wraps
+///   another forwards [`StoragePlane::holders`] and
+///   [`StoragePlane::holders_mut`] and gets all seven — its inner plane's
+///   cache included.
+/// * **Required:** [`StoragePlane::name`],
+///   [`StoragePlane::replica_candidates`], [`StoragePlane::set_online`],
+///   [`StoragePlane::store_at`] and [`StoragePlane::fetch_from`]. Some
+///   planes add a side effect to these — the ring marks a churned node for
+///   its next stabilize round, the super-peer publishes each stored
+///   holder to its index, the adversary forges what it serves — and a
+///   default would let a wrapper skip its inner plane's side effect
+///   without a word. A family implements each as one call into its
+///   table plus its side effect; a wrapper forwards each to the plane it
+///   wraps.
 pub trait StoragePlane: std::fmt::Debug {
     /// Short backend name for reports ("chord", "kademlia", "superpeer",
     /// "federation").
     fn name(&self) -> &'static str;
 
-    /// Total nodes (online and offline).
-    fn node_count(&self) -> usize;
+    /// The plane's holder table (a wrapper returns its inner plane's).
+    fn holders(&self) -> &Holders;
 
-    /// All node ids, in id order.
-    fn node_ids(&self) -> Vec<NodeId>;
-
-    /// Whether `node` is online.
-    fn is_online(&self, node: NodeId) -> bool;
+    /// The plane's holder table, mutably (a wrapper returns its inner
+    /// plane's).
+    fn holders_mut(&mut self) -> &mut Holders;
 
     /// Marks a node online/offline (churn / crash injection). A node the
     /// plane does not have is ignored.
@@ -155,39 +166,46 @@ pub trait StoragePlane: std::fmt::Debug {
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError>;
 
+    /// Total nodes (online and offline).
+    fn node_count(&self) -> usize {
+        self.holders().arena().len()
+    }
+
+    /// All node ids, in id order.
+    fn node_ids(&self) -> Vec<NodeId> {
+        let ids = self.holders().arena().ids();
+        ids.iter().map(|&id| NodeId(id)).collect()
+    }
+
+    /// Whether `node` is online.
+    fn is_online(&self, node: NodeId) -> bool {
+        self.holders().arena().is_online(node.0)
+    }
+
     /// Online node count.
     fn online_count(&self) -> usize {
-        self.node_ids()
-            .into_iter()
-            .filter(|&n| self.is_online(n))
-            .count()
+        self.holders().arena().online_len()
     }
 
     /// The plane's hot envelope cache, if caching is enabled (see
-    /// [`HotCache`]). Planes without a caching story (federation pods
-    /// mirror everything already) keep the default `None`.
-    ///
-    /// A plane that wraps another must forward this method,
-    /// [`StoragePlane::hot_cache_mut`] and
-    /// [`StoragePlane::enable_hot_cache`] to the plane it wraps: the
-    /// defaults answer "no cache", so a wrapper that keeps them switches
-    /// its inner plane's cache off without a word.
+    /// [`HotCache`]).
     fn hot_cache(&self) -> Option<&HotCache> {
-        None
+        self.holders().hot.as_ref()
     }
 
-    /// The plane's hot envelope cache, mutably. Wrappers forward (see
-    /// [`StoragePlane::hot_cache`]).
+    /// The plane's hot envelope cache, mutably.
     fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        None
+        self.holders_mut().hot.as_mut()
     }
 
     /// Enables hot-post caching with the plane's native admission policy:
     /// super-peers host every verified envelope (Supernova-style),
     /// Chord/Kademlia replicas admit by a seeded gossip coin
-    /// (Cachet-style), and planes without a cache ignore the call.
-    /// Wrappers forward (see [`StoragePlane::hot_cache`]).
-    fn enable_hot_cache(&mut self, _capacity: usize, _seed: u64) {}
+    /// (Cachet-style), and federation pods, which mirror everything
+    /// already, ignore the call.
+    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
+        self.holders_mut().start_cache(capacity, seed);
+    }
 }
 
 impl<T: StoragePlane + ?Sized> StoragePlane for Box<T> {
@@ -195,24 +213,16 @@ impl<T: StoragePlane + ?Sized> StoragePlane for Box<T> {
         (**self).name()
     }
 
-    fn node_count(&self) -> usize {
-        (**self).node_count()
+    fn holders(&self) -> &Holders {
+        (**self).holders()
     }
 
-    fn node_ids(&self) -> Vec<NodeId> {
-        (**self).node_ids()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        (**self).is_online(node)
+    fn holders_mut(&mut self) -> &mut Holders {
+        (**self).holders_mut()
     }
 
     fn set_online(&mut self, node: NodeId, online: bool) {
         (**self).set_online(node, online);
-    }
-
-    fn online_count(&self) -> usize {
-        (**self).online_count()
     }
 
     fn replica_candidates(
@@ -241,18 +251,6 @@ impl<T: StoragePlane + ?Sized> StoragePlane for Box<T> {
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
         (**self).fetch_from(node, key, metrics)
-    }
-
-    fn hot_cache(&self) -> Option<&HotCache> {
-        (**self).hot_cache()
-    }
-
-    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        (**self).hot_cache_mut()
-    }
-
-    fn enable_hot_cache(&mut self, capacity: usize, seed: u64) {
-        (**self).enable_hot_cache(capacity, seed);
     }
 }
 

@@ -8,24 +8,23 @@
 //! super-peer; super-peers hold the content index and answer queries in at
 //! most three hops (leaf → super → super → leaf).
 
-use crate::arena::SharedStore;
+use crate::arena::{Admission, Holders};
 use crate::fault::LinkFaults;
-use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
 use crate::sim::{LatencyModel, PLANE_HOP_MS};
-use crate::storage::{refused, StorageError, StoragePlane};
+use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// A peer in the super-peer overlay.
+/// A peer in the super-peer overlay (its online flag is in the plane's
+/// [`Holders`] table, under the peer's index).
 #[derive(Debug, Clone)]
 struct Peer {
     /// Announced uptime fraction in `[0, 1]`; the election criterion.
     uptime: f64,
-    online: bool,
     /// `Some(super_id)` for leaves; `None` for super-peers.
     attached_to: Option<NodeId>,
 }
@@ -53,11 +52,11 @@ pub struct SuperPeerPlane {
     /// Per super-peer: key -> holders, each listed once (the distributed
     /// index).
     index: HashMap<NodeId, HashMap<u64, Vec<NodeId>>>,
-    /// Content blobs hosted across all peers, interned (the index on the
-    /// super-peers points searchers at holders; holders keep the bytes).
-    storage: SharedStore,
+    /// The online set over peer indices `0..n`, the content blobs hosted
+    /// across all peers (the index on the super-peers points searchers at
+    /// holders; holders keep the bytes) and the hot cache.
+    holders: Holders,
     rng: StdRng,
-    hot: Option<HotCache>,
 }
 
 impl std::fmt::Debug for SuperPeerPlane {
@@ -84,7 +83,6 @@ impl SuperPeerPlane {
         let mut peers: Vec<Peer> = (0..n)
             .map(|_| Peer {
                 uptime: rng.random_range(0.05..1.0),
-                online: true,
                 attached_to: None,
             })
             .collect();
@@ -106,13 +104,15 @@ impl SuperPeerPlane {
             }
         }
         let index = super_ids.iter().map(|&s| (s, HashMap::new())).collect();
+        // Supernova-style hosting: the super-peer tier caches every
+        // verified envelope it serves (no admission coin).
+        let ids = (0..n as u64).collect();
         SuperPeerPlane {
             peers,
             supers: super_ids,
             index,
-            storage: SharedStore::new(),
+            holders: Holders::new(ids, names::SUPER_STORE, names::SUPER_FETCH, Admission::All),
             rng,
-            hot: None,
         }
     }
 
@@ -224,14 +224,14 @@ impl SuperPeerPlane {
     /// the semi-structured maintenance cost). With every peer offline there
     /// is nobody to elect: the overlay is left as it is and the cost is 0.
     pub fn reelect(&mut self) -> u64 {
-        if !self.peers.iter().any(|p| p.online) {
+        if self.online_count() == 0 {
             return 0;
         }
         let failed: Vec<NodeId> = self
             .supers
             .iter()
             .copied()
-            .filter(|s| !self.peers[s.0 as usize].online)
+            .filter(|&s| !self.is_online(s))
             .collect();
         if failed.is_empty() {
             return 0;
@@ -245,7 +245,9 @@ impl SuperPeerPlane {
         }
         // Promote best online leaves.
         let mut candidates: Vec<usize> = (0..self.peers.len())
-            .filter(|&i| self.peers[i].online && !self.supers.contains(&NodeId(i as u64)))
+            .filter(|&i| {
+                self.is_online(NodeId(i as u64)) && !self.supers.contains(&NodeId(i as u64))
+            })
             .collect();
         candidates.sort_by(|&a, &b| {
             self.peers[b]
@@ -295,24 +297,18 @@ impl StoragePlane for SuperPeerPlane {
         "superpeer"
     }
 
-    fn node_count(&self) -> usize {
-        self.peers.len()
+    fn holders(&self) -> &Holders {
+        &self.holders
     }
 
-    fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.peers.len() as u64).map(NodeId).collect()
-    }
-
-    fn is_online(&self, node: NodeId) -> bool {
-        self.peers.get(node.0 as usize).is_some_and(|p| p.online)
+    fn holders_mut(&mut self) -> &mut Holders {
+        &mut self.holders
     }
 
     /// A failed super-peer takes its index partition offline until
     /// re-election (call [`SuperPeerPlane::reelect`]).
     fn set_online(&mut self, node: NodeId, online: bool) {
-        if let Some(peer) = self.peers.get_mut(node.0 as usize) {
-            peer.online = online;
-        }
+        self.holders.set_online(node, online);
     }
 
     /// A deterministic forward scan from the key's hash position, so
@@ -324,14 +320,7 @@ impl StoragePlane for SuperPeerPlane {
         want: usize,
         metrics: &mut Metrics,
     ) -> Result<Vec<NodeId>, StorageError> {
-        let n = self.peers.len();
-        let start = (key.0 as usize) % n;
-        let candidates: Vec<NodeId> = (0..n)
-            .map(|i| (start + i) % n)
-            .filter(|&idx| self.peers[idx].online)
-            .take(want)
-            .map(|idx| NodeId(idx as u64))
-            .collect();
+        let candidates = self.holders.scan_online(key.0 as usize, want);
         if candidates.is_empty() {
             return Err(StorageError::NoNodes);
         }
@@ -350,13 +339,9 @@ impl StoragePlane for SuperPeerPlane {
         value: &[u8],
         metrics: &mut Metrics,
     ) -> Result<(), StorageError> {
-        if !self.is_online(node) {
-            return Err(refused(node, node.0 < self.peers.len() as u64));
-        }
-        self.storage.insert(node.0, key.0, value);
+        // Blob transfer to the holder, then the index publish hop.
+        self.holders.store_at(node, key, value, metrics)?;
         self.publish(node, key);
-        // Blob transfer to the holder plus the index publish hop.
-        metrics.record(names::SUPER_STORE, value.len() as u64, PLANE_HOP_MS);
         metrics.record_offpath(names::SUPER_PUBLISH, 32);
         Ok(())
     }
@@ -367,26 +352,7 @@ impl StoragePlane for SuperPeerPlane {
         key: Key,
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<u8>>, StorageError> {
-        if !self.is_online(node) {
-            return Err(refused(node, node.0 < self.peers.len() as u64));
-        }
-        metrics.record(names::SUPER_FETCH, 64, PLANE_HOP_MS);
-        Ok(self.storage.get(node.0, key.0).map(<[u8]>::to_vec))
-    }
-
-    fn hot_cache(&self) -> Option<&HotCache> {
-        self.hot.as_ref()
-    }
-
-    fn hot_cache_mut(&mut self) -> Option<&mut HotCache> {
-        self.hot.as_mut()
-    }
-
-    /// Supernova-style hosting: the super-peer tier caches every verified
-    /// envelope it serves (no admission coin — super-peers are the
-    /// designated cache hosts).
-    fn enable_hot_cache(&mut self, capacity: usize, _seed: u64) {
-        self.hot = Some(HotCache::new(capacity));
+        self.holders.fetch_from(node, key, metrics)
     }
 }
 
@@ -462,7 +428,7 @@ mod tests {
             .map(NodeId)
             .find(|&n| {
                 let s = net.super_of(n).unwrap();
-                s != home && net.peers[s.0 as usize].online && net.peers[n.0 as usize].online
+                s != home && net.is_online(s) && net.is_online(n)
             })
             .expect("someone is attached elsewhere");
         let mut m = Metrics::new();

@@ -61,7 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hot = Key::hash(b"viral-item");
     hybrid.put(hot, vec![0u8; 256], &mut m)?;
     for i in 0..QUERIES {
-        let reader = hybrid.dht().random_node(i * 3 + 1);
+        let reader = hybrid
+            .dht()
+            .random_node(i * 3 + 1)
+            .ok_or("no online reader")?;
         hybrid.get(reader, hot, &mut m)?;
     }
     row("hybrid (DHT + cache)", &m);

@@ -1,5 +1,5 @@
 //! Hostile input through the whole stack: what one peer controls must not
-//! let it stall or break the peers that read it.
+//! let it stall or break the peers that read it, or grow what they keep.
 
 use std::time::{Duration, Instant};
 
@@ -7,6 +7,8 @@ use dosn::core::content::Post;
 use dosn::core::engine::{Engine, OpBatch, OpOutput};
 use dosn::core::network::{ChordPlane, ReplicatedStore};
 use dosn::core::DosnError;
+use dosn::overlay::id::Key;
+use dosn::overlay::metrics::Metrics;
 
 /// A post body of exactly `len` bytes: plain text with multibyte characters
 /// and the characters JSON escapes (quotes, backslashes, newlines, tabs).
@@ -78,4 +80,25 @@ fn the_post_codec_refuses_hostile_bytes_with_a_typed_error() {
         bad[at] = 0xFF;
         assert!(refused(&bad), "invalid UTF-8 at {at}");
     }
+}
+
+#[test]
+fn a_key_rewritten_ten_thousand_times_holds_one_value() {
+    // A peer that keeps re-storing one key with new bytes: every overwrite
+    // must free the bytes it replaces, so the plane holds the latest value
+    // and nothing of the 9,999 before it.
+    const VALUE: usize = 1024;
+    let mut store = ReplicatedStore::new(ChordPlane::build(16, 7), 3);
+    let mut m = Metrics::new();
+    let key = Key::hash(b"rewritten");
+    for i in 0..10_000u32 {
+        let mut value = vec![0u8; VALUE];
+        value[..4].copy_from_slice(&i.to_be_bytes());
+        store.put(key, value, &mut m).unwrap();
+        if i % 1_000 == 999 {
+            let bytes = store.plane().memory_bytes();
+            assert!(bytes < 4 * VALUE, "{bytes} bytes after {} puts", i + 1);
+        }
+    }
+    assert_eq!(store.get(key, &mut m).unwrap()[..4], 9_999u32.to_be_bytes());
 }
