@@ -352,12 +352,7 @@ fn unseal(users: &Users, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<S
     let author_state = users
         .get(job.author)
         .ok_or_else(|| DosnError::UnknownUser(job.author.to_owned()))?;
-    let plain = author_state.privacy.unseal(
-        &author_state.friends_group,
-        job.reader,
-        verified.epoch(),
-        verified.body(),
-    )?;
+    let plain = author_state.open(job.reader, verified.epoch(), verified.body())?;
     let post = Post::from_bytes(&plain)?;
     if post.author.as_str() != job.author || post.sequence != job.seq {
         return Err(DosnError::IntegrityViolation(format!(

@@ -33,8 +33,11 @@
 //! Each phase is one file beside this one — `plan`, `prepare`, `finish` —
 //! with `pipeline` holding [`Engine::execute`], which runs a batch through
 //! them (the commit is a dozen lines inside it). All of them work on one
-//! record per user (`user`), kept in one map. Batches run one after the
-//! other: [`Engine::execute_all`] is `execute` in a loop.
+//! record per user (`user`), kept in one map. The record holds the user's
+//! §III [`AccessScheme`] itself and is the one place a post body is sealed
+//! or opened, through the `SealedBody` wire codec in [`crate::privacy`].
+//! Batches run one after the other: [`Engine::execute_all`] is `execute`
+//! in a loop.
 //!
 //! # Determinism contract
 //!
@@ -63,7 +66,6 @@ mod finish;
 mod pipeline;
 mod plan;
 mod prepare;
-pub(crate) mod privacy_plane;
 mod user;
 
 pub use batch::{BatchReport, Op, OpBatch, OpOutput};
@@ -71,6 +73,7 @@ pub use batch::{BatchReport, Op, OpBatch, OpOutput};
 use crate::error::DosnError;
 use crate::feed::{FeedCache, FeedItem};
 use crate::identity::UserId;
+use crate::privacy::AccessScheme;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::{GroupSize, SchnorrGroup};
 use dosn_crypto::hmac::{hkdf_expand, hkdf_extract};
@@ -82,7 +85,6 @@ use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::{apply_crash_schedule, ReplicatedStore};
 use dosn_overlay::storage::{StorageError, StoragePlane};
-use privacy_plane::PrivacyPlane;
 use std::collections::BTreeMap;
 use std::time::Instant;
 use user::UserState;
@@ -480,13 +482,13 @@ impl<S: StoragePlane> Engine<S> {
         one("befriend", report, OpOutput::Befriended)
     }
 
-    /// Publishes a friends-only post: encrypt (the author's privacy plane)
+    /// Publishes a friends-only post: encrypt (the author's access scheme)
     /// → sign + chain + mint relation keys (the author's timeline) → R-way
     /// store (storage). Returns the author-local sequence number.
     ///
     /// # Errors
     ///
-    /// [`DosnError::UnknownUser`], privacy-plane sealing failures, and
+    /// [`DosnError::UnknownUser`], the scheme's sealing failures, and
     /// [`DosnError::ContentUnavailable`] for storage failures.
     pub fn post(&mut self, author: &str, body: &str) -> Result<u64, DosnError> {
         match output(self.execute(OpBatch::new().post(author, body)))? {
@@ -534,21 +536,21 @@ impl<S: StoragePlane> Engine<S> {
     }
 
     /// Registers a user whose posts are protected by an arbitrary §III
-    /// access scheme behind a [`PrivacyPlane`] — the seam for
-    /// callers that supply their own scheme; consumes one op index so its
-    /// randomness is identical whether or not batches ran in between. The
-    /// scheme must be able to create a group containing the user and to
-    /// seal bodies for storage (symmetric and per-recipient schemes can;
-    /// ABE/IBBE report a typed error at post time).
+    /// [`AccessScheme`] — the seam for callers that supply their own
+    /// scheme; consumes one op index so its randomness is identical whether
+    /// or not batches ran in between. The scheme must be able to create a
+    /// group containing the user and to seal bodies for storage (symmetric
+    /// and per-recipient schemes can; ABE/IBBE report a typed error at post
+    /// time).
     ///
     /// # Errors
     ///
     /// [`DosnError::UnknownUser`] for a taken name, plus scheme-specific
     /// group-creation failures.
-    pub fn register_with_plane(
+    pub fn register_with_scheme(
         &mut self,
         name: &str,
-        privacy: PrivacyPlane,
+        scheme: Box<dyn AccessScheme>,
     ) -> Result<(), DosnError> {
         if self.users.contains_key(name) {
             return Err(DosnError::UnknownUser(format!("{name} already registered")));
@@ -561,7 +563,7 @@ impl<S: StoragePlane> Engine<S> {
             &self.ctx.group,
             &self.ctx.directory,
             name,
-            privacy,
+            scheme,
             &mut rng,
         )
     }
@@ -587,7 +589,7 @@ impl<S: StoragePlane> Engine<S> {
         for (owner, friend) in [(a, b), (b, a)] {
             let state = user_mut(&mut self.users, owner)?;
             if state.lists(friend) {
-                let cost = state.privacy.revoke_member(&state.friends_group, friend)?;
+                let cost = state.scheme.revoke_member(&state.friends_group, friend)?;
                 rekeyed += cost.rekeyed_members;
             }
         }
@@ -793,10 +795,7 @@ mod tests {
             let group = e.ctx.group.clone();
             let alice = user_mut(&mut e.users, "alice").unwrap();
             let post = Post::new(named, named_seq, named_seq, "misplaced");
-            let (ciphertext, epoch) = alice
-                .privacy
-                .seal(&alice.friends_group, &post.to_bytes().unwrap())
-                .unwrap();
+            let (ciphertext, epoch) = alice.seal(&post.to_bytes().unwrap()).unwrap();
             let mut wire = Vec::new();
             alice.rewrite_timeline(|alice, chain| {
                 let mut chain = chain.clone();
@@ -1063,15 +1062,14 @@ mod tests {
     }
 
     #[test]
-    fn pke_privacy_plane_composes_with_the_engine() {
+    fn a_pke_scheme_composes_with_the_engine() {
         let mut n = chord16(9);
         let mut seed_rng = SecureRng::seed_from_u64(77);
         let pke = crate::privacy::PkeGroupScheme::with_fresh_identities(
             &["alice", "bob", "carol"],
             &mut seed_rng,
         );
-        n.register_with_plane("alice", PrivacyPlane::new(Box::new(pke)))
-            .unwrap();
+        n.register_with_scheme("alice", Box::new(pke)).unwrap();
         n.register("bob").unwrap();
         n.register("carol").unwrap();
         n.befriend("alice", "bob", 1.0).unwrap();
@@ -1088,7 +1086,7 @@ mod tests {
         // zed's friends group — before any key binding is published.
         let pke = crate::privacy::PkeGroupScheme::new(dosn_crypto::group::SchnorrGroup::toy(), 1);
         assert!(matches!(
-            n.register_with_plane("zed", PrivacyPlane::new(Box::new(pke))),
+            n.register_with_scheme("zed", Box::new(pke)),
             Err(DosnError::UnknownUser(_))
         ));
         assert!(n.directory().lookup("zed").is_err(), "stray key binding");

@@ -5,11 +5,11 @@
 
 use super::batch::{Op, OpOutput};
 use super::pipeline::Batch;
-use super::privacy_plane::PrivacyPlane;
 use super::user::UserState;
 use super::{elapsed_micros, known_user, op_rng, user_mut, wall_key, PhaseCtx, Users};
 use crate::error::DosnError;
 use crate::identity::{Identity, UserId};
+use crate::privacy::{AccessScheme, SymmetricGroupScheme};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
 use dosn_crypto::keys::KeyDirectory;
@@ -19,7 +19,7 @@ use std::time::Instant;
 
 /// Creates `name`'s record — the one place a [`UserState`] is built,
 /// serving the batch register stage and
-/// [`super::Engine::register_with_plane`] alike. The scheme gets to refuse
+/// [`super::Engine::register_with_scheme`] alike. The scheme gets to refuse
 /// the friends group *before* the identity publishes its key binding, so a
 /// failed registration leaves nothing behind in the directory.
 ///
@@ -31,14 +31,14 @@ pub(super) fn register_user(
     group: &SchnorrGroup,
     directory: &KeyDirectory,
     name: &str,
-    mut privacy: PrivacyPlane,
+    mut scheme: Box<dyn AccessScheme>,
     rng: &mut SecureRng,
 ) -> Result<(), DosnError> {
-    let friends_group = privacy.create_group(&[name.to_owned()])?;
+    let friends_group = scheme.create_group(&[name.to_owned()])?;
     let identity = Identity::create(name, group.clone(), directory, rng);
     users.insert(
         identity.id().clone(),
-        UserState::new(identity, privacy, friends_group, rng),
+        UserState::new(identity, scheme, friends_group, rng),
     );
     Ok(())
 }
@@ -82,8 +82,8 @@ pub(super) fn prepare_batch(users: &mut Users, ctx: &PhaseCtx, batch: &mut Batch
         let (registered, micros) = timed(ctx, index(i), |rng| {
             let mut master = [0u8; 32];
             rand::RngCore::fill_bytes(rng, &mut master);
-            let privacy = PrivacyPlane::symmetric(master);
-            register_user(users, &ctx.group, &ctx.directory, name, privacy, rng)
+            let scheme = Box::new(SymmetricGroupScheme::new(master));
+            register_user(users, &ctx.group, &ctx.directory, name, scheme, rng)
         });
         ctx.obs.histogram(names::NET_REGISTER).record(micros);
         results[i] = Some(registered.map(|()| OpOutput::Registered));
@@ -190,7 +190,7 @@ fn link(
     let _timer = obs.timer(names::NET_KEY_DISSEMINATION);
     let mut add = |owner: &str, friend: &str| {
         let state = user_mut(users, owner)?;
-        state.privacy.add_member(&state.friends_group, friend)
+        state.scheme.add_member(&state.friends_group, friend)
     };
     if add_a {
         add(a, b)?;
@@ -199,7 +199,7 @@ fn link(
         if let Err(refused) = add(b, a) {
             if add_a {
                 let state = user_mut(users, a)?;
-                state.privacy.revoke_member(&state.friends_group, b)?;
+                state.scheme.revoke_member(&state.friends_group, b)?;
             }
             return Err(refused);
         }

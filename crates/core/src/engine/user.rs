@@ -3,21 +3,22 @@
 //!
 //! Two halves share the record because they share a lifetime and an owner
 //! (that map entry), not because they trust each other: the §III
-//! half (signing identity, privacy plane, friends group — whose roster is
-//! the engine's only record of who the user's friends are) holds keys and
-//! sees plaintext; the §IV half (hash-chained [`Timeline`], whose length is
-//! the author's next post sequence number, per-post [`PostRelationKeys`],
-//! verified comments) only ever signs and chains *ciphertexts*, and is what
-//! a verifier consults without holding the user's keys. A timeline entry is
-//! the record the replicas store, signed once.
+//! half (signing identity, access scheme, friends group — whose roster is
+//! the engine's only record of who the user's friends are) holds keys,
+//! sees plaintext, and seals and opens every post body
+//! ([`UserState::seal`], [`UserState::open`]); the §IV half (hash-chained
+//! [`Timeline`], whose length is the author's next post sequence number,
+//! per-post [`PostRelationKeys`], verified comments) only ever signs and
+//! chains *ciphertexts*, and is what a verifier consults without holding
+//! the user's keys. A timeline entry is the record the replicas store,
+//! signed once.
 
-use super::privacy_plane::PrivacyPlane;
 use crate::content::Post;
 use crate::error::DosnError;
 use crate::identity::{Identity, UserId};
 use crate::integrity::relations::{CommentAttachment, PostRelationKeys};
 use crate::integrity::timeline::Timeline;
-use crate::privacy::GroupId;
+use crate::privacy::{AccessScheme, GroupId, SealedBody, SealedPost};
 use dosn_crypto::aead::SymmetricKey;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
@@ -26,8 +27,8 @@ use std::collections::BTreeMap;
 /// One registered user.
 pub(crate) struct UserState {
     identity: Identity,
-    pub(super) privacy: PrivacyPlane,
-    /// The group `privacy` manages for this user's friends.
+    pub(super) scheme: Box<dyn AccessScheme>,
+    /// The group `scheme` manages for this user's friends.
     pub(super) friends_group: GroupId,
     timeline: Timeline,
     /// Per post: the relation keys friends comment with, and the verified
@@ -43,14 +44,14 @@ impl UserState {
     /// commenters key drawn from `rng`.
     pub(super) fn new(
         identity: Identity,
-        privacy: PrivacyPlane,
+        scheme: Box<dyn AccessScheme>,
         friends_group: GroupId,
         rng: &mut SecureRng,
     ) -> Self {
         UserState {
             timeline: Timeline::new(identity.id().clone()),
             identity,
-            privacy,
+            scheme,
             friends_group,
             posts: BTreeMap::new(),
             commenters_key: SymmetricKey::generate(rng),
@@ -60,17 +61,49 @@ impl UserState {
     /// Whether `name` is on this user's friends-group roster (the user is
     /// on their own).
     pub(super) fn lists(&self, name: &str) -> bool {
-        self.privacy.is_member(&self.friends_group, name)
+        self.scheme
+            .members(&self.friends_group)
+            .iter()
+            .any(|m| m == name)
     }
 
     /// The user's friends, sorted by name whatever order the scheme keeps:
     /// their friends-group roster minus themselves.
     pub(super) fn friends(&self) -> Vec<String> {
         let me = self.identity.id().as_str();
-        let mut friends = self.privacy.members(&self.friends_group);
+        let mut friends = self.scheme.members(&self.friends_group);
         friends.retain(|m| m != me);
         friends.sort_unstable();
         friends
+    }
+
+    /// Encrypts `plaintext` for the friends group and wire-encodes the
+    /// sealed body for storage; returns `(wire bytes, epoch)`.
+    ///
+    /// # Errors
+    ///
+    /// Scheme encryption failures, and [`DosnError::MalformedEnvelope`]
+    /// when the scheme's ciphertexts have no wire form (ABE, IBBE).
+    pub(super) fn seal(&mut self, plaintext: &[u8]) -> Result<(Vec<u8>, u64), DosnError> {
+        let sealed = self.scheme.encrypt(&self.friends_group, plaintext)?;
+        Ok((sealed.body.to_wire(self.scheme.name())?, sealed.epoch))
+    }
+
+    /// Decodes a stored sealed body and decrypts it as `reader`, enforcing
+    /// the friends-group membership that held at `epoch`.
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::MalformedEnvelope`] for undecodable bytes,
+    /// [`DosnError::NotAuthorized`] for non-members, plus scheme failures.
+    pub(super) fn open(&self, reader: &str, epoch: u64, wire: &[u8]) -> Result<Vec<u8>, DosnError> {
+        let post = SealedPost {
+            scheme: self.scheme.name(),
+            group: self.friends_group.clone(),
+            epoch,
+            body: SealedBody::from_wire(wire)?,
+        };
+        self.scheme.decrypt_as(&self.friends_group, reader, &post)
     }
 
     /// The user's timeline (verifier view).
@@ -102,7 +135,7 @@ impl UserState {
     ///
     /// # Errors
     ///
-    /// Post encoding and privacy-plane sealing failures; the timeline is
+    /// Post encoding and [`UserState::seal`] failures; the timeline is
     /// left as it was, and the next post gets the same sequence number.
     pub(super) fn seal_post(
         &mut self,
@@ -111,9 +144,9 @@ impl UserState {
         rng: &mut SecureRng,
     ) -> Result<(u64, Vec<u8>), DosnError> {
         let seq = self.timeline.entries().len() as u64;
+        let post = Post::new(self.identity.id().as_str(), seq, seq, body);
+        let (ciphertext, epoch) = self.seal(&post.to_bytes()?)?;
         let author = self.identity.id().as_str();
-        let post = Post::new(author, seq, seq, body);
-        let (ciphertext, epoch) = self.privacy.seal(&self.friends_group, &post.to_bytes()?)?;
         let wire = self
             .timeline
             .append(&self.identity, &ciphertext, vec![], rng)

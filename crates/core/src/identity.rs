@@ -17,18 +17,6 @@ use std::fmt;
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub String);
 
-impl serde::Serialize for UserId {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.0.clone())
-    }
-}
-
-impl serde::Deserialize for UserId {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        <String as serde::Deserialize>::from_value(value).map(UserId)
-    }
-}
-
 impl fmt::Display for UserId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
@@ -177,12 +165,5 @@ mod tests {
         assert_eq!(id.to_string(), "carol");
         let id2: UserId = String::from("carol").into();
         assert_eq!(id, id2);
-    }
-
-    #[test]
-    fn user_id_serde_roundtrip() {
-        let id = UserId::from("dave");
-        let json = serde_json::to_string(&id).unwrap();
-        assert_eq!(serde_json::from_str::<UserId>(&json).unwrap(), id);
     }
 }

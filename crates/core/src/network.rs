@@ -1,11 +1,11 @@
 //! What an assembled DOSN is built from, under one path: the four §II-B
 //! overlay families (each one type that is also its storage plane), the
 //! wrappers that compose over them (social placement, the adversary), the
-//! replicated store, and the privacy plane and feed types of the layers
-//! above. The system itself is [`crate::engine::Engine`], built as
-//! `Engine::new(ReplicatedStore::new(plane, replicas), seed)`.
-
-pub use crate::engine::privacy_plane::PrivacyPlane;
+//! replicated store, and the feed types of the layers above. The system
+//! itself is [`crate::engine::Engine`], built as
+//! `Engine::new(ReplicatedStore::new(plane, replicas), seed)`; its privacy
+//! layer is one [`crate::privacy::AccessScheme`] per user, with no wrapper
+//! type around it.
 
 pub use dosn_overlay::adversary::{reader_parity, AdversaryConfig, AdversaryMode, AdversaryPlane};
 pub use dosn_overlay::chord::ChordPlane;

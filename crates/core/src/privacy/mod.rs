@@ -38,6 +38,7 @@ pub use substitution::{SubstitutionDictionary, SubstitutionVault};
 pub use symmetric::SymmetricGroupScheme;
 
 use crate::error::DosnError;
+use crate::integrity::envelope::Cursor;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -98,6 +99,15 @@ impl SealedPost {
     }
 }
 
+/// The wire tag of a [`SealedBody::Symmetric`] body.
+const TAG_SYMMETRIC: u8 = 0x01;
+/// The wire tag of a [`SealedBody::PerRecipient`] body.
+const TAG_PER_RECIPIENT: u8 = 0x02;
+
+/// A scheme's ciphertext. Symmetric and per-recipient bodies have a byte
+/// form ([`SealedBody::to_wire`]), so they can live in an overlay that only
+/// moves blobs; ABE and IBBE ciphertexts are structured algebra without one
+/// in this reproduction.
 #[derive(Debug, Clone)]
 pub(crate) enum SealedBody {
     /// One symmetric blob.
@@ -132,6 +142,91 @@ impl SealedBody {
                 // 16-byte seed, 2 elements per bit.
                 ct.recipient_count() * 16 * 8 * 2 * element_len + 64
             }
+        }
+    }
+
+    /// The storage form of the body: `0x01 | ciphertext` for symmetric
+    /// blobs, `0x02 | n(4) | n × (id_len(2) | id | wrap_len(4) | wrap) |
+    /// payload` for per-recipient envelopes (all integers big-endian).
+    /// `scheme` names the producing scheme in the refusal.
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::MalformedEnvelope`] for ABE and IBBE bodies, which have
+    /// no wire form, and for a recipient id longer than `u16::MAX` bytes.
+    pub(crate) fn to_wire(&self, scheme: &str) -> Result<Vec<u8>, DosnError> {
+        match self {
+            SealedBody::Symmetric(ct) => {
+                let mut out = Vec::with_capacity(1 + ct.len());
+                out.push(TAG_SYMMETRIC);
+                out.extend_from_slice(ct);
+                Ok(out)
+            }
+            SealedBody::PerRecipient { wrapped, payload } => {
+                let mut out = vec![TAG_PER_RECIPIENT];
+                out.extend_from_slice(&(wrapped.len() as u32).to_be_bytes());
+                for (id, wrap) in wrapped {
+                    let id_bytes = id.as_bytes();
+                    if id_bytes.len() > u16::MAX as usize {
+                        return Err(DosnError::MalformedEnvelope(format!(
+                            "recipient id of {} bytes does not fit the wire form",
+                            id_bytes.len()
+                        )));
+                    }
+                    out.extend_from_slice(&(id_bytes.len() as u16).to_be_bytes());
+                    out.extend_from_slice(id_bytes);
+                    out.extend_from_slice(&(wrap.len() as u32).to_be_bytes());
+                    out.extend_from_slice(wrap);
+                }
+                out.extend_from_slice(payload);
+                Ok(out)
+            }
+            SealedBody::Abe(_) | SealedBody::Ibbe { .. } => {
+                Err(DosnError::MalformedEnvelope(format!(
+                    "{scheme} ciphertexts have no storage wire codec; \
+                     use a symmetric or pke scheme for stored walls"
+                )))
+            }
+        }
+    }
+
+    /// Inverts [`SealedBody::to_wire`], validating every length against the
+    /// remaining input so arbitrary bytes yield an error, never a panic.
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::MalformedEnvelope`].
+    pub(crate) fn from_wire(bytes: &[u8]) -> Result<SealedBody, DosnError> {
+        let malformed = |what: &str| DosnError::MalformedEnvelope(format!("sealed body: {what}"));
+        let (&tag, rest) = bytes.split_first().ok_or_else(|| malformed("empty"))?;
+        match tag {
+            TAG_SYMMETRIC => Ok(SealedBody::Symmetric(rest.to_vec())),
+            TAG_PER_RECIPIENT => {
+                let mut c = Cursor(rest);
+                let count = c
+                    .u32()
+                    .ok_or_else(|| malformed("truncated recipient count"))?;
+                // Each recipient takes at least 6 bytes or fails, so a
+                // hostile count ends where the record does.
+                let mut wrapped = Vec::new();
+                for _ in 0..count {
+                    let id = c
+                        .array()
+                        .and_then(|len| c.take(u16::from_be_bytes(len) as usize));
+                    let id = id.ok_or_else(|| malformed("recipient id exceeds record"))?;
+                    let id = String::from_utf8(id.to_vec())
+                        .map_err(|_| malformed("recipient id is not utf-8"))?;
+                    let wrap = c
+                        .field()
+                        .ok_or_else(|| malformed("wrapped key exceeds record"))?;
+                    wrapped.push((id, wrap.to_vec()));
+                }
+                Ok(SealedBody::PerRecipient {
+                    wrapped,
+                    payload: c.0.to_vec(),
+                })
+            }
+            other => Err(malformed(&format!("unknown tag {other:#04x}"))),
         }
     }
 }
@@ -317,8 +412,167 @@ mod trait_tests {
         }
     }
 
-    use super::abe_scheme::AbeGroupScheme;
-    use super::pke::PkeGroupScheme;
-    use super::symmetric::SymmetricGroupScheme;
-    use crate::privacy::ibbe_scheme::IbbeGroupScheme;
+    #[test]
+    fn conformance_bodies_roundtrip_through_the_wire_or_are_refused() {
+        for mut scheme in all_schemes() {
+            let g = scheme
+                .create_group(&["alice".into(), "bob".into()])
+                .unwrap();
+            let post = scheme.encrypt(&g, b"stored post").unwrap();
+            let wire = post.body.to_wire(scheme.name());
+            let tag = match scheme.name() {
+                "symmetric" => TAG_SYMMETRIC,
+                "pke" => TAG_PER_RECIPIENT,
+                // ABE and IBBE bodies have no wire form: a typed refusal.
+                _ => {
+                    assert!(matches!(wire, Err(DosnError::MalformedEnvelope(_))));
+                    continue;
+                }
+            };
+            let wire = wire.unwrap();
+            assert_eq!(wire[0], tag, "{}", scheme.name());
+            let body = SealedBody::from_wire(&wire).unwrap();
+            let stored = SealedPost { body, ..post };
+            for reader in ["alice", "bob"] {
+                assert_eq!(
+                    scheme.decrypt_as(&g, reader, &stored).unwrap(),
+                    b"stored post"
+                );
+            }
+            assert!(scheme.decrypt_as(&g, "carol", &stored).is_err());
+        }
+    }
+}
+
+#[cfg(test)]
+mod wire_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn is_malformed<T>(result: &Result<T, DosnError>) -> bool {
+        matches!(result, Err(DosnError::MalformedEnvelope(_)))
+    }
+
+    /// A per-recipient body's wire form, and where its recipient list ends.
+    fn per_recipient(wrapped: &[(String, Vec<u8>)], payload: &[u8]) -> (Vec<u8>, usize) {
+        let body = SealedBody::PerRecipient {
+            wrapped: wrapped.to_vec(),
+            payload: payload.to_vec(),
+        };
+        let wire = body.to_wire("pke").unwrap();
+        let list_end = wire.len() - payload.len();
+        (wire, list_end)
+    }
+
+    #[test]
+    fn decoder_rejects_garbage_without_panicking() {
+        for bad in [
+            &b""[..],
+            &[0xFF, 1, 2, 3][..],
+            &[TAG_PER_RECIPIENT][..],
+            &[TAG_PER_RECIPIENT, 0, 0, 0, 9][..], // 9 recipients, no data
+            &[TAG_PER_RECIPIENT, 0, 0, 0, 1, 0, 200][..], // id overruns
+            // A hostile count claiming u32::MAX recipients must fail on the
+            // first truncated record, not loop or allocate.
+            &[TAG_PER_RECIPIENT, 0xFF, 0xFF, 0xFF, 0xFF][..],
+            // Truncation exactly at the wrap-length field.
+            &[TAG_PER_RECIPIENT, 0, 0, 0, 1, 0, 1, b'a', 0, 0][..],
+            // Wrap length overruns the record.
+            &[TAG_PER_RECIPIENT, 0, 0, 0, 1, 0, 1, b'a', 0, 0, 0, 9][..],
+        ] {
+            assert!(is_malformed(&SealedBody::from_wire(bad)));
+        }
+    }
+
+    #[test]
+    fn encoder_refuses_a_recipient_id_over_u16_max_bytes() {
+        let id = |len: usize| vec![("a".repeat(len), vec![7])];
+        let (wire, _) = per_recipient(&id(u16::MAX as usize), &[]);
+        assert!(SealedBody::from_wire(&wire).is_ok());
+        let body = SealedBody::PerRecipient {
+            wrapped: id(u16::MAX as usize + 1),
+            payload: vec![],
+        };
+        assert!(is_malformed(&body.to_wire("pke")));
+    }
+
+    /// Ids of arbitrary scalar values, one- to four-byte UTF-8 alike (and
+    /// empty); a surrogate draws the replacement character.
+    fn id() -> impl Strategy<Value = String> {
+        let scalar = prop_oneof![0u32..0x80, 0x80u32..0x800, 0x800u32..0x11_0000];
+        proptest::collection::vec(scalar, 0..6).prop_map(|scalars| {
+            scalars
+                .into_iter()
+                .map(|s| char::from_u32(s).unwrap_or(char::REPLACEMENT_CHARACTER))
+                .collect()
+        })
+    }
+
+    fn bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(any::<u8>(), 0..max)
+    }
+
+    fn recipients() -> impl Strategy<Value = Vec<(String, Vec<u8>)>> {
+        proptest::collection::vec((id(), bytes(40)), 0..5)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn symmetric_and_per_recipient_bodies_roundtrip(
+            ct in bytes(64),
+            wrapped in recipients(),
+            payload in bytes(64),
+        ) {
+            let wire = SealedBody::Symmetric(ct.clone()).to_wire("symmetric").unwrap();
+            let back = SealedBody::from_wire(&wire);
+            prop_assert!(matches!(&back, Ok(SealedBody::Symmetric(b)) if *b == ct), "{back:?}");
+            let (wire, _) = per_recipient(&wrapped, &payload);
+            let back = SealedBody::from_wire(&wire);
+            prop_assert!(
+                matches!(&back, Ok(SealedBody::PerRecipient { wrapped: w, payload: p })
+                    if *w == wrapped && *p == payload),
+                "{back:?}"
+            );
+        }
+
+        #[test]
+        fn a_cut_inside_the_recipient_list_or_a_u32_max_count_is_malformed(
+            wrapped in recipients(),
+            payload in bytes(16),
+        ) {
+            let (mut wire, list_end) = per_recipient(&wrapped, &payload);
+            for cut in 0..list_end {
+                prop_assert!(is_malformed(&SealedBody::from_wire(&wire[..cut])), "cut {cut}");
+            }
+            // From the end of the list on, a cut only shortens the payload.
+            for cut in list_end..=wire.len() {
+                let back = SealedBody::from_wire(&wire[..cut]);
+                prop_assert!(
+                    matches!(&back, Ok(SealedBody::PerRecipient { wrapped: w, .. }) if *w == wrapped),
+                    "cut {cut}: {back:?}"
+                );
+            }
+            // A count of u32::MAX ends where the record does: each claimed
+            // recipient takes at least 6 bytes or fails.
+            wire[1..5].copy_from_slice(&u32::MAX.to_be_bytes());
+            prop_assert!(is_malformed(&SealedBody::from_wire(&wire)));
+        }
+
+        #[test]
+        fn a_recipient_id_that_is_not_utf8_is_rejected(
+            (head, tail) in (id(), id()),
+            wrap in bytes(8),
+        ) {
+            // 0xFF starts no UTF-8 sequence, wherever it sits.
+            let (mut wire, _) = per_recipient(&[(format!("{head}X{tail}"), wrap)], &[]);
+            wire[7 + head.len()] = 0xFF;
+            let back = SealedBody::from_wire(&wire);
+            prop_assert!(
+                matches!(&back, Err(DosnError::MalformedEnvelope(m)) if m.contains("utf-8")),
+                "{back:?}"
+            );
+        }
+    }
 }

@@ -4,8 +4,9 @@
 
 use dosn_core::engine::{wall_key, BatchReport, Engine, OpBatch, OpOutput};
 use dosn_core::feed::FeedItem;
-use dosn_core::network::PrivacyPlane;
-use dosn_core::privacy::{AccessScheme, GroupId, MembershipCost, SealedPost, SymmetricGroupScheme};
+use dosn_core::privacy::{
+    AbeGroupScheme, AccessScheme, GroupId, MembershipCost, SealedPost, SymmetricGroupScheme,
+};
 use dosn_core::DosnError;
 use dosn_crypto::CryptoError;
 use dosn_obs::names;
@@ -507,8 +508,8 @@ impl Flaky {
     fn fail_next(&self, call: &'static str) {
         self.state().fail_next = Some(call);
     }
-    fn plane(&self) -> PrivacyPlane {
-        PrivacyPlane::new(Box::new(self.clone()))
+    fn scheme(&self) -> Box<dyn AccessScheme> {
+        Box::new(self.clone())
     }
     fn roster(&self) -> Vec<String> {
         let state = self.state();
@@ -556,9 +557,28 @@ fn a_failed_seal_takes_no_sequence_number_and_the_feed_still_sees_the_wall() {
     let mut n = chord16(23);
     let scheme = Flaky::new(9);
     scheme.fail_next("encrypt");
-    n.register_with_plane("alice", scheme.plane()).unwrap();
+    n.register_with_scheme("alice", scheme.scheme()).unwrap();
     n.register("bob").unwrap();
     n.befriend("alice", "bob", 0.9).unwrap();
+    // Every seal of an ABE author fails, after the encryption: its
+    // ciphertexts have no storage wire form. Neither refusal takes a number
+    // or stores a byte.
+    n.register_with_scheme("carol", Box::new(AbeGroupScheme::new([9; 32])))
+        .unwrap();
+    let stored = n.storage().accounting().total_bytes();
+    let refused = n.execute(
+        OpBatch::new()
+            .post("carol", "no wire")
+            .post("carol", "nor this"),
+    );
+    for result in &refused.results {
+        assert!(
+            matches!(result, Err(DosnError::MalformedEnvelope(_))),
+            "{result:?}"
+        );
+    }
+    assert_eq!(n.timeline("carol").unwrap().entries().len(), 0);
+    assert_eq!(n.storage().accounting().total_bytes(), stored);
     let posts = n.execute(OpBatch::new().post("alice", "lost").post("alice", "kept"));
     assert!(
         matches!(posts.results[0], Err(DosnError::Crypto(_))),
@@ -581,8 +601,8 @@ fn a_failed_seal_takes_no_sequence_number_and_the_feed_still_sees_the_wall() {
 fn flaky_pair() -> (Engine<ChordPlane>, Flaky, Flaky) {
     let mut n = chord16(29);
     let (alice, bob) = (Flaky::new(1), Flaky::new(2));
-    n.register_with_plane("alice", alice.plane()).unwrap();
-    n.register_with_plane("bob", bob.plane()).unwrap();
+    n.register_with_scheme("alice", alice.scheme()).unwrap();
+    n.register_with_scheme("bob", bob.scheme()).unwrap();
     n.post("alice", "alice 0").unwrap();
     (n, alice, bob)
 }

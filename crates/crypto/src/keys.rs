@@ -10,10 +10,9 @@
 
 use crate::error::CryptoError;
 use crate::schnorr::VerifyingKey;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How a key binding was established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,7 +62,7 @@ pub struct KeyDirectory {
 
 impl fmt::Debug for KeyDirectory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "KeyDirectory({} identities)", self.inner.read().len())
+        write!(f, "KeyDirectory({} identities)", self.read().len())
     }
 }
 
@@ -73,9 +72,20 @@ impl KeyDirectory {
         Self::default()
     }
 
+    /// The bindings, shared. Every write is one map operation that cannot
+    /// leave the map half-changed, so a poisoned lock is recovered.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, KeyBinding>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The bindings, exclusively (see [`KeyDirectory::read`]).
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, KeyBinding>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers (or replaces) the binding for `identity`.
     pub fn register(&self, identity: &str, verifying: VerifyingKey, provenance: KeyProvenance) {
-        self.inner.write().insert(
+        self.write().insert(
             identity.to_owned(),
             KeyBinding {
                 verifying,
@@ -90,8 +100,7 @@ impl KeyDirectory {
     ///
     /// Returns [`CryptoError::UnknownKey`] when the identity is unknown.
     pub fn lookup(&self, identity: &str) -> Result<KeyBinding, CryptoError> {
-        self.inner
-            .read()
+        self.read()
             .get(identity)
             .cloned()
             .ok_or_else(|| CryptoError::UnknownKey(identity.to_owned()))
@@ -108,17 +117,17 @@ impl KeyDirectory {
 
     /// Removes a binding; returns whether it existed.
     pub fn remove(&self, identity: &str) -> bool {
-        self.inner.write().remove(identity).is_some()
+        self.write().remove(identity).is_some()
     }
 
     /// Number of registered identities.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     /// Whether the directory is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.read().is_empty()
     }
 
     /// Identities learned with at least the given provenance strength
@@ -133,7 +142,6 @@ impl KeyDirectory {
             }
         }
         let mut out: Vec<String> = self
-            .inner
             .read()
             .iter()
             .filter(|(_, b)| rank(b.provenance) >= rank(min))
