@@ -53,6 +53,7 @@ pub struct ModContext {
 struct ExpCounters {
     montgomery_pows: AtomicU64,
     division_pows: AtomicU64,
+    montgomery_products: AtomicU64,
 }
 
 /// Snapshot of a context's exponentiation activity, by reduction backend.
@@ -62,6 +63,12 @@ pub struct ExpStats {
     pub montgomery_pows: u64,
     /// `pow`/`pow_multi` calls run with division-based reduction.
     pub division_pows: u64,
+    /// Montgomery products and squares run under the context by `pow`,
+    /// `pow_multi` and fixed-base tables (built or evaluated), domain
+    /// conversions included: the work inside the exponentiations counted
+    /// above, which a count of calls cannot tell apart — a 32-base
+    /// multi-exponentiation is one call. Tallied once per kernel call.
+    pub montgomery_products: u64,
 }
 
 impl ExpStats {
@@ -115,11 +122,18 @@ impl Arith for Division<'_> {
 /// Evaluates `$run` with `$arith` bound to the arithmetic `$ctx`
 /// exponentiates in — the one place that chooses between the Montgomery
 /// kernel and division. The kernels are generic over [`Arith`], so each arm
-/// is its own instantiation and nothing is dispatched per product.
+/// is its own instantiation and nothing is dispatched per product. The
+/// Montgomery arm counts its products and tallies them into `$ctx`'s
+/// [`ExpStats`] once, after `$run`.
 macro_rules! with_arith {
     ($ctx:expr, |$arith:ident| $run:expr) => {
         match &$ctx.mont {
-            Some($arith) => $run,
+            Some(mont) => {
+                let $arith = &$crate::window::Counted::new(mont);
+                let out = $run;
+                $ctx.tally_products($arith.products());
+                out
+            }
             None => {
                 let $arith = &$crate::modular::Division($ctx.modulus());
                 $run
@@ -163,7 +177,15 @@ impl ModContext {
         ExpStats {
             montgomery_pows: self.stats.montgomery_pows.load(AtomicOrdering::Relaxed),
             division_pows: self.stats.division_pows.load(AtomicOrdering::Relaxed),
+            montgomery_products: self.stats.montgomery_products.load(AtomicOrdering::Relaxed),
         }
+    }
+
+    /// Adds one kernel call's Montgomery products and squares.
+    pub(crate) fn tally_products(&self, products: u64) {
+        self.stats
+            .montgomery_products
+            .fetch_add(products, AtomicOrdering::Relaxed);
     }
 
     fn count_pow(&self) {
@@ -668,6 +690,31 @@ mod tests {
         even.pow(&b(3), &b(13));
         assert_eq!(even.stats().division_pows, 1);
         assert_eq!(even.stats().montgomery_pows, 0);
+    }
+
+    #[test]
+    fn montgomery_products_count_every_product_of_a_call() {
+        use crate::ModContext;
+        let big = ModContext::new(&((BigUint::one() << 128) + BigUint::one()));
+        // 4^13, 13 = 0b1101 (window width 1): enter 4; the first window
+        // starts the value and costs nothing, the other two cost 1 + 1 and
+        // 2 + 1 squares and products; leave. 7 in all.
+        big.pow(&b(4), &b(13));
+        assert_eq!(big.stats().montgomery_products, 7);
+        // A fixed-base table: the build is counted, then one product per
+        // non-zero digit after the first, and the leave.
+        let table = big.precompute(&b(3), 16);
+        let built = big.stats().montgomery_products;
+        assert!(built > 7);
+        assert_eq!(
+            table.pow(&b(0x1111)),
+            b(3).modpow(&b(0x1111), big.modulus())
+        );
+        assert_eq!(big.stats().montgomery_products - built, 3 + 1);
+        // The division arithmetic counts nothing.
+        let small = ModContext::new(&b(497));
+        small.pow(&b(4), &b(13));
+        assert_eq!(small.stats().montgomery_products, 0);
     }
 
     #[test]

@@ -47,8 +47,6 @@ pub struct MontgomeryContext {
     /// `R² mod n` with `R = 2^{64k}`, as a residue row: multiplying by this
     /// converts into Montgomery form with one product.
     r2: Vec<u64>,
-    /// `R mod n`, the Montgomery form of 1.
-    one: BigUint,
 }
 
 impl MontgomeryContext {
@@ -77,18 +75,12 @@ impl MontgomeryContext {
             modulus: modulus.clone(),
             n0,
             r2,
-            one: r,
         })
     }
 
     /// The modulus this context reduces under.
     pub fn modulus(&self) -> &BigUint {
         &self.modulus
-    }
-
-    /// The Montgomery form of 1 (`R mod n`).
-    pub fn one_mont(&self) -> &BigUint {
-        &self.one
     }
 
     /// Converts `x` into Montgomery form `xR mod n`. An `x ≥ n` is reduced
@@ -368,12 +360,14 @@ mod tests {
     }
 
     #[test]
-    fn one_mont_is_identity_element() {
+    fn montgomery_one_is_identity_element() {
         let n = (BigUint::one() << 255) - b(19);
         let ctx = MontgomeryContext::new(&n).unwrap();
+        let one = ctx.to_mont(&BigUint::one());
+        assert_eq!(one, &(BigUint::one() << 256) % &n, "R mod n, R = 2^(64·4)");
         let x = ctx.to_mont(&b(0xdead_beef_cafe));
-        assert_eq!(ctx.mul(&x, ctx.one_mont()), x);
-        assert_eq!(ctx.from_mont(ctx.one_mont()), BigUint::one());
+        assert_eq!(ctx.mul(&x, &one), x);
+        assert_eq!(ctx.from_mont(&one), BigUint::one());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! division arithmetic builds a `BigUint` product and remainder each time).
 
 use crate::BigUint;
+use std::cell::Cell;
 
 /// The arithmetic a kernel runs in. A residue is a row of [`Arith::limbs`]
 /// limbs, reduced, in whatever form the arithmetic multiplies in; `scratch`
@@ -29,6 +30,60 @@ pub(crate) trait Arith {
     fn sqr(&self, out: &mut [u64], a: &[u64], scratch: &mut [u64]);
     /// The plain value of the residue `x`.
     fn leave(&self, x: &[u64], scratch: &mut [u64]) -> BigUint;
+}
+
+/// An arithmetic that counts the products and squares it runs (domain
+/// conversions included) in a plain cell, so a kernel call can tally them
+/// once, at its end, instead of per product.
+pub(crate) struct Counted<'a, A> {
+    arith: &'a A,
+    products: Cell<u64>,
+}
+
+impl<'a, A: Arith> Counted<'a, A> {
+    pub(crate) fn new(arith: &'a A) -> Self {
+        Counted {
+            arith,
+            products: Cell::new(0),
+        }
+    }
+
+    /// Products and squares run so far.
+    pub(crate) fn products(&self) -> u64 {
+        self.products.get()
+    }
+
+    fn count(&self) {
+        self.products.set(self.products.get() + 1);
+    }
+}
+
+impl<A: Arith> Arith for Counted<'_, A> {
+    fn limbs(&self) -> usize {
+        self.arith.limbs()
+    }
+
+    fn enter(&self, out: &mut [u64], x: &BigUint, scratch: &mut [u64]) {
+        self.count();
+        self.arith.enter(out, x, scratch);
+    }
+
+    #[inline(always)]
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        self.count();
+        self.arith.mul(out, a, b);
+    }
+
+    #[inline(always)]
+    fn sqr(&self, out: &mut [u64], a: &[u64], scratch: &mut [u64]) {
+        self.count();
+        self.arith.sqr(out, a, scratch);
+    }
+
+    fn leave(&self, x: &[u64], scratch: &mut [u64]) -> BigUint {
+        self.count();
+        self.arith.leave(x, scratch)
+    }
 }
 
 /// Limbs a kernel run over a `rows`-row table needs: the table, the two

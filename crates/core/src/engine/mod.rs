@@ -36,6 +36,9 @@
 //! record per user (`user`), kept in one map. The record holds the user's
 //! §III [`AccessScheme`] itself and is the one place a post body is sealed
 //! or opened, through the `SealedBody` wire codec in [`crate::privacy`].
+//! [`Engine::read_feed`] is the one caller that plans its own reads: it
+//! answers its L1 hits itself and hands only the misses to the
+//! commit-onward half of `execute`.
 //! Batches run one after the other: [`Engine::execute_all`] is `execute`
 //! in a loop.
 //!
@@ -71,7 +74,7 @@ mod user;
 pub use batch::{BatchReport, Op, OpBatch, OpOutput};
 
 use crate::error::DosnError;
-use crate::feed::{FeedCache, FeedItem};
+use crate::feed::{FeedCache, FeedItem, Window};
 use crate::identity::UserId;
 use crate::privacy::AccessScheme;
 use dosn_crypto::chacha::SecureRng;
@@ -85,6 +88,9 @@ use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::{apply_crash_schedule, ReplicatedStore};
 use dosn_overlay::storage::{StorageError, StoragePlane};
+use pipeline::Batch;
+use plan::{serve_from_l1, FeedFill, ReadPlan, Served};
+use prepare::PreparedPosts;
 use std::collections::BTreeMap;
 use std::time::Instant;
 use user::UserState;
@@ -387,16 +393,29 @@ impl<S: StoragePlane> Engine<S> {
             .map_or_else(Vec::new, |u| u.comments(seq))
     }
 
-    /// Aggregates `user`'s feed: the latest `k` posts of every friend,
-    /// planned as **one** engine batch so the fill path gets the finish
-    /// phase's combined Schnorr check. The friend set is
-    /// [`Engine::friends`] (the reader's own roster); per-friend sequence
-    /// ranges come from the friends' timeline lengths. Posts the reader
-    /// cannot read (revoked epochs, unplaceable replicas) are skipped, not
-    /// errors — a feed is best-effort by design. With the feed cache
-    /// enabled, posts held by slices whose witness is still on the author's
-    /// chain are served without a quorum read; after a friend posts, only
-    /// the new post is fetched.
+    /// Aggregates `user`'s feed: the latest `k` posts of every friend. The
+    /// friend set is [`Engine::friends`] (the reader's own roster);
+    /// per-friend sequence ranges come from the friends' timeline lengths.
+    /// Posts the reader cannot read (revoked epochs, unplaceable replicas)
+    /// are skipped, not errors — a feed is best-effort by design.
+    ///
+    /// A warm read is served here, not by a batch. With the feed cache
+    /// enabled, every friend's window is put to L1 in one probe — the
+    /// reader's slices looked up once, each friend's slice once — and a post
+    /// held by a slice whose witness is still on the friend's chain is
+    /// returned from it: no op is built, nothing is fetched, verified or
+    /// folded into a digest, and no phase is timed. Only the misses become
+    /// `ReadPost` ops, and they go straight to the commit / finish / report
+    /// half of [`Engine::execute`] as **one** batch, so the fill path gets
+    /// the finish phase's combined Schnorr check and each miss is probed
+    /// once. After a friend posts, only the new post is fetched.
+    ///
+    /// The counts match `execute` of the same reads as one batch of
+    /// `read_post`s: every read takes one global op index and counts in
+    /// `engine.ops`, hit or miss, so later ops draw the same randomness and
+    /// store the same bytes; a hit counts in `cache.hits` and as a
+    /// zero-microsecond `net.read_post.quorum` sample, as a batch's L1 hit
+    /// does; misses, fills, invalidations and evictions are the batch's.
     ///
     /// Returns items grouped by friend (friends in sorted-name order),
     /// oldest-first within each friend. A user with zero friends gets an
@@ -411,32 +430,67 @@ impl<S: StoragePlane> Engine<S> {
         obs.counter(names::FEED_READS).add(1);
         obs.histogram(names::FEED_FANIN)
             .record(friends.len() as u64);
-        if friends.is_empty() || k == 0 {
+        let windows: Vec<Window> = friends
+            .iter()
+            .filter_map(|friend| {
+                let chain = self.users.get(friend.as_str())?.timeline();
+                let len = chain.entries().len() as u64;
+                Some(Window::on(friend, len.saturating_sub(k as u64)..len, chain))
+            })
+            .collect();
+        let reads: u64 = windows.iter().map(|w| w.seqs.end - w.seqs.start).sum();
+        if reads == 0 {
             return Ok(Vec::new());
         }
-        let mut batch = OpBatch::new();
-        let mut plan: Vec<(UserId, u64)> = Vec::new();
-        for friend in friends {
-            let len = self
-                .users
-                .get(friend.as_str())
-                .map_or(0, |u| u.timeline().entries().len() as u64);
-            for seq in len.saturating_sub(k as u64)..len {
-                batch = batch.read_post(user, &friend, seq);
-                plan.push((UserId(friend.clone()), seq));
+        // One slot per read, in feed order. A miss's slot holds its item
+        // without a body until its quorum read settles, and is emptied if
+        // that read fails.
+        let mut slots: Vec<Option<FeedItem>> = Vec::with_capacity(reads as usize);
+        let (mut misses, mut pending) = (Vec::new(), Vec::new());
+        let mut plan = ReadPlan::default();
+        serve_from_l1(&mut self.feed, obs, user, &windows, |w, seq, served| {
+            let author = windows[w].author;
+            let body = match served {
+                Served::Hit(body) => body.clone(),
+                Served::Miss(fill) => {
+                    let op_idx = misses.len();
+                    if let Some(head) = fill {
+                        plan.fills.push(FeedFill { op_idx, head });
+                    }
+                    plan.reads.push(op_idx);
+                    misses.push(Op::ReadPost {
+                        reader: user.to_owned(),
+                        author: author.to_owned(),
+                        seq,
+                    });
+                    pending.push(slots.len());
+                    String::new()
+                }
+            };
+            slots.push(Some(FeedItem {
+                author: UserId::from(author),
+                seq,
+                body,
+            }));
+        });
+        drop(windows);
+        // Every read takes a global op index, served from L1 or not, as it
+        // does in a batch.
+        self.claim_op_indices(reads);
+        if !misses.is_empty() {
+            let report = self.run(Batch::new(misses), PreparedPosts::default(), plan);
+            for (slot, result) in pending.into_iter().zip(report.results) {
+                match result {
+                    Ok(OpOutput::Read { body }) => {
+                        if let Some(item) = &mut slots[slot] {
+                            item.body = body;
+                        }
+                    }
+                    _ => slots[slot] = None,
+                }
             }
         }
-        if plan.is_empty() {
-            return Ok(Vec::new());
-        }
-        let report = self.execute(batch);
-        let mut items = Vec::with_capacity(plan.len());
-        for ((author, seq), result) in plan.into_iter().zip(report.results) {
-            if let Ok(OpOutput::Read { body }) = result {
-                items.push(FeedItem { author, seq, body });
-            }
-        }
-        Ok(items)
+        Ok(slots.into_iter().flatten().collect())
     }
 
     /// Applies a fault plan's crash schedule to the storage plane.
@@ -625,6 +679,7 @@ mod tests {
     use super::*;
     use dosn_crypto::sha256::Sha256;
     use dosn_overlay::chord::ChordPlane;
+    use proptest::prelude::*;
 
     fn engine(seed: u64) -> Engine<ChordPlane> {
         Engine::new(ReplicatedStore::new(ChordPlane::build(24, seed), 3), seed)
@@ -773,6 +828,161 @@ mod tests {
             assert_eq!(stats.hits, filled.hits, "diverge {diverge}");
             assert_eq!(quorum_reads(&e), before + 2, "diverge {diverge}");
             assert_eq!(after.digest, warm.digest, "diverge {diverge}");
+        }
+    }
+
+    /// `read_feed` as it ran before it served its own L1 hits: the same
+    /// reads as one batch of `read_post`s through `execute`.
+    fn read_feed_as_one_batch(
+        e: &mut Engine<ChordPlane>,
+        user: &str,
+        k: usize,
+    ) -> Result<Vec<FeedItem>, DosnError> {
+        let friends = known_user(&e.users, user)?.friends();
+        let mut batch = OpBatch::new();
+        let mut plan = Vec::new();
+        for friend in friends {
+            let len = e.timeline(&friend).map_or(0, |t| t.entries().len() as u64);
+            for seq in len.saturating_sub(k as u64)..len {
+                batch = batch.read_post(user, &friend, seq);
+                plan.push((UserId(friend.clone()), seq));
+            }
+        }
+        if plan.is_empty() {
+            return Ok(Vec::new());
+        }
+        let report = e.execute(batch);
+        Ok(plan
+            .into_iter()
+            .zip(report.results)
+            .filter_map(|((author, seq), result)| match result {
+                Ok(OpOutput::Read { body }) => Some(FeedItem { author, seq, body }),
+                _ => None,
+            })
+            .collect())
+    }
+
+    /// What a feed read must leave identical on both paths: the feed
+    /// cache's own stats, the `cache.*` and `engine.ops` counters, and the
+    /// number of `net.read_post.quorum` samples.
+    fn read_counts(e: &Engine<ChordPlane>) -> (Option<crate::feed::FeedCacheStats>, Vec<u64>, u64) {
+        let snap = e.obs().snapshot();
+        let counters = [
+            names::CACHE_HITS,
+            names::CACHE_MISSES,
+            names::CACHE_INVALIDATIONS,
+            names::CACHE_EVICTIONS,
+            names::ENGINE_OPS,
+        ]
+        .iter()
+        .map(|name| snap.counters.get(*name).copied().unwrap_or(0))
+        .collect();
+        let quorum = snap
+            .histograms
+            .get(names::NET_READ_POST_QUORUM)
+            .map_or(0, |h| h.count());
+        (e.feed_cache().map(|c| c.stats()), counters, quorum)
+    }
+
+    #[derive(Debug, Clone)]
+    enum FeedStep {
+        Post(usize),
+        Befriend(usize, usize),
+        Feed(usize, usize),
+        /// Roll `author`'s chain back to `keep` (mod its length + 1)
+        /// entries, and with `diverge` append another entry on top.
+        Fork(usize, usize, bool),
+    }
+
+    fn feed_step() -> impl Strategy<Value = FeedStep> {
+        prop_oneof![
+            (0..4usize).prop_map(FeedStep::Post),
+            (0..4usize).prop_map(FeedStep::Post),
+            (0..4usize, 1..4usize).prop_map(|(a, d)| FeedStep::Befriend(a, (a + d) % 4)),
+            (0..4usize, 0..5usize).prop_map(|(r, k)| FeedStep::Feed(r, k)),
+            (0..4usize, 0..5usize).prop_map(|(r, k)| FeedStep::Feed(r, k)),
+            (0..4usize, 0..5usize).prop_map(|(r, k)| FeedStep::Feed(r, k)),
+            (0..4usize, 0..5usize).prop_map(|(r, k)| FeedStep::Feed(r, k)),
+            (0..4usize, 0..8usize, any::<bool>())
+                .prop_map(|(a, keep, diverge)| FeedStep::Fork(a, keep, diverge)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Random posts, befriends, forks and feed reads on twin engines:
+        /// one serves each feed through `read_feed`, the other runs the same
+        /// reads as one `execute` batch. Items, cache stats, the read
+        /// counters and every later post's stored bytes must agree — with
+        /// the feed cache off, on, and small enough to evict.
+        #[test]
+        fn read_feed_matches_the_same_reads_as_one_batch(
+            capacity in prop_oneof![Just(0usize), Just(3usize), Just(256usize)],
+            steps in proptest::collection::vec(feed_step(), 1..48),
+        ) {
+            use crate::integrity::Timeline;
+            let users = ["u0", "u1", "u2", "u3"];
+            let twins = || {
+                let mut e = engine(17);
+                if capacity > 0 {
+                    e.enable_feed_cache(capacity);
+                }
+                // A ring of friends, two posts each.
+                let mut setup = users.iter().fold(OpBatch::new(), |b, u| b.register(u));
+                for (a, b) in users.iter().zip(users.iter().cycle().skip(1)) {
+                    setup = setup.befriend(a, b, 0.5).post(a, "hello").post(a, "again");
+                }
+                e.execute(setup);
+                e
+            };
+            let (mut fast, mut batch) = (twins(), twins());
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    FeedStep::Post(a) => {
+                        let post = || OpBatch::new().post(users[a], &format!("post {i}"));
+                        let (f, b) = (fast.execute(post()), batch.execute(post()));
+                        prop_assert_eq!(f.digest, b.digest, "post at step {}", i);
+                    }
+                    FeedStep::Befriend(a, b) => {
+                        let link = || OpBatch::new().befriend(users[a], users[b], 0.5);
+                        prop_assert_eq!(
+                            fast.execute(link()).digest,
+                            batch.execute(link()).digest
+                        );
+                    }
+                    FeedStep::Feed(r, k) => {
+                        let got = fast.read_feed(users[r], k);
+                        let want = read_feed_as_one_batch(&mut batch, users[r], k);
+                        prop_assert_eq!(got, want, "feed at step {}", i);
+                        prop_assert_eq!(read_counts(&fast), read_counts(&batch));
+                    }
+                    FeedStep::Fork(a, keep, diverge) => {
+                        for e in [&mut fast, &mut batch] {
+                            let mut rng = SecureRng::seed_from_u64(i as u64);
+                            let author = user_mut(&mut e.users, users[a]).unwrap();
+                            author.rewrite_timeline(|id, chain| {
+                                let keep = keep % (chain.entries().len() + 1);
+                                let prefix = chain.entries()[..keep].to_vec();
+                                let mut fork = Timeline::from_entries(id.id().clone(), prefix);
+                                if diverge {
+                                    fork.append(id, b"another", vec![], &mut rng);
+                                }
+                                fork
+                            });
+                        }
+                    }
+                }
+            }
+            // The next post takes the same op index on both, so it stores the
+            // same bytes.
+            for e in [&mut fast, &mut batch] {
+                e.execute(OpBatch::new().post("u0", "last"));
+            }
+            let seq = fast.timeline("u0").unwrap().entries().len() as u64 - 1;
+            let key = wall_key("u0", seq);
+            let stored = |e: &mut Engine<ChordPlane>| e.storage_mut().get(key, &mut Metrics::new());
+            prop_assert_eq!(stored(&mut fast), stored(&mut batch));
         }
     }
 

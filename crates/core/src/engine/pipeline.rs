@@ -1,22 +1,33 @@
 //! The pipeline: how one batch moves through the phases
-//! ([`Engine::execute`]).
+//! ([`Engine::execute`]), in two halves — prepare and plan, then
+//! `Engine::run` — so that `read_feed`, which plans its own reads, can
+//! hand the ones L1 did not answer straight to the second half.
 
 use super::batch::{BatchReport, Op, OpBatch, OpOutput};
 use super::finish::{apply_feed_fills, finish_reads};
-use super::plan::{plan_reads, Results};
-use super::prepare::prepare_batch;
+use super::plan::{plan_reads, ReadPlan, Results};
+use super::prepare::{prepare_batch, PreparedPosts};
 use super::{storage_to_dosn, Engine};
 use crate::error::DosnError;
 use dosn_crypto::sha256::Sha256;
 use dosn_obs::names;
 use dosn_overlay::storage::StoragePlane;
 
-/// One batch in flight: its ops, the global index of its first op, and the
-/// per-op result slots the phases fill in.
+/// One batch in flight: its ops and the per-op result slots the phases
+/// fill in.
 pub(super) struct Batch {
     pub(super) ops: Vec<Op>,
-    pub(super) base: u64,
     pub(super) results: Results,
+}
+
+impl Batch {
+    /// `ops`, with every result slot empty.
+    pub(super) fn new(ops: Vec<Op>) -> Self {
+        Batch {
+            results: (0..ops.len()).map(|_| None).collect(),
+            ops,
+        }
+    }
 }
 
 impl<S: StoragePlane> Engine<S> {
@@ -25,19 +36,32 @@ impl<S: StoragePlane> Engine<S> {
     /// other on the calling thread. See the module docs for staging and
     /// determinism semantics.
     pub fn execute(&mut self, batch: OpBatch) -> BatchReport {
-        let ops = batch.into_ops();
+        let mut batch = Batch::new(batch.into_ops());
+        let base = self.claim_op_indices(batch.ops.len() as u64);
+        let posts = prepare_batch(&mut self.users, &self.ctx, base, &mut batch);
+        let reads = plan_reads(&self.users, &mut self.feed, &self.ctx, &mut batch);
+        self.run(batch, posts, reads)
+    }
+
+    /// Takes the next `n` global op indices (every op holds one, whether
+    /// or not it draws randomness) and counts the ops; returns the first.
+    pub(super) fn claim_op_indices(&mut self, n: u64) -> u64 {
+        self.ctx.obs.counter(names::ENGINE_OPS).add(n);
+        let base = self.next_op_index;
+        self.next_op_index += n;
+        base
+    }
+
+    /// The second half of a batch, after prepare and plan: commit the
+    /// prepared `posts`, finish the planned `reads`, report, and apply the
+    /// planned feed fills.
+    pub(super) fn run(
+        &mut self,
+        mut batch: Batch,
+        posts: PreparedPosts,
+        reads: ReadPlan,
+    ) -> BatchReport {
         let ctx = &self.ctx;
-        ctx.obs.counter(names::ENGINE_OPS).add(ops.len() as u64);
-        let mut batch = Batch {
-            base: self.next_op_index,
-            results: (0..ops.len()).map(|_| None).collect(),
-            ops,
-        };
-        self.next_op_index += batch.ops.len() as u64;
-
-        let posts = prepare_batch(&mut self.users, ctx, &mut batch);
-        let reads = plan_reads(&self.users, &mut self.feed, ctx, &mut batch);
-
         // ---- commit: the prepared records, in op order ----
         let commit_timer = ctx.obs.timer(names::ENGINE_COMMIT);
         let mut record_hasher = Sha256::new();

@@ -1,13 +1,14 @@
 //! The plan phase: which reads are valid, which the feed cache answers and
-//! which the finish phase must serve ([`plan_reads`]). Planned reads are
-//! op indices into the batch's `&[Op]`; nothing here clones an op's
-//! strings.
+//! which the finish phase must serve ([`plan_reads`]), and the one place
+//! the engine asks the feed cache (L1) anything ([`serve_from_l1`]).
+//! Planned reads are op indices into the batch's `&[Op]`; nothing here
+//! clones an op's strings.
 
 use super::batch::{Op, OpOutput};
 use super::pipeline::Batch;
 use super::{known_user, PhaseCtx, Users};
 use crate::error::DosnError;
-use crate::feed::{FeedCache, FeedCacheStats};
+use crate::feed::{FeedCache, FeedCacheStats, Window};
 use crate::integrity::EntryHash;
 use dosn_obs::{names, Registry};
 
@@ -24,6 +25,7 @@ pub(super) struct FeedFill {
 }
 
 /// The reads the finish phase will serve and the fills that follow them.
+#[derive(Default)]
 pub(super) struct ReadPlan {
     /// Op indices of the validated `ReadPost`s the feed cache did not
     /// answer, in batch order.
@@ -31,6 +33,51 @@ pub(super) struct ReadPlan {
     /// Feed-cache fills to apply once the batch's report exists (empty
     /// when the feed cache is off or every read was served from it).
     pub(super) fills: Vec<FeedFill>,
+}
+
+/// What L1 said about one post of a [`serve_from_l1`] window.
+pub(super) enum Served<'a> {
+    /// The cached body; the read is done.
+    Hit(&'a String),
+    /// The read goes to the quorum path, and if it succeeds its body is
+    /// filled under this head — `None` when the feed cache is off.
+    Miss(Option<EntryHash>),
+}
+
+/// The L1 decision for `reader`'s reads of each window's posts, in window
+/// order and within a window in sequence order: `each(window index, seq,
+/// verdict)` once per post. Every read the cache answers is timed as a
+/// zero-microsecond `net.read_post.quorum` sample here, as a quorum read is
+/// timed in finish, and the cache's counter deltas are mirrored onto the
+/// `cache.*` instruments. With the cache off, every post misses and plans
+/// no fill.
+pub(super) fn serve_from_l1(
+    feed: &mut Option<FeedCache>,
+    obs: &Registry,
+    reader: &str,
+    windows: &[Window<'_>],
+    mut each: impl FnMut(usize, u64, Served<'_>),
+) {
+    let Some(cache) = feed.as_mut() else {
+        for (w, window) in windows.iter().enumerate() {
+            for seq in window.seqs.clone() {
+                each(w, seq, Served::Miss(None));
+            }
+        }
+        return;
+    };
+    let before = cache.stats();
+    let mut quorum = None;
+    cache.probe(reader, windows, |w, seq, body| match body {
+        Some(body) => {
+            quorum
+                .get_or_insert_with(|| obs.histogram(names::NET_READ_POST_QUORUM))
+                .record(0);
+            each(w, seq, Served::Hit(body));
+        }
+        None => each(w, seq, Served::Miss(Some(windows[w].head))),
+    });
+    bump_feed_stats(obs, before, cache.stats());
 }
 
 /// Validates reads and serves what the feed cache can. Runs after prepare:
@@ -49,11 +96,8 @@ pub(super) fn plan_reads(
     batch: &mut Batch,
 ) -> ReadPlan {
     let timer = ctx.obs.timer(names::ENGINE_PLAN);
-    let Batch { ops, results, .. } = batch;
-    let mut plan = ReadPlan {
-        reads: Vec::new(),
-        fills: Vec::new(),
-    };
+    let Batch { ops, results } = batch;
+    let mut plan = ReadPlan::default();
     for (i, op) in ops.iter().enumerate() {
         let Op::ReadPost {
             reader,
@@ -69,24 +113,28 @@ pub(super) fn plan_reads(
             results[i] = Some(Err(unknown));
             continue;
         }
-        if let Some(cache) = feed.as_mut() {
-            if let Some(author_state) = users.get(author.as_str()) {
-                let chain = author_state.timeline();
-                let before = cache.stats();
-                let hit = cache.probe(reader, author, *seq, chain);
-                bump_feed_stats(&ctx.obs, before, cache.stats());
-                if let Some(body) = hit {
-                    ctx.obs.histogram(names::NET_READ_POST_QUORUM).record(0);
-                    results[i] = Some(Ok(OpOutput::Read { body }));
-                    continue;
+        let Some(author_state) = users.get(author.as_str()) else {
+            plan.reads.push(i);
+            continue;
+        };
+        let window = Window::on(author, *seq..*seq + 1, author_state.timeline());
+        serve_from_l1(
+            feed,
+            &ctx.obs,
+            reader,
+            &[window],
+            |_, _, served| match served {
+                Served::Hit(body) => {
+                    results[i] = Some(Ok(OpOutput::Read { body: body.clone() }));
                 }
-                plan.fills.push(FeedFill {
-                    op_idx: i,
-                    head: chain.head_hash(),
-                });
-            }
-        }
-        plan.reads.push(i);
+                Served::Miss(fill) => {
+                    if let Some(head) = fill {
+                        plan.fills.push(FeedFill { op_idx: i, head });
+                    }
+                    plan.reads.push(i);
+                }
+            },
+        );
     }
     timer.observe();
     plan

@@ -54,6 +54,7 @@ fn timed<T>(ctx: &PhaseCtx, index: u64, job: impl FnOnce(&mut SecureRng) -> T) -
 /// The sealed post records awaiting commit, in `(op_idx, seq)` order — the
 /// order the commit phase writes them in. Two aligned lists, because
 /// `items` is the slice `ReplicatedStore::put_each` takes as is.
+#[derive(Default)]
 pub(super) struct PreparedPosts {
     /// Each record's op index and author-local sequence number.
     pub(super) slots: Vec<(usize, u64)>,
@@ -63,10 +64,15 @@ pub(super) struct PreparedPosts {
 
 /// Runs the batch's registers, befriends, posts and comments (in that
 /// stage order, each stage in op order) and returns the prepared post
-/// records.
-pub(super) fn prepare_batch(users: &mut Users, ctx: &PhaseCtx, batch: &mut Batch) -> PreparedPosts {
-    let Batch { ops, base, results } = batch;
-    let index = |i: usize| *base + i as u64;
+/// records. `base` is the global index of the batch's first op.
+pub(super) fn prepare_batch(
+    users: &mut Users,
+    ctx: &PhaseCtx,
+    base: u64,
+    batch: &mut Batch,
+) -> PreparedPosts {
+    let Batch { ops, results } = batch;
+    let index = |i: usize| base + i as u64;
     let timer = ctx.obs.timer(names::ENGINE_PREPARE);
 
     for (i, op) in ops.iter().enumerate() {

@@ -42,14 +42,35 @@
 //! under capacity pressure sheds the oldest post of the least-recently-used
 //! slice (a hit or a fill uses a slice). All bookkeeping is deterministic
 //! (ordered maps probed by name and a logical tick: no clock, no hasher) so
-//! cached and uncached runs produce byte-identical batch digests, and a
-//! probe allocates only the body it returns (a fill that opens a new slice
-//! also allocates its names). Only the eviction loop scans the slices; it
-//! runs when a fill overflows the cache, never on a probe.
+//! cached and uncached runs produce byte-identical batch digests. A probe
+//! allocates nothing: it lends each hit's body to its caller (a fill that
+//! opens a new slice allocates its names). Only the eviction loop scans the
+//! slices; it runs when a fill overflows the cache, never on a probe.
+//!
+//! # How the engine serves a warm feed
+//!
+//! The engine asks the cache in one place, its plan helper
+//! `serve_from_l1`, which a batch's plan phase calls once per `ReadPost`
+//! and [`Engine::read_feed`](crate::engine::Engine::read_feed) once per
+//! feed. A feed puts every friend's window of latest posts to the cache in
+//! one probe: the reader's slices are looked up once, each friend's slice
+//! once, and each post takes the hit or miss, the LRU tick and, for a
+//! dropped slice, the invalidation it would take if probed alone. A hit is
+//! answered right there, with the two strings the caller gets back (body
+//! and author): no op, no quorum fetch, no signature check, no decryption,
+//! no digest and no phase timer. Only the misses become a batch, which
+//! runs the commit / finish / report half of `execute` and fills the cache
+//! after its report, as any batch does. The counts are those of the same
+//! reads submitted as one batch — `cache.*`, `engine.ops`, a
+//! zero-microsecond `net.read_post.quorum` sample per hit, the
+//! [`FeedCacheStats`] and the global op index every read takes — because
+//! within a batch no fill lands before the last probe, so probing friend
+//! by friend up front sees what probing op by op sees.
 
 use crate::identity::UserId;
 use crate::integrity::{EntryHash, Timeline};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One aggregated feed entry returned by `read_feed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,6 +105,28 @@ fn slice_mut<'a>(
     author: &str,
 ) -> Option<&'a mut AuthorSlice> {
     slices.get_mut(reader)?.get_mut(author)
+}
+
+/// One author's run of posts in a [`FeedCache::probe`]: the sequence
+/// numbers `seqs`, checked against the author's live head `head` and, when
+/// the caller holds it, the live `chain` that head ends.
+pub(crate) struct Window<'a> {
+    pub(crate) author: &'a str,
+    pub(crate) seqs: Range<u64>,
+    pub(crate) head: EntryHash,
+    pub(crate) chain: Option<&'a Timeline>,
+}
+
+impl<'a> Window<'a> {
+    /// `author`'s posts `seqs`, against the author's live `chain`.
+    pub(crate) fn on(author: &'a str, seqs: Range<u64>, chain: &'a Timeline) -> Self {
+        Window {
+            author,
+            seqs,
+            head: chain.head_hash(),
+            chain: Some(chain),
+        }
+    }
 }
 
 /// Counters the cache maintains for tests and metric export. The engine
@@ -167,57 +210,94 @@ impl FeedCache {
         seq: u64,
         head: EntryHash,
     ) -> Option<String> {
-        self.serve(reader.as_str(), author.as_str(), seq, head, None)
+        let window = Window {
+            author: author.as_str(),
+            seqs: seq..seq + 1,
+            head,
+            chain: None,
+        };
+        let mut served = None;
+        self.probe(reader.as_str(), &[window], |_, _, body| {
+            served = body.cloned();
+        });
+        served
     }
 
-    /// Attempts to serve `(reader, author, seq)` given the author's live
-    /// `chain`: a slice pinned to its head answers as in
-    /// [`FeedCache::lookup`]; one whose witness is on the chain at or after
-    /// its newest cached post was only appended to — it re-pins to the live
-    /// head, keeps its posts and answers like a slice that matched; one
-    /// whose witness is not there is dropped.
+    /// Probes `reader`'s slices for each window's posts, in window order
+    /// and within a window in sequence order, and calls `each(window index,
+    /// seq, body)` once per post — `Some` for a hit. The reader's slices are
+    /// looked up once per call and each window's slice once. A slice whose
+    /// witness is the window's head answers for the posts it holds; one
+    /// whose witness is on the window's chain at or after its newest cached
+    /// post was only appended to — it re-pins to the live head, keeps its
+    /// posts and answers like a slice that matched; any other slice is
+    /// dropped (an invalidation) before its window is served, and every
+    /// post of the window misses. Each post counts as one hit or one miss
+    /// and one LRU tick, exactly as if it had been probed alone.
     pub(crate) fn probe(
         &mut self,
         reader: &str,
-        author: &str,
-        seq: u64,
-        chain: &Timeline,
-    ) -> Option<String> {
-        self.serve(reader, author, seq, chain.head_hash(), Some(chain))
-    }
-
-    /// The one probe behind [`FeedCache::lookup`] (`chain` = `None`) and
-    /// [`FeedCache::probe`] (`head` = `chain`'s head).
-    fn serve(
-        &mut self,
-        reader: &str,
-        author: &str,
-        seq: u64,
-        head: EntryHash,
-        chain: Option<&Timeline>,
-    ) -> Option<String> {
-        self.tick += 1;
-        let Some(slice) = slice_mut(&mut self.slices, reader, author) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        if slice.head != head {
-            let newest = slice.posts.keys().next_back().copied().unwrap_or(0);
-            if !chain.is_some_and(|chain| chain.extends(&slice.head, newest)) {
-                self.drop_slice(reader, author);
-                self.stats.invalidations += 1;
-                self.stats.misses += 1;
-                return None;
+        windows: &[Window<'_>],
+        mut each: impl FnMut(usize, u64, Option<&String>),
+    ) {
+        let FeedCache {
+            tick,
+            len,
+            slices,
+            stats,
+            ..
+        } = self;
+        let mut authors = slices.get_mut(reader);
+        let mut dropped = false;
+        for (w, window) in windows.iter().enumerate() {
+            let slice = match authors.as_deref_mut() {
+                Some(authors) if !window.seqs.is_empty() => authors.get_mut(window.author),
+                _ => None,
+            };
+            let Some(slice) = slice else {
+                for seq in window.seqs.clone() {
+                    *tick += 1;
+                    stats.misses += 1;
+                    each(w, seq, None);
+                }
+                continue;
+            };
+            if slice.head != window.head {
+                let newest = slice.posts.keys().next_back().copied().unwrap_or(0);
+                if !window
+                    .chain
+                    .is_some_and(|chain| chain.extends(&slice.head, newest))
+                {
+                    // Emptied here and removed below, after the windows: an
+                    // empty slice serves nothing, like an absent one.
+                    *len -= slice.posts.len();
+                    slice.posts.clear();
+                    stats.invalidations += 1;
+                    dropped = true;
+                }
+                slice.head = window.head;
             }
-            slice.head = head;
+            for seq in window.seqs.clone() {
+                *tick += 1;
+                let body = slice.posts.get(&seq);
+                if body.is_some() {
+                    slice.last_used = *tick;
+                    stats.hits += 1;
+                } else {
+                    stats.misses += 1;
+                }
+                each(w, seq, body);
+            }
         }
-        let Some(body) = slice.posts.get(&seq) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        slice.last_used = self.tick;
-        self.stats.hits += 1;
-        Some(body.clone())
+        if dropped {
+            let emptied = authors.is_some_and(|authors| {
+                authors.retain(|_, slice| !slice.posts.is_empty());
+                authors.is_empty()
+            });
+            if emptied {
+                slices.remove(reader);
+            }
+        }
     }
 
     /// Fills `(reader, author, seq) → body`, recorded against the author's
@@ -318,6 +398,20 @@ mod tests {
         UserId(s.to_string())
     }
 
+    /// One post through the window probe.
+    fn probe_one(
+        cache: &mut FeedCache,
+        reader: &str,
+        author: &str,
+        seq: u64,
+        chain: &Timeline,
+    ) -> Option<String> {
+        let mut served = None;
+        let window = Window::on(author, seq..seq + 1, chain);
+        cache.probe(reader, &[window], |_, _, body| served = body.cloned());
+        served
+    }
+
     /// An author whose live chain the tests append to, roll back and fork.
     struct Author {
         identity: Identity,
@@ -365,7 +459,7 @@ mod tests {
         /// What the engine does for a read: probe with the live chain and,
         /// on a miss, fill with the body the live chain holds.
         fn read(&self, cache: &mut FeedCache, reader: &str, seq: u64) -> Option<String> {
-            let hit = cache.probe(reader, self.name(), seq, &self.chain);
+            let hit = probe_one(cache, reader, self.name(), seq, &self.chain);
             if hit.is_none() {
                 let head = self.chain.head_hash();
                 cache.fill(reader, self.name(), seq, head, self.body(seq));
@@ -427,7 +521,7 @@ mod tests {
         // The live chain is a prefix of what bob saw: his witness (entry 2)
         // is not on it, although every entry it does hold is one he proved.
         alice.roll_back(2);
-        let probe = c.probe("bob", "alice", 0, &alice.chain);
+        let probe = probe_one(&mut c, "bob", "alice", 0, &alice.chain);
         assert_eq!(probe, None, "never served");
         assert_eq!(c.stats().invalidations, 1);
         assert!(c.is_empty(), "the whole slice is dropped");
@@ -491,6 +585,9 @@ mod tests {
         Probe(usize, usize, u64),
         /// Fill without a probe before it: the replace-outright path.
         Fill(usize, usize, u64),
+        /// One probe call over both authors' latest `n` posts, as a feed
+        /// read makes it.
+        Feed(usize, u64),
     }
 
     fn step() -> impl Strategy<Value = Step> {
@@ -504,6 +601,7 @@ mod tests {
             read().prop_map(|(r, a, s)| Step::Read(r, a, s)),
             read().prop_map(|(r, a, s)| Step::Probe(r, a, s)),
             read().prop_map(|(r, a, s)| Step::Fill(r, a, s)),
+            (0..2usize, 0..4u64).prop_map(|(r, n)| Step::Feed(r, n)),
         ]
     }
 
@@ -517,7 +615,7 @@ mod tests {
         author: &Author,
         seq: u64,
     ) -> Result<bool, TestCaseError> {
-        let got = cache.probe(READERS[key.0], author.name(), seq, &author.chain);
+        let got = probe_one(cache, READERS[key.0], author.name(), seq, &author.chain);
         prop_assert_eq!(&got, &model.probe(key, seq, &author.chain));
         if let Some(body) = &got {
             prop_assert_eq!(body, &author.body(seq), "a body off the live chain");
@@ -551,6 +649,23 @@ mod tests {
                     Step::Probe(r, a, pick) => {
                         let seq = pick % (authors[a].chain.entries().len() as u64 + 1);
                         check_probe(&mut cache, &mut model, (r, a), &authors[a], seq)?;
+                    }
+                    Step::Feed(r, n) => {
+                        let windows: Vec<Window> = authors
+                            .iter()
+                            .map(|author| {
+                                let len = author.chain.entries().len() as u64;
+                                Window::on(author.name(), len.saturating_sub(n)..len, &author.chain)
+                            })
+                            .collect();
+                        let mut served = Vec::new();
+                        cache.probe(READERS[r], &windows, |a, seq, body| {
+                            served.push((a, seq, body.cloned()));
+                        });
+                        for (a, seq, got) in served {
+                            let want = model.probe((r, a), seq, &authors[a].chain);
+                            prop_assert_eq!(got, want, "window probe of {}/{}", a, seq);
+                        }
                     }
                     Step::Read(r, a, pick) | Step::Fill(r, a, pick) => {
                         let author = &authors[a];

@@ -27,6 +27,11 @@
 //! primary   := attribute | "(" policy ")" | NUMBER "of" "(" policy ("," policy)* ")"
 //! attribute := [A-Za-z0-9_:.-]+
 //! ```
+//!
+//! Parentheses and threshold gates nest at most 64 deep; a deeper policy
+//! is a [`CryptoError::PolicyParse`], so neither the recursive-descent
+//! parser nor anything that walks the tree it builds recurses further than
+//! that, whatever bytes a peer sends.
 
 use crate::aead::SymmetricKey;
 use crate::chacha::SecureRng;
@@ -62,12 +67,14 @@ impl Policy {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::PolicyParse`] on syntax errors.
+    /// Returns [`CryptoError::PolicyParse`] on syntax errors and on
+    /// parentheses or threshold gates nested more than 64 deep.
     pub fn parse(input: &str) -> Result<Self, CryptoError> {
         let tokens = tokenize(input)?;
         let mut parser = Parser {
             tokens: &tokens,
             pos: 0,
+            depth: 0,
         };
         let policy = parser.parse_or()?;
         if parser.pos != tokens.len() {
@@ -237,9 +244,16 @@ fn tokenize(input: &str) -> Result<Vec<Token>, CryptoError> {
     Ok(out)
 }
 
+/// How deep parentheses and threshold gates may nest in a policy: far past
+/// any policy a person writes, and a fixed bound on the parser's recursion
+/// and on the depth of the tree it returns.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Parentheses and threshold gates open at the current token.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -293,20 +307,23 @@ impl Parser<'_> {
     fn parse_primary(&mut self) -> Result<Policy, CryptoError> {
         match self.next().cloned() {
             Some(Token::Attr(a)) => Ok(Policy::Attr(a)),
-            Some(Token::LParen) => {
-                let inner = self.parse_or()?;
-                self.expect(Token::RParen)?;
+            Some(Token::LParen) => self.nested(|parser| {
+                let inner = parser.parse_or()?;
+                parser.expect(Token::RParen)?;
                 Ok(inner)
-            }
+            }),
             Some(Token::Number(k)) => {
                 self.expect(Token::Of)?;
                 self.expect(Token::LParen)?;
-                let mut children = vec![self.parse_or()?];
-                while matches!(self.peek(), Some(Token::Comma)) {
-                    self.next();
-                    children.push(self.parse_or()?);
-                }
-                self.expect(Token::RParen)?;
+                let children = self.nested(|parser| {
+                    let mut children = vec![parser.parse_or()?];
+                    while matches!(parser.peek(), Some(Token::Comma)) {
+                        parser.next();
+                        children.push(parser.parse_or()?);
+                    }
+                    parser.expect(Token::RParen)?;
+                    Ok(children)
+                })?;
                 if k == 0 || k > children.len() {
                     return Err(CryptoError::PolicyParse(format!(
                         "threshold {k} of {} children",
@@ -319,6 +336,23 @@ impl Parser<'_> {
                 "expected attribute, '(' or threshold, found {other:?}"
             ))),
         }
+    }
+
+    /// Parses one more level of nesting with `inner`, or refuses past
+    /// [`MAX_NESTING`] levels before recursing.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, CryptoError>,
+    ) -> Result<T, CryptoError> {
+        if self.depth == MAX_NESTING {
+            return Err(CryptoError::PolicyParse(format!(
+                "nested more than {MAX_NESTING} deep"
+            )));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
     }
 }
 
@@ -721,6 +755,22 @@ mod tests {
             "of (a, b)",
         ] {
             assert!(Policy::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_refused_past_the_limit_and_not_before() {
+        let nest =
+            |depth: usize, open: &str| format!("{}a{}", open.repeat(depth), ")".repeat(depth));
+        for open in ["(", "1 of ("] {
+            assert!(Policy::parse(&nest(MAX_NESTING, open)).is_ok(), "{open}");
+            assert!(
+                matches!(
+                    Policy::parse(&nest(MAX_NESTING + 1, open)),
+                    Err(CryptoError::PolicyParse(why)) if why.contains("deep")
+                ),
+                "{open}"
+            );
         }
     }
 

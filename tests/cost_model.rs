@@ -3,11 +3,14 @@
 //!
 //! The exponentiation tallies of `SchnorrGroup::shared(GroupSize::Toy)` are
 //! process-wide, so the tests here run one at a time under a lock; the
-//! SHA-256 tally, `dosn::crypto::sha256::compressions()`, is per thread.
+//! SHA-256 tally, `dosn::crypto::sha256::compressions()`, is per thread,
+//! and so is the heap-allocation tally this binary's global allocator keeps.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Mutex;
 
-use dosn::core::engine::{Engine, OpBatch, OpOutput};
+use dosn::core::engine::{BatchReport, Engine, OpBatch, OpOutput};
 use dosn::core::network::{
     AdversaryConfig, AdversaryMode, AdversaryPlane, ChordPlane, ReplicatedStore, StoragePlane,
 };
@@ -18,6 +21,60 @@ use dosn::crypto::sha256::compressions;
 const READS: usize = 32;
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// The system allocator, counting each allocation and reallocation on the
+/// thread that makes it. The count lives here, in the test binary; the
+/// library keeps none.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // A const-initialised `Cell` needs no lazy setup and no destructor, so
+    // the allocator can touch it; after the thread's TLS is gone the
+    // allocation simply goes uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; counting touches
+// no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller upholds `alloc`'s contract, which is System's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        // SAFETY: `ptr` came from this allocator, that is from System.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, that is from System.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What `f` returns, and the heap allocations it made on this thread.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let count = || ALLOCATIONS.with(Cell::get);
+    let before = count();
+    let out = f();
+    (out, count() - before)
+}
 
 fn author(i: usize) -> String {
     format!("author{i:02}")
@@ -44,15 +101,24 @@ fn engine_with_one_post_per_author<P: StoragePlane>(plane: P) -> Engine<P> {
     e
 }
 
-/// One batch reading every author's post 0 as `reader`; checks the bodies.
-fn read_every_first_post<P: StoragePlane>(e: &mut Engine<P>) {
-    let reads = (0..READS).fold(OpBatch::new(), |b, i| b.read_post("reader", &author(i), 0));
-    for (i, result) in e.execute(reads).results.iter().enumerate() {
+/// One batch reading every author's post 0 as `reader`.
+fn every_first_post() -> OpBatch {
+    (0..READS).fold(OpBatch::new(), |b, i| b.read_post("reader", &author(i), 0))
+}
+
+/// Checks that each read of [`every_first_post`] returned its author's post.
+fn assert_first_posts(report: &BatchReport) {
+    for (i, result) in report.results.iter().enumerate() {
         assert!(
             matches!(result, Ok(OpOutput::Read { body: got }) if *got == body(i)),
             "read {i}: {result:?}"
         );
     }
+}
+
+/// Runs [`every_first_post`] on `e` and checks the bodies.
+fn read_every_first_post<P: StoragePlane>(e: &mut Engine<P>) {
+    assert_first_posts(&e.execute(every_first_post()));
 }
 
 /// What `f` returns, and the SHA-256 compressions it ran.
@@ -125,9 +191,8 @@ fn sha256_compressions_per_op_are_pinned() {
     // batch digest.
     let ((), cold) = compressions_in(|| read_every_first_post(&mut e));
 
-    // The same 32 posts again through `read_feed` with L1 warm: no fetch
-    // and no check; what is left is mostly the batch digest folding in each
-    // served body.
+    // The same 32 posts again through `read_feed` with L1 warm: no fetch,
+    // no check and no batch, so no digest folds the served bodies.
     e.enable_feed_cache(256);
     assert_eq!(e.read_feed("reader", 1).unwrap().len(), READS);
     let (warm, l1) = compressions_in(|| e.read_feed("reader", 1).unwrap());
@@ -139,13 +204,81 @@ fn sha256_compressions_per_op_are_pinned() {
     let (seq, post) = compressions_in(|| e.post(&author(0), &body(0)).unwrap());
     assert_eq!(seq, 1);
 
-    // ≈ 29.2 compressions per cold read and ≈ 4.1 per L1-served item. A
+    // ≈ 29.2 compressions per cold read and none per L1-served item. A
     // post's RNG costs 4 of its 40: the HKDF expand alone, since the
     // extract over the engine seed runs once per engine. (55 and 965 while
-    // a post was signed twice and encoded as JSON.)
+    // a post was signed twice and encoded as JSON; 132 per 32 L1 items
+    // while `read_feed` ran its hits through a batch and its digest.)
     assert_eq!(
         [post, cold, l1],
-        [40, 933, 132],
+        [40, 933, 0],
         "compressions per post, per 32 cold reads, per 32 L1-served feed items"
+    );
+}
+
+#[test]
+fn heap_allocations_per_read_are_pinned() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
+
+    // Each count is of a second run, so that no instrument or metric key is
+    // created inside it. 32 cold reads in one `execute` (no cache is on, so
+    // a second read is as cold as the first; the batch is built outside the
+    // count).
+    read_every_first_post(&mut e);
+    let reads = every_first_post();
+    let (report, cold) = allocations_in(|| e.execute(reads));
+    assert_first_posts(&report);
+
+    // Warm feeds of 32 and of 64 L1-served items over the same 32 friends:
+    // the per-call part (the reader's roster, the probe windows, the item
+    // list) is the same, so the difference is the items'.
+    e.enable_feed_cache(256);
+    e.read_feed("reader", 1).unwrap();
+    e.read_feed("reader", 1).unwrap();
+    let (items, l1_32) = allocations_in(|| e.read_feed("reader", 1).unwrap());
+    assert_eq!(items.len(), READS);
+    for i in 0..READS {
+        e.post(&author(i), &body(i)).unwrap();
+    }
+    e.read_feed("reader", 2).unwrap();
+    let (items, l1_64) = allocations_in(|| e.read_feed("reader", 2).unwrap());
+    assert_eq!(items.len(), 2 * READS);
+    assert_eq!(e.feed_cache().unwrap().stats().hits, 5 * READS as u64);
+
+    // An L1-served item allocates its body and its author's name, the two
+    // strings it hands back; nothing else per item. The 47 per call are
+    // mostly the reader's roster, one string per friend. A cold read is
+    // ≈ 57 allocations: the baseline a read-path change measures against.
+    let per_item = (l1_64 - l1_32) / READS as u64;
+    assert_eq!(
+        [per_item, l1_32, cold],
+        [2, 111, 1828],
+        "allocations per L1-served item, per warm feed of 32 items, per 32 cold reads"
+    );
+}
+
+#[test]
+fn montgomery_products_per_op_are_pinned() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
+    let group = SchnorrGroup::shared(GroupSize::Toy);
+    let products_in = |f: &mut dyn FnMut()| {
+        let before = group.exp_stats().montgomery_products;
+        f();
+        group.exp_stats().montgomery_products - before
+    };
+    let cold = products_in(&mut || read_every_first_post(&mut e));
+    let post = products_in(&mut || assert_eq!(e.post(&author(0), &body(0)), Ok(1)));
+    let comment = products_in(&mut || e.comment("reader", &author(0), 1, "nice").unwrap());
+    // The two exponentiations of 32 cold reads are the combined check's
+    // multi-exps — the 32 keys' full-width terms on one chain, the 32
+    // commitments' 128-bit terms on the other — plus `g`'s term from its
+    // table: ≈ 108 products and squares per read, where a count of calls
+    // reads 0.0625. A post's are its two table-served fixed-base powers.
+    assert_eq!(
+        [cold, post, comment],
+        [3468, 124, 488],
+        "Montgomery products and squares per 32 cold reads, per post, per comment"
     );
 }
