@@ -40,7 +40,7 @@ impl AnonymizedGraph {
     }
 
     /// Whether every degree value is shared by at least `k` nodes.
-    pub fn is_k_degree_anonymous(&self, k: usize) -> bool {
+    fn is_k_degree_anonymous(&self, k: usize) -> bool {
         let mut by_degree: BTreeMap<usize, usize> = BTreeMap::new();
         for node in self.edges.keys() {
             *by_degree.entry(self.degree(*node)).or_insert(0) += 1;

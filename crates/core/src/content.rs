@@ -38,13 +38,6 @@ impl Profile {
         }
     }
 
-    /// Adds a profile field (builder style).
-    #[must_use]
-    pub fn with_field(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.fields.push((name.into(), value.into()));
-        self
-    }
-
     /// Adds an interest keyword (builder style).
     #[must_use]
     pub fn with_interest(mut self, interest: impl Into<String>) -> Self {
@@ -165,10 +158,8 @@ mod tests {
 
     #[test]
     fn profile_builder_and_lookup() {
-        let p = Profile::new("alice", "Alice A.")
-            .with_field("city", "Istanbul")
-            .with_field("birthday", "26 October 1990")
-            .with_interest("football");
+        let mut p = Profile::new("alice", "Alice A.").with_interest("football");
+        p.fields.push(("city".into(), "Istanbul".into()));
         assert_eq!(p.field("city"), Some("Istanbul"));
         assert_eq!(p.field("missing"), None);
         assert_eq!(p.interests, vec!["football"]);

@@ -342,7 +342,7 @@ impl<S: StoragePlane> Engine<S> {
     }
 
     /// Registered user count.
-    pub fn user_count(&self) -> usize {
+    fn user_count(&self) -> usize {
         self.users.len()
     }
 
@@ -610,8 +610,8 @@ impl<S: StoragePlane> Engine<S> {
             return Err(DosnError::UnknownUser(format!("{name} already registered")));
         }
         let _timer = self.ctx.obs.timer(names::NET_REGISTER);
-        let mut rng = op_rng(&self.ctx.op_prk, self.next_op_index);
-        self.next_op_index += 1;
+        let index = self.claim_op_indices(1);
+        let mut rng = op_rng(&self.ctx.op_prk, index);
         prepare::register_user(
             &mut self.users,
             &self.ctx.group,
@@ -1279,7 +1279,11 @@ mod tests {
             &["alice", "bob", "carol"],
             &mut seed_rng,
         );
+        let ops = |n: &Engine<_>| n.obs().snapshot().counters.get("engine.ops").copied();
+        let before = ops(&n);
         n.register_with_scheme("alice", Box::new(pke)).unwrap();
+        // One op, counted as a batch `Register` is.
+        assert_eq!(ops(&n), Some(before.unwrap_or(0) + 1));
         n.register("bob").unwrap();
         n.register("carol").unwrap();
         n.befriend("alice", "bob", 1.0).unwrap();

@@ -81,28 +81,20 @@ impl fmt::Debug for Identity {
 impl Identity {
     /// Creates a new identity in `group` and registers its verifying key in
     /// `directory` (with [`KeyProvenance::OutOfBand`] — the survey's
-    /// strongest distribution assumption; use
-    /// [`Identity::create_with_provenance`] to model weaker channels).
+    /// strongest distribution assumption).
     pub fn create(
         id: impl Into<UserId>,
         group: SchnorrGroup,
         directory: &KeyDirectory,
         rng: &mut SecureRng,
     ) -> Self {
-        Self::create_with_provenance(id, group, directory, KeyProvenance::OutOfBand, rng)
-    }
-
-    /// Creates a new identity whose directory entry records `provenance`.
-    pub fn create_with_provenance(
-        id: impl Into<UserId>,
-        group: SchnorrGroup,
-        directory: &KeyDirectory,
-        provenance: KeyProvenance,
-        rng: &mut SecureRng,
-    ) -> Self {
         let id = id.into();
         let signing = SigningKey::generate(group, rng);
-        directory.register(id.as_str(), signing.verifying_key().clone(), provenance);
+        directory.register(
+            id.as_str(),
+            signing.verifying_key().clone(),
+            KeyProvenance::OutOfBand,
+        );
         Identity { id, signing }
     }
 
@@ -129,23 +121,6 @@ mod tests {
         let binding = dir.lookup("alice").unwrap();
         assert_eq!(binding.verifying, *alice.signing().verifying_key());
         assert_eq!(binding.provenance, KeyProvenance::OutOfBand);
-    }
-
-    #[test]
-    fn provenance_is_configurable() {
-        let mut rng = SecureRng::seed_from_u64(2);
-        let dir = KeyDirectory::new();
-        Identity::create_with_provenance(
-            "bob",
-            SchnorrGroup::toy(),
-            &dir,
-            KeyProvenance::Directory,
-            &mut rng,
-        );
-        assert_eq!(
-            dir.lookup("bob").unwrap().provenance,
-            KeyProvenance::Directory
-        );
     }
 
     #[test]

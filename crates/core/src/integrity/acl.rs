@@ -53,11 +53,11 @@ impl AccessLevel {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = SecureRng::seed_from_u64(130);
 /// let owner_key = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-/// let mut acl = OwnerAcl::new(owner_key.clone(), &mut rng);
+/// let mut acl = OwnerAcl::new(owner_key.clone(), [], &mut rng);
 /// acl.grant(&"bob".into(), AccessLevel::Commenter, &mut rng);
 ///
 /// // An untrusted node serves a proof; anyone verifies it offline.
-/// let (proof, root) = acl.replica().prove(&"bob".into())?;
+/// let (proof, root) = acl.replica().prove(&"bob".into());
 /// let level = check_access(owner_key.verifying_key(), &root, &"bob".into(), &proof)?;
 /// assert_eq!(level, Some(AccessLevel::Commenter));
 /// # Ok(())
@@ -74,13 +74,19 @@ impl std::fmt::Debug for OwnerAcl {
 }
 
 impl OwnerAcl {
-    /// Creates an empty ACL (signs an initial empty root so proofs work
-    /// immediately).
-    pub fn new(owner: SigningKey, rng: &mut SecureRng) -> Self {
-        let mut dict = AuthenticatedDictionary::new(owner);
-        // Version 1: the signed empty root.
-        dict.remove(b"", rng);
-        OwnerAcl { dict }
+    /// Creates an ACL listing `members` and signs its first root (one
+    /// signature however many members), so proofs work immediately.
+    pub fn new(
+        owner: SigningKey,
+        members: impl IntoIterator<Item = (UserId, AccessLevel)>,
+        rng: &mut SecureRng,
+    ) -> Self {
+        let entries = members
+            .into_iter()
+            .map(|(user, level)| (user.as_bytes().to_vec(), level.encode().to_vec()));
+        OwnerAcl {
+            dict: AuthenticatedDictionary::new(owner, entries, rng),
+        }
     }
 
     /// Grants (or updates) `user`'s access level.
@@ -117,13 +123,8 @@ pub struct AclReplica<'a> {
 
 impl AclReplica<'_> {
     /// Produces a (proof, signed root) pair for `user`.
-    ///
-    /// # Errors
-    ///
-    /// [`DosnError::Crypto`] if the dictionary has no signed root, which
-    /// [`OwnerAcl::new`] rules out by signing the empty list.
-    pub fn prove(&self, user: &UserId) -> Result<(LookupProof, SignedRoot), DosnError> {
-        Ok(self.dict.prove(user.as_bytes())?)
+    pub fn prove(&self, user: &UserId) -> (LookupProof, SignedRoot) {
+        self.dict.prove(user.as_bytes())
     }
 }
 
@@ -158,7 +159,7 @@ mod tests {
     fn setup() -> (OwnerAcl, SigningKey, SecureRng) {
         let mut rng = SecureRng::seed_from_u64(131);
         let owner = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-        let acl = OwnerAcl::new(owner.clone(), &mut rng);
+        let acl = OwnerAcl::new(owner.clone(), [], &mut rng);
         (acl, owner, rng)
     }
 
@@ -172,7 +173,7 @@ mod tests {
             ("carol", Some(AccessLevel::Writer)),
             ("mallory", None),
         ] {
-            let (proof, root) = acl.replica().prove(&user.into()).unwrap();
+            let (proof, root) = acl.replica().prove(&user.into());
             let got = check_access(owner.verifying_key(), &root, &user.into(), &proof).unwrap();
             assert_eq!(got, expect, "{user}");
         }
@@ -183,7 +184,7 @@ mod tests {
         let (mut acl, owner, mut rng) = setup();
         acl.grant(&"bob".into(), AccessLevel::Writer, &mut rng);
         acl.revoke(&"bob".into(), &mut rng);
-        let (proof, root) = acl.replica().prove(&"bob".into()).unwrap();
+        let (proof, root) = acl.replica().prove(&"bob".into());
         assert_eq!(
             check_access(owner.verifying_key(), &root, &"bob".into(), &proof).unwrap(),
             None
@@ -195,12 +196,12 @@ mod tests {
         let (mut acl, owner, mut rng) = setup();
         let _granted_root = acl.grant(&"bob".into(), AccessLevel::Writer, &mut rng);
         // Capture the proof while bob is listed.
-        let (old_proof, old_root) = acl.replica().prove(&"bob".into()).unwrap();
+        let (old_proof, old_root) = acl.replica().prove(&"bob".into());
         acl.revoke(&"bob".into(), &mut rng);
         // A malicious node replays the old proof + old root: it *verifies*
         // (the root was genuinely signed), which is why verifiers must
         // require the freshest root version — expose it for comparison.
-        let (new_proof, new_root) = acl.replica().prove(&"bob".into()).unwrap();
+        let (new_proof, new_root) = acl.replica().prove(&"bob".into());
         assert!(new_root.version > old_root.version);
         assert_eq!(
             check_access(owner.verifying_key(), &new_root, &"bob".into(), &new_proof).unwrap(),
@@ -215,7 +216,7 @@ mod tests {
     fn forged_level_rejected() {
         let (mut acl, owner, mut rng) = setup();
         acl.grant(&"bob".into(), AccessLevel::Reader, &mut rng);
-        let (proof, root) = acl.replica().prove(&"bob".into()).unwrap();
+        let (proof, root) = acl.replica().prove(&"bob".into());
         let LookupProof::Present { index, path, .. } = proof else {
             panic!("present")
         };
@@ -233,7 +234,7 @@ mod tests {
         for user in ["alice", "bob", "carol"] {
             acl.grant(&user.into(), AccessLevel::Reader, &mut rng);
         }
-        let (proof, root) = acl.replica().prove(&"bob".into()).unwrap();
+        let (proof, root) = acl.replica().prove(&"bob".into());
         let LookupProof::Present { value, index, path } = proof else {
             panic!("present")
         };
@@ -251,13 +252,29 @@ mod tests {
         assert!(AccessLevel::Commenter > AccessLevel::Reader);
     }
 
+    /// "ACLs are PADs, making it possible to access in logarithmic time":
+    /// a member's proof in a list of `2^k` carries exactly `k` path hashes.
+    #[test]
+    fn a_member_proof_carries_log2_n_path_hashes() {
+        let (_, owner, mut rng) = setup();
+        for k in 1..=12u32 {
+            let members = (0..1 << k).map(|i| (format!("u{i:04}").into(), AccessLevel::Reader));
+            let acl = OwnerAcl::new(owner.clone(), members, &mut rng);
+            let (proof, _) = acl.replica().prove(&"u0000".into());
+            let LookupProof::Present { path, .. } = proof else {
+                panic!("u0000 is listed")
+            };
+            assert_eq!(path.len(), k as usize, "n = 2^{k}");
+        }
+    }
+
     #[test]
     fn upgrade_overwrites_level() {
         let (mut acl, owner, mut rng) = setup();
         acl.grant(&"bob".into(), AccessLevel::Reader, &mut rng);
         acl.grant(&"bob".into(), AccessLevel::Writer, &mut rng);
         assert_eq!(acl.len(), 1);
-        let (proof, root) = acl.replica().prove(&"bob".into()).unwrap();
+        let (proof, root) = acl.replica().prove(&"bob".into());
         assert_eq!(
             check_access(owner.verifying_key(), &root, &"bob".into(), &proof).unwrap(),
             Some(AccessLevel::Writer)

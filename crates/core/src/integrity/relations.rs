@@ -94,7 +94,7 @@ impl PostRelationKeys {
     /// # Errors
     ///
     /// [`DosnError::NotAuthorized`] when `key` is not the commenters key.
-    pub fn unwrap_signing_key(&self, key: &SymmetricKey) -> Result<SigningKey, DosnError> {
+    fn unwrap_signing_key(&self, key: &SymmetricKey) -> Result<SigningKey, DosnError> {
         let scalar_bytes = key
             .open(&self.wrapped_signing_key, self.post_id.as_bytes())
             .map_err(|_| {

@@ -52,12 +52,6 @@ impl AbeGroupScheme {
         }
     }
 
-    /// Direct access to the underlying authority (for policy-based
-    /// encryption beyond simple groups — see the `persona_groups` example).
-    pub fn authority_mut(&mut self) -> &mut AbeAuthority {
-        &mut self.authority
-    }
-
     fn qualified_member(group: &GroupId, member: &str) -> String {
         format!("{group}/{member}")
     }
@@ -254,17 +248,5 @@ mod tests {
         let p1 = s.encrypt(&g1, b"g1 only").unwrap();
         // a is in both groups but g2's key must not open g1's post via g2.
         assert!(s.decrypt_as(&g2, "a", &p1).is_err());
-    }
-
-    #[test]
-    fn authority_access_allows_rich_policies() {
-        let mut s = scheme();
-        let mut rng = SecureRng::seed_from_u64(9);
-        let key = s
-            .authority_mut()
-            .issue_key("alice", &["relative".into(), "doctor".into()]);
-        let policy = Policy::parse("relative AND doctor").unwrap();
-        let ct = s.authority_mut().encrypt(&policy, b"x", &mut rng).unwrap();
-        assert_eq!(key.decrypt(&ct).unwrap(), b"x");
     }
 }

@@ -64,7 +64,7 @@ impl PkeGroupScheme {
     }
 
     /// Generates and registers a key pair for `member`.
-    pub fn register_identity(&mut self, member: &str, rng: &mut SecureRng) {
+    fn register_identity(&mut self, member: &str, rng: &mut SecureRng) {
         let kp = ElGamalKeyPair::generate(self.group_params.clone(), rng);
         self.public_keys
             .insert(member.to_owned(), kp.public().clone());

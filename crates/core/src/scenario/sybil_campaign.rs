@@ -91,7 +91,7 @@ impl SybilCampaignOutcome {
 /// Calibrates the detector to the graph scale: SybilGuard walks are
 /// Θ(√(n log n)), and the acceptance threshold must sit below the honest
 /// footprint overlap but above the sybil one.
-pub fn calibrated_detector(nodes: usize, seed: u64) -> SybilDetector {
+fn calibrated_detector(nodes: usize, seed: u64) -> SybilDetector {
     let n = nodes as f64;
     SybilDetector {
         walks: 32,

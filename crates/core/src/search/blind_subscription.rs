@@ -20,7 +20,7 @@
 
 use crate::error::DosnError;
 use crate::search::audit::{Knowledge, LeakageAudit};
-use dosn_crypto::blind::{BlindSigner, BlindingRequest, Commitment, SignerSession};
+use dosn_crypto::blind::{BlindSigner, BlindingRequest};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
 use dosn_crypto::schnorr::{Signature, SigningKey};
@@ -79,9 +79,8 @@ impl SubscriptionAuthority {
         }
     }
 
-    /// Runs the complete issuance protocol on behalf of `subscriber`
-    /// (convenience wrapper; the three-move version is available through
-    /// [`SubscriptionAuthority::begin_issuance`]).
+    /// Runs the complete three-move issuance protocol on behalf of
+    /// `subscriber`.
     ///
     /// # Errors
     ///
@@ -96,7 +95,7 @@ impl SubscriptionAuthority {
         // prove entitlement) — but never sees the token id.
         audit.record("publisher", Knowledge::SearcherPseudonym);
         let _ = subscriber;
-        let (commitment, session) = self.begin_issuance(rng);
+        let (commitment, session) = self.signer.commit(rng);
         // Subscriber side:
         let mut token_id = [0u8; 32];
         rand::RngCore::fill_bytes(rng, &mut token_id);
@@ -107,11 +106,6 @@ impl SubscriptionAuthority {
             token_id,
             signature,
         })
-    }
-
-    /// First move of the issuance protocol (authority side).
-    pub fn begin_issuance(&self, rng: &mut SecureRng) -> (Commitment, SignerSession) {
-        self.signer.commit(rng)
     }
 
     /// Redeems a token under a pseudonym. Tokens are one-shot: double

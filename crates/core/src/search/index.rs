@@ -9,11 +9,10 @@ use crate::identity::UserId;
 use crate::search::audit::{Knowledge, LeakageAudit};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// An inverted index: keyword → users, plus name → user.
+/// An inverted index: keyword → users.
 #[derive(Debug, Clone, Default)]
 pub struct SearchIndex {
     by_interest: BTreeMap<String, BTreeSet<UserId>>,
-    by_name: BTreeMap<String, UserId>,
     profiles: BTreeMap<UserId, Profile>,
 }
 
@@ -23,10 +22,8 @@ impl SearchIndex {
         Self::default()
     }
 
-    /// Indexes a profile (display name + interests).
+    /// Indexes a profile by its interests.
     pub fn insert(&mut self, profile: Profile) {
-        self.by_name
-            .insert(profile.display_name.to_lowercase(), profile.owner.clone());
         for interest in &profile.interests {
             self.by_interest
                 .entry(interest.to_lowercase())
@@ -52,11 +49,6 @@ impl SearchIndex {
             .get(&interest.to_lowercase())
             .map(|s| s.iter().cloned().collect())
             .unwrap_or_default()
-    }
-
-    /// Raw name lookup.
-    pub fn user_by_name(&self, name: &str) -> Option<&UserId> {
-        self.by_name.get(&name.to_lowercase())
     }
 
     /// The indexed profile of a user.
@@ -112,13 +104,6 @@ mod tests {
             "case-folded"
         );
         assert!(idx.users_interested_in("curling").is_empty());
-    }
-
-    #[test]
-    fn name_lookup() {
-        let idx = index();
-        assert_eq!(idx.user_by_name("alice a."), Some(&"alice".into()));
-        assert_eq!(idx.user_by_name("nobody"), None);
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl ResourceRegistry {
     /// # Errors
     ///
     /// See [`ResourceRegistry::fetch`].
-    pub fn fetch_with_proof(
+    fn fetch_with_proof(
         &self,
         handler: &str,
         pseudonym: &str,

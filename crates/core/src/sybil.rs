@@ -58,7 +58,7 @@ impl Default for SybilDetector {
 impl SybilDetector {
     /// Collects the set of vertices touched by `walks` random walks from
     /// `start`.
-    pub fn walk_footprint(&self, graph: &SocialGraph, start: u32, salt: u64) -> BTreeSet<u32> {
+    fn walk_footprint(&self, graph: &SocialGraph, start: u32, salt: u64) -> BTreeSet<u32> {
         let mut rng = StdRng::seed_from_u64(self.seed ^ salt);
         let mut footprint = BTreeSet::new();
         for _ in 0..self.walks {

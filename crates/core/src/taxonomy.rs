@@ -136,27 +136,6 @@ pub fn table1() -> Vec<TaxonomyRow> {
         .collect()
 }
 
-/// Renders Table I as aligned text (what the T1 harness prints).
-pub fn render_table1() -> String {
-    let rows = table1();
-    let mut out =
-        String::from("TABLE I: Classification of security aspects and solutions in OSNs\n");
-    let mut last: Option<Category> = None;
-    for row in rows {
-        let cat = if last == Some(row.category) {
-            ""
-        } else {
-            row.category.display()
-        };
-        last = Some(row.category);
-        out.push_str(&format!(
-            "| {:<22} | {:<42} | {:<50} | {:<5} |\n",
-            cat, row.aspect, row.implemented_by, row.experiment
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,15 +166,6 @@ mod tests {
             assert!(row.implemented_by.starts_with("dosn_core::"), "{row:?}");
             assert!(row.experiment.starts_with('E'), "{row:?}");
         }
-    }
-
-    #[test]
-    fn render_contains_all_aspects() {
-        let rendered = render_table1();
-        for row in table1() {
-            assert!(rendered.contains(row.aspect), "missing {}", row.aspect);
-        }
-        assert!(rendered.starts_with("TABLE I"));
     }
 
     #[test]

@@ -29,9 +29,11 @@
 //! ```
 //!
 //! Parentheses and threshold gates nest at most 64 deep; a deeper policy
-//! is a [`CryptoError::PolicyParse`], so neither the recursive-descent
-//! parser nor anything that walks the tree it builds recurses further than
-//! that, whatever bytes a peer sends.
+//! is a [`CryptoError::PolicyParse`], so the recursive-descent parser
+//! recurses no further than that, whatever bytes a peer sends. A tree can
+//! still have more than 64 gates on a path, parsed or built in code:
+//! [`AbeAuthority::encrypt`] refuses it, [`Policy::satisfied_by`] calls it
+//! unsatisfiable, and dropping it does not recurse.
 
 use crate::aead::SymmetricKey;
 use crate::chacha::SecureRng;
@@ -86,14 +88,46 @@ impl Policy {
         Ok(policy)
     }
 
-    /// Returns `true` when `attrs` satisfies the access structure.
+    /// Returns `true` when `attrs` satisfies the access structure; a policy
+    /// more than 64 gates deep is satisfied by nothing, as nothing can be
+    /// encrypted under it.
     pub fn satisfied_by(&self, attrs: &HashSet<String>) -> bool {
+        !self.too_deep() && self.satisfied_within_limit(attrs)
+    }
+
+    fn satisfied_within_limit(&self, attrs: &HashSet<String>) -> bool {
+        let satisfied = |c: &Policy| c.satisfied_within_limit(attrs);
         match self {
             Policy::Attr(a) => attrs.contains(a),
-            Policy::And(cs) => cs.iter().all(|c| c.satisfied_by(attrs)),
-            Policy::Or(cs) => cs.iter().any(|c| c.satisfied_by(attrs)),
-            Policy::Threshold(k, cs) => cs.iter().filter(|c| c.satisfied_by(attrs)).count() >= *k,
+            Policy::And(cs) => cs.iter().all(satisfied),
+            Policy::Or(cs) => cs.iter().any(satisfied),
+            Policy::Threshold(k, cs) => cs.iter().filter(|c| satisfied(c)).count() >= *k,
         }
+    }
+
+    /// The gates under this node (none under an attribute).
+    fn children(&self) -> &[Policy] {
+        match self {
+            Policy::Attr(_) => &[],
+            Policy::And(cs) | Policy::Or(cs) | Policy::Threshold(_, cs) => cs,
+        }
+    }
+
+    /// Whether some path from the root passes more than [`MAX_NESTING`]
+    /// gates. Walks with an explicit stack and stops at the first such
+    /// path, so it neither recurses nor visits more than the limit allows.
+    fn too_deep(&self) -> bool {
+        let mut stack = vec![(self, 0usize)];
+        while let Some((node, gates)) = stack.pop() {
+            if node.children().is_empty() {
+                continue;
+            }
+            if gates == MAX_NESTING {
+                return true;
+            }
+            stack.extend(node.children().iter().map(|c| (c, gates + 1)));
+        }
+        false
     }
 
     /// All attribute names mentioned by the policy.
@@ -141,6 +175,23 @@ impl Policy {
                 }
                 cs.iter().try_for_each(Policy::validate)
             }
+        }
+    }
+}
+
+/// Frees a policy of any depth without recursing: each gate's children
+/// move to one work list before the gate itself is freed.
+impl Drop for Policy {
+    fn drop(&mut self) {
+        let mut pending = match self {
+            Policy::Attr(_) => return,
+            Policy::And(cs) | Policy::Or(cs) | Policy::Threshold(_, cs) => std::mem::take(cs),
+        };
+        while let Some(mut node) = pending.pop() {
+            if let Policy::And(cs) | Policy::Or(cs) | Policy::Threshold(_, cs) = &mut node {
+                pending.append(cs);
+            }
+            // `node` has no children left, so freeing it here is shallow.
         }
     }
 }
@@ -582,13 +633,19 @@ impl AbeAuthority {
     /// # Errors
     ///
     /// Returns [`CryptoError::PolicyParse`] for structurally invalid
-    /// policies (empty gates, bad thresholds).
+    /// policies (empty gates, bad thresholds) and for one with more than 64
+    /// gates on a path, before any of it is shared out.
     pub fn encrypt(
         &self,
         policy: &Policy,
         plaintext: &[u8],
         rng: &mut SecureRng,
     ) -> Result<AbeCiphertext, CryptoError> {
+        if policy.too_deep() {
+            return Err(CryptoError::PolicyParse(format!(
+                "more than {MAX_NESTING} gates deep"
+            )));
+        }
         policy.validate()?;
         let dek = rng.gen_key();
         let root = self.share_node(policy, &dek, rng)?;

@@ -93,8 +93,7 @@ pub fn chacha20_xor(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, 
 /// a seed key.
 ///
 /// Used throughout the workspace so that every experiment and test is
-/// reproducible from a seed; seed from OS entropy via
-/// [`SecureRng::from_entropy`] when reproducibility is not wanted.
+/// reproducible from a seed.
 ///
 /// ```
 /// use dosn_crypto::chacha::SecureRng;
@@ -129,13 +128,6 @@ impl SecureRng {
         s[..8].copy_from_slice(&seed.to_le_bytes());
         s[8..16].copy_from_slice(&seed.to_be_bytes());
         Self::from_seed(crate::sha256::sha256(&s))
-    }
-
-    /// Creates an RNG seeded from the operating system entropy pool.
-    pub fn from_entropy() -> Self {
-        let mut seed = [0u8; KEY_LEN];
-        rand::rng().fill_bytes(&mut seed);
-        Self::from_seed(seed)
     }
 
     fn refill(&mut self) {

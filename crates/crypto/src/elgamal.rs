@@ -1,9 +1,9 @@
 //! ElGamal public-key encryption over a [`SchnorrGroup`] (survey §III-C).
 //!
-//! Two layers are provided:
+//! Two layers, of which the second is public:
 //!
-//! * raw element encryption ([`ElGamalPublicKey::encrypt_element`]) — the
-//!   textbook CPA-secure scheme on group elements; and
+//! * raw element encryption (`encrypt_element`) — the textbook CPA-secure
+//!   scheme on group elements; and
 //! * hybrid byte encryption ([`ElGamalPublicKey::encrypt`]) — a KEM/DEM
 //!   construction that ElGamal-encrypts a random group element, derives a
 //!   [`SymmetricKey`] from it, and seals the payload with authenticated
@@ -51,7 +51,7 @@ impl std::fmt::Debug for ElGamalSecretKey {
 
 /// A ciphertext on a single group element: `(c1, c2) = (g^r, m * y^r)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ElementCiphertext {
+struct ElementCiphertext {
     c1: BigUint,
     c2: BigUint,
 }
@@ -116,7 +116,7 @@ impl ElGamalPublicKey {
     /// # Panics
     ///
     /// Panics (debug) if `m` is not a group element.
-    pub fn encrypt_element(&self, m: &BigUint, rng: &mut SecureRng) -> ElementCiphertext {
+    fn encrypt_element(&self, m: &BigUint, rng: &mut SecureRng) -> ElementCiphertext {
         debug_assert!(self.group.contains(m), "message must be a group element");
         let r = self.group.random_scalar(rng);
         ElementCiphertext {
@@ -146,7 +146,7 @@ impl ElGamalSecretKey {
     /// not an element of the order-`q` subgroup. Decrypting unvalidated
     /// components would silently produce garbage (and, for small-subgroup
     /// `c1`, leak bits of `x` to an active attacker).
-    pub fn decrypt_element(&self, ct: &ElementCiphertext) -> Result<BigUint, CryptoError> {
+    fn decrypt_element(&self, ct: &ElementCiphertext) -> Result<BigUint, CryptoError> {
         if !self.group.contains(&ct.c1) || !self.group.contains(&ct.c2) {
             return Err(CryptoError::Protocol(
                 "elgamal ciphertext component is not a group element".into(),

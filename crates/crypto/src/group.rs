@@ -271,16 +271,6 @@ impl SchnorrGroup {
         a.mulmod(b, &self.inner.p)
     }
 
-    /// Inverts an element mod `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is zero (never a group element).
-    pub fn invert(&self, a: &BigUint) -> BigUint {
-        a.modinv(&self.inner.p)
-            .expect("group elements are invertible")
-    }
-
     /// Inverts a scalar mod `q`.
     ///
     /// Returns `None` for the zero scalar.
@@ -484,12 +474,10 @@ mod tests {
     }
 
     #[test]
-    fn invert_element_and_scalar() {
+    fn invert_scalar() {
         let g = SchnorrGroup::toy();
         let mut r = rng();
         let x = g.random_scalar(&mut r);
-        let el = g.pow_g(&x);
-        assert!(g.mul(&el, &g.invert(&el)).is_one());
         let inv = g.invert_scalar(&x).unwrap();
         assert!(g.pow(&g.pow_g(&x), &inv).eq(&g.pow_g(&BigUint::one())));
         assert!(g.invert_scalar(&BigUint::zero()).is_none());

@@ -90,37 +90,6 @@ impl IbbeBroadcaster {
         BroadcastCiphertext { entries, sealed }
     }
 
-    /// Adds a recipient to an *existing* ciphertext — possible because the
-    /// broadcaster can re-wrap the seed (requires knowing it; here we model
-    /// the broadcaster keeping the seed alongside, so instead this recreates
-    /// the KEM entry by decrypting with any held key). In practice the
-    /// broadcaster re-encrypts; the cheap operation IBBE gives is *removal*.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `own_key` cannot open the ciphertext.
-    pub fn extend_recipients(
-        ct: &mut BroadcastCiphertext,
-        own_key: &IdentityKey,
-        new_recipient: &str,
-        params: &CocksPublicParams,
-        rng: &mut SecureRng,
-    ) -> Result<(), CryptoError> {
-        let seed = Self::recover_seed(own_key, ct)?;
-        ct.entries.push((
-            new_recipient.to_owned(),
-            params.encrypt_bytes(new_recipient.as_bytes(), &seed, rng),
-        ));
-        Ok(())
-    }
-
-    /// Removes a recipient's KEM entry. Constant-time bookkeeping — the
-    /// survey's "removing a recipient … has no extra cost". (As with all
-    /// revocation, a recipient who already decrypted keeps what they saw.)
-    pub fn remove_recipient(ct: &mut BroadcastCiphertext, recipient: &str) {
-        ct.entries.retain(|(id, _)| id != recipient);
-    }
-
     /// Decrypts as `key`'s identity.
     ///
     /// # Errors
@@ -200,32 +169,6 @@ mod tests {
             IbbeBroadcaster::decrypt(&eve, &ct).unwrap_err(),
             CryptoError::NotARecipient
         );
-    }
-
-    #[test]
-    fn removal_is_entry_drop_only() {
-        let mut rng = SecureRng::seed_from_u64(3);
-        let b = IbbeBroadcaster::new(pkg().public_params());
-        let mut ct = b.encrypt(&ids(&["alice", "bob"]), b"msg", &mut rng);
-        assert_eq!(ct.recipient_count(), 2);
-        IbbeBroadcaster::remove_recipient(&mut ct, "bob");
-        assert_eq!(ct.recipient_count(), 1);
-        let bob = pkg().extract(b"bob");
-        assert!(IbbeBroadcaster::decrypt(&bob, &ct).is_err());
-        let alice = pkg().extract(b"alice");
-        assert_eq!(IbbeBroadcaster::decrypt(&alice, &ct).unwrap(), b"msg");
-    }
-
-    #[test]
-    fn extend_adds_working_entry() {
-        let mut rng = SecureRng::seed_from_u64(4);
-        let params = pkg().public_params();
-        let b = IbbeBroadcaster::new(params.clone());
-        let mut ct = b.encrypt(&ids(&["alice"]), b"grow", &mut rng);
-        let alice = pkg().extract(b"alice");
-        IbbeBroadcaster::extend_recipients(&mut ct, &alice, "dave", &params, &mut rng).unwrap();
-        let dave = pkg().extract(b"dave");
-        assert_eq!(IbbeBroadcaster::decrypt(&dave, &ct).unwrap(), b"grow");
     }
 
     #[test]

@@ -200,7 +200,7 @@ impl CocksPkg {
 
 impl CocksPublicParams {
     /// The modulus bit length.
-    pub fn modulus_bits(&self) -> u64 {
+    fn modulus_bits(&self) -> u64 {
         self.inner.n.bits()
     }
 

@@ -129,27 +129,6 @@ impl KeyDirectory {
     pub fn is_empty(&self) -> bool {
         self.read().is_empty()
     }
-
-    /// Identities learned with at least the given provenance strength
-    /// (ordering: `Directory < FriendIntroduction < SideChannel < OutOfBand`).
-    pub fn identities_with_min_provenance(&self, min: KeyProvenance) -> Vec<String> {
-        fn rank(p: KeyProvenance) -> u8 {
-            match p {
-                KeyProvenance::Directory => 0,
-                KeyProvenance::FriendIntroduction => 1,
-                KeyProvenance::SideChannel => 2,
-                KeyProvenance::OutOfBand => 3,
-            }
-        }
-        let mut out: Vec<String> = self
-            .read()
-            .iter()
-            .filter(|(_, b)| rank(b.provenance) >= rank(min))
-            .map(|(id, _)| id.clone())
-            .collect();
-        out.sort();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -194,30 +173,6 @@ mod tests {
         assert!(dir.remove("x"));
         assert!(!dir.remove("x"));
         assert!(dir.is_empty());
-    }
-
-    #[test]
-    fn provenance_filtering() {
-        let (dir, mut rng) = setup();
-        let g = SchnorrGroup::toy();
-        for (name, prov) in [
-            ("meet", KeyProvenance::OutOfBand),
-            ("mail", KeyProvenance::SideChannel),
-            ("dir", KeyProvenance::Directory),
-            ("intro", KeyProvenance::FriendIntroduction),
-        ] {
-            let sk = SigningKey::generate(g.clone(), &mut rng);
-            dir.register(name, sk.verifying_key().clone(), prov);
-        }
-        assert_eq!(
-            dir.identities_with_min_provenance(KeyProvenance::SideChannel),
-            vec!["mail".to_string(), "meet".to_string()]
-        );
-        assert_eq!(
-            dir.identities_with_min_provenance(KeyProvenance::Directory)
-                .len(),
-            4
-        );
     }
 
     #[test]

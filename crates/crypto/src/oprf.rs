@@ -82,14 +82,6 @@ impl OprfSender {
         OprfSender { group, s }
     }
 
-    /// Builds a sender from an existing secret scalar (deterministic setup).
-    pub fn from_secret(group: SchnorrGroup, s: BigUint) -> Result<Self, CryptoError> {
-        if s.is_zero() || s >= *group.order() {
-            return Err(CryptoError::Protocol("oprf secret out of range".into()));
-        }
-        Ok(OprfSender { group, s })
-    }
-
     /// The group in use.
     pub fn group(&self) -> &SchnorrGroup {
         &self.group
@@ -235,17 +227,6 @@ mod tests {
             element: BigUint::zero(),
         };
         assert!(state.finalize(&bad).is_err());
-    }
-
-    #[test]
-    fn from_secret_validates_range() {
-        let g = SchnorrGroup::toy();
-        assert!(OprfSender::from_secret(g.clone(), BigUint::zero()).is_err());
-        assert!(OprfSender::from_secret(g.clone(), g.order().clone()).is_err());
-        let ok = OprfSender::from_secret(g.clone(), BigUint::from(1234u64)).unwrap();
-        // Deterministic: same secret, same outputs.
-        let ok2 = OprfSender::from_secret(g, BigUint::from(1234u64)).unwrap();
-        assert_eq!(ok.evaluate(b"k"), ok2.evaluate(b"k"));
     }
 
     #[test]

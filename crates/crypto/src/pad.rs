@@ -14,12 +14,15 @@
 //! count; absence proofs present the two *adjacent* entries that straddle
 //! the missing key (plus their proofs), or the first or last entry at an
 //! edge — adjacency and the edges are checked on the bound indices, so a
-//! provider cannot renumber a neighbour to hide an entry. Persistence comes
-//! from retaining every signed root by version. Proof size and verification
-//! are `O(log n)`.
+//! provider cannot renumber a neighbour to hide an entry. Every mutation
+//! signs a fresh root at the next version and the owner keeps only that
+//! one: an older signed root still verifies for whoever holds it, so a
+//! verifier pins the freshest version it has seen. Proof size and
+//! verification are `O(log n)`.
 
 use crate::chacha::SecureRng;
 use crate::error::CryptoError;
+use crate::group::SchnorrGroup;
 use crate::merkle::{self, Hash};
 use crate::schnorr::{Signature, SigningKey, VerifyingKey};
 use crate::sha256::{sha256_concat, Sha256};
@@ -36,6 +39,29 @@ fn leaf_hash(key: &[u8], value: &[u8]) -> Hash {
         &(value.len() as u64).to_be_bytes(),
         value,
     ])
+}
+
+fn leaves(entries: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<Hash> {
+    entries.iter().map(|(k, v)| leaf_hash(k, v)).collect()
+}
+
+/// `owner`'s signature on `entries` as `version`: the Merkle root over
+/// every leaf, so each mutation rehashes the whole list.
+fn sign_root(
+    owner: &SigningKey,
+    version: u64,
+    entries: &BTreeMap<Vec<u8>, Vec<u8>>,
+    rng: &mut SecureRng,
+) -> SignedRoot {
+    let size = entries.len();
+    let root = merkle::root(NODE_TAG, &leaves(entries));
+    let signature = owner.sign(&SignedRoot::digest(version, size, &root), rng);
+    SignedRoot {
+        version,
+        size,
+        root,
+        signature,
+    }
 }
 
 /// A signed root: version, entry count, root hash, and the owner's
@@ -71,6 +97,11 @@ impl SignedRoot {
         let digest = Self::digest(self.version, self.size, &self.root);
         owner.verify(&digest, &self.signature)
     }
+
+    /// Wire size in bytes: version, count, root hash and signature.
+    pub fn size_bytes(&self, group: &SchnorrGroup) -> usize {
+        8 + 8 + 32 + self.signature.size_bytes(group)
+    }
 }
 
 /// A proof that a key is present (with its value) or absent.
@@ -94,6 +125,23 @@ pub enum LookupProof {
     },
 }
 
+impl LookupProof {
+    /// Wire size in bytes: each value, neighbor key, index and path with
+    /// an 8-byte length or index, and 32 bytes per path hash. The key
+    /// looked up is the verifier's own and is not counted.
+    pub fn size_bytes(&self) -> usize {
+        let entry = |value: &[u8], path: &[Hash]| 8 + value.len() + 8 + 8 + 32 * path.len();
+        match self {
+            LookupProof::Present { value, path, .. } => entry(value, path),
+            LookupProof::Absent { left, right } => [left, right]
+                .into_iter()
+                .flatten()
+                .map(|n| 8 + n.key.len() + entry(&n.value, &n.path))
+                .sum(),
+        }
+    }
+}
+
 /// A neighbor entry with its own inclusion proof.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NeighborProof {
@@ -112,17 +160,17 @@ pub struct NeighborProof {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = SecureRng::seed_from_u64(120);
 /// let owner = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-/// let mut acl = AuthenticatedDictionary::new(owner.clone());
+/// let mut acl = AuthenticatedDictionary::new(owner.clone(), [], &mut rng);
 ///
 /// acl.insert(b"bob", b"reader", &mut rng);
 /// acl.insert(b"carol", b"writer", &mut rng);
 ///
 /// // The provider answers lookups with proofs a client can verify offline.
-/// let (proof, root) = acl.prove(b"bob")?;
+/// let (proof, root) = acl.prove(b"bob");
 /// AuthenticatedDictionary::verify(owner.verifying_key(), &root, b"bob", &proof)?;
 ///
 /// // Absence is also provable: the provider cannot hide entries.
-/// let (proof, root) = acl.prove(b"mallory")?;
+/// let (proof, root) = acl.prove(b"mallory");
 /// AuthenticatedDictionary::verify(owner.verifying_key(), &root, b"mallory", &proof)?;
 /// # Ok(())
 /// # }
@@ -130,9 +178,8 @@ pub struct NeighborProof {
 pub struct AuthenticatedDictionary {
     owner: SigningKey,
     entries: BTreeMap<Vec<u8>, Vec<u8>>,
-    version: u64,
-    /// Every signed root ever produced ("persistent").
-    roots: Vec<SignedRoot>,
+    /// The current signed root.
+    root: SignedRoot,
 }
 
 impl std::fmt::Debug for AuthenticatedDictionary {
@@ -141,19 +188,26 @@ impl std::fmt::Debug for AuthenticatedDictionary {
             f,
             "AuthenticatedDictionary({} entries, version {})",
             self.entries.len(),
-            self.version
+            self.root.version
         )
     }
 }
 
 impl AuthenticatedDictionary {
-    /// Creates an empty dictionary owned by `owner`.
-    pub fn new(owner: SigningKey) -> Self {
+    /// Creates a dictionary owned by `owner` that holds `entries` (a later
+    /// duplicate key replaces an earlier one), and signs its first root,
+    /// version 1: `n` initial entries cost one signature, not `n`.
+    pub fn new(
+        owner: SigningKey,
+        entries: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+        rng: &mut SecureRng,
+    ) -> Self {
+        let entries = entries.into_iter().collect();
+        let root = sign_root(&owner, 1, &entries, rng);
         AuthenticatedDictionary {
             owner,
-            entries: BTreeMap::new(),
-            version: 0,
-            roots: Vec::new(),
+            entries,
+            root,
         }
     }
 
@@ -167,62 +221,29 @@ impl AuthenticatedDictionary {
         self.entries.is_empty()
     }
 
-    /// Current version (0 before any mutation).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// All signed roots, oldest first (the persistence trail).
-    pub fn root_history(&self) -> &[SignedRoot] {
-        &self.roots
-    }
-
-    fn leaves(&self) -> Vec<Hash> {
-        self.entries.iter().map(|(k, v)| leaf_hash(k, v)).collect()
-    }
-
-    fn sign_root(&mut self, rng: &mut SecureRng) -> SignedRoot {
-        self.version += 1;
-        let size = self.entries.len();
-        let root = merkle::root(NODE_TAG, &self.leaves());
-        let signature = self
-            .owner
-            .sign(&SignedRoot::digest(self.version, size, &root), rng);
-        let signed = SignedRoot {
-            version: self.version,
-            size,
-            root,
-            signature,
-        };
-        self.roots.push(signed.clone());
-        signed
+    /// Signs the next version over the current entries.
+    fn resign(&mut self, rng: &mut SecureRng) -> SignedRoot {
+        self.root = sign_root(&self.owner, self.root.version + 1, &self.entries, rng);
+        self.root.clone()
     }
 
     /// Inserts (or replaces) an entry, producing a fresh signed root.
     pub fn insert(&mut self, key: &[u8], value: &[u8], rng: &mut SecureRng) -> SignedRoot {
         self.entries.insert(key.to_vec(), value.to_vec());
-        self.sign_root(rng)
+        self.resign(rng)
     }
 
     /// Removes an entry (no-op version bump if absent), producing a fresh
     /// signed root.
     pub fn remove(&mut self, key: &[u8], rng: &mut SecureRng) -> SignedRoot {
         self.entries.remove(key);
-        self.sign_root(rng)
+        self.resign(rng)
     }
 
     /// Produces a lookup proof for `key` against the *current* version.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::Protocol`] before the first mutation (there is no
-    /// signed root to prove against yet).
-    pub fn prove(&self, key: &[u8]) -> Result<(LookupProof, SignedRoot), CryptoError> {
-        let root = self.roots.last().cloned().ok_or_else(|| {
-            CryptoError::Protocol("no signed root yet: insert or remove first".into())
-        })?;
+    pub fn prove(&self, key: &[u8]) -> (LookupProof, SignedRoot) {
         let entries: Vec<(&Vec<u8>, &Vec<u8>)> = self.entries.iter().collect();
-        let leaves = self.leaves();
+        let leaves = leaves(&self.entries);
         let neighbor = |index: usize| NeighborProof {
             key: entries[index].0.clone(),
             value: entries[index].1.clone(),
@@ -240,7 +261,7 @@ impl AuthenticatedDictionary {
                 right: (insertion < entries.len()).then(|| neighbor(insertion)),
             },
         };
-        Ok((proof, root))
+        (proof, self.root.clone())
     }
 
     /// Client-side verification of a lookup proof against a signed root.
@@ -292,12 +313,11 @@ impl AuthenticatedDictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::SchnorrGroup;
 
     fn setup() -> (AuthenticatedDictionary, SigningKey, SecureRng) {
         let mut rng = SecureRng::seed_from_u64(121);
         let owner = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-        let dict = AuthenticatedDictionary::new(owner.clone());
+        let dict = AuthenticatedDictionary::new(owner.clone(), [], &mut rng);
         (dict, owner, rng)
     }
 
@@ -313,7 +333,7 @@ mod tests {
     fn membership_proofs_verify() {
         let (dict, owner, _) = populated();
         for key in ["bob", "carol", "erin"] {
-            let (proof, root) = dict.prove(key.as_bytes()).unwrap();
+            let (proof, root) = dict.prove(key.as_bytes());
             assert!(matches!(proof, LookupProof::Present { .. }));
             AuthenticatedDictionary::verify(owner.verifying_key(), &root, key.as_bytes(), &proof)
                 .unwrap();
@@ -325,7 +345,7 @@ mod tests {
         let (dict, owner, _) = populated();
         // Interior gap, left edge, right edge.
         for key in ["dave", "aaron", "zed"] {
-            let (proof, root) = dict.prove(key.as_bytes()).unwrap();
+            let (proof, root) = dict.prove(key.as_bytes());
             assert!(matches!(proof, LookupProof::Absent { .. }), "{key}");
             AuthenticatedDictionary::verify(owner.verifying_key(), &root, key.as_bytes(), &proof)
                 .unwrap();
@@ -335,7 +355,7 @@ mod tests {
     #[test]
     fn forged_value_rejected() {
         let (dict, owner, _) = populated();
-        let (proof, root) = dict.prove(b"bob").unwrap();
+        let (proof, root) = dict.prove(b"bob");
         let LookupProof::Present { index, path, .. } = proof else {
             panic!("present");
         };
@@ -358,8 +378,8 @@ mod tests {
         // so they are not adjacent. (Renumbering erin to make them look
         // adjacent fails too: see the test below.)
         let (dict, owner, _) = populated();
-        let (bob_proof, root) = dict.prove(b"bob").unwrap();
-        let (erin_proof, _) = dict.prove(b"erin").unwrap();
+        let (bob_proof, root) = dict.prove(b"bob");
+        let (erin_proof, _) = dict.prove(b"erin");
         let LookupProof::Present {
             value: bv,
             index: bi,
@@ -401,7 +421,7 @@ mod tests {
 
     /// `key`'s membership proof, recast as an absence-proof neighbor.
     fn as_neighbor(dict: &AuthenticatedDictionary, key: &[u8]) -> NeighborProof {
-        let (LookupProof::Present { value, index, path }, _) = dict.prove(key).unwrap() else {
+        let (LookupProof::Present { value, index, path }, _) = dict.prove(key) else {
             panic!("{key:?} is listed")
         };
         NeighborProof {
@@ -417,7 +437,7 @@ mod tests {
         // erin keeps her true path but claims bob's index + 1, so that bob
         // and erin look adjacent around carol.
         let (dict, owner, _) = populated();
-        let (_, root) = dict.prove(b"carol").unwrap();
+        let (_, root) = dict.prove(b"carol");
         let bob = as_neighbor(&dict, b"bob");
         let erin = NeighborProof {
             index: bob.index + 1,
@@ -440,7 +460,7 @@ mod tests {
         // relabelled with the count that would make her last loses the
         // owner's signature.
         let (dict, owner, _) = populated();
-        let (_, root) = dict.prove(b"erin").unwrap();
+        let (_, root) = dict.prove(b"erin");
         let carol = as_neighbor(&dict, b"carol");
         let short = SignedRoot {
             size: carol.index + 1,
@@ -465,7 +485,7 @@ mod tests {
     fn a_membership_proof_is_bound_to_its_index() {
         let (dict, owner, _) = populated();
         for key in [b"bob".as_slice(), b"carol", b"erin"] {
-            let (proof, root) = dict.prove(key).unwrap();
+            let (proof, root) = dict.prove(key);
             let LookupProof::Present { value, index, path } = proof else {
                 panic!("{key:?} is listed")
             };
@@ -485,17 +505,11 @@ mod tests {
     }
 
     #[test]
-    fn proving_before_the_first_root_is_a_typed_error() {
-        let (dict, _, _) = setup();
-        assert!(matches!(dict.prove(b"bob"), Err(CryptoError::Protocol(_))));
-    }
-
-    #[test]
     fn root_bytes_are_pinned() {
         // bob ↦ reader, carol ↦ writer, erin ↦ reader. A change to the leaf
         // or node hashing, or to the tree's shape, moves this root.
         let (dict, _, _) = populated();
-        let (_, root) = dict.prove(b"bob").unwrap();
+        let (_, root) = dict.prove(b"bob");
         let hex: String = root.root.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
@@ -506,9 +520,9 @@ mod tests {
     #[test]
     fn stale_root_rejected_for_new_entries() {
         let (mut dict, owner, mut rng) = populated();
-        let (_, old_root) = dict.prove(b"bob").unwrap();
+        let (_, old_root) = dict.prove(b"bob");
         dict.insert(b"dave", b"reader", &mut rng);
-        let (new_proof, new_root) = dict.prove(b"dave").unwrap();
+        let (new_proof, new_root) = dict.prove(b"dave");
         // New proof does not verify against the old root.
         assert!(AuthenticatedDictionary::verify(
             owner.verifying_key(),
@@ -527,7 +541,7 @@ mod tests {
         dict.insert(b"bob", b"reader", &mut rng);
         dict.remove(b"bob", &mut rng);
         assert!(dict.is_empty());
-        let (proof, root) = dict.prove(b"bob").unwrap();
+        let (proof, root) = dict.prove(b"bob");
         AuthenticatedDictionary::verify(owner.verifying_key(), &root, b"bob", &proof).unwrap();
         assert!(matches!(
             proof,
@@ -540,26 +554,25 @@ mod tests {
     }
 
     #[test]
-    fn versions_are_persistent_history() {
+    fn every_mutation_signs_the_next_version() {
         let (mut dict, _, mut rng) = setup();
-        for i in 0..5 {
-            dict.insert(format!("k{i}").as_bytes(), b"v", &mut rng);
+        let signed: Vec<SignedRoot> = (0..5)
+            .map(|i| dict.insert(format!("k{i}").as_bytes(), b"v", &mut rng))
+            .collect();
+        for (i, r) in signed.iter().enumerate() {
+            assert_eq!(r.version, i as u64 + 2);
         }
-        let history = dict.root_history();
-        assert_eq!(history.len(), 5);
-        for (i, r) in history.iter().enumerate() {
-            assert_eq!(r.version, i as u64 + 1);
-        }
-        // Roots change with every mutation.
-        let unique: std::collections::HashSet<_> = history.iter().map(|r| r.root).collect();
+        // Roots change with every mutation, and proofs use the latest.
+        let unique: std::collections::HashSet<_> = signed.iter().map(|r| r.root).collect();
         assert_eq!(unique.len(), 5);
+        assert_eq!(dict.prove(b"k0").1, signed[4]);
     }
 
     #[test]
     fn wrong_owner_rejected() {
         let (dict, _, mut rng) = populated();
         let mallory = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
-        let (proof, root) = dict.prove(b"bob").unwrap();
+        let (proof, root) = dict.prove(b"bob");
         assert_eq!(
             AuthenticatedDictionary::verify(mallory.verifying_key(), &root, b"bob", &proof)
                 .unwrap_err(),
@@ -573,7 +586,7 @@ mod tests {
         for i in 0..128 {
             dict.insert(format!("user{i:03}").as_bytes(), b"member", &mut rng);
         }
-        let (proof, root) = dict.prove(b"user064").unwrap();
+        let (proof, root) = dict.prove(b"user064");
         let LookupProof::Present { ref path, .. } = proof else {
             panic!()
         };

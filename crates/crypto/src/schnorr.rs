@@ -129,20 +129,6 @@ impl SigningKey {
 }
 
 impl VerifyingKey {
-    /// Constructs a verifying key from its public element.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::Protocol`] if `y` is not a group element.
-    pub fn from_element(group: SchnorrGroup, y: BigUint) -> Result<Self, CryptoError> {
-        if !group.contains(&y) {
-            return Err(CryptoError::Protocol(
-                "verification key is not a group element".into(),
-            ));
-        }
-        Ok(VerifyingKey { group, y })
-    }
-
     /// The public element `y = g^x`.
     pub fn element(&self) -> &BigUint {
         &self.y
@@ -338,14 +324,6 @@ mod tests {
         let k3 = SigningKey::from_seed(g, b"alice-device-2");
         assert_eq!(k1.verifying_key(), k2.verifying_key());
         assert_ne!(k1.verifying_key(), k3.verifying_key());
-    }
-
-    #[test]
-    fn from_element_validates_membership() {
-        let g = SchnorrGroup::toy();
-        assert!(VerifyingKey::from_element(g.clone(), BigUint::zero()).is_err());
-        let valid = g.pow_g(&BigUint::from(12345u64));
-        assert!(VerifyingKey::from_element(g, valid).is_ok());
     }
 
     #[test]

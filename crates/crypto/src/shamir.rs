@@ -12,7 +12,7 @@ use crate::error::CryptoError;
 use rand::RngCore;
 
 /// The field modulus: the Mersenne prime `2^61 − 1`.
-pub const FIELD_PRIME: u64 = (1u64 << 61) - 1;
+const FIELD_PRIME: u64 = (1u64 << 61) - 1;
 
 const CHUNK: usize = 7;
 

@@ -2,15 +2,11 @@
 //!
 //! The survey proposes "ZKP alongside pseudonyms" for searcher privacy: a
 //! user operates under a pseudonym and proves possession of an access
-//! privilege without revealing anything else. This module provides:
+//! privilege without revealing anything else. This module provides
+//! [`DlogProof`], a Fiat–Shamir Schnorr proof of knowledge of a discrete
+//! logarithm (prove you know `x` with `y = g^x` without revealing `x`).
 //!
-//! * [`DlogProof`] — a Fiat–Shamir Schnorr proof of knowledge of a discrete
-//!   logarithm (prove you know `x` with `y = g^x` without revealing `x`);
-//! * [`EqualityProof`] — a Chaum–Pedersen proof that two group elements
-//!   share the same exponent (`y1 = g^x` and `y2 = h^x`), the building block
-//!   for pseudonym-to-credential linking without identity disclosure.
-//!
-//! Both accept a `context` byte string that is bound into the challenge, so
+//! It accepts a `context` byte string that is bound into the challenge, so
 //! proofs cannot be replayed across protocol contexts.
 
 use crate::chacha::SecureRng;
@@ -83,74 +79,6 @@ impl DlogProof {
     }
 }
 
-/// Chaum–Pedersen NIZK: proves `log_g(y1) == log_h(y2)` without revealing it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EqualityProof {
-    commitment_g: BigUint,
-    commitment_h: BigUint,
-    response: BigUint,
-}
-
-impl EqualityProof {
-    /// Proves that `y1 = g^x` and `y2 = h^x` share the exponent `x`.
-    pub fn prove(
-        group: &SchnorrGroup,
-        x: &BigUint,
-        h: &BigUint,
-        context: &[u8],
-        rng: &mut SecureRng,
-    ) -> Self {
-        let k = group.random_scalar(rng);
-        let commitment_g = group.pow_g(&k);
-        let commitment_h = group.pow(h, &k);
-        let y1 = group.pow_g(x);
-        let y2 = group.pow(h, x);
-        let e = challenge(group, &[h, &y1, &y2, &commitment_g, &commitment_h], context);
-        let response = k.addmod(&x.mulmod(&e, group.order()), group.order());
-        EqualityProof {
-            commitment_g,
-            commitment_h,
-            response,
-        }
-    }
-
-    /// Verifies the proof for public elements `y1 = g^x`, `y2 = h^x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidProof`] on failure.
-    pub fn verify(
-        &self,
-        group: &SchnorrGroup,
-        h: &BigUint,
-        y1: &BigUint,
-        y2: &BigUint,
-        context: &[u8],
-    ) -> Result<(), CryptoError> {
-        for el in [h, y1, y2, &self.commitment_g, &self.commitment_h] {
-            if !group.contains(el) {
-                return Err(CryptoError::InvalidProof);
-            }
-        }
-        let e = challenge(
-            group,
-            &[h, y1, y2, &self.commitment_g, &self.commitment_h],
-            context,
-        );
-        // Same rearrangement as DlogProof::verify: fold y^e into the
-        // left-hand multi-exp as y^(q-e).
-        let neg_e = group.order() - &e;
-        let ok_g = group.multi_pow(&[(group.generator(), &self.response), (y1, &neg_e)])
-            == self.commitment_g;
-        let ok_h = group.multi_pow(&[(h, &self.response), (y2, &neg_e)]) == self.commitment_h;
-        if ok_g && ok_h {
-            Ok(())
-        } else {
-            Err(CryptoError::InvalidProof)
-        }
-    }
-}
-
 fn challenge(group: &SchnorrGroup, elements: &[&BigUint], context: &[u8]) -> BigUint {
     let encoded: Vec<Vec<u8>> = elements.iter().map(|e| group.element_bytes(e)).collect();
     let mut parts: Vec<&[u8]> = vec![b"dosn.zkp.v1", context];
@@ -213,39 +141,5 @@ mod tests {
         let p1 = DlogProof::prove(&g, &x, b"c", &mut rng);
         let p2 = DlogProof::prove(&g, &x, b"c", &mut rng);
         assert_ne!(p1, p2);
-    }
-
-    #[test]
-    fn equality_proof_roundtrip() {
-        let (g, mut rng) = setup();
-        let x = g.random_scalar(&mut rng);
-        let h = g.hash_to_element(b"second generator");
-        let y1 = g.pow_g(&x);
-        let y2 = g.pow(&h, &x);
-        let proof = EqualityProof::prove(&g, &x, &h, b"link", &mut rng);
-        proof.verify(&g, &h, &y1, &y2, b"link").unwrap();
-    }
-
-    #[test]
-    fn equality_proof_rejects_unequal_exponents() {
-        let (g, mut rng) = setup();
-        let x = g.random_scalar(&mut rng);
-        let x2 = g.random_scalar(&mut rng);
-        let h = g.hash_to_element(b"h");
-        let y1 = g.pow_g(&x);
-        let y2_wrong = g.pow(&h, &x2);
-        let proof = EqualityProof::prove(&g, &x, &h, b"link", &mut rng);
-        assert!(proof.verify(&g, &h, &y1, &y2_wrong, b"link").is_err());
-    }
-
-    #[test]
-    fn equality_proof_context_bound() {
-        let (g, mut rng) = setup();
-        let x = g.random_scalar(&mut rng);
-        let h = g.hash_to_element(b"h");
-        let y1 = g.pow_g(&x);
-        let y2 = g.pow(&h, &x);
-        let proof = EqualityProof::prove(&g, &x, &h, b"link-1", &mut rng);
-        assert!(proof.verify(&g, &h, &y1, &y2, b"link-2").is_err());
     }
 }

@@ -2,8 +2,10 @@
 //! arbitrary malformed input — the overlay hands these functions bytes
 //! fetched from untrusted storage nodes.
 
-use dosn_crypto::abe::Policy;
+use dosn_crypto::abe::{AbeAuthority, Policy};
+use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::elgamal::HybridCiphertext;
+use dosn_crypto::error::CryptoError;
 use dosn_crypto::group::SchnorrGroup;
 use dosn_crypto::schnorr::Signature;
 use dosn_crypto::shamir::{reconstruct, Share};
@@ -68,7 +70,6 @@ proptest! {
 /// in release.
 #[test]
 fn a_policy_nested_a_hundred_thousand_deep_is_an_error_not_an_abort() {
-    use dosn_crypto::error::CryptoError;
     const DEPTH: usize = 100_000;
     for (open, close) in [("(", ")"), ("(a AND ", ")"), ("1 of (", ")")] {
         let policy = format!("{}a{}", open.repeat(DEPTH), close.repeat(DEPTH));
@@ -76,5 +77,35 @@ fn a_policy_nested_a_hundred_thousand_deep_is_an_error_not_an_abort() {
             matches!(Policy::parse(&policy), Err(CryptoError::PolicyParse(_))),
             "{open}"
         );
+    }
+}
+
+/// `depth` AND gates, each over the one below, above one attribute.
+fn and_chain(depth: usize) -> Policy {
+    (0..depth).fold(Policy::Attr("a".into()), |p, _| Policy::And(vec![p]))
+}
+
+/// A policy tree a million gates deep, built in code: encryption refuses it
+/// with a typed error before sharing out any key, nothing satisfies it, and
+/// dropping it frees it without recursing. Dropping it used to overflow a
+/// test thread's stack and abort the process.
+#[test]
+fn a_policy_a_million_gates_deep_is_refused_and_dropped_without_an_abort() {
+    let authority = AbeAuthority::new([7; 32]);
+    let mut rng = SecureRng::seed_from_u64(7);
+    let holds_a = ["a".to_string()].into();
+    for depth in [64, 65, 1_000_000] {
+        let policy = and_chain(depth);
+        let sealed = authority.encrypt(&policy, b"x", &mut rng);
+        if depth == 64 {
+            assert!(sealed.is_ok());
+            assert!(policy.satisfied_by(&holds_a));
+        } else {
+            assert!(
+                matches!(sealed, Err(CryptoError::PolicyParse(_))),
+                "{depth}"
+            );
+            assert!(!policy.satisfied_by(&holds_a), "{depth}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! memory (65 words) trivially cheap.
 
 /// Number of buckets: one per possible `u64` bit length, plus zero.
-pub const BUCKETS: usize = 65;
+const BUCKETS: usize = 65;
 
 /// Bucket index for a value: its bit length (0 for the value 0).
 fn bucket_of(v: u64) -> usize {
@@ -22,7 +22,7 @@ fn bucket_of(v: u64) -> usize {
 /// # Panics
 ///
 /// Panics if `b >= BUCKETS`.
-pub fn bucket_upper(b: usize) -> u64 {
+fn bucket_upper(b: usize) -> u64 {
     assert!(b < BUCKETS, "bucket index out of range");
     if b == 0 {
         0
@@ -72,7 +72,7 @@ impl Histogram {
     }
 
     /// Records `n` identical samples (bucket-merge fast path).
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }

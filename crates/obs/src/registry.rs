@@ -85,7 +85,7 @@ impl HistHandle {
     }
 
     /// Merges a value-type histogram (e.g. a per-node aggregate) in.
-    pub fn merge_from(&self, other: &Histogram) {
+    fn merge_from(&self, other: &Histogram) {
         write_hist(&self.0).merge(other);
     }
 
@@ -118,7 +118,7 @@ impl Timer {
     }
 
     /// Microseconds elapsed so far, without recording.
-    pub fn elapsed_us(&self) -> u64 {
+    fn elapsed_us(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 

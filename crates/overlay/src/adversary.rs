@@ -183,11 +183,6 @@ impl<P: StoragePlane> AdversaryPlane<P> {
         self.compromised_nodes.insert(node);
     }
 
-    /// The explicitly compromised nodes.
-    pub fn compromised_nodes(&self) -> &BTreeSet<NodeId> {
-        &self.compromised_nodes
-    }
-
     /// Registers a stale-but-valid alternate version of `key` for the
     /// equivocation attack: compromised holders serve it to readers whose
     /// tag has odd parity (see [`AdversaryPlane::begin_read`]) and the

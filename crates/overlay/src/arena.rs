@@ -10,12 +10,12 @@
 //! `HashMap<u64, Vec<u8>>` plus eagerly-built routing tables, which at
 //! 10⁶ nodes is gigabytes of empty maps:
 //!
-//! * [`NodeArena`] — struct-of-arrays membership state: one sorted `Vec<u64>`
+//! * `NodeArena` — struct-of-arrays membership state: one sorted `Vec<u64>`
 //!   of ring/XOR identifiers with a parallel online bitmap. Nodes are
 //!   addressed by dense `u32` slot or by identifier (binary search); no
 //!   per-node allocation exists at all. The super-peer and federation
 //!   planes use the dense ids `0..n`.
-//! * [`SharedStore`] — a single interned key/value store shared by every
+//! * `SharedStore` — a single interned key/value store shared by every
 //!   node of an overlay. Entries are `(node id, key) → value index`; the
 //!   value bytes themselves are deduplicated, so R replicas of the same blob
 //!   cost one allocation plus R entries, and a value is freed with its last
@@ -198,7 +198,7 @@ impl Holders {
 
 /// Struct-of-arrays node membership: sorted identifiers + online bitmap.
 #[derive(Debug, Clone, Default)]
-pub struct NodeArena {
+pub(crate) struct NodeArena {
     ids: Vec<u64>,
     online: Vec<bool>,
     online_len: usize,
@@ -358,7 +358,7 @@ impl NodeArena {
 /// overwrite or a purge), so the table never holds more distinct values
 /// than entries.
 #[derive(Debug, Clone, Default)]
-pub struct SharedStore {
+pub(crate) struct SharedStore {
     entries: HashMap<(u64, u64), Arc<[u8]>>,
     /// Every value an entry holds, once.
     values: HashSet<Arc<[u8]>>,

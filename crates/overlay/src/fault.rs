@@ -240,8 +240,17 @@ impl FaultPlan {
         self
     }
 
+    /// The one crash rule: `node` is down at `now_ms` iff one of its crash
+    /// windows (`at_ms` up to `recover_at_ms`, or for ever) contains it,
+    /// whatever order the plan lists them in.
+    pub(crate) fn is_crashed(&self, node: NodeId, now_ms: u64) -> bool {
+        self.crashes.iter().any(|c| {
+            c.node == node && c.at_ms <= now_ms && c.recover_at_ms.is_none_or(|r| r > now_ms)
+        })
+    }
+
     /// Whether any partition separates `from` and `to` at `now_ms`.
-    pub fn is_partitioned(&self, from: NodeId, to: NodeId, now_ms: u64) -> bool {
+    fn is_partitioned(&self, from: NodeId, to: NodeId, now_ms: u64) -> bool {
         let (a, b) = (from.0, to.0);
         self.partitions.iter().any(|p| {
             (p.from_ms..p.until_ms).contains(&now_ms)
@@ -477,7 +486,7 @@ impl LinkFaults {
     /// Decides whether a transmission succeeds within `retries + 1`
     /// attempts; returns the number of attempts consumed alongside the
     /// outcome. Partitioned links never succeed regardless of budget.
-    pub fn delivers_with_retries(&mut self, from: NodeId, to: NodeId, retries: u32) -> (bool, u32) {
+    fn delivers_with_retries(&mut self, from: NodeId, to: NodeId, retries: u32) -> (bool, u32) {
         let mut used = 0;
         for _ in 0..=retries {
             used += 1;

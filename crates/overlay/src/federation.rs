@@ -115,7 +115,7 @@ impl FederationPlane {
     }
 
     /// The home server index of `user`.
-    pub fn home_server(&self, user: &str) -> Option<usize> {
+    fn home_server(&self, user: &str) -> Option<usize> {
         self.home_of.get(user).copied()
     }
 

@@ -1,4 +1,4 @@
-//! Unstructured overlay: flooding and gossip (survey §II-B, "unstructured").
+//! Unstructured overlay: flooding (survey §II-B, "unstructured").
 //!
 //! "No user in the system stores any index, and operations … are simply done
 //! by the use of flooding or gossip-based communication" — with "almost zero
@@ -6,18 +6,15 @@
 //!
 //! * a random k-regular-ish peer topology ([`UnstructuredOverlay`]);
 //! * TTL-bounded flooding search with full message accounting — the
-//!   O(n)-messages contrast to Chord's O(log n) hops in experiment E5;
-//! * a push **gossip** rumor-spreading actor ([`GossipActor`]) running on the
-//!   event simulator, used by the hybrid overlay's cache layer and by the
-//!   fork-consistency experiment (E4).
+//!   O(n)-messages contrast to Chord's O(log n) hops in experiment E5.
 
 use crate::fault::LinkFaults;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::{Actor, Context, LatencyModel};
+use crate::sim::LatencyModel;
 use dosn_obs::names;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// An unstructured peer-to-peer overlay with random neighbor links.
@@ -209,119 +206,6 @@ impl UnstructuredOverlay {
     }
 }
 
-/// Messages exchanged by the gossip protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GossipMsg {
-    /// A rumor: (rumor id, payload).
-    Rumor(u64, Vec<u8>),
-}
-
-/// Push-gossip rumor spreading: on hearing a new rumor, forward it to
-/// `fanout` random neighbors each round for `rounds_to_live` rounds.
-#[derive(Debug, Clone)]
-pub struct GossipActor {
-    neighbors: Vec<NodeId>,
-    fanout: usize,
-    rounds_to_live: u32,
-    round_ms: u64,
-    /// rumor id -> payload for everything this node has heard.
-    pub heard: HashMap<u64, Vec<u8>>,
-    active: Vec<(u64, u32)>,
-}
-
-impl GossipActor {
-    /// Creates a gossip node with the given static neighbor view.
-    pub fn new(neighbors: Vec<NodeId>, fanout: usize, rounds_to_live: u32) -> Self {
-        GossipActor {
-            neighbors,
-            fanout,
-            rounds_to_live,
-            round_ms: 200,
-            heard: HashMap::new(),
-            active: Vec::new(),
-        }
-    }
-
-    /// Seeds a rumor at this node (call before running the simulation, then
-    /// [`crate::sim::Simulation::start`]).
-    pub fn seed_rumor(&mut self, id: u64, payload: Vec<u8>) {
-        self.heard.insert(id, payload);
-        self.active.push((id, 0));
-    }
-
-    fn spread(&mut self, ctx: &mut Context<'_, GossipMsg>) {
-        if self.neighbors.is_empty() {
-            return;
-        }
-        let mut next_active = Vec::new();
-        let actives = std::mem::take(&mut self.active);
-        for (id, age) in actives {
-            if age >= self.rounds_to_live {
-                continue;
-            }
-            let payload = self.heard[&id].clone();
-            for _ in 0..self.fanout {
-                let idx = (ctx.rng().next_u64() as usize) % self.neighbors.len();
-                let target = self.neighbors[idx];
-                if target != ctx.self_id() {
-                    ctx.send(target, GossipMsg::Rumor(id, payload.clone()));
-                }
-            }
-            next_active.push((id, age + 1));
-        }
-        self.active = next_active;
-        if !self.active.is_empty() {
-            ctx.set_timer(self.round_ms, 0);
-        }
-    }
-}
-
-impl Actor for GossipActor {
-    type Msg = GossipMsg;
-
-    fn on_message(&mut self, ctx: &mut Context<'_, GossipMsg>, _from: NodeId, msg: GossipMsg) {
-        let GossipMsg::Rumor(id, payload) = msg;
-        if self.heard.contains_key(&id) {
-            return;
-        }
-        self.heard.insert(id, payload);
-        self.active.push((id, 0));
-        ctx.set_timer(self.round_ms, 0);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, GossipMsg>, _tag: u64) {
-        self.spread(ctx);
-    }
-
-    fn on_online(&mut self, ctx: &mut Context<'_, GossipMsg>) {
-        if !self.active.is_empty() {
-            ctx.set_timer(self.round_ms, 0);
-        }
-    }
-}
-
-/// Builds a gossip simulation over a random topology; returns it ready to
-/// [`crate::sim::Simulation::start`].
-pub fn gossip_network(
-    n: usize,
-    degree: usize,
-    fanout: usize,
-    rounds_to_live: u32,
-    seed: u64,
-) -> crate::sim::Simulation<GossipActor> {
-    let topo = UnstructuredOverlay::build(n, degree, seed);
-    let actors = (0..n)
-        .map(|i| {
-            GossipActor::new(
-                topo.neighbors(NodeId(i as u64)).to_vec(),
-                fanout,
-                rounds_to_live,
-            )
-        })
-        .collect();
-    crate::sim::Simulation::new(actors, seed ^ 0x9e37_79b9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,48 +284,5 @@ mod tests {
         // Offline searcher cannot search.
         net.set_online(NodeId(0), false);
         assert!(net.flood_search(NodeId(0), key, 10, &mut m).is_none());
-    }
-
-    #[test]
-    fn gossip_reaches_most_nodes() {
-        let mut sim = gossip_network(100, 4, 3, 6, 42);
-        sim.actor_mut(NodeId(0)).seed_rumor(1, b"hot take".to_vec());
-        sim.start();
-        sim.run_until(60_000);
-        let heard = (0..100)
-            .filter(|&i| sim.actor(NodeId(i)).heard.contains_key(&1))
-            .count();
-        assert!(heard >= 90, "only {heard}/100 heard the rumor");
-    }
-
-    #[test]
-    fn gossip_rumors_do_not_mix() {
-        let mut sim = gossip_network(50, 4, 3, 6, 43);
-        sim.actor_mut(NodeId(0)).seed_rumor(1, b"a".to_vec());
-        sim.actor_mut(NodeId(25)).seed_rumor(2, b"b".to_vec());
-        sim.start();
-        sim.run_until(60_000);
-        let a_heard = (0..50)
-            .filter(|&i| sim.actor(NodeId(i)).heard.get(&1) == Some(&b"a".to_vec()))
-            .count();
-        let b_heard = (0..50)
-            .filter(|&i| sim.actor(NodeId(i)).heard.get(&2) == Some(&b"b".to_vec()))
-            .count();
-        assert!(a_heard >= 40 && b_heard >= 40);
-    }
-
-    #[test]
-    fn gossip_offline_nodes_miss_rumor() {
-        let mut sim = gossip_network(60, 4, 3, 6, 44);
-        for i in 40..60 {
-            sim.schedule_churn(0, NodeId(i), false);
-        }
-        sim.actor_mut(NodeId(0)).seed_rumor(7, b"x".to_vec());
-        sim.start();
-        sim.run_until(60_000);
-        let offline_heard = (40..60)
-            .filter(|&i| sim.actor(NodeId(i)).heard.contains_key(&7))
-            .count();
-        assert_eq!(offline_heard, 0);
     }
 }

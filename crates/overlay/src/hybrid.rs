@@ -121,11 +121,6 @@ impl HybridOverlay {
         self.dht.plane()
     }
 
-    /// Mutable access to the structured layer (churn injection in tests).
-    pub fn dht_mut(&mut self) -> &mut ChordPlane {
-        self.dht.plane_mut()
-    }
-
     /// A node's social contacts.
     pub fn contacts(&self, node: NodeId) -> &[NodeId] {
         self.contacts.get(&node).map_or(&[], Vec::as_slice)
@@ -301,13 +296,17 @@ mod tests {
         let mut n = net();
         let mut m = Metrics::new();
         let key = Key::hash(b"written-while-down");
-        let candidates = n.dht_mut().replica_candidates(key, 3, &mut m).unwrap();
+        let candidates = n
+            .dht
+            .plane_mut()
+            .replica_candidates(key, 3, &mut m)
+            .unwrap();
         let down = candidates[1];
-        n.dht_mut().set_online(down, false);
+        n.dht.plane_mut().set_online(down, false);
         let holders = n.put(key, vec![118], &mut m).unwrap();
         assert_eq!(holders.len(), 3);
-        n.dht_mut().set_online(down, true);
-        assert_eq!(n.dht_mut().fetch_from(down, key, &mut m), Ok(None));
+        n.dht.plane_mut().set_online(down, true);
+        assert_eq!(n.dht.plane_mut().fetch_from(down, key, &mut m), Ok(None));
     }
 
     #[test]
@@ -318,7 +317,7 @@ mod tests {
         n.put(key, b"v".to_vec(), &mut m).unwrap();
         let r1 = n.dht().random_node(3).unwrap();
         n.get(r1, key, &mut m).unwrap();
-        n.dht_mut().set_online(r1, false);
+        n.dht.plane_mut().set_online(r1, false);
         let r2 = n
             .contacts(r1)
             .iter()

@@ -126,11 +126,6 @@ impl StorageAccounting {
         self.bytes.values().sum()
     }
 
-    /// The most-loaded node's byte count (0 when nothing is stored).
-    pub fn max_node_bytes(&self) -> u64 {
-        self.bytes.values().copied().max().unwrap_or(0)
-    }
-
     /// Number of nodes holding at least one replica byte.
     pub fn nodes_used(&self) -> usize {
         self.bytes.values().filter(|&&b| b > 0).count()
@@ -230,14 +225,12 @@ mod tests {
     fn storage_accounting_totals() {
         let mut a = StorageAccounting::new();
         assert_eq!(a.total_bytes(), 0);
-        assert_eq!(a.max_node_bytes(), 0);
         a.add(NodeId(1), 100);
         a.add(NodeId(1), 50);
         a.add(NodeId(2), 20);
         assert_eq!(a.bytes_on(NodeId(1)), 150);
         assert_eq!(a.bytes_on(NodeId(9)), 0);
         assert_eq!(a.total_bytes(), 170);
-        assert_eq!(a.max_node_bytes(), 150);
         assert_eq!(a.nodes_used(), 2);
         assert_eq!(a.iter().count(), 2);
     }

@@ -75,7 +75,7 @@ impl SocialPlacement {
 
     /// The owner vertex for `key`: the declared owner, else a hash of the
     /// key.
-    pub fn owner_vertex(&self, key: Key) -> u32 {
+    fn owner_vertex(&self, key: Key) -> u32 {
         self.owners
             .get(&key.0)
             .copied()

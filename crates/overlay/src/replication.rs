@@ -29,9 +29,11 @@ use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::{names, Registry};
 
 /// Applies the crash schedule of a [`FaultPlan`] to a storage plane as of
-/// simulated time `now_ms`: nodes inside a crash window go offline, nodes
-/// past their recovery time come back. Crash events naming nodes the plane
-/// does not have are ignored. Returns how many nodes are down afterwards.
+/// simulated time `now_ms`: a node inside any of its crash windows goes
+/// offline, and one the plan names outside all of them comes back, as the
+/// simulator schedules the same plan. Crash events naming nodes the plane
+/// does not have are ignored. Returns how many named nodes are down
+/// afterwards.
 ///
 /// This is the bridge to the fault-injection harness: availability
 /// experiments build one [`FaultPlan`], drive the simulator with it, and
@@ -42,16 +44,17 @@ pub fn apply_crash_schedule<P: StoragePlane + ?Sized>(
     now_ms: u64,
 ) -> usize {
     let known = plane.node_ids();
-    let mut down = 0;
+    let mut named = Vec::new();
     for crash in &plan.crashes {
-        if !known.contains(&crash.node) {
-            continue;
+        if known.contains(&crash.node) && !named.contains(&crash.node) {
+            named.push(crash.node);
         }
-        let crashed = crash.at_ms <= now_ms && crash.recover_at_ms.is_none_or(|r| r > now_ms);
-        plane.set_online(crash.node, !crashed);
-        if crashed {
-            down += 1;
-        }
+    }
+    let mut down = 0;
+    for node in named {
+        let crashed = plan.is_crashed(node, now_ms);
+        plane.set_online(node, !crashed);
+        down += usize::from(crashed);
     }
     down
 }

@@ -286,10 +286,14 @@ where
             trace: SimTrace::new(),
             stats: SimStats::default(),
         };
+        // A recovery inside another of the node's crash windows is no
+        // recovery (see `FaultPlan::is_crashed`).
         for crash in sim.faults.crashes.clone() {
             sim.schedule_churn(crash.at_ms, crash.node, false);
             if let Some(up) = crash.recover_at_ms {
-                sim.schedule_churn(up, crash.node, true);
+                if !sim.faults.is_crashed(crash.node, up) {
+                    sim.schedule_churn(up, crash.node, true);
+                }
             }
         }
         sim
@@ -349,15 +353,6 @@ where
     /// Panics when `id` is out of range.
     pub fn actor(&self, id: NodeId) -> &A {
         &self.actors[id.0 as usize]
-    }
-
-    /// Mutable access to an actor (for test setup and inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is out of range.
-    pub fn actor_mut(&mut self, id: NodeId) -> &mut A {
-        &mut self.actors[id.0 as usize]
     }
 
     /// Whether a node is currently online (`false` for a node the

@@ -116,11 +116,6 @@ impl SuperPeerPlane {
         }
     }
 
-    /// The elected super-peers.
-    pub fn super_peers(&self) -> &[NodeId] {
-        &self.supers
-    }
-
     /// The super-peer responsible for indexing `key` (by hash partition).
     fn index_home(&self, key: Key) -> NodeId {
         self.supers[(key.0 as usize) % self.supers.len()]
@@ -200,7 +195,7 @@ impl SuperPeerPlane {
             metrics.record(names::SUPER_QUERY, 32, hop.draw(&mut self.rng));
         }
         if !self.is_online(own_super) {
-            return None; // orphaned leaf until re-election
+            return None; // orphaned leaf while its super-peer is down
         }
         let home = self.index_home(key);
         if home != own_super {
@@ -217,79 +212,6 @@ impl SuperPeerPlane {
             .get(&key.0)
             .and_then(|holders| holders.iter().copied().find(|h| self.is_online(*h)))
     }
-
-    /// Re-elects super-peers after failures: offline super-peers are
-    /// replaced by the highest-uptime online leaves, and their index
-    /// partitions rebuilt from scratch (returns re-index message count —
-    /// the semi-structured maintenance cost). With every peer offline there
-    /// is nobody to elect: the overlay is left as it is and the cost is 0.
-    pub fn reelect(&mut self) -> u64 {
-        if self.online_count() == 0 {
-            return 0;
-        }
-        let failed: Vec<NodeId> = self
-            .supers
-            .iter()
-            .copied()
-            .filter(|&s| !self.is_online(s))
-            .collect();
-        if failed.is_empty() {
-            return 0;
-        }
-        // Collect surviving index entries before re-partitioning.
-        let mut entries: Vec<(u64, Vec<NodeId>)> = Vec::new();
-        for (_, part) in self.index.iter() {
-            for (k, holders) in part {
-                entries.push((*k, holders.clone()));
-            }
-        }
-        // Promote best online leaves.
-        let mut candidates: Vec<usize> = (0..self.peers.len())
-            .filter(|&i| {
-                self.is_online(NodeId(i as u64)) && !self.supers.contains(&NodeId(i as u64))
-            })
-            .collect();
-        candidates.sort_by(|&a, &b| {
-            self.peers[b]
-                .uptime
-                .partial_cmp(&self.peers[a].uptime)
-                .expect("finite")
-        });
-        let mut replacements = candidates.into_iter();
-        for failed_super in &failed {
-            if let Some(new_idx) = replacements.next() {
-                let new_super = NodeId(new_idx as u64);
-                let pos = self
-                    .supers
-                    .iter()
-                    .position(|s| s == failed_super)
-                    .expect("failed super in list");
-                self.supers[pos] = new_super;
-                self.peers[new_idx].attached_to = None;
-            } else {
-                self.supers.retain(|s| s != failed_super);
-            }
-        }
-        // Reattach leaves and rebuild the index.
-        let supers = self.supers.clone();
-        for (i, peer) in self.peers.iter_mut().enumerate() {
-            let id = NodeId(i as u64);
-            if supers.contains(&id) {
-                peer.attached_to = None;
-            } else {
-                peer.attached_to = Some(supers[i % supers.len()]);
-            }
-        }
-        self.index = supers.iter().map(|&s| (s, HashMap::new())).collect();
-        let mut msgs = 0u64;
-        for (k, holders) in entries {
-            for h in holders {
-                self.publish(h, Key(k));
-                msgs += 2;
-            }
-        }
-        msgs
-    }
 }
 
 impl StoragePlane for SuperPeerPlane {
@@ -305,8 +227,7 @@ impl StoragePlane for SuperPeerPlane {
         &mut self.holders
     }
 
-    /// A failed super-peer takes its index partition offline until
-    /// re-election (call [`SuperPeerPlane::reelect`]).
+    /// A failed super-peer takes its index partition offline.
     fn set_online(&mut self, node: NodeId, online: bool) {
         self.holders.set_online(node, online);
     }
@@ -382,12 +303,12 @@ mod tests {
     fn election_prefers_high_uptime() {
         let net = SuperPeerPlane::build(100, 10, 3);
         let min_super_uptime = net
-            .super_peers()
+            .supers
             .iter()
             .map(|s| net.peers[s.0 as usize].uptime)
             .fold(f64::INFINITY, f64::min);
         let max_leaf_uptime = (0..100)
-            .filter(|i| !net.super_peers().contains(&NodeId(*i)))
+            .filter(|i| !net.supers.contains(&NodeId(*i)))
             .map(|i| net.peers[i as usize].uptime)
             .fold(0.0, f64::max);
         assert!(min_super_uptime >= max_leaf_uptime);
@@ -399,8 +320,8 @@ mod tests {
         for i in 0..50 {
             let id = NodeId(i);
             let sup = net.super_of(id).unwrap();
-            assert!(net.super_peers().contains(&sup));
-            if net.super_peers().contains(&id) {
+            assert!(net.supers.contains(&sup));
+            if net.supers.contains(&id) {
                 assert_eq!(sup, id);
             }
         }
@@ -417,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn super_failure_breaks_partition_until_reelect() {
+    fn a_failed_index_home_takes_its_partition_offline() {
         let mut net = SuperPeerPlane::build(60, 4, 6);
         let key = Key::hash(b"indexed");
         net.publish(NodeId(30), key);
@@ -433,16 +354,6 @@ mod tests {
             .expect("someone is attached elsewhere");
         let mut m = Metrics::new();
         assert_eq!(net.search(searcher, key, &mut m), None, "partition down");
-        let cost = net.reelect();
-        assert!(cost > 0, "re-election re-indexes entries");
-        let mut m2 = Metrics::new();
-        assert_eq!(net.search(searcher, key, &mut m2), Some(NodeId(30)));
-    }
-
-    #[test]
-    fn reelect_noop_when_healthy() {
-        let mut net = SuperPeerPlane::build(30, 3, 7);
-        assert_eq!(net.reelect(), 0);
     }
 
     #[test]
@@ -454,33 +365,6 @@ mod tests {
         net.set_online(NodeId(10), false);
         let mut m = Metrics::new();
         assert_eq!(net.search(NodeId(2), key, &mut m), Some(NodeId(11)));
-    }
-
-    /// Regression: with every peer down, re-election used to drop every
-    /// super-peer and then divide by their count.
-    #[test]
-    fn reelect_with_every_peer_offline_waits_for_one_to_return() {
-        let mut net = SuperPeerPlane::build(8, 2, 3);
-        let key = Key::hash(b"kept");
-        net.publish(NodeId(5), key);
-        let supers = net.super_peers().to_vec();
-        for id in 0..8 {
-            net.set_online(NodeId(id), false);
-        }
-        assert_eq!(net.reelect(), 0, "nobody to elect");
-        assert_eq!(
-            net.super_peers(),
-            &supers[..],
-            "the overlay is left as it was"
-        );
-        // The first peer back is promoted at the next re-election.
-        let back = (0..8).map(NodeId).find(|n| !supers.contains(n)).unwrap();
-        net.set_online(back, true);
-        assert_eq!(net.reelect(), 2, "one index entry re-published");
-        assert_eq!(net.super_peers(), &[back][..]);
-        net.set_online(NodeId(5), true);
-        let mut m = Metrics::new();
-        assert_eq!(net.search(back, key, &mut m), Some(NodeId(5)));
     }
 
     /// Regression: every `store_at` used to append its holder to the index
@@ -501,9 +385,5 @@ mod tests {
             .map(Vec::len)
             .sum();
         assert_eq!(entries, 1);
-        // Re-election re-publishes that one entry: 2 messages, not 10.
-        let failed = *net.super_peers().iter().find(|&&s| s != holder).unwrap();
-        net.set_online(failed, false);
-        assert_eq!(net.reelect(), 2);
     }
 }

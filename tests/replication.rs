@@ -13,6 +13,7 @@ use dosn_core::network::{
 use dosn_overlay::fault::FaultPlan;
 use dosn_overlay::id::NodeId;
 use dosn_overlay::metrics::Metrics;
+use dosn_overlay::sim::{Actor, Context, LatencyModel, Simulation};
 
 const SEED: u64 = 2026;
 
@@ -43,6 +44,21 @@ fn holders<S: StoragePlane>(net: &mut Engine<S>, author: &str, seq: u64, n: usiz
 
 fn repairs(net: &Net) -> u64 {
     net.metrics().count("get.repairs")
+}
+
+/// A node that runs no protocol: the simulator only schedules its crashes.
+struct Idle;
+
+impl Actor for Idle {
+    type Msg = ();
+    fn on_message(&mut self, _: &mut Context<'_, ()>, _: NodeId, _: ()) {}
+}
+
+/// Whether the simulator has its one node online at `t_ms` under `plan`.
+fn simulated_online(plan: FaultPlan, t_ms: u64) -> bool {
+    let mut sim = Simulation::with_faults(vec![Idle], SEED, LatencyModel::default(), plan);
+    sim.run_until(t_ms);
+    sim.is_online(NodeId(0))
 }
 
 #[test]
@@ -145,6 +161,31 @@ fn crash_schedule_from_fault_plan_drives_availability() {
 
         assert_eq!(net.apply_crashes(&plan, 3_000), 0, "{name}: after recovery");
         assert!(net.read_post("bob", "alice", seq).is_ok());
+
+        // Two windows for one node, in either order: it is down iff one of
+        // them contains `t`, and it counts once, as the simulator has its
+        // node under the same plan.
+        let two_windows: [fn(NodeId) -> FaultPlan; 2] = [
+            |n| {
+                FaultPlan::seeded(SEED)
+                    .with_crash_recovery(n, 0, 10)
+                    .with_crash(n, 100)
+            },
+            |n| {
+                FaultPlan::seeded(SEED)
+                    .with_crash(n, 0)
+                    .with_crash_recovery(n, 0, 50)
+            },
+        ];
+        for (i, plan) in two_windows.iter().enumerate() {
+            for t in [0, 5, 10, 20, 50, 99, 100, 200] {
+                let online = simulated_online(plan(NodeId(0)), t);
+                let down = net.apply_crashes(&plan(holder), t);
+                assert_eq!(down, usize::from(!online), "{name}: plan {i}, t = {t}");
+                let plane = net.storage_mut().plane_mut();
+                assert_eq!(plane.is_online(holder), online, "{name}: plan {i}, t = {t}");
+            }
+        }
     });
 }
 
