@@ -7,15 +7,19 @@
 //! campaign, dishonest quorum, pod compromise — after checking that an
 //! engine over a *disabled* `AdversaryPlane` produces byte-identical batch
 //! digests to one over the bare plane (the wrapper is a pure forwarder
-//! until armed).
+//! until armed). A scenario returns only its outcome; this module is where
+//! it is reported: its table, its counters and gauges, its headlines.
 
 use super::{digests_agree, user};
 use crate::{num, wall, Run};
 use dosn_core::engine::{Engine, OpBatch};
-use dosn_core::network::{AdversaryConfig, AdversaryPlane, ChordPlane, ReplicatedStore};
+use dosn_core::network::{
+    AdversaryConfig, AdversaryMode, AdversaryPlane, ChordPlane, ReplicatedStore,
+};
 use dosn_core::scenario::{
     dishonest_quorum, flash_crowd, pod_compromise, sybil_campaign, ScenarioConfig,
 };
+use dosn_obs::names;
 
 const SEED: u64 = 0xE17;
 
@@ -114,20 +118,35 @@ pub(super) fn run(run: &mut Run) {
         num(pod.offline_availability(), 3),
     ]);
 
-    // The scenarios' own deterministic registries, folded into this run's.
-    for scenario_report in [
-        flash.report(),
-        sybil.report(),
-        quorum.report(),
-        pod.report(),
-    ] {
-        for (name, value) in &scenario_report.counters {
-            run.obs().counter(name).add(*value);
-        }
-        for (name, value) in &scenario_report.gauges {
-            run.obs().set_gauge(name, *value);
-        }
-    }
+    // The scenarios' counters and gauges, in scenario order: the sybil
+    // graph's size overwrites the flash crowd's in `sim.nodes`.
+    let obs = run.obs();
+    obs.counter(names::SCENARIO_FLASH_READS)
+        .add(flash.feed_reads);
+    obs.counter(names::CACHE_HITS).add(flash.cache_hits);
+    obs.counter(names::CACHE_MISSES).add(flash.cache_misses);
+    obs.set_gauge(names::SIM_NODES, flash.nodes as f64);
+    let suspects = (sybil.sybils + sybil.honest_controls) * sybil.points.len();
+    obs.counter(names::SCENARIO_SYBIL_SUSPECTS)
+        .add(suspects as u64);
+    obs.set_gauge(names::SIM_NODES, sybil.nodes as f64);
+    let tamper = quorum
+        .points
+        .iter()
+        .filter(|p| p.mode == AdversaryMode::Tamper);
+    obs.counter(names::SCENARIO_QUORUM_READS)
+        .add(quorum.points.iter().map(|p| p.attempted).sum());
+    obs.counter(names::ADVERSARY_TAMPERED)
+        .add(tamper.map(|p| p.fail_closed).sum());
+    obs.counter(names::SCENARIO_POD_KEYS)
+        .add(pod.keys_total as u64);
+    obs.set_gauge(names::ADVERSARY_OBSERVED_KEYS, pod.keys_observed as f64);
+    obs.counter(names::ADVERSARY_TAMPERED)
+        .add(pod.adversary_tampered);
+    obs.counter(names::ADVERSARY_WITHHELD)
+        .add(pod.adversary_withheld);
+    obs.counter(names::ADVERSARY_EQUIVOCATED)
+        .add(pod.adversary_equivocated);
 
     run.headline("adversary_noop_digest_identical", f64::from(identical));
     run.headline("flash_availability", flash.availability);

@@ -1303,10 +1303,13 @@ mod tests {
             n.register_with_scheme("zed", Box::new(pke)),
             Err(DosnError::UnknownUser(_))
         ));
-        assert!(n.directory().lookup("zed").is_err(), "stray key binding");
+        assert!(
+            n.directory().verifying_key("zed").is_err(),
+            "stray key binding"
+        );
         assert_eq!(n.user_count(), users);
         n.register("zed").unwrap();
-        assert!(n.directory().lookup("zed").is_ok());
+        assert!(n.directory().verifying_key("zed").is_ok());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! User identities and their key material.
 //!
 //! Every DOSN user owns a signing key pair (data integrity, survey §IV).
-//! Its verifying key is registered in a [`KeyDirectory`] with explicit
-//! provenance, reflecting §IV-A's point that signature schemes presuppose
-//! solved key distribution. Confidentiality keys (§III) are not part of an
-//! identity: each privacy scheme issues and holds its own, per group or
-//! per recipient (see `crate::privacy`).
+//! Its verifying key is registered in a [`KeyDirectory`], standing in for
+//! the out-of-band exchange that §IV-A notes signature schemes presuppose.
+//! Confidentiality keys (§III) are not part of an identity: each privacy
+//! scheme issues and holds its own, per group or per recipient (see
+//! `crate::privacy`).
 
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
-use dosn_crypto::keys::{KeyDirectory, KeyProvenance};
+use dosn_crypto::keys::KeyDirectory;
 use dosn_crypto::schnorr::SigningKey;
 use std::fmt;
 
@@ -80,8 +80,8 @@ impl fmt::Debug for Identity {
 
 impl Identity {
     /// Creates a new identity in `group` and registers its verifying key in
-    /// `directory` (with [`KeyProvenance::OutOfBand`] — the survey's
-    /// strongest distribution assumption).
+    /// `directory` (as if exchanged out of band — the survey's strongest
+    /// distribution assumption).
     pub fn create(
         id: impl Into<UserId>,
         group: SchnorrGroup,
@@ -90,11 +90,7 @@ impl Identity {
     ) -> Self {
         let id = id.into();
         let signing = SigningKey::generate(group, rng);
-        directory.register(
-            id.as_str(),
-            signing.verifying_key().clone(),
-            KeyProvenance::OutOfBand,
-        );
+        directory.register(id.as_str(), signing.verifying_key().clone());
         Identity { id, signing }
     }
 
@@ -118,9 +114,8 @@ mod tests {
         let mut rng = SecureRng::seed_from_u64(1);
         let dir = KeyDirectory::new();
         let alice = Identity::create("alice", SchnorrGroup::toy(), &dir, &mut rng);
-        let binding = dir.lookup("alice").unwrap();
-        assert_eq!(binding.verifying, *alice.signing().verifying_key());
-        assert_eq!(binding.provenance, KeyProvenance::OutOfBand);
+        let key = dir.verifying_key("alice").unwrap();
+        assert_eq!(key, *alice.signing().verifying_key());
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! *seeded* experiments. Each scenario wires a [`crate::engine::Engine`] or
 //! a bare [`crate::network::ReplicatedStore`] over an
 //! [`crate::network::AdversaryPlane`], drives a workload, and returns an
-//! outcome struct whose [`dosn_obs::RunReport`] is **deterministic**: the
-//! same seed produces byte-identical report JSON (proved by the
-//! `scenario_determinism` integration test). Wall-clock measurements live
-//! on the outcome structs, *outside* the reports, so benches can print
-//! latency without breaking reproducibility.
+//! outcome struct that is **deterministic**: the same seed produces an equal
+//! outcome (proved by the `scenario_determinism` integration test), apart
+//! from the flash crowd's two wall-clock latency fields. The outcome is all
+//! a scenario returns; the bench's E17 reports it.
 //!
 //! The four scenarios, mirroring the survey's threat catalog:
 //!

@@ -11,27 +11,35 @@
 //! * **integrity** — the pod then serves forged bytes; with R=3 mirrors an
 //!   honest majority survives every read (wrong must stay 0);
 //! * **availability** — finally the pod goes dark; reads still succeed.
+//!
+//! Each resident signs their posts ([`SignedEnvelope::seal`]) and the
+//! federation stores the wire record ([`SignedEnvelope::encode_wire`]);
+//! every read checks a copy as an engine read does, by
+//! [`SignedEnvelope::decode_wire`] + [`SignedEnvelope::verify`]. The pod's
+//! forged mirror **passes** that check: tampering flips a record's first 8
+//! bytes, which are the unsigned epoch word. What keeps the forgery out is
+//! the quorum vote — one compromised pod of R = 3 loses it 2–1 — so a read
+//! path that served the first verifying copy would accept it.
 
 use super::ScenarioConfig;
+use crate::identity::Identity;
+use crate::integrity::SignedEnvelope;
 use crate::network::{
     AdversaryConfig, AdversaryMode, AdversaryPlane, FederationPlane, ReplicatedStore,
 };
 use crate::search::audit::{Knowledge, LeakageAudit};
-use dosn_obs::{names, Registry, RunReport, Value};
+use dosn_crypto::chacha::SecureRng;
+use dosn_crypto::group::{GroupSize, SchnorrGroup};
+use dosn_crypto::keys::KeyDirectory;
 use dosn_overlay::id::{Key, NodeId};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::storage::StoragePlane;
-use std::collections::BTreeMap;
 
 /// What the compromised pod saw and what it could (not) break.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PodCompromiseOutcome {
-    /// Pods in the federation.
-    pub pods: usize,
     /// The compromised pod's node id.
     pub compromised_pod: u64,
-    /// Users whose walls were stored through the federation.
-    pub users: usize,
     /// Keys written in total (users × posts).
     pub keys_total: usize,
     /// Keys the compromised pod observed (held a mirror of).
@@ -41,72 +49,29 @@ pub struct PodCompromiseOutcome {
     pub leak_fraction: f64,
     /// Distinct owners whose identity the pod can expose.
     pub owners_exposed: usize,
-    /// Reads attempted in the tampering phase.
-    pub tamper_reads: u64,
-    /// Tampered plaintext accepted (must stay 0).
+    /// Forged records accepted in the tampering phase (must stay 0).
     pub tamper_wrong: u64,
-    /// Correct reads while the pod forged its copies.
+    /// Correct reads while the pod forged its copies (one read per key).
     pub tamper_correct: u64,
-    /// Correct reads after the pod went offline.
+    /// Correct reads after the pod went offline (one read per key).
     pub offline_correct: u64,
-    /// Reads attempted after the pod went offline.
-    pub offline_reads: u64,
     /// Forged serves the pod actually delivered (adversary-side ledger).
     pub adversary_tampered: u64,
     /// Copies the pod withheld (0 in this scenario's modes).
     pub adversary_withheld: u64,
     /// Forked serves the pod delivered (0 — no equivocation phase here).
     pub adversary_equivocated: u64,
-    /// Whether the shrunk workload ran.
-    pub fast: bool,
 }
 
 impl PodCompromiseOutcome {
     /// `correct / attempted` with the pod serving forged bytes.
     pub fn tamper_availability(&self) -> f64 {
-        self.tamper_correct as f64 / self.tamper_reads.max(1) as f64
+        self.tamper_correct as f64 / self.keys_total.max(1) as f64
     }
 
     /// `correct / attempted` with the pod offline.
     pub fn offline_availability(&self) -> f64 {
-        self.offline_correct as f64 / self.offline_reads.max(1) as f64
-    }
-
-    /// The deterministic report for this run.
-    pub fn report(&self) -> RunReport {
-        let mut run = RunReport::new("e17.pod_compromise", self.fast);
-        run.set_headline("pod_leak_fraction", self.leak_fraction, false, 0.10);
-        run.set_headline(
-            "pod_tamper_availability",
-            self.tamper_availability(),
-            true,
-            0.0,
-        );
-        run.set_headline(
-            "pod_offline_availability",
-            self.offline_availability(),
-            true,
-            0.0,
-        );
-        let reg = Registry::new();
-        reg.counter(names::SCENARIO_POD_KEYS)
-            .add(self.keys_total as u64);
-        reg.set_gauge(names::ADVERSARY_OBSERVED_KEYS, self.keys_observed as f64);
-        reg.counter(names::ADVERSARY_TAMPERED)
-            .add(self.adversary_tampered);
-        reg.counter(names::ADVERSARY_WITHHELD)
-            .add(self.adversary_withheld);
-        reg.counter(names::ADVERSARY_EQUIVOCATED)
-            .add(self.adversary_equivocated);
-        run.record_registry(&reg);
-        let mut row = BTreeMap::new();
-        row.insert("pods".into(), Value::from(self.pods));
-        row.insert("compromised_pod".into(), Value::from(self.compromised_pod));
-        row.insert("users".into(), Value::from(self.users));
-        row.insert("owners_exposed".into(), Value::from(self.owners_exposed));
-        row.insert("tamper_wrong".into(), Value::from(self.tamper_wrong));
-        run.add_row(row);
-        run
+        self.offline_correct as f64 / self.keys_total.max(1) as f64
     }
 }
 
@@ -118,9 +83,9 @@ fn pod_user(i: usize) -> String {
 /// observation log, then let it forge and finally fail.
 pub fn run(cfg: &ScenarioConfig) -> PodCompromiseOutcome {
     let (pods, users, posts) = if cfg.fast {
-        (8, 24, 3usize)
+        (8, 24, 3u64)
     } else {
-        (8, 64, 3usize)
+        (8, 64, 3u64)
     };
     let compromised = NodeId(3);
     let adv_cfg = AdversaryConfig::new(cfg.seed ^ 0x90D, 0).with_mode(AdversaryMode::Passive);
@@ -133,44 +98,58 @@ pub fn run(cfg: &ScenarioConfig) -> PodCompromiseOutcome {
     store.plane_mut().set_enabled(true);
     store.plane_mut().compromise_node(compromised);
 
-    let mut written: Vec<(String, Key, Vec<u8>)> = Vec::new();
-    for u in 0..users {
-        let owner = pod_user(u);
+    // Each resident signs their wall posts; the pods store wire records.
+    let group = SchnorrGroup::shared(GroupSize::Toy);
+    let directory = KeyDirectory::new();
+    let mut rng = SecureRng::seed_from_u64(cfg.seed ^ 0x90D);
+    let residents: Vec<Identity> = (0..users)
+        .map(|u| Identity::create(pod_user(u), group.clone(), &directory, &mut rng))
+        .collect();
+    let mut written: Vec<(&Identity, u64, Key, Vec<u8>)> = Vec::new();
+    for resident in &residents {
+        let owner = resident.id();
         for seq in 0..posts {
             let key = Key::hash(format!("wall:{owner}:{seq}").as_bytes());
-            let body = format!("{owner} update {seq} (seed {:x})", cfg.seed).into_bytes();
+            let body = format!("{owner} update {seq} (seed {:x})", cfg.seed);
+            let record =
+                SignedEnvelope::seal(resident, None, seq, seq, None, body.as_bytes(), &mut rng)
+                    .encode_wire(0, &group);
             store
-                .put(key, body.clone(), &mut metrics)
+                .put(key, record.clone(), &mut metrics)
                 .expect("federation write");
-            written.push((owner.clone(), key, body));
+            written.push((resident, seq, key, record));
         }
     }
+    // The check an engine read makes: the record decodes into the author's
+    // slot and its signature verifies under the author's key.
+    let verifies = |author: &Identity, seq: u64, bytes: &[u8]| {
+        SignedEnvelope::decode_wire(author.id(), seq, bytes, &group)
+            .is_ok_and(|(envelope, _)| envelope.verify(&directory, None, posts).is_ok())
+    };
 
     // Leakage accounting: which keys — and therefore which owners — did
     // the pod see? Fold into the same audit ledger the search plane uses.
     let observed = store.plane().stats().observed_keys.clone();
     let mut audit = LeakageAudit::new();
     let mut owners_exposed: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for (owner, key, _) in &written {
+    for (owner, _, key, _) in &written {
         if observed.contains(key) {
             audit.record("pod3", Knowledge::OwnerIdentity);
-            owners_exposed.insert(owner);
+            owners_exposed.insert(owner.id().as_str());
         }
     }
     let keys_observed = written
         .iter()
-        .filter(|(_, k, _)| observed.contains(k))
+        .filter(|(_, _, k, _)| observed.contains(k))
         .count();
 
-    // Phase 2: the pod forges every copy it serves. Reads verify against
-    // the known plaintext, standing in for envelope verification.
+    // Phase 2: the pod forges every copy it serves.
     store.plane_mut().set_mode(AdversaryMode::Tamper);
     let mut tamper_correct = 0u64;
     let mut tamper_wrong = 0u64;
-    for (_, key, body) in &written {
-        let expect = body.clone();
-        match store.get_verified(*key, &mut metrics, move |v| v == expect.as_slice()) {
-            Ok(bytes) if &bytes == body => tamper_correct += 1,
+    for (owner, seq, key, record) in &written {
+        match store.get_verified(*key, &mut metrics, |v| verifies(owner, *seq, v)) {
+            Ok(bytes) if &bytes == record => tamper_correct += 1,
             Ok(_) => tamper_wrong += 1,
             Err(_) => {}
         }
@@ -179,10 +158,9 @@ pub fn run(cfg: &ScenarioConfig) -> PodCompromiseOutcome {
     // Phase 3: the pod goes dark entirely.
     store.plane_mut().set_online(compromised, false);
     let mut offline_correct = 0u64;
-    for (_, key, body) in &written {
-        let expect = body.clone();
-        if matches!(store.get_verified(*key, &mut metrics, move |v| v == expect.as_slice()),
-                    Ok(bytes) if &bytes == body)
+    for (owner, seq, key, record) in &written {
+        if matches!(store.get_verified(*key, &mut metrics, |v| verifies(owner, *seq, v)),
+                    Ok(bytes) if &bytes == record)
         {
             offline_correct += 1;
         }
@@ -191,21 +169,16 @@ pub fn run(cfg: &ScenarioConfig) -> PodCompromiseOutcome {
     let keys_total = written.len();
     let final_stats = store.plane().stats().clone();
     PodCompromiseOutcome {
-        pods,
         compromised_pod: compromised.0,
-        users,
         keys_total,
         keys_observed,
         leak_fraction: keys_observed as f64 / keys_total.max(1) as f64,
         owners_exposed: owners_exposed.len(),
-        tamper_reads: keys_total as u64,
         tamper_wrong,
         tamper_correct,
         offline_correct,
-        offline_reads: keys_total as u64,
         adversary_tampered: final_stats.tampered,
         adversary_withheld: final_stats.withheld,
         adversary_equivocated: final_stats.equivocated,
-        fast: cfg.fast,
     }
 }

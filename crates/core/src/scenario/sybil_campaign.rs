@@ -6,7 +6,7 @@
 //! directly — the one graph type it takes, the one the placement layer
 //! routes on — so a 100k-vertex sweep holds no per-vertex names.
 //!
-//! Per budget the campaign reports precision/recall over the sybil region
+//! Per budget the campaign measures precision/recall over the sybil region
 //! plus an honest control group; the bench gates the tightest-budget
 //! recall (`sybil_detection_rate`) — the regime SybilGuard-style defenses
 //! are supposed to win.
@@ -14,11 +14,9 @@
 use super::ScenarioConfig;
 use crate::network::{SocialGraphConfig, WorkloadGraph};
 use crate::sybil::{inject_sybil_region_csr, SybilDetector};
-use dosn_obs::{names, Registry, RunReport, Value};
-use std::collections::BTreeMap;
 
 /// One attack-edge budget point of the campaign.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SybilPoint {
     /// Attack edges the sybil region bought.
     pub attack_edges: usize,
@@ -37,7 +35,7 @@ pub struct SybilPoint {
 }
 
 /// Campaign results across the budget sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SybilCampaignOutcome {
     /// Honest-graph size.
     pub nodes: usize,
@@ -45,47 +43,12 @@ pub struct SybilCampaignOutcome {
     pub sybils: usize,
     /// Honest control-group size.
     pub honest_controls: usize,
-    /// The calibrated detector that ran.
-    pub detector: SybilDetector,
     /// One point per attack-edge budget, ascending.
     pub points: Vec<SybilPoint>,
     /// Recall at the tightest budget — the gated headline.
     pub detection_rate: f64,
     /// Honest acceptance rate at the tightest budget.
     pub honest_accept_rate: f64,
-    /// Whether the shrunk workload ran.
-    pub fast: bool,
-}
-
-impl SybilCampaignOutcome {
-    /// The deterministic report for this run.
-    pub fn report(&self) -> RunReport {
-        let mut run = RunReport::new("e17.sybil_campaign", self.fast);
-        run.set_headline("sybil_detection_rate", self.detection_rate, true, 0.05);
-        run.set_headline(
-            "sybil_honest_accept_rate",
-            self.honest_accept_rate,
-            true,
-            0.05,
-        );
-        let reg = Registry::new();
-        reg.counter(names::SCENARIO_SYBIL_SUSPECTS)
-            .add(((self.sybils + self.honest_controls) * self.points.len()) as u64);
-        reg.set_gauge(names::SIM_NODES, self.nodes as f64);
-        run.record_registry(&reg);
-        for p in &self.points {
-            let mut row = BTreeMap::new();
-            row.insert("attack_edges".into(), Value::from(p.attack_edges));
-            row.insert("detected".into(), Value::from(p.detected));
-            row.insert("missed".into(), Value::from(p.missed));
-            row.insert("honest_accepted".into(), Value::from(p.honest_accepted));
-            row.insert("honest_rejected".into(), Value::from(p.honest_rejected));
-            row.insert("precision".into(), Value::from(p.precision));
-            row.insert("recall".into(), Value::from(p.recall));
-            run.add_row(row);
-        }
-        run
-    }
 }
 
 /// Calibrates the detector to the graph scale: SybilGuard walks are
@@ -144,11 +107,9 @@ pub fn run(cfg: &ScenarioConfig) -> SybilCampaignOutcome {
         nodes,
         sybils,
         honest_controls: control_group.len(),
-        detector,
         detection_rate: tightest.recall,
         honest_accept_rate: tightest.honest_accepted as f64
             / (tightest.honest_accepted + tightest.honest_rejected).max(1) as f64,
         points,
-        fast: cfg.fast,
     }
 }

@@ -14,7 +14,7 @@
 //! | §III-F, §IV-B | Authenticated dictionary over one Merkle tree (RFC 9162 shape) | [`pad`], [`merkle`] |
 //! | §IV | Digital signatures, hashing | [`schnorr`], [`sha256`] |
 //! | §IV | Batch signature verification (random linear combination) | [`batch`] |
-//! | §IV-A | Key distribution / PKI with provenance | [`keys`] |
+//! | §IV-A | Key distribution (identity → verifying-key directory) | [`keys`] |
 //! | §V-A | Blind signatures | [`blind`] |
 //! | §V-B | Zero-knowledge proofs | [`zkp`] |
 //!

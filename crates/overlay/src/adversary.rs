@@ -72,10 +72,6 @@ pub struct AdversaryConfig {
     pub per_key_holders: usize,
     /// Behavior at compromised holders.
     pub mode: AdversaryMode,
-    /// Tampering style: colluding adversaries serve byte-identical forged
-    /// copies for a key (the strongest attack on a byte-equality quorum);
-    /// non-colluding ones corrupt per node.
-    pub collude: bool,
 }
 
 impl AdversaryConfig {
@@ -85,19 +81,12 @@ impl AdversaryConfig {
             seed,
             per_key_holders,
             mode: AdversaryMode::Passive,
-            collude: true,
         }
     }
 
     /// Sets the misbehavior mode.
     pub fn with_mode(mut self, mode: AdversaryMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Sets the collusion flag.
-    pub fn with_collusion(mut self, collude: bool) -> Self {
-        self.collude = collude;
         self
     }
 }
@@ -246,15 +235,11 @@ impl<P: StoragePlane> AdversaryPlane<P> {
     }
 
     /// Deterministically corrupts `value`: XORs a seeded nonzero mask over
-    /// the leading bytes. Colluding adversaries derive the mask from
-    /// `(seed, key)` so every compromised holder forges the *same* bytes;
-    /// otherwise the node id is mixed in and forgeries disagree.
-    fn tamper_bytes(&self, key: Key, node: NodeId, value: &[u8]) -> Vec<u8> {
-        let mut basis = self.cfg.seed ^ key.0.rotate_left(17);
-        if !self.cfg.collude {
-            basis ^= node.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        let mask = basis | 1; // never the identity mask
+    /// the leading bytes. The adversaries collude: the mask is a function of
+    /// `(seed, key)` alone, so every compromised holder forges the *same*
+    /// bytes — the strongest attack on a byte-equality quorum.
+    fn tamper_bytes(&self, key: Key, value: &[u8]) -> Vec<u8> {
+        let mask = (self.cfg.seed ^ key.0.rotate_left(17)) | 1; // never the identity mask
         let mut forged = value.to_vec();
         if forged.is_empty() {
             forged.push(mask as u8);
@@ -361,7 +346,7 @@ impl<P: StoragePlane> StoragePlane for AdversaryPlane<P> {
                 let got = self.inner.fetch_from(node, key, metrics)?;
                 Ok(got.map(|v| {
                     self.stats.tampered += 1;
-                    self.tamper_bytes(key, node, &v)
+                    self.tamper_bytes(key, &v)
                 }))
             }
             AdversaryMode::Equivocate => {
@@ -481,24 +466,6 @@ mod tests {
             forged.windows(2).all(|w| w[0] == w[1]),
             "colluding holders must serve identical forgeries"
         );
-        // Non-colluding holders must disagree with each other.
-        let mut solo = AdversaryPlane::new(
-            ChordPlane::build(32, 7),
-            AdversaryConfig::new(0xBAD, 3)
-                .with_mode(AdversaryMode::Tamper)
-                .with_collusion(false),
-        );
-        solo.set_enabled(true);
-        let candidates = solo.replica_candidates(key, 3, &mut m).unwrap();
-        for n in &candidates {
-            solo.store_at(*n, key, &value, &mut m).unwrap();
-        }
-        let forged: Vec<Vec<u8>> = candidates
-            .iter()
-            .map(|n| solo.fetch_from(*n, key, &mut m).unwrap().unwrap())
-            .collect();
-        assert!(forged.iter().all(|f| *f != value));
-        assert_ne!(forged[0], forged[1]);
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! Privacy of Distributed Online Social Networks"* (ICDCS 2015).
 //!
 //! The survey's §II-B classifies DOSN organizations into five families;
-//! this crate implements all of them over a common deterministic
-//! discrete-event simulator (the substitution for a real planet-scale
-//! deployment — see DESIGN.md):
+//! this crate implements all of them in one process, seeded and
+//! deterministic (the substitution for a real planet-scale deployment —
+//! see DESIGN.md). The families are closed-form walks over their routing
+//! state (a flood is a breadth-first sweep): they share the discrete-event
+//! simulator's ([`sim`]) hop-latency draw and loss rule, but not its event
+//! queue, which runs E11b's relay ring and the gossip and fault tests:
 //!
 //! | §II-B family | Exemplars in the survey | Module |
 //! |---|---|---|
@@ -21,8 +24,9 @@
 //!
 //! Every family runs on one network model: a routed hop's latency is a
 //! draw from [`sim::LatencyModel`]'s default, and a lost transmission is
-//! decided by [`fault::FaultPlan`]'s one loss/partition rule, in the event
-//! queue of [`sim::Simulation`] and hop by hop through [`fault::LinkFaults`].
+//! decided by [`fault::FaultPlan`]'s one loss/partition rule — hop by hop
+//! through [`fault::LinkFaults`] in a routed walk, and in the event queue of
+//! [`sim::Simulation`].
 //!
 //! Supporting infrastructure: [`sim`] (event-driven engine with churn),
 //! [`fault`] (fault plans and trace digests), [`churn`] (availability

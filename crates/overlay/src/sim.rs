@@ -7,8 +7,10 @@
 //!
 //! * an event queue with per-link latency drawn from a seeded RNG, so every
 //!   run is reproducible;
-//! * an [`Actor`] trait for protocol nodes (used by the gossip overlay, the
-//!   fork-consistency experiments, and the availability study);
+//! * an [`Actor`] trait for protocol nodes (E11b's relay ring, and the
+//!   fork-gossip and fault-injection tests; the overlay families walk
+//!   their routing state in closed form and use only [`LatencyModel`] and
+//!   the loss rule);
 //! * node churn — actors go online/offline, and messages to offline nodes
 //!   are counted and dropped (once per logical message, however many
 //!   duplicate copies the fault plan produced). Node ids are dense; an id
