@@ -13,9 +13,7 @@
 use super::{digests_agree, user};
 use crate::{num, wall, Run};
 use dosn_core::engine::{Engine, OpBatch};
-use dosn_core::network::{
-    AdversaryConfig, AdversaryMode, AdversaryPlane, ChordPlane, ReplicatedStore,
-};
+use dosn_core::network::{AdversaryConfig, AdversaryPlane, ChordPlane, ReplicatedStore};
 use dosn_core::scenario::{
     dishonest_quorum, flash_crowd, pod_compromise, sybil_campaign, ScenarioConfig,
 };
@@ -130,21 +128,16 @@ pub(super) fn run(run: &mut Run) {
     obs.counter(names::SCENARIO_SYBIL_SUSPECTS)
         .add(suspects as u64);
     obs.set_gauge(names::SIM_NODES, sybil.nodes as f64);
-    let tamper = quorum
-        .points
-        .iter()
-        .filter(|p| p.mode == AdversaryMode::Tamper);
     obs.counter(names::SCENARIO_QUORUM_READS)
         .add(quorum.points.iter().map(|p| p.attempted).sum());
-    obs.counter(names::ADVERSARY_TAMPERED)
-        .add(tamper.map(|p| p.fail_closed).sum());
     obs.counter(names::SCENARIO_POD_KEYS)
         .add(pod.keys_total as u64);
     obs.set_gauge(names::ADVERSARY_OBSERVED_KEYS, pod.keys_observed as f64);
+    // Forged and withheld serves, the quorum sweep's beside the pod's.
     obs.counter(names::ADVERSARY_TAMPERED)
-        .add(pod.adversary_tampered);
+        .add(quorum.points.iter().map(|p| p.tampered).sum::<u64>() + pod.adversary_tampered);
     obs.counter(names::ADVERSARY_WITHHELD)
-        .add(pod.adversary_withheld);
+        .add(quorum.points.iter().map(|p| p.withheld).sum::<u64>() + pod.adversary_withheld);
     obs.counter(names::ADVERSARY_EQUIVOCATED)
         .add(pod.adversary_equivocated);
 

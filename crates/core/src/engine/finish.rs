@@ -1,26 +1,27 @@
 //! The finish phase: the batch's quorum reads, then the feed-cache fills
 //! that follow the report. Touches storage and metrics; only reads the user
-//! records. Every read's copies are fetched in op order, then three steps
-//! run:
+//! records. Every read's copies are fetched in op order and counted once
+//! into a [`Tally`], then three steps run:
 //!
-//! 1. **Screen.** A read the hot cache (L2) served stakes on that entry; any
-//!    other read stakes on its strict-plurality value, the present value
-//!    held by more copies than every other value (all copies agreeing is
-//!    the unanimous case). A read with a tied plurality stakes on nothing.
-//! 2. **Check.** One combined Schnorr check proves every candidate of the
+//! 1. **Stake.** A read the hot cache (L2) served stakes on that entry; any
+//!    other read stakes on its tally's leader, the present value with the
+//!    most holders (the earliest-seen on a tie). A read with no copy
+//!    stakes on nothing.
+//! 2. **Check.** One combined Schnorr check proves every stake of the
 //!    batch ([`SignedEnvelope::verify_wire_slots`]). The verdicts are exact
-//!    per candidate, since a failed check bisects.
-//! 3. **Settle.** Read by read, in op order, the quorum vote takes the
+//!    per stake, since a failed check bisects.
+//! 3. **Settle.** Read by read, in op order, the tally's vote takes the
 //!    checked verdict and the winner is unsealed from its
 //!    [`VerifiedEnvelope`]; then stale copies are repaired, the winner is
 //!    admitted to L2, and a poisoned L2 entry is re-read through the
-//!    quorum. A staked plurality that verifies wins the vote whatever its
-//!    minority copies hold, so they are never opened. A read that staked on
-//!    nothing, or whose stake failed, verifies its other distinct values
-//!    inside its own vote.
+//!    quorum. A leader that verifies wins the vote whatever the other
+//!    copies hold, so they are never opened; when it fails, each other
+//!    distinct value is opened once inside the vote. A read that no value
+//!    verifies for is refused with its leader's own error, or with the
+//!    leader's shortfall when it has fewer than K holders.
 //!
-//! With [`super::Engine::set_batch_verify`] off, no read is screened and
-//! every value is opened alone inside its vote.
+//! With [`super::Engine::set_batch_verify`] off, no read stakes and every
+//! value is opened alone inside its vote.
 
 use super::batch::{BatchReport, Op, OpOutput};
 use super::pipeline::Batch;
@@ -33,11 +34,8 @@ use crate::identity::UserId;
 use crate::integrity::envelope::{SignedEnvelope, VerifiedEnvelope};
 use dosn_obs::{names, Registry};
 use dosn_overlay::metrics::Metrics;
-use dosn_overlay::replication::{
-    quorum_inspect_batch, quorum_vote, FetchedCopies, ReplicatedStore,
-};
+use dosn_overlay::replication::{FetchedCopies, ReplicatedStore, Tally};
 use dosn_overlay::storage::{StorageError, StoragePlane};
-use std::cmp::Reverse;
 use std::time::Instant;
 
 /// One `ReadPost` with its fetched bytes, borrowing the op's names.
@@ -47,40 +45,18 @@ struct ReadJob<'a> {
     author: &'a str,
     seq: u64,
     fetched: Result<FetchedCopies, StorageError>,
+    /// The fetched copies, counted once.
+    tally: Tally,
     /// Sealed bytes served by the storage plane's hot cache, if any — the
-    /// read's candidate, checked and unsealed *first*; the read falls back
-    /// to the quorum copies only when they fail.
+    /// read's stake, checked and unsealed *first*; the read falls back to
+    /// the quorum copies only when they fail.
     cached: Option<Vec<u8>>,
     fetch_micros: u64,
-    /// The combined check's verdict on the read's [`candidate`]; `None`
-    /// for a read the check did not cover.
-    checked: Option<Option<VerifiedEnvelope>>,
-}
-
-/// The one value a read stakes on, if it has one: the L2-served envelope,
-/// or the strict plurality of the present replica copies — the value held
-/// by more copies than every other value. `quorum_vote` serves the
-/// verifying value with the most holders, so a strict plurality that
-/// verifies wins whatever the minority copies hold; a tie has no such
-/// value.
-fn candidate<'j>(job: &'j ReadJob) -> Option<&'j [u8]> {
-    if let Some(bytes) = &job.cached {
-        return Some(bytes);
-    }
-    let fetched = job.fetched.as_ref().ok()?;
-    let mut tally: Vec<(&[u8], usize)> = Vec::new();
-    for bytes in fetched.copies.iter().filter_map(|(_, c)| c.as_deref()) {
-        match tally.iter_mut().find(|(value, _)| *value == bytes) {
-            Some((_, holders)) => *holders += 1,
-            None => tally.push((bytes, 1)),
-        }
-    }
-    tally.sort_by_key(|&(_, holders)| Reverse(holders));
-    let runner_up = tally.get(1).map_or(0, |&(_, holders)| holders);
-    tally
-        .first()
-        .filter(|&&(_, most)| most > runner_up)
-        .map(|&(value, _)| value)
+    /// The combined check's verdict on the read's stake (its L2 entry or
+    /// its tally's leader); `None` for a read the check did not cover.
+    /// [`finish_read`] takes it, so the quorum retry of a poisoned L2
+    /// entry votes alone.
+    checked: Option<Result<VerifiedEnvelope, DosnError>>,
 }
 
 enum ReadOutcome {
@@ -136,6 +112,7 @@ pub(super) fn finish_reads<S: StoragePlane>(
             reader,
             author,
             seq: *seq,
+            tally: fetched.as_ref().map(Tally::new).unwrap_or_default(),
             fetched,
             cached,
             fetch_micros: elapsed_micros(started),
@@ -143,12 +120,12 @@ pub(super) fn finish_reads<S: StoragePlane>(
         });
     }
     if ctx.batch_verify {
-        check_candidates(ctx, &mut jobs);
+        check_stakes(ctx, &mut jobs);
     }
     let read_quorum = storage.read_quorum();
-    for job in jobs {
+    for mut job in jobs {
         let started = Instant::now();
-        let outcome = finish_read(ctx, users, read_quorum, &job);
+        let outcome = finish_read(ctx, users, read_quorum, &mut job);
         let (op_idx, micros) = (job.op_idx, job.fetch_micros + elapsed_micros(started));
         let result = settle_read(storage, metrics, ctx, users, job, outcome);
         ctx.obs
@@ -176,77 +153,84 @@ pub(super) fn finish_reads<S: StoragePlane>(
     timer.observe();
 }
 
-/// The check step: every read with a [`candidate`] has it proven in one
-/// combined Schnorr check, one `crypto.schnorr.verify` sample. Each read
-/// carries its verdict and an even share of the check's time, which counts
-/// as time before its vote, so the quorum-read latencies still include
-/// verification.
-fn check_candidates(ctx: &PhaseCtx, jobs: &mut [ReadJob]) {
-    let started = Instant::now();
-    let staked: Vec<(usize, UserId, &[u8])> = jobs
+/// The check step: every read's stake is proven in one combined Schnorr
+/// check. Each read carries its verdict and an even share of the check's
+/// time, which counts as time before its vote, so the quorum-read latencies
+/// still include verification.
+fn check_stakes(ctx: &PhaseCtx, jobs: &mut [ReadJob]) {
+    let authors: Vec<UserId> = jobs.iter().map(|job| UserId::from(job.author)).collect();
+    let (staked, slots): (Vec<usize>, Vec<_>) = jobs
         .iter()
         .enumerate()
-        .filter_map(|(i, job)| candidate(job).map(|bytes| (i, UserId::from(job.author), bytes)))
-        .collect();
+        .filter_map(|(i, job)| {
+            let stake: &[u8] = match &job.cached {
+                Some(bytes) => bytes,
+                None => job.tally.leader(job.fetched.as_ref().ok()?)?.0,
+            };
+            Some((i, (&authors[i], job.seq, stake)))
+        })
+        .unzip();
     if staked.is_empty() {
         return;
     }
-    let slots: Vec<(&UserId, u64, &[u8])> = staked
-        .iter()
-        .map(|(i, author, bytes)| (author, jobs[*i].seq, *bytes))
-        .collect();
-    let verdicts =
-        SignedEnvelope::verify_wire_slots(&slots, &ctx.group, &ctx.directory, u64::MAX - 1);
-    let micros = elapsed_micros(started);
-    ctx.obs
-        .histogram(names::CRYPTO_SCHNORR_VERIFY)
-        .record(micros);
+    let (verdicts, micros) = open_slots(ctx, &slots);
     let each = micros / staked.len() as u64;
-    let staked: Vec<usize> = staked.into_iter().map(|(i, _, _)| i).collect();
     for (i, verdict) in staked.into_iter().zip(verdicts) {
         jobs[i].fetch_micros += each;
         jobs[i].checked = Some(verdict);
     }
 }
 
-/// The storage-free half of one quorum read: vote over the fetched copies,
-/// then decrypt the winner as the reader. A read the check step covered
-/// votes with that verdict, and opens its other distinct values only if
-/// the verdict failed; any other read verifies each distinct value once
-/// inside the vote. Either way the vote keeps the [`VerifiedEnvelope`] of
-/// every value it accepts, so the winner is unsealed from the proof the
-/// vote reached — never decoded or verified a second time.
-fn finish_read(ctx: &PhaseCtx, users: &Users, read_quorum: usize, job: &ReadJob) -> ReadOutcome {
-    let author_id = UserId::from(job.author);
-    // Decode + full verification of one stored record.
-    let open = |bytes: &[u8]| {
-        SignedEnvelope::open_wire(
-            &author_id,
-            job.seq,
-            bytes,
-            &ctx.group,
-            &ctx.directory,
-            u64::MAX - 1,
-        )
+/// Decodes and verifies stored records, each `(author, seq, bytes)` read
+/// as `author`'s post `seq`: in one combined Schnorr check, or each alone
+/// with batch verification off. Records one `crypto.schnorr.verify`
+/// sample and returns the verdicts with the time they took.
+fn open_slots(
+    ctx: &PhaseCtx,
+    slots: &[(&UserId, u64, &[u8])],
+) -> (Vec<Result<VerifiedEnvelope, DosnError>>, u64) {
+    let started = Instant::now();
+    let (group, directory, now) = (&ctx.group, &ctx.directory, u64::MAX - 1);
+    let verdicts = if ctx.batch_verify {
+        SignedEnvelope::verify_wire_slots(slots, group, directory, now)
+    } else {
+        slots
+            .iter()
+            .map(|&(author, seq, bytes)| {
+                SignedEnvelope::open_wire(author, seq, bytes, group, directory, now)
+            })
+            .collect()
     };
+    let micros = elapsed_micros(started);
+    ctx.obs
+        .histogram(names::CRYPTO_SCHNORR_VERIFY)
+        .record(micros);
+    (verdicts, micros)
+}
+
+/// The storage-free half of one quorum read: vote over the tallied copies,
+/// then decrypt the winner as the reader. The vote keeps the verdict of
+/// every value the check or the vote opened, so the winner is unsealed from
+/// the proof reached and a refused read names its leader's error — nothing
+/// is decoded or verified twice.
+fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) -> ReadOutcome {
+    let checked = job.checked.take();
+    let job = &*job;
+    let author_id = UserId::from(job.author);
     if let Some(bytes) = &job.cached {
         // A hot-cached envelope gets the complete uncached treatment —
         // decode, signature verification, decrypt as the reader. Any
         // failure (tampered bytes, revoked reader, bad encoding) sends
         // the read back to the real quorum path: the cache accelerates
         // reads, it never relaxes what a served read proved.
-        let opened;
-        let verified = match &job.checked {
-            Some(verdict) => verdict.as_ref(),
-            None => {
-                opened = open(bytes).ok();
-                opened.as_ref()
-            }
-        };
-        let Some(verified) = verified else {
+        let verified = checked.unwrap_or_else(|| {
+            let (group, directory) = (&ctx.group, &ctx.directory);
+            SignedEnvelope::open_wire(&author_id, job.seq, bytes, group, directory, u64::MAX - 1)
+        });
+        let Ok(verified) = verified else {
             return ReadOutcome::RetryQuorum;
         };
-        return match unseal(users, job, verified) {
+        return match unseal(users, job, &verified) {
             // No quorum fetch happened, so there is nothing to repair.
             Ok(body) => ReadOutcome::Done(Ok(OpOutput::Read { body })),
             Err(DosnError::NotAuthorized(e)) => {
@@ -263,75 +247,55 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, read_quorum: usize, job: &ReadJob)
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e.clone()))),
     };
     let quorum_started = Instant::now();
-    // The checked plurality, if the read staked; the vote reuses its
-    // verdict and verifies only the other values.
-    let staked = job.checked.as_ref().and_then(|_| candidate(job));
-    // Each distinct value the vote's verifier opened, with what it proved.
-    let mut proven: Vec<(&[u8], Option<VerifiedEnvelope>)> = Vec::new();
-    let vote = quorum_inspect_batch(fetched, read_quorum, |values| {
-        if let (Some(Some(_)), Some(staked)) = (&job.checked, staked) {
-            // The plurality verified, so it wins: the minority values are
-            // never opened and count as unverified.
-            return values.iter().map(|&v| v == staked).collect();
-        }
-        let mut rest = values.to_vec();
-        rest.retain(|&v| Some(v) != staked);
-        // A failed stake with no other value leaves nothing to open.
-        if staked.is_none() || !rest.is_empty() {
-            let started = Instant::now();
-            let opened: Vec<Option<VerifiedEnvelope>> = if ctx.batch_verify {
-                // The values verify in one combined Schnorr check.
-                let slots: Vec<(&UserId, u64, &[u8])> =
-                    rest.iter().map(|&v| (&author_id, job.seq, v)).collect();
-                SignedEnvelope::verify_wire_slots(&slots, &ctx.group, &ctx.directory, u64::MAX - 1)
-            } else {
-                rest.iter().map(|bytes| open(bytes).ok()).collect()
-            };
-            // One histogram sample covers the read's verification.
-            ctx.obs
-                .histogram(names::CRYPTO_SCHNORR_VERIFY)
-                .record(elapsed_micros(started));
-            proven = rest.into_iter().zip(opened).collect();
-        }
-        // A failed stake keeps its checked verdict: it is not in `proven`.
-        values
-            .iter()
-            .map(|&v| proven.iter().any(|(bytes, ok)| *bytes == v && ok.is_some()))
-            .collect()
-    })
-    .into_result();
+    let leader = job.tally.leader(fetched);
+    // Each distinct value opened, with its verdict: the checked leader
+    // first, if the read staked.
+    let mut proven = Vec::from_iter(leader.map(|(bytes, _)| bytes).zip(checked));
+    let vote = job
+        .tally
+        .vote(fetched, quorum, |values| {
+            // A verified leader wins, so the other values are never
+            // opened; otherwise each is opened once, all together.
+            if !matches!(proven.first(), Some((_, Ok(_)))) {
+                let rest: Vec<(&UserId, u64, &[u8])> = values
+                    .iter()
+                    .filter(|&&v| proven.iter().all(|(bytes, _)| *bytes != v))
+                    .map(|&v| (&author_id, job.seq, v))
+                    .collect();
+                // A failed stake with no other value leaves nothing to open.
+                if proven.is_empty() || !rest.is_empty() {
+                    let (opened, _) = open_slots(ctx, &rest);
+                    proven.extend(rest.iter().map(|&(_, _, v)| v).zip(opened));
+                }
+            }
+            values
+                .iter()
+                .map(|&v| proven.iter().any(|(bytes, r)| *bytes == v && r.is_ok()))
+                .collect()
+        })
+        .into_result();
     ctx.obs
         .histogram(names::STORE_GET_QUORUM)
         .record(job.fetch_micros + elapsed_micros(quorum_started));
-    let winner = match vote {
-        Ok(winner) => winner,
-        // No copy verified. Name the defect from the copies in hand, as a
-        // trusting `get` would rank them (same leader, same tie-break, same
-        // `NotFound` / `QuorumFailed`): missing, short of a quorum, or — the
-        // leader's own error — malformed or badly signed. Nothing is read
-        // again and nothing is repaired: these bytes proved nothing.
-        Err(StorageError::NotFound(_)) => {
-            let refusal = match quorum_vote(fetched, read_quorum, |_| true) {
-                Ok(raw) => open(&raw).err().unwrap_or_else(|| {
-                    DosnError::ContentUnavailable(format!(
-                        "no verifying quorum for {}/{}",
-                        job.author, job.seq
-                    ))
+    let verdict = |bytes: &[u8]| proven.iter().find(|(v, _)| *v == bytes).map(|(_, r)| r);
+    let winner = match (vote, leader) {
+        (Ok(winner), _) => winner,
+        // No copy verified, so the leader was opened and refused: held by K
+        // copies it reports its own error, held by fewer the shortfall.
+        // Nothing is read again and nothing is repaired.
+        (Err(StorageError::NotFound(key)), Some((bytes, have))) => {
+            return ReadOutcome::Done(Err(match verdict(bytes) {
+                Some(Err(e)) if have >= quorum => e.clone(),
+                _ => storage_to_dosn(StorageError::QuorumFailed {
+                    key,
+                    have,
+                    need: quorum,
                 }),
-                Err(e) => storage_to_dosn(e),
-            };
-            return ReadOutcome::Done(Err(refusal));
+            }));
         }
-        Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
+        (Err(e), _) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
     };
-    let verified = match &job.checked {
-        // The staked plurality verified, so it is the winner.
-        Some(Some(verdict)) => Some(verdict),
-        _ => proven
-            .iter()
-            .find_map(|(bytes, v)| v.as_ref().filter(|_| *bytes == winner)),
-    };
-    let Some(verified) = verified else {
+    let Some(Ok(verified)) = verdict(&winner) else {
         return ReadOutcome::Done(Err(DosnError::IntegrityViolation(
             "quorum winner was not among the verified values".into(),
         )));
@@ -382,12 +346,10 @@ fn settle_read<S: StoragePlane>(
         storage.invalidate_hot(key, metrics);
         let started = Instant::now();
         job.cached = None;
-        // The check's verdict was on the cached bytes; the retry votes
-        // alone.
-        job.checked = None;
         job.fetched = storage.fetch_copies(key, metrics);
+        job.tally = job.fetched.as_ref().map(Tally::new).unwrap_or_default();
         job.fetch_micros = elapsed_micros(started);
-        outcome = finish_read(ctx, users, storage.read_quorum(), &job);
+        outcome = finish_read(ctx, users, storage.read_quorum(), &mut job);
     }
     match outcome {
         ReadOutcome::Done(r) => r,

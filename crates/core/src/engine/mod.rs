@@ -23,9 +23,9 @@
 //!                be placed fails alone
 //!                │
 //!                ▼
-//!    finish      fetch every read's copies, prove every read's
-//!                strict-plurality value in one combined signature
-//!                check, then each read votes, decrypts and repairs
+//!    finish      fetch and tally every read's copies, prove every
+//!                read's leader in one combined signature check, then
+//!                each read votes, decrypts and repairs
 //!                │
 //!                ▼  results, digest, then the feed-cache fills
 //! ```
@@ -322,12 +322,11 @@ impl<S: StoragePlane> Engine<S> {
     }
 
     /// Toggles batched Schnorr verification in the finish phase's quorum
-    /// reads. On (the default), every read of a batch that stakes on one
-    /// value (an L2-served envelope, or its copies' strict plurality) is
-    /// proven in one combined random-linear-combination check, and a read
-    /// with a tied plurality or a failed stake checks its other distinct
-    /// values together. Off, every
-    /// value is decoded and verified alone. Results and
+    /// reads. On (the default), every read of a batch stakes on one value
+    /// (an L2-served envelope, or its copies' leader) and the stakes are
+    /// proven in one combined random-linear-combination check; a read
+    /// whose stake failed checks its other distinct values together. Off,
+    /// every value is decoded and verified alone. Results and
     /// [`BatchReport::digest`] are byte-identical either way — the toggle
     /// exists so the equivalence suites can prove that.
     pub fn set_batch_verify(&mut self, on: bool) {

@@ -21,7 +21,7 @@ use crate::identity::{Identity, UserId};
 use dosn_crypto::batch::{batch_verify, BatchItem};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::keys::KeyDirectory;
-use dosn_crypto::schnorr::{Signature, VerifyingKey};
+use dosn_crypto::schnorr::Signature;
 use dosn_crypto::sha256::Sha256;
 
 /// Fixed wire-header length: every field before the signature bytes (see
@@ -166,13 +166,18 @@ impl SignedEnvelope {
         now: u64,
     ) -> Result<(), DosnError> {
         let vk = directory.verifying_key(self.author.as_str())?;
-        vk.verify(&self.hash(), &self.signature).map_err(|_| {
-            DosnError::IntegrityViolation(format!(
-                "signature does not verify under {}'s key",
-                self.author
-            ))
-        })?;
+        vk.verify(&self.hash(), &self.signature)
+            .map_err(|_| self.forged())?;
         self.check_binding(expected_recipient, now)
+    }
+
+    /// The error of a signature that does not verify under the author's
+    /// key.
+    fn forged(&self) -> DosnError {
+        DosnError::IntegrityViolation(format!(
+            "signature does not verify under {}'s key",
+            self.author
+        ))
     }
 
     /// The relation and history halves of [`SignedEnvelope::verify`]: the
@@ -289,13 +294,11 @@ impl SignedEnvelope {
     }
 
     /// Verifies many wire-encoded copies of the same slot (`author`,
-    /// `expected_seq`) in one pass: each copy's decode and freshness rule
-    /// are screened alone, and every surviving signature equation joins one
-    /// combined check ([`dosn_crypto::batch::batch_verify`]), the engine's
-    /// multi-slot verifier over slots that share an author and a sequence
-    /// number. Returns one verdict per copy, exactly matching what
-    /// [`SignedEnvelope::decode_wire`] + [`SignedEnvelope::verify`] would
-    /// decide copy by copy. A wire record is a broadcast (`decode_wire`
+    /// `expected_seq`) in one pass: each copy is decoded alone and every
+    /// decoded signature joins one combined check
+    /// ([`dosn_crypto::batch::batch_verify`]). Returns one verdict per copy,
+    /// exactly matching what [`SignedEnvelope::decode_wire`] +
+    /// [`SignedEnvelope::verify`] would decide copy by copy. A wire record is a broadcast (`decode_wire`
     /// restores no recipient), so `_expected_recipient` can refuse none.
     pub fn verify_wire_copies_batch(
         author: &UserId,
@@ -312,7 +315,7 @@ impl SignedEnvelope {
             .collect();
         Self::verify_wire_slots(&slots, group, directory, now)
             .iter()
-            .map(Option::is_some)
+            .map(Result::is_ok)
             .collect()
     }
 
@@ -320,51 +323,55 @@ impl SignedEnvelope {
     /// bytes)` read as `author`'s post `seq`, and keeps what it decoded: an
     /// accepted record comes back as the [`VerifiedEnvelope`] its verdict
     /// was reached on, so the caller unseals it without decoding or
-    /// verifying again. Each record's decode, freshness rule and signed
-    /// digest are screened one by one, with no group operation; every
-    /// surviving signature equation, under however many authors' keys,
-    /// joins one random-linear-combination check
-    /// ([`dosn_crypto::batch::batch_verify`]), which bisects a failure down
-    /// to exact per-slot verdicts. A slot therefore comes back `Some`
-    /// exactly where [`SignedEnvelope::open_wire`] accepts it, whatever
-    /// else shares the call.
+    /// verifying again. Each record is decoded and its author's key looked
+    /// up one by one, with no group operation; every decoded signature
+    /// equation, under however many authors' keys, joins one
+    /// random-linear-combination check ([`dosn_crypto::batch::batch_verify`]),
+    /// which bisects a failure down to exact per-slot verdicts; a record
+    /// whose signature holds then has its freshness rule checked. The steps
+    /// run in [`SignedEnvelope::open_wire`]'s order, so each slot comes back
+    /// with exactly what `open_wire` returns for it, refusals included,
+    /// whatever else shares the call.
     ///
     /// The finish phase calls it once per batch, over each read's staked
-    /// value (its L2 entry or its copies' strict plurality), and once per
-    /// read that staked on nothing or whose stake failed, over that read's
-    /// other values (slots sharing an author and a seq).
+    /// value (its L2 entry or its tally's leader), and once per read that
+    /// staked on nothing or whose stake failed, over that read's other
+    /// values (slots sharing an author and a seq).
     pub(crate) fn verify_wire_slots(
         slots: &[(&UserId, u64, &[u8])],
         group: &dosn_crypto::group::SchnorrGroup,
         directory: &KeyDirectory,
         now: u64,
-    ) -> Vec<Option<VerifiedEnvelope>> {
-        // Survivors of the screen queue (key, digest, signature) for the
-        // combined check; an unknown author screens out.
-        let screened: Vec<(usize, VerifyingKey, [u8; 32], VerifiedEnvelope)> = slots
+    ) -> Vec<Result<VerifiedEnvelope, DosnError>> {
+        // Each decoded record with its author's key and signed digest.
+        let decoded: Vec<_> = slots
             .iter()
-            .enumerate()
-            .filter_map(|(idx, &(author, seq, bytes))| {
-                let vk = directory.verifying_key(author.as_str()).ok()?;
-                let (envelope, epoch) = Self::decode_wire(author, seq, bytes, group).ok()?;
-                envelope.check_binding(None, now).ok()?;
+            .map(|&(author, seq, bytes)| -> Result<_, DosnError> {
+                let (envelope, epoch) = Self::decode_wire(author, seq, bytes, group)?;
+                let vk = directory.verifying_key(author.as_str())?;
                 let digest = envelope.hash();
-                Some((idx, vk, digest, VerifiedEnvelope { envelope, epoch }))
+                Ok((vk, digest, VerifiedEnvelope { envelope, epoch }))
             })
             .collect();
-        let items: Vec<BatchItem<'_>> = screened
+        let items: Vec<BatchItem<'_>> = decoded
             .iter()
-            .map(|(_, vk, digest, v)| (vk, digest.as_slice(), &v.envelope.signature))
+            .flatten()
+            .map(|(vk, digest, v)| (vk, digest.as_slice(), &v.envelope.signature))
             .collect();
         // Failing items, ascending.
         let bad = batch_verify(&items).map_or_else(|f| f.failed, |()| Vec::new());
-        let mut opened: Vec<Option<VerifiedEnvelope>> = slots.iter().map(|_| None).collect();
-        for (item, (idx, _, _, verified)) in screened.into_iter().enumerate() {
-            if bad.binary_search(&item).is_err() {
-                opened[idx] = Some(verified);
-            }
-        }
-        opened
+        let mut items = 0..;
+        decoded
+            .into_iter()
+            .map(|slot| {
+                let (_, _, verified) = slot?;
+                if bad.binary_search(&items.next().unwrap_or_default()).is_ok() {
+                    return Err(verified.envelope.forged());
+                }
+                verified.envelope.check_binding(None, now)?;
+                Ok(verified)
+            })
+            .collect()
     }
 
     /// Decodes and fully verifies one stored record:
@@ -601,26 +608,57 @@ mod tests {
         env.verify(&dir, None, u64::MAX).unwrap();
     }
 
+    /// Whether every slot's batch verdict is [`SignedEnvelope::open_wire`]'s
+    /// verdict on it alone: the same decoded envelope and epoch, or the
+    /// same error, variant and message.
+    fn verdicts_match_open_wire(
+        slots: &[(&UserId, u64, &[u8])],
+        dir: &KeyDirectory,
+        now: u64,
+    ) -> Vec<Result<VerifiedEnvelope, DosnError>> {
+        let group = SchnorrGroup::toy();
+        let batched = SignedEnvelope::verify_wire_slots(slots, &group, dir, now);
+        for (&(author, seq, bytes), got) in slots.iter().zip(&batched) {
+            let alone = SignedEnvelope::open_wire(author, seq, bytes, &group, dir, now);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{alone:?}"),
+                "slot {author}/{seq}"
+            );
+        }
+        batched
+    }
+
     #[test]
-    fn verified_envelopes_are_exactly_the_copies_decode_and_verify_accept() {
+    fn verified_envelopes_are_exactly_the_copies_open_wire_accepts() {
         // Every one-byte mutation of bob's stored record, the record
-        // itself, mallory's record, and each record filed under the other
-        // author or another sequence number, in one call: a slot comes back
-        // `Some` exactly where `decode_wire` + `verify` accept it, carrying
-        // what they decoded.
+        // itself, mallory's record, each record filed under the other
+        // author or another sequence number, an unknown author's slot
+        // (whole and truncated), and a record from the future (intact and
+        // forged), in one call: each slot comes back with what `open_wire`
+        // returns for it, which decodes, then looks up the key, then checks
+        // the signature, then the freshness rule.
         let (bob, mallory, dir, mut rng) = setup();
         let group = SchnorrGroup::toy();
         let wire = SignedEnvelope::seal(&bob, None, 3, 10, None, b"sealed body", &mut rng)
             .encode_wire(6, &group);
         let other = SignedEnvelope::seal(&mallory, None, 5, 10, None, b"hers", &mut rng)
             .encode_wire(1, &group);
+        let future = SignedEnvelope::seal(&bob, None, 3, 30, None, b"later", &mut rng)
+            .encode_wire(6, &group);
+        let mut forged_future = future.clone();
+        *forged_future.last_mut().unwrap() ^= 1;
         let mut copies = vec![wire.clone()];
         for at in 0..wire.len() {
             let mut m = wire.clone();
             m[at] ^= 0x40;
             copies.push(m);
         }
-        let (id, mid) = (UserId::from("bob"), UserId::from("mallory"));
+        let (id, mid, nobody) = (
+            UserId::from("bob"),
+            UserId::from("mallory"),
+            UserId::from("nobody"),
+        );
         let mut slots: Vec<(&UserId, u64, &[u8])> =
             copies.iter().map(|c| (&id, 3, c.as_slice())).collect();
         slots.extend([
@@ -628,27 +666,67 @@ mod tests {
             (&id, 5, other.as_slice()),
             (&mid, 3, wire.as_slice()),
             (&id, 4, wire.as_slice()),
+            (&nobody, 3, wire.as_slice()),
+            (&nobody, 3, &wire[..8]),
+            (&id, 3, future.as_slice()),
+            (&id, 3, forged_future.as_slice()),
         ]);
-        let opened = SignedEnvelope::verify_wire_slots(&slots, &group, &dir, 20);
-        let mut accepted = 0;
-        for (&(author, seq, bytes), got) in slots.iter().zip(&opened) {
-            let want = SignedEnvelope::decode_wire(author, seq, bytes, &group)
-                .and_then(|(env, epoch)| env.verify(&dir, None, 20).map(|()| (env, epoch)));
-            assert_eq!(got.is_some(), want.is_ok());
-            if let (Some(got), Ok((env, epoch))) = (got, want) {
-                assert_eq!((got.epoch(), got.body()), (epoch, env.body.as_slice()));
-                assert_eq!(got.envelope.sequence, env.sequence);
-                assert_eq!(got.envelope.issued_at, env.issued_at);
-                accepted += 1;
-            }
-        }
+        let opened = verdicts_match_open_wire(&slots, &dir, 20);
         // Bob's record and its eight epoch-word mutants (the epoch sits
         // outside the signed digest; DESIGN.md, threat model), and
         // mallory's record under her own name.
-        assert_eq!(accepted, 10);
-        let alone = SignedEnvelope::open_wire(&id, 3, &wire, &group, &dir, 20).unwrap();
-        let first = opened[0].as_ref().unwrap();
-        assert_eq!((alone.epoch(), alone.body()), (6, first.body()));
+        assert_eq!(opened.iter().filter(|v| v.is_ok()).count(), 10);
+        // The last four slots refuse for the reasons listed above, in order.
+        let tail: Vec<_> = opened[slots.len() - 4..]
+            .iter()
+            .map(|v| v.as_ref().err())
+            .collect();
+        assert!(
+            matches!(
+                tail[..],
+                [
+                    Some(DosnError::Crypto(_)),
+                    Some(DosnError::MalformedEnvelope(_)),
+                    Some(DosnError::IntegrityViolation(_)),
+                    Some(DosnError::IntegrityViolation(_)),
+                ]
+            ),
+            "{tail:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Over arbitrary mutations of a stored record, several in one
+        /// call, each slot's batch verdict is `open_wire`'s: the accepted
+        /// envelope, or the refusal's variant and message.
+        #[test]
+        fn batch_verdicts_are_open_wires_on_mutated_records(
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..96),
+            mutants in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), 1u8..=255),
+                1..5,
+            ),
+        ) {
+            let (bob, _, dir, mut rng) = setup();
+            let group = SchnorrGroup::toy();
+            let id = UserId::from("bob");
+            let wire = SignedEnvelope::seal(&bob, None, 4, 9, None, &body, &mut rng)
+                .encode_wire(2, &group);
+            let mut copies = vec![wire.clone()];
+            for (at, mask) in mutants {
+                let mut m = wire.clone();
+                m[at % wire.len()] ^= mask;
+                copies.push(m);
+            }
+            let slots: Vec<(&UserId, u64, &[u8])> =
+                copies.iter().map(|c| (&id, 4, c.as_slice())).collect();
+            verdicts_match_open_wire(&slots, &dir, u64::MAX - 1);
+        }
     }
 
     #[test]

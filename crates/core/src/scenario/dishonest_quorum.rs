@@ -34,7 +34,7 @@ use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
 
 /// One `(f, mode)` cell of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuorumPoint {
     /// Compromised holders per key.
     pub f: usize,
@@ -51,6 +51,10 @@ pub struct QuorumPoint {
     pub fail_closed: u64,
     /// Reads that returned an error with nothing (or too little) present.
     pub unavailable: u64,
+    /// Fetches the adversary answered with forged bytes.
+    pub tampered: u64,
+    /// Fetches the adversary answered "not held".
+    pub withheld: u64,
 }
 
 /// The full sweep plus the gated aggregates.
@@ -128,11 +132,7 @@ pub fn run(cfg: &ScenarioConfig) -> DishonestQuorumOutcome {
             let mut point = QuorumPoint {
                 f,
                 mode,
-                attempted: 0,
-                correct: 0,
-                wrong: 0,
-                fail_closed: 0,
-                unavailable: 0,
+                ..QuorumPoint::default()
             };
             for (key, original) in &written {
                 point.attempted += 1;
@@ -147,6 +147,8 @@ pub fn run(cfg: &ScenarioConfig) -> DishonestQuorumOutcome {
                     Err(_) => point.unavailable += 1,
                 }
             }
+            let stats = store.plane().stats();
+            (point.tampered, point.withheld) = (stats.tampered, stats.withheld);
             points.push(point);
         }
     }

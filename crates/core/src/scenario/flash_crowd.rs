@@ -36,9 +36,9 @@ pub struct FlashCrowdOutcome {
     /// Items served over items the crowd should have seen — the headline
     /// the bench gates.
     pub availability: f64,
-    /// Cache hits across both cache layers (feed slices + hot envelopes).
+    /// Feed-cache (L1) hits; hot-envelope (L2) hits are not counted.
     pub cache_hits: u64,
-    /// Reads that fell through to a quorum fetch.
+    /// Feed-cache (L1) misses, each sent to a read that L2 may serve.
     pub cache_misses: u64,
     /// Measured p50 of warm `read_feed` calls, µs (wall clock).
     pub warm_p50_us: u64,

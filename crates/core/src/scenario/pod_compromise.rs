@@ -6,8 +6,8 @@
 //! — lands in the adversary's observation log. The scenario accounts for:
 //!
 //! * **leakage** — the fraction of all stored keys the pod observed, and
-//!   the owners whose identity it can expose (folded into the search
-//!   plane's [`LeakageAudit`], the same ledger E13 uses);
+//!   the owners whose identity it can expose: the distinct authors of the
+//!   records it stored or served;
 //! * **integrity** — the pod then serves forged bytes; with R=3 mirrors an
 //!   honest majority survives every read (wrong must stay 0);
 //! * **availability** — finally the pod goes dark; reads still succeed.
@@ -27,7 +27,6 @@ use crate::integrity::SignedEnvelope;
 use crate::network::{
     AdversaryConfig, AdversaryMode, AdversaryPlane, FederationPlane, ReplicatedStore,
 };
-use crate::search::audit::{Knowledge, LeakageAudit};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::{GroupSize, SchnorrGroup};
 use dosn_crypto::keys::KeyDirectory;
@@ -47,7 +46,8 @@ pub struct PodCompromiseOutcome {
     /// `observed / total` — with R of P pods holding each key, the
     /// expected leakage surface is ≈ R/P; gated as lower-is-better.
     pub leak_fraction: f64,
-    /// Distinct owners whose identity the pod can expose.
+    /// Distinct authors of the records the pod observed — the owners
+    /// whose identity it can expose.
     pub owners_exposed: usize,
     /// Forged records accepted in the tampering phase (must stay 0).
     pub tamper_wrong: u64,
@@ -128,13 +128,11 @@ pub fn run(cfg: &ScenarioConfig) -> PodCompromiseOutcome {
     };
 
     // Leakage accounting: which keys — and therefore which owners — did
-    // the pod see? Fold into the same audit ledger the search plane uses.
+    // the pod see?
     let observed = store.plane().stats().observed_keys.clone();
-    let mut audit = LeakageAudit::new();
     let mut owners_exposed: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
     for (owner, _, key, _) in &written {
         if observed.contains(key) {
-            audit.record("pod3", Knowledge::OwnerIdentity);
             owners_exposed.insert(owner.id().as_str());
         }
     }

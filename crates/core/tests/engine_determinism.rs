@@ -5,7 +5,7 @@
 //! per-envelope verification, and submitting the ops one per batch must
 //! leave the same decryptable state as one batch. The same holds for reads
 //! over random hand-written replica copy sets, where the batched engine
-//! stakes each read on its strict-plurality copy. Two pinned tests compare
+//! stakes each read on its copies' leader. Two pinned tests compare
 //! the engine with older code instead of with itself: golden digests and
 //! golden commit accounting.
 //!
@@ -275,13 +275,16 @@ fn read_copy_sets(
 }
 
 /// The shapes of one copy set under read quorum `k` that the staked vote
-/// must get right: a tied plurality, a validly signed minority under a
-/// plurality that fails, and a strict plurality short of the quorum.
+/// must get right: a leader tied with another value, a tie between two
+/// distinct values that both verify (the vote serves the earliest-seen), a
+/// validly signed value under a leader that fails, and a leader short of
+/// the quorum.
 #[derive(Debug, Default)]
 struct CopySetShapes {
     tie: bool,
-    valid_minority_under_invalid_plurality: bool,
-    plurality_below_quorum: bool,
+    tie_of_verifying_values: bool,
+    valid_value_under_invalid_leader: bool,
+    leader_below_quorum: bool,
 }
 
 impl CopySetShapes {
@@ -296,6 +299,8 @@ impl CopySetShapes {
         let Some(most) = tally.iter().map(|&(_, n)| n).max() else {
             return;
         };
+        // The values with the most holders, in first-seen order: the first
+        // is the leader.
         let leaders: Vec<Held> = tally
             .iter()
             .filter(|&&(_, n)| n == most)
@@ -303,22 +308,25 @@ impl CopySetShapes {
             .collect();
         if leaders.len() > 1 {
             self.tie = true;
-            return;
+        }
+        if leaders.iter().filter(|c| c.verifies()).count() > 1 {
+            self.tie_of_verifying_values = true;
         }
         if !leaders[0].verifies() && tally.iter().any(|&(c, _)| c.verifies()) {
-            self.valid_minority_under_invalid_plurality = true;
+            self.valid_value_under_invalid_leader = true;
         }
         if most < k {
-            self.plurality_below_quorum = true;
+            self.leader_below_quorum = true;
         }
     }
 }
 
-/// Batched verification stakes each read on its strict-plurality copy and
-/// skips the minority when the stake verifies; per-envelope verification
-/// opens every value. Over random copy sets (R in 1..=5, K in 1..=R, each
-/// holder missing, honest, epoch-flipped, body-flipped or equivocated) the
-/// two must agree on every read's result, the digest, the repairs and the
+/// Batched verification stakes each read on its copies' leader (the value
+/// with the most holders, the earliest-seen on a tie) and skips the other
+/// values when the stake verifies; per-envelope verification opens every
+/// value. Over random copy sets (R in 1..=5, K in 1..=R, each holder
+/// missing, honest, epoch-flipped, body-flipped or equivocated) the two
+/// must agree on every read's result, the digest, the repairs and the
 /// fail-closed count. Failures print the case seed; re-run with
 /// `PROPTEST_SEED=<seed>` to replay it.
 #[test]
@@ -365,8 +373,9 @@ fn staked_and_unstaked_votes_agree_on_random_copy_sets() {
     if std::env::var_os("PROPTEST_SEED").is_none() {
         assert!(
             shapes.tie
-                && shapes.valid_minority_under_invalid_plurality
-                && shapes.plurality_below_quorum,
+                && shapes.tie_of_verifying_values
+                && shapes.valid_value_under_invalid_leader
+                && shapes.leader_below_quorum,
             "the cases missed a shape: {shapes:?}"
         );
     }

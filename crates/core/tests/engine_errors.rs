@@ -331,8 +331,8 @@ fn body_forging_replicas_never_serve_and_every_configuration_agrees() {
                 "forged={forged}"
             );
             assert_eq!(other_digest, digest, "forged={forged}");
-            // Batched, the read stakes on its strict plurality in the
-            // combined check. With two forgers that plurality is the forged
+            // Batched, the read stakes on its copies' leader in the
+            // combined check. With two forgers that leader is the forged
             // value: it fails, and the vote then opens the honest copy in a
             // check of its own. Unbatched, the vote opens every value in one
             // sample.

@@ -124,8 +124,8 @@ pub const ENGINE_PIPELINE_OVERLAP: &str = "engine.pipeline.overlap";
 
 /// Schnorr envelope-signature verification latency, µs (histogram): one
 /// sample per combined check — all of a finish phase's staked reads, or
-/// the other values of one read with a tied plurality or a failed stake
-/// (every read, with batch verification off).
+/// the other values of one read whose staked leader failed (every read,
+/// with batch verification off).
 pub const CRYPTO_SCHNORR_VERIFY: &str = "crypto.schnorr.verify";
 /// Exponentiations of a group's generator, served from its fixed-base
 /// table — the only table a group holds (counter).

@@ -37,9 +37,10 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a compromised holder does when asked to serve a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AdversaryMode {
     /// Serve honestly but record everything observed (a curious pod).
+    #[default]
     Passive,
     /// Serve deterministically corrupted bytes.
     Tamper,

@@ -379,7 +379,7 @@ impl<P: StoragePlane> ReplicatedStore<P> {
     ) -> Result<QuorumOutcome, StorageError> {
         let quorum_timer = self.obs.timer(names::STORE_GET_QUORUM);
         let fetched = self.fetch_copies(key, metrics)?;
-        let outcome = quorum_inspect_batch(&fetched, self.read_quorum, |values| {
+        let outcome = Tally::new(&fetched).vote(&fetched, self.read_quorum, |values| {
             values.iter().map(|v| verify(v)).collect()
         });
         quorum_timer.observe();
@@ -492,79 +492,110 @@ pub fn quorum_vote(
     read_quorum: usize,
     verify: impl Fn(&[u8]) -> bool,
 ) -> Result<Vec<u8>, StorageError> {
-    quorum_inspect_batch(fetched, read_quorum, |values| {
-        values.iter().map(|v| verify(v)).collect()
-    })
-    .into_result()
+    Tally::new(fetched)
+        .vote(fetched, read_quorum, |values| {
+            values.iter().map(|v| verify(v)).collect()
+        })
+        .into_result()
 }
 
-/// [`quorum_vote`] with the full anatomy exposed and the verifier invoked
-/// **once for the whole read** (the batch-verification seam): returns a
-/// [`QuorumOutcome`], whose [`QuorumOutcome::into_result`] is the exact
-/// [`quorum_vote`] verdict, and `verify_batch` receives each *distinct*
-/// present byte string once, in candidate-preference order of first
-/// appearance, and returns one verdict per value. A verdict is a fact about
-/// a byte string, so it is established once per distinct string and
-/// counted once per candidate holding it: an all-agree read verifies one
-/// copy, not R. The slices borrow from `fetched`, so the verifier may keep
-/// what it proved about a value alongside the bytes it proved it of.
-///
-/// # Panics
-///
-/// Panics if `verify_batch` returns a verdict vector of the wrong length.
-pub fn quorum_inspect_batch<'a>(
-    fetched: &'a FetchedCopies,
-    read_quorum: usize,
-    verify_batch: impl FnOnce(&[&'a [u8]]) -> Vec<bool>,
-) -> QuorumOutcome {
-    // Distinct present values in first-seen (candidate-preference) order,
-    // each with the number of candidates holding it.
-    let mut values: Vec<&'a [u8]> = Vec::new();
-    let mut holders: Vec<usize> = Vec::new();
-    for bytes in fetched.copies.iter().filter_map(|(_, c)| c.as_deref()) {
-        match values.iter().position(|v| *v == bytes) {
-            Some(i) => holders[i] += 1,
-            None => {
-                values.push(bytes);
-                holders.push(1);
+/// One read's copies, counted once: each distinct present value, in
+/// first-seen (candidate-preference) order, with its holder count. It keeps
+/// positions into the [`FetchedCopies`] it counted, which every method
+/// takes back, so it can live beside them.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    /// `(position of the value's first holder, holders)` per value.
+    values: Vec<(usize, usize)>,
+}
+
+impl Tally {
+    /// Counts the present copies of `fetched`.
+    pub fn new(fetched: &FetchedCopies) -> Self {
+        let mut values: Vec<(usize, usize)> = Vec::new();
+        for (at, (_, copy)) in fetched.copies.iter().enumerate() {
+            let Some(bytes) = copy.as_deref() else {
+                continue;
+            };
+            match values
+                .iter_mut()
+                .find(|(first, _)| value_at(fetched, *first) == bytes)
+            {
+                Some((_, holders)) => *holders += 1,
+                None => values.push((at, 1)),
             }
         }
+        Tally { values }
     }
-    let present: usize = holders.iter().sum();
-    let verdicts = verify_batch(&values);
-    assert_eq!(
-        verdicts.len(),
-        values.len(),
-        "batch verifier must return one verdict per distinct value"
-    );
-    let tally: Vec<(&[u8], usize)> = values
-        .iter()
-        .copied()
-        .zip(holders)
-        .zip(&verdicts)
-        .filter_map(|(held, ok)| ok.then_some(held))
-        .collect();
-    let verifying: usize = tally.iter().map(|(_, n)| n).sum();
-    // `reduce` keeps the incumbent on ties, so the earliest-seen (most
-    // preferred candidate's) value wins at equal counts.
-    let leader = tally
-        .iter()
-        .copied()
-        .reduce(|best, cand| if cand.1 > best.1 { cand } else { best });
-    let (winner, agreement) = match leader {
-        Some((bytes, n)) => (Some(bytes.to_vec()), n),
-        None => (None, 0),
-    };
-    QuorumOutcome {
-        key: fetched.key,
-        candidates: fetched.copies.len(),
-        missing: fetched.copies.len() - present,
-        invalid: present - verifying,
-        agreeing: agreement,
-        disagreeing: verifying - agreement,
-        need: read_quorum,
-        winner,
+
+    /// The leader's bytes and holder count: the value with the most
+    /// holders, the earliest-seen on a tie. A leader that verifies wins
+    /// [`Tally::vote`], which breaks ties the same way.
+    pub fn leader<'a>(&self, fetched: &'a FetchedCopies) -> Option<(&'a [u8], usize)> {
+        most_held(self.values.iter().copied()).map(|(at, n)| (value_at(fetched, at), n))
     }
+
+    /// The vote: `verify_batch` gets each distinct value once, in
+    /// first-seen order and borrowed from `fetched`, and returns one verdict
+    /// per value. The winner is the verifying value with the most holders,
+    /// the earliest-seen on a tie; [`QuorumOutcome::into_result`] is the
+    /// exact [`quorum_vote`] verdict.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `verify_batch` returns a verdict vector of the wrong
+    /// length, or if `fetched` is not the copies the tally counted.
+    pub fn vote<'a>(
+        &self,
+        fetched: &'a FetchedCopies,
+        read_quorum: usize,
+        verify_batch: impl FnOnce(&[&'a [u8]]) -> Vec<bool>,
+    ) -> QuorumOutcome {
+        let values: Vec<&'a [u8]> = self
+            .values
+            .iter()
+            .map(|&(at, _)| value_at(fetched, at))
+            .collect();
+        let verdicts = verify_batch(&values);
+        assert_eq!(
+            verdicts.len(),
+            values.len(),
+            "batch verifier must return one verdict per distinct value"
+        );
+        let verified = || {
+            self.values
+                .iter()
+                .zip(&verdicts)
+                .filter(|(_, ok)| **ok)
+                .map(|(v, _)| *v)
+        };
+        let present: usize = self.values.iter().map(|&(_, n)| n).sum();
+        let verifying: usize = verified().map(|(_, n)| n).sum();
+        let winner = most_held(verified());
+        let agreement = winner.map_or(0, |(_, n)| n);
+        QuorumOutcome {
+            key: fetched.key,
+            candidates: fetched.copies.len(),
+            missing: fetched.copies.len() - present,
+            invalid: present - verifying,
+            agreeing: agreement,
+            disagreeing: verifying - agreement,
+            need: read_quorum,
+            winner: winner.map(|(at, _)| value_at(fetched, at).to_vec()),
+        }
+    }
+}
+
+/// The `(position, holders)` entry with the most holders; `reduce` keeps
+/// the incumbent on ties, so the earliest-seen wins at equal counts.
+fn most_held(values: impl Iterator<Item = (usize, usize)>) -> Option<(usize, usize)> {
+    values.reduce(|best, v| if v.1 > best.1 { v } else { best })
+}
+
+/// The present copy at position `at` of `fetched`.
+fn value_at(fetched: &FetchedCopies, at: usize) -> &[u8] {
+    let copy = fetched.copies[at].1.as_deref();
+    copy.expect("a tally reads the copies it counted")
 }
 
 #[cfg(test)]
@@ -896,8 +927,10 @@ mod tests {
                 (nodes[2], Some(b"w".to_vec())),
             ],
         };
-        // Tie at one vote each: preference order (earliest seen) wins.
+        // Tie at one vote each: preference order (earliest seen) wins, and
+        // leads the tally.
         assert_eq!(quorum_vote(&fetched, 1, |_| true).unwrap(), b"v");
+        assert_eq!(Tally::new(&fetched).leader(&fetched), Some((&b"v"[..], 1)));
         // Below quorum: `have` reports the winner's agreement count (one
         // copy of "v"), not the total number of verifying copies (two).
         match quorum_vote(&fetched, 3, |_| true) {
@@ -964,7 +997,9 @@ mod tests {
             ],
         };
         let mut calls = 0usize;
-        let outcome = quorum_inspect_batch(&fetched, 2, |values| {
+        let tally = Tally::new(&fetched);
+        assert_eq!(tally.leader(&fetched), Some((&b"good"[..], 2)));
+        let outcome = tally.vote(&fetched, 2, |values| {
             calls += 1;
             // Absent copies never reach the verifier; each distinct present
             // value arrives once, in candidate-preference order.
@@ -1018,7 +1053,7 @@ mod tests {
         read_quorum: usize,
         verify: impl Fn(&[u8]) -> bool,
     ) -> QuorumOutcome {
-        quorum_inspect_batch(fetched, read_quorum, |values| {
+        Tally::new(fetched).vote(fetched, read_quorum, |values| {
             values.iter().map(|v| verify(v)).collect()
         })
     }
@@ -1039,7 +1074,7 @@ mod tests {
     /// `QuorumOutcome::into_result` reproduces `quorum_vote` bit-for-bit
     /// on every anatomy the vote can encounter.
     #[test]
-    fn quorum_inspect_counts_and_matches_vote() {
+    fn vote_anatomy_counts_and_matches_quorum_vote() {
         let cases: Vec<Vec<Option<&[u8]>>> = vec![
             vec![Some(b"good"), Some(b"good"), Some(b"good")],
             vec![Some(b"good"), Some(b"good"), Some(b"BAD!")],

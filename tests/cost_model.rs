@@ -10,12 +10,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
 
-use dosn::core::engine::{BatchReport, Engine, OpBatch, OpOutput};
+use dosn::core::engine::{wall_key, BatchReport, Engine, OpBatch, OpOutput};
 use dosn::core::network::{
     AdversaryConfig, AdversaryMode, AdversaryPlane, ChordPlane, ReplicatedStore, StoragePlane,
 };
+use dosn::core::DosnError;
 use dosn::crypto::group::{GroupSize, SchnorrGroup};
 use dosn::crypto::sha256::compressions;
+use dosn::overlay::metrics::Metrics;
 
 /// Authors in the read batch, one post each; reads per batch.
 const READS: usize = 32;
@@ -155,9 +157,9 @@ fn a_batch_of_reads_with_one_tampered_copy_each_runs_two_exponentiations() {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // One of each post's three holders serves it with the epoch word
     // flipped: a second value that still carries a valid signature. The
-    // two honest copies are each read's strict plurality, so the read
-    // stakes on them and the batch's one combined check covers all 32; the
-    // forged minority is outvoted without being opened.
+    // two honest copies are each read's leader, so the read stakes on them
+    // and the batch's one combined check covers all 32; the forged
+    // minority is outvoted without being opened.
     let adversary = AdversaryConfig::new(7, 1).with_mode(AdversaryMode::Tamper);
     let mut e =
         engine_with_one_post_per_author(AdversaryPlane::new(ChordPlane::build(24, 7), adversary));
@@ -249,11 +251,13 @@ fn heap_allocations_per_read_are_pinned() {
     // An L1-served item allocates its body and its author's name, the two
     // strings it hands back; nothing else per item. The 47 per call are
     // mostly the reader's roster, one string per friend. A cold read is
-    // ≈ 57 allocations: the baseline a read-path change measures against.
+    // ≈ 55 allocations: the baseline a read-path change measures against.
+    // (1828 per 32 while a read's copies were counted three times: twice
+    // to find a strict plurality to stake on, once more in the vote.)
     let per_item = (l1_64 - l1_32) / READS as u64;
     assert_eq!(
         [per_item, l1_32, cold],
-        [2, 111, 1828],
+        [2, 111, 1768],
         "allocations per L1-served item, per warm feed of 32 items, per 32 cold reads"
     );
 }
@@ -280,5 +284,47 @@ fn montgomery_products_per_op_are_pinned() {
         [cold, post, comment],
         [3468, 124, 488],
         "Montgomery products and squares per 32 cold reads, per post, per comment"
+    );
+}
+
+#[test]
+fn a_batch_of_refused_reads_opens_each_record_once() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
+    // Every holder of every post serves the record with its last body byte
+    // flipped: it decodes, and its signature fails.
+    let mut m = Metrics::new();
+    for i in 0..READS {
+        let key = wall_key(&author(i), 0);
+        let holders = e.storage_mut().fetch_copies(key, &mut m).unwrap().copies;
+        let mut forged = holders[0].1.clone().expect("the post was stored");
+        *forged.last_mut().unwrap() ^= 1;
+        for (node, _) in holders {
+            e.storage_mut()
+                .plane_mut()
+                .store_at(node, key, &forged, &mut m)
+                .unwrap();
+        }
+    }
+    let group = SchnorrGroup::shared(GroupSize::Toy);
+    let before = group.exp_stats().montgomery_products;
+    let (report, sha) = compressions_in(|| e.execute(every_first_post()));
+    let products = group.exp_stats().montgomery_products - before;
+    for result in &report.results {
+        assert!(
+            matches!(result, Err(DosnError::IntegrityViolation(_))),
+            "{result:?}"
+        );
+    }
+    // Each read's one value is its leader: decoded once, checked in the
+    // batch's combined check (which bisects down to 32 failures), and
+    // refused with the error that check found. (1378 and 69117 while a
+    // refused read ran a second vote and decoded and verified its leader
+    // again to name the error: ≈ 14 compressions and ≈ 369 products more
+    // per read.)
+    assert_eq!(
+        [sha, products],
+        [930, 57308],
+        "SHA-256 compressions and Montgomery products per 32 refused reads"
     );
 }
