@@ -9,7 +9,7 @@
 //!    stakes on nothing.
 //! 2. **Check.** One combined Schnorr check proves every stake of the
 //!    batch ([`SignedEnvelope::verify_wire_slots`]). The verdicts are exact
-//!    per stake, since a failed check bisects.
+//!    per stake, since a failed check verifies each stake alone.
 //! 3. **Settle.** Read by read, in op order, the tally's vote takes the
 //!    checked verdict and the winner is unsealed from its
 //!    [`VerifiedEnvelope`]; then stale copies are repaired, the winner is

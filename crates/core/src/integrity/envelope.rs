@@ -327,7 +327,8 @@ impl SignedEnvelope {
     /// up one by one, with no group operation; every decoded signature
     /// equation, under however many authors' keys, joins one
     /// random-linear-combination check ([`dosn_crypto::batch::batch_verify`]),
-    /// which bisects a failure down to exact per-slot verdicts; a record
+    /// which verifies each signature alone when it fails, so the per-slot
+    /// verdicts are exact; a record
     /// whose signature holds then has its freshness rule checked. The steps
     /// run in [`SignedEnvelope::open_wire`]'s order, so each slot comes back
     /// with exactly what `open_wire` returns for it, refusals included,

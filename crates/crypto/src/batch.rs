@@ -23,16 +23,18 @@
 //! engine runs) yet unpredictable to a forger, who must commit to all
 //! signatures before learning any `zᵢ`.
 //!
-//! When the combined check fails, [`batch_verify`] bisects: sub-batches get
-//! fresh transcript-derived coefficients, and singleton leaves fall back to
-//! plain [`VerifyingKey::verify`], so callers learn exactly which items are
-//! bad at a cost logarithmic in the batch size (for few corruptions).
+//! When the combined check fails, [`batch_verify`] verifies each unique item
+//! alone with the plain equation, so callers learn exactly which items are
+//! bad. Splitting the failed batch into sub-batches would not pay: a
+//! combined check's fixed cost (its second multi-exp and its coefficients)
+//! exceeds one plain verification, so a forger who fails every item would
+//! make a bisection cost several times the one-by-one loop.
 //!
 //! The engine's finish phase hands over one item per read that stakes on
 //! one value (agreeing replicas, or a hot-cached envelope), under as many
 //! keys as the batch has authors. A batch whose items all carry one
-//! `(key, message, signature)` triple never enters the combined check: one
-//! item is already a leaf, decided by `g^s · y^e = r` alone.
+//! `(key, message, signature)` triple never enters the combined check: it is
+//! decided by `g^s · y^e = r` alone.
 
 use crate::error::CryptoError;
 use crate::group::SchnorrGroup;
@@ -72,7 +74,8 @@ const COEFF_BYTES: usize = 16;
 struct UniqueItem<'a> {
     key: &'a VerifyingKey,
     sig: &'a Signature,
-    /// `e = H(y ‖ r ‖ m)`, computed once and reused across bisection.
+    /// `e = H(y ‖ r ‖ m)`, computed once and shared by the combined check
+    /// and the item's own verification.
     e: BigUint,
     msg_digest: [u8; 32],
     /// All input indices carrying this exact triple (quorum reads hand the
@@ -133,28 +136,19 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchFailure> {
 
     let mut bad_slots: Vec<usize> = Vec::new();
     if let [only] = uniques.as_slice() {
-        // One unique triple is its own bisection leaf: the plain equation
-        // `g^s · y^e = r` decides it, with no coefficients to draw and no
-        // second multi-exp. (A quorum read, whose copies agree, always
-        // lands here.)
+        // One unique triple needs no coefficients and no second multi-exp:
+        // the plain equation `g^s · y^e = r` decides it. (A quorum read,
+        // whose copies agree, always lands here.)
         if verify_unique(only).is_err() {
             bad_slots.push(0);
         }
     } else if !uniques.is_empty() && !combined_check(group, &uniques) {
-        isolate(
-            group,
-            &uniques,
-            &(0..uniques.len()).collect::<Vec<_>>(),
-            &mut bad_slots,
-        );
-        if bad_slots.is_empty() {
-            // The combined check can (with probability ~2⁻¹²⁸) reject a good
-            // batch, and bisection inherits the same odds per split. Fall
-            // back to the ground truth rather than report a phantom failure.
-            for (slot, u) in uniques.iter().enumerate() {
-                if verify_unique(u).is_err() {
-                    bad_slots.push(slot);
-                }
+        // Each item alone: exact, and cheaper than any split of the batch.
+        // This also absorbs the combined check's ~2⁻¹²⁸ chance of rejecting
+        // a good batch, which then reports no failure.
+        for (slot, u) in uniques.iter().enumerate() {
+            if verify_unique(u).is_err() {
+                bad_slots.push(slot);
             }
         }
     }
@@ -186,45 +180,13 @@ fn verify_unique(u: &UniqueItem<'_>) -> Result<(), CryptoError> {
     }
 }
 
-/// Recursive bisection over slots of `uniques`: narrows a failing combined
-/// check to individual bad items, re-deriving coefficients per sub-batch.
-fn isolate(
-    group: &SchnorrGroup,
-    uniques: &[UniqueItem<'_>],
-    slots: &[usize],
-    bad: &mut Vec<usize>,
-) {
-    match slots {
-        [] => {}
-        &[slot] => {
-            if verify_unique(&uniques[slot]).is_err() {
-                bad.push(slot);
-            }
-        }
-        _ => {
-            let (lo, hi) = slots.split_at(slots.len() / 2);
-            for half in [lo, hi] {
-                let sub: Vec<&UniqueItem<'_>> = half.iter().map(|&s| &uniques[s]).collect();
-                if !combined_check_refs(group, &sub) {
-                    isolate(group, uniques, half, bad);
-                }
-            }
-        }
-    }
-}
-
+/// The random-linear-combination equation over the batch's unique items.
 fn combined_check(group: &SchnorrGroup, uniques: &[UniqueItem<'_>]) -> bool {
-    let refs: Vec<&UniqueItem<'_>> = uniques.iter().collect();
-    combined_check_refs(group, &refs)
-}
-
-/// The random-linear-combination equation over one (sub-)batch.
-fn combined_check_refs(group: &SchnorrGroup, uniques: &[&UniqueItem<'_>]) -> bool {
     let q = group.order();
 
     // Transcript hash binding every item: y ‖ r ‖ s ‖ H(m) each, under a
     // domain tag. Seeds the coefficient stream, so no zᵢ exists until the
-    // entire (sub-)batch is fixed.
+    // entire batch is fixed.
     let mut h = Sha256::new();
     h.update(b"dosn.schnorr.batch.v1");
     h.update(&(uniques.len() as u64).to_be_bytes());

@@ -46,7 +46,7 @@ fn challenge(group: &SchnorrGroup, y: &BigUint, r: &BigUint, msg: &[u8]) -> BigU
 }
 
 #[test]
-fn one_tampered_item_in_64_is_isolated_by_bisection() {
+fn one_tampered_item_in_64_is_isolated() {
     let mut rng = SecureRng::seed_from_u64(4242);
     let key = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
     let msgs: Vec<Vec<u8>> = (0..64)

@@ -295,7 +295,8 @@ fn schnorr_seeded_signature_and_batch_verdict_are_pinned() {
         (vk, msgs[2], &sigs[2]),
     ];
     assert_eq!(batch_verify(&items), Ok(()));
-    // One forged item: the RLC check fails and bisection names exactly it.
+    // One forged item: the RLC check fails and the one-by-one pass names
+    // exactly it.
     let forged = [
         items[0],
         (vk, b"wall/mallory/1".as_slice(), &sigs[1]),

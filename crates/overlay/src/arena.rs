@@ -27,10 +27,10 @@
 //!
 //! [`StoragePlane`]: crate::storage::StoragePlane
 
+use crate::fault::PLANE_HOP_MS;
 use crate::hotcache::HotCache;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::PLANE_HOP_MS;
 use crate::storage::StorageError;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

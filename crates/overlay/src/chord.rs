@@ -27,10 +27,9 @@
 //! O(log²n) every round.
 
 use crate::arena::{Admission, Holders};
-use crate::fault::LinkFaults;
+use crate::fault::{LatencyModel, LinkFaults};
 use crate::id::{in_interval_open_closed, ring_distance, Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::LatencyModel;
 use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;

@@ -8,9 +8,9 @@
 //! reports the fraction of time each object was reachable.
 //!
 //! The model steps whole minutes over session states and exchanges no
-//! messages; message-level churn (offline targets, crash schedules, and
-//! counting each lost message once) is the event simulator's, in
-//! [`crate::sim`].
+//! messages. Scheduled crashes of storage nodes are
+//! [`crate::fault::FaultPlan`]'s, applied to a storage plane by
+//! [`crate::replication::apply_crash_schedule`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,31 +1,30 @@
-//! Fault injection and reproducible trace observability for the simulator.
+//! The one network model: hop latency, message loss, partitions and crashes,
+//! and a reproducible trace digest.
 //!
-//! DOSN protocols are evaluated on networks that lose, duplicate, reorder,
-//! and delay messages, partition into islands, and crash nodes — §II's
-//! premise that "peers are unreliable" is the whole reason replication,
-//! epochs, and gossip anti-entropy exist. This module makes those failure
-//! modes first-class and *reproducible*:
+//! DOSN protocols run on networks that delay and lose messages, partition
+//! into islands and crash nodes — §II's premise that "peers are unreliable"
+//! is the whole reason replication, epochs and gossip anti-entropy exist.
+//! Every overlay family here is a closed-form walk over its routing state,
+//! and each asks this module the same questions in closed form, seeded so
+//! that a run repeats exactly:
 //!
-//! * [`FaultPlan`] — a declarative schedule of message drop/duplication/
-//!   reordering probabilities, timed two-way partitions between node sets,
-//!   crash-stop and crash-recovery events, and per-link latency spikes. The
-//!   plan is applied inside the event queue of [`crate::sim::Simulation`],
-//!   so the same seed and plan always yield the same execution. Whether a
-//!   transmission is lost is decided by one rule on the plan: an active
-//!   partition blocks it without a draw, then one Bernoulli draw on
-//!   [`FaultPlan::drop_probability`].
-//! * [`SimTrace`] — an observability layer that folds every structural
-//!   event (send, deliver, drop, timer, churn) into a running SHA-256
-//!   digest. Two runs agree on every event in order if and only if their
-//!   digests agree, which turns "is the simulator deterministic?" into a
-//!   byte comparison.
-//! * [`LinkFaults`] — a seeded application of a plan to the closed-form
-//!   overlay models ([`crate::chord`], [`crate::kademlia`],
-//!   [`crate::flood`], [`crate::superpeer`]), whose lookups walk routing
-//!   tables directly instead of exchanging simulator messages. It answers
-//!   one question per transmission — "does this hop deliver?" — with the
-//!   plan's rule and its own seeded RNG, and tracks retries so experiments
-//!   can report the cost of loss.
+//! * [`LatencyModel`] — how long one routed hop takes: the one hop-latency
+//!   draw of every family (a fixed 30 ms for a direct storage-plane call
+//!   that walks no route).
+//! * [`FaultPlan`] — a declarative schedule: an in-flight loss probability,
+//!   two-way partitions between node sets, and crash-stop and
+//!   crash-recovery windows. [`FaultPlan::is_crashed`] is the one crash
+//!   rule; [`crate::replication::apply_crash_schedule`] applies it to a
+//!   storage plane at a simulated time, which is how the engine and the
+//!   availability experiments take nodes down and bring them back.
+//! * [`LinkFaults`] — a seeded application of a plan's loss and partition
+//!   rule to single transmissions. The routed walks ([`crate::chord`],
+//!   [`crate::kademlia`], [`crate::flood`], [`crate::superpeer`]) ask it
+//!   "does this hop deliver?" once per attempt and track retries, so
+//!   experiments can report the cost of loss.
+//! * [`SimTrace`] — folds typed events into a running SHA-256 digest. Two
+//!   runs agree on every event in order if and only if their digests agree,
+//!   which turns "is this run deterministic?" into a byte comparison.
 
 use crate::id::NodeId;
 use crate::metrics::Metrics;
@@ -34,19 +33,50 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
-/// A timed two-way partition: while `from_ms <= now < until_ms`, no message
-/// crosses between `side_a` and `side_b` (either direction). Traffic within
-/// a side is unaffected.
+/// Link latency model: uniform in `[min_ms, max_ms]`. The default is the
+/// one wide-area hop latency of every overlay family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencyModel {
+    /// Minimum one-way latency.
+    pub min_ms: u64,
+    /// Maximum one-way latency.
+    pub max_ms: u64,
+}
+
+impl Default for LatencyModel {
+    fn default() -> Self {
+        // Wide-area P2P spread.
+        LatencyModel {
+            min_ms: 10,
+            max_ms: 120,
+        }
+    }
+}
+
+impl LatencyModel {
+    /// One hop's latency: a single uniform draw from `rng`, or, for a
+    /// fixed model (`min_ms == max_ms`), that value without a draw.
+    pub fn draw(&self, rng: &mut impl Rng) -> u64 {
+        if self.min_ms == self.max_ms {
+            return self.min_ms;
+        }
+        rng.random_range(self.min_ms..=self.max_ms)
+    }
+}
+
+/// The latency of one direct hop that walks no route — a storage-plane
+/// call, or a federation client's request to its pod: a fixed typical
+/// wide-area hop instead of a draw.
+pub(crate) const PLANE_HOP_MS: u64 = 30;
+
+/// A two-way partition: no message crosses between `side_a` and `side_b`
+/// (either direction). Traffic within a side is unaffected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// One side of the cut.
     pub side_a: BTreeSet<u64>,
     /// The other side.
     pub side_b: BTreeSet<u64>,
-    /// Partition start (inclusive), simulated ms.
-    pub from_ms: u64,
-    /// Partition end (exclusive), simulated ms. `u64::MAX` never heals.
-    pub until_ms: u64,
 }
 
 /// A scheduled crash: the node goes offline at `at_ms`; with
@@ -62,77 +92,31 @@ pub struct CrashEvent {
     pub recover_at_ms: Option<u64>,
 }
 
-/// A per-link latency spike: messages from `from` to `to` scheduled while
-/// `from_ms <= now < until_ms` take `extra_ms` additional latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySpike {
-    /// Sender.
-    pub from: NodeId,
-    /// Receiver.
-    pub to: NodeId,
-    /// Spike start (inclusive), simulated ms.
-    pub from_ms: u64,
-    /// Spike end (exclusive), simulated ms.
-    pub until_ms: u64,
-    /// Added one-way latency.
-    pub extra_ms: u64,
-}
-
-/// A declarative fault schedule for one simulation run.
+/// A declarative fault schedule for one run.
 ///
-/// Probabilities apply independently per message send; structural faults
-/// (partitions, crashes, spikes) are timed. All randomness used to apply
-/// the plan comes from a dedicated RNG seeded with [`FaultPlan::seed`], so
-/// an inert plan leaves the base simulation's event sequence untouched and
-/// (seed, plan) fully determines the execution.
-#[derive(Debug, Clone, PartialEq)]
+/// Loss applies independently per transmission attempt, drawn from the RNG
+/// of the [`LinkFaults`] built from the plan (seeded with
+/// [`FaultPlan::seed`]), so an inert plan draws nothing and (seed, plan)
+/// determines every decision. Partitions hold until healed; crashes are
+/// timed.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the fault-decision RNG.
     pub seed: u64,
-    /// Probability a message is lost in flight.
+    /// Probability a transmission is lost in flight.
     pub drop_probability: f64,
-    /// Probability a message is delivered twice (independent latencies, so
-    /// the copies usually arrive out of order).
-    pub duplicate_probability: f64,
-    /// Probability a message is held back by an extra random delay, letting
-    /// later sends overtake it.
-    pub reorder_probability: f64,
-    /// Maximum extra delay applied to reordered messages.
-    pub reorder_max_extra_ms: u64,
-    /// Timed two-way partitions.
+    /// Two-way partitions.
     pub partitions: Vec<Partition>,
     /// Crash-stop / crash-recovery schedule.
     pub crashes: Vec<CrashEvent>,
-    /// Per-link latency spikes.
-    pub latency_spikes: Vec<LatencySpike>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::none()
-    }
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (the simulator's default).
-    pub fn none() -> Self {
-        FaultPlan {
-            seed: 0,
-            drop_probability: 0.0,
-            duplicate_probability: 0.0,
-            reorder_probability: 0.0,
-            reorder_max_extra_ms: 200,
-            partitions: Vec::new(),
-            crashes: Vec::new(),
-            latency_spikes: Vec::new(),
-        }
-    }
-
     /// An empty plan with an explicit fault seed (builder entry point).
     pub fn seeded(seed: u64) -> Self {
         FaultPlan {
             seed,
-            ..FaultPlan::none()
+            ..FaultPlan::default()
         }
     }
 
@@ -145,49 +129,6 @@ impl FaultPlan {
     pub fn with_drop_probability(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.drop_probability = p;
-        self
-    }
-
-    /// Sets the duplication probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    #[must_use]
-    pub fn with_duplicate_probability(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.duplicate_probability = p;
-        self
-    }
-
-    /// Sets the reordering probability and the maximum extra delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    #[must_use]
-    pub fn with_reordering(mut self, p: f64, max_extra_ms: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.reorder_probability = p;
-        self.reorder_max_extra_ms = max_extra_ms;
-        self
-    }
-
-    /// Adds a timed two-way partition between two node sets.
-    #[must_use]
-    pub fn with_partition(
-        mut self,
-        side_a: impl IntoIterator<Item = NodeId>,
-        side_b: impl IntoIterator<Item = NodeId>,
-        from_ms: u64,
-        until_ms: u64,
-    ) -> Self {
-        self.partitions.push(Partition {
-            side_a: side_a.into_iter().map(|n| n.0).collect(),
-            side_b: side_b.into_iter().map(|n| n.0).collect(),
-            from_ms,
-            until_ms,
-        });
         self
     }
 
@@ -220,76 +161,28 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a per-link latency spike.
-    #[must_use]
-    pub fn with_latency_spike(
-        mut self,
-        from: NodeId,
-        to: NodeId,
-        from_ms: u64,
-        until_ms: u64,
-        extra_ms: u64,
-    ) -> Self {
-        self.latency_spikes.push(LatencySpike {
-            from,
-            to,
-            from_ms,
-            until_ms,
-            extra_ms,
-        });
-        self
-    }
-
     /// The one crash rule: `node` is down at `now_ms` iff one of its crash
     /// windows (`at_ms` up to `recover_at_ms`, or for ever) contains it,
     /// whatever order the plan lists them in.
-    pub(crate) fn is_crashed(&self, node: NodeId, now_ms: u64) -> bool {
+    pub fn is_crashed(&self, node: NodeId, now_ms: u64) -> bool {
         self.crashes.iter().any(|c| {
             c.node == node && c.at_ms <= now_ms && c.recover_at_ms.is_none_or(|r| r > now_ms)
         })
     }
 
-    /// Whether any partition separates `from` and `to` at `now_ms`.
-    fn is_partitioned(&self, from: NodeId, to: NodeId, now_ms: u64) -> bool {
+    /// Whether any partition separates `from` and `to`.
+    fn is_partitioned(&self, from: NodeId, to: NodeId) -> bool {
         let (a, b) = (from.0, to.0);
         self.partitions.iter().any(|p| {
-            (p.from_ms..p.until_ms).contains(&now_ms)
-                && ((p.side_a.contains(&a) && p.side_b.contains(&b))
-                    || (p.side_a.contains(&b) && p.side_b.contains(&a)))
+            (p.side_a.contains(&a) && p.side_b.contains(&b))
+                || (p.side_a.contains(&b) && p.side_b.contains(&a))
         })
-    }
-
-    /// The one loss/partition rule of the network model: whether one
-    /// transmission `from -> to` at `now_ms` is lost, and how. A partition
-    /// blocks it without a draw ([`TraceEventKind::DropPartition`]);
-    /// otherwise one [`chance`] on `drop_probability` decides loss in
-    /// flight ([`TraceEventKind::DropLink`]).
-    pub(crate) fn loss(
-        &self,
-        rng: &mut StdRng,
-        from: NodeId,
-        to: NodeId,
-        now_ms: u64,
-    ) -> Option<TraceEventKind> {
-        if self.is_partitioned(from, to, now_ms) {
-            return Some(TraceEventKind::DropPartition);
-        }
-        chance(rng, self.drop_probability).then_some(TraceEventKind::DropLink)
-    }
-
-    /// Total extra latency from spikes active on `from -> to` at `now_ms`.
-    pub fn spike_extra_ms(&self, from: NodeId, to: NodeId, now_ms: u64) -> u64 {
-        self.latency_spikes
-            .iter()
-            .filter(|s| s.from == from && s.to == to && now_ms >= s.from_ms && now_ms < s.until_ms)
-            .map(|s| s.extra_ms)
-            .sum()
     }
 }
 
 /// Draws a Bernoulli with probability `p` from `rng`; `p <= 0` never draws
 /// (keeping inert plans free of RNG consumption).
-pub(crate) fn chance(rng: &mut StdRng, p: f64) -> bool {
+fn chance(rng: &mut StdRng, p: f64) -> bool {
     if p <= 0.0 {
         return false;
     }
@@ -303,54 +196,41 @@ pub(crate) fn chance(rng: &mut StdRng, p: f64) -> bool {
 // Trace observability
 // ---------------------------------------------------------------------------
 
-/// The structural event kinds a trace records.
+/// The event kinds a trace records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum TraceEventKind {
-    /// A message was scheduled for delivery.
-    Send = 1,
-    /// A message reached an online node's `on_message`.
+    /// A value reached its recipient: a placement decision, or a read
+    /// that was served.
     Deliver = 2,
-    /// A message reached a node that was offline.
+    /// Nothing reached the recipient because the nodes it needed were
+    /// offline: a read that found too few live copies.
     DropOffline = 3,
-    /// A message was lost in flight by the fault plan.
-    DropLink = 4,
-    /// A message was blocked by an active partition.
-    DropPartition = 5,
-    /// A duplicate copy was scheduled.
-    Duplicate = 6,
-    /// A timer fired.
-    Timer = 7,
-    /// A node changed online state.
-    Churn = 8,
 }
 
-/// One structural trace event. The message payload is generic and never
-/// hashed; the tuple (kind, time, endpoints, sequence) identifies the event
-/// uniquely within a run.
+/// One trace event: a kind, a simulated time and three numbers whose
+/// meaning the recorder fixes (its subject, its counterpart, a sequence
+/// number), which together identify the event within a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// What happened.
     pub kind: TraceEventKind,
     /// When, simulated ms.
     pub at_ms: u64,
-    /// Sender / subject node.
+    /// The subject: a key or a sender.
     pub a: u64,
-    /// Receiver node, timer tag, or online flag depending on `kind`.
+    /// The counterpart: a node, or a count the recorder attaches.
     pub b: u64,
-    /// The logical message id (0 for timer/churn events).
+    /// A sequence number the recorder assigns (a message id, a rank), or 0.
     pub msg_id: u64,
 }
 
-/// Observability layer: folds every structural event into a running
-/// SHA-256 digest (via `dosn-crypto`), so identical seeds and fault plans
-/// yield byte-identical trace digests. Optionally retains the full event
-/// log for debugging failed schedules.
+/// Observability layer: folds every event into a running SHA-256 digest
+/// (via `dosn-crypto`) in O(1) memory, so identical seeds and fault plans
+/// yield byte-identical trace digests.
 #[derive(Debug, Clone)]
 pub struct SimTrace {
     hasher: Sha256,
-    recorded: u64,
-    log: Option<Vec<TraceEvent>>,
 }
 
 impl Default for SimTrace {
@@ -360,21 +240,10 @@ impl Default for SimTrace {
 }
 
 impl SimTrace {
-    /// A digest-only trace (O(1) memory).
+    /// An empty trace.
     pub fn new() -> Self {
         SimTrace {
             hasher: Sha256::new(),
-            recorded: 0,
-            log: None,
-        }
-    }
-
-    /// A trace that also retains every event in order (for debugging; O(n)
-    /// memory).
-    pub fn with_log() -> Self {
-        SimTrace {
-            log: Some(Vec::new()),
-            ..SimTrace::new()
         }
     }
 
@@ -385,25 +254,6 @@ impl SimTrace {
         self.hasher.update(&event.a.to_le_bytes());
         self.hasher.update(&event.b.to_le_bytes());
         self.hasher.update(&event.msg_id.to_le_bytes());
-        self.recorded += 1;
-        if let Some(log) = &mut self.log {
-            log.push(event);
-        }
-    }
-
-    /// Number of events folded in so far.
-    pub fn len(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Whether no event has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.recorded == 0
-    }
-
-    /// The retained event log, if this trace keeps one.
-    pub fn events(&self) -> Option<&[TraceEvent]> {
-        self.log.as_deref()
     }
 
     /// The SHA-256 digest over all events recorded so far.
@@ -418,19 +268,21 @@ impl SimTrace {
 }
 
 // ---------------------------------------------------------------------------
-// Synchronous link faults for the closed-form overlay models
+// Link faults for single transmissions
 // ---------------------------------------------------------------------------
 
-/// A seeded application of a [`FaultPlan`] to the synchronous overlays.
+/// A seeded application of a [`FaultPlan`]'s loss and partition rule to
+/// single transmissions.
 ///
 /// Chord/Kademlia/flood/super-peer lookups in this crate are closed-form
-/// routing-table walks; they do not exchange simulator messages. To subject
-/// them to loss and partitions, each hop asks a `LinkFaults` instance
-/// whether the transmission succeeds, re-asking up to the caller's retry
-/// budget (counting `*.retry` in [`crate::metrics::Metrics`]). The answer
-/// is the plan's own loss/partition rule, the one the simulator applies,
-/// evaluated at time 0 with this instance's RNG: the walks have no clock,
-/// so a partition holds until [`LinkFaults::heal_partitions`].
+/// routing-table walks. To subject them to loss and partitions, each hop
+/// asks a `LinkFaults` instance whether the transmission succeeds,
+/// re-asking up to the caller's retry budget (counting `*.retry` in
+/// [`crate::metrics::Metrics`]). An active partition blocks a transmission
+/// without a draw; otherwise one Bernoulli draw on the plan's
+/// [`FaultPlan::drop_probability`] decides loss. A partition holds until
+/// [`LinkFaults::heal_partitions`]. The plan's crash schedule plays no part
+/// here: whether a node is up is [`FaultPlan::is_crashed`]'s question.
 #[derive(Debug, Clone)]
 pub struct LinkFaults {
     plan: FaultPlan,
@@ -448,12 +300,9 @@ impl LinkFaults {
     ///
     /// Panics if `p` is not within `[0, 1]`.
     pub fn new(seed: u64, drop_probability: f64) -> Self {
-        LinkFaults {
-            plan: FaultPlan::seeded(seed).with_drop_probability(drop_probability),
-            rng: StdRng::seed_from_u64(seed),
-            attempts: 0,
-            failures: 0,
-        }
+        FaultPlan::seeded(seed)
+            .with_drop_probability(drop_probability)
+            .into()
     }
 
     /// A fault-free instance (every attempt delivers).
@@ -469,7 +318,10 @@ impl LinkFaults {
         side_a: impl IntoIterator<Item = NodeId>,
         side_b: impl IntoIterator<Item = NodeId>,
     ) -> Self {
-        self.plan = self.plan.with_partition(side_a, side_b, 0, u64::MAX);
+        self.plan.partitions.push(Partition {
+            side_a: side_a.into_iter().map(|n| n.0).collect(),
+            side_b: side_b.into_iter().map(|n| n.0).collect(),
+        });
         self
     }
 
@@ -487,18 +339,20 @@ impl LinkFaults {
     /// attempts; returns the number of attempts consumed alongside the
     /// outcome. Partitioned links never succeed regardless of budget.
     fn delivers_with_retries(&mut self, from: NodeId, to: NodeId, retries: u32) -> (bool, u32) {
+        if self.plan.is_partitioned(from, to) {
+            // Retrying a partitioned link cannot help.
+            self.attempts += 1;
+            self.failures += 1;
+            return (false, 1);
+        }
         let mut used = 0;
         for _ in 0..=retries {
             used += 1;
             self.attempts += 1;
-            let Some(loss) = self.plan.loss(&mut self.rng, from, to, 0) else {
+            if !chance(&mut self.rng, self.plan.drop_probability) {
                 return (true, used);
-            };
-            self.failures += 1;
-            if loss == TraceEventKind::DropPartition {
-                // Retrying a partitioned link cannot help.
-                return (false, used);
             }
+            self.failures += 1;
         }
         (false, used)
     }
@@ -526,36 +380,36 @@ impl LinkFaults {
     }
 }
 
+impl From<FaultPlan> for LinkFaults {
+    /// Applies `plan`'s loss and partitions, drawing from an RNG seeded
+    /// with its [`FaultPlan::seed`].
+    fn from(plan: FaultPlan) -> Self {
+        LinkFaults {
+            rng: StdRng::seed_from_u64(plan.seed),
+            plan,
+            attempts: 0,
+            failures: 0,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::RngCore;
 
     #[test]
-    fn partition_separates_only_in_window() {
-        let plan = FaultPlan::seeded(1).with_partition(
-            [NodeId(0), NodeId(1)],
-            [NodeId(2), NodeId(3)],
-            100,
-            200,
-        );
-        assert!(!plan.is_partitioned(NodeId(0), NodeId(2), 99));
-        assert!(plan.is_partitioned(NodeId(0), NodeId(2), 100));
-        assert!(plan.is_partitioned(NodeId(2), NodeId(0), 199));
-        assert!(!plan.is_partitioned(NodeId(0), NodeId(2), 200));
-        assert!(!plan.is_partitioned(NodeId(0), NodeId(1), 150), "same side");
-    }
-
-    #[test]
-    fn spikes_add_latency_in_window() {
-        let plan = FaultPlan::seeded(1).with_latency_spike(NodeId(0), NodeId(1), 10, 20, 500);
-        assert_eq!(plan.spike_extra_ms(NodeId(0), NodeId(1), 15), 500);
-        assert_eq!(plan.spike_extra_ms(NodeId(0), NodeId(1), 20), 0);
-        assert_eq!(
-            plan.spike_extra_ms(NodeId(1), NodeId(0), 15),
-            0,
-            "directional"
-        );
+    fn a_fixed_model_draws_nothing() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let fixed = LatencyModel {
+            min_ms: 7,
+            max_ms: 7,
+        };
+        assert_eq!(fixed.draw(&mut rng), 7);
+        let mut fresh = StdRng::seed_from_u64(5);
+        assert_eq!(rng.next_u64(), fresh.next_u64());
+        let lat = LatencyModel::default().draw(&mut rng);
+        assert!((10..=120).contains(&lat));
     }
 
     #[test]
@@ -571,7 +425,7 @@ mod tests {
         base.record(ev);
         for changed in [
             TraceEvent {
-                kind: TraceEventKind::Send,
+                kind: TraceEventKind::DropOffline,
                 ..ev
             },
             TraceEvent { at_ms: 6, ..ev },
@@ -587,26 +441,6 @@ mod tests {
         same.record(ev);
         assert_eq!(base.digest(), same.digest());
         assert_eq!(base.hex_digest().len(), 64);
-    }
-
-    #[test]
-    fn trace_log_retains_events_in_order() {
-        let mut t = SimTrace::with_log();
-        assert!(t.is_empty());
-        for i in 0..3 {
-            t.record(TraceEvent {
-                kind: TraceEventKind::Timer,
-                at_ms: i,
-                a: 0,
-                b: 0,
-                msg_id: 0,
-            });
-        }
-        assert_eq!(t.len(), 3);
-        let log = t.events().unwrap();
-        assert_eq!(log.len(), 3);
-        assert!(log.windows(2).all(|w| w[0].at_ms < w[1].at_ms));
-        assert!(SimTrace::new().events().is_none());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! global-view claim directly.
 
 use crate::arena::{Admission, Holders};
+use crate::fault::PLANE_HOP_MS;
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::PLANE_HOP_MS;
 use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::names;
 use std::collections::HashMap;

@@ -8,10 +8,9 @@
 //! * TTL-bounded flooding search with full message accounting — the
 //!   O(n)-messages contrast to Chord's O(log n) hops in experiment E5.
 
-use crate::fault::LinkFaults;
+use crate::fault::{LatencyModel, LinkFaults};
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::LatencyModel;
 use dosn_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -25,10 +25,9 @@
 //! the eager tables. Stored blobs live in the same table.
 
 use crate::arena::{Admission, Holders};
-use crate::fault::LinkFaults;
+use crate::fault::{LatencyModel, LinkFaults};
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::LatencyModel;
 use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;

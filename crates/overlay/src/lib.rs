@@ -5,9 +5,7 @@
 //! this crate implements all of them in one process, seeded and
 //! deterministic (the substitution for a real planet-scale deployment —
 //! see DESIGN.md). The families are closed-form walks over their routing
-//! state (a flood is a breadth-first sweep): they share the discrete-event
-//! simulator's ([`sim`]) hop-latency draw and loss rule, but not its event
-//! queue, which runs E11b's relay ring and the gossip and fault tests:
+//! state (a flood is a breadth-first sweep), with no event queue:
 //!
 //! | §II-B family | Exemplars in the survey | Module |
 //! |---|---|---|
@@ -22,22 +20,23 @@
 //! [`storage::StoragePlane`], the placement + access trait that
 //! [`replication::ReplicatedStore`] and the request engine run over.
 //!
-//! Every family runs on one network model: a routed hop's latency is a
-//! draw from [`sim::LatencyModel`]'s default, and a lost transmission is
-//! decided by [`fault::FaultPlan`]'s one loss/partition rule — hop by hop
-//! through [`fault::LinkFaults`] in a routed walk, and in the event queue of
-//! [`sim::Simulation`].
+//! Every family runs on one network model, in [`fault`]: a routed hop's
+//! latency is a draw from [`fault::LatencyModel`]'s default, a lost
+//! transmission is decided hop by hop by [`fault::FaultPlan`]'s one
+//! loss/partition rule through [`fault::LinkFaults`], and a node is down
+//! when the plan's crash schedule says so
+//! ([`replication::apply_crash_schedule`]).
 //!
-//! Supporting infrastructure: [`sim`] (event-driven engine with churn),
-//! [`fault`] (fault plans and trace digests), [`churn`] (availability
-//! experiments, E6), [`metrics`] (message/hop accounting used by every
-//! experiment), [`id`] (ring identifiers).
+//! Supporting infrastructure: [`fault`] (the network model, fault plans
+//! and trace digests), [`churn`] (session-level availability, E6),
+//! [`metrics`] (message/hop accounting used by every experiment), [`id`]
+//! (ring identifiers).
 //!
 //! # Example: comparing lookup costs across organizations
 //!
 //! ```
-//! use dosn_overlay::{chord::ChordPlane, superpeer::SuperPeerPlane, sim::LatencyModel,
-//!                    fault::LinkFaults, id::{Key, NodeId}, metrics::Metrics,
+//! use dosn_overlay::{chord::ChordPlane, superpeer::SuperPeerPlane,
+//!                    fault::{LatencyModel, LinkFaults}, id::{Key, NodeId}, metrics::Metrics,
 //!                    replication::ReplicatedStore, storage::StoragePlane};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -97,7 +96,6 @@ pub mod kademlia;
 pub mod metrics;
 pub mod placement;
 pub mod replication;
-pub mod sim;
 pub mod social;
 pub mod storage;
 pub mod superpeer;

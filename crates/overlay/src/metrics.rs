@@ -1,6 +1,5 @@
 //! Message/hop/latency accounting shared by every overlay, and the
-//! replication layer's per-node storage table. The event simulator's
-//! per-node message counters are its own ([`crate::sim::NodeCounters`]).
+//! replication layer's per-node storage table.
 
 use crate::id::NodeId;
 use std::collections::BTreeMap;

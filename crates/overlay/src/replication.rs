@@ -29,15 +29,14 @@ use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::{names, Registry};
 
 /// Applies the crash schedule of a [`FaultPlan`] to a storage plane as of
-/// simulated time `now_ms`: a node inside any of its crash windows goes
-/// offline, and one the plan names outside all of them comes back, as the
-/// simulator schedules the same plan. Crash events naming nodes the plane
-/// does not have are ignored. Returns how many named nodes are down
-/// afterwards.
+/// simulated time `now_ms`: a node inside any of its crash windows
+/// ([`FaultPlan::is_crashed`]) goes offline, and one the plan names outside
+/// all of them comes back. Crash events naming nodes the plane does not
+/// have are ignored. Returns how many named nodes are down afterwards.
 ///
-/// This is the bridge to the fault-injection harness: availability
-/// experiments build one [`FaultPlan`], drive the simulator with it, and
-/// apply the same schedule to the replicated store under test.
+/// This is how a run's clock reaches the storage plane: availability
+/// experiments and the engine build one [`FaultPlan`] and apply it at each
+/// simulated time they read at.
 pub fn apply_crash_schedule<P: StoragePlane + ?Sized>(
     plane: &mut P,
     plan: &FaultPlan,

@@ -9,10 +9,9 @@
 //! most three hops (leaf → super → super → leaf).
 
 use crate::arena::{Admission, Holders};
-use crate::fault::LinkFaults;
+use crate::fault::{LatencyModel, LinkFaults, PLANE_HOP_MS};
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
-use crate::sim::{LatencyModel, PLANE_HOP_MS};
 use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::names;
 use rand::rngs::StdRng;

@@ -10,8 +10,9 @@
 //! * [`crypto`] — from-scratch cryptography: hashing, symmetric and
 //!   public-key encryption, signatures (plain and blind), OPRF, ZK proofs,
 //!   identity-based and attribute-based encryption.
-//! * [`overlay`] — a deterministic discrete-event P2P simulator with the five
-//!   DOSN organizations from the paper's §II: structured (Chord DHT),
+//! * [`overlay`] — seeded, deterministic in-process P2P substrates on one
+//!   network model (hop latency, loss, partitions, crash schedules), with
+//!   the five DOSN organizations from the paper's §II: structured (Chord DHT),
 //!   unstructured (flood/gossip), semi-structured (super-peers), hybrid, and
 //!   server federation.
 //! * [`core`] — the social network itself: identities, the social graph,

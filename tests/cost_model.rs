@@ -253,11 +253,13 @@ fn heap_allocations_per_read_are_pinned() {
     // mostly the reader's roster, one string per friend. A cold read is
     // ≈ 55 allocations: the baseline a read-path change measures against.
     // (1828 per 32 while a read's copies were counted three times: twice
-    // to find a strict plurality to stake on, once more in the vote.)
+    // to find a strict plurality to stake on, once more in the vote; 1768
+    // while the combined check took its items through a list of references
+    // that bisection shared.)
     let per_item = (l1_64 - l1_32) / READS as u64;
     assert_eq!(
         [per_item, l1_32, cold],
-        [2, 111, 1768],
+        [2, 111, 1767],
         "allocations per L1-served item, per warm feed of 32 items, per 32 cold reads"
     );
 }
@@ -287,44 +289,99 @@ fn montgomery_products_per_op_are_pinned() {
     );
 }
 
-#[test]
-fn a_batch_of_refused_reads_opens_each_record_once() {
-    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
-    // Every holder of every post serves the record with its last body byte
-    // flipped: it decodes, and its signature fails.
+/// Makes every holder of `author(i)`'s post 0 serve the record with its last
+/// body byte flipped: it decodes, and its signature fails.
+fn forge_every_copy<P: StoragePlane>(e: &mut Engine<P>, i: usize) {
     let mut m = Metrics::new();
-    for i in 0..READS {
-        let key = wall_key(&author(i), 0);
-        let holders = e.storage_mut().fetch_copies(key, &mut m).unwrap().copies;
-        let mut forged = holders[0].1.clone().expect("the post was stored");
-        *forged.last_mut().unwrap() ^= 1;
-        for (node, _) in holders {
-            e.storage_mut()
-                .plane_mut()
-                .store_at(node, key, &forged, &mut m)
-                .unwrap();
-        }
+    let key = wall_key(&author(i), 0);
+    let holders = e.storage_mut().fetch_copies(key, &mut m).unwrap().copies;
+    let mut forged = holders[0].1.clone().expect("the post was stored");
+    *forged.last_mut().unwrap() ^= 1;
+    for (node, _) in holders {
+        e.storage_mut()
+            .plane_mut()
+            .store_at(node, key, &forged, &mut m)
+            .unwrap();
     }
+}
+
+/// Runs [`every_first_post`] on `e`, checks that exactly the first `forged`
+/// reads are refused and the rest return their posts, and returns the
+/// batch's SHA-256 compressions and Montgomery products.
+fn refused_and_served<P: StoragePlane>(e: &mut Engine<P>, forged: usize) -> [u64; 2] {
     let group = SchnorrGroup::shared(GroupSize::Toy);
     let before = group.exp_stats().montgomery_products;
     let (report, sha) = compressions_in(|| e.execute(every_first_post()));
     let products = group.exp_stats().montgomery_products - before;
-    for result in &report.results {
-        assert!(
-            matches!(result, Err(DosnError::IntegrityViolation(_))),
-            "{result:?}"
-        );
+    for (i, result) in report.results.iter().enumerate() {
+        if i < forged {
+            assert!(
+                matches!(result, Err(DosnError::IntegrityViolation(_))),
+                "read {i}: {result:?}"
+            );
+        } else {
+            assert!(
+                matches!(result, Ok(OpOutput::Read { body: got }) if *got == body(i)),
+                "read {i}: {result:?}"
+            );
+        }
+    }
+    [sha, products]
+}
+
+#[test]
+fn a_batch_of_refused_reads_opens_each_record_once() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
+    for i in 0..READS {
+        forge_every_copy(&mut e, i);
     }
     // Each read's one value is its leader: decoded once, checked in the
-    // batch's combined check (which bisects down to 32 failures), and
-    // refused with the error that check found. (1378 and 69117 while a
-    // refused read ran a second vote and decoded and verified its leader
-    // again to name the error: ≈ 14 compressions and ≈ 369 products more
-    // per read.)
+    // batch's combined check, verified alone when that check fails, and
+    // refused with the error found. (930 and 57308 while a failed check
+    // bisected down to the 32 failures, hashing a transcript and running
+    // two multi-exps per sub-batch; 1378 and 69117 while a refused read
+    // also ran a second vote and decoded and verified its leader again to
+    // name the error: ≈ 14 compressions and ≈ 369 products more per read.)
     assert_eq!(
-        [sha, products],
-        [930, 57308],
+        refused_and_served(&mut e, READS),
+        [548, 15272],
         "SHA-256 compressions and Montgomery products per 32 refused reads"
+    );
+}
+
+#[test]
+fn a_batch_with_forged_stakes_costs_at_most_1_3x_verifying_one_by_one() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // Montgomery products of one batch of 32 cold reads whose first `k`
+    // posts every holder forges, with batch verification on and off. A
+    // forged stake fails the combined check, and then each stake is
+    // verified alone: the check is the only overhead over verifying one by
+    // one. (While a failed check bisected, k = 1 cost 14,068 and k = 32
+    // cost 57,308.)
+    let mut table = Vec::new();
+    for k in [0, 1, 4, 16, 32] {
+        let mut e = engine_with_one_post_per_author(ChordPlane::build(24, 7));
+        for i in 0..k {
+            forge_every_copy(&mut e, i);
+        }
+        let [_, on] = refused_and_served(&mut e, k);
+        e.set_batch_verify(false);
+        let [_, off] = refused_and_served(&mut e, k);
+        if k > 0 {
+            assert!(10 * on <= 13 * off, "k = {k}: {on} products against {off}");
+        }
+        table.push([k as u64, on, off]);
+    }
+    assert_eq!(
+        table,
+        [
+            [0, 3468, 11793],
+            [1, 15236, 11788],
+            [4, 15233, 11795],
+            [16, 15281, 11814],
+            [32, 15272, 11809]
+        ],
+        "forged stakes, Montgomery products with batch verification on and off"
     );
 }

@@ -1,45 +1,107 @@
-//! Fork detection over the event-driven simulator: clients gossip their
-//! signed view digests through the network (with real latencies and churn)
-//! and the equivocation is discovered — §IV-B end-to-end, across the
-//! integrity layer and the overlay substrate.
+//! Fork detection by gossip: clients exchange their signed view digests in
+//! rounds over the one network model — a node the fault plan has crashed
+//! neither sends nor receives, and `LinkFaults` decides each transmission —
+//! and the equivocation is discovered. §IV-B end to end, across the
+//! integrity layer and the overlay's fault model.
+//!
+//! Property failures print the per-case seed; re-run with
+//! `PROPTEST_SEED=<seed>` to replay the exact schedule.
 
-use dosn::core::integrity::{HistoryClient, HistoryServer, Operation, ViewDigest};
+use dosn::core::integrity::{HistoryClient, HistoryServer, Operation};
 use dosn::crypto::group::SchnorrGroup;
+use dosn::overlay::fault::{FaultPlan, LinkFaults, SimTrace, TraceEvent, TraceEventKind};
 use dosn::overlay::id::NodeId;
-use dosn::overlay::sim::{Actor, Context, Simulation};
+use proptest::prelude::*;
 
-/// A simulated client node that holds a history view and gossips digests.
-struct DigestGossiper {
+/// Simulated time between two gossip rounds: longer than any hop of the
+/// latency model, so a round's digests all arrive within it.
+const ROUND_MS: u64 = 500;
+
+/// A client node: its history view, the nodes it gossips to, and whether a
+/// digest it received contradicted its view.
+struct Gossiper {
     client: HistoryClient,
-    peers: Vec<NodeId>,
+    peers: Vec<u64>,
     fork_detected: bool,
 }
 
-impl Actor for DigestGossiper {
-    type Msg = ViewDigest;
+/// What one gossip run did: how many nodes detected a fork, the digests
+/// delivered, the digests that arrived at a crashed node, and the trace
+/// digest over both.
+struct Gossip {
+    detectors: usize,
+    delivered: u64,
+    to_down: u64,
+    trace: String,
+}
 
-    fn on_message(&mut self, _ctx: &mut Context<'_, ViewDigest>, _from: NodeId, msg: ViewDigest) {
-        if self.client.cross_check(&msg).is_err() {
-            self.fork_detected = true;
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, ViewDigest>, _tag: u64) {
-        if let Some(digest) = self.client.digest() {
-            let digest = digest.clone();
-            for &p in &self.peers {
-                ctx.send(p, digest.clone());
+/// Runs `rounds` gossip rounds, the r-th at `r * ROUND_MS`. In each, every
+/// node `plan` has up sends its view digest to each of its peers; the
+/// plan's [`LinkFaults`] decides whether each transmission arrives, and one
+/// that arrives at a node the plan has down is counted and dropped. Each
+/// delivery and each such drop is folded into a trace.
+fn gossip(nodes: &mut [Gossiper], plan: &FaultPlan, rounds: u64) -> Gossip {
+    let mut faults = LinkFaults::from(plan.clone());
+    let mut trace = SimTrace::new();
+    let (mut delivered, mut to_down) = (0, 0);
+    for round in 1..=rounds {
+        let now = round * ROUND_MS;
+        for from in 0..nodes.len() {
+            let sender = NodeId(from as u64);
+            if plan.is_crashed(sender, now) {
+                continue;
+            }
+            let Some(digest) = nodes[from].client.digest().cloned() else {
+                continue;
+            };
+            for p in 0..nodes[from].peers.len() {
+                let to = NodeId(nodes[from].peers[p]);
+                if !faults.delivers(sender, to) {
+                    continue;
+                }
+                let kind = if plan.is_crashed(to, now) {
+                    to_down += 1;
+                    TraceEventKind::DropOffline
+                } else {
+                    delivered += 1;
+                    // Signature checks dominate the run; one detection per
+                    // node is all the claims need.
+                    let node = &mut nodes[to.0 as usize];
+                    if !node.fork_detected && node.client.cross_check(&digest).is_err() {
+                        node.fork_detected = true;
+                    }
+                    TraceEventKind::Deliver
+                };
+                trace.record(TraceEvent {
+                    kind,
+                    at_ms: now,
+                    a: sender.0,
+                    b: to.0,
+                    msg_id: 0,
+                });
             }
         }
-        ctx.set_timer(500, 0);
     }
-
-    fn on_online(&mut self, ctx: &mut Context<'_, ViewDigest>) {
-        ctx.set_timer(100, 0);
+    Gossip {
+        detectors: nodes.iter().filter(|n| n.fork_detected).count(),
+        delivered,
+        to_down,
+        trace: trace.hex_digest(),
     }
 }
 
-fn build_world(clients: usize) -> (HistoryServer, Vec<HistoryClient>) {
+/// A client of `server`'s `wall` holding the view of `branch`.
+fn client(server: &mut HistoryServer, i: usize, branch: usize) -> HistoryClient {
+    let mut c = HistoryClient::new(format!("client{i}"), "wall", server.verifying_key().clone());
+    let (log, digest) = server.view("wall", branch).unwrap();
+    c.observe(log, digest).expect("signed view");
+    c
+}
+
+/// A forked server plus `n` clients, evens on one branch and odds on the
+/// other, each gossiping to the nodes 1, 3 and 7 places on: every edge
+/// crosses the branch split, so one delivered digest suffices to detect.
+fn forked_population(n: usize) -> Vec<Gossiper> {
     let mut server = HistoryServer::new(SchnorrGroup::toy(), 404);
     server.append("wall", Operation::new("bob", "base post"));
     let branch = server.fork("wall");
@@ -49,51 +111,29 @@ fn build_world(clients: usize) -> (HistoryServer, Vec<HistoryClient>) {
     server
         .append_to_branch("wall", branch, Operation::new("bob", "view for odds"))
         .unwrap();
-    let population = (0..clients)
-        .map(|i| {
-            let assigned = if i % 2 == 0 { 0 } else { branch };
-            let mut c =
-                HistoryClient::new(format!("client{i}"), "wall", server.verifying_key().clone());
-            let (log, digest) = server.view("wall", assigned).unwrap();
-            c.observe(log, digest).expect("signed view");
-            c
+    (0..n)
+        .map(|i| Gossiper {
+            client: client(&mut server, i, if i % 2 == 0 { 0 } else { branch }),
+            peers: [1, 3, 7].map(|d| ((i + d) % n) as u64).to_vec(),
+            fork_detected: false,
         })
-        .collect();
-    (server, population)
+        .collect()
 }
 
 #[test]
 fn gossip_over_simulator_detects_fork() {
     let n = 16;
-    let (_server, clients) = build_world(n);
-    // Ring + chord topology: every node gossips to 3 neighbors.
-    let actors: Vec<DigestGossiper> = clients
-        .into_iter()
-        .enumerate()
-        .map(|(i, client)| DigestGossiper {
-            client,
-            peers: vec![
-                NodeId(((i + 1) % n) as u64),
-                NodeId(((i + 3) % n) as u64),
-                NodeId(((i + 7) % n) as u64),
-            ],
-            fork_detected: false,
-        })
-        .collect();
-    let mut sim = Simulation::new(actors, 2026);
-    sim.start();
-    sim.run_until(10_000); // 10 simulated seconds
-
-    let detectors = (0..n)
-        .filter(|&i| sim.actor(NodeId(i as u64)).fork_detected)
-        .count();
-    // Every node has at least one cross-branch neighbor in this topology:
-    // once digests flow, the great majority must detect the equivocation.
+    let mut nodes = forked_population(n);
+    // Twenty rounds: ten simulated seconds.
+    let run = gossip(&mut nodes, &FaultPlan::seeded(2026), 20);
+    // Every node has a cross-branch neighbour in this topology: once
+    // digests flow, the great majority must detect the equivocation.
     assert!(
-        detectors >= n * 3 / 4,
-        "only {detectors}/{n} nodes detected the fork"
+        run.detectors >= n * 3 / 4,
+        "only {}/{n} nodes detected the fork",
+        run.detectors
     );
-    assert!(sim.stats().delivered > 0);
+    assert!(run.delivered > 0);
 }
 
 #[test]
@@ -103,35 +143,54 @@ fn honest_history_raises_no_alarms_under_churn() {
     for i in 0..5 {
         server.append("wall", Operation::new("bob", format!("post {i}")));
     }
-    let actors: Vec<DigestGossiper> = (0..n)
-        .map(|i| {
-            let mut c =
-                HistoryClient::new(format!("client{i}"), "wall", server.verifying_key().clone());
-            let (log, digest) = server.view("wall", 0).unwrap();
-            c.observe(log, digest).expect("valid");
-            DigestGossiper {
-                client: c,
-                peers: vec![NodeId(((i + 1) % n) as u64), NodeId(((i + 5) % n) as u64)],
-                fork_detected: false,
-            }
+    let mut nodes: Vec<Gossiper> = (0..n)
+        .map(|i| Gossiper {
+            client: client(&mut server, i, 0),
+            peers: [1, 5].map(|d| ((i + d) % n) as u64).to_vec(),
+            fork_detected: false,
         })
         .collect();
-    let mut sim = Simulation::new(actors, 2027);
-    // Churn a third of the population mid-run.
-    for i in 0..n / 3 {
-        sim.schedule_churn(2_000, NodeId(i as u64), false);
-        sim.schedule_churn(6_000, NodeId(i as u64), true);
+    // A third of the population is down from 2 s to 6 s.
+    let plan = (0..n / 3).fold(FaultPlan::seeded(2027), |plan, i| {
+        plan.with_crash_recovery(NodeId(i as u64), 2_000, 6_000)
+    });
+    let run = gossip(&mut nodes, &plan, 20);
+    for (i, node) in nodes.iter().enumerate() {
+        assert!(!node.fork_detected, "false positive at node {i}");
     }
-    sim.start();
-    sim.run_until(10_000);
-    for i in 0..n {
-        assert!(
-            !sim.actor(NodeId(i as u64)).fork_detected,
-            "false positive at node {i}"
+    assert!(run.to_down > 0, "churn should have dropped some gossip");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    /// Fork detection stays live under randomized message loss and a
+    /// crash-recovery, and the whole run replays byte-identically from
+    /// (seed, plan).
+    #[test]
+    fn fork_detection_survives_random_fault_plans(
+        fault_seed in any::<u64>(),
+        drop_p in 0.0f64..0.25,
+        crash_victim in 0u64..12,
+    ) {
+        let n = 12;
+        let plan = FaultPlan::seeded(fault_seed)
+            .with_drop_probability(drop_p)
+            .with_crash_recovery(NodeId(crash_victim), 2_000, 6_000);
+
+        // Twenty-four rounds: twelve simulated seconds.
+        let run = gossip(&mut forked_population(n), &plan, 24);
+        prop_assert!(run.delivered > 0, "gossip must flow");
+        // Every gossip edge crosses the branch split, and 24 rounds of
+        // redundancy dwarf 25% loss: a majority must catch the fork.
+        prop_assert!(
+            run.detectors >= n / 2,
+            "only {}/{} nodes detected the fork", run.detectors, n
         );
+
+        // Liveness is only trustworthy if the schedule is replayable.
+        let again = gossip(&mut forked_population(n), &plan, 24);
+        prop_assert_eq!(run.detectors, again.detectors);
+        prop_assert_eq!(run.trace, again.trace, "same (seed, plan) must replay identically");
     }
-    assert!(
-        sim.stats().dropped_offline > 0,
-        "churn should have dropped some gossip"
-    );
 }
