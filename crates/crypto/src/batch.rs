@@ -25,10 +25,12 @@
 //!
 //! When the combined check fails, [`batch_verify`] verifies each unique item
 //! alone with the plain equation, so callers learn exactly which items are
-//! bad. Splitting the failed batch into sub-batches would not pay: a
-//! combined check's fixed cost (its second multi-exp and its coefficients)
-//! exceeds one plain verification, so a forger who fails every item would
-//! make a bisection cost several times the one-by-one loop.
+//! bad. Bisecting the failed batch instead is cheaper only when one or two
+//! items are bad; a combined check's fixed cost (its second multi-exp and
+//! its coefficients) exceeds one plain verification, so a forger who fails
+//! many items would make a bisection cost several times the one-by-one
+//! loop. One by one bounds that worst case near the cost of verifying
+//! without batching.
 //!
 //! The engine's finish phase hands over one item per read that stakes on
 //! one value (agreeing replicas, or a hot-cached envelope), under as many
@@ -143,8 +145,9 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchFailure> {
             bad_slots.push(0);
         }
     } else if !uniques.is_empty() && !combined_check(group, &uniques) {
-        // Each item alone: exact, and cheaper than any split of the batch.
-        // This also absorbs the combined check's ~2⁻¹²⁸ chance of rejecting
+        // Each item alone: exact, and bounded near the cost of verifying
+        // without batching, where bisection is a little cheaper for one bad
+        // item and several times dearer for many. This also absorbs the combined check's ~2⁻¹²⁸ chance of rejecting
         // a good batch, which then reports no failure.
         for (slot, u) in uniques.iter().enumerate() {
             if verify_unique(u).is_err() {

@@ -27,7 +27,7 @@
 //! O(log²n) every round.
 
 use crate::arena::{Admission, Holders};
-use crate::fault::{LatencyModel, LinkFaults};
+use crate::fault::{hop_latency_ms, LinkFaults};
 use crate::id::{in_interval_open_closed, ring_distance, Key, NodeId};
 use crate::metrics::Metrics;
 use crate::storage::{StorageError, StoragePlane};
@@ -271,7 +271,6 @@ impl ChordPlane {
         if !self.is_online(from) {
             return Err(DhtError::UnknownNode(from));
         }
-        let hop = LatencyModel::default();
         let mut current = from.0;
         let mut hops = 0u64;
         // 64-bit ring: any correct greedy route is <= 64 hops; a generous
@@ -292,7 +291,7 @@ impl ChordPlane {
                     if !crosses(current, successor, metrics) {
                         return Err(DhtError::Unavailable(key));
                     }
-                    let lat = hop.draw(&mut self.rng);
+                    let lat = hop_latency_ms(&mut self.rng);
                     metrics.record(names::CHORD_HOP, 64, lat);
                 }
                 return Ok(NodeId(successor));
@@ -313,7 +312,7 @@ impl ChordPlane {
                 }
                 next = successor;
             }
-            let lat = hop.draw(&mut self.rng);
+            let lat = hop_latency_ms(&mut self.rng);
             metrics.record(names::CHORD_HOP, 64, lat);
             current = next;
             hops += 1;
@@ -322,7 +321,7 @@ impl ChordPlane {
                 // account one stabilization's worth of repair traffic.
                 let owner = self.successors(key, 1).pop();
                 let owner = owner.ok_or(DhtError::NoNodes)?;
-                metrics.record(names::CHORD_REPAIR, 64, hop.draw(&mut self.rng));
+                metrics.record(names::CHORD_REPAIR, 64, hop_latency_ms(&mut self.rng));
                 return Ok(owner);
             }
         }

@@ -8,20 +8,20 @@
 //! and each asks this module the same questions in closed form, seeded so
 //! that a run repeats exactly:
 //!
-//! * [`LatencyModel`] — how long one routed hop takes: the one hop-latency
-//!   draw of every family (a fixed 30 ms for a direct storage-plane call
-//!   that walks no route).
-//! * [`FaultPlan`] — a declarative schedule: an in-flight loss probability,
-//!   two-way partitions between node sets, and crash-stop and
-//!   crash-recovery windows. [`FaultPlan::is_crashed`] is the one crash
-//!   rule; [`crate::replication::apply_crash_schedule`] applies it to a
-//!   storage plane at a simulated time, which is how the engine and the
+//! * [`HOP_MS_MIN`]`..=`[`HOP_MS_MAX`] — how long one routed hop takes:
+//!   the one hop-latency draw of every family (a fixed 30 ms for a direct
+//!   storage-plane call that walks no route).
+//! * [`FaultPlan`] — a declarative schedule: a seed, an in-flight loss
+//!   probability, and crash-stop and crash-recovery windows.
+//!   [`FaultPlan::is_crashed`] is the one crash rule;
+//!   [`crate::replication::apply_crash_schedule`] applies it to a storage
+//!   plane at a simulated time, which is how the engine and the
 //!   availability experiments take nodes down and bring them back.
-//! * [`LinkFaults`] — a seeded application of a plan's loss and partition
-//!   rule to single transmissions. The routed walks ([`crate::chord`],
-//!   [`crate::kademlia`], [`crate::flood`], [`crate::superpeer`]) ask it
-//!   "does this hop deliver?" once per attempt and track retries, so
-//!   experiments can report the cost of loss.
+//! * [`LinkFaults`] — a seeded application of a plan's loss rule, and of
+//!   two-way partitions between node sets, to single transmissions. The
+//!   routed walks ([`crate::chord`], [`crate::kademlia`], [`crate::flood`],
+//!   [`crate::superpeer`]) ask it "does this hop deliver?" once per attempt
+//!   and track retries, so experiments can report the cost of loss.
 //! * [`SimTrace`] — folds typed events into a running SHA-256 digest. Two
 //!   runs agree on every event in order if and only if their digests agree,
 //!   which turns "is this run deterministic?" into a byte comparison.
@@ -33,51 +33,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
-/// Link latency model: uniform in `[min_ms, max_ms]`. The default is the
-/// one wide-area hop latency of every overlay family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyModel {
-    /// Minimum one-way latency.
-    pub min_ms: u64,
-    /// Maximum one-way latency.
-    pub max_ms: u64,
-}
+/// The wide-area hop latency range, ms: every routed hop of every overlay
+/// family takes a uniform draw from `HOP_MS_MIN..=HOP_MS_MAX`.
+pub const HOP_MS_MIN: u64 = 10;
+/// The upper end of the hop latency range, ms (see [`HOP_MS_MIN`]).
+pub const HOP_MS_MAX: u64 = 120;
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        // Wide-area P2P spread.
-        LatencyModel {
-            min_ms: 10,
-            max_ms: 120,
-        }
-    }
-}
-
-impl LatencyModel {
-    /// One hop's latency: a single uniform draw from `rng`, or, for a
-    /// fixed model (`min_ms == max_ms`), that value without a draw.
-    pub fn draw(&self, rng: &mut impl Rng) -> u64 {
-        if self.min_ms == self.max_ms {
-            return self.min_ms;
-        }
-        rng.random_range(self.min_ms..=self.max_ms)
-    }
+/// One routed hop's latency: a single uniform draw from `rng` in
+/// `HOP_MS_MIN..=HOP_MS_MAX`.
+pub(crate) fn hop_latency_ms(rng: &mut impl Rng) -> u64 {
+    rng.random_range(HOP_MS_MIN..=HOP_MS_MAX)
 }
 
 /// The latency of one direct hop that walks no route — a storage-plane
 /// call, or a federation client's request to its pod: a fixed typical
 /// wide-area hop instead of a draw.
 pub(crate) const PLANE_HOP_MS: u64 = 30;
-
-/// A two-way partition: no message crosses between `side_a` and `side_b`
-/// (either direction). Traffic within a side is unaffected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    /// One side of the cut.
-    pub side_a: BTreeSet<u64>,
-    /// The other side.
-    pub side_b: BTreeSet<u64>,
-}
 
 /// A scheduled crash: the node goes offline at `at_ms`; with
 /// `recover_at_ms = Some(t)` it restarts at `t` (crash-recovery), with
@@ -97,16 +68,13 @@ pub struct CrashEvent {
 /// Loss applies independently per transmission attempt, drawn from the RNG
 /// of the [`LinkFaults`] built from the plan (seeded with
 /// [`FaultPlan::seed`]), so an inert plan draws nothing and (seed, plan)
-/// determines every decision. Partitions hold until healed; crashes are
-/// timed.
+/// determines every decision. Crashes are timed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the fault-decision RNG.
     pub seed: u64,
     /// Probability a transmission is lost in flight.
     pub drop_probability: f64,
-    /// Two-way partitions.
-    pub partitions: Vec<Partition>,
     /// Crash-stop / crash-recovery schedule.
     pub crashes: Vec<CrashEvent>,
 }
@@ -167,15 +135,6 @@ impl FaultPlan {
     pub fn is_crashed(&self, node: NodeId, now_ms: u64) -> bool {
         self.crashes.iter().any(|c| {
             c.node == node && c.at_ms <= now_ms && c.recover_at_ms.is_none_or(|r| r > now_ms)
-        })
-    }
-
-    /// Whether any partition separates `from` and `to`.
-    fn is_partitioned(&self, from: NodeId, to: NodeId) -> bool {
-        let (a, b) = (from.0, to.0);
-        self.partitions.iter().any(|p| {
-            (p.side_a.contains(&a) && p.side_b.contains(&b))
-                || (p.side_a.contains(&b) && p.side_b.contains(&a))
         })
     }
 }
@@ -271,21 +230,23 @@ impl SimTrace {
 // Link faults for single transmissions
 // ---------------------------------------------------------------------------
 
-/// A seeded application of a [`FaultPlan`]'s loss and partition rule to
-/// single transmissions.
+/// A seeded application of a [`FaultPlan`]'s loss rule, and of two-way
+/// partitions, to single transmissions.
 ///
 /// Chord/Kademlia/flood/super-peer lookups in this crate are closed-form
 /// routing-table walks. To subject them to loss and partitions, each hop
 /// asks a `LinkFaults` instance whether the transmission succeeds,
 /// re-asking up to the caller's retry budget (counting `*.retry` in
-/// [`crate::metrics::Metrics`]). An active partition blocks a transmission
-/// without a draw; otherwise one Bernoulli draw on the plan's
-/// [`FaultPlan::drop_probability`] decides loss. A partition holds until
-/// [`LinkFaults::heal_partitions`]. The plan's crash schedule plays no part
-/// here: whether a node is up is [`FaultPlan::is_crashed`]'s question.
+/// [`crate::metrics::Metrics`]). A partition ([`LinkFaults::with_partition`])
+/// blocks a transmission without a draw until
+/// [`LinkFaults::heal_partitions`]; otherwise one Bernoulli draw on the
+/// plan's [`FaultPlan::drop_probability`] decides loss. Whether a node is
+/// up is [`FaultPlan::is_crashed`]'s question, not this one's.
 #[derive(Debug, Clone)]
 pub struct LinkFaults {
-    plan: FaultPlan,
+    drop_probability: f64,
+    /// Two-way cuts: no transmission crosses between the two sides.
+    partitions: Vec<(BTreeSet<u64>, BTreeSet<u64>)>,
     rng: StdRng,
     /// Transmissions attempted.
     pub attempts: u64,
@@ -311,23 +272,33 @@ impl LinkFaults {
     }
 
     /// Adds a two-way partition between two node sets (in force until
-    /// [`LinkFaults::heal_partitions`]).
+    /// [`LinkFaults::heal_partitions`]). Traffic within a side is
+    /// unaffected.
     #[must_use]
     pub fn with_partition(
         mut self,
         side_a: impl IntoIterator<Item = NodeId>,
         side_b: impl IntoIterator<Item = NodeId>,
     ) -> Self {
-        self.plan.partitions.push(Partition {
-            side_a: side_a.into_iter().map(|n| n.0).collect(),
-            side_b: side_b.into_iter().map(|n| n.0).collect(),
-        });
+        self.partitions.push((
+            side_a.into_iter().map(|n| n.0).collect(),
+            side_b.into_iter().map(|n| n.0).collect(),
+        ));
         self
     }
 
     /// Heals all partitions (probabilistic loss continues to apply).
     pub fn heal_partitions(&mut self) {
-        self.plan.partitions.clear();
+        self.partitions.clear();
+    }
+
+    /// Whether any partition separates `from` and `to`.
+    fn is_partitioned(&self, from: NodeId, to: NodeId) -> bool {
+        let (a, b) = (from.0, to.0);
+        self.partitions.iter().any(|(side_a, side_b)| {
+            (side_a.contains(&a) && side_b.contains(&b))
+                || (side_a.contains(&b) && side_b.contains(&a))
+        })
     }
 
     /// Decides one transmission attempt from `from` to `to`.
@@ -339,7 +310,7 @@ impl LinkFaults {
     /// attempts; returns the number of attempts consumed alongside the
     /// outcome. Partitioned links never succeed regardless of budget.
     fn delivers_with_retries(&mut self, from: NodeId, to: NodeId, retries: u32) -> (bool, u32) {
-        if self.plan.is_partitioned(from, to) {
+        if self.is_partitioned(from, to) {
             // Retrying a partitioned link cannot help.
             self.attempts += 1;
             self.failures += 1;
@@ -349,7 +320,7 @@ impl LinkFaults {
         for _ in 0..=retries {
             used += 1;
             self.attempts += 1;
-            if !chance(&mut self.rng, self.plan.drop_probability) {
+            if !chance(&mut self.rng, self.drop_probability) {
                 return (true, used);
             }
             self.failures += 1;
@@ -381,12 +352,13 @@ impl LinkFaults {
 }
 
 impl From<FaultPlan> for LinkFaults {
-    /// Applies `plan`'s loss and partitions, drawing from an RNG seeded
-    /// with its [`FaultPlan::seed`].
+    /// Applies `plan`'s loss, drawing from an RNG seeded with its
+    /// [`FaultPlan::seed`]; no partition is in force.
     fn from(plan: FaultPlan) -> Self {
         LinkFaults {
+            drop_probability: plan.drop_probability,
+            partitions: Vec::new(),
             rng: StdRng::seed_from_u64(plan.seed),
-            plan,
             attempts: 0,
             failures: 0,
         }
@@ -399,17 +371,11 @@ mod tests {
     use rand::RngCore;
 
     #[test]
-    fn a_fixed_model_draws_nothing() {
+    fn hop_latency_stays_in_range() {
         let mut rng = StdRng::seed_from_u64(5);
-        let fixed = LatencyModel {
-            min_ms: 7,
-            max_ms: 7,
-        };
-        assert_eq!(fixed.draw(&mut rng), 7);
-        let mut fresh = StdRng::seed_from_u64(5);
-        assert_eq!(rng.next_u64(), fresh.next_u64());
-        let lat = LatencyModel::default().draw(&mut rng);
-        assert!((10..=120).contains(&lat));
+        for _ in 0..200 {
+            assert!((HOP_MS_MIN..=HOP_MS_MAX).contains(&hop_latency_ms(&mut rng)));
+        }
     }
 
     #[test]

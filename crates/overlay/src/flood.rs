@@ -8,7 +8,7 @@
 //! * TTL-bounded flooding search with full message accounting — the
 //!   O(n)-messages contrast to Chord's O(log n) hops in experiment E5.
 
-use crate::fault::{LatencyModel, LinkFaults};
+use crate::fault::{hop_latency_ms, LinkFaults};
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
 use dosn_obs::names;
@@ -169,7 +169,7 @@ impl UnstructuredOverlay {
                 continue;
             }
             if latency_per_hop.len() <= depth as usize {
-                latency_per_hop.push(LatencyModel::default().draw(&mut self.rng));
+                latency_per_hop.push(hop_latency_ms(&mut self.rng));
             }
             for &nb in &self.neighbors[node.0 as usize] {
                 if !visited.insert(nb) {

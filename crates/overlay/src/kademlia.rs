@@ -25,7 +25,7 @@
 //! the eager tables. Stored blobs live in the same table.
 
 use crate::arena::{Admission, Holders};
-use crate::fault::{LatencyModel, LinkFaults};
+use crate::fault::{hop_latency_ms, LinkFaults};
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
 use crate::storage::{StorageError, StoragePlane};
@@ -230,7 +230,7 @@ impl KademliaPlane {
             if batch.is_empty() {
                 break;
             }
-            let lat = LatencyModel::default().draw(&mut self.rng);
+            let lat = hop_latency_ms(&mut self.rng);
             let mut improved = false;
             for candidate in batch {
                 queried.insert(candidate);

@@ -21,9 +21,9 @@
 //! [`replication::ReplicatedStore`] and the request engine run over.
 //!
 //! Every family runs on one network model, in [`fault`]: a routed hop's
-//! latency is a draw from [`fault::LatencyModel`]'s default, a lost
-//! transmission is decided hop by hop by [`fault::FaultPlan`]'s one
-//! loss/partition rule through [`fault::LinkFaults`], and a node is down
+//! latency is one uniform draw from [`fault::HOP_MS_MIN`] to
+//! [`fault::HOP_MS_MAX`] ms, a lost transmission is decided hop by hop by [`fault::LinkFaults`] (a
+//! [`fault::FaultPlan`]'s loss rule, and any partition), and a node is down
 //! when the plan's crash schedule says so
 //! ([`replication::apply_crash_schedule`]).
 //!
@@ -36,7 +36,7 @@
 //!
 //! ```
 //! use dosn_overlay::{chord::ChordPlane, superpeer::SuperPeerPlane,
-//!                    fault::{LatencyModel, LinkFaults}, id::{Key, NodeId}, metrics::Metrics,
+//!                    fault::{HOP_MS_MAX, HOP_MS_MIN, LinkFaults}, id::{Key, NodeId}, metrics::Metrics,
 //!                    replication::ReplicatedStore, storage::StoragePlane};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -65,8 +65,8 @@
 //! let mut m_route = Metrics::new();
 //! let owner = dht.lookup(from, key, &mut m_route)?;
 //! // Every hop of the route drew its latency from the one model.
-//! let (hops, hop) = (m_route.count("chord.hop"), LatencyModel::default());
-//! assert!((hops * hop.min_ms..=hops * hop.max_ms).contains(&m_route.latency_ms));
+//! let hops = m_route.count("chord.hop");
+//! assert!((hops * HOP_MS_MIN..=hops * HOP_MS_MAX).contains(&m_route.latency_ms));
 //! let mut lossy = LinkFaults::new(7, 0.2);
 //! assert_eq!(dht.lookup_with_faults(from, key, &mut m_dht, &mut lossy, 8)?, owner);
 //! assert_eq!(m_dht.count("chord.retry"), lossy.failures);

@@ -9,7 +9,7 @@
 //! most three hops (leaf → super → super → leaf).
 
 use crate::arena::{Admission, Holders};
-use crate::fault::{LatencyModel, LinkFaults, PLANE_HOP_MS};
+use crate::fault::{hop_latency_ms, LinkFaults, PLANE_HOP_MS};
 use crate::id::{Key, NodeId};
 use crate::metrics::Metrics;
 use crate::storage::{StorageError, StoragePlane};
@@ -186,12 +186,11 @@ impl SuperPeerPlane {
             LinkFaults::hop(&mut link, a, b, metrics, names::SUPER_RETRY, 32)
         };
         let own_super = self.super_of(from)?;
-        let hop = LatencyModel::default();
         if own_super != from {
             if !crosses(from, own_super, metrics) {
                 return None;
             }
-            metrics.record(names::SUPER_QUERY, 32, hop.draw(&mut self.rng));
+            metrics.record(names::SUPER_QUERY, 32, hop_latency_ms(&mut self.rng));
         }
         if !self.is_online(own_super) {
             return None; // orphaned leaf while its super-peer is down
@@ -201,12 +200,12 @@ impl SuperPeerPlane {
             if !crosses(own_super, home, metrics) {
                 return None;
             }
-            metrics.record(names::SUPER_FORWARD, 32, hop.draw(&mut self.rng));
+            metrics.record(names::SUPER_FORWARD, 32, hop_latency_ms(&mut self.rng));
         }
         if !self.is_online(home) || !crosses(home, from, metrics) {
             return None;
         }
-        metrics.record(names::SUPER_ANSWER, 32, hop.draw(&mut self.rng));
+        metrics.record(names::SUPER_ANSWER, 32, hop_latency_ms(&mut self.rng));
         self.index[&home]
             .get(&key.0)
             .and_then(|holders| holders.iter().copied().find(|h| self.is_online(*h)))
