@@ -21,7 +21,7 @@
 //!    leader's shortfall when it has fewer than K holders.
 //!
 //! With [`super::Engine::set_batch_verify`] off, no read stakes and every
-//! value is opened alone inside its vote.
+//! value is opened alone: inside its vote, or, for an L2 entry, before it.
 
 use super::batch::{BatchReport, Op, OpOutput};
 use super::pipeline::Batch;
@@ -184,11 +184,14 @@ fn check_stakes(ctx: &PhaseCtx, jobs: &mut [ReadJob]) {
 /// Decodes and verifies stored records, each `(author, seq, bytes)` read
 /// as `author`'s post `seq`: in one combined Schnorr check, or each alone
 /// with batch verification off. Records one `crypto.schnorr.verify`
-/// sample and returns the verdicts with the time they took.
+/// sample unless `slots` is empty; returns the verdicts and their time.
 fn open_slots(
     ctx: &PhaseCtx,
     slots: &[(&UserId, u64, &[u8])],
 ) -> (Vec<Result<VerifiedEnvelope, DosnError>>, u64) {
+    if slots.is_empty() {
+        return (Vec::new(), 0);
+    }
     let started = Instant::now();
     let (group, directory, now) = (&ctx.group, &ctx.directory, u64::MAX - 1);
     let verdicts = if ctx.batch_verify {
@@ -223,11 +226,8 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) 
         // failure (tampered bytes, revoked reader, bad encoding) sends
         // the read back to the real quorum path: the cache accelerates
         // reads, it never relaxes what a served read proved.
-        let verified = checked.unwrap_or_else(|| {
-            let (group, directory) = (&ctx.group, &ctx.directory);
-            SignedEnvelope::open_wire(&author_id, job.seq, bytes, group, directory, u64::MAX - 1)
-        });
-        let Ok(verified) = verified else {
+        let verified = checked.or_else(|| open_slots(ctx, &[(&author_id, job.seq, bytes)]).0.pop());
+        let Some(Ok(verified)) = verified else {
             return ReadOutcome::RetryQuorum;
         };
         return match unseal(users, job, &verified) {
@@ -262,11 +262,8 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) 
                     .filter(|&&v| proven.iter().all(|(bytes, _)| *bytes != v))
                     .map(|&v| (&author_id, job.seq, v))
                     .collect();
-                // A failed stake with no other value leaves nothing to open.
-                if proven.is_empty() || !rest.is_empty() {
-                    let (opened, _) = open_slots(ctx, &rest);
-                    proven.extend(rest.iter().map(|&(_, _, v)| v).zip(opened));
-                }
+                let (opened, _) = open_slots(ctx, &rest);
+                proven.extend(rest.iter().map(|&(_, _, v)| v).zip(opened));
             }
             values
                 .iter()

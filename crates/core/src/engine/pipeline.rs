@@ -38,7 +38,7 @@ impl<S: StoragePlane> Engine<S> {
     pub fn execute(&mut self, batch: OpBatch) -> BatchReport {
         let mut batch = Batch::new(batch.into_ops());
         let base = self.claim_op_indices(batch.ops.len() as u64);
-        let posts = prepare_batch(&mut self.users, &self.ctx, base, &mut batch);
+        let posts = prepare_batch(&mut self.users, &mut self.feed, &self.ctx, base, &mut batch);
         let reads = plan_reads(&self.users, &mut self.feed, &self.ctx, &mut batch);
         self.run(batch, posts, reads)
     }

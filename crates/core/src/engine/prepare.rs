@@ -1,13 +1,15 @@
 //! The prepare phase: the per-author crypto, stage by stage in op order —
 //! register keygen, befriend links, post encrypt + sign + chain, comment
 //! attach — ending in the batch's [`PreparedPosts`]. Touches the user
-//! records and the directory; never storage or metrics.
+//! records, the directory and the L1 slices a join voids; never storage
+//! or metrics.
 
 use super::batch::{Op, OpOutput};
 use super::pipeline::Batch;
 use super::user::UserState;
 use super::{elapsed_micros, known_user, op_rng, user_mut, wall_key, PhaseCtx, Users};
 use crate::error::DosnError;
+use crate::feed::FeedCache;
 use crate::identity::{Identity, UserId};
 use crate::privacy::{AccessScheme, SymmetricGroupScheme};
 use dosn_crypto::chacha::SecureRng;
@@ -67,6 +69,7 @@ pub(super) struct PreparedPosts {
 /// records. `base` is the global index of the batch's first op.
 pub(super) fn prepare_batch(
     users: &mut Users,
+    feed: &mut Option<FeedCache>,
     ctx: &PhaseCtx,
     base: u64,
     batch: &mut Batch,
@@ -97,7 +100,7 @@ pub(super) fn prepare_batch(
 
     for (i, op) in ops.iter().enumerate() {
         if let Op::Befriend { a, b, trust } = op {
-            results[i] = Some(link(users, &ctx.obs, a, b, *trust));
+            results[i] = Some(link(users, feed, &ctx.obs, a, b, *trust));
         }
     }
 
@@ -171,9 +174,12 @@ fn comment(
 /// whose roster lacks the friend — re-adding a current member would
 /// restart their membership at the current epoch and lock them out of
 /// posts they already hold keys for. A failed befriend takes back what it
-/// added, so it leaves both rosters as they were.
+/// added, so it leaves both rosters as they were. A join drops the friend's
+/// L1 slice of the owner's wall: a re-join's fresh epochs may not cover
+/// what it holds (a first-time friend has none).
 fn link(
     users: &mut Users,
+    feed: &mut Option<FeedCache>,
     obs: &Registry,
     a: &str,
     b: &str,
@@ -196,7 +202,11 @@ fn link(
     let _timer = obs.timer(names::NET_KEY_DISSEMINATION);
     let mut add = |owner: &str, friend: &str| {
         let state = user_mut(users, owner)?;
-        state.scheme.add_member(&state.friends_group, friend)
+        state.scheme.add_member(&state.friends_group, friend)?;
+        if let Some(cache) = feed.as_mut() {
+            cache.drop_slice(friend, owner);
+        }
+        Ok(())
     };
     if add_a {
         add(a, b)?;

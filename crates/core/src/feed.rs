@@ -371,7 +371,7 @@ impl FeedCache {
     }
 
     /// Removes the `(reader, author)` slice and whatever posts it holds.
-    fn drop_slice(&mut self, reader: &str, author: &str) {
+    pub(crate) fn drop_slice(&mut self, reader: &str, author: &str) {
         let Some(authors) = self.slices.get_mut(reader) else {
             return;
         };

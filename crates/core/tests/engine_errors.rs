@@ -409,10 +409,10 @@ fn one_batch_with_a_forged_read(batch_verify: bool) -> (BatchReport, u64) {
 #[test]
 fn one_forged_read_inside_a_batch_fails_alone() {
     // Set batch verification off and every value is opened alone: the
-    // baseline. Its 32 samples are one per read — the poisoned entry's
-    // own open is untimed, its quorum retry is timed.
+    // baseline. Its 33 samples are one per read, and one more for the
+    // poisoned entry, opened alone before its quorum retry.
     let (baseline, sampled) = one_batch_with_a_forged_read(false);
-    assert_eq!(sampled, AUTHORS as u64);
+    assert_eq!(sampled, AUTHORS as u64 + 1);
     let refusal = baseline.results[FORGED].as_ref().unwrap_err();
     assert!(
         matches!(refusal, DosnError::IntegrityViolation(_)),

@@ -123,9 +123,10 @@ pub const ENGINE_PIPELINE_OVERLAP: &str = "engine.pipeline.overlap";
 // ---- crypto ----
 
 /// Schnorr envelope-signature verification latency, µs (histogram): one
-/// sample per combined check — all of a finish phase's staked reads, or
-/// the other values of one read whose staked leader failed (every read,
-/// with batch verification off).
+/// sample per verification call that checks at least one record — the
+/// finish phase's combined check of every staked read, a vote opening the
+/// values its stake did not settle, and, with batch verification off, an
+/// L2-served entry opened alone. A call with nothing to open takes none.
 pub const CRYPTO_SCHNORR_VERIFY: &str = "crypto.schnorr.verify";
 /// Exponentiations of a group's generator, served from its fixed-base
 /// table — the only table a group holds (counter).

@@ -36,7 +36,9 @@ use dosn_obs::{names, Registry};
 ///
 /// This is how a run's clock reaches the storage plane: availability
 /// experiments and the engine build one [`FaultPlan`] and apply it at each
-/// simulated time they read at.
+/// simulated time they read at. Only the crash schedule reaches storage: a
+/// plan's loss and a `LinkFaults` partition act on overlay lookups and the
+/// gossip loop, and a [`ReplicatedStore`] read sees no loss.
 pub fn apply_crash_schedule<P: StoragePlane + ?Sized>(
     plane: &mut P,
     plan: &FaultPlan,
