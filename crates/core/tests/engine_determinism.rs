@@ -264,7 +264,14 @@ fn execute_all_over_a_non_send_plane_is_the_execute_loop() {
         Engine::new(ReplicatedStore::new(plane, 3), 31)
     };
     let (setup, follow_up) = golden_batches();
-    let batches = vec![setup, follow_up];
+    // The largest batch reads seqs 0 and 1 of every golden user and of one
+    // unregistered name, by every one of them.
+    let names = ["alice", "bob", "carol", "dave", "erin", "frank"];
+    let reads = names.map(|r| names.map(|a| (r, a))).into_iter().flatten();
+    let probe = reads.fold(OpBatch::new(), |b, (r, a)| {
+        b.read_post(r, a, 0).read_post(r, a, 1)
+    });
+    let batches = vec![setup, follow_up, probe];
     let mut looped = boxed();
     let expected: Vec<_> = batches
         .iter()

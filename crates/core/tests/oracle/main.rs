@@ -3,18 +3,22 @@
 //! L2, both at capacity 4) on or off × batched signature verification on
 //! or off — and a plaintext model of the engine (`model.rs`). For every
 //! step each engine must give the model's answer: `Ok` values exactly,
-//! errors by `DosnError` variant. A step is a batch of random ops, one op
-//! through its single-op call (or, on every other engine, as a batch of
-//! one), an `unfriend`, or a `read_feed`.
+//! errors by `DosnError` variant. A step is a batch of random ops (1 to
+//! 39), one op through its single-op call (or, on every other engine, as a
+//! batch of one), an `unfriend`, or a `read_feed` (or, on every other
+//! engine, the feed's reads as one batch).
 //!
 //! After every step each engine must also agree with the model on every
 //! user's friends, the comments on every post, the op indices taken
-//! (`engine.ops`) and the reads answered (`net.read_post.quorum` samples,
-//! a cache hit's included); the four digests of a batch must be one. At
-//! the end, every post's stored record and the storage ledger's byte total
-//! must be the same on all four, so no configuration and no call path takes
-//! an op index or stores a byte another does not. Each case runs over the
-//! bare ring or over the ring behind social placement.
+//! (`engine.ops`), the reads answered (`net.read_post.quorum` samples, a
+//! cache hit's included) and the fail-closed reads; the four digests of a
+//! batch must be one. The two cached engines must have the same feed-cache
+//! stats and `cache.*` counts, though at every feed step one of them ran
+//! `read_feed` and the other a batch, and their capacity of four posts
+//! evicts. At the end, every post's stored record and the storage ledger's
+//! byte total must be the same on all four, so no configuration and no
+//! call path takes an op index or stores a byte another does not. Each
+//! case runs over the bare ring or over the ring behind social placement.
 //!
 //! The model does no crypto: what a reader is served is a plaintext, and
 //! re-running the engine's own crypto would only check the engine against
@@ -25,7 +29,8 @@
 mod model;
 
 use dosn_core::engine::{wall_key, Engine, Op, OpBatch, OpOutput};
-use dosn_core::DosnError;
+use dosn_core::feed::{FeedCache, FeedCacheStats, FeedItem};
+use dosn_core::{DosnError, UserId};
 use dosn_obs::names;
 use dosn_overlay::chord::ChordPlane;
 use dosn_overlay::metrics::Metrics;
@@ -34,6 +39,7 @@ use dosn_overlay::replication::ReplicatedStore;
 use dosn_overlay::social::{SocialGraph, SocialGraphConfig};
 use dosn_overlay::storage::StoragePlane;
 use model::{Model, Outcome};
+use proptest::collection::vec;
 use proptest::prelude::*;
 use std::fmt::Debug;
 use std::mem::discriminant;
@@ -115,13 +121,20 @@ fn op() -> impl Strategy<Value = Op> {
     })
 }
 
+/// A batch of 1 to 6 ops or, one time in seven, of 7 to 39, whose reads
+/// make one combined signature check span several signers and repeated
+/// records.
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    let (short, long) = (vec(op(), 1..7), vec(op(), 7..40));
+    (0u8..7, short, long).prop_map(|(pick, short, long)| if pick == 0 { long } else { short })
+}
+
 /// Steps weighted out of 20: batches 6, single ops 3, unfriends 5, feeds
 /// 6. With four names, an unfriend hits a friendship most of the time once
 /// the users are linked, and befriends and feeds over the same pairs follow
 /// it, so a re-join and a re-read of a post from before it are common.
 fn step() -> impl Strategy<Value = Step> {
-    let ops = proptest::collection::vec(op(), 1..7);
-    (0u8..20, ops, op(), name(), name(), 1usize..5).prop_map(
+    (0u8..20, ops(), op(), name(), name(), 1usize..5).prop_map(
         |(pick, ops, op, a, b, k)| match pick {
             0..=5 => Step::Batch(ops),
             6..=8 => Step::Single(op),
@@ -154,6 +167,49 @@ fn single_op_call(e: &mut Engine<Plane>, op: Op) -> Outcome {
     }
 }
 
+/// `read_feed`'s reads as one batch of `read_post`s through `execute`: the
+/// latest `k` posts of each friend, the failed reads left out.
+fn feed_as_one_batch(
+    e: &mut Engine<Plane>,
+    user: &str,
+    k: usize,
+) -> Result<Vec<FeedItem>, DosnError> {
+    e.timeline(user)
+        .ok_or(DosnError::UnknownUser(user.into()))?;
+    let mut window = Vec::new();
+    for friend in e.friends(user) {
+        let len = e.timeline(&friend).map_or(0, |t| t.entries().len() as u64);
+        window.extend((len.saturating_sub(k as u64)..len).map(|seq| (friend.clone(), seq)));
+    }
+    if window.is_empty() {
+        return Ok(Vec::new());
+    }
+    let reads = window.iter().fold(OpBatch::new(), |b, (friend, seq)| {
+        b.read_post(user, friend, *seq)
+    });
+    let results = e.execute(reads).results;
+    let mut items = Vec::new();
+    for ((friend, seq), result) in window.into_iter().zip(results) {
+        if let Ok(OpOutput::Read { body }) = result {
+            let author = UserId(friend);
+            items.push(FeedItem { author, seq, body });
+        }
+    }
+    Ok(items)
+}
+
+/// The feed cache's stats and its four `cache.*` counters.
+fn cache_counts(e: &Engine<Plane>) -> (Option<FeedCacheStats>, [u64; 4]) {
+    let counters = [
+        names::CACHE_HITS,
+        names::CACHE_MISSES,
+        names::CACHE_INVALIDATIONS,
+        names::CACHE_EVICTIONS,
+    ];
+    let stats = e.feed_cache().map(FeedCache::stats);
+    (stats, counters.map(|name| e.obs().counter(name).get()))
+}
+
 /// Fails unless the engine gave the model's answer: `Ok` values equal,
 /// errors of the same variant.
 fn check<T: PartialEq + Debug>(
@@ -178,7 +234,8 @@ fn check<T: PartialEq + Debug>(
 
 /// The state every step leaves checked: every user's friends, the
 /// comments on every post a comment op can name (missing ones included),
-/// and the two counts the model predicts.
+/// and the three counts the model predicts: a refused reader, a stranger
+/// or an unknown name, is never a fail-closed read.
 fn check_state(
     config: Config,
     at: usize,
@@ -191,12 +248,14 @@ fn check_state(
             .flat_map(|author| (0..SEQS).map(move |seq| (author, seq)))
     };
     let reads = e.obs().histogram(names::NET_READ_POST_QUORUM).snapshot();
+    let counter = |name| e.obs().counter(name).get();
     let got = (
         NAMES.map(|user| e.friends(user)),
         posts()
             .map(|(a, seq)| e.comments(a, seq))
             .collect::<Vec<_>>(),
-        (e.obs().counter(names::ENGINE_OPS).get(), reads.count()),
+        (counter(names::ENGINE_OPS), reads.count()),
+        counter(names::ENGINE_READ_FAIL_CLOSED),
     );
     let want = (
         NAMES.map(|user| m.friends(user).unwrap_or_default()),
@@ -204,11 +263,12 @@ fn check_state(
             .map(|(a, seq)| m.comments(a, seq).to_vec())
             .collect(),
         (m.ops, m.reads),
+        m.fail_closed,
     );
     prop_assert_eq!(
         got,
         want,
-        "{:?}, step {}: friends, comments, (engine.ops, reads)",
+        "{:?}, step {}: friends, comments, (engine.ops, reads), fail-closed reads",
         config,
         at
     );
@@ -269,14 +329,26 @@ fn run(seed: u64, social: bool, steps: &[Step]) -> Result<bool, TestCaseError> {
             }
             Step::Feed(user, k) => {
                 let want = model.read_feed(user, *k);
-                for (config, e) in &mut engines {
-                    check(*config, at, step, &want, &e.read_feed(user, *k))?;
+                for (i, (config, e)) in engines.iter_mut().enumerate() {
+                    let (path, got) = if (i + at) % 2 == 0 {
+                        ("read_feed", e.read_feed(user, *k))
+                    } else {
+                        ("as one batch", feed_as_one_batch(e, user, *k))
+                    };
+                    check(*config, at, &(step, path), &want, &got)?;
                 }
             }
         }
         for (config, e) in &engines {
             check_state(*config, at, e, &model)?;
         }
+        // Engines 2 and 3 are the cached pair.
+        prop_assert_eq!(
+            cache_counts(&engines[2].1),
+            cache_counts(&engines[3].1),
+            "step {}: the cached engines' feed-cache counts",
+            at
+        );
     }
     let mut m = Metrics::new();
     let mut stored = engines.iter_mut().map(|(_, e)| {
@@ -303,7 +375,7 @@ fn every_configuration_answers_as_the_oracle() {
         0u64..1_000_000,
         any::<bool>(),
         2usize..5,
-        proptest::collection::vec(step(), 24..80),
+        vec(step(), 24..80),
     );
     let config = ProptestConfig {
         cases: 24,

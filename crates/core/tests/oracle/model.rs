@@ -66,6 +66,9 @@ pub(super) struct Model {
     /// Reads answered so far, refused ones included: the number of
     /// `net.read_post.quorum` samples.
     pub(super) reads: u64,
+    /// Reads of a post that does not exist: the only refusal that counts
+    /// as `engine.read.fail_closed` while every replica is honest.
+    pub(super) fail_closed: u64,
     /// Reads refused to a re-joined member for a post sealed before the
     /// re-join (a coverage count; no answer depends on it).
     pub(super) rejoin_refusals: u64,
@@ -182,10 +185,11 @@ impl Model {
     /// the body when the reader held the post's epoch in the author's
     /// group.
     fn read(&mut self, reader: &str, author: &str, seq: u64) -> Result<String, DosnError> {
-        let post = self
-            .posts
-            .get(&(author.to_owned(), seq))
-            .ok_or_else(|| DosnError::ContentUnavailable(format!("{author}/post/{seq}")))?;
+        let Some(post) = self.posts.get(&(author.to_owned(), seq)) else {
+            self.fail_closed += 1;
+            let missing = format!("{author}/post/{seq}");
+            return Err(DosnError::ContentUnavailable(missing));
+        };
         let group = &self.groups[author];
         if !group.held(reader, post.epoch) {
             if group.rejoined.contains(reader) && group.lists(reader) {
