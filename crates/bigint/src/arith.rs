@@ -158,18 +158,21 @@ impl BigUint {
             q.reverse();
             return (BigUint::from_limbs(q), BigUint::from(rem as u64));
         }
-        self.div_rem_knuth(divisor)
+        self.div_rem_knuth(divisor, true)
     }
 
-    /// Knuth Algorithm D for multi-limb divisors (n >= 2).
-    fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+    /// Knuth Algorithm D for multi-limb divisors (n >= 2), keeping the
+    /// quotient only when asked to.
+    fn div_rem_knuth(&self, divisor: &BigUint, quotient: bool) -> (BigUint, BigUint) {
         let n = divisor.limbs.len();
         let m = self.limbs.len() - n;
         let shift = divisor.limbs[n - 1].leading_zeros();
 
         // Normalize: vn = divisor << shift (n limbs), un = self << shift
-        // (m + n + 1 limbs, extra high limb).
-        let mut vn = vec![0u64; n];
+        // (m + n + 1 limbs, extra high limb). Both live in one buffer, and
+        // the remainder is written back over its front.
+        let mut buf = vec![0u64; m + 2 * n + 1];
+        let (un, vn) = buf.split_at_mut(m + n + 1);
         if shift == 0 {
             vn.copy_from_slice(&divisor.limbs);
         } else {
@@ -178,7 +181,6 @@ impl BigUint {
             }
             vn[0] = divisor.limbs[0] << shift;
         }
-        let mut un = vec![0u64; m + n + 1];
         if shift == 0 {
             un[..m + n].copy_from_slice(&self.limbs);
         } else {
@@ -189,7 +191,11 @@ impl BigUint {
             un[0] = self.limbs[0] << shift;
         }
 
-        let mut q = vec![0u64; m + 1];
+        let mut q = if quotient {
+            vec![0u64; m + 1]
+        } else {
+            Vec::new()
+        };
         let v_top = u128::from(vn[n - 1]);
         let v_next = u128::from(vn[n - 2]);
 
@@ -231,20 +237,20 @@ impl BigUint {
                 }
                 un[j + n] = un[j + n].wrapping_add(c as u64);
             }
-            q[j] = qhat as u64;
+            if quotient {
+                q[j] = qhat as u64;
+            }
         }
 
-        // Denormalize the remainder: r = un[0..n] >> shift.
-        let mut r = vec![0u64; n];
-        if shift == 0 {
-            r.copy_from_slice(&un[..n]);
-        } else {
+        // Denormalize the remainder in place: r = un[0..n] >> shift.
+        if shift != 0 {
             for i in 0..n - 1 {
-                r[i] = (un[i] >> shift) | (un[i + 1] << (64 - shift));
+                un[i] = (un[i] >> shift) | (un[i + 1] << (64 - shift));
             }
-            r[n - 1] = un[n - 1] >> shift;
+            un[n - 1] >>= shift;
         }
-        (BigUint::from_limbs(q), BigUint::from_limbs(r))
+        buf.truncate(n);
+        (BigUint::from_limbs(q), BigUint::from_limbs(buf))
     }
 
     /// Left shift by `bits`.
@@ -334,6 +340,10 @@ impl BigUint {
     }
 
     fn rem_only(&self, rhs: &BigUint) -> BigUint {
+        // Past one limb, the remainder alone: no quotient is kept.
+        if rhs.limbs.len() > 1 && self >= rhs {
+            return self.div_rem_knuth(rhs, false).1;
+        }
         self.div_rem(rhs).1
     }
 }

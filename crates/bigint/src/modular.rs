@@ -403,21 +403,6 @@ impl BigUint {
     /// Panics if `n` is even or zero.
     pub fn jacobi(&self, n: &BigUint) -> i32 {
         assert!(n.is_odd() && !n.is_zero(), "jacobi requires odd n > 0");
-        // Signature verification pays one symbol per signature, so this is
-        // the word-batched kernel; the bit-serial loop is its fallback.
-        let mut g = (self % n).limbs;
-        if g.is_empty() {
-            return i32::from(n.is_one());
-        }
-        g.resize(n.limbs.len(), 0);
-        jacobi_posdivsteps(n.limbs.clone(), g, jacobi_batch_cap(n.bits()))
-            .unwrap_or_else(|| self.jacobi_binary(n))
-    }
-
-    /// The bit-serial Jacobi symbol `(self / n)` for odd `n > 0`: the
-    /// fallback of [`BigUint::jacobi`] and the reference its kernel is
-    /// tested against.
-    fn jacobi_binary(&self, n: &BigUint) -> i32 {
         // Binary algorithm on raw limb buffers: after the initial reduction
         // the loop is only in-place shifts, subtractions, and compares — no
         // divisions and no allocation.
@@ -533,127 +518,6 @@ impl BigUint {
             &(&a + m) - &b
         }
     }
-}
-
-/// Batches [`jacobi_posdivsteps`] may run on an `n` of `bits` bits before
-/// [`BigUint::jacobi`] falls back to the bit-serial loop. The scheme has no
-/// proven step bound. Random inputs of 64–2048 bits took `bits / 20` batches
-/// on average and never more than 3 over that (15,600 trials); this allows
-/// about twice as many.
-fn jacobi_batch_cap(bits: u64) -> usize {
-    usize::try_from(8 + bits / 10).unwrap_or(usize::MAX)
-}
-
-/// The Jacobi symbol `(g / f)` for odd `f` and `0 < g < f`, both of one
-/// limb count, by batches of 62 posdivsteps (Bernstein–Yang safegcd, in
-/// the form with non-negative `f` and `g` that libsecp256k1's
-/// `jacobi64_maybe_var` uses, with Hamburg's tracking of the symbol). Each
-/// batch runs on the low words of `f` and `g` alone and then applies one
-/// 2×2 matrix to the full limbs. `f` and `g` converge to `gcd(g, f)`, so the
-/// symbol is known once `f` is 1, or is 0 once `f = g > 1`.
-///
-/// `None` when neither happened within `max_batches` batches.
-/// Variable-time, as the bit-serial loop is.
-fn jacobi_posdivsteps(mut f: Vec<u64>, mut g: Vec<u64>, max_batches: usize) -> Option<i32> {
-    let mut len = f.len();
-    let mut eta = -1i64;
-    // Throughout, the answer is `(−1)^(jac & 1) · (g / f)`.
-    let mut jac = 0u64;
-    for _ in 0..max_batches {
-        let t;
-        (eta, t) = posdivsteps_62(eta, f[0], g[0], &mut jac);
-        update_fg(&mut f[..len], &mut g[..len], t);
-        if f[0] == 1 && f[1..len].iter().all(|&l| l == 0) {
-            return Some(1 - 2 * (jac & 1) as i32);
-        }
-        if f[..len] == g[..len] {
-            // f = g = gcd(g, f) > 1.
-            return Some(0);
-        }
-        while len > 1 && f[len - 1] == 0 && g[len - 1] == 0 {
-            len -= 1;
-        }
-    }
-    None
-}
-
-/// 62 posdivsteps on the low words `f`, `g` of odd `f` and any `g`, from
-/// `eta` (= −δ). Returns the new `eta` and the matrix `[u, v, q, r]` with
-/// `2^62·(f', g') = (u·f + v·g, q·f + r·g)` over the full values; its
-/// entries are non-negative and each row sums to at most `2^62`. Flips bit
-/// 0 of `jac` whenever a step changes the sign of the symbol.
-fn posdivsteps_62(mut eta: i64, mut f: u64, mut g: u64, jac: &mut u64) -> (i64, [u64; 4]) {
-    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
-    let mut i = 62u32;
-    loop {
-        // Halve g by every trailing zero at once, up to the i steps left
-        // (the sentinel bit stops the count there).
-        let zeros = (g | (u64::MAX << i)).trailing_zeros();
-        g >>= zeros;
-        u <<= zeros;
-        v <<= zeros;
-        eta -= i64::from(zeros);
-        i -= zeros;
-        // (2 / f) = −1 iff f ≡ 3 or 5 (mod 8): one flip per odd power of 2.
-        *jac ^= u64::from(zeros) & ((f >> 1) ^ (f >> 2));
-        if i == 0 {
-            return (eta, [u, v, q, r]);
-        }
-        // Both odd. Add the multiple w of f to g that clears g's low bits:
-        // as many as the steps left and until the next swap allow, at most 6
-        // after a swap and 4 otherwise (the inverse of f below needs them).
-        let w = if eta < 0 {
-            eta = -eta;
-            std::mem::swap(&mut f, &mut g);
-            std::mem::swap(&mut u, &mut q);
-            std::mem::swap(&mut v, &mut r);
-            // Reciprocity: (g / f) = −(f / g) iff both are 3 (mod 4).
-            *jac ^= (f & g) >> 1;
-            let limit = (eta + 1).min(i64::from(i)) as u32;
-            let mask = (u64::MAX >> (64 - limit)) & 63;
-            // f·(f² − 2) ≡ −1/f (mod 64).
-            f.wrapping_mul(g)
-                .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2))
-                & mask
-        } else {
-            let limit = (eta + 1).min(i64::from(i)) as u32;
-            let mask = (u64::MAX >> (64 - limit)) & 15;
-            // f, or f + 8 when f ≡ 3 or 5 (mod 8), is 1/f (mod 16).
-            let inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
-            inv.wrapping_neg().wrapping_mul(g) & mask
-        };
-        g = g.wrapping_add(f.wrapping_mul(w));
-        q += u * w;
-        r += v * w;
-    }
-}
-
-/// `(f, g) ← ((u·f + v·g) / 2^62, (q·f + r·g) / 2^62)` over the full limbs,
-/// with `[u, v, q, r]` from [`posdivsteps_62`]; both divisions are exact and
-/// neither result outgrows the larger input.
-fn update_fg(f: &mut [u64], g: &mut [u64], [u, v, q, r]: [u64; 4]) {
-    let (u, v, q, r) = (u128::from(u), u128::from(v), u128::from(q), u128::from(r));
-    // Running sums of the two products and their previous 64-bit limbs; each
-    // output limb takes the top 2 bits of one and the low 62 of the next.
-    let (mut cf, mut cg) = (0u128, 0u128);
-    let (mut lf, mut lg) = (0u64, 0u64);
-    for i in 0..f.len() {
-        let (fi, gi) = (u128::from(f[i]), u128::from(g[i]));
-        cf += u * fi + v * gi;
-        cg += q * fi + r * gi;
-        if i == 0 {
-            debug_assert_eq!((cf as u64 | cg as u64) << 2, 0, "inexact division by 2^62");
-        } else {
-            f[i - 1] = (lf >> 62) | ((cf as u64) << 2);
-            g[i - 1] = (lg >> 62) | ((cg as u64) << 2);
-        }
-        (lf, lg) = (cf as u64, cg as u64);
-        cf >>= 64;
-        cg >>= 64;
-    }
-    let top = f.len() - 1;
-    f[top] = (lf >> 62) | ((cf as u64) << 2);
-    g[top] = (lg >> 62) | ((cg as u64) << 2);
 }
 
 #[cfg(test)]
@@ -835,33 +699,6 @@ mod tests {
         }
     }
 
-    /// The odd number whose low `bits` bits are `limbs`' with the top one set.
-    fn odd_of_bits(limbs: &[u64], bits: u64) -> BigUint {
-        let len = bits.div_ceil(64) as usize;
-        let mut v: Vec<u64> = limbs
-            .iter()
-            .copied()
-            .chain(std::iter::repeat(0))
-            .take(len)
-            .collect();
-        let top = (bits - 1) % 64;
-        v[len - 1] &= u64::MAX >> (63 - top);
-        v[len - 1] |= 1 << top;
-        v[0] |= 1;
-        BigUint::from_limbs(v)
-    }
-
-    #[test]
-    fn one_batch_does_not_converge_at_2048_bits() {
-        let n = odd_of_bits(&[0x9E37_79B9_7F4A_7C15; 32], 2048);
-        let a = odd_of_bits(&[0xD1B5_4A32_D192_ED03; 32], 2047);
-        let run = |cap| super::jacobi_posdivsteps(n.limbs.clone(), a.limbs.clone(), cap);
-        assert_eq!(run(1), None);
-        let want = a.jacobi_binary(&n);
-        assert_eq!(run(super::jacobi_batch_cap(2048)), Some(want));
-        assert_eq!(a.jacobi(&n), want);
-    }
-
     #[test]
     fn submod_wraps() {
         assert_eq!(b(3).submod(&b(5), &b(7)), b(5));
@@ -899,47 +736,6 @@ mod tests {
             let g = b(a).gcd(&b(c));
             prop_assert_eq!(&b(a) % &g, BigUint::zero());
             prop_assert_eq!(&b(c) % &g, BigUint::zero());
-        }
-
-        /// The word-batched kernel converges within its cap and agrees with
-        /// the bit-serial loop, on odd `n` of 2–2048 bits (mostly composite)
-        /// and `a` below `n`, above it, zero, sharing a factor with it, or
-        /// with `n = 1`.
-        #[test]
-        fn batched_jacobi_matches_the_binary_loop(
-            bits in 2u64..2049,
-            n_limbs in proptest::collection::vec(any::<u64>(), 32..33),
-            a_limbs in proptest::collection::vec(any::<u64>(), 1..65),
-            shape in 0u8..6,
-            factor_bits in 2u64..64,
-        ) {
-            let mut n = odd_of_bits(&n_limbs, bits);
-            let a_raw = BigUint::from_limbs(a_limbs);
-            let a = match shape {
-                0 => &a_raw % &n,
-                1 => a_raw,
-                2 => BigUint::zero(),
-                3 => {
-                    // gcd(a, n) ≥ d > 1.
-                    let d = odd_of_bits(&n_limbs[31..], factor_bits.min(bits));
-                    n = &d * &odd_of_bits(&n_limbs, bits.saturating_sub(factor_bits).max(2));
-                    &d * &a_raw
-                }
-                4 => {
-                    n = BigUint::one();
-                    a_raw
-                }
-                _ => &(&n * &a_raw) + &n,
-            };
-            let want = a.jacobi_binary(&n);
-            prop_assert_eq!(a.jacobi(&n), want);
-            let g = &a % &n;
-            if !g.is_zero() {
-                let mut g = g.limbs;
-                g.resize(n.limbs.len(), 0);
-                let cap = super::jacobi_batch_cap(n.bits());
-                prop_assert_eq!(super::jacobi_posdivsteps(n.limbs.clone(), g, cap), Some(want));
-            }
         }
 
         #[test]

@@ -143,15 +143,18 @@ impl BigUint {
     ///
     /// Panics if the value does not fit in `len` bytes.
     pub fn to_fixed_bytes_be(&self, len: usize) -> Vec<u8> {
-        let bytes = self.to_bytes_be();
+        let needed = (self.bits() as usize).div_ceil(8);
         assert!(
-            bytes.len() <= len,
-            "value needs {} bytes, only {} available",
-            bytes.len(),
-            len
+            needed <= len,
+            "value needs {needed} bytes, only {len} available"
         );
-        let mut out = vec![0u8; len - bytes.len()];
-        out.extend_from_slice(&bytes);
+        // One allocation: the limbs' low-order bytes are written from the
+        // end, and whatever lies above the value stays zero.
+        let mut out = vec![0u8; len];
+        let bytes = self.limbs.iter().flat_map(|limb| limb.to_le_bytes());
+        for (slot, byte) in out.iter_mut().rev().zip(bytes.take(needed)) {
+            *slot = byte;
+        }
         out
     }
 
@@ -398,6 +401,29 @@ mod tests {
     fn fixed_bytes_pads_left() {
         let v = BigUint::from(258u64);
         assert_eq!(v.to_fixed_bytes_be(4), vec![0, 0, 1, 2]);
+        // Zero at any width, exact fits, and values over several limbs are
+        // the minimal encoding, left-padded.
+        assert_eq!(BigUint::zero().to_fixed_bytes_be(0), Vec::<u8>::new());
+        assert_eq!(BigUint::zero().to_fixed_bytes_be(3), vec![0; 3]);
+        for hex in [
+            "ff",
+            "0100",
+            "ffffffffffffffff",
+            "010000000000000000",
+            "abcdef0123456789abcdef0123",
+        ] {
+            let v = BigUint::from_hex(hex).unwrap();
+            let min = v.to_bytes_be();
+            for extra in 0..10 {
+                let mut want = vec![0; extra];
+                want.extend_from_slice(&min);
+                assert_eq!(
+                    v.to_fixed_bytes_be(min.len() + extra),
+                    want,
+                    "{hex} +{extra}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -166,23 +166,28 @@ pub(crate) fn window_width(exp_bits: u64) -> u32 {
 /// the last window span `w` bits with the zeros below them, so there are at
 /// most `⌈bits / w⌉`.
 fn for_each_window(exp: &BigUint, w: u32, mut f: impl FnMut(usize, usize)) {
-    let w = i64::from(w);
-    let mut i = exp.bits() as i64 - 1;
-    while i >= 0 {
-        if !exp.bit(i as u64) {
-            i -= 1;
+    let limbs = exp.limbs();
+    // Bits below `top` are still to be covered; each window is read off
+    // the limbs whole, not bit by bit.
+    let mut top = exp.bits() as usize;
+    while top > 0 {
+        let high = top - 1;
+        if limbs[high / 64] >> (high % 64) & 1 == 0 {
+            top = high;
             continue;
         }
-        let mut j = (i - w + 1).max(0);
-        while !exp.bit(j as u64) {
-            j += 1;
+        // The `high + 1 − low ≤ 6` bits from `low` up, from one limb or two.
+        let low = (high + 1).saturating_sub(w as usize);
+        let (word, shift) = (low / 64, low % 64);
+        let mut window = limbs[word] >> shift;
+        if high / 64 > word {
+            window |= limbs[word + 1] << (64 - shift);
         }
-        let mut digit = 0usize;
-        for b in (j..=i).rev() {
-            digit = (digit << 1) | usize::from(exp.bit(b as u64));
-        }
-        f(j as usize, digit / 2);
-        i = j - 1;
+        let window = window & ((1 << (high + 1 - low)) - 1);
+        // The window ends at its lowest set bit, so its digit is odd.
+        let zeros = window.trailing_zeros() as usize;
+        f(low + zeros, (window >> zeros) as usize / 2);
+        top = low + zeros;
     }
 }
 
@@ -359,6 +364,63 @@ mod tests {
         let z = BigUint::zero();
         let bases = [BigUint::from(3u64), BigUint::from(5u64)];
         assert!(pow_interleaved(&Division(&m), &[(&bases[0], &z), (&bases[1], &z)]).is_none());
+    }
+
+    /// The decomposition as the bit-at-a-time walk finds it: from each set
+    /// bit down, the widest window whose lowest bit is set.
+    fn windows_bit_by_bit(exp: &BigUint, w: u32) -> Vec<(usize, usize)> {
+        let (w, mut out) = (i64::from(w), Vec::new());
+        let mut i = exp.bits() as i64 - 1;
+        while i >= 0 {
+            if !exp.bit(i as u64) {
+                i -= 1;
+                continue;
+            }
+            let mut j = (i - w + 1).max(0);
+            while !exp.bit(j as u64) {
+                j += 1;
+            }
+            let digit = (j..=i)
+                .rev()
+                .fold(0, |d, b| (d << 1) | usize::from(exp.bit(b as u64)));
+            out.push((j as usize, digit / 2));
+            i = j - 1;
+        }
+        out
+    }
+
+    #[test]
+    fn windows_read_off_the_limbs_match_the_bit_walk() {
+        // Windows straddling limb boundaries, runs of zero limbs, a lone top
+        // bit, all-ones limbs, and pseudo-random exponents of 1–600 bits, at
+        // every width the kernels use.
+        let mut exps = vec![
+            BigUint::one(),
+            BigUint::from(u64::MAX),
+            BigUint::from_limbs(vec![0, 0, 1]),
+            BigUint::from_limbs(vec![1 << 63, 0, 0b101]),
+            BigUint::from_limbs(vec![u64::MAX, u64::MAX, u64::MAX]),
+            BigUint::from_limbs(vec![0x8000_0000_0000_0001, 0x3]),
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for bits in 1..600usize {
+            let limbs = (0..bits.div_ceil(64))
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x
+                })
+                .collect();
+            exps.push(&BigUint::from_limbs(limbs) >> (bits.div_ceil(64) * 64 - bits) as u64);
+        }
+        for exp in exps.iter().filter(|e| !e.is_zero()) {
+            for w in 1..=6 {
+                let mut got = Vec::new();
+                for_each_window(exp, w, |low, entry| got.push((low, entry)));
+                assert_eq!(got, windows_bit_by_bit(exp, w), "{exp:?} w={w}");
+            }
+        }
     }
 
     #[test]

@@ -65,8 +65,6 @@ pub struct Post {
     pub created_at: LogicalTime,
     /// Body text.
     pub body: String,
-    /// Optional hashtags (drive the Hummingbird-style subscription layer).
-    pub hashtags: Vec<String>,
 }
 
 impl Post {
@@ -77,29 +75,17 @@ impl Post {
         created_at: LogicalTime,
         body: impl Into<String>,
     ) -> Self {
-        let body = body.into();
-        let hashtags = body
-            .split_whitespace()
-            .filter(|w| w.starts_with('#') && w.len() > 1)
-            .map(|w| {
-                w.trim_matches(|c: char| !c.is_alphanumeric() && c != '#')
-                    .to_owned()
-            })
-            .filter(|w| w.len() > 1)
-            .collect();
         Post {
             author: author.into(),
             sequence,
             created_at,
-            body,
-            hashtags,
+            body: body.into(),
         }
     }
 
     /// The post's wire form, what the privacy layer encrypts:
     /// `author_len(4) | author | sequence(8) | created_at(8) | body_len(4) |
-    /// body`, all integers big-endian. The hashtags are derived from the
-    /// body, so they are not carried. [`Post::from_bytes`] inverts it.
+    /// body`, all integers big-endian. [`Post::from_bytes`] inverts it.
     ///
     /// # Errors
     ///
@@ -132,6 +118,13 @@ impl Post {
     /// the end, bytes after the body, or an author or body that is not
     /// UTF-8.
     pub fn from_bytes(bytes: &[u8]) -> Result<Post, DosnError> {
+        let (author, sequence, created_at, body) = Post::read(bytes)?;
+        Ok(Post::new(author, sequence, created_at, body))
+    }
+
+    /// [`Post::from_bytes`] without the copies: author, sequence number,
+    /// creation time and body, borrowed from `bytes`.
+    pub(crate) fn read(bytes: &[u8]) -> Result<(&str, u64, LogicalTime, &str), DosnError> {
         let mut c = Cursor(bytes);
         let Some((author, sequence, created_at, body)) =
             (|| Some((c.field()?, c.u64()?, c.u64()?, c.field()?)))()
@@ -141,10 +134,8 @@ impl Post {
         if !c.0.is_empty() {
             return Err(malformed(&format!("{} bytes after the body", c.0.len())));
         }
-        let text = |bytes: &[u8]| {
-            String::from_utf8(bytes.to_vec()).map_err(|_| malformed("text is not utf-8"))
-        };
-        Ok(Post::new(text(author)?, sequence, created_at, text(body)?))
+        let text = |bytes| std::str::from_utf8(bytes).map_err(|_| malformed("text is not utf-8"));
+        Ok((text(author)?, sequence, created_at, text(body)?))
     }
 }
 
@@ -166,16 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn post_extracts_hashtags() {
-        let p = Post::new("bob", 1, 10, "going to #party at my place on #friday!");
-        assert_eq!(p.hashtags, vec!["#party", "#friday"]);
-        let plain = Post::new("bob", 2, 11, "no tags here");
-        assert!(plain.hashtags.is_empty());
-        let lone_hash = Post::new("bob", 3, 12, "just # alone");
-        assert!(lone_hash.hashtags.is_empty());
-    }
-
-    #[test]
     fn wire_form_round_trips_and_differs_for_different_content() {
         let p1 = Post::new("a", 1, 2, "x #tag");
         let p2 = Post::new("a", 1, 2, "y #tag");
@@ -183,6 +164,6 @@ mod tests {
         assert_ne!(b1, b2);
         assert_eq!(b1.len(), 24 + 1 + 6);
         assert_eq!(Post::from_bytes(&b1).unwrap(), p1);
-        assert_eq!(Post::from_bytes(&b2).unwrap().hashtags, vec!["#tag"]);
+        assert_eq!(Post::read(&b2).unwrap(), ("a", 1, 2, "y #tag"));
     }
 }

@@ -30,12 +30,12 @@ use super::{elapsed_micros, storage_to_dosn, wall_key, PhaseCtx, Users};
 use crate::content::Post;
 use crate::error::DosnError;
 use crate::feed::FeedCache;
-use crate::identity::UserId;
 use crate::integrity::envelope::{SignedEnvelope, VerifiedEnvelope};
-use dosn_obs::{names, Registry};
+use dosn_obs::{names, HistHandle, Registry};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::{FetchedCopies, ReplicatedStore, Tally};
 use dosn_overlay::storage::{StorageError, StoragePlane};
+use std::cell::Cell;
 use std::time::Instant;
 
 /// One `ReadPost` with its fetched bytes, borrowing the op's names.
@@ -51,27 +51,37 @@ struct ReadJob<'a> {
     /// read's stake, checked and unsealed *first*; the read falls back to
     /// the quorum copies only when they fail.
     cached: Option<Vec<u8>>,
-    fetch_micros: u64,
-    /// The combined check's verdict on the read's stake (its L2 entry or
-    /// its tally's leader); `None` for a read the check did not cover.
-    /// [`finish_read`] takes it, so the quorum retry of a poisoned L2
-    /// entry votes alone.
-    checked: Option<Result<VerifiedEnvelope, DosnError>>,
+    /// The fetch's time, plus the read's share of the combined check,
+    /// which [`check_stakes`] adds while its verdicts borrow the job.
+    micros: Cell<u64>,
 }
 
-enum ReadOutcome {
+/// A verdict on one stored record: what it proved, or why it was refused.
+type Verdict<'a> = Result<VerifiedEnvelope<'a>, DosnError>;
+
+enum ReadOutcome<'a> {
     Done(Result<OpOutput, DosnError>),
     /// Winner decrypted; [`settle_read`] repairs the job's stale copies
     /// with it.
     Verified {
         body: String,
-        winner: Vec<u8>,
+        winner: &'a [u8],
     },
     /// The hot-cached envelope failed verification or decryption.
     /// [`settle_read`] invalidates it and re-runs the read as a real
     /// quorum fetch — a poisoned cache entry must behave exactly like an
     /// uncached tampered replica, never like a served read.
     RetryQuorum,
+}
+
+/// The batch's per-read latency histograms, looked up once per batch:
+/// `crypto.schnorr.verify` (one sample per [`open_slots`] call),
+/// `store.get.quorum` (a quorum read's fetch, check share and vote) and
+/// `net.read_post.quorum` (a read up to its unsealed result).
+struct Instruments {
+    verify: HistHandle,
+    get_quorum: HistHandle,
+    read_post: HistHandle,
 }
 
 /// Serves the planned `reads` (op indices) into `batch.results`.
@@ -84,6 +94,11 @@ pub(super) fn finish_reads<S: StoragePlane>(
     reads: Vec<usize>,
 ) {
     let timer = ctx.obs.timer(names::ENGINE_FINISH);
+    let ins = Instruments {
+        verify: ctx.obs.histogram(names::CRYPTO_SCHNORR_VERIFY),
+        get_quorum: ctx.obs.histogram(names::STORE_GET_QUORUM),
+        read_post: ctx.obs.histogram(names::NET_READ_POST_QUORUM),
+    };
     let mut jobs: Vec<ReadJob> = Vec::with_capacity(reads.len());
     for op_idx in reads {
         let Op::ReadPost {
@@ -115,22 +130,17 @@ pub(super) fn finish_reads<S: StoragePlane>(
             tally: fetched.as_ref().map(Tally::new).unwrap_or_default(),
             fetched,
             cached,
-            fetch_micros: elapsed_micros(started),
-            checked: None,
+            micros: Cell::new(elapsed_micros(started)),
         });
     }
-    if ctx.batch_verify {
-        check_stakes(ctx, &mut jobs);
-    }
+    let checked = check_stakes(ctx, &ins, &jobs);
     let read_quorum = storage.read_quorum();
-    for mut job in jobs {
+    for (job, checked) in jobs.iter().zip(checked) {
         let started = Instant::now();
-        let outcome = finish_read(ctx, users, read_quorum, &mut job);
-        let (op_idx, micros) = (job.op_idx, job.fetch_micros + elapsed_micros(started));
-        let result = settle_read(storage, metrics, ctx, users, job, outcome);
-        ctx.obs
-            .histogram(names::NET_READ_POST_QUORUM)
-            .record(micros);
+        let outcome = finish_read(ctx, &ins, users, read_quorum, job, checked, started);
+        let micros = job.micros.get() + elapsed_micros(started);
+        let result = settle_read(storage, metrics, ctx, &ins, users, job, outcome);
+        ins.read_post.record(micros);
         if matches!(
             result,
             Err(DosnError::IntegrityViolation(_)
@@ -148,17 +158,26 @@ pub(super) fn finish_reads<S: StoragePlane>(
             // not authorized, unknown user) is not counted.
             ctx.obs.counter(names::ENGINE_READ_FAIL_CLOSED).add(1);
         }
-        batch.results[op_idx] = Some(result);
+        batch.results[job.op_idx] = Some(result);
     }
     timer.observe();
 }
 
 /// The check step: every read's stake is proven in one combined Schnorr
-/// check. Each read carries its verdict and an even share of the check's
-/// time, which counts as time before its vote, so the quorum-read latencies
-/// still include verification.
-fn check_stakes(ctx: &PhaseCtx, jobs: &mut [ReadJob]) {
-    let authors: Vec<UserId> = jobs.iter().map(|job| UserId::from(job.author)).collect();
+/// check, and the verdicts come back one per job (`None` for a read the
+/// check did not cover, and for every read with batch verification off).
+/// Each staked read is charged an even share of the check's time, which
+/// counts as time before its vote, so the quorum-read latencies still
+/// include verification.
+fn check_stakes<'j>(
+    ctx: &PhaseCtx,
+    ins: &Instruments,
+    jobs: &'j [ReadJob],
+) -> Vec<Option<Verdict<'j>>> {
+    let mut checked: Vec<Option<Verdict<'j>>> = jobs.iter().map(|_| None).collect();
+    if !ctx.batch_verify {
+        return checked;
+    }
     let (staked, slots): (Vec<usize>, Vec<_>) = jobs
         .iter()
         .enumerate()
@@ -167,28 +186,30 @@ fn check_stakes(ctx: &PhaseCtx, jobs: &mut [ReadJob]) {
                 Some(bytes) => bytes,
                 None => job.tally.leader(job.fetched.as_ref().ok()?)?.0,
             };
-            Some((i, (&authors[i], job.seq, stake)))
+            Some((i, (job.author, job.seq, stake)))
         })
         .unzip();
     if staked.is_empty() {
-        return;
+        return checked;
     }
-    let (verdicts, micros) = open_slots(ctx, &slots);
+    let (verdicts, micros) = open_slots(ctx, ins, &slots);
     let each = micros / staked.len() as u64;
     for (i, verdict) in staked.into_iter().zip(verdicts) {
-        jobs[i].fetch_micros += each;
-        jobs[i].checked = Some(verdict);
+        jobs[i].micros.set(jobs[i].micros.get() + each);
+        checked[i] = Some(verdict);
     }
+    checked
 }
 
 /// Decodes and verifies stored records, each `(author, seq, bytes)` read
 /// as `author`'s post `seq`: in one combined Schnorr check, or each alone
 /// with batch verification off. Records one `crypto.schnorr.verify`
 /// sample unless `slots` is empty; returns the verdicts and their time.
-fn open_slots(
+fn open_slots<'a>(
     ctx: &PhaseCtx,
-    slots: &[(&UserId, u64, &[u8])],
-) -> (Vec<Result<VerifiedEnvelope, DosnError>>, u64) {
+    ins: &Instruments,
+    slots: &[(&'a str, u64, &'a [u8])],
+) -> (Vec<Verdict<'a>>, u64) {
     if slots.is_empty() {
         return (Vec::new(), 0);
     }
@@ -205,9 +226,7 @@ fn open_slots(
             .collect()
     };
     let micros = elapsed_micros(started);
-    ctx.obs
-        .histogram(names::CRYPTO_SCHNORR_VERIFY)
-        .record(micros);
+    ins.verify.record(micros);
     (verdicts, micros)
 }
 
@@ -215,18 +234,28 @@ fn open_slots(
 /// then decrypt the winner as the reader. The vote keeps the verdict of
 /// every value the check or the vote opened, so the winner is unsealed from
 /// the proof reached and a refused read names its leader's error — nothing
-/// is decoded or verified twice.
-fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) -> ReadOutcome {
-    let checked = job.checked.take();
-    let job = &*job;
-    let author_id = UserId::from(job.author);
+/// is decoded or verified twice. `checked` is the combined check's verdict
+/// on the read's stake; `started` is when the read's turn began.
+fn finish_read<'j>(
+    ctx: &PhaseCtx,
+    ins: &Instruments,
+    users: &Users,
+    quorum: usize,
+    job: &'j ReadJob,
+    checked: Option<Verdict<'j>>,
+    started: Instant,
+) -> ReadOutcome<'j> {
     if let Some(bytes) = &job.cached {
         // A hot-cached envelope gets the complete uncached treatment —
         // decode, signature verification, decrypt as the reader. Any
         // failure (tampered bytes, revoked reader, bad encoding) sends
         // the read back to the real quorum path: the cache accelerates
         // reads, it never relaxes what a served read proved.
-        let verified = checked.or_else(|| open_slots(ctx, &[(&author_id, job.seq, bytes)]).0.pop());
+        let verified = checked.or_else(|| {
+            open_slots(ctx, ins, &[(job.author, job.seq, bytes)])
+                .0
+                .pop()
+        });
         let Some(Ok(verified)) = verified else {
             return ReadOutcome::RetryQuorum;
         };
@@ -246,7 +275,6 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) 
         Ok(f) => f,
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e.clone()))),
     };
-    let quorum_started = Instant::now();
     let leader = job.tally.leader(fetched);
     // Each distinct value opened, with its verdict: the checked leader
     // first, if the read staked.
@@ -257,12 +285,12 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) 
             // A verified leader wins, so the other values are never
             // opened; otherwise each is opened once, all together.
             if !matches!(proven.first(), Some((_, Ok(_)))) {
-                let rest: Vec<(&UserId, u64, &[u8])> = values
+                let rest: Vec<(&str, u64, &[u8])> = values
                     .iter()
                     .filter(|&&v| proven.iter().all(|(bytes, _)| *bytes != v))
-                    .map(|&v| (&author_id, job.seq, v))
+                    .map(|&v| (job.author, job.seq, v))
                     .collect();
-                let (opened, _) = open_slots(ctx, &rest);
+                let (opened, _) = open_slots(ctx, ins, &rest);
                 proven.extend(rest.iter().map(|&(_, _, v)| v).zip(opened));
             }
             values
@@ -271,10 +299,9 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) 
                 .collect()
         })
         .into_result();
-    ctx.obs
-        .histogram(names::STORE_GET_QUORUM)
-        .record(job.fetch_micros + elapsed_micros(quorum_started));
-    let verdict = |bytes: &[u8]| proven.iter().find(|(v, _)| *v == bytes).map(|(_, r)| r);
+    ins.get_quorum
+        .record(job.micros.get() + elapsed_micros(started));
+    let verdict = |bytes: &[u8]| proven.iter().find(|(v, _)| *v == bytes);
     let winner = match (vote, leader) {
         (Ok(winner), _) => winner,
         // No copy verified, so the leader was opened and refused: held by K
@@ -282,7 +309,7 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) 
         // Nothing is read again and nothing is repaired.
         (Err(StorageError::NotFound(key)), Some((bytes, have))) => {
             return ReadOutcome::Done(Err(match verdict(bytes) {
-                Some(Err(e)) if have >= quorum => e.clone(),
+                Some((_, Err(e))) if have >= quorum => e.clone(),
                 _ => storage_to_dosn(StorageError::QuorumFailed {
                     key,
                     have,
@@ -292,7 +319,7 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) 
         }
         (Err(e), _) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
     };
-    let Some(Ok(verified)) = verdict(&winner) else {
+    let Some((winner, Ok(verified))) = verdict(&winner) else {
         return ReadOutcome::Done(Err(DosnError::IntegrityViolation(
             "quorum winner was not among the verified values".into(),
         )));
@@ -307,21 +334,21 @@ fn finish_read(ctx: &PhaseCtx, users: &Users, quorum: usize, job: &mut ReadJob) 
 /// quorum winner or a hot-cached envelope: they already decoded as
 /// `job.author`'s post `job.seq` and carried the author's valid signature
 /// (that is what a [`VerifiedEnvelope`] is); here they decrypt for
-/// `job.reader` and decode as a [`Post`], which must name the same author
+/// `job.reader` and read as a [`Post`], which must name the same author
 /// and sequence number as the slot. Returns the post body.
 fn unseal(users: &Users, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnError> {
     let author_state = users
         .get(job.author)
         .ok_or_else(|| DosnError::UnknownUser(job.author.to_owned()))?;
     let plain = author_state.open(job.reader, verified.epoch(), verified.body())?;
-    let post = Post::from_bytes(&plain)?;
-    if post.author.as_str() != job.author || post.sequence != job.seq {
+    let (author, sequence, _, body) = Post::read(&plain)?;
+    if author != job.author || sequence != job.seq {
         return Err(DosnError::IntegrityViolation(format!(
-            "slot {}/{} holds post {}/{}",
-            job.author, job.seq, post.author, post.sequence
+            "slot {}/{} holds post {author}/{sequence}",
+            job.author, job.seq
         )));
     }
-    Ok(post.body)
+    Ok(body.to_owned())
 }
 
 /// The storage tail of one read: turns what [`finish_read`] decided into
@@ -334,34 +361,42 @@ fn settle_read<S: StoragePlane>(
     storage: &mut ReplicatedStore<S>,
     metrics: &mut Metrics,
     ctx: &PhaseCtx,
+    ins: &Instruments,
     users: &Users,
-    mut job: ReadJob,
-    mut outcome: ReadOutcome,
+    job: &ReadJob,
+    outcome: ReadOutcome,
 ) -> Result<OpOutput, DosnError> {
-    if matches!(outcome, ReadOutcome::RetryQuorum) {
-        let key = wall_key(job.author, job.seq);
-        storage.invalidate_hot(key, metrics);
-        let started = Instant::now();
-        job.cached = None;
-        job.fetched = storage.fetch_copies(key, metrics);
-        job.tally = job.fetched.as_ref().map(Tally::new).unwrap_or_default();
-        job.fetch_micros = elapsed_micros(started);
-        outcome = finish_read(ctx, users, storage.read_quorum(), &mut job);
-    }
     match outcome {
         ReadOutcome::Done(r) => r,
         ReadOutcome::Verified { body, winner } => {
             if let Ok(fetched) = &job.fetched {
-                storage.repair_copies(fetched, &winner, metrics);
+                storage.repair_copies(fetched, winner, metrics);
                 // Verified quorum winners seed the plane's hot cache (and
                 // overwrite any stale entry for the key in place).
-                storage.admit_hot(fetched.key, &winner, metrics);
+                storage.admit_hot(fetched.key, winner, metrics);
             }
             Ok(OpOutput::Read { body })
         }
-        ReadOutcome::RetryQuorum => Err(DosnError::IntegrityViolation(
-            "uncached retry produced a cache outcome".into(),
-        )),
+        ReadOutcome::RetryQuorum => {
+            let key = wall_key(job.author, job.seq);
+            storage.invalidate_hot(key, metrics);
+            let started = Instant::now();
+            let fetched = storage.fetch_copies(key, metrics);
+            let retry = ReadJob {
+                tally: fetched.as_ref().map(Tally::new).unwrap_or_default(),
+                fetched,
+                cached: None,
+                micros: Cell::new(elapsed_micros(started)),
+                ..*job
+            };
+            let quorum = storage.read_quorum();
+            match finish_read(ctx, ins, users, quorum, &retry, None, Instant::now()) {
+                ReadOutcome::RetryQuorum => Err(DosnError::IntegrityViolation(
+                    "uncached retry produced a cache outcome".into(),
+                )),
+                outcome => settle_read(storage, metrics, ctx, ins, users, &retry, outcome),
+            }
+        }
     }
 }
 
@@ -378,6 +413,7 @@ pub(super) fn apply_feed_fills(
     let Some(cache) = feed.as_mut() else {
         return;
     };
+    let before = cache.stats();
     for fill in fills {
         if let (
             Some(Op::ReadPost {
@@ -388,9 +424,9 @@ pub(super) fn apply_feed_fills(
             Some(Ok(OpOutput::Read { body })),
         ) = (ops.get(fill.op_idx), report.results.get(fill.op_idx))
         {
-            let before = cache.stats();
             cache.fill(reader, author, *seq, fill.head, body.clone());
-            bump_feed_stats(obs, before, cache.stats());
         }
     }
+    // The batch's counter deltas, mirrored once rather than per fill.
+    bump_feed_stats(obs, before, cache.stats());
 }

@@ -88,7 +88,15 @@ impl SignedEnvelope {
         rng: &mut SecureRng,
     ) -> Self {
         let words = [sequence, issued_at, expires_at.unwrap_or(u64::MAX)];
-        let digest = digest(author.id(), recipient.as_ref(), words, &[0; 32], &[], body);
+        let recipient_name = recipient.as_ref().map(UserId::as_str);
+        let digest = digest(
+            author.id().as_str(),
+            recipient_name,
+            words,
+            &[0; 32],
+            &[],
+            body,
+        );
         SignedEnvelope {
             author: author.id().clone(),
             recipient,
@@ -114,7 +122,14 @@ impl SignedEnvelope {
         rng: &mut SecureRng,
     ) -> (Self, EntryHash) {
         let words = [sequence, sequence, u64::MAX];
-        let digest = digest(author.id(), None, words, &prev_hash, &external_refs, body);
+        let digest = digest(
+            author.id().as_str(),
+            None,
+            words,
+            &prev_hash,
+            &external_refs,
+            body,
+        );
         let envelope = SignedEnvelope {
             author: author.id().clone(),
             recipient: None,
@@ -138,8 +153,8 @@ impl SignedEnvelope {
             self.expires_at.unwrap_or(u64::MAX),
         ];
         digest(
-            &self.author,
-            self.recipient.as_ref(),
+            self.author.as_str(),
+            self.recipient.as_ref().map(UserId::as_str),
             words,
             &self.prev_hash,
             &self.external_refs,
@@ -167,26 +182,7 @@ impl SignedEnvelope {
     ) -> Result<(), DosnError> {
         let vk = directory.verifying_key(self.author.as_str())?;
         vk.verify(&self.hash(), &self.signature)
-            .map_err(|_| self.forged())?;
-        self.check_binding(expected_recipient, now)
-    }
-
-    /// The error of a signature that does not verify under the author's
-    /// key.
-    fn forged(&self) -> DosnError {
-        DosnError::IntegrityViolation(format!(
-            "signature does not verify under {}'s key",
-            self.author
-        ))
-    }
-
-    /// The relation and history halves of [`SignedEnvelope::verify`]: the
-    /// recipient binding and the freshness window, without the signature.
-    fn check_binding(
-        &self,
-        expected_recipient: Option<&UserId>,
-        now: u64,
-    ) -> Result<(), DosnError> {
+            .map_err(|_| forged(self.author.as_str()))?;
         if let Some(expected) = expected_recipient {
             match &self.recipient {
                 Some(r) if r == expected => {}
@@ -198,11 +194,7 @@ impl SignedEnvelope {
                 None => {} // broadcast: any recipient is legitimate
             }
         }
-        if self.issued_at > now {
-            return Err(DosnError::IntegrityViolation(
-                "message from the future".into(),
-            ));
-        }
+        issued_by(self.issued_at, now)?;
         if let Some(exp) = self.expires_at {
             if now >= exp {
                 return Err(DosnError::IntegrityViolation("message expired".into()));
@@ -252,6 +244,181 @@ impl SignedEnvelope {
         bytes: &[u8],
         group: &dosn_crypto::group::SchnorrGroup,
     ) -> Result<(SignedEnvelope, u64), DosnError> {
+        let record = WireRecord::parse(author.as_str(), expected_seq, bytes, group)?;
+        let envelope = SignedEnvelope {
+            author: author.clone(),
+            recipient: None,
+            sequence: record.sequence,
+            issued_at: record.issued_at,
+            expires_at: None,
+            prev_hash: record.prev_hash,
+            external_refs: record.external_refs,
+            body: record.body.to_vec(),
+            signature: record.signature,
+        };
+        Ok((envelope, record.epoch))
+    }
+
+    /// Verifies many wire-encoded copies of the same slot (`author`,
+    /// `expected_seq`) in one pass: each copy is decoded alone and every
+    /// decoded signature joins one combined check
+    /// ([`dosn_crypto::batch::batch_verify`]). Returns one verdict per copy,
+    /// exactly matching what [`SignedEnvelope::decode_wire`] +
+    /// [`SignedEnvelope::verify`] would decide copy by copy. A wire record is a broadcast (`decode_wire`
+    /// restores no recipient), so `_expected_recipient` can refuse none.
+    pub fn verify_wire_copies_batch(
+        author: &UserId,
+        expected_seq: u64,
+        copies: &[&[u8]],
+        group: &dosn_crypto::group::SchnorrGroup,
+        directory: &KeyDirectory,
+        _expected_recipient: Option<&UserId>,
+        now: u64,
+    ) -> Vec<bool> {
+        let slots: Vec<(&str, u64, &[u8])> = copies
+            .iter()
+            .map(|&bytes| (author.as_str(), expected_seq, bytes))
+            .collect();
+        Self::verify_wire_slots(&slots, group, directory, now)
+            .iter()
+            .map(Result::is_ok)
+            .collect()
+    }
+
+    /// Verifies stored records for many slots at once, each `(author, seq,
+    /// bytes)` read as `author`'s post `seq`, and keeps what it proved: an
+    /// accepted record comes back as the [`VerifiedEnvelope`] its verdict
+    /// was reached on — its epoch and its body, borrowed from the record —
+    /// so the caller unseals it without decoding or verifying again. Each
+    /// record is decoded in place, with no group operation, and its
+    /// author's key looked up unless the slot before it had the same
+    /// author; every decoded signature
+    /// equation, under however many authors' keys, joins one
+    /// random-linear-combination check ([`dosn_crypto::batch::batch_verify`]),
+    /// which verifies each signature alone when it fails, so the per-slot
+    /// verdicts are exact; a record whose signature holds then has its
+    /// freshness rule checked. The steps run in
+    /// [`SignedEnvelope::open_wire`]'s order, so each slot comes back with
+    /// exactly what `open_wire` returns for it, refusals included, whatever
+    /// else shares the call.
+    ///
+    /// The finish phase calls it once per batch, over each read's staked
+    /// value (its L2 entry or its tally's leader), and once per read that
+    /// staked on nothing or whose stake failed, over that read's other
+    /// values (slots sharing an author and a seq).
+    pub(crate) fn verify_wire_slots<'a>(
+        slots: &[(&'a str, u64, &'a [u8])],
+        group: &dosn_crypto::group::SchnorrGroup,
+        directory: &KeyDirectory,
+        now: u64,
+    ) -> Vec<Result<VerifiedEnvelope<'a>, DosnError>> {
+        // Each decoded record with its signed digest and the position of
+        // its author's key, looked up once per run of slots by one author
+        // (a read's own values are one run).
+        let (mut keys, mut last) = (Vec::new(), None);
+        let decoded: Vec<_> = slots
+            .iter()
+            .map(|&(author, seq, bytes)| -> Result<_, DosnError> {
+                let record = WireRecord::parse(author, seq, bytes, group)?;
+                if last != Some(author) {
+                    keys.push(directory.verifying_key(author));
+                    last = Some(author);
+                }
+                let key = keys.len() - 1;
+                keys[key]
+                    .as_ref()
+                    .map_err(|e| DosnError::Crypto(e.clone()))?;
+                Ok((key, record.hash(), record))
+            })
+            .collect();
+        // Every slot whose key is missing was refused above.
+        let items: Vec<BatchItem<'_>> = decoded
+            .iter()
+            .flatten()
+            .filter_map(|(key, digest, record)| {
+                Some((
+                    keys[*key].as_ref().ok()?,
+                    digest.as_slice(),
+                    &record.signature,
+                ))
+            })
+            .collect();
+        // Failing items, ascending.
+        let bad = batch_verify(&items).map_or_else(|f| f.failed, |()| Vec::new());
+        let mut items = 0..;
+        decoded
+            .into_iter()
+            .map(|slot| {
+                let (_, _, record) = slot?;
+                if bad.binary_search(&items.next().unwrap_or_default()).is_ok() {
+                    return Err(forged(record.author));
+                }
+                record.verified(now)
+            })
+            .collect()
+    }
+
+    /// Decodes and fully verifies one stored record: what
+    /// [`SignedEnvelope::decode_wire`] then [`SignedEnvelope::verify`]
+    /// decide, without copying the body out.
+    ///
+    /// # Errors
+    ///
+    /// Whatever either step returns.
+    pub(crate) fn open_wire<'a>(
+        author: &'a str,
+        expected_seq: u64,
+        bytes: &'a [u8],
+        group: &dosn_crypto::group::SchnorrGroup,
+        directory: &KeyDirectory,
+        now: u64,
+    ) -> Result<VerifiedEnvelope<'a>, DosnError> {
+        let record = WireRecord::parse(author, expected_seq, bytes, group)?;
+        directory
+            .verifying_key(author)?
+            .verify(&record.hash(), &record.signature)
+            .map_err(|_| forged(author))?;
+        record.verified(now)
+    }
+}
+
+/// The error of a signature that does not verify under `author`'s key.
+fn forged(author: &str) -> DosnError {
+    DosnError::IntegrityViolation(format!("signature does not verify under {author}'s key"))
+}
+
+/// The history rule's lower half: a message issued after `now` is refused.
+fn issued_by(issued_at: u64, now: u64) -> Result<(), DosnError> {
+    if issued_at > now {
+        return Err(DosnError::IntegrityViolation(
+            "message from the future".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// A stored record read in place, the author's name and the body borrowed:
+/// the verifiers check it as it lies, and `decode_wire` copies it out.
+struct WireRecord<'a> {
+    author: &'a str,
+    epoch: u64,
+    issued_at: u64,
+    sequence: u64,
+    prev_hash: EntryHash,
+    external_refs: Vec<ExternalRef>,
+    signature: Signature,
+    body: &'a [u8],
+}
+
+impl<'a> WireRecord<'a> {
+    /// Parses `bytes` as `author`'s record `expected_seq`, with
+    /// [`SignedEnvelope::decode_wire`]'s checks and errors.
+    fn parse(
+        author: &'a str,
+        expected_seq: u64,
+        bytes: &'a [u8],
+        group: &dosn_crypto::group::SchnorrGroup,
+    ) -> Result<Self, DosnError> {
         let mut c = Cursor(bytes);
         let header = (|| Some((c.u64()?, c.u64()?, c.u64()?, c.u32()?, c.array()?, c.u32()?)))();
         let Some((epoch, issued_at, sequence, sig_len, prev_hash, refs)) = header else {
@@ -279,119 +446,34 @@ impl SignedEnvelope {
             .map(|_| decode_ref(&mut c))
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| DosnError::MalformedEnvelope(format!("{refs} refs do not decode")))?;
-        let envelope = SignedEnvelope {
-            author: author.clone(),
-            recipient: None,
-            sequence,
+        Ok(WireRecord {
+            author,
+            epoch,
             issued_at,
-            expires_at: None,
+            sequence,
             prev_hash,
             external_refs,
-            body: c.0.to_vec(),
             signature,
-        };
-        Ok((envelope, epoch))
+            body: c.0,
+        })
     }
 
-    /// Verifies many wire-encoded copies of the same slot (`author`,
-    /// `expected_seq`) in one pass: each copy is decoded alone and every
-    /// decoded signature joins one combined check
-    /// ([`dosn_crypto::batch::batch_verify`]). Returns one verdict per copy,
-    /// exactly matching what [`SignedEnvelope::decode_wire`] +
-    /// [`SignedEnvelope::verify`] would decide copy by copy. A wire record is a broadcast (`decode_wire`
-    /// restores no recipient), so `_expected_recipient` can refuse none.
-    pub fn verify_wire_copies_batch(
-        author: &UserId,
-        expected_seq: u64,
-        copies: &[&[u8]],
-        group: &dosn_crypto::group::SchnorrGroup,
-        directory: &KeyDirectory,
-        _expected_recipient: Option<&UserId>,
-        now: u64,
-    ) -> Vec<bool> {
-        let slots: Vec<(&UserId, u64, &[u8])> = copies
-            .iter()
-            .map(|&bytes| (author, expected_seq, bytes))
-            .collect();
-        Self::verify_wire_slots(&slots, group, directory, now)
-            .iter()
-            .map(Result::is_ok)
-            .collect()
+    /// The digest the record's signature covers: a broadcast with no
+    /// expiry ([`SignedEnvelope::hash`] of the decoded envelope).
+    fn hash(&self) -> EntryHash {
+        let words = [self.sequence, self.issued_at, u64::MAX];
+        let (refs, body) = (&self.external_refs, self.body);
+        digest(self.author, None, words, &self.prev_hash, refs, body)
     }
 
-    /// Verifies stored records for many slots at once, each `(author, seq,
-    /// bytes)` read as `author`'s post `seq`, and keeps what it decoded: an
-    /// accepted record comes back as the [`VerifiedEnvelope`] its verdict
-    /// was reached on, so the caller unseals it without decoding or
-    /// verifying again. Each record is decoded and its author's key looked
-    /// up one by one, with no group operation; every decoded signature
-    /// equation, under however many authors' keys, joins one
-    /// random-linear-combination check ([`dosn_crypto::batch::batch_verify`]),
-    /// which verifies each signature alone when it fails, so the per-slot
-    /// verdicts are exact; a record
-    /// whose signature holds then has its freshness rule checked. The steps
-    /// run in [`SignedEnvelope::open_wire`]'s order, so each slot comes back
-    /// with exactly what `open_wire` returns for it, refusals included,
-    /// whatever else shares the call.
-    ///
-    /// The finish phase calls it once per batch, over each read's staked
-    /// value (its L2 entry or its tally's leader), and once per read that
-    /// staked on nothing or whose stake failed, over that read's other
-    /// values (slots sharing an author and a seq).
-    pub(crate) fn verify_wire_slots(
-        slots: &[(&UserId, u64, &[u8])],
-        group: &dosn_crypto::group::SchnorrGroup,
-        directory: &KeyDirectory,
-        now: u64,
-    ) -> Vec<Result<VerifiedEnvelope, DosnError>> {
-        // Each decoded record with its author's key and signed digest.
-        let decoded: Vec<_> = slots
-            .iter()
-            .map(|&(author, seq, bytes)| -> Result<_, DosnError> {
-                let (envelope, epoch) = Self::decode_wire(author, seq, bytes, group)?;
-                let vk = directory.verifying_key(author.as_str())?;
-                let digest = envelope.hash();
-                Ok((vk, digest, VerifiedEnvelope { envelope, epoch }))
-            })
-            .collect();
-        let items: Vec<BatchItem<'_>> = decoded
-            .iter()
-            .flatten()
-            .map(|(vk, digest, v)| (vk, digest.as_slice(), &v.envelope.signature))
-            .collect();
-        // Failing items, ascending.
-        let bad = batch_verify(&items).map_or_else(|f| f.failed, |()| Vec::new());
-        let mut items = 0..;
-        decoded
-            .into_iter()
-            .map(|slot| {
-                let (_, _, verified) = slot?;
-                if bad.binary_search(&items.next().unwrap_or_default()).is_ok() {
-                    return Err(verified.envelope.forged());
-                }
-                verified.envelope.check_binding(None, now)?;
-                Ok(verified)
-            })
-            .collect()
-    }
-
-    /// Decodes and fully verifies one stored record:
-    /// [`SignedEnvelope::decode_wire`] then [`SignedEnvelope::verify`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever either step returns.
-    pub(crate) fn open_wire(
-        author: &UserId,
-        expected_seq: u64,
-        bytes: &[u8],
-        group: &dosn_crypto::group::SchnorrGroup,
-        directory: &KeyDirectory,
-        now: u64,
-    ) -> Result<VerifiedEnvelope, DosnError> {
-        let (envelope, epoch) = Self::decode_wire(author, expected_seq, bytes, group)?;
-        envelope.verify(directory, None, now)?;
-        Ok(VerifiedEnvelope { envelope, epoch })
+    /// The record once its signature holds: refused if issued after `now`
+    /// (a broadcast without expiry binds nothing else).
+    fn verified(self, now: u64) -> Result<VerifiedEnvelope<'a>, DosnError> {
+        issued_by(self.issued_at, now)?;
+        Ok(VerifiedEnvelope {
+            epoch: self.epoch,
+            body: self.body,
+        })
     }
 }
 
@@ -400,8 +482,8 @@ impl SignedEnvelope {
 /// words (no expiry hashes as `u64::MAX`), `prev_hash`, the ref count and
 /// each ref's author, sequence and hash, and the body.
 fn digest(
-    author: &UserId,
-    recipient: Option<&UserId>,
+    author: &str,
+    recipient: Option<&str>,
     words: [u64; 3],
     prev_hash: &EntryHash,
     external_refs: &[ExternalRef],
@@ -486,24 +568,25 @@ impl<'a> Cursor<'a> {
 
 /// A stored record that decoded as its slot's envelope and passed
 /// [`SignedEnvelope::verify`] — the proof a served read rests on, carried
-/// as a type. Only this module can build one (from
+/// as a type: the record's epoch and the sealed body the signature covers,
+/// borrowed from the record. Only this module can build one (from
 /// [`SignedEnvelope::open_wire`] or the batch verifier), and the engine
 /// unseals nothing else.
 #[derive(Debug)]
-pub(crate) struct VerifiedEnvelope {
-    envelope: SignedEnvelope,
+pub(crate) struct VerifiedEnvelope<'a> {
     epoch: u64,
+    body: &'a [u8],
 }
 
-impl VerifiedEnvelope {
+impl<'a> VerifiedEnvelope<'a> {
     /// The privacy epoch the record was stored under.
     pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// The sealed body the signature covers.
-    pub(crate) fn body(&self) -> &[u8] {
-        &self.envelope.body
+    pub(crate) fn body(&self) -> &'a [u8] {
+        self.body
     }
 }
 
@@ -610,13 +693,13 @@ mod tests {
     }
 
     /// Whether every slot's batch verdict is [`SignedEnvelope::open_wire`]'s
-    /// verdict on it alone: the same decoded envelope and epoch, or the
-    /// same error, variant and message.
-    fn verdicts_match_open_wire(
-        slots: &[(&UserId, u64, &[u8])],
+    /// verdict on it alone: the same epoch and body, or the same error,
+    /// variant and message.
+    fn verdicts_match_open_wire<'a>(
+        slots: &[(&'a str, u64, &'a [u8])],
         dir: &KeyDirectory,
         now: u64,
-    ) -> Vec<Result<VerifiedEnvelope, DosnError>> {
+    ) -> Vec<Result<VerifiedEnvelope<'a>, DosnError>> {
         let group = SchnorrGroup::toy();
         let batched = SignedEnvelope::verify_wire_slots(slots, &group, dir, now);
         for (&(author, seq, bytes), got) in slots.iter().zip(&batched) {
@@ -655,22 +738,18 @@ mod tests {
             m[at] ^= 0x40;
             copies.push(m);
         }
-        let (id, mid, nobody) = (
-            UserId::from("bob"),
-            UserId::from("mallory"),
-            UserId::from("nobody"),
-        );
-        let mut slots: Vec<(&UserId, u64, &[u8])> =
-            copies.iter().map(|c| (&id, 3, c.as_slice())).collect();
+        let (id, mid, nobody) = ("bob", "mallory", "nobody");
+        let mut slots: Vec<(&str, u64, &[u8])> =
+            copies.iter().map(|c| (id, 3, c.as_slice())).collect();
         slots.extend([
-            (&mid, 5, other.as_slice()),
-            (&id, 5, other.as_slice()),
-            (&mid, 3, wire.as_slice()),
-            (&id, 4, wire.as_slice()),
-            (&nobody, 3, wire.as_slice()),
-            (&nobody, 3, &wire[..8]),
-            (&id, 3, future.as_slice()),
-            (&id, 3, forged_future.as_slice()),
+            (mid, 5, other.as_slice()),
+            (id, 5, other.as_slice()),
+            (mid, 3, wire.as_slice()),
+            (id, 4, wire.as_slice()),
+            (nobody, 3, wire.as_slice()),
+            (nobody, 3, &wire[..8]),
+            (id, 3, future.as_slice()),
+            (id, 3, forged_future.as_slice()),
         ]);
         let opened = verdicts_match_open_wire(&slots, &dir, 20);
         // Bob's record and its eight epoch-word mutants (the epoch sits
@@ -715,7 +794,7 @@ mod tests {
         ) {
             let (bob, _, dir, mut rng) = setup();
             let group = SchnorrGroup::toy();
-            let id = UserId::from("bob");
+            let id = "bob";
             let wire = SignedEnvelope::seal(&bob, None, 4, 9, None, &body, &mut rng)
                 .encode_wire(2, &group);
             let mut copies = vec![wire.clone()];
@@ -724,8 +803,8 @@ mod tests {
                 m[at % wire.len()] ^= mask;
                 copies.push(m);
             }
-            let slots: Vec<(&UserId, u64, &[u8])> =
-                copies.iter().map(|c| (&id, 4, c.as_slice())).collect();
+            let slots: Vec<(&str, u64, &[u8])> =
+                copies.iter().map(|c| (id, 4, c.as_slice())).collect();
             verdicts_match_open_wire(&slots, &dir, u64::MAX - 1);
         }
     }
@@ -735,8 +814,8 @@ mod tests {
         // author "ab" + body "c" must not collide with author "a" + body "bc".
         let words = [1, 10, u64::MAX];
         assert_ne!(
-            digest(&"ab".into(), None, words, &[0; 32], &[], b"c"),
-            digest(&"a".into(), None, words, &[0; 32], &[], b"bc"),
+            digest("ab", None, words, &[0; 32], &[], b"c"),
+            digest("a", None, words, &[0; 32], &[], b"bc"),
         );
     }
 

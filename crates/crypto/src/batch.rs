@@ -10,9 +10,10 @@
 //! g^(Σ zᵢ·sᵢ) · ∏ⱼ yⱼ^(Σᵢ∈ⱼ zᵢ·eᵢ)  ==  ∏ᵢ rᵢ^zᵢ      (mod p)
 //! ```
 //!
-//! Each individually valid signature satisfies `g^{sᵢ}·yⱼ^{eᵢ} = rᵢ`, so the
-//! combined equation holds; conversely any invalid item makes it fail except
-//! with probability `2⁻¹²⁸` over the `zᵢ`. The wins stack: the left side is
+//! up to sign, as [`VerifyingKey::verify`] accepts `g^{sᵢ}·yⱼ^{eᵢ} = ±rᵢ`
+//! (cofactored; DESIGN.md gives the argument). Each valid item satisfies
+//! it, and any invalid item makes it fail except with probability `2⁻¹²⁸`
+//! over the `zᵢ`. The wins stack: the left side is
 //! one table-served `g` pow plus one multi-exp over the distinct keys, the
 //! right side rides one interleaved multi-exp whose exponents are only 128
 //! bits wide (against full-width `q` for per-item verification), and
@@ -36,11 +37,10 @@
 //! one value (agreeing replicas, or a hot-cached envelope), under as many
 //! keys as the batch has authors. A batch whose items all carry one
 //! `(key, message, signature)` triple never enters the combined check: it is
-//! decided by `g^s · y^e = r` alone.
+//! decided by `g^s · y^e = ±r` alone.
 
-use crate::error::CryptoError;
 use crate::group::SchnorrGroup;
-use crate::schnorr::{Signature, VerifyingKey};
+use crate::schnorr::{equal_up_to_sign, Signature, VerifyingKey};
 use crate::sha256::{sha256, Sha256};
 use dosn_bigint::BigUint;
 use rand::RngCore;
@@ -72,17 +72,15 @@ impl std::error::Error for BatchFailure {}
 const COEFF_BYTES: usize = 16;
 
 /// One unique (key, message, signature) triple with its precomputed
-/// challenge and the input indices it stands for.
+/// challenge. Quorum reads hand the verifier R byte-identical copies; they
+/// cost one unique item.
 struct UniqueItem<'a> {
     key: &'a VerifyingKey,
     sig: &'a Signature,
     /// `e = H(y ‖ r ‖ m)`, computed once and shared by the combined check
-    /// and the item's own verification.
+    /// and the item's own verification (the message is not hashed again).
     e: BigUint,
     msg_digest: [u8; 32],
-    /// All input indices carrying this exact triple (quorum reads hand the
-    /// verifier R byte-identical copies; they cost one slot here).
-    indices: Vec<usize>,
 }
 
 /// Verifies every item, sharing one combined check across the whole batch.
@@ -104,11 +102,14 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchFailure> {
 
     // Partition: foreign-group items resolve immediately; the rest
     // deduplicate into unique triples, and each triple's structural check
-    // (a Jacobi symbol) runs once however many inputs carry it — a
-    // malformed triple's slot is `None` and fails all of them.
-    let mut uniques: Vec<UniqueItem<'_>> = Vec::new();
+    // (range checks) runs once however many inputs carry it — a malformed
+    // triple's slot is `None` and fails all of them. The map keeps keyed
+    // hashing (the items are attacker-chosen) and is sized once.
+    let mut uniques: Vec<UniqueItem<'_>> = Vec::with_capacity(items.len());
+    // `(input index, slot)` of every input that joined a unique triple.
+    let mut joined: Vec<(usize, usize)> = Vec::with_capacity(items.len());
     type TripleKey<'a> = (&'a BigUint, &'a BigUint, &'a BigUint, &'a [u8]);
-    let mut slot_of: HashMap<TripleKey<'_>, Option<usize>> = HashMap::new();
+    let mut slot_of: HashMap<TripleKey<'_>, Option<usize>> = HashMap::with_capacity(items.len());
     for (idx, &(key, msg, sig)) in items.iter().enumerate() {
         if key.group() != group {
             if key.verify(msg, sig).is_err() {
@@ -125,38 +126,40 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchFailure> {
                         sig,
                         e: key.challenge_scalar(sig.commitment(), msg),
                         msg_digest: sha256(msg),
-                        indices: Vec::new(),
                     });
                     uniques.len() - 1
                 })
             });
         match slot {
-            Some(slot) => uniques[slot].indices.push(idx),
+            Some(slot) => joined.push((idx, slot)),
             None => failed.push(idx),
         }
     }
 
-    let mut bad_slots: Vec<usize> = Vec::new();
-    if let [only] = uniques.as_slice() {
+    // Per unique triple, whether it fails; empty when none does.
+    let bad: Vec<bool> = match uniques.as_slice() {
         // One unique triple needs no coefficients and no second multi-exp:
-        // the plain equation `g^s · y^e = r` decides it. (A quorum read,
-        // whose copies agree, always lands here.)
-        if verify_unique(only).is_err() {
-            bad_slots.push(0);
-        }
-    } else if !uniques.is_empty() && !combined_check(group, &uniques) {
+        // the plain equation decides it. (A quorum read, whose copies
+        // agree, always lands here.)
+        [u] => vec![u.key.check_equation(u.sig, &u.e).is_err()],
+        all if all.is_empty() || combined_check(group, all) => Vec::new(),
         // Each item alone: exact, and bounded near the cost of verifying
         // without batching, where bisection is a little cheaper for one bad
-        // item and several times dearer for many. This also absorbs the combined check's ~2⁻¹²⁸ chance of rejecting
-        // a good batch, which then reports no failure.
-        for (slot, u) in uniques.iter().enumerate() {
-            if verify_unique(u).is_err() {
-                bad_slots.push(slot);
-            }
-        }
-    }
-    for slot in bad_slots {
-        failed.extend(uniques[slot].indices.iter().copied());
+        // item and several times dearer for many. This also absorbs the
+        // combined check's ~2⁻¹²⁸ chance of rejecting a good batch, which
+        // then reports no failure.
+        all => all
+            .iter()
+            .map(|u| u.key.check_equation(u.sig, &u.e).is_err())
+            .collect(),
+    };
+    if bad.contains(&true) {
+        failed.extend(
+            joined
+                .iter()
+                .filter(|&&(_, slot)| bad[slot])
+                .map(|&(idx, _)| idx),
+        );
     }
 
     if failed.is_empty() {
@@ -164,22 +167,6 @@ pub fn batch_verify(items: &[BatchItem<'_>]) -> Result<(), BatchFailure> {
     } else {
         failed.sort_unstable();
         Err(BatchFailure { failed })
-    }
-}
-
-/// Individual (non-batched) verification of a unique item.
-fn verify_unique(u: &UniqueItem<'_>) -> Result<(), CryptoError> {
-    // Re-derive from the precomputed challenge to skip re-hashing the
-    // message: valid iff g^s · y^e == r.
-    let group = u.key.group();
-    let rhs = group.multi_pow(&[
-        (group.generator(), u.sig.s_scalar()),
-        (u.key.element(), &u.e),
-    ]);
-    if rhs == *u.sig.commitment() {
-        Ok(())
-    } else {
-        Err(CryptoError::InvalidSignature)
     }
 }
 
@@ -209,13 +196,14 @@ fn combined_check(group: &SchnorrGroup, uniques: &[UniqueItem<'_>]) -> bool {
     // (which profiled as ~30% of the whole combined check at 1024 bits).
     let mut a = BigUint::zero();
     let mut per_key: Vec<(&BigUint, BigUint)> = Vec::new();
-    let mut key_slot: HashMap<&BigUint, usize> = HashMap::new();
+    let mut key_slot: HashMap<&BigUint, usize> = HashMap::with_capacity(uniques.len());
     let mut rhs_pairs: Vec<(&BigUint, BigUint)> = Vec::with_capacity(uniques.len());
     for u in uniques {
         let z = loop {
             let mut buf = [0u8; COEFF_BYTES];
             rng.fill_bytes(&mut buf);
-            let z = &BigUint::from_bytes_be(&buf) % q;
+            let z = BigUint::from_bytes_be(&buf);
+            let z = if z < *q { z } else { &z % q };
             // Zero would let the item escape the check entirely; redraw
             // (only reachable for toy groups with q below 128 bits).
             if !z.is_zero() {
@@ -250,7 +238,7 @@ fn combined_check(group: &SchnorrGroup, uniques: &[UniqueItem<'_>]) -> bool {
     let rhs_refs: Vec<(&BigUint, &BigUint)> = rhs_pairs.iter().map(|(r, z)| (*r, z)).collect();
     let rhs = group.multi_pow(&rhs_refs);
 
-    lhs == rhs
+    equal_up_to_sign(group, &lhs, &rhs)
 }
 
 impl VerifyingKey {

@@ -83,9 +83,6 @@ pub struct BlindingRequest {
     alpha: BigUint,
     challenge_for_signer: BlindedChallenge,
     r_prime: BigUint,
-    e_prime: BigUint,
-    vk: VerifyingKey,
-    message_digest_tag: [u8; 32],
 }
 
 impl BlindSigner {
@@ -149,9 +146,6 @@ impl BlindingRequest {
             alpha,
             challenge_for_signer: BlindedChallenge { e },
             r_prime,
-            e_prime,
-            vk: vk.clone(),
-            message_digest_tag: crate::sha256::sha256(message),
         }
     }
 
@@ -161,23 +155,15 @@ impl BlindingRequest {
     }
 
     /// Final move: unblind the signer's response into a standard signature.
+    /// The result is not checked here: a misbehaving signer's response
+    /// unblinds into a signature that [`VerifyingKey::verify`] rejects.
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::Protocol`] if the response does not produce a
-    /// valid signature (a misbehaving signer).
+    /// Never: checking the signature is the verifier's step.
     pub fn unblind(&self, response: &SignerResponse) -> Result<Signature, CryptoError> {
         let s_prime = response.s.addmod(&self.alpha, self.group.order());
-        let sig = Signature::from_parts(self.r_prime.clone(), s_prime);
-        // Sanity-check against the stored message digest tag: recompute the
-        // verification equation without needing the message again.
-        let r = self.group.multi_pow(&[
-            (self.group.generator(), sig.s_scalar()),
-            (self.vk.element(), &self.e_prime),
-        ]);
-        let _ = r;
-        let _ = self.message_digest_tag;
-        Ok(sig)
+        Ok(Signature::from_parts(self.r_prime.clone(), s_prime))
     }
 }
 

@@ -139,7 +139,9 @@ impl VerifyingKey {
         &self.group
     }
 
-    /// Verifies `signature` over `message`.
+    /// Verifies `signature` over `message`: accepts iff
+    /// `g^s · y^e = ±r (mod p)` for `e = H(y ‖ r ‖ m)` (cofactored
+    /// verification, the rule [`crate::batch`] checks too).
     ///
     /// # Errors
     ///
@@ -148,13 +150,26 @@ impl VerifyingKey {
         if !self.signature_well_formed(signature) {
             return Err(CryptoError::InvalidSignature);
         }
-        // Valid iff g^s · y^e == r for e = H(y || r || m) (one simultaneous
-        // multi-exp).
         let e = self.challenge(&signature.r, message);
-        let rhs = self
+        self.check_equation(signature, &e)
+    }
+
+    /// Crate-internal: the verification equation for a precomputed
+    /// challenge `e`, shared with batch verification. Valid iff
+    /// `g^s · y^e ∈ {r, p − r}` (one simultaneous multi-exp): `r` is judged
+    /// in the signed quadratic residues `Z_p^* / {±1}`, a group of prime
+    /// order `q`, which is what lets the combined check compare its sides
+    /// up to sign with no per-signature Jacobi screen (DESIGN.md, "Batch
+    /// signature verification").
+    pub(crate) fn check_equation(
+        &self,
+        signature: &Signature,
+        e: &BigUint,
+    ) -> Result<(), CryptoError> {
+        let lhs = self
             .group
-            .multi_pow(&[(self.group.generator(), &signature.s), (&self.y, &e)]);
-        if rhs == signature.r {
+            .multi_pow(&[(self.group.generator(), &signature.s), (&self.y, e)]);
+        if equal_up_to_sign(&self.group, &lhs, &signature.r) {
             Ok(())
         } else {
             Err(CryptoError::InvalidSignature)
@@ -162,17 +177,12 @@ impl VerifyingKey {
     }
 
     /// Crate-internal structural checks shared with batch verification:
-    /// `s` in scalar range, and `r` a genuine subgroup element. The Jacobi
-    /// test (`(r/p) = 1` ⇔ `r` is a quadratic residue, i.e. in the order-`q`
-    /// subgroup of the safe-prime group) costs only bit operations — no
-    /// exponentiation — and closes the cofactor gap in the batch equation:
-    /// without it an `r` carrying the order-2 component would survive a
-    /// random-linear-combination check with probability 1/2.
+    /// `s` below `q` and `r` in `[1, p)`; no subgroup test, since the
+    /// equation judges `r` up to sign.
     pub(crate) fn signature_well_formed(&self, signature: &Signature) -> bool {
         signature.s < *self.group.order()
             && !signature.r.is_zero()
             && signature.r < *self.group.modulus()
-            && signature.r.jacobi(self.group.modulus()) == 1
     }
 
     /// Crate-internal: the Fiat–Shamir challenge, exposed so the blind
@@ -190,6 +200,13 @@ impl VerifyingKey {
             message,
         ])
     }
+}
+
+/// Whether `x = ±r (mod p)` for `x, r` in `[1, p)`. In `Z_p`,
+/// `x² = r² ⇔ x = ±r`, so this is the squared comparison at the cost of
+/// one comparison, plus one addition when the first fails.
+pub(crate) fn equal_up_to_sign(group: &SchnorrGroup, x: &BigUint, r: &BigUint) -> bool {
+    x == r || &(x + r) == group.modulus()
 }
 
 impl Signature {
@@ -287,12 +304,11 @@ mod tests {
             s: key.group().order().clone(),
         };
         assert!(key.verifying_key().verify(b"msg", &bad_s).is_err());
-        // Commitment of zero, at/above p, or outside the QR subgroup
-        // (p − 1 = −1 is a non-residue for a safe prime).
+        // Commitment of zero, at p, or above it.
         for bad_r in [
             BigUint::zero(),
             key.group().modulus().clone(),
-            key.group().modulus() - &BigUint::one(),
+            key.group().modulus() + &sig.r,
         ] {
             let bad = Signature {
                 r: bad_r,

@@ -184,3 +184,110 @@ fn quorum_shaped_duplicate_batches_agree_with_individual_verification() {
     // Indices 3, 7, 11 are the forged envelope's three copies.
     assert_eq!(failure.failed, vec![3, 7, 11]);
 }
+
+/// A signature `(r, s)` rebuilt through the public wire format.
+fn signature(group: &SchnorrGroup, r: &BigUint, s: &BigUint) -> Signature {
+    let w = (group.order().bits() as usize).div_ceil(8);
+    let mut bytes = group.element_bytes(r);
+    bytes.extend_from_slice(&s.to_fixed_bytes_be(w));
+    Signature::from_bytes(group, &bytes).expect("well-sized")
+}
+
+/// Whether `items[at]` verifies, asked both ways: alone, with the plain
+/// equation ([`VerifyingKey::verify`]), and inside a batch of honest items,
+/// whose combined check decides it. The two must agree.
+fn verdicts(items: &[BatchItem<'_>], at: usize) -> bool {
+    let (vk, msg, sig) = items[at];
+    let alone = vk.verify(msg, sig).is_ok();
+    let batched = match batch_verify(items) {
+        Ok(()) => true,
+        Err(failure) => {
+            assert_eq!(failure.failed, vec![at], "only the probed item may fail");
+            false
+        }
+    };
+    assert_eq!(
+        alone, batched,
+        "batch verify on and off disagree on item {at}"
+    );
+    alone
+}
+
+/// Seven honest `(message, signature)` pairs under `key`, and the key.
+fn honest_batch(seed: u64) -> (SigningKey, Vec<Vec<u8>>, Vec<Signature>, SecureRng) {
+    let mut rng = SecureRng::seed_from_u64(seed);
+    let key = SigningKey::generate(SchnorrGroup::toy(), &mut rng);
+    let msgs: Vec<Vec<u8>> = (0..7)
+        .map(|i| format!("record {i} of {seed}").into_bytes())
+        .collect();
+    let sigs = msgs.iter().map(|m| key.sign(m, &mut rng)).collect();
+    (key, msgs, sigs, rng)
+}
+
+#[test]
+fn negating_the_commitment_of_an_honest_signature_is_rejected_with_batch_verify_on_and_off() {
+    // `p − r` is the honest `r` with the order-2 component flipped. The
+    // equation would accept it up to sign, but `e` hashes `r` itself, so
+    // the swapped pair answers a different challenge and fails.
+    for seed in 0..16 {
+        let (key, msgs, mut sigs, _) = honest_batch(seed);
+        let group = key.group().clone();
+        let p = group.modulus();
+        let r = commitment_of(&group, &sigs[3]);
+        sigs[3] = signature(&group, &(p - &r), &response_of(&group, &sigs[3]));
+        let items: Vec<BatchItem<'_>> = msgs
+            .iter()
+            .zip(&sigs)
+            .map(|(m, s)| (key.verifying_key(), m.as_slice(), s))
+            .collect();
+        assert!(!verdicts(&items, 3), "seed {seed}");
+    }
+}
+
+#[test]
+fn a_signer_made_commitment_outside_the_subgroup_is_accepted_with_batch_verify_on_and_off() {
+    // The key holder signs with `r = p − g^k`, a non-residue: then
+    // `g^s·y^e = g^k = −r`, which cofactored verification accepts. Only the
+    // secret key makes such a pair.
+    for seed in 0..16 {
+        let (key, msgs, mut sigs, mut rng) = honest_batch(seed);
+        let group = key.group().clone();
+        let (p, q) = (group.modulus(), group.order());
+        let x = BigUint::from_bytes_be(&key.secret_scalar_bytes());
+        let k = group.random_scalar(&mut rng);
+        let r = p - &group.pow_g(&k);
+        let e = challenge(&group, key.verifying_key().element(), &r, &msgs[5]);
+        let s = k.submod(&x.mulmod(&e, q), q);
+        sigs[5] = signature(&group, &r, &s);
+        let items: Vec<BatchItem<'_>> = msgs
+            .iter()
+            .zip(&sigs)
+            .map(|(m, s)| (key.verifying_key(), m.as_slice(), s))
+            .collect();
+        assert!(verdicts(&items, 5), "seed {seed}");
+    }
+}
+
+#[test]
+fn an_order_two_commitment_with_a_wrong_response_fails_every_combined_check() {
+    // A commitment carrying the order-2 component and a response that does
+    // not answer it. Without the comparison up to sign, an unscreened
+    // combined check would cancel the component whenever the item's
+    // coefficient is even; with it, the item fails whatever the
+    // coefficients, so the batch falls back and names exactly this item.
+    for seed in 0..64 {
+        let (key, msgs, mut sigs, mut rng) = honest_batch(seed);
+        let group = key.group().clone();
+        let p = group.modulus();
+        let k = group.random_scalar(&mut rng);
+        let r = p - &group.pow_g(&k);
+        let wrong = group.random_scalar(&mut rng);
+        sigs[seed as usize % 7] = signature(&group, &r, &wrong);
+        let items: Vec<BatchItem<'_>> = msgs
+            .iter()
+            .zip(&sigs)
+            .map(|(m, s)| (key.verifying_key(), m.as_slice(), s))
+            .collect();
+        assert!(!verdicts(&items, seed as usize % 7), "seed {seed}");
+    }
+}

@@ -103,7 +103,9 @@ impl HotCache {
     pub fn admit(&mut self, key: Key, value: &[u8]) -> AdmitOutcome {
         self.tick += 1;
         if let Some((v, used)) = self.entries.get_mut(&key) {
-            *v = value.to_vec();
+            // Overwritten in place: the entry's buffer is reused.
+            v.clear();
+            v.extend_from_slice(value);
             *used = self.tick;
             return AdmitOutcome {
                 admitted: true,

@@ -17,6 +17,7 @@ use dosn::core::network::{
 use dosn::core::DosnError;
 use dosn::crypto::group::{GroupSize, SchnorrGroup};
 use dosn::crypto::sha256::compressions;
+use dosn::obs::names::GET_REPAIRS;
 use dosn::overlay::metrics::Metrics;
 
 /// Authors in the read batch, one post each; reads per batch.
@@ -251,15 +252,19 @@ fn heap_allocations_per_read_are_pinned() {
     // An L1-served item allocates its body and its author's name, the two
     // strings it hands back; nothing else per item. The 47 per call are
     // mostly the reader's roster, one string per friend. A cold read is
-    // ≈ 55 allocations: the baseline a read-path change measures against.
-    // (1828 per 32 while a read's copies were counted three times: twice
-    // to find a strict plurality to stake on, once more in the vote; 1768
-    // while the combined check took its items through a list of references
-    // that bisection shared.)
+    // ≈ 33 allocations: the baseline a read-path change measures against.
+    // (1767 per 32 while a record was copied out of its bytes to be
+    // verified, its author's name copied three times, its post's body
+    // split into hashtags, every big-integer division and fixed-width
+    // encoding allocated three to four times, and each combined-check item
+    // kept its own index list; 1828 while a read's copies were counted
+    // three times: twice to find a strict plurality to stake on, once more
+    // in the vote; 1768 while the combined check took its items through a
+    // list of references that bisection shared.)
     let per_item = (l1_64 - l1_32) / READS as u64;
     assert_eq!(
         [per_item, l1_32, cold],
-        [2, 111, 1767],
+        [2, 111, 1049],
         "allocations per L1-served item, per warm feed of 32 items, per 32 cold reads"
     );
 }
@@ -286,6 +291,56 @@ fn montgomery_products_per_op_are_pinned() {
         [cold, post, comment],
         [3468, 124, 488],
         "Montgomery products and squares per 32 cold reads, per post, per comment"
+    );
+}
+
+#[test]
+fn copies_opened_and_repairs_per_read_are_pinned_for_every_adversary_mode() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // One of each post's three holders runs the mode (f = 1) over one batch
+    // of 32 reads. With batch verification off every value a read opens is
+    // one plain verification, one exponentiation, so the batch's
+    // exponentiations count the copies opened: a tampering holder adds a
+    // second value to every read, and nothing stakes, so both are opened.
+    // Repairs are the store's `get.repairs`: the tampered or withheld copy
+    // is rewritten, one per read, as `read_tamper_f1` does. With batch
+    // verification on, each read stakes on its two agreeing copies, the 32
+    // stakes are one combined check (two exponentiations) and no other
+    // value is opened.
+    let mut table = Vec::new();
+    for mode in [
+        AdversaryMode::Passive,
+        AdversaryMode::Tamper,
+        AdversaryMode::Withhold,
+        AdversaryMode::Equivocate,
+    ] {
+        let mut counts = [0; 3];
+        for (at, batch_verify) in [(0, false), (2, true)] {
+            let plane = AdversaryPlane::new(
+                ChordPlane::build(24, 7),
+                AdversaryConfig::new(7, 1).with_mode(mode),
+            );
+            let mut e = engine_with_one_post_per_author(plane);
+            e.storage_mut().plane_mut().set_enabled(true);
+            e.set_batch_verify(batch_verify);
+            let repairs = |e: &Engine<_>| e.metrics().by_type.get(GET_REPAIRS).copied();
+            let before = repairs(&e).unwrap_or(0);
+            counts[at] = exps_in_one_read_batch(&mut e);
+            if !batch_verify {
+                counts[1] = repairs(&e).unwrap_or(0) - before;
+            }
+        }
+        table.push((mode.label(), counts));
+    }
+    assert_eq!(
+        table,
+        [
+            ("passive", [32, 0, 2]),
+            ("tamper", [64, 32, 2]),
+            ("withhold", [32, 32, 2]),
+            ("equivocate", [32, 0, 2]),
+        ],
+        "per 32 reads: copies opened, repair writes, exponentiations with batch verification on"
     );
 }
 
