@@ -836,7 +836,7 @@ mod tests {
         assert_ne!(wall_key("alice", 3), wall_key("bob", 3));
         // Names that fill the stack buffer exactly, overflow it by a byte,
         // or run far past it hash the same bytes.
-        for len in [57, 58, 59, 200] {
+        for len in [55, 56, 57, 200] {
             let author = "a".repeat(len);
             let name = format!("wall/{author}/12");
             assert_eq!(wall_key(&author, 12), Key::hash(name.as_bytes()), "{len}");
