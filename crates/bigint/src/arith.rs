@@ -158,12 +158,11 @@ impl BigUint {
             q.reverse();
             return (BigUint::from_limbs(q), BigUint::from(rem as u64));
         }
-        self.div_rem_knuth(divisor, true)
+        self.div_rem_knuth(divisor)
     }
 
-    /// Knuth Algorithm D for multi-limb divisors (n >= 2), keeping the
-    /// quotient only when asked to.
-    fn div_rem_knuth(&self, divisor: &BigUint, quotient: bool) -> (BigUint, BigUint) {
+    /// Knuth Algorithm D for multi-limb divisors (n >= 2).
+    fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         let n = divisor.limbs.len();
         let m = self.limbs.len() - n;
         let shift = divisor.limbs[n - 1].leading_zeros();
@@ -191,11 +190,7 @@ impl BigUint {
             un[0] = self.limbs[0] << shift;
         }
 
-        let mut q = if quotient {
-            vec![0u64; m + 1]
-        } else {
-            Vec::new()
-        };
+        let mut q = vec![0u64; m + 1];
         let v_top = u128::from(vn[n - 1]);
         let v_next = u128::from(vn[n - 2]);
 
@@ -237,9 +232,7 @@ impl BigUint {
                 }
                 un[j + n] = un[j + n].wrapping_add(c as u64);
             }
-            if quotient {
-                q[j] = qhat as u64;
-            }
+            q[j] = qhat as u64;
         }
 
         // Denormalize the remainder in place: r = un[0..n] >> shift.
@@ -340,10 +333,6 @@ impl BigUint {
     }
 
     fn rem_only(&self, rhs: &BigUint) -> BigUint {
-        // Past one limb, the remainder alone: no quotient is kept.
-        if rhs.limbs.len() > 1 && self >= rhs {
-            return self.div_rem_knuth(rhs, false).1;
-        }
         self.div_rem(rhs).1
     }
 }

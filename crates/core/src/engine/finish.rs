@@ -35,7 +35,6 @@ use dosn_obs::{names, HistHandle, Registry};
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::{FetchedCopies, ReplicatedStore, Tally};
 use dosn_overlay::storage::{StorageError, StoragePlane};
-use std::cell::Cell;
 use std::time::Instant;
 
 /// One `ReadPost` with its fetched bytes, borrowing the op's names.
@@ -51,9 +50,8 @@ struct ReadJob<'a> {
     /// read's stake, checked and unsealed *first*; the read falls back to
     /// the quorum copies only when they fail.
     cached: Option<Vec<u8>>,
-    /// The fetch's time, plus the read's share of the combined check,
-    /// which [`check_stakes`] adds while its verdicts borrow the job.
-    micros: Cell<u64>,
+    /// The fetch's time.
+    micros: u64,
 }
 
 /// A verdict on one stored record: what it proved, or why it was refused.
@@ -130,15 +128,17 @@ pub(super) fn finish_reads<S: StoragePlane>(
             tally: fetched.as_ref().map(Tally::new).unwrap_or_default(),
             fetched,
             cached,
-            micros: Cell::new(elapsed_micros(started)),
+            micros: elapsed_micros(started),
         });
     }
-    let checked = check_stakes(ctx, &ins, &jobs);
+    let (checked, share) = check_stakes(ctx, &ins, &jobs);
     let read_quorum = storage.read_quorum();
     for (job, checked) in jobs.iter().zip(checked) {
         let started = Instant::now();
-        let outcome = finish_read(ctx, &ins, users, read_quorum, job, checked, started);
-        let micros = job.micros.get() + elapsed_micros(started);
+        let before = job.micros + if checked.is_some() { share } else { 0 };
+        let clock = (started, before);
+        let outcome = finish_read(ctx, &ins, users, read_quorum, job, checked, clock);
+        let micros = before + elapsed_micros(started);
         let result = settle_read(storage, metrics, ctx, &ins, users, job, outcome);
         ins.read_post.record(micros);
         if matches!(
@@ -165,18 +165,18 @@ pub(super) fn finish_reads<S: StoragePlane>(
 
 /// The check step: every read's stake is proven in one combined Schnorr
 /// check, and the verdicts come back one per job (`None` for a read the
-/// check did not cover, and for every read with batch verification off).
-/// Each staked read is charged an even share of the check's time, which
-/// counts as time before its vote, so the quorum-read latencies still
-/// include verification.
+/// check did not cover, and for every read with batch verification off),
+/// with each staked read's even share of the check's time. The share
+/// counts as time before the read's vote, so the quorum-read latencies
+/// still include verification.
 fn check_stakes<'j>(
     ctx: &PhaseCtx,
     ins: &Instruments,
     jobs: &'j [ReadJob],
-) -> Vec<Option<Verdict<'j>>> {
+) -> (Vec<Option<Verdict<'j>>>, u64) {
     let mut checked: Vec<Option<Verdict<'j>>> = jobs.iter().map(|_| None).collect();
     if !ctx.batch_verify {
-        return checked;
+        return (checked, 0);
     }
     let (staked, slots): (Vec<usize>, Vec<_>) = jobs
         .iter()
@@ -190,15 +190,14 @@ fn check_stakes<'j>(
         })
         .unzip();
     if staked.is_empty() {
-        return checked;
+        return (checked, 0);
     }
     let (verdicts, micros) = open_slots(ctx, ins, &slots);
-    let each = micros / staked.len() as u64;
+    let share = micros / staked.len() as u64;
     for (i, verdict) in staked.into_iter().zip(verdicts) {
-        jobs[i].micros.set(jobs[i].micros.get() + each);
         checked[i] = Some(verdict);
     }
-    checked
+    (checked, share)
 }
 
 /// Decodes and verifies stored records, each `(author, seq, bytes)` read
@@ -235,7 +234,8 @@ fn open_slots<'a>(
 /// every value the check or the vote opened, so the winner is unsealed from
 /// the proof reached and a refused read names its leader's error — nothing
 /// is decoded or verified twice. `checked` is the combined check's verdict
-/// on the read's stake; `started` is when the read's turn began.
+/// on the read's stake; `clock` is when the read's turn began and the
+/// read's time before it (its fetch, and its share of the check).
 fn finish_read<'j>(
     ctx: &PhaseCtx,
     ins: &Instruments,
@@ -243,7 +243,7 @@ fn finish_read<'j>(
     quorum: usize,
     job: &'j ReadJob,
     checked: Option<Verdict<'j>>,
-    started: Instant,
+    (started, before): (Instant, u64),
 ) -> ReadOutcome<'j> {
     if let Some(bytes) = &job.cached {
         // A hot-cached envelope gets the complete uncached treatment —
@@ -299,8 +299,7 @@ fn finish_read<'j>(
                 .collect()
         })
         .into_result();
-    ins.get_quorum
-        .record(job.micros.get() + elapsed_micros(started));
+    ins.get_quorum.record(before + elapsed_micros(started));
     let verdict = |bytes: &[u8]| proven.iter().find(|(v, _)| *v == bytes);
     let winner = match (vote, leader) {
         (Ok(winner), _) => winner,
@@ -386,11 +385,12 @@ fn settle_read<S: StoragePlane>(
                 tally: fetched.as_ref().map(Tally::new).unwrap_or_default(),
                 fetched,
                 cached: None,
-                micros: Cell::new(elapsed_micros(started)),
+                micros: elapsed_micros(started),
                 ..*job
             };
             let quorum = storage.read_quorum();
-            match finish_read(ctx, ins, users, quorum, &retry, None, Instant::now()) {
+            let clock = (Instant::now(), retry.micros);
+            match finish_read(ctx, ins, users, quorum, &retry, None, clock) {
                 ReadOutcome::RetryQuorum => Err(DosnError::IntegrityViolation(
                     "uncached retry produced a cache outcome".into(),
                 )),

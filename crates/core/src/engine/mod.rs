@@ -92,7 +92,6 @@ use pipeline::Batch;
 use plan::{serve_from_l1, FeedFill, ReadPlan, Served};
 use prepare::PreparedPosts;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::time::Instant;
 use user::UserState;
 
@@ -114,13 +113,6 @@ pub fn shard_of(name: &str) -> usize {
 /// The storage key of `author`'s post `seq` — the deterministic address
 /// every reader derives independently: `Key::hash("wall/{author}/{seq}")`.
 pub fn wall_key(author: &str, seq: u64) -> Key {
-    // On the stack when it fits, as every workload's names do.
-    let mut buf = [0u8; 64];
-    let mut rest = &mut buf[..];
-    if write!(rest, "wall/{author}/{seq}").is_ok() {
-        let len = 64 - rest.len();
-        return Key::hash(&buf[..len]);
-    }
     Key::hash(format!("wall/{author}/{seq}").as_bytes())
 }
 
@@ -834,13 +826,6 @@ mod tests {
         assert_eq!(wall_key("alice", 3), Key::hash(b"wall/alice/3"));
         assert_ne!(wall_key("alice", 3), wall_key("alice", 4));
         assert_ne!(wall_key("alice", 3), wall_key("bob", 3));
-        // Names that fill the stack buffer exactly, overflow it by a byte,
-        // or run far past it hash the same bytes.
-        for len in [55, 56, 57, 200] {
-            let author = "a".repeat(len);
-            let name = format!("wall/{author}/12");
-            assert_eq!(wall_key(&author, 12), Key::hash(name.as_bytes()), "{len}");
-        }
     }
 
     #[test]

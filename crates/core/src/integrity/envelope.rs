@@ -291,8 +291,7 @@ impl SignedEnvelope {
     /// was reached on — its epoch and its body, borrowed from the record —
     /// so the caller unseals it without decoding or verifying again. Each
     /// record is decoded in place, with no group operation, and its
-    /// author's key looked up unless the slot before it had the same
-    /// author; every decoded signature
+    /// author's key looked up; every decoded signature
     /// equation, under however many authors' keys, joins one
     /// random-linear-combination check ([`dosn_crypto::batch::batch_verify`]),
     /// which verifies each signature alone when it fails, so the per-slot
@@ -312,36 +311,19 @@ impl SignedEnvelope {
         directory: &KeyDirectory,
         now: u64,
     ) -> Vec<Result<VerifiedEnvelope<'a>, DosnError>> {
-        // Each decoded record with its signed digest and the position of
-        // its author's key, looked up once per run of slots by one author
-        // (a read's own values are one run).
-        let (mut keys, mut last) = (Vec::new(), None);
+        // Each decoded record with its author's key and signed digest.
         let decoded: Vec<_> = slots
             .iter()
             .map(|&(author, seq, bytes)| -> Result<_, DosnError> {
                 let record = WireRecord::parse(author, seq, bytes, group)?;
-                if last != Some(author) {
-                    keys.push(directory.verifying_key(author));
-                    last = Some(author);
-                }
-                let key = keys.len() - 1;
-                keys[key]
-                    .as_ref()
-                    .map_err(|e| DosnError::Crypto(e.clone()))?;
-                Ok((key, record.hash(), record))
+                let vk = directory.verifying_key(author)?;
+                Ok((vk, record.hash(), record))
             })
             .collect();
-        // Every slot whose key is missing was refused above.
         let items: Vec<BatchItem<'_>> = decoded
             .iter()
             .flatten()
-            .filter_map(|(key, digest, record)| {
-                Some((
-                    keys[*key].as_ref().ok()?,
-                    digest.as_slice(),
-                    &record.signature,
-                ))
-            })
+            .map(|(vk, digest, record)| (vk, digest.as_slice(), &record.signature))
             .collect();
         // Failing items, ascending.
         let bad = batch_verify(&items).map_or_else(|f| f.failed, |()| Vec::new());
