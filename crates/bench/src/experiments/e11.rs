@@ -68,7 +68,7 @@ const READ_AT_MS: [u64; 7] = [0, 1_000, 2_000, 3_000, 4_000, 5_000, 6_000];
 /// the rest stay down.
 fn crash_plan(nodes: &[NodeId]) -> FaultPlan {
     let mut rng = StdRng::seed_from_u64(0xE11B);
-    nodes.iter().fold(FaultPlan::seeded(0xE11B), |plan, &node| {
+    nodes.iter().fold(FaultPlan::default(), |plan, &node| {
         if rng.random_range(0..3u64) != 0 {
             return plan;
         }

@@ -63,9 +63,9 @@ pub(super) fn read_all<S: StoragePlane>(
 
 /// Takes every 4th storage node down at t=0 through a fault plan; returns
 /// how many are down.
-pub(super) fn crash_every_4th<S: StoragePlane>(net: &mut Engine<S>, seed: u64) -> usize {
+pub(super) fn crash_every_4th<S: StoragePlane>(net: &mut Engine<S>) -> usize {
     let victims = net.storage().plane().node_ids().into_iter().step_by(4);
-    let plan = victims.fold(FaultPlan::seeded(seed), |plan, v| plan.with_crash(v, 0));
+    let plan = victims.fold(FaultPlan::default(), |plan, v| plan.with_crash(v, 0));
     net.apply_crashes(&plan, 1)
 }
 
@@ -94,7 +94,7 @@ fn run_cell<S: StoragePlane>(
         "every wall is readable before the crash"
     );
 
-    let crashed = crash_every_4th(&mut net, SEED);
+    let crashed = crash_every_4th(&mut net);
     let repairs_before = net.metrics().count("get.repairs");
     let availability = read_all(&mut net, users, &posted) as f64 / posted.len() as f64;
     let cells = vec![

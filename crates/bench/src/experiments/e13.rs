@@ -26,7 +26,7 @@ pub(super) fn run(run: &mut Run) {
         assert_eq!(read_all(&mut net, users, &posted), posted.len());
         // Crash a quarter of the storage nodes and read every wall again so
         // the repair timer (`store.get.repair`) fires on live data.
-        crash_every_4th(&mut net, SEED);
+        crash_every_4th(&mut net);
         (posted.len(), read_all(&mut net, users, &posted))
     });
     let availability = readable as f64 / posted as f64;

@@ -10,18 +10,26 @@
 //! 2. **Check.** One combined Schnorr check proves every stake of the
 //!    batch ([`SignedEnvelope::verify_wire_slots`]). The verdicts are exact
 //!    per stake, since a failed check verifies each stake alone.
-//! 3. **Settle.** Read by read, in op order, the tally's vote takes the
-//!    checked verdict and the winner is unsealed from its
-//!    [`VerifiedEnvelope`]; then stale copies are repaired, the winner is
-//!    admitted to L2, and a poisoned L2 entry is re-read through the
-//!    quorum. A leader that verifies wins the vote whatever the other
-//!    copies hold, so they are never opened; when it fails, each other
-//!    distinct value is opened once inside the vote. A read that no value
-//!    verifies for is refused with its leader's own error, or with the
-//!    leader's shortfall when it has fewer than K holders.
+//! 3. **Decide.** Read by read, in op order, one pass. A read holds one
+//!    verdict slot per distinct value, indexed by its tally position, and
+//!    the check's verdict fills the leader's. A proven leader wins whatever
+//!    the other copies hold, so they are never opened; when it fails, every
+//!    other value is opened once, all together. [`Tally::decide`] reads the
+//!    winner and its holder count off the slots: held by K copies it is
+//!    unsealed from its [`VerifiedEnvelope`], the stale copies are repaired
+//!    with it and it is admitted to L2; held by fewer, the read is refused
+//!    with that shortfall. A read that no value proves for is refused with
+//!    its leader's own error, or with the leader's shortfall when it has
+//!    fewer than K holders.
+//!
+//! An L2 entry that fails its check or its unseal is dropped from the
+//! cache, its key fetched once from the replicas, and the read decided in
+//! the same pass like any read that staked on nothing: a holder's cached
+//! copy is never a trust root. An entry that refuses its reader is an
+//! authentic record, and the read reports that refusal.
 //!
 //! With [`super::Engine::set_batch_verify`] off, no read stakes and every
-//! value is opened alone: inside its vote, or, for an L2 entry, before it.
+//! value is opened alone.
 
 use super::batch::{BatchReport, Op, OpOutput};
 use super::pipeline::Batch;
@@ -47,8 +55,7 @@ struct ReadJob<'a> {
     /// The fetched copies, counted once.
     tally: Tally,
     /// Sealed bytes served by the storage plane's hot cache, if any — the
-    /// read's stake, checked and unsealed *first*; the read falls back to
-    /// the quorum copies only when they fail.
+    /// read's stake; the read goes to the replicas only when they fail.
     cached: Option<Vec<u8>>,
     /// The fetch's time.
     micros: u64,
@@ -57,26 +64,16 @@ struct ReadJob<'a> {
 /// A verdict on one stored record: what it proved, or why it was refused.
 type Verdict<'a> = Result<VerifiedEnvelope<'a>, DosnError>;
 
-enum ReadOutcome<'a> {
-    Done(Result<OpOutput, DosnError>),
-    /// Winner decrypted; [`settle_read`] repairs the job's stale copies
-    /// with it.
-    Verified {
-        body: String,
-        winner: &'a [u8],
-    },
-    /// The hot-cached envelope failed verification or decryption.
-    /// [`settle_read`] invalidates it and re-runs the read as a real
-    /// quorum fetch — a poisoned cache entry must behave exactly like an
-    /// uncached tampered replica, never like a served read.
-    RetryQuorum,
-}
-
-/// The batch's per-read latency histograms, looked up once per batch:
-/// `crypto.schnorr.verify` (one sample per [`open_slots`] call),
-/// `store.get.quorum` (a quorum read's fetch, check share and vote) and
-/// `net.read_post.quorum` (a read up to its unsealed result).
-struct Instruments {
+/// What every read of a batch shares: the phase's context, the user
+/// records, the read quorum K, and the per-read latency histograms, looked
+/// up once per batch: `crypto.schnorr.verify` (one sample per
+/// [`ReadPhase::open`] call), `store.get.quorum` (a quorum read's fetch, check
+/// share and vote) and `net.read_post.quorum` (a read up to its unsealed
+/// result).
+struct ReadPhase<'c> {
+    ctx: &'c PhaseCtx,
+    users: &'c Users,
+    quorum: usize,
     verify: HistHandle,
     get_quorum: HistHandle,
     read_post: HistHandle,
@@ -92,7 +89,10 @@ pub(super) fn finish_reads<S: StoragePlane>(
     reads: Vec<usize>,
 ) {
     let timer = ctx.obs.timer(names::ENGINE_FINISH);
-    let ins = Instruments {
+    let phase = ReadPhase {
+        ctx,
+        users,
+        quorum: storage.read_quorum(),
         verify: ctx.obs.histogram(names::CRYPTO_SCHNORR_VERIFY),
         get_quorum: ctx.obs.histogram(names::STORE_GET_QUORUM),
         read_post: ctx.obs.histogram(names::NET_READ_POST_QUORUM),
@@ -109,9 +109,8 @@ pub(super) fn finish_reads<S: StoragePlane>(
         };
         let started = Instant::now();
         let key = wall_key(author, *seq);
-        // L2: a hot-cached envelope skips the quorum fetch entirely; the
-        // check step still runs the full envelope check on it, and
-        // `settle_read` falls back to a real quorum read if that fails.
+        // L2: a hot-cached envelope skips the quorum fetch; the check step
+        // still runs the full envelope check on it.
         let cached = storage.cached_fetch(key, metrics);
         let fetched = match cached {
             Some(_) => Ok(FetchedCopies {
@@ -131,16 +130,10 @@ pub(super) fn finish_reads<S: StoragePlane>(
             micros: elapsed_micros(started),
         });
     }
-    let (checked, share) = check_stakes(ctx, &ins, &jobs);
-    let read_quorum = storage.read_quorum();
-    for (job, checked) in jobs.iter().zip(checked) {
-        let started = Instant::now();
-        let before = job.micros + if checked.is_some() { share } else { 0 };
-        let clock = (started, before);
-        let outcome = finish_read(ctx, &ins, users, read_quorum, job, checked, clock);
-        let micros = before + elapsed_micros(started);
-        let result = settle_read(storage, metrics, ctx, &ins, users, job, outcome);
-        ins.read_post.record(micros);
+    let (stakes, share) = phase.check_stakes(&jobs);
+    for (job, stake) in jobs.iter().zip(stakes) {
+        let before = job.micros + if stake.is_some() { share } else { 0 };
+        let result = phase.serve(storage, metrics, job, stake, before);
         if matches!(
             result,
             Err(DosnError::IntegrityViolation(_)
@@ -163,169 +156,192 @@ pub(super) fn finish_reads<S: StoragePlane>(
     timer.observe();
 }
 
-/// The check step: every read's stake is proven in one combined Schnorr
-/// check, and the verdicts come back one per job (`None` for a read the
-/// check did not cover, and for every read with batch verification off),
-/// with each staked read's even share of the check's time. The share
-/// counts as time before the read's vote, so the quorum-read latencies
-/// still include verification.
-fn check_stakes<'j>(
-    ctx: &PhaseCtx,
-    ins: &Instruments,
-    jobs: &'j [ReadJob],
-) -> (Vec<Option<Verdict<'j>>>, u64) {
-    let mut checked: Vec<Option<Verdict<'j>>> = jobs.iter().map(|_| None).collect();
-    if !ctx.batch_verify {
-        return (checked, 0);
-    }
-    let (staked, slots): (Vec<usize>, Vec<_>) = jobs
-        .iter()
-        .enumerate()
-        .filter_map(|(i, job)| {
-            let stake: &[u8] = match &job.cached {
-                Some(bytes) => bytes,
-                None => job.tally.leader(job.fetched.as_ref().ok()?)?.0,
-            };
-            Some((i, (job.author, job.seq, stake)))
-        })
-        .unzip();
-    if staked.is_empty() {
-        return (checked, 0);
-    }
-    let (verdicts, micros) = open_slots(ctx, ins, &slots);
-    let share = micros / staked.len() as u64;
-    for (i, verdict) in staked.into_iter().zip(verdicts) {
-        checked[i] = Some(verdict);
-    }
-    (checked, share)
-}
-
-/// Decodes and verifies stored records, each `(author, seq, bytes)` read
-/// as `author`'s post `seq`: in one combined Schnorr check, or each alone
-/// with batch verification off. Records one `crypto.schnorr.verify`
-/// sample unless `slots` is empty; returns the verdicts and their time.
-fn open_slots<'a>(
-    ctx: &PhaseCtx,
-    ins: &Instruments,
-    slots: &[(&'a str, u64, &'a [u8])],
-) -> (Vec<Verdict<'a>>, u64) {
-    if slots.is_empty() {
-        return (Vec::new(), 0);
-    }
-    let started = Instant::now();
-    let (group, directory, now) = (&ctx.group, &ctx.directory, u64::MAX - 1);
-    let verdicts = if ctx.batch_verify {
-        SignedEnvelope::verify_wire_slots(slots, group, directory, now)
-    } else {
-        slots
-            .iter()
-            .map(|&(author, seq, bytes)| {
-                SignedEnvelope::open_wire(author, seq, bytes, group, directory, now)
-            })
-            .collect()
-    };
-    let micros = elapsed_micros(started);
-    ins.verify.record(micros);
-    (verdicts, micros)
-}
-
-/// The storage-free half of one quorum read: vote over the tallied copies,
-/// then decrypt the winner as the reader. The vote keeps the verdict of
-/// every value the check or the vote opened, so the winner is unsealed from
-/// the proof reached and a refused read names its leader's error — nothing
-/// is decoded or verified twice. `checked` is the combined check's verdict
-/// on the read's stake; `clock` is when the read's turn began and the
-/// read's time before it (its fetch, and its share of the check).
-fn finish_read<'j>(
-    ctx: &PhaseCtx,
-    ins: &Instruments,
-    users: &Users,
-    quorum: usize,
-    job: &'j ReadJob,
-    checked: Option<Verdict<'j>>,
-    (started, before): (Instant, u64),
-) -> ReadOutcome<'j> {
-    if let Some(bytes) = &job.cached {
-        // A hot-cached envelope gets the complete uncached treatment —
-        // decode, signature verification, decrypt as the reader. Any
-        // failure (tampered bytes, revoked reader, bad encoding) sends
-        // the read back to the real quorum path: the cache accelerates
-        // reads, it never relaxes what a served read proved.
-        let verified = checked.or_else(|| {
-            open_slots(ctx, ins, &[(job.author, job.seq, bytes)])
-                .0
-                .pop()
-        });
-        let Some(Ok(verified)) = verified else {
-            return ReadOutcome::RetryQuorum;
-        };
-        return match unseal(users, job, &verified) {
-            // No quorum fetch happened, so there is nothing to repair.
-            Ok(body) => ReadOutcome::Done(Ok(OpOutput::Read { body })),
-            Err(DosnError::NotAuthorized(e)) => {
-                // The envelope itself was authentic; the *reader* is not
-                // allowed. A quorum retry would fail identically, so
-                // report it now (matching the uncached path's error).
-                ReadOutcome::Done(Err(DosnError::NotAuthorized(e)))
-            }
-            Err(_) => ReadOutcome::RetryQuorum,
-        };
-    }
-    let fetched = match &job.fetched {
-        Ok(f) => f,
-        Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e.clone()))),
-    };
-    let leader = job.tally.leader(fetched);
-    // Each distinct value opened, with its verdict: the checked leader
-    // first, if the read staked.
-    let mut proven = Vec::from_iter(leader.map(|(bytes, _)| bytes).zip(checked));
-    let vote = job
-        .tally
-        .vote(fetched, quorum, |values| {
-            // A verified leader wins, so the other values are never
-            // opened; otherwise each is opened once, all together.
-            if !matches!(proven.first(), Some((_, Ok(_)))) {
-                let rest: Vec<(&str, u64, &[u8])> = values
-                    .iter()
-                    .filter(|&&v| proven.iter().all(|(bytes, _)| *bytes != v))
-                    .map(|&v| (job.author, job.seq, v))
-                    .collect();
-                let (opened, _) = open_slots(ctx, ins, &rest);
-                proven.extend(rest.iter().map(|&(_, _, v)| v).zip(opened));
-            }
-            values
-                .iter()
-                .map(|&v| proven.iter().any(|(bytes, r)| *bytes == v && r.is_ok()))
-                .collect()
-        })
-        .into_result();
-    ins.get_quorum.record(before + elapsed_micros(started));
-    let verdict = |bytes: &[u8]| proven.iter().find(|(v, _)| *v == bytes);
-    let winner = match (vote, leader) {
-        (Ok(winner), _) => winner,
-        // No copy verified, so the leader was opened and refused: held by K
-        // copies it reports its own error, held by fewer the shortfall.
-        // Nothing is read again and nothing is repaired.
-        (Err(StorageError::NotFound(key)), Some((bytes, have))) => {
-            return ReadOutcome::Done(Err(match verdict(bytes) {
-                Some((_, Err(e))) if have >= quorum => e.clone(),
-                _ => storage_to_dosn(StorageError::QuorumFailed {
-                    key,
-                    have,
-                    need: quorum,
-                }),
-            }));
+impl ReadPhase<'_> {
+    /// The check step: every read's stake is proven in one combined
+    /// Schnorr check, and the verdicts come back one per job (`None` for a
+    /// read the check did not cover, and for every read with batch
+    /// verification off), with each staked read's even share of the
+    /// check's time. The share counts as time before the read's vote, so
+    /// the quorum-read latencies still include verification.
+    fn check_stakes<'j>(&self, jobs: &'j [ReadJob]) -> (Vec<Option<Verdict<'j>>>, u64) {
+        let mut stakes: Vec<Option<Verdict<'j>>> = jobs.iter().map(|_| None).collect();
+        if !self.ctx.batch_verify {
+            return (stakes, 0);
         }
-        (Err(e), _) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
-    };
-    let Some((winner, Ok(verified))) = verdict(&winner) else {
-        return ReadOutcome::Done(Err(DosnError::IntegrityViolation(
-            "quorum winner was not among the verified values".into(),
-        )));
-    };
-    match unseal(users, job, verified) {
-        Ok(body) => ReadOutcome::Verified { body, winner },
-        Err(e) => ReadOutcome::Done(Err(e)),
+        let (staked, slots): (Vec<usize>, Vec<_>) = jobs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, job)| {
+                let stake: &[u8] = match &job.cached {
+                    Some(bytes) => bytes,
+                    None => {
+                        let (leader, _) = job.tally.leader()?;
+                        let fetched = job.fetched.as_ref().ok()?;
+                        job.tally.values(fetched).nth(leader)?
+                    }
+                };
+                Some((i, (job.author, job.seq, stake)))
+            })
+            .unzip();
+        if staked.is_empty() {
+            return (stakes, 0);
+        }
+        let (verdicts, micros) = self.open(&slots);
+        let share = micros / staked.len() as u64;
+        for (i, verdict) in staked.into_iter().zip(verdicts) {
+            stakes[i] = Some(verdict);
+        }
+        (stakes, share)
+    }
+
+    /// Decodes and verifies stored records, each `(author, seq, bytes)`
+    /// read as `author`'s post `seq`: in one combined Schnorr check, or
+    /// each alone with batch verification off. Records one
+    /// `crypto.schnorr.verify` sample unless `slots` is empty; returns the
+    /// verdicts and their time.
+    fn open<'a>(&self, slots: &[(&'a str, u64, &'a [u8])]) -> (Vec<Verdict<'a>>, u64) {
+        if slots.is_empty() {
+            return (Vec::new(), 0);
+        }
+        let started = Instant::now();
+        let (group, directory, now) = (&self.ctx.group, &self.ctx.directory, u64::MAX - 1);
+        let verdicts = if self.ctx.batch_verify {
+            SignedEnvelope::verify_wire_slots(slots, group, directory, now)
+        } else {
+            slots
+                .iter()
+                .map(|&(author, seq, bytes)| {
+                    SignedEnvelope::open_wire(author, seq, bytes, group, directory, now)
+                })
+                .collect()
+        };
+        let micros = elapsed_micros(started);
+        self.verify.record(micros);
+        (verdicts, micros)
+    }
+
+    /// One read, decided in one pass: an L2 entry is served if it proves
+    /// and unseals, else dropped and its key read from the replicas; a
+    /// quorum winner is then repaired onto stale copies and admitted to
+    /// L2. `stake` is the check's verdict on the read's stake; `before` is
+    /// the read's time before its turn (its fetch, and its share of the
+    /// check).
+    fn serve<S: StoragePlane>(
+        &self,
+        storage: &mut ReplicatedStore<S>,
+        metrics: &mut Metrics,
+        job: &ReadJob,
+        stake: Option<Verdict>,
+        before: u64,
+    ) -> Result<OpOutput, DosnError> {
+        let started = Instant::now();
+        let (refetched, retally);
+        let read = match &job.cached {
+            None => self.quorum_read(job, &job.fetched, &job.tally, stake, (started, before)),
+            Some(bytes) => match self.cached_read(job, bytes, stake) {
+                // No quorum fetch happened, so there is nothing to repair.
+                Some(served) => {
+                    self.read_post.record(before + elapsed_micros(started));
+                    return served.map(|body| OpOutput::Read { body });
+                }
+                None => {
+                    let key = wall_key(job.author, job.seq);
+                    storage.invalidate_hot(key, metrics);
+                    let fetch = Instant::now();
+                    refetched = storage.fetch_copies(key, metrics);
+                    retally = refetched.as_ref().map(Tally::new).unwrap_or_default();
+                    let clock = (fetch, elapsed_micros(fetch));
+                    self.quorum_read(job, &refetched, &retally, None, clock)
+                }
+            },
+        };
+        self.read_post.record(before + elapsed_micros(started));
+        let (body, fetched, winner) = read?;
+        storage.repair_copies(fetched, winner, metrics);
+        // Verified quorum winners seed the plane's hot cache (and overwrite
+        // any stale entry for the key in place).
+        storage.admit_hot(fetched.key, winner, metrics);
+        Ok(OpOutput::Read { body })
+    }
+
+    /// A read of a hot-cached envelope: the entry gets the complete
+    /// uncached treatment — its stake's verdict (opened alone with batch
+    /// verification off), then the unseal as the reader. `None` when it
+    /// fails either (tampered bytes, bad encoding): the cache accelerates
+    /// reads, it never relaxes what a served read proved. A reader the
+    /// authentic entry refuses is refused here, as the replicas would.
+    fn cached_read(
+        &self,
+        job: &ReadJob,
+        bytes: &[u8],
+        stake: Option<Verdict>,
+    ) -> Option<Result<String, DosnError>> {
+        let verdict = stake.or_else(|| self.open(&[(job.author, job.seq, bytes)]).0.pop());
+        match unseal(self.users, job, &verdict?.ok()?) {
+            served @ (Ok(_) | Err(DosnError::NotAuthorized(_))) => Some(served),
+            Err(_) => None,
+        }
+    }
+
+    /// The quorum half of a read, over its tally's positions: the slots,
+    /// the vote off them, and the winner unsealed as the reader. Returns
+    /// the body with the winner's copies and bytes, for repair. `stake` is
+    /// the combined check's verdict on the leader; `clock` is when the
+    /// read's turn began and the read's time before it.
+    fn quorum_read<'f>(
+        &self,
+        job: &ReadJob,
+        fetched: &'f Result<FetchedCopies, StorageError>,
+        tally: &Tally,
+        stake: Option<Verdict<'f>>,
+        (started, before): (Instant, u64),
+    ) -> Result<(String, &'f FetchedCopies, &'f [u8]), DosnError> {
+        let fetched = fetched.as_ref().map_err(|e| storage_to_dosn(e.clone()))?;
+        let leader = tally.leader();
+        let mut slots: Vec<(&[u8], Option<Verdict>)> =
+            tally.values(fetched).map(|v| (v, None)).collect();
+        if let Some(slot) = leader.and_then(|(at, _)| slots.get_mut(at)) {
+            slot.1 = stake;
+        }
+        let leader_proven = leader.and_then(|(at, _)| slots.get(at));
+        if !matches!(leader_proven, Some((_, Some(Ok(_))))) {
+            let (rest, unopened): (Vec<usize>, Vec<_>) = slots
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, verdict))| verdict.is_none())
+                .map(|(at, &(bytes, _))| (at, (job.author, job.seq, bytes)))
+                .unzip();
+            let (opened, _) = self.open(&unopened);
+            for (at, verdict) in rest.into_iter().zip(opened) {
+                slots[at].1 = Some(verdict);
+            }
+        }
+        let vote = tally.decide(slots.iter().map(|(bytes, verdict)| match verdict {
+            Some(Ok(proof)) => Some((*bytes, proof)),
+            _ => None,
+        }));
+        self.get_quorum.record(before + elapsed_micros(started));
+        let short = |have| {
+            storage_to_dosn(StorageError::QuorumFailed {
+                key: fetched.key,
+                have,
+                need: self.quorum,
+            })
+        };
+        match (vote.winner, leader) {
+            (Some(((winner, proof), have)), _) if have >= self.quorum => {
+                Ok((unseal(self.users, job, proof)?, fetched, winner))
+            }
+            (Some((_, have)), _) => Err(short(have)),
+            // Nothing proved, so the leader was opened and refused: held by
+            // K copies it reports its own error, held by fewer the
+            // shortfall.
+            (None, Some((at, have))) => Err(match slots.get(at) {
+                Some((_, Some(Err(e)))) if have >= self.quorum => e.clone(),
+                _ => short(have),
+            }),
+            (None, None) => Err(storage_to_dosn(StorageError::NotFound(fetched.key))),
+        }
     }
 }
 
@@ -348,56 +364,6 @@ fn unseal(users: &Users, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<S
         )));
     }
     Ok(body.to_owned())
-}
-
-/// The storage tail of one read: turns what [`finish_read`] decided into
-/// the op's result and applies its storage side effects. A poisoned
-/// hot-cache entry ([`ReadOutcome::RetryQuorum`]) is dropped
-/// (`cache.invalidations`), re-read as a real quorum fetch, and then
-/// settled exactly like an uncached read of the same key — same repair,
-/// same hot-cache admission.
-fn settle_read<S: StoragePlane>(
-    storage: &mut ReplicatedStore<S>,
-    metrics: &mut Metrics,
-    ctx: &PhaseCtx,
-    ins: &Instruments,
-    users: &Users,
-    job: &ReadJob,
-    outcome: ReadOutcome,
-) -> Result<OpOutput, DosnError> {
-    match outcome {
-        ReadOutcome::Done(r) => r,
-        ReadOutcome::Verified { body, winner } => {
-            if let Ok(fetched) = &job.fetched {
-                storage.repair_copies(fetched, winner, metrics);
-                // Verified quorum winners seed the plane's hot cache (and
-                // overwrite any stale entry for the key in place).
-                storage.admit_hot(fetched.key, winner, metrics);
-            }
-            Ok(OpOutput::Read { body })
-        }
-        ReadOutcome::RetryQuorum => {
-            let key = wall_key(job.author, job.seq);
-            storage.invalidate_hot(key, metrics);
-            let started = Instant::now();
-            let fetched = storage.fetch_copies(key, metrics);
-            let retry = ReadJob {
-                tally: fetched.as_ref().map(Tally::new).unwrap_or_default(),
-                fetched,
-                cached: None,
-                micros: elapsed_micros(started),
-                ..*job
-            };
-            let quorum = storage.read_quorum();
-            let clock = (Instant::now(), retry.micros);
-            match finish_read(ctx, ins, users, quorum, &retry, None, clock) {
-                ReadOutcome::RetryQuorum => Err(DosnError::IntegrityViolation(
-                    "uncached retry produced a cache outcome".into(),
-                )),
-                outcome => settle_read(storage, metrics, ctx, ins, users, &retry, outcome),
-            }
-        }
-    }
 }
 
 /// Applies a batch's planned feed fills after its report exists: only

@@ -492,10 +492,8 @@ impl<S: StoragePlane> Engine<S> {
         Ok(slots.into_iter().flatten().collect())
     }
 
-    /// Applies a fault plan's crash schedule to the storage plane at
-    /// simulated time `now_ms`. Only the crash schedule reaches the engine:
-    /// a plan's loss and a `LinkFaults` partition act on overlay lookups and
-    /// the gossip loop, and `ReplicatedStore` reads see no loss.
+    /// Applies a crash schedule to the storage plane at simulated time
+    /// `now_ms`; returns how many of the nodes it names are down.
     pub fn apply_crashes(&mut self, plan: &FaultPlan, now_ms: u64) -> usize {
         apply_crash_schedule(self.storage.plane_mut(), plan, now_ms)
     }

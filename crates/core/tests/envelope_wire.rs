@@ -14,7 +14,7 @@ use dosn_crypto::group::SchnorrGroup;
 use dosn_crypto::keys::KeyDirectory;
 use dosn_crypto::schnorr::Signature;
 use dosn_overlay::id::{Key, NodeId};
-use dosn_overlay::replication::{FetchedCopies, QuorumOutcome, Tally};
+use dosn_overlay::replication::{FetchedCopies, QuorumOutcome};
 use proptest::prelude::*;
 
 fn author() -> (Identity, KeyDirectory, SecureRng) {
@@ -111,7 +111,7 @@ proptest! {
             present.iter().map(|c| one_by_one(c)).collect::<Vec<_>>()
         );
         prop_assert_eq!(
-            Tally::new(&fetched).vote(&fetched, need, batched),
+            QuorumOutcome::of(&fetched, need, |v| batched(&[v])[0]),
             vote_over_every_copy(&fetched, need, one_by_one)
         );
     }

@@ -213,6 +213,79 @@ fn tampered_cache_and_replicas_error_exactly_like_uncached() {
     );
 }
 
+/// One forged L2 entry inside a batch of 32 staked reads: the other 31 are
+/// served from the cache, and the forged read alone is dropped from it,
+/// read from its R replicas, served the authentic body and re-admitted —
+/// with batch verification on and off alike. The deltas pinned are the
+/// `crypto.schnorr.verify`, `store.get.quorum` and `net.read_post.quorum`
+/// samples and the `cache.hits`, `cache.invalidations` and
+/// `get.quorum_size` counts of the batch.
+#[test]
+fn a_forged_entry_inside_a_batch_is_read_from_its_replicas_alone() {
+    const READS: u64 = 32;
+    let author = |i: u64| format!("author{i:02}");
+    let run = |batch_verify: bool| {
+        let mut e = Engine::new(ReplicatedStore::new(SuperPeerPlane::build(24, 4, 5), 3), 5);
+        e.enable_hot_cache(64);
+        e.set_batch_verify(batch_verify);
+        let mut setup = OpBatch::new().register("bob");
+        let mut reads = OpBatch::new();
+        for i in 0..READS {
+            setup = setup
+                .register(&author(i))
+                .befriend(&author(i), "bob", 0.9)
+                .post(&author(i), &format!("post {i}"));
+            reads = reads.read_post("bob", &author(i), 0);
+        }
+        assert!(e.execute(setup).results.iter().all(Result::is_ok));
+        assert!(e.execute(reads.clone()).results.iter().all(Result::is_ok));
+        let key = wall_key(&author(7), 0);
+        let cache = e.storage_mut().plane_mut().hot_cache_mut().unwrap();
+        assert_eq!(cache.len() as u64, READS, "super-peers admit every read");
+        let authentic = cache.lookup(key).unwrap();
+        cache.admit(key, b"forged envelope bytes");
+
+        let counts = |e: &Engine<SuperPeerPlane>| {
+            let hists = e.obs().snapshot().histograms;
+            let samples = |name: &str| hists[name].count();
+            let m = e.metrics();
+            [
+                samples(names::CRYPTO_SCHNORR_VERIFY),
+                samples(names::STORE_GET_QUORUM),
+                samples(names::NET_READ_POST_QUORUM),
+                m.count(names::CACHE_HITS),
+                m.count(names::CACHE_INVALIDATIONS),
+                m.count(names::GET_QUORUM_SIZE),
+            ]
+        };
+        let before = counts(&e);
+        let report = e.execute(reads);
+        let after = counts(&e);
+        let delta: [u64; 6] = std::array::from_fn(|i| after[i] - before[i]);
+        for (i, result) in report.results.iter().enumerate() {
+            assert!(
+                matches!(result, Ok(OpOutput::Read { body }) if *body == format!("post {i}")),
+                "read {i}: {result:?}"
+            );
+        }
+        let cache = e.storage_mut().plane_mut().hot_cache_mut().unwrap();
+        assert_eq!(
+            cache.lookup(key),
+            Some(authentic),
+            "the replicas' record is re-admitted"
+        );
+        (report.results, delta)
+    };
+    let (on, on_counts) = run(true);
+    let (off, off_counts) = run(false);
+    assert_eq!(on, off);
+    // On: one combined check over the 32 stakes, and the forged read's one
+    // value opened after its fetch. Off: each entry opened alone, then that
+    // value. Either way one quorum read, of R = 3 candidates.
+    assert_eq!(on_counts, [2, 1, READS, READS, 1, 3]);
+    assert_eq!(off_counts, [READS + 1, 1, READS, READS, 1, 3]);
+}
+
 /// Posts a dozen envelopes, reads each once (a DHT's seeded coin admits
 /// about half, a super-peer all), then reads them all again: every admitted key must be
 /// served by the cache and take no quorum read.

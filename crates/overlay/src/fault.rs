@@ -11,17 +11,17 @@
 //! * [`HOP_MS_MIN`]`..=`[`HOP_MS_MAX`] — how long one routed hop takes:
 //!   the one hop-latency draw of every family (a fixed 30 ms for a direct
 //!   storage-plane call that walks no route).
-//! * [`FaultPlan`] — a declarative schedule: a seed, an in-flight loss
-//!   probability, and crash-stop and crash-recovery windows.
-//!   [`FaultPlan::is_crashed`] is the one crash rule;
+//! * [`FaultPlan`] — a crash schedule: crash-stop and crash-recovery
+//!   windows. [`FaultPlan::is_crashed`] is the one crash rule;
 //!   [`crate::replication::apply_crash_schedule`] applies it to a storage
 //!   plane at a simulated time, which is how the engine and the
 //!   availability experiments take nodes down and bring them back.
-//! * [`LinkFaults`] — a seeded application of a plan's loss rule, and of
-//!   two-way partitions between node sets, to single transmissions. The
-//!   routed walks ([`crate::chord`], [`crate::kademlia`], [`crate::flood`],
+//! * [`LinkFaults`] — seeded in-flight loss, and two-way partitions between
+//!   node sets, for single transmissions. The routed walks
+//!   ([`crate::chord`], [`crate::kademlia`], [`crate::flood`],
 //!   [`crate::superpeer`]) ask it "does this hop deliver?" once per attempt
-//!   and track retries, so experiments can report the cost of loss.
+//!   and track retries, so experiments can report the cost of loss. No
+//!   storage-plane read takes one: a quorum read sees crashes, never loss.
 //! * [`SimTrace`] — folds typed events into a running SHA-256 digest. Two
 //!   runs agree on every event in order if and only if their digests agree,
 //!   which turns "is this run deterministic?" into a byte comparison.
@@ -63,43 +63,16 @@ pub struct CrashEvent {
     pub recover_at_ms: Option<u64>,
 }
 
-/// A declarative fault schedule for one run.
-///
-/// Loss applies independently per transmission attempt, drawn from the RNG
-/// of the [`LinkFaults`] built from the plan (seeded with
-/// [`FaultPlan::seed`]), so an inert plan draws nothing and (seed, plan)
-/// determines every decision. Crashes are timed.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A crash schedule for one run: timed crash-stop and crash-recovery
+/// windows, built from [`FaultPlan::default`]. Loss is not a plan's: it is
+/// a [`LinkFaults`] setting.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Seed for the fault-decision RNG.
-    pub seed: u64,
-    /// Probability a transmission is lost in flight.
-    pub drop_probability: f64,
     /// Crash-stop / crash-recovery schedule.
     pub crashes: Vec<CrashEvent>,
 }
 
 impl FaultPlan {
-    /// An empty plan with an explicit fault seed (builder entry point).
-    pub fn seeded(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Sets the in-flight loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    #[must_use]
-    pub fn with_drop_probability(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.drop_probability = p;
-        self
-    }
-
     /// Adds a crash-stop event: `node` goes down at `at_ms` and never
     /// returns.
     #[must_use]
@@ -230,8 +203,8 @@ impl SimTrace {
 // Link faults for single transmissions
 // ---------------------------------------------------------------------------
 
-/// A seeded application of a [`FaultPlan`]'s loss rule, and of two-way
-/// partitions, to single transmissions.
+/// Seeded in-flight loss, and two-way partitions, for single
+/// transmissions.
 ///
 /// Chord/Kademlia/flood/super-peer lookups in this crate are closed-form
 /// routing-table walks. To subject them to loss and partitions, each hop
@@ -240,8 +213,10 @@ impl SimTrace {
 /// [`crate::metrics::Metrics`]). A partition ([`LinkFaults::with_partition`])
 /// blocks a transmission without a draw until
 /// [`LinkFaults::heal_partitions`]; otherwise one Bernoulli draw on the
-/// plan's [`FaultPlan::drop_probability`] decides loss. Whether a node is
-/// up is [`FaultPlan::is_crashed`]'s question, not this one's.
+/// loss probability decides loss, from an RNG seeded once, so an inert
+/// instance draws nothing and (seed, probability) determines every
+/// decision. Whether a node is up is [`FaultPlan::is_crashed`]'s question,
+/// not this one's.
 #[derive(Debug, Clone)]
 pub struct LinkFaults {
     drop_probability: f64,
@@ -255,15 +230,24 @@ pub struct LinkFaults {
 }
 
 impl LinkFaults {
-    /// Faults with i.i.d. per-attempt loss probability `p`.
+    /// Faults with i.i.d. per-attempt loss probability `drop_probability`,
+    /// drawn from an RNG seeded with `seed`; no partition is in force.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is not within `[0, 1]`.
+    /// Panics if `drop_probability` is not within `[0, 1]`.
     pub fn new(seed: u64, drop_probability: f64) -> Self {
-        FaultPlan::seeded(seed)
-            .with_drop_probability(drop_probability)
-            .into()
+        assert!(
+            (0.0..=1.0).contains(&drop_probability),
+            "probability out of range"
+        );
+        LinkFaults {
+            drop_probability,
+            partitions: Vec::new(),
+            rng: StdRng::seed_from_u64(seed),
+            attempts: 0,
+            failures: 0,
+        }
     }
 
     /// A fault-free instance (every attempt delivers).
@@ -348,20 +332,6 @@ impl LinkFaults {
             metrics.record_offpath(retry_kind, bytes);
         }
         ok
-    }
-}
-
-impl From<FaultPlan> for LinkFaults {
-    /// Applies `plan`'s loss, drawing from an RNG seeded with its
-    /// [`FaultPlan::seed`]; no partition is in force.
-    fn from(plan: FaultPlan) -> Self {
-        LinkFaults {
-            drop_probability: plan.drop_probability,
-            partitions: Vec::new(),
-            rng: StdRng::seed_from_u64(plan.seed),
-            attempts: 0,
-            failures: 0,
-        }
     }
 }
 

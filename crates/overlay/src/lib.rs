@@ -22,9 +22,9 @@
 //!
 //! Every family runs on one network model, in [`fault`]: a routed hop's
 //! latency is one uniform draw from [`fault::HOP_MS_MIN`] to
-//! [`fault::HOP_MS_MAX`] ms, a lost transmission is decided hop by hop by [`fault::LinkFaults`] (a
-//! [`fault::FaultPlan`]'s loss rule, and any partition), and a node is down
-//! when the plan's crash schedule says so
+//! [`fault::HOP_MS_MAX`] ms, a lost transmission is decided hop by hop by [`fault::LinkFaults`] (its
+//! loss probability, and any partition), and a node is down when a
+//! [`fault::FaultPlan`]'s crash schedule says so
 //! ([`replication::apply_crash_schedule`]).
 //!
 //! Supporting infrastructure: [`fault`] (the network model, fault plans

@@ -36,9 +36,7 @@ use dosn_obs::{names, Registry};
 ///
 /// This is how a run's clock reaches the storage plane: availability
 /// experiments and the engine build one [`FaultPlan`] and apply it at each
-/// simulated time they read at. Only the crash schedule reaches storage: a
-/// plan's loss and a `LinkFaults` partition act on overlay lookups and the
-/// gossip loop, and a [`ReplicatedStore`] read sees no loss.
+/// simulated time they read at.
 pub fn apply_crash_schedule<P: StoragePlane + ?Sized>(
     plane: &mut P,
     plan: &FaultPlan,
@@ -380,9 +378,7 @@ impl<P: StoragePlane> ReplicatedStore<P> {
     ) -> Result<QuorumOutcome, StorageError> {
         let quorum_timer = self.obs.timer(names::STORE_GET_QUORUM);
         let fetched = self.fetch_copies(key, metrics)?;
-        let outcome = Tally::new(&fetched).vote(&fetched, self.read_quorum, |values| {
-            values.iter().map(|v| verify(v)).collect()
-        });
+        let outcome = QuorumOutcome::of(&fetched, self.read_quorum, verify);
         quorum_timer.observe();
         if let (true, Some(winner)) = (outcome.served(), outcome.winner.as_ref()) {
             self.repair_copies(&fetched, winner, metrics);
@@ -432,6 +428,26 @@ pub struct QuorumOutcome {
 }
 
 impl QuorumOutcome {
+    /// The vote over `fetched` ([`Tally::decide`]) with each distinct
+    /// present value put to `verify` once, and its anatomy under read
+    /// quorum `need`.
+    pub fn of(fetched: &FetchedCopies, need: usize, verify: impl Fn(&[u8]) -> bool) -> Self {
+        let tally = Tally::new(fetched);
+        let vote = tally.decide(tally.values(fetched).map(|v| verify(v).then_some(v)));
+        let present = fetched.copies.iter().filter(|(_, c)| c.is_some()).count();
+        let agreeing = vote.winner.map_or(0, |(_, n)| n);
+        QuorumOutcome {
+            key: fetched.key,
+            candidates: fetched.copies.len(),
+            missing: fetched.copies.len() - present,
+            invalid: present - vote.verifying,
+            agreeing,
+            disagreeing: vote.verifying - agreeing,
+            need,
+            winner: vote.winner.map(|(v, _)| v.to_vec()),
+        }
+    }
+
     /// Applies the PR 7 agreement rule — **the winning value's agreement
     /// count must reach the quorum** — turning the anatomy back into the
     /// exact `Result` [`quorum_vote`] returns.
@@ -493,21 +509,30 @@ pub fn quorum_vote(
     read_quorum: usize,
     verify: impl Fn(&[u8]) -> bool,
 ) -> Result<Vec<u8>, StorageError> {
-    Tally::new(fetched)
-        .vote(fetched, read_quorum, |values| {
-            values.iter().map(|v| verify(v)).collect()
-        })
-        .into_result()
+    QuorumOutcome::of(fetched, read_quorum, verify).into_result()
 }
 
 /// One read's copies, counted once: each distinct present value, in
-/// first-seen (candidate-preference) order, with its holder count. It keeps
-/// positions into the [`FetchedCopies`] it counted, which every method
-/// takes back, so it can live beside them.
+/// first-seen (candidate-preference) order, with its holder count. A value's
+/// index in that order is its *position*: a caller keeps what it learned of
+/// each value at its position and [`Tally::decide`] reads the vote off
+/// those, so no value is found again by its bytes. The tally keeps positions
+/// into the [`FetchedCopies`] it counted, which [`Tally::values`] takes
+/// back, so it can live beside them.
 #[derive(Debug, Clone, Default)]
 pub struct Tally {
     /// `(position of the value's first holder, holders)` per value.
     values: Vec<(usize, usize)>,
+}
+
+/// What [`Tally::decide`] found.
+#[derive(Debug)]
+pub struct Vote<T> {
+    /// The winner's proof and holder count: of the proven values, the one
+    /// with the most holders, the earliest-seen on a tie.
+    pub winner: Option<(T, usize)>,
+    /// The holders of every proven value, the winner's included.
+    pub verifying: usize,
 }
 
 impl Tally {
@@ -520,7 +545,7 @@ impl Tally {
             };
             match values
                 .iter_mut()
-                .find(|(first, _)| value_at(fetched, *first) == bytes)
+                .find(|(first, _)| copy_at(fetched, *first) == bytes)
             {
                 Some((_, holders)) => *holders += 1,
                 None => values.push((at, 1)),
@@ -529,74 +554,51 @@ impl Tally {
         Tally { values }
     }
 
-    /// The leader's bytes and holder count: the value with the most
-    /// holders, the earliest-seen on a tie. A leader that verifies wins
-    /// [`Tally::vote`], which breaks ties the same way.
-    pub fn leader<'a>(&self, fetched: &'a FetchedCopies) -> Option<(&'a [u8], usize)> {
-        most_held(self.values.iter().copied()).map(|(at, n)| (value_at(fetched, at), n))
-    }
-
-    /// The vote: `verify_batch` gets each distinct value once, in
-    /// first-seen order and borrowed from `fetched`, and returns one verdict
-    /// per value. The winner is the verifying value with the most holders,
-    /// the earliest-seen on a tie; [`QuorumOutcome::into_result`] is the
-    /// exact [`quorum_vote`] verdict.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `verify_batch` returns a verdict vector of the wrong
-    /// length, or if `fetched` is not the copies the tally counted.
-    pub fn vote<'a>(
+    /// The distinct values in position order, borrowed from `fetched`, which
+    /// must be the copies the tally counted (any other reads as empty
+    /// values).
+    pub fn values<'a>(
         &self,
         fetched: &'a FetchedCopies,
-        read_quorum: usize,
-        verify_batch: impl FnOnce(&[&'a [u8]]) -> Vec<bool>,
-    ) -> QuorumOutcome {
-        let values: Vec<&'a [u8]> = self
-            .values
-            .iter()
-            .map(|&(at, _)| value_at(fetched, at))
-            .collect();
-        let verdicts = verify_batch(&values);
-        assert_eq!(
-            verdicts.len(),
-            values.len(),
-            "batch verifier must return one verdict per distinct value"
-        );
-        let verified = || {
-            self.values
-                .iter()
-                .zip(&verdicts)
-                .filter(|(_, ok)| **ok)
-                .map(|(v, _)| *v)
+    ) -> impl Iterator<Item = &'a [u8]> + use<'_, 'a> {
+        self.values.iter().map(|&(at, _)| copy_at(fetched, at))
+    }
+
+    /// The leader's position and holder count: the value with the most
+    /// holders, the earliest-seen on a tie — what [`Tally::decide`] elects
+    /// when every value is proven.
+    pub fn leader(&self) -> Option<(usize, usize)> {
+        self.decide((0..self.values.len()).map(Some)).winner
+    }
+
+    /// The vote, decided over positions: `proofs` holds, position by
+    /// position, what the caller proved of each value, `None` for a value
+    /// refused or never opened (positions past its end count as `None`).
+    /// The winner is the proven value with the most holders, the
+    /// earliest-seen on a tie; a caller that requires K holders compares the
+    /// winner's count with K.
+    pub fn decide<T>(&self, proofs: impl IntoIterator<Item = Option<T>>) -> Vote<T> {
+        let mut vote = Vote {
+            winner: None,
+            verifying: 0,
         };
-        let present: usize = self.values.iter().map(|&(_, n)| n).sum();
-        let verifying: usize = verified().map(|(_, n)| n).sum();
-        let winner = most_held(verified());
-        let agreement = winner.map_or(0, |(_, n)| n);
-        QuorumOutcome {
-            key: fetched.key,
-            candidates: fetched.copies.len(),
-            missing: fetched.copies.len() - present,
-            invalid: present - verifying,
-            agreeing: agreement,
-            disagreeing: verifying - agreement,
-            need: read_quorum,
-            winner: winner.map(|(at, _)| value_at(fetched, at).to_vec()),
+        for (&(_, holders), proof) in self.values.iter().zip(proofs) {
+            let Some(proof) = proof else {
+                continue;
+            };
+            vote.verifying += holders;
+            if vote.winner.as_ref().is_none_or(|&(_, most)| holders > most) {
+                vote.winner = Some((proof, holders));
+            }
         }
+        vote
     }
 }
 
-/// The `(position, holders)` entry with the most holders; `reduce` keeps
-/// the incumbent on ties, so the earliest-seen wins at equal counts.
-fn most_held(values: impl Iterator<Item = (usize, usize)>) -> Option<(usize, usize)> {
-    values.reduce(|best, v| if v.1 > best.1 { v } else { best })
-}
-
-/// The present copy at position `at` of `fetched`.
-fn value_at(fetched: &FetchedCopies, at: usize) -> &[u8] {
-    let copy = fetched.copies[at].1.as_deref();
-    copy.expect("a tally reads the copies it counted")
+/// The present copy at position `at` of `fetched`; empty when there is none.
+fn copy_at(fetched: &FetchedCopies, at: usize) -> &[u8] {
+    let copy = fetched.copies.get(at).and_then(|(_, copy)| copy.as_deref());
+    copy.unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -931,7 +933,7 @@ mod tests {
         // Tie at one vote each: preference order (earliest seen) wins, and
         // leads the tally.
         assert_eq!(quorum_vote(&fetched, 1, |_| true).unwrap(), b"v");
-        assert_eq!(Tally::new(&fetched).leader(&fetched), Some((&b"v"[..], 1)));
+        assert_eq!(Tally::new(&fetched).leader(), Some((0, 1)));
         // Below quorum: `have` reports the winner's agreement count (one
         // copy of "v"), not the total number of verifying copies (two).
         match quorum_vote(&fetched, 3, |_| true) {
@@ -985,7 +987,7 @@ mod tests {
     }
 
     #[test]
-    fn quorum_vote_batch_sees_each_distinct_value_once_and_matches_per_copy() {
+    fn the_vote_sees_each_distinct_value_once_and_weighs_it_by_its_holders() {
         let key = Key::hash(b"batched-vote");
         let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
         let fetched = FetchedCopies {
@@ -997,26 +999,19 @@ mod tests {
                 (nodes[3], Some(b"good".to_vec())),
             ],
         };
-        let mut calls = 0usize;
         let tally = Tally::new(&fetched);
-        assert_eq!(tally.leader(&fetched), Some((&b"good"[..], 2)));
-        let outcome = tally.vote(&fetched, 2, |values| {
-            calls += 1;
-            // Absent copies never reach the verifier; each distinct present
-            // value arrives once, in candidate-preference order.
-            assert_eq!(values, &[&b"good"[..], &b"BAD!"[..]]);
-            values.iter().map(|v| *v != b"BAD!").collect()
-        });
-        assert_eq!(calls, 1, "one verifier invocation for the whole read");
-        // The verdict on "good" counts for both candidates holding it.
+        assert_eq!(tally.leader(), Some((0, 2)));
+        // Absent copies are not values; each distinct present value comes
+        // once, in candidate-preference order.
+        let values: Vec<&[u8]> = tally.values(&fetched).collect();
+        assert_eq!(values, [&b"good"[..], &b"BAD!"[..]]);
+        // The proof of "good" counts for both candidates holding it.
+        let vote = tally.decide(values.iter().map(|v| (*v != b"BAD!").then_some(*v)));
+        assert_eq!((vote.winner, vote.verifying), (Some((&b"good"[..], 2)), 2));
+        let outcome = inspect(&fetched, 2, |c| c != b"BAD!");
         assert_eq!(
             (outcome.missing, outcome.invalid, outcome.agreeing),
             (1, 1, 2)
-        );
-        assert_eq!(
-            outcome,
-            inspect(&fetched, 2, |c| c != b"BAD!"),
-            "per-copy and batched paths agree"
         );
         assert_eq!(outcome.into_result().unwrap(), b"good");
     }
@@ -1054,9 +1049,7 @@ mod tests {
         read_quorum: usize,
         verify: impl Fn(&[u8]) -> bool,
     ) -> QuorumOutcome {
-        Tally::new(fetched).vote(fetched, read_quorum, |values| {
-            values.iter().map(|v| verify(v)).collect()
-        })
+        QuorumOutcome::of(fetched, read_quorum, verify)
     }
 
     fn copies(entries: &[Option<&[u8]>]) -> FetchedCopies {

@@ -47,7 +47,7 @@ fn scenario<S: StoragePlane>(name: &str, plane: S, obs: &Registry) {
         .plane_mut()
         .replica_candidates(key, 1, &mut m)
         .unwrap()[0];
-    let crashed = net.apply_crashes(&FaultPlan::seeded(SEED).with_crash(victim, 0), 1);
+    let crashed = net.apply_crashes(&FaultPlan::default().with_crash(victim, 0), 1);
     let still = net.read_post("bob", "alice", seq).is_ok();
 
     println!(

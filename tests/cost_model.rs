@@ -252,7 +252,7 @@ fn heap_allocations_per_read_are_pinned() {
     // An L1-served item allocates its body and its author's name, the two
     // strings it hands back; nothing else per item. The 47 per call are
     // mostly the reader's roster, one string per friend. A cold read is
-    // ≈ 37 allocations: the baseline a read-path change measures against.
+    // ≈ 34 allocations: the baseline a read-path change measures against.
     // (1767 per 32 while a record was copied out of its bytes to be
     // verified, its author's name copied three times, its post's body
     // split into hashtags, every big-integer division and fixed-width
@@ -260,11 +260,13 @@ fn heap_allocations_per_read_are_pinned() {
     // kept its own index list; 1828 while a read's copies were counted
     // three times: twice to find a strict plurality to stake on, once more
     // in the vote; 1768 while the combined check took its items through a
-    // list of references that bisection shared.)
+    // list of references that bisection shared; 1175 while the vote listed
+    // a read's values and their verdicts and copied out its winner, which
+    // the finish phase then found again by its bytes.)
     let per_item = (l1_64 - l1_32) / READS as u64;
     assert_eq!(
         [per_item, l1_32, cold],
-        [2, 111, 1175],
+        [2, 111, 1079],
         "allocations per L1-served item, per warm feed of 32 items, per 32 cold reads"
     );
 }

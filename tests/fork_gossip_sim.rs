@@ -36,12 +36,11 @@ struct Gossip {
 }
 
 /// Runs `rounds` gossip rounds, the r-th at `r * ROUND_MS`. In each, every
-/// node `plan` has up sends its view digest to each of its peers; the
-/// plan's [`LinkFaults`] decides whether each transmission arrives, and one
-/// that arrives at a node the plan has down is counted and dropped. Each
-/// delivery and each such drop is folded into a trace.
-fn gossip(nodes: &mut [Gossiper], plan: &FaultPlan, rounds: u64) -> Gossip {
-    let mut faults = LinkFaults::from(plan.clone());
+/// node `plan` has up sends its view digest to each of its peers; `faults`
+/// decides whether each transmission arrives, and one that arrives at a
+/// node the plan has down is counted and dropped. Each delivery and each
+/// such drop is folded into a trace.
+fn gossip(nodes: &mut [Gossiper], plan: &FaultPlan, mut faults: LinkFaults, rounds: u64) -> Gossip {
     let mut trace = SimTrace::new();
     let (mut delivered, mut to_down) = (0, 0);
     for round in 1..=rounds {
@@ -125,7 +124,12 @@ fn gossip_over_simulator_detects_fork() {
     let n = 16;
     let mut nodes = forked_population(n);
     // Twenty rounds: ten simulated seconds.
-    let run = gossip(&mut nodes, &FaultPlan::seeded(2026), 20);
+    let run = gossip(
+        &mut nodes,
+        &FaultPlan::default(),
+        LinkFaults::new(2026, 0.0),
+        20,
+    );
     // Every node has a cross-branch neighbour in this topology: once
     // digests flow, the great majority must detect the equivocation.
     assert!(
@@ -151,10 +155,10 @@ fn honest_history_raises_no_alarms_under_churn() {
         })
         .collect();
     // A third of the population is down from 2 s to 6 s.
-    let plan = (0..n / 3).fold(FaultPlan::seeded(2027), |plan, i| {
+    let plan = (0..n / 3).fold(FaultPlan::default(), |plan, i| {
         plan.with_crash_recovery(NodeId(i as u64), 2_000, 6_000)
     });
-    let run = gossip(&mut nodes, &plan, 20);
+    let run = gossip(&mut nodes, &plan, LinkFaults::new(2027, 0.0), 20);
     for (i, node) in nodes.iter().enumerate() {
         assert!(!node.fork_detected, "false positive at node {i}");
     }
@@ -174,12 +178,11 @@ proptest! {
         crash_victim in 0u64..12,
     ) {
         let n = 12;
-        let plan = FaultPlan::seeded(fault_seed)
-            .with_drop_probability(drop_p)
-            .with_crash_recovery(NodeId(crash_victim), 2_000, 6_000);
+        let plan = FaultPlan::default().with_crash_recovery(NodeId(crash_victim), 2_000, 6_000);
+        let faults = LinkFaults::new(fault_seed, drop_p);
 
         // Twenty-four rounds: twelve simulated seconds.
-        let run = gossip(&mut forked_population(n), &plan, 24);
+        let run = gossip(&mut forked_population(n), &plan, faults.clone(), 24);
         prop_assert!(run.delivered > 0, "gossip must flow");
         // Every gossip edge crosses the branch split, and 24 rounds of
         // redundancy dwarf 25% loss: a majority must catch the fork.
@@ -189,7 +192,7 @@ proptest! {
         );
 
         // Liveness is only trustworthy if the schedule is replayable.
-        let again = gossip(&mut forked_population(n), &plan, 24);
+        let again = gossip(&mut forked_population(n), &plan, faults, 24);
         prop_assert_eq!(run.detectors, again.detectors);
         prop_assert_eq!(run.trace, again.trace, "same (seed, plan) must replay identically");
     }

@@ -126,7 +126,7 @@ fn crash_schedule_from_fault_plan_drives_availability() {
         // PR 1's fault harness: the first holder crashes at t=500ms and
         // recovers at t=2000ms.
         let holder = holders(net, "alice", seq, 1)[0];
-        let plan = FaultPlan::seeded(SEED).with_crash_recovery(holder, 500, 2_000);
+        let plan = FaultPlan::default().with_crash_recovery(holder, 500, 2_000);
 
         assert_eq!(net.apply_crashes(&plan, 100), 0, "{name}: before the crash");
         assert!(net.read_post("bob", "alice", seq).is_ok());
@@ -151,10 +151,10 @@ fn crash_schedule_from_fault_plan_drives_availability() {
         // in [0, 10) and from 100 on; in the second, its crash-stop at 0
         // outlasts the recovery at 50.
         let two_windows = [
-            FaultPlan::seeded(SEED)
+            FaultPlan::default()
                 .with_crash_recovery(holder, 0, 10)
                 .with_crash(holder, 100),
-            FaultPlan::seeded(SEED)
+            FaultPlan::default()
                 .with_crash(holder, 0)
                 .with_crash_recovery(holder, 0, 50),
         ];
