@@ -240,5 +240,7 @@ fn error_tag(e: &DosnError) -> u8 {
         DosnError::ForkDetected(_) => 7,
         DosnError::ContentUnavailable(_) => 8,
         DosnError::Search(_) => 9,
+        DosnError::NameTaken(_) => 10,
+        DosnError::InvalidArgument(_) => 11,
     }
 }

@@ -516,8 +516,7 @@ impl<S: StoragePlane> Engine<S> {
     ///
     /// # Errors
     ///
-    /// [`DosnError::UnknownUser`] if the name is already taken (reported
-    /// against the name).
+    /// [`DosnError::NameTaken`] if the name is already registered.
     pub fn register(&mut self, name: &str) -> Result<(), DosnError> {
         let report = self.execute(OpBatch::new().register(name));
         one("register", report, OpOutput::Registered)
@@ -530,7 +529,9 @@ impl<S: StoragePlane> Engine<S> {
     ///
     /// # Errors
     ///
-    /// [`DosnError::UnknownUser`] for unregistered names.
+    /// [`DosnError::InvalidArgument`] for `a == b` or `trust` outside
+    /// `[0, 1]`, [`DosnError::UnknownUser`] for unregistered names, plus
+    /// scheme-specific membership failures.
     pub fn befriend(&mut self, a: &str, b: &str, trust: f64) -> Result<(), DosnError> {
         let report = self.execute(OpBatch::new().befriend(a, b, trust));
         one("befriend", report, OpOutput::Befriended)
@@ -551,15 +552,14 @@ impl<S: StoragePlane> Engine<S> {
         }
     }
 
-    /// Attaches a comment to `author`'s post `seq` as `commenter` — only
-    /// friends hold the commenters key, and the per-post relation key binds
-    /// the comment to exactly that post (§IV-C).
+    /// Attaches a comment to `author`'s post `seq` as `commenter`, who must
+    /// be in the author's friends group and able to [`Engine::read_post`]
+    /// it; the per-post relation key binds the comment to that post (§IV-C).
     ///
     /// # Errors
     ///
     /// * [`DosnError::UnknownUser`] / [`DosnError::ContentUnavailable`];
-    /// * [`DosnError::NotAuthorized`] — commenter is not in the author's
-    ///   friends group.
+    /// * [`DosnError::NotAuthorized`] — either condition fails.
     pub fn comment(
         &mut self,
         commenter: &str,
@@ -599,16 +599,13 @@ impl<S: StoragePlane> Engine<S> {
     ///
     /// # Errors
     ///
-    /// [`DosnError::UnknownUser`] for a taken name, plus scheme-specific
+    /// [`DosnError::NameTaken`] for a registered name, plus scheme-specific
     /// group-creation failures.
     pub fn register_with_scheme(
         &mut self,
         name: &str,
         scheme: Box<dyn AccessScheme>,
     ) -> Result<(), DosnError> {
-        if self.users.contains_key(name) {
-            return Err(DosnError::UnknownUser(format!("{name} already registered")));
-        }
         let _timer = self.ctx.obs.timer(names::NET_REGISTER);
         let index = self.claim_op_indices(1);
         let mut rng = op_rng(&self.ctx.op_prk, index);
@@ -629,13 +626,14 @@ impl<S: StoragePlane> Engine<S> {
     ///
     /// # Errors
     ///
-    /// [`DosnError::UnknownUser`] for unregistered names or when neither
-    /// roster lists the other, plus scheme-specific revocation failures.
+    /// [`DosnError::InvalidArgument`] for `a == b` or when neither roster
+    /// lists the other, [`DosnError::UnknownUser`] for unregistered names,
+    /// plus scheme-specific revocation failures.
     pub fn unfriend(&mut self, a: &str, b: &str) -> Result<u64, DosnError> {
         let lists =
             |owner: &str, friend: &str| known_user(&self.users, owner).map(|u| u.lists(friend));
         if a == b || !(lists(a, b)? | lists(b, a)?) {
-            return Err(DosnError::UnknownUser(format!(
+            return Err(DosnError::InvalidArgument(format!(
                 "{a} and {b} are not friends"
             )));
         }
@@ -994,6 +992,14 @@ mod tests {
         let seq = n.post("alice", "pke wall post").unwrap();
         assert_eq!(n.read_post("bob", "alice", seq).unwrap(), "pke wall post");
         assert!(n.read_post("carol", "alice", seq).is_err());
+        n.comment("bob", "alice", seq, "from bob").unwrap();
+        // carol joins in the post's epoch, after it was sealed: the post
+        // wraps no key for her, so she may neither read nor comment on it.
+        n.befriend("alice", "carol", 1.0).unwrap();
+        let refused = |r: Result<_, _>| matches!(r, Err(DosnError::NotAuthorized(_)));
+        assert!(refused(n.read_post("carol", "alice", seq).map(drop)));
+        assert!(refused(n.comment("carol", "alice", seq, "late")));
+        assert_eq!(n.comments("alice", seq).len(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use super::user::UserState;
 use super::{elapsed_micros, known_user, op_rng, user_mut, wall_key, PhaseCtx, Users};
 use crate::error::DosnError;
 use crate::feed::FeedCache;
-use crate::identity::{Identity, UserId};
+use crate::identity::Identity;
 use crate::privacy::{AccessScheme, SymmetricGroupScheme};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::SchnorrGroup;
@@ -27,7 +27,8 @@ use std::time::Instant;
 ///
 /// # Errors
 ///
-/// Scheme-specific group-creation failures.
+/// [`DosnError::NameTaken`] for a registered name, before the scheme is
+/// asked for anything; scheme-specific group-creation failures.
 pub(super) fn register_user(
     users: &mut Users,
     group: &SchnorrGroup,
@@ -36,6 +37,9 @@ pub(super) fn register_user(
     mut scheme: Box<dyn AccessScheme>,
     rng: &mut SecureRng,
 ) -> Result<(), DosnError> {
+    if users.contains_key(name) {
+        return Err(DosnError::NameTaken(name.to_owned()));
+    }
     let friends_group = scheme.create_group(&[name.to_owned()])?;
     let identity = Identity::create(name, group.clone(), directory, rng);
     users.insert(
@@ -82,12 +86,6 @@ pub(super) fn prepare_batch(
         let Op::Register { name } = op else {
             continue;
         };
-        if users.contains_key(name.as_str()) {
-            results[i] = Some(Err(DosnError::UnknownUser(format!(
-                "{name} already registered"
-            ))));
-            continue;
-        }
         let (registered, micros) = timed(ctx, index(i), |rng| {
             let mut master = [0u8; 32];
             rand::RngCore::fill_bytes(rng, &mut master);
@@ -142,32 +140,15 @@ pub(super) fn prepare_batch(
         } = op
         {
             let mut rng = op_rng(&ctx.op_prk, index(i));
-            results[i] = Some(comment(users, commenter, author, *seq, body, &mut rng));
+            let mut comment = || {
+                known_user(users, commenter)?;
+                user_mut(users, author)?.comment(*seq, commenter, body.as_bytes(), &mut rng)
+            };
+            results[i] = Some(comment().map(|()| OpOutput::Commented));
         }
     }
     timer.observe();
     posts
-}
-
-/// Attaches `commenter`'s comment to `author`'s post `seq`: both must be
-/// registered, and the commenter on the author's friends-group roster.
-fn comment(
-    users: &mut Users,
-    commenter: &str,
-    author: &str,
-    seq: u64,
-    body: &str,
-    rng: &mut SecureRng,
-) -> Result<OpOutput, DosnError> {
-    known_user(users, commenter)?;
-    let state = user_mut(users, author)?;
-    if !state.lists(commenter) {
-        return Err(DosnError::NotAuthorized(format!(
-            "{commenter} is not in {author}'s friends group"
-        )));
-    }
-    state.attach_comment(seq, UserId::from(commenter), body.as_bytes(), rng)?;
-    Ok(OpOutput::Commented)
 }
 
 /// One befriend: mutual friends-group membership, added only on a side
@@ -188,12 +169,12 @@ fn link(
     // Self-edges and out-of-range trust get typed errors (the trust value
     // itself is not stored).
     if a == b {
-        return Err(DosnError::NotAuthorized(format!(
+        return Err(DosnError::InvalidArgument(format!(
             "{a} cannot befriend themselves"
         )));
     }
     if !(0.0..=1.0).contains(&trust) {
-        return Err(DosnError::NotAuthorized(format!(
+        return Err(DosnError::InvalidArgument(format!(
             "trust {trust} outside [0, 1]"
         )));
     }

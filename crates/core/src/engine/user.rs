@@ -5,8 +5,9 @@
 //! (that map entry), not because they trust each other: the §III
 //! half (signing identity, access scheme, friends group — whose roster is
 //! the engine's only record of who the user's friends are) holds keys,
-//! sees plaintext, and seals and opens every post body
-//! ([`UserState::seal`], [`UserState::open`]); the §IV half (hash-chained
+//! sees plaintext, seals and opens every post body
+//! ([`UserState::seal`], [`UserState::open`]) and decides every comment
+//! ([`UserState::comment`]); the §IV half (hash-chained
 //! [`Timeline`], whose length is the author's next post sequence number,
 //! per-post [`PostRelationKeys`], verified comments) only ever signs and
 //! chains *ciphertexts*, and is what a verifier consults without holding
@@ -15,7 +16,7 @@
 
 use crate::content::Post;
 use crate::error::DosnError;
-use crate::identity::{Identity, UserId};
+use crate::identity::Identity;
 use crate::integrity::relations::{CommentAttachment, PostRelationKeys};
 use crate::integrity::timeline::Timeline;
 use crate::privacy::{AccessScheme, GroupId, SealedBody, SealedPost};
@@ -31,11 +32,11 @@ pub(crate) struct UserState {
     /// The group `scheme` manages for this user's friends.
     pub(super) friends_group: GroupId,
     timeline: Timeline,
-    /// Per post: the relation keys friends comment with, and the verified
-    /// comments attached so far.
-    posts: BTreeMap<u64, (PostRelationKeys, Vec<CommentAttachment>)>,
-    /// The shared commenter-group key for this author's posts (held by
-    /// friends; modelled via the friends group epoch-0 key).
+    /// Per post: the epoch it was sealed at, the relation keys friends
+    /// comment with, and the verified comments attached so far.
+    posts: BTreeMap<u64, (u64, PostRelationKeys, Vec<CommentAttachment>)>,
+    /// The key every comment on this author's posts is minted under; it does
+    /// not rotate when a friend is revoked.
     commenters_key: SymmetricKey,
 }
 
@@ -157,31 +158,41 @@ impl UserState {
             &self.commenters_key,
             rng,
         );
-        self.posts.insert(seq, (relation, Vec::new()));
+        self.posts.insert(seq, (epoch, relation, Vec::new()));
         Ok((seq, wire))
     }
 
-    /// Creates, verifies, and attaches a comment on this author's post
-    /// `seq`. The caller is responsible for the *privacy* decision (is the
-    /// commenter allowed the commenters key); this enforces the *relation*
-    /// — the comment is bound to exactly that post.
+    /// Attaches `commenter`'s comment to post `seq` — the one access rule
+    /// for comments: the commenter is on the roster now *and* the post
+    /// opens for them through [`UserState::open`], as every read of it
+    /// does. The relation keys then bind the comment to that post (§IV-C).
     ///
     /// # Errors
     ///
+    /// * [`DosnError::NotAuthorized`] — the commenter is not on the roster,
+    ///   or the scheme's own refusal to open the post for them;
     /// * [`DosnError::ContentUnavailable`] — no such post;
     /// * [`DosnError::IntegrityViolation`] — the relation check fails.
-    pub(super) fn attach_comment(
+    pub(super) fn comment(
         &mut self,
         seq: u64,
-        commenter: UserId,
+        commenter: &str,
         body: &[u8],
         rng: &mut SecureRng,
     ) -> Result<(), DosnError> {
-        let (relation, comments) = self.posts.get_mut(&seq).ok_or_else(|| {
-            DosnError::ContentUnavailable(format!("{}/post/{seq}", self.identity.id()))
-        })?;
+        let author = self.identity.id();
+        if !self.lists(commenter) {
+            return Err(DosnError::NotAuthorized(format!(
+                "{commenter} is not in {author}'s friends group"
+            )));
+        }
+        let missing = || DosnError::ContentUnavailable(format!("{author}/post/{seq}"));
+        let epoch = self.posts.get(&seq).ok_or_else(missing)?.0;
+        let entry = self.timeline.entries().get(seq as usize);
+        self.open(commenter, epoch, &entry.ok_or_else(missing)?.body)?;
+        let (_, relation, comments) = self.posts.get_mut(&seq).ok_or_else(missing)?;
         let attachment =
-            CommentAttachment::create(relation, &self.commenters_key, commenter, body, rng)?;
+            CommentAttachment::create(relation, &self.commenters_key, commenter.into(), body, rng)?;
         // The author (or any verifier) checks the relation before accepting.
         relation.verify_comment(&attachment)?;
         comments.push(attachment);
@@ -190,7 +201,7 @@ impl UserState {
 
     /// Verified comments on post `seq`, as `(commenter, body)` pairs.
     pub(super) fn comments(&self, seq: u64) -> Vec<(String, String)> {
-        let comments = self.posts.get(&seq).map_or(&[][..], |(_, cs)| cs);
+        let comments = self.posts.get(&seq).map_or(&[][..], |(_, _, cs)| cs);
         comments
             .iter()
             .map(|c| {

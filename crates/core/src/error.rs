@@ -11,6 +11,8 @@ pub enum DosnError {
     Crypto(CryptoError),
     /// The named user does not exist.
     UnknownUser(String),
+    /// The name is already registered.
+    NameTaken(String),
     /// The named group does not exist.
     UnknownGroup(String),
     /// The caller is not authorized for the operation.
@@ -26,6 +28,8 @@ pub enum DosnError {
     ContentUnavailable(String),
     /// A search or routing operation failed.
     Search(String),
+    /// An invalid argument (a self-edge, an out-of-range trust, a non-friend).
+    InvalidArgument(String),
 }
 
 impl fmt::Display for DosnError {
@@ -33,6 +37,7 @@ impl fmt::Display for DosnError {
         match self {
             DosnError::Crypto(e) => write!(f, "crypto failure: {e}"),
             DosnError::UnknownUser(u) => write!(f, "unknown user {u:?}"),
+            DosnError::NameTaken(u) => write!(f, "name {u:?} is already registered"),
             DosnError::UnknownGroup(g) => write!(f, "unknown group {g:?}"),
             DosnError::NotAuthorized(what) => write!(f, "not authorized: {what}"),
             DosnError::IntegrityViolation(what) => write!(f, "integrity violation: {what}"),
@@ -40,6 +45,7 @@ impl fmt::Display for DosnError {
             DosnError::ForkDetected(what) => write!(f, "fork detected: {what}"),
             DosnError::ContentUnavailable(what) => write!(f, "content unavailable: {what}"),
             DosnError::Search(what) => write!(f, "search failed: {what}"),
+            DosnError::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
         }
     }
 }

@@ -324,7 +324,11 @@ fn golden_batches() -> (OpBatch, OpBatch) {
 /// `6d4b2a02…` there), when a post came to be signed once — the stored
 /// record became the chained timeline entry — and its plaintext left JSON
 /// for a binary codec: each post draws one signature nonce fewer and
-/// stores different bytes.
+/// stores different bytes. The setup digest moved once more
+/// (`6c8dbabc…` → `bf34a963…`) when a duplicate `register` got its own
+/// error variant, `NameTaken`, in place of `UnknownUser`: the digest folds
+/// the variant's tag, and with the new variants folded under their old
+/// tags the engine gives the old digest.
 #[test]
 fn golden_batch_digests_are_pinned() {
     let (setup, follow_up) = golden_batches();
@@ -333,7 +337,7 @@ fn golden_batch_digests_are_pinned() {
     let second = e.execute(follow_up);
     assert_eq!(
         first.digest_hex(),
-        "6c8dbabc6dc7ac626a835510db0c1235723cfce90ff2fe12164950a8cccfe576",
+        "bf34a963611f4bde3a7f97b4101c97b7f09651b99db479f1e482f3dd1bb6b952",
         "setup batch digest moved"
     );
     assert_eq!(

@@ -657,3 +657,68 @@ fn a_failed_unfriend_keeps_the_refused_side_and_the_retry_completes_it() {
         assert!(matches!(read, Err(DosnError::NotAuthorized(_))), "{read:?}");
     }
 }
+
+#[test]
+fn a_comment_needs_the_roster_and_a_post_that_opens_for_the_commenter() {
+    // One access rule: a comment lands only when the commenter is on the
+    // author's roster now and the post opens for them. Reads keep the
+    // scheme's answers: an unfriended member still opens a post sealed
+    // while they were a friend (no re-encryption), and a re-join restarts
+    // a member's epochs, so the re-joined member opens it no more.
+    let mut n = chord16(31);
+    for user in ["ann", "ben"] {
+        n.register(user).unwrap();
+    }
+    n.befriend("ann", "ben", 0.9).unwrap();
+    let seq = n.post("ann", "hello").unwrap();
+    n.unfriend("ann", "ben").unwrap();
+    assert_eq!(n.read_post("ben", "ann", seq).as_deref(), Ok("hello"));
+    let unfriended = n.comment("ben", "ann", seq, "still here");
+    assert!(
+        matches!(unfriended, Err(DosnError::NotAuthorized(_))),
+        "{unfriended:?}"
+    );
+
+    n.befriend("ann", "ben", 0.9).unwrap();
+    let read = n.read_post("ben", "ann", seq);
+    assert!(matches!(read, Err(DosnError::NotAuthorized(_))), "{read:?}");
+    let rejoined = n.comment("ben", "ann", seq, "back again");
+    assert!(
+        matches!(rejoined, Err(DosnError::NotAuthorized(_))),
+        "{rejoined:?}"
+    );
+    assert!(n.comments("ann", seq).is_empty());
+
+    // A post sealed after the re-join opens for ben, so he may comment.
+    let fresh = n.post("ann", "welcome back").unwrap();
+    n.comment("ben", "ann", fresh, "thanks").unwrap();
+    assert_eq!(
+        n.comments("ann", fresh),
+        [("ben".to_owned(), "thanks".to_owned())]
+    );
+}
+
+#[test]
+fn each_refusal_kind_has_its_own_variant() {
+    // A taken name, an argument no state could make valid, an unregistered
+    // name and an access refusal are four variants, so a caller (and a
+    // batch digest, which folds only the variant) tells them apart.
+    let mut n = chord16(37);
+    n.register("ann").unwrap();
+    let invalid = |r| matches!(r, Err(DosnError::InvalidArgument(_)));
+    let unknown = |r| matches!(r, Err(DosnError::UnknownUser(_)));
+    assert!(matches!(n.register("ann"), Err(DosnError::NameTaken(_))));
+    let scheme = Box::new(SymmetricGroupScheme::new([5; 32]));
+    let again = n.register_with_scheme("ann", scheme);
+    assert!(matches!(again, Err(DosnError::NameTaken(_))), "{again:?}");
+    assert!(invalid(n.befriend("ann", "ann", 0.5)));
+    assert!(invalid(n.befriend("ann", "bob", 1.5)));
+    assert!(unknown(n.befriend("ann", "bob", 0.5)));
+    n.register("bob").unwrap();
+    assert!(invalid(n.unfriend("ann", "ann").map(drop)));
+    assert!(invalid(n.unfriend("ann", "bob").map(drop)));
+    assert!(unknown(n.unfriend("ann", "cat").map(drop)));
+    let seq = n.post("ann", "hi").unwrap();
+    let stranger = n.comment("bob", "ann", seq, "hello");
+    assert!(matches!(stranger, Err(DosnError::NotAuthorized(_))));
+}

@@ -277,8 +277,9 @@ fn check_state(
 
 /// One case: every step on the model and on the four engines, then the
 /// stored bytes compared across the engines. Returns whether a re-joined
-/// member was refused a post from before the re-join.
-fn run(seed: u64, social: bool, steps: &[Step]) -> Result<bool, TestCaseError> {
+/// member was refused a post from before the re-join, and how many
+/// comments on such posts re-joined members were refused.
+fn run(seed: u64, social: bool, steps: &[Step]) -> Result<(bool, u64), TestCaseError> {
     let mut engines: Vec<(Config, Engine<Plane>)> = [false, true]
         .into_iter()
         .flat_map(|caches| {
@@ -362,13 +363,15 @@ fn run(seed: u64, social: bool, steps: &[Step]) -> Result<bool, TestCaseError> {
     for other in stored {
         prop_assert!(other == first, "the configurations stored different bytes");
     }
-    Ok(model.rejoin_refusals > 0)
+    Ok((model.rejoin_refusals > 0, model.rejoin_comment_refusals))
 }
 
 /// The property, over 24 cases of 25 to 80 steps. Besides passing, at
 /// least a quarter of the cases must refuse a re-joined member a post from
 /// before the re-join — the case the feed cache once got wrong — so the
-/// step weights keep that sequence common.
+/// step weights keep that sequence common; and some case must refuse a
+/// re-joined member a comment on such a post, the case the roster-only
+/// comment rule allowed.
 #[test]
 fn every_configuration_answers_as_the_oracle() {
     let case = (
@@ -381,7 +384,7 @@ fn every_configuration_answers_as_the_oracle() {
         cases: 24,
         ..ProptestConfig::default()
     };
-    let mut rejoin_cases = 0;
+    let (mut rejoin_cases, mut rejoin_comments) = (0, 0);
     proptest::run_cases(
         "every_configuration_answers_as_the_oracle",
         &config,
@@ -393,7 +396,9 @@ fn every_configuration_answers_as_the_oracle() {
                 name: (*name).into(),
             });
             steps.insert(0, Step::Batch(names.collect()));
-            rejoin_cases += u32::from(run(seed, social, &steps)?);
+            let (rejoin_read, comments) = run(seed, social, &steps)?;
+            rejoin_cases += u32::from(rejoin_read);
+            rejoin_comments += comments;
             Ok(())
         },
     );
@@ -402,6 +407,10 @@ fn every_configuration_answers_as_the_oracle() {
             rejoin_cases * 4 >= config.cases,
             "only {rejoin_cases} of {} cases re-read a post from before a re-join",
             config.cases
+        );
+        assert!(
+            rejoin_comments > 0,
+            "no case commented on a post from before a re-join"
         );
     }
 }

@@ -72,6 +72,9 @@ pub(super) struct Model {
     /// Reads refused to a re-joined member for a post sealed before the
     /// re-join (a coverage count; no answer depends on it).
     pub(super) rejoin_refusals: u64,
+    /// Comments refused to a re-joined member on a post sealed before the
+    /// re-join (a coverage count, like `rejoin_refusals`).
+    pub(super) rejoin_comment_refusals: u64,
 }
 
 fn unknown(name: &str) -> DosnError {
@@ -80,6 +83,10 @@ fn unknown(name: &str) -> DosnError {
 
 fn refused(why: &str) -> DosnError {
     DosnError::NotAuthorized(why.to_owned())
+}
+
+fn invalid(why: &str) -> DosnError {
+    DosnError::InvalidArgument(why.to_owned())
 }
 
 impl Model {
@@ -110,14 +117,14 @@ impl Model {
         match op {
             Op::Register { name } => {
                 if self.groups.contains_key(name) {
-                    return Err(unknown(name));
+                    return Err(DosnError::NameTaken(name.clone()));
                 }
                 self.groups.insert(name.clone(), Group::founded_by(name));
                 Ok(OpOutput::Registered)
             }
             Op::Befriend { a, b, trust } => {
                 if a == b || !(0.0..=1.0).contains(trust) {
-                    return Err(refused("self-edge or trust out of range"));
+                    return Err(invalid("self-edge or trust out of range"));
                 }
                 for name in [a, b] {
                     if !self.groups.contains_key(name) {
@@ -163,6 +170,13 @@ impl Model {
                     .posts
                     .get_mut(&(author.clone(), *seq))
                     .ok_or_else(|| DosnError::ContentUnavailable(format!("{author}/post/{seq}")))?;
+                // A comment is allowed only on a post its commenter may read.
+                if !group.held(commenter, post.epoch) {
+                    if group.rejoined.contains(commenter) {
+                        self.rejoin_comment_refusals += 1;
+                    }
+                    return Err(refused("commenter did not hold the post's epoch"));
+                }
                 post.comments.push((commenter.clone(), body.clone()));
                 Ok(OpOutput::Commented)
             }
@@ -215,7 +229,7 @@ impl Model {
                 .ok_or_else(|| unknown(owner))
         };
         if a == b || !(lists(a, b)? | lists(b, a)?) {
-            return Err(unknown("not friends"));
+            return Err(invalid("self-unfriend or not friends"));
         }
         let mut rekeyed = 0;
         for (owner, friend) in [(a, b), (b, a)] {

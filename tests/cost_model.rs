@@ -207,15 +207,21 @@ fn sha256_compressions_per_op_are_pinned() {
     let (seq, post) = compressions_in(|| e.post(&author(0), &body(0)).unwrap());
     assert_eq!(seq, 1);
 
+    // One comment on that post: the op's RNG, opening the post for the
+    // commenter (the decryption a read of it runs), minting and checking
+    // the relation-bound attachment, and the batch digest.
+    let ((), comment) = compressions_in(|| e.comment("reader", &author(0), 1, "nice").unwrap());
+
     // ≈ 29.2 compressions per cold read and none per L1-served item. A
     // post's RNG costs 4 of its 40: the HKDF expand alone, since the
     // extract over the engine seed runs once per engine. (55 and 965 while
     // a post was signed twice and encoded as JSON; 132 per 32 L1 items
-    // while `read_feed` ran its hits through a batch and its digest.)
+    // while `read_feed` ran its hits through a batch and its digest; 27
+    // per comment while the roster alone decided it, opening no post.)
     assert_eq!(
-        [post, cold, l1],
-        [40, 933, 0],
-        "compressions per post, per 32 cold reads, per 32 L1-served feed items"
+        [post, cold, l1, comment],
+        [40, 933, 0, 35],
+        "compressions per post, per 32 cold reads, per 32 L1-served feed items, per comment"
     );
 }
 
@@ -249,6 +255,11 @@ fn heap_allocations_per_read_are_pinned() {
     assert_eq!(items.len(), 2 * READS);
     assert_eq!(e.feed_cache().unwrap().stats().hits, 5 * READS as u64);
 
+    // A second comment on one post (the first created the instruments).
+    e.comment("reader", &author(0), 1, "nice").unwrap();
+    let (commented, comment) = allocations_in(|| e.comment("reader", &author(0), 1, "nice"));
+    assert_eq!(commented, Ok(()));
+
     // An L1-served item allocates its body and its author's name, the two
     // strings it hands back; nothing else per item. The 47 per call are
     // mostly the reader's roster, one string per friend. A cold read is
@@ -262,12 +273,14 @@ fn heap_allocations_per_read_are_pinned() {
     // in the vote; 1768 while the combined check took its items through a
     // list of references that bisection shared; 1175 while the vote listed
     // a read's values and their verdicts and copied out its winner, which
-    // the finish phase then found again by its bytes.)
+    // the finish phase then found again by its bytes.) A comment opens
+    // its post for the commenter, as a read does (57 while the roster
+    // alone decided it).
     let per_item = (l1_64 - l1_32) / READS as u64;
     assert_eq!(
-        [per_item, l1_32, cold],
-        [2, 111, 1079],
-        "allocations per L1-served item, per warm feed of 32 items, per 32 cold reads"
+        [per_item, l1_32, cold, comment],
+        [2, 111, 1079, 60],
+        "allocations per L1-served item, per warm feed of 32 items, per 32 cold reads, per comment"
     );
 }
 

@@ -127,5 +127,5 @@ fn errors_are_descriptive() {
     let err = net.befriend("alice", "nobody", 0.1).unwrap_err();
     assert!(matches!(err, DosnError::UnknownUser(_)));
     let err = net.unfriend("alice", "erin").unwrap_err();
-    assert!(matches!(err, DosnError::UnknownUser(_)));
+    assert!(matches!(err, DosnError::InvalidArgument(_)));
 }
