@@ -34,7 +34,8 @@
 use super::batch::{BatchReport, Op, OpOutput};
 use super::pipeline::Batch;
 use super::plan::{bump_feed_stats, FeedFill};
-use super::{elapsed_micros, storage_to_dosn, wall_key, PhaseCtx, Users};
+use super::user::{Uid, Users};
+use super::{elapsed_micros, storage_to_dosn, wall_key, PhaseCtx};
 use crate::content::Post;
 use crate::error::DosnError;
 use crate::feed::FeedCache;
@@ -50,6 +51,8 @@ struct ReadJob<'a> {
     op_idx: usize,
     reader: &'a str,
     author: &'a str,
+    /// The author's id, as plan resolved it (`None`: no such user).
+    author_id: Option<Uid>,
     seq: u64,
     fetched: Result<FetchedCopies, StorageError>,
     /// The fetched copies, counted once.
@@ -79,14 +82,15 @@ struct ReadPhase<'c> {
     read_post: HistHandle,
 }
 
-/// Serves the planned `reads` (op indices) into `batch.results`.
+/// Serves the planned `reads` (op indices and author ids) into
+/// `batch.results`.
 pub(super) fn finish_reads<S: StoragePlane>(
     storage: &mut ReplicatedStore<S>,
     metrics: &mut Metrics,
     ctx: &PhaseCtx,
     users: &Users,
     batch: &mut Batch,
-    reads: Vec<usize>,
+    reads: Vec<(usize, Option<Uid>)>,
 ) {
     let timer = ctx.obs.timer(names::ENGINE_FINISH);
     let phase = ReadPhase {
@@ -98,7 +102,7 @@ pub(super) fn finish_reads<S: StoragePlane>(
         read_post: ctx.obs.histogram(names::NET_READ_POST_QUORUM),
     };
     let mut jobs: Vec<ReadJob> = Vec::with_capacity(reads.len());
-    for op_idx in reads {
+    for (op_idx, author_id) in reads {
         let Op::ReadPost {
             reader,
             author,
@@ -123,6 +127,7 @@ pub(super) fn finish_reads<S: StoragePlane>(
             op_idx,
             reader,
             author,
+            author_id,
             seq: *seq,
             tally: fetched.as_ref().map(Tally::new).unwrap_or_default(),
             fetched,
@@ -352,8 +357,9 @@ impl ReadPhase<'_> {
 /// `job.reader` and read as a [`Post`], which must name the same author
 /// and sequence number as the slot. Returns the post body.
 fn unseal(users: &Users, job: &ReadJob, verified: &VerifiedEnvelope) -> Result<String, DosnError> {
-    let author_state = users
-        .get(job.author)
+    let author_state = job
+        .author_id
+        .map(|id| users.get(id))
         .ok_or_else(|| DosnError::UnknownUser(job.author.to_owned()))?;
     let plain = author_state.open(job.reader, verified.epoch(), verified.body())?;
     let (author, sequence, _, body) = Post::read(&plain)?;

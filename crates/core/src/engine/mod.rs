@@ -1,5 +1,5 @@
 //! The batched request engine: prepare / plan / commit / finish execution
-//! of [`OpBatch`]es over one map of per-user records.
+//! of [`OpBatch`]es over one table of per-user records.
 //!
 //! [`Engine`] is the assembled DOSN and its one entry point: an overlay
 //! (§II) under a privacy layer (§III) under an integrity layer (§IV). A
@@ -33,9 +33,11 @@
 //! Each phase is one file beside this one — `plan`, `prepare`, `finish` —
 //! with `pipeline` holding [`Engine::execute`], which runs a batch through
 //! them (the commit is a dozen lines inside it). All of them work on one
-//! record per user (`user`), kept in one map. The record holds the user's
-//! §III [`AccessScheme`] itself and is the one place a post body is sealed
-//! or opened, through the `SealedBody` wire codec in [`crate::privacy`].
+//! record per user (`user`), kept in one table indexed by a dense user id
+//! and found by name once per op: the phases pass ids. The record holds
+//! the user's §III [`AccessScheme`] itself and is the one place a post
+//! body is sealed or opened, through the `SealedBody` wire codec in
+//! [`crate::privacy`].
 //! [`Engine::read_feed`] is the one caller that plans its own reads: it
 //! answers its L1 hits itself and hands only the misses to the
 //! commit-onward half of `execute`.
@@ -82,7 +84,7 @@ use dosn_crypto::group::{GroupSize, SchnorrGroup};
 use dosn_crypto::hmac::{hkdf_expand, hkdf_extract};
 use dosn_crypto::keys::KeyDirectory;
 use dosn_crypto::sha256::sha256;
-use dosn_obs::{names, Registry, Snapshot};
+use dosn_obs::{names, Counter, HistHandle, Registry, Snapshot};
 use dosn_overlay::fault::FaultPlan;
 use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
@@ -91,9 +93,9 @@ use dosn_overlay::storage::{StorageError, StoragePlane};
 use pipeline::Batch;
 use plan::{serve_from_l1, FeedFill, ReadPlan, Served};
 use prepare::PreparedPosts;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
-use user::UserState;
+use user::Users;
 
 /// The bucket count of [`shard_of`]. The engine keeps every user in one
 /// map and does not read this; it stays for workload shapers that spread
@@ -144,23 +146,6 @@ fn elapsed_micros(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Every registered user's record, by name.
-type Users = BTreeMap<UserId, UserState>;
-
-/// `name`'s record, or [`DosnError::UnknownUser`].
-fn known_user<'a>(users: &'a Users, name: &str) -> Result<&'a UserState, DosnError> {
-    users
-        .get(name)
-        .ok_or_else(|| DosnError::UnknownUser(name.to_owned()))
-}
-
-/// `name`'s record, mutably, or [`DosnError::UnknownUser`].
-fn user_mut<'a>(users: &'a mut Users, name: &str) -> Result<&'a mut UserState, DosnError> {
-    users
-        .get_mut(name)
-        .ok_or_else(|| DosnError::UnknownUser(name.to_owned()))
-}
-
 /// What every phase reads but none mutates: the crypto and observability
 /// handles plus the engine's knobs.
 struct PhaseCtx {
@@ -176,7 +161,8 @@ struct PhaseCtx {
 /// The assembled DOSN: the batched request engine (see module docs) over a
 /// replicated store on any overlay family. Owns the crypto group, key
 /// directory, replicated storage and metrics, and one record per user —
-/// friendships included, as friends-group rosters.
+/// friendships included, as friends-group rosters and, beside each, the
+/// friends' ids the engine walks.
 ///
 /// ```
 /// use dosn_core::engine::Engine;
@@ -244,6 +230,10 @@ pub struct Engine<S: StoragePlane> {
     /// Reader-side materialized timelines (L1). `None` = caching off; op
     /// outcomes are byte-identical either way (see [`crate::feed`]).
     feed: Option<FeedCache>,
+    /// `engine.ops`, resolved on the first op and held from then on.
+    ops: Option<Arc<Counter>>,
+    /// `feed.reads` and `feed.fanin`, resolved on the first `read_feed`.
+    feed_obs: Option<(Arc<Counter>, HistHandle)>,
 }
 
 impl<S: StoragePlane> std::fmt::Debug for Engine<S> {
@@ -280,10 +270,12 @@ impl<S: StoragePlane> Engine<S> {
                 batch_verify: true,
             },
             storage,
-            users: Users::new(),
+            users: Users::default(),
             metrics: Metrics::new(),
             next_op_index: 0,
             feed: None,
+            ops: None,
+            feed_obs: None,
         }
     }
 
@@ -345,13 +337,15 @@ impl<S: StoragePlane> Engine<S> {
         self.users.len()
     }
 
-    /// `user`'s friends, sorted by name (empty for an unknown user): their
-    /// friends-group roster minus themselves — the one record of friendship,
-    /// the same one that decides who can read their posts.
+    /// `user`'s friends, sorted by name (empty for an unknown user): the
+    /// active members of their friends-group roster minus themselves. The
+    /// roster is the one record of who may read their posts; this list is
+    /// the copy of its members the engine keeps by id, walked here without
+    /// cloning the roster and changed only together with it.
     pub fn friends(&self, user: &str) -> Vec<String> {
         self.users
-            .get(user)
-            .map_or_else(Vec::new, UserState::friends)
+            .find(user)
+            .map_or_else(Vec::new, |id| self.users.friend_names(id))
     }
 
     /// The key directory.
@@ -382,21 +376,28 @@ impl<S: StoragePlane> Engine<S> {
 
     /// A user's timeline (verifier view).
     pub fn timeline(&self, user: &str) -> Option<&crate::integrity::Timeline> {
-        self.users.get(user).map(UserState::timeline)
+        self.users.by_name(user).map(|u| u.timeline())
     }
 
     /// Verified comments on a post (commenter, body).
     pub fn comments(&self, author: &str, seq: u64) -> Vec<(String, String)> {
         self.users
-            .get(author)
+            .by_name(author)
             .map_or_else(Vec::new, |u| u.comments(seq))
     }
 
     /// Aggregates `user`'s feed: the latest `k` posts of every friend. The
-    /// friend set is [`Engine::friends`] (the reader's own roster);
-    /// per-friend sequence ranges come from the friends' timeline lengths.
-    /// Posts the reader cannot read (revoked epochs, unplaceable replicas)
-    /// are skipped, not errors — a feed is best-effort by design.
+    /// friend set is [`Engine::friends`] (the active members of the
+    /// reader's own roster); per-friend sequence ranges come from the
+    /// friends' timeline lengths. Posts the reader cannot read (revoked
+    /// epochs, unplaceable replicas) are skipped, not errors — a feed is
+    /// best-effort by design.
+    ///
+    /// The reader's name is looked up once. Their record lists the friends
+    /// as user ids in name order, and each id indexes the friend's record
+    /// (name and live chain) directly: no friend is looked up by name and
+    /// no roster is cloned. `feed.reads`, `feed.fanin` and `engine.ops` are
+    /// bumped through handles the engine resolves once.
     ///
     /// A warm read is served here, not by a batch. With the feed cache
     /// enabled, every friend's window is put to L1 in one probe — the
@@ -424,17 +425,22 @@ impl<S: StoragePlane> Engine<S> {
     ///
     /// [`DosnError::UnknownUser`] when `user` is not registered.
     pub fn read_feed(&mut self, user: &str, k: usize) -> Result<Vec<FeedItem>, DosnError> {
-        let friends = known_user(&self.users, user)?.friends();
+        let reader = self.users.id(user)?;
+        let friends = self.users.get(reader).friends();
         let obs = &self.ctx.obs;
-        obs.counter(names::FEED_READS).add(1);
-        obs.histogram(names::FEED_FANIN)
-            .record(friends.len() as u64);
+        let (feed_reads, fanin) = self.feed_obs.get_or_insert_with(|| {
+            let reads = obs.counter(names::FEED_READS);
+            (reads, obs.histogram(names::FEED_FANIN))
+        });
+        feed_reads.add(1);
+        fanin.record(friends.len() as u64);
         let windows: Vec<Window> = friends
             .iter()
-            .filter_map(|friend| {
-                let chain = self.users.get(friend.as_str())?.timeline();
+            .map(|&friend| {
+                let state = self.users.get(friend);
+                let chain = state.timeline();
                 let len = chain.entries().len() as u64;
-                Some(Window::on(friend, len.saturating_sub(k as u64)..len, chain))
+                Window::on(state.name(), len.saturating_sub(k as u64)..len, chain)
             })
             .collect();
         let reads: u64 = windows.iter().map(|w| w.seqs.end - w.seqs.start).sum();
@@ -456,7 +462,7 @@ impl<S: StoragePlane> Engine<S> {
                     if let Some(head) = fill {
                         plan.fills.push(FeedFill { op_idx, head });
                     }
-                    plan.reads.push(op_idx);
+                    plan.reads.push((op_idx, Some(friends[w])));
                     misses.push(Op::ReadPost {
                         reader: user.to_owned(),
                         author: author.to_owned(),
@@ -630,19 +636,20 @@ impl<S: StoragePlane> Engine<S> {
     /// lists the other, [`DosnError::UnknownUser`] for unregistered names,
     /// plus scheme-specific revocation failures.
     pub fn unfriend(&mut self, a: &str, b: &str) -> Result<u64, DosnError> {
-        let lists =
-            |owner: &str, friend: &str| known_user(&self.users, owner).map(|u| u.lists(friend));
-        if a == b || !(lists(a, b)? | lists(b, a)?) {
-            return Err(DosnError::InvalidArgument(format!(
-                "{a} and {b} are not friends"
-            )));
+        let not_friends = || DosnError::InvalidArgument(format!("{a} and {b} are not friends"));
+        if a == b {
+            return Err(not_friends());
+        }
+        let (ia, ib) = (self.users.id(a)?, self.users.id(b)?);
+        let listed = |owner, friend| (owner, friend, self.users.get(owner).lists(friend));
+        let sides = [listed(ia, ib), listed(ib, ia)];
+        if !sides.iter().any(|&(_, _, lists)| lists) {
+            return Err(not_friends());
         }
         let mut rekeyed = 0;
-        for (owner, friend) in [(a, b), (b, a)] {
-            let state = user_mut(&mut self.users, owner)?;
-            if state.lists(friend) {
-                let cost = state.scheme.revoke_member(&state.friends_group, friend)?;
-                rekeyed += cost.rekeyed_members;
+        for (owner, friend, lists) in sides {
+            if lists {
+                rekeyed += self.users.drop_friend(owner, friend)?.rekeyed_members;
             }
         }
         Ok(rekeyed)
@@ -713,6 +720,7 @@ mod tests {
     #[test]
     fn a_forked_or_rolled_back_chain_drops_the_slice_and_reads_go_to_quorum() {
         use crate::integrity::Timeline;
+        use std::collections::BTreeMap;
         let mut served = BTreeMap::new();
         for (diverge, feed) in [(false, false), (true, false), (false, true), (true, true)] {
             let mut e = engine(31);
@@ -738,7 +746,7 @@ mod tests {
             // Alice's record comes back with another history: rolled back
             // to two entries, or with a different third post on top of them.
             let mut rng = SecureRng::seed_from_u64(5);
-            let alice = user_mut(&mut e.users, "alice").unwrap();
+            let alice = e.users.get_mut(e.users.id("alice").unwrap());
             alice.rewrite_timeline(|alice, chain| {
                 let prefix = chain.entries()[..2].to_vec();
                 let mut fork = Timeline::from_entries(alice.id().clone(), prefix);
@@ -793,7 +801,7 @@ mod tests {
         let mut rng = SecureRng::seed_from_u64(9);
         for (seq, named, named_seq) in [(1, "alice", 0), (2, "bob", 2)] {
             let group = e.ctx.group.clone();
-            let alice = user_mut(&mut e.users, "alice").unwrap();
+            let alice = e.users.get_mut(e.users.id("alice").unwrap());
             let post = Post::new(named, named_seq, named_seq, "misplaced");
             let (ciphertext, epoch) = alice.seal(&post.to_bytes().unwrap()).unwrap();
             let mut wire = Vec::new();

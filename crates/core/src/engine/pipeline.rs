@@ -46,7 +46,11 @@ impl<S: StoragePlane> Engine<S> {
     /// Takes the next `n` global op indices (every op holds one, whether
     /// or not it draws randomness) and counts the ops; returns the first.
     pub(super) fn claim_op_indices(&mut self, n: u64) -> u64 {
-        self.ctx.obs.counter(names::ENGINE_OPS).add(n);
+        let obs = &self.ctx.obs;
+        let ops = self
+            .ops
+            .get_or_insert_with(|| obs.counter(names::ENGINE_OPS));
+        ops.add(n);
         let base = self.next_op_index;
         self.next_op_index += n;
         base

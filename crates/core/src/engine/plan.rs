@@ -6,7 +6,8 @@
 
 use super::batch::{Op, OpOutput};
 use super::pipeline::Batch;
-use super::{known_user, PhaseCtx, Users};
+use super::user::{Uid, Users};
+use super::PhaseCtx;
 use crate::error::DosnError;
 use crate::feed::{FeedCache, FeedCacheStats, Window};
 use crate::integrity::EntryHash;
@@ -27,9 +28,10 @@ pub(super) struct FeedFill {
 /// The reads the finish phase will serve and the fills that follow them.
 #[derive(Default)]
 pub(super) struct ReadPlan {
-    /// Op indices of the validated `ReadPost`s the feed cache did not
-    /// answer, in batch order.
-    pub(super) reads: Vec<usize>,
+    /// The validated `ReadPost`s the feed cache did not answer, in batch
+    /// order: each op's index, and its author's id (`None` for a name no
+    /// user holds, whose read finish refuses).
+    pub(super) reads: Vec<(usize, Option<Uid>)>,
     /// Feed-cache fills to apply once the batch's report exists (empty
     /// when the feed cache is off or every read was served from it).
     pub(super) fills: Vec<FeedFill>,
@@ -107,17 +109,18 @@ pub(super) fn plan_reads(
         else {
             continue;
         };
-        if let Err(unknown) = known_user(users, reader) {
+        if let Err(unknown) = users.id(reader) {
             // A rejected read is timed too (the histogram counts attempts).
             ctx.obs.histogram(names::NET_READ_POST_QUORUM).record(0);
             results[i] = Some(Err(unknown));
             continue;
         }
-        let Some(author_state) = users.get(author.as_str()) else {
-            plan.reads.push(i);
+        let Some(author_id) = users.find(author) else {
+            plan.reads.push((i, None));
             continue;
         };
-        let window = Window::on(author, *seq..*seq + 1, author_state.timeline());
+        let chain = users.get(author_id).timeline();
+        let window = Window::on(author, *seq..*seq + 1, chain);
         serve_from_l1(
             feed,
             &ctx.obs,
@@ -131,7 +134,7 @@ pub(super) fn plan_reads(
                     if let Some(head) = fill {
                         plan.fills.push(FeedFill { op_idx: i, head });
                     }
-                    plan.reads.push(i);
+                    plan.reads.push((i, Some(author_id)));
                 }
             },
         );

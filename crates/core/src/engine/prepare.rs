@@ -6,8 +6,8 @@
 
 use super::batch::{Op, OpOutput};
 use super::pipeline::Batch;
-use super::user::UserState;
-use super::{elapsed_micros, known_user, op_rng, user_mut, wall_key, PhaseCtx, Users};
+use super::user::{Uid, Users};
+use super::{elapsed_micros, op_rng, wall_key, PhaseCtx};
 use crate::error::DosnError;
 use crate::feed::FeedCache;
 use crate::identity::Identity;
@@ -19,7 +19,8 @@ use dosn_obs::{names, Registry};
 use dosn_overlay::id::Key;
 use std::time::Instant;
 
-/// Creates `name`'s record — the one place a [`UserState`] is built,
+/// Creates `name`'s record under the next id — the one place a
+/// [`super::user::UserState`] is built,
 /// serving the batch register stage and
 /// [`super::Engine::register_with_scheme`] alike. The scheme gets to refuse
 /// the friends group *before* the identity publishes its key binding, so a
@@ -27,8 +28,10 @@ use std::time::Instant;
 ///
 /// # Errors
 ///
-/// [`DosnError::NameTaken`] for a registered name, before the scheme is
-/// asked for anything; scheme-specific group-creation failures.
+/// [`DosnError::NameTaken`] for a registered name and
+/// [`DosnError::InvalidArgument`] when every `u32` id is taken, both
+/// before the scheme is asked for anything; scheme-specific
+/// group-creation failures.
 pub(super) fn register_user(
     users: &mut Users,
     group: &SchnorrGroup,
@@ -37,15 +40,14 @@ pub(super) fn register_user(
     mut scheme: Box<dyn AccessScheme>,
     rng: &mut SecureRng,
 ) -> Result<(), DosnError> {
-    if users.contains_key(name) {
+    if users.find(name).is_some() {
         return Err(DosnError::NameTaken(name.to_owned()));
     }
+    let id = Uid::try_from(users.len())
+        .map_err(|_| DosnError::InvalidArgument("every user id is taken".into()))?;
     let friends_group = scheme.create_group(&[name.to_owned()])?;
     let identity = Identity::create(name, group.clone(), directory, rng);
-    users.insert(
-        identity.id().clone(),
-        UserState::new(identity, scheme, friends_group, rng),
-    );
+    users.insert(id, identity, scheme, friends_group, rng);
     Ok(())
 }
 
@@ -112,8 +114,8 @@ pub(super) fn prepare_batch(
         let Op::Post { author, body } = op else {
             continue;
         };
-        let state = match user_mut(users, author) {
-            Ok(state) => state,
+        let state = match users.id(author) {
+            Ok(id) => users.get_mut(id),
             Err(unknown) => {
                 // A rejected post is timed too (the histogram counts attempts).
                 ctx.obs.histogram(names::NET_POST).record(0);
@@ -141,8 +143,12 @@ pub(super) fn prepare_batch(
         {
             let mut rng = op_rng(&ctx.op_prk, index(i));
             let mut comment = || {
-                known_user(users, commenter)?;
-                user_mut(users, author)?.comment(*seq, commenter, body.as_bytes(), &mut rng)
+                let commenter = (users.id(commenter)?, commenter.as_str());
+                let author = users.id(author)?;
+                let body = body.as_bytes();
+                users
+                    .get_mut(author)
+                    .comment(*seq, commenter, body, &mut rng)
             };
             results[i] = Some(comment().map(|()| OpOutput::Commented));
         }
@@ -178,25 +184,23 @@ fn link(
             "trust {trust} outside [0, 1]"
         )));
     }
-    let lacks = |owner: &str, friend: &str| known_user(users, owner).map(|u| !u.lists(friend));
-    let (add_a, add_b) = (lacks(a, b)?, lacks(b, a)?);
+    let (ia, ib) = (users.id(a)?, users.id(b)?);
+    let (add_a, add_b) = (!users.get(ia).lists(ib), !users.get(ib).lists(ia));
     let _timer = obs.timer(names::NET_KEY_DISSEMINATION);
-    let mut add = |owner: &str, friend: &str| {
-        let state = user_mut(users, owner)?;
-        state.scheme.add_member(&state.friends_group, friend)?;
+    let mut add = |owner: Uid, friend: Uid| {
+        users.add_friend(owner, friend)?;
         if let Some(cache) = feed.as_mut() {
-            cache.drop_slice(friend, owner);
+            cache.drop_slice(users.name(friend), users.name(owner));
         }
         Ok(())
     };
     if add_a {
-        add(a, b)?;
+        add(ia, ib)?;
     }
     if add_b {
-        if let Err(refused) = add(b, a) {
+        if let Err(refused) = add(ib, ia) {
             if add_a {
-                let state = user_mut(users, a)?;
-                state.scheme.revoke_member(&state.friends_group, b)?;
+                users.drop_friend(ia, ib)?;
             }
             return Err(refused);
         }

@@ -52,7 +52,13 @@
 //! The engine asks the cache in one place, its plan helper
 //! `serve_from_l1`, which a batch's plan phase calls once per `ReadPost`
 //! and [`Engine::read_feed`](crate::engine::Engine::read_feed) once per
-//! feed. A feed puts every friend's window of latest posts to the cache in
+//! feed. A feed finds its reader by name once; from there it walks by
+//! index. The reader's record keeps their friends as dense user ids in
+//! name order, and each id is the index of that friend's record, which
+//! holds the name and the live chain the friend's window needs. So
+//! building the windows looks up no name and clones no roster, and the
+//! feed's own instruments (`feed.reads`, `feed.fanin`, `engine.ops`) are
+//! handles the engine resolved once. The windows then go to the cache in
 //! one probe: the reader's slices are looked up once, each friend's slice
 //! once, and each post takes the hit or miss, the LRU tick and, for a
 //! dropped slice, the invalidation it would take if probed alone. A hit is

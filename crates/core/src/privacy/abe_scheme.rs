@@ -155,8 +155,13 @@ impl AccessScheme for AbeGroupScheme {
         member: &str,
     ) -> Result<MembershipCost, DosnError> {
         let state = find_mut(&mut self.groups, group)?;
-        if !state.member_keys.contains_key(member) || !state.revoked.insert(member.to_owned()) {
+        if !state.member_keys.contains_key(member) {
             return Err(DosnError::UnknownUser(member.to_owned()));
+        }
+        if !state.revoked.insert(member.to_owned()) {
+            return Err(DosnError::InvalidArgument(format!(
+                "{member} already revoked"
+            )));
         }
         let attribute = state.attribute.clone();
         let qualified = Self::qualified_member(group, member);

@@ -298,7 +298,9 @@ pub trait AccessScheme: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`DosnError::UnknownGroup`] / [`DosnError::UnknownUser`].
+    /// [`DosnError::UnknownGroup`]; [`DosnError::UnknownUser`] for a name
+    /// never in the group; [`DosnError::InvalidArgument`] for a member
+    /// already revoked.
     fn revoke_member(&mut self, group: &GroupId, member: &str)
         -> Result<MembershipCost, DosnError>;
 

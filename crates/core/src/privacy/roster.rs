@@ -60,14 +60,17 @@ impl Roster {
     ///
     /// # Errors
     ///
-    /// [`DosnError::UnknownUser`] for a name never on the roster or already
-    /// revoked (the epoch does not move).
+    /// [`DosnError::UnknownUser`] for a name never on the roster and
+    /// [`DosnError::InvalidArgument`] for a member already revoked; the
+    /// epoch does not move.
     pub(crate) fn revoke(&mut self, member: &str) -> Result<u64, DosnError> {
         let Some(entry) = self.members.get_mut(member) else {
             return Err(DosnError::UnknownUser(member.to_owned()));
         };
         if entry.1.is_some() {
-            return Err(DosnError::UnknownUser(format!("{member} already revoked")));
+            return Err(DosnError::InvalidArgument(format!(
+                "{member} already revoked"
+            )));
         }
         self.epoch += 1;
         entry.1 = Some(self.epoch);
@@ -97,7 +100,7 @@ mod tests {
     fn failed_revocations_do_not_open_an_epoch() {
         let mut r = Roster::new(&["a".into(), "b".into()]);
         r.revoke("b").unwrap();
-        assert!(matches!(r.revoke("b"), Err(DosnError::UnknownUser(_))));
+        assert!(matches!(r.revoke("b"), Err(DosnError::InvalidArgument(_))));
         assert!(matches!(r.revoke("nobody"), Err(DosnError::UnknownUser(_))));
         assert_eq!(r.epoch(), 1);
     }

@@ -19,6 +19,8 @@
 //! byte total must be the same on all four, so no configuration and no
 //! call path takes an op index or stores a byte another does not. Each
 //! case runs over the bare ring or over the ring behind social placement.
+//! Ann's friends group never admits dan, so a befriend of ann by dan is
+//! refused after dan's side was added, and the engine takes that add back.
 //!
 //! The model does no crypto: what a reader is served is a plaintext, and
 //! re-running the engine's own crypto would only check the engine against
@@ -30,6 +32,7 @@ mod model;
 
 use dosn_core::engine::{wall_key, Engine, Op, OpBatch, OpOutput};
 use dosn_core::feed::{FeedCache, FeedCacheStats, FeedItem};
+use dosn_core::privacy::{AccessScheme, GroupId, MembershipCost, SealedPost, SymmetricGroupScheme};
 use dosn_core::{DosnError, UserId};
 use dosn_obs::names;
 use dosn_overlay::chord::ChordPlane;
@@ -94,7 +97,7 @@ fn name() -> impl Strategy<Value = &'static str> {
 }
 
 /// Ops weighted out of 16: registers 1, befriends 5 (one in sixteen of
-/// them with a trust outside `[0, 1]`), posts 4, comments 1, reads 5.
+/// them with a trust outside `[0, 1]`), posts 4, comments 2, reads 4.
 fn op() -> impl Strategy<Value = Op> {
     (0u8..16, name(), name(), 0..SEQS, 0u32..1000).prop_map(|(pick, a, b, seq, n)| match pick {
         0 => Op::Register { name: a.into() },
@@ -107,7 +110,7 @@ fn op() -> impl Strategy<Value = Op> {
             author: a.into(),
             body: format!("post {n}"),
         },
-        10 => Op::Comment {
+        10 | 11 => Op::Comment {
             commenter: a.into(),
             author: b.into(),
             seq,
@@ -275,11 +278,51 @@ fn check_state(
     Ok(())
 }
 
-/// One case: every step on the model and on the four engines, then the
-/// stored bytes compared across the engines. Returns whether a re-joined
-/// member was refused a post from before the re-join, and how many
-/// comments on such posts re-joined members were refused.
-fn run(seed: u64, social: bool, steps: &[Step]) -> Result<(bool, u64), TestCaseError> {
+/// The symmetric scheme, except that its friends group never admits one
+/// name. Ann registers with it, refusing dan: a befriend of ann by dan adds
+/// ann to dan's group, is refused on ann's side and takes dan's add back,
+/// so the oracle reaches befriend's rollback.
+struct Picky {
+    inner: SymmetricGroupScheme,
+    refuses: &'static str,
+}
+
+impl AccessScheme for Picky {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn create_group(&mut self, members: &[String]) -> Result<GroupId, DosnError> {
+        self.inner.create_group(members)
+    }
+    fn encrypt(&mut self, group: &GroupId, plaintext: &[u8]) -> Result<SealedPost, DosnError> {
+        self.inner.encrypt(group, plaintext)
+    }
+    fn decrypt_as(&self, g: &GroupId, member: &str, p: &SealedPost) -> Result<Vec<u8>, DosnError> {
+        self.inner.decrypt_as(g, member, p)
+    }
+    fn add_member(&mut self, group: &GroupId, member: &str) -> Result<MembershipCost, DosnError> {
+        if member == self.refuses {
+            return Err(DosnError::NotAuthorized(format!(
+                "this group admits no {member}"
+            )));
+        }
+        self.inner.add_member(group, member)
+    }
+    fn revoke_member(&mut self, g: &GroupId, member: &str) -> Result<MembershipCost, DosnError> {
+        self.inner.revoke_member(g, member)
+    }
+    fn members(&self, group: &GroupId) -> Vec<String> {
+        self.inner.members(group)
+    }
+}
+
+/// The picky user and the name their group refuses.
+const PICKY: (&str, &str) = ("ann", "dan");
+
+/// One case: ann registers with a [`Picky`] scheme, then every step runs on
+/// the model and on the four engines, then the stored bytes are compared
+/// across the engines. Returns the model, for its coverage counts.
+fn run(seed: u64, social: bool, steps: &[Step]) -> Result<Model, TestCaseError> {
     let mut engines: Vec<(Config, Engine<Plane>)> = [false, true]
         .into_iter()
         .flat_map(|caches| {
@@ -291,6 +334,13 @@ fn run(seed: u64, social: bool, steps: &[Step]) -> Result<(bool, u64), TestCaseE
         .map(|config| (config, engine(seed, social, config)))
         .collect();
     let mut model = Model::default();
+    let (picky, refuses) = PICKY;
+    model.register_picky(picky, refuses);
+    for (_, e) in &mut engines {
+        let inner = SymmetricGroupScheme::new([seed as u8; 32]);
+        let scheme = Box::new(Picky { inner, refuses });
+        prop_assert!(e.register_with_scheme(picky, scheme).is_ok());
+    }
     for (at, step) in steps.iter().enumerate() {
         match step {
             Step::Batch(ops) => {
@@ -363,15 +413,16 @@ fn run(seed: u64, social: bool, steps: &[Step]) -> Result<(bool, u64), TestCaseE
     for other in stored {
         prop_assert!(other == first, "the configurations stored different bytes");
     }
-    Ok((model.rejoin_refusals > 0, model.rejoin_comment_refusals))
+    Ok(model)
 }
 
 /// The property, over 24 cases of 25 to 80 steps. Besides passing, at
 /// least a quarter of the cases must refuse a re-joined member a post from
 /// before the re-join — the case the feed cache once got wrong — so the
-/// step weights keep that sequence common; and some case must refuse a
-/// re-joined member a comment on such a post, the case the roster-only
-/// comment rule allowed.
+/// step weights keep that sequence common; a re-joined member must be
+/// refused a comment on such a post at least 7 times over the cases, the
+/// case the roster-only comment rule allowed; and at least 15 befriends
+/// must be taken back after ann's group refused dan.
 #[test]
 fn every_configuration_answers_as_the_oracle() {
     let case = (
@@ -384,21 +435,22 @@ fn every_configuration_answers_as_the_oracle() {
         cases: 24,
         ..ProptestConfig::default()
     };
-    let (mut rejoin_cases, mut rejoin_comments) = (0, 0);
+    let (mut rejoin_cases, mut rejoin_comments, mut rollbacks) = (0, 0, 0);
     proptest::run_cases(
         "every_configuration_answers_as_the_oracle",
         &config,
         |rng| {
-            // Step 0 registers the first two to four names; the rest register
-            // when a random op does.
+            // Ann registers before step 0, which registers the next one to
+            // three names; the rest register when a random op does.
             let (seed, social, registered, mut steps) = case.generate(rng);
-            let names = NAMES[..registered].iter().map(|name| Op::Register {
+            let names = NAMES[1..registered].iter().map(|name| Op::Register {
                 name: (*name).into(),
             });
             steps.insert(0, Step::Batch(names.collect()));
-            let (rejoin_read, comments) = run(seed, social, &steps)?;
-            rejoin_cases += u32::from(rejoin_read);
-            rejoin_comments += comments;
+            let model = run(seed, social, &steps)?;
+            rejoin_cases += u32::from(model.rejoin_refusals > 0);
+            rejoin_comments += model.rejoin_comment_refusals;
+            rollbacks += model.rollbacks;
             Ok(())
         },
     );
@@ -408,9 +460,15 @@ fn every_configuration_answers_as_the_oracle() {
             "only {rejoin_cases} of {} cases re-read a post from before a re-join",
             config.cases
         );
+        // 14 such refusals at these weights (4 with comments at 1 in 16).
         assert!(
-            rejoin_comments > 0,
-            "no case commented on a post from before a re-join"
+            rejoin_comments >= 7,
+            "only {rejoin_comments} comments on a post from before a re-join were refused"
+        );
+        // 30 at these weights.
+        assert!(
+            rollbacks >= 15,
+            "only {rollbacks} befriends were taken back"
         );
     }
 }

@@ -26,14 +26,35 @@ struct Group {
     members: BTreeMap<String, (u64, Option<u64>)>,
     /// Members who joined again after a revocation.
     rejoined: BTreeSet<String>,
+    /// The one name this group never admits (a picky scheme's refusal).
+    refuses: Option<&'static str>,
 }
 
 impl Group {
-    fn founded_by(owner: &str) -> Self {
+    fn founded_by(owner: &str, refuses: Option<&'static str>) -> Self {
         Group {
             epoch: 0,
             members: BTreeMap::from([(owner.to_owned(), (0, None))]),
             rejoined: BTreeSet::new(),
+            refuses,
+        }
+    }
+
+    fn join(&mut self, name: &str) {
+        if self
+            .members
+            .insert(name.to_owned(), (self.epoch, None))
+            .is_some()
+        {
+            self.rejoined.insert(name.to_owned());
+        }
+    }
+
+    /// Revokes a listed `name`, opening a new epoch.
+    fn revoke(&mut self, name: &str) {
+        self.epoch += 1;
+        if let Some(membership) = self.members.get_mut(name) {
+            membership.1 = Some(self.epoch);
         }
     }
 
@@ -75,6 +96,9 @@ pub(super) struct Model {
     /// Comments refused to a re-joined member on a post sealed before the
     /// re-join (a coverage count, like `rejoin_refusals`).
     pub(super) rejoin_comment_refusals: u64,
+    /// Befriends whose first add was taken back because the second side
+    /// refused (a coverage count).
+    pub(super) rollbacks: u64,
 }
 
 fn unknown(name: &str) -> DosnError {
@@ -119,7 +143,8 @@ impl Model {
                 if self.groups.contains_key(name) {
                     return Err(DosnError::NameTaken(name.clone()));
                 }
-                self.groups.insert(name.clone(), Group::founded_by(name));
+                self.groups
+                    .insert(name.clone(), Group::founded_by(name, None));
                 Ok(OpOutput::Registered)
             }
             Op::Befriend { a, b, trust } => {
@@ -131,14 +156,30 @@ impl Model {
                         return Err(unknown(name));
                     }
                 }
-                for (owner, friend) in [(a, b), (b, a)] {
-                    let group = self.groups.get_mut(owner).expect("checked above");
-                    if !group.lists(friend) {
-                        let before = group.members.insert(friend.clone(), (group.epoch, None));
-                        if before.is_some() {
-                            group.rejoined.insert(friend.clone());
+                let adds: Vec<(&String, &String)> = [(a, b), (b, a)]
+                    .into_iter()
+                    .filter(|(owner, friend)| !self.groups[*owner].lists(friend))
+                    .collect();
+                for (k, &(owner, friend)) in adds.iter().enumerate() {
+                    if self.groups[owner].refuses == Some(friend.as_str()) {
+                        // The engine takes back the add before this one by
+                        // revoking it: on the ledger a join and a
+                        // revocation, so the friend keeps the epoch the join
+                        // fell in.
+                        for &(owner, friend) in &adds[..k] {
+                            let group = self.groups.get_mut(owner).expect("checked above");
+                            group.join(friend);
+                            group.revoke(friend);
+                            self.rollbacks += 1;
                         }
+                        return Err(refused("the friends group admits no such member"));
                     }
+                }
+                for (owner, friend) in adds {
+                    self.groups
+                        .get_mut(owner)
+                        .expect("checked above")
+                        .join(friend);
                 }
                 Ok(OpOutput::Befriended)
             }
@@ -219,6 +260,14 @@ impl Model {
         self.posts.range(wall).count() as u64
     }
 
+    /// `Engine::register_with_scheme` of a scheme whose friends group never
+    /// admits `refuses`; one op index, like a batch `Register`.
+    pub(super) fn register_picky(&mut self, name: &str, refuses: &'static str) {
+        self.ops += 1;
+        let group = Group::founded_by(name, Some(refuses));
+        self.groups.insert(name.to_owned(), group);
+    }
+
     /// `Engine::unfriend`: each side that lists the other revokes them,
     /// opening a new epoch; returns the members each revocation re-keyed.
     pub(super) fn unfriend(&mut self, a: &str, b: &str) -> Result<u64, DosnError> {
@@ -235,8 +284,7 @@ impl Model {
         for (owner, friend) in [(a, b), (b, a)] {
             let group = self.groups.get_mut(owner).expect("checked above");
             if group.lists(friend) {
-                group.epoch += 1;
-                group.members.get_mut(friend).expect("listed").1 = Some(group.epoch);
+                group.revoke(friend);
                 rekeyed += group.members.values().filter(|(_, r)| r.is_none()).count() as u64;
             }
         }

@@ -6,7 +6,8 @@
 //!
 //! * a member revoked at epoch *e* is refused every post sealed at epoch
 //!   ≥ *e* and still opens posts sealed in `[joined, e)`;
-//! * double-revoke and unknown-member revoke are `UnknownUser`;
+//! * a member revoked twice is `InvalidArgument`, and a name no ledger
+//!   has seen is `UnknownUser`;
 //! * the one legitimate difference is pinned too: a member who joins during
 //!   epoch *e* after a post was sealed in it holds the symmetric epoch key
 //!   (reads it) but was never wrapped a per-recipient key (PKE/IBBE refuse).
@@ -17,7 +18,8 @@
 //! (`tests/oracle`).
 
 use dosn_core::privacy::{
-    AccessScheme, GroupId, IbbeGroupScheme, PkeGroupScheme, SealedPost, SymmetricGroupScheme,
+    AbeGroupScheme, AccessScheme, GroupId, IbbeGroupScheme, PkeGroupScheme, SealedPost,
+    SymmetricGroupScheme,
 };
 use dosn_core::DosnError;
 use dosn_crypto::chacha::SecureRng;
@@ -93,16 +95,22 @@ proptest! {
                 }
                 Step::Revoke(i) => {
                     let m = member(i);
-                    let revocable = ledger.get(m).is_some_and(|(_, revoked)| revoked.is_none());
+                    let entry = ledger.get(m);
+                    let revocable = entry.is_some_and(|(_, revoked)| revoked.is_none());
                     for (s, g) in schemes.iter_mut().zip(&groups) {
                         let outcome = s.revoke_member(g, m);
-                        if revocable {
-                            prop_assert!(outcome.is_ok(), "{} revoke {}: {:?}", s.name(), m, outcome);
-                        } else {
-                            prop_assert!(
+                        match entry {
+                            _ if revocable => prop_assert!(
+                                outcome.is_ok(), "{} revoke {}: {:?}", s.name(), m, outcome
+                            ),
+                            Some(_) => prop_assert!(
+                                matches!(outcome, Err(DosnError::InvalidArgument(_))),
+                                "{} double revoke of {}: {:?}", s.name(), m, outcome
+                            ),
+                            None => prop_assert!(
                                 matches!(outcome, Err(DosnError::UnknownUser(_))),
-                                "{} double/unknown revoke of {}: {:?}", s.name(), m, outcome
-                            );
+                                "{} unknown revoke of {}: {:?}", s.name(), m, outcome
+                            ),
                         }
                     }
                     if revocable {
@@ -159,6 +167,31 @@ proptest! {
             }
         }
     }
+}
+
+/// The ABE scheme keeps its own ledger (a revoked set beside the issued
+/// keys), not the roster, so its two refusals are pinned here alone: a
+/// second revocation of a member is `InvalidArgument`, a name never in the
+/// group is `UnknownUser`, and neither changes who may read.
+#[test]
+fn abe_tells_a_double_revoke_from_an_unknown_name() {
+    let mut abe = AbeGroupScheme::new([5u8; 32]);
+    let g = abe.create_group(&[MEMBERS[0].to_owned()]).unwrap();
+    abe.add_member(&g, MEMBERS[1]).unwrap();
+    let old = abe.encrypt(&g, b"before").unwrap();
+    abe.revoke_member(&g, MEMBERS[1]).unwrap();
+    assert!(matches!(
+        abe.revoke_member(&g, MEMBERS[1]),
+        Err(DosnError::InvalidArgument(_))
+    ));
+    assert!(matches!(
+        abe.revoke_member(&g, GHOST),
+        Err(DosnError::UnknownUser(_))
+    ));
+    // The founder still opens the post from before the revocations and is
+    // the only member.
+    assert_eq!(abe.decrypt_as(&g, MEMBERS[0], &old).unwrap(), b"before");
+    assert_eq!(abe.members(&g), [MEMBERS[0]]);
 }
 
 fn active(ledger: &BTreeMap<&str, (u64, Option<u64>)>) -> Vec<String> {

@@ -240,8 +240,8 @@ fn heap_allocations_per_read_are_pinned() {
     assert_first_posts(&report);
 
     // Warm feeds of 32 and of 64 L1-served items over the same 32 friends:
-    // the per-call part (the reader's roster, the probe windows, the item
-    // list) is the same, so the difference is the items'.
+    // the per-call part (the probe windows, the slot and item lists) is the
+    // same, so the difference is the items'.
     e.enable_feed_cache(256);
     e.read_feed("reader", 1).unwrap();
     e.read_feed("reader", 1).unwrap();
@@ -261,8 +261,11 @@ fn heap_allocations_per_read_are_pinned() {
     assert_eq!(commented, Ok(()));
 
     // An L1-served item allocates its body and its author's name, the two
-    // strings it hands back; nothing else per item. The 47 per call are
-    // mostly the reader's roster, one string per friend. A cold read is
+    // strings it hands back; nothing else per item. The 6 per call are the
+    // probe windows, the slot and item lists and the probe's bookkeeping:
+    // the reader's friends are walked by id, so no roster is cloned (111
+    // per feed of 32 while every call cloned the reader's roster, a string
+    // per friend, and looked each friend up by name). A cold read is
     // ≈ 34 allocations: the baseline a read-path change measures against.
     // (1767 per 32 while a record was copied out of its bytes to be
     // verified, its author's name copied three times, its post's body
@@ -274,12 +277,14 @@ fn heap_allocations_per_read_are_pinned() {
     // list of references that bisection shared; 1175 while the vote listed
     // a read's values and their verdicts and copied out its winner, which
     // the finish phase then found again by its bytes.) A comment opens
-    // its post for the commenter, as a read does (57 while the roster
-    // alone decided it).
+    // its post for the commenter, as a read does, and finds the commenter
+    // on the author's friend list by id (60 while that check cloned the
+    // author's roster, two names and their list; 57 while the roster alone
+    // decided it and was cloned).
     let per_item = (l1_64 - l1_32) / READS as u64;
     assert_eq!(
         [per_item, l1_32, cold, comment],
-        [2, 111, 1079, 60],
+        [2, 70, 1079, 57],
         "allocations per L1-served item, per warm feed of 32 items, per 32 cold reads, per comment"
     );
 }
